@@ -32,7 +32,7 @@ DEFAULT_THRESHOLD = 1.5
 #: independent, unlike the absolute snapshot comparison).
 TELEMETRY_BENCH = "test_perf_full_session_telemetry_on"
 TELEMETRY_BASE_BENCH = "test_perf_full_session_throughput"
-DEFAULT_TELEMETRY_OVERHEAD = 1.5
+DEFAULT_TELEMETRY_OVERHEAD = 1.25
 
 #: profiler-off gate: a session that attached and then detached the
 #: event-loop self-profiler must run at the plain session's speed —

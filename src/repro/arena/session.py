@@ -309,6 +309,8 @@ class ArenaSession:
         loop.run(until=self.config.duration + 0.5)
         for fid in self.senders:
             self._sync_flow(fid)
+        if self.telemetry is not None:
+            self.telemetry.flush()
         self._finished = True
         return ArenaMetrics(
             duration=self.config.duration,

@@ -306,8 +306,10 @@ class ParallelRunner:
                 cache.put(keys[i], metrics)
             results[i] = metrics
             if observer is not None:
-                observer.cell_done(i, tasks[i].key(), source=source,
-                                   wall_s=wall_s, pid=pid)
+                observer.cell_done(
+                    i, tasks[i].key(), source=source, wall_s=wall_s, pid=pid,
+                    engine=getattr(metrics, "engine", None),
+                    fallback_reason=getattr(metrics, "fallback_reason", None))
 
         if todo:
             if self.jobs <= 1 or len(todo) <= 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from repro.analysis.cache import ResultCache
@@ -98,6 +99,22 @@ def make_task(baseline: str, args: argparse.Namespace,
                     config=config, build_kwargs=build_kwargs)
 
 
+def warn_fallback(results) -> None:
+    """One stderr line when requested batch runs used the reference loop.
+
+    ``results`` are the metrics of one run or of every grid cell; the
+    session records the reason on them (``fallback_reason``).
+    """
+    reasons = Counter(getattr(m, "fallback_reason", None) for m in results)
+    del reasons[None]
+    if reasons:
+        detail = "; ".join(f"{reason} ({n})" if len(results) > 1 else reason
+                           for reason, n in sorted(reasons.items()))
+        print(f"engine: {sum(reasons.values())} of {len(results)} batch "
+              f"run(s) fell back to the reference loop: {detail}",
+              file=sys.stderr)
+
+
 def make_runner(args: argparse.Namespace) -> ParallelRunner:
     cache = ResultCache() if getattr(args, "cache", False) else None
     return ParallelRunner(jobs=args.jobs, cache=cache)
@@ -166,6 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _cmd_run_checked(args)
     runner = make_runner(args)
     [metrics] = runner.run([make_task(args.baseline, args)])
+    warn_fallback([metrics])
     if runner.cache is not None:
         print(runner.counters())
     print_table(f"{args.baseline} over {args.trace} "
@@ -233,6 +251,7 @@ def _cmd_run_checked(args: argparse.Namespace) -> int:
         from repro.audit import attach_audit
         auditor = attach_audit(session, strict=False)
     metrics = session.run()
+    warn_fallback([metrics])
     violations = auditor.finalize() if auditor is not None else []
     suffix = ", audited" if auditor is not None else ""
     print_table(f"{args.baseline} over {args.trace} "
@@ -857,6 +876,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
                        series=args.series,
                        inject_stall=(None if stall_at is None
                                      else (stall_at, stall_dur)))
+    warn_fallback(list(results.values()))
     if args.run_dir is not None:
         print()
         print(report_run(args.run_dir))

@@ -274,6 +274,7 @@ class LiveSession:
         finally:
             if telemetry is not None:
                 telemetry.stop_tick()
+                telemetry.flush()
             # Teardown must leave *nothing* scheduled on the event loop:
             # the feedback tick and the pacer pump otherwise reschedule
             # themselves forever, and close() cancels the transports'

@@ -2,9 +2,10 @@
 
 The paper's subject is *sending burstiness*: how tightly packet
 releases cluster on the wire and how long packets sit in the pacer
-before release. This module turns the per-packet wire hook the
-telemetry layer already has (:meth:`repro.obs.recorder.Telemetry.
-packet_wire`) into a streaming view of exactly those distributions:
+before release. This module turns the telemetry layer's columnar
+``wire`` rows (:class:`repro.obs.recorder.WireRows`: one row per packet
+leaving the pacer) into a streaming view of exactly those distributions,
+a batch of rows at a time:
 
 * ``burst.ipg_s`` — inter-packet-gap histogram (sub-millisecond
   buckets; a paced flow concentrates mass near ``packet_bytes /
@@ -29,10 +30,11 @@ export and ``repro trace`` pick them up with zero extra wiring.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import Optional
 
-from repro.obs.quantiles import percentiles
+import numpy as np
+
+from repro.obs.quantiles import SampleWindow
 from repro.obs.registry import MetricRegistry
 
 __all__ = [
@@ -76,12 +78,13 @@ DEFAULT_WINDOW = 2048
 
 
 class BurstAnalyzer:
-    """Streaming burstiness statistics over the packet wire hook.
+    """Streaming burstiness statistics over the ``wire`` probe rows.
 
     One instance per session, owned by :class:`~repro.obs.recorder.
-    Telemetry`; ``on_packet`` is called from the sender's
-    packet-leaves-pacer hook with the wire timestamp, size, and the
-    pacing delay the pacer measured for that packet.
+    Telemetry`, which hands :meth:`on_rows` every batch of new rows
+    (wire timestamp, size, and the pacing delay the pacer measured) at
+    the telemetry tick or on first read. Batch boundaries are invisible:
+    any split of the same row sequence leaves identical state.
     """
 
     __slots__ = ("registry", "train_gap_s",
@@ -89,8 +92,7 @@ class BurstAnalyzer:
                  "_h_train_duration", "_h_pacing",
                  "_c_packets", "_c_trains",
                  "_g_last_train_packets", "_g_last_train_bytes",
-                 "_last_t", "_train_start", "_train_last",
-                 "_train_packets", "_train_bytes",
+                 "_last_t", "_train_start", "_train_packets", "_train_bytes",
                  "_recent_gaps", "_recent_pacing")
 
     def __init__(self, registry: MetricRegistry, *,
@@ -129,66 +131,105 @@ class BurstAnalyzer:
         self._g_last_train_bytes = registry.gauge(
             "burst.last_train_bytes", record=False,
             help="Bytes in the most recently completed burst train")
+        #: wire time of the last row seen; with the three ``_train_*``
+        #: fields it is the in-progress train carried between batches.
         self._last_t: Optional[float] = None
         self._train_start = 0.0
-        self._train_last = 0.0
         self._train_packets = 0
         self._train_bytes = 0.0
-        self._recent_gaps: Deque[float] = deque(maxlen=window)
-        self._recent_pacing: Deque[float] = deque(maxlen=window)
+        self._recent_gaps = SampleWindow(window)
+        self._recent_pacing = SampleWindow(window)
 
     # -- feeding ---------------------------------------------------------
 
+    def on_rows(self, t: np.ndarray, sizes: np.ndarray,
+                pacing_delays: np.ndarray) -> None:
+        """Consume a batch of wire rows (``t`` nondecreasing; a NaN
+        pacing delay means "not measured")."""
+        n = len(t)
+        if not n:
+            return
+        self._c_packets.inc(float(n))
+        unmeasured = np.isnan(pacing_delays)
+        if unmeasured.any():
+            pacing_delays = pacing_delays[~unmeasured]
+        self._h_pacing.observe_many(pacing_delays)
+        self._recent_pacing.extend(pacing_delays)
+        # gaps[i] is the gap in front of row i; a gap above train_gap_s
+        # starts a new train there. The very first row has no gap.
+        gaps = np.empty(n)
+        np.subtract(t[1:], t[:-1], out=gaps[1:])
+        prev_t = self._last_t
+        if prev_t is None:
+            gaps = gaps[1:]
+            starts = (gaps > self.train_gap_s).nonzero()[0] + 1
+        else:
+            gaps[0] = t[0] - prev_t
+            starts = (gaps > self.train_gap_s).nonzero()[0]
+        self._h_ipg.observe_many(gaps)
+        self._recent_gaps.extend(gaps)
+        self._last_t = float(t[-1])
+        # Segment k spans rows [begins[k], ends[k]); the first continues
+        # the carried train, all but the last close inside this batch.
+        begins = np.concatenate(((0,), starts))
+        ends = np.concatenate((starts, (n,)))
+        cum = np.concatenate(((0.0,), sizes.cumsum(dtype=np.float64)))
+        packets = (ends - begins).astype(np.float64)
+        nbytes = cum[ends] - cum[begins]
+        first = t[begins]
+        last = t[ends - 1]
+        if self._train_packets:
+            packets[0] += self._train_packets
+            nbytes[0] += self._train_bytes
+            first[0] = self._train_start
+            if not ends[0]:
+                last[0] = prev_t
+        elif not ends[0]:
+            # Nothing carried (first rows after flush()) and row 0 opens
+            # a train: there is no train to close in front of it.
+            packets, nbytes = packets[1:], nbytes[1:]
+            first, last = first[1:], last[1:]
+        if len(packets) > 1:
+            self._h_train_packets.observe_many(packets[:-1])
+            self._h_train_bytes.observe_many(nbytes[:-1])
+            self._h_train_duration.observe_many((last - first)[:-1])
+            self._c_trains.inc(float(len(packets) - 1))
+            self._g_last_train_packets.set(float(packets[-2]))
+            self._g_last_train_bytes.set(float(nbytes[-2]))
+        self._train_packets = int(packets[-1])
+        self._train_bytes = float(nbytes[-1])
+        self._train_start = float(first[-1])
+
     def on_packet(self, now: float, size_bytes: float,
                   pacing_delay: Optional[float] = None) -> None:
-        """Record one wire emission at time ``now`` (hot path)."""
-        self._c_packets.inc()
-        if pacing_delay is not None:
-            self._h_pacing.observe(pacing_delay)
-            self._recent_pacing.append(pacing_delay)
-        if self._last_t is None:
-            self._train_start = now
-            self._train_packets = 1
-            self._train_bytes = float(size_bytes)
-        else:
-            gap = now - self._last_t
-            self._h_ipg.observe(gap)
-            self._recent_gaps.append(gap)
-            if gap > self.train_gap_s:
-                self._close_train()
-                self._train_start = now
-                self._train_packets = 1
-                self._train_bytes = float(size_bytes)
-            else:
-                self._train_packets += 1
-                self._train_bytes += float(size_bytes)
-        self._last_t = now
-        self._train_last = now
+        """Record one wire emission at time ``now``: a batch of one."""
+        self.on_rows(np.array((now,), dtype=np.float64),
+                     np.array((size_bytes,), dtype=np.float64),
+                     np.array((np.nan if pacing_delay is None
+                               else pacing_delay,), dtype=np.float64))
 
     def flush(self) -> None:
         """Close the in-progress train (end of session)."""
         if self._train_packets:
-            self._close_train()
+            packets = float(self._train_packets)
+            self._h_train_packets.observe(packets)
+            self._h_train_bytes.observe(self._train_bytes)
+            self._h_train_duration.observe(self._last_t - self._train_start)
+            self._c_trains.inc()
+            self._g_last_train_packets.set(packets)
+            self._g_last_train_bytes.set(self._train_bytes)
             self._train_packets = 0
             self._train_bytes = 0.0
-
-    def _close_train(self) -> None:
-        self._h_train_packets.observe(float(self._train_packets))
-        self._h_train_bytes.observe(self._train_bytes)
-        self._h_train_duration.observe(self._train_last - self._train_start)
-        self._c_trains.inc()
-        self._g_last_train_packets.set(float(self._train_packets))
-        self._g_last_train_bytes.set(self._train_bytes)
 
     # -- reading ---------------------------------------------------------
 
     def ipg_percentiles(self, pcts=(50.0, 99.0)):
         """Windowed exact inter-packet-gap percentiles."""
-        return percentiles(self._recent_gaps, pcts)
+        return self._recent_gaps.percentiles(pcts)
 
     def pacing_percentiles(self, pcts=(50.0, 99.0)):
         """Windowed exact pacing-delay percentiles."""
-        return percentiles(self._recent_pacing, pcts)
+        return self._recent_pacing.percentiles(pcts)
 
     def summary(self) -> dict:
         """Point-in-time digest for heartbeats and CLI reports."""

@@ -78,12 +78,6 @@ def _labels_str(labels, extra: Optional[dict] = None) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _header(lines: list[str], prom: str, kind: str, help_text: str) -> None:
-    if help_text:
-        lines.append(f"# HELP {prom} {_escape_help(help_text)}")
-    lines.append(f"# TYPE {prom} {kind}")
-
-
 def prometheus_snapshot(registry: "MetricRegistry") -> str:
     """Prometheus text-format snapshot of every registered metric.
 
@@ -91,97 +85,66 @@ def prometheus_snapshot(registry: "MetricRegistry") -> str:
     histograms, each sorted by name — so two snapshots of equal
     registries are byte-identical and diffs stay readable.
     """
-    lines: list[str] = []
-    for name in sorted(registry.counters):
-        counter = registry.counters[name]
-        prom = _prom_name(name) + "_total"
-        _header(lines, prom, "counter", counter.help)
-        lines.append(f"{prom}{_labels_str(counter.labels)} "
-                     f"{_prom_value(counter.value)}")
-    for name in sorted(registry.gauges):
-        gauge = registry.gauges[name]
-        if gauge.value is None:
-            continue
-        prom = _prom_name(name)
-        _header(lines, prom, "gauge", gauge.help)
-        lines.append(f"{prom}{_labels_str(gauge.labels)} "
-                     f"{_prom_value(gauge.value)}")
-    for name in sorted(registry.histograms):
-        hist = registry.histograms[name]
-        prom = _prom_name(name)
-        _header(lines, prom, "histogram", hist.help)
-        for bound, cumulative in hist.cumulative():
-            le = "+Inf" if bound == math.inf else repr(float(bound))
-            labels = _labels_str(hist.labels, {"le": le})
-            lines.append(f"{prom}_bucket{labels} {cumulative}")
-        base = _labels_str(hist.labels)
-        lines.append(f"{prom}_sum{base} {_prom_value(hist.sum)}")
-        lines.append(f"{prom}_count{base} {hist.count}")
-    return "\n".join(lines) + "\n"
+    return prometheus_rollup({"": registry}, label=None)
 
 
-def prometheus_rollup(shards, label: str = "session") -> str:
+def prometheus_rollup(shards, label: Optional[str] = "session") -> str:
     """One Prometheus snapshot over many per-session registries.
 
     ``shards`` maps a shard name (e.g. ``"s3-ace"``) to its
     :class:`~repro.obs.registry.MetricRegistry`. Each metric family is
     rendered once — HELP/TYPE header, then one sample line per shard
     carrying ``{label="<shard>"}`` merged into the instrument's own
-    labels — so a fleet of N sessions scrapes as one page with
+    labels (``label=None``: no shard label, the single-registry
+    snapshot) — so a fleet of N sessions scrapes as one page with
     per-session series, exactly how a multi-tenant exporter labels
-    tenants. Ordering is fully deterministic (families sorted by name,
-    shards sorted by key), matching :func:`prometheus_snapshot`.
+    tenants. Ordering is fully deterministic: counters, gauges,
+    histograms; families sorted by name, shards sorted by key.
     """
     shards = dict(shards)
     keys = sorted(shards)
     lines: list[str] = []
 
-    def families(attr: str) -> list[str]:
-        return sorted({name for reg in shards.values()
-                       for name in getattr(reg, attr)})
+    def family(attr: str):
+        """(name, [(shard labels, instrument), ...]) per metric family."""
+        names = sorted({n for reg in shards.values() for n in getattr(reg, attr)})
+        for name in names:
+            found = [({} if label is None else {label: key}, inst)
+                     for key in keys
+                     if (inst := getattr(shards[key], attr).get(name))
+                     is not None]
+            yield name, found
 
-    def help_for(attr: str, name: str) -> str:
-        for key in keys:
-            inst = getattr(shards[key], attr).get(name)
-            if inst is not None and inst.help:
-                return inst.help
-        return ""
+    def header(prom: str, kind: str, found) -> None:
+        help_text = next((inst.help for _, inst in found if inst.help), "")
+        if help_text:
+            lines.append(f"# HELP {prom} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {prom} {kind}")
 
-    for name in families("counters"):
+    for name, found in family("counters"):
         prom = _prom_name(name) + "_total"
-        _header(lines, prom, "counter", help_for("counters", name))
-        for key in keys:
-            counter = shards[key].counters.get(name)
-            if counter is None:
-                continue
-            lines.append(f"{prom}{_labels_str(counter.labels, {label: key})} "
+        header(prom, "counter", found)
+        for shard, counter in found:
+            lines.append(f"{prom}{_labels_str(counter.labels, shard)} "
                          f"{_prom_value(counter.value)}")
-    for name in families("gauges"):
-        samples = []
-        for key in keys:
-            gauge = shards[key].gauges.get(name)
-            if gauge is None or gauge.value is None:
-                continue
-            samples.append((key, gauge))
-        if not samples:
+    for name, found in family("gauges"):
+        found = [(shard, g) for shard, g in found if g.value is not None]
+        if not found:
             continue
         prom = _prom_name(name)
-        _header(lines, prom, "gauge", help_for("gauges", name))
-        for key, gauge in samples:
-            lines.append(f"{prom}{_labels_str(gauge.labels, {label: key})} "
+        header(prom, "gauge", found)
+        for shard, gauge in found:
+            lines.append(f"{prom}{_labels_str(gauge.labels, shard)} "
                          f"{_prom_value(gauge.value)}")
-    for name in families("histograms"):
+    for name, found in family("histograms"):
         prom = _prom_name(name)
-        _header(lines, prom, "histogram", help_for("histograms", name))
-        for key in keys:
-            hist = shards[key].histograms.get(name)
-            if hist is None:
-                continue
+        header(prom, "histogram", found)
+        for shard, hist in found:
             for bound, cumulative in hist.cumulative():
                 le = "+Inf" if bound == math.inf else repr(float(bound))
-                labels = _labels_str(hist.labels, {label: key, "le": le})
+                labels = _labels_str(hist.labels, {**shard, "le": le})
                 lines.append(f"{prom}_bucket{labels} {cumulative}")
-            base = _labels_str(hist.labels, {label: key})
+            base = _labels_str(hist.labels, shard)
             lines.append(f"{prom}_sum{base} {_prom_value(hist.sum)}")
             lines.append(f"{prom}_count{base} {hist.count}")
     return "\n".join(lines) + "\n"

@@ -121,6 +121,10 @@ class FleetObserver:
         #: pid -> {"cells": n, "wall_s": total}
         self.workers: dict[int, dict] = {}
         self.stragglers: list[dict] = []
+        #: engine that actually ran -> fresh cells; fallback reason ->
+        #: cells that asked for the batch engine and did not get it.
+        self.engines: dict[str, int] = {}
+        self.fallbacks: dict[str, int] = {}
         self._worker_walls: list[float] = []
         self._started = time.monotonic()
         self._cells_path = self.run_dir / "cells.jsonl"
@@ -139,9 +143,21 @@ class FleetObserver:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     def cell_done(self, index: int, key: tuple, *, source: str,
-                  wall_s: float = 0.0, pid: Optional[int] = None) -> None:
-        """One grid cell finished. ``source``: ``cache``/``worker``/``inline``."""
+                  wall_s: float = 0.0, pid: Optional[int] = None,
+                  engine: Optional[str] = None,
+                  fallback_reason: Optional[str] = None) -> None:
+        """One grid cell finished. ``source``: ``cache``/``worker``/``inline``.
+
+        ``engine`` is the engine that actually ran the cell (``None``
+        when unknown: cache hits, arena cells) and ``fallback_reason``
+        why a requested batch run used the reference loop instead.
+        """
         self.done += 1
+        if engine is not None:
+            self.engines[engine] = self.engines.get(engine, 0) + 1
+        if fallback_reason is not None:
+            self.fallbacks[fallback_reason] = (
+                self.fallbacks.get(fallback_reason, 0) + 1)
         if source == "cache":
             self.cache_hits += 1
         else:
@@ -153,6 +169,7 @@ class FleetObserver:
             stats["wall_s"] += wall_s
         record = {"kind": "cell", "index": index, "key": list(key),
                   "source": source, "wall_s": round(wall_s, 6), "pid": pid,
+                  "engine": engine, "fallback_reason": fallback_reason,
                   "done": self.done, "total": self.total,
                   "elapsed_s": round(self.elapsed_s, 6)}
         straggler = self._check_straggler(index, key, source, wall_s)
@@ -236,6 +253,8 @@ class FleetObserver:
             "workers": {str(pid): dict(stats)
                         for pid, stats in sorted(self.workers.items())},
             "stragglers": self.stragglers,
+            "engines": dict(sorted(self.engines.items())),
+            "fallbacks": dict(sorted(self.fallbacks.items())),
         }
         if extra:
             summary.update(extra)
@@ -349,6 +368,9 @@ def report_run(run_dir: str | Path) -> str:
             f"{len(workers) or summary.get('jobs', 1)} worker(s); "
             f"cache hits={cache.get('hits')} misses={cache.get('misses')} "
             f"stores={cache.get('stores')}")
+        for reason, n in summary.get("fallbacks", {}).items():
+            lines.append(f"fallback: {n} batch cell(s) ran on the "
+                         f"reference loop ({reason})")
         for straggler in summary.get("stragglers", []):
             lines.append(f"straggler: cell {straggler['key']} took "
                          f"{straggler['wall_s']:.2f}s "
@@ -417,29 +439,30 @@ def diff_runs(candidate_dir: str | Path, reference_dir: str | Path,
     lines = [f"diff: {Path(candidate_dir)} vs {Path(reference_dir)} "
              f"(tolerance {tolerance:.0%})"]
     regressions: list[dict] = []
+
+    def judge(label: str, metric: str, old, new, higher_better: bool) -> None:
+        if new is None or old is None or new != new or old != old:
+            return  # missing or NaN on either side
+        if old == 0.0:
+            rel = 0.0 if new == 0.0 else float("inf")
+        else:
+            rel = (new - old) / abs(old)
+        worsened = -rel if higher_better else rel
+        flag = "~"
+        if worsened > tolerance:
+            flag = "REGRESSED"
+            regressions.append({"baseline": label, "metric": metric,
+                                "old": old, "new": new, "rel": rel})
+        elif worsened < -tolerance:
+            flag = "improved"
+        lines.append(f"  {label:<14} {metric:<14} "
+                     f"{old:>12.6g} -> {new:>12.6g} ({rel:+.1%})  {flag}")
+
     for baseline in sorted(set(cand) & set(ref)):
         for metric in metrics:
-            new = cand[baseline][metric].mean
-            old = ref[baseline][metric].mean
-            if new != new or old != old:  # NaN on either side
-                continue
-            if old == 0.0:
-                rel = 0.0 if new == 0.0 else float("inf")
-            else:
-                rel = (new - old) / abs(old)
-            worsened = -rel if metric in HIGHER_IS_BETTER else rel
-            flag = "~"
-            if worsened > tolerance:
-                flag = "REGRESSED"
-                regressions.append({"baseline": baseline, "metric": metric,
-                                    "old": old, "new": new, "rel": rel})
-            elif worsened < -tolerance:
-                flag = "improved"
-            lines.append(f"  {baseline:<14} {metric:<14} "
-                         f"{old:>12.6g} -> {new:>12.6g} "
-                         f"({rel:+.1%})  {flag}")
-    only = sorted(set(cand) ^ set(ref))
-    for baseline in only:
+            judge(baseline, metric, ref[baseline][metric].mean,
+                  cand[baseline][metric].mean, metric in HIGHER_IS_BETTER)
+    for baseline in sorted(set(cand) ^ set(ref)):
         side = "candidate" if baseline in cand else "reference"
         lines.append(f"  {baseline:<14} only in {side} run")
     # Arena fairness cells: Jain index (higher is better) and worst-flow
@@ -448,23 +471,8 @@ def diff_runs(candidate_dir: str | Path, reference_dir: str | Path,
     ref_fair = (ref_summary or {}).get("fairness", {})
     for cell in sorted(set(cand_fair) & set(ref_fair)):
         for metric, higher_better in (("jain", True), ("worst_p95_ms", False)):
-            new = cand_fair[cell].get(metric)
-            old = ref_fair[cell].get(metric)
-            if new is None or old is None or new != new or old != old:
-                continue
-            rel = 0.0 if old == 0.0 and new == 0.0 else (
-                float("inf") if old == 0.0 else (new - old) / abs(old))
-            worsened = -rel if higher_better else rel
-            flag = "~"
-            if worsened > tolerance:
-                flag = "REGRESSED"
-                regressions.append({"baseline": cell, "metric": metric,
-                                    "old": old, "new": new, "rel": rel})
-            elif worsened < -tolerance:
-                flag = "improved"
-            lines.append(f"  {cell:<14} {metric:<14} "
-                         f"{old:>12.6g} -> {new:>12.6g} "
-                         f"({rel:+.1%})  {flag}")
+            judge(cell, metric, ref_fair[cell].get(metric),
+                  cand_fair[cell].get(metric), higher_better)
     # Time-series shards (recorded with --series) pinpoint *when* the
     # runs diverged, not just whether; informational, never a
     # regression by itself.

@@ -17,9 +17,10 @@ Two deliberate non-users:
   input (its floor-index convention is part of the simulated system,
   protected by golden fingerprints), not a reporting statistic.
 
-Everything here is pure Python and allocation-light: no numpy, so it
-is importable from the live hot path and from ``scripts/check_perf.py``
-without dragging in the analysis stack.
+:class:`SampleWindow` is the bounded recent-window ring the burst
+analyzer keeps per signal: rows arrive in bulk (one numpy batch per
+telemetry tick), and the window's order statistics are computed at most
+once per batch and shared by every quantile reader until the next one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
+    "SampleWindow",
     "clean_samples",
     "percentile",
     "percentiles",
@@ -63,15 +67,49 @@ def percentiles(values: Iterable[Optional[float]],
     sort (3.11+ ``sorted`` raises on NaN comparisons only sometimes,
     which is worse than either behaviour).
     """
-    ordered = sorted(clean_samples(values))
+    return _nearest_rank(sorted(clean_samples(values)), pcts)
+
+
+def _nearest_rank(ordered: Sequence[float],
+                  pcts: Sequence[float]) -> Tuple[Optional[float], ...]:
     n = len(ordered)
     if n == 0:
         return tuple(None for _ in pcts)
-    out = []
-    for pct in pcts:
-        rank = max(0, min(n - 1, int(round(pct / 100.0 * (n - 1)))))
-        out.append(ordered[rank])
-    return tuple(out)
+    return tuple(
+        ordered[max(0, min(n - 1, int(round(pct / 100.0 * (n - 1)))))]
+        for pct in pcts)
+
+
+class SampleWindow:
+    """The most recent ``capacity`` samples of one signal.
+
+    Fed NaN-free numpy batches (the producer filters "no measurement"
+    out once, vectorized); :meth:`percentiles` answers with the same
+    nearest-rank convention as :func:`percentiles` from one sort per
+    batch, however many readers ask between batches.
+    """
+
+    __slots__ = ("capacity", "_values", "_ordered")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._values = np.empty(0)
+        self._ordered: Optional[List[float]] = None
+
+    def extend(self, values: np.ndarray) -> None:
+        if len(values):
+            self._values = np.concatenate(
+                (self._values, values))[-self.capacity:]
+            self._ordered = None
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def percentiles(self, pcts: Sequence[float]
+                    ) -> Tuple[Optional[float], ...]:
+        if self._ordered is None:
+            self._ordered = np.sort(self._values).tolist()
+        return _nearest_rank(self._ordered, pcts)
 
 
 def percentile(values: Iterable[Optional[float]],

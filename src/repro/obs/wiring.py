@@ -42,6 +42,21 @@ def _est_queue_bytes(ace_n: "AceNController") -> float:
     return est.queue_delay() * est.capacity_bps() / 8.0
 
 
+def _occupancy(telemetry: "Telemetry", component, attr: str,
+               twin: str) -> float:
+    """Queue occupancy that only the reference loop keeps on the component.
+
+    The batch engine holds pacer and link backlogs in its pipeline's
+    arrays; when one is installed (``telemetry.pipeline``) it answers
+    with the ``twin`` property instead, so the gauge reads the same
+    quantity on either engine.
+    """
+    pipeline = telemetry.pipeline
+    if pipeline is not None:
+        return getattr(pipeline, twin)
+    return getattr(component, attr)
+
+
 def instrument_stack(telemetry: "Telemetry", *,
                      pacer: Optional["Pacer"] = None,
                      cc: Optional["CongestionController"] = None,
@@ -60,7 +75,8 @@ def instrument_stack(telemetry: "Telemetry", *,
                        sample_fn=lambda p=pacer: p.queued_bytes,
                        help="Bytes queued in the pacer")
         registry.gauge("pacer.backlog_packets",
-                       sample_fn=lambda p=pacer: p.queued_packets,
+                       sample_fn=lambda p=pacer, t=telemetry: _occupancy(
+                           t, p, "queued_packets", "pacer_queued_packets"),
                        help="Packets queued in the pacer")
         registry.gauge("pacer.pacing_rate_bps",
                        sample_fn=lambda p=pacer: p.pacing_rate_bps,
@@ -111,7 +127,8 @@ def instrument_stack(telemetry: "Telemetry", *,
             help="Estimated queue bytes above the ACE threshold T")
     if link is not None:
         registry.gauge("link.queue_bytes",
-                       sample_fn=lambda l=link: l.queued_bytes,
+                       sample_fn=lambda l=link, t=telemetry: _occupancy(
+                           t, l, "queued_bytes", "link_queued_bytes"),
                        help="Bytes queued in the bottleneck link")
         # rate_at() is a pure function of time (monotonic cursor with a
         # bisect fallback), so sampling it never perturbs the trace.

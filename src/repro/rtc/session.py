@@ -318,10 +318,19 @@ class RtcSession:
         engine.advance(self, self.config.duration + 0.5)
         engine.finalize(self)
         self._display_sync.sync()
+        if self.telemetry is not None:
+            self.telemetry.flush()
         self._finished = True
         if auditor is not None:
             auditor.finalize()
-        return self._collect()
+        metrics = self._collect()
+        # Which engine actually ran, and why not the requested one:
+        # plain attributes (like slo_alerts), outside the result schema,
+        # so cache payloads and canonical JSON are unchanged.
+        metrics.fallback_reason = engine.fallback_reason
+        metrics.engine = ("reference" if engine.fallback_reason is not None
+                          else engine.name)
+        return metrics
 
     def attribution(self):
         """Causal pacer-residence attribution of the finished run.

@@ -24,11 +24,18 @@ Structure:
   and path machinery.
 
 Configurations outside the fast path's model (random/contention loss,
-delay jitter, cross traffic, FEC, audio, playout buffers, telemetry or
-audit hooks, valve-enabled pacers) fall back to reference semantics:
-``advance`` simply runs the event loop, producing bit-identical results
-to ``--engine reference``. The fallback reason is kept on the engine
-for tests and diagnostics.
+delay jitter, cross traffic, FEC, audio, playout buffers, audit or
+profiler hooks on the loop, valve-enabled pacers) fall back to
+reference semantics: ``advance`` simply runs the event loop, producing
+bit-identical results to ``--engine reference``. The fallback reason is
+kept on the engine (and on the returned metrics) for tests and
+diagnostics.
+
+Telemetry stays on the fast path: the pipeline appends each release
+train to the session's ``wire`` probe rows straight from its arrays and
+stamps the frame stages the reference sender/receiver would, and the
+telemetry tick is an ordinary heap event — a non-deferrable boundary —
+so it reads a pipeline that ``run_until(t)`` has just flushed.
 
 Numerical contract: the fast path reorders float arithmetic (closed
 forms and cumulative sums instead of sequential per-packet updates), so
@@ -102,8 +109,6 @@ def ineligible_reason(session: "RtcSession") -> Optional[str]:
         return "FEC enabled"
     if sender.audio is not None:
         return "audio substream enabled"
-    if session.telemetry is not None:
-        return "telemetry attached"
     if session.loop.on_event is not None:
         return "event hook attached (audit/tracing)"
     if session.loop.profiler is not None:
@@ -214,6 +219,7 @@ class BatchPipeline:
         self.path = session.path
         self.link = session.path.link
         self.trace = session.path.link.trace
+        self.telemetry = session.telemetry
         self.half_hop = session.path._half_hop
         self.capacity = self.link.queue.capacity_bytes
         if isinstance(self.pacer, TokenBucketPacer):
@@ -251,6 +257,43 @@ class BatchPipeline:
     def install(self) -> None:
         self.sender.batch_sink = self
         self.path.intercept = self._on_scalar_packet
+        if self.telemetry is not None:
+            self.telemetry.pipeline = self
+
+    # ------------------------------------------------------------------
+    # occupancy views (obs.wiring gauges; pure reads at the tick)
+    # ------------------------------------------------------------------
+    @property
+    def pacer_queued_packets(self) -> int:
+        """Twin of ``Pacer.queued_packets``: media waits in bursts."""
+        return (sum(b.count - b.sent for b in self._media)
+                + len(self.pacer._rtx_queue))
+
+    @property
+    def link_queued_bytes(self) -> int:
+        """Twin of ``Link.queued_bytes`` at ``loop.now``.
+
+        Trains are served ahead of the clock, so occupancy *now* is read
+        off the pending deliveries: a packet is in the queue from its
+        entry (send + half hop) until its finish (arrival - half hop).
+        """
+        now = self.loop.now
+        half_hop = self.half_hop
+        queued = 0
+        for head in self._deliveries:
+            if type(head) is tuple:
+                packet = head[1]
+                if packet.t_enter_queue <= now < packet.t_leave_queue:
+                    queued += packet.size_bytes
+                continue
+            arrivals, sends, sizes = head[0], head[1], head[2]
+            left = int(np.searchsorted(arrivals - half_hop, now,
+                                       side="right"))
+            entered = int(np.searchsorted(sends + half_hop, now,
+                                          side="right"))
+            if entered > left:
+                queued += int(sizes[left:entered].sum())
+        return queued
 
     # ------------------------------------------------------------------
     # sender sink (replaces packetize + pacer.enqueue for media)
@@ -270,6 +313,10 @@ class BatchPipeline:
                            sender.frame_metrics[encoded.frame_id])
         sender._last_sent_frame_id = encoded.frame_id
         burst.metrics.pacer_enqueue = now
+        tel = self.telemetry
+        if tel is not None:
+            tel.frame_stage(encoded.frame_id, "packetize")
+            tel.frame_stage(encoded.frame_id, "pacer_enqueue")
         if sender.ace_n is not None:
             sender.ace_n.on_frame_enqueued(size_bytes)
         pacer = self.pacer
@@ -483,7 +530,11 @@ class BatchPipeline:
         stats = pacer.stats
         stats.sent_packets += n
         stats.sent_bytes += chunk_bytes
-        stats.pacing_delays.extend((d - burst.enqueue_time).tolist())
+        pacing_delays = d - burst.enqueue_time
+        stats.pacing_delays.extend(pacing_delays.tolist())
+        if self.telemetry is not None:
+            self.telemetry.wire_train(burst.frame_id, d, sizes,
+                                      pacing_delays)
         # One occupancy sample per train (reference: one per packet).
         stats.occupancy_samples.append((float(d[-1]), pacer._queued_bytes))
         burst.metrics.pacer_last_exit = float(d[-1])
@@ -630,7 +681,7 @@ class BatchPipeline:
         stats = self.link.stats
         stats.dropped_packets += 1
         stats.dropped_bytes += size
-        self.path._dropped_by_link(packet)
+        self.link.on_drop(packet)
 
     def _pop_finished(self, t: float) -> None:
         """Retire link departures with finish time <= ``t`` (occupancy)."""
@@ -673,7 +724,7 @@ class BatchPipeline:
             stats = self.link.stats
             stats.dropped_packets += 1
             stats.dropped_bytes += size
-            self.path._dropped_by_link(packet)
+            self.link.on_drop(packet)
             return
         finish = self._serve_scalar(entry, size)
         self._q_bytes += size

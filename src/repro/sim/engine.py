@@ -20,7 +20,8 @@ metrics collection.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Protocol, Type, runtime_checkable
+from typing import (TYPE_CHECKING, Dict, Optional, Protocol, Type,
+                    runtime_checkable)
 
 if TYPE_CHECKING:
     from repro.rtc.session import RtcSession
@@ -32,6 +33,8 @@ class SimulationEngine(Protocol):
 
     #: registry key and the value recorded in fleet manifests.
     name: str
+    #: why the run used reference semantics instead (None = it did not).
+    fallback_reason: Optional[str]
 
     def prepare(self, session: "RtcSession") -> None:
         """Install hooks on a fully-wired session, before it starts."""
@@ -47,6 +50,7 @@ class ReferenceEngine:
     """The discrete-event loop, unchanged: one heap event per hop."""
 
     name = "reference"
+    fallback_reason = None
 
     def prepare(self, session: "RtcSession") -> None:  # pragma: no cover
         pass

@@ -216,6 +216,9 @@ class TransportReceiver:
             self.frames[frame_id] = record
         if record.first_arrival is None:
             record.first_arrival = float(arrivals[0])
+            if self.telemetry is not None:
+                self.telemetry.frame_stage(frame_id, "arrival_first",
+                                           at=record.first_arrival)
         if index0 == 0 and prev_sent_frame_id is not None:
             record.prev_sent_frame_id = prev_sent_frame_id
             if prev_sent_frame_id < self._next_display_id <= frame_id - 1:
@@ -235,6 +238,8 @@ class TransportReceiver:
             record.complete_at = complete_at
             if frame_id > self._max_complete_id:
                 self._max_complete_id = frame_id
+            if self.telemetry is not None:
+                self.telemetry.frame_stage(frame_id, "complete")
             self._try_display()
 
     def _try_display(self) -> None:

@@ -129,13 +129,35 @@ def test_batch_fallback_is_reference_exact(config_kwargs, expect):
             == canonical_metrics_json(batch_metrics))
 
 
-def test_batch_fallback_on_telemetry():
+def test_batch_fast_path_with_telemetry():
+    """Observing must not change the engine: telemetry, the SLO watchdog
+    and series recording all ride the fast path, and the returned
+    metrics say which engine ran."""
     trace = BandwidthTrace.constant(8e6, duration=8.0)
     cfg = SessionConfig(duration=2.0, seed=2)
     session = build_session("ace", trace, cfg, engine="batch")
-    session.enable_telemetry()
-    session.run()
-    assert session.engine.fallback_reason == "telemetry attached"
+    telemetry = session.enable_telemetry()
+    telemetry.attach_watchdog()
+    telemetry.attach_series()
+    metrics = session.run()
+    assert session.engine.fallback_reason is None
+    assert (metrics.engine, metrics.fallback_reason) == ("batch", None)
+    assert telemetry.registry.counter("burst.packets").value \
+        == metrics.packets_sent
+    assert len(telemetry.series) > 10
+
+
+def test_fallback_is_recorded_on_metrics_not_in_the_schema():
+    trace = BandwidthTrace.constant(8e6, duration=8.0)
+    cfg = SessionConfig(duration=1.0, seed=2, random_loss_rate=0.02)
+    metrics = build_session("ace", trace, cfg, engine="batch").run()
+    assert metrics.engine == "reference"
+    assert "loss" in metrics.fallback_reason
+    payload = canonical_metrics_json(metrics)
+    assert "fallback_reason" not in payload and '"engine"' not in payload
+    plain = build_session("ace", trace, cfg).run()
+    assert (plain.engine, plain.fallback_reason) == ("reference", None)
+    assert canonical_metrics_json(plain) == payload
 
 
 def test_grid_manifest_records_engine(tmp_path):
@@ -148,6 +170,29 @@ def test_grid_manifest_records_engine(tmp_path):
                  run_dir=str(run_dir), engine=engine)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["engine"] == engine
+
+
+def test_grid_run_dir_records_engine_and_fallback_per_cell(tmp_path):
+    """The manifest records the *requested* engine; cells.jsonl and the
+    summary record which engine ran each cell and why not the other."""
+    from repro.bench.parallel import run_grid
+
+    trace = BandwidthTrace.constant(10e6, duration=6.0, name="flat-10")
+    results = run_grid(["ace", "ace-fec"], [trace], seeds=(3,), duration=1.5,
+                       run_dir=str(tmp_path), engine="batch")
+    assert [m.engine for m in results.values()] == ["batch", "reference"]
+    cells = [json.loads(line)
+             for line in (tmp_path / "cells.jsonl").read_text().splitlines()]
+    cells = {c["key"][0]: c for c in cells if c["kind"] == "cell"}
+    assert cells["ace"]["engine"] == "batch"
+    assert cells["ace"]["fallback_reason"] is None
+    assert cells["ace-fec"]["engine"] == "reference"
+    assert cells["ace-fec"]["fallback_reason"] == "FEC enabled"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["engines"] == {"batch": 1, "reference": 1}
+    assert summary["fallbacks"] == {"FEC enabled": 1}
+    assert json.loads(
+        (tmp_path / "manifest.json").read_text())["engine"] == "batch"
 
 
 def test_grid_engines_agree(tmp_path):

@@ -76,6 +76,25 @@ class TestCommands:
                    "--duration", "3", "--codec", "av1"])
         assert rc == 0
 
+    def test_batch_fallback_is_announced_on_stderr(self, tmp_path, capsys):
+        base = ["--trace", "const:15", "--duration", "1.5",
+                "--engine", "batch"]
+        # Observed and eligible: stays on the batch engine, says nothing.
+        assert main(["run", "--baseline", "ace", "--slo", "--series-out",
+                     str(tmp_path / "series")] + base) == 0
+        assert capsys.readouterr().err == ""
+        # The auditor hooks the loop, FEC is outside the fast path.
+        assert main(["run", "--baseline", "ace", "--check"] + base) == 0
+        err = capsys.readouterr().err
+        assert "1 of 1 batch run(s) fell back" in err and "audit" in err
+        assert main(["run", "--baseline", "ace-fec"] + base) == 0
+        assert "FEC enabled" in capsys.readouterr().err
+        assert main(["grid", "--baselines", "ace,ace-fec", "--traces",
+                     "const:15", "--seeds", "3", "--duration", "1.5",
+                     "--engine", "batch"]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "1 of 2 batch run(s) fell back" in err[0]
+
     def test_cc_override(self, capsys):
         rc = main(["run", "--baseline", "webrtc-star", "--trace", "const:15",
                    "--duration", "3", "--cc", "bbr"])

@@ -107,3 +107,125 @@ def test_deterministic_snapshot_for_identical_input():
         return prometheus_snapshot(reg)
 
     assert build() == build()
+
+
+# ---------------------------------------------------------------------------
+# bulk consumption is exact: batch boundaries are invisible
+# ---------------------------------------------------------------------------
+import numpy as np  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_rows = st.lists(
+    st.tuples(
+        # gap to the previous packet: back-to-back, sub-threshold, at
+        # the 2 ms train threshold, and well above it
+        st.sampled_from([0.0, 0.0004, 0.0019, 0.002, 0.0021, 0.01, 0.2]),
+        st.integers(min_value=40, max_value=1500),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))),
+    min_size=1, max_size=60)
+
+
+class LoopAnalyzer:
+    """Reference: the per-packet loop the bulk path replaced (one Python
+    step per packet, scalar ``Histogram.observe``), kept here as the
+    oracle. Same instruments, so snapshots compare byte for byte."""
+
+    def __init__(self, registry, window):
+        self.b = BurstAnalyzer(registry, window=window)  # instruments only
+        self.last_t = None
+        self.start = self.bytes = 0.0
+        self.packets = 0
+        self.gaps, self.pacing = [], []
+
+    def on_packet(self, now, size, delay):
+        b = self.b
+        b._c_packets.inc()
+        if delay is not None:
+            b._h_pacing.observe(delay)
+            self.pacing.append(delay)
+        if self.last_t is not None:
+            gap = now - self.last_t
+            b._h_ipg.observe(gap)
+            self.gaps.append(gap)
+            if gap > b.train_gap_s:
+                self.flush()
+        if not self.packets:
+            self.start = now
+        self.packets += 1
+        self.bytes += float(size)
+        self.last_t = now
+
+    def flush(self):
+        b = self.b
+        if self.packets:
+            b._h_train_packets.observe(float(self.packets))
+            b._h_train_bytes.observe(self.bytes)
+            b._h_train_duration.observe(self.last_t - self.start)
+            b._c_trains.inc()
+            b._g_last_train_packets.set(float(self.packets))
+            b._g_last_train_bytes.set(self.bytes)
+            self.packets, self.bytes = 0, 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows, cuts=st.lists(st.integers(min_value=0, max_value=60),
+                                 max_size=6),
+       flush_at=st.one_of(st.none(), st.integers(min_value=1, max_value=59)))
+def test_any_batching_of_the_same_rows_leaves_identical_state(
+        rows, cuts, flush_at):
+    """The per-packet loop (reference), one row at a time through
+    ``on_packet``, and any split into ``on_rows`` batches — also across
+    a mid-stream ``flush()`` — must produce the same registry snapshot
+    byte for byte and the same window quantiles."""
+    from repro.obs import percentiles
+
+    window = 16
+    times, t = [], 1.0
+    for gap, _, _ in rows:
+        t += gap
+        times.append(t)
+    sizes = [size for _, size, _ in rows]
+    delays = [np.nan if d is None else d for _, _, d in rows]
+    flush_at = None if flush_at is None else min(flush_at, len(rows))
+
+    def loop():
+        reg = MetricRegistry()
+        ref = LoopAnalyzer(reg, window)
+        for i, (when, size, (_, _, delay)) in enumerate(
+                zip(times, sizes, rows)):
+            if i == flush_at:
+                ref.flush()
+            ref.on_packet(when, size, delay)
+        ref.flush()
+        return (prometheus_snapshot(reg),
+                percentiles(ref.gaps[-window:], (50.0, 99.0)),
+                percentiles(ref.pacing[-window:], (50.0, 99.0)))
+
+    def scalar():
+        reg = MetricRegistry()
+        b = BurstAnalyzer(reg, window=window)
+        for i, (when, size, (_, _, delay)) in enumerate(
+                zip(times, sizes, rows)):
+            if i == flush_at:
+                b.flush()
+            b.on_packet(when, size, delay)
+        b.flush()
+        return (prometheus_snapshot(reg), b.ipg_percentiles(),
+                b.pacing_percentiles())
+
+    def batched():
+        reg = MetricRegistry()
+        b = BurstAnalyzer(reg, window=window)
+        edges = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts),
+                        *(() if flush_at is None else (flush_at,))})
+        for lo, hi in zip(edges, edges[1:]):
+            if lo == flush_at:
+                b.flush()
+            b.on_rows(np.array(times[lo:hi]), np.array(sizes[lo:hi]),
+                      np.array(delays[lo:hi]))
+        b.flush()
+        return (prometheus_snapshot(reg), b.ipg_percentiles(),
+                b.pacing_percentiles())
+
+    assert loop() == scalar() == batched()

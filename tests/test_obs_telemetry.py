@@ -168,6 +168,97 @@ class TestFlightRecorder:
 
 
 # ---------------------------------------------------------------------------
+# columnar wire rows behind the record views
+# ---------------------------------------------------------------------------
+#: flight ring (capacity 8) of the fixed-seed session below at t = 1.02 s
+#: and t = 1.05 s, exactly as the per-record implementation (the commit
+#: before columnar probe rows) returned it.
+RING_AT = {
+    1.02: (1026, [
+        '{"t":1.006100249,"kind":"span","name":"wire","frame_id":30,"size":1200}',
+        '{"t":1.006100249,"kind":"span","name":"wire","frame_id":30,"size":1200}',
+        '{"t":1.006100249,"kind":"span","name":"wire","frame_id":30,"size":1200}',
+        '{"t":1.006100249,"kind":"span","name":"wire","frame_id":30,"size":1200}',
+        '{"t":1.006100249,"kind":"span","name":"wire","frame_id":30,"size":348}',
+        '{"t":1.011246815,"kind":"span","name":"complete","frame_id":29}',
+        '{"t":1.013978729,"kind":"span","name":"displayed","frame_id":29}',
+        '{"t":1.011246815,"kind":"metric","name":"frames.displayed","value":30.0}',
+    ]),
+    1.05: (1041, [
+        '{"t":1.033333333,"kind":"metric","name":"frames.encoded","value":32.0}',
+        '{"t":1.039909696,"kind":"span","name":"packetize","frame_id":31}',
+        '{"t":1.039909696,"kind":"span","name":"pacer_enqueue","frame_id":31}',
+        '{"t":1.039909696,"kind":"span","name":"wire","frame_id":31,"size":1200}',
+        '{"t":1.039909696,"kind":"span","name":"wire","frame_id":31,"size":1200}',
+        '{"t":1.039909696,"kind":"span","name":"wire","frame_id":31,"size":1200}',
+        '{"t":1.039909696,"kind":"span","name":"wire","frame_id":31,"size":1200}',
+        '{"t":1.039909696,"kind":"span","name":"wire","frame_id":31,"size":112}',
+    ]),
+}
+#: sha256 of that session's full event log as compact JSONL, same commit.
+EVENTS_SHA256 = ("58f4a0afe649263da21cef2440ef29c9"
+                 "94c89dbacd7e2e5b76ea48460de48fd2")
+
+
+def _compact(records):
+    return [json.dumps(r.to_json_obj(), separators=(",", ":"))
+            for r in records]
+
+
+class TestWireRowViews:
+    def test_events_view_round_trips_the_per_record_log(self):
+        import hashlib
+        _, tel, metrics = run_telemetry_session()
+        lines = _compact(tel.events)
+        assert len(lines) == 1873
+        assert sum('"name":"wire"' in line for line in lines) \
+            == metrics.packets_sent == len(tel.wire)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+            == EVENTS_SHA256
+        assert tel.events is tel.events  # materialised once per state
+
+    @pytest.mark.parametrize("at", sorted(RING_AT))
+    def test_flight_ring_round_trips_mid_run(self, at):
+        trace = BandwidthTrace.constant(8e6, duration=17)
+        session = build_session("ace", trace,
+                                SessionConfig(duration=2.0, seed=5))
+        tel = session.enable_telemetry(
+            Telemetry(keep_events=False, flight_capacity=8))
+        seen = []
+        session.loop.call_at(at, lambda: seen.append(
+            (tel.flight.total_seen, _compact(tel.flight.records()))))
+        session.run()
+        assert seen == [RING_AT[at]]
+        assert tel.events == [] and len(tel.flight) == 8
+        # Flight-only mode retains a window of rows, not the run.
+        assert len(tel.wire.columns()[0]) == 8 < len(tel.wire)
+
+    def test_one_train_session_reports_one_train(self):
+        """always-burst releases its single frame back to back: one
+        train, which only the end-of-session flush can close."""
+        trace = BandwidthTrace.constant(8e6, duration=12)
+        session = build_session("always-burst", trace,
+                                SessionConfig(duration=0.02, seed=5))
+        tel = session.enable_telemetry()
+        metrics = session.run()
+        assert len(metrics.frames) == 1 and metrics.packets_sent > 1
+        summary = tel.burst.summary()
+        assert summary["trains"] == 1
+        assert summary["packets"] == metrics.packets_sent
+        assert summary["mean_train_packets"] == metrics.packets_sent
+
+    def test_pending_rows_are_bounded_without_tick_or_reader(self):
+        from repro.obs.recorder import MAX_PENDING_ROWS
+        tel = Telemetry(tick_interval=None, keep_events=False,
+                        flight_capacity=8)
+        for _ in range(MAX_PENDING_ROWS + 5):
+            tel.packet_wire(0, 1200, 0.001)
+        assert len(tel.wire.t) == 5
+        assert tel.registry.counter("burst.packets").value \
+            == MAX_PENDING_ROWS + 5
+
+
+# ---------------------------------------------------------------------------
 # telemetry hub on a sim loop
 # ---------------------------------------------------------------------------
 class TestTelemetryTick:

@@ -100,6 +100,26 @@ def test_sim_results_bit_identical_with_series_recording_on(baseline):
         f"the recorder must be a pure observer")
 
 
+@pytest.mark.parametrize("baseline", sorted(GOLDEN))
+def test_batch_results_unchanged_by_observing(baseline):
+    """Pure observer on the batch engine too: telemetry, the watchdog and
+    series recording ride the fast path (their tick is one more macro-
+    step boundary) without moving the fingerprint of the batch run."""
+    def run(observe: bool) -> str:
+        trace = make_wifi_trace(RngStream(11, "trace"), duration=DURATION + 10)
+        config = SessionConfig(duration=DURATION, seed=SEED)
+        session = build_session(baseline, trace, config, engine="batch")
+        if observe:
+            telemetry = session.enable_telemetry()
+            telemetry.attach_watchdog()
+            telemetry.attach_series()
+        metrics = session.run()
+        assert session.engine.fallback_reason is None
+        return fingerprint(metrics)
+
+    assert run(observe=True) == run(observe=False)
+
+
 def test_fingerprint_is_deterministic_across_runs():
     """Guards the fingerprint itself: two fresh sessions on the same
     workload must hash identically (no hidden global state)."""
