@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import tempfile
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -62,17 +63,32 @@ def code_version() -> str:
     return _code_version_cache
 
 
+#: ``id(trace) -> (name, digest)`` for every live trace fingerprinted so
+#: far; a sweep hashes each trace once, not once per cell that shares it.
+_fingerprints: dict[int, tuple[str, str]] = {}
+
+
 def trace_fingerprint(trace: BandwidthTrace) -> str:
-    """Content hash of a trace: its name plus every (time, rate) sample."""
+    """Content hash of a trace: its name plus every (time, rate) sample.
+
+    Memoized per trace object (a built trace's samples are immutable in
+    effect — the simulator reads the copy ``__post_init__`` took); the
+    entry dies with the trace, and a renamed trace is re-hashed.
+    """
+    memo = _fingerprints.get(id(trace))
+    if memo is not None and memo[0] == trace.name:
+        return memo[1]
     digest = hashlib.sha256()
     digest.update(trace.name.encode())
     digest.update(b"\0")
-    for t, rate in zip(trace.timestamps, trace.rates_bps):
-        digest.update(repr(float(t)).encode())
-        digest.update(b",")
-        digest.update(repr(float(rate)).encode())
-        digest.update(b";")
-    return digest.hexdigest()[:16]
+    digest.update("".join(
+        f"{float(t)!r},{float(rate)!r};"
+        for t, rate in zip(trace.timestamps, trace.rates_bps)).encode())
+    fingerprint = digest.hexdigest()[:16]
+    if memo is None:
+        weakref.finalize(trace, _fingerprints.pop, id(trace), None)
+    _fingerprints[id(trace)] = (trace.name, fingerprint)
+    return fingerprint
 
 
 def cache_enabled_by_env() -> bool:
@@ -90,11 +106,13 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """Content-addressed store of serialized :class:`SessionMetrics`.
 
-    Entries are one JSON file per key under ``cache_dir``; writes are
-    atomic (tempfile + rename) so concurrent workers never observe a
-    torn entry. Counters (``hits``/``misses``/``stores``) accumulate
-    over the cache object's lifetime — benches print them so cached
-    reruns are visible in the output.
+    Entries are one JSON file per key under ``cache_dir`` holding the
+    columnar form of :func:`~repro.analysis.results.metrics_to_dict`;
+    writes are atomic (tempfile + rename) so concurrent workers never
+    observe a torn entry. Counters (``hits``/``misses``/``stores``/
+    ``corrupt``) accumulate over the cache object's lifetime — benches
+    print them so cached reruns, and entries that had to be bypassed,
+    are visible in the output.
     """
 
     def __init__(self, cache_dir: Optional[str | Path] = None,
@@ -104,6 +122,9 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: entries that existed but could not be decoded (each is also a
+        #: miss; the re-run's ``put`` overwrites the bad file).
+        self.corrupt = 0
 
     # ------------------------------------------------------------------
     # keys
@@ -134,18 +155,23 @@ class ResultCache:
     def get(self, key: str) -> Optional[SessionMetrics]:
         """Load a cached result, or None (counts a hit or a miss).
 
+        An entry that exists but does not decode — torn or foreign JSON,
+        a missing column, a buffer shorter than its ``n`` — is a miss
+        that also bumps ``corrupt``; it is never a hit and never raises.
         ``bandwidth_fn`` is not persisted; the caller reattaches the
         trace's ``rate_at`` (the parallel runner does this).
         """
         if self.enabled:
-            path = self._path_for(key)
             try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                pass
+                metrics = metrics_from_dict(
+                    json.loads(self._path_for(key).read_bytes()))
+            except OSError:
+                pass                    # no entry: a plain miss
+            except ValueError:          # undecodable JSON or entry
+                self.corrupt += 1
             else:
                 self.hits += 1
-                return metrics_from_dict(payload)
+                return metrics
         self.misses += 1
         return None
 
@@ -171,20 +197,28 @@ class ResultCache:
     # ------------------------------------------------------------------
     # reporting / maintenance
     # ------------------------------------------------------------------
+    def counter_dict(self) -> dict:
+        """The lifetime counters, as run summaries record them."""
+        return {"hits": self.hits, "misses": self.misses,
+                "stores": self.stores, "corrupt": self.corrupt}
+
     def counters(self) -> str:
         """One-line summary for bench output."""
         state = "on" if self.enabled else "off"
-        return (f"cache[{state}] hits={self.hits} misses={self.misses} "
-                f"stores={self.stores}")
+        return f"cache[{state}] " + " ".join(
+            f"{name}={n}" for name, n in self.counter_dict().items())
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, and any ``*.tmp`` a killed writer left
+        behind; returns the number of entries removed."""
         removed = 0
         if self.cache_dir.is_dir():
-            for path in self.cache_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+            for pattern in ("*.json", "*.tmp"):
+                for path in self.cache_dir.glob(pattern):
+                    try:
+                        path.unlink()
+                    except OSError:
+                        continue
+                    if pattern == "*.json":
+                        removed += 1
         return removed

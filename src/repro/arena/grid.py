@@ -176,12 +176,8 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
                     start=spec.get("start", 0.0),
                     jain=report.jain_throughput))
         observer.write_results(results)
-        cache_counters = None
-        if runner.cache is not None:
-            c = runner.cache
-            cache_counters = {"hits": c.hits, "misses": c.misses,
-                              "stores": c.stores}
-        observer.finalize(cache_counters,
+        observer.finalize(runner.cache.counter_dict()
+                          if runner.cache is not None else None,
                           extra={"fairness": fairness_block})
     if verbose:
         print(runner.counters())

@@ -497,12 +497,8 @@ def run_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
                                    seed=task.session_config().seed,
                                    category=task.category)
             for task, m in zip(tasks, metrics)])
-        cache_counters = None
-        if runner.cache is not None:
-            c = runner.cache
-            cache_counters = {"hits": c.hits, "misses": c.misses,
-                              "stores": c.stores}
-        observer.finalize(cache_counters)
+        observer.finalize(runner.cache.counter_dict()
+                          if runner.cache is not None else None)
     if verbose:
         print(runner.counters())
     return out

@@ -324,6 +324,7 @@ class TestResultCache:
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cache.get(key) is None
         assert cache.misses == 1
+        assert cache.hits == 0 and cache.corrupt == 1
 
     def test_trace_fingerprint_content_sensitive(self, traces):
         a = trace_fingerprint(traces[0])
@@ -332,9 +333,97 @@ class TestResultCache:
         renamed = BandwidthTrace.constant(15e6, duration=10.0, name="other")
         assert trace_fingerprint(renamed) != a
 
+    def test_trace_fingerprint_matches_parent_commit(self, tmp_path):
+        """Digests pinned from the commit before memoization: a constant,
+        a wifi and a Mahimahi-derived trace must keep their fingerprint
+        (first call and memoized call alike)."""
+        mahimahi = tmp_path / "cell.up"
+        mahimahi.write_text("\n".join(
+            str(ms) for ms in range(1, 1200, 3) for _ in range(1 + ms % 4))
+            + "\n")
+        pinned = [
+            (BandwidthTrace.constant(15e6, duration=10.0, name="flat-15"),
+             "9bc002e5f46914ba"),
+            (trace_library(seed=7, duration=30.0).by_class("wifi")[0],
+             "3eedbb4e0e788278"),
+            (BandwidthTrace.from_mahimahi_file(mahimahi),
+             "6544af88223dcd46"),
+        ]
+        for trace, digest in pinned:
+            assert trace_fingerprint(trace) == digest, trace.name
+            assert trace_fingerprint(trace) == digest, trace.name
+
+    def test_trace_fingerprint_memo_follows_the_object(self, traces):
+        """The memo is per trace object: an equal twin hashes to the same
+        digest, a rename of the same object is re-hashed, and keys made
+        before and after the memo is warm are identical."""
+        trace = traces[1]
+        cache = ResultCache(enabled=False)
+        cfg = SessionConfig(duration=2.0, seed=3)
+        twin = BandwidthTrace(list(trace.timestamps), list(trace.rates_bps),
+                              name=trace.name)
+        cold_key = cache.make_key("ace", cfg, twin)
+        assert cache.make_key("ace", cfg, twin) == cold_key
+        assert cache.make_key("ace", cfg, trace) == cold_key
+        before = trace_fingerprint(twin)
+        twin.name = "steppy-renamed"
+        assert trace_fingerprint(twin) != before
+        twin.name = trace.name
+        assert trace_fingerprint(twin) == before
+
     def test_code_version_stable(self):
         assert code_version() == code_version()
         assert len(code_version()) == 16
+
+
+class TestThreePathsAgree:
+    """Serial, parallel and warm-cache answers are the same bytes, for
+    every baseline and for the cell shapes the grid can carry."""
+
+    @pytest.fixture(scope="class")
+    def tasks(self):
+        from repro.arena import parse_mix
+        from repro.rtc.baselines import list_baselines
+        trace = BandwidthTrace([0.0, 0.8, 1.6], [12e6, 6e6, 18e6],
+                               name="steppy")
+        baselines = list_baselines()
+        assert len(baselines) == 14
+        tasks = make_grid(baselines, [trace], seeds=(3,), duration=2.0)
+        tasks.append(GridTask(          # lossy path + FEC: NACK/RTX rows
+            baseline="ace-fec", trace=trace, category="sports",
+            config=SessionConfig(duration=2.0, seed=5, random_loss_rate=0.03,
+                                 delay_jitter_std=0.002,
+                                 initial_bwe_bps=6e6)))
+        tasks.append(GridTask(          # multi-flow cell: nested entries
+            baseline="arena:ace+cbr@codel", trace=trace, duration=2.0,
+            arena={"flows": parse_mix("ace+cbr"), "discipline": "codel",
+                   "discipline_params": {}}))
+        return tasks
+
+    def test_serial_parallel_and_warm_cache_are_byte_identical(
+            self, tasks, tmp_path):
+        serial = [canonical_metrics_json(m)
+                  for m in ParallelRunner(jobs=1).run(tasks)]
+        assert len(set(serial)) == len(tasks)
+
+        cold_cache = ResultCache(cache_dir=tmp_path, enabled=True)
+        parallel = ParallelRunner(jobs=2, cache=cold_cache).run(tasks)
+        assert [canonical_metrics_json(m) for m in parallel] == serial
+        assert cold_cache.counter_dict() == {
+            "hits": 0, "misses": len(tasks), "stores": len(tasks),
+            "corrupt": 0}
+
+        warm_cache = ResultCache(cache_dir=tmp_path, enabled=True)
+        warm = ParallelRunner(jobs=1, cache=warm_cache).run(tasks)
+        assert [canonical_metrics_json(m) for m in warm] == serial
+        assert warm_cache.counter_dict() == {
+            "hits": len(tasks), "misses": 0, "stores": 0, "corrupt": 0}
+        # a lossy cell really exercised the retransmission columns
+        lossy = warm[-2]
+        assert lossy.packets_lost > 0
+        assert any(f.had_retransmission for f in lossy.frames)
+        assert sorted(warm[-1]) == [1, 2]       # arena flows restored
+        assert warm[0].bandwidth_fn(0.9) == tasks[0].trace.rate_at(0.9)
 
 
 class TestMetricsRoundTrip:
