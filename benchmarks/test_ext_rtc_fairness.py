@@ -11,9 +11,9 @@ comparable loss.
 import numpy as np
 
 from repro.bench import fmt_ms, fmt_pct, print_table
+from repro.arena import ArenaFlowSpec, ArenaSession
 from repro.bench.workloads import once
 from repro.net.trace import BandwidthTrace
-from repro.rtc.multiflow import FlowSpec, MultiFlowRtcSession
 from repro.rtc.session import SessionConfig
 
 LINK_MBPS = 30.0
@@ -27,8 +27,8 @@ def flow_rate(metrics, fps=30.0):
 def run_pair(label_a: str, label_b: str):
     trace = BandwidthTrace.constant(LINK_MBPS * 1e6, duration=40.0)
     cfg = SessionConfig(duration=20.0, seed=5, initial_bwe_bps=5e6)
-    session = MultiFlowRtcSession(
-        [FlowSpec(label_a, flow_id=1), FlowSpec(label_b, flow_id=2)],
+    session = ArenaSession(
+        [ArenaFlowSpec(label_a, flow_id=1), ArenaFlowSpec(label_b, flow_id=2)],
         trace, cfg)
     results = session.run()
     return {

@@ -20,7 +20,8 @@ except ImportError:  # running from a checkout without installing
 import numpy as np
 
 from repro.net.trace import BandwidthTrace
-from repro.rtc import FlowSpec, MultiFlowRtcSession, SessionConfig
+from repro.arena import ArenaFlowSpec, ArenaSession
+from repro.rtc import SessionConfig
 
 LINK_MBPS = 30.0
 #: fair-share convergence is a multi-GCC-cycle process; give it time
@@ -34,8 +35,8 @@ def flow_rate_mbps(metrics) -> float:
 
 def run_pair(name_a: str, name_b: str) -> None:
     trace = BandwidthTrace.constant(LINK_MBPS * 1e6, duration=DURATION + 10)
-    session = MultiFlowRtcSession(
-        [FlowSpec(name_a, flow_id=1), FlowSpec(name_b, flow_id=2)],
+    session = ArenaSession(
+        [ArenaFlowSpec(name_a, flow_id=1), ArenaFlowSpec(name_b, flow_id=2)],
         trace,
         SessionConfig(duration=DURATION, seed=9, initial_bwe_bps=5e6),
     )

@@ -99,8 +99,7 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
     — writes them as ``series/*.json`` shards; series cells bypass the
     result cache like any other instrumented task.
     """
-    from repro.analysis.cache import ResultCache
-    from repro.bench.parallel import GridTask, ParallelRunner
+    from repro.bench.parallel import GridTask, open_fleet
 
     known = list_disciplines()
     for name in disciplines:
@@ -128,25 +127,12 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
         raise ValueError("duplicate arena cells (trace names must be "
                          "unique and mixes/disciplines distinct)")
 
-    if runner is None:
-        if cache is None and use_cache:
-            cache = ResultCache()
-        runner = ParallelRunner(jobs=jobs, cache=cache)
-
-    observer = None
-    if run_dir is not None:
-        from repro.obs.fleet import FleetObserver, build_manifest
-        cache_obj = runner.cache
-        observer = FleetObserver(run_dir, total=len(tasks), jobs=runner.jobs,
-                                 echo=print if verbose else None)
-        observer.write_manifest(build_manifest(
-            tasks, jobs=runner.jobs,
-            cache_enabled=cache_obj is not None and cache_obj.enabled,
-            cache_dir=(str(cache_obj.cache_dir)
-                       if cache_obj is not None else None),
-            extra={"arena": True, "mixes": list(mixes),
-                   "disciplines": list(disciplines),
-                   "window_s": window_s, "series": series}))
+    runner, observer = open_fleet(
+        tasks, runner=runner, jobs=jobs, cache=cache, use_cache=use_cache,
+        run_dir=run_dir, verbose=verbose,
+        manifest_extra={"arena": True, "mixes": list(mixes),
+                        "disciplines": list(disciplines),
+                        "window_s": window_s, "series": series})
 
     metrics = runner.run(tasks, observer=observer)
     out: dict[tuple, ArenaMetrics] = dict(zip(coords, metrics))

@@ -7,9 +7,9 @@ bottleneck routers with pluggable queue disciplines. Flows can join
 late and leave early (``start``/``stop``), which is how the
 late-joiner convergence experiments are run.
 
-With a single drop-tail router, all flows starting at t=0, the event
-sequence is identical to the historical ``MultiFlowRtcSession`` (which
-is now a thin wrapper over this class).
+Each flow is one :class:`~repro.rtc.session.FlowStack` — the same
+assembly the single-flow and live sessions use — tagged with its flow
+id on the way into the shared path.
 """
 
 from __future__ import annotations
@@ -21,19 +21,14 @@ from repro.arena.fairness import FairnessReport
 from repro.arena.topology import ArenaPath, BottleneckSpec
 from repro.net.aqm import DEFAULT_DISCIPLINE
 from repro.net.packet import Packet
-from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
-from repro.rtc.baselines import BaselineSpec, get_spec, _codec_factory, \
-    _cc_factory, _pacer_factory, _rate_control_factory
+from repro.rtc.baselines import get_spec, stack_kwargs
 from repro.rtc.metrics import SessionMetrics
-from repro.rtc.sender import Sender, SenderConfig
-from repro.rtc.session import SessionConfig, _CaptureTimeView, _QualityView
-from repro.core.ace_c import AceCConfig, AceCController
-from repro.core.ace_n import AceNConfig, AceNController
+from repro.rtc.sender import Sender
+from repro.rtc.session import FlowStack, SessionConfig
 from repro.sim.events import EventLoop
 from repro.sim.rng import SeedSequenceFactory
 from repro.transport.receiver import TransportReceiver
-from repro.video.source import VideoSource
 
 
 @dataclass
@@ -125,6 +120,13 @@ class ArenaSession:
             raise ValueError("flow ids must be unique and positive")
         self.flows = list(flows)
         self.config = config or SessionConfig()
+        # Not silent: there is no per-flow AudioReceiver or cross-traffic
+        # generator here, so a config asking for one would be ignored.
+        for unsupported in ("audio", "cross_traffic"):
+            if getattr(self.config, unsupported):
+                raise ValueError(
+                    f"SessionConfig.{unsupported} is not supported by "
+                    "ArenaSession (single-flow sessions only)")
         for f in self.flows:
             if f.start < 0 or f.start >= self.config.duration:
                 raise ValueError(
@@ -147,30 +149,26 @@ class ArenaSession:
         self.loop = EventLoop()
         self.rngs = SeedSequenceFactory(self.config.seed)
         self.path = ArenaPath(
-            self.loop, bottlenecks,
-            PathConfig(base_rtt=self.config.base_rtt,
-                       queue_capacity_bytes=self.config.queue_capacity_bytes,
-                       random_loss_rate=self.config.random_loss_rate,
-                       contention_loss_rate=self.config.contention_loss_rate,
-                       delay_jitter_std=self.config.delay_jitter_std),
+            self.loop, bottlenecks, self.config.path_config(),
             rng=self.rngs.stream("path.loss"),
             aqm_rng=self.rngs.stream("aqm"),
             flow_routes={f.flow_id: tuple(f.route)
                          for f in self.flows if f.route is not None},
         )
-        self.senders: dict[int, Sender] = {}
-        self.receivers: dict[int, TransportReceiver] = {}
-        self.codecs: dict[int, object] = {}
-        self._media_drops: dict[int, int] = {}
-        # Per-flow state initialized up front (not lazily per flow):
-        # display-sync cursors and incremental loss counters, so
-        # _collect never has to rescan path.lost_packets per flow.
-        self._sync_cursors: dict[int, int] = {}
-        self._flow_losses: dict[int, int] = {}
+        # Per-flow state built up front (not lazily per flow): the
+        # stacks with their display syncs, and incremental loss counters
+        # so collection never rescans path.lost_packets per flow.
+        self.stacks: dict[int, FlowStack] = {
+            f.flow_id: self._build_flow(f) for f in self.flows}
+        self.senders: dict[int, Sender] = {
+            fid: s.sender for fid, s in self.stacks.items()}
+        self.receivers: dict[int, TransportReceiver] = {
+            fid: s.receiver for fid, s in self.stacks.items()}
+        self.codecs: dict[int, object] = {
+            fid: s.codec for fid, s in self.stacks.items()}
+        self._flow_losses: dict[int, int] = dict.fromkeys(self.stacks, 0)
         self._finished = False
         self.telemetry = None
-        for flow in self.flows:
-            self._build_flow(flow)
         self.path.on_arrival = self._on_arrival
         self.path.on_feedback = self._on_feedback
         self.path.on_drop = self._on_drop
@@ -194,86 +192,30 @@ class ArenaSession:
         return tel
 
     # ------------------------------------------------------------------
-    def _build_flow(self, flow: ArenaFlowSpec) -> None:
-        spec: BaselineSpec = get_spec(flow.baseline)
+    def _build_flow(self, flow: ArenaFlowSpec) -> FlowStack:
         fid = flow.flow_id
-        frngs = self.rngs.fork(f"flow{fid}")
-        codec = _codec_factory(spec)(frngs)
-        source = VideoSource.from_category(flow.category,
-                                           frngs.stream("source"),
-                                           fps=self.config.fps)
-        cc = _cc_factory(spec, self.config.initial_bwe_bps,
-                         self.config.max_bwe_bps)()
 
-        def tagged_send(packet: Packet, _fid=fid) -> None:
-            packet.flow_id = _fid
+        def tagged_send(packet: Packet) -> None:
+            packet.flow_id = fid
             self.path.send(packet)
 
-        pacer = _pacer_factory(spec, None)(self.loop, tagged_send)
-        pacer.set_pacing_rate(cc.bwe_bps)
-
-        sender_cfg = SenderConfig(
-            fps=self.config.fps,
-            ace_c_enabled=spec.ace_c,
-            ace_n_enabled=spec.ace_n,
-            salsify_mode=spec.salsify,
-            fec_enabled=spec.fec,
-            max_target_bitrate_bps=spec.max_target_bitrate_bps,
-        )
-        ace_n = AceNController(AceNConfig()) if spec.ace_n else None
-        ace_c = None
-        if spec.ace_c:
-            levels = codec.config.levels
-            budget_bits = self.config.initial_bwe_bps / self.config.fps
-            base_time = levels[0].encode_time(budget_bits)
-            ace_c = AceCController(
-                num_levels=len(levels), fps=self.config.fps,
-                config=AceCConfig(
-                    initial_phi=tuple(l.phi for l in levels),
-                    initial_delta_te=tuple(
-                        max(0.0, l.encode_time(budget_bits) - base_time)
-                        for l in levels)))
-
-        sender = Sender(self.loop, source, codec, _rate_control_factory(spec)(),
-                        pacer, cc, self.path, config=sender_cfg,
-                        ace_c=ace_c, ace_n=ace_n)
-        receiver = TransportReceiver(
-            self.loop,
-            send_feedback_fn=lambda msg, _fid=fid: self.path.send_feedback((_fid, msg)),
-            decode_time_fn=codec.decode_time,
-        )
-        receiver.frame_capture_time = _CaptureTimeView(sender)
-        receiver.frame_quality = _QualityView(sender)
-        self.senders[fid] = sender
-        self.receivers[fid] = receiver
-        self.codecs[fid] = codec
-        self._media_drops[fid] = 0
-        self._sync_cursors[fid] = 0
-        self._flow_losses[fid] = 0
+        return FlowStack(
+            self.loop, self.path, tagged_send,
+            lambda msg: self.path.send_feedback((fid, msg)),
+            self.rngs.fork(f"flow{fid}"), fps=self.config.fps,
+            initial_bwe_bps=self.config.initial_bwe_bps,
+            **stack_kwargs(get_spec(flow.baseline), self.config,
+                           flow.category))
 
     # ------------------------------------------------------------------
     def _on_arrival(self, packet: Packet) -> None:
-        receiver = self.receivers.get(packet.flow_id)
-        if receiver is None:
+        stack = self.stacks.get(packet.flow_id)
+        if stack is None:
             return
-        receiver.on_packet(packet)
-        self._sync_flow(packet.flow_id)
-
-    def _sync_flow(self, fid: int) -> None:
-        receiver = self.receivers[fid]
-        sender = self.senders[fid]
-        displayed = receiver.displayed
-        cursor = self._sync_cursors[fid]
-        while cursor < len(displayed):
-            record = displayed[cursor]
-            cursor += 1
-            metrics = sender.frame_metrics.get(record.frame_id)
-            if metrics is not None and metrics.displayed_at is None:
-                metrics.complete_at = record.complete_at
-                metrics.displayed_at = record.displayed_at
-                metrics.had_retransmission = record.had_retransmission
-                sender.forget_frame(record.frame_id)
-        self._sync_cursors[fid] = cursor
+        stack.receiver.on_packet(packet)
+        sync = stack.display_sync
+        if sync.pending:
+            sync.sync()
 
     def _on_feedback(self, message) -> None:
         fid, msg = message
@@ -283,8 +225,7 @@ class ArenaSession:
 
     def _on_drop(self, packet: Packet) -> None:
         fid = packet.flow_id
-        if fid in self._media_drops:
-            self._media_drops[fid] += 1
+        if fid in self._flow_losses:
             self._flow_losses[fid] += 1
 
     # ------------------------------------------------------------------
@@ -307,14 +248,17 @@ class ArenaSession:
         for sender in self.senders.values():
             sender.stop()
         loop.run(until=self.config.duration + 0.5)
-        for fid in self.senders:
-            self._sync_flow(fid)
+        for stack in self.stacks.values():
+            stack.display_sync.sync()
         if self.telemetry is not None:
             self.telemetry.flush()
         self._finished = True
         return ArenaMetrics(
             duration=self.config.duration,
-            flows={fid: self._collect(fid) for fid in self.senders},
+            flows={fid: stack.collect(self.config.duration,
+                                      self._flow_losses[fid],
+                                      self.trace.rate_at)
+                   for fid, stack in self.stacks.items()},
             specs={f.flow_id: {"baseline": f.baseline,
                                "category": f.category,
                                "start": f.start,
@@ -323,18 +267,3 @@ class ArenaSession:
             discipline=self.discipline,
             router_stats=self.path.router_stats(),
         )
-
-    def _collect(self, fid: int) -> SessionMetrics:
-        sender = self.senders[fid]
-        metrics = SessionMetrics(duration=self.config.duration)
-        metrics.frames = [sender.frame_metrics[k]
-                          for k in sorted(sender.frame_metrics)]
-        metrics.packets_sent = sender.pacer.stats.sent_packets
-        # Incremental per-flow counter from _on_drop — no O(flows x
-        # losses) rescan of path.lost_packets.
-        metrics.packets_lost = self._flow_losses[fid]
-        metrics.packets_retransmitted = sender.retransmissions
-        metrics.send_events = list(sender.send_events)
-        metrics.bwe_history = [(s.time, s.bwe_bps) for s in sender.cc.history]
-        metrics.bandwidth_fn = self.trace.rate_at
-        return metrics

@@ -10,9 +10,9 @@ discipline (:mod:`repro.net.aqm`), shared by N concurrent flows.
 the exact ingress scheduling (loss/contention checks, ``half_hop``
 propagation, jitter on final delivery). With a single drop-tail router
 and no per-flow routes, an ``ArenaPath`` produces the same event
-sequence as a plain ``NetworkPath`` — that invariant is what keeps
-:class:`~repro.arena.session.ArenaSession` a faithful superset of the
-old ``MultiFlowRtcSession``.
+sequence as a plain ``NetworkPath`` — that invariant is what makes
+:class:`~repro.arena.session.ArenaSession` a faithful superset of a
+single shared-bottleneck session.
 
 Per-flow routes (``flow_routes[fid] -> tuple of router indices``) let a
 flow traverse a subset of the chain, which models partially-overlapping

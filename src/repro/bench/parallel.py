@@ -45,6 +45,7 @@ from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.session import SessionConfig
+from repro.transport.pacer.stall import PacingStall
 
 if TYPE_CHECKING:
     from repro.obs.fleet import FleetObserver
@@ -150,67 +151,80 @@ class GridTask:
                 or self.inject_stall is not None)
 
 
-def _run_task(task: GridTask) -> SessionMetrics:
-    """Worker entry point: run one cell and return picklable metrics.
+def open_task(task: GridTask, strict_audit: bool = True):
+    """Build the instrumented session ``task`` describes, not yet run.
+
+    Returns ``(session, auditor)``. The watchdog and the series recorder
+    hang off ``session.telemetry``; the pacing stall is armed on the
+    session's loop. The auditor (``None`` unless ``task.audit``) raises
+    at the first violation when ``strict_audit`` — what a grid wants —
+    and collects them for a report otherwise (``repro run --check``).
+    """
+    if task.arena is not None:
+        from repro.arena.session import ArenaFlowSpec, ArenaSession
+        spec = task.arena
+        session = ArenaSession(
+            [ArenaFlowSpec(**f) for f in spec["flows"]],
+            task.trace, task.session_config(),
+            discipline=spec.get("discipline", "droptail"),
+            discipline_params=spec.get("discipline_params") or {})
+        if task.series:
+            session.enable_telemetry().attach_series()
+        return session, None
+    session = build_session(task.baseline, task.trace, task.session_config(),
+                            category=task.category, **task.build_kwargs)
+    if task.telemetry or task.slo or task.series:
+        telemetry = session.enable_telemetry()
+        if task.slo:
+            telemetry.attach_watchdog(pacing_p99_s=task.slo_pacing_p99_s)
+        if task.series:
+            telemetry.attach_series()
+    if task.inject_stall is not None:
+        PacingStall(session.loop, session.sender.pacer, *task.inject_stall)
+    auditor = None
+    if task.audit:
+        from repro.audit import attach_audit
+        auditor = attach_audit(session, strict=strict_audit)
+    return session, auditor
+
+
+def run_opened(task: GridTask, session, auditor=None) -> SessionMetrics:
+    """Run a session from :func:`open_task` and harvest its instruments.
 
     Strips :data:`INSTRUMENT_ENV_VARS` for the duration of the run (and
     restores them — the ``jobs=1`` path runs in the parent process), so
-    cells are instrumented iff their task says so. ``bandwidth_fn`` (a
-    live bound method of the trace) is stripped before crossing the
-    process boundary; the parent reattaches its own trace's ``rate_at``
-    so results look identical to an in-process run.
+    cells are instrumented iff their task says so. Alert summaries and
+    the series frame ride on the metrics as plain attributes of the
+    (unslotted) dataclass, so they survive the pickle back to the parent
+    like any other field.
     """
     saved = {name: os.environ.pop(name)
              for name in INSTRUMENT_ENV_VARS if name in os.environ}
     try:
-        if task.arena is not None:
-            from repro.arena.session import ArenaFlowSpec, ArenaSession
-            spec = task.arena
-            flows = [ArenaFlowSpec(**f) for f in spec["flows"]]
-            session = ArenaSession(
-                flows, task.trace, task.session_config(),
-                discipline=spec.get("discipline", "droptail"),
-                discipline_params=spec.get("discipline_params") or {})
-            recorder = None
-            if task.series:
-                recorder = session.enable_telemetry().attach_series()
-            metrics = session.run()
-            if recorder is not None:
-                metrics.series_frame = recorder.frame(_series_meta(task))
-            metrics.bandwidth_fn = None
-            return metrics
-        session = build_session(task.baseline, task.trace,
-                                task.session_config(),
-                                category=task.category, **task.build_kwargs)
-        watchdog = None
-        recorder = None
-        if task.telemetry or task.slo or task.series:
-            telemetry = session.enable_telemetry()
-            if task.slo:
-                watchdog = telemetry.attach_watchdog(
-                    pacing_p99_s=task.slo_pacing_p99_s)
-            if task.series:
-                recorder = telemetry.attach_series()
-        if task.inject_stall is not None:
-            _schedule_stall(session, *task.inject_stall)
-        auditor = None
-        if task.audit:
-            from repro.audit import attach_audit
-            auditor = attach_audit(session, strict=True)
         metrics = session.run()
-        if auditor is not None:
-            auditor.finalize()
-        if watchdog is not None:
-            # Plain attribute on the (unslotted) dataclass; survives the
-            # pickle back to the parent like any other field.
-            metrics.slo_alerts = watchdog.summary()
-        if recorder is not None:
-            # Same trick: SeriesFrame is a plain dataclass of lists.
-            metrics.series_frame = recorder.frame(_series_meta(task))
-        metrics.bandwidth_fn = None
-        return metrics
     finally:
         os.environ.update(saved)
+    if auditor is not None:
+        auditor.finalize()
+    telemetry = session.telemetry
+    if telemetry is not None:
+        if telemetry.watchdog is not None:
+            metrics.slo_alerts = telemetry.watchdog.summary()
+        if telemetry.series is not None:
+            metrics.series_frame = telemetry.series.frame(_series_meta(task))
+    return metrics
+
+
+def _run_task(task: GridTask) -> SessionMetrics:
+    """Worker entry point: run one cell and return picklable metrics.
+
+    ``bandwidth_fn`` (a live bound method of the trace) is stripped
+    before crossing the process boundary; the parent reattaches its own
+    trace's ``rate_at`` so results look identical to an in-process run.
+    """
+    metrics = run_opened(task, *open_task(task))
+    metrics.bandwidth_fn = None
+    return metrics
 
 
 def _series_meta(task: GridTask) -> dict:
@@ -220,23 +234,6 @@ def _series_meta(task: GridTask) -> dict:
     if task.inject_stall is not None:
         meta["inject_stall"] = list(task.inject_stall)
     return meta
-
-
-def _schedule_stall(session, at: float, duration: float) -> None:
-    """Pacing-stall drill on a sim session: pin the pacer at its rate
-    floor for ``duration`` sim seconds (same mechanism as the CLI and
-    live injectors — clamp to 0 bps, re-arm every 50 ms so congestion-
-    control updates cannot lift the rate mid-stall)."""
-    loop = session.loop
-    pacer = session.sender.pacer
-    end = at + duration
-
-    def clamp() -> None:
-        pacer.set_pacing_rate(0.0)
-        if loop.now < end:
-            loop.call_later(0.05, clamp, "slo.stall")
-
-    loop.call_at(at, clamp, "slo.stall")
 
 
 def _run_cell(index: int, task: GridTask) -> tuple[int, SessionMetrics, int, float]:
@@ -366,6 +363,31 @@ def write_series_shards(run_dir, tasks: Sequence[GridTask],
     return written
 
 
+def open_fleet(tasks: Sequence[GridTask], *,
+               runner: Optional[ParallelRunner], jobs: Optional[int],
+               cache: Optional[ResultCache], use_cache: bool,
+               run_dir: Optional[str], verbose: bool, manifest_extra: dict):
+    """The runner and (with ``run_dir``) the fleet observer of one grid
+    call, manifest already written — shared by :func:`run_grid` and
+    :func:`repro.arena.grid.run_arena_grid`."""
+    if runner is None:
+        if cache is None and use_cache:
+            cache = ResultCache()
+        runner = ParallelRunner(jobs=jobs, cache=cache)
+    if run_dir is None:
+        return runner, None
+    from repro.obs.fleet import FleetObserver, build_manifest
+    cache_obj = runner.cache
+    observer = FleetObserver(run_dir, total=len(tasks), jobs=runner.jobs,
+                             echo=print if verbose else None)
+    observer.write_manifest(build_manifest(
+        tasks, jobs=runner.jobs,
+        cache_enabled=cache_obj is not None and cache_obj.enabled,
+        cache_dir=str(cache_obj.cache_dir) if cache_obj is not None else None,
+        extra=manifest_extra))
+    return runner, observer
+
+
 def make_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
               seeds: Sequence[int] = (3,),
               categories: Sequence[str] = ("gaming",),
@@ -449,34 +471,16 @@ def run_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
                       duration=duration, fps=fps,
                       initial_bwe_bps=initial_bwe_bps,
                       build_kwargs=build_kwargs)
-    if slo:
-        # Watchdog cells are instrumented, so they bypass the result
-        # cache (a cache hit would have no alerts to report).
-        for task in tasks:
-            task.slo = True
-            task.slo_pacing_p99_s = slo_pacing_p99_s
-    if series or inject_stall is not None:
-        for task in tasks:
-            task.series = series
-            task.inject_stall = inject_stall
-    if runner is None:
-        if cache is None and use_cache:
-            cache = ResultCache()
-        runner = ParallelRunner(jobs=jobs, cache=cache)
-
-    observer = None
-    if run_dir is not None:
-        from repro.obs.fleet import FleetObserver, build_manifest
-        cache_obj = runner.cache
-        observer = FleetObserver(run_dir, total=len(tasks), jobs=runner.jobs,
-                                 echo=print if verbose else None)
-        observer.write_manifest(build_manifest(
-            tasks, jobs=runner.jobs,
-            cache_enabled=cache_obj is not None and cache_obj.enabled,
-            cache_dir=(str(cache_obj.cache_dir)
-                       if cache_obj is not None else None),
-            extra={"engine": engine, "discipline": discipline,
-                   "series": series}))
+    # Watchdog, series and stalled cells are instrumented, so they bypass
+    # the result cache (a cache hit would have observed nothing).
+    for task in tasks:
+        task.slo, task.slo_pacing_p99_s = slo, slo_pacing_p99_s
+        task.series, task.inject_stall = series, inject_stall
+    runner, observer = open_fleet(
+        tasks, runner=runner, jobs=jobs, cache=cache, use_cache=use_cache,
+        run_dir=run_dir, verbose=verbose,
+        manifest_extra={"engine": engine, "discipline": discipline,
+                        "series": series})
 
     metrics = runner.run(tasks, observer=observer)
     out: dict[tuple, SessionMetrics] = {}

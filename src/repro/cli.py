@@ -16,7 +16,13 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from repro.analysis.cache import ResultCache
-from repro.bench.parallel import GridTask, ParallelRunner
+from repro.bench.parallel import (
+    GridTask,
+    ParallelRunner,
+    open_task,
+    run_opened,
+    series_shard_name,
+)
 from repro.bench.tables import fmt_ms, fmt_pct, print_table
 from repro.net.aqm import DEFAULT_DISCIPLINE, list_disciplines
 from repro.net.trace import (
@@ -27,7 +33,7 @@ from repro.net.trace import (
     make_weak_network_trace,
     make_wifi_trace,
 )
-from repro.rtc.baselines import build_session, list_baselines
+from repro.rtc.baselines import list_baselines
 from repro.rtc.session import SessionConfig
 from repro.sim import ENGINE_NAMES
 from repro.sim.rng import RngStream
@@ -57,46 +63,57 @@ def make_trace(kind: str, seed: int, duration: float) -> BandwidthTrace:
     return TRACE_MAKERS[kind](RngStream(seed, f"cli.{kind}"), duration=duration)
 
 
-def run_one(baseline: str, args: argparse.Namespace):
-    trace = make_trace(args.trace, args.seed, args.duration + 10)
-    config = SessionConfig(
+def session_config(args: argparse.Namespace,
+                   rtt_ms: Optional[float] = None) -> SessionConfig:
+    """The :class:`SessionConfig` the common workload flags describe."""
+    rtt = (rtt_ms if rtt_ms is not None else args.rtt) / 1000.0
+    return SessionConfig(
         duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=args.rtt / 1000.0, initial_bwe_bps=args.initial_bwe * 1e6,
+        base_rtt=rtt, initial_bwe_bps=args.initial_bwe * 1e6,
     )
-    session = build_session(baseline, trace, config, category=args.category,
-                            cc_override=args.cc, codec_override=args.codec,
-                            engine=getattr(args, "engine", "reference"),
-                            discipline=getattr(args, "discipline",
-                                               DEFAULT_DISCIPLINE))
-    return session.run()
 
 
 def make_task(baseline: str, args: argparse.Namespace,
               trace: Optional[BandwidthTrace] = None,
-              rtt_ms: Optional[float] = None) -> GridTask:
-    """One grid cell from CLI arguments (same workload as :func:`run_one`)."""
+              rtt_ms: Optional[float] = None, **instrument) -> GridTask:
+    """One grid cell from CLI arguments.
+
+    Every single-flow command builds its session through this, so the
+    common flags (``--engine``, ``--discipline``, ``--cc``, ``--codec``)
+    mean the same thing everywhere. ``instrument`` sets the
+    :class:`GridTask` instrumentation fields (``telemetry=``, ``slo=``,
+    ...).
+    """
     if trace is None:
         trace = make_trace(args.trace, args.seed, args.duration + 10)
-    rtt = (rtt_ms if rtt_ms is not None else args.rtt) / 1000.0
-    config = SessionConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=rtt, initial_bwe_bps=args.initial_bwe * 1e6,
-    )
     build_kwargs = {"cc_override": args.cc, "codec_override": args.codec}
-    engine = getattr(args, "engine", "reference")
-    if engine != "reference":
+    if args.engine != "reference":
         # Only a non-default engine enters the build kwargs (and thus
         # the result-cache key): reference-engine cells keep their
         # pre-engine cache identity, and cached cells can never be
         # silently served across engines.
-        build_kwargs["engine"] = engine
-    discipline = getattr(args, "discipline", DEFAULT_DISCIPLINE)
-    if discipline != DEFAULT_DISCIPLINE:
+        build_kwargs["engine"] = args.engine
+    if args.discipline != DEFAULT_DISCIPLINE:
         # Same convention for the queue discipline: drop-tail cells keep
         # their historical cache identity, AQM cells get their own.
-        build_kwargs["discipline"] = discipline
+        build_kwargs["discipline"] = args.discipline
     return GridTask(baseline=baseline, trace=trace, category=args.category,
-                    config=config, build_kwargs=build_kwargs)
+                    config=session_config(args, rtt_ms),
+                    build_kwargs=build_kwargs, **instrument)
+
+
+def run_session(task: GridTask):
+    """Open, run and harvest one cell in-process — for commands that
+    read the session object afterwards.
+
+    Returns ``(session, auditor, metrics)``; the auditor (``task.audit``)
+    is non-strict, so violations end up in its report instead of
+    raising.
+    """
+    session, auditor = open_task(task, strict_audit=False)
+    metrics = run_opened(task, session, auditor)
+    warn_fallback([metrics])
+    return session, auditor, metrics
 
 
 def warn_fallback(results) -> None:
@@ -115,9 +132,16 @@ def warn_fallback(results) -> None:
               file=sys.stderr)
 
 
-def make_runner(args: argparse.Namespace) -> ParallelRunner:
-    cache = ResultCache() if getattr(args, "cache", False) else None
-    return ParallelRunner(jobs=args.jobs, cache=cache)
+def run_tasks(args: argparse.Namespace, tasks: list) -> list:
+    """Run cells through the ``--jobs``/``--cache`` runner, announcing
+    batch fallbacks and the cache counters."""
+    runner = ParallelRunner(jobs=args.jobs,
+                            cache=ResultCache() if args.cache else None)
+    results = runner.run(tasks)
+    warn_fallback(results)
+    if runner.cache is not None:
+        print(runner.counters())
+    return results
 
 
 def metrics_row(name: str, m) -> list[str]:
@@ -135,6 +159,22 @@ def metrics_row(name: str, m) -> list[str]:
 HEADERS = ["baseline", "p95 ms", "p50 ms", "VMAF", "loss", "stall", "fps"]
 
 
+def print_session(title: str, baseline: str, metrics) -> None:
+    """The one-row metrics table plus the mean latency breakdown."""
+    print_table(title, HEADERS, [metrics_row(baseline, metrics)])
+    print_table("mean latency breakdown", ["component", "ms"],
+                [[k, fmt_ms(v)]
+                 for k, v in metrics.latency_breakdown().items()])
+
+
+def export_telemetry(telemetry, out_dir: str) -> None:
+    """Write the JSONL event log + Prometheus snapshot into ``out_dir``."""
+    from repro.obs import write_export_dir
+    jsonl, snapshot = write_export_dir(telemetry, out_dir)
+    print(f"telemetry: {len(telemetry.events)} records -> {jsonl}, "
+          f"snapshot -> {snapshot}")
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     print("baselines:")
     for name in list_baselines():
@@ -146,7 +186,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _parse_stall(spec: Optional[str]) -> tuple[Optional[float], float]:
-    """Parse ``--inject-stall AT[:DUR]`` into ``(at_s, duration_s)``."""
+    """Parse ``--inject-stall AT[:DUR]`` into ``(at_s, duration_s)``
+    (``at_s`` is None without the flag)."""
     if spec is None:
         return None, 1.0
     try:
@@ -178,109 +219,50 @@ def _print_slo_summary(summary: dict) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if (args.check or args.telemetry_out or args.slo or args.inject_stall
-            or args.series_out):
-        return _cmd_run_checked(args)
-    runner = make_runner(args)
-    [metrics] = runner.run([make_task(args.baseline, args)])
-    warn_fallback([metrics])
-    if runner.cache is not None:
-        print(runner.counters())
-    print_table(f"{args.baseline} over {args.trace} "
-                f"({args.duration:.0f}s, {args.category})",
-                HEADERS, [metrics_row(args.baseline, metrics)])
-    breakdown = metrics.latency_breakdown()
-    print_table("mean latency breakdown",
-                ["component", "ms"],
-                [[k, fmt_ms(v)] for k, v in breakdown.items()])
-    return 0
+    """``repro run``: one grid cell.
 
-
-def _schedule_sim_stall(session, at: float, duration: float) -> None:
-    """Pin the pacer at its rate floor for ``duration`` sim seconds.
-
-    Same mechanism as the live injector (:class:`LiveSession`): clamp to
-    0 bps (the pacer floors it) and re-arm every 50 ms so congestion-
-    control rate updates between clamps cannot un-stall it.
+    Plain runs go through the ``--jobs``/``--cache`` runner. With
+    ``--check``/``--telemetry-out``/``--slo``/``--series-out``/
+    ``--inject-stall`` the cell is instrumented exactly as a grid would
+    instrument it, but in-process: the exports and the audit report read
+    the session object, and a cache hit would observe nothing.
     """
-    loop = session.loop
-    pacer = session.sender.pacer
-    end = at + duration
-
-    def clamp() -> None:
-        pacer.set_pacing_rate(0.0)
-        if loop.now < end:
-            loop.call_later(0.05, clamp, "slo.stall")
-
-    loop.call_at(at, clamp, "slo.stall")
-
-
-def _cmd_run_checked(args: argparse.Namespace) -> int:
-    """``repro run --check``/``--telemetry-out``/``--slo``/``--series-out``.
-
-    In-process: bypasses the parallel runner and the result cache — the
-    auditor, telemetry, SLO watchdog, and series recorder must attach to
-    the live session object, and a cache hit would observe nothing.
-    """
-    trace = make_trace(args.trace, args.seed, args.duration + 10)
-    config = SessionConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=args.rtt / 1000.0, initial_bwe_bps=args.initial_bwe * 1e6,
-    )
-    session = build_session(args.baseline, trace, config,
-                            category=args.category,
-                            cc_override=args.cc, codec_override=args.codec,
-                            engine=getattr(args, "engine", "reference"),
-                            discipline=getattr(args, "discipline",
-                                               DEFAULT_DISCIPLINE))
-    telemetry = None
-    if args.telemetry_out or args.slo or args.series_out:
-        telemetry = session.enable_telemetry()
-    watchdog = None
-    if args.slo:
-        watchdog = telemetry.attach_watchdog(
-            pacing_p99_s=args.slo_p99_ms / 1000.0)
-    recorder = None
-    if args.series_out:
-        recorder = telemetry.attach_series()
     stall_at, stall_dur = _parse_stall(args.inject_stall)
-    if stall_at is not None:
-        _schedule_sim_stall(session, stall_at, stall_dur)
-    auditor = None
-    if args.check:
-        from repro.audit import attach_audit
-        auditor = attach_audit(session, strict=False)
-    metrics = session.run()
-    warn_fallback([metrics])
-    violations = auditor.finalize() if auditor is not None else []
+    task = make_task(
+        args.baseline, args,
+        telemetry=bool(args.telemetry_out), audit=args.check, slo=args.slo,
+        slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
+        series=bool(args.series_out),
+        inject_stall=None if stall_at is None else (stall_at, stall_dur))
+    session = auditor = None
+    if task.instrumented:
+        session, auditor, metrics = run_session(task)
+    else:
+        [metrics] = run_tasks(args, [task])
     suffix = ", audited" if auditor is not None else ""
-    print_table(f"{args.baseline} over {args.trace} "
-                f"({args.duration:.0f}s, {args.category}{suffix})",
-                HEADERS, [metrics_row(args.baseline, metrics)])
-    if telemetry is not None and args.telemetry_out:
-        from repro.obs import write_export_dir
-        jsonl, snapshot = write_export_dir(telemetry, args.telemetry_out)
-        print(f"telemetry: {len(telemetry.events)} records -> {jsonl}, "
-              f"snapshot -> {snapshot}")
-    if recorder is not None:
+    print_session(f"{args.baseline} over {args.trace} "
+                  f"({args.duration:.0f}s, {args.category}{suffix})",
+                  args.baseline, metrics)
+    if args.telemetry_out:
+        export_telemetry(session.telemetry, args.telemetry_out)
+    if args.series_out:
         from pathlib import Path
-
-        from repro.bench.parallel import series_shard_name
-        frame = recorder.frame({
-            "baseline": args.baseline, "trace": args.trace,
-            "seed": args.seed, "category": args.category, "mode": "sim",
-        })
+        # Standalone shards are named after the --trace flag, not the
+        # trace object's name ("constant" for every const:<mbps>).
+        frame = metrics.series_frame
+        frame.meta["trace"] = args.trace
         shard = series_shard_name(
             (args.baseline, args.trace, args.seed, args.category))
         path = Path(args.series_out) / "series" / f"{shard}.json"
         frame.write(path)
         print(f"series: {len(frame.t)} samples x {len(frame.series)} "
               f"series -> {path}")
-    if watchdog is not None:
-        _print_slo_summary(watchdog.summary())
+    if args.slo:
+        _print_slo_summary(metrics.slo_alerts)
     if auditor is not None:
         print(auditor.report())
-    return 1 if violations else 0
+        return 1 if auditor.violations else 0
+    return 0
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -298,12 +280,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     baselines = [b.strip() for b in args.baselines.split(",")]
     trace = make_trace(args.trace, args.seed, args.duration + 10)
-    runner = make_runner(args)
-    results = runner.run([make_task(b, args, trace=trace) for b in baselines])
+    results = run_tasks(args, [make_task(b, args, trace=trace)
+                               for b in baselines])
     rows = [metrics_row(baseline, metrics)
             for baseline, metrics in zip(baselines, results)]
-    if runner.cache is not None:
-        print(runner.counters())
     print_table(f"comparison over {args.trace} "
                 f"({args.duration:.0f}s, {args.category})", HEADERS, rows)
     return 0
@@ -312,13 +292,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep_rtt(args: argparse.Namespace) -> int:
     rtts = [float(x) for x in args.rtts.split(",")]
     trace = make_trace(args.trace, args.seed, args.duration + 10)
-    runner = make_runner(args)
-    results = runner.run([make_task(args.baseline, args, trace=trace,
-                                    rtt_ms=rtt_ms) for rtt_ms in rtts])
+    results = run_tasks(args, [make_task(args.baseline, args, trace=trace,
+                                         rtt_ms=rtt_ms) for rtt_ms in rtts])
     rows = [[f"{rtt_ms:g}"] + metrics_row(args.baseline, metrics)[1:]
             for rtt_ms, metrics in zip(rtts, results)]
-    if runner.cache is not None:
-        print(runner.counters())
     print_table(f"{args.baseline}: RTT sweep over {args.trace}",
                 ["RTT ms"] + HEADERS[1:], rows)
     return 0
@@ -327,21 +304,34 @@ def cmd_sweep_rtt(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.analysis import RunResult, compare_runs, save_results
 
-    results = []
-    for trace_kind in args.traces.split(","):
-        trace_kind = trace_kind.strip()
-        args.trace = trace_kind
-        for baseline in args.baselines.split(","):
-            baseline = baseline.strip()
-            metrics = run_one(baseline, args)
-            results.append(RunResult.from_metrics(
-                metrics, baseline=baseline, trace=trace_kind,
-                seed=args.seed, category=args.category))
+    kinds = [kind.strip() for kind in args.traces.split(",")]
+    traces = {kind: make_trace(kind, args.seed, args.duration + 10)
+              for kind in kinds}
+    cells = [(kind, baseline.strip()) for kind in kinds
+             for baseline in args.baselines.split(",")]
+    metrics = run_tasks(args, [make_task(baseline, args, trace=traces[kind])
+                               for kind, baseline in cells])
+    results = [RunResult.from_metrics(m, baseline=baseline, trace=kind,
+                                      seed=args.seed, category=args.category)
+               for (kind, baseline), m in zip(cells, metrics)]
     print(compare_runs(results, reference_baseline=args.reference))
     if args.out:
         save_results(results, args.out)
         print(f"\nwrote {len(results)} results to {args.out}")
     return 0
+
+
+def _live_path_config(args: argparse.Namespace) -> dict:
+    """The ``LiveConfig``/``LoadConfig`` fields ``live`` and ``load``
+    both take from :func:`_add_live_path` and :func:`_add_slo_args`."""
+    stall_at, stall_dur = _parse_stall(args.inject_stall)
+    return dict(
+        seed=args.seed, fps=args.fps, initial_bwe_bps=args.initial_bwe * 1e6,
+        base_rtt=args.rtt / 1000.0, random_loss_rate=args.loss,
+        queue_capacity_bytes=args.queue, shaped=not args.unshaped,
+        stats_port=args.stats_port, slo=args.slo,
+        slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
+        inject_stall_at=stall_at, inject_stall_duration=stall_dur)
 
 
 def cmd_live(args: argparse.Namespace) -> int:
@@ -350,22 +340,9 @@ def cmd_live(args: argparse.Namespace) -> int:
     from repro.live.session import LiveConfig, build_live_session
 
     trace = make_trace(args.trace, args.seed, args.duration + 10)
-    stall_at, stall_dur = _parse_stall(args.inject_stall)
     config = LiveConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        initial_bwe_bps=args.initial_bwe * 1e6,
-        base_rtt=args.rtt / 1000.0,
-        random_loss_rate=args.loss,
-        queue_capacity_bytes=args.queue,
-        shaped=not args.unshaped,
-        audit=args.check,
-        telemetry=bool(args.telemetry_out),
-        stats_port=args.stats_port,
-        slo=args.slo,
-        slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
-        inject_stall_at=stall_at,
-        inject_stall_duration=stall_dur,
-    )
+        duration=args.duration, audit=args.check,
+        telemetry=bool(args.telemetry_out), **_live_path_config(args))
     session = build_live_session(args.baseline, config, trace=trace,
                                  category=args.category)
     print(f"live: {args.baseline} over UDP loopback, "
@@ -378,17 +355,9 @@ def cmd_live(args: argparse.Namespace) -> int:
               f"http://127.0.0.1:{port}/ while the session runs")
     metrics = asyncio.run(session.run())
     if session.telemetry is not None and args.telemetry_out:
-        from repro.obs import write_export_dir
-        jsonl, snapshot = write_export_dir(session.telemetry,
-                                           args.telemetry_out)
-        print(f"telemetry: {len(session.telemetry.events)} records -> "
-              f"{jsonl}, snapshot -> {snapshot}")
-    print_table(f"{args.baseline} live ({args.duration:.0f}s, {args.category})",
-                HEADERS, [metrics_row(args.baseline, metrics)])
-    breakdown = metrics.latency_breakdown()
-    print_table("mean latency breakdown",
-                ["component", "ms"],
-                [[k, fmt_ms(v)] for k, v in breakdown.items()])
+        export_telemetry(session.telemetry, args.telemetry_out)
+    print_session(f"{args.baseline} live ({args.duration:.0f}s, "
+                  f"{args.category})", args.baseline, metrics)
     shim = session.impairment
     print(f"impairment: {shim.delivered} datagrams delivered, "
           f"{shim.dropped} dropped; "
@@ -440,21 +409,11 @@ def cmd_load(args: argparse.Namespace) -> int:
     duration = args.duration
     if duration is None:
         duration = DEFAULT_SOAK_DURATION_S if args.soak else 5.0
-    stall_at, stall_dur = _parse_stall(args.inject_stall)
     config = LoadConfig(
         sessions=args.sessions, mix=tuple(mix), ramp=args.ramp,
-        duration=duration, drain=args.drain, seed=args.seed, fps=args.fps,
-        base_rtt=args.rtt / 1000.0, random_loss_rate=args.loss,
-        queue_capacity_bytes=args.queue,
-        initial_bwe_bps=args.initial_bwe * 1e6,
-        shaped=not args.unshaped, stats_port=args.stats_port,
-        heartbeat_interval=args.heartbeat,
-        slo=args.slo,
-        slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
-        inject_stall_at=stall_at,
-        inject_stall_duration=stall_dur,
-        series=args.series,
-    )
+        duration=duration, drain=args.drain,
+        heartbeat_interval=args.heartbeat, series=args.series,
+        **_live_path_config(args))
     trace_factory = None
     if args.trace is not None:
         def trace_factory(i, _kind=args.trace, _seed=args.seed,
@@ -571,27 +530,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     filtered record log; otherwise the span timeline of ``--frame`` (or
     the worst end-to-end frame) is shown.
     """
-    from repro.obs import (
-        filter_records,
-        render_record,
-        render_span_timeline,
-        write_export_dir,
-    )
+    from repro.obs import filter_records, render_record, render_span_timeline
 
-    trace = make_trace(args.trace, args.seed, args.duration + 10)
-    config = SessionConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=args.rtt / 1000.0, initial_bwe_bps=args.initial_bwe * 1e6,
-    )
-    session = build_session(args.baseline, trace, config,
-                            category=args.category,
-                            cc_override=args.cc, codec_override=args.codec)
-    telemetry = session.enable_telemetry()
+    task = make_task(args.baseline, args, telemetry=True)
+    session, _ = open_task(task)
+    telemetry = session.telemetry
     profiler = None
     if args.profile:
         from repro.obs import LoopProfiler
         profiler = session.loop.set_profiler(LoopProfiler())
-    session.run()
+    warn_fallback([run_opened(task, session)])
     print(f"{args.baseline} over {args.trace} ({args.duration:.0f}s): "
           f"{len(telemetry.events)} telemetry records, "
           f"{len(telemetry.spans)} frame spans")
@@ -639,8 +587,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print()
         print(profiler.render())
     if args.out:
-        jsonl, snapshot = write_export_dir(telemetry, args.out)
-        print(f"wrote {jsonl} and {snapshot}")
+        export_telemetry(telemetry, args.out)
     return status
 
 
@@ -654,15 +601,7 @@ def cmd_why(args: argparse.Namespace) -> int:
     """
     from repro.obs import render_frame_blame, render_rollup
 
-    trace = make_trace(args.trace, args.seed, args.duration + 10)
-    config = SessionConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=args.rtt / 1000.0, initial_bwe_bps=args.initial_bwe * 1e6,
-    )
-    session = build_session(args.baseline, trace, config,
-                            category=args.category,
-                            cc_override=args.cc, codec_override=args.codec)
-    session.run()
+    session, _, _ = run_session(make_task(args.baseline, args))
     attribution = session.attribution()
     if len(attribution) == 0:
         print("no frames completed the pacer; nothing to attribute")
@@ -790,18 +729,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     """
     from repro.analysis.timeline import to_csv
 
-    trace = make_trace(args.trace, args.seed, args.duration + 10)
-    config = SessionConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=args.rtt / 1000.0, initial_bwe_bps=args.initial_bwe * 1e6,
-    )
-    session = build_session(args.baseline, trace, config,
-                            category=args.category,
-                            cc_override=args.cc, codec_override=args.codec,
-                            engine=getattr(args, "engine", "reference"),
-                            discipline=getattr(args, "discipline",
-                                               DEFAULT_DISCIPLINE))
-    metrics = session.run()
+    session, _, metrics = run_session(make_task(args.baseline, args))
     attribution = session.attribution() if args.blame else None
     text = to_csv(metrics, args.out, attribution)
     if args.out:
@@ -831,9 +759,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if args.arena is not None:
         # Arena sweep: mixes x disciplines x traces x seeds, per-flow
         # results plus a fairness block in the run summary.
-        if stall_at is not None:
-            raise SystemExit("--inject-stall targets single-flow cells; "
-                             "it cannot be combined with --arena")
+        if (stall_at is not None or args.slo or args.cc or args.codec
+                or args.engine != "reference"):
+            raise SystemExit(
+                "--inject-stall/--slo/--cc/--codec/--engine target "
+                "single-flow cells; they cannot be combined with --arena")
         from repro.arena import run_arena_grid
         mixes = [m.strip() for m in args.arena.split(";")]
         results = run_arena_grid(
@@ -864,12 +794,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if len(disciplines) != 1:
         raise SystemExit("comma-separated --discipline needs --arena")
     baselines = [b.strip() for b in args.baselines.split(",")]
+    # Only overrides that are set enter build_kwargs (and the cache key).
+    overrides = {key: value for key, value in (("cc_override", args.cc),
+                                               ("codec_override", args.codec))
+                 if value is not None}
     results = run_grid(baselines, traces, seeds=seeds,
+                       categories=(args.category,),
                        duration=args.duration, fps=args.fps,
                        initial_bwe_bps=args.initial_bwe * 1e6,
                        jobs=args.jobs, use_cache=args.cache,
+                       build_kwargs=overrides or None,
                        run_dir=args.run_dir, verbose=True,
-                       engine=getattr(args, "engine", "reference"),
+                       engine=args.engine,
                        discipline=disciplines[0],
                        slo=args.slo,
                        slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
@@ -910,15 +846,12 @@ def cmd_arena(args: argparse.Namespace) -> int:
     kinds = [k.strip() for k in args.trace.split(",")]
     traces = [make_trace(kind, args.seed, args.duration + 10)
               for kind in kinds]
-    config = SessionConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=args.rtt / 1000.0, initial_bwe_bps=args.initial_bwe * 1e6,
-    )
     flows = [ArenaFlowSpec(**{**f, "category": args.category})
              for f in parse_mix(args.flows)]
     bottlenecks = [BottleneckSpec(trace, discipline=args.discipline)
                    for trace in traces]
-    session = ArenaSession(flows, config=config, bottlenecks=bottlenecks)
+    session = ArenaSession(flows, config=session_config(args),
+                           bottlenecks=bottlenecks)
     telemetry = session.enable_telemetry() if args.telemetry_out else None
     metrics = session.run()
     rows = [metrics_row(f"{metrics.specs[fid]['baseline']}#{fid}", fm)
@@ -949,9 +882,7 @@ def cmd_arena(args: argparse.Namespace) -> int:
               f"{stats['delivered_packets']} delivered, "
               f"{stats['dropped_packets']} dropped{extras}")
     if telemetry is not None:
-        from repro.obs import write_export_dir
-        jsonl, snapshot = write_export_dir(telemetry, args.telemetry_out)
-        print(f"telemetry: wrote {jsonl} and {snapshot}")
+        export_telemetry(telemetry, args.telemetry_out)
     return 0
 
 
@@ -976,39 +907,72 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, stack: bool = True,
+                runner: bool = False, rtt: bool = True) -> None:
+    """The workload flags every sim command honours, plus the groups
+    only some do: ``stack`` (``--engine``/``--cc``/``--codec`` — the
+    single-flow session builder) and ``runner`` (``--jobs``/``--cache``
+    — commands that go through :class:`ParallelRunner`). A command
+    defines a flag only if it acts on it.
+    """
     p.add_argument("--trace", default="wifi",
                    help="wifi|4g|5g|campus|const:<mbps>|weak:<venue>")
     p.add_argument("--duration", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--rtt", type=float, default=30.0, help="base RTT in ms")
+    if rtt:
+        p.add_argument("--rtt", type=float, default=30.0,
+                       help="base RTT in ms")
     p.add_argument("--category", default="gaming",
                    choices=sorted(CONTENT_CATEGORIES))
     p.add_argument("--initial-bwe", type=float, default=6.0,
                    dest="initial_bwe", help="initial BWE in Mbps")
-    p.add_argument("--engine", default="reference", choices=ENGINE_NAMES,
-                   help="simulation engine: 'reference' is the golden "
-                        "per-event loop, 'batch' macro-steps whole bursts "
-                        "(faster, metrics equivalent within float noise)")
     p.add_argument("--discipline", default=DEFAULT_DISCIPLINE,
                    help="bottleneck queue discipline: "
                         + "|".join(list_disciplines())
                         + " (comma list with `grid --arena`)")
-    p.add_argument("--cc", default=None,
-                   help="override congestion controller (gcc|bbr|copa|delivery)")
-    p.add_argument("--codec", default=None,
-                   help="override codec model (x264|x265|vp8|vp9|av1)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for multi-session commands "
-                        "(0 = one per CPU); results are identical to serial")
-    p.add_argument("--cache", action="store_true",
-                   help="memoize session results on disk "
-                        "(REPRO_CACHE=off disables, REPRO_CACHE_DIR moves)")
+    if stack:
+        p.add_argument("--engine", default="reference", choices=ENGINE_NAMES,
+                       help="simulation engine: 'reference' is the golden "
+                            "per-event loop, 'batch' macro-steps whole "
+                            "bursts (faster, metrics equivalent within "
+                            "float noise)")
+        p.add_argument("--cc", default=None,
+                       help="override congestion controller "
+                            "(gcc|bbr|copa|delivery)")
+        p.add_argument("--codec", default=None,
+                       help="override codec model (x264|x265|vp8|vp9|av1)")
+    if runner:
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for multi-session commands "
+                            "(0 = one per CPU); results are identical to "
+                            "serial")
+        p.add_argument("--cache", action="store_true",
+                       help="memoize session results on disk "
+                            "(REPRO_CACHE=off disables, REPRO_CACHE_DIR "
+                            "moves)")
+
+
+def _add_live_path(p: argparse.ArgumentParser) -> None:
+    """The emulated loopback path of ``live``/``load``."""
+    p.add_argument("--seed", type=int, default=1,
+                   help="session seed (`load`: session i uses seed+i)")
+    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--rtt", type=float, default=30.0,
+                   help="emulated base RTT in ms")
+    p.add_argument("--loss", type=float, default=0.0,
+                   help="emulated random loss rate (0..1)")
+    p.add_argument("--queue", type=int, default=100_000,
+                   help="emulated bottleneck queue in bytes")
+    p.add_argument("--initial-bwe", type=float, default=4.0,
+                   dest="initial_bwe", help="initial BWE in Mbps")
+    p.add_argument("--unshaped", action="store_true",
+                   help="skip trace shaping (delay/loss still apply)")
 
 
 def _add_slo_args(p: argparse.ArgumentParser) -> None:
-    """``--slo`` / ``--slo-p99-ms`` / ``--inject-stall`` (run/live/load)."""
+    """``--slo`` / ``--slo-p99-ms`` / ``--inject-stall``
+    (run/grid/live/load; instrumented sim cells bypass the cache)."""
     p.add_argument("--slo", action="store_true",
                    help="attach the burstiness SLO watchdog (pacing-p99 "
                         "threshold + pacer-backlog drift rules) and print "
@@ -1020,7 +984,8 @@ def _add_slo_args(p: argparse.ArgumentParser) -> None:
                    metavar="AT[:DUR]",
                    help="fault injection: pin the pacer at its rate floor "
                         "from AT seconds for DUR seconds (default 1.0) — "
-                        "used to smoke-test the SLO watchdog")
+                        "smoke-tests the SLO watchdog; with `grid --series` "
+                        "it builds A/B divergence fixtures")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1049,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "DIR/series/*.json shard for `repro plot` "
                             "(disables --jobs/--cache)")
     _add_slo_args(p_run)
-    _add_common(p_run)
+    _add_common(p_run, runner=True)
     p_run.set_defaults(func=cmd_run)
 
     p_fuzz = sub.add_parser(
@@ -1067,14 +1032,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run several baselines on one workload")
     p_cmp.add_argument("--baselines", required=True,
                        help="comma-separated baseline names")
-    _add_common(p_cmp)
+    _add_common(p_cmp, runner=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rtt = sub.add_parser("sweep-rtt", help="sweep the base RTT")
     p_rtt.add_argument("--baseline", required=True)
     p_rtt.add_argument("--rtts", default="10,20,40,80,160",
                        help="comma-separated RTTs in ms")
-    _add_common(p_rtt)
+    _add_common(p_rtt, runner=True)
     p_rtt.set_defaults(func=cmd_sweep_rtt)
 
     p_eval = sub.add_parser(
@@ -1090,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write RunResult JSON to this path")
     p_eval.add_argument("--reference", default="webrtc-star",
                         help="baseline the comparison is relative to")
-    _add_common(p_eval)
+    _add_common(p_eval, runner=True)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_live = sub.add_parser(
@@ -1101,20 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wifi|4g|5g|campus|const:<mbps>|weak:<venue>")
     p_live.add_argument("--duration", type=float, default=5.0,
                         help="wall-clock seconds to run")
-    p_live.add_argument("--seed", type=int, default=1)
-    p_live.add_argument("--fps", type=float, default=30.0)
-    p_live.add_argument("--rtt", type=float, default=30.0,
-                        help="emulated base RTT in ms")
-    p_live.add_argument("--loss", type=float, default=0.0,
-                        help="emulated random loss rate (0..1)")
-    p_live.add_argument("--queue", type=int, default=100_000,
-                        help="emulated bottleneck queue in bytes")
-    p_live.add_argument("--initial-bwe", type=float, default=4.0,
-                        dest="initial_bwe", help="initial BWE in Mbps")
     p_live.add_argument("--category", default="gaming",
                         choices=sorted(CONTENT_CATEGORIES))
-    p_live.add_argument("--unshaped", action="store_true",
-                        help="skip trace shaping (delay/loss still apply)")
+    _add_live_path(p_live)
     p_live.add_argument("--check", action="store_true",
                         help="attach the polling invariant auditor; exit 1 "
                              "on any violation")
@@ -1155,19 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-session trace class (wifi|4g|5g|campus|"
                              "const:<mbps>|weak:<venue>, seed-shifted per "
                              "session); default: constant 20 Mbps")
-    p_load.add_argument("--unshaped", action="store_true",
-                        help="skip trace shaping (delay/loss still apply)")
-    p_load.add_argument("--seed", type=int, default=1,
-                        help="base seed (session i uses seed+i)")
-    p_load.add_argument("--fps", type=float, default=30.0)
-    p_load.add_argument("--rtt", type=float, default=30.0,
-                        help="emulated base RTT in ms")
-    p_load.add_argument("--loss", type=float, default=0.0,
-                        help="emulated random loss rate (0..1)")
-    p_load.add_argument("--queue", type=int, default=100_000,
-                        help="emulated bottleneck queue in bytes")
-    p_load.add_argument("--initial-bwe", type=float, default=4.0,
-                        dest="initial_bwe", help="initial BWE in Mbps")
+    _add_live_path(p_load)
     p_load.add_argument("--stats-port", type=int, default=None,
                         dest="stats_port", metavar="PORT",
                         help="serve one rolled-up Prometheus snapshot "
@@ -1297,25 +1239,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "--discipline may then be a comma list")
     p_grid.add_argument("--window", type=float, default=10.0,
                         help="fairness window in seconds (arena cells)")
-    p_grid.add_argument("--slo", action="store_true",
-                        help="attach the burstiness SLO watchdog to every "
-                             "cell (instrumented: bypasses the cache) and "
-                             "print fired alerts per cell")
-    p_grid.add_argument("--slo-p99-ms", type=float, default=250.0,
-                        dest="slo_p99_ms", metavar="MS",
-                        help="pacing-delay p99 SLO bound in ms "
-                             "(default 250)")
     p_grid.add_argument("--series", action="store_true",
                         help="record per-cell time series (instrumented: "
                              "bypasses the cache); with --run-dir the "
                              "shards land in DIR/series/ for `repro plot`")
-    p_grid.add_argument("--inject-stall", default=None, dest="inject_stall",
-                        metavar="AT[:DUR]",
-                        help="fault injection in every cell: pin the pacer "
-                             "at its rate floor from AT seconds for DUR "
-                             "seconds (default 1.0); pairs with --series "
-                             "to build A/B divergence fixtures")
-    _add_common(p_grid)
+    _add_slo_args(p_grid)
+    _add_common(p_grid, runner=True, rtt=False)
     p_grid.set_defaults(func=cmd_grid)
 
     p_plot = sub.add_parser(
@@ -1373,7 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="telemetry_out",
                          help="export arena telemetry (per-router and "
                               "per-flow queue gauges) into DIR")
-    _add_common(p_arena)
+    _add_common(p_arena, stack=False)
     p_arena.set_defaults(func=cmd_arena)
 
     p_sc = sub.add_parser("scenario",

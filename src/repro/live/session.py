@@ -31,13 +31,9 @@ from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.sender import Sender
-from repro.rtc.session import (
-    DisplaySync,
-    _CaptureTimeView,
-    _QualityView,
-    build_ace_controllers,
-)
+from repro.rtc.session import FlowStack
 from repro.sim.rng import SeedSequenceFactory
+from repro.transport.pacer.stall import PacingStall
 from repro.transport.receiver import TransportReceiver
 
 
@@ -119,11 +115,16 @@ class LiveSession:
         self.trace = trace
         self.config = config
         self.rngs = SeedSequenceFactory(config.seed)
-        self._factories = (source_factory, codec_factory,
-                           rate_control_factory, pacer_factory, cc_factory)
-        self._sender_config = sender_config
-        self._ace_n_config = ace_n_config
-        self._ace_c_config = ace_c_config
+        if sender_config is not None and sender_config.fec_enabled:
+            raise ValueError("FEC parity is not encodable on the live wire "
+                             "format yet; pick a non-FEC baseline")
+        #: FlowStack keyword arguments, held until run() has a clock.
+        self._stack_kwargs = dict(
+            source_factory=source_factory, codec_factory=codec_factory,
+            rate_control_factory=rate_control_factory,
+            pacer_factory=pacer_factory, cc_factory=cc_factory,
+            sender_config=sender_config, ace_n_config=ace_n_config,
+            ace_c_config=ace_c_config)
         self._finished = False
         self._stop_requested = False
         self._stop_waiter = None
@@ -143,7 +144,7 @@ class LiveSession:
         #: populated by run() when ``config.slo`` is set
         #: (:class:`repro.obs.slo.SloWatchdog`).
         self.watchdog = None
-        self._stall_handle = None
+        self._stall: Optional[PacingStall] = None
 
     @property
     def cpu_s(self) -> float:
@@ -159,8 +160,6 @@ class LiveSession:
         if self._finished:
             raise RuntimeError("session already ran; build a new one")
         config = self.config
-        (source_factory, codec_factory, rate_control_factory,
-         pacer_factory, cc_factory) = self._factories
 
         clock = self.clock = WallClock(asyncio.get_running_loop(),
                                        cpu_accounting=config.cpu_accounting)
@@ -182,57 +181,33 @@ class LiveSession:
         send_end.connect(recv_end.local_addr)
         recv_end.connect(send_end.local_addr)
 
-        codec = codec_factory(self.rngs)
-        source = source_factory(self.rngs)
-        sender_cfg = self._sender_config
-        if sender_cfg is None:
-            from repro.rtc.sender import SenderConfig
-            sender_cfg = SenderConfig(fps=config.fps)
-        sender_cfg.fps = config.fps
-        if sender_cfg.fec_enabled:
-            raise ValueError("FEC parity is not encodable on the live wire "
-                             "format yet; pick a non-FEC baseline")
-
-        cc = cc_factory()
-        pacer = pacer_factory(clock, send_end.send)
-        pacer.set_pacing_rate(cc.bwe_bps)
-        ace_n, ace_c = build_ace_controllers(
-            sender_cfg, codec, config.fps, config.initial_bwe_bps,
-            ace_n_config=self._ace_n_config, ace_c_config=self._ace_c_config)
-
+        stack = FlowStack(
+            clock, send_end, send_end.send, recv_end.send_feedback,
+            self.rngs, fps=config.fps,
+            initial_bwe_bps=config.initial_bwe_bps, **self._stack_kwargs)
+        sender = self.sender = stack.sender
+        receiver = self.receiver = stack.receiver
+        display_sync = stack.display_sync
+        pacer = sender.pacer
         if config.pacer_stats_cap is not None:
             pacer.stats.rebound(config.pacer_stats_cap)
 
         telemetry = None
         if (config.telemetry or config.stats_port is not None or config.slo
                 or config.series):
-            from repro.obs import Telemetry, instrument_stack
+            from repro.obs import Telemetry
             telemetry = self.telemetry = Telemetry(
                 clock, keep_events=config.keep_telemetry_events)
             # No Link in live mode — the impairment shim is the bottleneck.
-            instrument_stack(telemetry, pacer=pacer, cc=cc, ace_n=ace_n)
+            stack.attach_telemetry(telemetry)
             if config.slo:
                 self.watchdog = telemetry.attach_watchdog(
                     pacing_p99_s=config.slo_pacing_p99_s)
             if config.series:
                 telemetry.attach_series()
         if config.inject_stall_at is not None:
-            self._schedule_stall(clock, pacer, config.inject_stall_at,
-                                 config.inject_stall_duration)
-
-        sender = self.sender = Sender(
-            clock, source, codec, rate_control_factory(), pacer, cc,
-            send_end, config=sender_cfg, ace_c=ace_c, ace_n=ace_n,
-            telemetry=telemetry)
-        receiver = self.receiver = TransportReceiver(
-            clock,
-            send_feedback_fn=recv_end.send_feedback,
-            decode_time_fn=codec.decode_time,
-            telemetry=telemetry,
-        )
-        receiver.frame_capture_time = _CaptureTimeView(sender)
-        receiver.frame_quality = _QualityView(sender)
-        display_sync = DisplaySync(sender, receiver)
+            self._stall = PacingStall(clock, pacer, config.inject_stall_at,
+                                      config.inject_stall_duration)
 
         def on_arrival(packet: Packet) -> None:
             receiver.on_packet(packet)
@@ -249,7 +224,7 @@ class LiveSession:
             # keeps measured RTTs at or above base_rtt even on a wall
             # clock (real time only ever adds delay).
             self.auditor = SessionAuditor(
-                clock, pacer, ace_n=ace_n, cc=cc,
+                clock, pacer, ace_n=sender.ace_n, cc=stack.cc,
                 rtt_floor=config.base_rtt,
                 telemetry=telemetry,
             ).attach_polling(config.audit_interval_s)
@@ -283,9 +258,8 @@ class LiveSession:
             sender.stop()
             receiver.stop()
             pacer.cancel_pump()
-            if self._stall_handle is not None:
-                self._stall_handle.cancel()
-                self._stall_handle = None
+            if self._stall is not None:
+                self._stall.cancel()
             if stats_server is not None:
                 stats_server.close()
                 await stats_server.wait_closed()
@@ -295,34 +269,10 @@ class LiveSession:
         self._finished = True
         if self.auditor is not None:
             self.auditor.finalize()
-        return self._collect(send_end, duration=media_elapsed)
-
-    # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-    def _schedule_stall(self, clock: WallClock, pacer, at: float,
-                        duration: float) -> None:
-        """Pacing-stall drill: pin the pacer at its rate floor.
-
-        ``set_pacing_rate`` floors at 10 kbps, so clamping to 0 holds
-        the pacer at the floor while frames keep arriving at the full
-        target bitrate — backlog and pacing delay blow up within a few
-        frames, which is exactly the signal the SLO watchdog exists to
-        catch. The clamp re-arms every 50 ms to out-shout congestion-
-        controller rate updates for the stall window, then stops;
-        recovery is the controller's problem (and is itself worth
-        watching).
-        """
-        end = at + duration
-
-        def clamp() -> None:
-            self._stall_handle = None
-            pacer.set_pacing_rate(0.0)
-            if clock.now < end and not self._stop_requested:
-                self._stall_handle = clock.call_later(
-                    0.05, clamp, "slo.stall")
-
-        self._stall_handle = clock.call_later(at, clamp, "slo.stall")
+        return stack.collect(
+            media_elapsed, len(send_end.dropped_packets),
+            self.trace.rate_at
+            if self.trace is not None and config.shaped else None)
 
     # ------------------------------------------------------------------
     # early stop
@@ -332,6 +282,8 @@ class LiveSession:
         sender stops, then the normal drain window runs). Safe to call
         before or after ``run()`` starts; idempotent."""
         self._stop_requested = True
+        if self._stall is not None:
+            self._stall.cancel()
         waiter = self._stop_waiter
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
@@ -360,22 +312,6 @@ class LiveSession:
             port, lambda: prometheus_snapshot(self.telemetry.registry))
         self.stats_addr = stats_addr(server)
         return server
-
-    def _collect(self, send_end: UdpTransport,
-                 duration: Optional[float] = None) -> SessionMetrics:
-        sender = self.sender
-        metrics = SessionMetrics(
-            duration=self.config.duration if duration is None else duration)
-        metrics.frames = [sender.frame_metrics[fid]
-                          for fid in sorted(sender.frame_metrics)]
-        metrics.packets_sent = sender.pacer.stats.sent_packets
-        metrics.packets_lost = len(send_end.dropped_packets)
-        metrics.packets_retransmitted = sender.retransmissions
-        metrics.send_events = list(sender.send_events)
-        metrics.bwe_history = [(s.time, s.bwe_bps) for s in sender.cc.history]
-        if self.trace is not None and self.config.shaped:
-            metrics.bandwidth_fn = self.trace.rate_at
-        return metrics
 
     def series_frame(self, meta: Optional[dict] = None):
         """Snapshot of the recorded time-series (None unless
@@ -409,47 +345,15 @@ def build_live_session(baseline: str, config: Optional[LiveConfig] = None,
     """
     # Imported here: baselines imports rtc.session, which imports
     # repro.live.transport — a module-level import would cycle.
-    from repro.rtc.baselines import (
-        _cc_factory,
-        _codec_factory,
-        _pacer_factory,
-        _rate_control_factory,
-        get_spec,
-    )
-    from repro.rtc.sender import SenderConfig
-    from repro.video.source import VideoSource
+    from repro.rtc.baselines import get_spec, stack_kwargs
 
     config = config or LiveConfig()
     if trace is None:
         trace = BandwidthTrace.constant(
             20e6, duration=config.duration + config.drain + 10)
-    spec = get_spec(baseline)
-
-    def source_factory(rngs, _cat=category, _fps=config.fps):
-        return VideoSource.from_category(_cat, rngs.stream("source"),
-                                         fps=_fps)
-
-    sender_config = SenderConfig(
-        fps=config.fps,
-        ace_c_enabled=spec.ace_c,
-        ace_n_enabled=spec.ace_n,
-        salsify_mode=spec.salsify,
-        fec_enabled=spec.fec,
-        max_target_bitrate_bps=spec.max_target_bitrate_bps,
-    )
     return LiveSession(
-        trace=trace,
-        config=config,
-        source_factory=source_factory,
-        codec_factory=_codec_factory(spec),
-        rate_control_factory=_rate_control_factory(spec),
-        pacer_factory=_pacer_factory(spec, ace_n_config),
-        cc_factory=_cc_factory(spec, config.initial_bwe_bps,
-                               config.max_bwe_bps),
-        sender_config=sender_config,
-        ace_n_config=ace_n_config,
-        ace_c_config=ace_c_config,
-    )
+        trace=trace, config=config, ace_c_config=ace_c_config,
+        **stack_kwargs(get_spec(baseline), config, category, ace_n_config))
 
 
 def run_live(baseline: str, config: Optional[LiveConfig] = None,

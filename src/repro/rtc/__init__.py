@@ -4,7 +4,6 @@ from repro.rtc.metrics import FrameMetrics, SessionMetrics
 from repro.rtc.sender import Sender, SenderConfig
 from repro.rtc.session import RtcSession, SessionConfig
 from repro.rtc.baselines import BASELINES, BaselineSpec, build_session, list_baselines
-from repro.rtc.multiflow import FlowSpec, MultiFlowRtcSession
 from repro.rtc.overhead import OverheadModel, OverheadSample
 
 __all__ = [
@@ -18,8 +17,6 @@ __all__ = [
     "BaselineSpec",
     "build_session",
     "list_baselines",
-    "FlowSpec",
-    "MultiFlowRtcSession",
     "OverheadModel",
     "OverheadSample",
 ]

@@ -192,6 +192,44 @@ def _codec_factory(spec: BaselineSpec) -> Callable[[SeedSequenceFactory], CodecM
     return make
 
 
+def stack_kwargs(spec: BaselineSpec, config, category: str = "gaming",
+                 ace_n_config: Optional[AceNConfig] = None,
+                 audio: bool = False) -> dict:
+    """The keyword arguments a baseline contributes to a flow stack.
+
+    The one ``spec → (factories, SenderConfig)`` mapping: the five
+    component factories, the sender switches and ``ace_n_config``, under
+    the parameter names :class:`~repro.rtc.session.FlowStack`,
+    :class:`RtcSession` and ``LiveSession`` share. ``config`` is a
+    ``SessionConfig`` or ``LiveConfig`` (read: ``fps``,
+    ``initial_bwe_bps``, ``max_bwe_bps``).
+    """
+    fps = config.fps
+
+    def source_factory(rngs: SeedSequenceFactory):
+        return VideoSource.from_category(category, rngs.stream("source"),
+                                         fps=fps)
+
+    return dict(
+        source_factory=source_factory,
+        codec_factory=_codec_factory(spec),
+        rate_control_factory=_rate_control_factory(spec),
+        pacer_factory=_pacer_factory(spec, ace_n_config),
+        cc_factory=_cc_factory(spec, config.initial_bwe_bps,
+                               config.max_bwe_bps),
+        sender_config=SenderConfig(
+            fps=fps,
+            ace_c_enabled=spec.ace_c,
+            ace_n_enabled=spec.ace_n,
+            salsify_mode=spec.salsify,
+            fec_enabled=spec.fec,
+            audio_enabled=audio,
+            max_target_bitrate_bps=spec.max_target_bitrate_bps,
+        ),
+        ace_n_config=ace_n_config,
+    )
+
+
 def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
                   session_config: Optional[SessionConfig] = None,
                   category: str = "gaming",
@@ -221,33 +259,14 @@ def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
     if codec_override is not None:
         spec = replace(spec, codec=codec_override)
     config = session_config or SessionConfig()
-
-    if source_factory is None:
-        def source_factory(rngs: SeedSequenceFactory, _cat=category,
-                           _fps=config.fps):
-            return VideoSource.from_category(_cat, rngs.stream("source"),
-                                             fps=_fps)
-
-    sender_config = SenderConfig(
-        fps=config.fps,
-        ace_c_enabled=spec.ace_c,
-        ace_n_enabled=spec.ace_n,
-        salsify_mode=spec.salsify,
-        fec_enabled=spec.fec,
-        audio_enabled=config.audio,
-        max_target_bitrate_bps=spec.max_target_bitrate_bps,
-    )
-
+    parts = stack_kwargs(spec, config, category, ace_n_config,
+                         audio=config.audio)
+    if source_factory is not None:
+        parts["source_factory"] = source_factory
     return RtcSession(
         trace=trace,
         config=config,
-        source_factory=source_factory,
-        codec_factory=_codec_factory(spec),
-        rate_control_factory=_rate_control_factory(spec),
-        pacer_factory=_pacer_factory(spec, ace_n_config),
-        cc_factory=_cc_factory(spec, config.initial_bwe_bps, config.max_bwe_bps),
-        sender_config=sender_config,
-        ace_n_config=ace_n_config,
+        **parts,
         ace_c_config=ace_c_config,
         engine=engine,
         discipline=discipline,

@@ -1,10 +1,13 @@
 """Session runner: wires sender, receiver, path and metrics together.
 
-The sim session schedules on an :class:`EventLoop` and moves packets
-through a :class:`SimTransport`; its live twin
-(:class:`repro.live.session.LiveSession`) swaps those for a
-``WallClock`` and a ``UdpTransport`` while reusing the same component
-stack — the shared construction helpers live here.
+:class:`FlowStack` is the one place the sender pipeline is assembled —
+codec → source → CC → pacer → ACE-N/ACE-C → ``Sender`` →
+``TransportReceiver`` with its display sync and metrics collection.
+The sim session (:class:`RtcSession`) puts one on an :class:`EventLoop`
+behind a :class:`SimTransport`; the arena puts N on one loop behind a
+shared router chain; the live session
+(:class:`repro.live.session.LiveSession`) puts one on a ``WallClock``
+between two ``UdpTransport`` endpoints.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ def build_ace_controllers(sender_cfg: SenderConfig, codec: CodecModel,
                                      Optional[AceCController]]:
     """Construct the ACE controllers a sender config asks for.
 
-    Shared by the sim and live sessions so the ACE-C seeding (complexity
+    Called by :class:`FlowStack` only, so the ACE-C seeding (complexity
     factors calibrated from the codec's level curves, Fig. 4) is
-    identical in both modes.
+    identical in sim, arena and live runs.
     """
     ace_n = None
     if sender_cfg.ace_n_enabled:
@@ -99,6 +102,83 @@ class DisplaySync:
         return self._cursor < len(self.receiver.displayed)
 
 
+class FlowStack:
+    """One flow's sender pipeline and receiver, on any clock.
+
+    Builds codec → source → CC → pacer → ACE-N/ACE-C → :class:`Sender`
+    → :class:`TransportReceiver` from the component factories, in that
+    order (the factories draw their named RNG streams from ``rngs``).
+    ``send`` is where the pacer releases packets and ``send_feedback``
+    where the receiver returns its reports; ``transport`` only supplies
+    the sender's reverse-delay estimate. The owner routes arrivals to
+    ``receiver.on_packet`` and feedback to ``sender.on_feedback``, and
+    runs ``display_sync`` after deliveries.
+    """
+
+    def __init__(self, clock, transport, send: Callable[[Packet], None],
+                 send_feedback: Callable[[object], None],
+                 rngs: SeedSequenceFactory, *, fps: float,
+                 initial_bwe_bps: float,
+                 source_factory: Callable[[SeedSequenceFactory], object],
+                 codec_factory: Callable[[SeedSequenceFactory], CodecModel],
+                 rate_control_factory: Callable[[], RateControl],
+                 pacer_factory: Callable[..., Pacer],
+                 cc_factory: Callable[[], CongestionController],
+                 sender_config: Optional[SenderConfig] = None,
+                 ace_n_config: Optional[AceNConfig] = None,
+                 ace_c_config: Optional[AceCConfig] = None) -> None:
+        self.codec = codec_factory(rngs)
+        self.source = source_factory(rngs)
+        sender_cfg = sender_config or SenderConfig(fps=fps)
+        sender_cfg.fps = fps
+        self.cc = cc_factory()
+        pacer = pacer_factory(clock, send)
+        pacer.set_pacing_rate(self.cc.bwe_bps)
+        ace_n, ace_c = build_ace_controllers(
+            sender_cfg, self.codec, fps, initial_bwe_bps,
+            ace_n_config=ace_n_config, ace_c_config=ace_c_config)
+        self.sender = Sender(
+            clock, self.source, self.codec, rate_control_factory(),
+            pacer, self.cc, transport, config=sender_cfg,
+            ace_c=ace_c, ace_n=ace_n,
+        )
+        self.receiver = TransportReceiver(
+            clock,
+            send_feedback_fn=send_feedback,
+            decode_time_fn=self.codec.decode_time,
+        )
+        # The receiver learns frame metadata lazily, straight off the
+        # sender's metrics dict.
+        self.receiver.frame_capture_time = _CaptureTimeView(self.sender)
+        self.receiver.frame_quality = _QualityView(self.sender)
+        self.display_sync = DisplaySync(self.sender, self.receiver)
+
+    def attach_telemetry(self, telemetry, link=None) -> None:
+        """Wire the span stages and the stack's gauges/counters (token
+        level, bucket size, estimated queue, BWE, pacer backlog; link
+        queue and drops when there is a :class:`Link`)."""
+        from repro.obs import instrument_stack
+        self.sender.telemetry = telemetry
+        self.receiver.telemetry = telemetry
+        instrument_stack(telemetry, pacer=self.sender.pacer, cc=self.cc,
+                         ace_n=self.sender.ace_n, link=link)
+
+    def collect(self, duration: float, packets_lost: int,
+                bandwidth_fn) -> SessionMetrics:
+        """Aggregate the finished flow into :class:`SessionMetrics`."""
+        sender = self.sender
+        metrics = SessionMetrics(duration=duration)
+        metrics.frames = [sender.frame_metrics[fid]
+                          for fid in sorted(sender.frame_metrics)]
+        metrics.packets_sent = sender.pacer.stats.sent_packets
+        metrics.packets_lost = packets_lost
+        metrics.packets_retransmitted = sender.retransmissions
+        metrics.send_events = list(sender.send_events)
+        metrics.bwe_history = [(s.time, s.bwe_bps) for s in self.cc.history]
+        metrics.bandwidth_fn = bandwidth_fn
+        return metrics
+
+
 @dataclass
 class SessionConfig:
     """Knobs of one experiment run."""
@@ -122,6 +202,15 @@ class SessionConfig:
     #: configure a max video bitrate; the paper's cloud-gaming context
     #: runs at up to ~30 Mbps).
     max_bwe_bps: float = 30_000_000.0
+
+    def path_config(self) -> PathConfig:
+        return PathConfig(
+            base_rtt=self.base_rtt,
+            queue_capacity_bytes=self.queue_capacity_bytes,
+            random_loss_rate=self.random_loss_rate,
+            contention_loss_rate=self.contention_loss_rate,
+            delay_jitter_std=self.delay_jitter_std,
+        )
 
 
 class RtcSession:
@@ -154,13 +243,6 @@ class RtcSession:
         self.loop = EventLoop()
         self.rngs = SeedSequenceFactory(config.seed)
 
-        path_config = PathConfig(
-            base_rtt=config.base_rtt,
-            queue_capacity_bytes=config.queue_capacity_bytes,
-            random_loss_rate=config.random_loss_rate,
-            contention_loss_rate=config.contention_loss_rate,
-            delay_jitter_std=config.delay_jitter_std,
-        )
         # The default drop-tail stays on Link's inlined fast path
         # (bit-identical goldens); anything else is built here with its
         # own named RNG stream so AQM randomness never perturbs the
@@ -172,38 +254,28 @@ class RtcSession:
                                     config.queue_capacity_bytes,
                                     rng=self.rngs.stream("aqm"),
                                     **(discipline_params or {}))
-        self.path = NetworkPath(self.loop, trace, path_config,
+        self.path = NetworkPath(self.loop, trace, config.path_config(),
                                 rng=self.rngs.stream("path.loss"),
                                 discipline=queue)
         self.transport = SimTransport(self.path)
 
-        self.codec = codec_factory(self.rngs)
-        self.source = source_factory(self.rngs)
-        sender_cfg = sender_config or SenderConfig(fps=config.fps)
-        sender_cfg.fps = config.fps
-
-        self.cc = cc_factory() if cc_factory is not None else GccController(
-            initial_bwe_bps=config.initial_bwe_bps)
-        if self.cc.bwe_bps != config.initial_bwe_bps and cc_factory is None:
-            pass
-
-        pacer = pacer_factory(self.loop, self.transport.send)
-        pacer.set_pacing_rate(self.cc.bwe_bps)
-
-        ace_n, ace_c = build_ace_controllers(
-            sender_cfg, self.codec, config.fps, config.initial_bwe_bps,
-            ace_n_config=ace_n_config, ace_c_config=ace_c_config)
-
-        self.sender = Sender(
-            self.loop, self.source, self.codec, rate_control_factory(),
-            pacer, self.cc, self.transport, config=sender_cfg,
-            ace_c=ace_c, ace_n=ace_n,
-        )
-        self.receiver = TransportReceiver(
-            self.loop,
-            send_feedback_fn=self.transport.send_feedback,
-            decode_time_fn=self.codec.decode_time,
-        )
+        if cc_factory is None:
+            def cc_factory():
+                return GccController(initial_bwe_bps=config.initial_bwe_bps)
+        self.flow = FlowStack(
+            self.loop, self.transport, self.transport.send,
+            self.transport.send_feedback, self.rngs, fps=config.fps,
+            initial_bwe_bps=config.initial_bwe_bps,
+            source_factory=source_factory, codec_factory=codec_factory,
+            rate_control_factory=rate_control_factory,
+            pacer_factory=pacer_factory, cc_factory=cc_factory,
+            sender_config=sender_config, ace_n_config=ace_n_config,
+            ace_c_config=ace_c_config)
+        self.codec = self.flow.codec
+        self.source = self.flow.source
+        self.cc = self.flow.cc
+        self.sender = self.flow.sender
+        self.receiver = self.flow.receiver
         self.audio_receiver = AudioReceiver(self.loop)
         self.cross_traffic: Optional[PageLoadGenerator] = None
         if config.cross_traffic:
@@ -216,9 +288,8 @@ class RtcSession:
         self.transport.on_arrival = self._on_arrival
         self.transport.on_feedback = self._on_feedback
         self.transport.on_drop = self._on_drop
-        self._media_drops = 0
         self._finished = False
-        self._display_sync = DisplaySync(self.sender, self.receiver)
+        self._display_sync = self.flow.display_sync
         #: optional :class:`repro.obs.Telemetry` (see enable_telemetry).
         self.telemetry = None
         if telemetry is not None:
@@ -236,13 +307,10 @@ class RtcSession:
         """
         if self.telemetry is not None:
             return self.telemetry
-        from repro.obs import Telemetry, instrument_stack
+        from repro.obs import Telemetry
         tel = telemetry if telemetry is not None else Telemetry()
         tel.attach_clock(self.loop)
-        self.sender.telemetry = tel
-        self.receiver.telemetry = tel
-        instrument_stack(tel, pacer=self.sender.pacer, cc=self.cc,
-                         ace_n=self.sender.ace_n, link=self.path.link)
+        self.flow.attach_telemetry(tel, link=self.path.link)
         tel.start_tick()
         self.telemetry = tel
         return tel
@@ -268,11 +336,10 @@ class RtcSession:
         self.sender.on_feedback(message)
 
     def _on_drop(self, packet: Packet) -> None:
-        if packet.ptype == PacketType.CROSS:
-            if self.cross_traffic is not None:
-                self.cross_traffic.on_dropped(packet)
-            return
-        self._media_drops += 1
+        # Media losses are read off path.lost_packets at collection.
+        if (packet.ptype == PacketType.CROSS
+                and self.cross_traffic is not None):
+            self.cross_traffic.on_dropped(packet)
 
     # ------------------------------------------------------------------
     # run
@@ -296,10 +363,6 @@ class RtcSession:
         if os.environ.get("REPRO_AUDIT", "") not in ("", "0"):
             from repro.audit.auditor import attach_audit
             auditor = attach_audit(self, strict=True)
-        # Receiver must know frame metadata as frames are captured; hook
-        # the sender's metrics dict in lazily via a periodic sync.
-        self.receiver.frame_capture_time = _CaptureTimeView(self.sender)
-        self.receiver.frame_quality = _QualityView(self.sender)
         # Resolve the engine after telemetry/audit hooks are attached so
         # the batch engine's eligibility check sees the final wiring.
         from repro.sim.engine import get_engine
@@ -323,7 +386,11 @@ class RtcSession:
         self._finished = True
         if auditor is not None:
             auditor.finalize()
-        metrics = self._collect()
+        metrics = self.flow.collect(
+            self.config.duration,
+            sum(1 for p in self.path.lost_packets
+                if p.ptype != PacketType.CROSS),
+            self.trace.rate_at)
         # Which engine actually ran, and why not the requested one:
         # plain attributes (like slo_alerts), outside the result schema,
         # so cache payloads and canonical JSON are unchanged.
@@ -341,19 +408,6 @@ class RtcSession:
         """
         from repro.obs import attribute_session
         return attribute_session(self)
-
-    def _collect(self) -> SessionMetrics:
-        metrics = SessionMetrics(duration=self.config.duration)
-        metrics.frames = [self.sender.frame_metrics[fid]
-                          for fid in sorted(self.sender.frame_metrics)]
-        metrics.packets_sent = self.sender.pacer.stats.sent_packets
-        metrics.packets_lost = sum(
-            1 for p in self.path.lost_packets if p.ptype != PacketType.CROSS)
-        metrics.packets_retransmitted = self.sender.retransmissions
-        metrics.send_events = list(self.sender.send_events)
-        metrics.bwe_history = [(s.time, s.bwe_bps) for s in self.cc.history]
-        metrics.bandwidth_fn = self.trace.rate_at
-        return metrics
 
 
 class _CaptureTimeView(dict):

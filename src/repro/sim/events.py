@@ -71,7 +71,7 @@ class EventLoop:
         #: current simulation time in seconds (read-only for callers).
         self.now = start_time
         #: observability hook: called as ``on_event(event)`` after each
-        #: executed callback (see :class:`repro.sim.tracing.Tracer`).
+        #: executed callback (the seam :mod:`repro.audit.auditor` attaches to).
         #: ``None`` keeps the hot loop hook-free.
         self.on_event: Optional[Callable[[Event], None]] = None
         #: self-profiler (:class:`repro.obs.profiler.LoopProfiler`).

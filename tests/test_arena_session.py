@@ -1,4 +1,4 @@
-"""ArenaSession tests: wrapper equivalence, late joiners, routes, AQM.
+"""ArenaSession tests: pinned fingerprints, late joiners, routes, AQM.
 
 Includes the PR's acceptance experiment: 2 ACE + 2 GCC (webrtc-star)
 flows on a shared 20 Mbps drop-tail bottleneck must share fairly
@@ -16,7 +16,6 @@ from repro.arena import (
 )
 from repro.net.trace import BandwidthTrace
 from repro.rtc.metrics import SessionMetrics
-from repro.rtc.multiflow import FlowSpec, MultiFlowRtcSession
 from repro.rtc.session import SessionConfig
 from tests.test_sim_regression import fingerprint
 
@@ -34,23 +33,66 @@ def run_arena(flows, mbps=20.0, duration=8.0, seed=5, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# equivalence with the legacy multi-flow wrapper
+# pinned per-flow fingerprints (recorded at commit 18102f2, before the
+# arena was rebuilt on the shared FlowStack)
 # ----------------------------------------------------------------------
-def test_multiflow_wrapper_is_bit_identical_to_arena():
-    specs = [("ace", 1), ("webrtc-star", 2)]
-    trace = const_trace(30.0, 18.0)
+def _golden_mix():
+    """perfbench's arena_mix: three pacer types, two late joiners, one
+    Confucius router."""
+    duration = 6.0
+    cfg = SessionConfig(duration=duration, seed=5, initial_bwe_bps=6e6)
+    flows = [ArenaFlowSpec("ace", flow_id=1),
+             ArenaFlowSpec("webrtc-star", flow_id=2),
+             ArenaFlowSpec("always-burst", flow_id=3, start=duration / 6),
+             ArenaFlowSpec("ace", flow_id=4, start=duration / 3)]
+    return ArenaSession(flows, const_trace(40.0, 16.0), cfg,
+                        discipline="confucius")
+
+
+def _golden_chain():
+    """Two-hop drop-tail chain; flow 2 bypasses the narrow router."""
+    cfg = SessionConfig(duration=6.0, seed=5, initial_bwe_bps=4e6)
+    return ArenaSession(
+        [ArenaFlowSpec("ace", flow_id=1, route=(0, 1)),
+         ArenaFlowSpec("ace", flow_id=2, route=(0,))],
+        config=cfg, bottlenecks=[BottleneckSpec(const_trace(30.0, 16.0)),
+                                 BottleneckSpec(const_trace(6.0, 16.0))])
+
+
+def _golden_codel():
     cfg = SessionConfig(duration=6.0, seed=5, initial_bwe_bps=6e6)
+    return ArenaSession([ArenaFlowSpec("ace", flow_id=1),
+                         ArenaFlowSpec("cbr", flow_id=2)],
+                        const_trace(12.0, 16.0), cfg, discipline="codel")
 
-    legacy = MultiFlowRtcSession(
-        [FlowSpec(b, flow_id=f) for b, f in specs], trace, cfg).run()
-    arena = ArenaSession(
-        [ArenaFlowSpec(b, flow_id=f) for b, f in specs],
-        const_trace(30.0, 18.0),
-        SessionConfig(duration=6.0, seed=5, initial_bwe_bps=6e6)).run()
 
-    assert sorted(legacy) == sorted(arena.flows)
-    for fid in legacy:
-        assert fingerprint(legacy[fid]) == fingerprint(arena[fid])
+ARENA_GOLDEN = {
+    "mix": (_golden_mix, {
+        1: "e4217eaf6327ef310d4dc3e355030bb53f143c6f8b5299cc3694e894c1791ddb",
+        2: "b9661bdb1282f57897d090d7eed5bd7997379deb8f75fd12a087cbec16ef540a",
+        3: "20210bbb45f5ee587f1d6c50a47b53a4b9550cf26597f8ea589371daa55c8d24",
+        4: "751b2cf4f4c8fe2a4af4812d5764805957c04789b8a7c2756aece16c33a22cb1",
+    }),
+    "chain": (_golden_chain, {
+        1: "e861720f34171f59000ea3a12e8f6714ac7b43b62b6009448b875f70dcee52f0",
+        2: "c1df9549145c293bde5d122c1d2ac208bea32e00cbf6415b888e3bdd02c81a23",
+    }),
+    "codel": (_golden_codel, {
+        1: "c051010b69ff304a1c299b5d25961850bb8d5636574de586c5881a75066abcd3",
+        2: "0982d493599afefeeb6ef61031a4379631cb819ad84b584738c119c3972f5041",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARENA_GOLDEN))
+def test_arena_flows_bit_identical_to_pinned_fingerprints(name):
+    build, golden = ARENA_GOLDEN[name]
+    metrics = build().run()
+    assert {fid: fingerprint(m) for fid, m in metrics.items()} == golden, (
+        f"arena run {name!r} diverged from its pinned per-flow "
+        "fingerprints — the arena is supposed to be bit-identical")
+    assert all(m.packets_lost > 0 for m in metrics.values()), (
+        "the pinned runs are meant to exercise the loss path")
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +104,9 @@ def test_sync_cursors_initialized_for_all_flows_at_construction():
                             ArenaFlowSpec("cbr", flow_id=2),
                             ArenaFlowSpec("ace", flow_id=3)],
                            const_trace(30.0), cfg)
-    assert session._sync_cursors == {1: 0, 2: 0, 3: 0}
+    assert sorted(session.stacks) == [1, 2, 3]
+    assert not any(stack.display_sync.pending
+                   for stack in session.stacks.values())
     assert session._flow_losses == {1: 0, 2: 0, 3: 0}
 
 
@@ -133,6 +177,15 @@ def test_validation_errors():
                      discipline="red")
     with pytest.raises(ValueError):       # no trace and no bottlenecks
         ArenaSession([ArenaFlowSpec("ace", flow_id=1)], None, cfg)
+
+
+@pytest.mark.parametrize("field", ["audio", "cross_traffic"])
+def test_unsupported_config_fields_are_rejected_by_name(field):
+    """No per-flow AudioReceiver / cross-traffic generator exists in the
+    arena; asking for one must fail loudly instead of being ignored."""
+    cfg = SessionConfig(duration=4.0, seed=3, **{field: True})
+    with pytest.raises(ValueError, match=f"SessionConfig.{field}"):
+        ArenaSession([ArenaFlowSpec("ace", flow_id=1)], const_trace(), cfg)
 
 
 def test_cannot_run_twice():

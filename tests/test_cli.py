@@ -332,3 +332,129 @@ class TestGridAndReport:
         rc = main(["report", str(doctored), "--diff", str(run_dir)])
         assert rc == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+
+class TestRunIsAGridCell:
+    """``repro run`` and a grid cell share one instrumented-session
+    wiring (``open_task``/``run_opened``) and one stall injector."""
+
+    RUN = ["run", "--baseline", "ace", "--trace", "const:20",
+           "--duration", "3", "--seed", "3"]
+
+    def test_stalled_run_matches_the_same_cell_through_run_grid(self):
+        from repro.bench.parallel import open_task, run_grid, run_opened
+        from repro.cli import make_task
+        from tests.test_sim_regression import fingerprint
+
+        args = build_parser().parse_args(self.RUN)
+        task = make_task(args.baseline, args, slo=True,
+                         slo_pacing_p99_s=0.1, inject_stall=(1.0, 0.5))
+        run = run_opened(task, *open_task(task, strict_audit=False))
+        [cell] = run_grid(
+            ["ace"], [make_trace("const:20", seed=3, duration=13.0)],
+            seeds=(3,), duration=3.0, slo=True, slo_pacing_p99_s=0.1,
+            inject_stall=(1, 0.5)).values()
+        assert fingerprint(run) == fingerprint(cell)
+        assert run.slo_alerts == cell.slo_alerts
+        assert run.slo_alerts["alerts"] >= 1, "the stall never tripped"
+
+    def test_slo_stall_series_on_the_batch_engine(self, tmp_path, capsys):
+        rc = main(self.RUN + ["--engine", "batch", "--slo", "--slo-p99-ms",
+                              "100", "--inject-stall", "1:0.5",
+                              "--series-out", str(tmp_path)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "SLO FIRING: pacing-p99" in captured.out
+        assert "slo: " in captured.out
+        assert captured.err == ""
+        assert len(list((tmp_path / "series").glob("*.json"))) == 1
+
+    @pytest.fixture()
+    def corrupting_build(self, monkeypatch):
+        """Every session the grid wiring builds gets its pacer queue
+        counter corrupted mid-run — an invariant violation on demand."""
+        import repro.bench.parallel as parallel
+        real = parallel.build_session
+
+        def build(*args, **kwargs):
+            session = real(*args, **kwargs)
+            session.loop.call_at(
+                0.5, lambda: setattr(session.sender.pacer,
+                                     "_queued_bytes", -1), "test.corrupt")
+            return session
+
+        monkeypatch.setattr(parallel, "build_session", build)
+
+    def test_run_check_reports_the_violation_and_exits_1(
+            self, corrupting_build, capsys):
+        rc = main(["run", "--baseline", "ace", "--trace", "const:3",
+                   "--duration", "1", "--seed", "7", "--check"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "audited" in out and "FAILED" in out
+        assert "pacer.queue.nonneg" in out
+
+    def test_grid_audit_raises_on_the_same_violation(self, corrupting_build):
+        from repro.audit import InvariantViolation
+        from repro.bench.parallel import GridTask, ParallelRunner
+
+        task = GridTask(baseline="ace", duration=1.0, seed=7, audit=True,
+                        trace=BandwidthTrace.constant(3e6, duration=6.0))
+        with pytest.raises(InvariantViolation):
+            ParallelRunner(jobs=1).run([task])
+
+
+class TestCommonFlagsAreHonoured:
+    """A command defines a common flag only if it acts on it."""
+
+    def test_why_and_trace_build_through_the_requested_discipline(
+            self, monkeypatch, capsys):
+        import repro.bench.parallel as parallel
+        seen = []
+        real = parallel.build_session
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs.get("discipline"), kwargs.get("engine")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "build_session", spy)
+        common = ["--trace", "const:8", "--duration", "1", "--seed", "5",
+                  "--discipline", "codel", "--engine", "batch"]
+        assert main(["why"] + common) == 0
+        assert main(["trace"] + common) == 0
+        assert seen == [("codel", "batch")] * 2
+        # CoDel is outside the batch fast path: announced, not silent.
+        assert capsys.readouterr().err.count("fell back") == 2
+
+    def test_evaluate_goes_through_the_runner(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        argv = ["evaluate", "--baselines", "cbr,ace-fec", "--traces",
+                "const:15,const:10", "--duration", "1.5", "--reference",
+                "cbr", "--engine", "batch", "--cache"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert "hits=0 misses=4 stores=4" in cold.out
+        assert "2 of 4 batch run(s) fell back" in cold.err  # FEC cells
+        assert main(argv + ["--jobs", "2"]) == 0
+        warm = capsys.readouterr()
+        assert "hits=4 misses=0" in warm.out
+        # Same table from the cache as from the fresh run.
+        assert (cold.out.split("stores=4", 1)[1].splitlines()[1:]
+                == warm.out.split("corrupt=0", 1)[1].splitlines()[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["why", "--jobs", "2"], ["trace", "--cache"],
+        ["timeline", "--jobs", "2"], ["arena", "--engine", "batch"],
+        ["arena", "--cc", "bbr"], ["arena", "--cache"],
+        ["grid", "--rtt", "80"],
+    ])
+    def test_flags_a_command_would_ignore_are_not_defined(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_grid_arena_rejects_single_flow_overrides(self):
+        with pytest.raises(SystemExit, match="cannot be combined"):
+            main(["grid", "--arena", "ace*2", "--traces", "const:15",
+                  "--seeds", "3", "--duration", "1", "--cc", "bbr"])

@@ -344,3 +344,63 @@ def test_live_session_telemetry_and_stats_port():
     # Teardown timing can leave the receiver-side span view and the
     # sender-side metrics off by a frame or two; keep the check coarse.
     assert abs(len(spans) - len(displayed)) <= 3
+
+
+# ---------------------------------------------------------------------------
+# pacing-stall injector: one cancellable handle, no timer left behind
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def stall_timers(monkeypatch):
+    """Every ``slo.stall`` timer a WallClock hands out, in order."""
+    timers = []
+    original = WallClock.call_later
+
+    def recording(self, delay, callback, name=""):
+        timer = original(self, delay, callback, name)
+        if name == "slo.stall":
+            timers.append(timer)
+        return timer
+
+    monkeypatch.setattr(WallClock, "call_later", recording)
+    return timers
+
+
+def test_stall_handle_is_cancelled_by_teardown(stall_timers):
+    """A stall window outlasting the session leaves a re-arm pending at
+    teardown; it must be cancelled, not left to fire on the loop."""
+
+    async def check():
+        session = build_live_session(
+            "ace", short_config(duration=0.5, drain=0.1,
+                                inject_stall_at=0.1,
+                                inject_stall_duration=30.0),
+            trace=BandwidthTrace.constant(20e6, duration=12.0))
+        await session.run()
+        assert len(stall_timers) > 2, "the stall never re-armed"
+        assert stall_timers[-1].cancelled
+        assert session._stall._handle is None
+        fired = len(stall_timers)
+        await asyncio.sleep(0.15)
+        assert len(stall_timers) == fired, "a stall clamp fired after run()"
+
+    asyncio.run(check())
+
+
+def test_stall_handle_is_cancelled_by_request_stop(stall_timers):
+    async def check():
+        session = build_live_session(
+            "ace", short_config(duration=30.0, drain=0.2,
+                                inject_stall_at=0.1,
+                                inject_stall_duration=30.0),
+            trace=BandwidthTrace.constant(20e6, duration=60.0))
+        task = asyncio.ensure_future(session.run())
+        await asyncio.sleep(0.5)
+        assert stall_timers and not stall_timers[-1].cancelled
+        session.request_stop()
+        assert stall_timers[-1].cancelled
+        assert session._stall._handle is None
+        fired = len(stall_timers)
+        await asyncio.wait_for(task, timeout=5.0)
+        assert len(stall_timers) == fired, "the stall re-armed after stop"
+
+    asyncio.run(check())

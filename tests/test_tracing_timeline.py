@@ -1,4 +1,4 @@
-"""Tests for event tracing and frame-timeline export."""
+"""Tests for frame-timeline export."""
 
 import pytest
 
@@ -6,124 +6,6 @@ from repro.analysis.timeline import frame_rows, load_csv, to_csv
 from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
-from repro.sim.events import EventLoop
-from repro.sim.tracing import Tracer
-
-
-class TestTracer:
-    def test_records_executed_events(self):
-        loop = EventLoop()
-        tracer = Tracer(loop).install()
-        loop.call_at(0.1, lambda: None, name="a")
-        loop.call_at(0.2, lambda: None, name="b")
-        loop.drain()
-        assert [r.name for r in tracer.records] == ["a", "b"]
-        assert [r.time for r in tracer.records] == [0.1, 0.2]
-
-    def test_name_filter(self):
-        loop = EventLoop()
-        tracer = Tracer(loop, name_filter=lambda n: n.startswith("x")).install()
-        loop.call_at(0.1, lambda: None, name="x.keep")
-        loop.call_at(0.2, lambda: None, name="y.drop")
-        loop.drain()
-        assert [r.name for r in tracer.records] == ["x.keep"]
-
-    def test_uninstall_stops_recording(self):
-        loop = EventLoop()
-        tracer = Tracer(loop).install()
-        loop.call_at(0.1, lambda: None, name="before")
-        loop.drain()
-        tracer.uninstall()
-        loop.call_at(0.2, lambda: None, name="after")
-        loop.drain()
-        assert [r.name for r in tracer.records] == ["before"]
-
-    def test_capacity_drops_are_counted_and_surfaced(self):
-        loop = EventLoop()
-        tracer = Tracer(loop, max_records=2).install()
-        for i in range(5):
-            loop.call_at(0.1 * (i + 1), lambda: None, name=f"e{i}")
-        loop.drain()
-        assert [r.name for r in tracer.records] == ["e0", "e1"]
-        assert tracer.dropped_records == 3
-        assert tracer.counts()["<dropped>"] == 3
-        assert "3 record(s) dropped" in tracer.dump()
-
-    def test_no_drops_no_sentinel(self):
-        loop = EventLoop()
-        tracer = Tracer(loop).install()
-        loop.call_at(0.1, lambda: None, name="a")
-        loop.drain()
-        assert "<dropped>" not in tracer.counts()
-        assert "dropped" not in tracer.dump()
-
-    def test_out_of_order_uninstall_keeps_later_tracer(self):
-        """Uninstalling the first-installed tracer must not disconnect a
-        tracer that chained on after it (the old code restored its own
-        predecessor over the whole chain, silently dropping the rest)."""
-        loop = EventLoop()
-        first = Tracer(loop).install()
-        second = Tracer(loop).install()
-        loop.call_at(0.1, lambda: None, name="both")
-        loop.drain()
-        first.uninstall()  # out of order: second is still installed
-        loop.call_at(0.2, lambda: None, name="second-only")
-        loop.drain()
-        assert [r.name for r in first.records] == ["both"]
-        assert [r.name for r in second.records] == ["both", "second-only"]
-        second.uninstall()
-        assert loop.on_event is None
-
-    def test_out_of_order_uninstall_three_deep(self):
-        loop = EventLoop()
-        a = Tracer(loop).install()
-        b = Tracer(loop).install()
-        c = Tracer(loop).install()
-        b.uninstall()  # splice out the middle
-        loop.call_at(0.1, lambda: None, name="x")
-        loop.drain()
-        assert [r.name for r in a.records] == ["x"]
-        assert b.records == []
-        assert [r.name for r in c.records] == ["x"]
-        a.uninstall()
-        c.uninstall()
-        assert loop.on_event is None
-
-    def test_uninstall_raises_when_chain_is_broken(self):
-        loop = EventLoop()
-        tracer = Tracer(loop).install()
-        loop.on_event = lambda event: None  # non-chaining replacement
-        with pytest.raises(RuntimeError, match="on_event chain"):
-            tracer.uninstall()
-
-    def test_annotations_and_queries(self):
-        loop = EventLoop()
-        tracer = Tracer(loop).install()
-        loop.call_at(0.1, lambda: tracer.annotate("mid-run"), name="work")
-        loop.drain()
-        names = tracer.counts()
-        assert names["work"] == 1
-        assert names["annotation"] == 1
-        assert len(tracer.between(0.05, 0.15)) == 2
-
-    def test_traces_a_real_session(self):
-        trace = BandwidthTrace.constant(15e6, duration=10.0)
-        session = build_session(
-            "cbr", trace, SessionConfig(duration=2.0, seed=2,
-                                        initial_bwe_bps=8e6))
-        tracer = Tracer(session.loop,
-                        name_filter=lambda n: n == "sender.capture").install()
-        session.run()
-        assert 55 <= len(tracer.records) <= 70  # one per frame interval
-
-    def test_dump_truncates(self):
-        loop = EventLoop()
-        tracer = Tracer(loop).install()
-        for i in range(100):
-            loop.call_at(i * 0.01, lambda: None, name="tick")
-        loop.drain()
-        text = tracer.dump(limit=10)
-        assert "more" in text
 
 
 class TestTimeline:
