@@ -48,14 +48,21 @@ DEFAULT_PROFILER_OVERHEAD = 1.05
 #: code — GCC, ACE-N, rate control run identically on both engines, an
 #: Amdahl floor measured at ~45% of reference wall time) and the
 #: packet-heavy macro-step pair (~110 packets/frame, where the
-#: vectorized pipeline's per-packet advantage dominates; measured
-#: ~7x, gated at 4x for machine noise).
+#: vectorized pipeline's per-packet advantage dominates). The gate
+#: exists to catch a *batch* regression, not to reward a slow reference:
+#: PR 16 made the denominator's twin — the reference macro-step bench —
+#: ~13 % faster (three events per packet, DESIGN §3b) with the batch
+#: bench unchanged (66-98 ms both sides), so the floor was re-based on
+#: the post-change ratio. Seven alternated same-box pairs: parent
+#: 4.35-5.42x (median 4.95), change 2.96-4.44x (median 4.1); floor =
+#: 4.1 x 0.8 = 3.3 (was 4.0 = 0.8 x ~5). The session pair read parent
+#: 1.76-2.30x (median 1.98), change 1.61-1.94x (median 1.72): 1.3 holds.
 BATCH_SESSION_BENCH = "test_perf_batch_session_throughput"
 BATCH_SESSION_BASE = "test_perf_full_session_throughput"
 DEFAULT_BATCH_SESSION_SPEEDUP = 1.3
 BATCH_MACRO_BENCH = "test_perf_batch_macro_step"
 BATCH_MACRO_BASE = "test_perf_reference_macro_step"
-DEFAULT_BATCH_MACRO_SPEEDUP = 4.0
+DEFAULT_BATCH_MACRO_SPEEDUP = 3.3
 
 
 #: live-load gate defaults: N concurrent loopback sessions on one event

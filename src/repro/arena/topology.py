@@ -86,6 +86,10 @@ class ArenaPath(NetworkPath):
             ))
         for i, link in enumerate(self.links):
             link.on_deliver = partial(self._hop_delivered, i)
+        if len(self.links) > 1:
+            # A router that feeds another must deliver at its departure
+            # instant, not at enqueue: chains keep the serve events.
+            self.link.depart_by_event()
         self.flow_routes: Dict[int, Tuple[int, ...]] = {}
         for fid, route in (flow_routes or {}).items():
             route = tuple(route)
@@ -100,7 +104,7 @@ class ArenaPath(NetworkPath):
             self.flow_routes[fid] = route
 
     def _build_discipline(self, spec: BottleneckSpec, config: PathConfig):
-        """``None`` for plain drop-tail keeps Link's inlined fast path."""
+        """``None`` for plain drop-tail (the link builds its own queue)."""
         if spec.discipline == DEFAULT_DISCIPLINE and not spec.discipline_params:
             if spec.queue_capacity_bytes is None:
                 return None
@@ -124,8 +128,9 @@ class ArenaPath(NetworkPath):
             return
         route = self.flow_routes.get(packet.flow_id)
         entry = self.links[route[0]] if route else self.link
-        self.loop.call_later(
-            self._half_hop, partial(entry.send, packet), "path.to-bottleneck")
+        loop = self.loop
+        loop.post(loop.now + self._half_hop, entry.send, packet,
+                  "path.to-bottleneck")
 
     def _hop_delivered(self, index: int, packet: Packet) -> None:
         """Router ``index`` finished serializing ``packet``."""

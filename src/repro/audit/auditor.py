@@ -254,6 +254,10 @@ class SessionAuditor:
 
         link = self.link
         if link is not None:
+            # The seams below count per packet at the departure instant,
+            # which only the evented link has (like the event hook pins
+            # the reference engine, this pins the link's serve events).
+            link.depart_by_event()
             orig_link_send = link.send
             self._orig_link_send = orig_link_send
 

@@ -23,8 +23,10 @@ the bottleneck :class:`~repro.net.link.Link` drives:
   from ``enqueue`` instead.
 
 :class:`DropTailQueue` — extracted verbatim from ``net/link.py`` — is
-the default and stays on the link's inlined fast path, so single-flow
-sessions are bit-identical to the pre-arena tree.
+the default. It is the one discipline that decides nothing at dequeue
+time, so a lone drop-tail hop's departures are closed-form and the link
+computes them at enqueue (``net/link.py``); CoDel, PIE and the
+Confucius-style shield decide in ``select_head`` and stay evented.
 
 Disciplines included:
 
@@ -82,11 +84,11 @@ class DropTailQueue:
     """FIFO byte-bounded queue; arrivals beyond capacity are dropped.
 
     This is the paper's queue model, extracted from ``net/link.py``
-    unchanged: the link's inlined fast path still reaches into
-    ``_queue``/``_bytes`` directly, so default sessions stay
-    bit-identical. The protocol methods (``enqueue``/``select_head``/
-    ``pop_head``) make the same object usable wherever a pluggable
-    :class:`QueueDiscipline` is expected.
+    unchanged: the link's closed-form path reaches into ``_queue``/
+    ``_bytes`` directly. The protocol methods (``enqueue``/
+    ``select_head``/``pop_head``) are what the evented link drives; they
+    are one-frame bodies, not wrappers over ``try_push``/``peek``/``pop``,
+    because a jittered or audited session pays them per packet.
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES) -> None:
@@ -110,11 +112,7 @@ class DropTailQueue:
 
     def try_push(self, packet: Packet) -> bool:
         """Append ``packet`` if it fits; return False (drop) otherwise."""
-        if self._bytes + packet.size_bytes > self.capacity_bytes:
-            return False
-        self._queue.append(packet)
-        self._bytes += packet.size_bytes
-        return True
+        return self.enqueue(packet, 0.0)    # drop-tail never reads the clock
 
     def pop(self) -> Packet:
         packet = self._queue.popleft()
@@ -126,13 +124,17 @@ class DropTailQueue:
 
     # -- QueueDiscipline protocol ------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:
-        return self.try_push(packet)
+        queued = self._bytes + packet.size_bytes
+        if queued > self.capacity_bytes:
+            return False
+        self._queue.append(packet)
+        self._bytes = queued
+        return True
 
     def select_head(self, now: float) -> Optional[Packet]:
-        return self.peek()
+        return self._queue[0] if self._queue else None
 
-    def pop_head(self) -> Packet:
-        return self.pop()
+    pop_head = pop
 
     def packets(self) -> Iterator[Packet]:
         return iter(self._queue)

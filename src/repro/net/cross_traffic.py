@@ -71,7 +71,7 @@ class CrossTrafficFlow:
     def start(self) -> None:
         self._pump()
 
-    def _pump(self) -> None:
+    def _pump(self, _posted: None = None) -> None:
         while (not self._done and self._remaining_packets > 0
                and self._in_flight < int(self._cwnd)):
             packet = Packet(
@@ -95,7 +95,7 @@ class CrossTrafficFlow:
             self._finish()
         else:
             # Pace the next window on the ack clock.
-            self.loop.call_later(0.0, self._pump, name="cross.pump")
+            self.loop.post(self.loop.now, self._pump, None, "cross.pump")
 
     def on_dropped(self, packet: Packet) -> None:
         """Call when one of this flow's packets is tail-dropped."""

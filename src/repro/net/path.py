@@ -10,7 +10,6 @@ loss can be injected for robustness tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from repro.net.link import DEFAULT_QUEUE_CAPACITY_BYTES, Link
@@ -97,6 +96,11 @@ class NetworkPath:
                             or cfg.contention_loss_rate > 0))
         self._jitter_enabled = cfg.delay_jitter_std > 0 and self.rng is not None
         self._jitter_std = cfg.delay_jitter_std
+        # A lone drop-tail hop then a fixed half-hop needs no event at
+        # departure (Link goes closed-form). Jitter draws from the path
+        # RNG at the departure instant, so it keeps the serve event.
+        if not self._jitter_enabled:
+            self.link.depart_at_enqueue(lead=self._half_hop)
 
     # ------------------------------------------------------------------
     # forward direction (sender -> receiver)
@@ -114,8 +118,8 @@ class NetworkPath:
             return
         # Propagate to the bottleneck (half the one-way budget), then
         # serialize, then propagate the rest of the way.
-        self.loop.call_later(
-            self._half_hop, partial(self.link.send, packet), "path.to-bottleneck")
+        self.loop.post(self.loop.now + self._half_hop, self.link.send, packet,
+                       "path.to-bottleneck")
 
     def _random_loss(self) -> bool:
         rate = self.config.random_loss_rate
@@ -137,10 +141,12 @@ class NetworkPath:
         return self.rng.random() < cfg.contention_loss_rate * ramp
 
     def _delivered_by_link(self, packet: Packet) -> None:
+        """``t_leave_queue`` is now (evented) or still ahead (closed-form)."""
         delay = self._half_hop
         if self._jitter_enabled:
             delay += abs(self.rng.normal(0.0, self._jitter_std))
-        self.loop.call_later(delay, partial(self._arrive, packet), "path.to-receiver")
+        self.loop.post(packet.t_leave_queue + delay, self._arrive, packet,
+                       "path.to-receiver")
 
     def _arrive(self, packet: Packet) -> None:
         packet.t_arrival = self.loop.now
@@ -157,8 +163,8 @@ class NetworkPath:
     # ------------------------------------------------------------------
     def send_feedback(self, message: object) -> None:
         """Deliver a feedback message to the sender after propagation."""
-        self.loop.call_later(
-            self._one_way, partial(self._feedback_arrives, message), "path.feedback")
+        self.loop.post(self.loop.now + self._one_way, self._feedback_arrives,
+                       message, "path.feedback")
 
     def _feedback_arrives(self, message: object) -> None:
         if self.on_feedback is not None:

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from heapq import heappop
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -152,27 +151,24 @@ class BatchEngine:
             loop.run(until=until)
             return
         heap = loop._heap
+        live = loop._live       # discards cancelled heads; True = work queued
         run_until = pipe.run_until
         drain_to = pipe.drain_to
         while True:
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-            if not heap or heap[0][0] > until:
+            if not live() or heap[0][0] > until:
                 # No decision boundary left inside the horizon: flush
                 # the pipeline to the horizon. Delivery callbacks may
                 # schedule new events inside it (skip timers), so
                 # re-check before declaring the advance done.
                 run_until(until)
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                if heap and heap[0][0] <= until:
+                if live() and heap[0][0] <= until:
                     continue
                 if until > loop.now:
                     loop.now = until
                 return
             t = heap[0][0]
-            name = heap[0][2].name
-            if name == "sender.encoded":
+            head = heap[0][2]   # None: a handle-free hop (path.feedback)
+            if head is not None and head.name == "sender.encoded":
                 # Encode-completion boundaries only append to the pacer
                 # queue — no RNG draw, no receiver-derived read — so the
                 # delivery flush can be deferred. No other boundary is
@@ -183,24 +179,20 @@ class BatchEngine:
                 drain_to(t)
             else:
                 run_until(t)
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                if not heap or heap[0][0] < t:
+                if not live() or heap[0][0] < t:
                     # A delivery callback scheduled something earlier
                     # than the boundary we were heading for; restart.
                     continue
-            when, _seq, event = heappop(heap)
-            if event.name == "pacer.pump":
+            head = heap[0][2]
+            if head is not None and head.name == "pacer.pump":
                 # The pipeline drains the pacer in closed form; pump
                 # events are decision-free and are discarded. Marking
                 # them cancelled keeps Pacer._schedule_pump's "a pump is
                 # already pending" fast path from suppressing future
-                # pumps against a dead handle.
-                event.cancelled = True
+                # pumps against a dead handle (live() pops it next turn).
+                head.cancelled = True
                 continue
-            loop.now = when
-            loop._processed += 1
-            event.callback()
+            loop.step()
 
     def finalize(self, session: "RtcSession") -> None:
         if self._pipeline is not None:

@@ -5,19 +5,22 @@ serialization, feedback, encoder completion) is expressed as events on a
 single :class:`EventLoop`. Events fire in non-decreasing time order;
 ties break by insertion order, which keeps runs deterministic.
 
-Hot-path layout: the heap stores plain ``(time, seq, event)`` tuples so
-heap sifting compares C-level floats/ints instead of calling a Python
-``__lt__``; :class:`Event` is a slim ``__slots__`` handle that exists
-only so callers can cancel a scheduled callback. Cancellation is a flag
-checked at pop time — O(1), no heap surgery.
+Hot-path layout: the heap stores plain tuples so heap sifting compares
+C-level floats/ints instead of calling a Python ``__lt__``. A
+cancellable callback is ``(time, seq, event)``: :class:`Event` is a slim
+``__slots__`` handle that exists only so callers can cancel — a flag
+checked at pop time, O(1), no heap surgery. A fire-and-forget hop
+(:meth:`EventLoop.post`) is ``(time, seq, None, fn, arg, name)``: no
+handle, no closure, the same ``seq`` counter — one order over both.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:
     from repro.obs.profiler import LoopProfiler
@@ -75,10 +78,10 @@ class EventLoop:
         #: ``None`` keeps the hot loop hook-free.
         self.on_event: Optional[Callable[[Event], None]] = None
         #: self-profiler (:class:`repro.obs.profiler.LoopProfiler`).
-        #: ``None`` (the default) keeps dispatch on the unprofiled fast
-        #: path — the check happens once per run()/drain(), not per event.
+        #: ``None`` (the default) keeps dispatch on the bare body — the
+        #: check happens once per run()/drain()/step(), not per event.
         self.profiler: Optional["LoopProfiler"] = None
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._processed = 0
 
@@ -103,6 +106,12 @@ class EventLoop:
         """Number of events executed so far."""
         return self._processed
 
+    def _reject(self, when: float, name: str) -> None:
+        if math.isnan(when):
+            raise SimulationError("cannot schedule an event at NaN time")
+        raise SimulationError(
+            f"cannot schedule event {name!r} at {when:.9f} < now {self.now:.9f}")
+
     def call_at(self, when: float, callback: Callable[[], None], name: str = "") -> Event:
         """Schedule ``callback`` at absolute time ``when``.
 
@@ -111,11 +120,7 @@ class EventLoop:
         already queued for ``now``.
         """
         if not when >= self.now:        # single check catches past *and* NaN
-            if math.isnan(when):
-                raise SimulationError("cannot schedule an event at NaN time")
-            raise SimulationError(
-                f"cannot schedule event {name!r} at {when:.9f} < now {self.now:.9f}"
-            )
+            self._reject(when, name)
         seq = self._seq
         self._seq = seq + 1
         event = Event(when, seq, callback, name)
@@ -136,26 +141,110 @@ class EventLoop:
         heappush(self._heap, (when, seq, event))
         return event
 
+    def post(self, when: float, fn: Callable[[Any], None], arg: Any, name: str = "") -> None:
+        """Fire-and-forget ``fn(arg)`` at absolute time ``when``.
+
+        The per-packet entry point: no :class:`Event`, no closure,
+        nothing returned — so only for a hop that is **never cancelled**
+        (a caller that may cancel uses :meth:`call_at`/:meth:`call_later`).
+        Same past/NaN guard and ``seq`` counter as :meth:`call_at`; hooks
+        and the profiler still see the hop (:meth:`_dispatch_observed`).
+        Not on the ``Clock`` protocol: wall clocks have no such entry.
+        """
+        if not when >= self.now:
+            self._reject(when, name)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (when, seq, None, fn, arg, name))
+
+    def _live(self) -> bool:
+        """Discard cancelled heads; True when uncancelled work is queued."""
+        heap = self._heap
+        while heap and heap[0][2] is not None and heap[0][2].cancelled:
+            heappop(heap)
+        return bool(heap)
+
+    def _dispatch(self, limit: float, budget: float) -> bool:
+        """Run events up to time ``limit`` (inclusive) or ``budget`` callbacks.
+
+        Popping a cancelled event never burns budget. Returns True when
+        the budget ran out with live work still queued. The body is
+        chosen here, once per run()/drain()/step(): below is the bare
+        one, which checks for no observer per event.
+        """
+        if self.on_event is not None or self.profiler is not None:
+            return self._dispatch_observed(limit, budget)
+        heap = self._heap
+        executed = 0
+        try:
+            while heap:
+                if executed >= budget:
+                    return self._live()
+                entry = heappop(heap)
+                when = entry[0]
+                if when > limit:
+                    # Past the horizon: put it back for the next run().
+                    heappush(heap, entry)
+                    break
+                event = entry[2]
+                if event is None:
+                    self.now = when
+                    executed += 1
+                    entry[3](entry[4])
+                elif not event.cancelled:
+                    self.now = when
+                    executed += 1
+                    event.callback()
+        finally:
+            self._processed += executed
+        return False
+
+    def _dispatch_observed(self, limit: float, budget: float) -> bool:
+        """The other body: an ``on_event`` hook and/or a profiler attached.
+
+        Identical dispatch semantics; a profiled callback is bracketed
+        by ``perf_counter()``, and a handle-free hop is wrapped in an
+        :class:`Event` with its name/time/seq, so observers see one kind
+        of event and every executed callback.
+        """
+        heap = self._heap
+        hook = self.on_event
+        record = self.profiler.record if self.profiler is not None else None
+        executed = 0
+        try:
+            while heap:
+                if executed >= budget:
+                    return self._live()
+                entry = heappop(heap)
+                when = entry[0]
+                if when > limit:
+                    heappush(heap, entry)
+                    break
+                event = entry[2]
+                if event is None:
+                    event = Event(when, entry[1], partial(entry[3], entry[4]),
+                                  entry[5])
+                elif event.cancelled:
+                    continue
+                self.now = when
+                executed += 1
+                if record is None:
+                    event.callback()
+                else:
+                    t0 = perf_counter()
+                    event.callback()
+                    record(event.name, perf_counter() - t0)
+                if hook is not None:
+                    hook(event)
+        finally:
+            self._processed += executed
+        return False
+
     def step(self) -> bool:
         """Execute the next non-cancelled event. Returns False if none remain."""
-        heap = self._heap
-        profiler = self.profiler
-        while heap:
-            when, _seq, event = heappop(heap)
-            if event.cancelled:
-                continue
-            self.now = when
-            self._processed += 1
-            if profiler is None:
-                event.callback()
-            else:
-                t0 = perf_counter()
-                event.callback()
-                profiler.record(event.name, perf_counter() - t0)
-            if self.on_event is not None:
-                self.on_event(event)
-            return True
-        return False
+        before = self._processed
+        self._dispatch(math.inf, 1)
+        return self._processed > before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` passes, or the budget hits.
@@ -166,98 +255,17 @@ class EventLoop:
         *executed callbacks* only — popping a cancelled event never burns
         budget.
         """
-        heap = self._heap
-        hook = self.on_event
-        profiler = self.profiler
-        limit = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
-        executed = 0
-        stopped_on_budget = False
-        try:
-            if profiler is None:
-                while heap:
-                    if executed >= budget:
-                        stopped_on_budget = True
-                        break
-                    entry = heappop(heap)
-                    when = entry[0]
-                    if when > limit:
-                        # Past the horizon: put it back for the next run().
-                        heappush(heap, entry)
-                        break
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
-                    event.callback()
-                    if hook is not None:
-                        hook(event)
-            else:
-                # Profiled twin of the loop above: identical dispatch
-                # semantics, each callback bracketed by perf_counter().
-                record = profiler.record
-                while heap:
-                    if executed >= budget:
-                        stopped_on_budget = True
-                        break
-                    entry = heappop(heap)
-                    when = entry[0]
-                    if when > limit:
-                        heappush(heap, entry)
-                        break
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
-                    t0 = perf_counter()
-                    event.callback()
-                    record(event.name, perf_counter() - t0)
-                    if hook is not None:
-                        hook(event)
-        finally:
-            self._processed += executed
-        if stopped_on_budget:
-            return
-        if until is not None and until > self.now:
+        stopped = self._dispatch(math.inf if until is None else until,
+                                 math.inf if max_events is None else max_events)
+        if not stopped and until is not None and until > self.now:
             self.now = until
 
     def drain(self, max_events: int = 10_000_000) -> None:
-        """Run until the queue is empty, with a runaway guard."""
-        heap = self._heap
-        hook = self.on_event
-        profiler = self.profiler
-        executed = 0
-        try:
-            if profiler is None:
-                while heap:
-                    when, _seq, event = heappop(heap)
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
-                    event.callback()
-                    if hook is not None:
-                        hook(event)
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"event budget of {max_events} exhausted")
-            else:
-                record = profiler.record
-                while heap:
-                    when, _seq, event = heappop(heap)
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
-                    t0 = perf_counter()
-                    event.callback()
-                    record(event.name, perf_counter() - t0)
-                    if hook is not None:
-                        hook(event)
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"event budget of {max_events} exhausted")
-        finally:
-            self._processed += executed
+        """Run until the queue is empty, with a runaway guard.
+
+        The bounded run that raises: exactly ``max_events`` callbacks
+        execute, and :class:`SimulationError` is raised only if live
+        work is still queued after them.
+        """
+        if self._dispatch(math.inf, max_events):
+            raise SimulationError(f"event budget of {max_events} exhausted")

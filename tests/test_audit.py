@@ -75,7 +75,14 @@ class TestCleanAudit:
         assert auditor.finalize() == []
 
     def test_metrics_identical_with_auditor_attached(self):
-        """Pure-observer property: auditing must not perturb the run."""
+        """Pure-observer property: auditing must not perturb the run.
+
+        Since the closed-form link this is also an end-to-end check of
+        the two link paths: the plain session computes drop-tail
+        departures at enqueue, the audited one is switched to the
+        evented link on attach (its seams count per packet at the
+        departure instant), and the two must still agree.
+        """
         trace = BandwidthTrace.constant(3e6, duration=7.0)
 
         def run(audited):

@@ -77,11 +77,11 @@ class TestLoopProfilerOnLoop:
 
 
 class TestSessionProfile:
-    def run_profiled(self, duration=2.0, seed=5):
+    def run_profiled(self, duration=2.0, seed=5, **config):
         trace = make_wifi_trace(RngStream(11, "trace"),
                                 duration=duration + 10)
-        session = build_session("ace", trace,
-                                SessionConfig(duration=duration, seed=seed))
+        session = build_session("ace", trace, SessionConfig(
+            duration=duration, seed=seed, **config))
         profiler = session.loop.set_profiler(LoopProfiler())
         session.run()
         return session, profiler
@@ -96,7 +96,18 @@ class TestSessionProfile:
         session, profiler = self.run_profiled()
         assert profiler.total_events == session.loop.processed
         components = set(profiler.component_totals())
-        assert {"pacer", "sender", "link"} <= components
+        # A closed-form path has no link.serve event by design: the
+        # drop-tail departure is computed at enqueue (DESIGN §3).
+        assert {"pacer", "sender", "path"} <= components
+        assert "link" not in components
+
+    def test_jittered_session_keeps_link_events(self):
+        session, profiler = self.run_profiled(delay_jitter_std=0.002)
+        assert profiler.total_events == session.loop.processed
+        counts = profiler.counts()
+        assert {"pacer", "sender", "path", "link"} <= set(
+            profiler.component_totals())
+        assert counts["link.serve"] == counts["path.to-receiver"]
 
     def test_render_table(self):
         _, profiler = self.run_profiled()

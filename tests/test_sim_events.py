@@ -143,3 +143,96 @@ def test_processed_counter():
         loop.call_at(float(i), lambda: None)
     loop.drain()
     assert loop.processed == 5
+
+
+# ----------------------------------------------------------------------
+# drain(max_events=N): the budget is exact, and raising means work is left
+# ----------------------------------------------------------------------
+def _queue_ticks(loop, n):
+    fired = []
+    for i in range(n):
+        loop.call_at(float(i), lambda i=i: fired.append(i))
+    return fired
+
+
+def test_drain_budget_of_n_runs_n_queued_events_without_raising():
+    loop = EventLoop()
+    fired = _queue_ticks(loop, 3)
+    loop.drain(max_events=3)
+    assert fired == [0, 1, 2]
+    assert loop.pending == 0 and loop.processed == 3
+
+
+def test_drain_budget_stops_before_event_n_plus_one_and_raises():
+    """Regression: the check ran after the callback, so four events with
+    ``max_events=3`` all executed and *then* raised on an empty queue."""
+    loop = EventLoop()
+    fired = _queue_ticks(loop, 4)
+    with pytest.raises(SimulationError, match="budget of 3 exhausted"):
+        loop.drain(max_events=3)
+    assert fired == [0, 1, 2]               # exactly N, like run(max_events=N)
+    assert loop.pending == 1 and loop.processed == 3 and loop.now == 2.0
+    loop.drain()
+    assert fired == [0, 1, 2, 3]
+
+
+def test_drain_budget_ignores_a_trailing_cancelled_event():
+    loop = EventLoop()
+    fired = _queue_ticks(loop, 3)
+    loop.call_at(9.0, lambda: fired.append("stale")).cancel()
+    loop.call_at(0.5, lambda: fired.append("stale")).cancel()
+    loop.drain(max_events=3)        # cancelled pops never burn budget
+    assert fired == [0, 1, 2]
+    assert loop.pending == 0
+
+
+def test_run_budget_with_only_cancelled_work_left_reaches_until():
+    loop = EventLoop()
+    fired = _queue_ticks(loop, 2)
+    loop.call_at(1.5, lambda: fired.append("stale")).cancel()
+    loop.run(until=5.0, max_events=2)
+    assert fired == [0, 1] and loop.now == 5.0
+
+
+# ----------------------------------------------------------------------
+# post(): handle-free hops share the (time, seq) order and the guards
+# ----------------------------------------------------------------------
+def test_post_interleaves_with_call_at_in_insertion_order():
+    loop = EventLoop()
+    order = []
+    loop.call_at(1.0, lambda: order.append("a"))
+    loop.post(1.0, order.append, "b")
+    loop.call_at(1.0, lambda: order.append("c"))
+    loop.post(0.5, order.append, "first")
+    assert loop.post(2.0, order.append, "last") is None     # no handle
+    loop.run(until=1.0)
+    assert order == ["first", "a", "b", "c"]
+    assert loop.pending == 1 and loop.processed == 4
+    assert loop.step() and not loop.step()
+    assert order[-1] == "last" and loop.now == 2.0
+
+
+def test_post_guards_past_and_nan_like_call_at():
+    loop = EventLoop(start_time=1.0)
+    with pytest.raises(SimulationError, match="at 0.5"):
+        loop.post(0.5, print, None, "late.hop")
+    with pytest.raises(SimulationError, match="NaN"):
+        loop.post(float("nan"), print, None)
+    assert loop.pending == 0
+    loop.post(1.0, lambda _: None, None)        # exactly now is allowed
+    loop.drain()
+    assert loop.processed == 1
+
+
+def test_on_event_hook_sees_posted_hops_as_events():
+    loop = EventLoop()
+    seen = []
+    loop.on_event = lambda e: seen.append((e.name, e.time, e.seq, loop.now))
+    loop.call_at(0.25, lambda: None, name="timer")
+    got = []
+    loop.post(0.5, got.append, "payload", "hop.one")
+    loop.post(0.5, got.append, "again", "hop.two")
+    loop.drain()
+    assert got == ["payload", "again"]
+    assert seen == [("timer", 0.25, 0, 0.25), ("hop.one", 0.5, 1, 0.5),
+                    ("hop.two", 0.5, 2, 0.5)]
