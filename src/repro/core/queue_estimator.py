@@ -45,8 +45,7 @@ class QueueEstimator:
         self.default_capacity_bps = default_capacity_bps
         self.packet_pair = PacketPairEstimator()
         self._rtt_min: Optional[float] = None
-        self._recent_rtts: Deque[tuple[float, float]] = deque()
-        # Monotonic companions of _recent_rtts: _standing holds strictly
+        # Monotonic (arrival, rtt) windows: _standing holds strictly
         # increasing rtts (front = window min), _peaks non-increasing
         # rtts (front = window max). min/max are order-exact, so the
         # O(1) queries return bit-identical values to a window scan.
@@ -67,7 +66,6 @@ class QueueEstimator:
             self._on_feedback_arrays(reports, now, reverse_delay)
             return
         rtt_min = self._rtt_min
-        recent = self._recent_rtts
         standing = self._standing
         peaks = self._peaks
         pp_on_packet = self.packet_pair.on_packet
@@ -78,7 +76,6 @@ class QueueEstimator:
                 continue
             if rtt_min is None or rtt < rtt_min:
                 rtt_min = rtt
-            recent.append((arrival, rtt))
             while standing and standing[-1][1] >= rtt:
                 standing.pop()
             standing.append((arrival, rtt))
@@ -90,8 +87,6 @@ class QueueEstimator:
         self._trim(now - self.standing_window_s)
 
     def _trim(self, horizon: float) -> None:
-        while self._recent_rtts and self._recent_rtts[0][0] < horizon:
-            self._recent_rtts.popleft()
         while self._standing and self._standing[0][0] < horizon:
             self._standing.popleft()
         while self._peaks and self._peaks[0][0] < horizon:
@@ -120,7 +115,6 @@ class QueueEstimator:
                     self._rtt_min = low
                 arr_list = arrivals.tolist()
                 rtt_list = rtts.tolist()
-                self._recent_rtts.extend(zip(arr_list, rtt_list))
                 # Batch-rebuild the monotonic deques. Sequential pushes
                 # leave: old entries with value < batch-min (resp. >
                 # batch-max), then the strict suffix-minima (maxima) of

@@ -400,6 +400,9 @@ class RtcSession:
         metrics.fallback_reason = engine.fallback_reason
         metrics.engine = ("reference" if engine.fallback_reason is not None
                           else engine.name)
+        # The fast path's own census: how many media packets the vector
+        # lane carried and how many were walked one by one.
+        metrics.lane_packets = engine.lane_packets
         return metrics
 
     def attribution(self):

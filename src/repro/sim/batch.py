@@ -137,6 +137,11 @@ class BatchEngine:
         #: why the run fell back to reference semantics (None = fast).
         self.fallback_reason: Optional[str] = None
 
+    @property
+    def lane_packets(self) -> Optional[tuple[int, int]]:
+        p = self._pipeline
+        return None if p is None else (p.vector_packets, p.scalar_packets)
+
     def prepare(self, session: "RtcSession") -> None:
         self.fallback_reason = ineligible_reason(session)
         if self.fallback_reason is not None:
@@ -234,8 +239,10 @@ class BatchPipeline:
         self._busy_until = 0.0
         #: bytes entered but not yet finished (drop-tail occupancy).
         self._q_bytes = 0
-        #: serialization total of the last vector train (busy-time stat).
-        self._ser_total = 0.0
+        #: media packets committed on the vector lane / walked one by
+        #: one on the scalar lane (drops included).
+        self.vector_packets = 0
+        self.scalar_packets = 0
         #: FIFO of finish-time records: [f_arr, cumsizes, pos] chunks for
         #: vector trains, (finish, size) tuples for scalar packets.
         self._fin: deque = deque()
@@ -543,59 +550,88 @@ class BatchPipeline:
                          total_bytes: int, burst: FrameBurst,
                          lo: int) -> None:
         """Serve a media train; entry times ``e`` are nondecreasing and
-        follow all previously fed entries (FIFO)."""
-        self._pop_finished(float(e[0]))
-        if self._q_bytes + total_bytes <= self.capacity:
-            # No drop is possible even if nothing drains while the whole
-            # train enters — take the vector path.
-            f = self._serve_vector(e, sizes, cum_bytes)
-            if f is not None:
-                self._q_bytes += total_bytes
-                self._fin.append([f, cum_bytes, 0])
-                stats = self.link.stats
-                n = len(sizes)
-                stats.enqueued_packets += n
-                stats.enqueued_bytes += total_bytes
-                stats.delivered_packets += n
-                stats.delivered_bytes += total_bytes
-                stats.busy_time += self._ser_total
-                stats.occupancy_samples.append(
-                    (float(e[0]), self._q_bytes))
-                self._deliveries.append(
-                    [f + self.half_hop, send_times, sizes, burst, lo, 0,
-                     total_bytes])
-                return
-        self._feed_scalar_train(e, send_times, sizes, burst, lo)
+        follow all previously fed entries (FIFO).
 
-    def _serve_vector(self, e: np.ndarray, sizes: np.ndarray,
-                      cum_bytes: np.ndarray) -> Optional[np.ndarray]:
-        """Lindley-recursion finish times at one trace-rate sample.
-
-        Returns None when the sample would not cover every service start
-        (rate change mid-train, or an outage) — the scalar walk handles
-        those trains.
+        The packets ahead of the train's first tail drop are committed
+        in one piece on the vector lane; the rest — the whole train in
+        an outage, or when one trace-rate sample does not cover those
+        service starts — takes the per-packet walk, which makes every
+        drop decision.
         """
-        start0 = float(e[0])
+        entry0 = float(e[0])
+        self._pop_finished(entry0)
+        n, k = len(sizes), 0
         busy = self._busy_until
-        if busy > start0:
-            start0 = busy
+        start0 = max(entry0, busy)
         rate = self.trace.rate_at(start0)
-        if rate <= 0.0:
-            return None
-        ser = sizes * (8.0 / rate)
-        cs = np.cumsum(ser)
-        base = e - cs
-        base += ser
-        if busy > base[0]:
-            base[0] = busy
-        f = np.maximum.accumulate(base)
-        f += cs
-        last_start = float(f[-1]) - float(ser[-1])
-        if last_start >= self.trace.next_change_after(start0):
-            return None
-        self._busy_until = float(f[-1])
-        self._ser_total = float(cs[-1])
-        return f
+        if rate > 0.0:
+            # Lindley-recursion finish times at this one rate sample.
+            ser = sizes * (8.0 / rate)
+            cs = np.cumsum(ser)
+            base = e - cs
+            base += ser
+            if busy > base[0]:
+                base[0] = busy
+            f = np.maximum.accumulate(base)
+            f += cs
+            # No drop is possible even if nothing drains while the whole
+            # train enters — skip the occupancy scan.
+            k = (n if self._q_bytes + total_bytes <= self.capacity
+                 else self._first_drop(e, f, cum_bytes))
+            if k and (float(f[k - 1]) - float(ser[k - 1])
+                      >= self.trace.next_change_after(start0)):
+                k = 0       # rate change before the last service start
+        if k:
+            f = f[:k]
+            prefix_bytes = int(cum_bytes[k - 1])
+            self._busy_until = float(f[-1])
+            self._q_bytes += prefix_bytes
+            self._fin.append([f, cum_bytes[:k], 0])
+            stats = self.link.stats
+            stats.enqueued_packets += k
+            stats.enqueued_bytes += prefix_bytes
+            stats.delivered_packets += k
+            stats.delivered_bytes += prefix_bytes
+            stats.busy_time += float(cs[k - 1])
+            stats.occupancy_samples.append((entry0, self._q_bytes))
+            self._deliveries.append(
+                [f + self.half_hop, send_times[:k], sizes[:k], burst, lo, 0,
+                 prefix_bytes])
+            self.vector_packets += k
+        if k < n:
+            self.scalar_packets += n - k
+            self._feed_scalar_train(e[k:], send_times[k:], sizes[k:], burst,
+                                    lo + k)
+
+    def _first_drop(self, e: np.ndarray, f: np.ndarray,
+                    cum_bytes: np.ndarray) -> int:
+        """Index of the train's first tail drop (``len(e)`` if none).
+
+        Packet ``i`` meets the bytes queued at ``e[0]`` plus the train's
+        bytes ahead of it, less what has finished by ``e[i]`` — own
+        packets and older pending records alike, ``finish <= entry``
+        counting as gone (``_pop_finished``'s tie rule); every term is
+        integer-valued. That takes packets ``< i`` as admitted, true up
+        to and including the first drop, and ``f[j]`` depends only on
+        packets ``<= j``: the prefix before that index is exact.
+        """
+        old_f, old_cum = [], [0.0]
+        for record in self._fin:
+            if type(record) is tuple:
+                old_f.append(record[0])
+                old_cum.append(old_cum[-1] + record[1])
+            else:
+                rf, rcum, pos = record
+                rcum = rcum[pos:] + (
+                    old_cum[-1] - (rcum[pos - 1] if pos else 0.0))
+                old_f += rf[pos:].tolist()
+                old_cum += rcum.tolist()
+        left = (np.concatenate(([0.0], cum_bytes))[
+                    np.searchsorted(f, e, side="right")]
+                + np.array(old_cum)[np.searchsorted(old_f, e, side="right")])
+        over = np.flatnonzero(
+            self._q_bytes + cum_bytes - left > self.capacity)
+        return int(over[0]) if len(over) else len(e)
 
     def _feed_scalar_train(self, e: np.ndarray, send_times: np.ndarray,
                            sizes: np.ndarray, burst: FrameBurst,
@@ -630,9 +666,12 @@ class BatchPipeline:
         start = entry if entry > self._busy_until else self._busy_until
         rate = self.trace.rate_at(start)
         while rate <= 0.0:
-            # Outage: the reference link retries every 50 ms.
+            # Outage: the reference link retries every 50 ms, and gives
+            # up on a link that never comes back the same way.
             start += 0.05
             rate = self.trace.rate_at(start)
+            if start > entry + 1e5:
+                raise RuntimeError("link outage outlasts 1e5 s: no departure")
         finish = start + size * 8.0 / rate
         stats = self.link.stats
         stats.enqueued_packets += 1

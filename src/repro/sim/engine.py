@@ -35,6 +35,8 @@ class SimulationEngine(Protocol):
     name: str
     #: why the run used reference semantics instead (None = it did not).
     fallback_reason: Optional[str]
+    #: media packets on the fast path's (vector, scalar) link lanes.
+    lane_packets: Optional[tuple[int, int]]
 
     def prepare(self, session: "RtcSession") -> None:
         """Install hooks on a fully-wired session, before it starts."""
@@ -51,6 +53,7 @@ class ReferenceEngine:
 
     name = "reference"
     fallback_reason = None
+    lane_packets = None
 
     def prepare(self, session: "RtcSession") -> None:  # pragma: no cover
         pass

@@ -67,16 +67,6 @@ class _ReportChunk:
         self.sizes = sizes
         self.frame_id = frame_id
 
-    def materialize(self) -> List[PacketReport]:
-        seq0 = self.seq0
-        frame_id = self.frame_id
-        return [
-            PacketReport(seq0 + i, send, arrival, size, frame_id)
-            for i, (send, arrival, size) in enumerate(
-                zip(self.send_times.tolist(), self.arrival_times.tolist(),
-                    self.sizes.tolist()))
-        ]
-
 
 class ReportBatch:
     """Column-oriented stand-in for a list of :class:`PacketReport`.
@@ -278,18 +268,16 @@ class FeedbackBuilder:
         reports: Union[List[PacketReport], ReportBatch]
         if not self._has_chunks:
             reports = pending
-        elif all(type(entry) is _ReportChunk for entry in pending):
-            reports = ReportBatch(pending)
         else:
-            # Mixed scalar reports (retransmissions delivered on the
-            # batch engine's scalar lane) and chunks: flatten in arrival
-            # order so consumers see the reference-shaped list.
-            reports = []
-            for entry in pending:
-                if type(entry) is _ReportChunk:
-                    reports.extend(entry.materialize())
-                else:
-                    reports.append(entry)
+            # A scalar report among chunks (a retransmission delivered on
+            # the batch engine's scalar lane) rides as a chunk of one, in
+            # arrival order: the interval stays columnar.
+            reports = ReportBatch([
+                entry if type(entry) is _ReportChunk else _ReportChunk(
+                    entry.seq, np.array([entry.send_time]),
+                    np.array([entry.arrival_time]),
+                    np.array([entry.size_bytes]), entry.frame_id)
+                for entry in pending])
         message = FeedbackMessage(
             created_at=now,
             reports=reports,

@@ -235,7 +235,6 @@ class TestControlLawViolations:
             est = ace.queue_estimator
             # Feedback silence = the whole recent window aged out; the
             # monotonic companions are trimmed in lockstep with it.
-            est._recent_rtts.clear()
             est._standing.clear()
             est._peaks.clear()
             new = ace.bucket_bytes + 2000.0

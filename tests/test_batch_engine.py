@@ -17,6 +17,7 @@ between decision boundaries. Its contract:
 
 import json
 import math
+import signal
 
 import pytest
 
@@ -158,6 +159,45 @@ def test_fallback_is_recorded_on_metrics_not_in_the_schema():
     plain = build_session("ace", trace, cfg).run()
     assert (plain.engine, plain.fallback_reason) == ("reference", None)
     assert canonical_metrics_json(plain) == payload
+
+
+def test_lane_census_is_recorded_on_metrics_not_in_the_schema():
+    """How many media packets the vector lane carried and how many were
+    walked one by one (drops among them) rides beside ``engine``."""
+    trace = BandwidthTrace.constant(12e6, duration=10.0)
+    cfg = SessionConfig(duration=2.0, seed=3, initial_bwe_bps=8e6,
+                        queue_capacity_bytes=20_000)
+    session, metrics = _run_metrics("always-burst", trace, cfg, "batch")
+    vector, scalar = metrics.lane_packets
+    assert session.path.link.stats.dropped_packets and vector and scalar
+    assert (vector + scalar
+            == metrics.packets_sent - metrics.packets_retransmitted)
+    assert "lane_packets" not in canonical_metrics_json(metrics)
+    _, plain = _run_metrics("always-burst", trace, cfg, "reference")
+    assert plain.lane_packets is None
+    lossy = SessionConfig(duration=1.0, seed=2, random_loss_rate=0.02)
+    assert _run_metrics("ace", trace, lossy, "batch")[1].lane_packets is None
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_link_that_never_comes_back_raises_on_both_engines(engine):
+    """The batch engine's scalar walk stepped through an outage with no
+    bound and spun forever; both engines now give up the same way."""
+    dead = BandwidthTrace([0.0, 0.2], [0.0, 0.0])
+    session = build_session("ace", dead, SessionConfig(duration=1.0, seed=3),
+                            engine=engine)
+
+    def hung(_signum, _frame):
+        raise TimeoutError(f"{engine} engine still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="link outage outlasts 1e5 s"):
+            session.run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_grid_manifest_records_engine(tmp_path):
