@@ -1,13 +1,13 @@
 """Arena sweeps: (mix x discipline x trace x seed) grids with fairness.
 
-Reuses the shared :class:`~repro.bench.parallel.ParallelRunner` (worker
-pool, on-disk result cache, fleet observability): each arena cell is one
-:class:`~repro.bench.parallel.GridTask` whose ``arena`` payload makes
-the worker run an :class:`~repro.arena.session.ArenaSession` instead of
-a single-flow session. Cache-key convention mirrors the engine seam:
-the queue discipline enters the key only when non-default, so cached
-drop-tail cells are never served for CoDel/PIE/Confucius runs and
-historical entries stay valid.
+Runs on the shared executor (:func:`~repro.bench.parallel.run_cells`:
+worker pool, on-disk result cache, fleet observability): each arena cell
+is one :class:`~repro.bench.parallel.GridTask` whose ``arena`` payload
+makes the worker run an :class:`~repro.arena.session.ArenaSession`
+instead of a single-flow session. Cache-key convention mirrors the
+engine seam: the queue discipline enters the key only when non-default,
+so cached drop-tail cells are never served for CoDel/PIE/Confucius runs
+and historical entries stay valid.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from repro.arena.session import ArenaMetrics
+from repro.bench.parallel import GridTask, cell_keys, run_cells
 from repro.net.aqm import DEFAULT_DISCIPLINE, list_disciplines
 from repro.net.trace import BandwidthTrace
 
@@ -70,6 +71,21 @@ def cell_label(mix: str, discipline: str) -> str:
     return f"arena:{mix}@{discipline}"
 
 
+def arena_task(mix: str, discipline: str, trace: BandwidthTrace,
+               category: str, discipline_params: Optional[dict] = None,
+               **task_fields) -> GridTask:
+    """One arena cell as a :class:`~repro.bench.parallel.GridTask`: the
+    mix's flows in ``category`` behind ``discipline``, labelled
+    :func:`cell_label`. ``task_fields`` are the task's own (``config=``
+    or the scalar knobs, ``series=``)."""
+    flows = [{**flow, "category": category} for flow in parse_mix(mix)]
+    return GridTask(
+        baseline=cell_label(mix, discipline), trace=trace, category=category,
+        arena={"flows": flows, "discipline": discipline,
+               "discipline_params": dict(discipline_params or {})},
+        **task_fields)
+
+
 def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
                    disciplines: Sequence[str] = (DEFAULT_DISCIPLINE,),
                    seeds: Sequence[int] = (3,),
@@ -88,83 +104,34 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
     """Sweep a (mix x discipline x trace x seed) cube of arena cells.
 
     Returns ``{(mix, discipline, trace.name, seed): ArenaMetrics}``.
-    With ``run_dir=``, writes fleet artifacts: the manifest records the
+    With ``run_dir=``, writes fleet artifacts
+    (:func:`~repro.bench.parallel.run_cells`): the manifest records the
     disciplines swept, ``results.json`` holds one per-flow
     :class:`~repro.analysis.results.RunResult` per cell (baseline
-    labels like ``"ace#1@droptail"``), and ``summary.json`` gains a
-    ``fairness`` block (per-cell Jain index, worst-flow p95, per-flow
-    convergence times) that ``repro report --diff`` gates on.
+    labels like ``"ace#1@droptail"``), and ``summary.json`` gains the
+    ``fairness`` block over the trailing ``window_s``.
     ``series=True`` records per-cell time series (arena gauges: per-flow
     sent bytes, queue shares, router occupancy) and — with ``run_dir=``
     — writes them as ``series/*.json`` shards; series cells bypass the
     result cache like any other instrumented task.
     """
-    from repro.bench.parallel import GridTask, open_fleet
-
     known = list_disciplines()
     for name in disciplines:
         if name not in known:
             raise ValueError(f"unknown discipline {name!r} "
                              f"(have {', '.join(known)})")
-
-    tasks: list[GridTask] = []
-    coords: list[tuple] = []
-    for mix, discipline, trace, seed in product(mixes, disciplines,
-                                                traces, seeds):
-        flows = parse_mix(mix)
-        for f in flows:
-            f["category"] = category
-        tasks.append(GridTask(
-            baseline=cell_label(mix, discipline),
-            trace=trace, seed=seed, duration=duration,
-            category=category, fps=fps, initial_bwe_bps=initial_bwe_bps,
-            arena={"flows": flows, "discipline": discipline,
-                   "discipline_params": dict(discipline_params or {})},
-            series=series,
-        ))
-        coords.append((mix, discipline, trace.name, seed))
-    if len(set(coords)) != len(coords):
-        raise ValueError("duplicate arena cells (trace names must be "
-                         "unique and mixes/disciplines distinct)")
-
-    runner, observer = open_fleet(
-        tasks, runner=runner, jobs=jobs, cache=cache, use_cache=use_cache,
-        run_dir=run_dir, verbose=verbose,
+    coords = list(product(mixes, disciplines, traces, seeds))
+    tasks = [arena_task(mix, discipline, trace, category, discipline_params,
+                        seed=seed, duration=duration, fps=fps,
+                        initial_bwe_bps=initial_bwe_bps, series=series)
+             for mix, discipline, trace, seed in coords]
+    cell_keys(tasks)
+    metrics = run_cells(
+        tasks, [{"mix": mix} for mix, _, _, _ in coords],
+        runner=runner, jobs=jobs, cache=cache, use_cache=use_cache,
+        run_dir=run_dir, verbose=verbose, window_s=window_s,
         manifest_extra={"arena": True, "mixes": list(mixes),
                         "disciplines": list(disciplines),
                         "window_s": window_s, "series": series})
-
-    metrics = runner.run(tasks, observer=observer)
-    out: dict[tuple, ArenaMetrics] = dict(zip(coords, metrics))
-
-    if observer is not None:
-        from repro.analysis.results import RunResult
-        if series:
-            from repro.bench.parallel import write_series_shards
-            write_series_shards(observer.run_dir, tasks, metrics)
-        results = []
-        fairness_block: dict[str, dict] = {}
-        for (mix, discipline, trace_name, seed), m in zip(coords, metrics):
-            report = m.fairness(window_s=window_s)
-            cell = f"{cell_label(mix, discipline)}|{trace_name}|s{seed}"
-            fairness_block[cell] = {
-                "jain": report.jain_throughput,
-                "worst_p95_ms": report.worst_p95_latency_s * 1e3,
-                "convergence_s": {str(fid): conv for fid, conv
-                                  in sorted(report.convergence_s.items())},
-            }
-            for fid, fm in m.items():
-                spec = m.specs[fid]
-                results.append(RunResult.from_metrics(
-                    fm, baseline=f"{spec['baseline']}#{fid}@{discipline}",
-                    trace=trace_name, seed=seed, category=category,
-                    mix=mix, flow_id=fid, discipline=discipline,
-                    start=spec.get("start", 0.0),
-                    jain=report.jain_throughput))
-        observer.write_results(results)
-        observer.finalize(runner.cache.counter_dict()
-                          if runner.cache is not None else None,
-                          extra={"fairness": fairness_block})
-    if verbose:
-        print(runner.counters())
-    return out
+    return {(mix, discipline, trace.name, seed): m
+            for (mix, discipline, trace, seed), m in zip(coords, metrics)}

@@ -149,11 +149,6 @@ class ArenaPath(NetworkPath):
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    @property
-    def total_queue_bytes(self) -> int:
-        """Summed occupancy across every router in the chain."""
-        return sum(link.queued_bytes for link in self.links)
-
     def router_stats(self) -> list[dict]:
         """Per-router counters for manifests and reports."""
         out = []

@@ -24,10 +24,12 @@ cells bypass the cache in both directions — a cache hit would observe
 nothing, and an instrumented run is not the artifact other sweeps
 expect.
 
-Fleet observability: pass a :class:`~repro.obs.fleet.FleetObserver` (or
-``run_dir=`` on :func:`run_grid`) and the runner streams per-cell
-completion records, worker heartbeats, and a final summary into a run
-directory that ``repro report`` can roll up later.
+One executor: :func:`run_cells` is how every set of cells runs — the
+library grids (:func:`run_grid`, :func:`repro.arena.grid.run_arena_grid`),
+the named scenarios and the CLI build :class:`GridTask` lists and hand
+them over. With ``run_dir=`` it streams per-cell completion records,
+worker heartbeats and a final summary into a run directory that
+``repro report`` can roll up later (:mod:`repro.obs.fleet`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.results import RunResult
+from repro.net.aqm import DEFAULT_DISCIPLINE
 from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
 from repro.rtc.metrics import SessionMetrics
@@ -63,6 +67,27 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if not jobs:
         return os.cpu_count() or 1
     return max(1, jobs)
+
+
+def build_overrides(engine: str = "reference",
+                    discipline: str = DEFAULT_DISCIPLINE,
+                    **overrides) -> dict:
+    """The ``build_kwargs`` a cell's stack choices amount to.
+
+    Only a choice that differs from the default enters (an unset
+    ``cc_override=None`` is dropped like ``engine="reference"``), and
+    ``build_kwargs`` is part of the result-cache key: default cells keep
+    their historical cache identity whichever command built them, while
+    a batch-engine, AQM or overridden-CC result can never be served from
+    (or stored into) a default cell's slot.
+    """
+    chosen = {key: value for key, value in overrides.items()
+              if value is not None}
+    if engine != "reference":
+        chosen["engine"] = engine
+    if discipline != DEFAULT_DISCIPLINE:
+        chosen["discipline"] = discipline
+    return chosen
 
 
 @dataclass
@@ -150,6 +175,37 @@ class GridTask:
         return (self.telemetry or self.audit or self.slo or self.series
                 or self.inject_stall is not None)
 
+    def results(self, metrics, window_s: float = 10.0,
+                **labels) -> list[RunResult]:
+        """This cell's result rows — the one place a row is made.
+
+        One row for a single flow. An arena cell gives one row per flow
+        (``"<baseline>#<flow id>@<discipline>"``) tagged with the cell's
+        fairness over the trailing ``window_s`` — Jain index, worst-flow
+        p95 — and the flow's convergence time. ``labels`` override
+        ``trace`` (the trace's name by default) or ride along as extras
+        (``scenario=``, ``mix=``).
+        """
+        labels = {"trace": self.trace.name, **labels}
+        rows = [(metrics, self.baseline, {})]
+        if self.arena is not None:
+            report = metrics.fairness(window_s=window_s)
+            discipline = self.arena.get("discipline", DEFAULT_DISCIPLINE)
+            rows = []
+            for fid, flow in metrics.items():
+                spec = metrics.specs[fid]
+                rows.append((flow, f"{spec['baseline']}#{fid}@{discipline}", {
+                    "flow_id": fid, "discipline": discipline,
+                    "start": spec.get("start", 0.0),
+                    "jain": report.jain_throughput,
+                    "worst_p95_ms": report.worst_p95_latency_s * 1e3,
+                    "convergence_s": report.convergence_s.get(fid)}))
+        seed = self.session_config().seed
+        return [RunResult.from_metrics(flow, baseline=baseline, seed=seed,
+                                       category=self.category,
+                                       **extra, **labels)
+                for flow, baseline, extra in rows]
+
 
 def open_task(task: GridTask, strict_audit: bool = True):
     """Build the instrumented session ``task`` describes, not yet run.
@@ -215,18 +271,6 @@ def run_opened(task: GridTask, session, auditor=None) -> SessionMetrics:
     return metrics
 
 
-def _run_task(task: GridTask) -> SessionMetrics:
-    """Worker entry point: run one cell and return picklable metrics.
-
-    ``bandwidth_fn`` (a live bound method of the trace) is stripped
-    before crossing the process boundary; the parent reattaches its own
-    trace's ``rate_at`` so results look identical to an in-process run.
-    """
-    metrics = run_opened(task, *open_task(task))
-    metrics.bandwidth_fn = None
-    return metrics
-
-
 def _series_meta(task: GridTask) -> dict:
     meta = {"baseline": task.baseline, "trace": task.trace.name,
             "seed": task.session_config().seed, "category": task.category,
@@ -237,9 +281,16 @@ def _series_meta(task: GridTask) -> dict:
 
 
 def _run_cell(index: int, task: GridTask) -> tuple[int, SessionMetrics, int, float]:
-    """Pool entry point: ``(index, metrics, worker pid, wall seconds)``."""
+    """Run one cell, inline or in a pool worker: ``(index, metrics,
+    pid, wall seconds)``.
+
+    ``bandwidth_fn`` (a live bound method of the trace) is stripped
+    before crossing the process boundary; the parent reattaches its own
+    trace's ``rate_at`` so results look identical to an in-process run.
+    """
     t0 = perf_counter()
-    metrics = _run_task(task)
+    metrics = run_opened(task, *open_task(task))
+    metrics.bandwidth_fn = None
     return index, metrics, os.getpid(), perf_counter() - t0
 
 
@@ -296,8 +347,8 @@ class ParallelRunner:
         else:
             todo = list(range(len(tasks)))
 
-        def _finish(i: int, metrics: SessionMetrics, *, source: str,
-                    pid: Optional[int], wall_s: float) -> None:
+        def _finish(i: int, metrics: SessionMetrics, pid: int,
+                    wall_s: float, source: str) -> None:
             metrics.bandwidth_fn = tasks[i].trace.rate_at
             if cache is not None and keys[i] is not None:
                 cache.put(keys[i], metrics)
@@ -311,10 +362,7 @@ class ParallelRunner:
         if todo:
             if self.jobs <= 1 or len(todo) <= 1:
                 for i in todo:
-                    t0 = perf_counter()
-                    metrics = _run_task(tasks[i])
-                    _finish(i, metrics, source="inline", pid=os.getpid(),
-                            wall_s=perf_counter() - t0)
+                    _finish(*_run_cell(i, tasks[i]), "inline")
             else:
                 workers = min(self.jobs, len(todo))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -324,9 +372,7 @@ class ParallelRunner:
                         done, futures = wait(futures,
                                              return_when=FIRST_COMPLETED)
                         for future in done:
-                            i, metrics, pid, wall_s = future.result()
-                            _finish(i, metrics, source="worker", pid=pid,
-                                    wall_s=wall_s)
+                            _finish(*future.result(), "worker")
         return results  # type: ignore[return-value]
 
     def counters(self) -> str:
@@ -363,29 +409,84 @@ def write_series_shards(run_dir, tasks: Sequence[GridTask],
     return written
 
 
-def open_fleet(tasks: Sequence[GridTask], *,
-               runner: Optional[ParallelRunner], jobs: Optional[int],
-               cache: Optional[ResultCache], use_cache: bool,
-               run_dir: Optional[str], verbose: bool, manifest_extra: dict):
-    """The runner and (with ``run_dir``) the fleet observer of one grid
-    call, manifest already written — shared by :func:`run_grid` and
-    :func:`repro.arena.grid.run_arena_grid`."""
+def cell_keys(tasks: Sequence[GridTask]) -> list[tuple]:
+    """The cells' keys, checked unique — for whoever names things by
+    them: result rows and series shards in a run directory, the entries
+    of the grids' return dicts, the CLI's table rows."""
+    keys = [task.key() for task in tasks]
+    if len(set(keys)) != len(keys):
+        clash = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"duplicate grid cell {clash!r} "
+                         "(trace names must be unique)")
+    return keys
+
+
+def run_cells(tasks: Sequence[GridTask],
+              labels: Optional[Sequence[dict]] = None, *,
+              runner: Optional[ParallelRunner] = None,
+              jobs: Optional[int] = 1, cache: Optional[ResultCache] = None,
+              use_cache: bool = False, run_dir: Optional[str] = None,
+              verbose: bool = False, manifest_extra: Optional[dict] = None,
+              window_s: float = 10.0) -> list:
+    """Run a set of cells; metrics come back in task order.
+
+    The one executor behind :func:`run_grid`, the arena grid, the named
+    scenarios and the CLI. Pass ``jobs=N`` to fan across N processes
+    (``None``/``0`` = per-CPU), ``use_cache=True`` (or an explicit
+    ``cache``) to memoize results on disk, and ``runner=`` to reuse a
+    runner and accumulate its counters across calls.
+
+    ``run_dir=`` turns on fleet observability: ``manifest.json`` up
+    front (with ``manifest_extra`` merged in), ``cells.jsonl``
+    (completions + heartbeats) while running, then the recorded
+    ``series/`` shards, ``results.json`` (:meth:`GridTask.results` per
+    cell, with ``labels[i]`` for ``tasks[i]``) and ``summary.json`` —
+    which, for arena cells, gains a ``fairness`` block (the rows'
+    per-cell Jain index and worst-flow p95 and per-flow convergence over
+    the trailing ``window_s``) that ``repro report --diff`` gates on.
+    ``verbose=True`` echoes heartbeats and the cache-counter line.
+    """
     if runner is None:
         if cache is None and use_cache:
             cache = ResultCache()
         runner = ParallelRunner(jobs=jobs, cache=cache)
-    if run_dir is None:
-        return runner, None
-    from repro.obs.fleet import FleetObserver, build_manifest
-    cache_obj = runner.cache
-    observer = FleetObserver(run_dir, total=len(tasks), jobs=runner.jobs,
-                             echo=print if verbose else None)
-    observer.write_manifest(build_manifest(
-        tasks, jobs=runner.jobs,
-        cache_enabled=cache_obj is not None and cache_obj.enabled,
-        cache_dir=str(cache_obj.cache_dir) if cache_obj is not None else None,
-        extra=manifest_extra))
-    return runner, observer
+    cache = runner.cache
+    observer = None
+    if run_dir is not None:
+        from repro.obs.fleet import FleetObserver, build_manifest
+        cell_keys(tasks)
+        observer = FleetObserver(run_dir, total=len(tasks), jobs=runner.jobs,
+                                 echo=print if verbose else None)
+        observer.write_manifest(build_manifest(
+            tasks, jobs=runner.jobs,
+            cache_enabled=cache is not None and cache.enabled,
+            cache_dir=str(cache.cache_dir) if cache is not None else None,
+            extra=manifest_extra))
+
+    metrics = runner.run(tasks, observer=observer)
+
+    if observer is not None:
+        write_series_shards(run_dir, tasks, metrics)
+        results: list[RunResult] = []
+        fairness: dict[str, dict] = {}
+        for task, m, label in zip(tasks, metrics,
+                                  labels or [{}] * len(tasks)):
+            rows = task.results(m, window_s=window_s, **label)
+            results += rows
+            if task.arena is not None:
+                baseline, trace_name, seed, _ = task.key()
+                fairness[f"{baseline}|{trace_name}|s{seed}"] = {
+                    "jain": rows[0].extra["jain"],
+                    "worst_p95_ms": rows[0].extra["worst_p95_ms"],
+                    "convergence_s": {str(row.extra["flow_id"]):
+                                      row.extra["convergence_s"]
+                                      for row in rows}}
+        observer.write_results(results)
+        observer.finalize(cache.counter_dict() if cache is not None else None,
+                          extra={"fairness": fairness} if fairness else None)
+    if verbose:
+        print(runner.counters())
+    return metrics
 
 
 def make_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
@@ -426,31 +527,13 @@ def run_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
     """Run a (baseline x trace x seed x category) grid.
 
     Returns ``{(baseline, trace.name, seed, category): SessionMetrics}``
-    — trace names must therefore be unique within ``traces``. Pass
-    ``jobs=N`` to fan across N processes (``None``/``0`` = per-CPU),
-    ``use_cache=True`` (or an explicit ``cache``) to memoize results on
-    disk, and ``runner=`` to reuse a runner and accumulate its counters
-    across calls.
+    — trace names must therefore be unique within ``traces``.
+    ``jobs``/``cache``/``use_cache``/``runner``/``run_dir``/``verbose``
+    are :func:`run_cells`'s.
 
-    ``run_dir=`` turns on fleet observability: the grid writes
-    ``manifest.json`` up front, streams ``cells.jsonl`` (completions +
-    heartbeats) while running, and leaves ``results.json`` +
-    ``summary.json`` behind for ``repro report``. ``verbose=True``
-    echoes heartbeats and the cache-counter summary line to stdout.
-
-    ``engine=`` selects the simulation engine for every cell. Only a
-    non-default engine is added to ``build_kwargs`` (and hence the
-    result-cache key): reference cells keep their pre-engine cache
-    identity, while batch-engine results can never be served from (or
-    stored into) a reference cell's slot. The manifest records the
-    engine either way.
-
-    ``discipline=`` swaps the bottleneck queue discipline for every
-    cell, with the same convention: only a non-default discipline is
-    added to ``build_kwargs`` (and the cache key), so drop-tail cells
-    keep their historical cache identity and an AQM run can never be
-    served from a drop-tail slot. The manifest records the discipline
-    either way.
+    ``engine=`` and ``discipline=`` select the simulation engine and the
+    bottleneck queue discipline for every cell; the manifest records
+    both, the cache key only a non-default one (:func:`build_overrides`).
 
     ``slo=True`` opts every cell into the burstiness SLO watchdog
     (see :mod:`repro.obs.slo`): cells run instrumented (bypassing the
@@ -463,46 +546,20 @@ def run_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
     duration)`` runs the pacing-stall drill in every cell — the
     injected-stall side of a divergence A/B pair.
     """
-    if engine != "reference":
-        build_kwargs = {**(build_kwargs or {}), "engine": engine}
-    if discipline != "droptail":
-        build_kwargs = {**(build_kwargs or {}), "discipline": discipline}
     tasks = make_grid(baselines, traces, seeds=seeds, categories=categories,
                       duration=duration, fps=fps,
                       initial_bwe_bps=initial_bwe_bps,
-                      build_kwargs=build_kwargs)
+                      build_kwargs={**(build_kwargs or {}),
+                                    **build_overrides(engine, discipline)})
     # Watchdog, series and stalled cells are instrumented, so they bypass
     # the result cache (a cache hit would have observed nothing).
     for task in tasks:
         task.slo, task.slo_pacing_p99_s = slo, slo_pacing_p99_s
         task.series, task.inject_stall = series, inject_stall
-    runner, observer = open_fleet(
+    keys = cell_keys(tasks)
+    metrics = run_cells(
         tasks, runner=runner, jobs=jobs, cache=cache, use_cache=use_cache,
         run_dir=run_dir, verbose=verbose,
         manifest_extra={"engine": engine, "discipline": discipline,
                         "series": series})
-
-    metrics = runner.run(tasks, observer=observer)
-    out: dict[tuple, SessionMetrics] = {}
-    for task, m in zip(tasks, metrics):
-        key = task.key()
-        if key in out:
-            raise ValueError(f"duplicate grid cell {key!r} "
-                             "(trace names must be unique)")
-        out[key] = m
-
-    if observer is not None and series:
-        write_series_shards(observer.run_dir, tasks, metrics)
-    if observer is not None:
-        from repro.analysis.results import RunResult
-        observer.write_results([
-            RunResult.from_metrics(m, baseline=task.baseline,
-                                   trace=task.trace.name,
-                                   seed=task.session_config().seed,
-                                   category=task.category)
-            for task, m in zip(tasks, metrics)])
-        observer.finalize(runner.cache.counter_dict()
-                          if runner.cache is not None else None)
-    if verbose:
-        print(runner.counters())
-    return out
+    return dict(zip(keys, metrics))

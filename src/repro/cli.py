@@ -1,11 +1,20 @@
-"""Command-line interface: run sessions and comparisons without code.
+"""Command-line interface: run sessions and sweeps without code.
 
 Usage (installed as ``python -m repro``):
 
     python -m repro list                      # baselines & trace classes
     python -m repro run --baseline ace --trace wifi --duration 20
-    python -m repro compare --baselines ace,webrtc-star,cbr --trace wifi
+    python -m repro grid --baselines ace,webrtc-star,cbr --traces wifi
     python -m repro sweep-rtt --baseline ace --rtts 10,20,40,80
+
+Three things exist once here. A flag that more than one command takes
+is declared in :data:`FLAGS` and a command names the groups it acts on,
+so a flag means the same thing wherever it exists and a command that
+would ignore one does not define it. Every simulated cell is a
+:class:`~repro.bench.parallel.GridTask` from :func:`make_task`. And
+every set of cells runs on :func:`~repro.bench.parallel.run_cells`
+(:func:`run_tasks`); only commands that read the session object
+afterwards run their one cell in-process (:func:`run_session`).
 """
 
 from __future__ import annotations
@@ -13,13 +22,15 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from itertools import product
 from typing import Optional, Sequence
 
-from repro.analysis.cache import ResultCache
 from repro.bench.parallel import (
     GridTask,
-    ParallelRunner,
+    build_overrides,
+    cell_keys,
     open_task,
+    run_cells,
     run_opened,
     series_shard_name,
 )
@@ -63,43 +74,45 @@ def make_trace(kind: str, seed: int, duration: float) -> BandwidthTrace:
     return TRACE_MAKERS[kind](RngStream(seed, f"cli.{kind}"), duration=duration)
 
 
-def session_config(args: argparse.Namespace,
+def session_config(args: argparse.Namespace, seed: Optional[int] = None,
                    rtt_ms: Optional[float] = None) -> SessionConfig:
-    """The :class:`SessionConfig` the common workload flags describe."""
-    rtt = (rtt_ms if rtt_ms is not None else args.rtt) / 1000.0
+    """The :class:`SessionConfig` the workload flags describe.
+
+    ``seed``/``rtt_ms`` pin a sweep coordinate. A command without
+    ``--rtt`` (``grid``: its cell key has no RTT coordinate) runs at the
+    flag's default.
+    """
+    if rtt_ms is None:
+        rtt_ms = getattr(args, "rtt", FLAGS["--rtt"]["default"])
     return SessionConfig(
-        duration=args.duration, seed=args.seed, fps=args.fps,
-        base_rtt=rtt, initial_bwe_bps=args.initial_bwe * 1e6,
+        duration=args.duration, seed=args.seed if seed is None else seed,
+        fps=args.fps, base_rtt=rtt_ms / 1000.0,
+        initial_bwe_bps=args.initial_bwe * 1e6,
     )
 
 
 def make_task(baseline: str, args: argparse.Namespace,
               trace: Optional[BandwidthTrace] = None,
-              rtt_ms: Optional[float] = None, **instrument) -> GridTask:
+              seed: Optional[int] = None, rtt_ms: Optional[float] = None,
+              **instrument) -> GridTask:
     """One grid cell from CLI arguments.
 
-    Every single-flow command builds its session through this, so the
+    Every single-flow command builds its cells through this, so the
     common flags (``--engine``, ``--discipline``, ``--cc``, ``--codec``)
-    mean the same thing everywhere. ``instrument`` sets the
-    :class:`GridTask` instrumentation fields (``telemetry=``, ``slo=``,
-    ...).
+    mean the same thing everywhere and equal cells share one result-
+    cache entry whichever command ran them first
+    (:func:`~repro.bench.parallel.build_overrides`). ``instrument`` sets
+    the :class:`GridTask` instrumentation fields (``telemetry=``,
+    ``slo=``, ...).
     """
     if trace is None:
         trace = make_trace(args.trace, args.seed, args.duration + 10)
-    build_kwargs = {"cc_override": args.cc, "codec_override": args.codec}
-    if args.engine != "reference":
-        # Only a non-default engine enters the build kwargs (and thus
-        # the result-cache key): reference-engine cells keep their
-        # pre-engine cache identity, and cached cells can never be
-        # silently served across engines.
-        build_kwargs["engine"] = args.engine
-    if args.discipline != DEFAULT_DISCIPLINE:
-        # Same convention for the queue discipline: drop-tail cells keep
-        # their historical cache identity, AQM cells get their own.
-        build_kwargs["discipline"] = args.discipline
     return GridTask(baseline=baseline, trace=trace, category=args.category,
-                    config=session_config(args, rtt_ms),
-                    build_kwargs=build_kwargs, **instrument)
+                    config=session_config(args, seed, rtt_ms),
+                    build_kwargs=build_overrides(
+                        args.engine, args.discipline,
+                        cc_override=args.cc, codec_override=args.codec),
+                    **instrument)
 
 
 def run_session(task: GridTask):
@@ -132,15 +145,14 @@ def warn_fallback(results) -> None:
               file=sys.stderr)
 
 
-def run_tasks(args: argparse.Namespace, tasks: list) -> list:
-    """Run cells through the ``--jobs``/``--cache`` runner, announcing
-    batch fallbacks and the cache counters."""
-    runner = ParallelRunner(jobs=args.jobs,
-                            cache=ResultCache() if args.cache else None)
-    results = runner.run(tasks)
+def run_tasks(args: argparse.Namespace, tasks: list, **fleet) -> list:
+    """Run cells on the one executor with the ``--jobs``/``--cache``
+    flags, announcing batch fallbacks. ``fleet`` is the run-directory
+    half of :func:`run_cells`; without it the cache-counter line prints
+    when there is a cache to count."""
+    fleet.setdefault("verbose", args.cache)
+    results = run_cells(tasks, jobs=args.jobs, use_cache=args.cache, **fleet)
     warn_fallback(results)
-    if runner.cache is not None:
-        print(runner.counters())
     return results
 
 
@@ -185,34 +197,29 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_stall(spec: Optional[str]) -> tuple[Optional[float], float]:
+def _parse_stall(spec: Optional[str]) -> Optional[tuple[float, float]]:
     """Parse ``--inject-stall AT[:DUR]`` into ``(at_s, duration_s)``
-    (``at_s`` is None without the flag)."""
+    (None without the flag)."""
     if spec is None:
-        return None, 1.0
+        return None
+    at_txt, colon, dur_txt = spec.partition(":")
     try:
-        if ":" in spec:
-            at_txt, dur_txt = spec.split(":", 1)
-            return float(at_txt), float(dur_txt)
-        return float(spec), 1.0
+        return float(at_txt), float(dur_txt) if colon else 1.0
     except ValueError:
         raise SystemExit(
             f"--inject-stall wants AT or AT:DUR seconds, got {spec!r}")
 
 
-def _fmt_slo_event(event: dict) -> str:
-    bound = event.get("bound")
-    value = event.get("value")
-    return (f"SLO {event['state'].upper()}: {event['rule']} "
-            f"({event['metric']} = "
-            f"{'-' if value is None else f'{value:g}'}, bound "
-            f"{'-' if bound is None else f'{bound:g}'}) "
-            f"at t={event['at']:.2f}s")
+def instrument_fields(args: argparse.Namespace) -> dict:
+    """The :class:`GridTask` fields of the SLO/stall flag group."""
+    return dict(slo=args.slo, slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
+                inject_stall=_parse_stall(args.inject_stall))
 
 
 def _print_slo_summary(summary: dict) -> None:
+    from repro.obs.slo import format_slo_event
     for event in summary.get("events", ()):
-        print(_fmt_slo_event(event))
+        print(format_slo_event(event))
     firing = summary.get("firing") or []
     print(f"slo: {summary.get('alerts', 0)} alert(s), "
           f"firing: {', '.join(firing) if firing else '-'}")
@@ -227,13 +234,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     instrument it, but in-process: the exports and the audit report read
     the session object, and a cache hit would observe nothing.
     """
-    stall_at, stall_dur = _parse_stall(args.inject_stall)
     task = make_task(
-        args.baseline, args,
-        telemetry=bool(args.telemetry_out), audit=args.check, slo=args.slo,
-        slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
-        series=bool(args.series_out),
-        inject_stall=None if stall_at is None else (stall_at, stall_dur))
+        args.baseline, args, telemetry=bool(args.telemetry_out),
+        audit=args.check, series=bool(args.series_out),
+        **instrument_fields(args))
     session = auditor = None
     if task.instrumented:
         session, auditor, metrics = run_session(task)
@@ -277,21 +281,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return fuzz_main(argv)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    baselines = [b.strip() for b in args.baselines.split(",")]
-    trace = make_trace(args.trace, args.seed, args.duration + 10)
-    results = run_tasks(args, [make_task(b, args, trace=trace)
-                               for b in baselines])
-    rows = [metrics_row(baseline, metrics)
-            for baseline, metrics in zip(baselines, results)]
-    print_table(f"comparison over {args.trace} "
-                f"({args.duration:.0f}s, {args.category})", HEADERS, rows)
-    return 0
-
-
 def cmd_sweep_rtt(args: argparse.Namespace) -> int:
     rtts = [float(x) for x in args.rtts.split(",")]
     trace = make_trace(args.trace, args.seed, args.duration + 10)
+    # One trace, one cell key: an RTT is not a grid coordinate, so these
+    # cells go to the runner without a run directory.
     results = run_tasks(args, [make_task(args.baseline, args, trace=trace,
                                          rtt_ms=rtt_ms) for rtt_ms in rtts])
     rows = [[f"{rtt_ms:g}"] + metrics_row(args.baseline, metrics)[1:]
@@ -301,30 +295,10 @@ def cmd_sweep_rtt(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.analysis import RunResult, compare_runs, save_results
-
-    kinds = [kind.strip() for kind in args.traces.split(",")]
-    traces = {kind: make_trace(kind, args.seed, args.duration + 10)
-              for kind in kinds}
-    cells = [(kind, baseline.strip()) for kind in kinds
-             for baseline in args.baselines.split(",")]
-    metrics = run_tasks(args, [make_task(baseline, args, trace=traces[kind])
-                               for kind, baseline in cells])
-    results = [RunResult.from_metrics(m, baseline=baseline, trace=kind,
-                                      seed=args.seed, category=args.category)
-               for (kind, baseline), m in zip(cells, metrics)]
-    print(compare_runs(results, reference_baseline=args.reference))
-    if args.out:
-        save_results(results, args.out)
-        print(f"\nwrote {len(results)} results to {args.out}")
-    return 0
-
-
 def _live_path_config(args: argparse.Namespace) -> dict:
     """The ``LiveConfig``/``LoadConfig`` fields ``live`` and ``load``
-    both take from :func:`_add_live_path` and :func:`_add_slo_args`."""
-    stall_at, stall_dur = _parse_stall(args.inject_stall)
+    both take from the workload, live-path and SLO flag groups."""
+    stall_at, stall_dur = _parse_stall(args.inject_stall) or (None, 1.0)
     return dict(
         seed=args.seed, fps=args.fps, initial_bwe_bps=args.initial_bwe * 1e6,
         base_rtt=args.rtt / 1000.0, random_loss_rate=args.loss,
@@ -748,18 +722,17 @@ def cmd_grid(args: argparse.Namespace) -> int:
     streaming cell log with heartbeats, results, summary) that
     ``repro report`` can roll up or diff later.
     """
-    from repro.bench.parallel import run_grid
     from repro.obs import report_run
 
     seeds = [int(s) for s in args.seeds.split(",")]
     traces = [make_trace(kind.strip(), args.seed, args.duration + 10)
               for kind in args.traces.split(",")]
     disciplines = [d.strip() for d in args.discipline.split(",")]
-    stall_at, stall_dur = _parse_stall(args.inject_stall)
+    instrument = instrument_fields(args)
     if args.arena is not None:
         # Arena sweep: mixes x disciplines x traces x seeds, per-flow
         # results plus a fairness block in the run summary.
-        if (stall_at is not None or args.slo or args.cc or args.codec
+        if (instrument["inject_stall"] or args.slo or args.cc or args.codec
                 or args.engine != "reference"):
             raise SystemExit(
                 "--inject-stall/--slo/--cc/--codec/--engine target "
@@ -793,42 +766,30 @@ def cmd_grid(args: argparse.Namespace) -> int:
         return 0
     if len(disciplines) != 1:
         raise SystemExit("comma-separated --discipline needs --arena")
-    baselines = [b.strip() for b in args.baselines.split(",")]
-    # Only overrides that are set enter build_kwargs (and the cache key).
-    overrides = {key: value for key, value in (("cc_override", args.cc),
-                                               ("codec_override", args.codec))
-                 if value is not None}
-    results = run_grid(baselines, traces, seeds=seeds,
-                       categories=(args.category,),
-                       duration=args.duration, fps=args.fps,
-                       initial_bwe_bps=args.initial_bwe * 1e6,
-                       jobs=args.jobs, use_cache=args.cache,
-                       build_kwargs=overrides or None,
-                       run_dir=args.run_dir, verbose=True,
-                       engine=args.engine,
-                       discipline=disciplines[0],
-                       slo=args.slo,
-                       slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
-                       series=args.series,
-                       inject_stall=(None if stall_at is None
-                                     else (stall_at, stall_dur)))
-    warn_fallback(list(results.values()))
+    tasks = [make_task(baseline.strip(), args, trace=trace, seed=seed,
+                       series=args.series, **instrument)
+             for baseline, trace, seed
+             in product(args.baselines.split(","), traces, seeds)]
+    labels = ["/".join(str(part) for part in key) for key in cell_keys(tasks)]
+    results = run_tasks(
+        args, tasks, run_dir=args.run_dir, verbose=True,
+        manifest_extra={"engine": args.engine, "discipline": args.discipline,
+                        "series": args.series})
     if args.run_dir is not None:
         print()
         print(report_run(args.run_dir))
     else:
-        rows = [metrics_row("/".join(str(part) for part in key), m)
-                for key, m in results.items()]
-        print_table(f"grid: {len(results)} cells", HEADERS, rows)
+        print_table(f"grid: {len(tasks)} cells", HEADERS,
+                    [metrics_row(label, m)
+                     for label, m in zip(labels, results)])
     if args.slo:
+        from repro.obs.slo import format_slo_event
         fired = 0
-        for key, m in results.items():
-            slo = getattr(m, "slo_alerts", None) or {}
-            for event in slo.get("events", ()):
+        for label, m in zip(labels, results):
+            for event in m.slo_alerts.get("events", ()):
                 fired += 1
-                print("/".join(str(part) for part in key) + ": "
-                      + _fmt_slo_event(event))
-        print(f"slo: {fired} alert event(s) across {len(results)} cells")
+                print(f"{label}: {format_slo_event(event)}")
+        print(f"slo: {fired} alert event(s) across {len(tasks)} cells")
     return 0
 
 
@@ -907,85 +868,117 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, stack: bool = True,
-                runner: bool = False, rtt: bool = True) -> None:
-    """The workload flags every sim command honours, plus the groups
-    only some do: ``stack`` (``--engine``/``--cc``/``--codec`` — the
-    single-flow session builder) and ``runner`` (``--jobs``/``--cache``
-    — commands that go through :class:`ParallelRunner`). A command
-    defines a flag only if it acts on it.
-    """
-    p.add_argument("--trace", default="wifi",
-                   help="wifi|4g|5g|campus|const:<mbps>|weak:<venue>")
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--fps", type=float, default=30.0)
-    if rtt:
-        p.add_argument("--rtt", type=float, default=30.0,
-                       help="base RTT in ms")
-    p.add_argument("--category", default="gaming",
-                   choices=sorted(CONTENT_CATEGORIES))
-    p.add_argument("--initial-bwe", type=float, default=6.0,
-                   dest="initial_bwe", help="initial BWE in Mbps")
-    p.add_argument("--discipline", default=DEFAULT_DISCIPLINE,
-                   help="bottleneck queue discipline: "
-                        + "|".join(list_disciplines())
-                        + " (comma list with `grid --arena`)")
-    if stack:
-        p.add_argument("--engine", default="reference", choices=ENGINE_NAMES,
-                       help="simulation engine: 'reference' is the golden "
-                            "per-event loop, 'batch' macro-steps whole "
-                            "bursts (faster, metrics equivalent within "
-                            "float noise)")
-        p.add_argument("--cc", default=None,
-                       help="override congestion controller "
-                            "(gcc|bbr|copa|delivery)")
-        p.add_argument("--codec", default=None,
-                       help="override codec model (x264|x265|vp8|vp9|av1)")
-    if runner:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for multi-session commands "
-                            "(0 = one per CPU); results are identical to "
-                            "serial")
-        p.add_argument("--cache", action="store_true",
-                       help="memoize session results on disk "
-                            "(REPRO_CACHE=off disables, REPRO_CACHE_DIR "
-                            "moves)")
+#: Every flag more than one command takes — declared once, so it means
+#: one thing wherever it exists. A command lists the flags it acts on
+#: (``command(...)`` in :func:`build_parser`) and states its own default
+#: as data there (``duration=dict(default=5.0)``), never as a second
+#: definition. Flags only one command takes sit next to that command.
+FLAGS: dict[str, dict] = {
+    # -- workload: what runs, for how long, from which seed
+    "--baseline": dict(default="ace",
+                       help="baseline to run (`repro list` names them)"),
+    "--trace": dict(default="wifi",
+                    help="wifi|4g|5g|campus|const:<mbps>|weak:<venue> "
+                         "(`arena`: comma list, one per router; `load`: "
+                         "seed-shifted per session, default constant "
+                         "20 Mbps)"),
+    "--duration": dict(type=float, default=20.0,
+                       help="session seconds — simulated, or wall-clock "
+                            "media time for `live`/`load` (`load`: default "
+                            "5, 3600 with --soak; `scenario`: default the "
+                            "preset's)"),
+    "--seed": dict(type=int, default=1,
+                   help="session seed (`load`: session i uses seed+i; "
+                        "`grid`: the trace seed, sessions take --seeds)"),
+    "--fps": dict(type=float, default=30.0),
+    "--initial-bwe": dict(type=float, default=6.0,
+                          help="initial BWE in Mbps"),
+    "--rtt": dict(type=float, default=30.0,
+                  help="base RTT in ms (`live`/`load`: emulated on the "
+                       "loopback shim)"),
+    "--category": dict(default="gaming", choices=sorted(CONTENT_CATEGORIES)),
+    "--discipline": dict(default=DEFAULT_DISCIPLINE,
+                         help="bottleneck queue discipline: "
+                              + "|".join(list_disciplines())
+                              + " (comma list with `grid --arena`)"),
+    # -- stack: the single-flow session builder
+    "--engine": dict(default="reference", choices=ENGINE_NAMES,
+                     help="simulation engine: 'reference' is the golden "
+                          "per-event loop, 'batch' macro-steps whole "
+                          "bursts (faster, metrics equivalent within "
+                          "float noise)"),
+    "--cc": dict(default=None,
+                 help="override congestion controller "
+                      "(gcc|bbr|copa|delivery)"),
+    "--codec": dict(default=None,
+                    help="override codec model (x264|x265|vp8|vp9|av1)"),
+    # -- runner: commands whose cells go through run_cells
+    "--jobs": dict(type=int, default=1,
+                   help="worker processes (0 = one per CPU); results are "
+                        "identical to serial"),
+    "--cache": dict(action="store_true",
+                    help="memoize session results on disk "
+                         "(REPRO_CACHE=off disables, REPRO_CACHE_DIR "
+                         "moves)"),
+    # -- live path: the emulated loopback of `live`/`load`
+    "--loss": dict(type=float, default=0.0,
+                   help="emulated random loss rate (0..1)"),
+    "--queue": dict(type=int, default=100_000,
+                    help="emulated bottleneck queue in bytes"),
+    "--unshaped": dict(action="store_true",
+                       help="skip trace shaping (delay/loss still apply)"),
+    "--stats-port": dict(type=int, default=None, metavar="PORT",
+                         help="loopback port of the Prometheus stats "
+                              "endpoint: `live`/`load` serve it while they "
+                              "run (0 = ephemeral; `load`: one rollup, a "
+                              "session=\"<label>\" series per session), "
+                              "`watch` polls it"),
+    # -- SLO/stall (instrumented sim cells bypass the cache)
+    "--slo": dict(action="store_true",
+                  help="attach the burstiness SLO watchdog (pacing-p99 "
+                       "threshold + pacer-backlog drift rules) and print "
+                       "fired alerts"),
+    "--slo-p99-ms": dict(type=float, default=250.0, metavar="MS",
+                         help="pacing-delay p99 SLO bound in ms "
+                              "(default 250)"),
+    "--inject-stall": dict(default=None, metavar="AT[:DUR]",
+                           help="fault injection: pin the pacer at its rate "
+                                "floor from AT seconds for DUR seconds "
+                                "(default 1.0) — smoke-tests the SLO "
+                                "watchdog; with `grid --series` it builds "
+                                "A/B divergence fixtures"),
+    # -- exports and selectors
+    "--check": dict(action="store_true",
+                    help="attach the invariant auditor; exit 1 on any "
+                         "violation (`run`: in-process, uncached)"),
+    "--telemetry-out": dict(default=None, metavar="DIR",
+                            help="enable telemetry and write the JSONL "
+                                 "event log + Prometheus snapshot into DIR "
+                                 "(`run`: in-process, uncached)"),
+    "--run-dir": dict(default=None, metavar="DIR",
+                      help="run directory: streaming log + summary.json "
+                           "(`grid`: manifest/cells.jsonl/results for "
+                           "`repro report`; `load`: live.jsonl heartbeats)"),
+    "--series": dict(action="store_true",
+                     help="record a time series per cell/session (grid "
+                          "cells then bypass the cache); with --run-dir "
+                          "the shards land in DIR/series/ for `repro plot`"),
+    "--window": dict(type=float, default=10.0,
+                     help="fairness window in seconds (arena cells)"),
+    "--frame": dict(type=int, default=None,
+                    help="frame id to show instead of the worst frame(s)"),
+}
 
-
-def _add_live_path(p: argparse.ArgumentParser) -> None:
-    """The emulated loopback path of ``live``/``load``."""
-    p.add_argument("--seed", type=int, default=1,
-                   help="session seed (`load`: session i uses seed+i)")
-    p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--rtt", type=float, default=30.0,
-                   help="emulated base RTT in ms")
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="emulated random loss rate (0..1)")
-    p.add_argument("--queue", type=int, default=100_000,
-                   help="emulated bottleneck queue in bytes")
-    p.add_argument("--initial-bwe", type=float, default=4.0,
-                   dest="initial_bwe", help="initial BWE in Mbps")
-    p.add_argument("--unshaped", action="store_true",
-                   help="skip trace shaping (delay/loss still apply)")
-
-
-def _add_slo_args(p: argparse.ArgumentParser) -> None:
-    """``--slo`` / ``--slo-p99-ms`` / ``--inject-stall``
-    (run/grid/live/load; instrumented sim cells bypass the cache)."""
-    p.add_argument("--slo", action="store_true",
-                   help="attach the burstiness SLO watchdog (pacing-p99 "
-                        "threshold + pacer-backlog drift rules) and print "
-                        "fired alerts")
-    p.add_argument("--slo-p99-ms", type=float, default=250.0,
-                   dest="slo_p99_ms", metavar="MS",
-                   help="pacing-delay p99 SLO bound in ms (default 250)")
-    p.add_argument("--inject-stall", default=None, dest="inject_stall",
-                   metavar="AT[:DUR]",
-                   help="fault injection: pin the pacer at its rate floor "
-                        "from AT seconds for DUR seconds (default 1.0) — "
-                        "smoke-tests the SLO watchdog; with `grid --series` "
-                        "it builds A/B divergence fixtures")
+#: what runs and for how long: every command that builds sessions.
+WORKLOAD = ("--trace", "--duration", "--seed", "--fps", "--initial-bwe")
+STACK = ("--engine", "--cc", "--codec")
+#: one simulated single-flow session (run, sweep-rtt, trace, why,
+#: timeline): the flags :func:`make_task` reads.
+SESSION = ("--baseline", *WORKLOAD, "--rtt", "--category", "--discipline",
+           *STACK)
+RUNNER = ("--jobs", "--cache")
+LIVE_PATH = ("--rtt", "--loss", "--queue", "--unshaped", "--stats-port")
+SLO = ("--slo", "--slo-p99-ms", "--inject-stall")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -994,327 +987,206 @@ def build_parser() -> argparse.ArgumentParser:
         description="ACE (SIGCOMM'25) reproduction — experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list baselines/traces/categories") \
-       .set_defaults(func=cmd_list)
+    def command(name: str, func, help: str, *flags: str,
+                **own) -> argparse.ArgumentParser:
+        """A subcommand taking ``flags`` from :data:`FLAGS`; ``own`` maps
+        a flag's dest to what this command states differently."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            dest = flag[2:].replace("-", "_")
+            p.add_argument(flag, **{**FLAGS[flag], **own.pop(dest, {})})
+        assert not own, f"{name}: overrides for flags it does not take: {own}"
+        return p
 
-    p_run = sub.add_parser("run", help="run one baseline")
-    p_run.add_argument("--baseline", required=True)
-    p_run.add_argument("--check", action="store_true",
-                       help="attach the invariant auditor; exit 1 on any "
-                            "violation (disables --jobs/--cache)")
-    p_run.add_argument("--telemetry-out", default=None, dest="telemetry_out",
-                       metavar="DIR",
-                       help="run with telemetry and write the JSONL event "
-                            "log + Prometheus snapshot into DIR (disables "
-                            "--jobs/--cache)")
-    p_run.add_argument("--series-out", default=None, dest="series_out",
-                       metavar="DIR",
-                       help="record bounded per-tick time series (gauges, "
-                            "counters, pacing quantiles) and write a "
-                            "DIR/series/*.json shard for `repro plot` "
-                            "(disables --jobs/--cache)")
-    _add_slo_args(p_run)
-    _add_common(p_run, runner=True)
-    p_run.set_defaults(func=cmd_run)
+    command("list", cmd_list, "list baselines/traces/categories")
 
-    p_fuzz = sub.add_parser(
-        "fuzz",
-        help="randomized short sessions under the invariant auditor")
-    p_fuzz.add_argument("--cases", type=int, default=10)
-    p_fuzz.add_argument("--seed", type=int, default=1)
-    p_fuzz.add_argument("--start", type=int, default=0,
-                        help="first case index (resume a sweep)")
-    p_fuzz.add_argument("--no-shrink", action="store_true")
-    p_fuzz.add_argument("--replay", default=None, metavar="SEED:INDEX",
-                        help="re-run one case, e.g. --replay 1:7")
-    p_fuzz.set_defaults(func=cmd_fuzz)
+    p = command("run", cmd_run, "run one baseline",
+                *SESSION, *RUNNER, *SLO, "--check", "--telemetry-out",
+                baseline=dict(required=True))
+    p.add_argument("--series-out", default=None, metavar="DIR",
+                   help="record bounded per-tick time series (gauges, "
+                        "counters, pacing quantiles) and write a "
+                        "DIR/series/*.json shard for `repro plot` "
+                        "(in-process, uncached)")
 
-    p_cmp = sub.add_parser("compare", help="run several baselines on one workload")
-    p_cmp.add_argument("--baselines", required=True,
-                       help="comma-separated baseline names")
-    _add_common(p_cmp, runner=True)
-    p_cmp.set_defaults(func=cmd_compare)
+    p = command("fuzz", cmd_fuzz,
+                "randomized short sessions under the invariant auditor",
+                "--seed")
+    p.add_argument("--cases", type=int, default=10)
+    p.add_argument("--start", type=int, default=0,
+                   help="first case index (resume a sweep)")
+    p.add_argument("--no-shrink", action="store_true")
+    p.add_argument("--replay", default=None, metavar="SEED:INDEX",
+                   help="re-run one case, e.g. --replay 1:7")
 
-    p_rtt = sub.add_parser("sweep-rtt", help="sweep the base RTT")
-    p_rtt.add_argument("--baseline", required=True)
-    p_rtt.add_argument("--rtts", default="10,20,40,80,160",
-                       help="comma-separated RTTs in ms")
-    _add_common(p_rtt, runner=True)
-    p_rtt.set_defaults(func=cmd_sweep_rtt)
+    p = command("sweep-rtt", cmd_sweep_rtt, "sweep the base RTT",
+                *SESSION, *RUNNER, baseline=dict(required=True))
+    p.add_argument("--rtts", default="10,20,40,80,160",
+                   help="comma-separated RTTs in ms")
 
-    p_eval = sub.add_parser(
-        "evaluate",
-        help="condensed Fig. 12 evaluation (baselines x trace classes), "
-             "optionally persisted to JSON")
-    p_eval.add_argument("--baselines",
-                        default="ace,webrtc-star,cbr,webrtc-b",
-                        help="comma-separated baseline names")
-    p_eval.add_argument("--traces", default="wifi,4g,5g",
-                        help="comma-separated trace kinds")
-    p_eval.add_argument("--out", default=None,
-                        help="write RunResult JSON to this path")
-    p_eval.add_argument("--reference", default="webrtc-star",
-                        help="baseline the comparison is relative to")
-    _add_common(p_eval, runner=True)
-    p_eval.set_defaults(func=cmd_evaluate)
+    command("live", cmd_live,
+            "run one baseline in real time over UDP loopback",
+            "--baseline", *WORKLOAD, "--category", *LIVE_PATH, *SLO,
+            "--check", "--telemetry-out",
+            trace=dict(default="const:20"), duration=dict(default=5.0),
+            initial_bwe=dict(default=4.0))
 
-    p_live = sub.add_parser(
-        "live",
-        help="run one baseline in real time over UDP loopback")
-    p_live.add_argument("--baseline", default="ace")
-    p_live.add_argument("--trace", default="const:20",
-                        help="wifi|4g|5g|campus|const:<mbps>|weak:<venue>")
-    p_live.add_argument("--duration", type=float, default=5.0,
-                        help="wall-clock seconds to run")
-    p_live.add_argument("--category", default="gaming",
-                        choices=sorted(CONTENT_CATEGORIES))
-    _add_live_path(p_live)
-    p_live.add_argument("--check", action="store_true",
-                        help="attach the polling invariant auditor; exit 1 "
-                             "on any violation")
-    p_live.add_argument("--stats-port", type=int, default=None,
-                        dest="stats_port", metavar="PORT",
-                        help="serve a Prometheus snapshot over HTTP on this "
-                             "loopback port during the run (enables "
-                             "telemetry; 0 picks an ephemeral port)")
-    p_live.add_argument("--telemetry-out", default=None,
-                        dest="telemetry_out", metavar="DIR",
-                        help="enable telemetry and write the JSONL event "
-                             "log + Prometheus snapshot into DIR at "
-                             "session end")
-    _add_slo_args(p_live)
-    p_live.set_defaults(func=cmd_live)
+    p = command("load", cmd_load,
+                "run N concurrent live sessions on one event loop "
+                "(multi-session load generator / soak)",
+                *WORKLOAD, *LIVE_PATH, *SLO, "--run-dir", "--series",
+                trace=dict(default=None), duration=dict(default=None),
+                initial_bwe=dict(default=4.0))
+    p.add_argument("--sessions", type=int, default=4,
+                   help="number of concurrent sessions (default 4)")
+    p.add_argument("--mix", default="ace",
+                   help="comma-separated baselines assigned round-robin, "
+                        "e.g. ace,webrtc-star")
+    p.add_argument("--ramp", type=float, default=0.0,
+                   help="seconds over which session joins are staggered "
+                        "(default 0: all at once)")
+    p.add_argument("--soak", action="store_true",
+                   help="soak mode: hour-long default duration; Ctrl-C "
+                        "drains the whole fleet gracefully")
+    p.add_argument("--drain", type=float, default=0.5,
+                   help="post-stop settle seconds per session")
+    p.add_argument("--heartbeat", type=float, default=1.0,
+                   help="fleet heartbeat interval in seconds (0 disables)")
+    p.add_argument("--snapshot-out", default=None, metavar="FILE",
+                   help="write the final Prometheus rollup to FILE")
+    p.add_argument("--dash", action="store_true",
+                   help="render a live ANSI dashboard (sparklines, SLO "
+                        "highlighting) on each heartbeat; repaints in "
+                        "place on a TTY, stacks plain frames otherwise")
+    p.add_argument("--autoscale", action="store_true",
+                   help="instead of one fixed fleet, probe the largest "
+                        "fleet this machine sustains under the pacing-p99 "
+                        "SLO (geometric ascent + bisection) and write the "
+                        "ceiling artifact")
+    p.add_argument("--autoscale-start", type=int, default=0, metavar="N",
+                   help="first fleet size tried (default: core count)")
+    p.add_argument("--autoscale-max", type=int, default=64, metavar="N",
+                   help="fleet-size cap for the probe (default 64)")
+    p.add_argument("--p99-limit", type=float, default=250.0, metavar="MS",
+                   help="autoscale SLO: fleet pacing p99 bound in ms "
+                        "(default 250)")
+    p.add_argument("--autoscale-out", default="BENCH_live_ceiling.json",
+                   metavar="FILE",
+                   help="where to write the ceiling artifact "
+                        "(default BENCH_live_ceiling.json)")
 
-    p_load = sub.add_parser(
-        "load",
-        help="run N concurrent live sessions on one event loop "
-             "(multi-session load generator / soak)")
-    p_load.add_argument("--sessions", type=int, default=4,
-                        help="number of concurrent sessions (default 4)")
-    p_load.add_argument("--mix", default="ace",
-                        help="comma-separated baselines assigned "
-                             "round-robin, e.g. ace,webrtc-star")
-    p_load.add_argument("--ramp", type=float, default=0.0,
-                        help="seconds over which session joins are "
-                             "staggered (default 0: all at once)")
-    p_load.add_argument("--duration", type=float, default=None,
-                        help="media seconds per session (default 5; "
-                             "3600 with --soak)")
-    p_load.add_argument("--soak", action="store_true",
-                        help="soak mode: hour-long default duration; "
-                             "Ctrl-C drains the whole fleet gracefully")
-    p_load.add_argument("--drain", type=float, default=0.5,
-                        help="post-stop settle seconds per session")
-    p_load.add_argument("--trace", default=None,
-                        help="per-session trace class (wifi|4g|5g|campus|"
-                             "const:<mbps>|weak:<venue>, seed-shifted per "
-                             "session); default: constant 20 Mbps")
-    _add_live_path(p_load)
-    p_load.add_argument("--stats-port", type=int, default=None,
-                        dest="stats_port", metavar="PORT",
-                        help="serve one rolled-up Prometheus snapshot "
-                             "(session=\"<label>\" series per session) on "
-                             "this loopback port (0 = ephemeral)")
-    p_load.add_argument("--heartbeat", type=float, default=1.0,
-                        help="fleet heartbeat interval in seconds "
-                             "(0 disables)")
-    p_load.add_argument("--run-dir", default=None, dest="run_dir",
-                        metavar="DIR",
-                        help="stream fleet heartbeats to DIR/live.jsonl "
-                             "and write DIR/summary.json")
-    p_load.add_argument("--snapshot-out", default=None, dest="snapshot_out",
-                        metavar="FILE",
-                        help="write the final Prometheus rollup to FILE")
-    p_load.add_argument("--series", action="store_true",
-                        help="record per-session time series on the "
-                             "telemetry tick; with --run-dir the shards "
-                             "land in DIR/series/ for `repro plot`")
-    p_load.add_argument("--dash", action="store_true",
-                        help="render a live ANSI dashboard (sparklines, "
-                             "SLO highlighting) on each heartbeat; "
-                             "repaints in place on a TTY, stacks plain "
-                             "frames otherwise")
-    _add_slo_args(p_load)
-    p_load.add_argument("--autoscale", action="store_true",
-                        help="instead of one fixed fleet, probe the "
-                             "largest fleet this machine sustains under "
-                             "the pacing-p99 SLO (geometric ascent + "
-                             "bisection) and write the ceiling artifact")
-    p_load.add_argument("--autoscale-start", type=int, default=0,
-                        dest="autoscale_start", metavar="N",
-                        help="first fleet size tried (default: core count)")
-    p_load.add_argument("--autoscale-max", type=int, default=64,
-                        dest="autoscale_max", metavar="N",
-                        help="fleet-size cap for the probe (default 64)")
-    p_load.add_argument("--p99-limit", type=float, default=250.0,
-                        dest="p99_limit", metavar="MS",
-                        help="autoscale SLO: fleet pacing p99 bound in ms "
-                             "(default 250)")
-    p_load.add_argument("--autoscale-out", default="BENCH_live_ceiling.json",
-                        dest="autoscale_out", metavar="FILE",
-                        help="where to write the ceiling artifact "
-                             "(default BENCH_live_ceiling.json)")
-    p_load.set_defaults(func=cmd_load)
+    p = command("trace", cmd_trace,
+                "replay one session with telemetry and print span/metric "
+                "timelines", *SESSION, "--frame")
+    p.add_argument("--worst", action="store_true",
+                   help="print the worst end-to-end frame's span (the "
+                        "default when no selector is given)")
+    p.add_argument("--metric", default=None,
+                   help="print one registry metric's time series, e.g. "
+                        "bucket.token_level_bytes")
+    p.add_argument("--kind", default=None,
+                   help="filter the record log by kind (span|metric|event)")
+    p.add_argument("--name", default=None,
+                   help="filter the record log by name substring")
+    p.add_argument("--since", type=float, default=None,
+                   help="only records at or after this session time")
+    p.add_argument("--until", type=float, default=None,
+                   help="only records at or before this session time")
+    p.add_argument("--limit", type=int, default=50,
+                   help="max records/samples to print (0 = all)")
+    p.add_argument("--out", default=None, metavar="DIR",
+                   help="also write the JSONL event log + Prometheus "
+                        "snapshot into DIR")
+    p.add_argument("--attrib", action="store_true",
+                   help="print the session-level pacer-residence "
+                        "attribution rollup (see `repro why`)")
+    p.add_argument("--profile", action="store_true",
+                   help="self-profile the event loop and print the "
+                        "per-event-type callback table")
 
-    p_tr = sub.add_parser(
-        "trace",
-        help="replay one session with telemetry and print span/metric "
-             "timelines")
-    p_tr.add_argument("--baseline", default="ace")
-    p_tr.add_argument("--frame", type=int, default=None,
-                      help="frame id whose span timeline to print")
-    p_tr.add_argument("--worst", action="store_true",
-                      help="print the worst end-to-end frame's span "
-                           "(the default when no selector is given)")
-    p_tr.add_argument("--metric", default=None,
-                      help="print one registry metric's time series, e.g. "
-                           "bucket.token_level_bytes")
-    p_tr.add_argument("--kind", default=None,
-                      help="filter the record log by kind "
-                           "(span|metric|event)")
-    p_tr.add_argument("--name", default=None,
-                      help="filter the record log by name substring")
-    p_tr.add_argument("--since", type=float, default=None,
-                      help="only records at or after this session time")
-    p_tr.add_argument("--until", type=float, default=None,
-                      help="only records at or before this session time")
-    p_tr.add_argument("--limit", type=int, default=50,
-                      help="max records/samples to print (0 = all)")
-    p_tr.add_argument("--out", default=None, metavar="DIR",
-                      help="also write the JSONL event log + Prometheus "
-                           "snapshot into DIR")
-    p_tr.add_argument("--attrib", action="store_true",
-                      help="print the session-level pacer-residence "
-                           "attribution rollup (see `repro why`)")
-    p_tr.add_argument("--profile", action="store_true",
-                      help="self-profile the event loop and print the "
-                           "per-event-type callback table")
-    _add_common(p_tr)
-    p_tr.set_defaults(func=cmd_trace)
+    p = command("why", cmd_why,
+                "attribute frames' pacer-residence latency to ACE-N "
+                "decisions (frame blame)", *SESSION, "--frame")
+    p.add_argument("--frames", type=int, default=3,
+                   help="how many worst frames to show (default 3)")
 
-    p_why = sub.add_parser(
-        "why",
-        help="attribute frames' pacer-residence latency to ACE-N "
-             "decisions (frame blame)")
-    p_why.add_argument("--baseline", default="ace")
-    p_why.add_argument("--frame", type=int, default=None,
-                       help="attribute this frame id instead of the worst")
-    p_why.add_argument("--frames", type=int, default=3,
-                       help="how many worst frames to show (default 3)")
-    _add_common(p_why)
-    p_why.set_defaults(func=cmd_why)
+    p = command("report", cmd_report,
+                "roll a grid run directory into aggregate tables; diff two "
+                "runs for regressions")
+    p.add_argument("run_dir", help="run directory from `repro grid "
+                                   "--run-dir` / run_grid(run_dir=...)")
+    p.add_argument("--diff", default=None, metavar="OTHER_RUN_DIR",
+                   help="compare against this run directory; exit 1 on "
+                        "regressions")
+    p.add_argument("--tolerance", type=float, default=0.05,
+                   help="relative worsening that counts as a regression "
+                        "(default 0.05)")
 
-    p_rep = sub.add_parser(
-        "report",
-        help="roll a grid run directory into aggregate tables; diff two "
-             "runs for regressions")
-    p_rep.add_argument("run_dir", help="run directory from `repro grid "
-                                       "--run-dir` / run_grid(run_dir=...)")
-    p_rep.add_argument("--diff", default=None, metavar="OTHER_RUN_DIR",
-                       help="compare against this run directory; exit 1 "
-                            "on regressions")
-    p_rep.add_argument("--tolerance", type=float, default=0.05,
-                       help="relative worsening that counts as a "
-                            "regression (default 0.05)")
-    p_rep.set_defaults(func=cmd_report)
+    p = command("grid", cmd_grid,
+                "run a baselines x traces x seeds grid, optionally into a "
+                "fleet run directory",
+                *WORKLOAD, "--category", "--discipline", *STACK, *RUNNER,
+                *SLO, "--run-dir", "--series", "--window")
+    p.add_argument("--baselines", default="ace,webrtc-star",
+                   help="comma-separated baseline names")
+    p.add_argument("--traces", default="wifi",
+                   help="comma-separated trace kinds")
+    p.add_argument("--seeds", default="1,2,3",
+                   help="comma-separated session seeds")
+    p.add_argument("--arena", default=None, metavar="MIX",
+                   help="sweep arena cells instead of single flows: flow "
+                        "mix like 'ace*2+webrtc-star*2' (';'-separated for "
+                        "several mixes); --discipline may then be a comma "
+                        "list")
 
-    p_grid = sub.add_parser(
-        "grid",
-        help="run a baselines x traces x seeds grid, optionally into a "
-             "fleet run directory")
-    p_grid.add_argument("--baselines", default="ace,webrtc-star",
-                        help="comma-separated baseline names")
-    p_grid.add_argument("--traces", default="wifi",
-                        help="comma-separated trace kinds")
-    p_grid.add_argument("--seeds", default="1,2,3",
-                        help="comma-separated session seeds")
-    p_grid.add_argument("--run-dir", default=None, dest="run_dir",
-                        metavar="DIR",
-                        help="write manifest/cells.jsonl/results/summary "
-                             "into DIR for `repro report`")
-    p_grid.add_argument("--arena", default=None, metavar="MIX",
-                        help="sweep arena cells instead of single flows: "
-                             "flow mix like 'ace*2+webrtc-star*2' "
-                             "(';'-separated for several mixes); "
-                             "--discipline may then be a comma list")
-    p_grid.add_argument("--window", type=float, default=10.0,
-                        help="fairness window in seconds (arena cells)")
-    p_grid.add_argument("--series", action="store_true",
-                        help="record per-cell time series (instrumented: "
-                             "bypasses the cache); with --run-dir the "
-                             "shards land in DIR/series/ for `repro plot`")
-    _add_slo_args(p_grid)
-    _add_common(p_grid, runner=True, rtt=False)
-    p_grid.set_defaults(func=cmd_grid)
+    p = command("plot", cmd_plot,
+                "render recorded time-series shards into a self-contained "
+                "HTML report of paper-style figures")
+    p.add_argument("target", help="run dir (grid/load --series), series/ "
+                                  "dir, or one shard .json")
+    p.add_argument("--out", default=None, metavar="FILE",
+                   help="output HTML path (default <run-dir>/report.html)")
+    p.add_argument("--width", type=int, default=572, metavar="PX",
+                   help="data-area pixel width per figure; also the M4 "
+                        "downsampling budget (default 572)")
 
-    p_plot = sub.add_parser(
-        "plot",
-        help="render recorded time-series shards into a self-contained "
-             "HTML report of paper-style figures")
-    p_plot.add_argument("target",
-                        help="run dir (grid/load --series), series/ dir, "
-                             "or one shard .json")
-    p_plot.add_argument("--out", default=None, metavar="FILE",
-                        help="output HTML path "
-                             "(default <run-dir>/report.html)")
-    p_plot.add_argument("--width", type=int, default=572, metavar="PX",
-                        help="data-area pixel width per figure; also the "
-                             "M4 downsampling budget (default 572)")
-    p_plot.set_defaults(func=cmd_plot)
+    p = command("watch", cmd_watch,
+                "live ANSI dashboard polling a Prometheus stats endpoint "
+                "(`repro load --stats-port`)", "--stats-port")
+    p.add_argument("--url", default=None,
+                   help="stats endpoint URL (overrides --stats-port)")
+    p.add_argument("--interval", type=float, default=1.0,
+                   help="seconds between polls (default 1)")
+    p.add_argument("--frames", type=int, default=0,
+                   help="stop after N dashboard frames (default 0: until "
+                        "Ctrl-C)")
 
-    p_watch = sub.add_parser(
-        "watch",
-        help="live ANSI dashboard polling a Prometheus stats endpoint "
-             "(`repro load --stats-port`)")
-    p_watch.add_argument("--url", default=None,
-                         help="stats endpoint URL (overrides --stats-port)")
-    p_watch.add_argument("--stats-port", type=int, default=None,
-                         dest="stats_port", metavar="PORT",
-                         help="poll http://127.0.0.1:PORT/")
-    p_watch.add_argument("--interval", type=float, default=1.0,
-                         help="seconds between polls (default 1)")
-    p_watch.add_argument("--frames", type=int, default=0,
-                         help="stop after N dashboard frames "
-                              "(default 0: until Ctrl-C)")
-    p_watch.set_defaults(func=cmd_watch)
+    p = command("timeline", cmd_timeline,
+                "per-frame lifecycle CSV with pacer-blame columns", *SESSION)
+    p.add_argument("--out", default=None, metavar="FILE",
+                   help="write the CSV here (atomic); default stdout")
+    p.add_argument("--no-blame", action="store_false", dest="blame",
+                   help="drop the blame_* columns (skip pacer-residence "
+                        "attribution)")
 
-    p_tl = sub.add_parser(
-        "timeline",
-        help="per-frame lifecycle CSV with pacer-blame columns")
-    p_tl.add_argument("--baseline", default="ace")
-    p_tl.add_argument("--out", default=None, metavar="FILE",
-                      help="write the CSV here (atomic); default stdout")
-    p_tl.add_argument("--no-blame", action="store_false", dest="blame",
-                      help="drop the blame_* columns (skip pacer-residence "
-                           "attribution)")
-    _add_common(p_tl)
-    p_tl.set_defaults(func=cmd_timeline)
+    p = command("arena", cmd_arena,
+                "run N flows over a shared bottleneck with pluggable AQM",
+                *WORKLOAD, "--rtt", "--category", "--discipline", "--window",
+                "--telemetry-out")
+    p.add_argument("--flows", default="ace*2+webrtc-star*2",
+                   help="flow mix: base[*count][@start[:stop]] joined by "
+                        "'+', e.g. ace*2+webrtc-star@5")
 
-    p_arena = sub.add_parser(
-        "arena",
-        help="run N flows over a shared bottleneck with pluggable AQM")
-    p_arena.add_argument("--flows", default="ace*2+webrtc-star*2",
-                         help="flow mix: base[*count][@start[:stop]] "
-                              "joined by '+', e.g. ace*2+webrtc-star@5")
-    p_arena.add_argument("--window", type=float, default=10.0,
-                         help="fairness window in seconds")
-    p_arena.add_argument("--telemetry-out", default=None, metavar="DIR",
-                         dest="telemetry_out",
-                         help="export arena telemetry (per-router and "
-                              "per-flow queue gauges) into DIR")
-    _add_common(p_arena, stack=False)
-    p_arena.set_defaults(func=cmd_arena)
-
-    p_sc = sub.add_parser("scenario",
-                          help="run a named paper-experiment scenario")
-    p_sc.add_argument("name", nargs="?", default=None,
-                      help="scenario name (omit to list)")
-    p_sc.add_argument("--seed", type=int, default=3)
-    p_sc.add_argument("--duration", type=float, default=None)
-    p_sc.add_argument("--category", default=None)
-    p_sc.add_argument("--out", default=None,
-                      help="write RunResult JSON to this path")
-    p_sc.set_defaults(func=cmd_scenario)
+    p = command("scenario", cmd_scenario,
+                "run a named paper-experiment scenario",
+                "--seed", "--duration", "--category",
+                seed=dict(default=3), duration=dict(default=None),
+                category=dict(default=None))
+    p.add_argument("name", nargs="?", default=None,
+                   help="scenario name (omit to list)")
+    p.add_argument("--out", default=None,
+                   help="write RunResult JSON to this path")
     return parser
 
 

@@ -7,9 +7,9 @@ sockets, real asyncio timers, real scheduling jitter. It provides:
 * :mod:`repro.live.clock` — the :class:`Clock` scheduling protocol with
   :class:`SimClock` (discrete-event) and :class:`WallClock` (asyncio)
   implementations;
-* :mod:`repro.live.transport` — the :class:`Transport` surface with
-  :class:`SimTransport` (NetworkPath veneer) and :class:`UdpTransport`
-  (datagram endpoint) implementations;
+* :mod:`repro.live.transport` — the :class:`Transport` surface and its
+  :class:`UdpTransport` datagram endpoint (in simulation the
+  ``NetworkPath`` itself has the surface);
 * :mod:`repro.live.wire` — the binary datagram format;
 * :mod:`repro.live.impairment` — the in-process bottleneck shim that
   substitutes for Mahimahi/netem on the loopback path;
@@ -21,21 +21,21 @@ sockets, real asyncio timers, real scheduling jitter. It provides:
 * :mod:`repro.live.stats` — the shared loopback HTTP snapshot endpoint.
 
 ``LiveSession``/``SessionSupervisor`` and friends are re-exported
-lazily: the transport/clock modules are imported by the core rtc stack,
-and an eager import of :mod:`repro.live.session` from here would cycle
-back into it.
+lazily: the clock module is imported on its own (the core stack's type
+annotations, timer probes), and that should not load the session,
+supervisor and telemetry stack.
 """
 
 from __future__ import annotations
 
 from repro.live.clock import Clock, SimClock, WallClock, WallTimer
 from repro.live.impairment import ImpairmentConfig, LoopbackImpairment
-from repro.live.transport import SimTransport, Transport, UdpTransport
+from repro.live.transport import Transport, UdpTransport
 
 __all__ = [
     "Clock", "SimClock", "WallClock", "WallTimer",
     "ImpairmentConfig", "LoopbackImpairment",
-    "SimTransport", "Transport", "UdpTransport",
+    "Transport", "UdpTransport",
     "LiveConfig", "LiveSession", "build_live_session", "run_live",
     "LoadConfig", "SessionRecord", "SessionSpec", "SessionSupervisor",
     "build_load_specs", "run_load", "run_load_async",

@@ -48,7 +48,8 @@ from repro.obs.fleet import LiveFleetLog
 from repro.obs.quantiles import percentiles
 from repro.obs.registry import MetricRegistry
 from repro.obs.resources import process_rss_bytes
-from repro.obs.slo import SloRule, SloWatchdog, fleet_slo_rules
+from repro.obs.slo import (SloRule, SloWatchdog, fleet_slo_rules,
+                           format_slo_event)
 
 #: default per-session bound on the pacer's per-packet sample rings —
 #: enough for minutes of recent-window percentiles per session while
@@ -275,15 +276,8 @@ class SessionSupervisor:
                 slo_rules, source=self.fleet, on_alert=self._on_slo_alert)
 
     def _on_slo_alert(self, event: dict) -> None:
-        record = {**event, "elapsed_s": round(self.log.elapsed_s, 6)}
-        self.log.append(record)
-        if self.log.echo is not None:
-            bound = event["bound"]
-            self.log.echo(
-                f"SLO {event['state'].upper()}: {event['rule']} "
-                f"({event['metric']} = {event['value']:g}, "
-                f"bound {'-' if bound is None else f'{bound:g}'}) "
-                f"at t={self.log.elapsed_s:.1f}s")
+        self.log.append({**event, "elapsed_s": round(self.log.elapsed_s, 6)})
+        self.log.say(format_slo_event(event))
 
     # ------------------------------------------------------------------
     # run / stop

@@ -29,6 +29,7 @@ from repro.live.impairment import ImpairmentConfig, LoopbackImpairment
 from repro.live.transport import UdpTransport
 from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
+from repro.rtc.baselines import get_spec, stack_kwargs
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.sender import Sender
 from repro.rtc.session import FlowStack
@@ -343,10 +344,6 @@ def build_live_session(baseline: str, config: Optional[LiveConfig] = None,
     same stack as ``build_session("ace", ...)`` — only the clock and the
     transport differ.
     """
-    # Imported here: baselines imports rtc.session, which imports
-    # repro.live.transport — a module-level import would cycle.
-    from repro.rtc.baselines import get_spec, stack_kwargs
-
     config = config or LiveConfig()
     if trace is None:
         trace = BandwidthTrace.constant(

@@ -4,13 +4,12 @@ The sender-side stack needs exactly four things from "the network":
 inject a media packet (``send``), return a feedback message
 (``send_feedback``), callbacks for what comes back, and a rough
 reverse-path delay estimate for RTT accounting. :class:`Transport`
-captures that surface; the two implementations are
-
-* :class:`SimTransport` — a zero-overhead veneer over
-  :class:`~repro.net.path.NetworkPath` (simulation), and
-* :class:`UdpTransport` — an asyncio datagram endpoint carrying the
-  wire format of :mod:`repro.live.wire` over real sockets, optionally
-  shaped by a :class:`~repro.live.impairment.LoopbackImpairment`.
+captures that surface. In simulation the path *is* the transport:
+:class:`~repro.net.path.NetworkPath` (and the arena's ``ArenaPath``) has
+these four members itself, so the session hands it straight to the
+stack. Live, it is :class:`UdpTransport` — an asyncio datagram endpoint
+carrying the wire format of :mod:`repro.live.wire` over real sockets,
+optionally shaped by a :class:`~repro.live.impairment.LoopbackImpairment`.
 
 A live session uses one ``UdpTransport`` per endpoint (sender and
 receiver), peered at each other's loopback address; each instance is
@@ -35,7 +34,6 @@ from repro.live.wire import (
     encode_packet,
 )
 from repro.net.packet import Packet
-from repro.net.path import NetworkPath
 
 
 class Transport(abc.ABC):
@@ -60,59 +58,6 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def reverse_delay_estimate(self) -> float:
         """Approximate one-way delay of the feedback path (seconds)."""
-
-
-class SimTransport(Transport):
-    """The simulated :class:`NetworkPath` behind the Transport surface.
-
-    ``send``/``send_feedback`` are the path's own bound methods and the
-    callback attributes proxy straight onto the path, so a session wired
-    through a ``SimTransport`` schedules the *identical* event sequence
-    as one touching the path directly — bit-identical results, no added
-    per-packet cost.
-    """
-
-    def __init__(self, path: NetworkPath) -> None:
-        self.path = path
-        self.send = path.send                    # type: ignore[method-assign]
-        self.send_feedback = path.send_feedback  # type: ignore[method-assign]
-
-    # The callbacks live on the path (its delivery machinery invokes
-    # them); the transport exposes them as properties so callers only
-    # ever talk to the abstraction.
-    @property
-    def on_arrival(self):  # type: ignore[override]
-        return self.path.on_arrival
-
-    @on_arrival.setter
-    def on_arrival(self, fn) -> None:
-        self.path.on_arrival = fn
-
-    @property
-    def on_feedback(self):  # type: ignore[override]
-        return self.path.on_feedback
-
-    @on_feedback.setter
-    def on_feedback(self, fn) -> None:
-        self.path.on_feedback = fn
-
-    @property
-    def on_drop(self):  # type: ignore[override]
-        return self.path.on_drop
-
-    @on_drop.setter
-    def on_drop(self, fn) -> None:
-        self.path.on_drop = fn
-
-    def send(self, packet: Packet) -> None:  # pragma: no cover - replaced
-        self.path.send(packet)               # in __init__ by the bound method
-
-    def send_feedback(self, message: object) -> None:  # pragma: no cover
-        self.path.send_feedback(message)
-
-    @property
-    def reverse_delay_estimate(self) -> float:
-        return self.path.config.one_way_delay
 
 
 class _DatagramProtocol(asyncio.DatagramProtocol):

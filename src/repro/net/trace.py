@@ -137,9 +137,6 @@ class BandwidthTrace:
     def min_rate(self) -> float:
         return float(np.min(self._rates))
 
-    def max_rate(self) -> float:
-        return float(np.max(self._rates))
-
     def percentile(self, q: float) -> float:
         return float(np.percentile(self._rates, q))
 

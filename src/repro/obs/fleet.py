@@ -93,28 +93,76 @@ def build_manifest(tasks: Sequence["GridTask"], *, jobs: int,
     }
 
 
-class FleetObserver:
+class RunLog:
+    """What every run directory contains, written one way.
+
+    ``<run_dir>/<log_name>`` is a streaming JSONL log — one record per
+    event, ``kind`` discriminates, truncated at start (one run, one
+    log) — and ``summary.json`` is written atomically at the end.
+    ``echo`` gets the interactive lines (``print`` in the CLI);
+    ``run_dir=None`` keeps everything in memory (echo only). The grid's
+    :class:`FleetObserver` and the live supervisor's
+    :class:`LiveFleetLog` differ in what a unit of progress is — a
+    completed cell, a wall-clock heartbeat — not in these conventions.
+    """
+
+    #: the streaming log's file name under ``run_dir``.
+    log_name: str
+
+    def __init__(self, run_dir: Optional[str | Path],
+                 echo: Optional[Callable[[str], None]] = None) -> None:
+        self.echo = echo
+        self.run_dir = Path(run_dir) if run_dir is not None else None
+        self._started = time.monotonic()
+        self._log_path: Optional[Path] = None
+        if self.run_dir is not None:
+            self.run_dir.mkdir(parents=True, exist_ok=True)
+            self._log_path = self.run_dir / self.log_name
+            self._log_path.write_text("")
+
+    @property
+    def elapsed_s(self) -> float:
+        return time.monotonic() - self._started
+
+    def append(self, record: dict) -> None:
+        if self._log_path is not None:
+            with self._log_path.open("a") as fh:
+                fh.write(json.dumps(record, separators=(",", ":"),
+                                    sort_keys=True) + "\n")
+
+    def say(self, line: str) -> None:
+        if self.echo is not None:
+            self.echo(line)
+
+    def write_summary(self, summary: dict) -> dict:
+        if self.run_dir is not None:
+            atomic_write_text(self.run_dir / "summary.json",
+                              json.dumps(summary, indent=2, sort_keys=True)
+                              + "\n")
+        return summary
+
+
+class FleetObserver(RunLog):
     """Streams grid progress into a run directory.
 
     The :class:`~repro.bench.parallel.ParallelRunner` calls
     :meth:`cell_done` as cells finish (in completion order, not task
     order); the observer appends one JSONL record per cell, emits a
     heartbeat record every ``heartbeat_every`` completions, tracks
-    per-worker (pid) statistics, and flags stragglers. ``echo`` gets the
-    heartbeat lines for interactive output (``print`` in the CLI).
+    per-worker (pid) statistics, and flags stragglers.
     """
+
+    log_name = "cells.jsonl"
 
     def __init__(self, run_dir: str | Path, total: int, *, jobs: int = 1,
                  heartbeat_every: int = 5,
                  straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
                  echo: Optional[Callable[[str], None]] = None) -> None:
-        self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        super().__init__(run_dir, echo)
         self.total = total
         self.jobs = max(1, jobs)
         self.heartbeat_every = max(1, heartbeat_every)
         self.straggler_factor = straggler_factor
-        self.echo = echo
         self.done = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -126,9 +174,6 @@ class FleetObserver:
         self.engines: dict[str, int] = {}
         self.fallbacks: dict[str, int] = {}
         self._worker_walls: list[float] = []
-        self._started = time.monotonic()
-        self._cells_path = self.run_dir / "cells.jsonl"
-        self._cells_path.write_text("")  # truncate: one run, one log
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -137,10 +182,6 @@ class FleetObserver:
         return atomic_write_text(
             self.run_dir / "manifest.json",
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-    def _append(self, record: dict) -> None:
-        with self._cells_path.open("a") as fh:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     def cell_done(self, index: int, key: tuple, *, source: str,
                   wall_s: float = 0.0, pid: Optional[int] = None,
@@ -175,7 +216,7 @@ class FleetObserver:
         straggler = self._check_straggler(index, key, source, wall_s)
         if straggler:
             record["straggler"] = True
-        self._append(record)
+        self.append(record)
         if self.done % self.heartbeat_every == 0 or self.done == self.total:
             self.heartbeat()
 
@@ -195,10 +236,6 @@ class FleetObserver:
     # ------------------------------------------------------------------
     # heartbeats
     # ------------------------------------------------------------------
-    @property
-    def elapsed_s(self) -> float:
-        return time.monotonic() - self._started
-
     def eta_s(self) -> Optional[float]:
         """Projected seconds to completion from mean fresh-cell wall time."""
         remaining = self.total - self.done
@@ -221,15 +258,13 @@ class FleetObserver:
                         for pid, stats in sorted(self.workers.items())},
             "stragglers": len(self.stragglers),
         }
-        self._append(record)
-        if self.echo is not None:
-            eta_s = "?" if eta is None else f"{eta:.1f}s"
-            self.echo(
-                f"grid: {self.done}/{self.total} cells "
-                f"({self.cache_hits} cached) in {self.elapsed_s:.1f}s, "
-                f"eta {eta_s}, {len(self.workers)} worker(s)"
-                + (f", {len(self.stragglers)} straggler(s)"
-                   if self.stragglers else ""))
+        self.append(record)
+        eta_txt = "?" if eta is None else f"{eta:.1f}s"
+        self.say(f"grid: {self.done}/{self.total} cells "
+                 f"({self.cache_hits} cached) in {self.elapsed_s:.1f}s, "
+                 f"eta {eta_txt}, {len(self.workers)} worker(s)"
+                 + (f", {len(self.stragglers)} straggler(s)"
+                    if self.stragglers else ""))
         return record
 
     # ------------------------------------------------------------------
@@ -258,9 +293,7 @@ class FleetObserver:
         }
         if extra:
             summary.update(extra)
-        atomic_write_text(self.run_dir / "summary.json",
-                          json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return summary
+        return self.write_summary(summary)
 
     def write_results(self, results: Sequence[RunResult]) -> Path:
         path = self.run_dir / "results.json"
@@ -268,42 +301,24 @@ class FleetObserver:
         return path
 
 
-class LiveFleetLog:
+class LiveFleetLog(RunLog):
     """Streaming observability for a *live* multi-session run.
 
     The grid :class:`FleetObserver` streams one record per completed
     cell; a live supervisor's unit of progress is the heartbeat —
     per-session liveness and pacing-latency percentiles sampled on a
-    wall-clock interval. Same conventions, different cadence: one JSONL
-    record per event in ``live.jsonl`` (``kind`` discriminates), a
-    final ``summary.json``, and an ``echo`` callback for interactive
-    output. ``run_dir=None`` keeps everything in memory (echo only).
+    wall-clock interval, streamed into ``live.jsonl``.
     """
+
+    log_name = "live.jsonl"
 
     def __init__(self, run_dir: Optional[str | Path] = None, *,
                  echo: Optional[Callable[[str], None]] = None) -> None:
-        self.echo = echo
-        self.run_dir = Path(run_dir) if run_dir is not None else None
+        super().__init__(run_dir, echo)
         self.heartbeats = 0
-        self._started = time.monotonic()
         #: wall-clock (epoch) start stamp, for the summary — elapsed_s
         #: stays on the monotonic clock.
         self.started_unix = time.time()
-        self._log_path: Optional[Path] = None
-        if self.run_dir is not None:
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-            self._log_path = self.run_dir / "live.jsonl"
-            self._log_path.write_text("")  # truncate: one run, one log
-
-    @property
-    def elapsed_s(self) -> float:
-        return time.monotonic() - self._started
-
-    def append(self, record: dict) -> None:
-        if self._log_path is not None:
-            with self._log_path.open("a") as fh:
-                fh.write(json.dumps(record, separators=(",", ":"),
-                                    sort_keys=True) + "\n")
 
     def heartbeat(self, record: dict,
                   line: Optional[str] = None) -> dict:
@@ -312,22 +327,18 @@ class LiveFleetLog:
         record = {"kind": "heartbeat",
                   "elapsed_s": round(self.elapsed_s, 6), **record}
         self.append(record)
-        if self.echo is not None and line is not None:
-            self.echo(line)
+        if line is not None:
+            self.say(line)
         return record
 
     def finalize(self, summary: dict) -> dict:
         """Write ``summary.json`` (when a run dir exists); returns it."""
-        summary = {"kind": "live-run",
-                   "wall_s": round(self.elapsed_s, 6),
-                   "started_unix": round(self.started_unix, 3),
-                   "ended_unix": round(self.started_unix + self.elapsed_s, 3),
-                   "heartbeats": self.heartbeats, **summary}
-        if self.run_dir is not None:
-            atomic_write_text(self.run_dir / "summary.json",
-                              json.dumps(summary, indent=2, sort_keys=True)
-                              + "\n")
-        return summary
+        return self.write_summary({
+            "kind": "live-run",
+            "wall_s": round(self.elapsed_s, 6),
+            "started_unix": round(self.started_unix, 3),
+            "ended_unix": round(self.started_unix + self.elapsed_s, 3),
+            "heartbeats": self.heartbeats, **summary})
 
 
 # ----------------------------------------------------------------------

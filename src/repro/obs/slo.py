@@ -239,6 +239,18 @@ class SloWatchdog:
         }
 
 
+def format_slo_event(event: dict) -> str:
+    """The one console line for an alert event (``SLO FIRING: <rule> ...``)
+    — printed live by the fleet supervisor and after the run by the CLI."""
+    bound = event.get("bound")
+    value = event.get("value")
+    return (f"SLO {event['state'].upper()}: {event['rule']} "
+            f"({event['metric']} = "
+            f"{'-' if value is None else f'{value:g}'}, bound "
+            f"{'-' if bound is None else f'{bound:g}'}) "
+            f"at t={event['at']:.2f}s")
+
+
 def session_slo_rules(*, pacing_p99_s: float = 0.25,
                       e2e_p99_s: Optional[float] = None) -> List[SloRule]:
     """Default per-session rules (sim ``repro run --slo`` and live).

@@ -97,10 +97,6 @@ class SessionMetrics:
     def e2e_latencies(self) -> list[float]:
         return [f.e2e_latency for f in self.displayed_frames()]
 
-    def pacing_latencies(self) -> list[float]:
-        return [f.pacing_latency for f in self.frames
-                if f.pacing_latency is not None]
-
     def latency_percentile(self, q: float) -> float:
         return percentile(self.e2e_latencies(), q)
 

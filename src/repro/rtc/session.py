@@ -4,8 +4,8 @@
 codec → source → CC → pacer → ACE-N/ACE-C → ``Sender`` →
 ``TransportReceiver`` with its display sync and metrics collection.
 The sim session (:class:`RtcSession`) puts one on an :class:`EventLoop`
-behind a :class:`SimTransport`; the arena puts N on one loop behind a
-shared router chain; the live session
+in front of a :class:`NetworkPath`; the arena puts N on one loop in front
+of a shared router chain; the live session
 (:class:`repro.live.session.LiveSession`) puts one on a ``WallClock``
 between two ``UdpTransport`` endpoints.
 """
@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from repro.core.ace_c import AceCConfig, AceCController
 from repro.core.ace_n import AceNConfig, AceNController
-from repro.live.transport import SimTransport
 from repro.net.cross_traffic import PageLoadGenerator
 from repro.net.packet import Packet, PacketType
 from repro.net.path import NetworkPath, PathConfig
@@ -257,14 +256,13 @@ class RtcSession:
         self.path = NetworkPath(self.loop, trace, config.path_config(),
                                 rng=self.rngs.stream("path.loss"),
                                 discipline=queue)
-        self.transport = SimTransport(self.path)
 
         if cc_factory is None:
             def cc_factory():
                 return GccController(initial_bwe_bps=config.initial_bwe_bps)
         self.flow = FlowStack(
-            self.loop, self.transport, self.transport.send,
-            self.transport.send_feedback, self.rngs, fps=config.fps,
+            self.loop, self.path, self.path.send,
+            self.path.send_feedback, self.rngs, fps=config.fps,
             initial_bwe_bps=config.initial_bwe_bps,
             source_factory=source_factory, codec_factory=codec_factory,
             rate_control_factory=rate_control_factory,
@@ -285,9 +283,9 @@ class RtcSession:
                 rtt_estimate=config.base_rtt,
             )
 
-        self.transport.on_arrival = self._on_arrival
-        self.transport.on_feedback = self._on_feedback
-        self.transport.on_drop = self._on_drop
+        self.path.on_arrival = self._on_arrival
+        self.path.on_feedback = self._on_feedback
+        self.path.on_drop = self._on_drop
         self._finished = False
         self._display_sync = self.flow.display_sync
         #: optional :class:`repro.obs.Telemetry` (see enable_telemetry).

@@ -9,17 +9,18 @@ are the quick interactive entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.results import RunResult
+from repro.arena.grid import arena_task
 from repro.net.trace import (
     BandwidthTrace,
     make_campus_wifi_trace,
     make_weak_network_trace,
 )
+from repro.bench.parallel import GridTask, run_cells
 from repro.bench.workloads import trace_library
-from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 from repro.sim.rng import RngStream
 
@@ -167,67 +168,48 @@ def get_scenario(name: str) -> Scenario:
     return SCENARIOS[name]
 
 
+def scenario_tasks(name: str, seed: int = 3,
+                   duration: Optional[float] = None,
+                   category: Optional[str] = None,
+                   ) -> tuple[list[GridTask], list[dict]]:
+    """The cells of a scenario as grid tasks, and each cell's row labels.
+
+    One cell per (trace x baseline) — or, for an arena scenario, per
+    (trace x discipline). The labels are what a cell's result rows carry
+    beyond the task's own coordinates: the scenario's name, its label
+    for the trace (not the trace object's library name) and, for arena
+    cells, the mix string.
+    """
+    scenario = get_scenario(name)
+    category = category or scenario.category
+    config = SessionConfig(duration=duration or scenario.duration, seed=seed,
+                           fps=scenario.fps, initial_bwe_bps=6e6,
+                           **scenario.config_overrides)
+    tasks: list[GridTask] = []
+    labels: list[dict] = []
+    for trace_label, factory in scenario.traces:
+        trace = factory(seed)
+        label = {"scenario": scenario.name, "trace": trace_label}
+        if scenario.arena_mix is None:
+            cells = [GridTask(baseline, trace, category=category,
+                              config=config)
+                     for baseline in scenario.baselines]
+        else:
+            label["mix"] = scenario.arena_mix
+            cells = [arena_task(scenario.arena_mix, discipline, trace,
+                                category, config=config)
+                     for discipline in scenario.disciplines]
+        tasks += cells
+        labels += [label] * len(cells)
+    return tasks, labels
+
+
 def run_scenario(name: str, seed: int = 3,
                  duration: Optional[float] = None,
                  category: Optional[str] = None) -> list[RunResult]:
-    """Run every (baseline x trace) cell of a scenario; returns results."""
-    scenario = get_scenario(name)
-    if scenario.arena_mix is not None:
-        return _run_arena_scenario(scenario, seed=seed, duration=duration,
-                                   category=category)
-    results: list[RunResult] = []
-    for trace_label, factory in scenario.traces:
-        trace = factory(seed)
-        for baseline in scenario.baselines:
-            config = SessionConfig(
-                duration=duration or scenario.duration,
-                seed=seed,
-                fps=scenario.fps,
-                initial_bwe_bps=6e6,
-                **scenario.config_overrides,
-            )
-            session = build_session(baseline, trace, config,
-                                    category=category or scenario.category)
-            metrics = session.run()
-            results.append(RunResult.from_metrics(
-                metrics, baseline=baseline, trace=trace_label, seed=seed,
-                category=category or scenario.category,
-                scenario=scenario.name))
-    return results
-
-
-def _run_arena_scenario(scenario: Scenario, seed: int,
-                        duration: Optional[float],
-                        category: Optional[str]) -> list[RunResult]:
-    """Arena scenario: one session per (trace x discipline), per-flow
-    results tagged with the cell's Jain index and convergence time."""
-    from repro.arena import ArenaFlowSpec, ArenaSession, parse_mix
-
-    cat = category or scenario.category
-    results: list[RunResult] = []
-    for trace_label, factory in scenario.traces:
-        trace = factory(seed)
-        for discipline in scenario.disciplines:
-            config = SessionConfig(
-                duration=duration or scenario.duration,
-                seed=seed,
-                fps=scenario.fps,
-                initial_bwe_bps=6e6,
-                **scenario.config_overrides,
-            )
-            flows = [ArenaFlowSpec(**{**f, "category": cat})
-                     for f in parse_mix(scenario.arena_mix)]
-            session = ArenaSession(flows, trace, config,
-                                   discipline=discipline)
-            metrics = session.run()
-            report = metrics.fairness()
-            for fid, fm in metrics.items():
-                base = metrics.specs[fid]["baseline"]
-                results.append(RunResult.from_metrics(
-                    fm, baseline=f"{base}#{fid}@{discipline}",
-                    trace=trace_label, seed=seed, category=cat,
-                    scenario=scenario.name, mix=scenario.arena_mix,
-                    flow_id=fid, discipline=discipline,
-                    jain=report.jain_throughput,
-                    convergence_s=report.convergence_s.get(fid)))
-    return results
+    """Run every cell of a scenario; returns one result row per flow
+    (an arena cell's rows carry its Jain index and convergence times)."""
+    tasks, labels = scenario_tasks(name, seed, duration, category)
+    return [row for task, metrics, label
+            in zip(tasks, run_cells(tasks), labels)
+            for row in task.results(metrics, **label)]

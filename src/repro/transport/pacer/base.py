@@ -156,24 +156,6 @@ class Pacer(abc.ABC):
     def on_enqueue(self, packets: list[Packet]) -> None:
         """Hook for subclasses (e.g. ACE-N's frame-boundary update)."""
 
-    def _pop_next(self) -> Optional[Packet]:
-        if self._audio_queue:
-            return self._audio_queue.popleft()
-        if self._rtx_queue:
-            return self._rtx_queue.popleft()
-        if self._media_queue:
-            return self._media_queue.popleft()
-        return None
-
-    def _peek_next(self) -> Optional[Packet]:
-        if self._audio_queue:
-            return self._audio_queue[0]
-        if self._rtx_queue:
-            return self._rtx_queue[0]
-        if self._media_queue:
-            return self._media_queue[0]
-        return None
-
     #: floor on positive pump delays — waits shorter than a microsecond
     #: cannot reliably advance the float clock and would spin the loop.
     MIN_PUMP_DELAY_S = 1e-6

@@ -344,8 +344,5 @@ class TransportReceiver:
     # ------------------------------------------------------------------
     # metrics views
     # ------------------------------------------------------------------
-    def display_times(self) -> list[float]:
-        return [r.displayed_at for r in self.displayed if r.displayed_at is not None]
-
     def completed_frames(self) -> list[FrameRecord]:
         return [r for r in self.frames.values() if r.complete]

@@ -96,7 +96,6 @@ class CodecModel:
         self.satd_window = satd_window
         self._satd_mean: Optional[float] = None
         self._rc_satd_mean: Optional[float] = None
-        self._frames_encoded = 0
 
     # ------------------------------------------------------------------
     # rate-control statistics
@@ -184,7 +183,6 @@ class CodecModel:
                                        self.config.time_jitter)
         encode_time = level.encode_time(actual_bytes * 8, jitter=time_jitter)
         self.observe_satd(frame.satd)
-        self._frames_encoded += 1
         # QP proxy: log ratio of natural mid-quality bits to achieved bits;
         # bigger = coarser quantization.
         natural = self.natural_bits(frame, level_index)
@@ -209,7 +207,3 @@ class CodecModel:
         jitter = self.rng.uniform(-self.config.decode_time_jitter,
                                   self.config.decode_time_jitter)
         return max(1e-4, self.config.decode_time * (1.0 + jitter))
-
-    @property
-    def frames_encoded(self) -> int:
-        return self._frames_encoded

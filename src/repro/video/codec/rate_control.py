@@ -85,11 +85,6 @@ class AbrVbvRateControl(RateControl):
         self._u_setpoint: float | None = None
         self._rate_ewma: float | None = None
 
-    @property
-    def u_setpoint(self) -> float | None:
-        """Current quality setpoint in normalized-rate units."""
-        return self._u_setpoint
-
     def _bytes_per_u(self, codec: CodecModel, satd: float) -> float:
         """Bytes one unit of normalized rate costs for this frame."""
         qm = codec.quality_model

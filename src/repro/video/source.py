@@ -149,11 +149,6 @@ class VideoSource:
             yield self.next_frame()
 
 
-def mixed_ugc_source(rng: RngStream, fps: float = 30.0) -> "MixedSource":
-    """A corpus-like source cycling through all five categories."""
-    return MixedSource(rng, fps=fps)
-
-
 class MixedSource:
     """Concatenates segments from every category (UGC-corpus stand-in).
 

@@ -57,12 +57,20 @@ class TestCommands:
         assert "p95 ms" in out
         assert "latency breakdown" in out
 
-    def test_compare_prints_all_rows(self, capsys):
-        rc = main(["compare", "--baselines", "cbr,always-burst",
-                   "--trace", "const:15", "--duration", "3"])
+    def test_grid_prints_all_rows(self, capsys):
+        """`grid` prints the metrics rows `repro compare --baselines
+        cbr,always-burst --trace const:15 --duration 3` printed at
+        92b9b19 (recorded there), under their cell keys."""
+        rc = main(["grid", "--baselines", "cbr,always-burst", "--traces",
+                   "const:15", "--seeds", "1", "--duration", "3"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "cbr" in out and "always-burst" in out
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if "/constant/1/gaming" in line]
+        assert rows == [
+            ["cbr/constant/1/gaming",
+             "139.0", "60.0", "56.4", "1.32%", "1.87%", "30.0"],
+            ["always-burst/constant/1/gaming",
+             "250.0", "50.0", "23.8", "15.22%", "20.73%", "30.0"]]
 
     def test_sweep_rtt(self, capsys):
         rc = main(["sweep-rtt", "--baseline", "cbr", "--rtts", "20,40",
@@ -426,13 +434,22 @@ class TestCommonFlagsAreHonoured:
         # CoDel is outside the batch fast path: announced, not silent.
         assert capsys.readouterr().err.count("fell back") == 2
 
-    def test_evaluate_goes_through_the_runner(self, tmp_path, monkeypatch,
-                                              capsys):
+    def test_grid_goes_through_the_runner(self, tmp_path, monkeypatch,
+                                          capsys):
+        import repro.bench.parallel as parallel
+        ran = []
+        real = parallel.ParallelRunner.run
+
+        def spy(self, tasks, observer=None):
+            ran.append((self.jobs, len(list(tasks))))
+            return real(self, tasks, observer=observer)
+
+        monkeypatch.setattr(parallel.ParallelRunner, "run", spy)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        argv = ["evaluate", "--baselines", "cbr,ace-fec", "--traces",
-                "const:15,const:10", "--duration", "1.5", "--reference",
-                "cbr", "--engine", "batch", "--cache"]
+        argv = ["grid", "--baselines", "cbr,ace-fec", "--traces",
+                "const:15,wifi", "--seeds", "1", "--duration", "1.5",
+                "--engine", "batch", "--cache"]
         assert main(argv) == 0
         cold = capsys.readouterr()
         assert "hits=0 misses=4 stores=4" in cold.out
@@ -440,9 +457,23 @@ class TestCommonFlagsAreHonoured:
         assert main(argv + ["--jobs", "2"]) == 0
         warm = capsys.readouterr()
         assert "hits=4 misses=0" in warm.out
+        assert ran == [(1, 4), (2, 4)]
         # Same table from the cache as from the fresh run.
         assert (cold.out.split("stores=4", 1)[1].splitlines()[1:]
                 == warm.out.split("corrupt=0", 1)[1].splitlines()[1:])
+
+    def test_run_and_grid_share_a_cache_entry(self, tmp_path, monkeypatch,
+                                              capsys):
+        """One rule for what enters the cache key: the cell `run`
+        stored is the cell `grid` asks for on the same coordinates."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        assert main(["run", "--baseline", "cbr", "--trace", "const:15",
+                     "--duration", "1.5", "--seed", "2", "--cache"]) == 0
+        assert "hits=0 misses=1 stores=1" in capsys.readouterr().out
+        assert main(["grid", "--baselines", "cbr", "--traces", "const:15",
+                     "--seeds", "2", "--duration", "1.5", "--cache"]) == 0
+        assert "hits=1 misses=0 stores=0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["why", "--jobs", "2"], ["trace", "--cache"],

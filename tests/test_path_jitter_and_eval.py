@@ -64,22 +64,25 @@ class TestDelayJitter:
         assert np.median(estimates) < 30_000
 
 
-class TestEvaluateCommand:
-    def test_evaluate_prints_comparison(self, capsys):
-        rc = main(["evaluate", "--baselines", "cbr,always-burst",
-                   "--traces", "const:15", "--duration", "3",
-                   "--reference", "cbr"])
+class TestGridIsTheEvaluation:
+    """`repro grid --run-dir` is what `repro evaluate` was: the
+    comparison against a reference baseline and the results JSON."""
+
+    def test_grid_run_dir_prints_comparison(self, tmp_path, capsys):
+        rc = main(["grid", "--baselines", "cbr,always-burst",
+                   "--traces", "const:15", "--seeds", "1", "--duration", "3",
+                   "--run-dir", str(tmp_path / "run")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "cbr" in out and "always-burst" in out
-        assert "vs ref" in out
+        assert "paired comparisons vs cbr" in out
 
-    def test_evaluate_writes_json(self, tmp_path, capsys):
-        out_file = tmp_path / "eval.json"
-        rc = main(["evaluate", "--baselines", "cbr", "--traces", "const:15",
-                   "--duration", "3", "--out", str(out_file)])
+    def test_grid_run_dir_writes_json(self, tmp_path, capsys):
+        rc = main(["grid", "--baselines", "cbr", "--traces", "const:15",
+                   "--seeds", "1", "--duration", "3",
+                   "--run-dir", str(tmp_path / "run")])
         assert rc == 0
-        payload = json.loads(out_file.read_text())
+        payload = json.loads((tmp_path / "run" / "results.json").read_text())
         assert len(payload) == 1
         assert payload[0]["baseline"] == "cbr"
         assert payload[0]["p95_latency"] > 0

@@ -1,9 +1,18 @@
 """Tests for the named scenario presets."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.scenarios import SCENARIOS, get_scenario, list_scenarios, run_scenario
+
+#: ``run_scenario(name, duration=3)`` as ``RunResult.to_dict()`` rows,
+#: recorded at 92b9b19 — the serial per-scenario loops, before scenario
+#: cells became grid tasks on the shared executor.
+PARENT_ROWS = json.loads((Path(__file__).parent / "data"
+                          / "scenario_rows_92b9b19.json").read_text())
 
 
 def test_registry_lists_paper_sections():
@@ -54,6 +63,32 @@ def test_run_arena_scenario_emits_per_flow_results():
         assert r.extra["mix"] == scenario.arena_mix
         assert 0.0 < r.extra["jain"] <= 1.0
         assert r.extra["discipline"] == "droptail"
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_ROWS))
+def test_executor_reproduces_the_rows_of_the_serial_loops(name):
+    """Every field equal; the extras may only have grown (an arena row
+    now carries the union of the grid's and the scenario's)."""
+    rows = [r.to_dict() for r in run_scenario(name, duration=3)]
+    assert len(rows) == len(PARENT_ROWS[name])
+    for now, was in zip(rows, PARENT_ROWS[name]):
+        assert was["extra"].items() <= now["extra"].items()
+        assert {**now, "extra": None} == {**was, "extra": None}
+
+
+def test_scenario_cells_run_on_the_shared_executor(monkeypatch):
+    import repro.bench.parallel as parallel
+    ran = []
+    real = parallel.ParallelRunner.run
+
+    def spy(self, tasks, observer=None):
+        ran.append([task.key() for task in tasks])
+        return real(self, tasks, observer=observer)
+
+    monkeypatch.setattr(parallel.ParallelRunner, "run", spy)
+    run_scenario("arena-aqm", seed=2, duration=2.0)
+    assert ran == [[(f"arena:ace+webrtc-star{suffix}", "wifi-0", 2, "gaming")
+                    for suffix in ("", "@codel", "@pie", "@confucius")]]
 
 
 def test_category_override():
