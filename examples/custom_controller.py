@@ -36,7 +36,14 @@ class HalfBurstPacer(Pacer):
     """Custom policy: burst the first half of each frame, pace the rest.
 
     A minimal example of the sub-RTT design space the paper studies —
-    it needs only ``_next_send_delay`` (and an ``on_send`` hook).
+    it needs only ``_next_send_delay`` (and an ``on_send`` hook). That
+    is enough for the reference loop and live mode; ``--engine batch``
+    falls back to the reference loop for it ("unsupported pacer type
+    HalfBurstPacer"). To put a custom pacer on the batch engine's fast
+    path, also state the policy over a whole train:
+    ``release_train(sizes, cum, floor, target)`` returns the release
+    times of the packets that leave by ``target`` and commits them —
+    see ``LeakyBucketPacer.release_train`` for the shape.
     """
 
     def __init__(self, loop, send_fn):

@@ -50,6 +50,8 @@ if TYPE_CHECKING:
 EPS_BYTES = 1e-6
 #: Relative slack for rate/size comparisons.
 REL_EPS = 1e-9
+#: How often a polling auditor (live mode) samples the session's state.
+POLL_INTERVAL_S = 0.05
 
 
 def _close(a: float, b: float) -> bool:
@@ -110,10 +112,10 @@ class SessionAuditor:
 
     Attach with :meth:`attach` (sim: per-event via ``loop.on_event``)
     or :meth:`attach_polling` (live: periodic, via ``clock.call_later``
-    — wall clocks have no event hook). ``fine_grained`` gates the checks
-    that are only sound when evaluated at event granularity (decision
-    conformance against mutable controller scratch state); polling mode
-    forces it off.
+    — wall clocks have no event hook). The checks that are only sound
+    at event granularity (decision conformance against mutable
+    controller scratch state) run under ``fine_grained``, which polling
+    mode turns off.
     """
 
     def __init__(self, clock: "Clock", pacer: "Pacer", *,
@@ -123,7 +125,6 @@ class SessionAuditor:
                  cc: Optional["CongestionController"] = None,
                  rtt_floor: Optional[float] = None,
                  strict: bool = True,
-                 fine_grained: bool = True,
                  max_violations: int = 50,
                  telemetry=None) -> None:
         self.clock = clock
@@ -137,7 +138,7 @@ class SessionAuditor:
         self.cc = cc
         self.rtt_floor = rtt_floor
         self.strict = strict
-        self.fine_grained = fine_grained
+        self.fine_grained = True
         self.max_violations = max_violations
         self.violations: List[Violation] = []
         self.events_checked = 0
@@ -162,7 +163,6 @@ class SessionAuditor:
         self._prev_hook: Optional[Callable] = None
         self._hooked_loop = None
         self._poll_timer: Optional["ScheduledCall"] = None
-        self._poll_interval: Optional[float] = None
 
     # ------------------------------------------------------------------
     # attachment
@@ -189,7 +189,7 @@ class SessionAuditor:
             self._traj_bucket = self.ace_n.bucket_bytes
         return self
 
-    def attach_polling(self, interval_s: float = 0.1) -> "SessionAuditor":
+    def attach_polling(self) -> "SessionAuditor":
         """Periodic auditing for clocks without an event hook (live mode).
 
         Timing-sensitive conformance checks are disabled (the controller
@@ -207,9 +207,8 @@ class SessionAuditor:
         if self.ace_n is not None:
             self._decision_cursor = len(self.ace_n.decisions)
             self._traj_bucket = self.ace_n.bucket_bytes
-        self._poll_interval = interval_s
         self._poll_timer = self.clock.call_later(
-            interval_s, self._poll_tick, "audit.poll")
+            POLL_INTERVAL_S, self._poll_tick, "audit.poll")
         return self
 
     def detach(self) -> None:
@@ -317,7 +316,7 @@ class SessionAuditor:
         if not self._saturated:
             self.check_now()
         self._poll_timer = self.clock.call_later(
-            self._poll_interval, self._poll_tick, "audit.poll")
+            POLL_INTERVAL_S, self._poll_tick, "audit.poll")
 
     def _fail(self, invariant: str, detail: str) -> None:
         if self._saturated:
@@ -441,27 +440,10 @@ class SessionAuditor:
         rate = bucket.rate_bps
         if rate <= 0 or not math.isfinite(rate):
             self._fail("pacer.token-rate", f"token rate {rate} not positive")
-        elif pacer.max_queue_time_s is None:
-            if not _close(rate, expected):
-                self._fail("pacer.token-rate",
-                           f"token rate {rate:.1f} != pacing_rate x factor "
-                           f"{expected:.1f}")
-        else:
-            # The queue-time valve may only *raise* the rate, and at most
-            # to the level the current backlog justifies. The check is
-            # one-sided upward (retransmission/audio enqueues refresh the
-            # valve lazily, at the next frame enqueue or send).
-            valve = pacer.queued_bytes * 8 / pacer.max_queue_time_s
-            ceiling = max(expected, valve)
-            if rate < expected * (1 - REL_EPS) - EPS_BYTES:
-                self._fail("pacer.token-rate",
-                           f"token rate {rate:.1f} below pacing_rate x factor"
-                           f" {expected:.1f}")
-            elif rate > ceiling * (1 + REL_EPS) + EPS_BYTES:
-                self._fail("pacer.token-rate",
-                           f"token rate {rate:.1f} exceeds valve ceiling "
-                           f"{ceiling:.1f} (backlog {pacer.queued_bytes} B): "
-                           "inflated rate persisted after the backlog drained")
+        elif not _close(rate, expected):
+            self._fail("pacer.token-rate",
+                       f"token rate {rate:.1f} != pacing_rate x factor "
+                       f"{expected:.1f}")
 
     def _check_cc(self) -> None:
         bwe = self.cc.bwe_bps

@@ -167,18 +167,22 @@ class QueueEstimator:
             return 0.0
         return max(0.0, standing - self._rtt_min)
 
-    def queue_bytes(self, now: float) -> float:
-        """Estimated in-network queue size in bytes (records history)."""
+    def estimate(self, now: float) -> QueueEstimate:
+        """The in-network queue estimate as of ``now`` (pure read)."""
         delay = self.queue_delay()
         cap_raw = self.packet_pair.capacity_bps()
         capacity = cap_raw if cap_raw is not None else self.default_capacity_bps
-        queue = delay * capacity / 8.0
-        self.estimates.append(QueueEstimate(
-            time=now, queue_bytes=queue, queue_delay=delay,
+        return QueueEstimate(
+            time=now, queue_bytes=delay * capacity / 8.0, queue_delay=delay,
             capacity_bps=cap_raw,
             rtt_standing=self.rtt_standing(), rtt_min=self._rtt_min,
-        ))
-        return queue
+        )
+
+    def queue_bytes(self, now: float) -> float:
+        """Estimated in-network queue size in bytes (records history)."""
+        estimate = self.estimate(now)
+        self.estimates.append(estimate)
+        return estimate.queue_bytes
 
     def peak_queue_bytes(self) -> float:
         """Peak queue estimate over the recent window (max RTT based).

@@ -13,6 +13,8 @@ compare directly with frame and queue sizes.
 
 from __future__ import annotations
 
+import numpy as np
+
 #: Tolerance (bytes) absorbing float rounding in refill arithmetic, so a
 #: bucket that is short by 1e-10 bytes does not stall the pacer on a
 #: sub-representable wait time.
@@ -22,10 +24,11 @@ EPSILON_BYTES = 1e-6
 class TokenBucket:
     """Byte-denominated token bucket with lazy refill.
 
-    The refill arithmetic is inlined into :meth:`consume` and
-    :meth:`time_until_available` (the per-packet hot path) — keep any
-    change to the formula mirrored across all copies, bit-for-bit, or
-    fixed-seed sessions stop being reproducible.
+    The refill arithmetic is inlined into :meth:`consume`,
+    :meth:`time_until_available` (the per-packet hot path) and
+    :meth:`drain_train` (the per-train one) — keep any change to the
+    formula mirrored across all copies, bit-for-bit, or fixed-seed
+    sessions stop being reproducible. No other module restates it.
     """
 
     __slots__ = ("_rate_bps", "_bucket_bytes", "_tokens", "_last_refill")
@@ -73,11 +76,18 @@ class TokenBucket:
     # ------------------------------------------------------------------
     # token accounting
     # ------------------------------------------------------------------
-    def _refill(self, now: float) -> None:
+    def level_at(self, now: float) -> float:
+        """Token count at ``now`` as a pure read, for observers: a lazy
+        refill between two sends would shift float rounding and break
+        bit-identical fixed-seed runs."""
         elapsed = now - self._last_refill
         if elapsed > 0:
-            self._tokens = min(self._bucket_bytes,
-                               self._tokens + elapsed * self._rate_bps / 8.0)
+            return min(self._bucket_bytes,
+                       self._tokens + elapsed * self._rate_bps / 8.0)
+        return self._tokens
+
+    def _refill(self, now: float) -> None:
+        self._tokens = self.level_at(now)
         self._last_refill = max(self._last_refill, now)
 
     def tokens(self, now: float) -> float:
@@ -86,13 +96,7 @@ class TokenBucket:
         return self._tokens
 
     def can_send(self, size_bytes: float, now: float) -> bool:
-        elapsed = now - self._last_refill
-        if elapsed > 0:
-            filled = self._tokens + elapsed * self._rate_bps / 8.0
-            cap = self._bucket_bytes
-            self._tokens = cap if filled > cap else filled
-            self._last_refill = now
-        return self._tokens >= size_bytes - EPSILON_BYTES
+        return self.tokens(now) >= size_bytes - EPSILON_BYTES
 
     def consume(self, size_bytes: float, now: float) -> bool:
         """Take ``size_bytes`` tokens if available; returns success."""
@@ -126,3 +130,37 @@ class TokenBucket:
         if needed <= EPSILON_BYTES:
             return 0.0
         return needed * 8.0 / self._rate_bps
+
+    def drain_train(self, cum: np.ndarray, floor: float,
+                    target: float) -> np.ndarray:
+        """Release times, up to ``target``, of a backlog whose cumulative
+        bytes are ``cum`` and that may start leaving at ``floor``; the
+        released bytes are consumed.
+
+        Release times follow the per-packet path exactly: packet ``j``
+        leaves once cumulative tokens cover its cumulative bytes, i.e. at
+        ``floor + (cum_j - tokens(floor)) * 8 / rate`` (clamped to
+        ``floor``). The cap cannot bind mid-backlog — tokens stay below
+        one payload (< the bucket floor) while packets wait — so refill
+        is linear and the drain is exactly piecewise linear.
+        """
+        rate = self._rate_bps
+        elapsed = floor - self._last_refill
+        if elapsed > 0:
+            filled = self._tokens + elapsed * rate / 8.0
+            cap = self._bucket_bytes
+            self._tokens = cap if filled > cap else filled
+            self._last_refill = floor
+        tokens = self._tokens
+        d = floor + (cum - tokens) * (8.0 / rate)
+        if d[0] < floor:
+            np.maximum(d, floor, out=d)
+        if d[-1] > target:
+            d = d[:int(np.searchsorted(d, target, side="right"))]
+        n = len(d)
+        if n:
+            last = float(d[-1])
+            left = tokens + (last - floor) * (rate / 8.0) - float(cum[n - 1])
+            self._tokens = left if left > 0.0 else 0.0
+            self._last_refill = last
+        return d

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
@@ -52,8 +52,6 @@ class AutoscaleConfig:
     #: the SLO: fleet pacing p99 must stay under this, and no session
     #: may fail. Matches the check_perf --live-load bound by default.
     p99_limit_ms: float = 250.0
-    #: extra config forwarded to every round's LoadConfig.
-    load_kwargs: dict = field(default_factory=dict)
 
 
 def probe_round(sessions: int, cfg: AutoscaleConfig,
@@ -64,7 +62,7 @@ def probe_round(sessions: int, cfg: AutoscaleConfig,
         sessions=sessions, mix=tuple(cfg.mix), ramp=0.0,
         duration=cfg.duration, drain=cfg.drain, seed=cfg.seed,
         bottleneck_mbps=cfg.bottleneck_mbps,
-        heartbeat_interval=0.5, **cfg.load_kwargs))
+        heartbeat_interval=0.5))
     summary = supervisor.summary
     p99 = summary["pacing_p99_ms"]
     failed = summary["failed"]
@@ -153,8 +151,7 @@ def run_autoscale(cfg: Optional[AutoscaleConfig] = None, *,
         "mix": list(cfg.mix),
         "rounds": rounds,
         "created_unix": round(time.time(), 3),
-        "config": {k: v for k, v in asdict(cfg).items()
-                   if k != "load_kwargs"},
+        "config": asdict(cfg),
     }
     if artifact_path is not None:
         path = Path(artifact_path)

@@ -4,11 +4,14 @@ CI-class machines have no ``tc``/``netem`` and no Mahimahi, so a live
 session shapes its own traffic: before a media datagram reaches the
 socket, the shim decides *when* it is allowed onto the wire (trace-
 driven serialization behind a drop-tail queue, plus propagation delay)
-or that it is dropped (queue overflow or random loss). The model is the
-wall-clock analogue of :class:`repro.net.link.Link` +
-:class:`repro.net.path.NetworkPath`:
+or that it is dropped (queue overflow or random loss). The bottleneck
+is the simulator's: departures come from :func:`repro.net.link.serve`,
+the law :class:`repro.net.link.Link` runs, behind the same drop-tail
+admission, and the path adds :class:`repro.net.path.NetworkPath`'s
+propagation:
 
-    sendto time = max(now, link busy-until) + size/rate + one-way delay
+    start, depart = serve(link busy-until, now, size, trace.rate_at)
+    sendto time = depart + one-way delay
 
 The reverse (feedback) path is uncongested and only pays propagation,
 exactly like the paper's downlink-only Mahimahi emulation.
@@ -19,9 +22,11 @@ a live run can be compared against a simulation of the same trace.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.net.link import serve
 from repro.net.trace import BandwidthTrace
 from repro.sim.rng import RngStream
 
@@ -63,7 +68,7 @@ class LoopbackImpairment:
         #: virtual time the emulated bottleneck is busy until.
         self._busy_until = 0.0
         #: (depart_time, size) of datagrams still in the virtual queue.
-        self._in_queue: list[tuple[float, int]] = []
+        self._in_queue: deque[tuple[float, int]] = deque()
         self._queued_bytes = 0
 
     # ------------------------------------------------------------------
@@ -78,24 +83,19 @@ class LoopbackImpairment:
         if self.trace is None:
             self.delivered += 1
             return self.config.one_way_delay
-        self._expire_queue(now)
+        queue = self._in_queue
+        while queue and queue[0][0] <= now:     # departed: off the queue
+            self._queued_bytes -= queue.popleft()[1]
         if self._queued_bytes + size_bytes > self.config.queue_capacity_bytes:
             self.dropped += 1
             return None
-        rate = max(self.trace.rate_at(now), 1.0)
-        start = now if now > self._busy_until else self._busy_until
-        depart = start + size_bytes * 8 / rate
+        _start, depart = serve(self._busy_until, now, size_bytes,
+                               self.trace.rate_at)
         self._busy_until = depart
-        self._in_queue.append((depart, size_bytes))
+        queue.append((depart, size_bytes))
         self._queued_bytes += size_bytes
         self.delivered += 1
         return (depart - now) + self.config.one_way_delay
-
-    def _expire_queue(self, now: float) -> None:
-        """Forget datagrams whose departure time has passed."""
-        queue = self._in_queue
-        while queue and queue[0][0] <= now:
-            self._queued_bytes -= queue.pop(0)[1]
 
     # ------------------------------------------------------------------
     # reverse path

@@ -112,12 +112,11 @@ class LoadConfig:
     slo: bool = False
     #: fleet pacing-delay p99 bound (seconds) for the default SLO rules.
     slo_pacing_p99_s: float = 0.25
-    #: watchdog drill: clamp one session's pacing rate to the floor at
-    #: this session time (seconds from that session's join)...
+    #: watchdog drill: clamp the first session's pacing rate to the floor
+    #: at this session time (seconds from its join)...
     inject_stall_at: Optional[float] = None
-    #: ...for this long, in the session picked by ``inject_stall_session``.
+    #: ...for this long.
     inject_stall_duration: float = 1.0
-    inject_stall_session: int = 0
 
 
 def build_load_specs(config: LoadConfig,
@@ -147,8 +146,7 @@ def build_load_specs(config: LoadConfig,
             series=config.series,
             pacer_stats_cap=config.pacer_stats_cap,
             cpu_accounting=config.cpu_accounting)
-        if (config.inject_stall_at is not None
-                and i == config.inject_stall_session % config.sessions):
+        if config.inject_stall_at is not None and i == 0:
             live.inject_stall_at = config.inject_stall_at
             live.inject_stall_duration = config.inject_stall_duration
         if trace_factory is not None:

@@ -60,10 +60,9 @@ class LiveConfig:
     shaped: bool = True
     #: attach a polling invariant auditor (``repro live --check``). Wall
     #: clocks have no per-event hook, so the auditor samples state every
-    #: ``audit_interval_s``; violations are collected on the session's
-    #: ``auditor`` and surfaced by the caller.
+    #: ``audit.auditor.POLL_INTERVAL_S``; violations are collected on the
+    #: session's ``auditor`` and surfaced by the caller.
     audit: bool = False
-    audit_interval_s: float = 0.05
     #: enable :class:`repro.obs.Telemetry` (frame spans, metric registry,
     #: flight recorder). Implied by ``stats_port``.
     telemetry: bool = False
@@ -228,7 +227,7 @@ class LiveSession:
                 clock, pacer, ace_n=sender.ace_n, cc=stack.cc,
                 rtt_floor=config.base_rtt,
                 telemetry=telemetry,
-            ).attach_polling(config.audit_interval_s)
+            ).attach_polling()
 
         stats_server = None
         media_elapsed = config.duration

@@ -14,10 +14,11 @@ when a packet leaves it in one of two ways (DESIGN §3b):
   the selected packet stays queued while it serializes, so occupancy
   accounting is discipline-independent. Any discipline, any caller.
 * **closed-form** — a drop-tail FIFO server fixes a departure the moment
-  it accepts the packet (``start = max(arrival, previous finish)``,
-  ``finish = start + 8·size/rate(start)``): :meth:`Link.send` stamps it,
-  schedules nothing, and *retires* due departures into the counters at
-  the next arrival or state read — bit-identical to the evented link.
+  it accepts the packet (:func:`serve`: ``start = max(arrival, previous
+  finish)``, ``finish = start + 8·size/rate(start)``): :meth:`Link.send`
+  stamps it, schedules nothing, and *retires* due departures into the
+  counters at the next arrival or state read — bit-identical to the
+  evented link.
   :class:`~repro.net.path.NetworkPath` selects it.
 """
 
@@ -34,7 +35,7 @@ from repro.net.trace import BandwidthTrace
 from repro.sim.events import EventLoop
 
 __all__ = ["DEFAULT_QUEUE_CAPACITY_BYTES", "DropTailQueue", "Link",
-           "LinkStats"]
+           "LinkStats", "serve"]
 
 
 @dataclass
@@ -55,6 +56,29 @@ class LinkStats:
     def drop_rate(self) -> float:
         total = self.enqueued_packets + self.dropped_packets
         return self.dropped_packets / total if total else 0.0
+
+
+def serve(free_at: float, arrival: float, size: int,
+          rate_at: Callable[[float], float]) -> tuple[float, float]:
+    """The drop-tail FIFO server's law: ``(start, finish)`` of a packet of
+    ``size`` bytes accepted at ``arrival`` by a link busy until ``free_at``.
+
+    These are the float operations of ``_start_service``/``_retry_service``
+    run at enqueue: service starts when the packet is there and the link
+    is free, an outage is stepped like the 50 ms retry events, and the
+    packet serializes at the trace rate of its service start. Every
+    walker of the bottleneck asks here — :meth:`Link.send`, the batch
+    engine's scalar lane, the live impairment shim — and keeps its own
+    accounting.
+    """
+    start = arrival if arrival > free_at else free_at
+    rate = rate_at(start)
+    while rate <= 0:
+        start += 0.05
+        rate = rate_at(start)
+        if start > arrival + 1e5:   # the events would spin until the horizon
+            raise RuntimeError("link outage outlasts 1e5 s: no departure")
+    return start, start + size * 8 / rate
 
 
 class Link:
@@ -165,16 +189,9 @@ class Link:
             return True
         queue._queue.append(packet)
         queue._bytes = queued
-        # The float operations of _start_service/_retry_service, run now.
-        start = now if now > self._free_at else self._free_at
-        rate = self._rate_at(start)
-        while rate <= 0:        # outage, stepped like the 50 ms retry events
-            start += 0.05
-            rate = self._rate_at(start)
-            if start > now + 1e5:   # the events would spin until the horizon
-                raise RuntimeError("link outage outlasts 1e5 s: no departure")
-        self._free_at = packet.t_leave_queue = finish = start + size * 8 / rate
-        departures.append((start, finish))
+        departure = serve(self._free_at, now, size, self._rate_at)
+        self._free_at = packet.t_leave_queue = departure[1]
+        departures.append(departure)
         self.on_deliver(packet)
         return True
 

@@ -8,14 +8,9 @@ the burst analyzer (``repro.obs.burst``), the SLO watchdog
 (``repro.obs.slo``) and the autoscale probe — previously three
 hand-rolled copies with subtly different empty-input behaviour.
 
-Two deliberate non-users:
-
-* ``repro.rtc.metrics.percentile`` is numpy-interpolated and feeds the
-  committed result schema — changing it would shift every reported
-  latency table.
-* ``repro.transport.playout._tracked_percentile`` is a *controller*
-  input (its floor-index convention is part of the simulated system,
-  protected by golden fingerprints), not a reporting statistic.
+One deliberate non-user: ``repro.rtc.metrics.percentile`` is
+numpy-interpolated and feeds the committed result schema — changing it
+would shift every reported latency table.
 
 :class:`SampleWindow` is the bounded recent-window ring the burst
 analyzer keeps per signal: rows arrive in bulk (one numpy batch per

@@ -3,12 +3,12 @@
 :func:`instrument_stack` registers the canonical gauges and counters —
 token level, bucket size, estimated queue, BWE, pacer backlog, link
 queue, loss events — against live component objects. Every sample
-function is a *pure read*: in particular the token level is recomputed
-virtually from the bucket's raw fields (never via ``tokens(now)``,
-whose lazy refill would shift float rounding and break bit-identical
-fixed-seed runs — the same rule the invariant auditor follows), and the
-queue estimate is recomputed from the estimator's non-mutating parts
-(``queue_bytes(now)`` appends to its history).
+function is a *pure read*, and the components own the reads that need
+care: the token level is ``TokenBucket.level_at`` (never
+``tokens(now)``, whose lazy refill would shift float rounding and break
+bit-identical fixed-seed runs — the same rule the invariant auditor
+follows), the queue estimate ``QueueEstimator.estimate``
+(``queue_bytes(now)`` appends it to the history).
 """
 
 from __future__ import annotations
@@ -23,23 +23,6 @@ if TYPE_CHECKING:
     from repro.obs.recorder import Telemetry
     from repro.transport.cc.base import CongestionController
     from repro.transport.pacer.base import Pacer
-
-
-def _virtual_tokens(pacer: TokenBucketPacer, telemetry: "Telemetry") -> float:
-    """Token count at ``now`` without advancing the lazy-refill state."""
-    bucket = pacer.bucket
-    elapsed = telemetry.now - bucket._last_refill
-    tokens = bucket._tokens
-    if elapsed > 0:
-        tokens = min(bucket._bucket_bytes,
-                     tokens + elapsed * bucket._rate_bps / 8.0)
-    return tokens
-
-
-def _est_queue_bytes(ace_n: "AceNController") -> float:
-    """The estimator's current queue view without recording history."""
-    est = ace_n.queue_estimator
-    return est.queue_delay() * est.capacity_bps() / 8.0
 
 
 def _occupancy(telemetry: "Telemetry", component, attr: str,
@@ -90,7 +73,8 @@ def instrument_stack(telemetry: "Telemetry", *,
         if isinstance(pacer, TokenBucketPacer):
             registry.gauge(
                 "bucket.token_level_bytes",
-                sample_fn=lambda p=pacer, t=telemetry: _virtual_tokens(p, t),
+                sample_fn=lambda p=pacer, t=telemetry: p.bucket.level_at(
+                    t.now),
                 help="Token-bucket fill level in bytes")
             registry.gauge("bucket.size_bytes",
                            sample_fn=lambda p=pacer: p.bucket_bytes,
@@ -102,11 +86,14 @@ def instrument_stack(telemetry: "Telemetry", *,
         registry.gauge("cc.bwe_bps", sample_fn=lambda c=cc: c.bwe_bps,
                        help="Bandwidth estimate in bits per second")
     if ace_n is not None:
+        def est_queue() -> float:
+            return ace_n.queue_estimator.estimate(telemetry.now).queue_bytes
+
         registry.gauge("ace.bucket_bytes",
                        sample_fn=lambda a=ace_n: a.bucket_bytes,
                        help="ACE-N controller bucket size in bytes")
         registry.gauge("ace.est_queue_bytes",
-                       sample_fn=lambda a=ace_n: _est_queue_bytes(a),
+                       sample_fn=est_queue,
                        help="ACE-N estimated network queue in bytes")
         registry.gauge("ace.decisions",
                        sample_fn=lambda a=ace_n: len(a.decisions),
@@ -118,12 +105,12 @@ def instrument_stack(telemetry: "Telemetry", *,
         # what the queue-threshold rule shrinks the bucket by.
         registry.gauge(
             "ace.bucket_minus_queue_bytes",
-            sample_fn=lambda a=ace_n: a.bucket_bytes - _est_queue_bytes(a),
+            sample_fn=lambda a=ace_n: a.bucket_bytes - est_queue(),
             help="Token-bucket size minus estimated in-network queue")
         registry.gauge(
             "ace.threshold_excess_bytes",
             sample_fn=lambda a=ace_n: max(
-                0.0, _est_queue_bytes(a) - a.config.threshold_bytes),
+                0.0, est_queue() - a.config.threshold_bytes),
             help="Estimated queue bytes above the ACE threshold T")
     if link is not None:
         registry.gauge("link.queue_bytes",

@@ -23,10 +23,17 @@ Structure:
   loss bookkeeping) take a scalar lane through the *reference* pacer
   and path machinery.
 
+The pipeline owns the walk, not the laws: *when* a queued train leaves
+is the pacer's own closed form (``Pacer.release_train``; the scalar lane
+asks the same pacer's ``_next_send_delay``), and *when* a packet the
+bottleneck accepted departs is ``repro.net.link.serve`` — the functions
+the reference loop and the live runtime run, so this module names no
+pacer class and restates neither policy.
+
 Configurations outside the fast path's model (random/contention loss,
-delay jitter, cross traffic, FEC, audio, playout buffers, audit or
-profiler hooks on the loop, valve-enabled pacers) fall back to
-reference semantics: ``advance`` simply runs the event loop, producing
+delay jitter, cross traffic, FEC, audio, audit or profiler hooks on the
+loop, a pacer without ``release_train``) fall back to reference
+semantics: ``advance`` simply runs the event loop, producing
 bit-identical results to ``--engine reference``. The fallback reason is
 kept on the engine (and on the returned metrics) for tests and
 diagnostics.
@@ -52,11 +59,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.net.packet import Packet, PacketType
+from repro.net.link import serve
+from repro.net.packet import Packet
 from repro.transport.pacer.base import Pacer
-from repro.transport.pacer.burst import BurstPacer
-from repro.transport.pacer.leaky_bucket import LeakyBucketPacer
-from repro.transport.pacer.token_bucket_pacer import TokenBucketPacer
 
 if TYPE_CHECKING:
     from repro.rtc.session import RtcSession
@@ -112,17 +117,8 @@ def ineligible_reason(session: "RtcSession") -> Optional[str]:
         return "event hook attached (audit/tracing)"
     if session.loop.profiler is not None:
         return "loop profiler attached"
-    if session.receiver.playout is not None:
-        return "playout buffer enabled"
-    if isinstance(pacer, TokenBucketPacer):
-        if pacer.max_queue_time_s is not None:
-            return "token pacer queue-time valve enabled"
-        if pacer.on_frame_enqueued is not None:
-            return "token pacer frame-enqueue hook set"
-    elif isinstance(pacer, LeakyBucketPacer):
-        if pacer.max_queue_time_s is not None:
-            return "leaky pacer queue-time valve enabled"
-    elif not isinstance(pacer, BurstPacer):
+    if type(pacer).release_train is Pacer.release_train:
+        # A pacer is batchable iff it states its closed form.
         return f"unsupported pacer type {type(pacer).__name__}"
     return None
 
@@ -219,12 +215,6 @@ class BatchPipeline:
         self.telemetry = session.telemetry
         self.half_hop = session.path._half_hop
         self.capacity = self.link.queue.capacity_bytes
-        if isinstance(self.pacer, TokenBucketPacer):
-            self._pacer_kind = "token"
-        elif isinstance(self.pacer, LeakyBucketPacer):
-            self._pacer_kind = "leaky"
-        else:
-            self._pacer_kind = "burst"
         # --- pacer state -------------------------------------------------
         #: bursts with unreleased packets, FIFO (the media queue).
         self._media: deque[FrameBurst] = deque()
@@ -338,15 +328,20 @@ class BatchPipeline:
         offset = seq - burst.seq0
         if offset >= burst.count:
             return None
+        return self._packet(burst, offset)
+
+    @staticmethod
+    def _packet(burst: FrameBurst, index: int) -> Packet:
+        """The Packet the packetizer would have built for ``burst[index]``."""
         packet = Packet(
-            size_bytes=int(burst.sizes[offset]),
-            seq=seq,
+            size_bytes=int(burst.sizes[index]),
+            seq=burst.seq0 + index,
             frame_id=burst.frame_id,
-            frame_packet_index=offset,
+            frame_packet_index=index,
             frame_packet_count=burst.count,
             t_enqueue_pacer=burst.enqueue_time,
         )
-        if offset == 0 and burst.prev_sent_frame_id is not None:
+        if index == 0 and burst.prev_sent_frame_id is not None:
             packet.prev_sent_frame_id = burst.prev_sent_frame_id
         return packet
 
@@ -388,141 +383,54 @@ class BatchPipeline:
         if floor < loop.now:
             floor = loop.now
         rtx = pacer._rtx_queue
-        if rtx:
+        while rtx:
             # Scalar lane: retransmissions go through the unmodified
-            # reference release machinery (timestamps, stats, token
-            # consumption, send hooks) one packet at a time.
-            kind = self._pacer_kind
-            while rtx:
-                head = rtx[0]
-                if kind == "token":
-                    delay = pacer.bucket.time_until_available(
-                        head.size_bytes, floor)
-                elif kind == "leaky":
-                    delay = pacer._next_send_time - floor
-                    if delay < 0.0:
-                        delay = 0.0
-                else:
-                    delay = 0.0
-                if delay > 0.0:
-                    release_at = floor + (delay if delay > _MIN_PUMP
-                                          else _MIN_PUMP)
-                else:
-                    release_at = floor
-                if release_at > target:
-                    # Head blocked beyond this advance; media must not
-                    # overtake it (strict queue priority).
-                    self._last_release = floor
-                    return
-                rtx.popleft()
-                loop.now = release_at
-                pacer._release(head)
-                floor = release_at
-        if self._media:
-            if self._pacer_kind == "token":
-                floor = self._drain_media_token(target, floor)
-            elif self._pacer_kind == "leaky":
-                floor = self._drain_media_leaky(target, floor)
+            # reference release machinery (the pacer's own policy,
+            # timestamps, stats, token consumption, send hooks) one
+            # packet at a time, the clock standing where the pump would.
+            head = rtx[0]
+            loop.now = floor
+            delay = pacer._next_send_delay(head)
+            if delay > 0.0:
+                release_at = floor + (delay if delay > _MIN_PUMP
+                                      else _MIN_PUMP)
             else:
-                floor = self._drain_media_burst(floor)
-        self._last_release = floor
-
-    def _drain_media_token(self, target: float, floor: float) -> float:
-        """Closed-form token-bucket drain of queued media bursts.
-
-        Release times follow the reference pump exactly: packet ``j`` of
-        the backlog leaves once cumulative tokens cover its cumulative
-        bytes, i.e. at ``floor + (cum_j - tokens(floor)) * 8 / rate``
-        (clamped to ``floor``). The cap cannot bind mid-backlog — tokens
-        stay below one payload (< the bucket floor) while packets wait —
-        so refill is linear and the drain is exactly piecewise linear.
-        """
-        bucket = self.pacer.bucket
-        rate = bucket._rate_bps
-        elapsed = floor - bucket._last_refill
-        if elapsed > 0:
-            filled = bucket._tokens + elapsed * rate / 8.0
-            cap = bucket._bucket_bytes
-            bucket._tokens = cap if filled > cap else filled
-            bucket._last_refill = floor
+                release_at = floor
+            if release_at > target:
+                # Head blocked beyond this advance; media must not
+                # overtake it (strict queue priority).
+                self._last_release = floor
+                return
+            rtx.popleft()
+            loop.now = release_at
+            pacer._release(head)
+            floor = release_at
         media = self._media
         while media:
+            # Vector lane: the pacer's own closed form says which prefix
+            # of the head train leaves by ``target``, and has committed
+            # it (DESIGN §10, *Macro-step math*).
             burst = media[0]
             sent = burst.sent
             cum = burst.cum[sent:]
             if sent:
                 cum = cum - burst.cum[sent - 1]
-            tokens = bucket._tokens
-            d = floor + (cum - tokens) * (8.0 / rate)
-            if d[0] < floor:
-                np.maximum(d, floor, out=d)
-            if d[-1] <= target:
-                n = len(d)
-            else:
-                n = int(np.searchsorted(d, target, side="right"))
-                if n == 0:
-                    break
-                d = d[:n]
-            self._release_media(burst, sent, n, d)
-            last = float(d[-1])
-            left = tokens + (last - floor) * (rate / 8.0) - float(cum[n - 1])
-            bucket._tokens = left if left > 0.0 else 0.0
-            bucket._last_refill = last
-            floor = last
-            if burst.sent < burst.count:
+            d = pacer.release_train(burst.sizes[sent:], cum, floor, target)
+            n = len(d)
+            if n == 0:
                 break
-            media.popleft()
-        return floor
-
-    def _drain_media_leaky(self, target: float, floor: float) -> float:
-        """Constant-rate drain: departures one serialization apart."""
-        pacer = self.pacer
-        rate = pacer.effective_rate_bps
-        next_send = pacer._next_send_time
-        media = self._media
-        while media:
-            burst = media[0]
-            sent = burst.sent
-            ser = burst.sizes[sent:] * (8.0 / rate)
-            first = next_send if next_send > floor else floor
-            d = np.empty(len(ser))
-            d[0] = first
-            np.cumsum(ser[:-1], out=d[1:])
-            d[1:] += first
-            if d[-1] <= target:
-                n = len(d)
-            else:
-                n = int(np.searchsorted(d, target, side="right"))
-                if n == 0:
-                    break
-                d = d[:n]
-            self._release_media(burst, sent, n, d)
+            self._release_media(burst, sent, n, d, cum[:n])
             floor = float(d[-1])
-            next_send = floor + float(ser[n - 1])
             if burst.sent < burst.count:
                 break
             media.popleft()
-        pacer._next_send_time = next_send
-        return floor
-
-    def _drain_media_burst(self, floor: float) -> float:
-        """No pacing: everything queued leaves immediately."""
-        media = self._media
-        while media:
-            burst = media.popleft()
-            sent = burst.sent
-            n = burst.count - sent
-            d = np.full(n, floor)
-            self._release_media(burst, sent, n, d)
-        return floor
+        self._last_release = floor
 
     def _release_media(self, burst: FrameBurst, lo: int, n: int,
-                       d: np.ndarray) -> None:
+                       d: np.ndarray, cum_bytes: np.ndarray) -> None:
         """Bulk twin of Pacer._release + Sender._packet_leaves_pacer."""
         hi = lo + n
         sizes = burst.sizes[lo:hi]
-        prev_cum = float(burst.cum[lo - 1]) if lo else 0.0
-        cum_bytes = burst.cum[lo:hi] - prev_cum if lo else burst.cum[:hi]
         chunk_bytes = int(cum_bytes[-1])
         pacer = self.pacer
         pacer._queued_bytes -= chunk_bytes
@@ -642,37 +550,32 @@ class BatchPipeline:
         n = len(e)
         for i in range(n):
             entry = float(e[i])
-            size = int(sizes[i])
-            self._pop_finished(entry)
-            if self._q_bytes + size > self.capacity:
+            finish = self._serve_scalar(entry, int(sizes[i]))
+            if finish is None:
                 if run_f:
                     self._flush_run(run_f, run_start, send_times, sizes,
                                     burst, lo)
                     run_f = []
                 run_start = -1
-                self._drop_media(burst, lo + i, size, entry,
-                                 float(send_times[i]))
+                packet = self._packet(burst, lo + i)
+                packet.t_leave_pacer = float(send_times[i])
+                packet.t_enter_queue = entry
+                self._drop(packet)
                 continue
-            finish = self._serve_scalar(entry, size)
-            self._q_bytes += size
-            self._fin.append((finish, size))
             if run_start < 0:
                 run_start = i
             run_f.append(finish)
         if run_f:
             self._flush_run(run_f, run_start, send_times, sizes, burst, lo)
 
-    def _serve_scalar(self, entry: float, size: int) -> float:
-        start = entry if entry > self._busy_until else self._busy_until
-        rate = self.trace.rate_at(start)
-        while rate <= 0.0:
-            # Outage: the reference link retries every 50 ms, and gives
-            # up on a link that never comes back the same way.
-            start += 0.05
-            rate = self.trace.rate_at(start)
-            if start > entry + 1e5:
-                raise RuntimeError("link outage outlasts 1e5 s: no departure")
-        finish = start + size * 8.0 / rate
+    def _serve_scalar(self, entry: float, size: int) -> Optional[float]:
+        """One packet through the drop-tail queue: its finish time by the
+        link's own law, or None — a tail drop, for the caller to report."""
+        self._pop_finished(entry)
+        if self._q_bytes + size > self.capacity:
+            return None
+        start, finish = serve(self._busy_until, entry, size,
+                              self.trace.rate_at)
         stats = self.link.stats
         stats.enqueued_packets += 1
         stats.enqueued_bytes += size
@@ -680,6 +583,8 @@ class BatchPipeline:
         stats.delivered_bytes += size
         stats.busy_time += finish - start
         self._busy_until = finish
+        self._q_bytes += size
+        self._fin.append((finish, size))
         return finish
 
     def _flush_run(self, run_f: list[float], run_start: int,
@@ -693,25 +598,12 @@ class BatchPipeline:
             [arrivals, send_times[run_start:hi], run_sizes,
              burst, lo + run_start, 0, int(run_sizes.sum())])
 
-    def _drop_media(self, burst: FrameBurst, index: int, size: int,
-                    entry: float, send_time: float) -> None:
-        """Tail-drop a burst packet: materialize it for loss accounting."""
-        packet = Packet(
-            size_bytes=size,
-            seq=burst.seq0 + index,
-            frame_id=burst.frame_id,
-            frame_packet_index=index,
-            frame_packet_count=burst.count,
-            t_enqueue_pacer=burst.enqueue_time,
-            t_leave_pacer=send_time,
-            t_enter_queue=entry,
-            dropped=True,
-        )
-        if index == 0 and burst.prev_sent_frame_id is not None:
-            packet.prev_sent_frame_id = burst.prev_sent_frame_id
+    def _drop(self, packet: Packet) -> None:
+        """Tail drop: a burst packet is materialized for the loss path."""
+        packet.dropped = True
         stats = self.link.stats
         stats.dropped_packets += 1
-        stats.dropped_bytes += size
+        stats.dropped_bytes += packet.size_bytes
         self.link.on_drop(packet)
 
     def _pop_finished(self, t: float) -> None:
@@ -748,18 +640,10 @@ class BatchPipeline:
         departure = self.loop.now
         entry = departure + self.half_hop
         packet.t_enter_queue = entry
-        size = packet.size_bytes
-        self._pop_finished(entry)
-        if self._q_bytes + size > self.capacity:
-            packet.dropped = True
-            stats = self.link.stats
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
-            self.link.on_drop(packet)
+        finish = self._serve_scalar(entry, packet.size_bytes)
+        if finish is None:
+            self._drop(packet)
             return
-        finish = self._serve_scalar(entry, size)
-        self._q_bytes += size
-        self._fin.append((finish, size))
         packet.t_leave_queue = finish
         self._deliveries.append((finish + self.half_hop, packet))
 

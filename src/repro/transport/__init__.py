@@ -21,7 +21,6 @@ from repro.transport.cc.delivery_rate import DeliveryRateController
 from repro.transport.receiver import TransportReceiver, FrameRecord
 from repro.transport.fec import FecConfig, FecDecoder, FecEncoder
 from repro.transport.audio import AudioReceiver, AudioSource
-from repro.transport.playout import PlayoutBuffer, PlayoutConfig
 
 __all__ = [
     "Packetizer",
@@ -45,6 +44,4 @@ __all__ = [
     "FecDecoder",
     "AudioSource",
     "AudioReceiver",
-    "PlayoutBuffer",
-    "PlayoutConfig",
 ]

@@ -65,7 +65,8 @@ class Pacer(abc.ABC):
     """Base class: FIFO media queue + priority retransmission queue.
 
     Subclasses implement :meth:`_next_send_delay`, returning how long to
-    wait before the head packet may be released (0 = immediately).
+    wait before the head packet may be released (0 = immediately), and
+    may state the same policy over a whole train (:meth:`release_train`).
 
     ``loop`` is any :class:`~repro.live.clock.Clock`: pacers schedule
     their pump exclusively through the clock protocol, so the same
@@ -131,7 +132,6 @@ class Pacer(abc.ABC):
             self.stats.enqueued_packets += 1
             self.stats.enqueued_bytes += packet.size_bytes
         self.stats.occupancy_samples.append((now, self._queued_bytes))
-        self.on_enqueue(packets)
         self._schedule_pump(0.0)
 
     def enqueue_retransmission(self, packet: Packet) -> None:
@@ -152,9 +152,6 @@ class Pacer(abc.ABC):
         self.stats.enqueued_packets += 1
         self.stats.enqueued_bytes += packet.size_bytes
         self._schedule_pump(0.0)
-
-    def on_enqueue(self, packets: list[Packet]) -> None:
-        """Hook for subclasses (e.g. ACE-N's frame-boundary update)."""
 
     #: floor on positive pump delays — waits shorter than a microsecond
     #: cannot reliably advance the float clock and would spin the loop.
@@ -228,3 +225,18 @@ class Pacer(abc.ABC):
     @abc.abstractmethod
     def _next_send_delay(self, packet: Packet) -> float:
         """Seconds until ``packet`` may be released (0 = now)."""
+
+    def release_train(self, sizes, cum, floor: float, target: float):
+        """Optional closed form of the pump over a queued media train.
+
+        ``sizes``/``cum`` are the arrays of packet sizes and cumulative
+        bytes of the train at the head of the media queue, ``floor`` the
+        earliest instant anything may leave (the clock, or the last
+        release if later). Returns the array of release times of the
+        packets that leave by ``target`` — a prefix, possibly empty — and
+        commits them: the policy's own state is left as
+        :meth:`_next_send_delay` + :meth:`on_send` would have left it,
+        packet by packet. ``None`` (the default) states no closed form;
+        the batch engine then runs the session on the reference loop.
+        """
+        return None

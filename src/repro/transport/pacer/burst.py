@@ -7,6 +7,8 @@ network buffer absorbs the bursts, and collapses once it cannot.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.net.packet import Packet
 from repro.transport.pacer.base import Pacer
 
@@ -18,3 +20,6 @@ class BurstPacer(Pacer):
 
     def _next_send_delay(self, packet: Packet) -> float:
         return 0.0
+
+    def release_train(self, sizes, cum, floor, target):
+        return np.full(len(sizes), floor)

@@ -9,7 +9,7 @@ a frame, whole frames burst out back-to-back.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.token_bucket import TokenBucket
 from repro.net.packet import DEFAULT_PAYLOAD_BYTES, Packet
@@ -22,20 +22,15 @@ if TYPE_CHECKING:
 class TokenBucketPacer(Pacer):
     """Pacer gated by a byte-denominated token bucket."""
 
-    __slots__ = ("min_bucket_bytes", "max_queue_time_s", "rate_factor",
-                 "bucket", "on_frame_enqueued", "_bucket_size_log")
+    __slots__ = ("min_bucket_bytes", "rate_factor", "bucket",
+                 "_bucket_size_log")
 
     def __init__(self, loop: "Clock", send_fn: Callable[[Packet], None],
                  initial_bucket_bytes: float = 30_000.0,
                  min_bucket_bytes: float = 2 * DEFAULT_PAYLOAD_BYTES,
-                 rate_factor: float = 2.5,
-                 max_queue_time_s: Optional[float] = None,
-                 on_frame_enqueued: Optional[Callable[[list[Packet]], None]] = None) -> None:
+                 rate_factor: float = 2.5) -> None:
         super().__init__(loop, send_fn)
         self.min_bucket_bytes = min_bucket_bytes
-        #: optional queue-time valve (disabled by default; see
-        #: LeakyBucketPacer for why).
-        self.max_queue_time_s = max_queue_time_s
         #: Token rate = rate_factor x the CCA's estimate. WebRTC's CC
         #: stack configures its pacer at 2.5x the target bitrate so the
         #: sender never self-throttles below the network's ability to
@@ -47,23 +42,15 @@ class TokenBucketPacer(Pacer):
             bucket_bytes=max(initial_bucket_bytes, min_bucket_bytes),
             now=loop.now,
         )
-        self.on_frame_enqueued = on_frame_enqueued
         self._bucket_size_log: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------------
     # control surface
     # ------------------------------------------------------------------
-    def _token_rate(self) -> float:
-        """Token rate the valve law prescribes for the current backlog."""
-        token_rate = self.pacing_rate_bps * self.rate_factor
-        if self.max_queue_time_s is not None:
-            token_rate = max(token_rate,
-                             self.queued_bytes * 8 / self.max_queue_time_s)
-        return token_rate
-
     def set_pacing_rate(self, rate_bps: float) -> None:
         super().set_pacing_rate(rate_bps)
-        self.bucket.set_rate(self._token_rate(), self.loop.now)
+        self.bucket.set_rate(self.pacing_rate_bps * self.rate_factor,
+                             self.loop.now)
         # Rate changes can unblock the head packet sooner.
         self._schedule_pump(0.0)
 
@@ -95,15 +82,6 @@ class TokenBucketPacer(Pacer):
         # bucket; treat the bucket as drained in that case.
         if not self.bucket.consume(packet.size_bytes, self.loop.now):
             self.bucket.consume(self.bucket.tokens(self.loop.now), self.loop.now)
-        if self.max_queue_time_s is not None:
-            # The valve inflates the token rate with the backlog, so the
-            # rate must deflate as the backlog drains — holding the
-            # inflated rate until the CCA's next update would burst
-            # above what ACE-N intended after the queue empties.
-            self.bucket.set_rate(self._token_rate(), self.loop.now)
 
-    def on_enqueue(self, packets: list[Packet]) -> None:
-        if self.max_queue_time_s is not None:
-            self.bucket.set_rate(self._token_rate(), self.loop.now)
-        if self.on_frame_enqueued is not None and packets:
-            self.on_frame_enqueued(packets)
+    def release_train(self, sizes, cum, floor, target):
+        return self.bucket.drain_train(cum, floor, target)

@@ -1,4 +1,4 @@
-"""Transport receiver: frame reassembly, jitter buffer, stall accounting.
+"""Transport receiver: frame reassembly, in-order display, stall accounting.
 
 Collects arriving packets, reassembles frames (waiting for
 retransmissions of lost packets), displays frames in order after decode,
@@ -17,7 +17,6 @@ from repro.transport.fec import FecDecoder
 if TYPE_CHECKING:
     from repro.live.clock import Clock
 from repro.transport.feedback import DEFAULT_FEEDBACK_INTERVAL_S, FeedbackBuilder, FeedbackMessage
-from repro.transport.playout import PlayoutBuffer
 
 
 @dataclass
@@ -64,7 +63,6 @@ class TransportReceiver:
                  decode_time_fn: Callable[[], float],
                  feedback_interval: float = DEFAULT_FEEDBACK_INTERVAL_S,
                  skip_timeout: float = 0.4,
-                 playout_buffer: Optional["PlayoutBuffer"] = None,
                  telemetry=None) -> None:
         self.loop = loop
         #: optional :class:`repro.obs.Telemetry` for receiver-side span
@@ -94,9 +92,6 @@ class TransportReceiver:
         #: FEC repair state (active as soon as parity packets arrive).
         self.fec = FecDecoder(on_repair=self._fec_repair)
         self._fec_meta: dict[int, tuple[int, int, int, int]] = {}
-        #: optional NetEQ-style playout scheduling (None = display as
-        #: soon as decoded, the paper's measurement mode).
-        self.playout = playout_buffer
         #: set by the pipeline so quality can be attached to frame records
         self.frame_quality: dict[int, float] = {}
         self.frame_capture_time: dict[int, float] = {}
@@ -255,10 +250,8 @@ class TransportReceiver:
                                          name="receiver.skip")
                 return
             decode = self.decode_time_fn()
+            # Displayed as soon as decoded: the paper's measurement mode.
             display_at = self.loop.now + decode
-            if self.playout is not None:
-                display_at = self.playout.schedule(record.capture_time,
-                                                   display_at)
             record.displayed_at = display_at
             if self.telemetry is not None:
                 self.telemetry.frame_stage(record.frame_id, "displayed",

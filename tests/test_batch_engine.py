@@ -24,10 +24,12 @@ import pytest
 from repro.analysis.aggregate import paired_compare
 from repro.analysis.results import RunResult, canonical_metrics_json
 from repro.net.trace import BandwidthTrace, make_wifi_trace
-from repro.rtc.baselines import build_session, list_baselines
-from repro.rtc.session import SessionConfig
+from repro.rtc.baselines import (build_session, get_spec, list_baselines,
+                                 stack_kwargs)
+from repro.rtc.session import RtcSession, SessionConfig
 from repro.sim import ENGINE_NAMES, get_engine
 from repro.sim.rng import RngStream
+from repro.transport.pacer.base import Pacer
 
 #: paired-compare tolerance for fast-path sessions: measured worst
 #: relative divergence on 12-second wifi sessions is ~4e-12 (float
@@ -126,6 +128,43 @@ def test_batch_fallback_is_reference_exact(config_kwargs, expect):
     batch_session, batch_metrics = _run_metrics("ace", trace, cfg, "batch")
     reason = batch_session.engine.fallback_reason
     assert reason is not None and expect in reason
+    assert (canonical_metrics_json(ref_metrics)
+            == canonical_metrics_json(batch_metrics))
+
+
+class _SlotPacer(Pacer):
+    """The ``examples/custom_controller.py`` shape: a policy stated only
+    as ``_next_send_delay`` + ``on_send``, no ``release_train``."""
+
+    __slots__ = ("_next_slot",)
+
+    def __init__(self, loop, send_fn):
+        super().__init__(loop, send_fn)
+        self._next_slot = 0.0
+
+    def _next_send_delay(self, packet):
+        return max(0.0, self._next_slot - self.loop.now)
+
+    def on_send(self, packet):
+        self._next_slot = (max(self._next_slot, self.loop.now)
+                           + packet.size_bytes * 8 / (2 * self.pacing_rate_bps))
+
+
+def test_a_pacer_without_a_closed_form_falls_back_reference_exact():
+    trace = BandwidthTrace.constant(8e6, duration=8.0)
+    cfg = SessionConfig(duration=2.5, seed=9)
+
+    def run(engine):
+        parts = stack_kwargs(get_spec("webrtc-star"), cfg)
+        parts["pacer_factory"] = _SlotPacer
+        session = RtcSession(trace=trace, config=cfg, **parts, engine=engine)
+        return session, session.run()
+
+    _, ref_metrics = run("reference")
+    batch_session, batch_metrics = run("batch")
+    reason = batch_session.engine.fallback_reason
+    assert reason is not None and "unsupported pacer type" in reason
+    assert ref_metrics.packets_sent > 100
     assert (canonical_metrics_json(ref_metrics)
             == canonical_metrics_json(batch_metrics))
 

@@ -20,8 +20,10 @@ from repro.live import (
 )
 from repro.live.clock import WallClock
 from repro.live.session import build_live_session, run_live
+from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
+from repro.sim.events import EventLoop
 from repro.sim.rng import SeedSequenceFactory
 
 
@@ -71,6 +73,77 @@ def test_impairment_random_loss_uses_rng_stream():
         ImpairmentConfig(random_loss_rate=0.0),
         rng=SeedSequenceFactory(1).stream("path.loss"))
     assert lossless.admit(1200, now=0.0) is not None
+
+
+def _mbps_trace(*mbps):
+    """One sample per 200 ms, the paper's trace format."""
+    return BandwidthTrace([0.2 * i for i in range(len(mbps))],
+                          [m * 1e6 for m in mbps])
+
+
+def _link_departures(trace, capacity, offers):
+    """Departure per offered ``(time, size)`` (None = tail drop) from the
+    simulator's closed-form drop-tail ``Link``."""
+    loop = EventLoop()
+    link = Link(loop, trace, queue_capacity_bytes=capacity,
+                on_deliver=lambda packet: None)
+    link.depart_at_enqueue(0.0)
+    packets = [Packet(size_bytes=size, seq=i)
+               for i, (_t, size) in enumerate(offers)]
+    for (t, _size), packet in zip(offers, packets):
+        loop.call_at(t, lambda p=packet: link.send(p))
+    loop.run(until=offers[-1][0] + 1.0)
+    return [None if p.dropped else p.t_leave_queue for p in packets]
+
+
+def _shim_departures(trace, capacity, offers):
+    shim = LoopbackImpairment(
+        ImpairmentConfig(base_rtt=0.0, queue_capacity_bytes=capacity),
+        trace=trace)
+    delays = [shim.admit(size, now=t) for t, size in offers]
+    return [None if delay is None else t + delay
+            for (t, _size), delay in zip(offers, delays)]
+
+
+@pytest.mark.parametrize("mbps, capacity, offers", [
+    # a 4 x 12.5 kB backlog across a 1 -> 10 Mbps step: the last two
+    # serialize at the rate of *their* service start
+    ((1, 10), 100_000, [(0.0, 12_500)] * 4),
+    # an outage two samples long, met by a fresh datagram and by one
+    # offered after the link is back
+    ((10, 0, 0, 10, 10), 100_000, [(0.25, 1200), (0.7, 1200)]),
+    # an overflow burst: tail drops, then room again as the queue drains
+    ((1, 1), 3000, [(0.0, 1250)] * 4 + [(0.011, 1250), (0.05, 1250)]),
+])
+def test_shim_bottleneck_is_the_simulators(mbps, capacity, offers):
+    """Same offers, same departures and same drops as ``Link``: the live
+    shim runs the simulator's FIFO service law, not a copy of it."""
+    link = _link_departures(_mbps_trace(*mbps), capacity, offers)
+    shim = _shim_departures(_mbps_trace(*mbps), capacity, offers)
+    assert [d is None for d in shim] == [d is None for d in link]
+    assert any(d is not None for d in link)
+    assert shim == pytest.approx(link, abs=1e-9)
+
+
+def test_shim_rate_step_and_outage_departures():
+    step = _shim_departures(_mbps_trace(1, 10), 100_000, [(0.0, 12_500)] * 4)
+    assert step == pytest.approx([0.1, 0.2, 0.21, 0.22])
+    # A datagram that meets a zero-rate sample waits for the link to
+    # return at 0.6 s (found within one 50 ms retry step), not 8 * size
+    # seconds at a 1 bps floor — and does not hold up the one after it.
+    waited, after = _shim_departures(_mbps_trace(10, 0, 0, 10, 10), 100_000,
+                                     [(0.25, 1200), (0.7, 1200)])
+    assert 0.6 < waited <= 0.65 + 0.00096 + 1e-9
+    assert after == pytest.approx(0.70096)
+
+
+def test_shim_on_a_link_that_never_comes_back_raises_like_the_link():
+    offers = [(0.0, 1200)]
+    with pytest.raises(RuntimeError, match="outlasts 1e5 s") as link_error:
+        _link_departures(_mbps_trace(0, 0), 100_000, offers)
+    with pytest.raises(RuntimeError) as shim_error:
+        _shim_departures(_mbps_trace(0, 0), 100_000, offers)
+    assert str(shim_error.value) == str(link_error.value)
 
 
 def test_impairment_feedback_delay_is_reverse_propagation():

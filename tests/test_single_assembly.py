@@ -6,7 +6,9 @@ three times. These ``ast`` checks fail the moment a second construction
 site, a second stall clamp, or a second args→``SessionConfig`` mapping
 reappears under ``src/repro`` — and, one level up, a second place that
 turns metrics into result rows, opens a run directory, runs a scenario
-cell, or defines a CLI flag another command already has.
+cell, or defines a CLI flag another command already has; and, one level
+down, a second statement of a pacer's release policy, the token refill
+or the bottleneck's service law.
 """
 
 import ast
@@ -111,6 +113,34 @@ def test_scenarios_build_tasks_and_run_nothing_themselves():
               if isinstance(node, ast.Call)}
     assert not called & {"build_session", "run", "ArenaSession"}
     assert {"GridTask", "arena_task", "run_cells"} <= called
+
+
+def test_each_pacing_and_link_law_is_stated_once():
+    """The batch engine asks the pacer (``release_train``) and the link
+    (``net.link.serve``); nothing outside the owners restates either."""
+    batch = ast.parse((SRC / "sim" / "batch.py").read_text())
+    imported = {node.module for node in ast.walk(batch)
+                if isinstance(node, ast.ImportFrom)}
+    assert {m for m in imported if m.startswith("repro.transport.pacer")} \
+        == {"repro.transport.pacer.base"}
+    for node in ast.walk(batch):
+        if isinstance(node, ast.Call) and _name(node.func) == "isinstance":
+            assert "pacer" not in ast.unparse(node).lower()
+        assert getattr(node, "attr", None) != "_pacer_kind"
+
+    owners = ("core/token_bucket.py", "transport/pacer/")
+    outlasts = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("_last_refill", "_next_send_time")):
+                assert rel.startswith(owners), f"{rel}:{node.lineno}"
+            if (isinstance(node, ast.Raise) and node.exc is not None
+                    and "outlasts 1e5 s" in ast.unparse(node.exc)):
+                outlasts.append(rel)
+    assert outlasts == ["net/link.py"]
 
 
 #: flags whose meaning genuinely is per command (an output path of four

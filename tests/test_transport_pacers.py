@@ -175,38 +175,6 @@ class TestTokenBucketPacer:
         gaps = [b - a for a, b in zip(sent, sent[1:])]
         assert all(g == pytest.approx(0.008, abs=1e-3) for g in gaps)
 
-    def test_frame_enqueue_hook(self):
-        loop = EventLoop()
-        seen = []
-        pacer = TokenBucketPacer(loop, lambda p: None,
-                                 on_frame_enqueued=lambda pkts: seen.append(len(pkts)))
-        pacer.enqueue(packets(4))
-        assert seen == [4]
-
-    def test_queue_time_valve_deflates_as_backlog_drains(self):
-        """Regression: the valve-inflated token rate must fall back as the
-        backlog drains, not persist until the CCA's next rate update."""
-        loop = EventLoop()
-        pacer = TokenBucketPacer(loop, lambda p: None,
-                                 initial_bucket_bytes=2400, rate_factor=1.0,
-                                 max_queue_time_s=0.1)
-        pacer.set_pacing_rate(1.2e6)
-        pacer.enqueue(packets(50))  # 60 KB / 100 ms -> valve wants 4.8 Mbps
-        assert pacer.bucket.rate_bps == pytest.approx(4.8e6)
-        loop.drain()
-        assert pacer.queued_bytes == 0
-        assert pacer.bucket.rate_bps == pytest.approx(1.2e6)
-
-    def test_queue_time_valve_never_below_token_rate(self):
-        loop = EventLoop()
-        pacer = TokenBucketPacer(loop, lambda p: None, rate_factor=2.0,
-                                 max_queue_time_s=0.1)
-        pacer.set_pacing_rate(1.2e6)
-        pacer.enqueue(packets(2))  # tiny backlog: valve demand below base
-        assert pacer.bucket.rate_bps == pytest.approx(2.4e6)
-        loop.drain()
-        assert pacer.bucket.rate_bps == pytest.approx(2.4e6)
-
     def test_no_spin_on_fractional_tokens(self):
         """Regression: sub-representable waits must not stall the loop."""
         loop = EventLoop()
