@@ -89,9 +89,3 @@ def to_csv(metrics: SessionMetrics, path: Optional[str | Path] = None,
     if path is not None:
         atomic_write_text(path, text)
     return text
-
-
-def load_csv(path: str | Path) -> list[dict]:
-    """Read a timeline CSV back into dict rows (strings untyped)."""
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))

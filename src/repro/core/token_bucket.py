@@ -95,9 +95,6 @@ class TokenBucket:
         self._refill(now)
         return self._tokens
 
-    def can_send(self, size_bytes: float, now: float) -> bool:
-        return self.tokens(now) >= size_bytes - EPSILON_BYTES
-
     def consume(self, size_bytes: float, now: float) -> bool:
         """Take ``size_bytes`` tokens if available; returns success."""
         elapsed = now - self._last_refill

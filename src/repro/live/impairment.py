@@ -5,12 +5,12 @@ session shapes its own traffic: before a media datagram reaches the
 socket, the shim decides *when* it is allowed onto the wire (trace-
 driven serialization behind a drop-tail queue, plus propagation delay)
 or that it is dropped (queue overflow or random loss). The bottleneck
-is the simulator's: departures come from :func:`repro.net.link.serve`,
-the law :class:`repro.net.link.Link` runs, behind the same drop-tail
-admission, and the path adds :class:`repro.net.path.NetworkPath`'s
-propagation:
+is the simulator's, ledger and all: a
+:class:`repro.net.link.DropTailServer`, the object a closed-form
+:class:`repro.net.link.Link` runs, fed at wall-clock arrival times, and
+the path adds :class:`repro.net.path.NetworkPath`'s propagation:
 
-    start, depart = serve(link busy-until, now, size, trace.rate_at)
+    depart = server.offer(now, size)        # None: tail drop
     sendto time = depart + one-way delay
 
 The reverse (feedback) path is uncongested and only pays propagation,
@@ -22,11 +22,10 @@ a live run can be compared against a simulation of the same trace.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.link import serve
+from repro.net.link import DropTailServer, LinkStats
 from repro.net.trace import BandwidthTrace
 from repro.sim.rng import RngStream
 
@@ -61,15 +60,12 @@ class LoopbackImpairment:
                  trace: Optional[BandwidthTrace] = None,
                  rng: Optional[RngStream] = None) -> None:
         self.config = config
-        self.trace = trace
         self.rng = rng
         self.dropped = 0
         self.delivered = 0
-        #: virtual time the emulated bottleneck is busy until.
-        self._busy_until = 0.0
-        #: (depart_time, size) of datagrams still in the virtual queue.
-        self._in_queue: deque[tuple[float, int]] = deque()
-        self._queued_bytes = 0
+        #: the emulated bottleneck (None: unshaped path).
+        self.server = None if trace is None else DropTailServer(
+            trace, config.queue_capacity_bytes, LinkStats())
 
     # ------------------------------------------------------------------
     # forward path
@@ -80,20 +76,13 @@ class LoopbackImpairment:
                 and self.rng.random() < self.config.random_loss_rate):
             self.dropped += 1
             return None
-        if self.trace is None:
+        if self.server is None:
             self.delivered += 1
             return self.config.one_way_delay
-        queue = self._in_queue
-        while queue and queue[0][0] <= now:     # departed: off the queue
-            self._queued_bytes -= queue.popleft()[1]
-        if self._queued_bytes + size_bytes > self.config.queue_capacity_bytes:
+        depart = self.server.offer(now, size_bytes)
+        if depart is None:
             self.dropped += 1
             return None
-        _start, depart = serve(self._busy_until, now, size_bytes,
-                               self.trace.rate_at)
-        self._busy_until = depart
-        queue.append((depart, size_bytes))
-        self._queued_bytes += size_bytes
         self.delivered += 1
         return (depart - now) + self.config.one_way_delay
 
@@ -107,5 +96,6 @@ class LoopbackImpairment:
 
     @property
     def queued_bytes(self) -> int:
-        """Current virtual bottleneck queue occupancy (diagnostics)."""
-        return self._queued_bytes
+        """Virtual bottleneck queue occupancy as of the last datagram
+        (diagnostics)."""
+        return 0 if self.server is None else self.server.queued_bytes

@@ -83,12 +83,13 @@ class QueueDiscipline(Protocol):
 class DropTailQueue:
     """FIFO byte-bounded queue; arrivals beyond capacity are dropped.
 
-    This is the paper's queue model, extracted from ``net/link.py``
-    unchanged: the link's closed-form path reaches into ``_queue``/
-    ``_bytes`` directly. The protocol methods (``enqueue``/
+    This is the paper's queue model. The protocol methods (``enqueue``/
     ``select_head``/``pop_head``) are what the evented link drives; they
-    are one-frame bodies, not wrappers over ``try_push``/``peek``/``pop``,
-    because a jittered or audited session pays them per packet.
+    are one-frame bodies, not wrappers over ``try_push``/``pop``, because
+    a jittered or audited session pays them per packet. A closed-form
+    link (``net/link.py``) runs the same admission rule on its
+    ``DropTailServer`` and leaves this object empty: it then only names
+    the discipline and its capacity.
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES) -> None:
@@ -106,10 +107,6 @@ class DropTailQueue:
     def bytes_queued(self) -> int:
         return self._bytes
 
-    @property
-    def headroom_bytes(self) -> int:
-        return self.capacity_bytes - self._bytes
-
     def try_push(self, packet: Packet) -> bool:
         """Append ``packet`` if it fits; return False (drop) otherwise."""
         return self.enqueue(packet, 0.0)    # drop-tail never reads the clock
@@ -118,9 +115,6 @@ class DropTailQueue:
         packet = self._queue.popleft()
         self._bytes -= packet.size_bytes
         return packet
-
-    def peek(self) -> Optional[Packet]:
-        return self._queue[0] if self._queue else None
 
     # -- QueueDiscipline protocol ------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:

@@ -87,10 +87,6 @@ class PacketPairEstimator:
             self._samples.extend(
                 ((sizes[mask] * 8) / arrival_gaps[mask]).tolist())
 
-    @property
-    def sample_count(self) -> int:
-        return len(self._samples)
-
     def capacity_bps(self) -> Optional[float]:
         """Current capacity estimate, or None before ``min_samples`` pairs."""
         n = len(self._samples)
@@ -104,7 +100,3 @@ class PacketPairEstimator:
         if n & 1:
             return ordered[mid]
         return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-    def reset(self) -> None:
-        self._last_send = None
-        self._samples.clear()

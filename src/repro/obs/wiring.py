@@ -149,6 +149,10 @@ def instrument_arena(telemetry: "Telemetry", arena) -> "Telemetry":
     registry = telemetry.registry
     links = arena.path.links
     for i, link in enumerate(links):
+        # The per-flow scans below read the queued packets, which only
+        # an evented link keeps in its discipline (results are
+        # bit-identical either way, tests/test_link_closed_form.py).
+        link.depart_by_event()
         registry.gauge(f"arena.router{i}.queue_bytes",
                        sample_fn=lambda l=link: l.queued_bytes,
                        help=f"Bytes queued at arena router {i}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -214,15 +214,3 @@ def _step_lookup(series: list[tuple[float, float]], t: float) -> float:
             break
         value = v
     return value
-
-
-def summarize_latency(values: Iterable[float]) -> dict[str, float]:
-    """P50/P90/P95/P99 summary used by several benches."""
-    vals = [v for v in values if v is not None]
-    return {
-        "p50": percentile(vals, 50),
-        "p90": percentile(vals, 90),
-        "p95": percentile(vals, 95),
-        "p99": percentile(vals, 99),
-        "mean": float(np.mean(vals)) if vals else float("nan"),
-    }

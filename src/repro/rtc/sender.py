@@ -13,8 +13,10 @@ configuration, not a fork:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.ace_c import AceCController
 from repro.core.ace_n import AceNController
@@ -113,10 +115,11 @@ class Sender:
         self._reports_seen = 0
         self.frame_metrics: dict[int, FrameMetrics] = {}
         self.encoded_frames: list[EncodedFrame] = []
-        #: seq -> sent packet (until its frame completes) for RTX.
-        self._sent_packets: dict[int, Packet] = {}
-        #: frame_id -> media seqs of that frame (forget_frame index).
-        self._frame_seqs: dict[int, list[int]] = {}
+        #: the RTX table: ``(frame_id, first seq, count, packet_at)`` per
+        #: frame sent and not yet displayed (see :meth:`remember_frame`),
+        #: in send order — ascending in frame id and in seq alike.
+        self._rtx_frames: list[tuple] = []
+        #: seq -> time of its latest retransmission.
         self._rtx_last_sent: dict[int, float] = {}
         #: batch-engine frame sink: when set, encoded frames are handed
         #: to it as column-oriented bursts instead of being packetized
@@ -301,9 +304,8 @@ class Sender:
         packets = self.packetizer.packetize(
             encoded, prev_sent_frame_id=self._last_sent_frame_id)
         self._last_sent_frame_id = encoded.frame_id
-        self._frame_seqs[encoded.frame_id] = [p.seq for p in packets]
-        for packet in packets:
-            self._sent_packets[packet.seq] = packet
+        self.remember_frame(encoded.frame_id, packets[0].seq, len(packets),
+                            packets.__getitem__)
         if self.fec is not None:
             packets = self.fec.protect(packets)
             for packet in packets:
@@ -379,36 +381,49 @@ class Sender:
             self._pli_pending = True
         self._handle_nacks(message.nacked_seqs)
 
+    def remember_frame(self, frame_id: int, seq0: int, count: int,
+                       packet_at: Callable[[int], Packet]) -> None:
+        """Enter a frame just handed to the pacer into the RTX table.
+
+        Its media packets carry the contiguous seqs ``seq0 .. seq0 +
+        count - 1``; ``packet_at(k)`` returns the k-th of them — the
+        packet list's ``__getitem__``, or for a batch-engine burst a
+        builder that makes the Packet on demand. One entry per frame, so
+        a loss-free run does no per-packet work here.
+        """
+        self._rtx_frames.append((frame_id, seq0, count, packet_at))
+
     def _handle_nacks(self, seqs: list[int]) -> None:
         now = self.loop.now
-        sink = self.batch_sink
+        frames = self._rtx_frames
         for seq in seqs:
-            original = self._sent_packets.get(seq)
-            if original is None and sink is not None:
-                # Burst mode skips per-packet objects; rebuild the lost
-                # packet from its frame's burst record on demand.
-                original = sink.materialize(seq)
-                if original is not None:
-                    self._sent_packets[seq] = original
-            if original is None:
+            i = bisect_right(frames, seq, key=_BY_FIRST_SEQ) - 1
+            if i < 0:
                 continue
+            _fid, seq0, count, packet_at = frames[i]
+            if seq - seq0 >= count:
+                continue    # frame displayed and forgotten, or an RTX's seq
             last = self._rtx_last_sent.get(seq)
             if last is not None and now - last < self.config.rtx_min_interval:
                 continue
             self._rtx_last_sent[seq] = now
-            rtx = original.clone_for_retransmission()
+            rtx = packet_at(seq - seq0).clone_for_retransmission()
             self.packetizer.assign_seq(rtx)
             self.retransmissions += 1
             self.pacer.enqueue_retransmission(rtx)
 
     def forget_frame(self, frame_id: int) -> None:
         """Drop RTX state for a frame that has been displayed."""
-        if self.batch_sink is not None:
-            self.batch_sink.forget_frame(self, frame_id)
+        frames = self._rtx_frames
+        i = bisect_left(frames, frame_id, key=_BY_FRAME_ID)
+        if i == len(frames) or frames[i][0] != frame_id:
             return
-        seqs = self._frame_seqs.pop(frame_id, None)
-        if seqs is None:
-            return
-        for seq in seqs:
-            self._sent_packets.pop(seq, None)
-            self._rtx_last_sent.pop(seq, None)
+        _fid, seq0, count, _packet_at = frames.pop(i)
+        rtx_last = self._rtx_last_sent
+        if rtx_last:
+            for seq in range(seq0, seq0 + count):
+                rtx_last.pop(seq, None)
+
+
+#: sort keys of a ``Sender._rtx_frames`` entry.
+_BY_FRAME_ID, _BY_FIRST_SEQ = itemgetter(0), itemgetter(1)

@@ -378,9 +378,6 @@ class RtcSession:
         # Let in-flight packets and feedback land (half a second of drain).
         engine.advance(self, self.config.duration + 0.5)
         engine.finalize(self)
-        # A closed-form link retires departures lazily: bring LinkStats up
-        # to the horizon for holders of the stats object (either engine).
-        self.path.link.settle()
         self._display_sync.sync()
         if self.telemetry is not None:
             self.telemetry.flush()

@@ -17,18 +17,24 @@ Structure:
   pipeline hooks; ``advance`` runs the macro loop (deliver pipeline work
   up to the next heap event, then dispatch that event); ``finalize``
   flushes deferred bookkeeping.
-* :class:`BatchPipeline` — array-structured pacer/link/delivery state.
+* :class:`BatchPipeline` — array-structured pacer and delivery state.
   Media frames travel as :class:`FrameBurst` column records; only
   retransmissions (and drops, which need ``Packet`` objects for the
   loss bookkeeping) take a scalar lane through the *reference* pacer
   and path machinery.
 
-The pipeline owns the walk, not the laws: *when* a queued train leaves
+The pipeline is a scheduler, not a model: *when* a queued train leaves
 is the pacer's own closed form (``Pacer.release_train``; the scalar lane
-asks the same pacer's ``_next_send_delay``), and *when* a packet the
-bottleneck accepted departs is ``repro.net.link.serve`` — the functions
-the reference loop and the live runtime run, so this module names no
-pacer class and restates neither policy.
+asks the same pacer's ``_next_send_delay``), and what the bottleneck
+admits and when it departs is the session's own
+``path.link.server`` (:class:`repro.net.link.DropTailServer`), which the
+pipeline feeds ahead of the clock — the objects the reference loop and
+the live runtime run, so this module names no pacer class, keeps no link
+state and restates neither policy. Nor does it keep a retransmission
+table: each burst is registered in the sender's frame table
+(``Sender.remember_frame``) with :meth:`BatchPipeline.materialize` as its
+packet builder, so a NACK is answered, and a displayed frame forgotten,
+where the reference loop does it.
 
 Configurations outside the fast path's model (random/contention loss,
 delay jitter, cross traffic, FEC, audio, audit or profiler hooks on the
@@ -53,13 +59,12 @@ differential tests that enforce them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.net.link import serve
 from repro.net.packet import Packet
 from repro.transport.pacer.base import Pacer
 
@@ -201,7 +206,8 @@ class BatchEngine:
 
 
 class BatchPipeline:
-    """Array-structured pacer → link → delivery state for one session."""
+    """Array-structured pacer and delivery state for one session; the
+    link between them is the session's own ``path.link.server``."""
 
     def __init__(self, session: "RtcSession") -> None:
         self.session = session
@@ -211,31 +217,20 @@ class BatchPipeline:
         self.pacer = session.sender.pacer
         self.path = session.path
         self.link = session.path.link
-        self.trace = session.path.link.trace
+        #: the session's own bottleneck (an eligible path is a lone
+        #: closed-form drop-tail hop), fed ahead of the clock.
+        self.server = self.link.server
         self.telemetry = session.telemetry
         self.half_hop = session.path._half_hop
-        self.capacity = self.link.queue.capacity_bytes
         # --- pacer state -------------------------------------------------
         #: bursts with unreleased packets, FIFO (the media queue).
         self._media: deque[FrameBurst] = deque()
-        #: all bursts ever enqueued, for NACK materialization.
-        self._bursts: dict[int, FrameBurst] = {}
-        self._seq0s: list[int] = []
-        self._burst_list: list[FrameBurst] = []
         #: time of the most recent pacer release (priority floor).
         self._last_release = 0.0
-        # --- link state --------------------------------------------------
-        #: link busy-until (finish time of the last served packet).
-        self._busy_until = 0.0
-        #: bytes entered but not yet finished (drop-tail occupancy).
-        self._q_bytes = 0
         #: media packets committed on the vector lane / walked one by
         #: one on the scalar lane (drops included).
         self.vector_packets = 0
         self.scalar_packets = 0
-        #: FIFO of finish-time records: [f_arr, cumsizes, pos] chunks for
-        #: vector trains, (finish, size) tuples for scalar packets.
-        self._fin: deque = deque()
         # --- receiver-bound work -----------------------------------------
         #: FIFO of pending deliveries in arrival order:
         #: [a_arr, send_arr, sizes_arr, burst, lo, pos] or (arrival, pkt).
@@ -315,24 +310,14 @@ class BatchPipeline:
         stats.enqueued_bytes += burst.total_bytes
         stats.occupancy_samples.append((now, pacer._queued_bytes))
         self._media.append(burst)
-        self._bursts[encoded.frame_id] = burst
-        self._seq0s.append(seq0)
-        self._burst_list.append(burst)
-
-    def materialize(self, seq: int) -> Optional[Packet]:
-        """Rebuild the original Packet for ``seq`` (NACK handling)."""
-        idx = bisect_right(self._seq0s, seq) - 1
-        if idx < 0:
-            return None
-        burst = self._burst_list[idx]
-        offset = seq - burst.seq0
-        if offset >= burst.count:
-            return None
-        return self._packet(burst, offset)
+        sender.remember_frame(encoded.frame_id, seq0, count,
+                              partial(BatchPipeline.materialize, burst))
 
     @staticmethod
-    def _packet(burst: FrameBurst, index: int) -> Packet:
-        """The Packet the packetizer would have built for ``burst[index]``."""
+    def materialize(burst: FrameBurst, index: int) -> Packet:
+        """The Packet the packetizer would have built for ``burst[index]``,
+        on demand: a NACKed packet (the sender's RTX lookup) or a tail
+        drop (the loss bookkeeping wants an object)."""
         packet = Packet(
             size_bytes=int(burst.sizes[index]),
             seq=burst.seq0 + index,
@@ -344,19 +329,6 @@ class BatchPipeline:
         if index == 0 and burst.prev_sent_frame_id is not None:
             packet.prev_sent_frame_id = burst.prev_sent_frame_id
         return packet
-
-    def forget_frame(self, sender: "Sender", frame_id: int) -> None:
-        """Drop RTX state for a displayed frame (burst-mode twin)."""
-        burst = self._bursts.get(frame_id)
-        if burst is None:
-            return
-        sent_packets = sender._sent_packets
-        rtx_last = sender._rtx_last_sent
-        if not sent_packets and not rtx_last:
-            return  # nothing materialized (loss-free so far): no state to drop
-        for seq in range(burst.seq0, burst.seq0 + burst.count):
-            sent_packets.pop(seq, None)
-            rtx_last.pop(seq, None)
 
     # ------------------------------------------------------------------
     # macro step
@@ -448,201 +420,73 @@ class BatchPipeline:
         burst.sent = hi
         self._send_event_chunks.append((d, sizes))
         self._feed_link_train(d + self.half_hop, d, sizes, cum_bytes,
-                              chunk_bytes, burst, lo)
+                              burst, lo)
 
     # ------------------------------------------------------------------
-    # link walk
+    # bottleneck feed
     # ------------------------------------------------------------------
     def _feed_link_train(self, e: np.ndarray, send_times: np.ndarray,
                          sizes: np.ndarray, cum_bytes: np.ndarray,
-                         total_bytes: int, burst: FrameBurst,
-                         lo: int) -> None:
-        """Serve a media train; entry times ``e`` are nondecreasing and
-        follow all previously fed entries (FIFO).
+                         burst: FrameBurst, lo: int) -> None:
+        """Offer a media train to the bottleneck; entry times ``e`` are
+        nondecreasing and follow all previously fed entries (FIFO).
 
-        The packets ahead of the train's first tail drop are committed
-        in one piece on the vector lane; the rest — the whole train in
-        an outage, or when one trace-rate sample does not cover those
-        service starts — takes the per-packet walk, which makes every
-        drop decision.
+        The server takes the packets ahead of the train's first tail
+        drop in one piece (the vector lane); what follows is offered one
+        by one, admitted runs queued for delivery as they close and each
+        drop materialized for the loss path.
         """
-        entry0 = float(e[0])
-        self._pop_finished(entry0)
-        n, k = len(sizes), 0
-        busy = self._busy_until
-        start0 = max(entry0, busy)
-        rate = self.trace.rate_at(start0)
-        if rate > 0.0:
-            # Lindley-recursion finish times at this one rate sample.
-            ser = sizes * (8.0 / rate)
-            cs = np.cumsum(ser)
-            base = e - cs
-            base += ser
-            if busy > base[0]:
-                base[0] = busy
-            f = np.maximum.accumulate(base)
-            f += cs
-            # No drop is possible even if nothing drains while the whole
-            # train enters — skip the occupancy scan.
-            k = (n if self._q_bytes + total_bytes <= self.capacity
-                 else self._first_drop(e, f, cum_bytes))
-            if k and (float(f[k - 1]) - float(ser[k - 1])
-                      >= self.trace.next_change_after(start0)):
-                k = 0       # rate change before the last service start
+        server = self.server
+        finishes = server.offer_train(e, sizes, cum_bytes)
+        k = len(finishes)
         if k:
-            f = f[:k]
-            prefix_bytes = int(cum_bytes[k - 1])
-            self._busy_until = float(f[-1])
-            self._q_bytes += prefix_bytes
-            self._fin.append([f, cum_bytes[:k], 0])
-            stats = self.link.stats
-            stats.enqueued_packets += k
-            stats.enqueued_bytes += prefix_bytes
-            stats.delivered_packets += k
-            stats.delivered_bytes += prefix_bytes
-            stats.busy_time += float(cs[k - 1])
-            stats.occupancy_samples.append((entry0, self._q_bytes))
             self._deliveries.append(
-                [f + self.half_hop, send_times[:k], sizes[:k], burst, lo, 0,
-                 prefix_bytes])
+                [finishes + self.half_hop, send_times[:k], sizes[:k], burst,
+                 lo, 0, int(cum_bytes[k - 1])])
             self.vector_packets += k
-        if k < n:
-            self.scalar_packets += n - k
-            self._feed_scalar_train(e[k:], send_times[k:], sizes[k:], burst,
-                                    lo + k)
-
-    def _first_drop(self, e: np.ndarray, f: np.ndarray,
-                    cum_bytes: np.ndarray) -> int:
-        """Index of the train's first tail drop (``len(e)`` if none).
-
-        Packet ``i`` meets the bytes queued at ``e[0]`` plus the train's
-        bytes ahead of it, less what has finished by ``e[i]`` — own
-        packets and older pending records alike, ``finish <= entry``
-        counting as gone (``_pop_finished``'s tie rule); every term is
-        integer-valued. That takes packets ``< i`` as admitted, true up
-        to and including the first drop, and ``f[j]`` depends only on
-        packets ``<= j``: the prefix before that index is exact.
-        """
-        old_f, old_cum = [], [0.0]
-        for record in self._fin:
-            if type(record) is tuple:
-                old_f.append(record[0])
-                old_cum.append(old_cum[-1] + record[1])
-            else:
-                rf, rcum, pos = record
-                rcum = rcum[pos:] + (
-                    old_cum[-1] - (rcum[pos - 1] if pos else 0.0))
-                old_f += rf[pos:].tolist()
-                old_cum += rcum.tolist()
-        left = (np.concatenate(([0.0], cum_bytes))[
-                    np.searchsorted(f, e, side="right")]
-                + np.array(old_cum)[np.searchsorted(old_f, e, side="right")])
-        over = np.flatnonzero(
-            self._q_bytes + cum_bytes - left > self.capacity)
-        return int(over[0]) if len(over) else len(e)
-
-    def _feed_scalar_train(self, e: np.ndarray, send_times: np.ndarray,
-                           sizes: np.ndarray, burst: FrameBurst,
-                           lo: int) -> None:
-        """Per-packet walk: exact drop-tail decisions, any trace shape."""
-        run_start = -1
-        run_f: list[float] = []
-        n = len(e)
-        for i in range(n):
-            entry = float(e[i])
-            finish = self._serve_scalar(entry, int(sizes[i]))
-            if finish is None:
-                if run_f:
-                    self._flush_run(run_f, run_start, send_times, sizes,
-                                    burst, lo)
-                    run_f = []
-                run_start = -1
-                packet = self._packet(burst, lo + i)
-                packet.t_leave_pacer = float(send_times[i])
-                packet.t_enter_queue = entry
-                self._drop(packet)
+        n = len(sizes)
+        self.scalar_packets += n - k
+        run: list[float] = []       # finishes of the open admitted run
+        for i in range(k, n):
+            finish = server.offer(float(e[i]), int(sizes[i]))
+            if finish is not None:
+                run.append(finish)
                 continue
-            if run_start < 0:
-                run_start = i
-            run_f.append(finish)
-        if run_f:
-            self._flush_run(run_f, run_start, send_times, sizes, burst, lo)
+            self._queue_run(run, i, send_times, sizes, burst, lo)
+            packet = self.materialize(burst, lo + i)
+            packet.t_leave_pacer = float(send_times[i])
+            packet.t_enter_queue = float(e[i])
+            self._report_drop(packet)
+        self._queue_run(run, n, send_times, sizes, burst, lo)
 
-    def _serve_scalar(self, entry: float, size: int) -> Optional[float]:
-        """One packet through the drop-tail queue: its finish time by the
-        link's own law, or None — a tail drop, for the caller to report."""
-        self._pop_finished(entry)
-        if self._q_bytes + size > self.capacity:
-            return None
-        start, finish = serve(self._busy_until, entry, size,
-                              self.trace.rate_at)
-        stats = self.link.stats
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += size
-        stats.delivered_packets += 1
-        stats.delivered_bytes += size
-        stats.busy_time += finish - start
-        self._busy_until = finish
-        self._q_bytes += size
-        self._fin.append((finish, size))
-        return finish
-
-    def _flush_run(self, run_f: list[float], run_start: int,
-                   send_times: np.ndarray, sizes: np.ndarray,
-                   burst: FrameBurst, lo: int) -> None:
-        hi = run_start + len(run_f)
-        arrivals = np.array(run_f)
-        arrivals += self.half_hop
-        run_sizes = sizes[run_start:hi]
+    def _queue_run(self, run: list[float], end: int, send_times: np.ndarray,
+                   sizes: np.ndarray, burst: FrameBurst, lo: int) -> None:
+        """Queue the delivery of train packets ``[end - len(run), end)``,
+        admitted one by one with finish times ``run``, and close the run."""
+        if not run:
+            return
+        first = end - len(run)
+        run_sizes = sizes[first:end]
         self._deliveries.append(
-            [arrivals, send_times[run_start:hi], run_sizes,
-             burst, lo + run_start, 0, int(run_sizes.sum())])
+            [np.array(run) + self.half_hop, send_times[first:end], run_sizes,
+             burst, lo + first, 0, int(run_sizes.sum())])
+        run.clear()
 
-    def _drop(self, packet: Packet) -> None:
-        """Tail drop: a burst packet is materialized for the loss path."""
+    def _report_drop(self, packet: Packet) -> None:
+        """A tail drop the server booked, handed to the loss path."""
         packet.dropped = True
-        stats = self.link.stats
-        stats.dropped_packets += 1
-        stats.dropped_bytes += packet.size_bytes
         self.link.on_drop(packet)
-
-    def _pop_finished(self, t: float) -> None:
-        """Retire link departures with finish time <= ``t`` (occupancy)."""
-        fin = self._fin
-        q = self._q_bytes
-        while fin:
-            head = fin[0]
-            if type(head) is tuple:
-                if head[0] <= t:
-                    q -= head[1]
-                    fin.popleft()
-                    continue
-                break
-            f, cum, pos = head
-            if f[-1] <= t:
-                k = len(f)
-            else:
-                k = int(np.searchsorted(f, t, side="right"))
-            if k > pos:
-                q -= int(cum[k - 1]) - (int(cum[pos - 1]) if pos else 0)
-                if k == len(f):
-                    fin.popleft()
-                    continue
-                head[2] = k
-            break
-        self._q_bytes = q
 
     # ------------------------------------------------------------------
     # scalar lane (retransmissions released through the reference pacer)
     # ------------------------------------------------------------------
     def _on_scalar_packet(self, packet: Packet) -> None:
         """NetworkPath.intercept target: loop.now is the departure."""
-        departure = self.loop.now
-        entry = departure + self.half_hop
+        entry = self.loop.now + self.half_hop
         packet.t_enter_queue = entry
-        finish = self._serve_scalar(entry, packet.size_bytes)
+        finish = self.server.offer(entry, packet.size_bytes)
         if finish is None:
-            self._drop(packet)
+            self._report_drop(packet)
             return
         packet.t_leave_queue = finish
         self._deliveries.append((finish + self.half_hop, packet))

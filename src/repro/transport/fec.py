@@ -112,7 +112,6 @@ class FecEncoder:
 class FecStats:
     parity_received: int = 0
     repairs: int = 0
-    unrepairable_groups: int = 0
 
 
 class FecDecoder:
@@ -156,11 +155,3 @@ class FecDecoder:
             still_pending.append(covers)
         self._pending = still_pending
 
-    def pending_groups(self) -> int:
-        return len(self._pending)
-
-    def give_up_older_than(self, min_seq: int) -> None:
-        """Drop parity state for groups entirely below ``min_seq``."""
-        before = len(self._pending)
-        self._pending = [c for c in self._pending if max(c) >= min_seq]
-        self.stats.unrepairable_groups += before - len(self._pending)

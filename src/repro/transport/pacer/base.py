@@ -115,10 +115,6 @@ class Pacer(abc.ABC):
         return (len(self._media_queue) + len(self._rtx_queue)
                 + len(self._audio_queue))
 
-    @property
-    def is_empty(self) -> bool:
-        return self.queued_packets == 0
-
     # ------------------------------------------------------------------
     # enqueue / release
     # ------------------------------------------------------------------

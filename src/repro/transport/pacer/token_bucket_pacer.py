@@ -22,8 +22,7 @@ if TYPE_CHECKING:
 class TokenBucketPacer(Pacer):
     """Pacer gated by a byte-denominated token bucket."""
 
-    __slots__ = ("min_bucket_bytes", "rate_factor", "bucket",
-                 "_bucket_size_log")
+    __slots__ = ("min_bucket_bytes", "rate_factor", "bucket")
 
     def __init__(self, loop: "Clock", send_fn: Callable[[Packet], None],
                  initial_bucket_bytes: float = 30_000.0,
@@ -42,7 +41,6 @@ class TokenBucketPacer(Pacer):
             bucket_bytes=max(initial_bucket_bytes, min_bucket_bytes),
             now=loop.now,
         )
-        self._bucket_size_log: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------------
     # control surface
@@ -58,17 +56,11 @@ class TokenBucketPacer(Pacer):
         """Resize the bucket (floored at ``min_bucket_bytes``)."""
         size = max(bucket_bytes, self.min_bucket_bytes)
         self.bucket.set_bucket_size(size, self.loop.now)
-        self._bucket_size_log.append((self.loop.now, size))
         self._schedule_pump(0.0)
 
     @property
     def bucket_bytes(self) -> float:
         return self.bucket.bucket_bytes
-
-    @property
-    def bucket_size_log(self) -> list[tuple[float, float]]:
-        """(time, bucket_bytes) history for the Fig. 25 style timelines."""
-        return self._bucket_size_log
 
     # ------------------------------------------------------------------
     # pacing policy

@@ -334,8 +334,3 @@ class TransportReceiver:
             self.feedback_interval, self._feedback_tick,
             name="receiver.feedback")
 
-    # ------------------------------------------------------------------
-    # metrics views
-    # ------------------------------------------------------------------
-    def completed_frames(self) -> list[FrameRecord]:
-        return [r for r in self.frames.values() if r.complete]

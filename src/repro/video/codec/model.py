@@ -74,10 +74,6 @@ class EncoderConfig:
                 return lvl
         raise KeyError(f"{self.name} has no complexity level {index}")
 
-    @property
-    def max_phi(self) -> float:
-        return max(lvl.phi for lvl in self.levels)
-
 
 class CodecModel:
     """Stateful encoder model for one stream.
@@ -117,10 +113,6 @@ class CodecModel:
             self._rc_satd_mean = rc
         else:
             self._rc_satd_mean = alpha * rc + (1 - alpha) * self._rc_satd_mean
-
-    def relative_satd(self, frame: RawFrame) -> float:
-        """S / S-bar for this frame against the running mean."""
-        return frame.satd / max(self.satd_mean, 1e-9)
 
     # ------------------------------------------------------------------
     # rate-control SATD statistic (what ACE-C reads, §5.1)

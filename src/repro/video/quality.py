@@ -79,8 +79,3 @@ class QualityModel:
         u = ratio ** (1.0 / self.hill)
         return u * self.bits_per_satd * self.difficulty(satd) * efficiency
 
-    def score_delta_for_bit_ratio(self, base_bits: float, satd: float,
-                                  ratio: float, efficiency: float = 1.0) -> float:
-        """Quality change when bits are scaled by ``ratio`` (diagnostics)."""
-        return (self.score(base_bits * ratio, satd, efficiency)
-                - self.score(base_bits, satd, efficiency))

@@ -250,6 +250,42 @@ def test_enable_telemetry_registers_arena_gauges():
     assert gauge.value is not None and 0.0 <= gauge.value <= 1.0
 
 
+def test_per_flow_gauges_see_the_packets_a_lone_droptail_router_queues():
+    """A lone plain drop-tail router would run closed-form, where the
+    queued packets are on the server's ledger and a scan of the (empty)
+    discipline reads 0 B for every flow. ``instrument_arena`` asks the
+    routers to depart by event: the per-flow gauges are non-zero under
+    backlog, add up to the router's occupancy at every tick, and the run
+    is the uninstrumented one bit for bit."""
+    def build():
+        cfg = SessionConfig(duration=4.0, seed=5, initial_bwe_bps=6e6)
+        return ArenaSession([ArenaFlowSpec("always-burst", flow_id=1),
+                             ArenaFlowSpec("webrtc-star", flow_id=2)],
+                            const_trace(6.0, 14.0), cfg)
+
+    plain = build()
+    assert plain.path.link.server is not None
+    plain_results = plain.run()
+
+    session = build()
+    recorder = session.enable_telemetry().attach_series()
+    assert session.path.link.server is None
+    results = session.run()
+    for fid in (1, 2):
+        assert fingerprint(results[fid]) == fingerprint(plain_results[fid])
+    assert session.path.router_stats() == plain.path.router_stats()
+
+    series = recorder.frame().series
+    router = series["arena.router0.queue_bytes"]
+    flows = [series[f"arena.flow{fid}.queue_bytes"] for fid in (1, 2)]
+    assert len(router) >= 40 and max(router) > 30_000
+    assert all(max(column) > 10_000 for column in flows)
+    assert [a + b for a, b in zip(*flows)] == router
+    shares = [series[f"arena.flow{fid}.queue_share"] for fid in (1, 2)]
+    assert all(a + b == pytest.approx(1.0) for a, b, total
+               in zip(*shares, router) if total)
+
+
 # ----------------------------------------------------------------------
 # acceptance: fairness and AQM benefit (ISSUE 7 criteria)
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""The batch engine's admission scan is the per-packet drop-tail walk.
+"""The drop-tail server's train scan is the per-packet drop-tail walk.
 
-``BatchPipeline._feed_link_train`` commits the packets ahead of a
-train's first tail drop in one vector step and walks the rest one by
-one (DESIGN §10, *Bottleneck walk*). Here a real pipeline's link state
-is loaded with generated pending departures — ``(finish, size)`` tuples
-and ``[f, cum, pos]`` chunks with ``pos > 0`` — and fed generated
-trains; an independent pure-Python walk of the same state is the
-oracle.
+``DropTailServer.offer_train`` commits the packets ahead of a train's
+first tail drop in one vector step; its feeder offers the rest one by
+one (DESIGN §10, *Bottleneck walk*). Here a server's ledger is loaded
+with generated pending departures — ``(start, finish, size)`` tuples and
+``[finishes, cum_bytes, pos]`` chunks with ``pos > 0`` — and fed
+generated trains the way the batch engine feeds them; an independent
+pure-Python walk of the same state is the oracle. No session, no
+pipeline: the server is clock-free.
 
 Two regimes. On the *dyadic* grid (sizes in 64 B steps, power-of-two
 rates, times in 2^-14 s ticks) every float operation of both walks is
@@ -18,8 +19,12 @@ decision hangs on such a rounding (a finish within 1e-9 of an entry, a
 service start within 1e-9 of a trace boundary) are rejected: away from
 ties the drop set is defined, and must be equal.
 
-The last test is the feedback half of the same PR: a scalar report that
-rides among chunks as a chunk of one leaves the queue estimator and GCC
+Then the tie rule's other half: a feeder on an event loop passes the
+``lead`` it posts arrivals with, and a departure tied with an arrival
+has left only if its serve event was numbered first.
+
+The last test is the feedback half of PR 17: a scalar report that rides
+among chunks as a chunk of one leaves the queue estimator and GCC
 exactly where per-packet ingestion of the same interval leaves them.
 """
 
@@ -31,11 +36,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.queue_estimator import QueueEstimator
+from repro.net.link import DropTailServer, LinkStats
 from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
-from repro.rtc.baselines import build_session
-from repro.rtc.session import SessionConfig
-from repro.sim.batch import BatchPipeline, FrameBurst
 from repro.transport.cc.gcc import GccController
 from repro.transport.feedback import FeedbackBuilder, ReportBatch
 
@@ -54,14 +57,14 @@ def reference_walk(trace, capacity, pending, busy, trains, exact):
     ``pending`` is the FIFO of ``(finish, size)`` still queued, ``busy``
     the link's busy-until. Returns per-train occupancy (at the train's
     last entry), the dropped indices, finish time per admitted index and
-    the counters the pipeline books in ``LinkStats``.
+    the counters the server books in ``LinkStats``.
     """
     boundaries = trace._ts_list
     pending = deque(pending)
     queued = sum(size for _f, size in pending)
     occupancy, dropped, finishes = [], [], {}
     stats = {"enqueued_packets": 0, "enqueued_bytes": 0,
-             "dropped_packets": 0, "dropped_bytes": 0, "busy_time": 0.0}
+             "dropped_packets": 0, "dropped_bytes": 0}
     index = 0
     for entries, sizes in trains:
         for entry, size in zip(entries, sizes):
@@ -90,65 +93,62 @@ def reference_walk(trace, capacity, pending, busy, trains, exact):
                 finishes[index] = busy
                 stats["enqueued_packets"] += 1
                 stats["enqueued_bytes"] += size
-                stats["busy_time"] += busy - start
             index += 1
         occupancy.append(queued)
     return occupancy, dropped, finishes, stats
 
 
-def pipeline_walk(trace, capacity, records, queued, busy, trains):
-    """The same state and trains through a real ``BatchPipeline``."""
-    session = build_session(
-        "always-burst", trace,
-        SessionConfig(base_rtt=2.0 ** -4, queue_capacity_bytes=capacity))
-    pipe = BatchPipeline(session)
-    drops = []
-    pipe.link.on_drop = drops.append
-    pipe._fin.extend(records)
-    pipe._q_bytes = queued
-    pipe._busy_until = busy
-    all_sizes = np.concatenate([np.asarray(s, dtype=np.int64)
-                                for _e, s in trains])
-    burst = FrameBurst(0, 0, all_sizes, 0.0, None, None)
-    occupancy = []
+def server_walk(trace, capacity, records, queued, busy, trains):
+    """The same state and trains through a ``DropTailServer``, fed the
+    way ``BatchPipeline._feed_link_train`` feeds it: the train in one
+    piece, then whatever follows its first drop one packet at a time."""
+    server = DropTailServer(trace, capacity, LinkStats())
+    server._ledger.extend(records)
+    server.queued_bytes = queued
+    server.busy_until = busy
+    occupancy, dropped, finishes = [], [], {}
+    lanes = [0, 0]                  # vector, scalar
     lo = 0
     for entries, sizes in trains:
-        hi = lo + len(sizes)
         e = np.array(entries)
-        # The slices _release_media hands over for burst[lo:hi].
-        cum = burst.cum[lo:hi] - (burst.cum[lo - 1] if lo else 0.0)
-        pipe._feed_link_train(e, e - pipe.half_hop, burst.sizes[lo:hi], cum,
-                              int(cum[-1]), burst, lo)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        prefix = server.offer_train(e, sizes,
+                                    np.cumsum(sizes, dtype=np.float64))
+        k, n = len(prefix), len(sizes)
+        finishes.update(zip(range(lo, lo + k), prefix.tolist()))
+        for i in range(k, n):
+            finish = server.offer(float(e[i]), int(sizes[i]))
+            if finish is None:
+                dropped.append(lo + i)
+            else:
+                finishes[lo + i] = finish
+        lanes[0] += k
+        lanes[1] += n - k
         # Departures are retired lazily; bring occupancy to the train's
         # last entry, where the per-packet walk left it.
-        pipe._pop_finished(float(e[-1]))
-        occupancy.append(pipe._q_bytes)
-        lo = hi
-    finishes = {}
-    for arrivals, _sends, _sizes, _burst, first, _pos, _bytes in (
-            pipe._deliveries):
-        for offset, arrival in enumerate(arrivals.tolist()):
-            finishes[first + offset] = arrival - pipe.half_hop
-    stats = asdict(pipe.link.stats)
-    assert stats["delivered_packets"] == stats["enqueued_packets"]
-    assert stats["delivered_bytes"] == stats["enqueued_bytes"]
-    assert pipe.vector_packets + pipe.scalar_packets == len(all_sizes)
-    dropped = [p.frame_packet_index for p in drops]
-    assert all(p.dropped and p.seq == p.frame_packet_index for p in drops)
-    return occupancy, dropped, finishes, stats, pipe
+        server.retire(float(e[-1]))
+        occupancy.append(server.queued_bytes)
+        lo += n
+    stats = asdict(server.stats)
+    assert stats.pop("delivered_packets") == stats.pop("delivered_bytes") == 0
+    assert (stats["enqueued_packets"] + stats["dropped_packets"]
+            == sum(lanes) == lo)
+    return occupancy, dropped, finishes, stats, tuple(lanes)
 
 
 def as_records(pending, cuts, ghosts, first_entry):
-    """Split pending ``(finish, size)`` packets into ``_fin`` records:
-    runs between ``cuts`` become chunks (every other run) or tuples; a
-    chunk gets ``ghosts`` already-retired packets in front (``pos > 0``).
+    """Split pending ``(finish, size)`` packets into ledger records: runs
+    between ``cuts`` become chunks (every other run) or ``(start, finish,
+    size)`` tuples; a chunk gets ``ghosts`` already-retired packets in
+    front (``pos > 0``).
     """
     records = []
     edges = sorted({0, len(pending), *(c for c in cuts if c < len(pending))})
     for number, (a, b) in enumerate(zip(edges, edges[1:])):
         run = pending[a:b]
         if number % 2:
-            records.extend(run)
+            records.extend((finish - TICK, finish, size)
+                           for finish, size in run)
             continue
         floor = min(run[0][0], first_entry)
         gone = [(floor - (ghosts - j) * TICK, 64 * (j + 1))
@@ -219,20 +219,17 @@ def check(state, exact):
                               pending, busy, trains, exact)
     except NearTie:
         assume(False)
-    occupancy, dropped, finishes, stats, _pipe = pipeline_walk(
+    occupancy, dropped, finishes, stats, _lanes = server_walk(
         BandwidthTrace(times, rates), capacity, records, queued, busy,
         trains)
     want_occupancy, want_dropped, want_finishes, want_stats = want
     assert dropped == want_dropped
     assert occupancy == want_occupancy
     assert sorted(finishes) == sorted(want_finishes)
-    # Times are ~1 s, so 1e-12 relative on a finish is 1e-12 absolute on
-    # busy_time, which the per-packet walk sums from ``finish - start``.
     tol = 0.0 if exact else 1e-12
     for index, finish in want_finishes.items():
         assert finishes[index] == pytest.approx(finish, rel=tol, abs=0.0)
-    for name, value in want_stats.items():
-        assert stats[name] == pytest.approx(value, rel=tol, abs=tol), name
+    assert stats == want_stats
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,15 +260,43 @@ def test_exact_fit_is_admitted_and_an_exact_tie_has_departed():
     older = [np.array([T0 - tick, T0 + tick]), np.array([1024.0, 2048.0]), 1]
     want = reference_walk(trace, 2048, [(T0 + tick, 1024)], T0 + tick,
                           trains, exact=True)
-    occupancy, dropped, finishes, stats, pipe = pipeline_walk(
+    occupancy, dropped, finishes, stats, lanes = server_walk(
         trace, 2048, [older], 1024, T0 + tick, trains)
     assert dropped == want[1] == [3]
     assert occupancy == want[0] == [2048]
     assert finishes == want[2]
     assert [finishes[i] for i in (0, 1, 2, 4)] == [
         T0 + 2 * tick, T0 + 3 * tick, T0 + 4 * tick, T0 + 5 * tick]
-    assert (pipe.vector_packets, pipe.scalar_packets) == (3, 2)
-    assert stats["busy_time"] == want[3]["busy_time"] == 4 * tick
+    assert lanes == (3, 2)
+    assert stats == want[3]
+
+
+def test_a_tied_departure_has_left_only_if_its_serve_event_came_first():
+    """One 1 024 B slot, one tick of service per packet, a second packet
+    offered at the instant the first finishes. A feeder that posts its
+    arrivals further ahead than a service time numbered the arrival
+    before the serve event: the newcomer meets a full queue. With no
+    lead — or one shorter than the service time — the departure comes
+    first. These are the two orders
+    ``test_link_closed_form.test_both_tie_orders_occur_and_differ`` shows
+    on the evented link."""
+    tick = 2.0 ** -10
+    trace = BandwidthTrace.constant(8 * 2.0 ** 20, duration=8.0)
+
+    def second_offer(lead):
+        server = DropTailServer(trace, 1024, LinkStats())
+        assert server.offer(T0, 1024, lead) == T0 + tick
+        return server, server.offer(T0 + tick, 1024, lead)
+
+    server, finish = second_offer(lead=4 * tick)
+    assert finish is None and server.stats.dropped_packets == 1
+    assert (server.queued_bytes, server.queued_packets) == (1024, 1)
+    server.retire(T0 + tick)        # a read has no event number: it left
+    assert (server.queued_bytes, server.queued_packets) == (0, 0)
+    for lead in (0.0, tick / 4, tick):
+        server, finish = second_offer(lead)
+        assert finish == T0 + 2 * tick and server.stats.dropped_packets == 0
+        assert (server.queued_bytes, server.queued_packets) == (1024, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.core.token_bucket import TokenBucket
 def test_starts_full_by_default():
     tb = TokenBucket(rate_bps=8e6, bucket_bytes=10_000, now=0.0)
     assert tb.tokens(0.0) == 10_000
-    assert tb.can_send(10_000, 0.0)
 
 
 def test_consume_depletes():

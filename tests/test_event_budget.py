@@ -64,7 +64,7 @@ PARENT_COUNTS = {
 
 def test_closed_form_path_spends_three_events_per_packet():
     session = ref_packet_session()
-    assert session.path.link._departures is not None
+    assert session.path.link.server is not None
     metrics = session.run()
     assert metrics.packets_sent > 30_000
     per_packet = session.loop.processed / metrics.packets_sent

@@ -1,10 +1,11 @@
 """The closed-form drop-tail link is the evented link, bit for bit.
 
 ``NetworkPath`` puts a lone plain drop-tail hop on ``Link``'s closed
-form (departures computed at enqueue, no ``link.serve`` event); asking
-the link to ``depart_by_event()`` before the first packet — what the
-auditor does — gives the evented twin. Both are driven with the same
-arrival sequence and must agree on every float.
+form (a ``DropTailServer`` computes departures at enqueue, no
+``link.serve`` event); asking the link to ``depart_by_event()`` before
+the first packet — what the auditor does — gives the evented twin. Both
+are driven with the same arrival sequence and must agree on every
+stamp, drop, state read and counter.
 
 Two ties the closed form cannot see are kept out of the generated
 inputs, because the evented order there hangs on event numbers only the
@@ -40,7 +41,7 @@ def drive(trace, half_hop, capacity, sends, reads, evented, until):
     link = path.link
     if evented:
         link.depart_by_event()
-    assert (link._departures is None) == evented
+    assert (link.server is None) == evented
     packets = [Packet(size_bytes=size, seq=i)
                for i, (_t, size) in enumerate(sends)]
     arrivals, drops, seen = [], [], []
@@ -51,7 +52,7 @@ def drive(trace, half_hop, capacity, sends, reads, evented, until):
     for t in reads:
         loop.call_at(t, lambda: seen.append(
             (loop.now, link.queued_bytes, link.queued_packets,
-             link.stats.delivered_packets, link.stats.busy_time)))
+             link.stats.delivered_packets, link.stats.delivered_bytes)))
     loop.run(until=until)
     stamps = [(p.t_enter_queue, p.t_leave_queue, p.t_arrival, p.dropped)
               for p in packets]
@@ -167,11 +168,35 @@ def test_both_tie_orders_occur_and_differ():
     assert len(long_["drops"]) > 0
     enter, leave = short["stamps"][0][0], short["stamps"][0][1]
     assert short["stamps"][1][0] == leave == enter + GRID       # a true tie
-    rows = short["stats"]["occupancy_samples"]
-    assert rows[1] == (leave, 0) and rows[2] == (leave, 1024)   # out, then in
-    rows = long_["stats"]["occupancy_samples"]
-    leave = long_["stamps"][0][1]
-    assert rows[1] == (leave, 0) and (leave, 2048) not in rows  # never 2 queued
+    # Out, then in: each newcomer is served from the instant it arrives.
+    assert all(stamp[1] == stamp[0] + GRID for stamp in short["stamps"])
+    # In, then out: every other packet meets the one ahead still queued.
+    assert [seq for _t, seq in long_["drops"]] == [1, 3, 5]
+    assert long_["stamps"][1][0] == long_["stamps"][0][1]       # the same tie
+    assert long_["stamps"][2][:2] == (long_["stamps"][0][1] + GRID,
+                                      long_["stamps"][0][1] + 2 * GRID)
+
+
+def test_switching_to_events_keeps_the_books_and_refuses_mid_flight():
+    loop = EventLoop()
+    path = NetworkPath(loop, TIE_TRACE, PathConfig(
+        base_rtt=4 * GRID, queue_capacity_bytes=2048))
+    link = path.link
+    for size in (1024, 1024, 1024):         # two fit, one tail drop
+        path.send(Packet(size_bytes=size))
+    loop.run(until=GRID + GRID / 2)         # entered at GRID, serving
+    assert (link.queued_bytes, link.queued_packets) == (2048, 2)
+    with pytest.raises(RuntimeError, match="departures in flight"):
+        link.depart_by_event()
+    loop.run(until=1.0)
+    link.depart_by_event()
+    assert link.server is None
+    path.send(Packet(size_bytes=1024))      # an evented packet now
+    loop.run(until=2.0)
+    assert asdict(link.stats) == {
+        "enqueued_packets": 3, "delivered_packets": 3, "dropped_packets": 1,
+        "enqueued_bytes": 3072, "delivered_bytes": 3072,
+        "dropped_bytes": 1024}
 
 
 # ----------------------------------------------------------------------
@@ -186,12 +211,12 @@ def test_audited_session_runs_evented_and_matches_the_closed_form_run():
             "ace", BandwidthTrace.constant(20e6, duration=20.0),
             SessionConfig(duration=5.0, seed=3, initial_bwe_bps=8e6))
         auditor = attach_audit(session) if audited else None
-        assert (session.path.link._departures is None) == audited
-        stats = session.path.link.stats     # held across the run
+        assert (session.path.link.server is None) == audited
         metrics = session.run()
         if auditor is not None:
             assert auditor.finalize() == []
-        return fingerprint(metrics), asdict(stats), session.loop.processed
+        return (fingerprint(metrics), asdict(session.path.link.stats),
+                session.loop.processed)
 
     closed, evented = run(False), run(True)
     assert closed[0] == evented[0]

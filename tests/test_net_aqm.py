@@ -97,10 +97,10 @@ def test_droptail_protocol_matches_legacy_api():
     q = DropTailQueue(5000)
     p1, p2 = mkpkt(2000), mkpkt(2000)
     assert q.try_push(p1) and q.enqueue(p2, 0.0)
-    assert q.headroom_bytes == 1000
-    assert q.peek() is p1 and q.select_head(0.0) is p1
+    assert q.bytes_queued == 4000
+    assert q.select_head(0.0) is p1
     assert q.pop_head() is p1 and q.pop() is p2
-    assert q.peek() is None
+    assert q.select_head(0.0) is None
 
 
 # ----------------------------------------------------------------------
@@ -305,22 +305,25 @@ def test_explicit_droptail_is_fast_path_and_identical():
         link = Link(loop, trace, queue_capacity_bytes=6000,
                     on_deliver=delivered.append, on_drop=dropped.append,
                     discipline=discipline)
-        for i in range(40):
-            loop.call_at(0.0004 * i, (lambda p: (lambda: link.send(p)))(
-                Packet(size_bytes=1200)))
+        link.depart_at_enqueue(0.0)
+        packets = [Packet(size_bytes=1200, seq=i) for i in range(40)]
+        for i, packet in enumerate(packets):
+            loop.call_at(0.0004 * i, lambda p=packet: link.send(p))
         loop.run(until=5.0)
-        return ([p.size_bytes for p in delivered], len(dropped),
-                link.stats.occupancy_samples, link._fast_droptail)
+        return ([p.seq for p in delivered], len(dropped),
+                [(p.t_enter_queue, p.t_leave_queue) for p in packets],
+                link.server is not None)
 
     default = run(None)
     explicit = run(DropTailQueue(6000))
     assert default == explicit
-    assert default[3] is True
+    assert default[1] > 0 and default[3] is True
 
 
 def test_link_generic_path_flag():
     loop = EventLoop()
     trace = BandwidthTrace.constant(4e6, duration=5.0)
     link = Link(loop, trace, discipline=CoDelDiscipline(10_000))
-    assert not link._fast_droptail
+    link.depart_at_enqueue(0.0)
+    assert link.server is None      # only plain drop-tail has a closed form
     assert link.queue.drop_hook is not None

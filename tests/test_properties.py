@@ -39,7 +39,7 @@ def test_wait_time_is_sufficient(rate, size):
     tb = TokenBucket(rate_bps=rate, bucket_bytes=2e6, initial_fill=0.0, now=0.0)
     wait = tb.time_until_available(size, 0.0)
     assert wait >= 0.0
-    assert tb.can_send(min(size, tb.bucket_bytes), wait + 1e-9)
+    assert tb.consume(min(size, tb.bucket_bytes), wait + 1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_all_pacers_deliver_everything_in_fifo_order(trains):
         assert len(sent) == total
         seqs = [p.seq for _, p in sent]
         assert seqs == sorted(seqs), "media must leave in FIFO order"
-        assert pacer.is_empty
+        assert pacer.queued_packets == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,7 +8,6 @@ from repro.rtc.metrics import (
     FrameMetrics,
     SessionMetrics,
     percentile,
-    summarize_latency,
 )
 
 
@@ -125,13 +124,6 @@ def test_latency_breakdown_keys():
     assert bd["pacing"] == pytest.approx(0.014)
 
 
-def test_summarize_latency():
-    s = summarize_latency([0.01 * i for i in range(1, 101)])
-    assert s["p50"] == pytest.approx(0.505, rel=0.02)
-    assert s["p99"] > s["p95"] > s["p50"]
-    assert s["mean"] == pytest.approx(0.505, rel=0.01)
-
-
 # ----------------------------------------------------------------------
 # edge cases: empty sessions, zero-capacity bins, NaN propagation
 # ----------------------------------------------------------------------
@@ -195,12 +187,6 @@ def test_percentile_filters_nan_values():
     assert percentile(values, 50) == pytest.approx(0.2)
     # All-NaN input degrades to NaN, never raises.
     assert math.isnan(percentile([float("nan")], 95))
-
-
-def test_summarize_latency_empty_is_all_nan():
-    s = summarize_latency([])
-    assert set(s) == {"p50", "p90", "p95", "p99", "mean"}
-    assert all(math.isnan(v) for v in s.values())
 
 
 def test_latency_percentiles_empty_session_are_nan():

@@ -75,8 +75,44 @@ def test_forget_frame_clears_rtx_state():
     sender = session.sender
     # after the run, displayed frames must have been forgotten
     displayed_ids = {f.frame_id for f in m.displayed_frames()}
-    remaining = {p.frame_id for p in sender._sent_packets.values()}
-    assert not (displayed_ids & remaining)
+    remaining = {frame_id for frame_id, *_entry in sender._rtx_frames}
+    assert displayed_ids and not (displayed_ids & remaining)
+
+
+def test_nacks_are_answered_from_the_frame_table():
+    """One entry per frame, looked up by bisection: a NACK inside a
+    remembered frame is resent from ``packet_at``; one for a forgotten
+    frame, for a seq between frames (an RTX's own) or below the table
+    finds nothing; a repeat inside ``rtx_min_interval`` is skipped."""
+    from repro.net.packet import Packet
+
+    trace = BandwidthTrace.constant(20e6, duration=5.0)
+    sender = build_session("webrtc-star", trace, SessionConfig()).sender
+    built = []
+
+    def frame(frame_id, seq0, count):
+        def packet_at(k):
+            built.append((frame_id, k))
+            return Packet(size_bytes=1000 + k, seq=seq0 + k,
+                          frame_id=frame_id, frame_packet_index=k,
+                          frame_packet_count=count)
+        sender.remember_frame(frame_id, seq0, count, packet_at)
+
+    frame(7, 10, 3)         # seqs 10..12
+    frame(8, 13, 2)         # 13..14; 15 goes to a retransmission
+    frame(9, 16, 4)         # 16..19
+    sender.forget_frame(8)
+    sender.forget_frame(8)  # already gone: nothing to do
+    sender._handle_nacks([3, 12, 13, 15, 17, 40, 12])
+    assert built == [(7, 2), (9, 1)]
+    assert sender.retransmissions == 2
+    queued = list(sender.pacer._rtx_queue)
+    assert [(p.retransmission_of, p.size_bytes) for p in queued] == [
+        (12, 1002), (17, 1001)]
+    assert sorted(sender._rtx_last_sent) == [12, 17]
+    sender.forget_frame(7)
+    assert sorted(sender._rtx_last_sent) == [17]
+    assert [entry[0] for entry in sender._rtx_frames] == [9]
 
 
 def test_ace_rate_factor_applied_to_pacer():

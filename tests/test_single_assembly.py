@@ -116,8 +116,9 @@ def test_scenarios_build_tasks_and_run_nothing_themselves():
 
 
 def test_each_pacing_and_link_law_is_stated_once():
-    """The batch engine asks the pacer (``release_train``) and the link
-    (``net.link.serve``); nothing outside the owners restates either."""
+    """The batch engine asks the pacer (``release_train``) and feeds the
+    link's own drop-tail server; nothing outside the owners restates a
+    law or keeps a second copy of the bottleneck's or the RTX state."""
     batch = ast.parse((SRC / "sim" / "batch.py").read_text())
     imported = {node.module for node in ast.walk(batch)
                 if isinstance(node, ast.ImportFrom)}
@@ -128,6 +129,17 @@ def test_each_pacing_and_link_law_is_stated_once():
             assert "pacer" not in ast.unparse(node).lower()
         assert getattr(node, "attr", None) != "_pacer_kind"
 
+    # Admission, retirement and the service law are the server's: its
+    # feeders neither call ``serve`` nor hold link state of their own.
+    for feeder in ("sim/batch.py", "live/impairment.py"):
+        tree = ast.parse((SRC / feeder).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "serve" not in {a.name for a in node.names}, feeder
+            assert getattr(node, "attr", None) not in (
+                "_busy_until", "_q_bytes", "_fin", "_in_queue"), \
+                f"{feeder}:{node.lineno}"
+
     owners = ("core/token_bucket.py", "transport/pacer/")
     outlasts = []
     for path in sorted(SRC.rglob("*.py")):
@@ -137,6 +149,11 @@ def test_each_pacing_and_link_law_is_stated_once():
             if (isinstance(node, ast.Attribute)
                     and node.attr in ("_last_refill", "_next_send_time")):
                 assert rel.startswith(owners), f"{rel}:{node.lineno}"
+            # One RTX table, the sender's, keyed by frame: no per-packet
+            # table, no burst index beside it.
+            assert getattr(node, "attr", None) not in (
+                "_sent_packets", "_frame_seqs", "_seq0s", "_burst_list"), \
+                f"{rel}:{node.lineno}"
             if (isinstance(node, ast.Raise) and node.exc is not None
                     and "outlasts 1e5 s" in ast.unparse(node.exc)):
                 outlasts.append(rel)

@@ -1,11 +1,18 @@
 """Tests for frame-timeline export."""
 
+import csv
+
 import pytest
 
-from repro.analysis.timeline import frame_rows, load_csv, to_csv
+from repro.analysis.timeline import frame_rows, to_csv
 from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
+
+
+def load_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 class TestTimeline:

@@ -72,7 +72,7 @@ class TestDecoder:
             dec.on_media(seq)
         dec.on_parity([0, 1, 2, 3, 4])
         assert repaired == []
-        assert dec.pending_groups() == 1
+        assert len(dec._pending) == 1
 
     def test_late_media_enables_repair(self):
         """A NACK-recovered packet can unlock the parity's last repair."""
@@ -89,14 +89,7 @@ class TestDecoder:
         for seq in range(5):
             dec.on_media(seq)
         dec.on_parity([0, 1, 2, 3, 4])
-        assert dec.pending_groups() == 0
-
-    def test_give_up_on_stale_groups(self):
-        dec = FecDecoder(on_repair=lambda s: None)
-        dec.on_parity([0, 1, 2])
-        dec.give_up_older_than(10)
-        assert dec.pending_groups() == 0
-        assert dec.stats.unrepairable_groups == 1
+        assert dec._pending == []
 
 
 class TestPipelineIntegration:

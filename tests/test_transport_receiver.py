@@ -93,11 +93,3 @@ def test_frame_quality_and_capture_views():
     deliver(rx, loop, frame_id=0, count=1)
     assert rx.frames[0].quality_vmaf == 88.0
     assert rx.frames[0].capture_time == 0.5
-
-
-def test_completed_frames_listing():
-    loop = EventLoop()
-    rx = make_receiver(loop)
-    deliver(rx, loop, frame_id=0, count=1)
-    deliver(rx, loop, frame_id=1, count=2, seq0=5, indexes=[0])
-    assert [r.frame_id for r in rx.completed_frames()] == [0]

@@ -76,9 +76,3 @@ def test_starving_hard_frame_catastrophic_overspend_marginal(qm):
     loss = qm.score(operating, satd=2.0) - qm.score(operating / 2, satd=2.0)
     gain = qm.score(operating * 2, satd=0.5) - qm.score(operating, satd=0.5)
     assert loss > 3 * gain
-
-
-def test_score_delta_helper(qm):
-    base = qm.bits_for_score(80.0, satd=1.0)
-    assert qm.score_delta_for_bit_ratio(base, 1.0, 0.5) < 0
-    assert qm.score_delta_for_bit_ratio(base, 1.0, 2.0) > 0
