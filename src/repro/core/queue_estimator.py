@@ -8,9 +8,9 @@ with capacity from the PacketPair algorithm.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +30,22 @@ class QueueEstimate:
     rtt_min: Optional[float]
 
 
+def _push_columns(window: tuple[list[float], list[float]],
+                  arrivals: np.ndarray, values: np.ndarray) -> None:
+    """Bulk twin of the scalar lane's pop-then-append: sequential pushes
+    leave the held entries below the batch minimum, then the strict
+    suffix minima of the new samples — one cut, one extend per list."""
+    at, held = window
+    sfx_min = np.minimum.accumulate(values[::-1])[::-1]
+    keep = np.empty(len(values), dtype=bool)
+    keep[-1] = True
+    np.less(values[:-1], sfx_min[1:], out=keep[:-1])
+    k = bisect_left(held, float(sfx_min[0]))
+    del at[k:], held[k:]
+    at.extend(arrivals[keep].tolist())
+    held.extend(values[keep].tolist())
+
+
 class QueueEstimator:
     """Tracks RTT_min / standing RTT and converts delay to queued bytes.
 
@@ -45,12 +61,16 @@ class QueueEstimator:
         self.default_capacity_bps = default_capacity_bps
         self.packet_pair = PacketPairEstimator()
         self._rtt_min: Optional[float] = None
-        # Monotonic (arrival, rtt) windows: _standing holds strictly
-        # increasing rtts (front = window min), _peaks non-increasing
-        # rtts (front = window max). min/max are order-exact, so the
-        # O(1) queries return bit-identical values to a window scan.
-        self._standing: Deque[tuple[float, float]] = deque()
-        self._peaks: Deque[tuple[float, float]] = deque()
+        # Monotonic windows, each a pair of parallel plain lists
+        # (arrivals, values), both ascending: _standing holds strictly
+        # increasing rtts (front = window min), _peaks strictly
+        # increasing *negated* rtts (front = minus the window max), so
+        # one bulk push serves both. Plain lists let the columnar lane
+        # cut and trim by bisection and extend in bulk while the scalar
+        # lane pops and appends with no numpy call; min/max are
+        # order-exact, so the O(1) queries equal a window scan bit for bit.
+        self._standing: tuple[list[float], list[float]] = ([], [])
+        self._peaks: tuple[list[float], list[float]] = ([], [])
         self.estimates: list[QueueEstimate] = []
 
     # ------------------------------------------------------------------
@@ -66,8 +86,8 @@ class QueueEstimator:
             self._on_feedback_arrays(reports, now, reverse_delay)
             return
         rtt_min = self._rtt_min
-        standing = self._standing
-        peaks = self._peaks
+        standing_at, standing_rtt = self._standing
+        peaks_at, peaks_neg = self._peaks
         pp_on_packet = self.packet_pair.on_packet
         for report in reports:
             arrival = report.arrival_time
@@ -76,21 +96,27 @@ class QueueEstimator:
                 continue
             if rtt_min is None or rtt < rtt_min:
                 rtt_min = rtt
-            while standing and standing[-1][1] >= rtt:
-                standing.pop()
-            standing.append((arrival, rtt))
-            while peaks and peaks[-1][1] <= rtt:
-                peaks.pop()
-            peaks.append((arrival, rtt))
+            while standing_rtt and standing_rtt[-1] >= rtt:
+                standing_rtt.pop()
+                standing_at.pop()
+            standing_rtt.append(rtt)
+            standing_at.append(arrival)
+            neg = -rtt
+            while peaks_neg and peaks_neg[-1] >= neg:
+                peaks_neg.pop()
+                peaks_at.pop()
+            peaks_neg.append(neg)
+            peaks_at.append(arrival)
             pp_on_packet(report.send_time, arrival, report.size_bytes)
         self._rtt_min = rtt_min
         self._trim(now - self.standing_window_s)
 
     def _trim(self, horizon: float) -> None:
-        while self._standing and self._standing[0][0] < horizon:
-            self._standing.popleft()
-        while self._peaks and self._peaks[0][0] < horizon:
-            self._peaks.popleft()
+        """Age out the samples that arrived before ``horizon``."""
+        for at, values in (self._standing, self._peaks):
+            k = bisect_left(at, horizon)
+            if k:
+                del at[:k], values[:k]
 
     def _on_feedback_arrays(self, reports: ReportBatch, now: float,
                             reverse_delay: float) -> None:
@@ -113,32 +139,8 @@ class QueueEstimator:
             if len(rtts):
                 if self._rtt_min is None or low < self._rtt_min:
                     self._rtt_min = low
-                arr_list = arrivals.tolist()
-                rtt_list = rtts.tolist()
-                # Batch-rebuild the monotonic deques. Sequential pushes
-                # leave: old entries with value < batch-min (resp. >
-                # batch-max), then the strict suffix-minima (maxima) of
-                # the new samples — same contents, O(survivors) appends.
-                n = len(rtts)
-                rev = rtts[::-1]
-                sfx_min = np.minimum.accumulate(rev)[::-1]
-                sfx_max = np.maximum.accumulate(rev)[::-1]
-                high = float(sfx_max[0])
-                standing = self._standing
-                while standing and standing[-1][1] >= low:
-                    standing.pop()
-                keep = np.empty(n, dtype=bool)
-                keep[-1] = True
-                np.less(rtts[:-1], sfx_min[1:], out=keep[:-1])
-                for i in np.nonzero(keep)[0].tolist():
-                    standing.append((arr_list[i], rtt_list[i]))
-                peaks = self._peaks
-                while peaks and peaks[-1][1] <= high:
-                    peaks.pop()
-                keep[-1] = True
-                np.greater(rtts[:-1], sfx_max[1:], out=keep[:-1])
-                for i in np.nonzero(keep)[0].tolist():
-                    peaks.append((arr_list[i], rtt_list[i]))
+                _push_columns(self._standing, arrivals, rtts)
+                _push_columns(self._peaks, arrivals, -rtts)
                 self.packet_pair.on_packet_arrays(sends, arrivals, sizes)
         self._trim(now - self.standing_window_s)
 
@@ -151,9 +153,8 @@ class QueueEstimator:
 
     def rtt_standing(self) -> Optional[float]:
         """Minimum RTT over the recent window (filters out jitter spikes)."""
-        if not self._standing:
-            return None
-        return self._standing[0][1]
+        rtts = self._standing[1]
+        return rtts[0] if rtts else None
 
     def capacity_bps(self) -> float:
         """PacketPair capacity, falling back to a configured default."""
@@ -192,9 +193,9 @@ class QueueEstimator:
         queue level that preceded a loss — at overflow time the queue was
         near the buffer limit, which only the max-RTT view captures.
         """
-        if not self._peaks or self._rtt_min is None:
+        if not self._peaks[1] or self._rtt_min is None:
             return 0.0
-        peak_rtt = self._peaks[0][1]
+        peak_rtt = -self._peaks[1][0]
         delay = max(0.0, peak_rtt - self._rtt_min)
         return delay * self.capacity_bps() / 8.0
 

@@ -557,16 +557,15 @@ class BatchPipeline:
         sender = self.sender
         chunks = self._send_event_chunks
         if chunks:
-            merged: list[tuple[float, int]] = []
-            for d, sizes in chunks:
-                merged.extend(zip(d.tolist(), sizes.tolist()))
             scalar = sender.send_events
             if scalar:
-                merged.extend(scalar)
-                merged.sort(key=_event_time)
-            sender.send_events = merged
+                # Scalar-lane events ride as one more pair of columns.
+                chunks.append(tuple(zip(*scalar)))
+            times, sizes = map(np.concatenate, zip(*chunks))
+            if scalar:
+                # Stable: a media event stays ahead of a scalar one
+                # released at the same instant.
+                order = np.argsort(times, kind="stable")
+                times, sizes = times[order], sizes[order]
+            sender.send_events = list(zip(times.tolist(), sizes.tolist()))
             self._send_event_chunks = []
-
-
-def _event_time(event: tuple[float, int]) -> float:
-    return event[0]

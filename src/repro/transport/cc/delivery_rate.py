@@ -37,7 +37,6 @@ class DeliveryRateController(CongestionController):
         self._rate_ewma: Optional[float] = None
         self._owd_min: Optional[float] = None
         self._last_feedback_at: Optional[float] = None
-        self._last_seen_highest = -1
         self._last_cumulative_lost = 0
 
     def on_feedback(self, message: FeedbackMessage, now: float) -> None:
@@ -80,9 +79,7 @@ class DeliveryRateController(CongestionController):
     def _interval_loss(self, message: FeedbackMessage) -> float:
         # delivered + newly-lost denominator (see GccController: a
         # seq-span denominator misreads retransmission-heavy intervals).
-        new_highest = message.highest_seq
         lost = message.cumulative_lost - self._last_cumulative_lost
-        self._last_seen_highest = max(self._last_seen_highest, new_highest)
         self._last_cumulative_lost = message.cumulative_lost
         accounted = len(message.reports) + max(lost, 0)
         if accounted <= 0:

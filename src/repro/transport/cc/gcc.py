@@ -21,7 +21,6 @@ with ``time_windowed=True`` reproduces the ACE modification).
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -177,10 +176,7 @@ class GccController(CongestionController):
         self._current_group: Optional[_PacketGroup] = None
         self._prev_group: Optional[_PacketGroup] = None
         self._state = "increase"
-        self._last_seen_highest = -1
         self._last_cumulative_lost = 0
-        self._last_decrease_at: Optional[float] = None
-        self._last_loss_decrease_at: Optional[float] = None
         #: loss-based ceiling on the estimate (None = inactive).
         self._loss_limit: Optional[float] = None
         #: acked rate at the most recent overuse decrease — GCC's "link
@@ -225,9 +221,7 @@ class GccController(CongestionController):
         span-based denominator reads a handful of fresh losses as ~100%
         loss — halving the estimate into the floor.
         """
-        new_highest = message.highest_seq
         lost = message.cumulative_lost - self._last_cumulative_lost
-        self._last_seen_highest = max(self._last_seen_highest, new_highest)
         self._last_cumulative_lost = message.cumulative_lost
         accounted = len(message.reports) + max(lost, 0)
         if accounted <= 0:
@@ -300,7 +294,7 @@ class GccController(CongestionController):
         if cur is not None and float(s[0]) - cur.first_send <= GROUP_WINDOW_S:
             # Absorb the run that continues the carried group in one shot.
             deltas = s - cur.first_send
-            i = int(np.searchsorted(deltas, GROUP_WINDOW_S, side="right"))
+            i = int(deltas.searchsorted(GROUP_WINDOW_S, side="right"))
             last_send = float(s[i - 1])
             if last_send > cur.last_send:
                 cur.last_send = last_send
@@ -318,7 +312,7 @@ class GccController(CongestionController):
         while i < n:
             starts.append(i)
             deltas = s[i:] - s[i]
-            i += int(np.searchsorted(deltas, GROUP_WINDOW_S, side="right"))
+            i += int(deltas.searchsorted(GROUP_WINDOW_S, side="right"))
         sb = np.array(starts)
         first_sends = s[sb].tolist()
         first_arrivals = a[sb].tolist()
@@ -397,7 +391,6 @@ class GccController(CongestionController):
                 self._capacity_hint = self._acked_rate
             if new_bwe < bwe:
                 self._set_bwe(new_bwe, now)
-            self._last_decrease_at = now
             self._state = "hold"
         elif self._state == "increase":
             near_max = (self._capacity_hint is not None

@@ -19,6 +19,9 @@ from repro.net.packet import Packet
 #: WebRTC sends transport feedback roughly every 50-100 ms; we use 50 ms.
 DEFAULT_FEEDBACK_INTERVAL_S = 0.05
 
+#: a hole is NACKed only while within this many seqs of the horizon.
+NACK_WINDOW = 2000
+
 
 class PacketReport:
     """One received packet as seen by the receiver.
@@ -176,13 +179,16 @@ class FeedbackBuilder:
         self._pending: List[Union[PacketReport, _ReportChunk]] = []
         self._has_chunks = False
         self._highest_seq = -1
-        self._received_seqs: set[int] = set()
-        self._nack_counts: dict[int, int] = {}
+        #: the holes below ``_highest_seq``, ascending: {missing seq:
+        #: NACKs sent}. A seq enters when an arrival jumps past it and
+        #: leaves when it arrives late, is recovered, ages out of the
+        #: NACK window or exhausts its NACKs — never to return, since
+        #: ``_highest_seq`` only grows.
+        self._holes: dict[int, int] = {}
+        #: seqs recovered since the last build(), which keeps those still
+        #: ahead of ``_highest_seq`` (an FEC repair can beat its own gap).
         self._recovered: set[int] = set()
         self._cumulative_lost = 0
-        #: every seq below this is resolved (received, recovered, or
-        #: NACKed to exhaustion) — lets _missing_seqs skip re-scanning.
-        self._resolved_floor = 0
 
     def on_packet(self, packet: Packet) -> None:
         """Record an arriving media packet."""
@@ -195,15 +201,23 @@ class FeedbackBuilder:
             packet.size_bytes,
             packet.frame_id,
         ))
-        if packet.retransmission_of is not None:
-            self._recovered.add(packet.retransmission_of)
-            self._nack_counts.pop(packet.retransmission_of, None)
+        recovered = packet.retransmission_of
+        if recovered is not None:
+            # Returns before gap tracking, so the carrier's own seq is
+            # never marked received (ROADMAP: an RTX's seq is NACKed).
+            self._recovered.add(recovered)
+            self._holes.pop(recovered, None)
             return
         seq = packet.seq
-        if seq < 0:
-            return  # separate stream (e.g. FEC parity): no gap tracking
-        self._received_seqs.add(seq)
-        if seq > self._highest_seq:
+        highest = self._highest_seq
+        if seq == highest + 1:
+            self._highest_seq = seq
+        elif seq <= highest:
+            # Late or duplicate: its hole closes (seq < 0, a separate
+            # stream such as FEC parity, never had one).
+            self._holes.pop(seq, None)
+        else:
+            self._open_holes(highest + 1, seq)
             self._highest_seq = seq
 
     def on_chunk(self, seq0: int, send_times: np.ndarray,
@@ -214,56 +228,56 @@ class FeedbackBuilder:
         Batch-engine equivalent of ``on_packet`` for fresh (never
         retransmitted, non-negative-seq) media packets only.
         """
-        count = len(sizes)
         self._pending.append(_ReportChunk(
             seq0, send_times, arrival_times, sizes, frame_id))
         self._has_chunks = True
-        self._received_seqs.update(range(seq0, seq0 + count))
-        last = seq0 + count - 1
-        if last > self._highest_seq:
+        last = seq0 + len(sizes) - 1
+        highest = self._highest_seq
+        if seq0 <= highest and self._holes:
+            for seq in range(seq0, min(last, highest) + 1):
+                self._holes.pop(seq, None)
+        if last > highest:
+            if seq0 > highest + 1:
+                self._open_holes(highest + 1, seq0)
             self._highest_seq = last
+
+    def _open_holes(self, first: int, stop: int) -> None:
+        """An arrival skipped seqs ``first..stop-1``: holes, as far back
+        as the next build() still reaches (its horizon is >= stop -
+        reorder_margin) — which bounds the table across a wide gap."""
+        reach = stop - self.reorder_margin - NACK_WINDOW
+        for seq in range(max(first, reach), stop):
+            if seq not in self._recovered:
+                self._holes[seq] = 0
 
     def _missing_seqs(self) -> List[int]:
         """Sequence numbers presumed lost (beyond the reordering margin)."""
-        if self._highest_seq < 0:
-            return []
         horizon = self._highest_seq - self.reorder_margin
-        # Only scan a bounded window back from the horizon; older holes
-        # have either been NACKed to exhaustion or recovered. The scan
-        # starts at the resolved floor — everything below it has already
-        # been classified as resolved and can never become missing again.
-        window_start = max(0, horizon - 2000)
-        floor = self._resolved_floor
-        if floor < window_start:
-            floor = window_start
+        oldest = horizon - NACK_WINDOW
         missing = []
-        received = self._received_seqs
-        recovered = self._recovered
-        counts = self._nack_counts
-        max_nacks = self.max_nacks_per_seq
-        at_floor = True
-        for seq in range(floor, horizon + 1):
-            if seq in received or seq in recovered:
-                if at_floor:
-                    floor = seq + 1
-                continue
-            if counts.get(seq, 0) >= max_nacks:
-                if at_floor:
-                    floor = seq + 1
-                continue
-            missing.append(seq)
-            at_floor = False
-        self._resolved_floor = floor
+        closed = []     # aged out of the window, or NACKed to exhaustion
+        for seq, nacks in self._holes.items():
+            if seq > horizon:
+                break
+            if seq < oldest or nacks >= self.max_nacks_per_seq:
+                closed.append(seq)
+            else:
+                missing.append(seq)
+        for seq in closed:
+            del self._holes[seq]
         return missing
 
     def build(self, now: float) -> FeedbackMessage:
         """Emit the feedback message for the elapsed interval."""
+        holes = self._holes
         nacks = self._missing_seqs()
         for seq in nacks:
-            before = self._nack_counts.get(seq, 0)
-            if before == 0:
+            if holes[seq] == 0:
                 self._cumulative_lost += 1
-            self._nack_counts[seq] = before + 1
+            holes[seq] += 1
+        if self._recovered:
+            highest = self._highest_seq
+            self._recovered = {s for s in self._recovered if s > highest}
         pending = self._pending
         reports: Union[List[PacketReport], ReportBatch]
         if not self._has_chunks:

@@ -235,8 +235,8 @@ class TestControlLawViolations:
             est = ace.queue_estimator
             # Feedback silence = the whole recent window aged out; the
             # monotonic companions are trimmed in lockstep with it.
-            est._standing.clear()
-            est._peaks.clear()
+            for column in (*est._standing, *est._peaks):
+                column.clear()
             new = ace.bucket_bytes + 2000.0
             ace._bucket_bytes = new
             ace.decisions.append(

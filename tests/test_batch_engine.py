@@ -19,6 +19,7 @@ import json
 import math
 import signal
 
+import numpy as np
 import pytest
 
 from repro.analysis.aggregate import paired_compare
@@ -112,6 +113,39 @@ def test_batch_fast_path_engages_and_shrinks_event_count():
     # The macro-step pipeline replaces per-packet heap events; the batch
     # loop must process a small fraction of the reference event count.
     assert batch_session.loop.processed < ref_session.loop.processed / 3
+
+
+def test_finalize_merges_the_lanes_by_time_media_first_on_a_tie():
+    session = build_session(
+        "ace", BandwidthTrace.constant(12e6, duration=10.0),
+        SessionConfig(duration=1.0, seed=3))
+    engine = get_engine("batch")
+    engine.prepare(session)
+    engine._pipeline._send_event_chunks = [
+        (np.array([1.0, 2.0]), np.array([1200, 1100])),
+        (np.array([3.0]), np.array([500]))]
+    # The scalar lane released one packet at exactly a media release.
+    session.sender.send_events = [(2.0, 99), (2.5, 77)]
+    engine.finalize(session)
+    events = session.sender.send_events
+    assert events == [(1.0, 1200), (2.0, 1100), (2.0, 99), (2.5, 77),
+                      (3.0, 500)]
+    assert {type(size) for _t, size in events} == {int}
+    assert {type(t) for t, _size in events} == {float}
+
+
+def test_send_log_is_in_time_order_when_retransmissions_rode_along():
+    trace = BandwidthTrace.constant(20e6, duration=20.0)
+    cfg = SessionConfig(duration=4.0, seed=2, initial_bwe_bps=8e6)
+    ref_session, ref = _run_metrics("ace", trace, cfg, "reference")
+    session, metrics = _run_metrics("ace", trace, cfg, "batch")
+    assert session.engine.fallback_reason is None
+    assert metrics.packets_retransmitted == 37
+    times = [t for t, _size in metrics.send_events]
+    assert times == sorted(times)
+    assert len(times) == metrics.packets_sent
+    assert ([size for _t, size in metrics.send_events]
+            == [size for _t, size in ref.send_events])
 
 
 @pytest.mark.parametrize("config_kwargs, expect", [

@@ -1,9 +1,12 @@
 """Tests for the RTT x PacketPair queue estimator."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.queue_estimator import QueueEstimator
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import (FeedbackMessage, PacketReport,
+                                      ReportBatch, _ReportChunk)
 
 
 def message(reports, now):
@@ -139,3 +142,60 @@ def test_estimates_history_recorded():
     est.queue_bytes(now=1.0)
     assert len(est.estimates) >= 1
     assert est.estimates[-1].rtt_min is not None
+
+
+# ---------------------------------------------------------------------------
+# the monotonic windows against a brute-force window scan, on both lanes
+# ---------------------------------------------------------------------------
+_sample = st.tuples(
+    st.floats(0.0, 0.03),           # arrival gap (0: same-instant arrivals)
+    st.floats(-0.03, 0.08),         # one-way delay: rtt <= 0 happens
+    st.integers(60, 1500),          # size
+    st.booleans(),                  # the message ends after this sample
+    st.floats(0.0, 0.15))           # how long after it the message is read
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_sample, min_size=1, max_size=120),
+       st.sampled_from([0.0, 0.01]))
+def test_windows_equal_a_brute_force_scan_on_every_lane(stream, reverse):
+    lanes = {"scalar": QueueEstimator(), "columnar": QueueEstimator(),
+             "alternating": QueueEstimator()}
+    seen = []           # every (arrival, rtt) with rtt > 0, in order
+    batch, arrival, now, count = [], 0.0, 0.0, 0
+    for seq, (gap, owd, size, ends, wait) in enumerate(stream):
+        arrival += gap
+        batch.append(PacketReport(seq, arrival - owd, arrival, size))
+        if not ends and seq < len(stream) - 1:
+            continue
+        now = max(now, arrival + wait)     # feedback is read in order
+        columns = ReportBatch([_ReportChunk(
+            batch[0].seq, np.array([r.send_time for r in batch]),
+            np.array([r.arrival_time for r in batch]),
+            np.array([r.size_bytes for r in batch]), 0)])
+        for name, est in lanes.items():
+            columnar = name == "columnar" or (name == "alternating"
+                                              and count % 2)
+            est.on_feedback(FeedbackMessage(
+                created_at=now, reports=columns if columnar else batch),
+                now, reverse_delay=reverse)
+        seen.extend((r.arrival_time, rtt) for r in batch
+                    if (rtt := r.arrival_time - r.send_time + reverse) > 0)
+        batch, count = [], count + 1
+        scalar = lanes["scalar"]
+        recent = [rtt for at, rtt in seen
+                  if at >= now - scalar.standing_window_s]
+        floor = min((rtt for _at, rtt in seen), default=None)
+        for est in lanes.values():
+            assert est.rtt_min == floor
+            assert est.rtt_standing() == (min(recent) if recent else None)
+            assert est.peak_queue_bytes() == (
+                max(0.0, max(recent) - floor) * est.capacity_bps() / 8.0
+                if recent else 0.0)
+            assert est.queue_is_empty() == (
+                bool(recent) and min(recent) - floor < 0.002)
+            # Not only the queries: the lanes leave identical state.
+            assert (est._standing, est._peaks) \
+                == (scalar._standing, scalar._peaks)
+            assert (list(est.packet_pair._samples)
+                    == list(scalar.packet_pair._samples))

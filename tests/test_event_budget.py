@@ -6,7 +6,14 @@ events on a packet — ``pacer.pump``, ``path.to-bottleneck``,
 Everything the closed form cannot take keeps its ``link.serve`` event:
 the per-name counts below were recorded at the parent commit (bcdfe33,
 four heap events per packet everywhere) and must not move.
+
+The batch engine's budget is in Python calls, not heap events: its
+point is that nothing runs per packet, and a cProfile census is what
+says whether a consumer of its trains has started walking them again.
 """
+
+import cProfile
+import pstats
 
 from repro.arena import ArenaFlowSpec, ArenaSession, BottleneckSpec
 from repro.obs import LoopProfiler
@@ -16,11 +23,11 @@ from repro.sim.events import Event
 from tests.test_arena_session import const_trace as const
 
 
-def ref_packet_session(duration=4.0, seed=3):
-    """perfbench's ``ref_packet`` configuration."""
+def ref_packet_session(duration=4.0, seed=3, engine="reference"):
+    """perfbench's ``ref_packet`` (``batch_packet``) configuration."""
     return build_session("ace", const(100, duration + 10.0), SessionConfig(
         duration=duration, seed=seed, initial_bwe_bps=50e6,
-        max_bwe_bps=100e6))
+        max_bwe_bps=100e6), engine=engine)
 
 
 def jittered():
@@ -113,3 +120,22 @@ def test_on_event_hook_gets_an_event_for_each_handle_free_hop():
     hops = {name for name, _t, _s in seen}
     assert {"path.to-bottleneck", "path.to-receiver", "path.feedback",
             "pacer.pump", "sender.capture"} <= hops
+
+
+def test_batch_fast_path_spends_under_three_calls_per_packet():
+    """Repeatable to a few dozen calls. ce584bc: 5.27 = 194 118 calls /
+    36 808 packets — a Python sort key over every send event, two deques
+    walked per RTT sample, a set of every seq received; after: 2.65."""
+    session = ref_packet_session(engine="batch")
+    profile = cProfile.Profile()
+    metrics = profile.runcall(session.run)
+    assert session.engine.fallback_reason is None
+    packets = metrics.packets_sent
+    stats = pstats.Stats(profile)
+    busiest = sorted(stats.stats.items(), key=lambda kv: -kv[1][1])[:5]
+    census = "; ".join(
+        f"{name} ({path.rsplit('/', 1)[-1]}:{line}) {calls / packets:.2f}"
+        for (path, line, name), (_cc, calls, *_rest) in busiest)
+    assert stats.total_calls / packets <= 3.2, (
+        f"{stats.total_calls / packets:.2f} calls per packet; the most "
+        f"called, per packet: {census}")
