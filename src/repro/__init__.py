@@ -11,6 +11,7 @@ Public API tour:
 * ``repro.video`` — content sources, codec models, rate control, quality.
 * ``repro.transport`` — pacers, congestion control, feedback, receiver.
 * ``repro.bench`` — workloads and sweep helpers shared by benchmarks/.
+* ``repro.observe`` — what a run watches: ``Observe``, ``attach``, ``harvest``.
 
 Quickstart::
 

@@ -12,6 +12,7 @@ and historical entries stay valid.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from itertools import product
 from typing import Optional, Sequence
 
@@ -19,6 +20,8 @@ from repro.arena.session import ArenaMetrics
 from repro.bench.parallel import GridTask, cell_keys, run_cells
 from repro.net.aqm import DEFAULT_DISCIPLINE, list_disciplines
 from repro.net.trace import BandwidthTrace
+from repro.observe import Observe
+from repro.rtc.session import SessionConfig
 
 #: matches the single-flow grid defaults (bench workloads).
 DEFAULT_DURATION = 25.0
@@ -76,8 +79,8 @@ def arena_task(mix: str, discipline: str, trace: BandwidthTrace,
                **task_fields) -> GridTask:
     """One arena cell as a :class:`~repro.bench.parallel.GridTask`: the
     mix's flows in ``category`` behind ``discipline``, labelled
-    :func:`cell_label`. ``task_fields`` are the task's own (``config=``
-    or the scalar knobs, ``series=``)."""
+    :func:`cell_label`. ``task_fields`` are the task's own (``config=``,
+    the :class:`~repro.observe.Observe` options)."""
     flows = [{**flow, "category": category} for flow in parse_mix(mix)]
     return GridTask(
         baseline=cell_label(mix, discipline), trace=trace, category=category,
@@ -99,7 +102,7 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
                    verbose: bool = False,
                    window_s: float = 10.0,
                    discipline_params: Optional[dict] = None,
-                   series: bool = False,
+                   observe: Optional[Observe] = None,
                    ) -> dict[tuple, ArenaMetrics]:
     """Sweep a (mix x discipline x trace x seed) cube of arena cells.
 
@@ -110,20 +113,24 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
     :class:`~repro.analysis.results.RunResult` per cell (baseline
     labels like ``"ace#1@droptail"``), and ``summary.json`` gains the
     ``fairness`` block over the trailing ``window_s``.
-    ``series=True`` records per-cell time series (arena gauges: per-flow
-    sent bytes, queue shares, router occupancy) and — with ``run_dir=``
-    — writes them as ``series/*.json`` shards; series cells bypass the
-    result cache like any other instrumented task.
+    ``observe`` (:class:`~repro.observe.Observe`) is what every cell
+    watches: telemetry and ``series`` (arena gauges — per-flow sent
+    bytes, queue shares, router occupancy; with ``run_dir=`` written as
+    ``series/*.json`` shards). The single-flow options raise when a cell
+    is opened. Instrumented cells bypass the result cache.
     """
     known = list_disciplines()
     for name in disciplines:
         if name not in known:
             raise ValueError(f"unknown discipline {name!r} "
                              f"(have {', '.join(known)})")
+    observe = observe or Observe()
     coords = list(product(mixes, disciplines, traces, seeds))
     tasks = [arena_task(mix, discipline, trace, category, discipline_params,
-                        seed=seed, duration=duration, fps=fps,
-                        initial_bwe_bps=initial_bwe_bps, series=series)
+                        config=SessionConfig(
+                            duration=duration, seed=seed, fps=fps,
+                            initial_bwe_bps=initial_bwe_bps),
+                        **asdict(observe))
              for mix, discipline, trace, seed in coords]
     cell_keys(tasks)
     metrics = run_cells(
@@ -132,6 +139,6 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
         run_dir=run_dir, verbose=verbose, window_s=window_s,
         manifest_extra={"arena": True, "mixes": list(mixes),
                         "disciplines": list(disciplines),
-                        "window_s": window_s, "series": series})
+                        "window_s": window_s, "series": observe.series})
     return {(mix, discipline, trace.name, seed): m
             for (mix, discipline, trace, seed), m in zip(coords, metrics)}

@@ -106,6 +106,10 @@ class ArenaMetrics:
 class ArenaSession:
     """N RTC flows over a shared bottleneck chain with pluggable AQM."""
 
+    #: series-shard mode; :func:`repro.observe.attach` refuses here the
+    #: options that watch a single flow.
+    mode = "arena"
+
     def __init__(self, flows: Sequence[ArenaFlowSpec],
                  trace: Optional[BandwidthTrace] = None,
                  config: Optional[SessionConfig] = None, *,

@@ -117,14 +117,7 @@ class ArenaPath(NetworkPath):
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Inject a packet; enters the first router on its flow's route."""
-        if self.intercept is not None:
-            self.intercept(packet)
-            return
-        if self._lossy and (self._random_loss() or self._contention_loss()):
-            packet.dropped = True
-            self.lost_packets.append(packet)
-            if self.on_drop is not None:
-                self.on_drop(packet)
+        if self._lossy and self._lost_at_ingress(packet):
             return
         route = self.flow_routes.get(packet.flow_id)
         entry = self.links[route[0]] if route else self.link

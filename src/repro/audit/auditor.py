@@ -626,22 +626,23 @@ class SessionAuditor:
 
 def attach_audit(session, strict: bool = True,
                  max_violations: int = 50) -> SessionAuditor:
-    """Attach a per-event auditor to a not-yet-run :class:`RtcSession`.
-
-    Must be called before ``session.run()`` (the event loop snapshots
-    its hook when it starts). Returns the attached auditor; call
-    ``finalize()`` after the run for the end-of-session checks.
+    """Attach an auditor to a not-yet-run single-flow session, sim or
+    live; the clock picks the mode — per event on a loop with an
+    ``on_event`` hook, polling (always collecting) on a wall clock.
+    Call ``finalize()`` after the run for the end-of-session checks.
     """
+    sender = session.sender
+    path = getattr(session, "path", None)   # live: the shim, no Link
     auditor = SessionAuditor(
-        session.loop,
-        session.sender.pacer,
-        link=session.path.link,
-        path=session.path,
-        ace_n=session.sender.ace_n,
-        cc=session.cc,
+        sender.pacer.loop, sender.pacer,
+        link=None if path is None else path.link, path=path,
+        ace_n=sender.ace_n, cc=sender.cc,
+        # Live: the emulated forward delay plus the honest reverse
+        # estimate keeps measured RTTs at or above base_rtt even on a
+        # wall clock (real time only ever adds delay).
         rtt_floor=session.config.base_rtt,
-        strict=strict,
-        max_violations=max_violations,
-        telemetry=getattr(session, "telemetry", None),
-    )
-    return auditor.attach()
+        strict=strict, max_violations=max_violations,
+        telemetry=session.telemetry)
+    if hasattr(auditor.clock, "on_event"):
+        return auditor.attach()
+    return auditor.attach_polling()

@@ -10,19 +10,15 @@ Determinism contract: each task carries its own seed and builds its own
 session, so a worker computes *exactly* the float sequence the serial
 path computes — parallel results are byte-identical to ``jobs=1``
 (tested via :func:`~repro.analysis.results.canonical_metrics_json`).
-Part of that contract is **environment isolation**: the parent's
-``REPRO_TELEMETRY``/``REPRO_AUDIT`` env vars never leak into grid cells
-(a debugging session must not silently instrument a 500-cell sweep);
-instrumentation is opted into per task via :attr:`GridTask.telemetry` /
-:attr:`GridTask.audit`.
+Part of that contract is **environment isolation**: every cell attaches
+its own :class:`~repro.observe.Observe` options, so the parent's
+``REPRO_TELEMETRY``/``REPRO_AUDIT`` never instrument a 500-cell sweep.
 
 The runner composes with the on-disk result cache
 (:class:`~repro.analysis.cache.ResultCache`): cached cells are answered
 without spawning a worker, and fresh results are stored for the next
-sweep. ``REPRO_CACHE=off`` disables that layer entirely. Instrumented
-cells bypass the cache in both directions — a cache hit would observe
-nothing, and an instrumented run is not the artifact other sweeps
-expect.
+sweep. ``REPRO_CACHE=off`` disables that layer entirely; instrumented
+cells bypass it (:attr:`~repro.observe.Observe.instrumented`).
 
 One executor: :func:`run_cells` is how every set of cells runs — the
 library grids (:func:`run_grid`, :func:`repro.arena.grid.run_arena_grid`),
@@ -37,7 +33,7 @@ from __future__ import annotations
 import os
 import re
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -46,20 +42,16 @@ from repro.analysis.cache import ResultCache
 from repro.analysis.results import RunResult
 from repro.net.aqm import DEFAULT_DISCIPLINE
 from repro.net.trace import BandwidthTrace
+from repro.observe import Observe, attach, harvest, write_series_shards
 from repro.rtc.baselines import build_session
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.session import SessionConfig
-from repro.transport.pacer.stall import PacingStall
 
 if TYPE_CHECKING:
     from repro.obs.fleet import FleetObserver
 
 #: default per-session simulated duration (matches bench workloads).
 DEFAULT_DURATION = 25.0
-
-#: env vars that flip on instrumentation in ``RtcSession.run()``; grid
-#: workers strip these so cells only get what their task asked for.
-INSTRUMENT_ENV_VARS = ("REPRO_TELEMETRY", "REPRO_AUDIT")
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -91,46 +83,23 @@ def build_overrides(engine: str = "reference",
 
 
 @dataclass
-class GridTask:
+class GridTask(Observe):
     """One cell of an experiment grid: a single session to run.
 
-    Either set the scalar knobs (``seed``/``duration``/``fps``/
-    ``initial_bwe_bps``) and let the task build its own
-    :class:`SessionConfig` — matching ``run_baseline``'s defaults — or
-    pass a full ``config`` to control every field (RTT sweeps, loss
-    injection, ...). ``build_kwargs`` forwards overrides to
-    :func:`build_session` (``cc_override``, ``ace_n_config``, ...).
-
-    ``telemetry``/``audit`` opt this one cell into instrumentation —
-    the *only* way to instrument a grid cell; the runner deliberately
-    ignores the parent's ``REPRO_TELEMETRY``/``REPRO_AUDIT`` env vars.
-    Instrumented cells are never served from (or stored to) the cache.
+    ``config`` is the cell's whole :class:`SessionConfig` — required:
+    the builders (:func:`make_grid`, the arena grid, the CLI, the
+    scenarios) state every field, so no default can silently change a
+    cell. ``build_kwargs`` forwards overrides to :func:`build_session`
+    (``cc_override``, ``ace_n_config``, ...). The inherited
+    :class:`~repro.observe.Observe` options are what the cell watches —
+    the only way to instrument it.
     """
 
     baseline: str
     trace: BandwidthTrace
-    seed: int = 3
-    duration: float = DEFAULT_DURATION
+    config: SessionConfig
     category: str = "gaming"
-    fps: float = 30.0
-    initial_bwe_bps: float = 6_000_000.0
-    config: Optional[SessionConfig] = None
     build_kwargs: dict = field(default_factory=dict)
-    telemetry: bool = False
-    audit: bool = False
-    #: attach the burstiness SLO watchdog (implies telemetry); fired
-    #: alert summaries land on the returned metrics as ``slo_alerts``.
-    slo: bool = False
-    slo_pacing_p99_s: float = 0.25
-    #: record a bounded time-series of every instrument (implies
-    #: telemetry); the columnar frame lands on the returned metrics as
-    #: ``series_frame`` (a :class:`~repro.obs.timeseries.SeriesFrame`).
-    series: bool = False
-    #: fault injection: ``(at_s, duration_s)`` pacing-stall drill —
-    #: clamp the pacer at its rate floor for the window. Instrumenting
-    #: A/B divergence runs; never cached (the result is not the
-    #: artifact other sweeps expect).
-    inject_stall: Optional[tuple] = None
     #: multi-flow arena cell: ``{"flows": [ArenaFlowSpec kwargs, ...],
     #: "discipline": name, "discipline_params": {...}}``. When set,
     #: ``baseline`` is a display label (the mix string) and the cell
@@ -138,17 +107,10 @@ class GridTask:
     #: :func:`build_session`; the result is an ``ArenaMetrics``.
     arena: Optional[dict] = None
 
-    def session_config(self) -> SessionConfig:
-        if self.config is not None:
-            return self.config
-        return SessionConfig(duration=self.duration, seed=self.seed,
-                             fps=self.fps,
-                             initial_bwe_bps=self.initial_bwe_bps)
-
     def key(self) -> tuple:
         """Grid coordinates: (baseline, trace name, seed, category)."""
-        cfg = self.session_config()
-        return (self.baseline, self.trace.name, cfg.seed, self.category)
+        return (self.baseline, self.trace.name, self.config.seed,
+                self.category)
 
     def cache_extra(self) -> dict:
         """Extra payload folded into the result-cache key.
@@ -169,11 +131,6 @@ class GridTask:
             spec.pop("discipline_params", None)
         extra["arena"] = json.dumps(spec, sort_keys=True)
         return extra
-
-    @property
-    def instrumented(self) -> bool:
-        return (self.telemetry or self.audit or self.slo or self.series
-                or self.inject_stall is not None)
 
     def results(self, metrics, window_s: float = 10.0,
                 **labels) -> list[RunResult]:
@@ -200,7 +157,7 @@ class GridTask:
                     "jain": report.jain_throughput,
                     "worst_p95_ms": report.worst_p95_latency_s * 1e3,
                     "convergence_s": report.convergence_s.get(fid)}))
-        seed = self.session_config().seed
+        seed = self.config.seed
         return [RunResult.from_metrics(flow, baseline=baseline, seed=seed,
                                        category=self.category,
                                        **extra, **labels)
@@ -208,76 +165,34 @@ class GridTask:
 
 
 def open_task(task: GridTask, strict_audit: bool = True):
-    """Build the instrumented session ``task`` describes, not yet run.
+    """Build the session ``task`` describes with the cell's observers
+    attached (:func:`repro.observe.attach`), not yet run.
 
-    Returns ``(session, auditor)``. The watchdog and the series recorder
-    hang off ``session.telemetry``; the pacing stall is armed on the
-    session's loop. The auditor (``None`` unless ``task.audit``) raises
-    at the first violation when ``strict_audit`` — what a grid wants —
-    and collects them for a report otherwise (``repro run --check``).
+    A per-event auditor raises at the first violation when
+    ``strict_audit`` — what a grid wants — and collects them for a
+    report otherwise (``repro run --check``).
     """
     if task.arena is not None:
         from repro.arena.session import ArenaFlowSpec, ArenaSession
         spec = task.arena
         session = ArenaSession(
             [ArenaFlowSpec(**f) for f in spec["flows"]],
-            task.trace, task.session_config(),
+            task.trace, task.config,
             discipline=spec.get("discipline", "droptail"),
             discipline_params=spec.get("discipline_params") or {})
-        if task.series:
-            session.enable_telemetry().attach_series()
-        return session, None
-    session = build_session(task.baseline, task.trace, task.session_config(),
-                            category=task.category, **task.build_kwargs)
-    if task.telemetry or task.slo or task.series:
-        telemetry = session.enable_telemetry()
-        if task.slo:
-            telemetry.attach_watchdog(pacing_p99_s=task.slo_pacing_p99_s)
-        if task.series:
-            telemetry.attach_series()
-    if task.inject_stall is not None:
-        PacingStall(session.loop, session.sender.pacer, *task.inject_stall)
-    auditor = None
-    if task.audit:
-        from repro.audit import attach_audit
-        auditor = attach_audit(session, strict=strict_audit)
-    return session, auditor
+    else:
+        session = build_session(task.baseline, task.trace, task.config,
+                                category=task.category, **task.build_kwargs)
+    return attach(session, task, strict=strict_audit)
 
 
-def run_opened(task: GridTask, session, auditor=None) -> SessionMetrics:
-    """Run a session from :func:`open_task` and harvest its instruments.
-
-    Strips :data:`INSTRUMENT_ENV_VARS` for the duration of the run (and
-    restores them — the ``jobs=1`` path runs in the parent process), so
-    cells are instrumented iff their task says so. Alert summaries and
-    the series frame ride on the metrics as plain attributes of the
-    (unslotted) dataclass, so they survive the pickle back to the parent
-    like any other field.
-    """
-    saved = {name: os.environ.pop(name)
-             for name in INSTRUMENT_ENV_VARS if name in os.environ}
-    try:
-        metrics = session.run()
-    finally:
-        os.environ.update(saved)
-    if auditor is not None:
-        auditor.finalize()
-    telemetry = session.telemetry
-    if telemetry is not None:
-        if telemetry.watchdog is not None:
-            metrics.slo_alerts = telemetry.watchdog.summary()
-        if telemetry.series is not None:
-            metrics.series_frame = telemetry.series.frame(_series_meta(task))
-    return metrics
-
-
-def _series_meta(task: GridTask) -> dict:
-    meta = {"baseline": task.baseline, "trace": task.trace.name,
-            "seed": task.session_config().seed, "category": task.category,
-            "mode": "arena" if task.arena is not None else "sim"}
-    if task.inject_stall is not None:
-        meta["inject_stall"] = list(task.inject_stall)
-    return meta
+def run_opened(task: GridTask, session) -> SessionMetrics:
+    """Run a session from :func:`open_task` and harvest what its
+    observers saw (:func:`repro.observe.harvest`), a recorded series
+    headed by the cell's coordinates."""
+    baseline, trace_name, seed, category = task.key()
+    return harvest(session, session.run(), baseline=baseline,
+                   trace=trace_name, seed=seed, category=category)
 
 
 def _run_cell(index: int, task: GridTask) -> tuple[int, SessionMetrics, int, float]:
@@ -289,7 +204,7 @@ def _run_cell(index: int, task: GridTask) -> tuple[int, SessionMetrics, int, flo
     trace's ``rate_at`` so results look identical to an in-process run.
     """
     t0 = perf_counter()
-    metrics = run_opened(task, *open_task(task))
+    metrics = run_opened(task, open_task(task))
     metrics.bandwidth_fn = None
     return index, metrics, os.getpid(), perf_counter() - t0
 
@@ -330,7 +245,7 @@ class ParallelRunner:
                 if task.instrumented:
                     todo.append(i)      # bypass: don't count, don't store
                     continue
-                key = cache.make_key(task.baseline, task.session_config(),
+                key = cache.make_key(task.baseline, task.config,
                                      task.trace, task.category,
                                      task.cache_extra())
                 keys[i] = key
@@ -392,23 +307,6 @@ def series_shard_name(key: tuple) -> str:
     return "__".join(re.sub(r"[^A-Za-z0-9._-]", "-", p) for p in parts)
 
 
-def write_series_shards(run_dir, tasks: Sequence[GridTask],
-                        metrics: Sequence[SessionMetrics]) -> list:
-    """Write each cell's recorded ``series_frame`` into
-    ``<run_dir>/series/<shard>.json`` (atomic). Returns written paths."""
-    from pathlib import Path
-    written = []
-    series_dir = Path(run_dir) / "series"
-    for task, m in zip(tasks, metrics):
-        frame = getattr(m, "series_frame", None)
-        if frame is None or not frame.t:
-            continue
-        path = series_dir / f"{series_shard_name(task.key())}.json"
-        frame.write(path)
-        written.append(path)
-    return written
-
-
 def cell_keys(tasks: Sequence[GridTask]) -> list[tuple]:
     """The cells' keys, checked unique — for whoever names things by
     them: result rows and series shards in a run directory, the entries
@@ -466,7 +364,9 @@ def run_cells(tasks: Sequence[GridTask],
     metrics = runner.run(tasks, observer=observer)
 
     if observer is not None:
-        write_series_shards(run_dir, tasks, metrics)
+        write_series_shards(
+            run_dir, [series_shard_name(task.key()) for task in tasks],
+            metrics)
         results: list[RunResult] = []
         fairness: dict[str, dict] = {}
         for task, m, label in zip(tasks, metrics,
@@ -494,13 +394,16 @@ def make_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
               categories: Sequence[str] = ("gaming",),
               duration: float = DEFAULT_DURATION, fps: float = 30.0,
               initial_bwe_bps: float = 6_000_000.0,
-              build_kwargs: Optional[dict] = None) -> list[GridTask]:
-    """Cartesian product of the grid axes, in deterministic order."""
+              build_kwargs: Optional[dict] = None,
+              observe: Optional[Observe] = None) -> list[GridTask]:
+    """Cartesian product of the grid axes, in deterministic order; every
+    cell watches what ``observe`` asks for."""
+    options = asdict(observe or Observe())
     return [
-        GridTask(baseline=baseline, trace=trace, seed=seed,
-                 duration=duration, category=category, fps=fps,
-                 initial_bwe_bps=initial_bwe_bps,
-                 build_kwargs=dict(build_kwargs or {}))
+        GridTask(baseline=baseline, trace=trace, category=category,
+                 config=SessionConfig(duration=duration, seed=seed, fps=fps,
+                                      initial_bwe_bps=initial_bwe_bps),
+                 build_kwargs=dict(build_kwargs or {}), **options)
         for baseline, trace, seed, category
         in product(baselines, traces, seeds, categories)
     ]
@@ -519,10 +422,7 @@ def run_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
              verbose: bool = False,
              engine: str = "reference",
              discipline: str = "droptail",
-             slo: bool = False,
-             slo_pacing_p99_s: float = 0.25,
-             series: bool = False,
-             inject_stall: Optional[tuple] = None,
+             observe: Optional[Observe] = None,
              ) -> dict[tuple, SessionMetrics]:
     """Run a (baseline x trace x seed x category) grid.
 
@@ -535,31 +435,23 @@ def run_grid(baselines: Sequence[str], traces: Sequence[BandwidthTrace],
     bottleneck queue discipline for every cell; the manifest records
     both, the cache key only a non-default one (:func:`build_overrides`).
 
-    ``slo=True`` opts every cell into the burstiness SLO watchdog
-    (see :mod:`repro.obs.slo`): cells run instrumented (bypassing the
-    cache) and each result carries a ``slo_alerts`` summary dict.
-
-    ``series=True`` records a bounded time-series per cell (bypassing
-    the cache, like any instrumentation); with ``run_dir`` the shards
-    land under ``<run_dir>/series/`` for ``repro plot`` and the
-    ``repro report --diff`` divergence window. ``inject_stall=(at,
-    duration)`` runs the pacing-stall drill in every cell — the
-    injected-stall side of a divergence A/B pair.
+    ``observe`` (:class:`~repro.observe.Observe`) is what every cell
+    watches, harvested onto each result; with ``run_dir`` a recorded
+    series also lands under ``<run_dir>/series/`` for ``repro plot`` and
+    the ``repro report --diff`` divergence window (a ``stall`` cell is
+    the stalled side of such an A/B pair).
     """
+    observe = observe or Observe()
     tasks = make_grid(baselines, traces, seeds=seeds, categories=categories,
                       duration=duration, fps=fps,
                       initial_bwe_bps=initial_bwe_bps,
                       build_kwargs={**(build_kwargs or {}),
-                                    **build_overrides(engine, discipline)})
-    # Watchdog, series and stalled cells are instrumented, so they bypass
-    # the result cache (a cache hit would have observed nothing).
-    for task in tasks:
-        task.slo, task.slo_pacing_p99_s = slo, slo_pacing_p99_s
-        task.series, task.inject_stall = series, inject_stall
+                                    **build_overrides(engine, discipline)},
+                      observe=observe)
     keys = cell_keys(tasks)
     metrics = run_cells(
         tasks, runner=runner, jobs=jobs, cache=cache, use_cache=use_cache,
         run_dir=run_dir, verbose=verbose,
         manifest_extra={"engine": engine, "discipline": discipline,
-                        "series": series})
+                        "series": observe.series})
     return dict(zip(keys, metrics))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import asdict
 from itertools import product
 from typing import Optional, Sequence
 
@@ -44,6 +45,7 @@ from repro.net.trace import (
     make_weak_network_trace,
     make_wifi_trace,
 )
+from repro.observe import Observe, harvest, write_series_shards
 from repro.rtc.baselines import list_baselines
 from repro.rtc.session import SessionConfig
 from repro.sim import ENGINE_NAMES
@@ -94,16 +96,15 @@ def session_config(args: argparse.Namespace, seed: Optional[int] = None,
 def make_task(baseline: str, args: argparse.Namespace,
               trace: Optional[BandwidthTrace] = None,
               seed: Optional[int] = None, rtt_ms: Optional[float] = None,
-              **instrument) -> GridTask:
+              **observe) -> GridTask:
     """One grid cell from CLI arguments.
 
     Every single-flow command builds its cells through this, so the
     common flags (``--engine``, ``--discipline``, ``--cc``, ``--codec``)
     mean the same thing everywhere and equal cells share one result-
     cache entry whichever command ran them first
-    (:func:`~repro.bench.parallel.build_overrides`). ``instrument`` sets
-    the :class:`GridTask` instrumentation fields (``telemetry=``,
-    ``slo=``, ...).
+    (:func:`~repro.bench.parallel.build_overrides`). ``observe`` sets
+    the cell's :class:`~repro.observe.Observe` options.
     """
     if trace is None:
         trace = make_trace(args.trace, args.seed, args.duration + 10)
@@ -112,21 +113,18 @@ def make_task(baseline: str, args: argparse.Namespace,
                     build_kwargs=build_overrides(
                         args.engine, args.discipline,
                         cc_override=args.cc, codec_override=args.codec),
-                    **instrument)
+                    **observe)
 
 
 def run_session(task: GridTask):
     """Open, run and harvest one cell in-process — for commands that
-    read the session object afterwards.
-
-    Returns ``(session, auditor, metrics)``; the auditor (``task.audit``)
-    is non-strict, so violations end up in its report instead of
-    raising.
+    read the session object afterwards. Returns ``(session, metrics)``;
+    an auditor collects violations into its verdict instead of raising.
     """
-    session, auditor = open_task(task, strict_audit=False)
-    metrics = run_opened(task, session, auditor)
+    session = open_task(task, strict_audit=False)
+    metrics = run_opened(task, session)
     warn_fallback([metrics])
-    return session, auditor, metrics
+    return session, metrics
 
 
 def warn_fallback(results) -> None:
@@ -197,23 +195,24 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_stall(spec: Optional[str]) -> Optional[tuple[float, float]]:
-    """Parse ``--inject-stall AT[:DUR]`` into ``(at_s, duration_s)``
-    (None without the flag)."""
-    if spec is None:
-        return None
-    at_txt, colon, dur_txt = spec.partition(":")
-    try:
-        return float(at_txt), float(dur_txt) if colon else 1.0
-    except ValueError:
-        raise SystemExit(
-            f"--inject-stall wants AT or AT:DUR seconds, got {spec!r}")
-
-
-def instrument_fields(args: argparse.Namespace) -> dict:
-    """The :class:`GridTask` fields of the SLO/stall flag group."""
-    return dict(slo=args.slo, slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
-                inject_stall=_parse_stall(args.inject_stall))
+def observe_options(args: argparse.Namespace) -> Observe:
+    """The one :class:`~repro.observe.Observe` value the observer flags
+    describe (a command without a flag leaves its option off)."""
+    stall = spec = args.inject_stall
+    if spec is not None:            # AT[:DUR], DUR defaulting to 1 s
+        at_txt, colon, dur_txt = spec.partition(":")
+        try:
+            stall = float(at_txt), float(dur_txt) if colon else 1.0
+        except ValueError:
+            raise SystemExit(
+                f"--inject-stall wants AT or AT:DUR seconds, got {spec!r}")
+    return Observe(
+        telemetry=bool(getattr(args, "telemetry_out", None)),
+        audit=getattr(args, "check", False),
+        series=bool(getattr(args, "series", False)
+                    or getattr(args, "series_out", None)),
+        slo_p99_s=args.slo_p99_ms / 1000.0 if args.slo else None,
+        stall=stall)
 
 
 def _print_slo_summary(summary: dict) -> None:
@@ -225,48 +224,46 @@ def _print_slo_summary(summary: dict) -> None:
           f"firing: {', '.join(firing) if firing else '-'}")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    """``repro run``: one grid cell.
+def report_observed(metrics) -> int:
+    """Print what a run's observers found — the SLO summary, the audit
+    verdict — and return the exit status (1 on a violation)."""
+    if getattr(metrics, "slo_alerts", None) is not None:
+        _print_slo_summary(metrics.slo_alerts)
+    audit = getattr(metrics, "audit", None)
+    if audit is None:
+        return 0
+    print(audit["report"])
+    return 1 if audit["violations"] else 0
 
-    Plain runs go through the ``--jobs``/``--cache`` runner. With
-    ``--check``/``--telemetry-out``/``--slo``/``--series-out``/
-    ``--inject-stall`` the cell is instrumented exactly as a grid would
-    instrument it, but in-process: the exports and the audit report read
-    the session object, and a cache hit would observe nothing.
-    """
-    task = make_task(
-        args.baseline, args, telemetry=bool(args.telemetry_out),
-        audit=args.check, series=bool(args.series_out),
-        **instrument_fields(args))
-    session = auditor = None
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """``repro run``: one grid cell, through the ``--jobs``/``--cache``
+    runner — or, with an observer flag, instrumented as a grid would
+    instrument it but in-process (the telemetry export reads the
+    session object; a cache hit would observe nothing)."""
+    task = make_task(args.baseline, args, **asdict(observe_options(args)))
     if task.instrumented:
-        session, auditor, metrics = run_session(task)
+        session, metrics = run_session(task)
     else:
         [metrics] = run_tasks(args, [task])
-    suffix = ", audited" if auditor is not None else ""
+    suffix = ", audited" if task.audit else ""
     print_session(f"{args.baseline} over {args.trace} "
                   f"({args.duration:.0f}s, {args.category}{suffix})",
                   args.baseline, metrics)
     if args.telemetry_out:
         export_telemetry(session.telemetry, args.telemetry_out)
     if args.series_out:
-        from pathlib import Path
         # Standalone shards are named after the --trace flag, not the
         # trace object's name ("constant" for every const:<mbps>).
         frame = metrics.series_frame
         frame.meta["trace"] = args.trace
-        shard = series_shard_name(
-            (args.baseline, args.trace, args.seed, args.category))
-        path = Path(args.series_out) / "series" / f"{shard}.json"
-        frame.write(path)
-        print(f"series: {len(frame.t)} samples x {len(frame.series)} "
-              f"series -> {path}")
-    if args.slo:
-        _print_slo_summary(metrics.slo_alerts)
-    if auditor is not None:
-        print(auditor.report())
-        return 1 if auditor.violations else 0
-    return 0
+        for path in write_series_shards(
+                args.series_out,
+                [series_shard_name((args.baseline, args.trace, args.seed,
+                                    args.category))], [metrics]):
+            print(f"series: {len(frame.t)} samples x {len(frame.series)} "
+                  f"series -> {path}")
+    return report_observed(metrics)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -297,15 +294,12 @@ def cmd_sweep_rtt(args: argparse.Namespace) -> int:
 
 def _live_path_config(args: argparse.Namespace) -> dict:
     """The ``LiveConfig``/``LoadConfig`` fields ``live`` and ``load``
-    both take from the workload, live-path and SLO flag groups."""
-    stall_at, stall_dur = _parse_stall(args.inject_stall) or (None, 1.0)
+    both take from the workload and live-path flag groups."""
     return dict(
         seed=args.seed, fps=args.fps, initial_bwe_bps=args.initial_bwe * 1e6,
         base_rtt=args.rtt / 1000.0, random_loss_rate=args.loss,
         queue_capacity_bytes=args.queue, shaped=not args.unshaped,
-        stats_port=args.stats_port, slo=args.slo,
-        slo_pacing_p99_s=args.slo_p99_ms / 1000.0,
-        inject_stall_at=stall_at, inject_stall_duration=stall_dur)
+        stats_port=args.stats_port)
 
 
 def cmd_live(args: argparse.Namespace) -> int:
@@ -314,9 +308,8 @@ def cmd_live(args: argparse.Namespace) -> int:
     from repro.live.session import LiveConfig, build_live_session
 
     trace = make_trace(args.trace, args.seed, args.duration + 10)
-    config = LiveConfig(
-        duration=args.duration, audit=args.check,
-        telemetry=bool(args.telemetry_out), **_live_path_config(args))
+    config = LiveConfig(duration=args.duration, **_live_path_config(args),
+                        **asdict(observe_options(args)))
     session = build_live_session(args.baseline, config, trace=trace,
                                  category=args.category)
     print(f"live: {args.baseline} over UDP loopback, "
@@ -327,8 +320,8 @@ def cmd_live(args: argparse.Namespace) -> int:
         port = args.stats_port if args.stats_port else "<ephemeral>"
         print(f"stats: serving Prometheus snapshot on "
               f"http://127.0.0.1:{port}/ while the session runs")
-    metrics = asyncio.run(session.run())
-    if session.telemetry is not None and args.telemetry_out:
+    metrics = harvest(session, asyncio.run(session.run()))
+    if args.telemetry_out:
         export_telemetry(session.telemetry, args.telemetry_out)
     print_session(f"{args.baseline} live ({args.duration:.0f}s, "
                   f"{args.category})", args.baseline, metrics)
@@ -336,13 +329,7 @@ def cmd_live(args: argparse.Namespace) -> int:
     print(f"impairment: {shim.delivered} datagrams delivered, "
           f"{shim.dropped} dropped; "
           f"{metrics.packets_retransmitted} retransmissions")
-    if session.watchdog is not None:
-        _print_slo_summary(session.watchdog.summary())
-    if session.auditor is not None:
-        print(session.auditor.report())
-        if session.auditor.violations:
-            return 1
-    return 0
+    return report_observed(metrics)
 
 
 def cmd_load(args: argparse.Namespace) -> int:
@@ -383,10 +370,12 @@ def cmd_load(args: argparse.Namespace) -> int:
     duration = args.duration
     if duration is None:
         duration = DEFAULT_SOAK_DURATION_S if args.soak else 5.0
+    observe = observe_options(args)
     config = LoadConfig(
         sessions=args.sessions, mix=tuple(mix), ramp=args.ramp,
         duration=duration, drain=args.drain,
-        heartbeat_interval=args.heartbeat, series=args.series,
+        heartbeat_interval=args.heartbeat, series=observe.series,
+        slo_p99_s=observe.slo_p99_s, stall=observe.stall,
         **_live_path_config(args))
     trace_factory = None
     if args.trace is not None:
@@ -507,7 +496,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import filter_records, render_record, render_span_timeline
 
     task = make_task(args.baseline, args, telemetry=True)
-    session, _ = open_task(task)
+    session = open_task(task)
     telemetry = session.telemetry
     profiler = None
     if args.profile:
@@ -575,7 +564,7 @@ def cmd_why(args: argparse.Namespace) -> int:
     """
     from repro.obs import render_frame_blame, render_rollup
 
-    session, _, _ = run_session(make_task(args.baseline, args))
+    session, _ = run_session(make_task(args.baseline, args))
     attribution = session.attribution()
     if len(attribution) == 0:
         print("no frames completed the pacer; nothing to attribute")
@@ -703,7 +692,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     """
     from repro.analysis.timeline import to_csv
 
-    session, _, metrics = run_session(make_task(args.baseline, args))
+    session, metrics = run_session(make_task(args.baseline, args))
     attribution = session.attribution() if args.blame else None
     text = to_csv(metrics, args.out, attribution)
     if args.out:
@@ -728,11 +717,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     traces = [make_trace(kind.strip(), args.seed, args.duration + 10)
               for kind in args.traces.split(",")]
     disciplines = [d.strip() for d in args.discipline.split(",")]
-    instrument = instrument_fields(args)
+    observe = observe_options(args)
     if args.arena is not None:
         # Arena sweep: mixes x disciplines x traces x seeds, per-flow
         # results plus a fairness block in the run summary.
-        if (instrument["inject_stall"] or args.slo or args.cc or args.codec
+        if (observe.stall or args.slo or args.cc or args.codec
                 or args.engine != "reference"):
             raise SystemExit(
                 "--inject-stall/--slo/--cc/--codec/--engine target "
@@ -746,7 +735,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             category=args.category,
             jobs=args.jobs, use_cache=args.cache,
             run_dir=args.run_dir, verbose=True,
-            window_s=args.window, series=args.series)
+            window_s=args.window, observe=observe)
         if args.run_dir is not None:
             print()
             print(report_run(args.run_dir))
@@ -767,7 +756,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if len(disciplines) != 1:
         raise SystemExit("comma-separated --discipline needs --arena")
     tasks = [make_task(baseline.strip(), args, trace=trace, seed=seed,
-                       series=args.series, **instrument)
+                       **asdict(observe))
              for baseline, trace, seed
              in product(args.baselines.split(","), traces, seeds)]
     labels = ["/".join(str(part) for part in key) for key in cell_keys(tasks)]

@@ -29,7 +29,8 @@ SFU-style relay multiplexes many RTP sessions onto one reactor thread:
 
 Soak safety rests on the teardown/bounding fixes in the session layer:
 sessions leave nothing scheduled on the loop when they finish, and
-per-packet sample rings are bounded (``pacer_stats_cap``), so fleet
+per-session sample windows are bounded (the pacer's occupancy ring at
+``pacer_stats_cap``, the burst analyzer's pacing window), so fleet
 memory is ``sessions x cap`` instead of growing with wall time.
 """
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.live.session import LiveConfig, LiveSession, build_live_session
@@ -50,9 +51,9 @@ from repro.obs.registry import MetricRegistry
 from repro.obs.resources import process_rss_bytes
 from repro.obs.slo import (SloRule, SloWatchdog, fleet_slo_rules,
                            format_slo_event)
+from repro.observe import harvest, write_series_shards
 
-#: default per-session bound on the pacer's per-packet sample rings —
-#: enough for minutes of recent-window percentiles per session while
+#: default per-session bound on the pacer's occupancy sample ring,
 #: keeping a 100-session fleet's sample memory in the tens of MB.
 DEFAULT_LOAD_STATS_CAP = 4096
 
@@ -102,21 +103,15 @@ class LoadConfig:
     #: per-session CPU attribution at clock-callback boundaries; on by
     #: default — the wrapper is two ``process_time`` reads per callback.
     cpu_accounting: bool = True
-    #: record per-session time-series on the telemetry tick; shards land
-    #: under ``<run_dir>/series/<label>.json`` at teardown for
-    #: ``repro plot``.
+    # Fleet-scoped options in repro.observe.Observe's shapes; a session's
+    # own options travel on its LiveConfig (build_load_specs).
+    #: per-session series; shards land in ``<run_dir>/series/<label>.json``.
     series: bool = False
-    #: fleet SLO watchdog: threshold rules over the fleet registry
-    #: (pacing p99, failed sessions), evaluated every heartbeat,
-    #: published as an ``slo`` rollup shard.
-    slo: bool = False
-    #: fleet pacing-delay p99 bound (seconds) for the default SLO rules.
-    slo_pacing_p99_s: float = 0.25
-    #: watchdog drill: clamp the first session's pacing rate to the floor
-    #: at this session time (seconds from its join)...
-    inject_stall_at: Optional[float] = None
-    #: ...for this long.
-    inject_stall_duration: float = 1.0
+    #: fleet watchdog's pacing-p99 bound (seconds; ``None`` = off), over
+    #: the fleet registry every heartbeat, published as an ``slo`` shard.
+    slo_p99_s: Optional[float] = None
+    #: ``(at_s, duration_s)`` pacing-stall drill in the first session.
+    stall: Optional[tuple[float, float]] = None
 
 
 def build_load_specs(config: LoadConfig,
@@ -142,13 +137,11 @@ def build_load_specs(config: LoadConfig,
             random_loss_rate=config.random_loss_rate,
             queue_capacity_bytes=config.queue_capacity_bytes,
             drain=config.drain, shaped=config.shaped,
-            telemetry=True, keep_telemetry_events=False,
-            series=config.series,
+            keep_telemetry_events=False,
             pacer_stats_cap=config.pacer_stats_cap,
-            cpu_accounting=config.cpu_accounting)
-        if config.inject_stall_at is not None and i == 0:
-            live.inject_stall_at = config.inject_stall_at
-            live.inject_stall_duration = config.inject_stall_duration
+            cpu_accounting=config.cpu_accounting,
+            telemetry=True, series=config.series,
+            stall=config.stall if i == 0 else None)
         if trace_factory is not None:
             trace = trace_factory(i)
         else:
@@ -185,11 +178,18 @@ class SessionRecord:
     def pacing_percentiles(self,
                            pcts: Tuple[float, ...] = (50.0, 99.0),
                            ) -> Tuple[Optional[float], ...]:
-        """Percentiles (seconds) of the session's recent pacing delays."""
-        session = self.session
-        if session is None or session.sender is None:
-            return tuple(None for _ in pcts)
-        return percentiles(session.sender.pacer.stats.pacing_delays, pcts)
+        """Percentiles (seconds) of the session's recent pacing delays —
+        the burst analyzer's window over fresh media, the paper's pacing
+        term (``None`` without telemetry)."""
+        burst = self.burst
+        return (tuple(None for _ in pcts) if burst is None
+                else burst.pacing_percentiles(pcts))
+
+    @property
+    def burst(self):
+        """The session's burst analyzer (``None`` without telemetry)."""
+        telemetry = self.session and self.session.telemetry
+        return telemetry and telemetry.burst
 
     @property
     def cpu_s(self) -> Optional[float]:
@@ -200,10 +200,7 @@ class SessionRecord:
         return session.cpu_s
 
 
-# ``percentiles`` used to be defined here; it now lives in
-# :mod:`repro.obs.quantiles` (shared with check_perf, the burst
-# analyzer, and the autoscale probe) and is re-exported above for
-# existing importers.
+# ``percentiles`` (repro.obs.quantiles) is re-exported for importers.
 
 
 # ----------------------------------------------------------------------
@@ -327,10 +324,14 @@ class SessionSupervisor:
             if exit_reason == "completed" and self._stopping:
                 exit_reason = "sigint-drain"
             self.heartbeat()  # terminal statuses land in the log
-            try:
-                self._write_series_shards()
-            except Exception:
-                pass  # shards are best-effort; the summary must land
+            if self.log.run_dir is not None:
+                try:
+                    write_series_shards(
+                        self.log.run_dir,
+                        [rec.spec.label for rec in self.records],
+                        [rec.metrics for rec in self.records])
+                except Exception:
+                    pass  # shards are best-effort; the summary must land
             # Finalize inside the teardown path so even a supervisor
             # crash leaves a summary.json naming its exit reason.
             self.summary = self.log.finalize(self._summary(exit_reason))
@@ -365,7 +366,9 @@ class SessionSupervisor:
             if self._stopping:
                 # Stop raced the factory: run anyway, but drain at once.
                 session.request_stop()
-            rec.metrics = await session.run()
+            rec.metrics = harvest(session, await session.run(),
+                                  label=rec.spec.label,
+                                  baseline=rec.spec.baseline)
             rec.status = "completed"
             self._c_completed.inc()
         except asyncio.CancelledError:
@@ -381,24 +384,6 @@ class SessionSupervisor:
                              "elapsed_s": round(self.log.elapsed_s, 6)})
         finally:
             rec.finished_at = self.log.elapsed_s
-
-    def _write_series_shards(self) -> None:
-        """Persist each recording session's time-series into the run
-        dir (``series/<label>.json``, atomic) for ``repro plot``."""
-        if self.log.run_dir is None:
-            return
-        for rec in self.records:
-            session = rec.session
-            frame_fn = getattr(session, "series_frame", None)
-            if not callable(frame_fn):
-                continue
-            frame = frame_fn({"label": rec.spec.label,
-                              "baseline": rec.spec.baseline,
-                              "mode": "live"})
-            if frame is None or not frame.t:
-                continue
-            frame.write(self.log.run_dir / "series"
-                        / f"{rec.spec.label}.json")
 
     # ------------------------------------------------------------------
     # telemetry rollup
@@ -446,19 +431,17 @@ class SessionSupervisor:
                 ).set(cpu)
         self._g_cpu.set(cpu_total)
 
-    #: per-session tail of the pacing ring folded into fleet percentiles
-    #: (bounds heartbeat cost at large fleets).
+    #: per-session tail of the pacing window folded into fleet
+    #: percentiles (bounds heartbeat cost at large fleets).
     FLEET_PACING_WINDOW = 512
 
     def _fleet_pacing(self) -> Tuple[Optional[float], Optional[float]]:
         recent: List[float] = []
         for rec in self.records:
-            session = rec.session
-            if session is None or session.sender is None:
-                continue
-            delays = session.sender.pacer.stats.pacing_delays
-            tail = len(delays) - self.FLEET_PACING_WINDOW
-            recent.extend(d for i, d in enumerate(delays) if i >= tail)
+            burst = rec.burst
+            if burst is not None:
+                recent += burst.recent_pacing()[
+                    -self.FLEET_PACING_WINDOW:].tolist()
         return percentiles(recent, (50.0, 99.0))
 
     # ------------------------------------------------------------------
@@ -577,8 +560,8 @@ async def run_load_async(config: LoadConfig, *,
                              Callable[[dict], None]] = None,
                          ) -> SessionSupervisor:
     """Build the fleet from ``config`` and drive it to completion."""
-    slo_rules = (fleet_slo_rules(pacing_p99_s=config.slo_pacing_p99_s)
-                 if config.slo else None)
+    slo_rules = (None if config.slo_p99_s is None
+                 else fleet_slo_rules(pacing_p99_s=config.slo_p99_s))
     supervisor = SessionSupervisor(
         build_load_specs(config, trace_factory),
         ramp=config.ramp, stats_port=config.stats_port,

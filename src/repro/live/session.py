@@ -29,18 +29,19 @@ from repro.live.impairment import ImpairmentConfig, LoopbackImpairment
 from repro.live.transport import UdpTransport
 from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
+from repro.observe import Observe, attach
 from repro.rtc.baselines import get_spec, stack_kwargs
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.sender import Sender
 from repro.rtc.session import FlowStack
 from repro.sim.rng import SeedSequenceFactory
-from repro.transport.pacer.stall import PacingStall
 from repro.transport.receiver import TransportReceiver
 
 
 @dataclass
-class LiveConfig:
-    """Knobs of one live (wall-clock, UDP-loopback) run."""
+class LiveConfig(Observe):
+    """Knobs of one live (wall-clock, UDP-loopback) run; its inherited
+    :class:`~repro.observe.Observe` options attach inside ``run()``."""
 
     duration: float = 5.0
     seed: int = 1
@@ -58,23 +59,16 @@ class LiveConfig:
     #: shape traffic to ``trace``; False = unshaped loopback (delay/loss
     #: still apply).
     shaped: bool = True
-    #: attach a polling invariant auditor (``repro live --check``). Wall
-    #: clocks have no per-event hook, so the auditor samples state every
-    #: ``audit.auditor.POLL_INTERVAL_S``; violations are collected on the
-    #: session's ``auditor`` and surfaced by the caller.
-    audit: bool = False
-    #: enable :class:`repro.obs.Telemetry` (frame spans, metric registry,
-    #: flight recorder). Implied by ``stats_port``.
-    telemetry: bool = False
     #: serve a Prometheus text snapshot over HTTP on this loopback port
     #: while the session runs (``repro live --stats-port``; 0 = pick an
-    #: ephemeral port, exposed as ``session.stats_addr``).
+    #: ephemeral port, exposed as ``session.stats_addr``). Implies
+    #: telemetry.
     stats_port: Optional[int] = None
     #: keep the full telemetry event log. The multi-session supervisor
     #: turns this off so soak-scale fleets keep only the metric registry
     #: and the bounded flight ring per session.
     keep_telemetry_events: bool = True
-    #: shrink the pacer's per-packet sample rings to this many entries
+    #: shrink the pacer's occupancy sample ring to this many entries
     #: (None = the pacer default); set per session by the supervisor so
     #: fleet memory is sessions x cap.
     pacer_stats_cap: Optional[int] = None
@@ -82,21 +76,6 @@ class LiveConfig:
     #: (:class:`~repro.live.clock.WallClock` accounting); read back via
     #: ``session.cpu_s``. The supervisor turns this on fleet-wide.
     cpu_accounting: bool = False
-    #: record bounded time-series of every instrument on the telemetry
-    #: tick (implies telemetry); read back via ``session.series_frame()``.
-    series: bool = False
-    #: attach the SLO watchdog (implies telemetry): default session
-    #: rules over the burst analyzer's pacing tail + pacer backlog
-    #: drift, evaluated on the telemetry tick.
-    slo: bool = False
-    #: pacing-delay p99 bound (seconds) for the default SLO rules.
-    slo_pacing_p99_s: float = 0.25
-    #: fault injection for watchdog drills: clamp the pacing rate to
-    #: the pacer floor starting at this session time (seconds) ...
-    inject_stall_at: Optional[float] = None
-    #: ... for this long. The clamp re-fires every 50 ms so congestion-
-    #: controller updates cannot lift the rate mid-stall.
-    inject_stall_duration: float = 1.0
 
 
 class LiveSession:
@@ -106,6 +85,9 @@ class LiveSession:
     :meth:`run` inside an event loop (or use the synchronous
     :func:`run_live` wrapper).
     """
+
+    #: series-shard mode (:func:`repro.observe.harvest`).
+    mode = "live"
 
     def __init__(self, trace: Optional[BandwidthTrace], config: LiveConfig,
                  source_factory, codec_factory, rate_control_factory,
@@ -133,18 +115,12 @@ class LiveSession:
         self.sender: Optional[Sender] = None
         self.receiver: Optional[TransportReceiver] = None
         self.impairment: Optional[LoopbackImpairment] = None
-        #: populated by run() when ``config.audit`` is set.
-        self.auditor = None
-        #: populated by run() when ``config.telemetry``/``stats_port`` is
-        #: set (:class:`repro.obs.Telemetry`).
-        self.telemetry = None
+        self._stack: Optional[FlowStack] = None
+        #: the config's observers, attached by run() (repro.observe).
+        self.telemetry = self.auditor = self.stall = None
         #: ``(host, port)`` of the running stats endpoint, for callers
         #: that passed ``stats_port=0``.
         self.stats_addr: Optional[tuple] = None
-        #: populated by run() when ``config.slo`` is set
-        #: (:class:`repro.obs.slo.SloWatchdog`).
-        self.watchdog = None
-        self._stall: Optional[PacingStall] = None
 
     @property
     def cpu_s(self) -> float:
@@ -181,7 +157,7 @@ class LiveSession:
         send_end.connect(recv_end.local_addr)
         recv_end.connect(send_end.local_addr)
 
-        stack = FlowStack(
+        stack = self._stack = FlowStack(
             clock, send_end, send_end.send, recv_end.send_feedback,
             self.rngs, fps=config.fps,
             initial_bwe_bps=config.initial_bwe_bps, **self._stack_kwargs)
@@ -192,23 +168,6 @@ class LiveSession:
         if config.pacer_stats_cap is not None:
             pacer.stats.rebound(config.pacer_stats_cap)
 
-        telemetry = None
-        if (config.telemetry or config.stats_port is not None or config.slo
-                or config.series):
-            from repro.obs import Telemetry
-            telemetry = self.telemetry = Telemetry(
-                clock, keep_events=config.keep_telemetry_events)
-            # No Link in live mode — the impairment shim is the bottleneck.
-            stack.attach_telemetry(telemetry)
-            if config.slo:
-                self.watchdog = telemetry.attach_watchdog(
-                    pacing_p99_s=config.slo_pacing_p99_s)
-            if config.series:
-                telemetry.attach_series()
-        if config.inject_stall_at is not None:
-            self._stall = PacingStall(clock, pacer, config.inject_stall_at,
-                                      config.inject_stall_duration)
-
         def on_arrival(packet: Packet) -> None:
             receiver.on_packet(packet)
             if display_sync.pending:
@@ -218,27 +177,19 @@ class LiveSession:
         send_end.on_feedback = sender.on_feedback
         send_end.on_drop = lambda packet: None  # counted by the transport
 
-        if config.audit:
-            from repro.audit.auditor import SessionAuditor
-            # The emulated forward delay plus the honest reverse estimate
-            # keeps measured RTTs at or above base_rtt even on a wall
-            # clock (real time only ever adds delay).
-            self.auditor = SessionAuditor(
-                clock, pacer, ace_n=sender.ace_n, cc=stack.cc,
-                rtt_floor=config.base_rtt,
-                telemetry=telemetry,
-            ).attach_polling()
-
         stats_server = None
         media_elapsed = config.duration
         try:
             # From here on every failure (a busy stats port included)
             # runs the teardown below — the endpoints are already open.
             if config.stats_port is not None:
+                self.enable_telemetry()
+            attach(self, config)
+            if config.stats_port is not None:
                 stats_server = await self._start_stats_server(
                     config.stats_port)
-            if telemetry is not None:
-                telemetry.start_tick()
+            if self.telemetry is not None:
+                self.telemetry.start_tick()
             sender.start()
             receiver.start()
             await self._wait_or_stop(clock, config.duration)
@@ -247,9 +198,9 @@ class LiveSession:
             # Let in-flight packets and feedback land.
             await clock.sleep(config.drain)
         finally:
-            if telemetry is not None:
-                telemetry.stop_tick()
-                telemetry.flush()
+            if self.telemetry is not None:
+                self.telemetry.stop_tick()
+                self.telemetry.flush()
             # Teardown must leave *nothing* scheduled on the event loop:
             # the feedback tick and the pacer pump otherwise reschedule
             # themselves forever, and close() cancels the transports'
@@ -258,8 +209,8 @@ class LiveSession:
             sender.stop()
             receiver.stop()
             pacer.cancel_pump()
-            if self._stall is not None:
-                self._stall.cancel()
+            if self.stall is not None:
+                self.stall.cancel()
             if stats_server is not None:
                 stats_server.close()
                 await stats_server.wait_closed()
@@ -282,8 +233,8 @@ class LiveSession:
         sender stops, then the normal drain window runs). Safe to call
         before or after ``run()`` starts; idempotent."""
         self._stop_requested = True
-        if self._stall is not None:
-            self._stall.cancel()
+        if self.stall is not None:
+            self.stall.cancel()
         waiter = self._stop_waiter
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
@@ -313,13 +264,16 @@ class LiveSession:
         self.stats_addr = stats_addr(server)
         return server
 
-    def series_frame(self, meta: Optional[dict] = None):
-        """Snapshot of the recorded time-series (None unless
-        ``config.series``); a :class:`~repro.obs.timeseries.SeriesFrame`
-        ready for ``write()`` into a run dir's ``series/`` shard."""
-        if self.telemetry is None or self.telemetry.series is None:
-            return None
-        return self.telemetry.series.frame(meta)
+    def enable_telemetry(self):
+        """The session's :class:`repro.obs.Telemetry` hub, built on first
+        call from inside :meth:`run`; its tick starts with the media."""
+        if self.telemetry is None:
+            from repro.obs import Telemetry
+            self.telemetry = Telemetry(
+                self.clock, keep_events=self.config.keep_telemetry_events)
+            # No Link in live mode — the impairment shim is the bottleneck.
+            self._stack.attach_telemetry(self.telemetry)
+        return self.telemetry
 
     def attribution(self):
         """Causal pacer-residence attribution of the finished run.

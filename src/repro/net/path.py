@@ -9,7 +9,7 @@ loss can be injected for robustness tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.link import DEFAULT_QUEUE_CAPACITY_BYTES, Link
@@ -110,16 +110,24 @@ class NetworkPath:
         if self.intercept is not None:
             self.intercept(packet)
             return
-        if self._lossy and (self._random_loss() or self._contention_loss()):
-            packet.dropped = True
-            self.lost_packets.append(packet)
-            if self.on_drop is not None:
-                self.on_drop(packet)
+        if self._lossy and self._lost_at_ingress(packet):
             return
         # Propagate to the bottleneck (half the one-way budget), then
         # serialize, then propagate the rest of the way.
         self.loop.post(self.loop.now + self._half_hop, self.link.send, packet,
                        "path.to-bottleneck")
+
+    def _lost_at_ingress(self, packet: Packet) -> bool:
+        """Book a random or contention loss ahead of the bottleneck and
+        say so; ``send`` (here and in the arena) asks only when
+        ``_lossy``, so a loss-free send pays no call."""
+        if not (self._random_loss() or self._contention_loss()):
+            return False
+        packet.dropped = True
+        self.lost_packets.append(packet)
+        if self.on_drop is not None:
+            self.on_drop(packet)
+        return True
 
     def _random_loss(self) -> bool:
         rate = self.config.random_loss_rate

@@ -231,6 +231,11 @@ class BurstAnalyzer:
         """Windowed exact pacing-delay percentiles."""
         return self._recent_pacing.percentiles(pcts)
 
+    def recent_pacing(self) -> np.ndarray:
+        """The windowed pacing delays themselves, oldest first (the live
+        fleet pools every session's tail)."""
+        return self._recent_pacing.values
+
     def summary(self) -> dict:
         """Point-in-time digest for heartbeats and CLI reports."""
         ipg_p50, ipg_p99 = self.ipg_percentiles()

@@ -70,7 +70,7 @@ def build_manifest(tasks: Sequence["GridTask"], *, jobs: int,
     for task in tasks:
         if task.trace.name not in traces:
             traces[task.trace.name] = trace_fingerprint(task.trace)
-        cfg = task.session_config()
+        cfg = task.config
         for value, pool in ((task.baseline, baselines), (cfg.seed, seeds),
                             (task.category, categories),
                             (cfg.duration, durations)):

@@ -84,26 +84,27 @@ class SampleWindow:
     batch, however many readers ask between batches.
     """
 
-    __slots__ = ("capacity", "_values", "_ordered")
+    __slots__ = ("capacity", "values", "_ordered")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._values = np.empty(0)
+        #: the window, oldest first (read it, feed it via :meth:`extend`).
+        self.values = np.empty(0)
         self._ordered: Optional[List[float]] = None
 
     def extend(self, values: np.ndarray) -> None:
         if len(values):
-            self._values = np.concatenate(
-                (self._values, values))[-self.capacity:]
+            self.values = np.concatenate(
+                (self.values, values))[-self.capacity:]
             self._ordered = None
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     def percentiles(self, pcts: Sequence[float]
                     ) -> Tuple[Optional[float], ...]:
         if self._ordered is None:
-            self._ordered = np.sort(self._values).tolist()
+            self._ordered = np.sort(self.values).tolist()
         return _nearest_rank(self._ordered, pcts)
 
 

@@ -34,7 +34,7 @@ from repro.obs.spans import SpanBook
 
 if TYPE_CHECKING:
     from repro.live.clock import Clock, ScheduledCall
-    from repro.obs.slo import SloRule, SloWatchdog
+    from repro.obs.slo import SloWatchdog
 
 #: default flight-recorder depth (records, not seconds).
 DEFAULT_FLIGHT_CAPACITY = 512
@@ -319,34 +319,33 @@ class Telemetry:
     # ------------------------------------------------------------------
     # SLO watchdog
     # ------------------------------------------------------------------
-    def attach_watchdog(self, rules: Optional[list["SloRule"]] = None, *,
-                        pacing_p99_s: float = 0.25) -> "SloWatchdog":
+    def attach_watchdog(self, *, pacing_p99_s: float = 0.25
+                        ) -> "SloWatchdog":
         """Attach an SLO watchdog evaluated on every telemetry tick.
 
-        Default rules watch the burst analyzer's pacing-delay tail and
-        pacer-backlog drift (:func:`repro.obs.slo.session_slo_rules`).
-        The watchdog publishes its ``slo.*`` mirror instruments into
-        this registry, and every firing/cleared transition lands in the
-        event log and flight ring as an ``slo.alert`` annotation.
+        The session rules watch the burst analyzer's pacing-delay tail
+        (p99 bound ``pacing_p99_s``) and pacer-backlog drift
+        (:func:`repro.obs.slo.session_slo_rules`). The watchdog
+        publishes its ``slo.*`` mirror instruments into this registry,
+        and every firing/cleared transition lands in the event log and
+        flight ring as an ``slo.alert`` annotation.
         """
         from repro.obs.slo import SloWatchdog, session_slo_rules
-
-        if rules is None:
-            rules = session_slo_rules(pacing_p99_s=pacing_p99_s)
 
         def _on_alert(event: dict) -> None:
             fields = {k: v for k, v in event.items() if k != "kind"}
             self.annotate("slo.alert", **fields)
 
-        self.watchdog = SloWatchdog(rules, source=self._registry,
-                                    publish=self._registry,
-                                    on_alert=_on_alert)
+        self.watchdog = SloWatchdog(
+            session_slo_rules(pacing_p99_s=pacing_p99_s),
+            source=self._registry, publish=self._registry,
+            on_alert=_on_alert)
         return self.watchdog
 
     # ------------------------------------------------------------------
     # time-series recording
     # ------------------------------------------------------------------
-    def attach_series(self, *, max_samples: Optional[int] = None):
+    def attach_series(self):
         """Attach a bounded time-series recorder sampled on every tick.
 
         Each tick appends one row of gauge/counter values (and burst
@@ -354,13 +353,10 @@ class Telemetry:
         fixed-seed fingerprints stay bit-identical with recording on.
         Idempotent: a second call returns the existing recorder.
         """
-        from repro.obs.timeseries import DEFAULT_MAX_SAMPLES, SeriesRecorder
+        from repro.obs.timeseries import SeriesRecorder
 
         if self.series is None:
-            self.series = SeriesRecorder(
-                self._registry, burst=self._burst,
-                max_samples=(DEFAULT_MAX_SAMPLES if max_samples is None
-                             else max_samples))
+            self.series = SeriesRecorder(self._registry, burst=self._burst)
         return self.series
 
     # ------------------------------------------------------------------

@@ -12,8 +12,7 @@ between two ``UdpTransport`` endpoints.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.ace_c import AceCConfig, AceCController
@@ -220,6 +219,9 @@ class RtcSession:
     :class:`SessionMetrics`.
     """
 
+    #: series-shard mode (:func:`repro.observe.harvest`).
+    mode = "sim"
+
     def __init__(self, trace: BandwidthTrace, config: SessionConfig,
                  source_factory: Callable[[SeedSequenceFactory], object],
                  codec_factory: Callable[[SeedSequenceFactory], CodecModel],
@@ -229,7 +231,7 @@ class RtcSession:
                  sender_config: Optional[SenderConfig] = None,
                  ace_n_config: Optional[AceNConfig] = None,
                  ace_c_config: Optional[AceCConfig] = None,
-                 telemetry=None, engine: str = "reference",
+                 engine: str = "reference",
                  discipline: str = "droptail",
                  discipline_params: Optional[dict] = None) -> None:
         self.trace = trace
@@ -290,8 +292,8 @@ class RtcSession:
         self._display_sync = self.flow.display_sync
         #: optional :class:`repro.obs.Telemetry` (see enable_telemetry).
         self.telemetry = None
-        if telemetry is not None:
-            self.enable_telemetry(telemetry)
+        #: the :class:`repro.observe.Observe` options attached, if any.
+        self.observed = None
 
     def enable_telemetry(self, telemetry=None):
         """Attach a :class:`repro.obs.Telemetry` hub to this session.
@@ -345,22 +347,15 @@ class RtcSession:
     def run(self) -> SessionMetrics:
         """Execute the session and aggregate metrics.
 
-        With ``REPRO_AUDIT=1`` in the environment a strict
-        :class:`~repro.audit.auditor.SessionAuditor` rides along and
-        raises at the first invariant violation. The env vars affect
-        directly-run sessions only: grid workers strip them
-        (:mod:`repro.bench.parallel`), so instrumenting a sweep is an
-        explicit per-:class:`~repro.bench.parallel.GridTask` choice.
+        A session nothing was attached to (:func:`repro.observe.attach`,
+        which grid cells always call) carries what ``REPRO_TELEMETRY``/
+        ``REPRO_AUDIT`` ask for; the environment's auditor is strict.
         """
         if self._finished:
             raise RuntimeError("session already ran; build a new one")
-        if (self.telemetry is None
-                and os.environ.get("REPRO_TELEMETRY", "") not in ("", "0")):
-            self.enable_telemetry()
-        auditor = None
-        if os.environ.get("REPRO_AUDIT", "") not in ("", "0"):
-            from repro.audit.auditor import attach_audit
-            auditor = attach_audit(self, strict=True)
+        if self.observed is None:
+            from repro.observe import Observe, attach
+            attach(self, Observe.from_env())
         # Resolve the engine after telemetry/audit hooks are attached so
         # the batch engine's eligibility check sees the final wiring.
         from repro.sim.engine import get_engine
@@ -382,8 +377,8 @@ class RtcSession:
         if self.telemetry is not None:
             self.telemetry.flush()
         self._finished = True
-        if auditor is not None:
-            auditor.finalize()
+        if self.auditor is not None:
+            self.auditor.finalize()
         metrics = self.flow.collect(
             self.config.duration,
             sum(1 for p in self.path.lost_packets

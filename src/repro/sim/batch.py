@@ -409,11 +409,9 @@ class BatchPipeline:
         stats = pacer.stats
         stats.sent_packets += n
         stats.sent_bytes += chunk_bytes
-        pacing_delays = d - burst.enqueue_time
-        stats.pacing_delays.extend(pacing_delays.tolist())
         if self.telemetry is not None:
             self.telemetry.wire_train(burst.frame_id, d, sizes,
-                                      pacing_delays)
+                                      d - burst.enqueue_time)
         # One occupancy sample per train (reference: one per packet).
         stats.occupancy_samples.append((float(d[-1]), pacer._queued_bytes))
         burst.metrics.pacer_last_exit = float(d[-1])

@@ -20,25 +20,18 @@ if TYPE_CHECKING:
     from repro.live.clock import Clock, ScheduledCall
 
 
-#: bound on the per-packet sample rings in :class:`PacerStats`. Generous
-#: enough that every sim session in the test/bench suite keeps full
-#: fidelity (a 20 s session at 20 Mbps releases ~42k packets, under the
-#: cap — so sim metrics and golden fingerprints are untouched), small
-#: enough that a wall-clock soak run's memory stays flat instead of
-#: growing ~100 B per packet forever. Long-running many-session load
-#: runs shrink it further per session via :meth:`PacerStats.rebound`.
+#: bound on the occupancy sample ring in :class:`PacerStats`, so a
+#: wall-clock soak run's memory stays flat; many-session load runs
+#: shrink it per session via :meth:`PacerStats.rebound`.
 DEFAULT_SAMPLE_CAP = 65_536
 
 
 @dataclass(slots=True)
 class PacerStats:
-    """Counters the metrics layer reads off the pacer.
-
-    The two sample sequences are bounded rings (oldest samples rotate
-    out past :data:`DEFAULT_SAMPLE_CAP`): scalar counters are exact
-    forever, per-packet samples keep a recent window — which is also
-    exactly what live-mode percentile reporting wants.
-    """
+    """Counters the metrics layer reads off the pacer: scalars exact
+    forever, occupancy samples a bounded ring. A packet's pacing delay
+    is not kept here — the packet carries it (``Packet.pacing_delay``)
+    and the telemetry's wire rows are its one record."""
 
     enqueued_packets: int = 0
     sent_packets: int = 0
@@ -47,18 +40,14 @@ class PacerStats:
     #: (time, queued_bytes) samples on every enqueue/send (bounded ring).
     occupancy_samples: Deque[tuple[float, int]] = field(
         default_factory=lambda: deque(maxlen=DEFAULT_SAMPLE_CAP))
-    #: per-packet pacing delays in seconds (bounded ring).
-    pacing_delays: Deque[float] = field(
-        default_factory=lambda: deque(maxlen=DEFAULT_SAMPLE_CAP))
 
     def rebound(self, cap: int) -> None:
-        """Shrink (or grow) the sample rings to hold ``cap`` entries.
+        """Shrink (or grow) the occupancy ring to hold ``cap`` entries.
 
         Keeps the newest samples. Many-session soak runs call this per
         session so fleet memory is ``sessions * cap``, not unbounded.
         """
         self.occupancy_samples = deque(self.occupancy_samples, maxlen=cap)
-        self.pacing_delays = deque(self.pacing_delays, maxlen=cap)
 
 
 class Pacer(abc.ABC):
@@ -208,9 +197,6 @@ class Pacer(abc.ABC):
         stats = self.stats
         stats.sent_packets += 1
         stats.sent_bytes += size
-        enq = packet.t_enqueue_pacer
-        if enq is not None:
-            stats.pacing_delays.append(now - enq)
         stats.occupancy_samples.append((now, queued))
         self.on_send(packet)
         self.send_fn(packet)

@@ -11,6 +11,7 @@ from repro.arena.grid import cell_label
 from repro.bench.parallel import GridTask, ParallelRunner
 from repro.net.trace import BandwidthTrace
 from repro.obs.fleet import diff_runs, load_run, report_run
+from repro.observe import Observe
 from repro.rtc.session import SessionConfig
 
 
@@ -65,6 +66,7 @@ def test_cell_label_discipline_suffix_only_when_non_default():
 def test_arena_cache_extra_droptail_omits_discipline():
     def task(discipline):
         return GridTask(baseline="arena:cbr", trace=const_trace(),
+                        config=SessionConfig(),
                         arena={"flows": parse_mix("cbr"),
                                "discipline": discipline,
                                "discipline_params": {}})
@@ -77,7 +79,7 @@ def test_arena_cache_extra_droptail_omits_discipline():
 
 def test_arena_cache_extra_params_force_key_entry():
     extra = GridTask(
-        baseline="arena:cbr", trace=const_trace(),
+        baseline="arena:cbr", trace=const_trace(), config=SessionConfig(),
         arena={"flows": parse_mix("cbr"), "discipline": "droptail",
                "discipline_params": {"capacity_bytes": 5}}).cache_extra()
     assert "discipline" in json.loads(extra["arena"])
@@ -85,9 +87,10 @@ def test_arena_cache_extra_params_force_key_entry():
 
 def test_non_arena_cache_extra_is_build_kwargs():
     task = GridTask(baseline="ace", trace=const_trace(),
-                    build_kwargs={"discipline": "codel"})
+                    config=SessionConfig(), build_kwargs={"discipline": "codel"})
     assert task.cache_extra() == {"discipline": "codel"}
-    assert GridTask(baseline="ace", trace=const_trace()).cache_extra() == {}
+    assert GridTask(baseline="ace", trace=const_trace(),
+                    config=SessionConfig()).cache_extra() == {}
 
 
 def test_single_flow_cache_key_distinguishes_discipline(tmp_path):
@@ -226,7 +229,7 @@ def test_grid_series_writes_sanitized_arena_shards(tmp_path):
     run_arena_grid(
         mixes=["ace+cbr"], traces=[const_trace()],
         disciplines=("codel",), seeds=(3,), duration=2.5,
-        run_dir=str(run_dir), series=True)
+        run_dir=str(run_dir), observe=Observe(series=True))
     shards = sorted((run_dir / "series").glob("*.json"))
     assert [p.stem for p in shards] == \
         ["arena-ace-cbr-codel__const20__s3__gaming"]

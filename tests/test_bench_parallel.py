@@ -15,11 +15,14 @@ from repro.analysis.cache import cache_enabled_by_env
 from repro.bench.parallel import GridTask, ParallelRunner, make_grid, run_grid
 from repro.bench.workloads import run_baseline, run_baselines, trace_library
 from repro.net.trace import BandwidthTrace
+from repro.observe import Observe
 from repro.rtc.session import SessionConfig
 
 BASELINES = ["ace", "webrtc-star", "cbr"]
 SEEDS = (3, 11)
 DURATION = 2.5
+#: the cell config ``make_grid`` builds for seed 3.
+CONFIG = SessionConfig(duration=DURATION, seed=3, initial_bwe_bps=6e6)
 
 
 @pytest.fixture()
@@ -118,30 +121,28 @@ class TestEnvIsolation:
             RtcSession, "enable_telemetry",
             lambda self, telemetry=None: (enabled.append(self),
                                           orig(self, telemetry))[1])
-        tasks = [GridTask(baseline="cbr", trace=traces[0], seed=3,
-                          duration=DURATION, telemetry=True)]
+        tasks = [GridTask(baseline="cbr", trace=traces[0], config=CONFIG,
+                          telemetry=True)]
         ParallelRunner(jobs=1).run(tasks)
         assert len(enabled) == 1
 
     def test_instrumented_tasks_bypass_cache(self, traces, tmp_path):
         cache = ResultCache(cache_dir=tmp_path, enabled=True)
         runner = ParallelRunner(jobs=1, cache=cache)
-        task = GridTask(baseline="cbr", trace=traces[0], seed=3,
-                        duration=DURATION, telemetry=True)
+        task = GridTask(baseline="cbr", trace=traces[0], config=CONFIG,
+                        telemetry=True)
         runner.run([task])
         runner.run([task])
         # neither run consulted nor populated the cache
         assert cache.hits == cache.misses == cache.stores == 0
-        plain = GridTask(baseline="cbr", trace=traces[0], seed=3,
-                        duration=DURATION)
+        plain = GridTask(baseline="cbr", trace=traces[0], config=CONFIG)
         runner.run([plain])
         assert cache.misses == 1 and cache.stores == 1
 
     def test_instrumented_cell_results_identical_to_plain(self, traces):
-        plain = GridTask(baseline="ace", trace=traces[0], seed=3,
-                         duration=DURATION)
-        instrumented = GridTask(baseline="ace", trace=traces[0], seed=3,
-                                duration=DURATION, telemetry=True, audit=True)
+        plain = GridTask(baseline="ace", trace=traces[0], config=CONFIG)
+        instrumented = GridTask(baseline="ace", trace=traces[0], config=CONFIG,
+                                telemetry=True, audit=True)
         [a] = ParallelRunner(jobs=1).run([plain])
         [b] = ParallelRunner(jobs=1).run([instrumented])
         assert canonical_metrics_json(a) == canonical_metrics_json(b)
@@ -150,8 +151,8 @@ class TestEnvIsolation:
             self, traces, tmp_path):
         cache = ResultCache(cache_dir=tmp_path, enabled=True)
         runner = ParallelRunner(jobs=1, cache=cache)
-        task = GridTask(baseline="ace", trace=traces[0], seed=3,
-                        duration=DURATION, slo=True)
+        task = GridTask(baseline="ace", trace=traces[0], config=CONFIG,
+                        slo_p99_s=0.25)
         assert task.instrumented
         [m] = runner.run([task])
         assert cache.hits == cache.misses == cache.stores == 0
@@ -161,27 +162,26 @@ class TestEnvIsolation:
         assert isinstance(summary["events"], list)
         # Watchdog cells stay observationally identical to plain runs.
         [plain] = ParallelRunner(jobs=1).run([
-            GridTask(baseline="ace", trace=traces[0], seed=3,
-                     duration=DURATION)])
+            GridTask(baseline="ace", trace=traces[0], config=CONFIG)])
         assert canonical_metrics_json(m) == canonical_metrics_json(plain)
 
     def test_slo_summary_survives_worker_pickling(self, traces):
-        task = GridTask(baseline="cbr", trace=traces[0], seed=3,
-                        duration=DURATION, slo=True)
+        task = GridTask(baseline="cbr", trace=traces[0], config=CONFIG,
+                        slo_p99_s=0.25)
         [m] = ParallelRunner(jobs=2).run([task])
         assert hasattr(m, "slo_alerts")
         assert m.slo_alerts["rules"] == 2
 
 
 class TestSeriesRecordingCells:
-    """``GridTask.series`` / ``inject_stall``: the divergence A/B story."""
+    """``GridTask.series`` / ``stall``: the divergence A/B story."""
 
     def test_series_cell_attaches_frame_and_bypasses_cache(self, traces,
                                                            tmp_path):
         cache = ResultCache(cache_dir=tmp_path, enabled=True)
         runner = ParallelRunner(jobs=1, cache=cache)
-        task = GridTask(baseline="ace", trace=traces[0], seed=3,
-                        duration=DURATION, series=True)
+        task = GridTask(baseline="ace", trace=traces[0], config=CONFIG,
+                        series=True)
         assert task.instrumented
         [m] = runner.run([task])
         assert cache.hits == cache.misses == cache.stores == 0
@@ -193,13 +193,12 @@ class TestSeriesRecordingCells:
         assert frame.meta["trace"] == traces[0].name
         # Pure observer: identical to an uninstrumented run.
         [plain] = ParallelRunner(jobs=1).run([
-            GridTask(baseline="ace", trace=traces[0], seed=3,
-                     duration=DURATION)])
+            GridTask(baseline="ace", trace=traces[0], config=CONFIG)])
         assert canonical_metrics_json(m) == canonical_metrics_json(plain)
 
     def test_series_frame_survives_worker_pickling(self, traces):
-        task = GridTask(baseline="cbr", trace=traces[0], seed=3,
-                        duration=DURATION, series=True)
+        task = GridTask(baseline="cbr", trace=traces[0], config=CONFIG,
+                        series=True)
         [m] = ParallelRunner(jobs=2).run([task])
         assert m.series_frame.t
 
@@ -207,16 +206,14 @@ class TestSeriesRecordingCells:
                                                        tmp_path):
         cache = ResultCache(cache_dir=tmp_path, enabled=True)
         runner = ParallelRunner(jobs=1, cache=cache)
-        stalled = GridTask(baseline="ace", trace=traces[0], seed=3,
-                           duration=DURATION, series=True,
-                           inject_stall=(1.0, 0.8))
+        stalled = GridTask(baseline="ace", trace=traces[0], config=CONFIG,
+                           series=True, stall=(1.0, 0.8))
         assert stalled.instrumented
         [m] = runner.run([stalled])
         assert cache.hits == cache.misses == cache.stores == 0
-        assert m.series_frame.meta["inject_stall"] == [1.0, 0.8]
+        assert m.series_frame.meta["stall"] == [1.0, 0.8]
         [plain] = ParallelRunner(jobs=1).run([
-            GridTask(baseline="ace", trace=traces[0], seed=3,
-                     duration=DURATION)])
+            GridTask(baseline="ace", trace=traces[0], config=CONFIG)])
         # The stall clamps the pacer to its floor for 0.8 s: the run is
         # observably different from the clean one.
         assert canonical_metrics_json(m) != canonical_metrics_json(plain)
@@ -235,17 +232,17 @@ class TestSeriesRecordingCells:
 
     def test_write_series_shards_lands_loadable_files(self, traces,
                                                       tmp_path):
-        from repro.bench.parallel import series_shard_name, \
-            write_series_shards
+        from repro.bench.parallel import series_shard_name
+        from repro.observe import write_series_shards
         from repro.obs.timeseries import load_shard
 
-        tasks = [GridTask(baseline=b, trace=traces[0], seed=3,
-                          duration=DURATION, series=True)
+        tasks = [GridTask(baseline=b, trace=traces[0], config=CONFIG,
+                          series=True)
                  for b in ("ace", "cbr")]
         metrics = ParallelRunner(jobs=1).run(tasks)
-        written = write_series_shards(tmp_path, tasks, metrics)
-        assert [p.name for p in written] == [
-            f"{series_shard_name(t.key())}.json" for t in tasks]
+        names = [series_shard_name(t.key()) for t in tasks]
+        written = write_series_shards(tmp_path, names, metrics)
+        assert [p.name for p in written] == [f"{n}.json" for n in names]
         for path in written:
             assert path.parent == tmp_path / "series"
             frame = load_shard(path)
@@ -253,17 +250,17 @@ class TestSeriesRecordingCells:
 
     def test_write_series_shards_skips_frameless_cells(self, traces,
                                                        tmp_path):
-        from repro.bench.parallel import write_series_shards
+        from repro.observe import write_series_shards
 
-        task = GridTask(baseline="cbr", trace=traces[0], seed=3,
-                        duration=DURATION)  # no series recording
+        task = GridTask(baseline="cbr", trace=traces[0],
+                        config=CONFIG)  # no series recording
         [m] = ParallelRunner(jobs=1).run([task])
-        assert write_series_shards(tmp_path, [task], [m]) == []
+        assert write_series_shards(tmp_path, ["cbr"], [m]) == []
         assert not (tmp_path / "series").exists()
 
     def test_run_grid_series_run_dir_writes_shards(self, traces, tmp_path):
         run_grid(["ace"], traces[:1], seeds=(3,), duration=DURATION,
-                 series=True, run_dir=str(tmp_path / "run"))
+                 observe=Observe(series=True), run_dir=str(tmp_path / "run"))
         shards = sorted((tmp_path / "run" / "series").glob("*.json"))
         assert [p.stem for p in shards] == ["ace__flat-15__s3__gaming"]
         import json
@@ -395,7 +392,8 @@ class TestThreePathsAgree:
                                  delay_jitter_std=0.002,
                                  initial_bwe_bps=6e6)))
         tasks.append(GridTask(          # multi-flow cell: nested entries
-            baseline="arena:ace+cbr@codel", trace=trace, duration=2.0,
+            baseline="arena:ace+cbr@codel", trace=trace,
+            config=SessionConfig(duration=2.0, seed=3, initial_bwe_bps=6e6),
             arena={"flows": parse_mix("ace+cbr"), "discipline": "codel",
                    "discipline_params": {}}))
         return tasks

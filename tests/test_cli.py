@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main, make_trace, metrics_row
 from repro.net.trace import BandwidthTrace
+from repro.observe import Observe
+from repro.rtc.session import SessionConfig
 
 
 class TestMakeTrace:
@@ -355,13 +357,13 @@ class TestRunIsAGridCell:
         from tests.test_sim_regression import fingerprint
 
         args = build_parser().parse_args(self.RUN)
-        task = make_task(args.baseline, args, slo=True,
-                         slo_pacing_p99_s=0.1, inject_stall=(1.0, 0.5))
-        run = run_opened(task, *open_task(task, strict_audit=False))
+        task = make_task(args.baseline, args, slo_p99_s=0.1,
+                         stall=(1.0, 0.5))
+        run = run_opened(task, open_task(task, strict_audit=False))
         [cell] = run_grid(
             ["ace"], [make_trace("const:20", seed=3, duration=13.0)],
-            seeds=(3,), duration=3.0, slo=True, slo_pacing_p99_s=0.1,
-            inject_stall=(1, 0.5)).values()
+            seeds=(3,), duration=3.0,
+            observe=Observe(slo_p99_s=0.1, stall=(1, 0.5))).values()
         assert fingerprint(run) == fingerprint(cell)
         assert run.slo_alerts == cell.slo_alerts
         assert run.slo_alerts["alerts"] >= 1, "the stall never tripped"
@@ -406,7 +408,9 @@ class TestRunIsAGridCell:
         from repro.audit import InvariantViolation
         from repro.bench.parallel import GridTask, ParallelRunner
 
-        task = GridTask(baseline="ace", duration=1.0, seed=7, audit=True,
+        task = GridTask(baseline="ace", audit=True,
+                        config=SessionConfig(duration=1.0, seed=7,
+                                             initial_bwe_bps=6e6),
                         trace=BandwidthTrace.constant(3e6, duration=6.0))
         with pytest.raises(InvariantViolation):
             ParallelRunner(jobs=1).run([task])

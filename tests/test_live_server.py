@@ -295,8 +295,7 @@ def test_supervisor_stall_trips_fleet_watchdog(tmp_path):
     from repro.obs.slo import fleet_slo_rules
 
     config = quick_load(sessions=2, mix=("ace",), duration=2.5,
-                        slo=True, slo_pacing_p99_s=0.05,
-                        inject_stall_at=0.5, inject_stall_duration=1.5)
+                        slo_p99_s=0.05, stall=(0.5, 1.5))
     supervisor = SessionSupervisor(
         build_load_specs(config), heartbeat_interval=0.3,
         slo_rules=fleet_slo_rules(pacing_p99_s=0.05),
@@ -355,8 +354,7 @@ def test_supervisor_slo_firing_rides_heartbeat_records(tmp_path):
     line renders from."""
     hooked = []
     config = quick_load(sessions=2, mix=("ace",), duration=2.5,
-                        slo=True, slo_pacing_p99_s=0.05,
-                        inject_stall_at=0.5, inject_stall_duration=1.5)
+                        slo_p99_s=0.05, stall=(0.5, 1.5))
     run_load(config, run_dir=str(tmp_path), heartbeat_hook=hooked.append)
     firing = [record["slo_firing"] for record in hooked
               if record.get("slo_firing")]

@@ -445,13 +445,12 @@ def test_stall_handle_is_cancelled_by_teardown(stall_timers):
     async def check():
         session = build_live_session(
             "ace", short_config(duration=0.5, drain=0.1,
-                                inject_stall_at=0.1,
-                                inject_stall_duration=30.0),
+                                stall=(0.1, 30.0)),
             trace=BandwidthTrace.constant(20e6, duration=12.0))
         await session.run()
         assert len(stall_timers) > 2, "the stall never re-armed"
         assert stall_timers[-1].cancelled
-        assert session._stall._handle is None
+        assert session.stall._handle is None
         fired = len(stall_timers)
         await asyncio.sleep(0.15)
         assert len(stall_timers) == fired, "a stall clamp fired after run()"
@@ -463,15 +462,14 @@ def test_stall_handle_is_cancelled_by_request_stop(stall_timers):
     async def check():
         session = build_live_session(
             "ace", short_config(duration=30.0, drain=0.2,
-                                inject_stall_at=0.1,
-                                inject_stall_duration=30.0),
+                                stall=(0.1, 30.0)),
             trace=BandwidthTrace.constant(20e6, duration=60.0))
         task = asyncio.ensure_future(session.run())
         await asyncio.sleep(0.5)
         assert stall_timers and not stall_timers[-1].cancelled
         session.request_stop()
         assert stall_timers[-1].cancelled
-        assert session._stall._handle is None
+        assert session.stall._handle is None
         fired = len(stall_timers)
         await asyncio.wait_for(task, timeout=5.0)
         assert len(stall_timers) == fired, "the stall re-armed after stop"

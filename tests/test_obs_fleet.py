@@ -8,6 +8,7 @@ from repro.bench.parallel import make_grid, run_grid
 from repro.net.trace import BandwidthTrace
 from repro.obs import build_manifest, diff_runs, load_run, report_run
 from repro.obs.fleet import FleetObserver
+from repro.observe import Observe
 
 
 def flat_trace(mbps=15.0, name="flat"):
@@ -150,10 +151,11 @@ class TestRunDirectory:
         divergence stays informational (no regression by itself unless
         aggregate metrics also moved)."""
         kwargs = dict(baselines=["ace"], traces=[flat_trace()], seeds=(3,),
-                      duration=2.5, series=True)
-        run_grid(run_dir=str(tmp_path / "ref"), **kwargs)
+                      duration=2.5)
+        run_grid(run_dir=str(tmp_path / "ref"),
+                 observe=Observe(series=True), **kwargs)
         run_grid(run_dir=str(tmp_path / "stalled"),
-                 inject_stall=(1.0, 0.8), **kwargs)
+                 observe=Observe(series=True, stall=(1.0, 0.8)), **kwargs)
         text, _ = diff_runs(tmp_path / "stalled", tmp_path / "ref")
         assert "time-series divergence (worst window per shard):" in text
         assert "ace__flat__s3__gaming: max divergence in" in text
@@ -167,7 +169,7 @@ class TestRunDirectory:
 
     def test_diff_identical_series_runs_have_no_divergence(self, tmp_path):
         kwargs = dict(baselines=["ace"], traces=[flat_trace()], seeds=(3,),
-                      duration=1.5, series=True)
+                      duration=1.5, observe=Observe(series=True))
         run_grid(run_dir=str(tmp_path / "a"), **kwargs)
         run_grid(run_dir=str(tmp_path / "b"), **kwargs)
         text, regressions = diff_runs(tmp_path / "a", tmp_path / "b")

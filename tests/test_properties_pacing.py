@@ -92,7 +92,7 @@ def test_token_bucket_egress_bounded(trains, rate, bucket):
 @given(trains=frame_trains)
 def test_pacing_delays_nonnegative(trains):
     sent, pacer = run_pacer(lambda l, s: LeakyBucketPacer(l, s), trains)
-    assert all(d >= -1e-12 for d in pacer.stats.pacing_delays)
+    assert all(p.pacing_delay >= -1e-12 for _, p in sent)
 
 
 # ----------------------------------------------------------------------

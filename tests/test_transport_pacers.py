@@ -40,13 +40,14 @@ class TestLeakyBucketPacer:
 
     def test_pacing_delay_recorded(self):
         loop = EventLoop()
-        pacer = LeakyBucketPacer(loop, lambda p: None)
+        sent = []
+        pacer = LeakyBucketPacer(loop, sent.append)
         pacer.set_pacing_rate(1.2e6)
         pacer.enqueue(packets(5))
         loop.drain()
-        delays = pacer.stats.pacing_delays
+        delays = [p.pacing_delay for p in sent]
         assert len(delays) == 5
-        assert list(delays) == sorted(delays)  # later packets wait longer
+        assert delays == sorted(delays)  # later packets wait longer
 
     def test_rtx_priority(self):
         loop = EventLoop()
@@ -65,32 +66,32 @@ class TestLeakyBucketPacer:
 
 
 class TestPacerStatsBounds:
-    """The per-packet sample sequences are bounded rings (regression:
-    they grew ~100 B/packet forever, an unbounded leak on soak runs)."""
+    """The per-packet sample sequence is a bounded ring (regression:
+    it grew ~100 B/packet forever, an unbounded leak on soak runs)."""
 
     def test_sample_rings_are_capped(self):
         from repro.transport.pacer.base import DEFAULT_SAMPLE_CAP, PacerStats
         stats = PacerStats()
         for i in range(DEFAULT_SAMPLE_CAP + 500):
-            stats.pacing_delays.append(float(i))
             stats.occupancy_samples.append((float(i), i))
-        assert len(stats.pacing_delays) == DEFAULT_SAMPLE_CAP
         assert len(stats.occupancy_samples) == DEFAULT_SAMPLE_CAP
         # Oldest samples rotated out; the newest survive.
-        assert stats.pacing_delays[-1] == float(DEFAULT_SAMPLE_CAP + 499)
-        assert stats.pacing_delays[0] == 500.0
+        assert stats.occupancy_samples[-1] == (
+            float(DEFAULT_SAMPLE_CAP + 499), DEFAULT_SAMPLE_CAP + 499)
+        assert stats.occupancy_samples[0] == (500.0, 500)
 
     def test_rebound_keeps_newest_samples(self):
         from repro.transport.pacer.base import PacerStats
         stats = PacerStats()
         for i in range(100):
-            stats.pacing_delays.append(float(i))
+            stats.occupancy_samples.append((float(i), i))
         stats.rebound(10)
-        assert list(stats.pacing_delays) == [float(i) for i in range(90, 100)]
+        assert list(stats.occupancy_samples) == [
+            (float(i), i) for i in range(90, 100)]
         # The new cap holds from now on.
-        stats.pacing_delays.append(100.0)
-        assert len(stats.pacing_delays) == 10
-        assert stats.pacing_delays[0] == 91.0
+        stats.occupancy_samples.append((100.0, 100))
+        assert len(stats.occupancy_samples) == 10
+        assert stats.occupancy_samples[0] == (91.0, 91)
 
     def test_scalar_counters_stay_exact_past_the_cap(self):
         loop = EventLoop()
@@ -102,7 +103,7 @@ class TestPacerStatsBounds:
             loop.drain()
         assert pacer.stats.sent_packets == 20
         assert pacer.stats.enqueued_packets == 20
-        assert len(pacer.stats.pacing_delays) == 8
+        assert len(pacer.stats.occupancy_samples) == 8
 
 
 class TestBurstPacer:
