@@ -56,8 +56,7 @@ def run_experiment():
     t += 0.2
     for _ in range(3):
         step([0.02, 0.02], label="recovery")
-    reasons = [d.reason for d in ctrl.decisions]
-    return trajectory, reasons
+    return trajectory, ctrl.log.branch
 
 
 def test_fig11_bucket_states(benchmark):

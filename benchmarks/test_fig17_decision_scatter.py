@@ -37,7 +37,7 @@ def run_experiment():
         "elevated_frac": elevated_frac,
         "rel_demand_elevated": rel_elevated,
         "rel_demand_base": rel_base,
-        "ace_c": session.sender.ace_c.fraction_elevated(),
+        "ace_c": float(np.mean(np.array(session.sender.ace_c.log.after) > 0)),
     }
 
 

@@ -9,22 +9,14 @@ import numpy as np
 
 from repro.bench import print_series, print_table
 from repro.bench.workloads import once, run_baseline
+from repro.core.decisions import step_function
 from repro.net.trace import make_step_trace
 
 DROP_AT = 10.0
 
 
-def bwe_at(history, t):
-    value = history[0][1]
-    for ts, v in history:
-        if ts > t:
-            break
-        value = v
-    return value
-
-
 def reaction_metrics(metrics):
-    hist = sorted(metrics.bwe_history)
+    hist = metrics.bwe_history
     before = np.mean([v for t, v in hist if DROP_AT - 2 < t < DROP_AT])
     # time until the estimate falls below half its pre-drop value
     settle = None
@@ -57,8 +49,9 @@ def test_fig20_bandwidth_drop(benchmark):
         rows,
     )
     ts = [DROP_AT + dt for dt in (0.5, 1, 2, 3, 4)]
+    ace_bwe = step_function(r["ace"][3])
     print_series("BWE after the drop (ace)", ts,
-                 [bwe_at(sorted(r['ace'][3]), t) / 1e6 for t in ts],
+                 [ace_bwe(t) / 1e6 for t in ts],
                  "time s", "Mbps")
     for name, (before, after, settle, _) in r.items():
         assert after < 0.6 * before, f"{name}: estimate must fall after the drop"

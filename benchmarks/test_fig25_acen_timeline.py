@@ -18,15 +18,15 @@ def run_experiment():
     _, session = run_baseline("ace-n", trace, duration=25.0,
                               return_session=True)
     acen = session.sender.ace_n
-    decisions = acen.decisions
-    buckets = [(d.time, d.bucket_bytes) for d in decisions]
-    queues = [(e.time, e.queue_bytes) for e in acen.queue_estimator.estimates]
+    log = acen.log
     reasons = {}
-    for d in decisions:
-        reasons[d.reason] = reasons.get(d.reason, 0) + 1
+    for branch in log.branch:
+        reasons[branch] = reasons.get(branch, 0) + 1
     return {
-        "buckets": buckets,
-        "queues": queues,
+        "buckets": list(zip(log.time, log.after)),
+        # the queue estimate each decision read (one row per feedback
+        # that moved or held the bucket)
+        "queues": list(zip(log.time, log.input)),
         "reasons": reasons,
         "threshold": acen.config.threshold_bytes,
     }

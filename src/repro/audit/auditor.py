@@ -18,11 +18,11 @@ Three invariant families (see DESIGN.md for the full catalogue):
 * **State** — token count within ``[0, bucket_bytes]``, non-negative
   queues, monotone event time, RTT at or above the propagation floor,
   ACE-N bucket within ``[min, max]``, bucket/pacer synchronization.
-* **Control-law conformance** — every recorded ACE-N decision replayed
-  against Algorithm 1: loss-halve really halves (clamped), the
-  queue-threshold decrease removes exactly the excess, increases honour
-  the application limit, fast recovery only fires with standing-RTT
-  evidence and never jumps past the regime bound.
+* **Control-law conformance** — every ACE-N log row checked against
+  Algorithm 1 from its own ``before`` (loss-halve halves, the queue
+  decrease removes exactly the excess, increases honour the application
+  limit, fast recovery needs standing-RTT evidence and stays under the
+  regime bound), and the rows chain onto each other and the bucket.
 
 Violations either raise :class:`InvariantViolation` immediately
 (``strict=True``, the ``REPRO_AUDIT=1`` mode — the traceback lands
@@ -146,9 +146,8 @@ class SessionAuditor:
         self._attached = False
         self._saturated = False
         self._last_now = -math.inf
-        # ACE-N decision replay state.
+        #: index of the first ACE-N log row not yet checked.
         self._decision_cursor = 0
-        self._traj_bucket: Optional[float] = None
         #: auditor's own view of the "bucket last seen with an empty
         #: buffer" ratchet; tracked permissively (>= the controller's)
         #: so stale-regime fast-recovery jumps are flagged without
@@ -185,8 +184,7 @@ class SessionAuditor:
         loop.on_event = self._on_event
         self._attached = True
         if self.ace_n is not None:
-            self._decision_cursor = len(self.ace_n.decisions)
-            self._traj_bucket = self.ace_n.bucket_bytes
+            self._decision_cursor = len(self.ace_n.log)
         return self
 
     def attach_polling(self) -> "SessionAuditor":
@@ -205,8 +203,7 @@ class SessionAuditor:
         self._wrap_seams()
         self._attached = True
         if self.ace_n is not None:
-            self._decision_cursor = len(self.ace_n.decisions)
-            self._traj_bucket = self.ace_n.bucket_bytes
+            self._decision_cursor = len(self.ace_n.log)
         self._poll_timer = self.clock.call_later(
             POLL_INTERVAL_S, self._poll_tick, "audit.poll")
         return self
@@ -482,20 +479,26 @@ class SessionAuditor:
                            f"controller bucket {expected:.1f}")
 
     def _check_ace_decisions(self) -> None:
-        """Replay newly recorded decisions against Algorithm 1."""
+        """Check new ACE-N log rows against Algorithm 1 and their chain."""
         ace = self.ace_n
         cfg = ace.config
-        decisions = ace.decisions
-        prev = self._traj_bucket
+        log = ace.log
 
         def clamp(value: float) -> float:
             return min(max(value, cfg.min_bucket_bytes), cfg.max_bucket_bytes)
 
-        while self._decision_cursor < len(decisions):
-            d = decisions[self._decision_cursor]
+        def chain(i: int) -> float:
+            return log.after[i - 1] if i else cfg.initial_bucket_bytes
+
+        while self._decision_cursor < len(log):
+            i = self._decision_cursor
             self._decision_cursor += 1
-            new = d.bucket_bytes
-            if d.reason == "loss-halve":
+            branch, prev, new = log.branch[i], log.before[i], log.after[i]
+            if prev != chain(i):
+                self._fail("ace.decision.trajectory",
+                           f"{branch} row starts at {prev:.1f}, the previous "
+                           f"ended at {chain(i):.1f} (mutated without a row)")
+            if branch == "loss-halve":
                 want = clamp(prev / 2.0)
                 if not _close(new, want):
                     self._fail("ace.law.loss-halve",
@@ -504,23 +507,24 @@ class SessionAuditor:
                 if self._shadow_ratchet is not None:
                     decayed = cfg.empty_ratchet_decay * self._shadow_ratchet
                     self._shadow_ratchet = max(new, decayed)
-            elif d.reason == "queue-threshold":
-                if d.est_queue_bytes <= cfg.threshold_bytes - EPS_BYTES:
+            elif branch == "queue-threshold":
+                est_queue = log.input[i]
+                if est_queue <= cfg.threshold_bytes - EPS_BYTES:
                     self._fail("ace.law.queue-threshold",
-                               f"decrease at est_queue {d.est_queue_bytes:.1f}"
+                               f"decrease at est_queue {est_queue:.1f}"
                                f" <= threshold {cfg.threshold_bytes:.1f}")
-                want = clamp(prev - (d.est_queue_bytes - cfg.threshold_bytes))
+                want = clamp(prev - (est_queue - cfg.threshold_bytes))
                 if not _close(new, want):
                     self._fail("ace.law.queue-threshold",
                                f"decrease from {prev:.1f} produced {new:.1f},"
                                f" expected {want:.1f}")
-            elif d.reason == "additive-increase":
+            elif branch == "additive-increase":
                 if not prev < new <= prev + cfg.additive_step_bytes + EPS_BYTES:
                     self._fail("ace.law.additive-increase",
                                f"step from {prev:.1f} to {new:.1f} exceeds "
                                f"additive step {cfg.additive_step_bytes:.1f}")
                 self._check_app_limit(prev, new)
-            elif d.reason == "fast-recovery":
+            elif branch == "fast-recovery":
                 if new <= prev + EPS_BYTES:
                     self._fail("ace.law.fast-recovery",
                                f"recovery did not grow the bucket "
@@ -543,19 +547,15 @@ class SessionAuditor:
                                    f"bound {bound:.1f} (stale empty-buffer "
                                    "ratchet?)")
                 self._check_app_limit(prev, new)
-            elif d.reason == "app-limit":
+            elif branch == "app-limit":
                 if new != prev:
                     self._fail("ace.law.app-limit",
                                f"app-limit record changed the bucket "
                                f"({prev:.1f} -> {new:.1f})")
-            prev = new
-        self._traj_bucket = prev
-        if prev is not None and ace.bucket_bytes != prev:
+        if ace.bucket_bytes != chain(len(log)):
             self._fail("ace.decision.trajectory",
-                       f"bucket is {ace.bucket_bytes:.1f} but the decision "
-                       f"log ends at {prev:.1f} (bucket mutated without a "
-                       "recorded decision)")
-            self._traj_bucket = ace.bucket_bytes
+                       f"bucket is {ace.bucket_bytes:.1f} but the log ends "
+                       f"at {chain(len(log)):.1f} (mutated without a row)")
 
     def _check_app_limit(self, prev: float, new: float) -> None:
         if not self.fine_grained:

@@ -13,7 +13,7 @@
 from repro.core.token_bucket import TokenBucket
 from repro.core.queue_estimator import QueueEstimator
 from repro.core.ace_n import AceNConfig, AceNController
-from repro.core.ace_c import AceCConfig, AceCController, ComplexityDecision
+from repro.core.ace_c import AceCConfig, AceCController
 
 __all__ = [
     "TokenBucket",
@@ -22,5 +22,4 @@ __all__ = [
     "AceNController",
     "AceCConfig",
     "AceCController",
-    "ComplexityDecision",
 ]

@@ -23,8 +23,10 @@ actual outcome of every encoded frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from repro.core.decisions import DecisionLog
 
 
 @dataclass
@@ -56,17 +58,6 @@ class AceCConfig:
     update_phi: bool = False
 
 
-@dataclass
-class ComplexityDecision:
-    """Outcome of one per-frame complexity selection."""
-
-    frame_id: int
-    level: int
-    rho_hat: float
-    gains: list[float]
-    satd_ratio: float
-
-
 class AceCController:
     """Per-frame complexity selector with online model updates."""
 
@@ -85,10 +76,12 @@ class AceCController:
         self.delta_te = list(self.config.initial_delta_te[:num_levels])
         while len(self.delta_te) < num_levels:
             self.delta_te.append(self.delta_te[-1])
-        self.decisions: list[ComplexityDecision] = []
+        #: one row per frame: the previous and the chosen level, input rho-hat.
+        self.log = DecisionLog()
         #: (rho_hat, rho_actual) pairs for the Fig. 19 accuracy bench.
         self.prediction_log: list[tuple[float, float]] = []
-        self._pending: dict[int, ComplexityDecision] = {}
+        #: frame_id -> (level, rho_hat, satd_ratio) until the frame is encoded.
+        self._pending: dict[int, tuple[int, float, float]] = {}
         #: per-level last observed c0-equivalent stats for phi updates.
         self._c0_time_ewma: Optional[float] = None
 
@@ -108,38 +101,37 @@ class AceCController:
         return rho_hat * self.phi[level] / self.fps - self.delta_te[level]
 
     def select_complexity(self, frame_id: int, satd: float,
-                          satd_mean: float,
-                          backlogged: bool = False) -> ComplexityDecision:
-        """Choose the complexity level for the next frame.
+                          satd_mean: float, now: float,
+                          backlogged: bool = False) -> int:
+        """Choose (and log) the complexity level for the next frame.
 
         ``backlogged`` signals that the pacer already holds a backlog —
         then the transmission-time saving of a smaller frame is realized
         even for average-sized frames, so the oversize gate is waived.
         """
         rho_hat = self.predict_rho(satd, satd_mean)
-        gains = []
-        for level in range(self.num_levels):
-            if self.delta_te[level] > self.config.max_extra_encode_time:
-                gains.append(float("-inf"))
-            else:
-                gains.append(self.gain(level, rho_hat))
-        waived = backlogged and rho_hat >= 1.0
-        if rho_hat >= self.config.oversize_gate_rho or waived:
-            best = max(range(self.num_levels), key=lambda i: gains[i])
+        if rho_hat >= self.config.oversize_gate_rho:
+            branch = "oversize"
+        elif backlogged and rho_hat >= 1.0:
+            branch = "backlog-waiver"
         else:
             # Not oversized and nothing queued: the size reduction would
             # not shorten any queueing, so the gain is illusory -> c0.
-            best = 0
-        # c0 has gain exactly 0; prefer it unless a level strictly wins.
-        if gains[best] <= 0.0:
-            best = 0
-        decision = ComplexityDecision(
-            frame_id=frame_id, level=best, rho_hat=rho_hat,
-            gains=gains, satd_ratio=satd / max(satd_mean, 1e-9),
-        )
-        self.decisions.append(decision)
-        self._pending[frame_id] = decision
-        return decision
+            branch = "below-gate"
+        best = 0
+        if branch != "below-gate":
+            gains = [float("-inf")
+                     if self.delta_te[level] > self.config.max_extra_encode_time
+                     else self.gain(level, rho_hat)
+                     for level in range(self.num_levels)]
+            best = max(range(self.num_levels), key=lambda i: gains[i])
+            # c0 has gain exactly 0; prefer it unless a level strictly wins.
+            if gains[best] <= 0.0:
+                best = 0
+        self.log.append(now, branch, self.log.after[-1] if self.log else 0,
+                        best, rho_hat)
+        self._pending[frame_id] = (best, rho_hat, satd / max(satd_mean, 1e-9))
+        return best
 
     # ------------------------------------------------------------------
     # online updates (Eq. 5)
@@ -160,11 +152,11 @@ class AceCController:
         reference for learning phi: comparing the achieved size against
         a prediction that itself used phi would be circular.
         """
-        decision = self._pending.pop(frame_id, None)
-        if decision is None or target_frame_bytes <= 0:
+        pending = self._pending.pop(frame_id, None)
+        if pending is None or target_frame_bytes <= 0:
             return
+        level, rho_hat, satd_ratio = pending
         rho_actual = actual_bytes / target_frame_bytes
-        level = decision.level
 
         if level == 0:
             # Base-level frames (the ~97% majority) are the ground truth
@@ -173,8 +165,8 @@ class AceCController:
             # which stays stable under heavy-tailed ratios where a
             # two-parameter moment fit would wander; the offset mops up
             # the small residual bias and is tightly bounded.
-            self.prediction_log.append((decision.rho_hat, rho_actual))
-            x, y = decision.satd_ratio, rho_actual
+            self.prediction_log.append((rho_hat, rho_actual))
+            x, y = satd_ratio, rho_actual
             if x > 1e-6:
                 slope_obs = min(max((y - self.offset) / x, 0.1), 5.0)
                 self.w = self._ewma(self.w, slope_obs)
@@ -188,7 +180,7 @@ class AceCController:
             # Elevated frames: learn phi against the c0-equivalent
             # reference and delta_Te against the c0 encode-time EWMA.
             c0_rho = (c0_plan_bytes / target_frame_bytes
-                      if c0_plan_bytes else decision.rho_hat)
+                      if c0_plan_bytes else rho_hat)
             if self.config.update_phi and c0_rho > 1e-6:
                 phi_obs = 1.0 - rho_actual / c0_rho
                 phi_obs = min(max(phi_obs, 0.0), 0.9)
@@ -199,17 +191,7 @@ class AceCController:
             # The size model must also learn from these frames — fitting
             # w only on the sub-gate (small) frames selection-biases the
             # slope upward, which in turn widens the gate: a runaway.
-            x = decision.satd_ratio
+            x = satd_ratio
             if x > 1e-6 and c0_rho > 1e-6:
                 slope_obs = min(max((c0_rho - self.offset) / x, 0.1), 5.0)
                 self.w = self._ewma(self.w, slope_obs)
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def fraction_elevated(self) -> float:
-        """Fraction of frames encoded above c0 (paper: ~3%)."""
-        if not self.decisions:
-            return 0.0
-        elevated = sum(1 for d in self.decisions if d.level > 0)
-        return elevated / len(self.decisions)

@@ -25,9 +25,10 @@ against synthetic signals and attached to any token-bucket pacer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.decisions import DecisionLog
 from repro.core.queue_estimator import QueueEstimator
 from repro.net.packet import DEFAULT_PAYLOAD_BYTES
 from repro.transport.feedback import FeedbackMessage
@@ -81,16 +82,6 @@ class AceNConfig:
         return self.threshold_packets * self.packet_bytes
 
 
-@dataclass
-class AceNDecision:
-    """One bucket-size update, recorded for the deep-dive benches."""
-
-    time: float
-    bucket_bytes: float
-    est_queue_bytes: float
-    reason: str
-
-
 class AceNController:
     """Adaptive bucket-size state machine (Algorithm 1)."""
 
@@ -106,7 +97,8 @@ class AceNController:
         self._loss_outstanding = False
         self._last_frame_bytes: Optional[float] = None
         self._last_halve_at: Optional[float] = None
-        self.decisions: list[AceNDecision] = []
+        #: one row per bucket move or app-limit hold (input: est. queue)
+        self.log = DecisionLog()
 
     # ------------------------------------------------------------------
     # outputs
@@ -133,8 +125,8 @@ class AceNController:
                     reason: str) -> None:
         value = min(max(value, self.config.min_bucket_bytes),
                     self.config.max_bucket_bytes)
+        self.log.append(now, reason, self._bucket_bytes, value, est_queue)
         self._bucket_bytes = value
-        self.decisions.append(AceNDecision(now, value, est_queue, reason))
 
     # ------------------------------------------------------------------
     # signal ingestion
@@ -143,7 +135,7 @@ class AceNController:
                     reverse_delay: float = 0.0) -> None:
         """Feed transport feedback: update queue estimate, react to loss."""
         self.queue_estimator.on_feedback(message, now, reverse_delay=reverse_delay)
-        est_queue = self.queue_estimator.queue_bytes(now)
+        est_queue = self.queue_estimator.estimate(now).queue_bytes
         loss_detected = bool(message.nacked_seqs)
         if loss_detected:
             # The queue level that preceded the overflow is the *peak*
@@ -196,8 +188,8 @@ class AceNController:
         if limited > self._bucket_bytes:
             self._set_bucket(limited, now, est_queue, "additive-increase")
         elif limited != target:
-            self.decisions.append(
-                AceNDecision(now, self._bucket_bytes, est_queue, "app-limit"))
+            bucket = self._bucket_bytes
+            self.log.append(now, "app-limit", bucket, bucket, est_queue)
 
     def _apply_application_limit(self, target: float) -> float:
         """No increase past the previous frame's size (§4.1)."""

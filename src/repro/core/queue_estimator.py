@@ -20,7 +20,7 @@ from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 @dataclass
 class QueueEstimate:
-    """One queue-size estimate with its ingredients (for the benches)."""
+    """One queue-size estimate with its ingredients."""
 
     time: float
     queue_bytes: float
@@ -71,7 +71,6 @@ class QueueEstimator:
         # order-exact, so the O(1) queries equal a window scan bit for bit.
         self._standing: tuple[list[float], list[float]] = ([], [])
         self._peaks: tuple[list[float], list[float]] = ([], [])
-        self.estimates: list[QueueEstimate] = []
 
     # ------------------------------------------------------------------
     # signal ingestion
@@ -178,12 +177,6 @@ class QueueEstimator:
             capacity_bps=cap_raw,
             rtt_standing=self.rtt_standing(), rtt_min=self._rtt_min,
         )
-
-    def queue_bytes(self, now: float) -> float:
-        """Estimated in-network queue size in bytes (records history)."""
-        estimate = self.estimate(now)
-        self.estimates.append(estimate)
-        return estimate.queue_bytes
 
     def peak_queue_bytes(self) -> float:
         """Peak queue estimate over the recent window (max RTT based).

@@ -19,9 +19,9 @@ Blame categories are the branches of Algorithm 1 (see DESIGN.md):
 * ``startup``          — before the first decision (initial bucket),
 * ``uncontrolled``     — no ACE-N controller on this baseline.
 
-Attribution is **pure post-processing**: it reads the controller's
-decision log (recorded deterministically whether or not telemetry is
-on), the frames' pacer stamps, and the BWE history. Nothing here runs
+Attribution is **pure post-processing**: it reads ACE-N's decision
+log (recorded deterministically whether or not telemetry is on), the
+frames' pacer stamps, and the BWE history. Nothing here runs
 during the session, so fixed-seed results are bit-identical with
 attribution enabled — there is no way for it to perturb the run.
 """
@@ -32,8 +32,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from repro.core.decisions import DecisionLog, step_function
+
 if TYPE_CHECKING:
-    from repro.core.ace_n import AceNDecision
     from repro.rtc.metrics import SessionMetrics
 
 #: category used for the interval before ACE-N's first decision.
@@ -143,59 +144,45 @@ class SessionAttribution:
         return len(self.blames)
 
 
-def _bwe_at(bwe_history: Sequence[tuple[float, float]],
-            times: Sequence[float], when: float) -> Optional[float]:
-    """BWE in force at ``when`` (last sample at or before it)."""
-    if not bwe_history:
-        return None
-    i = bisect_right(times, when) - 1
-    if i < 0:
-        return bwe_history[0][1]
-    return bwe_history[i][1]
-
-
 def attribute_frames(frames: Iterable[tuple[int, float, float]],
-                     decisions: Sequence["AceNDecision"],
+                     log: Optional[DecisionLog] = None,
                      bwe_history: Sequence[tuple[float, float]] = (),
                      ) -> list[FrameBlame]:
     """Partition each frame's pacer span across the active decisions.
 
     ``frames`` yields ``(frame_id, pacer_enqueue, pacer_exit)`` tuples;
-    ``decisions`` is the controller's time-ordered decision log (empty
-    for non-ACE baselines — every span then lands in ``uncontrolled``).
-    A decision is *active* from its timestamp until the next decision's;
-    the interval before the first decision is ``startup``.
+    ``log`` is ACE-N's decision log (None or empty for non-ACE baselines
+    — every span then lands in ``uncontrolled``). A row is *active* from
+    its time until the next row's; the interval before the first row is
+    ``startup``.
     """
-    decision_times = [d.time for d in decisions]
-    bwe_times = [t for t, _ in bwe_history]
+    times = log.time if log is not None else []
+    bwe_at = step_function(bwe_history) if bwe_history else lambda _: None
     blames: list[FrameBlame] = []
     for frame_id, enqueue, exit_ in frames:
         blame = FrameBlame(frame_id, enqueue, exit_)
         if exit_ < enqueue:  # defensive: malformed stamps
             enqueue, exit_ = exit_, enqueue
-        if not decisions:
+        if not times:
             blame.segments.append(BlameSegment(
-                enqueue, exit_, UNCONTROLLED,
-                bwe_bps=_bwe_at(bwe_history, bwe_times, enqueue)))
+                enqueue, exit_, UNCONTROLLED, bwe_bps=bwe_at(enqueue)))
             blames.append(blame)
             continue
-        # Index of the decision active at `enqueue` (-1 = before first).
-        i = bisect_right(decision_times, enqueue) - 1
+        # Index of the row active at `enqueue` (-1 = before the first).
+        i = bisect_right(times, enqueue) - 1
         cursor = enqueue
         while cursor < exit_ or not blame.segments:
-            nxt = (decision_times[i + 1]
-                   if i + 1 < len(decision_times) else float("inf"))
+            nxt = times[i + 1] if i + 1 < len(times) else float("inf")
             seg_end = min(exit_, nxt)
             if i < 0:
                 reason, bucket, est_queue = STARTUP, None, None
             else:
-                d = decisions[i]
-                reason = d.reason
-                bucket, est_queue = d.bucket_bytes, d.est_queue_bytes
+                reason, bucket, est_queue = (log.branch[i], log.after[i],
+                                             log.input[i])
             blame.segments.append(BlameSegment(
                 cursor, seg_end, reason,
                 bucket_bytes=bucket, est_queue_bytes=est_queue,
-                bwe_bps=_bwe_at(bwe_history, bwe_times, cursor)))
+                bwe_bps=bwe_at(cursor)))
             cursor = seg_end
             i += 1
             if seg_end >= exit_:
@@ -205,9 +192,9 @@ def attribute_frames(frames: Iterable[tuple[int, float, float]],
 
 
 def attribute_metrics(metrics: "SessionMetrics",
-                      decisions: Sequence["AceNDecision"] = (),
+                      log: Optional[DecisionLog] = None,
                       ) -> SessionAttribution:
-    """Attribution from a finished session's metrics + decision log.
+    """Attribution from a finished session's metrics + ACE-N's log.
 
     Uses the per-frame ``pacer_enqueue``/``pacer_last_exit`` stamps (the
     same interval the spans' ``pacing`` component measures); frames that
@@ -217,28 +204,28 @@ def attribute_metrics(metrics: "SessionMetrics",
               for f in metrics.frames
               if f.pacer_enqueue is not None and f.pacer_last_exit is not None]
     return SessionAttribution(
-        attribute_frames(frames, decisions, metrics.bwe_history))
+        attribute_frames(frames, log, metrics.bwe_history))
 
 
 def attribute_session(session) -> SessionAttribution:
     """Attribution for a finished sim/live session object.
 
-    Reads the sender's frame stamps and ACE-N decision log directly, so
-    it works with or without telemetry attached and on both
-    :class:`~repro.rtc.session.RtcSession` and
+    Reads the sender's frame stamps and the ACE-N and congestion
+    controller logs directly, so it works with or without telemetry
+    attached and on both :class:`~repro.rtc.session.RtcSession` and
     :class:`~repro.live.session.LiveSession`.
     """
     sender = session.sender
     ace_n = getattr(sender, "ace_n", None)
-    decisions = ace_n.decisions if ace_n is not None else ()
     cc = getattr(sender, "cc", None)
-    bwe_history = ([(s.time, s.bwe_bps) for s in cc.history]
+    bwe_history = (list(zip(cc.log.time, cc.log.after))
                    if cc is not None else ())
     frames = [(f.frame_id, f.pacer_enqueue, f.pacer_last_exit)
               for fid in sorted(sender.frame_metrics)
               for f in (sender.frame_metrics[fid],)
               if f.pacer_enqueue is not None and f.pacer_last_exit is not None]
-    return SessionAttribution(attribute_frames(frames, decisions, bwe_history))
+    return SessionAttribution(attribute_frames(
+        frames, None if ace_n is None else ace_n.log, bwe_history))
 
 
 # ----------------------------------------------------------------------

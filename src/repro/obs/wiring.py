@@ -7,8 +7,7 @@ function is a *pure read*, and the components own the reads that need
 care: the token level is ``TokenBucket.level_at`` (never
 ``tokens(now)``, whose lazy refill would shift float rounding and break
 bit-identical fixed-seed runs — the same rule the invariant auditor
-follows), the queue estimate ``QueueEstimator.estimate``
-(``queue_bytes(now)`` appends it to the history).
+follows), the queue estimate ``QueueEstimator.estimate``.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def instrument_stack(telemetry: "Telemetry", *,
                        sample_fn=est_queue,
                        help="ACE-N estimated network queue in bytes")
         registry.gauge("ace.decisions",
-                       sample_fn=lambda a=ace_n: len(a.decisions),
+                       sample_fn=lambda a=ace_n: len(a.log),
                        help="ACE-N control decisions recorded so far")
         # Burstiness-control view (the paper's §4 quantities): how much
         # burst allowance the bucket grants beyond what the network is

@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.decisions import step_function
+
 #: The paper's stall definition: receiving interval above 100 ms.
 STALL_THRESHOLD_S = 0.1
 
@@ -178,15 +180,15 @@ class SessionMetrics:
         series = self.sending_rate_series(bin_s)
         if not series:
             return []
+        if against == "bandwidth":
+            if self.bandwidth_fn is None:
+                return []
+            denom_at = self.bandwidth_fn
+        else:
+            denom_at = step_function(self.bwe_history)
         ratios = []
-        bwe_iter = sorted(self.bwe_history)
         for t, rate in series:
-            if against == "bandwidth":
-                if self.bandwidth_fn is None:
-                    continue
-                denom = self.bandwidth_fn(t)  # type: ignore[operator]
-            else:
-                denom = _step_lookup(bwe_iter, t)
+            denom = denom_at(t)  # type: ignore[operator]
             if denom and denom > 0:
                 ratios.append(rate / denom)
         return ratios
@@ -195,22 +197,12 @@ class SessionMetrics:
         """BWE / true bandwidth at 10 ms intervals (Fig. 9 / Fig. 21)."""
         if self.bandwidth_fn is None or not self.bwe_history:
             return []
-        hist = sorted(self.bwe_history)
+        bwe_at = step_function(self.bwe_history)
         out = []
-        t = hist[0][0]
+        t = self.bwe_history[0][0]
         while t < self.duration:
             bw = self.bandwidth_fn(t)  # type: ignore[operator]
             if bw and bw > 0:
-                out.append(_step_lookup(hist, t) / bw)
+                out.append(bwe_at(t) / bw)
             t += bin_s
         return out
-
-
-def _step_lookup(series: list[tuple[float, float]], t: float) -> float:
-    """Value of a (time, value) step series at time ``t``."""
-    value = series[0][1]
-    for ts, v in series:
-        if ts > t:
-            break
-        value = v
-    return value

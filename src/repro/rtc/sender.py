@@ -206,10 +206,10 @@ class Sender:
             # fraction stays near the paper's few percent.
             frame_budget = target_bps / fps / 8.0
             backlogged = self.pacer.queued_bytes > 8 * frame_budget
-            decision = self.ace_c.select_complexity(
+            level = self.ace_c.select_complexity(
                 frame.frame_id, self.codec.rc_satd(frame),
-                self.codec.rc_satd_mean, backlogged=backlogged)
-            level = decision.level
+                self.codec.rc_satd_mean, now=self.loop.now,
+                backlogged=backlogged)
 
         tel = self.telemetry
         if tel is not None:

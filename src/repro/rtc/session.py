@@ -172,7 +172,7 @@ class FlowStack:
         metrics.packets_lost = packets_lost
         metrics.packets_retransmitted = sender.retransmissions
         metrics.send_events = list(sender.send_events)
-        metrics.bwe_history = [(s.time, s.bwe_bps) for s in self.cc.history]
+        metrics.bwe_history = list(zip(self.cc.log.time, self.cc.log.after))
         metrics.bandwidth_fn = bandwidth_fn
         return metrics
 

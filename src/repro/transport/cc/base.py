@@ -11,21 +11,13 @@ rate, exactly as WebRTC does.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 
+from repro.core.decisions import DecisionLog
 from repro.transport.feedback import FeedbackMessage
 
 
-@dataclass
-class CcSample:
-    """One (time, estimate) point — kept for the Fig. 9/20/21 benches."""
-
-    time: float
-    bwe_bps: float
-
-
 class CongestionController(abc.ABC):
-    """Base congestion controller with BWE history tracking."""
+    """Base congestion controller; every BWE change is a row of ``log``."""
 
     def __init__(self, initial_bwe_bps: float = 2_000_000.0,
                  min_bwe_bps: float = 150_000.0,
@@ -33,7 +25,8 @@ class CongestionController(abc.ABC):
         self._bwe_bps = initial_bwe_bps
         self.min_bwe_bps = min_bwe_bps
         self.max_bwe_bps = max_bwe_bps
-        self.history: list[CcSample] = []
+        #: one row per BWE update, bits/s (the session's ``bwe_history``)
+        self.log = DecisionLog()
         self.rtt_min: float | None = None
         self.rtt_last: float | None = None
 
@@ -42,9 +35,12 @@ class CongestionController(abc.ABC):
         """Current bandwidth estimate in bits/second."""
         return self._bwe_bps
 
-    def _set_bwe(self, value: float, now: float) -> None:
-        self._bwe_bps = min(max(value, self.min_bwe_bps), self.max_bwe_bps)
-        self.history.append(CcSample(now, self._bwe_bps))
+    def _set_bwe(self, value: float, now: float, branch: str,
+                 input: float) -> None:
+        """Clamp and apply a BWE update, logging the law that made it."""
+        value = min(max(value, self.min_bwe_bps), self.max_bwe_bps)
+        self.log.append(now, branch, self._bwe_bps, value, input)
+        self._bwe_bps = value
 
     def observe_rtt(self, rtt: float) -> None:
         """Track RTT (the pipeline reports it from feedback round trips)."""

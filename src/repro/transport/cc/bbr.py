@@ -58,7 +58,8 @@ class BbrController(CongestionController):
             older = [rate for _, rate in list(self._rate_samples)[-8:-4]]
             if max(recent) < 1.25 * max(older):
                 self._startup = False  # bandwidth plateau -> leave startup
-        self._set_bwe(btl_bw * self.pacing_gain, now)
+        self._set_bwe(btl_bw * self.pacing_gain, now,
+                      "startup" if self._startup else "probe-bw", btl_bw)
 
     def _advance_cycle(self, now: float) -> None:
         if self._startup:

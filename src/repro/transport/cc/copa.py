@@ -57,7 +57,8 @@ class CopaController(CongestionController):
         if accounted > 0 and lost / accounted > 0.05:
             self._velocity = 1.0
             self._last_direction = -1
-            self._set_bwe(self.bwe_bps * (1.0 - lost / accounted), now)
+            self._set_bwe(self.bwe_bps * (1.0 - lost / accounted), now,
+                          "loss-backoff", lost / accounted)
         for report in message.reports:
             rtt = report.one_way_delay + self._reverse_delay
             if rtt <= 0:
@@ -84,7 +85,8 @@ class CopaController(CongestionController):
         else:
             self._velocity = 1.0
         self._last_direction = direction
-        self._set_bwe(self.bwe_bps + direction * step, now)
+        self._set_bwe(self.bwe_bps + direction * step, now,
+                      "steer-up" if direction > 0 else "steer-down", target_bps)
 
     @property
     def velocity(self) -> float:

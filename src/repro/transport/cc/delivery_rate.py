@@ -54,17 +54,20 @@ class DeliveryRateController(CongestionController):
         if self._rate_ewma is None:
             return
         if loss_rate > self.loss_backoff_threshold:
-            self._set_bwe(self._rate_ewma * (1.0 - loss_rate), now)
+            self._set_bwe(self._rate_ewma * (1.0 - loss_rate), now,
+                          "loss-backoff", loss_rate)
         elif owd_excess > self.delay_brake_s:
             # Queue building: hold below the delivered rate to drain it.
-            self._set_bwe(min(self.bwe_bps, self._rate_ewma * 0.9), now)
+            self._set_bwe(min(self.bwe_bps, self._rate_ewma * 0.9), now,
+                          "delay-brake", owd_excess)
         else:
             # Probe slightly above what is being delivered; the sender is
             # app-limited most of the time, so delivered ~= sent and the
             # probe factor is what discovers spare capacity.
             target = max(self._rate_ewma * self.headroom,
                          self.bwe_bps * self.probe_factor)
-            self._set_bwe(min(target, self._rate_ewma * 2.0 + 100_000), now)
+            self._set_bwe(min(target, self._rate_ewma * 2.0 + 100_000), now,
+                          "probe", self._rate_ewma)
 
     def _observe_delay(self, message: FeedbackMessage) -> float:
         """Median one-way delay of this batch, relative to the floor."""

@@ -384,13 +384,14 @@ class GccController(CongestionController):
             return
 
         bwe = self.bwe_bps
+        acked = self._acked_rate or 0.0  # the delay branches' logged input
         if self._state == "decrease":
             base = self._acked_rate if self._acked_rate is not None else bwe
             new_bwe = self.beta * base
             if self._acked_rate is not None:
                 self._capacity_hint = self._acked_rate
             if new_bwe < bwe:
-                self._set_bwe(new_bwe, now)
+                self._set_bwe(new_bwe, now, "overuse-decrease", acked)
             self._state = "hold"
         elif self._state == "increase":
             near_max = (self._capacity_hint is not None
@@ -401,13 +402,15 @@ class GccController(CongestionController):
                 rtt = self.rtt_last if self.rtt_last else 0.05
                 response_time = max(rtt + 0.1, 0.15)
                 new_bwe = bwe + 1200 * 8 / response_time * 0.05
+                branch = "near-capacity-probe"
             else:
                 new_bwe = bwe * self.increase_factor
+                branch = "increase"
             # GCC never grows far beyond what is actually being delivered.
             if self._acked_rate is not None:
                 new_bwe = min(new_bwe, 1.5 * self._acked_rate + 10_000)
             if new_bwe > bwe:
-                self._set_bwe(new_bwe, now)
+                self._set_bwe(new_bwe, now, branch, acked)
 
     def _apply_loss_control(self, loss_rate: float, now: float) -> None:
         """Loss-based *bound* on the estimate (WebRTC-style).
@@ -437,4 +440,4 @@ class GccController(CongestionController):
             if self._loss_limit > self.max_bwe_bps:
                 self._loss_limit = None
         if self._loss_limit is not None and self.bwe_bps > self._loss_limit:
-            self._set_bwe(self._loss_limit, now)
+            self._set_bwe(self._loss_limit, now, "loss-cap", loss_rate)

@@ -11,7 +11,6 @@ import math
 import pytest
 
 from repro.audit import InvariantViolation, SessionAuditor, attach_audit
-from repro.core.ace_n import AceNDecision
 from repro.net.trace import BandwidthTrace, make_4g_trace, make_wifi_trace
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
@@ -201,10 +200,10 @@ class TestControlLawViolations:
     def test_loss_halve_that_does_not_halve(self):
         def corrupt(s, a):
             ace = s.sender.ace_n
-            wrong = ace.bucket_bytes + 1000.0  # grows instead of halving
+            old = ace.bucket_bytes
+            wrong = old + 1000.0  # grows instead of halving
             ace._bucket_bytes = wrong
-            ace.decisions.append(
-                AceNDecision(s.loop.now, wrong, 0.0, "loss-halve"))
+            ace.log.append(s.loop.now, "loss-halve", old, wrong, 0.0)
         expect_violation(corrupt, "ace.law.loss-halve")
 
     def test_queue_decrease_without_excess(self):
@@ -213,18 +212,17 @@ class TestControlLawViolations:
             # A decrease recorded while the estimated queue is *below*
             # the threshold; bucket unchanged so only the excess check
             # can fire.
-            ace.decisions.append(AceNDecision(
-                s.loop.now, ace.bucket_bytes,
-                ace.config.threshold_bytes / 2, "queue-threshold"))
+            ace.log.append(s.loop.now, "queue-threshold", ace.bucket_bytes,
+                           ace.bucket_bytes, ace.config.threshold_bytes / 2)
         expect_violation(corrupt, "ace.law.queue-threshold")
 
     def test_additive_increase_overshoots_step(self):
         def corrupt(s, a):
             ace = s.sender.ace_n
-            new = ace.bucket_bytes + 10 * ace.config.additive_step_bytes
+            old = ace.bucket_bytes
+            new = old + 10 * ace.config.additive_step_bytes
             ace._bucket_bytes = new
-            ace.decisions.append(AceNDecision(
-                s.loop.now, new, 0.0, "additive-increase"))
+            ace.log.append(s.loop.now, "additive-increase", old, new, 0.0)
         expect_violation(corrupt, "ace.law.additive-increase")
 
     def test_fast_recovery_without_evidence(self):
@@ -237,10 +235,10 @@ class TestControlLawViolations:
             # monotonic companions are trimmed in lockstep with it.
             for column in (*est._standing, *est._peaks):
                 column.clear()
-            new = ace.bucket_bytes + 2000.0
+            old = ace.bucket_bytes
+            new = old + 2000.0
             ace._bucket_bytes = new
-            ace.decisions.append(
-                AceNDecision(s.loop.now, new, 0.0, "fast-recovery"))
+            ace.log.append(s.loop.now, "fast-recovery", old, new, 0.0)
         expect_violation(corrupt, "ace.law.fast-recovery")
 
     def test_fast_recovery_past_regime_bound(self):
@@ -249,20 +247,20 @@ class TestControlLawViolations:
         def corrupt(s, a):
             ace = s.sender.ace_n
             ace._queue_before_loss = 5000.0
-            new = ace.bucket_bytes + 500_000.0
+            old = ace.bucket_bytes
+            new = old + 500_000.0
             ace._bucket_bytes = new
-            ace.decisions.append(
-                AceNDecision(s.loop.now, new, 0.0, "fast-recovery"))
+            ace.log.append(s.loop.now, "fast-recovery", old, new, 0.0)
         expect_violation(corrupt, "ace.law.fast-recovery")
 
     def test_increase_past_application_limit(self):
         def corrupt(s, a):
             ace = s.sender.ace_n
             ace._last_frame_bytes = 100.0  # tiny previous frame
-            new = ace.bucket_bytes + ace.config.additive_step_bytes / 2
+            old = ace.bucket_bytes
+            new = old + ace.config.additive_step_bytes / 2
             ace._bucket_bytes = new
-            ace.decisions.append(AceNDecision(
-                s.loop.now, new, 0.0, "additive-increase"))
+            ace.log.append(s.loop.now, "additive-increase", old, new, 0.0)
         expect_violation(corrupt, "ace.law.app-limit")
 
 

@@ -25,8 +25,9 @@ class TestPrediction:
         ctrl = make_controller()
         ratios = [0.5, 0.8, 1.0, 1.2, 1.5] * 20
         for i, ratio in enumerate(ratios):
-            d = ctrl.select_complexity(i, satd=ratio, satd_mean=1.0)
-            if d.level != 0:
+            level = ctrl.select_complexity(i, satd=ratio, satd_mean=1.0,
+                                           now=0.0)
+            if level != 0:
                 continue
             actual = int(1.5 * ratio * 100_000)
             ctrl.on_encoded(i, actual_bytes=actual,
@@ -47,30 +48,28 @@ class TestGain:
     def test_c0_for_normal_frames(self):
         """~97% of frames stay at the base complexity (paper §6.7)."""
         ctrl = make_controller(oversize_gate_rho=1.3)
-        d = ctrl.select_complexity(0, satd=1.0, satd_mean=1.0)
-        assert d.level == 0
+        assert ctrl.select_complexity(0, satd=1.0, satd_mean=1.0, now=0.0) == 0
 
     def test_elevation_for_oversized_frames(self):
         ctrl = make_controller(oversize_gate_rho=1.3)
-        d = ctrl.select_complexity(0, satd=3.0, satd_mean=1.0)
-        assert d.level > 0
+        assert ctrl.select_complexity(0, satd=3.0, satd_mean=1.0, now=0.0) > 0
 
     def test_backlog_waives_gate(self):
         ctrl = make_controller(oversize_gate_rho=1.3)
-        d = ctrl.select_complexity(0, satd=1.0, satd_mean=1.0, backlogged=True)
-        assert d.level > 0  # positive gain, gate waived
+        level = ctrl.select_complexity(0, satd=1.0, satd_mean=1.0, now=0.0,
+                                       backlogged=True)
+        assert level > 0  # positive gain, gate waived
 
     def test_negative_gain_falls_back_to_c0(self):
         """When extra encode time outweighs the size saving, stay at c0."""
         ctrl = make_controller(initial_delta_te=(0.0, 0.5, 1.0))
-        d = ctrl.select_complexity(0, satd=3.0, satd_mean=1.0)
-        assert d.level == 0
+        assert ctrl.select_complexity(0, satd=3.0, satd_mean=1.0, now=0.0) == 0
 
     def test_encode_time_bound_excludes_levels(self):
         ctrl = make_controller(initial_delta_te=(0.0, 0.003, 0.050),
                                max_extra_encode_time=0.030)
-        d = ctrl.select_complexity(0, satd=5.0, satd_mean=1.0)
-        assert d.level == 1  # level 2 excluded by the practicality bound
+        level = ctrl.select_complexity(0, satd=5.0, satd_mean=1.0, now=0.0)
+        assert level == 1  # level 2 excluded by the practicality bound
 
     def test_higher_fps_discourages_elevation(self):
         """At 60 fps the transmission saving halves (Eq. 2 divides by f)."""
@@ -87,23 +86,23 @@ class TestUpdates:
         ctrl = make_controller(initial_phi=(0.0, 0.10, 0.20),
                                update_phi=True)
         for i in range(30):
-            d = ctrl.select_complexity(i, satd=3.0, satd_mean=1.0,
-                                       backlogged=True)
-            assert d.level > 0
+            level = ctrl.select_complexity(i, satd=3.0, satd_mean=1.0,
+                                           now=0.0, backlogged=True)
+            assert level > 0
             c0_equiv = 300_000
             actual = int(c0_equiv * 0.6)  # a genuine 40% reduction
             ctrl.on_encoded(i, actual_bytes=actual,
                             target_frame_bytes=100_000, encode_time=0.009,
                             c0_plan_bytes=c0_equiv)
-        assert ctrl.phi[d.level] > 0.30
+        assert ctrl.phi[level] > 0.30
 
     def test_phi_static_by_default(self):
         """Default configuration keeps the empirical (offline) phi: the
         online size signal is circular when the encoder follows plans."""
         ctrl = make_controller(initial_phi=(0.0, 0.10, 0.20))
         for i in range(10):
-            d = ctrl.select_complexity(i, satd=3.0, satd_mean=1.0,
-                                       backlogged=True)
+            ctrl.select_complexity(i, satd=3.0, satd_mean=1.0, now=0.0,
+                                   backlogged=True)
             ctrl.on_encoded(i, actual_bytes=180_000,
                             target_frame_bytes=100_000, encode_time=0.009,
                             c0_plan_bytes=300_000)
@@ -113,13 +112,13 @@ class TestUpdates:
         ctrl = make_controller(initial_delta_te=(0.0, 0.001, 0.002))
         # establish the c0 time baseline
         for i in range(10):
-            d = ctrl.select_complexity(i, satd=0.5, satd_mean=1.0)
-            assert d.level == 0
+            assert ctrl.select_complexity(i, satd=0.5, satd_mean=1.0,
+                                          now=0.0) == 0
             ctrl.on_encoded(i, 40_000, 100_000, encode_time=0.006)
         # elevated frames take 12 ms -> delta ~6 ms learned
         for i in range(10, 30):
-            d = ctrl.select_complexity(i, satd=4.0, satd_mean=1.0)
-            if d.level == 2:
+            if ctrl.select_complexity(i, satd=4.0, satd_mean=1.0,
+                                      now=0.0) == 2:
                 ctrl.on_encoded(i, 250_000, 100_000, encode_time=0.012)
         assert ctrl.delta_te[2] > 0.004
 
@@ -131,7 +130,7 @@ class TestUpdates:
     def test_prediction_log_for_fig19(self):
         ctrl = make_controller()
         for i in range(5):
-            ctrl.select_complexity(i, satd=1.0, satd_mean=1.0)
+            ctrl.select_complexity(i, satd=1.0, satd_mean=1.0, now=0.0)
             ctrl.on_encoded(i, 100_000, 100_000, encode_time=0.006)
         assert len(ctrl.prediction_log) == 5
         rho_hat, rho = ctrl.prediction_log[0]
@@ -140,9 +139,11 @@ class TestUpdates:
     def test_fraction_elevated(self):
         ctrl = make_controller(oversize_gate_rho=1.3)
         for i in range(9):
-            ctrl.select_complexity(i, satd=1.0, satd_mean=1.0)
-        ctrl.select_complexity(9, satd=4.0, satd_mean=1.0)
-        assert ctrl.fraction_elevated() == pytest.approx(0.1)
+            ctrl.select_complexity(i, satd=1.0, satd_mean=1.0, now=0.0)
+        ctrl.select_complexity(9, satd=4.0, satd_mean=1.0, now=0.0)
+        levels = ctrl.log.after
+        assert sum(level > 0 for level in levels) / len(levels) == \
+            pytest.approx(0.1)
 
     def test_unknown_frame_update_ignored(self):
         ctrl = make_controller()

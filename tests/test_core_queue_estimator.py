@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ace_n import AceNController
 from repro.core.queue_estimator import QueueEstimator
 from repro.transport.feedback import (FeedbackMessage, PacketReport,
                                       ReportBatch, _ReportChunk)
@@ -52,7 +53,7 @@ def test_zero_queue_at_floor():
     est = QueueEstimator()
     feed_steady(est)
     assert est.queue_delay() == pytest.approx(0.0, abs=1e-4)
-    assert est.queue_bytes(now=1.0) < 2000
+    assert est.estimate(now=1.0).queue_bytes < 2000
     assert est.queue_is_empty()
 
 
@@ -68,7 +69,7 @@ def test_queue_estimate_from_standing_rtt():
                             now + 0.25), now=now + 0.25, reverse_delay=0.01)
     delay = est.queue_delay()
     assert delay == pytest.approx(0.008, abs=0.002)
-    queue = est.queue_bytes(now=now + 0.25)
+    queue = est.estimate(now=now + 0.25).queue_bytes
     assert queue == pytest.approx(0.008 * 10e6 / 8, rel=0.3)
 
 
@@ -137,11 +138,14 @@ class TestQueueIsEmptyNeedsEvidence:
 
 
 def test_estimates_history_recorded():
-    est = QueueEstimator()
-    feed_steady(est, rounds=3)
-    est.queue_bytes(now=1.0)
-    assert len(est.estimates) >= 1
-    assert est.estimates[-1].rtt_min is not None
+    """The estimator only answers reads; the history of its estimates
+    is the input column of ACE-N's decision log."""
+    ctrl = AceNController(queue_estimator=QueueEstimator())
+    feed_steady(ctrl, rounds=3)
+    est = ctrl.queue_estimator
+    assert len(ctrl.log) >= 1
+    assert ctrl.log.input[-1] == est.estimate(now=ctrl.log.time[-1]).queue_bytes
+    assert est.estimate(now=1.0).rtt_min is not None
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,9 @@ def test_cross_traffic_session_runs():
 def test_ace_n_bucket_adapts_during_session():
     trace = make_wifi_trace(RngStream(11, "trace"), duration=30.0)
     session, m = run("ace-n", trace=trace, duration=10.0)
-    decisions = session.sender.ace_n.decisions
-    assert len(decisions) > 10
-    sizes = {d.bucket_bytes for d in decisions}
+    log = session.sender.ace_n.log
+    assert len(log) > 10
+    sizes = set(log.after)
     assert len(sizes) > 3  # it actually moved
 
 
@@ -142,7 +142,8 @@ def test_ace_c_elevates_only_tail_frames():
     cfg = SessionConfig(duration=15.0, seed=2, initial_bwe_bps=15e6)
     session = build_session("ace-c", trace, cfg)
     m = session.run()
-    frac = session.sender.ace_c.fraction_elevated()
+    levels = session.sender.ace_c.log.after
+    frac = sum(level > 0 for level in levels) / len(levels)
     assert 0.0 < frac < 0.5
     levels = {f.complexity_level for f in m.frames}
     assert 0 in levels and len(levels) > 1

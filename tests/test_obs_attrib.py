@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.ace_n import AceNDecision
+from repro.core.decisions import DecisionLog
 from repro.net import make_wifi_trace
 from repro.obs import (
     BLAME_CATEGORIES,
@@ -22,8 +22,15 @@ from repro.sim import RngStream
 
 
 def d(time, reason, bucket=10_000.0, queue=0.0):
-    return AceNDecision(time=time, bucket_bytes=bucket,
-                        est_queue_bytes=queue, reason=reason)
+    return (time, reason, bucket, bucket, queue)
+
+
+def log(*rows):
+    """An ACE-N decision log holding ``rows`` (each a ``d(...)``)."""
+    out = DecisionLog()
+    for row in rows:
+        out.append(*row)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -32,12 +39,12 @@ def d(time, reason, bucket=10_000.0, queue=0.0):
 class TestAttributeFrames:
     def test_single_decision_covers_whole_span(self):
         [blame] = attribute_frames([(0, 1.0, 1.5)],
-                                   [d(0.5, "additive-increase")])
+                                   log(d(0.5, "additive-increase")))
         assert blame.breakdown() == {"additive-increase": pytest.approx(0.5)}
         assert blame.dominant() == "additive-increase"
 
     def test_span_split_across_decision_boundary(self):
-        decisions = [d(0.0, "additive-increase"), d(1.2, "loss-halve")]
+        decisions = log(d(0.0, "additive-increase"), d(1.2, "loss-halve"))
         [blame] = attribute_frames([(7, 1.0, 1.5)], decisions)
         assert blame.breakdown() == {
             "additive-increase": pytest.approx(0.2),
@@ -50,9 +57,9 @@ class TestAttributeFrames:
         assert blame.segments[1].end == 1.5
 
     def test_breakdown_sums_to_pacer_span(self):
-        decisions = [d(0.1 * i, r) for i, r in enumerate(
+        decisions = log(*[d(0.1 * i, r) for i, r in enumerate(
             ["additive-increase", "app-limit", "queue-threshold",
-             "loss-halve", "fast-recovery"] * 4)]
+             "loss-halve", "fast-recovery"] * 4)])
         frames = [(i, 0.05 + 0.13 * i, 0.05 + 0.13 * i + 0.21)
                   for i in range(12)]
         for blame in attribute_frames(frames, decisions):
@@ -63,27 +70,27 @@ class TestAttributeFrames:
 
     def test_before_first_decision_is_startup(self):
         [blame] = attribute_frames([(0, 0.0, 0.4)],
-                                   [d(0.3, "additive-increase")])
+                                   log(d(0.3, "additive-increase")))
         assert blame.breakdown() == {
             STARTUP: pytest.approx(0.3),
             "additive-increase": pytest.approx(0.1),
         }
 
     def test_no_decisions_is_uncontrolled(self):
-        [blame] = attribute_frames([(0, 1.0, 2.0)], [])
+        [blame] = attribute_frames([(0, 1.0, 2.0)], log())
         assert blame.breakdown() == {UNCONTROLLED: pytest.approx(1.0)}
         assert blame.dominant() == UNCONTROLLED
 
     def test_zero_span_frame_gets_one_segment(self):
         [blame] = attribute_frames([(3, 1.0, 1.0)],
-                                   [d(0.0, "app-limit")])
+                                   log(d(0.0, "app-limit")))
         assert blame.pacer_span == 0.0
         assert [s.reason for s in blame.segments] == ["app-limit"]
         assert blame.breakdown() == {"app-limit": 0.0}
 
     def test_duplicate_decision_timestamps_terminate(self):
-        decisions = [d(1.0, "loss-halve"), d(1.0, "fast-recovery"),
-                     d(1.0, "additive-increase")]
+        decisions = log(d(1.0, "loss-halve"), d(1.0, "fast-recovery"),
+                        d(1.0, "additive-increase"))
         [blame] = attribute_frames([(0, 0.5, 1.5)], decisions)
         assert sum(blame.breakdown().values()) == pytest.approx(1.0)
         # the last same-time decision wins for the post-1.0 interval
@@ -91,7 +98,7 @@ class TestAttributeFrames:
 
     def test_bwe_annotation(self):
         [blame] = attribute_frames([(0, 1.0, 1.5)],
-                                   [d(0.0, "app-limit")],
+                                   log(d(0.0, "app-limit")),
                                    bwe_history=[(0.0, 1e6), (1.2, 2e6)])
         assert blame.segments[0].bwe_bps == 1e6
 
@@ -101,7 +108,7 @@ class TestAttributeFrames:
 # ----------------------------------------------------------------------
 class TestSessionAttribution:
     def make(self):
-        decisions = [d(0.0, "additive-increase"), d(1.0, "loss-halve")]
+        decisions = log(d(0.0, "additive-increase"), d(1.0, "loss-halve"))
         frames = [(0, 0.1, 0.3), (1, 0.9, 1.4), (2, 1.1, 1.2)]
         return SessionAttribution(attribute_frames(frames, decisions))
 
@@ -158,7 +165,7 @@ class TestSessionIntegration:
     def test_session_helper_matches_metrics_path(self):
         session, metrics = run_session()
         a = attribute_session(session)
-        b = attribute_metrics(metrics, session.sender.ace_n.decisions)
+        b = attribute_metrics(metrics, session.sender.ace_n.log)
         assert len(a) == len(b)
         for x, y in zip(a.blames, b.blames):
             assert x.frame_id == y.frame_id

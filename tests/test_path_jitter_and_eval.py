@@ -59,8 +59,7 @@ class TestDelayJitter:
                             initial_bwe_bps=6e6)
         session = build_session("ace-n", trace, cfg)
         session.run()
-        estimates = [e.queue_bytes for e
-                     in session.sender.ace_n.queue_estimator.estimates[10:]]
+        estimates = session.sender.ace_n.log.input[10:]
         assert np.median(estimates) < 30_000
 
 

@@ -163,6 +163,6 @@ def test_gain_monotone_in_rho(rho_small, rho_big):
        mean=st.floats(min_value=1e-3, max_value=100.0))
 def test_selected_level_is_valid(satd, mean):
     ctrl = AceCController(num_levels=3, fps=30.0)
-    decision = ctrl.select_complexity(0, satd, mean)
-    assert 0 <= decision.level < 3
-    assert decision.rho_hat > 0
+    level = ctrl.select_complexity(0, satd, mean, now=0.0)
+    assert 0 <= level < 3
+    assert ctrl.log.input[-1] > 0  # rho-hat

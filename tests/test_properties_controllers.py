@@ -86,7 +86,7 @@ def test_queue_estimates_nonnegative_and_peak_dominates(script):
     for owds, _ in script:
         est.on_feedback(make_feedback(t, owds, [], seq), now=t,
                         reverse_delay=0.01)
-        queue = est.queue_bytes(now=t)
+        queue = est.estimate(now=t).queue_bytes
         peak = est.peak_queue_bytes()
         assert queue >= 0.0
         assert peak >= 0.0
@@ -154,7 +154,7 @@ def test_overuse_detector_threshold_bounded(trends):
 def test_ace_c_model_parameters_stay_bounded(observations):
     ctrl = AceCController(num_levels=3, fps=30.0, config=AceCConfig())
     for i, (ratio, rho) in enumerate(observations):
-        ctrl.select_complexity(i, satd=ratio, satd_mean=1.0)
+        ctrl.select_complexity(i, satd=ratio, satd_mean=1.0, now=0.0)
         ctrl.on_encoded(i, actual_bytes=int(rho * 100_000),
                         target_frame_bytes=100_000, encode_time=0.006,
                         c0_plan_bytes=rho * 100_000)

@@ -138,5 +138,5 @@ class TestGccController:
             reports = steady_reports(round_ * 10, t)
             cc.on_feedback(feedback(reports, now=t + 0.05), now=t + 0.05)
             t += 0.05
-        assert len(cc.history) > 0
-        assert all(s.bwe_bps > 0 for s in cc.history)
+        assert len(cc.log) > 0
+        assert all(bwe > 0 for bwe in cc.log.after)
