@@ -36,11 +36,13 @@ class HalfBurstPacer(Pacer):
     """Custom policy: burst the first half of each frame, pace the rest.
 
     A minimal example of the sub-RTT design space the paper studies —
-    it needs only ``_next_send_delay`` (and an ``on_send`` hook). That
-    is enough for the reference loop and live mode; ``--engine batch``
-    falls back to the reference loop for it ("unsupported pacer type
-    HalfBurstPacer"). To put a custom pacer on the batch engine's fast
-    path, also state the policy over a whole train:
+    it needs only ``_take(packet)``, the release rule in one call: return
+    0.0 and commit the release to the policy's state, or return the
+    seconds to wait (the pump asks again then, and nothing is committed).
+    That is enough for the reference loop and live mode; ``--engine
+    batch`` falls back to the reference loop for it ("unsupported pacer
+    type HalfBurstPacer"). To put a custom pacer on the batch engine's
+    fast path, also state the policy over a whole train:
     ``release_train(sizes, cum, floor, target)`` returns the release
     times of the packets that leave by ``target`` and commits them —
     see ``LeakyBucketPacer.release_train`` for the shape.
@@ -50,16 +52,15 @@ class HalfBurstPacer(Pacer):
         super().__init__(loop, send_fn)
         self._next_send_time = 0.0
 
-    def _next_send_delay(self, packet: Packet) -> float:
+    def _take(self, packet: Packet) -> float:
         if packet.frame_packet_index < packet.frame_packet_count / 2:
             return 0.0  # first half: burst
-        return max(0.0, self._next_send_time - self.loop.now)
-
-    def on_send(self, packet: Packet) -> None:
-        if packet.frame_packet_index >= packet.frame_packet_count / 2:
-            serialization = packet.size_bytes * 8 / self.pacing_rate_bps
-            self._next_send_time = max(self._next_send_time,
-                                       self.loop.now) + serialization
+        now = self.loop.now
+        if self._next_send_time > now:
+            return self._next_send_time - now
+        serialization = packet.size_bytes * 8 / self.pacing_rate_bps
+        self._next_send_time = now + serialization
+        return 0.0
 
 
 def run_custom_pacer() -> None:

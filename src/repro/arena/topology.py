@@ -116,13 +116,17 @@ class ArenaPath(NetworkPath):
     # forward direction
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
-        """Inject a packet; enters the first router on its flow's route."""
+        """Inject a packet; enters the first router on its flow's route.
+        Router 0 is entered the way a plain path enters its link (a
+        lone drop-tail router is closed-form there)."""
+        route = self.flow_routes.get(packet.flow_id)
+        if not route or not route[0]:
+            NetworkPath.send(self, packet)
+            return
         if self._lossy and self._lost_at_ingress(packet):
             return
-        route = self.flow_routes.get(packet.flow_id)
-        entry = self.links[route[0]] if route else self.link
         loop = self.loop
-        loop.post(loop.now + self._half_hop, entry.send, packet,
+        loop.post(loop.now + self._half_hop, self.links[route[0]].send, packet,
                   "path.to-bottleneck")
 
     def _hop_delivered(self, index: int, packet: Packet) -> None:

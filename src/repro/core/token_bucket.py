@@ -25,8 +25,8 @@ class TokenBucket:
     """Byte-denominated token bucket with lazy refill.
 
     The refill arithmetic is inlined into :meth:`consume`,
-    :meth:`time_until_available` (the per-packet hot path) and
-    :meth:`drain_train` (the per-train one) — keep any change to the
+    :meth:`time_until_available`, :meth:`take` (the per-packet hot path)
+    and :meth:`drain_train` (the per-train one) — keep any change to the
     formula mirrored across all copies, bit-for-bit, or fixed-seed
     sessions stop being reproducible. No other module restates it.
     """
@@ -127,6 +127,30 @@ class TokenBucket:
         if needed <= EPSILON_BYTES:
             return 0.0
         return needed * 8.0 / self._rate_bps
+
+    def take(self, size_bytes: float, now: float) -> float:
+        """Take ``size_bytes`` tokens now and return 0.0, or return the
+        seconds until they will be there and take nothing.
+
+        Bit for bit :meth:`time_until_available` followed, when that says
+        0, by :meth:`consume`: a packet larger than the bucket waits for a
+        full bucket and then drains it, where ``consume`` alone would
+        refuse it.
+        """
+        elapsed = now - self._last_refill
+        if elapsed > 0:
+            filled = self._tokens + elapsed * self._rate_bps / 8.0
+            cap = self._bucket_bytes
+            self._tokens = cap if filled > cap else filled
+            self._last_refill = now
+        tokens = self._tokens
+        demand = size_bytes if size_bytes < self._bucket_bytes else self._bucket_bytes
+        needed = demand - tokens
+        if needed > EPSILON_BYTES:
+            return needed * 8.0 / self._rate_bps
+        left = tokens - size_bytes
+        self._tokens = left if left > 0.0 else 0.0
+        return 0.0
 
     def drain_train(self, cum: np.ndarray, floor: float,
                     target: float) -> np.ndarray:

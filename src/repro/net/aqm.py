@@ -398,13 +398,14 @@ class ConfuciusDiscipline:
         self._rate_ewma: Dict[int, float] = {}
         self._rate_at: Dict[int, float] = {}
         self._bytes = 0
+        self._packets = 0
         self._seq = 0
         self._selected: Optional[int] = None  # lane of the selected head
         #: packets evicted from non-sparse lanes to admit sparse traffic.
         self.evictions = 0
 
     def __len__(self) -> int:
-        return sum(len(lane) for lane in self._lanes.values())
+        return self._packets
 
     @property
     def bytes_queued(self) -> int:
@@ -426,22 +427,30 @@ class ConfuciusDiscipline:
             rate *= math.exp(-(now - last) / self.ewma_tau_s)
         return rate
 
+    def _sparse_flows(self, now: float) -> Dict[int, bool]:
+        """:meth:`is_sparse` of every tracked flow, off one pass over the
+        decayed rates (summed in tracking order)."""
+        rates = {fid: self._rate_now(fid, now) for fid in self._rate_ewma}
+        total = sum(rates.values())
+        if total <= 0.0:
+            return dict.fromkeys(rates, True)
+        bound = self.sparse_share * total
+        return {fid: rate <= bound for fid, rate in rates.items()}
+
     def is_sparse(self, flow_id: int, now: float) -> bool:
         """Whether ``flow_id`` currently gets the sparse-flow shield."""
-        total = sum(self._rate_now(fid, now) for fid in self._rate_ewma)
-        if total <= 0.0:
-            return True
-        return self._rate_now(flow_id, now) <= self.sparse_share * total
+        return self._sparse_flows(now).get(flow_id, True)
 
     # -- admission -----------------------------------------------------
     def _evict_for(self, needed: int, now: float) -> bool:
         """Evict non-sparse backlog tails until ``needed`` bytes fit."""
+        sparse = self._sparse_flows(now)
         while self._bytes + needed > self.capacity_bytes:
             victim_fid = None
             victim_bytes = -1
             for fid, nbytes in self._lane_bytes.items():
                 lane = self._lanes[fid]
-                if not lane or nbytes <= victim_bytes or self.is_sparse(fid, now):
+                if not lane or nbytes <= victim_bytes or sparse[fid]:
                     continue
                 if fid == self._selected and len(lane) == 1:
                     continue        # that packet is on the wire right now
@@ -451,6 +460,7 @@ class ConfuciusDiscipline:
             _, packet = self._lanes[victim_fid].pop()
             self._lane_bytes[victim_fid] -= packet.size_bytes
             self._bytes -= packet.size_bytes
+            self._packets -= 1
             self.evictions += 1
             if self.drop_hook is not None:
                 self.drop_hook(packet)
@@ -471,17 +481,19 @@ class ConfuciusDiscipline:
         self._seq += 1
         self._lane_bytes[fid] += packet.size_bytes
         self._bytes += packet.size_bytes
+        self._packets += 1
         return True
 
     # -- scheduling ----------------------------------------------------
     def select_head(self, now: float) -> Optional[Packet]:
         best_fid = None
         best_key: Optional[tuple[int, int]] = None
+        sparse = self._sparse_flows(now)
         for fid, lane in self._lanes.items():
             if not lane:
                 continue
             seq = lane[0][0]
-            key = (0 if self.is_sparse(fid, now) else 1, seq)
+            key = (0 if sparse[fid] else 1, seq)
             if best_key is None or key < best_key:
                 best_fid, best_key = fid, key
         self._selected = best_fid
@@ -495,6 +507,7 @@ class ConfuciusDiscipline:
         _, packet = self._lanes[self._selected].popleft()
         self._lane_bytes[self._selected] -= packet.size_bytes
         self._bytes -= packet.size_bytes
+        self._packets -= 1
         self._selected = None
         return packet
 

@@ -16,20 +16,25 @@ when a packet leaves it in one of two ways (DESIGN §3b):
 * **closed-form** — a drop-tail FIFO fixes a departure the moment it
   accepts the packet, so the whole bottleneck is a clock-free
   :class:`DropTailServer`: what has left by an instant, whether an
-  arrival fits, when it departs. :meth:`Link.send` offers the packet,
-  stamps the answer and schedules nothing — bit-identical to the evented
-  link. :class:`~repro.net.path.NetworkPath` selects it.
+  arrival fits, when it departs, what a reader at an instant sees.
+  :class:`~repro.net.path.NetworkPath` selects it and, as the link's
+  only feeder, offers each packet when the pacer releases it, half a
+  hop ahead of its arrival, and schedules only the hop to the receiver
+  — bit-identical to the evented link. :meth:`Link.send` offers at the
+  clock.
 
 The server is the one statement of drop-tail admission and retirement.
-It has three feeders: :meth:`Link.send` (the reference loop), the batch
-engine, which offers whole trains to the session's own ``link.server``
-ahead of the clock, and the live impairment shim.
+It has three feeders: the reference loop's path, the batch engine, which
+offers whole trains to the session's own ``link.server`` ahead of the
+clock, and the live impairment shim. However far ahead it is fed, the
+link's reads (``stats``, ``queued_*``) answer as of ``loop.now``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,16 +87,18 @@ class DropTailServer:
     Owns what every walker of the bottleneck needs — busy-until, queued
     bytes and the ledger of packets accepted and not yet departed — and
     states each rule once: :meth:`retire` (what has left), :meth:`offer`
-    (does one packet fit; when does it leave) and :meth:`offer_train`
-    (the same for a whole train, up to its first tail drop). It reads no
-    clock: a feeder passes arrival times, nondecreasing, and may run
-    ahead of its own. ``enqueued_*`` and ``dropped_*`` are booked in
-    ``stats``; a drop-tail queue loses nothing it accepted, so
-    ``delivered = enqueued - still queued`` is the reader's to derive.
+    (does one packet fit; when does it leave), :meth:`offer_train` (the
+    same for a whole train, up to its first tail drop) and
+    :meth:`books_at` (what a reader at an instant sees). It reads no
+    clock: a feeder passes arrival times, nondecreasing, each with the
+    ``lead`` it posts the arrival ahead of its own clock. ``stats`` is
+    the raw books — ``enqueued_*`` and ``dropped_*`` booked as the server
+    decides, ahead of every reader; :meth:`books_at` is the view as of
+    an instant, ``delivered_*`` included.
     """
 
     __slots__ = ("trace", "rate_at", "capacity", "stats", "busy_until",
-                 "queued_bytes", "_ledger")
+                 "queued_bytes", "_ledger", "_due", "_drops")
 
     def __init__(self, trace: BandwidthTrace, capacity: int,
                  stats: LinkStats) -> None:
@@ -101,59 +108,74 @@ class DropTailServer:
         self.stats = stats
         #: finish time of the last accepted packet.
         self.busy_until = 0.0
-        #: bytes accepted and not yet retired.
+        #: bytes queued at the frontier, the latest arrival offered.
         self.queued_bytes = 0
-        #: FIFO of those packets: ``(start, finish, size)`` for one
-        #: offered alone, ``[finishes, cum_bytes, pos]`` per train
-        #: (``pos`` = how many of it have been retired).
+        #: FIFO of accepted packets: ``(arrival, start, finish, size)``
+        #: for one offered alone, ``[arrivals, finishes, finish, cum_bytes,
+        #: pos]`` per train (``finish`` its last, ``pos`` how many of it
+        #: have left by the frontier): ``[2]`` is when a record has left.
         self._ledger: deque = deque()
-
-    @property
-    def queued_packets(self) -> int:
-        """Counted off the ledger: reads are rare, retirement is hot."""
-        return sum(1 if type(record) is tuple else len(record[0]) - record[2]
-                   for record in self._ledger)
+        #: records at the ledger's head that have wholly left by the
+        #: frontier, kept while a reader behind it may still find them.
+        self._due = 0
+        #: ``(arrival, size)`` of tail drops, kept as long as records are.
+        self._drops: deque = deque()
 
     def retire(self, now: float, lead: float = 0.0) -> None:
-        """Take every packet whose service ended by ``now`` off the books.
+        """Move the frontier to ``now``: an arrival its feeder posted
+        ``lead`` seconds ahead of its own clock.
 
-        A finish at exactly ``now`` ties with the arrival being offered.
-        On an event loop the serve event was numbered at service start
-        and the arrival hop ``lead`` seconds before ``now``; the lower
-        number fires first, so the departure precedes iff ``start + lead
-        <= now``. A feeder with no event numbers (a state read, the batch
-        engine, the live shim) passes ``lead=0``: all that is due has
-        left — the only rule a train record, which keeps no starts, has.
+        Every packet whose service ended by ``now`` leaves the queue. A
+        finish at exactly ``now`` ties with the arrival: on an event loop
+        the serve event was numbered at service start and the arrival
+        hop ``lead`` seconds before ``now``; the lower number fires
+        first, so the departure precedes iff ``start + lead <= now``. A
+        feeder that posts at the arrival itself (``Link.send``, the live
+        shim) passes ``lead=0``: all that is due has left — the only rule
+        a train record, which keeps no starts, has.
+
+        A record leaves the ledger once it left before the feeder's clock
+        (``finish + lead < now``; rounding cannot make that true for a
+        finish at or after the clock): a reader, who reads at or after
+        the clock, can no longer find it queued.
         """
         ledger = self._ledger
+        due = self._due
         queued = self.queued_bytes
-        while ledger:
-            head = ledger[0]
+        while queued:               # so ledger[due] is still queued
+            head = ledger[due]
             if type(head) is tuple:
-                start, finish, size = head
-                if finish > now or (finish == now and start + lead > now):
+                finish = head[2]
+                if finish > now or (finish == now and head[1] + lead > now):
                     break
-                queued -= size
-                ledger.popleft()
+                queued -= head[3]
+                due += 1
                 continue
-            finishes, cum_bytes, pos = head
-            k = (len(finishes) if finishes[-1] <= now
+            _arrivals, finishes, last, cum_bytes, pos = head
+            k = (len(finishes) if last <= now
                  else int(np.searchsorted(finishes, now, side="right")))
             if k > pos:
                 queued -= int(cum_bytes[k - 1]) - (
                     int(cum_bytes[pos - 1]) if pos else 0)
+                head[4] = k
                 if k == len(finishes):
-                    ledger.popleft()
+                    due += 1
                     continue
-                head[2] = k
             break
         self.queued_bytes = queued
+        while due and ledger[0][2] + lead < now:
+            ledger.popleft()
+            due -= 1
+        self._due = due
+        drops = self._drops
+        while drops and drops[0][0] + lead < now:
+            drops.popleft()
 
     def offer(self, arrival: float, size: int,
               lead: float = 0.0) -> Optional[float]:
-        """One packet at ``arrival``: its finish time, or None — a tail
-        drop, booked here, for the feeder to report. An exact fit is
-        admitted."""
+        """One packet at ``arrival``, posted ``lead`` s ahead of its
+        feeder's clock: its finish time, or None — a tail drop, booked
+        here, for the feeder to report. An exact fit is admitted."""
         if self._ledger:
             self.retire(arrival, lead)
         queued = self.queued_bytes + size
@@ -161,26 +183,28 @@ class DropTailServer:
         if queued > self.capacity:
             stats.dropped_packets += 1
             stats.dropped_bytes += size
+            self._drops.append((arrival, size))
             return None
         start, finish = serve(self.busy_until, arrival, size, self.rate_at)
         self.busy_until = finish
         self.queued_bytes = queued
-        self._ledger.append((start, finish, size))
+        self._ledger.append((arrival, start, finish, size))
         stats.enqueued_packets += 1
         stats.enqueued_bytes += size
         return finish
 
     def offer_train(self, arrivals: np.ndarray, sizes: np.ndarray,
-                    cum_bytes: np.ndarray) -> np.ndarray:
+                    cum_bytes: np.ndarray, lead: float = 0.0) -> np.ndarray:
         """A train in one piece: finish times of the packets ahead of its
         first tail drop, accepted and booked. The rest — the whole train
         in an outage, or when one trace-rate sample does not cover those
         service starts — is the feeder's to :meth:`offer` one by one,
-        which makes every drop decision. ``arrivals`` are nondecreasing;
-        ``cum_bytes`` is the running sum of ``sizes``.
+        which makes every drop decision. ``arrivals`` are nondecreasing
+        and posted ``lead`` s ahead of the feeder's clock; ``cum_bytes``
+        is the running sum of ``sizes``.
         """
         arrival0 = float(arrivals[0])
-        self.retire(arrival0)
+        self.retire(arrival0, lead)
         busy = self.busy_until
         start0 = arrival0 if arrival0 > busy else busy
         rate = self.rate_at(start0)
@@ -207,7 +231,8 @@ class DropTailServer:
             prefix_bytes = int(cum_bytes[k - 1])
             self.busy_until = float(finishes[-1])
             self.queued_bytes += prefix_bytes
-            self._ledger.append([finishes, cum_bytes[:k], 0])
+            self._ledger.append([arrivals[:k], finishes, self.busy_until,
+                                 cum_bytes[:k], 0])
             self.stats.enqueued_packets += k
             self.stats.enqueued_bytes += prefix_bytes
         return finishes
@@ -226,12 +251,12 @@ class DropTailServer:
         before that index is exact.
         """
         old_f, old_cum = [], [0.0]
-        for record in self._ledger:
+        for record in islice(self._ledger, self._due, None):
             if type(record) is tuple:
-                old_f.append(record[1])
-                old_cum.append(old_cum[-1] + record[2])
+                old_f.append(record[2])
+                old_cum.append(old_cum[-1] + record[3])
             else:
-                rf, rcum, pos = record
+                _ra, rf, _last, rcum, pos = record
                 rcum = rcum[pos:] + (
                     old_cum[-1] - (rcum[pos - 1] if pos else 0.0))
                 old_f += rf[pos:].tolist()
@@ -243,6 +268,49 @@ class DropTailServer:
         over = np.flatnonzero(
             self.queued_bytes + cum_bytes - left > self.capacity)
         return int(over[0]) if len(over) else len(arrivals)
+
+    def books_at(self, now: float) -> tuple[LinkStats, int, int]:
+        """``(stats, queued packets, queued bytes)`` as a reader at
+        ``now`` — at or after the feeder's clock — sees them.
+
+        A packet is in the queue from its arrival (``arrival <= now``)
+        until its finish (``finish <= now`` has left, :meth:`retire`'s
+        rule at ``lead=0``). What the feeder offered ahead of ``now`` —
+        an arrival or a tail drop not reached yet — is not in the books.
+        A drop-tail queue loses nothing it accepted, so ``delivered =
+        enqueued - queued``.
+        """
+        raw = self.stats
+        enq_p, enq_b = raw.enqueued_packets, raw.enqueued_bytes
+        drop_p, drop_b = raw.dropped_packets, raw.dropped_bytes
+        queued_p = queued_b = 0
+        for record in self._ledger:
+            if type(record) is tuple:
+                arrival, _start, finish, size = record
+                if arrival > now:
+                    enq_p -= 1
+                    enq_b -= size
+                elif finish > now:
+                    queued_p += 1
+                    queued_b += size
+                continue
+            arrivals, finishes, _last, cum_bytes, _pos = record
+            a = int(np.searchsorted(arrivals, now, side="right"))
+            f = int(np.searchsorted(finishes, now, side="right"))
+            arrived = int(cum_bytes[a - 1]) if a else 0
+            enq_p -= len(arrivals) - a
+            enq_b -= int(cum_bytes[-1]) - arrived
+            queued_p += a - f
+            queued_b += arrived - (int(cum_bytes[f - 1]) if f else 0)
+        for arrival, size in self._drops:
+            if arrival > now:
+                drop_p -= 1
+                drop_b -= size
+        stats = LinkStats(
+            enqueued_packets=enq_p, delivered_packets=enq_p - queued_p,
+            dropped_packets=drop_p, enqueued_bytes=enq_b,
+            delivered_bytes=enq_b - queued_b, dropped_bytes=drop_b)
+        return stats, queued_p, queued_b
 
 
 class Link:
@@ -258,7 +326,8 @@ class Link:
     ``stats`` and ``queued_*`` answer as of ``loop.now``; ``server`` is
     the closed form (``None`` while evented), and while it is there it —
     not ``queue``, which then only names the discipline and its capacity
-    — holds the queued packets.
+    — holds the queued packets, and may be fed ahead of the clock
+    (:class:`~repro.net.path.NetworkPath` offers each packet at release).
     """
 
     def __init__(self, loop: EventLoop, trace: BandwidthTrace,
@@ -276,42 +345,34 @@ class Link:
         self._stats = LinkStats()
         self._busy = False
         self.server: Optional[DropTailServer] = None
-        self._lead = 0.0        # how far ahead the feeder posts arrivals
         self._rate_at = trace.rate_at   # hot-path bound-method cache
 
-    def depart_at_enqueue(self, lead: float) -> None:
-        """Go closed-form (plain drop-tail only) for the one feeder that
-        posts arrivals ``lead`` s ahead and needs no event at departure."""
+    def depart_at_enqueue(self) -> None:
+        """Go closed-form (plain drop-tail only): each feeder's offer
+        fixes the departure and no event fires at it."""
         if (self.server is None and type(self.queue) is DropTailQueue
                 and not len(self.queue)):
             self.server = DropTailServer(
                 self.trace, self.queue.capacity_bytes, self._stats)
-            self._lead = lead
 
     def depart_by_event(self) -> None:
         """Back to ``link.serve`` events (per-packet observers, chains)."""
-        if self.server is not None:
-            stats = self.stats      # delivered_* derived one last time
-            if stats.delivered_packets != stats.enqueued_packets:
-                raise RuntimeError("link has closed-form departures in flight")
-            self.server = None
-
-    def _server_now(self) -> Optional[DropTailServer]:
-        """The server, with every departure due by ``loop.now`` retired."""
         server = self.server
         if server is not None:
-            server.retire(self.loop.now)
-        return server
+            stats = self.stats      # the books as of now
+            raw = server.stats
+            if (stats.delivered_packets != raw.enqueued_packets
+                    or stats.dropped_packets != raw.dropped_packets):
+                raise RuntimeError("link has closed-form departures in flight")
+            self._stats = stats
+            self.server = None
 
     @property
     def stats(self) -> LinkStats:
-        server = self._server_now()
-        stats = self._stats
-        if server is not None:
-            stats.delivered_packets = (stats.enqueued_packets
-                                       - server.queued_packets)
-            stats.delivered_bytes = stats.enqueued_bytes - server.queued_bytes
-        return stats
+        server = self.server
+        if server is None:
+            return self._stats
+        return server.books_at(self.loop.now)[0]
 
     @property
     def rate_now(self) -> float:
@@ -320,13 +381,17 @@ class Link:
 
     @property
     def queued_bytes(self) -> int:
-        server = self._server_now()
-        return self.queue.bytes_queued if server is None else server.queued_bytes
+        server = self.server
+        if server is None:
+            return self.queue.bytes_queued
+        return server.books_at(self.loop.now)[2]
 
     @property
     def queued_packets(self) -> int:
-        server = self._server_now()
-        return len(self.queue) if server is None else server.queued_packets
+        server = self.server
+        if server is None:
+            return len(self.queue)
+        return server.books_at(self.loop.now)[1]
 
     def send(self, packet: Packet) -> bool:
         """Offer ``packet`` to the link; returns False if dropped on arrival."""
@@ -334,11 +399,9 @@ class Link:
         packet.t_enter_queue = now
         server = self.server
         if server is not None:
-            finish = server.offer(now, packet.size_bytes, self._lead)
+            finish = server.offer(now, packet.size_bytes)
             if finish is None:
-                packet.dropped = True
-                if self.on_drop is not None:
-                    self.on_drop(packet)
+                self.report_drop(packet)
                 return False
             packet.t_leave_queue = finish
             self.on_deliver(packet)
@@ -353,15 +416,21 @@ class Link:
             self._start_service()
         return True
 
+    def report_drop(self, packet: Packet) -> None:
+        """A drop the books already hold reaches ``packet``: mark it and
+        tell ``on_drop`` (the path posts a closed-form tail drop here at
+        its arrival instant)."""
+        packet.dropped = True
+        if self.on_drop is not None:
+            self.on_drop(packet)
+
     def _dropped_in_queue(self, packet: Packet) -> None:
         """The discipline refused ``packet`` on arrival, or dropped/evicted
         one it had already queued."""
-        packet.dropped = True
         stats = self._stats
         stats.dropped_packets += 1
         stats.dropped_bytes += packet.size_bytes
-        if self.on_drop is not None:
-            self.on_drop(packet)
+        self.report_drop(packet)
 
     def _start_service(self) -> None:
         now = self.loop.now

@@ -97,10 +97,11 @@ class NetworkPath:
         self._jitter_enabled = cfg.delay_jitter_std > 0 and self.rng is not None
         self._jitter_std = cfg.delay_jitter_std
         # A lone drop-tail hop then a fixed half-hop needs no event at
-        # departure (Link goes closed-form). Jitter draws from the path
-        # RNG at the departure instant, so it keeps the serve event.
+        # departure (Link goes closed-form, and send() offers the packet
+        # half a hop ahead). Jitter draws from the path RNG at the
+        # departure instant, so it keeps the serve event.
         if not self._jitter_enabled:
-            self.link.depart_at_enqueue(lead=self._half_hop)
+            self.link.depart_at_enqueue()
 
     # ------------------------------------------------------------------
     # forward direction (sender -> receiver)
@@ -114,8 +115,24 @@ class NetworkPath:
             return
         # Propagate to the bottleneck (half the one-way budget), then
         # serialize, then propagate the rest of the way.
-        self.loop.post(self.loop.now + self._half_hop, self.link.send, packet,
-                       "path.to-bottleneck")
+        loop = self.loop
+        half_hop = self._half_hop
+        arrival = loop.now + half_hop
+        link = self.link
+        server = link.server
+        if server is None:
+            loop.post(arrival, link.send, packet, "path.to-bottleneck")
+            return
+        # Closed form: the path is the server's only feeder, so it is
+        # asked now, half a hop ahead of the arrival (DESIGN §3b); a drop
+        # still reaches the loss path at the arrival instant.
+        packet.t_enter_queue = arrival
+        finish = server.offer(arrival, packet.size_bytes, half_hop)
+        if finish is None:
+            loop.post(arrival, link.report_drop, packet, "path.to-bottleneck")
+            return
+        packet.t_leave_queue = finish
+        loop.post(finish + half_hop, self._arrive, packet, "path.to-receiver")
 
     def _lost_at_ingress(self, packet: Packet) -> bool:
         """Book a random or contention loss ahead of the bottleneck and
@@ -149,7 +166,8 @@ class NetworkPath:
         return self.rng.random() < cfg.contention_loss_rate * ramp
 
     def _delivered_by_link(self, packet: Packet) -> None:
-        """``t_leave_queue`` is now (evented) or still ahead (closed-form)."""
+        """The evented link (or the last router of a chain) has served
+        ``packet``: ``t_leave_queue`` is now."""
         delay = self._half_hop
         if self._jitter_enabled:
             delay += abs(self.rng.normal(0.0, self._jitter_std))

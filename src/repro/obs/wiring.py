@@ -24,19 +24,14 @@ if TYPE_CHECKING:
     from repro.transport.pacer.base import Pacer
 
 
-def _occupancy(telemetry: "Telemetry", component, attr: str,
-               twin: str) -> float:
-    """Queue occupancy that only the reference loop keeps on the component.
-
-    The batch engine holds pacer and link backlogs in its pipeline's
-    arrays; when one is installed (``telemetry.pipeline``) it answers
-    with the ``twin`` property instead, so the gauge reads the same
-    quantity on either engine.
-    """
+def _pacer_queued_packets(telemetry: "Telemetry", pacer: "Pacer") -> int:
+    """The pacer backlog in packets, which only the reference loop keeps
+    on the pacer: the batch engine holds media in its pipeline's bursts,
+    and when one is installed (``telemetry.pipeline``) it answers."""
     pipeline = telemetry.pipeline
     if pipeline is not None:
-        return getattr(pipeline, twin)
-    return getattr(component, attr)
+        return pipeline.pacer_queued_packets
+    return pacer.queued_packets
 
 
 def instrument_stack(telemetry: "Telemetry", *,
@@ -57,8 +52,8 @@ def instrument_stack(telemetry: "Telemetry", *,
                        sample_fn=lambda p=pacer: p.queued_bytes,
                        help="Bytes queued in the pacer")
         registry.gauge("pacer.backlog_packets",
-                       sample_fn=lambda p=pacer, t=telemetry: _occupancy(
-                           t, p, "queued_packets", "pacer_queued_packets"),
+                       sample_fn=lambda p=pacer, t=telemetry:
+                           _pacer_queued_packets(t, p),
                        help="Packets queued in the pacer")
         registry.gauge("pacer.pacing_rate_bps",
                        sample_fn=lambda p=pacer: p.pacing_rate_bps,
@@ -112,9 +107,10 @@ def instrument_stack(telemetry: "Telemetry", *,
                 0.0, est_queue() - a.config.threshold_bytes),
             help="Estimated queue bytes above the ACE threshold T")
     if link is not None:
+        # The link answers as of the tick on either engine, however far
+        # ahead of the clock its server has been fed.
         registry.gauge("link.queue_bytes",
-                       sample_fn=lambda l=link, t=telemetry: _occupancy(
-                           t, l, "queued_bytes", "link_queued_bytes"),
+                       sample_fn=lambda l=link: l.queued_bytes,
                        help="Bytes queued in the bottleneck link")
         # rate_at() is a pure function of time (monotonic cursor with a
         # bisect fallback), so sampling it never perturbs the trace.

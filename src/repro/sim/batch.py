@@ -25,7 +25,7 @@ Structure:
 
 The pipeline is a scheduler, not a model: *when* a queued train leaves
 is the pacer's own closed form (``Pacer.release_train``; the scalar lane
-asks the same pacer's ``_next_send_delay``), and what the bottleneck
+asks the same pacer's ``_take``), and what the bottleneck
 admits and when it departs is the session's own
 ``path.link.server`` (:class:`repro.net.link.DropTailServer`), which the
 pipeline feeds ahead of the clock — the objects the reference loop and
@@ -245,39 +245,13 @@ class BatchPipeline:
             self.telemetry.pipeline = self
 
     # ------------------------------------------------------------------
-    # occupancy views (obs.wiring gauges; pure reads at the tick)
+    # occupancy view (the obs.wiring gauge; a pure read at the tick)
     # ------------------------------------------------------------------
     @property
     def pacer_queued_packets(self) -> int:
         """Twin of ``Pacer.queued_packets``: media waits in bursts."""
         return (sum(b.count - b.sent for b in self._media)
                 + len(self.pacer._rtx_queue))
-
-    @property
-    def link_queued_bytes(self) -> int:
-        """Twin of ``Link.queued_bytes`` at ``loop.now``.
-
-        Trains are served ahead of the clock, so occupancy *now* is read
-        off the pending deliveries: a packet is in the queue from its
-        entry (send + half hop) until its finish (arrival - half hop).
-        """
-        now = self.loop.now
-        half_hop = self.half_hop
-        queued = 0
-        for head in self._deliveries:
-            if type(head) is tuple:
-                packet = head[1]
-                if packet.t_enter_queue <= now < packet.t_leave_queue:
-                    queued += packet.size_bytes
-                continue
-            arrivals, sends, sizes = head[0], head[1], head[2]
-            left = int(np.searchsorted(arrivals - half_hop, now,
-                                       side="right"))
-            entered = int(np.searchsorted(sends + half_hop, now,
-                                          side="right"))
-            if entered > left:
-                queued += int(sizes[left:entered].sum())
-        return queued
 
     # ------------------------------------------------------------------
     # sender sink (replaces packetize + pacer.enqueue for media)
@@ -358,25 +332,23 @@ class BatchPipeline:
         while rtx:
             # Scalar lane: retransmissions go through the unmodified
             # reference release machinery (the pacer's own policy,
-            # timestamps, stats, token consumption, send hooks) one
-            # packet at a time, the clock standing where the pump would.
+            # timestamps, stats, token consumption) one packet at a
+            # time, the clock standing where the pump would: a wait is a
+            # wake-up, and the pump asks again there.
             head = rtx[0]
             loop.now = floor
-            delay = pacer._next_send_delay(head)
-            if delay > 0.0:
-                release_at = floor + (delay if delay > _MIN_PUMP
-                                      else _MIN_PUMP)
-            else:
-                release_at = floor
-            if release_at > target:
-                # Head blocked beyond this advance; media must not
-                # overtake it (strict queue priority).
-                self._last_release = floor
-                return
+            delay = pacer._take(head)
+            while delay > 0.0:
+                wake = floor + (delay if delay > _MIN_PUMP else _MIN_PUMP)
+                if wake > target:
+                    # Head blocked beyond this advance; media must not
+                    # overtake it (strict queue priority).
+                    self._last_release = floor
+                    return
+                loop.now = floor = wake
+                delay = pacer._take(head)
             rtx.popleft()
-            loop.now = release_at
             pacer._release(head)
-            floor = release_at
         media = self._media
         while media:
             # Vector lane: the pacer's own closed form says which prefix
@@ -435,7 +407,8 @@ class BatchPipeline:
         drop materialized for the loss path.
         """
         server = self.server
-        finishes = server.offer_train(e, sizes, cum_bytes)
+        half_hop = self.half_hop
+        finishes = server.offer_train(e, sizes, cum_bytes, half_hop)
         k = len(finishes)
         if k:
             self._deliveries.append(
@@ -446,7 +419,7 @@ class BatchPipeline:
         self.scalar_packets += n - k
         run: list[float] = []       # finishes of the open admitted run
         for i in range(k, n):
-            finish = server.offer(float(e[i]), int(sizes[i]))
+            finish = server.offer(float(e[i]), int(sizes[i]), half_hop)
             if finish is not None:
                 run.append(finish)
                 continue
@@ -454,7 +427,7 @@ class BatchPipeline:
             packet = self.materialize(burst, lo + i)
             packet.t_leave_pacer = float(send_times[i])
             packet.t_enter_queue = float(e[i])
-            self._report_drop(packet)
+            self.link.report_drop(packet)
         self._queue_run(run, n, send_times, sizes, burst, lo)
 
     def _queue_run(self, run: list[float], end: int, send_times: np.ndarray,
@@ -470,11 +443,6 @@ class BatchPipeline:
              burst, lo + first, 0, int(run_sizes.sum())])
         run.clear()
 
-    def _report_drop(self, packet: Packet) -> None:
-        """A tail drop the server booked, handed to the loss path."""
-        packet.dropped = True
-        self.link.on_drop(packet)
-
     # ------------------------------------------------------------------
     # scalar lane (retransmissions released through the reference pacer)
     # ------------------------------------------------------------------
@@ -482,9 +450,9 @@ class BatchPipeline:
         """NetworkPath.intercept target: loop.now is the departure."""
         entry = self.loop.now + self.half_hop
         packet.t_enter_queue = entry
-        finish = self.server.offer(entry, packet.size_bytes)
+        finish = self.server.offer(entry, packet.size_bytes, self.half_hop)
         if finish is None:
-            self._report_drop(packet)
+            self.link.report_drop(packet)
             return
         packet.t_leave_queue = finish
         self._deliveries.append((finish + self.half_hop, packet))

@@ -53,9 +53,10 @@ class PacerStats:
 class Pacer(abc.ABC):
     """Base class: FIFO media queue + priority retransmission queue.
 
-    Subclasses implement :meth:`_next_send_delay`, returning how long to
-    wait before the head packet may be released (0 = immediately), and
-    may state the same policy over a whole train (:meth:`release_train`).
+    Subclasses implement :meth:`_take`, the release rule in one call: it
+    either commits the head packet's release to the policy state and
+    returns 0.0, or returns how long to wait. They may state the same
+    policy over a whole train (:meth:`release_train`).
 
     ``loop`` is any :class:`~repro.live.clock.Clock`: pacers schedule
     their pump exclusively through the clock protocol, so the same
@@ -155,8 +156,8 @@ class Pacer(abc.ABC):
             self._pump_event = None
 
     def _schedule_pump(self, delay: float) -> None:
-        if delay > 0:
-            delay = max(delay, self.MIN_PUMP_DELAY_S)
+        if 0 < delay < self.MIN_PUMP_DELAY_S:
+            delay = self.MIN_PUMP_DELAY_S
         if self._pump_event is not None and not self._pump_event.cancelled:
             # A pump is already pending; let it run (it reschedules itself).
             if delay > 0:
@@ -181,7 +182,7 @@ class Pacer(abc.ABC):
             else:
                 return
             head = queue[0]
-            delay = self._next_send_delay(head)
+            delay = self._take(head)
             if delay > 0:
                 self._schedule_pump(delay)
                 return
@@ -198,15 +199,16 @@ class Pacer(abc.ABC):
         stats.sent_packets += 1
         stats.sent_bytes += size
         stats.occupancy_samples.append((now, queued))
-        self.on_send(packet)
         self.send_fn(packet)
 
-    def on_send(self, packet: Packet) -> None:
-        """Hook for subclasses (e.g. token accounting)."""
-
     @abc.abstractmethod
-    def _next_send_delay(self, packet: Packet) -> float:
-        """Seconds until ``packet`` may be released (0 = now)."""
+    def _take(self, packet: Packet) -> float:
+        """0.0: ``packet`` leaves at ``loop.now``, its release committed to
+        the policy state; positive: the wait, then the pump asks again."""
+
+    def on_send(self, packet: Packet) -> None:
+        """Never called (``_take`` commits); a no-op kept on the pacers
+        whose methods ``perfbench/trace.py`` wraps by name."""
 
     def release_train(self, sizes, cum, floor: float, target: float):
         """Optional closed form of the pump over a queued media train.
@@ -216,9 +218,9 @@ class Pacer(abc.ABC):
         earliest instant anything may leave (the clock, or the last
         release if later). Returns the array of release times of the
         packets that leave by ``target`` — a prefix, possibly empty — and
-        commits them: the policy's own state is left as
-        :meth:`_next_send_delay` + :meth:`on_send` would have left it,
-        packet by packet. ``None`` (the default) states no closed form;
-        the batch engine then runs the session on the reference loop.
+        commits them: the policy's own state is left as the pump's
+        :meth:`_take` calls would have left it, packet by packet. ``None``
+        (the default) states no closed form; the batch engine then runs
+        the session on the reference loop.
         """
         return None

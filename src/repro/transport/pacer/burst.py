@@ -18,7 +18,7 @@ class BurstPacer(Pacer):
 
     __slots__ = ()
 
-    def _next_send_delay(self, packet: Packet) -> float:
+    def _take(self, packet: Packet) -> float:
         return 0.0
 
     def release_train(self, sizes, cum, floor, target):

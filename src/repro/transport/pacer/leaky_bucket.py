@@ -43,13 +43,15 @@ class LeakyBucketPacer(Pacer):
     def effective_rate_bps(self) -> float:
         return self.pacing_rate_bps * self.pacing_factor
 
-    def _next_send_delay(self, packet: Packet) -> float:
-        return max(0.0, self._next_send_time - self.loop.now)
+    def _take(self, packet: Packet) -> float:
+        now = self.loop.now
+        if self._next_send_time > now:
+            return self._next_send_time - now
+        rate = self.effective_rate_bps
+        self._next_send_time = now + packet.size_bytes * 8 / rate
+        return 0.0
 
-    def on_send(self, packet: Packet) -> None:
-        serialization = packet.size_bytes * 8 / self.effective_rate_bps
-        base = max(self._next_send_time, self.loop.now)
-        self._next_send_time = base + serialization
+    on_send = Pacer.on_send
 
     def release_train(self, sizes, cum, floor, target):
         """Departures one serialization apart, from the later of

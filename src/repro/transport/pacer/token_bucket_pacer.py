@@ -65,15 +65,10 @@ class TokenBucketPacer(Pacer):
     # ------------------------------------------------------------------
     # pacing policy
     # ------------------------------------------------------------------
-    def _next_send_delay(self, packet: Packet) -> float:
-        return self.bucket.time_until_available(packet.size_bytes, self.loop.now)
+    def _take(self, packet: Packet) -> float:
+        return self.bucket.take(packet.size_bytes, self.loop.now)
 
-    def on_send(self, packet: Packet) -> None:
-        # time_until_available() clamps oversize demands to the bucket, so
-        # consume() may legitimately fail only for packets larger than the
-        # bucket; treat the bucket as drained in that case.
-        if not self.bucket.consume(packet.size_bytes, self.loop.now):
-            self.bucket.consume(self.bucket.tokens(self.loop.now), self.loop.now)
+    on_send = Pacer.on_send
 
     def release_train(self, sizes, cum, floor, target):
         return self.bucket.drain_train(cum, floor, target)

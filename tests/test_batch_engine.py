@@ -168,7 +168,7 @@ def test_batch_fallback_is_reference_exact(config_kwargs, expect):
 
 class _SlotPacer(Pacer):
     """The ``examples/custom_controller.py`` shape: a policy stated only
-    as ``_next_send_delay`` + ``on_send``, no ``release_train``."""
+    as ``_take``, no ``release_train``."""
 
     __slots__ = ("_next_slot",)
 
@@ -176,12 +176,13 @@ class _SlotPacer(Pacer):
         super().__init__(loop, send_fn)
         self._next_slot = 0.0
 
-    def _next_send_delay(self, packet):
-        return max(0.0, self._next_slot - self.loop.now)
-
-    def on_send(self, packet):
-        self._next_slot = (max(self._next_slot, self.loop.now)
-                           + packet.size_bytes * 8 / (2 * self.pacing_rate_bps))
+    def _take(self, packet):
+        now = self.loop.now
+        if self._next_slot > now:
+            return self._next_slot - now
+        self._next_slot = now + packet.size_bytes * 8 / (
+            2 * self.pacing_rate_bps)
+        return 0.0
 
 
 def test_a_pacer_without_a_closed_form_falls_back_reference_exact():

@@ -3,8 +3,9 @@
 ``DropTailServer.offer_train`` commits the packets ahead of a train's
 first tail drop in one vector step; its feeder offers the rest one by
 one (DESIGN §10, *Bottleneck walk*). Here a server's ledger is loaded
-with generated pending departures — ``(start, finish, size)`` tuples and
-``[finishes, cum_bytes, pos]`` chunks with ``pos > 0`` — and fed
+with generated pending departures — ``(arrival, start, finish, size)``
+tuples and ``[arrivals, finishes, last finish, cum_bytes, pos]`` chunks
+with ``pos > 0`` — and fed
 generated trains the way the batch engine feeds them; an independent
 pure-Python walk of the same state is the oracle. No session, no
 pipeline: the server is clock-free.
@@ -138,16 +139,17 @@ def server_walk(trace, capacity, records, queued, busy, trains):
 
 def as_records(pending, cuts, ghosts, first_entry):
     """Split pending ``(finish, size)`` packets into ledger records: runs
-    between ``cuts`` become chunks (every other run) or ``(start, finish,
-    size)`` tuples; a chunk gets ``ghosts`` already-retired packets in
-    front (``pos > 0``).
+    between ``cuts`` become chunks (every other run) or ``(arrival, start,
+    finish, size)`` tuples; a chunk gets ``ghosts`` already-retired
+    packets in front (``pos > 0``). Each packet arrived one tick before
+    its service started.
     """
     records = []
     edges = sorted({0, len(pending), *(c for c in cuts if c < len(pending))})
     for number, (a, b) in enumerate(zip(edges, edges[1:])):
         run = pending[a:b]
         if number % 2:
-            records.extend((finish - TICK, finish, size)
+            records.extend((finish - 2 * TICK, finish - TICK, finish, size)
                            for finish, size in run)
             continue
         floor = min(run[0][0], first_entry)
@@ -155,7 +157,7 @@ def as_records(pending, cuts, ghosts, first_entry):
                 for j in range(ghosts)]
         f = np.array([finish for finish, _s in gone + run])
         cum = np.cumsum([size for _f, size in gone + run], dtype=np.float64)
-        records.append([f, cum, ghosts])
+        records.append([f - TICK, f, float(f[-1]), cum, ghosts])
     return records
 
 
@@ -257,7 +259,8 @@ def test_exact_fit_is_admitted_and_an_exact_tie_has_departed():
     trace = BandwidthTrace.constant(8 * 2.0 ** 20, duration=8.0)
     entries = [T0, T0 + tick, T0 + 2 * tick, T0 + 2 * tick, T0 + 3 * tick]
     trains = [(entries, [1024] * 5)]
-    older = [np.array([T0 - tick, T0 + tick]), np.array([1024.0, 2048.0]), 1]
+    older = [np.array([T0 - 2 * tick, T0]), np.array([T0 - tick, T0 + tick]),
+             T0 + tick, np.array([1024.0, 2048.0]), 1]
     want = reference_walk(trace, 2048, [(T0 + tick, 1024)], T0 + tick,
                           trains, exact=True)
     occupancy, dropped, finishes, stats, lanes = server_walk(
@@ -290,13 +293,13 @@ def test_a_tied_departure_has_left_only_if_its_serve_event_came_first():
 
     server, finish = second_offer(lead=4 * tick)
     assert finish is None and server.stats.dropped_packets == 1
-    assert (server.queued_bytes, server.queued_packets) == (1024, 1)
+    assert server.queued_bytes == 1024
     server.retire(T0 + tick)        # a read has no event number: it left
-    assert (server.queued_bytes, server.queued_packets) == (0, 0)
+    assert server.queued_bytes == 0
     for lead in (0.0, tick / 4, tick):
         server, finish = second_offer(lead)
         assert finish == T0 + 2 * tick and server.stats.dropped_packets == 0
-        assert (server.queued_bytes, server.queued_packets) == (1024, 1)
+        assert server.queued_bytes == 1024
 
 
 # ---------------------------------------------------------------------------

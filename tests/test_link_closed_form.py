@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.audit.auditor import attach_audit
+from repro.net.cross_traffic import CrossTrafficFlow
 from repro.net.packet import Packet
 from repro.net.path import NetworkPath, PathConfig
 from repro.net.trace import BandwidthTrace
@@ -70,8 +71,11 @@ def assert_twins_agree(trace, half_hop, capacity, sends, reads, until):
         reads = [t for t in reads if t not in instants]
         evented = drive(trace, half_hop, capacity, sends, reads, True, until)
     closed = drive(trace, half_hop, capacity, sends, reads, False, until)
+    # Each accepted packet's serve event and arrival hop are folded into
+    # its release; a tail drop keeps its hop.
     serves = evented["stats"]["delivered_packets"]
-    assert closed.pop("events") <= evented.pop("events") - serves
+    folded = evented["stats"]["enqueued_packets"]
+    assert closed.pop("events") <= evented.pop("events") - serves - folded
     assert closed == evented
     return closed
 
@@ -128,12 +132,40 @@ def test_outage_and_overflow_are_exercised():
 
 def test_an_outage_that_never_ends_raises_instead_of_spinning():
     """The evented link would retry every 50 ms until the run's horizon;
-    the closed form has no horizon, so it bounds the walk and says so."""
+    the closed form has no horizon, so it bounds the walk and says so —
+    at release, where the path asks the link."""
     loop = EventLoop()
     path = NetworkPath(loop, BandwidthTrace.constant(0.0), PathConfig())
-    path.send(Packet(size_bytes=1200))
     with pytest.raises(RuntimeError, match="outage outlasts"):
-        loop.run(until=1.0)
+        path.send(Packet(size_bytes=1200))
+
+
+def test_a_tail_dropped_cross_packet_is_reported_at_its_arrival():
+    """The path decides a drop at release but reports it half a hop
+    later, where the evented link met the packet: cross traffic backs
+    off (``on_dropped``) at ``send + half_hop``, not at release."""
+    def run(evented):
+        loop = EventLoop()
+        path = NetworkPath(loop, TIE_TRACE, PathConfig(
+            base_rtt=4 * GRID, queue_capacity_bytes=1024))
+        if evented:
+            path.link.depart_by_event()
+        flow = CrossTrafficFlow(loop, path.send, page_bytes=3 * 1024,
+                                packet_size=1024)
+        backoffs = []
+        path.on_drop = lambda p: (backoffs.append((loop.now, p.dropped)),
+                                  flow.on_dropped(p))
+        path.on_arrival = flow.on_delivered
+        loop.call_at(0.25, flow.start)
+        loop.run(until=0.5)
+        return backoffs, flow.record.lost_packets, loop.processed
+
+    closed, evented = run(False), run(True)
+    assert closed[:2] == evented[:2]
+    # The first window of three meets a one-packet queue: two drops.
+    assert closed[0][:2] == [(0.25 + GRID, True)] * 2
+    assert closed[1] == len(closed[0])
+    assert closed[2] < evented[2]
 
 
 # ----------------------------------------------------------------------
@@ -222,4 +254,5 @@ def test_audited_session_runs_evented_and_matches_the_closed_form_run():
     assert closed[0] == evented[0]
     assert closed[1] == evented[1]
     assert closed[1]["dropped_packets"] > 0
-    assert closed[2] == evented[2] - evented[1]["delivered_packets"]
+    assert closed[2] == (evented[2] - evented[1]["delivered_packets"]
+                         - evented[1]["enqueued_packets"])

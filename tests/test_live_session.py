@@ -87,7 +87,7 @@ def _link_departures(trace, capacity, offers):
     loop = EventLoop()
     link = Link(loop, trace, queue_capacity_bytes=capacity,
                 on_deliver=lambda packet: None)
-    link.depart_at_enqueue(0.0)
+    link.depart_at_enqueue()
     packets = [Packet(size_bytes=size, seq=i)
                for i, (_t, size) in enumerate(offers)]
     for (t, _size), packet in zip(offers, packets):

@@ -305,7 +305,7 @@ def test_explicit_droptail_is_fast_path_and_identical():
         link = Link(loop, trace, queue_capacity_bytes=6000,
                     on_deliver=delivered.append, on_drop=dropped.append,
                     discipline=discipline)
-        link.depart_at_enqueue(0.0)
+        link.depart_at_enqueue()
         packets = [Packet(size_bytes=1200, seq=i) for i in range(40)]
         for i, packet in enumerate(packets):
             loop.call_at(0.0004 * i, lambda p=packet: link.send(p))
@@ -324,6 +324,6 @@ def test_link_generic_path_flag():
     loop = EventLoop()
     trace = BandwidthTrace.constant(4e6, duration=5.0)
     link = Link(loop, trace, discipline=CoDelDiscipline(10_000))
-    link.depart_at_enqueue(0.0)
+    link.depart_at_enqueue()
     assert link.server is None      # only plain drop-tail has a closed form
     assert link.queue.drop_hook is not None

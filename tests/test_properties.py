@@ -42,6 +42,29 @@ def test_wait_time_is_sufficient(rate, size):
     assert tb.consume(min(size, tb.bucket_bytes), wait + 1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rate=rates, bucket=st.floats(min_value=1.0, max_value=1e5),
+       fill=st.floats(min_value=0.0, max_value=1.0),
+       asks=st.lists(st.tuples(
+           st.sampled_from([0.0, 1e-6]) | st.floats(0.0, 0.05),
+           st.floats(min_value=1.0, max_value=2e5)), max_size=40))
+def test_take_is_the_wait_then_the_consume(rate, bucket, fill, asks):
+    """``take`` is, bit for bit, what a pacer did in two calls: ask
+    ``time_until_available``; on 0, ``consume`` — and drain the bucket
+    for a packet larger than it, which ``consume`` refuses."""
+    fused = TokenBucket(rate, bucket, initial_fill=fill * bucket)
+    split = TokenBucket(rate, bucket, initial_fill=fill * bucket)
+    t = 0.0
+    for gap, size in asks:
+        t += gap
+        wait = split.time_until_available(size, t)
+        if wait == 0.0 and not split.consume(size, t):
+            split.consume(split.tokens(t), t)
+        assert fused.take(size, t) == wait
+        assert (fused._tokens, fused._last_refill) \
+            == (split._tokens, split._last_refill)
+
+
 # ----------------------------------------------------------------------
 # drop-tail queue
 # ----------------------------------------------------------------------

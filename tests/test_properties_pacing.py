@@ -172,19 +172,18 @@ def test_release_train_is_the_pump(kind, sizes, rate, bucket, spent, slot,
     np.testing.assert_allclose(np.concatenate([first, rest]), d,
                                rtol=0, atol=1e-9)
 
-    # The policy state left behind is the pump's: both ask the same wait
-    # of the next packet.
+    # The policy state left behind is the pump's: both answer the next
+    # packet the same way.
     split_loop.now = loop.now
     probe = Packet(size_bytes=1200)
-    assert (split._next_send_delay(probe)
-            == pytest.approx(pump._next_send_delay(probe), abs=tol))
+    assert split._take(probe) == pytest.approx(pump._take(probe), abs=tol)
 
 
 def test_a_pacer_without_a_closed_form_says_so():
     class Custom(Pacer):
         __slots__ = ()
 
-        def _next_send_delay(self, packet):
+        def _take(self, packet):
             return 0.0
 
     pacer = Custom(EventLoop(), lambda p: None)
