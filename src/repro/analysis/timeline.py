@@ -37,7 +37,7 @@ def frame_rows(metrics: SessionMetrics,
                ) -> list[dict]:
     """One dict per captured frame with all lifecycle timestamps.
 
-    With ``attribution`` (from ``session.attribution()`` /
+    With ``attribution`` (from ``repro.obs.attribute_session(session)`` /
     :func:`repro.obs.attrib.attribute_session`) each row also carries
     the pacer-blame breakdown: which Algorithm 1 branch owned the
     frame's pacer residence and for how many seconds per category.

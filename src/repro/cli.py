@@ -543,9 +543,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 print("worst end-to-end frame:")
             print(render_span_timeline(span))
     if args.attrib:
-        from repro.obs import render_rollup
+        from repro.obs import attribute_session, render_rollup
         print()
-        print(render_rollup(session.attribution()))
+        print(render_rollup(attribute_session(session)))
     if profiler is not None:
         print()
         print(profiler.render())
@@ -562,10 +562,10 @@ def cmd_why(args: argparse.Namespace) -> int:
     ``--frame N`` for one frame, otherwise the worst ``--frames K``
     frames — plus the session-level rollup.
     """
-    from repro.obs import render_frame_blame, render_rollup
+    from repro.obs import attribute_session, render_frame_blame, render_rollup
 
     session, _ = run_session(make_task(args.baseline, args))
-    attribution = session.attribution()
+    attribution = attribute_session(session)
     if len(attribution) == 0:
         print("no frames completed the pacer; nothing to attribute")
         return 1
@@ -691,9 +691,10 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     otherwise the CSV streams to stdout.
     """
     from repro.analysis.timeline import to_csv
+    from repro.obs import attribute_session
 
     session, metrics = run_session(make_task(args.baseline, args))
-    attribution = session.attribution() if args.blame else None
+    attribution = attribute_session(session) if args.blame else None
     text = to_csv(metrics, args.out, attribution)
     if args.out:
         cols = len(text.splitlines()[0].split(","))

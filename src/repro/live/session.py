@@ -275,17 +275,6 @@ class LiveSession:
             self._stack.attach_telemetry(self.telemetry)
         return self.telemetry
 
-    def attribution(self):
-        """Causal pacer-residence attribution of the finished run.
-
-        Live frames carry the same ``pacer_enqueue``/``pacer_last_exit``
-        stamps as sim frames (wall-clock times here), and ACE-N records
-        its decision log identically — so frame blame works unchanged.
-        Returns a :class:`~repro.obs.attrib.SessionAttribution`.
-        """
-        from repro.obs import attribute_session
-        return attribute_session(self)
-
 
 def build_live_session(baseline: str, config: Optional[LiveConfig] = None,
                        trace: Optional[BandwidthTrace] = None,

@@ -200,15 +200,3 @@ class NetworkPath:
     def reverse_delay_estimate(self) -> float:
         """One-way feedback-path delay (the Transport-surface estimate)."""
         return self.config.one_way_delay
-
-    # ------------------------------------------------------------------
-    # observability (used by benches and calibration tests)
-    # ------------------------------------------------------------------
-    @property
-    def queue_bytes(self) -> int:
-        """Ground-truth bottleneck queue occupancy (oracle; sim-only)."""
-        return self.link.queued_bytes
-
-    @property
-    def rate_now(self) -> float:
-        return self.link.rate_now

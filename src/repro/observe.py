@@ -112,8 +112,9 @@ def harvest(session, result, **meta):
     result.series_frame = None
     if series is not None:
         meta["mode"] = session.mode
-        if session.observed.stall is not None:
-            meta["stall"] = list(session.observed.stall)
+        stall = getattr(session.observed, "stall", None)   # None: unattached
+        if stall is not None:
+            meta["stall"] = list(stall)
         result.series_frame = series.frame(meta)
     result.audit = auditor and {"violations": len(auditor.violations),
                                 "report": auditor.report()}

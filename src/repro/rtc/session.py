@@ -3,9 +3,11 @@
 :class:`FlowStack` is the one place the sender pipeline is assembled —
 codec → source → CC → pacer → ACE-N/ACE-C → ``Sender`` →
 ``TransportReceiver`` with its display sync and metrics collection.
-The sim session (:class:`RtcSession`) puts one on an :class:`EventLoop`
-in front of a :class:`NetworkPath`; the arena puts N on one loop in front
-of a shared router chain; the live session
+:class:`SimSession` puts stacks, keyed by flow id, on an
+:class:`EventLoop` in front of one path and runs them: a single-flow run
+(:class:`RtcSession`, flow 0 on a :class:`NetworkPath`) is an arena of
+one, and the arena (:class:`repro.arena.session.ArenaSession`) puts N on
+a shared router chain. The live session
 (:class:`repro.live.session.LiveSession`) puts one on a ``WallClock``
 between two ``UdpTransport`` endpoints.
 """
@@ -13,10 +15,12 @@ between two ``UdpTransport`` endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from repro.core.ace_c import AceCConfig, AceCController
 from repro.core.ace_n import AceNConfig, AceNController
+from repro.net.aqm import DEFAULT_DISCIPLINE, make_discipline
 from repro.net.cross_traffic import PageLoadGenerator
 from repro.net.packet import Packet, PacketType
 from repro.net.path import NetworkPath, PathConfig
@@ -24,7 +28,7 @@ from repro.net.trace import BandwidthTrace
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.sender import Sender, SenderConfig
 from repro.sim.events import EventLoop
-from repro.sim.rng import SeedSequenceFactory
+from repro.sim.rng import RngStream, SeedSequenceFactory
 from repro.transport.cc.base import CongestionController
 from repro.transport.cc.gcc import GccController
 from repro.transport.pacer.base import Pacer
@@ -147,8 +151,10 @@ class FlowStack:
         )
         # The receiver learns frame metadata lazily, straight off the
         # sender's metrics dict.
-        self.receiver.frame_capture_time = _CaptureTimeView(self.sender)
-        self.receiver.frame_quality = _QualityView(self.sender)
+        self.receiver.frame_capture_time = _FrameFieldView(self.sender,
+                                                           "capture_time")
+        self.receiver.frame_quality = _FrameFieldView(self.sender,
+                                                      "quality_vmaf")
         self.display_sync = DisplaySync(self.sender, self.receiver)
 
     def attach_telemetry(self, telemetry, link=None) -> None:
@@ -211,12 +217,154 @@ class SessionConfig:
         )
 
 
-class RtcSession:
-    """One sender/receiver pair over an emulated path.
+class SimSession:
+    """Flows (``stacks``: flow id → :class:`FlowStack`) on one
+    :class:`EventLoop` in front of one path, and the one simulated
+    lifecycle (:meth:`run`). The path callbacks route by flow id and
+    count each flow's losses as they happen. Subclasses build the path
+    and the flows: :class:`RtcSession` flow 0 on a :class:`NetworkPath`,
+    ``ArenaSession`` flows 1..N on an ``ArenaPath``.
+    """
 
-    Construction takes *factories* so each session owns fresh component
-    state; :meth:`run` executes the event loop and returns
-    :class:`SessionMetrics`.
+    def __init__(self, trace: BandwidthTrace, config: SessionConfig,
+                 engine: str) -> None:
+        self.trace = trace
+        self.config = config
+        #: "reference" or "batch"; an engine instance at :meth:`run` time.
+        self.engine_name = engine
+        self.loop = EventLoop()
+        self.rngs = SeedSequenceFactory(config.seed)
+        self.stacks: dict[int, FlowStack] = {}
+        #: flow id -> media packets lost so far (fed by ``_on_drop``).
+        self._flow_losses: dict[int, int] = {}
+        #: flow id -> (join time, leave time or None).
+        self._spans: dict[int, tuple[float, Optional[float]]] = {}
+        self.audio_receiver = AudioReceiver(self.loop)
+        self.cross_traffic: Optional[PageLoadGenerator] = None
+        #: what :func:`repro.observe.attach` wires; None until attached.
+        self.observed = self.auditor = self.stall = self.telemetry = None
+        self._finished = False
+
+    def _aqm_rng(self, disciplines: Iterable[str]) -> Optional[RngStream]:
+        """The ``"aqm"`` stream, created only when some router runs a
+        non-default discipline (DESIGN §11)."""
+        if any(name != DEFAULT_DISCIPLINE for name in disciplines):
+            return self.rngs.stream("aqm")
+        return None
+
+    def _connect(self, path: NetworkPath) -> None:
+        self.path = path
+        path.on_arrival = self._on_arrival
+        path.on_feedback = self._on_feedback
+        path.on_drop = self._on_drop
+
+    def _add_flow(self, fid: int, rngs: SeedSequenceFactory,
+                  start: float = 0.0, stop: Optional[float] = None,
+                  **factories) -> FlowStack:
+        path = self.path
+        # Flow 0's packets are born tagged; the others are tagged here.
+        send = path.send if fid == 0 else partial(_send_tagged, path, fid)
+        stack = self.stacks[fid] = FlowStack(
+            self.loop, path, send,
+            lambda msg: path.send_feedback((fid, msg)), rngs,
+            fps=self.config.fps, initial_bwe_bps=self.config.initial_bwe_bps,
+            **factories)
+        self._flow_losses[fid] = 0
+        self._spans[fid] = (start, stop)
+        return stack
+
+    def enable_telemetry(self, telemetry=None):
+        """Attach a :class:`repro.obs.Telemetry` hub and start its tick;
+        idempotent, before :meth:`run`. Flow 0 gets its stack's spans and
+        gauges (:meth:`FlowStack.attach_telemetry`), an arena per-router
+        and per-flow queue gauges (``instrument_arena``). A pure observer:
+        results are bit-identical with it on or off."""
+        if self.telemetry is not None:
+            return self.telemetry
+        from repro.obs import Telemetry, instrument_arena
+        tel = telemetry if telemetry is not None else Telemetry()
+        tel.attach_clock(self.loop)
+        flow0 = self.stacks.get(0)
+        if flow0 is not None:
+            flow0.attach_telemetry(tel, link=self.path.link)
+        else:
+            instrument_arena(tel, self)
+        tel.start_tick()
+        self.telemetry = tel
+        return tel
+
+    def _on_arrival(self, packet: Packet) -> None:
+        if packet.ptype is PacketType.CROSS:
+            if self.cross_traffic is not None:
+                self.cross_traffic.on_delivered(packet)
+            return
+        # Only audio packets carry frame_id < 0; media skips the probe.
+        if packet.frame_id < 0 and self.audio_receiver.on_packet(packet):
+            return
+        stack = self.stacks[packet.flow_id]
+        stack.receiver.on_packet(packet)
+        sync = stack.display_sync     # stamps frames now displayable
+        if sync.pending:
+            sync.sync()
+
+    def _on_feedback(self, message) -> None:
+        fid, msg = message
+        self.stacks[fid].sender.on_feedback(msg)
+
+    def _on_drop(self, packet: Packet) -> None:
+        if packet.ptype is PacketType.CROSS:
+            if self.cross_traffic is not None:
+                self.cross_traffic.on_dropped(packet)
+            return
+        self._flow_losses[packet.flow_id] += 1
+
+    def run(self) -> dict[int, SessionMetrics]:
+        """Run every flow; returns flow id → :class:`SessionMetrics`."""
+        if self._finished:
+            raise RuntimeError("session already ran; build a new one")
+        # Resolve the engine after telemetry/audit hooks are attached so
+        # the batch engine's eligibility check sees the final wiring.
+        from repro.sim.engine import get_engine
+        engine = self.engine = get_engine(self.engine_name)
+        engine.prepare(self)
+        loop, duration = self.loop, self.config.duration
+        for fid, (start, stop) in self._spans.items():
+            sender = self.stacks[fid].sender
+            if start <= 0:
+                sender.start()
+            else:
+                loop.call_at(start, sender.start, name="arena.flow-start")
+            if stop is not None and stop < duration:
+                loop.call_at(stop, sender.stop, name="arena.flow-stop")
+        for stack in self.stacks.values():
+            stack.receiver.start()
+        if self.cross_traffic is not None:
+            self.cross_traffic.start()
+        engine.advance(self, duration)
+        for stack in self.stacks.values():
+            stack.sender.stop()
+        if self.cross_traffic is not None:
+            self.cross_traffic.stop()
+        # Let in-flight packets and feedback land (half a second of drain).
+        engine.advance(self, duration + 0.5)
+        engine.finalize(self)
+        for stack in self.stacks.values():
+            stack.display_sync.sync()
+        if self.telemetry is not None:
+            self.telemetry.flush()
+        self._finished = True
+        if self.auditor is not None:
+            self.auditor.finalize()
+        return {fid: stack.collect(duration, self._flow_losses[fid],
+                                   self.trace.rate_at)
+                for fid, stack in self.stacks.items()}
+
+
+class RtcSession(SimSession):
+    """One sender/receiver pair over an emulated path: flow 0 on a
+    :class:`NetworkPath`, beside the audio probe and optional cross
+    traffic. Construction takes *factories* so each session owns fresh
+    component state; :meth:`run` returns :class:`SessionMetrics`.
     """
 
     #: series-shard mode (:func:`repro.observe.harvest`).
@@ -232,52 +380,32 @@ class RtcSession:
                  ace_n_config: Optional[AceNConfig] = None,
                  ace_c_config: Optional[AceCConfig] = None,
                  engine: str = "reference",
-                 discipline: str = "droptail",
+                 discipline: str = DEFAULT_DISCIPLINE,
                  discipline_params: Optional[dict] = None) -> None:
-        self.trace = trace
-        self.config = config
-        #: simulation engine name ("reference" or "batch"); resolved to
-        #: an engine instance at :meth:`run` time.
-        self.engine_name = engine
-        #: bottleneck queue discipline name (see repro.net.aqm).
-        self.discipline = discipline
-        self.loop = EventLoop()
-        self.rngs = SeedSequenceFactory(config.seed)
-
+        super().__init__(trace, config, engine)
         # The default drop-tail stays on Link's inlined fast path
-        # (bit-identical goldens); anything else is built here with its
-        # own named RNG stream so AQM randomness never perturbs the
-        # source/loss streams.
+        # (bit-identical goldens); anything else is built here.
         queue = None
-        if discipline != "droptail" or discipline_params:
-            from repro.net.aqm import make_discipline
-            queue = make_discipline(discipline,
-                                    config.queue_capacity_bytes,
-                                    rng=self.rngs.stream("aqm"),
+        if discipline != DEFAULT_DISCIPLINE or discipline_params:
+            queue = make_discipline(discipline, config.queue_capacity_bytes,
+                                    rng=self._aqm_rng([discipline]),
                                     **(discipline_params or {}))
-        self.path = NetworkPath(self.loop, trace, config.path_config(),
-                                rng=self.rngs.stream("path.loss"),
-                                discipline=queue)
-
-        if cc_factory is None:
-            def cc_factory():
-                return GccController(initial_bwe_bps=config.initial_bwe_bps)
-        self.flow = FlowStack(
-            self.loop, self.path, self.path.send,
-            self.path.send_feedback, self.rngs, fps=config.fps,
-            initial_bwe_bps=config.initial_bwe_bps,
-            source_factory=source_factory, codec_factory=codec_factory,
+        self._connect(NetworkPath(self.loop, trace, config.path_config(),
+                                  rng=self.rngs.stream("path.loss"),
+                                  discipline=queue))
+        # Flow 0 draws from the root streams (not a fork), so every
+        # stream name, and so every fingerprint, predates the arena.
+        self.flow = self._add_flow(
+            0, self.rngs, source_factory=source_factory,
+            codec_factory=codec_factory,
             rate_control_factory=rate_control_factory,
-            pacer_factory=pacer_factory, cc_factory=cc_factory,
+            pacer_factory=pacer_factory,
+            cc_factory=cc_factory or (lambda: GccController(
+                initial_bwe_bps=config.initial_bwe_bps)),
             sender_config=sender_config, ace_n_config=ace_n_config,
             ace_c_config=ace_c_config)
-        self.codec = self.flow.codec
-        self.source = self.flow.source
-        self.cc = self.flow.cc
         self.sender = self.flow.sender
         self.receiver = self.flow.receiver
-        self.audio_receiver = AudioReceiver(self.loop)
-        self.cross_traffic: Optional[PageLoadGenerator] = None
         if config.cross_traffic:
             self.cross_traffic = PageLoadGenerator(
                 self.loop, self.path.send, self.rngs.stream("cross"),
@@ -285,146 +413,41 @@ class RtcSession:
                 rtt_estimate=config.base_rtt,
             )
 
-        self.path.on_arrival = self._on_arrival
-        self.path.on_feedback = self._on_feedback
-        self.path.on_drop = self._on_drop
-        self._finished = False
-        self._display_sync = self.flow.display_sync
-        #: optional :class:`repro.obs.Telemetry` (see enable_telemetry).
-        self.telemetry = None
-        #: the :class:`repro.observe.Observe` options attached, if any.
-        self.observed = None
-
-    def enable_telemetry(self, telemetry=None):
-        """Attach a :class:`repro.obs.Telemetry` hub to this session.
-
-        Idempotent; must run before :meth:`run`. Wires the sender and
-        receiver span stages, registers the stack's gauges/counters
-        (token level, bucket size, estimated queue, BWE, pacer backlog,
-        link queue, drops), and starts the sampling tick. Telemetry is
-        a pure observer — fixed-seed results are bit-identical with it
-        on or off (``tests/test_sim_regression.py`` holds both).
-        """
-        if self.telemetry is not None:
-            return self.telemetry
-        from repro.obs import Telemetry
-        tel = telemetry if telemetry is not None else Telemetry()
-        tel.attach_clock(self.loop)
-        self.flow.attach_telemetry(tel, link=self.path.link)
-        tel.start_tick()
-        self.telemetry = tel
-        return tel
-
-    # ------------------------------------------------------------------
-    # path callbacks
-    # ------------------------------------------------------------------
-    def _on_arrival(self, packet: Packet) -> None:
-        if packet.ptype is PacketType.CROSS:
-            if self.cross_traffic is not None:
-                self.cross_traffic.on_delivered(packet)
-            return
-        # Only audio packets carry frame_id < 0; media skips the probe.
-        if packet.frame_id < 0 and self.audio_receiver.on_packet(packet):
-            return
-        self.receiver.on_packet(packet)
-        # Any frames that just became displayable get their sender-side
-        # metrics stamped here.
-        if self._display_sync.pending:
-            self._display_sync.sync()
-
-    def _on_feedback(self, message) -> None:
-        self.sender.on_feedback(message)
-
-    def _on_drop(self, packet: Packet) -> None:
-        # Media losses are read off path.lost_packets at collection.
-        if (packet.ptype == PacketType.CROSS
-                and self.cross_traffic is not None):
-            self.cross_traffic.on_dropped(packet)
-
-    # ------------------------------------------------------------------
-    # run
-    # ------------------------------------------------------------------
     def run(self) -> SessionMetrics:
-        """Execute the session and aggregate metrics.
+        """Execute the session and aggregate flow 0's metrics.
 
         A session nothing was attached to (:func:`repro.observe.attach`,
         which grid cells always call) carries what ``REPRO_TELEMETRY``/
         ``REPRO_AUDIT`` ask for; the environment's auditor is strict.
         """
-        if self._finished:
-            raise RuntimeError("session already ran; build a new one")
         if self.observed is None:
             from repro.observe import Observe, attach
             attach(self, Observe.from_env())
-        # Resolve the engine after telemetry/audit hooks are attached so
-        # the batch engine's eligibility check sees the final wiring.
-        from repro.sim.engine import get_engine
-        engine = get_engine(self.engine_name)
-        self.engine = engine
-        engine.prepare(self)
-        self.sender.start()
-        self.receiver.start()
-        if self.cross_traffic is not None:
-            self.cross_traffic.start()
-        engine.advance(self, self.config.duration)
-        self.sender.stop()
-        if self.cross_traffic is not None:
-            self.cross_traffic.stop()
-        # Let in-flight packets and feedback land (half a second of drain).
-        engine.advance(self, self.config.duration + 0.5)
-        engine.finalize(self)
-        self._display_sync.sync()
-        if self.telemetry is not None:
-            self.telemetry.flush()
-        self._finished = True
-        if self.auditor is not None:
-            self.auditor.finalize()
-        metrics = self.flow.collect(
-            self.config.duration,
-            sum(1 for p in self.path.lost_packets
-                if p.ptype != PacketType.CROSS),
-            self.trace.rate_at)
-        # Which engine actually ran, and why not the requested one:
-        # plain attributes (like slo_alerts), outside the result schema,
-        # so cache payloads and canonical JSON are unchanged.
+        metrics = super().run()[0]
+        # Which engine ran, why not the requested one, and the fast
+        # path's (vector, scalar) lane census: plain attributes outside
+        # the result schema, so cache payloads are unchanged.
+        engine = self.engine
         metrics.fallback_reason = engine.fallback_reason
         metrics.engine = ("reference" if engine.fallback_reason is not None
                           else engine.name)
-        # The fast path's own census: how many media packets the vector
-        # lane carried and how many were walked one by one.
         metrics.lane_packets = engine.lane_packets
         return metrics
 
-    def attribution(self):
-        """Causal pacer-residence attribution of the finished run.
 
-        Pure post-processing over the sender's frame stamps and the
-        ACE-N decision log (recorded with or without telemetry).
-        Returns a :class:`~repro.obs.attrib.SessionAttribution`.
-        """
-        from repro.obs import attribute_session
-        return attribute_session(self)
+def _send_tagged(path: NetworkPath, fid: int, packet: Packet) -> None:
+    packet.flow_id = fid
+    path.send(packet)
 
 
-class _CaptureTimeView(dict):
-    """Lazy view mapping frame_id -> capture time from sender metrics."""
+class _FrameFieldView(dict):
+    """Lazy view mapping frame_id -> one field of the sender's metrics."""
 
-    def __init__(self, sender: Sender) -> None:
+    def __init__(self, sender: Sender, field: str) -> None:
         super().__init__()
-        self._sender = sender
+        self._frames = sender.frame_metrics
+        self._field = field
 
     def get(self, frame_id, default=None):
-        metrics = self._sender.frame_metrics.get(frame_id)
-        return metrics.capture_time if metrics is not None else default
-
-
-class _QualityView(dict):
-    """Lazy view mapping frame_id -> VMAF from sender metrics."""
-
-    def __init__(self, sender: Sender) -> None:
-        super().__init__()
-        self._sender = sender
-
-    def get(self, frame_id, default=0.0):
-        metrics = self._sender.frame_metrics.get(frame_id)
-        return metrics.quality_vmaf if metrics is not None else default
+        metrics = self._frames.get(frame_id)
+        return default if metrics is None else getattr(metrics, self._field)

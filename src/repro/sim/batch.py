@@ -465,7 +465,7 @@ class BatchPipeline:
         loop = self.loop
         session = self.session
         receiver = self.receiver
-        sync = session._display_sync
+        sync = session.flow.display_sync
         while deliveries:
             head = deliveries[0]
             if type(head) is tuple:

@@ -15,6 +15,7 @@ from repro.arena import (
     BottleneckSpec,
 )
 from repro.net.trace import BandwidthTrace
+from repro.rtc.baselines import build_session
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.session import SessionConfig
 from tests.test_sim_regression import fingerprint
@@ -122,6 +123,18 @@ def test_incremental_loss_counts_match_lost_packets_scan():
     assert sum(scan.values()) > 0, "loss config produced no losses"
     for fid in (1, 2):
         assert results[fid].packets_lost == scan[fid]
+
+
+@pytest.mark.parametrize("discipline", ["droptail", "codel"])
+def test_aqm_stream_exists_only_for_a_non_default_discipline(discipline):
+    """DESIGN §11: the "aqm" RNG stream is created only when a router
+    runs a non-default discipline — single flow and arena alike."""
+    cfg = SessionConfig(duration=1.0, seed=3)
+    single = build_session("cbr", const_trace(), cfg, discipline=discipline)
+    arena = ArenaSession([ArenaFlowSpec("cbr", flow_id=1)], const_trace(),
+                         cfg, discipline=discipline)
+    for session in (single, arena):
+        assert ("aqm" in session.rngs._streams) == (discipline != "droptail")
 
 
 # ----------------------------------------------------------------------

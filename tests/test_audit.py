@@ -162,7 +162,7 @@ class TestStateViolations:
 
     def test_bwe_not_finite(self):
         expect_violation(
-            lambda s, a: setattr(s.cc, "_bwe_bps", math.inf),
+            lambda s, a: setattr(s.flow.cc, "_bwe_bps", math.inf),
             "cc.bwe.finite")
 
     def test_rtt_below_propagation_floor(self):

@@ -73,7 +73,7 @@ def test_queue_bytes_oracle():
         path.send(Packet(size_bytes=1200))
     # run only past the propagation step so packets sit in the queue
     loop.run(until=0.008)
-    assert path.queue_bytes > 0
+    assert path.link.queued_bytes > 0
 
 
 def test_rtt_round_trip_sums():

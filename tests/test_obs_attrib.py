@@ -171,12 +171,6 @@ class TestSessionIntegration:
             assert x.frame_id == y.frame_id
             assert x.breakdown() == y.breakdown()
 
-    def test_rtc_session_attribution_method(self):
-        session, _ = run_session(duration=2.0)
-        attr = session.attribution()
-        assert isinstance(attr, SessionAttribution)
-        assert len(attr) > 0
-
     def test_non_ace_baseline_is_uncontrolled(self):
         session, _ = run_session(baseline="webrtc", duration=2.0)
         attr = attribute_session(session)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arena import ArenaFlowSpec, ArenaSession
 from repro.arena.grid import arena_task
 from repro.bench.parallel import open_task, run_opened
 from repro.live.server import LoadConfig, build_load_specs
@@ -69,6 +70,24 @@ def test_one_value_on_an_arena_session():
     result = run_opened(task, session)
     assert_watched(session, result, "arena")
     assert "arena.flow1.sent_bytes" in result.series_frame.series
+
+
+def test_harvest_on_an_unattached_arena_reads_no_observer():
+    """``harvest`` works on a session nothing was attached to, arenas
+    included: every harvested field is ``None`` — except a series the
+    caller recorded through ``enable_telemetry`` directly."""
+    def arena():
+        return ArenaSession([ArenaFlowSpec("cbr", flow_id=1)], trace(10.0),
+                            SessionConfig(duration=1.0, seed=3))
+
+    session = arena()
+    result = harvest(session, session.run())
+    assert all(getattr(result, name) is None for name in HARVESTED)
+    session = arena()
+    session.enable_telemetry().attach_series()
+    result = harvest(session, session.run())
+    assert result.series_frame.meta["mode"] == "arena"
+    assert "stall" not in result.series_frame.meta
 
 
 def test_one_value_on_a_live_session():

@@ -39,8 +39,8 @@ def test_ace_session_wiring():
     assert isinstance(s.sender.pacer, TokenBucketPacer)
     assert s.sender.ace_n is not None
     assert s.sender.ace_c is not None
-    assert isinstance(s.cc, GccController)
-    assert s.cc.trendline.time_windowed
+    assert isinstance(s.flow.cc, GccController)
+    assert s.flow.cc.trendline.time_windowed
 
 
 def test_webrtc_star_wiring():
@@ -48,20 +48,20 @@ def test_webrtc_star_wiring():
     assert isinstance(s.sender.pacer, LeakyBucketPacer)
     assert s.sender.pacer.pacing_factor == 1.0
     assert s.sender.ace_n is None and s.sender.ace_c is None
-    assert s.codec.config.name == "x264"
+    assert s.flow.codec.config.name == "x264"
 
 
 def test_webrtc_b_pacing_factor():
     s = short_session("webrtc-b")
     assert s.sender.pacer.pacing_factor == 2.5
-    assert s.codec.config.name == "vp8"
+    assert s.flow.codec.config.name == "vp8"
 
 
 def test_salsify_wiring():
     s = short_session("salsify")
     assert isinstance(s.sender.pacer, BurstPacer)
     assert s.sender.config.salsify_mode
-    assert isinstance(s.cc, DeliveryRateController)
+    assert isinstance(s.flow.cc, DeliveryRateController)
 
 
 def test_google_meet_bitrate_cap():
@@ -71,12 +71,12 @@ def test_google_meet_bitrate_cap():
 
 def test_cc_override():
     s = short_session("ace", cc_override="bbr")
-    assert isinstance(s.cc, BbrController)
+    assert isinstance(s.flow.cc, BbrController)
 
 
 def test_custom_category():
     s = short_session("cbr", category="lecture")
-    assert s.source.profile.name == "lecture"
+    assert s.flow.source.profile.name == "lecture"
 
 
 def test_ablation_specs():

@@ -39,8 +39,8 @@ def test_flows_are_isolated_streams():
     """Frames of one flow never leak into the other's receiver."""
     session, results = run_flows([ArenaFlowSpec("cbr", flow_id=1),
                                   ArenaFlowSpec("cbr", flow_id=2)])
-    r1 = session.receivers[1]
-    r2 = session.receivers[2]
+    r1 = session.stacks[1].receiver
+    r2 = session.stacks[2].receiver
     ids1 = {rec.frame_id for rec in r1.displayed}
     # both receivers display their own frame 0..N — identity is per-flow
     assert len(r1.displayed) > 100 and len(r2.displayed) > 100

@@ -16,6 +16,7 @@ import hashlib
 import pytest
 
 from repro.net import make_wifi_trace
+from repro.net.trace import BandwidthTrace
 from repro.rtc import SessionConfig, build_session
 from repro.sim import RngStream
 
@@ -118,6 +119,44 @@ def test_batch_results_unchanged_by_observing(baseline):
         return fingerprint(metrics)
 
     assert run(observe=True) == run(observe=False)
+
+
+def _impaired():
+    """perfbench's impaired_fallback: loss, jitter, cross traffic, audio."""
+    return make_wifi_trace(RngStream(11, "trace"), duration=DURATION + 10), \
+        SessionConfig(duration=DURATION, seed=SEED, random_loss_rate=0.01,
+                      delay_jitter_std=0.002, cross_traffic=True, audio=True,
+                      initial_bwe_bps=20e6), {}
+
+
+def _codel():
+    """One flow behind a CoDel bottleneck that does drop."""
+    return BandwidthTrace.constant(6e6, duration=DURATION + 10), \
+        SessionConfig(duration=DURATION, seed=SEED, initial_bwe_bps=8e6), \
+        {"discipline": "codel"}
+
+
+#: single-flow paths the four goldens do not reach (cross traffic,
+#: audio, loss, jitter, AQM); recorded at d4438d4, before the single-flow
+#: session became an arena of one. The batch engine falls back on both.
+PATH_GOLDEN = {
+    "impaired": (_impaired, 169,
+                 "db1ead74d335b362e9ab7754b0c330a026678bee4b01140fdfe18b87bdbd3cc7"),
+    "codel": (_codel, 89,
+              "a2d0db966bc890f13a2d07a7da27f6da83e7c585f4e3ebdb33fbb4ebcc98ce57"),
+}
+
+
+@pytest.mark.parametrize("engine", ["reference", "batch"])
+@pytest.mark.parametrize("name", sorted(PATH_GOLDEN))
+def test_single_flow_paths_bit_identical(name, engine):
+    build, lost, golden = PATH_GOLDEN[name]
+    trace, config, kwargs = build()
+    metrics = build_session("ace", trace, config, engine=engine,
+                            **kwargs).run()
+    assert metrics.packets_lost == lost
+    assert fingerprint(metrics) == golden
+    assert (metrics.fallback_reason is None) == (engine == "reference")
 
 
 def test_fingerprint_is_deterministic_across_runs():

@@ -8,7 +8,8 @@ reappears under ``src/repro`` — and, one level up, a second place that
 turns metrics into result rows, opens a run directory, runs a scenario
 cell, or defines a CLI flag another command already has; and, one level
 down, a second statement of a pacer's release policy, the token refill
-or the bottleneck's service law.
+or the bottleneck's service law. The simulated sessions share one set
+of path callbacks and one lifecycle.
 """
 
 import ast
@@ -105,6 +106,28 @@ def test_one_function_makes_result_rows_and_one_opens_a_run_directory():
     assert _functions_calling(makes_row) == [("bench/parallel.py", "results")]
     assert _functions_calling(opens_run_dir) == [("bench/parallel.py",
                                                   "run_cells")]
+
+
+def test_one_simulated_session_lifecycle():
+    """A single-flow run is an arena of one: one class holds the path
+    callbacks and one function drains a simulated session."""
+    callbacks = {"_on_arrival", "_on_feedback", "_on_drop"}
+    owners = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and callbacks & {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)}:
+                owners.append((str(path.relative_to(SRC)), node.name))
+    assert owners == [("rtc/session.py", "SimSession")]
+
+    def is_drain(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and ast.unparse(node.left).endswith("duration")
+                and getattr(node.right, "value", None) == 0.5)
+
+    assert _functions_calling(is_drain) == [("rtc/session.py", "run")]
 
 
 def test_scenarios_build_tasks_and_run_nothing_themselves():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.timeline import frame_rows, to_csv
 from repro.net.trace import BandwidthTrace
+from repro.obs import attribute_session
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 
@@ -62,7 +63,7 @@ class TestTimelineBlame:
         from repro.obs.attrib import BLAME_CATEGORIES
 
         session, metrics = session_run
-        attribution = session.attribution()
+        attribution = attribute_session(session)
         rows = frame_rows(metrics, attribution)
         assert len(rows) == len(metrics.frames)
         attributed = [r for r in rows if r["blame_dominant"]]
@@ -81,7 +82,7 @@ class TestTimelineBlame:
         plain = to_csv(metrics)
         assert plain.splitlines()[0] == ",".join(COLUMNS)
         path = tmp_path / "blame.csv"
-        blamed = to_csv(metrics, path, session.attribution())
+        blamed = to_csv(metrics, path, attribute_session(session))
         header = blamed.splitlines()[0]
         assert header == ",".join(COLUMNS + BLAME_COLUMNS)
         loaded = load_csv(path)

@@ -90,6 +90,6 @@ def test_pipeline_run_with_copa():
     cfg = SessionConfig(duration=5.0, seed=3, initial_bwe_bps=4e6)
     session = build_session("webrtc-star", trace, cfg, cc_override="copa")
     metrics = session.run()
-    assert isinstance(session.cc, CopaController)
+    assert isinstance(session.flow.cc, CopaController)
     assert len(metrics.displayed_frames()) > 100
     assert metrics.loss_rate() < 0.05
