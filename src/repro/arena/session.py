@@ -5,8 +5,8 @@ share an :class:`~repro.arena.topology.ArenaPath` — one or more
 bottleneck routers with pluggable queue disciplines. Flows can join
 late and leave early (``start``/``stop``), which is how the
 late-joiner convergence experiments are run. ``ArenaSession`` is a
-:class:`~repro.rtc.session.SimSession`, the single-flow session's own
-lifecycle and path callbacks, with one ``FlowStack`` per flow.
+:class:`~repro.rtc.session.Session`, the single-flow and live sessions'
+own lifecycle and path callbacks, with one ``FlowStack`` per flow.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from repro.net.aqm import DEFAULT_DISCIPLINE
 from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import get_spec, stack_kwargs
 from repro.rtc.metrics import SessionMetrics
-from repro.rtc.session import SessionConfig, SimSession
+from repro.rtc.session import Session, SessionConfig
+from repro.sim.events import EventLoop
 
 
 @dataclass
@@ -95,7 +96,7 @@ class ArenaMetrics:
             starts=self.starts(), window_s=window_s)
 
 
-class ArenaSession(SimSession):
+class ArenaSession(Session):
     """N RTC flows over a shared bottleneck chain with pluggable AQM,
     always on the reference engine."""
 
@@ -139,7 +140,7 @@ class ArenaSession(SimSession):
             bottlenecks = list(bottlenecks)
             if trace is None:
                 trace = bottlenecks[0].trace
-        super().__init__(trace, config, "reference")
+        super().__init__(trace, config, EventLoop())
         self.flows = list(flows)
         self._connect(ArenaPath(
             self.loop, bottlenecks, config.path_config(),

@@ -100,9 +100,6 @@ class LoadConfig:
     stats_port: Optional[int] = None
     heartbeat_interval: float = 1.0
     pacer_stats_cap: int = DEFAULT_LOAD_STATS_CAP
-    #: per-session CPU attribution at clock-callback boundaries; on by
-    #: default — the wrapper is two ``process_time`` reads per callback.
-    cpu_accounting: bool = True
     # Fleet-scoped options in repro.observe.Observe's shapes; a session's
     # own options travel on its LiveConfig (build_load_specs).
     #: per-session series; shards land in ``<run_dir>/series/<label>.json``.
@@ -139,7 +136,6 @@ def build_load_specs(config: LoadConfig,
             drain=config.drain, shaped=config.shaped,
             keep_telemetry_events=False,
             pacer_stats_cap=config.pacer_stats_cap,
-            cpu_accounting=config.cpu_accounting,
             telemetry=True, series=config.series,
             stall=config.stall if i == 0 else None)
         if trace_factory is not None:
@@ -193,11 +189,9 @@ class SessionRecord:
 
     @property
     def cpu_s(self) -> Optional[float]:
-        """CPU seconds attributed to this session (clock accounting)."""
-        session = self.session
-        if session is None or not session.config.cpu_accounting:
-            return None
-        return session.cpu_s
+        """CPU seconds attributed to this session's clock callbacks
+        (``None`` until the session is built)."""
+        return None if self.session is None else self.session.cpu_s
 
 
 # ``percentiles`` (repro.obs.quantiles) is re-exported for importers.
@@ -476,9 +470,7 @@ class SessionSupervisor:
                     entry["pacing_p50_ms"] = round(p50 * 1e3, 3)
                 if p99 is not None:
                     entry["pacing_p99_ms"] = round(p99 * 1e3, 3)
-                cpu = rec.cpu_s
-                if cpu is not None:
-                    entry["cpu_s"] = round(cpu, 4)
+                entry["cpu_s"] = round(session.cpu_s, 4)
             sessions[rec.spec.label] = entry
         p50, p99 = self._fleet_pacing()
         record = {**counts, "sessions": sessions,

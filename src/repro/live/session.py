@@ -1,20 +1,17 @@
 """Live session driver: the ACE stack over real UDP sockets.
 
-Runs the *same* sender and receiver components as the simulated
-:class:`~repro.rtc.session.RtcSession` — codec model, rate control,
-pacers, congestion controller, ACE-N/ACE-C — but schedules them on a
-:class:`~repro.live.clock.WallClock` and moves packets through
-:class:`~repro.live.transport.UdpTransport` endpoints on the loopback
-interface. An in-process impairment shim substitutes for the paper's
-Mahimahi bottleneck (no ``tc``/netem on CI-class machines), so the
-stack experiences real socket latency, real asyncio timer jitter, and a
-configurable emulated bottleneck — the conditions the paper's WebRTC
-deployment runs under, scaled down to one host.
+A :class:`LiveSession` is a :class:`~repro.rtc.session.Session` — the
+simulated sessions' flow stack, callbacks and lifecycle — scheduled on
+a :class:`~repro.live.clock.WallClock`, its packets moving through two
+:class:`~repro.live.transport.UdpTransport` endpoints on loopback. An
+in-process impairment shim substitutes for the paper's Mahimahi
+bottleneck (no ``tc``/netem on CI-class machines), so the stack meets
+real socket latency, real asyncio timer jitter and an emulated
+bottleneck: the paper's WebRTC deployment, scaled down to one host.
 
-The output is the ordinary :class:`~repro.rtc.metrics.SessionMetrics`,
-so every analysis/report helper in the repo works on live runs too::
+The output is the ordinary :class:`~repro.rtc.metrics.SessionMetrics`::
 
-    metrics = run_live("ace", duration=5.0)
+    metrics = run_live("ace", LiveConfig(duration=5.0))
     print(metrics.p95_latency(), metrics.mean_vmaf())
 """
 
@@ -26,16 +23,13 @@ from typing import Optional
 
 from repro.live.clock import WallClock
 from repro.live.impairment import ImpairmentConfig, LoopbackImpairment
+from repro.live.stats import start_stats_server, stats_addr
 from repro.live.transport import UdpTransport
-from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
 from repro.observe import Observe, attach
 from repro.rtc.baselines import get_spec, stack_kwargs
 from repro.rtc.metrics import SessionMetrics
-from repro.rtc.sender import Sender
-from repro.rtc.session import FlowStack
-from repro.sim.rng import SeedSequenceFactory
-from repro.transport.receiver import TransportReceiver
+from repro.rtc.session import Session
 
 
 @dataclass
@@ -72,162 +66,115 @@ class LiveConfig(Observe):
     #: (None = the pacer default); set per session by the supervisor so
     #: fleet memory is sessions x cap.
     pacer_stats_cap: Optional[int] = None
-    #: attribute CPU time to this session at clock-callback boundaries
-    #: (:class:`~repro.live.clock.WallClock` accounting); read back via
-    #: ``session.cpu_s``. The supervisor turns this on fleet-wide.
-    cpu_accounting: bool = False
 
 
-class LiveSession:
-    """One sender/receiver pair over UDP loopback on a wall clock.
+class LiveSession(Session):
+    """One sender/receiver pair over UDP loopback: the shared
+    :class:`~repro.rtc.session.Session` phases, with time advanced by
+    awaiting a wall clock instead of an engine.
 
     Built by :func:`build_live_session` from a baseline name; call
     :meth:`run` inside an event loop (or use the synchronous
-    :func:`run_live` wrapper).
+    :func:`run_live` wrapper). A ``WallClock`` needs that running loop,
+    so the clock, the endpoints and flow 0's stack are built by ``run``.
     """
 
     #: series-shard mode (:func:`repro.observe.harvest`).
     mode = "live"
 
     def __init__(self, trace: Optional[BandwidthTrace], config: LiveConfig,
-                 source_factory, codec_factory, rate_control_factory,
-                 pacer_factory, cc_factory,
-                 sender_config=None, ace_n_config=None,
-                 ace_c_config=None) -> None:
-        self.trace = trace
-        self.config = config
-        self.rngs = SeedSequenceFactory(config.seed)
+                 **stack_kwargs) -> None:
+        # Unshaped: the shim meters no rate, the metrics carry no curve.
+        super().__init__(trace if config.shaped else None, config)
+        sender_config = stack_kwargs.get("sender_config")
         if sender_config is not None and sender_config.fec_enabled:
             raise ValueError("FEC parity is not encodable on the live wire "
                              "format yet; pick a non-FEC baseline")
         #: FlowStack keyword arguments, held until run() has a clock.
-        self._stack_kwargs = dict(
-            source_factory=source_factory, codec_factory=codec_factory,
-            rate_control_factory=rate_control_factory,
-            pacer_factory=pacer_factory, cc_factory=cc_factory,
-            sender_config=sender_config, ace_n_config=ace_n_config,
-            ace_c_config=ace_c_config)
-        self._finished = False
+        self._stack_kwargs = stack_kwargs
         self._stop_requested = False
         self._stop_waiter = None
-        # Populated by run():
-        self.clock: Optional[WallClock] = None
-        self.sender: Optional[Sender] = None
-        self.receiver: Optional[TransportReceiver] = None
+        self.sender = self.receiver = None       # flow 0's, from run()
         self.impairment: Optional[LoopbackImpairment] = None
-        self._stack: Optional[FlowStack] = None
-        #: the config's observers, attached by run() (repro.observe).
-        self.telemetry = self.auditor = self.stall = None
-        #: ``(host, port)`` of the running stats endpoint, for callers
-        #: that passed ``stats_port=0``.
+        #: ``(host, port)`` of the running stats endpoint (stats_port=0).
         self.stats_addr: Optional[tuple] = None
 
     @property
     def cpu_s(self) -> float:
-        """CPU seconds attributed to this session's clock callbacks
-        (0.0 unless ``config.cpu_accounting``)."""
-        return self.clock.cpu_s if self.clock is not None else 0.0
+        """CPU seconds attributed to this session's clock callbacks (0.0
+        before :meth:`run`)."""
+        return 0.0 if self.clock is None else self.clock.cpu_s
 
-    # ------------------------------------------------------------------
-    # run
-    # ------------------------------------------------------------------
     async def run(self) -> SessionMetrics:
         """Execute the session in real time and aggregate metrics."""
-        if self._finished:
-            raise RuntimeError("session already ran; build a new one")
+        self._claim()
         config = self.config
-
-        clock = self.clock = WallClock(asyncio.get_running_loop(),
-                                       cpu_accounting=config.cpu_accounting)
-        impairment = self.impairment = LoopbackImpairment(
-            ImpairmentConfig(
-                base_rtt=config.base_rtt,
-                queue_capacity_bytes=config.queue_capacity_bytes,
-                random_loss_rate=config.random_loss_rate,
-            ),
-            trace=self.trace if config.shaped else None,
-            rng=self.rngs.stream("path.loss"),
-        )
-
-        # Two UDP endpoints on loopback, peered at each other. The
-        # sender end shapes outgoing media; the receiver end delays
-        # feedback by the reverse propagation only (uncongested).
-        recv_end = await UdpTransport.create(clock)
-        send_end = await UdpTransport.create(clock, impairment=impairment)
-        send_end.connect(recv_end.local_addr)
-        recv_end.connect(send_end.local_addr)
-
-        stack = self._stack = FlowStack(
-            clock, send_end, send_end.send, recv_end.send_feedback,
-            self.rngs, fps=config.fps,
-            initial_bwe_bps=config.initial_bwe_bps, **self._stack_kwargs)
-        sender = self.sender = stack.sender
-        receiver = self.receiver = stack.receiver
-        display_sync = stack.display_sync
-        pacer = sender.pacer
-        if config.pacer_stats_cap is not None:
-            pacer.stats.rebound(config.pacer_stats_cap)
-
-        def on_arrival(packet: Packet) -> None:
-            receiver.on_packet(packet)
-            if display_sync.pending:
-                display_sync.sync()
-
-        recv_end.on_arrival = on_arrival
-        send_end.on_feedback = sender.on_feedback
-        send_end.on_drop = lambda packet: None  # counted by the transport
-
+        self.clock = WallClock(asyncio.get_running_loop(), cpu_accounting=True)
+        self.impairment = LoopbackImpairment(ImpairmentConfig(
+            base_rtt=config.base_rtt,
+            queue_capacity_bytes=config.queue_capacity_bytes,
+            random_loss_rate=config.random_loss_rate,
+        ), trace=self.trace, rng=self.rngs.stream("path.loss"))
+        ends: list[UdpTransport] = []
         stats_server = None
-        media_elapsed = config.duration
+        elapsed = config.duration
         try:
-            # From here on every failure (a busy stats port included)
-            # runs the teardown below — the endpoints are already open.
-            if config.stats_port is not None:
-                self.enable_telemetry()
+            # From the first bind on, every failure (a second bind, the
+            # stack build, a busy stats port) runs the teardown below.
+            # The receiver end delays feedback by the reverse propagation
+            # only (uncongested); the sender end shapes outgoing media.
+            for impairment in (None, self.impairment):
+                ends.append(await UdpTransport.create(
+                    self.clock, impairment=impairment))
+            recv_end, send_end = ends
+            send_end.connect(recv_end.local_addr)
+            recv_end.connect(send_end.local_addr)
+            stack = self._add_flow(
+                0, self.rngs, ends=(send_end, send_end.send,
+                                    recv_end.send_feedback),
+                **self._stack_kwargs)
+            self.sender, self.receiver = stack.sender, stack.receiver
+            if config.pacer_stats_cap is not None:
+                self.sender.pacer.stats.rebound(config.pacer_stats_cap)
+            recv_end.on_arrival = self._on_arrival
+            send_end.on_drop = self._on_drop
+            # One flow per socket pair: feedback carries no flow id.
+            send_end.on_feedback = self.sender.on_feedback
+            if config.stats_port is not None:      # implies telemetry
+                from repro.obs.export import prometheus_snapshot
+                telemetry = self.enable_telemetry()
+                stats_server = await start_stats_server(
+                    config.stats_port,
+                    lambda: prometheus_snapshot(telemetry.registry))
+                self.stats_addr = stats_addr(stats_server)
             attach(self, config)
-            if config.stats_port is not None:
-                stats_server = await self._start_stats_server(
-                    config.stats_port)
-            if self.telemetry is not None:
-                self.telemetry.start_tick()
-            sender.start()
-            receiver.start()
-            await self._wait_or_stop(clock, config.duration)
-            media_elapsed = min(clock.now, config.duration)
-            sender.stop()
+            self._start()
+            await self._wait_or_stop(config.duration)
+            elapsed = min(self.clock.now, config.duration)
+            self._stop()
             # Let in-flight packets and feedback land.
-            await clock.sleep(config.drain)
+            await self.clock.sleep(config.drain)
         finally:
-            if self.telemetry is not None:
-                self.telemetry.stop_tick()
-                self.telemetry.flush()
             # Teardown must leave *nothing* scheduled on the event loop:
             # the feedback tick and the pacer pump otherwise reschedule
             # themselves forever, and close() cancels the transports'
             # delayed sends — a per-session timer leak under a
             # multi-session supervisor.
-            sender.stop()
-            receiver.stop()
-            pacer.cancel_pump()
+            if self.telemetry is not None:
+                self.telemetry.stop_tick()
+            self._stop()
+            for stack in self.stacks.values():
+                stack.receiver.stop()
+                stack.sender.pacer.cancel_pump()
             if self.stall is not None:
                 self.stall.cancel()
             if stats_server is not None:
                 stats_server.close()
                 await stats_server.wait_closed()
-            send_end.close()
-            recv_end.close()
-        display_sync.sync()
-        self._finished = True
-        if self.auditor is not None:
-            self.auditor.finalize()
-        return stack.collect(
-            media_elapsed, len(send_end.dropped_packets),
-            self.trace.rate_at
-            if self.trace is not None and config.shaped else None)
+            for end in ends:
+                end.close()
+        return self._finish(elapsed)[0]
 
-    # ------------------------------------------------------------------
-    # early stop
-    # ------------------------------------------------------------------
     def request_stop(self) -> None:
         """Ask a running session to wind down early (graceful: the
         sender stops, then the normal drain window runs). Safe to call
@@ -239,13 +186,13 @@ class LiveSession:
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
 
-    async def _wait_or_stop(self, clock: WallClock, duration: float) -> None:
+    async def _wait_or_stop(self, duration: float) -> None:
         """Wait out the media phase, or return early on request_stop()."""
         if self._stop_requested:
             return
         waiter = asyncio.get_running_loop().create_future()
         self._stop_waiter = waiter
-        handle = clock.call_later(
+        handle = self.clock.call_later(
             duration, lambda: None if waiter.done()
             else waiter.set_result(None), "live.duration")
         try:
@@ -253,27 +200,6 @@ class LiveSession:
         finally:
             handle.cancel()
             self._stop_waiter = None
-
-    async def _start_stats_server(self, port: int):
-        """Serve Prometheus snapshots over HTTP while the session runs."""
-        from repro.live.stats import start_stats_server, stats_addr
-        from repro.obs import prometheus_snapshot
-
-        server = await start_stats_server(
-            port, lambda: prometheus_snapshot(self.telemetry.registry))
-        self.stats_addr = stats_addr(server)
-        return server
-
-    def enable_telemetry(self):
-        """The session's :class:`repro.obs.Telemetry` hub, built on first
-        call from inside :meth:`run`; its tick starts with the media."""
-        if self.telemetry is None:
-            from repro.obs import Telemetry
-            self.telemetry = Telemetry(
-                self.clock, keep_events=self.config.keep_telemetry_events)
-            # No Link in live mode — the impairment shim is the bottleneck.
-            self._stack.attach_telemetry(self.telemetry)
-        return self.telemetry
 
 
 def build_live_session(baseline: str, config: Optional[LiveConfig] = None,

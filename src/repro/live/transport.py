@@ -43,7 +43,8 @@ class Transport(abc.ABC):
     on_arrival: Optional[Callable[[Packet], None]]
     #: sender-side delivery of a feedback message.
     on_feedback: Optional[Callable[[object], None]]
-    #: notification that a media packet was dropped in transit.
+    #: notification that a media packet was dropped in transit; the
+    #: endpoint keeps no record of it (its owner counts).
     on_drop: Optional[Callable[[Packet], None]]
 
     @abc.abstractmethod
@@ -90,8 +91,6 @@ class UdpTransport(Transport):
         self.on_feedback: Optional[Callable[[object], None]] = None
         self.on_drop: Optional[Callable[[Packet], None]] = None
         self.socket_errors = 0
-        #: media packets dropped by the impairment shim (never sent).
-        self.dropped_packets: list[Packet] = []
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._peer: Optional[Tuple[str, int]] = None
         self._closed = False
@@ -149,7 +148,6 @@ class UdpTransport(Transport):
         delay = self.impairment.admit(packet.size_bytes, self.clock.now)
         if delay is None:
             packet.dropped = True
-            self.dropped_packets.append(packet)
             if self.on_drop is not None:
                 self.on_drop(packet)
             return

@@ -3,11 +3,11 @@
 :class:`FlowStack` is the one place the sender pipeline is assembled —
 codec → source → CC → pacer → ACE-N/ACE-C → ``Sender`` →
 ``TransportReceiver`` with its display sync and metrics collection.
-:class:`SimSession` puts stacks, keyed by flow id, on an
-:class:`EventLoop` in front of one path and runs them: a single-flow run
+:class:`Session` puts stacks, keyed by flow id, on one clock in front of
+one transport and runs them through one lifecycle: a single-flow run
 (:class:`RtcSession`, flow 0 on a :class:`NetworkPath`) is an arena of
-one, and the arena (:class:`repro.arena.session.ArenaSession`) puts N on
-a shared router chain. The live session
+one, the arena (:class:`repro.arena.session.ArenaSession`) puts N on a
+shared router chain, both on an :class:`EventLoop`, and the live session
 (:class:`repro.live.session.LiveSession`) puts one on a ``WallClock``
 between two ``UdpTransport`` endpoints.
 """
@@ -217,33 +217,36 @@ class SessionConfig:
         )
 
 
-class SimSession:
-    """Flows (``stacks``: flow id → :class:`FlowStack`) on one
-    :class:`EventLoop` in front of one path, and the one simulated
-    lifecycle (:meth:`run`). The path callbacks route by flow id and
-    count each flow's losses as they happen. Subclasses build the path
-    and the flows: :class:`RtcSession` flow 0 on a :class:`NetworkPath`,
-    ``ArenaSession`` flows 1..N on an ``ArenaPath``.
+class Session:
+    """Flows (``stacks``: flow id → :class:`FlowStack`) on one clock in
+    front of one transport; the callbacks route by flow id and count each
+    flow's losses as they happen. One lifecycle (:meth:`_start`,
+    :meth:`_stop`, :meth:`_finish`): :meth:`run` advances an engine's
+    :class:`EventLoop` between the phases (``RtcSession``: flow 0 on a
+    :class:`NetworkPath`; ``ArenaSession``: flows 1..N on an
+    ``ArenaPath``), ``LiveSession.run`` awaits a ``WallClock``.
     """
 
-    def __init__(self, trace: BandwidthTrace, config: SessionConfig,
-                 engine: str) -> None:
+    #: "reference" or "batch"; an engine instance at :meth:`run` time.
+    engine_name = "reference"
+
+    def __init__(self, trace: Optional[BandwidthTrace], config,
+                 clock: Optional[EventLoop] = None) -> None:
         self.trace = trace
         self.config = config
-        #: "reference" or "batch"; an engine instance at :meth:`run` time.
-        self.engine_name = engine
-        self.loop = EventLoop()
+        #: an EventLoop, also named ``loop``; live: a WallClock from run.
+        self.clock = self.loop = clock
         self.rngs = SeedSequenceFactory(config.seed)
         self.stacks: dict[int, FlowStack] = {}
         #: flow id -> media packets lost so far (fed by ``_on_drop``).
         self._flow_losses: dict[int, int] = {}
         #: flow id -> (join time, leave time or None).
         self._spans: dict[int, tuple[float, Optional[float]]] = {}
-        self.audio_receiver = AudioReceiver(self.loop)
+        self.path: Optional[NetworkPath] = None       # None: live
         self.cross_traffic: Optional[PageLoadGenerator] = None
         #: what :func:`repro.observe.attach` wires; None until attached.
         self.observed = self.auditor = self.stall = self.telemetry = None
-        self._finished = False
+        self._ran = False
 
     def _aqm_rng(self, disciplines: Iterable[str]) -> Optional[RngStream]:
         """The ``"aqm"`` stream, created only when some router runs a
@@ -260,33 +263,37 @@ class SimSession:
 
     def _add_flow(self, fid: int, rngs: SeedSequenceFactory,
                   start: float = 0.0, stop: Optional[float] = None,
-                  **factories) -> FlowStack:
-        path = self.path
-        # Flow 0's packets are born tagged; the others are tagged here.
-        send = path.send if fid == 0 else partial(_send_tagged, path, fid)
+                  ends: Optional[tuple] = None, **factories) -> FlowStack:
+        """Build flow ``fid`` on ``ends``: transport, send, send_feedback."""
+        if ends is None:            # the path's; feedback rides as (fid, msg)
+            path = self.path
+            # Flow 0's packets are born tagged; the others are tagged here.
+            send = path.send if fid == 0 else partial(_send_tagged, path, fid)
+            ends = (path, send, lambda msg: path.send_feedback((fid, msg)))
         stack = self.stacks[fid] = FlowStack(
-            self.loop, path, send,
-            lambda msg: path.send_feedback((fid, msg)), rngs,
-            fps=self.config.fps, initial_bwe_bps=self.config.initial_bwe_bps,
-            **factories)
+            self.clock, *ends, rngs, fps=self.config.fps,
+            initial_bwe_bps=self.config.initial_bwe_bps, **factories)
         self._flow_losses[fid] = 0
         self._spans[fid] = (start, stop)
         return stack
 
     def enable_telemetry(self, telemetry=None):
         """Attach a :class:`repro.obs.Telemetry` hub and start its tick;
-        idempotent, before :meth:`run`. Flow 0 gets its stack's spans and
-        gauges (:meth:`FlowStack.attach_telemetry`), an arena per-router
-        and per-flow queue gauges (``instrument_arena``). A pure observer:
-        results are bit-identical with it on or off."""
+        idempotent, once the flows exist (live: inside ``run``). Flow 0
+        gets its stack's spans and gauges, an arena per-router and
+        per-flow queue gauges. A pure observer: results are bit-identical
+        with it on or off."""
         if self.telemetry is not None:
             return self.telemetry
         from repro.obs import Telemetry, instrument_arena
-        tel = telemetry if telemetry is not None else Telemetry()
-        tel.attach_clock(self.loop)
+        tel = telemetry if telemetry is not None else Telemetry(
+            # A live fleet keeps only the registry and the flight ring.
+            keep_events=getattr(self.config, "keep_telemetry_events", True))
+        tel.attach_clock(self.clock)
         flow0 = self.stacks.get(0)
         if flow0 is not None:
-            flow0.attach_telemetry(tel, link=self.path.link)
+            flow0.attach_telemetry(
+                tel, link=None if self.path is None else self.path.link)
         else:
             instrument_arena(tel, self)
         tel.start_tick()
@@ -318,49 +325,67 @@ class SimSession:
             return
         self._flow_losses[packet.flow_id] += 1
 
-    def run(self) -> dict[int, SessionMetrics]:
-        """Run every flow; returns flow id → :class:`SessionMetrics`."""
-        if self._finished:
+    def _claim(self) -> None:
+        """A session runs once: its stacks and counters are consumed."""
+        if self._ran:
             raise RuntimeError("session already ran; build a new one")
-        # Resolve the engine after telemetry/audit hooks are attached so
-        # the batch engine's eligibility check sees the final wiring.
-        from repro.sim.engine import get_engine
-        engine = self.engine = get_engine(self.engine_name)
-        engine.prepare(self)
-        loop, duration = self.loop, self.config.duration
+        self._ran = True
+
+    def _start(self) -> None:
+        """Start flows (at their join times), receivers, cross traffic."""
+        clock, duration = self.clock, self.config.duration
         for fid, (start, stop) in self._spans.items():
             sender = self.stacks[fid].sender
             if start <= 0:
                 sender.start()
             else:
-                loop.call_at(start, sender.start, name="arena.flow-start")
+                clock.call_at(start, sender.start, name="arena.flow-start")
             if stop is not None and stop < duration:
-                loop.call_at(stop, sender.stop, name="arena.flow-stop")
+                clock.call_at(stop, sender.stop, name="arena.flow-stop")
         for stack in self.stacks.values():
             stack.receiver.start()
         if self.cross_traffic is not None:
             self.cross_traffic.start()
-        engine.advance(self, duration)
+
+    def _stop(self) -> None:
+        """End the media; packets and feedback in flight still land
+        during the drain that follows."""
         for stack in self.stacks.values():
             stack.sender.stop()
         if self.cross_traffic is not None:
             self.cross_traffic.stop()
-        # Let in-flight packets and feedback land (half a second of drain).
-        engine.advance(self, duration + 0.5)
-        engine.finalize(self)
+
+    def _finish(self, elapsed: float) -> dict[int, SessionMetrics]:
+        """After the drain: flow id → metrics over ``elapsed`` seconds."""
         for stack in self.stacks.values():
             stack.display_sync.sync()
         if self.telemetry is not None:
             self.telemetry.flush()
-        self._finished = True
         if self.auditor is not None:
             self.auditor.finalize()
-        return {fid: stack.collect(duration, self._flow_losses[fid],
-                                   self.trace.rate_at)
+        rate_at = None if self.trace is None else self.trace.rate_at
+        return {fid: stack.collect(elapsed, self._flow_losses[fid], rate_at)
                 for fid, stack in self.stacks.items()}
 
+    def run(self) -> dict[int, SessionMetrics]:
+        """Run every flow; returns flow id → :class:`SessionMetrics`."""
+        self._claim()
+        # Resolve the engine after telemetry/audit hooks are attached so
+        # the batch engine's eligibility check sees the final wiring.
+        from repro.sim.engine import get_engine
+        engine = self.engine = get_engine(self.engine_name)
+        engine.prepare(self)
+        duration = self.config.duration
+        self._start()
+        engine.advance(self, duration)
+        self._stop()
+        # Let in-flight packets and feedback land (half a second of drain).
+        engine.advance(self, duration + 0.5)
+        engine.finalize(self)
+        return self._finish(duration)
 
-class RtcSession(SimSession):
+
+class RtcSession(Session):
     """One sender/receiver pair over an emulated path: flow 0 on a
     :class:`NetworkPath`, beside the audio probe and optional cross
     traffic. Construction takes *factories* so each session owns fresh
@@ -382,7 +407,9 @@ class RtcSession(SimSession):
                  engine: str = "reference",
                  discipline: str = DEFAULT_DISCIPLINE,
                  discipline_params: Optional[dict] = None) -> None:
-        super().__init__(trace, config, engine)
+        super().__init__(trace, config, EventLoop())
+        self.engine_name = engine
+        self.audio_receiver = AudioReceiver(self.loop)
         # The default drop-tail stays on Link's inlined fast path
         # (bit-identical goldens); anything else is built here.
         queue = None

@@ -24,7 +24,7 @@ from typing import (TYPE_CHECKING, Dict, Optional, Protocol, Type,
                     runtime_checkable)
 
 if TYPE_CHECKING:
-    from repro.rtc.session import SimSession
+    from repro.rtc.session import Session
 
 
 @runtime_checkable
@@ -38,13 +38,13 @@ class SimulationEngine(Protocol):
     #: media packets on the fast path's (vector, scalar) link lanes.
     lane_packets: Optional[tuple[int, int]]
 
-    def prepare(self, session: "SimSession") -> None:
+    def prepare(self, session: "Session") -> None:
         """Install hooks on a fully-wired session, before it starts."""
 
-    def advance(self, session: "SimSession", until: float) -> None:
+    def advance(self, session: "Session", until: float) -> None:
         """Advance simulated time to ``until`` (inclusive)."""
 
-    def finalize(self, session: "SimSession") -> None:
+    def finalize(self, session: "Session") -> None:
         """Flush deferred state before metrics collection."""
 
 
@@ -55,13 +55,13 @@ class ReferenceEngine:
     fallback_reason = None
     lane_packets = None
 
-    def prepare(self, session: "SimSession") -> None:  # pragma: no cover
+    def prepare(self, session: "Session") -> None:  # pragma: no cover
         pass
 
-    def advance(self, session: "SimSession", until: float) -> None:
+    def advance(self, session: "Session", until: float) -> None:
         session.loop.run(until=until)
 
-    def finalize(self, session: "SimSession") -> None:  # pragma: no cover
+    def finalize(self, session: "Session") -> None:  # pragma: no cover
         pass
 
 

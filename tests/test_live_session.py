@@ -218,6 +218,9 @@ def test_udp_transport_close_cancels_delayed_sends():
 
 
 def test_udp_transport_impairment_drops_are_recorded():
+    """A drop reaches the owner through ``on_drop`` only: the endpoint
+    keeps no per-drop list, which would grow for its whole life."""
+
     async def check():
         clock = WallClock(asyncio.get_running_loop())
         shim = LoopbackImpairment(
@@ -235,8 +238,8 @@ def test_udp_transport_impairment_drops_are_recorded():
         finally:
             a.close()
             b.close()
-        assert len(a.dropped_packets) == 1
-        assert dropped and dropped[0].seq == 1
+        assert [p.seq for p in dropped] == [1] and dropped[0].dropped
+        assert not hasattr(a, "dropped_packets")
 
     asyncio.run(check())
 
@@ -294,6 +297,53 @@ def test_live_session_runs_ace_stack():
 def test_live_session_rejects_fec_baselines():
     with pytest.raises(ValueError, match="FEC"):
         run_live("ace-fec", config=short_config())
+
+
+class _EndpointCensus:
+    """Counts ``UdpTransport`` endpoints opened and closed."""
+
+    def __init__(self, monkeypatch, fail_on: int = 0) -> None:
+        self.opened = self.closed = 0
+        create, close = UdpTransport.create.__func__, UdpTransport.close
+
+        async def counting_create(cls, *args, **kwargs):
+            if self.opened + 1 == fail_on:
+                raise OSError(24, "Too many open files")
+            endpoint = await create(cls, *args, **kwargs)
+            self.opened += 1
+            return endpoint
+
+        def counting_close(endpoint):
+            self.closed += 1
+            close(endpoint)
+
+        monkeypatch.setattr(UdpTransport, "create",
+                            classmethod(counting_create))
+        monkeypatch.setattr(UdpTransport, "close", counting_close)
+
+
+def test_live_session_closes_both_endpoints_when_the_stack_fails(
+        monkeypatch):
+    """A failure after the binds (here the stack build: a negative pacer
+    sample cap) closes every endpoint it opened — on a supervisor's
+    long-lived loop a leaked socket outlives the session."""
+    census = _EndpointCensus(monkeypatch)
+    session = build_live_session(
+        "ace", LiveConfig(duration=0.2, pacer_stats_cap=-1))
+    with pytest.raises(ValueError, match="maxlen"):
+        asyncio.run(session.run())
+    assert census.opened == 2 and census.closed == 2
+
+
+def test_live_session_closes_the_first_endpoint_when_a_bind_fails(
+        monkeypatch):
+    """EMFILE on the second bind (a large ``repro load`` fleet) still
+    closes the first endpoint."""
+    census = _EndpointCensus(monkeypatch, fail_on=2)
+    session = build_live_session("ace", LiveConfig(duration=0.2))
+    with pytest.raises(OSError, match="Too many open files"):
+        asyncio.run(session.run())
+    assert census.opened == 1 and census.closed == 1
 
 
 def test_live_session_cannot_run_twice():

@@ -8,8 +8,8 @@ reappears under ``src/repro`` — and, one level up, a second place that
 turns metrics into result rows, opens a run directory, runs a scenario
 cell, or defines a CLI flag another command already has; and, one level
 down, a second statement of a pacer's release policy, the token refill
-or the bottleneck's service law. The simulated sessions share one set
-of path callbacks and one lifecycle.
+or the bottleneck's service law. Sim, arena and live sessions share one
+set of transport callbacks and one lifecycle.
 """
 
 import ast
@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -108,26 +109,87 @@ def test_one_function_makes_result_rows_and_one_opens_a_run_directory():
                                                   "run_cells")]
 
 
-def test_one_simulated_session_lifecycle():
-    """A single-flow run is an arena of one: one class holds the path
-    callbacks and one function drains a simulated session."""
-    callbacks = {"_on_arrival", "_on_feedback", "_on_drop"}
-    owners = []
+def _defs(predicate) -> list:
+    """``(module, class or function)`` of every definition under
+    ``src/repro`` matching ``predicate``."""
+    found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and callbacks & {
-                    item.name for item in node.body
-                    if isinstance(item, ast.FunctionDef)}:
-                owners.append((str(path.relative_to(SRC)), node.name))
-    assert owners == [("rtc/session.py", "SimSession")]
+        found += [(str(path.relative_to(SRC)), node.name)
+                  for node in ast.walk(tree) if predicate(node)]
+    return found
 
-    def is_drain(node):
-        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-                and ast.unparse(node.left).endswith("duration")
-                and getattr(node.right, "value", None) == 0.5)
 
-    assert _functions_calling(is_drain) == [("rtc/session.py", "run")]
+def test_one_session_lifecycle_on_either_clock():
+    """A single-flow run is an arena of one, and a live run is the same
+    session on a wall clock: one class holds the transport callbacks,
+    the loss counter, ``enable_telemetry`` and the run-once guard; each
+    ``run`` only advances its clock between the shared phases."""
+    from repro.arena.session import ArenaSession
+    from repro.live.session import LiveSession
+    from repro.rtc.session import RtcSession, Session
+
+    callbacks = {"_on_arrival", "_on_feedback", "_on_drop"}
+    owners = _defs(lambda node: isinstance(node, ast.ClassDef) and callbacks & {
+        item.name for item in node.body if isinstance(item, ast.FunctionDef)})
+    assert owners == [("rtc/session.py", "Session")]
+    assert all(issubclass(cls, Session)
+               for cls in (RtcSession, ArenaSession, LiveSession))
+    assert _defs(lambda node: isinstance(node, ast.FunctionDef)
+                 and node.name == "enable_telemetry") == [
+        ("rtc/session.py", "enable_telemetry")]
+    assert _functions_calling(
+        lambda node: isinstance(node, ast.Raise) and node.exc is not None
+        and "already ran" in ast.unparse(node.exc)) == [
+        ("rtc/session.py", "_claim")]
+
+    # Losses are counted once, by ``_on_drop``: the live endpoint keeps
+    # no per-drop list and the live session reads no transport's count.
+    for rel in ("live/transport.py", "live/session.py"):
+        tree = ast.parse((SRC / rel).read_text())
+        assert not [node for node in ast.walk(tree)
+                    if getattr(node, "attr", None) == "dropped_packets"], rel
+    assert _functions_calling(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "_flow_losses") == [
+        ("rtc/session.py", "__init__"), ("rtc/session.py", "_add_flow"),
+        ("rtc/session.py", "_on_drop"), ("rtc/session.py", "_finish")]
+
+    # Each run claims the session, starts, advances its clock (an engine
+    # or an await), stops, drains the same way and finishes; a teardown
+    # (``finally``) does not count as the phases.
+    phases = ("_claim", "_start", "_stop", "_finish")
+
+    def is_phase(node, names=phases):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "self"
+                and node.func.attr in names)
+
+    runs = _functions_calling(partial(is_phase, names=("_claim",)))
+    assert runs == [("live/session.py", "run"), ("rtc/session.py", "run")]
+    for rel, _ in runs:
+        tree = ast.parse((SRC / rel).read_text())
+        [run] = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name == "run"
+                 and any(is_phase(n, ("_claim",)) for n in ast.walk(node))]
+        teardown = {id(n) for t in ast.walk(run) if isinstance(t, ast.Try)
+                    for stmt in t.finalbody for n in ast.walk(stmt)}
+        steps = []
+        for node in ast.walk(run):
+            if id(node) in teardown:
+                continue
+            if is_phase(node) or (isinstance(node, ast.Call)
+                                  and _name(node.func) == "advance"):
+                steps.append((node.lineno, _name(node.func)))
+            elif isinstance(node, ast.Await):
+                steps.append((node.lineno, "advance"))
+        order = [name for _, name in sorted(steps)]
+        claim, start, stop, finish = (order.index(p) for p in phases)
+        assert claim < start < stop < finish, (rel, order)
+        assert "advance" in order[start:stop], (rel, order)
+        assert "advance" in order[stop:finish], (rel, order)
 
 
 def test_scenarios_build_tasks_and_run_nothing_themselves():
