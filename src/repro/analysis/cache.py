@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -108,7 +107,8 @@ class ResultCache:
 
     Entries are one JSON file per key under ``cache_dir`` holding the
     columnar form of :func:`~repro.analysis.results.metrics_to_dict`;
-    writes are atomic (tempfile + rename) so concurrent workers never
+    writes go through :func:`~repro.obs.atomicio.atomic_write_text`
+    (same-directory temp file + rename), so concurrent workers never
     observe a torn entry. Counters (``hits``/``misses``/``stores``/
     ``corrupt``) accumulate over the cache object's lifetime — benches
     print them so cached reruns, and entries that had to be bypassed,
@@ -179,19 +179,11 @@ class ResultCache:
         """Persist a result atomically (no-op when disabled)."""
         if not self.enabled:
             return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(metrics_to_dict(metrics))
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
-            os.replace(tmp, self._path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # Imported here: ``import repro.cli`` loads this module and must
+        # not load ``repro.obs``.
+        from repro.obs.atomicio import atomic_write_text
+        atomic_write_text(self._path_for(key),
+                          json.dumps(metrics_to_dict(metrics)))
         self.stores += 1
 
     # ------------------------------------------------------------------

@@ -332,6 +332,22 @@ def cmd_live(args: argparse.Namespace) -> int:
     return report_observed(metrics)
 
 
+def _dash_writer():
+    """A fleet dashboard that renders each record it is given to stdout,
+    for ``load --dash`` and ``watch``: on a TTY every frame repaints in
+    place (clear + color); piped output gets plain stacked frames, so CI
+    logs stay readable and the command still exits 0."""
+    from repro.obs.dash import FleetDashboard
+    tty = sys.stdout.isatty()
+    dash = FleetDashboard(color=tty, clear=tty)
+
+    def show(record: dict) -> None:
+        frame = dash.update(record)
+        sys.stdout.write(frame if tty else frame + "\n")
+        sys.stdout.flush()
+    return show
+
+
 def cmd_load(args: argparse.Namespace) -> int:
     """``repro load``: N concurrent live sessions on one event loop.
 
@@ -388,23 +404,9 @@ def cmd_load(args: argparse.Namespace) -> int:
           f"({','.join(mix)} round-robin), ramp {args.ramp:g}s, "
           f"{duration:g}s media each"
           + (" [soak: Ctrl-C drains the fleet]" if args.soak else ""))
-    echo = print
-    heartbeat_hook = None
-    if args.dash:
-        # Live ANSI dashboard fed by heartbeat records. On a TTY each
-        # heartbeat repaints in place (clear + color); piped/redirected
-        # output falls back to plain stacked frames so CI logs stay
-        # readable and the command still exits 0.
-        from repro.obs.dash import FleetDashboard
-        tty = sys.stdout.isatty()
-        dash = FleetDashboard(color=tty, clear=tty)
-        echo = None  # the dashboard replaces the heartbeat echo lines
-
-        def heartbeat_hook(record, _dash=dash, _tty=tty):
-            frame = _dash.update(record)
-            sys.stdout.write(frame if _tty else frame + "\n")
-            sys.stdout.flush()
-
+    echo, heartbeat_hook = print, None
+    if args.dash:  # fed every heartbeat record; replaces the echo lines
+        echo, heartbeat_hook = None, _dash_writer()
     supervisor = run_load(config, trace_factory=trace_factory,
                           run_dir=args.run_dir, echo=echo,
                           heartbeat_hook=heartbeat_hook)
@@ -631,17 +633,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     """``repro watch``: live dashboard over a Prometheus stats endpoint.
 
-    Polls the rollup served by ``repro load --stats-port`` (or any
-    ``repro_*`` exposition) and renders the fleet dashboard — sparkline
-    history per session, SLO highlighting. On a TTY each poll repaints
-    in place; otherwise frames are stacked as plain text and the command
-    still exits 0 (CI-safe). ``--frames N`` stops after N polls.
+    Polls the rollup served by ``repro load --stats-port``, reads the
+    fleet record back from its ``live.*`` gauges and renders it the way
+    ``load --dash`` renders a heartbeat — sparkline history per session,
+    SLO highlighting. ``--frames N`` stops after N polls.
     """
     import time
     from urllib.error import URLError
     from urllib.request import urlopen
 
-    from repro.obs.dash import FleetDashboard, record_from_prometheus
+    from repro.obs.dash import record_from_prometheus
 
     if args.url is not None:
         url = args.url
@@ -650,8 +651,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("repro watch needs --url or --stats-port "
                          "(point it at `repro load --stats-port`)")
-    tty = sys.stdout.isatty()
-    dash = FleetDashboard(color=tty, clear=tty)
+    show = _dash_writer()
     polled = 0
     failures = 0
     try:
@@ -669,13 +669,11 @@ def cmd_watch(args: argparse.Namespace) -> int:
                 polled += 1
                 continue
             failures = 0
-            frame = dash.update(record_from_prometheus(text))
-            sys.stdout.write(frame if tty else frame + "\n")
-            sys.stdout.flush()
+            show(record_from_prometheus(text))
             polled += 1
     except KeyboardInterrupt:
         pass
-    if tty:
+    if sys.stdout.isatty():
         sys.stdout.write("\n")
     return 0
 

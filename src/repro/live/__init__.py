@@ -29,12 +29,12 @@ supervisor and telemetry stack.
 from __future__ import annotations
 
 from repro.live.clock import Clock, SimClock, WallClock, WallTimer
-from repro.live.impairment import ImpairmentConfig, LoopbackImpairment
+from repro.live.impairment import LoopbackImpairment
 from repro.live.transport import Transport, UdpTransport
 
 __all__ = [
     "Clock", "SimClock", "WallClock", "WallTimer",
-    "ImpairmentConfig", "LoopbackImpairment",
+    "LoopbackImpairment",
     "Transport", "UdpTransport",
     "LiveConfig", "LiveSession", "build_live_session", "run_live",
     "LoadConfig", "SessionRecord", "SessionSpec", "SessionSupervisor",

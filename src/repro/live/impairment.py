@@ -22,28 +22,12 @@ a live run can be compared against a simulation of the same trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.link import DropTailServer, LinkStats
+from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.sim.rng import RngStream
-
-
-@dataclass
-class ImpairmentConfig:
-    """Knobs of the loopback impairment (mirrors ``PathConfig``)."""
-
-    #: two-way propagation delay with empty queues (seconds).
-    base_rtt: float = 0.03
-    #: drop-tail queue in front of the emulated bottleneck.
-    queue_capacity_bytes: int = 100_000
-    #: i.i.d. random loss applied before queueing.
-    random_loss_rate: float = 0.0
-
-    @property
-    def one_way_delay(self) -> float:
-        return self.base_rtt / 2
 
 
 class LoopbackImpairment:
@@ -51,12 +35,15 @@ class LoopbackImpairment:
 
     ``admit(size, now)`` returns the total delay (seconds) after which
     the datagram should be handed to the socket, or ``None`` when the
-    datagram is dropped. ``trace=None`` means an unshaped path: only
-    propagation delay applies (the loopback interface itself is treated
-    as infinitely fast).
+    datagram is dropped. ``config`` is the session's
+    :class:`~repro.net.path.PathConfig`, of which the shim applies
+    ``base_rtt``, ``queue_capacity_bytes`` and ``random_loss_rate``
+    (i.i.d., before queueing). ``trace=None`` means an unshaped path:
+    only propagation delay applies (the loopback interface itself is
+    treated as infinitely fast).
     """
 
-    def __init__(self, config: ImpairmentConfig,
+    def __init__(self, config: PathConfig,
                  trace: Optional[BandwidthTrace] = None,
                  rng: Optional[RngStream] = None) -> None:
         self.config = config

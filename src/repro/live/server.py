@@ -1,37 +1,27 @@
 """Multi-session live runtime: N loopback sessions on one event loop.
 
-``repro live`` runs exactly one wall-clock session; this module scales
-that runtime to a fleet. A :class:`SessionSupervisor` drives N
-concurrent :class:`~repro.live.session.LiveSession` instances — any mix
-of registered baselines — on a *single* asyncio event loop, the way an
-SFU-style relay multiplexes many RTP sessions onto one reactor thread:
+``repro live`` runs one wall-clock session; a :class:`SessionSupervisor`
+drives N concurrent :class:`~repro.live.session.LiveSession` instances
+— any mix of baselines — on a *single* asyncio event loop, the way an
+SFU-style relay multiplexes many RTP sessions onto one reactor thread.
+Joins are staggered over a ramp; a crash (setup or runtime) is recorded
+on its :class:`SessionRecord` and counted while the fleet runs on;
+SIGINT or :meth:`SessionSupervisor.request_stop` drains running
+sessions and skips ramp-pending ones.
 
-* **staggered joins** — session starts are spread over a ramp window so
-  the fleet exercises late joins instead of a thundering herd (each
-  session still runs its own full duration);
-* **failure isolation** — one session crashing (setup or runtime) is
-  recorded on its :class:`SessionRecord` and counted in the fleet
-  metrics; the rest of the fleet keeps running;
-* **graceful drain** — SIGINT (where the platform supports loop signal
-  handlers) or :meth:`SessionSupervisor.request_stop` winds every
-  running session down through its normal drain window and skips
-  sessions still waiting in the ramp;
-* **sharded telemetry** — every session owns a private metric registry
-  (no cross-session lock or label contention on the hot path); one
-  Prometheus snapshot rolled up per scrape with ``session="<label>"``
-  labels is served on ``--stats-port``, alongside a supervisor-level
-  ``fleet`` shard (sessions running/completed/failed, fleet pacing
-  percentiles);
-* **fleet heartbeats** — per-session liveness and pacing-latency
-  percentiles streamed on an interval through
-  :class:`~repro.obs.fleet.LiveFleetLog` (same JSONL conventions as the
-  grid fleet observer).
+**One fleet record.** :meth:`SessionSupervisor.sample` computes each
+session's row and the fleet row once per heartbeat or scrape and
+publishes them as ``live.*`` gauges: a session's into its private
+registry (no cross-session contention on the hot path), the fleet's
+into a ``fleet`` shard. The heartbeats streamed through
+:class:`~repro.obs.fleet.LiveFleetLog`, the summary, the Prometheus
+rollup on ``--stats-port`` (``session="<label>"`` per shard), ``load
+--dash`` and ``repro watch`` all read that record.
 
-Soak safety rests on the teardown/bounding fixes in the session layer:
-sessions leave nothing scheduled on the loop when they finish, and
-per-session sample windows are bounded (the pacer's occupancy ring at
-``pacer_stats_cap``, the burst analyzer's pacing window), so fleet
-memory is ``sessions x cap`` instead of growing with wall time.
+Soak safety rests on the session layer: sessions leave nothing
+scheduled on the loop, and per-session windows are bounded (the pacer's
+occupancy ring at ``DEFAULT_LOAD_STATS_CAP``, the burst analyzer's
+pacing window), so fleet memory is ``sessions x cap``.
 """
 
 from __future__ import annotations
@@ -44,6 +34,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.live.session import LiveConfig, LiveSession, build_live_session
 from repro.live.stats import start_stats_server, stats_addr
 from repro.net.trace import BandwidthTrace
+from repro.obs.dash import (FLEET_FIELDS, SESSION_GAUGES, STATUSES,
+                            fleet_fields)
 from repro.obs.export import prometheus_rollup
 from repro.obs.fleet import LiveFleetLog
 from repro.obs.quantiles import percentiles
@@ -60,6 +52,17 @@ DEFAULT_LOAD_STATS_CAP = 4096
 #: `repro load --soak` media duration when none is given explicitly:
 #: long enough that the run is ended by SIGINT, not the timer.
 DEFAULT_SOAK_DURATION_S = 3600.0
+
+#: The fleet shard's gauges, set by each sample, and their HELP text.
+FLEET_GAUGES = {
+    "live.sessions_pending": "Sessions waiting in the ramp",
+    "live.sessions_running": "Sessions currently running",
+    "live.sessions_skipped": "Sessions drained away before they started",
+    "live.pacing_p50_s": "Fleet-wide p50 of recent per-packet pacing delays",
+    "live.pacing_p99_s": "Fleet-wide p99 of recent per-packet pacing delays",
+    "live.rss_bytes": "Resident set size of the supervisor process",
+    "live.cpu_total_s": "CPU seconds attributed across all session clocks",
+}
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +102,6 @@ class LoadConfig:
     shaped: bool = True
     stats_port: Optional[int] = None
     heartbeat_interval: float = 1.0
-    pacer_stats_cap: int = DEFAULT_LOAD_STATS_CAP
     # Fleet-scoped options in repro.observe.Observe's shapes; a session's
     # own options travel on its LiveConfig (build_load_specs).
     #: per-session series; shards land in ``<run_dir>/series/<label>.json``.
@@ -135,7 +137,7 @@ def build_load_specs(config: LoadConfig,
             queue_capacity_bytes=config.queue_capacity_bytes,
             drain=config.drain, shaped=config.shaped,
             keep_telemetry_events=False,
-            pacer_stats_cap=config.pacer_stats_cap,
+            pacer_stats_cap=DEFAULT_LOAD_STATS_CAP,
             telemetry=True, series=config.series,
             stall=config.stall if i == 0 else None)
         if trace_factory is not None:
@@ -168,33 +170,40 @@ class SessionRecord:
     status: str = "pending"
     error: Optional[str] = None
     metrics: Optional[object] = None
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-
-    def pacing_percentiles(self,
-                           pcts: Tuple[float, ...] = (50.0, 99.0),
-                           ) -> Tuple[Optional[float], ...]:
-        """Percentiles (seconds) of the session's recent pacing delays —
-        the burst analyzer's window over fresh media, the paper's pacing
-        term (``None`` without telemetry)."""
-        burst = self.burst
-        return (tuple(None for _ in pcts) if burst is None
-                else burst.pacing_percentiles(pcts))
-
-    @property
-    def burst(self):
-        """The session's burst analyzer (``None`` without telemetry)."""
-        telemetry = self.session and self.session.telemetry
-        return telemetry and telemetry.burst
-
-    @property
-    def cpu_s(self) -> Optional[float]:
-        """CPU seconds attributed to this session's clock callbacks
-        (``None`` until the session is built)."""
-        return None if self.session is None else self.session.cpu_s
 
 
-# ``percentiles`` (repro.obs.quantiles) is re-exported for importers.
+def session_row(rec: SessionRecord) -> dict:
+    """One session's heartbeat entry: status and error, then — once its
+    stack exists — frames started, the burst analyzer's windowed pacing
+    p50/p99 over fresh media (the paper's pacing term; with telemetry
+    only) and CPU seconds."""
+    row: dict = {"status": rec.status}
+    if rec.error is not None:
+        row["error"] = rec.error
+    session = rec.session
+    if session is not None and session.sender is not None:
+        row["frames"] = len(session.sender.frame_metrics)
+        telemetry = session.telemetry
+        if telemetry is not None and telemetry.burst is not None:
+            for key, value in zip(("pacing_p50_ms", "pacing_p99_ms"),
+                                  telemetry.burst.pacing_percentiles()):
+                if value is not None:
+                    row[key] = round(value * 1e3, 3)
+        row["cpu_s"] = round(session.cpu_s, 4)
+    return row
+
+
+def _publish(shard: MetricRegistry, row: dict) -> None:
+    """A session row as push gauges in the session's own shard
+    (``record=False``: nothing lands in its event log or flight ring)."""
+    status = shard.gauge("live.status", record=False,
+                         help="1, labelled with the session's status")
+    status.labels = {"status": row["status"]}
+    status.set(1.0)
+    for key, help_text in SESSION_GAUGES.items():
+        if key in row:
+            shard.gauge(f"live.{key}", help=help_text,
+                        record=False).set(row[key])
 
 
 # ----------------------------------------------------------------------
@@ -237,27 +246,15 @@ class SessionSupervisor:
         self._stop_event: Optional[asyncio.Event] = None
         # Supervisor-level shard rolled up next to the per-session ones.
         self.fleet = MetricRegistry()
-        self._g_running = self.fleet.gauge(
-            "live.sessions_running", help="Sessions currently running")
+        for name, help_text in FLEET_GAUGES.items():
+            self.fleet.gauge(name, help=help_text)
         self._c_completed = self.fleet.counter(
             "live.sessions_completed", help="Sessions finished cleanly")
         self._c_failed = self.fleet.counter(
             "live.sessions_failed",
             help="Sessions that crashed (isolated; fleet kept running)")
-        self._g_p50 = self.fleet.gauge(
-            "live.pacing_p50_s",
-            help="Fleet-wide p50 of recent per-packet pacing delays")
-        self._g_p99 = self.fleet.gauge(
-            "live.pacing_p99_s",
-            help="Fleet-wide p99 of recent per-packet pacing delays")
-        self._g_rss = self.fleet.gauge(
-            "live.rss_bytes",
-            help="Resident set size of the supervisor process")
-        self._g_cpu = self.fleet.gauge(
-            "live.cpu_total_s",
-            help="CPU seconds attributed across all session clocks")
         #: fleet SLO watchdog over the supervisor shard; evaluated on
-        #: every heartbeat (after gauge refresh), alerts streamed into
+        #: every heartbeat (after its sample), alerts streamed into
         #: the fleet log and published as the ``slo`` rollup shard.
         self.watchdog: Optional[SloWatchdog] = None
         if slo_rules is not None:
@@ -268,9 +265,6 @@ class SessionSupervisor:
         self.log.append({**event, "elapsed_s": round(self.log.elapsed_s, 6)})
         self.log.say(format_slo_event(event))
 
-    # ------------------------------------------------------------------
-    # run / stop
-    # ------------------------------------------------------------------
     async def run(self) -> List[SessionRecord]:
         """Drive the whole fleet to completion; never raises for a
         member session's failure."""
@@ -317,7 +311,7 @@ class SessionSupervisor:
                 await stats_server.wait_closed()
             if exit_reason == "completed" and self._stopping:
                 exit_reason = "sigint-drain"
-            self.heartbeat()  # terminal statuses land in the log
+            beat = self.heartbeat()  # terminal statuses land in the log
             if self.log.run_dir is not None:
                 try:
                     write_series_shards(
@@ -328,7 +322,7 @@ class SessionSupervisor:
                     pass  # shards are best-effort; the summary must land
             # Finalize inside the teardown path so even a supervisor
             # crash leaves a summary.json naming its exit reason.
-            self.summary = self.log.finalize(self._summary(exit_reason))
+            self.summary = self.log.finalize(self._summary(beat, exit_reason))
         return self.records
 
     def request_stop(self) -> None:
@@ -353,13 +347,9 @@ class SessionSupervisor:
             rec.status = "skipped"
             return
         try:
-            session = self._factory(rec.spec)
-            rec.session = session
+            # The factory is synchronous: no stop can land before run().
+            session = rec.session = self._factory(rec.spec)
             rec.status = "running"
-            rec.started_at = self.log.elapsed_s
-            if self._stopping:
-                # Stop raced the factory: run anyway, but drain at once.
-                session.request_stop()
             rec.metrics = harvest(session, await session.run(),
                                   label=rec.spec.label,
                                   baseline=rec.spec.baseline)
@@ -376,11 +366,10 @@ class SessionSupervisor:
             self.log.append({"kind": "session-failed",
                              "label": rec.spec.label, "error": rec.error,
                              "elapsed_s": round(self.log.elapsed_s, 6)})
-        finally:
-            rec.finished_at = self.log.elapsed_s
 
     # ------------------------------------------------------------------
-    # telemetry rollup
+    # the fleet record: one sample, read by the rollup, the heartbeat
+    # and the summary
     # ------------------------------------------------------------------
     def shards(self) -> dict:
         """Label -> registry map of every session that has telemetry."""
@@ -394,102 +383,72 @@ class SessionSupervisor:
         return shards
 
     def rollup(self) -> str:
-        """One Prometheus snapshot across the fleet (scrape handler)."""
-        self._refresh_fleet_gauges()
+        """One Prometheus snapshot of a fresh sample across the fleet
+        (scrape handler)."""
+        self.sample()
         return prometheus_rollup(self.shards())
-
-    def _refresh_fleet_gauges(self) -> None:
-        running = sum(1 for r in self.records if r.status == "running")
-        self._g_running.set(float(running))
-        p50, p99 = self._fleet_pacing()
-        if p50 is not None:
-            self._g_p50.set(p50)
-        if p99 is not None:
-            self._g_p99.set(p99)
-        rss = process_rss_bytes()
-        if rss is not None:
-            self._g_rss.set(rss)
-        cpu_total = 0.0
-        for rec in self.records:
-            cpu = rec.cpu_s
-            if cpu is None:
-                continue
-            cpu_total += cpu
-            session = rec.session
-            if session is not None and session.telemetry is not None:
-                # Per-session shard: CPU attributed to this session's
-                # clock callbacks, scraped as live.cpu_s{session=label}.
-                session.telemetry.registry.gauge(
-                    "live.cpu_s", record=False,
-                    help="CPU seconds attributed to this session",
-                ).set(cpu)
-        self._g_cpu.set(cpu_total)
 
     #: per-session tail of the pacing window folded into fleet
     #: percentiles (bounds heartbeat cost at large fleets).
     FLEET_PACING_WINDOW = 512
 
-    def _fleet_pacing(self) -> Tuple[Optional[float], Optional[float]]:
-        recent: List[float] = []
+    def sample(self) -> dict:
+        """One fleet moment, computed once: every :func:`session_row`
+        and the fleet row (status counts, one pooled pacing pass over
+        each session's window tail, CPU, RSS), published as ``live.*``
+        push gauges — a session's into its own shard, never on its
+        telemetry tick — and returned as the heartbeat's body."""
+        counts = dict.fromkeys(STATUSES, 0)
+        sessions = {}
+        pooled: List[float] = []
+        cpu_total = 0.0
         for rec in self.records:
-            burst = rec.burst
-            if burst is not None:
-                recent += burst.recent_pacing()[
-                    -self.FLEET_PACING_WINDOW:].tolist()
-        return percentiles(recent, (50.0, 99.0))
+            counts[rec.status] += 1
+            row = sessions[rec.spec.label] = session_row(rec)
+            session = rec.session
+            if session is None:
+                continue
+            cpu_total += session.cpu_s
+            telemetry = session.telemetry
+            if telemetry is not None:
+                _publish(telemetry.registry, row)
+                if telemetry.burst is not None:
+                    pooled += telemetry.burst.recent_pacing()[
+                        -self.FLEET_PACING_WINDOW:].tolist()
+        p50, p99 = percentiles(pooled, (50.0, 99.0))
+        fleet = {f"sessions_{s}": counts[s]
+                 for s in ("pending", "running", "skipped")}
+        fleet.update(pacing_p50_s=p50, pacing_p99_s=p99,
+                     rss_bytes=process_rss_bytes(), cpu_total_s=cpu_total)
+        gauges = self.fleet.gauges
+        for name, value in fleet.items():
+            if value is not None:
+                gauges[f"live.{name}"].set(float(value))
+        return {**counts, "sessions": sessions,
+                **fleet_fields(lambda name: gauges[f"live.{name}"].value)}
 
-    # ------------------------------------------------------------------
-    # heartbeats / summary
-    # ------------------------------------------------------------------
     async def _heartbeat_loop(self) -> None:
         interval = self.heartbeat_interval
-        if interval is None or interval <= 0:
-            return
-        while True:
+        while interval is not None and interval > 0:
             await asyncio.sleep(interval)
             self.heartbeat()
 
     def heartbeat(self) -> dict:
-        """Emit one fleet heartbeat (per-session liveness + pacing +
-        resource accounting), then evaluate the SLO watchdog against
-        the freshly refreshed fleet gauges."""
-        self._refresh_fleet_gauges()
-        counts = {"pending": 0, "running": 0, "completed": 0,
-                  "failed": 0, "skipped": 0}
-        sessions = {}
-        for rec in self.records:
-            counts[rec.status] = counts.get(rec.status, 0) + 1
-            entry: dict = {"status": rec.status}
-            if rec.error is not None:
-                entry["error"] = rec.error
-            session = rec.session
-            if session is not None and session.sender is not None:
-                p50, p99 = rec.pacing_percentiles()
-                entry["frames"] = len(session.sender.frame_metrics)
-                if p50 is not None:
-                    entry["pacing_p50_ms"] = round(p50 * 1e3, 3)
-                if p99 is not None:
-                    entry["pacing_p99_ms"] = round(p99 * 1e3, 3)
-                entry["cpu_s"] = round(session.cpu_s, 4)
-            sessions[rec.spec.label] = entry
-        p50, p99 = self._fleet_pacing()
-        record = {**counts, "sessions": sessions,
-                  "pacing_p50_ms": None if p50 is None else round(p50 * 1e3, 3),
-                  "pacing_p99_ms": None if p99 is None else round(p99 * 1e3, 3),
-                  "cpu_total_s": round(self._g_cpu.value or 0.0, 4),
-                  "rss_mb": (None if self._g_rss.value is None
-                             else round(self._g_rss.value / 2**20, 2))}
+        """Log one :meth:`sample` as a heartbeat, after evaluating the
+        SLO watchdog against the fleet gauges it just set."""
+        record = self.sample()
         if self.watchdog is not None:
             self.watchdog.evaluate(self.log.elapsed_s)
             firing = self.watchdog.firing
             if firing:
                 record["slo_firing"] = firing
-        p99_txt = "-" if p99 is None else f"{p99 * 1e3:.1f} ms"
-        line = (f"live fleet: {counts['running']} running, "
-                f"{counts['completed']} completed, {counts['failed']} failed"
-                + (f", {counts['skipped']} skipped" if counts['skipped']
-                   else "")
-                + f"; p99 pacing {p99_txt} at t={self.log.elapsed_s:.1f}s")
+        p99 = record["pacing_p99_ms"]
+        p99_txt = "-" if p99 is None else f"{p99:.1f} ms"
+        skipped = f", {record['skipped']} skipped" if record["skipped"] else ""
+        line = (f"live fleet: {record['running']} running, "
+                f"{record['completed']} completed, {record['failed']} failed"
+                f"{skipped}; p99 pacing {p99_txt}"
+                f" at t={self.log.elapsed_s:.1f}s")
         out = self.log.heartbeat(record, line)
         if self.heartbeat_hook is not None:
             try:
@@ -498,43 +457,35 @@ class SessionSupervisor:
                 pass
         return out
 
-    def _summary(self, exit_reason: str = "completed") -> dict:
-        counts = {"completed": 0, "failed": 0, "skipped": 0}
+    def _summary(self, beat: dict, exit_reason: str) -> dict:
+        """The final heartbeat's rows plus what only the end knows."""
+        counts = {s: beat[s] for s in ("completed", "failed", "skipped")}
+        counts.update((s, beat[s]) for s in ("pending", "running") if beat[s])
         rows = []
-        statuses = {}
         for rec in self.records:
-            counts[rec.status] = counts.get(rec.status, 0) + 1
-            statuses[rec.spec.label] = rec.status
-            p50, p99 = rec.pacing_percentiles()
             row = {"label": rec.spec.label, "baseline": rec.spec.baseline,
-                   "status": rec.status, "error": rec.error,
-                   "pacing_p50_ms": None if p50 is None else round(p50 * 1e3, 3),
-                   "pacing_p99_ms": None if p99 is None else round(p99 * 1e3, 3)}
-            cpu = rec.cpu_s
-            if cpu is not None:
-                row["cpu_s"] = round(cpu, 4)
+                   "status": rec.status, "error": None,
+                   "pacing_p50_ms": None, "pacing_p99_ms": None,
+                   **beat["sessions"][rec.spec.label]}
+            # The session's final frame count replaces the live one.
+            row.pop("frames", None)
             if rec.metrics is not None:
                 row["frames"] = len(rec.metrics.frames)
                 row["p95_latency_ms"] = round(
                     rec.metrics.p95_latency() * 1e3, 3)
             rows.append(row)
-        p50, p99 = self._fleet_pacing()
         summary = {"sessions": len(self.records), **counts,
                    "exit_reason": exit_reason,
-                   "statuses": statuses,
-                   "pacing_p50_ms": None if p50 is None else round(p50 * 1e3, 3),
-                   "pacing_p99_ms": None if p99 is None else round(p99 * 1e3, 3),
-                   "cpu_total_s": round(self._g_cpu.value or 0.0, 4),
-                   "rss_mb": (None if self._g_rss.value is None
-                              else round(self._g_rss.value / 2**20, 2)),
+                   "statuses": {rec.spec.label: rec.status
+                                for rec in self.records},
+                   **{key: beat[key] for key in FLEET_FIELDS},
                    "stats_addr": (list(self.stats_addr)
                                   if self.stats_addr else None),
                    "per_session": rows}
         if self.watchdog is not None:
             slo = self.watchdog.summary()
-            summary["slo"] = {"alerts": slo["alerts"],
-                              "firing": slo["firing"],
-                              "events": slo["events"]}
+            summary["slo"] = {k: slo[k]
+                              for k in ("alerts", "firing", "events")}
         return summary
 
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.live.clock import WallClock
-from repro.live.impairment import ImpairmentConfig, LoopbackImpairment
+from repro.live.impairment import LoopbackImpairment
 from repro.live.stats import start_stats_server, stats_addr
 from repro.live.transport import UdpTransport
+from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.observe import Observe, attach
 from repro.rtc.baselines import get_spec, stack_kwargs
@@ -110,7 +111,7 @@ class LiveSession(Session):
         self._claim()
         config = self.config
         self.clock = WallClock(asyncio.get_running_loop(), cpu_accounting=True)
-        self.impairment = LoopbackImpairment(ImpairmentConfig(
+        self.impairment = LoopbackImpairment(PathConfig(
             base_rtt=config.base_rtt,
             queue_capacity_bytes=config.queue_capacity_bytes,
             random_loss_rate=config.random_loss_rate,

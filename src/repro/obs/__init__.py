@@ -22,127 +22,44 @@ the ACE-N decisions active while it waited), and *up* to the fleet
 diffable run directories).
 """
 
-from repro.obs.atomicio import atomic_write_text
-from repro.obs.burst import BurstAnalyzer
-from repro.obs.dash import (
-    FleetDashboard,
-    parse_prometheus,
-    record_from_prometheus,
-    sparkline,
-)
-from repro.obs.timeseries import (
-    SeriesFrame,
-    SeriesRecorder,
-    load_shard,
-    m4_downsample,
-    max_divergence_window,
-    rate_series,
-)
-from repro.obs.quantiles import (
-    clean_samples,
-    histogram_quantile,
-    percentile,
-    percentiles,
-)
-from repro.obs.resources import process_rss_bytes
-from repro.obs.slo import (
-    SloRule,
-    SloWatchdog,
-    fleet_slo_rules,
-    session_slo_rules,
-)
-from repro.obs.attrib import (
-    BLAME_CATEGORIES,
-    BlameSegment,
-    FrameBlame,
-    SessionAttribution,
-    attribute_frames,
-    attribute_metrics,
-    attribute_session,
-    render_frame_blame,
-    render_rollup,
-)
-from repro.obs.fleet import (
-    FleetObserver,
-    LiveFleetLog,
-    build_manifest,
-    diff_runs,
-    load_run,
-    report_run,
-)
-from repro.obs.profiler import LoopProfiler, ProfileEntry
-from repro.obs.recorder import FlightRecorder, Telemetry, TelemetryRecord
-from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry
-from repro.obs.spans import SPAN_STAGES, FrameSpan, SpanBook
-from repro.obs.export import (
-    filter_records,
-    prometheus_rollup,
-    prometheus_snapshot,
-    render_record,
-    render_span_timeline,
-    write_export_dir,
-    write_jsonl,
-    write_snapshot,
-)
-from repro.obs.wiring import instrument_arena, instrument_stack
+from importlib import import_module
 
-__all__ = [
-    "BLAME_CATEGORIES",
-    "BlameSegment",
-    "BurstAnalyzer",
-    "Counter",
-    "FleetDashboard",
-    "FleetObserver",
-    "FlightRecorder",
-    "FrameBlame",
-    "FrameSpan",
-    "Gauge",
-    "Histogram",
-    "LiveFleetLog",
-    "LoopProfiler",
-    "MetricRegistry",
-    "ProfileEntry",
-    "SPAN_STAGES",
-    "SeriesFrame",
-    "SeriesRecorder",
-    "SessionAttribution",
-    "SloRule",
-    "SloWatchdog",
-    "SpanBook",
-    "Telemetry",
-    "TelemetryRecord",
-    "atomic_write_text",
-    "attribute_frames",
-    "attribute_metrics",
-    "attribute_session",
-    "build_manifest",
-    "clean_samples",
-    "diff_runs",
-    "filter_records",
-    "fleet_slo_rules",
-    "histogram_quantile",
-    "instrument_arena",
-    "instrument_stack",
-    "load_run",
-    "load_shard",
-    "m4_downsample",
-    "max_divergence_window",
-    "parse_prometheus",
-    "percentile",
-    "percentiles",
-    "process_rss_bytes",
-    "prometheus_rollup",
-    "prometheus_snapshot",
-    "rate_series",
-    "record_from_prometheus",
-    "render_frame_blame",
-    "render_record",
-    "render_rollup",
-    "render_span_timeline",
-    "report_run",
-    "session_slo_rules",
-    "sparkline",
-    "write_export_dir",
-    "write_jsonl",
-    "write_snapshot",
-]
+#: submodule -> the public names it defines. Submodules load on first
+#: use, so a caller of one helper (the result cache writing through
+#: ``repro.obs.atomicio``) does not load the whole telemetry stack.
+_SUBMODULES = {
+    "atomicio": "atomic_write_text",
+    "burst": "BurstAnalyzer",
+    "dash": "FleetDashboard parse_prometheus record_from_prometheus sparkline",
+    "timeseries": ("SeriesFrame SeriesRecorder load_shard m4_downsample "
+                   "max_divergence_window rate_series"),
+    "quantiles": "clean_samples histogram_quantile percentile percentiles",
+    "resources": "process_rss_bytes",
+    "slo": "SloRule SloWatchdog fleet_slo_rules session_slo_rules",
+    "attrib": ("BLAME_CATEGORIES BlameSegment FrameBlame SessionAttribution "
+               "attribute_frames attribute_metrics attribute_session "
+               "render_frame_blame render_rollup"),
+    "fleet": ("FleetObserver LiveFleetLog build_manifest diff_runs load_run "
+              "report_run"),
+    "profiler": "LoopProfiler ProfileEntry",
+    "recorder": "FlightRecorder Telemetry TelemetryRecord",
+    "registry": "Counter Gauge Histogram MetricRegistry",
+    "spans": "SPAN_STAGES FrameSpan SpanBook",
+    "export": ("filter_records prometheus_rollup prometheus_snapshot "
+               "render_record render_span_timeline write_export_dir "
+               "write_jsonl write_snapshot"),
+    "wiring": "instrument_arena instrument_stack",
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items()
+            for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"repro.obs.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,34 +1,25 @@
 """ANSI sparkline dashboard over live-fleet heartbeat records.
 
-Two feeds, one renderer:
+One record, two feeds, one renderer: ``repro load --dash`` hands
+:class:`FleetDashboard` each heartbeat record; ``repro watch`` polls a
+running fleet's Prometheus rollup, where the supervisor publishes the
+same record as ``live.*`` gauges, and reads it back with
+:func:`record_from_prometheus`.
 
-* ``repro load --dash`` hooks :class:`FleetDashboard` directly into the
-  supervisor's heartbeat loop — each heartbeat record becomes one
-  redrawn frame.
-* ``repro watch --stats-port N`` polls a *running* fleet's Prometheus
-  rollup endpoint, rebuilds an equivalent record with
-  :func:`record_from_prometheus`, and feeds the same renderer.
-
-Rendering is deterministic and testable: a frame is a pure function of
-the dashboard's record history and fixed width, sparkline glyph
-selection has no float ambiguity at bucket edges, and color/cursor
-control is emitted only when explicitly enabled — in a pipe or CI
-(``sys.stdout.isatty()`` false) the CLI falls back to the supervisor's
-plain heartbeat lines and exits 0.
+Rendering is deterministic: a frame is a pure function of the record
+history and fixed width, glyph selection has no float ambiguity at
+bucket edges, and color/cursor control is emitted only when enabled —
+in a pipe or CI the CLI prints plain stacked frames and exits 0.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "FleetDashboard",
-    "parse_prometheus",
-    "record_from_prometheus",
-    "sparkline",
-]
+__all__ = ["FleetDashboard", "fleet_fields", "parse_prometheus",
+           "record_from_prometheus", "sparkline"]
 
 #: Eight-level block glyphs, lowest to highest.
 SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
@@ -169,9 +160,8 @@ def _pad(text: str, width: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Prometheus feed (repro watch)
+# the record as live.* gauges (repro watch)
 # ----------------------------------------------------------------------
-
 _SAMPLE_RE = re.compile(
     r"^([A-Za-z_:][A-Za-z0-9_:]*)(?:\{(.*)\})?\s+(\S+)\s*$")
 _LABEL_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)="((?:[^"\\]|\\.)*)"')
@@ -185,10 +175,7 @@ def parse_prometheus(text: str) -> List[Tuple[str, Dict[str, str], float]]:
     """
     out: List[Tuple[str, Dict[str, str], float]] = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _SAMPLE_RE.match(line)
+        m = _SAMPLE_RE.match(line.strip())  # no match: comment or blank
         if m is None:
             continue
         name, label_blob, raw = m.groups()
@@ -202,66 +189,62 @@ def parse_prometheus(text: str) -> List[Tuple[str, Dict[str, str], float]]:
     return out
 
 
+#: Session statuses, in the heartbeat's count order.
+STATUSES = ("pending", "running", "completed", "failed", "skipped")
+
+#: The heartbeat's per-session numbers, each published as the gauge
+#: ``live.<key>`` (HELP text here) beside ``live.status{status="..."}``.
+SESSION_GAUGES = {
+    "frames": "Frames the session has started encoding",
+    "pacing_p50_ms": "p50 of the session's recent pacing delays (ms)",
+    "pacing_p99_ms": "p99 of the session's recent pacing delays (ms)",
+    "cpu_s": "CPU seconds attributed to this session",
+}
+
+#: The heartbeat's fleet numbers: key -> (fleet-shard gauge
+#: ``live.<name>``, scale, decimals). The gauges hold raw numbers.
+FLEET_FIELDS = {
+    "pacing_p50_ms": ("pacing_p50_s", 1e3, 3),
+    "pacing_p99_ms": ("pacing_p99_s", 1e3, 3),
+    "cpu_total_s": ("cpu_total_s", 1.0, 4),
+    "rss_mb": ("rss_bytes", 2.0 ** -20, 2),
+}
+
+
+def fleet_fields(gauge: Callable[[str], Optional[float]]) -> dict:
+    """The heartbeat's fleet numbers from ``gauge(name)``, the fleet
+    shard's ``live.<name>`` or None: the supervisor reads its registry
+    through this and ``repro watch`` the scraped text."""
+    return {key: None if (raw := gauge(name)) is None
+            else round(raw * scale, digits)
+            for key, (name, scale, digits) in FLEET_FIELDS.items()}
+
+
 def record_from_prometheus(text: str) -> dict:
-    """Rebuild a heartbeat-like record from a fleet Prometheus rollup.
-
-    Fleet counters/gauges come from the ``session="fleet"`` shard;
-    per-session pacing p99 is interpolated from each session's
-    ``repro_burst_pacing_delay_s`` histogram buckets (lifetime window —
-    the remote rings aren't exposed), and SLO state from the ``slo``
-    shard's ``repro_slo_firing`` gauge.
-    """
-    from repro.obs.quantiles import histogram_quantile
-
-    samples = parse_prometheus(text)
-    fleet: Dict[str, float] = {}
-    slo_firing_count = 0.0
-    breached: List[str] = []
-    buckets: Dict[str, List[Tuple[float, float]]] = {}
-    frames: Dict[str, float] = {}
-
-    for name, labels, value in samples:
-        session = labels.get("session", "")
-        if session == "fleet":
-            fleet[name] = value
-        elif session == "slo":
-            if name == "repro_slo_firing":
-                slo_firing_count = value
-            elif name.startswith("repro_slo_breached_") and value > 0:
-                breached.append(
-                    name[len("repro_slo_breached_"):].replace("_", "-"))
-        elif session:
-            if name == "repro_burst_pacing_delay_s_bucket":
-                le = labels.get("le", "")
-                bound = float("inf") if le in ("+Inf", "inf") else float(le)
-                buckets.setdefault(session, []).append((bound, value))
-            elif name == "repro_frames_displayed_total":
-                frames[session] = value
-
-    sessions: Dict[str, dict] = {}
-    for label in sorted(set(buckets) | set(frames)):
-        cum = sorted(buckets.get(label, ()), key=lambda bc: bc[0])
-        p99 = histogram_quantile(cum, 99) if cum else None
-        sessions[label] = {
-            "status": "running",
-            "frames": int(frames.get(label, 0)),
-            "pacing_p99_ms": (p99 * 1000.0) if p99 is not None else None,
-        }
-
-    record = {
-        "running": int(fleet.get("repro_live_sessions_running", 0)),
-        "completed": int(fleet.get("repro_live_sessions_completed_total", 0)),
-        "failed": int(fleet.get("repro_live_sessions_failed_total", 0)),
-        "sessions": sessions,
-    }
-    p99 = fleet.get("repro_live_pacing_p99_s")
-    record["pacing_p99_ms"] = p99 * 1000.0 if p99 is not None else None
-    rss = fleet.get("repro_live_rss_bytes")
-    if rss:
-        record["rss_mb"] = rss / (1024 * 1024)
-    cpu = fleet.get("repro_live_cpu_total_s")
-    if cpu is not None:
-        record["cpu_total_s"] = cpu
-    if slo_firing_count > 0:
-        record["slo_firing"] = breached or [f"{int(slo_firing_count)} rule(s)"]
+    """Read the heartbeat record back from a fleet Prometheus rollup:
+    the fleet's numbers through :func:`fleet_fields`, each session's
+    ``live.*`` gauges under the heartbeat's keys, the ``slo`` shard's
+    firing rules."""
+    shards: Dict[str, dict] = {}
+    for name, labels, value in parse_prometheus(text):
+        shards.setdefault(labels.get("session", ""), {})[name] = (
+            labels.get("status") if name == "repro_live_status" else value)
+    fleet, slo = shards.get("fleet", {}), shards.get("slo", {})
+    record: dict = {
+        s: int(fleet.get(f"repro_live_sessions_{s}",
+                         fleet.get(f"repro_live_sessions_{s}_total", 0)))
+        for s in STATUSES}
+    record["sessions"] = {
+        label: {"status": live["repro_live_status"],
+                **{key: live[f"repro_live_{key}"] for key in SESSION_GAUGES
+                   if f"repro_live_{key}" in live}}
+        for label, live in sorted(shards.items())
+        if "repro_live_status" in live}
+    record.update(fleet_fields(lambda name: fleet.get(f"repro_live_{name}")))
+    if (firing := slo.get("repro_slo_firing", 0.0)) > 0:
+        prefix = "repro_slo_breached_"
+        record["slo_firing"] = [
+            name[len(prefix):].replace("_", "-") for name, value in slo.items()
+            if name.startswith(prefix) and value > 0
+        ] or [f"{int(firing)} rule(s)"]
     return record

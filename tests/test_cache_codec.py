@@ -299,6 +299,30 @@ class TestClear:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
         assert cache.clear() == 0
 
+    def test_clear_reclaims_a_killed_writers_staging_file(
+            self, tmp_path, session_metrics, monkeypatch):
+        """``put`` stages through ``atomic_write_text``; the staging
+        file a writer killed before its rename leaves is still ours."""
+        import repro.obs.atomicio as atomicio
+
+        staged = []
+
+        def interrupted(src, dst):
+            staged.append(src)
+            raise KeyboardInterrupt     # the writer dies before the rename
+
+        cache = ResultCache(cache_dir=tmp_path, enabled=True)
+        monkeypatch.setattr(atomicio.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cache.put("a", session_metrics)
+        monkeypatch.undo()
+        assert cache.stores == 0 and staged[0].parent == tmp_path
+        # An interrupt unlinks the staging file; a SIGKILL leaves it.
+        staged[0].write_text('{"kind": "sess')
+        cache.put("b", session_metrics)
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_put_leaves_no_temp_file_behind(self, tmp_path, session_metrics):
         cache = ResultCache(cache_dir=tmp_path, enabled=True)
         cache.put("a", session_metrics)

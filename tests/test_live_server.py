@@ -251,6 +251,45 @@ def test_supervisor_rollup_scrapes_with_per_session_labels():
     assert 'repro_live_sessions_running{session="fleet"}' in text
 
 
+def test_heartbeat_and_watch_read_one_fleet_record(monkeypatch):
+    """``load --dash`` renders ``heartbeat()``, ``repro watch`` renders
+    ``record_from_prometheus(rollup())``: at one fleet moment both carry
+    the same numbers and draw the same dashboard frame."""
+    from repro.live import server
+    from repro.obs.dash import FleetDashboard, record_from_prometheus
+
+    # Each sample reads RSS; pinned so two back-to-back samples cannot
+    # straddle a page the process maps in between.
+    monkeypatch.setattr(server, "process_rss_bytes", lambda: 50_331_648)
+    config = quick_load(sessions=2, duration=4.0, initial_bwe_bps=12e6)
+    supervisor = SessionSupervisor(build_load_specs(config),
+                                   heartbeat_interval=None)
+
+    async def mid_run():
+        task = asyncio.ensure_future(supervisor.run())
+        await asyncio.sleep(1.5)
+        # No await between the two reads: no session callback runs.
+        beat = supervisor.heartbeat()
+        watched = record_from_prometheus(supervisor.rollup())
+        supervisor.request_stop()
+        await task
+        return beat, watched
+
+    beat, watched = asyncio.run(mid_run())
+    assert beat["running"] == 2
+    for key in ("running", "completed", "failed", "pacing_p99_ms",
+                "cpu_total_s", "rss_mb"):
+        assert watched[key] == beat[key], key
+    assert sorted(watched["sessions"]) == ["s0-ace", "s1-webrtc-star"]
+    for label, row in beat["sessions"].items():
+        assert row["frames"] > 0 and row["pacing_p99_ms"] is not None
+        for key in ("status", "frames", "pacing_p50_ms", "pacing_p99_ms",
+                    "cpu_s"):
+            assert watched["sessions"][label][key] == row[key], (label, key)
+    assert FleetDashboard(color=False, clear=False).update(watched) == \
+        FleetDashboard(color=False, clear=False).update(beat)
+
+
 def test_supervisor_graceful_stop_drains_fleet():
     """request_stop() mid-run: started sessions drain and complete,
     ramp-pending sessions are skipped — the SIGINT path."""

@@ -12,16 +12,12 @@ import asyncio
 
 import pytest
 
-from repro.live import (
-    ImpairmentConfig,
-    LiveConfig,
-    LoopbackImpairment,
-    UdpTransport,
-)
+from repro.live import LiveConfig, LoopbackImpairment, UdpTransport
 from repro.live.clock import WallClock
 from repro.live.session import build_live_session, run_live
 from repro.net.link import Link
 from repro.net.packet import Packet
+from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.sim.events import EventLoop
 from repro.sim.rng import SeedSequenceFactory
@@ -31,7 +27,7 @@ from repro.sim.rng import SeedSequenceFactory
 # impairment shim (deterministic, no sockets)
 # ---------------------------------------------------------------------------
 def test_unshaped_impairment_is_propagation_only():
-    shim = LoopbackImpairment(ImpairmentConfig(base_rtt=0.04))
+    shim = LoopbackImpairment(PathConfig(base_rtt=0.04))
     assert shim.admit(1200, now=0.0) == pytest.approx(0.02)
     assert shim.admit(1200, now=5.0) == pytest.approx(0.02)
     assert shim.delivered == 2 and shim.dropped == 0
@@ -39,7 +35,7 @@ def test_unshaped_impairment_is_propagation_only():
 
 def test_shaped_impairment_serializes_back_to_back_packets():
     trace = BandwidthTrace.constant(1e6, duration=100.0)  # 1 Mbps
-    shim = LoopbackImpairment(ImpairmentConfig(base_rtt=0.0), trace=trace)
+    shim = LoopbackImpairment(PathConfig(base_rtt=0.0), trace=trace)
     # 1250 bytes at 1 Mbps = 10 ms on the wire.
     first = shim.admit(1250, now=0.0)
     second = shim.admit(1250, now=0.0)
@@ -53,7 +49,7 @@ def test_shaped_impairment_serializes_back_to_back_packets():
 def test_impairment_drop_tail_queue_overflow():
     trace = BandwidthTrace.constant(1e6, duration=100.0)
     shim = LoopbackImpairment(
-        ImpairmentConfig(base_rtt=0.0, queue_capacity_bytes=3000),
+        PathConfig(base_rtt=0.0, queue_capacity_bytes=3000),
         trace=trace)
     assert shim.admit(1250, now=0.0) is not None
     assert shim.admit(1250, now=0.0) is not None
@@ -64,13 +60,13 @@ def test_impairment_drop_tail_queue_overflow():
 
 def test_impairment_random_loss_uses_rng_stream():
     shim = LoopbackImpairment(
-        ImpairmentConfig(random_loss_rate=1.0),
+        PathConfig(random_loss_rate=1.0),
         rng=SeedSequenceFactory(1).stream("path.loss"))
     assert shim.admit(1200, now=0.0) is None
     assert shim.dropped == 1
 
     lossless = LoopbackImpairment(
-        ImpairmentConfig(random_loss_rate=0.0),
+        PathConfig(random_loss_rate=0.0),
         rng=SeedSequenceFactory(1).stream("path.loss"))
     assert lossless.admit(1200, now=0.0) is not None
 
@@ -98,7 +94,7 @@ def _link_departures(trace, capacity, offers):
 
 def _shim_departures(trace, capacity, offers):
     shim = LoopbackImpairment(
-        ImpairmentConfig(base_rtt=0.0, queue_capacity_bytes=capacity),
+        PathConfig(base_rtt=0.0, queue_capacity_bytes=capacity),
         trace=trace)
     delays = [shim.admit(size, now=t) for t, size in offers]
     return [None if delay is None else t + delay
@@ -147,7 +143,7 @@ def test_shim_on_a_link_that_never_comes_back_raises_like_the_link():
 
 
 def test_impairment_feedback_delay_is_reverse_propagation():
-    shim = LoopbackImpairment(ImpairmentConfig(base_rtt=0.05))
+    shim = LoopbackImpairment(PathConfig(base_rtt=0.05))
     assert shim.feedback_delay == pytest.approx(0.025)
 
 
@@ -196,7 +192,7 @@ def test_udp_transport_close_cancels_delayed_sends():
         clock = WallClock(asyncio.get_running_loop())
         # 1 Mbps shaping: a packet burst queues several delayed sends.
         shim = LoopbackImpairment(
-            ImpairmentConfig(base_rtt=0.2),
+            PathConfig(base_rtt=0.2),
             trace=BandwidthTrace.constant(1e6, duration=60.0))
         a = await UdpTransport.create(clock, impairment=shim)
         b = await UdpTransport.create(clock)
@@ -224,7 +220,7 @@ def test_udp_transport_impairment_drops_are_recorded():
     async def check():
         clock = WallClock(asyncio.get_running_loop())
         shim = LoopbackImpairment(
-            ImpairmentConfig(random_loss_rate=1.0),
+            PathConfig(random_loss_rate=1.0),
             rng=SeedSequenceFactory(1).stream("path.loss"))
         a = await UdpTransport.create(clock, impairment=shim)
         b = await UdpTransport.create(clock)

@@ -146,7 +146,12 @@ repro_live_rss_bytes{session="fleet"} 50331648
 repro_live_cpu_total_s{session="fleet"} 1.5
 repro_slo_firing{session="slo"} 1
 repro_slo_breached_pacing_p99{session="slo"} 1
-repro_frames_displayed_total{session="s0-ace"} 120
+repro_live_status{session="s0-ace",status="running"} 1.0
+repro_live_frames{session="s0-ace"} 120.0
+repro_live_pacing_p50_ms{session="s0-ace"} 12.25
+repro_live_pacing_p99_ms{session="s0-ace"} 40.0
+repro_live_cpu_s{session="s0-ace"} 0.75
+repro_frames_displayed_total{session="s0-ace"} 97
 repro_burst_pacing_delay_s_bucket{session="s0-ace",le="0.01"} 50
 repro_burst_pacing_delay_s_bucket{session="s0-ace",le="0.1"} 99
 repro_burst_pacing_delay_s_bucket{session="s0-ace",le="+Inf"} 100
@@ -174,10 +179,12 @@ def test_record_from_prometheus_rebuilds_heartbeat():
     assert record["rss_mb"] == pytest.approx(48.0)
     assert record["cpu_total_s"] == 1.5
     assert record["slo_firing"] == ["pacing-p99"]
-    s0 = record["sessions"]["s0-ace"]
-    assert s0["frames"] == 120
-    # p99 interpolated from the le-buckets: 99th of 100 in (0.01, 0.1].
-    assert 10.0 <= s0["pacing_p99_ms"] <= 100.0
+    # Each session's row is its live.* gauges under the heartbeat's
+    # keys; the displayed-frames counter and the lifetime histogram
+    # buckets beside them are not read.
+    assert record["sessions"] == {"s0-ace": {
+        "status": "running", "frames": 120, "pacing_p50_ms": 12.25,
+        "pacing_p99_ms": 40.0, "cpu_s": 0.75}}
 
 
 def test_record_from_prometheus_feeds_dashboard():
