@@ -126,10 +126,12 @@ def check_autoscale(floor: float, max_sessions: int, duration: float,
     so a failing box still leaves evidence of what it sustained.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.live.autoscale import AutoscaleConfig, run_autoscale
+    from repro.live.autoscale import run_autoscale
+    from repro.live.server import LoadConfig
 
     result = run_autoscale(
-        AutoscaleConfig(max_sessions=max_sessions, duration=duration),
+        LoadConfig(duration=duration, slo_p99_s=DEFAULT_LIVE_P99_MS / 1e3),
+        max_sessions=max_sessions,
         echo=lambda line: print(f"       {line}"),
         artifact_path=str(artifact))
     per_core = result["sessions_per_core"]

@@ -14,7 +14,7 @@ from repro.analysis.results import (
     metrics_to_dict,
     save_results,
 )
-from repro.analysis.report import compare_runs, latency_report, session_report
+from repro.analysis.report import compare_runs
 from repro.analysis.aggregate import (
     MetricSummary,
     PairedComparison,
@@ -33,8 +33,6 @@ __all__ = [
     "trace_fingerprint",
     "save_results",
     "load_results",
-    "session_report",
-    "latency_report",
     "compare_runs",
     "MetricSummary",
     "PairedComparison",

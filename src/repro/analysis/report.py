@@ -1,62 +1,10 @@
-"""Human-readable reports over session metrics and run results."""
+"""Human-readable comparison of run results."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.analysis.results import RunResult
-from repro.rtc.metrics import SessionMetrics
-
-
-def _fmt_ms(seconds: float) -> str:
-    if seconds is None or (isinstance(seconds, float) and np.isnan(seconds)):
-        return "n/a"
-    return f"{seconds * 1000:.1f} ms"
-
-
-def session_report(metrics: SessionMetrics, title: str = "session") -> str:
-    """Multi-line textual summary of one run."""
-    breakdown = metrics.latency_breakdown()
-    lines = [
-        f"== {title} ==",
-        f"frames: {len(metrics.frames)} captured, "
-        f"{len(metrics.displayed_frames())} displayed "
-        f"({metrics.received_fps():.1f} fps)",
-        f"latency: p50 {_fmt_ms(metrics.latency_percentile(50))}, "
-        f"p95 {_fmt_ms(metrics.p95_latency())}, "
-        f"p99 {_fmt_ms(metrics.latency_percentile(99))}",
-        "breakdown: " + ", ".join(
-            f"{name} {_fmt_ms(value)}" for name, value in breakdown.items()),
-        f"quality: mean VMAF {metrics.mean_vmaf():.1f}",
-        f"loss: {metrics.loss_rate() * 100:.2f}% "
-        f"({metrics.packets_lost} of {metrics.packets_sent} packets, "
-        f"{metrics.packets_retransmitted} retransmitted)",
-        f"stalls: {metrics.stall_rate() * 100:.2f}% of session time",
-    ]
-    return "\n".join(lines)
-
-
-def latency_report(metrics: SessionMetrics,
-                   quantiles: tuple = (50, 75, 90, 95, 99)) -> str:
-    """Per-component latency table at the given quantiles."""
-    frames = metrics.displayed_frames()
-    if not frames:
-        return "no displayed frames"
-    comps = {
-        "e2e": [f.e2e_latency for f in frames],
-        "pacing": [f.pacing_latency or 0.0 for f in frames],
-        "network": [f.network_latency or 0.0 for f in frames],
-        "encode": [f.encode_time for f in frames],
-    }
-    header = "component  " + "  ".join(f"p{q:<4}" for q in quantiles)
-    lines = [header, "-" * len(header)]
-    for name, values in comps.items():
-        cells = "  ".join(
-            f"{np.percentile(values, q) * 1000:5.1f}" for q in quantiles)
-        lines.append(f"{name:<10} {cells}")
-    return "\n".join(lines)
 
 
 def compare_runs(results: Iterable[RunResult],

@@ -14,7 +14,6 @@ from repro.bench.parallel import (
 )
 from repro.bench.workloads import (
     STANDARD_DURATION,
-    bench_traces,
     run_baseline,
     run_baselines,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ParallelRunner",
     "make_grid",
     "run_grid",
-    "bench_traces",
     "run_baseline",
     "run_baselines",
     "print_table",

@@ -222,9 +222,6 @@ class ParallelRunner:
                  cache: Optional[ResultCache] = None) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        #: counters for the lifetime of this runner (benches print them).
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def run(self, tasks: Iterable[GridTask],
             observer: Optional["FleetObserver"] = None,
@@ -243,7 +240,7 @@ class ParallelRunner:
         if cache is not None:
             for i, task in enumerate(tasks):
                 if task.instrumented:
-                    todo.append(i)      # bypass: don't count, don't store
+                    todo.append(i)      # bypass: no lookup, no store
                     continue
                 key = cache.make_key(task.baseline, task.config,
                                      task.trace, task.category,
@@ -253,24 +250,24 @@ class ParallelRunner:
                 if cached is not None:
                     cached.bandwidth_fn = task.trace.rate_at
                     results[i] = cached
-                    self.cache_hits += 1
                     if observer is not None:
                         observer.cell_done(i, task.key(), source="cache")
                 else:
                     todo.append(i)
-                    self.cache_misses += 1
         else:
             todo = list(range(len(tasks)))
 
         def _finish(i: int, metrics: SessionMetrics, pid: int,
-                    wall_s: float, source: str) -> None:
+                    wall_s: float, ran: str) -> None:
             metrics.bandwidth_fn = tasks[i].trace.rate_at
-            if cache is not None and keys[i] is not None:
+            missed = keys[i] is not None     # else it never asked a cache
+            if missed:
                 cache.put(keys[i], metrics)
             results[i] = metrics
             if observer is not None:
                 observer.cell_done(
-                    i, tasks[i].key(), source=source, wall_s=wall_s, pid=pid,
+                    i, tasks[i].key(), source=ran if missed else "bypass",
+                    wall_s=wall_s, pid=pid,
                     engine=getattr(metrics, "engine", None),
                     fallback_reason=getattr(metrics, "fallback_reason", None))
 

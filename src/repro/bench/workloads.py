@@ -32,13 +32,6 @@ def trace_library(seed: int = 1, duration: float = 120.0) -> TraceLibrary:
     return _LIBRARIES[key]
 
 
-def bench_traces(classes: tuple[str, ...] = ("wifi", "4g", "5g"),
-                 per_class: int = 1, seed: int = 1) -> dict[str, list[BandwidthTrace]]:
-    """A subset of the nine-trace corpus for bench runs."""
-    lib = trace_library(seed)
-    return {cls: lib.by_class(cls)[:per_class] for cls in classes}
-
-
 def run_baseline(name: str, trace: BandwidthTrace,
                  duration: float = STANDARD_DURATION, seed: int = 3,
                  category: str = "gaming", fps: float = 30.0,

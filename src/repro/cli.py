@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import product
 from typing import Optional, Sequence
 
@@ -61,10 +61,12 @@ TRACE_MAKERS = {
 
 
 def make_trace(kind: str, seed: int, duration: float) -> BandwidthTrace:
-    """Build a trace by class name, or a constant one via 'const:<mbps>'."""
+    """Build a trace by class name, or a constant one via 'const:<mbps>'
+    (named ``const:<mbps:g>``, so two rates are two grid cells)."""
     if kind.startswith("const:"):
         mbps = float(kind.split(":", 1)[1])
-        return BandwidthTrace.constant(mbps * 1e6, duration=duration)
+        return BandwidthTrace.constant(mbps * 1e6, duration=duration,
+                                       name=f"const:{mbps:g}")
     if kind.startswith("weak:"):
         venue = kind.split(":", 1)[1]
         return make_weak_network_trace(RngStream(seed, f"cli.{kind}"),
@@ -254,7 +256,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         export_telemetry(session.telemetry, args.telemetry_out)
     if args.series_out:
         # Standalone shards are named after the --trace flag, not the
-        # trace object's name ("constant" for every const:<mbps>).
+        # trace object's name (e.g. "wifi-1" for --trace wifi).
         frame = metrics.series_frame
         frame.meta["trace"] = args.trace
         for path in write_series_shards(
@@ -360,6 +362,7 @@ def cmd_load(args: argparse.Namespace) -> int:
     """
     from pathlib import Path
 
+    from repro.live.autoscale import ROUND_DURATION_S
     from repro.live.server import (
         DEFAULT_SOAK_DURATION_S,
         LoadConfig,
@@ -382,10 +385,21 @@ def cmd_load(args: argparse.Namespace) -> int:
     if not mix:
         raise SystemExit("--mix needs at least one baseline name")
     if args.autoscale:
-        return _cmd_load_autoscale(args, mix)
+        refused = [flag for flag, given in (
+            ("--run-dir", args.run_dir is not None),
+            ("--series", args.series),
+            ("--snapshot-out", args.snapshot_out is not None),
+            ("--dash", args.dash),
+            ("--stats-port", args.stats_port is not None),
+            ("--inject-stall", args.inject_stall is not None)) if given]
+        if refused:
+            raise SystemExit(f"--autoscale cannot honour {', '.join(refused)}"
+                             ": each probe round is a fresh, unobserved "
+                             "fleet")
     duration = args.duration
     if duration is None:
-        duration = DEFAULT_SOAK_DURATION_S if args.soak else 5.0
+        duration = (ROUND_DURATION_S if args.autoscale
+                    else DEFAULT_SOAK_DURATION_S if args.soak else 5.0)
     observe = observe_options(args)
     config = LoadConfig(
         sessions=args.sessions, mix=tuple(mix), ramp=args.ramp,
@@ -400,6 +414,10 @@ def cmd_load(args: argparse.Namespace) -> int:
             # Traces keep a monotonic cursor: one private instance per
             # session (seed-shifted so stochastic traces decorrelate).
             return make_trace(_kind, _seed + i, _dur + 10)
+    if args.autoscale:   # --slo-p99-ms bounds the probe, --slo or not
+        return _cmd_load_autoscale(
+            args, replace(config, slo_p99_s=args.slo_p99_ms / 1e3),
+            trace_factory)
     print(f"load: {args.sessions} sessions over UDP loopback "
           f"({','.join(mix)} round-robin), ramp {args.ramp:g}s, "
           f"{duration:g}s media each"
@@ -459,23 +477,19 @@ def cmd_load(args: argparse.Namespace) -> int:
     return 1 if summary["failed"] else 0
 
 
-def _cmd_load_autoscale(args: argparse.Namespace, mix: list[str]) -> int:
-    """``repro load --autoscale``: probe the sessions/core ceiling."""
-    from repro.live.autoscale import AutoscaleConfig, run_autoscale
+def _cmd_load_autoscale(args: argparse.Namespace, template,
+                        trace_factory) -> int:
+    """``repro load --autoscale``: probe the sessions/core ceiling of the
+    fleet ``load`` would run, in rounds of growing size."""
+    from repro.live.autoscale import run_autoscale
 
-    cfg = AutoscaleConfig(
-        start=args.autoscale_start,
-        max_sessions=args.autoscale_max,
-        duration=args.duration if args.duration is not None else 1.5,
-        drain=min(args.drain, 0.3),
-        seed=args.seed,
-        mix=tuple(mix),
-        p99_limit_ms=args.p99_limit,
-    )
     print(f"autoscale: probing sessions/core ceiling "
-          f"({','.join(mix)} mix, p99 limit {cfg.p99_limit_ms:g} ms, "
-          f"{cfg.duration:g}s rounds, cap {cfg.max_sessions})")
-    result = run_autoscale(cfg, echo=print,
+          f"({','.join(template.mix)} mix, p99 limit "
+          f"{args.slo_p99_ms:g} ms, {template.duration:g}s rounds, "
+          f"cap {args.autoscale_max})")
+    result = run_autoscale(template, start=args.autoscale_start,
+                           max_sessions=args.autoscale_max,
+                           trace_factory=trace_factory, echo=print,
                            artifact_path=args.autoscale_out)
     state = ("converged" if result["converged"]
              else "at cap" if result["at_cap"] else "not converged")
@@ -928,7 +942,8 @@ FLAGS: dict[str, dict] = {
                        "fired alerts"),
     "--slo-p99-ms": dict(type=float, default=250.0, metavar="MS",
                          help="pacing-delay p99 SLO bound in ms "
-                              "(default 250)"),
+                              "(default 250; `load --autoscale`: the "
+                              "probe's fleet bound)"),
     "--inject-stall": dict(default=None, metavar="AT[:DUR]",
                            help="fault injection: pin the pacer at its rate "
                                 "floor from AT seconds for DUR seconds "
@@ -1049,16 +1064,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "place on a TTY, stacks plain frames otherwise")
     p.add_argument("--autoscale", action="store_true",
                    help="instead of one fixed fleet, probe the largest "
-                        "fleet this machine sustains under the pacing-p99 "
-                        "SLO (geometric ascent + bisection) and write the "
-                        "ceiling artifact")
+                        "fleet of this configuration the machine sustains "
+                        "under --slo-p99-ms (geometric ascent + bisection "
+                        "over 1.5 s rounds unless --duration) and write "
+                        "the ceiling artifact")
     p.add_argument("--autoscale-start", type=int, default=0, metavar="N",
                    help="first fleet size tried (default: core count)")
     p.add_argument("--autoscale-max", type=int, default=64, metavar="N",
                    help="fleet-size cap for the probe (default 64)")
-    p.add_argument("--p99-limit", type=float, default=250.0, metavar="MS",
-                   help="autoscale SLO: fleet pacing p99 bound in ms "
-                        "(default 250)")
     p.add_argument("--autoscale-out", default="BENCH_live_ceiling.json",
                    metavar="FILE",
                    help="where to write the ceiling artifact "

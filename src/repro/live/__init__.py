@@ -4,9 +4,9 @@ The simulator answers "is the control logic right?"; this package
 answers "does it survive contact with an operating system?" — real UDP
 sockets, real asyncio timers, real scheduling jitter. It provides:
 
-* :mod:`repro.live.clock` — the :class:`Clock` scheduling protocol with
-  :class:`SimClock` (discrete-event) and :class:`WallClock` (asyncio)
-  implementations;
+* :mod:`repro.live.clock` — the :class:`Clock` scheduling protocol
+  (the simulator's ``EventLoop`` satisfies it natively) and its asyncio
+  implementation :class:`WallClock`;
 * :mod:`repro.live.transport` — the :class:`Transport` surface and its
   :class:`UdpTransport` datagram endpoint (in simulation the
   ``NetworkPath`` itself has the surface);
@@ -28,12 +28,12 @@ supervisor and telemetry stack.
 
 from __future__ import annotations
 
-from repro.live.clock import Clock, SimClock, WallClock, WallTimer
+from repro.live.clock import Clock, WallClock, WallTimer
 from repro.live.impairment import LoopbackImpairment
 from repro.live.transport import Transport, UdpTransport
 
 __all__ = [
-    "Clock", "SimClock", "WallClock", "WallTimer",
+    "Clock", "WallClock", "WallTimer",
     "LoopbackImpairment",
     "Transport", "UdpTransport",
     "LiveConfig", "LiveSession", "build_live_session", "run_live",

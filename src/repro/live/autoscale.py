@@ -1,21 +1,17 @@
 """Autoscale ceiling probe: find the machine's sessions/core limit.
 
 ``check_perf.py --live-load`` asks a binary question — can this box
-run N sessions under the pacing-p99 bound? This module asks the open
-one ROADMAP left: what is the *largest* N? The probe runs short
-supervisor rounds (:func:`repro.live.server.run_load`), growing the
-fleet geometrically until the SLO trips (fleet pacing p99 over the
-bound, or any session failing), then bisects between the last passing
-and first failing sizes. The discovered ceiling, normalised to
-sessions/core, is written as a bench artifact so perf history records
-what the hardware could actually sustain — not just that it cleared a
-fixed bar.
+run N sessions under the pacing-p99 bound? This module asks for the
+*largest* N. The probe runs short rounds of the fleet a
+:class:`~repro.live.server.LoadConfig` describes, growing it
+geometrically until the SLO trips (fleet pacing p99 over the template's
+``slo_p99_s``, or any session failing), then bisects between the last
+passing and first failing sizes. The ceiling, normalised to
+sessions/core, is written as a bench artifact.
 
-Determinism caveat, stated upfront: this measures a *real machine
-under real load*, so the ceiling is reproducible only to scheduler
-noise. The bisection therefore stops at a relative resolution
-(``ceil(lo/8)``, minimum 1 session) instead of chasing an exact
-boundary that does not exist.
+This measures a *real machine under real load*, so the ceiling is
+reproducible only to scheduler noise: the bisection stops at a relative
+resolution (``lo // 8``, minimum 1 session).
 """
 
 from __future__ import annotations
@@ -23,50 +19,36 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.live.server import LoadConfig, run_load
 
-__all__ = ["AutoscaleConfig", "run_autoscale", "probe_round"]
+__all__ = ["run_autoscale", "probe_round", "ROUND_DURATION_S"]
+
+#: media seconds per round unless the caller states one (``repro load
+#: --autoscale`` without ``--duration``): each round is a fresh fleet.
+ROUND_DURATION_S = 1.5
+#: geometric growth factor during the ascent phase.
+GROWTH = 2.0
 
 
-@dataclass
-class AutoscaleConfig:
-    """Knobs of one autoscale probe (``repro load --autoscale``)."""
-
-    #: first fleet size tried; defaults (0) to the core count.
-    start: int = 0
-    #: hard cap on fleet size — the probe reports "ceiling at cap"
-    #: rather than growing unboundedly on a big machine.
-    max_sessions: int = 64
-    #: geometric growth factor during the ascent phase.
-    growth: float = 2.0
-    #: media seconds per round (short: each round is a fresh fleet).
-    duration: float = 1.5
-    drain: float = 0.3
-    seed: int = 1
-    mix: Sequence[str] = ("ace",)
-    bottleneck_mbps: float = 20.0
-    #: the SLO: fleet pacing p99 must stay under this, and no session
-    #: may fail. Matches the check_perf --live-load bound by default.
-    p99_limit_ms: float = 250.0
-
-
-def probe_round(sessions: int, cfg: AutoscaleConfig,
-                echo: Optional[Callable[[str], None]] = None) -> dict:
-    """Run one fleet of ``sessions`` and judge it against the SLO."""
+def probe_round(sessions: int, template: LoadConfig,
+                echo: Optional[Callable[[str], None]] = None,
+                trace_factory: Optional[Callable] = None) -> dict:
+    """Run ``template``'s fleet at ``sessions`` (drain ≤ 0.3 s, 0.5 s
+    heartbeat) and judge it: no session fails and the fleet pacing p99
+    stays within ``slo_p99_s``."""
     t0 = time.monotonic()
-    supervisor = run_load(LoadConfig(
-        sessions=sessions, mix=tuple(cfg.mix), ramp=0.0,
-        duration=cfg.duration, drain=cfg.drain, seed=cfg.seed,
-        bottleneck_mbps=cfg.bottleneck_mbps,
-        heartbeat_interval=0.5))
-    summary = supervisor.summary
+    summary = run_load(replace(template, sessions=sessions,
+                               drain=min(template.drain, 0.3),
+                               heartbeat_interval=0.5),
+                       trace_factory=trace_factory).summary
     p99 = summary["pacing_p99_ms"]
     failed = summary["failed"]
-    ok = failed == 0 and p99 is not None and p99 <= cfg.p99_limit_ms
+    ok = (failed == 0 and p99 is not None
+          and p99 <= template.slo_p99_s * 1e3)
     result = {
         "sessions": sessions,
         "ok": ok,
@@ -90,53 +72,50 @@ def _resolution(lo: int) -> int:
     return max(1, lo // 8)
 
 
-def run_autoscale(cfg: Optional[AutoscaleConfig] = None, *,
+def run_autoscale(template: LoadConfig, *, start: int = 0,
+                  max_sessions: int = 64,
+                  trace_factory: Optional[Callable] = None,
                   echo: Optional[Callable[[str], None]] = None,
                   artifact_path: Optional[str] = None,
-                  prober: Optional[Callable[[int, AutoscaleConfig], dict]]
+                  prober: Optional[Callable[[int, LoadConfig], dict]]
                   = None) -> dict:
-    """Probe the sessions/core ceiling; optionally write the artifact.
+    """Probe the sessions/core ceiling of ``template``'s fleet from
+    ``start`` sessions (0: the core count) up to ``max_sessions``;
+    optionally write the artifact.
 
     ``prober`` exists for tests (a synthetic capacity model instead of
     real fleets). Returns the result dict; ``converged`` is True when
     an actual SLO trip bounded the ceiling (False means the probe hit
     ``max_sessions`` or even the first round failed).
     """
-    cfg = cfg or AutoscaleConfig()
-    probe = prober or (lambda n, c: probe_round(n, c, echo))
+    if template.slo_p99_s is None:
+        raise ValueError("the probe judges rounds against the template's "
+                         "slo_p99_s; set it")
+    probe = prober or (lambda n, t: probe_round(n, t, echo, trace_factory))
     cores = os.cpu_count() or 1
-    start = cfg.start if cfg.start > 0 else min(cores, cfg.max_sessions)
     rounds: List[dict] = []
 
     # Ascent: grow geometrically until the SLO trips or the cap holds.
-    n = max(1, start)
-    last_good = 0
-    first_bad: Optional[int] = None
+    n = max(1, start if start > 0 else min(cores, max_sessions))
+    last_good, first_bad = 0, None
     while True:
-        result = probe(n, cfg)
-        rounds.append(result)
-        if result["ok"]:
-            last_good = n
-            if n >= cfg.max_sessions:
-                break
-            n = min(cfg.max_sessions, max(n + 1, int(n * cfg.growth)))
-        else:
+        rounds.append(probe(n, template))
+        if not rounds[-1]["ok"]:
             first_bad = n
             break
+        last_good = n
+        if n >= max_sessions:
+            break
+        n = min(max_sessions, max(n + 1, int(n * GROWTH)))
 
-    # Bisect the (last_good, first_bad) bracket to the stop width.
+    # Bisect the (last_good, first_bad) bracket to the stop width; the
+    # bracket is then at least 2 wide, so ``mid`` lies strictly inside.
     if first_bad is not None:
         lo, hi = last_good, first_bad
         while hi - lo > _resolution(lo):
             mid = (lo + hi) // 2
-            if mid <= lo or mid >= hi:
-                break
-            result = probe(mid, cfg)
-            rounds.append(result)
-            if result["ok"]:
-                lo = mid
-            else:
-                hi = mid
+            rounds.append(probe(mid, template))
+            lo, hi = (mid, hi) if rounds[-1]["ok"] else (lo, mid)
         last_good = lo
 
     result = {
@@ -146,12 +125,12 @@ def run_autoscale(cfg: Optional[AutoscaleConfig] = None, *,
         "cores": cores,
         "converged": first_bad is not None and last_good > 0,
         "at_cap": first_bad is None,
-        "p99_limit_ms": cfg.p99_limit_ms,
-        "round_duration_s": cfg.duration,
-        "mix": list(cfg.mix),
+        "p99_limit_ms": template.slo_p99_s * 1e3,
+        "round_duration_s": template.duration,
+        "mix": list(template.mix),
         "rounds": rounds,
         "created_unix": round(time.time(), 3),
-        "config": asdict(cfg),
+        "config": asdict(template),
     }
     if artifact_path is not None:
         path = Path(artifact_path)

@@ -6,8 +6,7 @@ and cancels pending work through the returned handle. :class:`Clock`
 captures exactly that surface, so the same component code runs
 
 * inside the discrete-event simulator (:class:`~repro.sim.events.EventLoop`
-  satisfies the protocol natively; :class:`SimClock` wraps one when a
-  distinct clock object is wanted), and
+  satisfies the protocol natively: the loop is the sim clock), and
 * against real time on asyncio (:class:`WallClock`), where ``repro live``
   drives the stack over actual UDP sockets.
 
@@ -32,8 +31,6 @@ import asyncio
 from time import process_time
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.sim.events import EventLoop
-
 
 @runtime_checkable
 class ScheduledCall(Protocol):
@@ -55,36 +52,6 @@ class Clock(Protocol):
 
     def call_later(self, delay: float, callback: Callable[[], None],
                    name: str = "") -> ScheduledCall: ...
-
-
-class SimClock:
-    """A :class:`Clock` wrapping a discrete-event :class:`EventLoop`.
-
-    Scheduling delegates to the wrapped loop's own bound methods (no
-    per-call indirection), so a stack scheduled through a ``SimClock``
-    produces the *identical* event sequence as one holding the loop
-    directly. Exists for call sites that want an explicit clock object;
-    passing the ``EventLoop`` itself is equivalent (it satisfies the
-    protocol structurally).
-    """
-
-    __slots__ = ("loop", "call_at", "call_later")
-
-    def __init__(self, loop: Optional[EventLoop] = None) -> None:
-        self.loop = loop if loop is not None else EventLoop()
-        # Bound-method forwarding: scheduling through the clock is
-        # byte-for-byte the same operation as scheduling on the loop.
-        self.call_at = self.loop.call_at
-        self.call_later = self.loop.call_later
-
-    @property
-    def now(self) -> float:
-        return self.loop.now
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Advance simulated time (driver-side; components never call this)."""
-        self.loop.run(until=until, max_events=max_events)
 
 
 class WallTimer:

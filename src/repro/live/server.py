@@ -19,9 +19,13 @@ rollup on ``--stats-port`` (``session="<label>"`` per shard), ``load
 --dash`` and ``repro watch`` all read that record.
 
 Soak safety rests on the session layer: sessions leave nothing
-scheduled on the loop, and per-session windows are bounded (the pacer's
-occupancy ring at ``DEFAULT_LOAD_STATS_CAP``, the burst analyzer's
-pacing window), so fleet memory is ``sessions x cap``.
+scheduled on the loop, and every per-session telemetry window is
+bounded — the pacer's occupancy ring at ``DEFAULT_LOAD_STATS_CAP``, the
+burst analyzer's pacing window, and (event log off) the record ring,
+the wire-row window and the spans of frames not yet displayed. A
+session's own result is not: its sender's frame metrics and send log
+grow with its frames and packets, so a soak's memory grows with its
+media, not with its telemetry.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ def session_row(rec: SessionRecord) -> dict:
     if session is not None and session.sender is not None:
         row["frames"] = len(session.sender.frame_metrics)
         telemetry = session.telemetry
-        if telemetry is not None and telemetry.burst is not None:
+        if telemetry is not None:
             for key, value in zip(("pacing_p50_ms", "pacing_p99_ms"),
                                   telemetry.burst.pacing_percentiles()):
                 if value is not None:
@@ -195,7 +199,7 @@ def session_row(rec: SessionRecord) -> dict:
 
 def _publish(shard: MetricRegistry, row: dict) -> None:
     """A session row as push gauges in the session's own shard
-    (``record=False``: nothing lands in its event log or flight ring)."""
+    (``record=False``: nothing lands in its record store)."""
     status = shard.gauge("live.status", record=False,
                          help="1, labelled with the session's status")
     status.labels = {"status": row["status"]}
@@ -412,9 +416,8 @@ class SessionSupervisor:
             telemetry = session.telemetry
             if telemetry is not None:
                 _publish(telemetry.registry, row)
-                if telemetry.burst is not None:
-                    pooled += telemetry.burst.recent_pacing()[
-                        -self.FLEET_PACING_WINDOW:].tolist()
+                pooled += telemetry.burst.recent_pacing()[
+                    -self.FLEET_PACING_WINDOW:].tolist()
         p50, p99 = percentiles(pooled, (50.0, 99.0))
         fleet = {f"sessions_{s}": counts[s]
                  for s in ("pending", "running", "skipped")}

@@ -61,7 +61,7 @@ class LiveConfig(Observe):
     stats_port: Optional[int] = None
     #: keep the full telemetry event log. The multi-session supervisor
     #: turns this off so soak-scale fleets keep only the metric registry
-    #: and the bounded flight ring per session.
+    #: and bounded windows (flight ring, wire rows, undisplayed spans).
     keep_telemetry_events: bool = True
     #: shrink the pacer's occupancy sample ring to this many entries
     #: (None = the pacer default); set per session by the supervisor so

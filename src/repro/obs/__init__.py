@@ -3,9 +3,10 @@
 One subsystem answers "where did the time go?" at runtime instead of
 post-hoc: frame-lifecycle spans (capture -> encode -> packetize ->
 pacer-enqueue -> wire -> reassembly -> display), a metric registry the
-pacing/control components publish into, a bounded flight recorder the
-invariant auditor dumps on violation, and exporters (JSONL event log,
-Prometheus-style text snapshot, CLI timelines).
+pacing/control components publish into, a bounded flight window (the
+record store's tail) the invariant auditor dumps on violation, and
+exporters (JSONL event log, Prometheus-style text snapshot, CLI
+timelines).
 
 Everything here is a pure observer: telemetry never draws randomness,
 never mutates component state, and never advances lazy-refill token
@@ -37,12 +38,12 @@ _SUBMODULES = {
     "resources": "process_rss_bytes",
     "slo": "SloRule SloWatchdog fleet_slo_rules session_slo_rules",
     "attrib": ("BLAME_CATEGORIES BlameSegment FrameBlame SessionAttribution "
-               "attribute_frames attribute_metrics attribute_session "
+               "attribute_frames attribute_session "
                "render_frame_blame render_rollup"),
     "fleet": ("FleetObserver LiveFleetLog build_manifest diff_runs load_run "
               "report_run"),
     "profiler": "LoopProfiler ProfileEntry",
-    "recorder": "FlightRecorder Telemetry TelemetryRecord",
+    "recorder": "Telemetry TelemetryRecord",
     "registry": "Counter Gauge Histogram MetricRegistry",
     "spans": "SPAN_STAGES FrameSpan SpanBook",
     "export": ("filter_records prometheus_rollup prometheus_snapshot "

@@ -30,12 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.decisions import DecisionLog, step_function
-
-if TYPE_CHECKING:
-    from repro.rtc.metrics import SessionMetrics
 
 #: category used for the interval before ACE-N's first decision.
 STARTUP = "startup"
@@ -189,22 +186,6 @@ def attribute_frames(frames: Iterable[tuple[int, float, float]],
                 break
         blames.append(blame)
     return blames
-
-
-def attribute_metrics(metrics: "SessionMetrics",
-                      log: Optional[DecisionLog] = None,
-                      ) -> SessionAttribution:
-    """Attribution from a finished session's metrics + ACE-N's log.
-
-    Uses the per-frame ``pacer_enqueue``/``pacer_last_exit`` stamps (the
-    same interval the spans' ``pacing`` component measures); frames that
-    never fully left the pacer are skipped.
-    """
-    frames = [(f.frame_id, f.pacer_enqueue, f.pacer_last_exit)
-              for f in metrics.frames
-              if f.pacer_enqueue is not None and f.pacer_last_exit is not None]
-    return SessionAttribution(
-        attribute_frames(frames, log, metrics.bwe_history))
 
 
 def attribute_session(session) -> SessionAttribution:

@@ -117,8 +117,8 @@ class BurstAnalyzer:
             "burst.pacing_delay_s", buckets=PACING_DELAY_BUCKETS_S,
             help="Per-packet pacing delay, enqueue to wire (seconds)")
         # record=False: these bump per packet / per train — aggregate
-        # only, like the histograms, so the event log and flight ring
-        # keep their span-level signal-to-noise.
+        # only, like the histograms, so the record store keeps its
+        # span-level signal-to-noise.
         self._c_packets = registry.counter(
             "burst.packets", record=False,
             help="Packets seen by the burst analyzer")

@@ -187,7 +187,10 @@ class FleetObserver(RunLog):
                   wall_s: float = 0.0, pid: Optional[int] = None,
                   engine: Optional[str] = None,
                   fallback_reason: Optional[str] = None) -> None:
-        """One grid cell finished. ``source``: ``cache``/``worker``/``inline``.
+        """One grid cell finished. ``source``: ``cache`` (a hit),
+        ``worker``/``inline`` (a miss, run in a pool worker or in the
+        parent) or ``bypass`` (run without asking a cache: there is
+        none, or the cell is instrumented) — neither a hit nor a miss.
 
         ``engine`` is the engine that actually ran the cell (``None``
         when unknown: cache hits, arena cells) and ``fallback_reason``
@@ -202,7 +205,8 @@ class FleetObserver(RunLog):
         if source == "cache":
             self.cache_hits += 1
         else:
-            self.cache_misses += 1
+            if source != "bypass":
+                self.cache_misses += 1
             self._worker_walls.append(wall_s)
             wid = pid if pid is not None else os.getpid()
             stats = self.workers.setdefault(wid, {"cells": 0, "wall_s": 0.0})

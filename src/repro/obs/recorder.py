@@ -1,4 +1,4 @@
-"""Telemetry recorder: structured records, probe rows, flight ring, tick.
+"""Telemetry recorder: structured records, probe rows, flight window, tick.
 
 :class:`Telemetry` is the session-scoped hub the instrumented stack
 writes into. It is *opt-in*: components hold ``telemetry = None`` by
@@ -7,23 +7,24 @@ without telemetry pays one attribute read per instrumented site and the
 perf gate (``scripts/check_perf.py``) holds that to the committed
 baseline.
 
-Two streams, one emission order. Frame stages, metric samples and
-annotations are :class:`TelemetryRecord` objects. The per-packet
-``wire`` stream is columnar (:class:`WireRows`): the reference loop and
-live mode append a row per :meth:`Telemetry.packet_wire` call, the batch
-engine a release train per :meth:`Telemetry.wire_train`, and the
-consumers (burst analyzer, span ``wire_first``/``wire_last``) take
-pending rows in bulk at the telemetry tick or on first read. The event
-log (unless ``keep_events=False``) and the bounded
-:class:`FlightRecorder` ring — the window the invariant auditor dumps on
-a violation and ``repro fuzz`` attaches to shrunk reproductions — are
-views that materialise rows as records on demand, in emission order.
+Two streams, one emission order, one store each. Frame stages, metric
+samples and annotations are :class:`TelemetryRecord` objects, kept in
+the event log or, with ``keep_events=False``, in a ring of the last
+``flight_capacity``. The per-packet ``wire`` stream is columnar
+(:class:`WireRows`): a row per :meth:`Telemetry.packet_wire` call or a
+release train per :meth:`Telemetry.wire_train`, which the burst analyzer
+and the span brackets consume in bulk at the tick or on first read. The
+event log and the flight window (the tail the invariant auditor dumps
+on a violation) materialise rows as records on demand, in emission
+order. With the log off, a displayed frame's span goes once its pacing
+is observed, so every store is bounded.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
     from repro.live.clock import Clock, ScheduledCall
     from repro.obs.slo import SloWatchdog
 
-#: default flight-recorder depth (records, not seconds).
+#: default flight-window depth (records, not seconds).
 DEFAULT_FLIGHT_CAPACITY = 512
 #: default metric sampling cadence (seconds).
 DEFAULT_TICK_INTERVAL_S = 0.1
@@ -181,53 +182,8 @@ def _merge(records, first: int, rows) -> list[TelemetryRecord]:
     return out
 
 
-class FlightRecorder:
-    """Bounded ring of the most recent telemetry records.
-
-    ``rows`` is the session's :class:`WireRows`, if any: the window then
-    covers both streams, materialised by :meth:`records`.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY,
-                 rows: Optional[WireRows] = None) -> None:
-        self.capacity = capacity
-        self._ring: deque[TelemetryRecord] = deque(maxlen=capacity)
-        self._rows = rows
-        #: records appended so far — the emission index of the next row.
-        self.appended = 0
-
-    @property
-    def total_seen(self) -> int:
-        return self.appended + (len(self._rows) if self._rows is not None
-                                else 0)
-
-    def append(self, record: TelemetryRecord) -> None:
-        self.appended += 1
-        self._ring.append(record)
-
-    def records(self) -> list[TelemetryRecord]:
-        ring = list(self._ring)
-        if self._rows is None or not len(self._rows):
-            return ring
-        tail = tuple(c[-self.capacity:] for c in self._rows.columns())
-        return _merge(ring, self.appended - len(ring),
-                      tail)[-self.capacity:]
-
-    def dump(self) -> str:
-        """Human-readable dump of the window (newest last)."""
-        from repro.obs.export import render_record
-        ring = self.records()
-        dropped = self.total_seen - len(ring)
-        header = (f"flight recorder: last {len(ring)} of {self.total_seen} "
-                  f"records ({dropped} older records rotated out)")
-        return "\n".join([header] + [f"  {render_record(r)}" for r in ring])
-
-    def __len__(self) -> int:
-        return min(self.capacity, self.total_seen)
-
-
 class Telemetry:
-    """Session telemetry hub: registry + spans + event log + flight ring.
+    """Session telemetry hub: registry + spans + one record store.
 
     ``clock`` may be attached lazily (:meth:`attach_clock`) — sim
     sessions construct their loop first, live sessions their wall clock
@@ -241,23 +197,22 @@ class Telemetry:
     def __init__(self, clock: Optional["Clock"] = None,
                  flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
                  tick_interval: Optional[float] = DEFAULT_TICK_INTERVAL_S,
-                 keep_events: bool = True, burst: bool = True) -> None:
+                 keep_events: bool = True) -> None:
         self.clock = clock
         self.tick_interval = tick_interval
         self.keep_events = keep_events
+        self.flight_capacity = flight_capacity
         registry = self._registry = MetricRegistry(record=self._record_metric)
         self._spans = SpanBook()
-        self._records: list[TelemetryRecord] = []
-        self._events: tuple[tuple[int, int], list[TelemetryRecord]] = (
-            (0, 0), [])
-        #: ``wire`` probe rows (flight window's worth without event log).
+        #: the record store: the event log, or a flight window's ring.
+        self._records = [] if keep_events else deque(maxlen=flight_capacity)
+        #: records emitted so far — the emission index of the next row.
+        self._recorded = 0
+        self._events: tuple = ((0, 0), [])   # (log size, materialised)
+        #: ``wire`` probe rows (a flight window's worth without the log).
         self.wire = WireRows(keep=None if keep_events else flight_capacity)
-        self.flight = FlightRecorder(flight_capacity, self.wire)
         self._tick_handle: Optional["ScheduledCall"] = None
-        #: streaming burstiness analyzer over the wire rows (observe-only,
-        #: so it rides along whenever telemetry itself is on).
-        self._burst: Optional[BurstAnalyzer] = (
-            BurstAnalyzer(registry) if burst else None)
+        self._burst = BurstAnalyzer(registry)
         #: set by ``BatchPipeline.install``: answers the occupancy gauges
         #: the batch engine holds in arrays (see obs.wiring).
         self.pipeline = None
@@ -319,16 +274,15 @@ class Telemetry:
     # ------------------------------------------------------------------
     # SLO watchdog
     # ------------------------------------------------------------------
-    def attach_watchdog(self, *, pacing_p99_s: float = 0.25
-                        ) -> "SloWatchdog":
+    def attach_watchdog(self, *, pacing_p99_s: float = 0.25) -> "SloWatchdog":
         """Attach an SLO watchdog evaluated on every telemetry tick.
 
         The session rules watch the burst analyzer's pacing-delay tail
         (p99 bound ``pacing_p99_s``) and pacer-backlog drift
         (:func:`repro.obs.slo.session_slo_rules`). The watchdog
         publishes its ``slo.*`` mirror instruments into this registry,
-        and every firing/cleared transition lands in the event log and
-        flight ring as an ``slo.alert`` annotation.
+        and every firing/cleared transition lands in the record store as
+        an ``slo.alert`` annotation.
         """
         from repro.obs.slo import SloWatchdog, session_slo_rules
 
@@ -366,9 +320,8 @@ class Telemetry:
                **fields) -> TelemetryRecord:
         rec = TelemetryRecord(self.now if at is None else at, kind, name,
                               fields)
-        if self.keep_events:
-            self._records.append(rec)
-        self.flight.append(rec)
+        self._records.append(rec)
+        self._recorded += 1
         return rec
 
     def _record_metric(self, kind: str, name: str, value: float) -> None:
@@ -411,7 +364,7 @@ class Telemetry:
         rows.frame_id.append(frame_id)
         rows.size.append(size_bytes)
         rows.delay.append(_NAN if pacing_delay is None else pacing_delay)
-        rows.index.append(self.flight.appended)
+        rows.index.append(self._recorded)
         if len(rows.t) >= MAX_PENDING_ROWS:
             self._sync()
 
@@ -420,8 +373,7 @@ class Telemetry:
         """Bulk twin of :meth:`packet_wire`: one frame's release train,
         straight from the batch engine's arrays."""
         rows = self.wire
-        rows.extend(frame_id, times, sizes, pacing_delays,
-                    self.flight.appended)
+        rows.extend(frame_id, times, sizes, pacing_delays, self._recorded)
         if rows.pending >= MAX_PENDING_ROWS:
             self._sync()
 
@@ -440,21 +392,22 @@ class Telemetry:
                 stage(int(frame_id[head]), "wire_last",
                       float(t[tail - 1])).stamps.setdefault(
                           "wire_first", float(t[head]))
-            if self._burst is not None:
-                self._burst.on_rows(t, size, delay)
+            self._burst.on_rows(t, size, delay)
         if self._displayed:
+            spans = self._spans.spans
             for span in self._displayed:
                 pacing = span.durations().get("pacing")
                 if pacing is not None:
                     self._pacing_hist.observe(pacing)
+                if not self.keep_events:    # its last reader is done
+                    spans.pop(span.frame_id, None)
             self._displayed.clear()
 
     def flush(self) -> None:
         """End of session: consume what is pending and close the burst
         analyzer's in-progress train."""
         self._sync()
-        if self._burst is not None:
-            self._burst.flush()
+        self._burst.flush()
 
     # ------------------------------------------------------------------
     # views
@@ -470,7 +423,7 @@ class Telemetry:
         return self._spans
 
     @property
-    def burst(self) -> Optional[BurstAnalyzer]:
+    def burst(self) -> BurstAnalyzer:
         self._sync()
         return self._burst
 
@@ -486,10 +439,32 @@ class Telemetry:
                                         self.wire.columns()))
         return self._events[1]
 
+    @property
+    def emitted(self) -> int:
+        """Records and wire rows emitted so far, retained or not."""
+        return self._recorded + len(self.wire)
+
+    def flight_window(self) -> list[TelemetryRecord]:
+        """The last ``flight_capacity`` records of both streams: the
+        record store's tail merged with the wire rows', in emission order."""
+        capacity = self.flight_capacity
+        tail = list(islice(reversed(self._records), capacity))[::-1]
+        rows = tuple(column[-capacity:] for column in self.wire.columns())
+        return _merge(tail, self._recorded - len(tail), rows)[-capacity:]
+
     def flight_dump(self) -> str:
-        return self.flight.dump()
+        """Human-readable dump of the flight window (newest last)."""
+        from repro.obs.export import render_record
+        window = self.flight_window()
+        seen = self.emitted
+        header = (f"flight recorder: last {len(window)} of {seen} records "
+                  f"({seen - len(window)} older records rotated out)")
+        return "\n".join([header]
+                         + [f"  {render_record(r)}" for r in window])
 
     def metric_series(self, name: str) -> list[tuple[float, float]]:
-        """(time, value) samples of one metric from the event log."""
-        return [(r.time, r.fields["value"]) for r in self._records
+        """(time, value) samples of one metric from the event log
+        (empty with ``keep_events=False``)."""
+        log = self._records if self.keep_events else ()
+        return [(r.time, r.fields["value"]) for r in log
                 if r.kind == "metric" and r.name == name]

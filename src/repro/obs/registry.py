@@ -152,7 +152,7 @@ class MetricRegistry:
                 record: bool = True) -> Counter:
         """``record=False`` registers a hot-path counter whose bumps are
         aggregated only (like histogram observations) instead of landing
-        one event per ``inc`` in the log and flight ring."""
+        one event per ``inc`` in the record store."""
         c = self.counters.get(name)
         if c is None:
             c = self.counters[name] = Counter(

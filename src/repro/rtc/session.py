@@ -149,12 +149,6 @@ class FlowStack:
             send_feedback_fn=send_feedback,
             decode_time_fn=self.codec.decode_time,
         )
-        # The receiver learns frame metadata lazily, straight off the
-        # sender's metrics dict.
-        self.receiver.frame_capture_time = _FrameFieldView(self.sender,
-                                                           "capture_time")
-        self.receiver.frame_quality = _FrameFieldView(self.sender,
-                                                      "quality_vmaf")
         self.display_sync = DisplaySync(self.sender, self.receiver)
 
     def attach_telemetry(self, telemetry, link=None) -> None:
@@ -287,7 +281,7 @@ class Session:
             return self.telemetry
         from repro.obs import Telemetry, instrument_arena
         tel = telemetry if telemetry is not None else Telemetry(
-            # A live fleet keeps only the registry and the flight ring.
+            # A live fleet keeps the registry and bounded windows only.
             keep_events=getattr(self.config, "keep_telemetry_events", True))
         tel.attach_clock(self.clock)
         flow0 = self.stacks.get(0)
@@ -465,16 +459,3 @@ class RtcSession(Session):
 def _send_tagged(path: NetworkPath, fid: int, packet: Packet) -> None:
     packet.flow_id = fid
     path.send(packet)
-
-
-class _FrameFieldView(dict):
-    """Lazy view mapping frame_id -> one field of the sender's metrics."""
-
-    def __init__(self, sender: Sender, field: str) -> None:
-        super().__init__()
-        self._frames = sender.frame_metrics
-        self._field = field
-
-    def get(self, frame_id, default=None):
-        metrics = self._frames.get(frame_id)
-        return default if metrics is None else getattr(metrics, self._field)

@@ -24,14 +24,12 @@ class FrameRecord:
     """Receiver-side lifecycle of one video frame."""
 
     frame_id: int
-    capture_time: float
     size_bytes: int = 0
     packet_count: int = 0
     packets_received: int = 0
     first_arrival: Optional[float] = None
     complete_at: Optional[float] = None
     displayed_at: Optional[float] = None
-    quality_vmaf: float = 0.0
     had_retransmission: bool = False
     #: the sender's previously *sent* frame id (None if not signaled).
     prev_sent_frame_id: Optional[int] = None
@@ -39,12 +37,6 @@ class FrameRecord:
     @property
     def complete(self) -> bool:
         return self.complete_at is not None
-
-    @property
-    def e2e_latency(self) -> Optional[float]:
-        if self.displayed_at is None:
-            return None
-        return self.displayed_at - self.capture_time
 
 
 class TransportReceiver:
@@ -92,9 +84,6 @@ class TransportReceiver:
         #: FEC repair state (active as soon as parity packets arrive).
         self.fec = FecDecoder(on_repair=self._fec_repair)
         self._fec_meta: dict[int, tuple[int, int, int, int]] = {}
-        #: set by the pipeline so quality can be attached to frame records
-        self.frame_quality: dict[int, float] = {}
-        self.frame_capture_time: dict[int, float] = {}
 
     def start(self) -> None:
         """Begin the periodic feedback timer."""
@@ -144,12 +133,8 @@ class TransportReceiver:
             return
         record = self.frames.get(packet.frame_id)
         if record is None:
-            record = FrameRecord(
-                frame_id=packet.frame_id,
-                capture_time=self.frame_capture_time.get(packet.frame_id, packet.t_arrival or 0.0),
-                packet_count=packet.frame_packet_count,
-                quality_vmaf=self.frame_quality.get(packet.frame_id, 0.0),
-            )
+            record = FrameRecord(frame_id=packet.frame_id,
+                                 packet_count=packet.frame_packet_count)
             self.frames[packet.frame_id] = record
         if record.first_arrival is None:
             record.first_arrival = packet.t_arrival
@@ -201,13 +186,7 @@ class TransportReceiver:
         # without FEC, so no parity packet can ever reference these seqs.
         record = self.frames.get(frame_id)
         if record is None:
-            record = FrameRecord(
-                frame_id=frame_id,
-                capture_time=self.frame_capture_time.get(
-                    frame_id, float(arrivals[0])),
-                packet_count=packet_count,
-                quality_vmaf=self.frame_quality.get(frame_id, 0.0),
-            )
+            record = FrameRecord(frame_id=frame_id, packet_count=packet_count)
             self.frames[frame_id] = record
         if record.first_arrival is None:
             record.first_arrival = float(arrivals[0])
@@ -282,12 +261,7 @@ class TransportReceiver:
         self.feedback_builder.on_packet(synthetic)
         record = self.frames.get(frame_id)
         if record is None:
-            record = FrameRecord(
-                frame_id=frame_id,
-                capture_time=self.frame_capture_time.get(frame_id, self.loop.now),
-                packet_count=count,
-                quality_vmaf=self.frame_quality.get(frame_id, 0.0),
-            )
+            record = FrameRecord(frame_id=frame_id, packet_count=count)
             self.frames[frame_id] = record
         record.packets_received += 1
         record.size_bytes += size

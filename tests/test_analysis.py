@@ -7,10 +7,8 @@ import pytest
 from repro.analysis import (
     RunResult,
     compare_runs,
-    latency_report,
     load_results,
     save_results,
-    session_report,
 )
 from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
@@ -53,22 +51,6 @@ class TestRunResult:
 
 
 class TestReports:
-    def test_session_report_mentions_key_metrics(self, metrics):
-        text = session_report(metrics, title="demo")
-        assert "demo" in text
-        assert "p95" in text
-        assert "VMAF" in text
-        assert "stalls" in text
-
-    def test_latency_report_has_components(self, metrics):
-        text = latency_report(metrics)
-        for comp in ("e2e", "pacing", "network", "encode"):
-            assert comp in text
-
-    def test_latency_report_empty(self):
-        from repro.rtc.metrics import SessionMetrics
-        assert "no displayed frames" in latency_report(SessionMetrics(duration=1.0))
-
     def test_compare_runs_relative_to_reference(self, metrics):
         ref = RunResult.from_metrics(metrics, baseline="webrtc-star",
                                      trace="const", seed=5)

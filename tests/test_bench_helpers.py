@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.bench.tables import cdf_points, fmt_ms, fmt_pct, print_series, print_table
-from repro.bench.workloads import bench_traces, run_baseline, run_baselines, trace_library
+from repro.bench.workloads import run_baseline, run_baselines, trace_library
 from repro.net.trace import BandwidthTrace
 
 
@@ -46,11 +46,6 @@ class TestWorkloads:
     def test_trace_library_cached(self):
         assert trace_library(seed=1) is trace_library(seed=1)
         assert trace_library(seed=1) is not trace_library(seed=2)
-
-    def test_bench_traces_subset(self):
-        traces = bench_traces(classes=("wifi",), per_class=2)
-        assert set(traces) == {"wifi"}
-        assert len(traces["wifi"]) == 2
 
     def test_run_baseline_returns_metrics(self):
         trace = BandwidthTrace.constant(15e6, duration=10.0)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main, make_trace, metrics_row
@@ -17,6 +19,7 @@ class TestMakeTrace:
     def test_constant(self):
         trace = make_trace("const:12.5", seed=1, duration=10.0)
         assert trace.rate_at(0.0) == 12.5e6
+        assert trace.name == "const:12.5"
 
     def test_weak_venue(self):
         trace = make_trace("weak:canteen", seed=1, duration=10.0)
@@ -67,12 +70,22 @@ class TestCommands:
                    "const:15", "--seeds", "1", "--duration", "3"])
         assert rc == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()
-                if "/constant/1/gaming" in line]
+                if "/const:15/1/gaming" in line]
         assert rows == [
-            ["cbr/constant/1/gaming",
+            ["cbr/const:15/1/gaming",
              "139.0", "60.0", "56.4", "1.32%", "1.87%", "30.0"],
-            ["always-burst/constant/1/gaming",
+            ["always-burst/const:15/1/gaming",
              "250.0", "50.0", "23.8", "15.22%", "20.73%", "30.0"]]
+
+    def test_grid_over_two_constant_rates(self, capsys):
+        """Each const:<mbps> trace is its own grid cell (they were all
+        named "constant": a duplicate-cell error)."""
+        rc = main(["grid", "--baselines", "ace", "--traces",
+                   "const:10,const:20", "--seeds", "1", "--duration", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "ace/const:10/1/gaming" in out
+        assert "ace/const:20/1/gaming" in out
 
     def test_sweep_rtt(self, capsys):
         rc = main(["sweep-rtt", "--baseline", "cbr", "--rtts", "20,40",
@@ -308,6 +321,27 @@ class TestGridAndReport:
         for name in ("manifest.json", "cells.jsonl", "results.json",
                      "summary.json"):
             assert (path / name).is_file(), name
+
+    def test_cached_grid_heartbeat_and_summary_count_alike(
+            self, tmp_path, monkeypatch):
+        """One count of cache outcomes: the last heartbeat's block is the
+        summary's, cold, warm, and with every cell bypassing the cache
+        (--series instruments cells, which then neither hit nor miss)."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        grid = ["grid", "--baselines", "cbr,always-burst", "--traces",
+                "const:15", "--seeds", "2,3", "--duration", "1", "--cache"]
+        for run, extra, want in (("cold", [], (0, 4)),
+                                 ("warm", [], (4, 0)),
+                                 ("series", ["--series"], (0, 0))):
+            run_dir = tmp_path / run
+            assert main(grid + extra + ["--run-dir", str(run_dir)]) == 0
+            beats = [json.loads(line) for line in
+                     (run_dir / "cells.jsonl").read_text().splitlines()
+                     if '"heartbeat"' in line]
+            summary = json.loads((run_dir / "summary.json").read_text())
+            cache = beats[-1]["cache"]
+            assert (cache["hits"], cache["misses"]) == want, run
+            assert cache == {k: summary["cache"][k] for k in cache}, run
 
     def test_grid_without_run_dir_prints_table(self, capsys):
         rc = main(["grid", "--baselines", "cbr", "--traces", "const:15",

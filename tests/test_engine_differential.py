@@ -104,7 +104,7 @@ def _flight_dump(case: FuzzCase) -> str:
                             _case_config(case))
     session.enable_telemetry(Telemetry(keep_events=False))
     session.run()
-    return session.telemetry.flight.dump()
+    return session.telemetry.flight_dump()
 
 
 def test_fuzz_scenarios_cover_both_seam_sides():

@@ -14,7 +14,7 @@ import asyncio
 
 import pytest
 
-from repro.live.clock import Clock, ScheduledCall, SimClock, WallClock
+from repro.live.clock import Clock, ScheduledCall, WallClock
 from repro.sim.events import EventLoop, SimulationError
 
 
@@ -27,10 +27,6 @@ def test_event_loop_satisfies_clock_protocol():
     assert isinstance(EventLoop(), Clock)
 
 
-def test_sim_clock_satisfies_clock_protocol():
-    assert isinstance(SimClock(), Clock)
-
-
 def test_wall_clock_satisfies_clock_protocol():
     async def check():
         assert isinstance(WallClock(asyncio.get_running_loop()), Clock)
@@ -39,11 +35,11 @@ def test_wall_clock_satisfies_clock_protocol():
 
 
 # ---------------------------------------------------------------------------
-# sim clock semantics
+# sim clock semantics (the EventLoop is the sim clock)
 # ---------------------------------------------------------------------------
 def test_sim_clock_equivalent_to_direct_loop_scheduling():
-    """Scheduling through SimClock produces the loop's own event objects."""
-    clock = SimClock()
+    """The loop's own event objects are the clock's handles."""
+    clock = EventLoop()
     fired = []
     handle = clock.call_later(0.5, lambda: fired.append(clock.now))
     assert isinstance(handle, ScheduledCall)
@@ -53,20 +49,8 @@ def test_sim_clock_equivalent_to_direct_loop_scheduling():
     assert clock.now == 1.0
 
 
-def test_sim_clock_wraps_existing_loop():
-    loop = EventLoop()
-    clock = SimClock(loop)
-    fired = []
-    clock.call_later(1.0, lambda: fired.append(True))
-    # Scheduled straight onto the wrapped loop: running the loop itself
-    # (not the clock) fires it, and the clocks share one timebase.
-    loop.run(until=2.0)
-    assert fired == [True]
-    assert clock.now == loop.now == 2.0
-
-
 def test_sim_clock_cancellation():
-    clock = SimClock()
+    clock = EventLoop()
     fired = []
     handle = clock.call_later(0.1, lambda: fired.append("a"))
     clock.call_later(0.2, lambda: fired.append("b"))
@@ -77,7 +61,7 @@ def test_sim_clock_cancellation():
 
 
 def test_sim_clock_equal_deadlines_fire_in_scheduling_order():
-    clock = SimClock()
+    clock = EventLoop()
     fired = []
     for tag in range(5):
         clock.call_at(0.5, lambda t=tag: fired.append(t))
@@ -217,7 +201,7 @@ def test_wall_clock_sleep_uses_own_loop_timebase():
 # sim clock call_at rejects the past (documented divergence)
 # ---------------------------------------------------------------------------
 def test_sim_clock_call_at_raises_on_past():
-    clock = SimClock()
+    clock = EventLoop()
     clock.call_later(1.0, lambda: None)
     clock.run(until=1.0)
     with pytest.raises(SimulationError):

@@ -10,7 +10,6 @@ from repro.obs import (
     BLAME_CATEGORIES,
     SessionAttribution,
     attribute_frames,
-    attribute_metrics,
     attribute_session,
     render_frame_blame,
     render_rollup,
@@ -161,15 +160,6 @@ class TestSessionIntegration:
             for seg in blame.segments:
                 assert seg.reason in BLAME_CATEGORIES
                 assert seg.end >= seg.start
-
-    def test_session_helper_matches_metrics_path(self):
-        session, metrics = run_session()
-        a = attribute_session(session)
-        b = attribute_metrics(metrics, session.sender.ace_n.log)
-        assert len(a) == len(b)
-        for x, y in zip(a.blames, b.blames):
-            assert x.frame_id == y.frame_id
-            assert x.breakdown() == y.breakdown()
 
     def test_non_ace_baseline_is_uncontrolled(self):
         session, _ = run_session(baseline="webrtc", duration=2.0)

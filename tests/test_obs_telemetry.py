@@ -1,7 +1,7 @@
 """Tests for the repro.obs telemetry subsystem.
 
 Covers the metric registry instruments, frame spans, the flight
-recorder, the exporters, full-session wiring (span/metric reconciliation
+window, the exporters, full-session wiring (span/metric reconciliation
 against ``SessionMetrics``), the auditor's flight-recorder dump, and the
 ``REPRO_TELEMETRY`` environment switch.
 """
@@ -15,12 +15,10 @@ import pytest
 
 from repro.net.trace import BandwidthTrace
 from repro.obs import (
-    FlightRecorder,
     FrameSpan,
     MetricRegistry,
     SpanBook,
     Telemetry,
-    TelemetryRecord,
     filter_records,
     prometheus_snapshot,
     render_span_timeline,
@@ -138,39 +136,43 @@ class TestSpans:
 
 
 # ---------------------------------------------------------------------------
-# flight recorder
+# flight window: the tail of the one record store
 # ---------------------------------------------------------------------------
 class TestFlightRecorder:
+    @staticmethod
+    def _fed(n, **kwargs):
+        tel = Telemetry(**kwargs)
+        for i in range(n):
+            tel.record("event", f"r{i}", at=float(i))
+        return tel
+
     def test_ring_is_bounded(self):
-        ring = FlightRecorder(capacity=4)
-        for i in range(10):
-            ring.append(TelemetryRecord(float(i), "event", f"r{i}"))
-        assert len(ring) == 4
-        assert [r.name for r in ring.records()] == ["r6", "r7", "r8", "r9"]
-        assert ring.total_seen == 10
+        for keep in (True, False):   # the log's tail or the ring: one window
+            tel = self._fed(10, keep_events=keep, flight_capacity=4)
+            assert [r.name for r in tel.flight_window()] \
+                == ["r6", "r7", "r8", "r9"]
+            assert tel.emitted == 10
+        assert len(tel._records) == 4   # the ring is the only store
 
     def test_dump_reports_rotation(self):
-        ring = FlightRecorder(capacity=2)
-        for i in range(5):
-            ring.append(TelemetryRecord(float(i), "event", f"r{i}"))
-        dump = ring.dump()
+        dump = self._fed(5, flight_capacity=2).flight_dump()
         assert "last 2 of 5" in dump
         assert "3 older records rotated out" in dump
         assert "r4" in dump and "r0" not in dump
 
     def test_flight_only_mode_keeps_no_event_log(self):
-        tel = Telemetry(keep_events=False, flight_capacity=8)
-        for i in range(20):
-            tel.record("event", f"e{i}", at=float(i))
-        assert tel.events == []
-        assert len(tel.flight) == 8
-        assert "e19" in tel.flight_dump()
+        tel = self._fed(20, keep_events=False, flight_capacity=8)
+        tel.registry.counter("c").inc()     # a metric record, in the ring
+        assert tel.events == [] and tel.metric_series("c") == []
+        window = tel.flight_window()
+        assert len(window) == 8 and window[-1].kind == "metric"
+        assert "r19" in tel.flight_dump()
 
 
 # ---------------------------------------------------------------------------
 # columnar wire rows behind the record views
 # ---------------------------------------------------------------------------
-#: flight ring (capacity 8) of the fixed-seed session below at t = 1.02 s
+#: flight window (capacity 8) of the fixed-seed session below at t = 1.02 s
 #: and t = 1.05 s, exactly as the per-record implementation (the commit
 #: before columnar probe rows) returned it.
 RING_AT = {
@@ -226,12 +228,29 @@ class TestWireRowViews:
             Telemetry(keep_events=False, flight_capacity=8))
         seen = []
         session.loop.call_at(at, lambda: seen.append(
-            (tel.flight.total_seen, _compact(tel.flight.records()))))
+            (tel.emitted, _compact(tel.flight_window()))))
         session.run()
         assert seen == [RING_AT[at]]
-        assert tel.events == [] and len(tel.flight) == 8
+        assert tel.events == [] and len(tel.flight_window()) == 8
         # Flight-only mode retains a window of rows, not the run.
         assert len(tel.wire.columns()[0]) == 8 < len(tel.wire)
+
+    def test_ring_mode_keeps_spans_of_undisplayed_frames_only(self):
+        """With the log off a displayed frame's span goes once its pacing
+        is observed; the histograms match a log-on run exactly."""
+        snaps = {}
+        for keep in (True, False):
+            trace = BandwidthTrace.constant(8e6, duration=17)
+            session = build_session("ace", trace,
+                                    SessionConfig(duration=2.0, seed=5))
+            tel = session.enable_telemetry(Telemetry(keep_events=keep))
+            metrics = session.run()
+            snaps[keep] = prometheus_snapshot(tel.registry)
+        displayed = {f.frame_id for f in metrics.displayed_frames()}
+        assert len(displayed) > 50
+        assert set(tel.spans.spans) <= (
+            {f.frame_id for f in metrics.frames} - displayed)
+        assert snaps[True] == snaps[False]
 
     def test_one_train_session_reports_one_train(self):
         """always-burst releases its single frame back to back: one

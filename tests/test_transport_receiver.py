@@ -83,13 +83,3 @@ def test_periodic_feedback_emitted():
     loop.run(until=0.26)
     assert len(feedbacks) == 5  # one per 50 ms
     assert sum(len(m.reports) for m in feedbacks) == 2
-
-
-def test_frame_quality_and_capture_views():
-    loop = EventLoop()
-    rx = make_receiver(loop)
-    rx.frame_quality = {0: 88.0}
-    rx.frame_capture_time = {0: 0.5}
-    deliver(rx, loop, frame_id=0, count=1)
-    assert rx.frames[0].quality_vmaf == 88.0
-    assert rx.frames[0].capture_time == 0.5
