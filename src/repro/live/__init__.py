@@ -28,12 +28,12 @@ supervisor and telemetry stack.
 
 from __future__ import annotations
 
-from repro.live.clock import Clock, WallClock, WallTimer
+from repro.live.clock import Clock, WallClock
 from repro.live.impairment import LoopbackImpairment
 from repro.live.transport import Transport, UdpTransport
 
 __all__ = [
-    "Clock", "WallClock", "WallTimer",
+    "Clock", "WallClock",
     "LoopbackImpairment",
     "Transport", "UdpTransport",
     "LiveConfig", "LiveSession", "build_live_session", "run_live",

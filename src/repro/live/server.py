@@ -16,7 +16,9 @@ registry (no cross-session contention on the hot path), the fleet's
 into a ``fleet`` shard. The heartbeats streamed through
 :class:`~repro.obs.fleet.LiveFleetLog`, the summary, the Prometheus
 rollup on ``--stats-port`` (``session="<label>"`` per shard), ``load
---dash`` and ``repro watch`` all read that record.
+--dash`` and ``repro watch`` all read that record. A session's row
+carries ``cpu_s`` (CPU in its clock's wakes) and ``wire_faults`` (socket
+errors plus malformed datagrams, both endpoints).
 
 Soak safety rests on the session layer: sessions leave nothing
 scheduled on the loop, and every per-session telemetry window is
@@ -180,7 +182,8 @@ def session_row(rec: SessionRecord) -> dict:
     """One session's heartbeat entry: status and error, then — once its
     stack exists — frames started, the burst analyzer's windowed pacing
     p50/p99 over fresh media (the paper's pacing term; with telemetry
-    only) and CPU seconds."""
+    only), CPU seconds in its clock's wakes and its wire faults (socket
+    errors plus malformed datagrams, both endpoints)."""
     row: dict = {"status": rec.status}
     if rec.error is not None:
         row["error"] = rec.error
@@ -194,6 +197,7 @@ def session_row(rec: SessionRecord) -> dict:
                 if value is not None:
                     row[key] = round(value * 1e3, 3)
         row["cpu_s"] = round(session.cpu_s, 4)
+        row["wire_faults"] = session.wire_faults
     return row
 
 

@@ -97,6 +97,8 @@ class LiveSession(Session):
         self._stop_waiter = None
         self.sender = self.receiver = None       # flow 0's, from run()
         self.impairment: Optional[LoopbackImpairment] = None
+        #: the receiver and sender endpoints, once ``run`` binds them.
+        self.ends: list[UdpTransport] = []
         #: ``(host, port)`` of the running stats endpoint (stats_port=0).
         self.stats_addr: Optional[tuple] = None
 
@@ -106,24 +108,30 @@ class LiveSession(Session):
         before :meth:`run`)."""
         return 0.0 if self.clock is None else self.clock.cpu_s
 
+    @property
+    def wire_faults(self) -> int:
+        """Socket errors plus malformed datagrams on both endpoints."""
+        return sum(end.socket_errors + end.malformed for end in self.ends)
+
     async def run(self) -> SessionMetrics:
         """Execute the session in real time and aggregate metrics."""
         self._claim()
         config = self.config
-        self.clock = WallClock(asyncio.get_running_loop(), cpu_accounting=True)
+        self.clock = WallClock(asyncio.get_running_loop())
         self.impairment = LoopbackImpairment(PathConfig(
             base_rtt=config.base_rtt,
             queue_capacity_bytes=config.queue_capacity_bytes,
             random_loss_rate=config.random_loss_rate,
         ), trace=self.trace, rng=self.rngs.stream("path.loss"))
-        ends: list[UdpTransport] = []
+        ends = self.ends
         stats_server = None
         elapsed = config.duration
         try:
             # From the first bind on, every failure (a second bind, the
             # stack build, a busy stats port) runs the teardown below.
-            # The receiver end delays feedback by the reverse propagation
-            # only (uncongested); the sender end shapes outgoing media.
+            # The sender end shapes outgoing media. The receiver end has
+            # no shim, so feedback crosses loopback undelayed, although
+            # the sender's reverse_delay_estimate assumes a one-way delay.
             for impairment in (None, self.impairment):
                 ends.append(await UdpTransport.create(
                     self.clock, impairment=impairment))
@@ -158,9 +166,9 @@ class LiveSession(Session):
         finally:
             # Teardown must leave *nothing* scheduled on the event loop:
             # the feedback tick and the pacer pump otherwise reschedule
-            # themselves forever, and close() cancels the transports'
-            # delayed sends — a per-session timer leak under a
-            # multi-session supervisor.
+            # themselves forever, the endpoints' close() drops their
+            # delayed datagrams and the clock's its timer — a
+            # per-session timer leak under a multi-session supervisor.
             if self.telemetry is not None:
                 self.telemetry.stop_tick()
             self._stop()
@@ -174,6 +182,7 @@ class LiveSession(Session):
                 await stats_server.wait_closed()
             for end in ends:
                 end.close()
+            self.clock.close()
         return self._finish(elapsed)[0]
 
     def request_stop(self) -> None:

@@ -7,33 +7,39 @@ reverse-path delay estimate for RTT accounting. :class:`Transport`
 captures that surface. In simulation the path *is* the transport:
 :class:`~repro.net.path.NetworkPath` (and the arena's ``ArenaPath``) has
 these four members itself, so the session hands it straight to the
-stack. Live, it is :class:`UdpTransport` — an asyncio datagram endpoint
-carrying the wire format of :mod:`repro.live.wire` over real sockets,
-optionally shaped by a :class:`~repro.live.impairment.LoopbackImpairment`.
+stack. Live, it is :class:`UdpTransport`: a non-blocking UDP socket
+carrying the wire format of :mod:`repro.live.wire`, optionally shaped
+by a :class:`~repro.live.impairment.LoopbackImpairment`.
 
-A live session uses one ``UdpTransport`` per endpoint (sender and
-receiver), peered at each other's loopback address; each instance is
-full-duplex (media out / feedback in on the sender, the mirror image on
-the receiver).
+A live session peers two full-duplex endpoints on loopback. The shim's
+delayed datagrams wait in one FIFO per endpoint behind one clock entry
+(due times never decrease); a readable socket is drained until it would
+block, via ``add_reader`` (asyncio's default loop on Linux and macOS).
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
+import socket
+import struct
+from collections import deque
 from typing import Callable, Optional, Tuple
 
 from repro.live.clock import Clock
 from repro.live.impairment import LoopbackImpairment
 from repro.live.wire import (
+    KIND_FEEDBACK,
     KIND_MEDIA,
-    datagram_kind,
     decode_feedback,
     decode_packet,
     encode_feedback,
     encode_packet,
 )
 from repro.net.packet import Packet
+
+#: decoder per kind byte; any other first byte is malformed.
+_DECODERS = {KIND_MEDIA: decode_packet, KIND_FEEDBACK: decode_feedback}
 
 
 class Transport(abc.ABC):
@@ -61,27 +67,11 @@ class Transport(abc.ABC):
         """Approximate one-way delay of the feedback path (seconds)."""
 
 
-class _DatagramProtocol(asyncio.DatagramProtocol):
-    """Thin adapter feeding received datagrams to the owning transport."""
-
-    def __init__(self, owner: "UdpTransport") -> None:
-        self._owner = owner
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self._owner._on_datagram(data)
-
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        self._owner.socket_errors += 1
-
-
 class UdpTransport(Transport):
-    """One live endpoint: an asyncio UDP socket speaking the wire format.
-
-    The sender-side instance sends media (through the impairment shim,
-    when configured) and receives feedback; the receiver-side instance
-    is the mirror image. Datagrams are demultiplexed by their kind byte,
-    so both directions share one socket pair.
-    """
+    """One live endpoint: a UDP socket speaking the wire format, both
+    directions demultiplexed by kind byte. A failed send or receive
+    counts in ``socket_errors``, a datagram that does not decode in
+    ``malformed``; either is dropped and the endpoint goes on."""
 
     def __init__(self, clock: Clock,
                  impairment: Optional[LoopbackImpairment] = None) -> None:
@@ -91,16 +81,14 @@ class UdpTransport(Transport):
         self.on_feedback: Optional[Callable[[object], None]] = None
         self.on_drop: Optional[Callable[[Packet], None]] = None
         self.socket_errors = 0
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self.malformed = 0
+        self._sock: Optional[socket.socket] = None
+        self._aloop: Optional[asyncio.AbstractEventLoop] = None
         self._peer: Optional[Tuple[str, int]] = None
-        self._closed = False
-        #: impairment-delayed send timers still pending; cancelled on
-        #: close so a finished session leaves nothing on the event loop.
-        self._pending_sends: set = set()
+        #: shim-delayed ``(due, data)`` and the clock entry at its head.
+        self._delayed: deque = deque()
+        self._delayed_entry = None
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     @classmethod
     async def create(cls, clock: Clock, host: str = "127.0.0.1",
                      port: int = 0,
@@ -109,93 +97,106 @@ class UdpTransport(Transport):
         """Bind a datagram endpoint on ``host:port`` (0 = ephemeral)."""
         self = cls(clock, impairment=impairment)
         aloop = asyncio.get_running_loop()
-        transport, _protocol = await aloop.create_datagram_endpoint(
-            lambda: _DatagramProtocol(self), local_addr=(host, port))
-        self._transport = transport
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind((host, port))
+            aloop.add_reader(sock.fileno(), self._drain)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._aloop = sock, aloop
         return self
 
     @property
     def local_addr(self) -> Tuple[str, int]:
-        assert self._transport is not None
-        return self._transport.get_extra_info("sockname")[:2]
+        return self._sock.getsockname()[:2]
 
     def connect(self, peer: Tuple[str, int]) -> None:
         """Set the remote endpoint datagrams are sent to."""
         self._peer = peer
 
     def close(self) -> None:
-        self._closed = True
-        for handle in self._pending_sends:
-            handle.cancel()
-        self._pending_sends.clear()
-        if self._transport is not None:
-            self._transport.close()
+        """Drop the delayed datagrams and the socket; idempotent."""
+        self._delayed.clear()
+        if self._delayed_entry is not None:
+            self._delayed_entry.cancel()
+            self._delayed_entry = None
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            self._aloop.remove_reader(sock.fileno())
+            sock.close()
 
     @property
     def pending_timers(self) -> int:
-        """Delayed send timers still scheduled (0 after ``close()``)."""
-        return len(self._pending_sends)
+        """Delayed datagrams still queued (0 after ``close()``)."""
+        return len(self._delayed)
 
-    # ------------------------------------------------------------------
-    # sending
-    # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Emit a media packet, shaped by the impairment when present."""
-        data = encode_packet(packet)
-        if self.impairment is None:
-            self._sendto(data)
-            return
-        delay = self.impairment.admit(packet.size_bytes, self.clock.now)
+        now = self.clock.now
+        delay = 0.0 if self.impairment is None else \
+            self.impairment.admit(packet.size_bytes, now)
         if delay is None:
             packet.dropped = True
             if self.on_drop is not None:
                 self.on_drop(packet)
-            return
-        if delay <= 0:
-            self._sendto(data)
         else:
-            self._sendto_later(delay, data, "live.media")
+            self._send_after(now, delay, encode_packet(packet))
 
     def send_feedback(self, message: object) -> None:
         """Emit a feedback message after the reverse propagation delay."""
-        delay = (self.impairment.feedback_delay
-                 if self.impairment is not None else 0.0)
+        now, delay = self.clock.now, self.reverse_delay_estimate
         for data in encode_feedback(message):
-            if delay <= 0:
-                self._sendto(data)
-            else:
-                self._sendto_later(delay, data, "live.feedback")
+            self._send_after(now, delay, data)
 
-    def _sendto_later(self, delay: float, data: bytes, name: str) -> None:
-        """Schedule a tracked delayed send; the handle unregisters on fire."""
-        handle = self.clock.call_later(
-            delay, lambda: self._fire_delayed(handle, data), name)
-        self._pending_sends.add(handle)
+    def _send_after(self, now: float, delay: float, data: bytes) -> None:
+        if delay <= 0:
+            self._sendto(data)
+            return
+        delayed = self._delayed
+        delayed.append((now + delay, data))
+        if len(delayed) == 1:
+            self._delayed_entry = self.clock.call_at(
+                delayed[0][0], self._send_due, "live.delayed")
 
-    def _fire_delayed(self, handle, data: bytes) -> None:
-        self._pending_sends.discard(handle)
-        self._sendto(data)
+    def _send_due(self) -> None:
+        delayed = self._delayed
+        now = self.clock.now
+        while delayed and delayed[0][0] <= now:
+            self._sendto(delayed.popleft()[1])
+        self._delayed_entry = self.clock.call_at(
+            delayed[0][0], self._send_due, "live.delayed") if delayed else None
 
     def _sendto(self, data: bytes) -> None:
-        if self._closed or self._transport is None or self._peer is None:
+        if self._sock is None or self._peer is None:
             return
-        self._transport.sendto(data, self._peer)
+        try:
+            self._sock.sendto(data, self._peer)
+        except OSError:
+            self.socket_errors += 1
 
-    # ------------------------------------------------------------------
-    # receiving
-    # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes) -> None:
-        if self._closed or not data:
-            return
-        if datagram_kind(data) == KIND_MEDIA:
-            packet = decode_packet(data)
-            packet.t_arrival = self.clock.now
-            if self.on_arrival is not None:
-                self.on_arrival(packet)
-        else:
-            message = decode_feedback(data)
-            if self.on_feedback is not None:
-                self.on_feedback(message)
+    def _drain(self) -> None:
+        """Read until the socket would block; a callback may close it."""
+        while self._sock is not None:
+            try:
+                data = self._sock.recv(65536)
+            except BlockingIOError:
+                return
+            except OSError:
+                self.socket_errors += 1
+                continue
+            try:
+                decoded = _DECODERS[data[0]](data)
+            except (IndexError, KeyError, struct.error):
+                self.malformed += 1
+                continue
+            if data[0] == KIND_MEDIA:
+                decoded.t_arrival = self.clock.now
+                if self.on_arrival is not None:
+                    self.on_arrival(decoded)
+            elif self.on_feedback is not None:
+                self.on_feedback(decoded)
 
     @property
     def reverse_delay_estimate(self) -> float:

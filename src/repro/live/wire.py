@@ -32,7 +32,8 @@ from typing import List
 
 from repro.net.packet import Packet, PacketType
 
-#: Datagram kind discriminators (first byte on the wire).
+#: Datagram kind discriminators (first byte on the wire); any other
+#: first byte is malformed.
 KIND_MEDIA = 0x01
 KIND_FEEDBACK = 0x02
 
@@ -178,8 +179,3 @@ def decode_feedback(data: bytes):
         cumulative_lost=cumulative_lost,
         pli_requested=bool(flags & _FLAG_PLI),
     )
-
-
-def datagram_kind(data: bytes) -> int:
-    """First-byte discriminator (KIND_MEDIA or KIND_FEEDBACK)."""
-    return data[0] if data else 0

@@ -199,6 +199,7 @@ SESSION_GAUGES = {
     "pacing_p50_ms": "p50 of the session's recent pacing delays (ms)",
     "pacing_p99_ms": "p99 of the session's recent pacing delays (ms)",
     "cpu_s": "CPU seconds attributed to this session",
+    "wire_faults": "Socket errors plus malformed datagrams on its endpoints",
 }
 
 #: The heartbeat's fleet numbers: key -> (fleet-shard gauge

@@ -4,7 +4,7 @@ Stdlib-only (``/proc`` with a ``resource`` fallback): the live
 supervisor samples RSS on every heartbeat, so the probe must be cheap
 and must not import psutil (not a dependency). CPU attribution is
 *not* here — per-session CPU is measured where the work actually
-happens, in :class:`repro.live.clock.WallClock` callback accounting,
+happens, in :class:`repro.live.clock.WallClock`'s per-wake accounting,
 because all session work (pacer pump, capture tick, feedback) runs as
 clock callbacks rather than coroutine steps.
 """

@@ -206,3 +206,102 @@ def test_sim_clock_call_at_raises_on_past():
     clock.run(until=1.0)
     with pytest.raises(SimulationError):
         clock.call_at(0.5, lambda: None)
+
+
+# ---------------------------------------------------------------------------
+# one asyncio timer per wall clock
+# ---------------------------------------------------------------------------
+def test_wall_clock_equal_deadlines_fire_in_scheduling_order():
+    async def check():
+        clock = WallClock(asyncio.get_running_loop())
+        fired = []
+        deadline = clock.now + 0.02
+        for tag in range(5):
+            clock.call_at(deadline, lambda t=tag: fired.append(t))
+        await clock.sleep(0.1)
+        assert fired == [0, 1, 2, 3, 4]
+
+    run_wall(check)
+
+
+def test_wall_clock_entry_made_due_during_a_wake_runs_in_it(monkeypatch):
+    """An entry scheduled for <= now by a callback runs in the same
+    wake, after the entries that were already due."""
+    wakes = []
+    wake = WallClock._wake
+
+    def counting_wake(clock):
+        wakes.append(clock.now)
+        wake(clock)
+
+    monkeypatch.setattr(WallClock, "_wake", counting_wake)
+
+    async def check():
+        clock = WallClock(asyncio.get_running_loop())
+        fired = []
+
+        def first():
+            fired.append("first")
+            clock.call_at(clock.now - 1.0, lambda: fired.append("past"))
+            clock.call_later(0.0, lambda: fired.append("now"))
+
+        deadline = clock.now + 0.02
+        clock.call_at(deadline, first)
+        clock.call_at(deadline, lambda: fired.append("second"))
+        await clock.sleep(0.1)
+        assert fired == ["first", "second", "past", "now"]
+        assert len(wakes) == 1
+
+    run_wall(check)
+
+
+def test_wall_clock_cancelled_head_rearms_for_the_next_live_entry(
+        monkeypatch):
+    armed = []
+    arm = WallClock._arm
+
+    def spying_arm(clock, when):
+        armed.append(when)
+        arm(clock, when)
+
+    monkeypatch.setattr(WallClock, "_arm", spying_arm)
+
+    async def check():
+        clock = WallClock(asyncio.get_running_loop())
+        fired = []
+        head = clock.call_at(0.02, lambda: fired.append("head"))
+        later = clock.call_at(0.06, lambda: fired.append("later"))
+        assert armed == [0.02]          # a later entry does not re-arm
+        head.cancel()
+        await clock.sleep(0.04)
+        # The wake at the cancelled head ran nothing and re-armed.
+        assert fired == [] and armed == [0.02, 0.06]
+        later.cancel()
+        await clock.sleep(0.05)
+        assert fired == [] and armed == [0.02, 0.06]
+        assert clock._timer is None     # nothing left armed
+
+    run_wall(check)
+
+
+def test_wall_clock_callback_error_reaches_handler_and_wake_goes_on():
+    async def check():
+        aloop = asyncio.get_running_loop()
+        errors = []
+        aloop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        clock = WallClock(aloop)
+        fired = []
+
+        def boom():
+            raise ValueError("bad callback")
+
+        deadline = clock.now + 0.02
+        clock.call_at(deadline, boom, "boom")
+        clock.call_at(deadline, lambda: fired.append("neighbour"))
+        await clock.sleep(0.1)
+        assert fired == ["neighbour"]
+        assert len(errors) == 1
+        assert isinstance(errors[0]["exception"], ValueError)
+        assert "boom" in errors[0]["message"]
+
+    run_wall(check)

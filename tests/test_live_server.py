@@ -284,10 +284,39 @@ def test_heartbeat_and_watch_read_one_fleet_record(monkeypatch):
     for label, row in beat["sessions"].items():
         assert row["frames"] > 0 and row["pacing_p99_ms"] is not None
         for key in ("status", "frames", "pacing_p50_ms", "pacing_p99_ms",
-                    "cpu_s"):
+                    "cpu_s", "wire_faults"):
             assert watched["sessions"][label][key] == row[key], (label, key)
     assert FleetDashboard(color=False, clear=False).update(watched) == \
         FleetDashboard(color=False, clear=False).update(beat)
+
+
+def test_wire_faults_reach_summary_and_rollup(tmp_path):
+    """One malformed datagram at a session's receiver shows as
+    ``wire_faults == 1`` in summary.json and on ``live.wire_faults``."""
+    import socket
+
+    config = quick_load(sessions=1, mix=("ace",), duration=0.8)
+    supervisor = SessionSupervisor(build_load_specs(config),
+                                   run_dir=str(tmp_path),
+                                   heartbeat_interval=None)
+
+    async def run_with_fault():
+        task = asyncio.ensure_future(supervisor.run())
+        rec = supervisor.records[0]
+        while rec.session is None or rec.session.sender is None:
+            await asyncio.sleep(0.01)
+        recv_end = rec.session.ends[0]
+        raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        raw.sendto(b"\x07", recv_end.local_addr)
+        raw.close()
+        await task
+
+    asyncio.run(run_with_fault())
+    assert supervisor.records[0].status == "completed"
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["per_session"][0]["wire_faults"] == 1
+    assert 'repro_live_wire_faults{session="s0-ace"} 1.0' in \
+        supervisor.rollup()
 
 
 def test_supervisor_graceful_stop_drains_fleet():

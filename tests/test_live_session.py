@@ -240,6 +240,110 @@ def test_udp_transport_impairment_drops_are_recorded():
     asyncio.run(check())
 
 
+def test_udp_transport_shim_fifo_sends_in_due_order_on_one_entry():
+    """Shim-delayed datagrams wait in one FIFO behind a single clock
+    entry; the endpoint arms no asyncio timer of its own."""
+
+    async def check():
+        aloop = asyncio.get_running_loop()
+        clock = WallClock(aloop)
+        shim = LoopbackImpairment(
+            PathConfig(base_rtt=0.02),
+            trace=BandwidthTrace.constant(2e6, duration=60.0))
+        a = await UdpTransport.create(clock, impairment=shim)
+        b = await UdpTransport.create(clock)
+        a.connect(b.local_addr)
+        b.connect(a.local_addr)
+        armed = []
+        for method in ("call_at", "call_later"):
+            original = getattr(aloop, method)
+
+            def recording(when, callback, *args, _original=original,
+                          **kwargs):
+                armed.append(callback)
+                return _original(when, callback, *args, **kwargs)
+
+            setattr(aloop, method, recording)
+        arrived = []
+        b.on_arrival = arrived.append
+        try:
+            for seq in range(6):
+                a.send(Packet(size_bytes=1000, seq=seq))
+            assert a.pending_timers == 6
+            entries = [e for _, _, e in clock._heap
+                       if e.name == "live.delayed" and not e.cancelled]
+            assert len(entries) == 1
+            await clock.sleep(0.2)
+        finally:
+            a.close()
+            b.close()
+        assert [p.seq for p in arrived] == list(range(6))
+        assert a.pending_timers == 0
+        assert not any(getattr(cb, "__self__", None) in (a, b)
+                       for cb in armed)
+
+    asyncio.run(check())
+
+
+def test_udp_transport_drops_and_counts_malformed_datagrams():
+    """A truncated media datagram, a truncated feedback datagram and an
+    unknown kind byte are each dropped and counted; the drain goes on
+    to the valid datagram behind them and nothing reaches the loop's
+    exception handler."""
+    import socket
+
+    from repro.live.wire import KIND_FEEDBACK, KIND_MEDIA, encode_packet
+
+    async def check():
+        aloop = asyncio.get_running_loop()
+        errors = []
+        aloop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        clock = WallClock(aloop)
+        b = await UdpTransport.create(clock)
+        arrived, fed_back = [], []
+        b.on_arrival = arrived.append
+        b.on_feedback = fed_back.append
+        raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for data in (bytes([KIND_MEDIA, 0, 0]),
+                         bytes([KIND_FEEDBACK, 0, 1, 2, 3]),
+                         bytes([0x07]) + bytes(40),
+                         encode_packet(Packet(size_bytes=300, seq=9))):
+                raw.sendto(data, b.local_addr)
+            await asyncio.sleep(0.1)
+        finally:
+            raw.close()
+            b.close()
+        assert [p.seq for p in arrived] == [9] and fed_back == []
+        assert b.malformed == 3 and b.socket_errors == 0
+        assert errors == []
+
+    asyncio.run(check())
+
+
+def test_udp_transport_counts_send_errors_and_goes_on():
+    async def check():
+        clock = WallClock(asyncio.get_running_loop())
+        a = await UdpTransport.create(clock)
+        b = await UdpTransport.create(clock)
+        a.connect(b.local_addr)
+        arrived = []
+        b.on_arrival = arrived.append
+        try:
+            # Larger than a UDP payload can be: sendto fails (EMSGSIZE).
+            a.send(Packet(size_bytes=70_000, seq=1))
+            a.send(Packet(size_bytes=600, seq=2))
+            await asyncio.sleep(0.1)
+        finally:
+            a.close()
+            a.close()                   # idempotent
+            b.close()
+        assert a.socket_errors == 1
+        assert [p.seq for p in arrived] == [2]
+
+    asyncio.run(check())
+
+
 # ---------------------------------------------------------------------------
 # end-to-end sessions (wall clock; ~1 s each)
 # ---------------------------------------------------------------------------
@@ -372,6 +476,44 @@ def test_live_session_teardown_leaves_nothing_scheduled():
         assert session.sender.pacer.stats.sent_packets == released_before
 
     asyncio.run(check())
+
+
+def test_fleet_session_clocks_hold_one_asyncio_timer(monkeypatch):
+    """While a two-session fleet runs, each session clock has at most
+    one asyncio timer pending; after teardown it has none."""
+    from repro.live import LoadConfig, run_load
+
+    pending = {}        # clock -> asyncio timers armed and not fired
+    arms = {}           # clock -> arm calls
+    most = {}           # clock -> most timers pending at once
+    arm, wake = WallClock._arm, WallClock._wake
+
+    def live(clock):
+        return [t for t in pending.get(clock, []) if not t.cancelled()]
+
+    def spying_arm(clock, when):
+        # Runs inside loop callbacks, where a failed assert would only be
+        # logged: record, and assert after the run.
+        arm(clock, when)
+        arms[clock] = arms.get(clock, 0) + 1
+        pending.setdefault(clock, []).append(clock._timer)
+        most[clock] = max(most.get(clock, 0), len(live(clock)))
+
+    def spying_wake(clock):
+        pending[clock].remove(clock._timer)
+        wake(clock)
+
+    monkeypatch.setattr(WallClock, "_arm", spying_arm)
+    monkeypatch.setattr(WallClock, "_wake", spying_wake)
+    supervisor = run_load(LoadConfig(
+        sessions=2, mix=("ace", "webrtc-star"), duration=0.8, drain=0.2,
+        seed=3, heartbeat_interval=None))
+    assert [r.status for r in supervisor.records] == ["completed"] * 2
+    clocks = {r.session.clock for r in supervisor.records}
+    assert len(clocks) == 2 and clocks <= set(pending)
+    assert all(arms[clock] > 10 for clock in clocks)
+    assert all(most[clock] == 1 for clock in clocks)
+    assert all(live(clock) == [] for clock in clocks)
 
 
 def test_live_session_request_stop_ends_early():

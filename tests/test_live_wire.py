@@ -8,7 +8,6 @@ from repro.live.wire import (
     KIND_FEEDBACK,
     KIND_MEDIA,
     MAX_REPORTS_PER_DATAGRAM,
-    datagram_kind,
     decode_feedback,
     decode_packet,
     encode_feedback,
@@ -31,7 +30,7 @@ def test_media_packet_roundtrip_all_fields():
     )
     packet.prev_sent_frame_id = 56
     data = encode_packet(packet)
-    assert datagram_kind(data) == KIND_MEDIA
+    assert data[0] == KIND_MEDIA
     # What crosses the socket is the modelled size.
     assert len(data) == packet.size_bytes
 
@@ -94,7 +93,7 @@ def test_feedback_roundtrip():
     )
     chunks = encode_feedback(message)
     assert len(chunks) == 1
-    assert datagram_kind(chunks[0]) == KIND_FEEDBACK
+    assert chunks[0][0] == KIND_FEEDBACK
 
     out = decode_feedback(chunks[0])
     assert out.created_at == message.created_at

@@ -151,6 +151,7 @@ repro_live_frames{session="s0-ace"} 120.0
 repro_live_pacing_p50_ms{session="s0-ace"} 12.25
 repro_live_pacing_p99_ms{session="s0-ace"} 40.0
 repro_live_cpu_s{session="s0-ace"} 0.75
+repro_live_wire_faults{session="s0-ace"} 2
 repro_frames_displayed_total{session="s0-ace"} 97
 repro_burst_pacing_delay_s_bucket{session="s0-ace",le="0.01"} 50
 repro_burst_pacing_delay_s_bucket{session="s0-ace",le="0.1"} 99
@@ -184,7 +185,7 @@ def test_record_from_prometheus_rebuilds_heartbeat():
     # buckets beside them are not read.
     assert record["sessions"] == {"s0-ace": {
         "status": "running", "frames": 120, "pacing_p50_ms": 12.25,
-        "pacing_p99_ms": 40.0, "cpu_s": 0.75}}
+        "pacing_p99_ms": 40.0, "cpu_s": 0.75, "wire_faults": 2.0}}
 
 
 def test_record_from_prometheus_feeds_dashboard():
