@@ -117,13 +117,9 @@ class ArenaSession(Session):
         if len(set(ids)) != len(ids) or any(i <= 0 for i in ids):
             raise ValueError("flow ids must be unique and positive")
         config = config or SessionConfig()
-        # Not silent: the audio probe and the cross-traffic generator
-        # serve flow 0 only, so a config asking for one would be ignored.
-        for unsupported in ("audio", "cross_traffic"):
-            if getattr(config, unsupported):
-                raise ValueError(
-                    f"SessionConfig.{unsupported} is not supported by "
-                    "ArenaSession (single-flow sessions only)")
+        # The audio probe and the cross-traffic generator serve flow 0.
+        config.refuse(("audio", "cross_traffic"),
+                      "ArenaSession (single-flow sessions only)")
         for f in flows:
             if f.start < 0 or f.start >= config.duration:
                 raise ValueError(

@@ -17,8 +17,7 @@ CLI::
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.audit.auditor import SessionAuditor, Violation, attach_audit
@@ -58,35 +57,30 @@ class FuzzCase:
     index: int
     baseline: str
     trace_kind: str
-    duration: float
-    base_rtt: float
-    queue_capacity_bytes: int
-    random_loss_rate: float
-    contention_loss_rate: float
-    delay_jitter_std: float
-    cross_traffic: bool
-    audio: bool
+    #: the session's workload and path (its seed included).
+    config: SessionConfig = field(hash=False)
 
     @property
     def label(self) -> str:
         return f"{self.root_seed}:{self.index}"
 
     def describe(self) -> str:
+        c = self.config
         extras = []
-        if self.random_loss_rate:
-            extras.append(f"loss={self.random_loss_rate:.3f}")
-        if self.contention_loss_rate:
-            extras.append(f"contention={self.contention_loss_rate:.2f}")
-        if self.delay_jitter_std:
-            extras.append(f"jitter={self.delay_jitter_std * 1000:.1f}ms")
-        if self.cross_traffic:
+        if c.random_loss_rate:
+            extras.append(f"loss={c.random_loss_rate:.3f}")
+        if c.contention_loss_rate:
+            extras.append(f"contention={c.contention_loss_rate:.2f}")
+        if c.delay_jitter_std:
+            extras.append(f"jitter={c.delay_jitter_std * 1000:.1f}ms")
+        if c.cross_traffic:
             extras.append("cross")
-        if self.audio:
+        if c.audio:
             extras.append("audio")
         tail = (", " + ", ".join(extras)) if extras else ""
         return (f"[{self.label}] {self.baseline} over {self.trace_kind} "
-                f"({self.duration:.1f}s, rtt {self.base_rtt * 1000:.0f}ms, "
-                f"queue {self.queue_capacity_bytes // 1000}KB{tail})")
+                f"({c.duration:.1f}s, rtt {c.base_rtt * 1000:.0f}ms, "
+                f"queue {c.queue_capacity_bytes // 1000}KB{tail})")
 
 
 def case_from_seed(root_seed: int, index: int) -> FuzzCase:
@@ -96,26 +90,24 @@ def case_from_seed(root_seed: int, index: int) -> FuzzCase:
     trace_kind = str(rng.choice(FUZZ_TRACES))
     # Short sessions: the invariants are per-event, so violations show up
     # within a few seconds of simulated time; breadth beats depth.
-    duration = round(rng.uniform(1.5, 4.0), 2)
-    base_rtt = float(rng.choice((0.01, 0.03, 0.08, 0.16)))
-    queue = int(rng.choice((25_000, 100_000, 400_000)))
-    loss = float(rng.choice((0.0, 0.0, 0.01, 0.05)))
-    contention = float(rng.choice((0.0, 0.0, 0.0, 0.3)))
-    jitter = float(rng.choice((0.0, 0.0, 0.001, 0.003)))
-    cross = bool(rng.random() < 0.25)
-    audio = bool(rng.random() < 0.25)
-    return FuzzCase(
-        root_seed=root_seed, index=index, baseline=baseline,
-        trace_kind=trace_kind, duration=duration, base_rtt=base_rtt,
-        queue_capacity_bytes=queue, random_loss_rate=loss,
-        contention_loss_rate=contention, delay_jitter_std=jitter,
-        cross_traffic=cross, audio=audio,
+    config = SessionConfig(
+        duration=round(rng.uniform(1.5, 4.0), 2),
+        seed=root_seed * 1_000_003 + index,
+        base_rtt=float(rng.choice((0.01, 0.03, 0.08, 0.16))),
+        queue_capacity_bytes=int(rng.choice((25_000, 100_000, 400_000))),
+        random_loss_rate=float(rng.choice((0.0, 0.0, 0.01, 0.05))),
+        contention_loss_rate=float(rng.choice((0.0, 0.0, 0.0, 0.3))),
+        delay_jitter_std=float(rng.choice((0.0, 0.0, 0.001, 0.003))),
+        cross_traffic=bool(rng.random() < 0.25),
+        audio=bool(rng.random() < 0.25),
     )
+    return FuzzCase(root_seed=root_seed, index=index, baseline=baseline,
+                    trace_kind=trace_kind, config=config)
 
 
 def build_case_trace(case: FuzzCase) -> BandwidthTrace:
     kind = case.trace_kind
-    trace_duration = case.duration + 5.0
+    trace_duration = case.config.duration + 5.0
     if kind.startswith("const:"):
         mbps = float(kind.split(":", 1)[1])
         return BandwidthTrace.constant(mbps * 1e6, duration=trace_duration)
@@ -137,18 +129,8 @@ def run_case(case: FuzzCase,
     """
     from repro.obs import Telemetry
 
-    config = SessionConfig(
-        duration=case.duration,
-        seed=case.root_seed * 1_000_003 + case.index,
-        base_rtt=case.base_rtt,
-        queue_capacity_bytes=case.queue_capacity_bytes,
-        random_loss_rate=case.random_loss_rate,
-        contention_loss_rate=case.contention_loss_rate,
-        delay_jitter_std=case.delay_jitter_std,
-        cross_traffic=case.cross_traffic,
-        audio=case.audio,
-    )
-    session = build_session(case.baseline, build_case_trace(case), config)
+    session = build_session(case.baseline, build_case_trace(case),
+                            case.config)
     session.enable_telemetry(Telemetry(keep_events=False))
     auditor = attach_audit(session, strict=False,
                            max_violations=max_violations)
@@ -156,18 +138,19 @@ def run_case(case: FuzzCase,
     return auditor.finalize(), auditor.events_checked
 
 
-#: Greedy shrink moves, most-simplifying first. Each is kept only if the
-#: simplified case still fails.
-_SHRINK_MOVES: Tuple[Tuple[str, dict], ...] = (
-    ("shorten to 1.5s", {"duration": 1.5}),
-    ("drop cross traffic", {"cross_traffic": False}),
-    ("drop audio", {"audio": False}),
-    ("remove random loss", {"random_loss_rate": 0.0}),
-    ("remove contention loss", {"contention_loss_rate": 0.0}),
-    ("remove jitter", {"delay_jitter_std": 0.0}),
-    ("constant 3 Mbps trace", {"trace_kind": "const:3"}),
-    ("default 30ms RTT", {"base_rtt": 0.03}),
-    ("default 100KB queue", {"queue_capacity_bytes": 100_000}),
+#: Greedy shrink moves, most-simplifying first: a ``SessionConfig``
+#: field (or the case's ``trace_kind``) and its simpler value. Each is
+#: kept only if the simplified case still fails.
+_SHRINK_MOVES: Tuple[Tuple[str, str, object], ...] = (
+    ("shorten to 1.5s", "duration", 1.5),
+    ("drop cross traffic", "cross_traffic", False),
+    ("drop audio", "audio", False),
+    ("remove random loss", "random_loss_rate", 0.0),
+    ("remove contention loss", "contention_loss_rate", 0.0),
+    ("remove jitter", "delay_jitter_std", 0.0),
+    ("constant 3 Mbps trace", "trace_kind", "const:3"),
+    ("default 30ms RTT", "base_rtt", 0.03),
+    ("default 100KB queue", "queue_capacity_bytes", 100_000),
 )
 
 
@@ -182,11 +165,13 @@ def shrink(case: FuzzCase,
         def fails(c: FuzzCase) -> bool:
             return bool(run_case(c)[0])
     current = case
-    for _label, fields in _SHRINK_MOVES:
-        if all(getattr(current, k) == v for k, v in fields.items()):
-            continue
-        candidate = dataclasses.replace(current, **fields)
-        if fails(candidate):
+    for _label, name, value in _SHRINK_MOVES:
+        if name == "trace_kind":
+            candidate = replace(current, trace_kind=value)
+        else:
+            candidate = replace(current, config=replace(current.config,
+                                                        **{name: value}))
+        if candidate != current and fails(candidate):
             current = candidate
     return current
 

@@ -79,20 +79,28 @@ def make_trace(kind: str, seed: int, duration: float) -> BandwidthTrace:
 
 
 def session_config(args: argparse.Namespace, seed: Optional[int] = None,
-                   rtt_ms: Optional[float] = None) -> SessionConfig:
-    """The :class:`SessionConfig` the workload flags describe.
+                   rtt_ms: Optional[float] = None,
+                   duration: Optional[float] = None) -> SessionConfig:
+    """The :class:`SessionConfig` the workload and path flags describe —
+    every command's, ``live``'s and ``load``'s included.
 
-    ``seed``/``rtt_ms`` pin a sweep coordinate. A command without
-    ``--rtt`` (``grid``: its cell key has no RTT coordinate) runs at the
-    flag's default.
+    ``seed``/``rtt_ms`` pin a sweep coordinate, ``duration`` a value the
+    command resolved itself. A command without a path flag (``grid`` has
+    no ``--rtt``: its cell key has no RTT coordinate) runs at the flag's
+    default. A value no run can honour exits with the one line naming
+    its field.
     """
-    if rtt_ms is None:
-        rtt_ms = getattr(args, "rtt", FLAGS["--rtt"]["default"])
-    return SessionConfig(
-        duration=args.duration, seed=args.seed if seed is None else seed,
-        fps=args.fps, base_rtt=rtt_ms / 1000.0,
-        initial_bwe_bps=args.initial_bwe * 1e6,
-    )
+    def flag(name: str):
+        return getattr(args, name, FLAGS[f"--{name}"]["default"])
+    try:
+        return SessionConfig(
+            duration=args.duration if duration is None else duration,
+            seed=args.seed if seed is None else seed, fps=args.fps,
+            base_rtt=(flag("rtt") if rtt_ms is None else rtt_ms) / 1000.0,
+            initial_bwe_bps=args.initial_bwe * 1e6,
+            random_loss_rate=flag("loss"), queue_capacity_bytes=flag("queue"))
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 def make_task(baseline: str, args: argparse.Namespace,
@@ -108,10 +116,11 @@ def make_task(baseline: str, args: argparse.Namespace,
     (:func:`~repro.bench.parallel.build_overrides`). ``observe`` sets
     the cell's :class:`~repro.observe.Observe` options.
     """
+    config = session_config(args, seed, rtt_ms)
     if trace is None:
         trace = make_trace(args.trace, args.seed, args.duration + 10)
     return GridTask(baseline=baseline, trace=trace, category=args.category,
-                    config=session_config(args, seed, rtt_ms),
+                    config=config,
                     build_kwargs=build_overrides(
                         args.engine, args.discipline,
                         cc_override=args.cc, codec_override=args.codec),
@@ -294,24 +303,15 @@ def cmd_sweep_rtt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _live_path_config(args: argparse.Namespace) -> dict:
-    """The ``LiveConfig``/``LoadConfig`` fields ``live`` and ``load``
-    both take from the workload and live-path flag groups."""
-    return dict(
-        seed=args.seed, fps=args.fps, initial_bwe_bps=args.initial_bwe * 1e6,
-        base_rtt=args.rtt / 1000.0, random_loss_rate=args.loss,
-        queue_capacity_bytes=args.queue, shaped=not args.unshaped,
-        stats_port=args.stats_port)
-
-
 def cmd_live(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.live.session import LiveConfig, build_live_session
 
-    trace = make_trace(args.trace, args.seed, args.duration + 10)
-    config = LiveConfig(duration=args.duration, **_live_path_config(args),
+    config = LiveConfig(**asdict(session_config(args)),
+                        shaped=not args.unshaped, stats_port=args.stats_port,
                         **asdict(observe_options(args)))
+    trace = make_trace(args.trace, args.seed, args.duration + 10)
     session = build_live_session(args.baseline, config, trace=trace,
                                  category=args.category)
     print(f"live: {args.baseline} over UDP loopback, "
@@ -402,11 +402,12 @@ def cmd_load(args: argparse.Namespace) -> int:
                     else DEFAULT_SOAK_DURATION_S if args.soak else 5.0)
     observe = observe_options(args)
     config = LoadConfig(
+        **asdict(session_config(args, duration=duration)),
         sessions=args.sessions, mix=tuple(mix), ramp=args.ramp,
-        duration=duration, drain=args.drain,
-        heartbeat_interval=args.heartbeat, series=observe.series,
-        slo_p99_s=observe.slo_p99_s, stall=observe.stall,
-        **_live_path_config(args))
+        drain=args.drain, shaped=not args.unshaped,
+        stats_port=args.stats_port, heartbeat_interval=args.heartbeat,
+        series=observe.series, slo_p99_s=observe.slo_p99_s,
+        stall=observe.stall)
     trace_factory = None
     if args.trace is not None:
         def trace_factory(i, _kind=args.trace, _seed=args.seed,

@@ -22,7 +22,7 @@ errors plus malformed datagrams, both endpoints).
 
 Soak safety rests on the session layer: sessions leave nothing
 scheduled on the loop, and every per-session telemetry window is
-bounded — the pacer's occupancy ring at ``DEFAULT_LOAD_STATS_CAP``, the
+bounded — the pacer's occupancy ring at ``LIVE_PACER_STATS_CAP``, the
 burst analyzer's pacing window, and (event log off) the record ring,
 the wire-row window and the spans of frames not yet displayed. A
 session's own result is not: its sender's frame metrics and send log
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.live.session import LiveConfig, LiveSession, build_live_session
@@ -50,10 +50,7 @@ from repro.obs.resources import process_rss_bytes
 from repro.obs.slo import (SloRule, SloWatchdog, fleet_slo_rules,
                            format_slo_event)
 from repro.observe import harvest, write_series_shards
-
-#: default per-session bound on the pacer's occupancy sample ring,
-#: keeping a 100-session fleet's sample memory in the tens of MB.
-DEFAULT_LOAD_STATS_CAP = 4096
+from repro.rtc.session import SessionConfig
 
 #: `repro load --soak` media duration when none is given explicitly:
 #: long enough that the run is ended by SIGINT, not the timer.
@@ -86,23 +83,19 @@ class SessionSpec:
 
 
 @dataclass
-class LoadConfig:
-    """Knobs of one load-generator run (``repro load``)."""
+class LoadConfig(SessionConfig):
+    """One load-generator run (``repro load``): the
+    :class:`~repro.rtc.session.SessionConfig` every session runs (session
+    ``i`` with seed ``seed + i``), plus the fleet's own knobs."""
 
+    #: wall-clock media seconds per session (measured from its join).
+    duration: float = 5.0
     sessions: int = 4
     #: baselines assigned round-robin across sessions.
     mix: Sequence[str] = ("ace",)
     #: seconds over which session joins are staggered (0 = all at once).
     ramp: float = 0.0
-    #: wall-clock media seconds per session (measured from its join).
-    duration: float = 5.0
     drain: float = 0.5
-    seed: int = 1
-    fps: float = 30.0
-    base_rtt: float = 0.03
-    random_loss_rate: float = 0.0
-    queue_capacity_bytes: int = 100_000
-    initial_bwe_bps: float = 4_000_000.0
     #: emulated bottleneck rate when no trace factory is supplied.
     bottleneck_mbps: float = 20.0
     shaped: bool = True
@@ -125,25 +118,22 @@ def build_load_specs(config: LoadConfig,
                      ) -> List[SessionSpec]:
     """Expand a :class:`LoadConfig` into per-session specs.
 
-    Sessions get distinct seeds (``seed + i``) and — unless a
-    ``trace_factory`` supplies them — a private constant-rate trace
-    each. Private traces matter: :class:`BandwidthTrace` keeps a
-    monotonic lookup cursor, and interleaved queries from many sessions
-    on one shared shaped trace would thrash it.
+    Each session runs the config's every ``SessionConfig`` field, with a
+    distinct seed (``seed + i``) and — unless a ``trace_factory``
+    supplies them — a private constant-rate trace. Private traces
+    matter: :class:`BandwidthTrace` keeps a monotonic lookup cursor, and
+    interleaved queries from many sessions on one shared shaped trace
+    would thrash it. A path the loopback shim cannot emulate raises
+    ``ValueError`` here, before any session binds a socket.
     """
     mix = list(config.mix) or ["ace"]
+    run = {f.name: getattr(config, f.name) for f in fields(SessionConfig)}
     specs: List[SessionSpec] = []
     for i in range(config.sessions):
         baseline = mix[i % len(mix)]
         live = LiveConfig(
-            duration=config.duration, seed=config.seed + i, fps=config.fps,
-            initial_bwe_bps=config.initial_bwe_bps,
-            base_rtt=config.base_rtt,
-            random_loss_rate=config.random_loss_rate,
-            queue_capacity_bytes=config.queue_capacity_bytes,
-            drain=config.drain, shaped=config.shaped,
-            keep_telemetry_events=False,
-            pacer_stats_cap=DEFAULT_LOAD_STATS_CAP,
+            **{**run, "seed": config.seed + i}, drain=config.drain,
+            shaped=config.shaped, keep_telemetry_events=False,
             telemetry=True, series=config.series,
             stall=config.stall if i == 0 else None)
         if trace_factory is not None:

@@ -25,30 +25,25 @@ from repro.live.clock import WallClock
 from repro.live.impairment import LoopbackImpairment
 from repro.live.stats import start_stats_server, stats_addr
 from repro.live.transport import UdpTransport
-from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.observe import Observe, attach
 from repro.rtc.baselines import get_spec, stack_kwargs
 from repro.rtc.metrics import SessionMetrics
-from repro.rtc.session import Session
+from repro.rtc.session import Session, SessionConfig
+
+
+#: bound on each live session's pacer occupancy ring (nothing reads a
+#: live ring), so a fleet's sample memory is sessions x cap.
+LIVE_PACER_STATS_CAP = 4096
 
 
 @dataclass
-class LiveConfig(Observe):
-    """Knobs of one live (wall-clock, UDP-loopback) run; its inherited
-    :class:`~repro.observe.Observe` options attach inside ``run()``."""
+class LiveConfig(SessionConfig, Observe):
+    """One live (wall-clock, UDP-loopback) run: a ``SessionConfig``,
+    whose path the loopback shim emulates, plus how the run is driven and
+    served; its :class:`~repro.observe.Observe` options attach in ``run``."""
 
     duration: float = 5.0
-    seed: int = 1
-    fps: float = 30.0
-    initial_bwe_bps: float = 4_000_000.0
-    max_bwe_bps: float = 30_000_000.0
-    #: emulated two-way propagation delay (impairment shim).
-    base_rtt: float = 0.03
-    #: i.i.d. random loss on the forward path.
-    random_loss_rate: float = 0.0
-    #: drop-tail queue of the emulated bottleneck.
-    queue_capacity_bytes: int = 100_000
     #: post-stop settle time for in-flight packets and feedback.
     drain: float = 0.5
     #: shape traffic to ``trace``; False = unshaped loopback (delay/loss
@@ -63,10 +58,12 @@ class LiveConfig(Observe):
     #: turns this off so soak-scale fleets keep only the metric registry
     #: and bounded windows (flight ring, wire rows, undisplayed spans).
     keep_telemetry_events: bool = True
-    #: shrink the pacer's occupancy sample ring to this many entries
-    #: (None = the pacer default); set per session by the supervisor so
-    #: fleet memory is sessions x cap.
-    pacer_stats_cap: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # The shim emulates delay, random loss and the drop-tail queue.
+        self.refuse(("audio", "cross_traffic", "contention_loss_rate",
+                     "delay_jitter_std"), "a live session")
 
 
 class LiveSession(Session):
@@ -118,11 +115,9 @@ class LiveSession(Session):
         self._claim()
         config = self.config
         self.clock = WallClock(asyncio.get_running_loop())
-        self.impairment = LoopbackImpairment(PathConfig(
-            base_rtt=config.base_rtt,
-            queue_capacity_bytes=config.queue_capacity_bytes,
-            random_loss_rate=config.random_loss_rate,
-        ), trace=self.trace, rng=self.rngs.stream("path.loss"))
+        self.impairment = LoopbackImpairment(
+            config.path_config(), trace=self.trace,
+            rng=self.rngs.stream("path.loss"))
         ends = self.ends
         stats_server = None
         elapsed = config.duration
@@ -143,8 +138,7 @@ class LiveSession(Session):
                                     recv_end.send_feedback),
                 **self._stack_kwargs)
             self.sender, self.receiver = stack.sender, stack.receiver
-            if config.pacer_stats_cap is not None:
-                self.sender.pacer.stats.rebound(config.pacer_stats_cap)
+            self.sender.pacer.stats.rebound(LIVE_PACER_STATS_CAP)
             recv_end.on_arrival = self._on_arrival
             send_end.on_drop = self._on_drop
             # One flow per socket pair: feedback carries no flow id.
@@ -164,19 +158,9 @@ class LiveSession(Session):
             # Let in-flight packets and feedback land.
             await self.clock.sleep(config.drain)
         finally:
-            # Teardown must leave *nothing* scheduled on the event loop:
-            # the feedback tick and the pacer pump otherwise reschedule
-            # themselves forever, the endpoints' close() drops their
-            # delayed datagrams and the clock's its timer — a
-            # per-session timer leak under a multi-session supervisor.
-            if self.telemetry is not None:
-                self.telemetry.stop_tick()
-            self._stop()
-            for stack in self.stacks.values():
-                stack.receiver.stop()
-                stack.sender.pacer.cancel_pump()
-            if self.stall is not None:
-                self.stall.cancel()
+            # Teardown leaves nothing on the event loop: closing the clock
+            # drops every entry (ticks and pumps reschedule themselves
+            # forever) and its timer, closing an endpoint its datagrams.
             if stats_server is not None:
                 stats_server.close()
                 await stats_server.wait_closed()
@@ -200,16 +184,13 @@ class LiveSession(Session):
         """Wait out the media phase, or return early on request_stop()."""
         if self._stop_requested:
             return
+        # After an early stop the timeout stays on the clock: firing in
+        # the drain it finds the waiter done, else closing drops it.
         waiter = asyncio.get_running_loop().create_future()
         self._stop_waiter = waiter
-        handle = self.clock.call_later(
-            duration, lambda: None if waiter.done()
-            else waiter.set_result(None), "live.duration")
-        try:
-            await waiter
-        finally:
-            handle.cancel()
-            self._stop_waiter = None
+        self.clock.call_later(duration, lambda: None if waiter.done()
+                              else waiter.set_result(None), "live.duration")
+        await waiter
 
 
 def build_live_session(baseline: str, config: Optional[LiveConfig] = None,

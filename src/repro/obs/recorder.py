@@ -255,11 +255,6 @@ class Telemetry:
         self._tick_handle = self.clock.call_later(
             self.tick_interval, self._tick, name="obs.tick")
 
-    def stop_tick(self) -> None:
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
-
     def _tick(self) -> None:
         if self.watchdog is not None or self.series is not None:
             self._sync()  # the tick's own readers; else rows wait for one

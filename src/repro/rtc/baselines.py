@@ -201,7 +201,7 @@ def stack_kwargs(spec: BaselineSpec, config, category: str = "gaming",
     component factories, the sender switches and ``ace_n_config``, under
     the parameter names :class:`~repro.rtc.session.FlowStack`,
     :class:`RtcSession` and ``LiveSession`` share. ``config`` is a
-    ``SessionConfig`` or ``LiveConfig`` (read: ``fps``,
+    ``SessionConfig`` (a ``LiveConfig`` is one; read: ``fps``,
     ``initial_bwe_bps``, ``max_bwe_bps``).
     """
     fps = config.fps

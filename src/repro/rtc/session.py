@@ -14,7 +14,7 @@ between two ``UdpTransport`` endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Iterable, Optional
 
@@ -201,14 +201,34 @@ class SessionConfig:
     #: runs at up to ~30 Mbps).
     max_bwe_bps: float = 30_000_000.0
 
+    def __post_init__(self) -> None:
+        """Refuse, naming the field, a value no run can honour."""
+        for names, ok, want in (
+                (("duration", "fps", "queue_capacity_bytes",
+                  "cross_traffic_interarrival", "initial_bwe_bps",
+                  "max_bwe_bps"), lambda v: v > 0, "> 0"),
+                (("base_rtt", "delay_jitter_std"), lambda v: v >= 0, ">= 0"),
+                (("random_loss_rate", "contention_loss_rate"),
+                 lambda v: 0 <= v <= 1, "in [0, 1]")):
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ValueError(f"{name} must be {want}, got {value!r}")
+
     def path_config(self) -> PathConfig:
-        return PathConfig(
-            base_rtt=self.base_rtt,
-            queue_capacity_bytes=self.queue_capacity_bytes,
-            random_loss_rate=self.random_loss_rate,
-            contention_loss_rate=self.contention_loss_rate,
-            delay_jitter_std=self.delay_jitter_std,
-        )
+        """The emulated path: this run's value of each PathConfig field."""
+        return PathConfig(**{f.name: getattr(self, f.name)
+                             for f in fields(PathConfig)
+                             if hasattr(self, f.name)})
+
+    def refuse(self, names: Iterable[str], where: str) -> None:
+        """Raise ``ValueError`` naming the first of ``names`` set off its
+        default: ``where`` cannot honour it, and must not ignore it."""
+        default = SessionConfig()
+        for name in names:
+            if getattr(self, name) != getattr(default, name):
+                raise ValueError(
+                    f"SessionConfig.{name} is not supported by {where}")
 
 
 class Session:

@@ -21,8 +21,8 @@ if TYPE_CHECKING:
 
 
 #: bound on the occupancy sample ring in :class:`PacerStats`, so a
-#: wall-clock soak run's memory stays flat; many-session load runs
-#: shrink it per session via :meth:`PacerStats.rebound`.
+#: wall-clock soak run's memory stays flat; a live session shrinks it
+#: via :meth:`PacerStats.rebound`.
 DEFAULT_SAMPLE_CAP = 65_536
 
 
@@ -44,8 +44,8 @@ class PacerStats:
     def rebound(self, cap: int) -> None:
         """Shrink (or grow) the occupancy ring to hold ``cap`` entries.
 
-        Keeps the newest samples. Many-session soak runs call this per
-        session so fleet memory is ``sessions * cap``, not unbounded.
+        Keeps the newest samples. Every live session calls this, so a
+        fleet's memory is ``sessions * cap``, not unbounded.
         """
         self.occupancy_samples = deque(self.occupancy_samples, maxlen=cap)
 
@@ -142,18 +142,6 @@ class Pacer(abc.ABC):
     #: floor on positive pump delays — waits shorter than a microsecond
     #: cannot reliably advance the float clock and would spin the loop.
     MIN_PUMP_DELAY_S = 1e-6
-
-    def cancel_pump(self) -> None:
-        """Cancel any pending pump timer (live-session teardown).
-
-        A non-empty pacer otherwise keeps rescheduling its pump forever
-        on a wall clock — harmless when ``asyncio.run`` exits right
-        after a single session, a timer leak under a long-running
-        multi-session supervisor. Never called on the sim path.
-        """
-        if self._pump_event is not None:
-            self._pump_event.cancel()
-            self._pump_event = None
 
     def _schedule_pump(self, delay: float) -> None:
         if 0 < delay < self.MIN_PUMP_DELAY_S:

@@ -79,8 +79,6 @@ class TransportReceiver:
         self._blocked_since: float | None = None
         self._pli_pending = False
         self._started = False
-        self._stopped = False
-        self._feedback_handle = None
         #: FEC repair state (active as soon as parity packets arrive).
         self.fec = FecDecoder(on_repair=self._fec_repair)
         self._fec_meta: dict[int, tuple[int, int, int, int]] = {}
@@ -89,23 +87,8 @@ class TransportReceiver:
         """Begin the periodic feedback timer."""
         if not self._started:
             self._started = True
-            self._feedback_handle = self.loop.call_later(
-                self.feedback_interval, self._feedback_tick,
-                name="receiver.feedback")
-
-    def stop(self) -> None:
-        """Stop the feedback timer for good (live-session teardown).
-
-        Without this the tick reschedules itself forever — invisible in
-        the simulator (the loop halts at the horizon) and after a single
-        ``asyncio.run`` session, but a per-session timer leak under a
-        long-running multi-session supervisor. Never called on the sim
-        path, so simulated sessions are untouched.
-        """
-        self._stopped = True
-        if self._feedback_handle is not None:
-            self._feedback_handle.cancel()
-            self._feedback_handle = None
+            self.loop.call_later(self.feedback_interval, self._feedback_tick,
+                                 name="receiver.feedback")
 
     # ------------------------------------------------------------------
     # packet arrival
@@ -297,14 +280,11 @@ class TransportReceiver:
     # feedback
     # ------------------------------------------------------------------
     def _feedback_tick(self) -> None:
-        if self._stopped:
-            return
         message = self.feedback_builder.build(self.loop.now)
         if self._pli_pending:
             message.pli_requested = True
             self._pli_pending = False
         self.send_feedback_fn(message)
-        self._feedback_handle = self.loop.call_later(
-            self.feedback_interval, self._feedback_tick,
-            name="receiver.feedback")
+        self.loop.call_later(self.feedback_interval, self._feedback_tick,
+                             name="receiver.feedback")
 

@@ -13,6 +13,11 @@ from repro.audit.fuzz import (
 )
 
 
+def with_config(case, **changes):
+    return dataclasses.replace(
+        case, config=dataclasses.replace(case.config, **changes))
+
+
 class TestCaseGeneration:
     def test_deterministic_from_seed_and_index(self):
         a = case_from_seed(42, 7)
@@ -23,11 +28,14 @@ class TestCaseGeneration:
     def test_different_indices_differ(self):
         cases = [case_from_seed(1, i) for i in range(20)]
         assert len(set(cases)) > 1
+        # Each case's session seed is its own, and set where it is drawn.
+        assert len({case.config.seed for case in cases}) == len(cases)
         for case in cases:
             assert case.baseline in FUZZ_BASELINES
             assert case.trace_kind in FUZZ_TRACES
-            assert 1.5 <= case.duration <= 4.0
-            assert case.queue_capacity_bytes in (25_000, 100_000, 400_000)
+            assert 1.5 <= case.config.duration <= 4.0
+            assert case.config.queue_capacity_bytes in (25_000, 100_000,
+                                                        400_000)
 
     def test_every_trace_kind_builds(self):
         for kind in FUZZ_TRACES:
@@ -36,8 +44,8 @@ class TestCaseGeneration:
             assert trace.rate_at(0.5) > 0
 
     def test_describe_mentions_impairments(self):
-        case = dataclasses.replace(
-            case_from_seed(1, 0), random_loss_rate=0.05, cross_traffic=True)
+        case = with_config(case_from_seed(1, 0), random_loss_rate=0.05,
+                           cross_traffic=True)
         text = case.describe()
         assert "loss=0.050" in text
         assert "cross" in text
@@ -53,21 +61,22 @@ class TestRunCase:
 
 class TestShrink:
     def test_keeps_only_simplifications_that_still_fail(self):
-        case = dataclasses.replace(
+        case = with_config(
             case_from_seed(1, 0), duration=3.5, cross_traffic=True,
             audio=True, random_loss_rate=0.05, delay_jitter_std=0.003)
 
         # Pretend the failure needs random loss but nothing else.
         def fails(c):
-            return c.random_loss_rate > 0
+            return c.config.random_loss_rate > 0
 
         shrunk = shrink(case, fails=fails)
-        assert shrunk.random_loss_rate == 0.05  # the culprit is kept
-        assert shrunk.duration == 1.5
-        assert not shrunk.cross_traffic
-        assert not shrunk.audio
-        assert shrunk.delay_jitter_std == 0.0
+        assert shrunk.config.random_loss_rate == 0.05  # the culprit is kept
+        assert shrunk.config.duration == 1.5
+        assert not shrunk.config.cross_traffic
+        assert not shrunk.config.audio
+        assert shrunk.config.delay_jitter_std == 0.0
         assert shrunk.trace_kind == "const:3"
+        assert shrunk.config.seed == case.config.seed
 
     def test_unshrinkable_case_returned_unchanged(self):
         case = case_from_seed(1, 0)

@@ -527,3 +527,25 @@ class TestCommonFlagsAreHonoured:
         with pytest.raises(SystemExit, match="cannot be combined"):
             main(["grid", "--arena", "ace*2", "--traces", "const:15",
                   "--seeds", "3", "--duration", "1", "--cc", "bbr"])
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["run", "--baseline", "ace", "--rtt", "-10"], "base_rtt"),
+    (["live", "--rtt", "-10"], "base_rtt"),
+    (["run", "--baseline", "ace", "--duration", "0"], "duration"),
+    (["load", "--loss", "1.5"], "random_loss_rate"),
+    (["live", "--queue", "0"], "queue_capacity_bytes"),
+])
+def test_an_out_of_range_run_value_exits_with_one_line(argv, field,
+                                                       monkeypatch):
+    """``run``, ``live`` and ``load`` refuse a value no run can honour:
+    one line naming the field, a non-zero exit, no session built."""
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session was built")
+
+    monkeypatch.setattr("repro.rtc.session.Session.__init__", no_session)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str)        # printed; the exit status is 1
+    assert field in message and "\n" not in message

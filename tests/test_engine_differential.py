@@ -54,31 +54,15 @@ METRICS = ("p50_latency", "p95_latency", "mean_vmaf", "loss_rate",
            "stall_rate", "received_fps")
 
 
-def _case_config(case: FuzzCase) -> SessionConfig:
-    # Mirrors repro.audit.fuzz.run_case so replaying a failure with
-    # ``repro fuzz --replay`` reproduces the same session.
-    return SessionConfig(
-        duration=case.duration,
-        seed=case.root_seed * 1_000_003 + case.index,
-        base_rtt=case.base_rtt,
-        queue_capacity_bytes=case.queue_capacity_bytes,
-        random_loss_rate=case.random_loss_rate,
-        contention_loss_rate=case.contention_loss_rate,
-        delay_jitter_std=case.delay_jitter_std,
-        cross_traffic=case.cross_traffic,
-        audio=case.audio,
-    )
-
-
 def _run_engine(case: FuzzCase, engine: str) -> RunResult:
     session = build_session(case.baseline, build_case_trace(case),
-                            _case_config(case), engine=engine)
+                            case.config, engine=engine)
     metrics = session.run()
     # The engine pair axis goes where paired_compare expects baselines;
     # each case is its own workload (trace=label) so cases pair 1:1.
     return RunResult.from_metrics(metrics, baseline=engine,
                                   trace=case.label,
-                                  seed=_case_config(case).seed)
+                                  seed=case.config.seed)
 
 
 def _divergence(case: FuzzCase) -> tuple[float, str]:
@@ -101,7 +85,7 @@ def _flight_dump(case: FuzzCase) -> str:
     from repro.obs import Telemetry
 
     session = build_session(case.baseline, build_case_trace(case),
-                            _case_config(case))
+                            case.config)
     session.enable_telemetry(Telemetry(keep_events=False))
     session.run()
     return session.telemetry.flight_dump()
@@ -113,7 +97,7 @@ def test_fuzz_scenarios_cover_both_seam_sides():
     for index in range(N_CASES):
         case = case_from_seed(ROOT_SEED, index)
         session = build_session(case.baseline, build_case_trace(case),
-                                _case_config(case))
+                                case.config)
         reasons.append(ineligible_reason(session))
     assert any(r is None for r in reasons), \
         f"no eligible case in sweep: {reasons}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.live.server import (
     run_load,
 )
 from repro.obs import MetricRegistry, prometheus_rollup
+from repro.rtc.session import SessionConfig
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +40,22 @@ def test_build_load_specs_round_robin_and_seeds():
     # Traces keep a stateful cursor: every session gets a private one.
     traces = [s.trace for s in specs]
     assert len({id(t) for t in traces}) == len(traces)
-    # Supervisor-managed sessions never keep full event logs and run
-    # with bounded sample rings.
+    # Supervisor-managed sessions never keep full event logs.
     assert all(not s.config.keep_telemetry_events for s in specs)
-    assert all(s.config.pacer_stats_cap is not None for s in specs)
+
+
+def test_load_specs_carry_every_session_config_field():
+    """One projection: session i runs the load config's SessionConfig —
+    max_bwe_bps included, once pinned at its default — with seed + i."""
+    config = LoadConfig(sessions=2, seed=5, duration=2.0, fps=60.0,
+                        base_rtt=0.05, random_loss_rate=0.01,
+                        queue_capacity_bytes=60_000, initial_bwe_bps=6e6,
+                        max_bwe_bps=8e6)
+    for i, spec in enumerate(build_load_specs(config)):
+        assert isinstance(spec.config, SessionConfig)
+        for f in fields(SessionConfig):
+            want = getattr(config, f.name) + (i if f.name == "seed" else 0)
+            assert getattr(spec.config, f.name) == want, f.name
 
 
 def test_percentiles_nearest_rank():

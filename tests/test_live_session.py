@@ -14,6 +14,7 @@ import pytest
 
 from repro.live import LiveConfig, LoopbackImpairment, UdpTransport
 from repro.live.clock import WallClock
+from repro.live.server import LoadConfig, build_load_specs, run_load
 from repro.live.session import build_live_session, run_live
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -424,15 +425,37 @@ class _EndpointCensus:
 
 def test_live_session_closes_both_endpoints_when_the_stack_fails(
         monkeypatch):
-    """A failure after the binds (here the stack build: a negative pacer
-    sample cap) closes every endpoint it opened — on a supervisor's
-    long-lived loop a leaked socket outlives the session."""
+    """A failure after the binds (here the stack build) closes every
+    endpoint it opened — on a supervisor's long-lived loop a leaked
+    socket outlives the session."""
     census = _EndpointCensus(monkeypatch)
-    session = build_live_session(
-        "ace", LiveConfig(duration=0.2, pacer_stats_cap=-1))
-    with pytest.raises(ValueError, match="maxlen"):
+
+    def failing_stack(*args, **kwargs):
+        raise RuntimeError("stack build failed")
+
+    monkeypatch.setattr("repro.rtc.session.FlowStack", failing_stack)
+    session = build_live_session("ace", LiveConfig(duration=0.2))
+    with pytest.raises(RuntimeError, match="stack build failed"):
         asyncio.run(session.run())
     assert census.opened == 2 and census.closed == 2
+
+
+@pytest.mark.parametrize("name,value", [
+    ("audio", True), ("cross_traffic", True),
+    ("contention_loss_rate", 0.3), ("delay_jitter_std", 0.002)])
+def test_the_live_path_refuses_what_the_shim_cannot_emulate(
+        monkeypatch, name, value):
+    """A live config (``repro live``) and a load config's session configs
+    (``repro load``) refuse, naming the field, a path the loopback shim
+    cannot emulate — before any endpoint is opened."""
+    census = _EndpointCensus(monkeypatch)
+    with pytest.raises(ValueError, match=name):
+        LiveConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        build_load_specs(LoadConfig(**{name: value}))
+    with pytest.raises(ValueError, match=name):
+        run_load(LoadConfig(sessions=1, duration=0.2, **{name: value}))
+    assert census.opened == 0
 
 
 def test_live_session_closes_the_first_endpoint_when_a_bind_fails(
@@ -458,17 +481,16 @@ def test_live_session_cannot_run_twice():
 
 def test_live_session_teardown_leaves_nothing_scheduled():
     """After run() returns, no session timer may still be pending on the
-    loop: the feedback tick and the pacer pump used to reschedule
-    themselves forever, and delayed sends outlived close()."""
+    loop: the feedback tick, the pacer pump and the telemetry tick
+    reschedule themselves forever, so teardown closes the clock — no
+    entry and no asyncio timer left — and delayed sends die with close()."""
 
     async def check():
         session = build_live_session(
-            "ace", short_config(duration=0.5, drain=0.2),
+            "ace", short_config(duration=0.5, drain=0.2, telemetry=True),
             trace=BandwidthTrace.constant(20e6, duration=12.0))
         await session.run()
-        assert session.receiver._feedback_handle is None or \
-            session.receiver._stopped
-        assert session.sender.pacer._pump_event is None
+        assert session.clock._heap == [] and session.clock._timer is None
         # Nothing fires after the session is done: an empty loop
         # iteration right after run() sees no stray session callbacks.
         released_before = session.sender.pacer.stats.sent_packets
@@ -628,7 +650,7 @@ def stall_timers(monkeypatch):
 
 def test_stall_handle_is_cancelled_by_teardown(stall_timers):
     """A stall window outlasting the session leaves a re-arm pending at
-    teardown; it must be cancelled, not left to fire on the loop."""
+    teardown; closing the clock drops it, so it never fires on the loop."""
 
     async def check():
         session = build_live_session(
@@ -637,8 +659,7 @@ def test_stall_handle_is_cancelled_by_teardown(stall_timers):
             trace=BandwidthTrace.constant(20e6, duration=12.0))
         await session.run()
         assert len(stall_timers) > 2, "the stall never re-armed"
-        assert stall_timers[-1].cancelled
-        assert session.stall._handle is None
+        assert session.clock._heap == [] and session.clock._timer is None
         fired = len(stall_timers)
         await asyncio.sleep(0.15)
         assert len(stall_timers) == fired, "a stall clamp fired after run()"

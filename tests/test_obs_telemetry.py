@@ -289,7 +289,6 @@ class TestTelemetryTick:
         tel.start_tick()
         loop.call_at(0.15, lambda: state.__setitem__("v", 3.0))
         loop.run(until=0.35)
-        tel.stop_tick()
         series = tel.metric_series("g")
         assert series[0] == (0.1, 0.0)
         assert (0.2, 3.0) in series

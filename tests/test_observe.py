@@ -109,7 +109,7 @@ def test_single_flow_options_on_sim_and_live():
         assert result.series_frame is None
     assert session.auditor.fine_grained
     assert not live_session.auditor.fine_grained
-    assert live_session.stall._handle is None     # cancelled at teardown
+    assert live_session.clock._heap == []         # dropped at teardown
 
 
 @pytest.mark.parametrize("option,value", [
@@ -148,6 +148,32 @@ def test_load_config_keeps_only_the_fleet_options():
     assert {"series", "slo_p99_s", "stall"} <= names
     assert not names & {"telemetry", "audit", "slo", "slo_pacing_p99_s",
                         "inject_stall_at", "inject_stall_duration"}
+
+
+def test_each_run_field_is_declared_once():
+    """One run config: the live and load configs *are* SessionConfigs,
+    a fuzz case and a grid cell carry one, and none of the four restates
+    a SessionConfig field — bar ``duration``, re-declared only to change
+    its default."""
+    run_fields = {f.name: f for f in fields(SessionConfig)}
+    owners = {"LiveConfig": "live/session.py", "LoadConfig": "live/server.py",
+              "FuzzCase": "audit/fuzz.py", "GridTask": "bench/parallel.py"}
+    for owner, rel in owners.items():
+        tree = ast.parse((SRC / rel).read_text())
+        [cls] = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == owner]
+        declared = {item.target.id: item for item in cls.body
+                    if isinstance(item, ast.AnnAssign)}
+        if owner in ("LiveConfig", "LoadConfig"):
+            assert "SessionConfig" in map(ast.unparse, cls.bases), owner
+        else:
+            assert ast.unparse(declared["config"].annotation) == \
+                "SessionConfig", owner
+        for name in declared.keys() & run_fields.keys():
+            item, field = declared[name], run_fields[name]
+            assert name == "duration", f"{owner} restates {name}"
+            assert ast.unparse(item.annotation) == field.type, owner
+            assert ast.literal_eval(item.value) != field.default, owner
 
 
 def _dataclass_fields(tree):
