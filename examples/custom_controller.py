@@ -4,7 +4,9 @@
 Demonstrates the extension surface a downstream user would touch:
 
 1. a custom ``Pacer`` subclass (here, a half-frame burst-then-pace
-   hybrid) dropped into a session via ``RtcSession``'s factories;
+   hybrid) riding on a baseline spec: ``replace(get_spec("webrtc-star"),
+   pacer=HalfBurstPacer)`` is WebRTC* with that pacer, built by the same
+   flow stack as every registered baseline;
 2. direct use of the ACE-N controller against synthetic feedback, for
    controller-level experiments without the full pipeline;
 3. a parameter-sweep loop over the ACE-N threshold ``T``.
@@ -13,6 +15,7 @@ Run:  python examples/custom_controller.py
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 try:
@@ -23,13 +26,11 @@ except ImportError:  # running from a checkout without installing
 from repro.core import AceNConfig, AceNController
 from repro.net import make_wifi_trace
 from repro.net.packet import Packet
-from repro.rtc import SessionConfig
-from repro.rtc.session import RtcSession
-from repro.sim import RngStream, SeedSequenceFactory
+from repro.rtc import SessionConfig, build_session
+from repro.rtc.baselines import get_spec
+from repro.sim import RngStream
 from repro.transport.feedback import FeedbackMessage, PacketReport
 from repro.transport.pacer.base import Pacer
-from repro.video import AbrVbvRateControl, CodecModel, VideoSource
-from repro.video.codec.presets import x264_config
 
 
 class HalfBurstPacer(Pacer):
@@ -65,16 +66,9 @@ class HalfBurstPacer(Pacer):
 
 def run_custom_pacer() -> None:
     trace = make_wifi_trace(RngStream(5, "trace"), duration=25.0)
-    session = RtcSession(
-        trace=trace,
-        config=SessionConfig(duration=15.0, seed=2, initial_bwe_bps=6e6),
-        source_factory=lambda rngs: VideoSource.from_category(
-            "gaming", rngs.stream("source")),
-        codec_factory=lambda rngs: CodecModel(x264_config(),
-                                              rngs.stream("codec")),
-        rate_control_factory=AbrVbvRateControl,
-        pacer_factory=HalfBurstPacer,
-    )
+    session = build_session(
+        replace(get_spec("webrtc-star"), pacer=HalfBurstPacer), trace,
+        SessionConfig(duration=15.0, seed=2, initial_bwe_bps=6e6))
     metrics = session.run()
     print("custom HalfBurstPacer: "
           f"p95 {metrics.p95_latency() * 1000:.1f} ms, "
@@ -107,7 +101,6 @@ def drive_ace_n_directly() -> None:
 
 def sweep_threshold() -> None:
     print("\nACE-N threshold sweep (full pipeline):")
-    from repro.rtc import build_session
     for t_packets in (7.5, 15.0):
         trace = make_wifi_trace(RngStream(5, "trace"), duration=25.0)
         session = build_session(

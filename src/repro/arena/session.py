@@ -18,7 +18,7 @@ from repro.arena.fairness import FairnessReport
 from repro.arena.topology import ArenaPath, BottleneckSpec
 from repro.net.aqm import DEFAULT_DISCIPLINE
 from repro.net.trace import BandwidthTrace
-from repro.rtc.baselines import get_spec, stack_kwargs
+from repro.rtc.baselines import get_spec
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.session import Session, SessionConfig
 from repro.sim.events import EventLoop
@@ -147,8 +147,8 @@ class ArenaSession(Session):
         ))
         for f in self.flows:
             self._add_flow(f.flow_id, self.rngs.fork(f"flow{f.flow_id}"),
-                           f.start, f.stop, **stack_kwargs(
-                               get_spec(f.baseline), config, f.category))
+                           get_spec(f.baseline), f.category,
+                           start=f.start, stop=f.stop)
         self.senders = {fid: s.sender for fid, s in self.stacks.items()}
 
     def run(self) -> ArenaMetrics:

@@ -46,7 +46,7 @@ from repro.net.trace import (
     make_wifi_trace,
 )
 from repro.observe import Observe, harvest, write_series_shards
-from repro.rtc.baselines import list_baselines
+from repro.rtc.baselines import list_baselines, resolve_spec
 from repro.rtc.session import SessionConfig
 from repro.sim import ENGINE_NAMES
 from repro.sim.rng import RngStream
@@ -64,13 +64,20 @@ def make_trace(kind: str, seed: int, duration: float) -> BandwidthTrace:
     """Build a trace by class name, or a constant one via 'const:<mbps>'
     (named ``const:<mbps:g>``, so two rates are two grid cells)."""
     if kind.startswith("const:"):
-        mbps = float(kind.split(":", 1)[1])
+        try:
+            mbps = float(kind.split(":", 1)[1])
+        except ValueError:
+            raise SystemExit(f"trace {kind!r}: 'const:<mbps>' wants a "
+                             "number of Mbps") from None
         return BandwidthTrace.constant(mbps * 1e6, duration=duration,
                                        name=f"const:{mbps:g}")
     if kind.startswith("weak:"):
-        venue = kind.split(":", 1)[1]
-        return make_weak_network_trace(RngStream(seed, f"cli.{kind}"),
-                                       duration=duration, venue=venue)
+        try:
+            return make_weak_network_trace(RngStream(seed, f"cli.{kind}"),
+                                           duration=duration,
+                                           venue=kind.split(":", 1)[1])
+        except ValueError as exc:        # an unknown venue
+            raise SystemExit(f"trace {kind!r}: {exc}") from None
     if kind not in TRACE_MAKERS:
         raise SystemExit(
             f"unknown trace {kind!r}: choose from {sorted(TRACE_MAKERS)}, "
@@ -117,6 +124,10 @@ def make_task(baseline: str, args: argparse.Namespace,
     the cell's :class:`~repro.observe.Observe` options.
     """
     config = session_config(args, seed, rtt_ms)
+    try:
+        resolve_spec(baseline, args.cc, args.codec)
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
     if trace is None:
         trace = make_trace(args.trace, args.seed, args.duration + 10)
     return GridTask(baseline=baseline, trace=trace, category=args.category,
@@ -312,8 +323,11 @@ def cmd_live(args: argparse.Namespace) -> int:
                         shaped=not args.unshaped, stats_port=args.stats_port,
                         **asdict(observe_options(args)))
     trace = make_trace(args.trace, args.seed, args.duration + 10)
-    session = build_live_session(args.baseline, config, trace=trace,
-                                 category=args.category)
+    try:
+        session = build_live_session(args.baseline, config, trace=trace,
+                                     category=args.category)
+    except ValueError as exc:           # an unknown or FEC baseline
+        raise SystemExit(f"repro live: {exc}") from None
     print(f"live: {args.baseline} over UDP loopback, "
           f"{args.duration:.0f}s wall-clock "
           f"({'unshaped' if args.unshaped else args.trace}, "
@@ -366,22 +380,11 @@ def cmd_load(args: argparse.Namespace) -> int:
     from repro.live.server import (
         DEFAULT_SOAK_DURATION_S,
         LoadConfig,
+        build_load_specs,
         run_load,
     )
-    from repro.rtc.baselines import get_spec
 
     mix = [b.strip() for b in args.mix.split(",") if b.strip()]
-    known = set(list_baselines())
-    for name in mix:
-        if name not in known:
-            raise SystemExit(
-                f"unknown baseline {name!r} in --mix; choose from: "
-                + ", ".join(list_baselines()))
-        if get_spec(name).fec:
-            raise SystemExit(
-                f"baseline {name!r} in --mix uses FEC, which is not "
-                "encodable on the live wire format yet; pick non-FEC "
-                "baselines")
     if not mix:
         raise SystemExit("--mix needs at least one baseline name")
     if args.autoscale:
@@ -408,6 +411,10 @@ def cmd_load(args: argparse.Namespace) -> int:
         stats_port=args.stats_port, heartbeat_interval=args.heartbeat,
         series=observe.series, slo_p99_s=observe.slo_p99_s,
         stall=observe.stall)
+    try:    # the whole mix and one session's path, before any bind
+        build_load_specs(replace(config, sessions=1))
+    except ValueError as exc:
+        raise SystemExit(f"repro load: {exc}") from None
     trace_factory = None
     if args.trace is not None:
         def trace_factory(i, _kind=args.trace, _seed=args.seed,

@@ -7,9 +7,9 @@ sockets, real asyncio timers, real scheduling jitter. It provides:
 * :mod:`repro.live.clock` — the :class:`Clock` scheduling protocol
   (the simulator's ``EventLoop`` satisfies it natively) and its asyncio
   implementation :class:`WallClock`;
-* :mod:`repro.live.transport` — the :class:`Transport` surface and its
-  :class:`UdpTransport` datagram endpoint (in simulation the
-  ``NetworkPath`` itself has the surface);
+* :mod:`repro.live.transport` — :class:`UdpTransport`, the datagram
+  endpoint each direction of a live session goes through (a simulated
+  session sends into its ``NetworkPath`` instead);
 * :mod:`repro.live.wire` — the binary datagram format;
 * :mod:`repro.live.impairment` — the in-process bottleneck shim that
   substitutes for Mahimahi/netem on the loopback path;
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from repro.live.clock import Clock, WallClock
 from repro.live.impairment import LoopbackImpairment
-from repro.live.transport import Transport, UdpTransport
+from repro.live.transport import UdpTransport
 
 __all__ = [
     "Clock", "WallClock",
     "LoopbackImpairment",
-    "Transport", "UdpTransport",
+    "UdpTransport",
     "LiveConfig", "LiveSession", "build_live_session", "run_live",
     "LoadConfig", "SessionRecord", "SessionSpec", "SessionSupervisor",
     "build_load_specs", "run_load", "run_load_async",

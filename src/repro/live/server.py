@@ -37,7 +37,8 @@ import signal
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.live.session import LiveConfig, LiveSession, build_live_session
+from repro.live.session import (LiveConfig, LiveSession, build_live_session,
+                                live_spec)
 from repro.live.stats import start_stats_server, stats_addr
 from repro.net.trace import BandwidthTrace
 from repro.obs.dash import (FLEET_FIELDS, SESSION_GAUGES, STATUSES,
@@ -123,10 +124,13 @@ def build_load_specs(config: LoadConfig,
     supplies them — a private constant-rate trace. Private traces
     matter: :class:`BandwidthTrace` keeps a monotonic lookup cursor, and
     interleaved queries from many sessions on one shared shaped trace
-    would thrash it. A path the loopback shim cannot emulate raises
-    ``ValueError`` here, before any session binds a socket.
+    would thrash it. A path the loopback shim cannot emulate, or a mix
+    naming an unknown or FEC baseline, raises ``ValueError`` here, before
+    any session binds a socket.
     """
     mix = list(config.mix) or ["ace"]
+    for name in dict.fromkeys(mix):     # each name once, in mix order
+        live_spec(name)
     run = {f.name: getattr(config, f.name) for f in fields(SessionConfig)}
     specs: List[SessionSpec] = []
     for i in range(config.sessions):

@@ -27,7 +27,7 @@ from repro.live.stats import start_stats_server, stats_addr
 from repro.live.transport import UdpTransport
 from repro.net.trace import BandwidthTrace
 from repro.observe import Observe, attach
-from repro.rtc.baselines import get_spec, stack_kwargs
+from repro.rtc.baselines import BaselineSpec, resolve_spec
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.session import Session, SessionConfig
 
@@ -71,25 +71,22 @@ class LiveSession(Session):
     :class:`~repro.rtc.session.Session` phases, with time advanced by
     awaiting a wall clock instead of an engine.
 
-    Built by :func:`build_live_session` from a baseline name; call
-    :meth:`run` inside an event loop (or use the synchronous
-    :func:`run_live` wrapper). A ``WallClock`` needs that running loop,
-    so the clock, the endpoints and flow 0's stack are built by ``run``.
+    Flow 0 runs ``baseline`` (a name or a spec; see :func:`live_spec`).
+    Call :meth:`run` inside an event loop (or use :func:`run_live`): a
+    ``WallClock`` needs that running loop, so the clock, the endpoints
+    and flow 0's stack are built by ``run``.
     """
 
     #: series-shard mode (:func:`repro.observe.harvest`).
     mode = "live"
 
     def __init__(self, trace: Optional[BandwidthTrace], config: LiveConfig,
-                 **stack_kwargs) -> None:
+                 baseline: str | BaselineSpec,
+                 category: str = "gaming") -> None:
+        #: flow 0's spec and content; run() builds its stack.
+        self.spec, self.category = live_spec(baseline), category
         # Unshaped: the shim meters no rate, the metrics carry no curve.
         super().__init__(trace if config.shaped else None, config)
-        sender_config = stack_kwargs.get("sender_config")
-        if sender_config is not None and sender_config.fec_enabled:
-            raise ValueError("FEC parity is not encodable on the live wire "
-                             "format yet; pick a non-FEC baseline")
-        #: FlowStack keyword arguments, held until run() has a clock.
-        self._stack_kwargs = stack_kwargs
         self._stop_requested = False
         self._stop_waiter = None
         self.sender = self.receiver = None       # flow 0's, from run()
@@ -126,7 +123,7 @@ class LiveSession(Session):
             # stack build, a busy stats port) runs the teardown below.
             # The sender end shapes outgoing media. The receiver end has
             # no shim, so feedback crosses loopback undelayed, although
-            # the sender's reverse_delay_estimate assumes a one-way delay.
+            # the sender's reverse delay assumes a one-way delay.
             for impairment in (None, self.impairment):
                 ends.append(await UdpTransport.create(
                     self.clock, impairment=impairment))
@@ -134,9 +131,8 @@ class LiveSession(Session):
             send_end.connect(recv_end.local_addr)
             recv_end.connect(send_end.local_addr)
             stack = self._add_flow(
-                0, self.rngs, ends=(send_end, send_end.send,
-                                    recv_end.send_feedback),
-                **self._stack_kwargs)
+                0, self.rngs, self.spec, self.category,
+                ends=(send_end.send, recv_end.send_feedback))
             self.sender, self.receiver = stack.sender, stack.receiver
             self.sender.pacer.stats.rebound(LIVE_PACER_STATS_CAP)
             recv_end.on_arrival = self._on_arrival
@@ -193,29 +189,35 @@ class LiveSession(Session):
         await waiter
 
 
+def live_spec(baseline: str | BaselineSpec) -> BaselineSpec:
+    """``baseline``'s spec; ``ValueError`` names an unknown baseline or one
+    using FEC, whose parity the live wire format cannot encode yet."""
+    spec = resolve_spec(baseline)
+    if spec.fec:
+        raise ValueError(f"baseline {spec.name!r} uses FEC, which is not "
+                         "encodable on the live wire format yet")
+    return spec
+
+
 def build_live_session(baseline: str, config: Optional[LiveConfig] = None,
                        trace: Optional[BandwidthTrace] = None,
-                       category: str = "gaming",
-                       ace_n_config=None, ace_c_config=None) -> LiveSession:
+                       category: str = "gaming") -> LiveSession:
     """Build a :class:`LiveSession` for a named baseline.
 
-    Reuses the baseline registry's factories, so ``"ace"`` here is the
-    same stack as ``build_session("ace", ...)`` — only the clock and the
-    transport differ.
+    Its flow is built by the same ``FlowStack`` from the same spec, so
+    ``"ace"`` here is the stack ``build_session("ace", ...)`` runs —
+    only the clock and the transport differ.
     """
     config = config or LiveConfig()
     if trace is None:
         trace = BandwidthTrace.constant(
             20e6, duration=config.duration + config.drain + 10)
-    return LiveSession(
-        trace=trace, config=config, ace_c_config=ace_c_config,
-        **stack_kwargs(get_spec(baseline), config, category, ace_n_config))
+    return LiveSession(trace, config, baseline, category)
 
 
 def run_live(baseline: str, config: Optional[LiveConfig] = None,
              trace: Optional[BandwidthTrace] = None,
-             category: str = "gaming", **kwargs) -> SessionMetrics:
+             category: str = "gaming") -> SessionMetrics:
     """Synchronous convenience wrapper: build, run, return metrics."""
-    session = build_live_session(baseline, config=config, trace=trace,
-                                 category=category, **kwargs)
-    return asyncio.run(session.run())
+    return asyncio.run(build_live_session(baseline, config, trace,
+                                          category).run())

@@ -1,15 +1,10 @@
-"""Transport abstraction: one send/receive surface for sim and UDP.
+"""The live endpoint: a UDP socket speaking the wire format.
 
-The sender-side stack needs exactly four things from "the network":
-inject a media packet (``send``), return a feedback message
-(``send_feedback``), callbacks for what comes back, and a rough
-reverse-path delay estimate for RTT accounting. :class:`Transport`
-captures that surface. In simulation the path *is* the transport:
-:class:`~repro.net.path.NetworkPath` (and the arena's ``ArenaPath``) has
-these four members itself, so the session hands it straight to the
-stack. Live, it is :class:`UdpTransport`: a non-blocking UDP socket
-carrying the wire format of :mod:`repro.live.wire`, optionally shaped
-by a :class:`~repro.live.impairment.LoopbackImpairment`.
+In simulation the stack sends into the path itself (``NetworkPath``,
+the arena's ``ArenaPath``); live, each direction goes through a
+:class:`UdpTransport`: a non-blocking UDP socket carrying the wire
+format of :mod:`repro.live.wire`, optionally shaped by a
+:class:`~repro.live.impairment.LoopbackImpairment`.
 
 A live session peers two full-duplex endpoints on loopback. The shim's
 delayed datagrams wait in one FIFO per endpoint behind one clock entry
@@ -19,7 +14,6 @@ block, via ``add_reader`` (asyncio's default loop on Linux and macOS).
 
 from __future__ import annotations
 
-import abc
 import asyncio
 import socket
 import struct
@@ -42,32 +36,7 @@ from repro.net.packet import Packet
 _DECODERS = {KIND_MEDIA: decode_packet, KIND_FEEDBACK: decode_feedback}
 
 
-class Transport(abc.ABC):
-    """What the sender/receiver stack sees of the network."""
-
-    #: receiver-side delivery of a media packet.
-    on_arrival: Optional[Callable[[Packet], None]]
-    #: sender-side delivery of a feedback message.
-    on_feedback: Optional[Callable[[object], None]]
-    #: notification that a media packet was dropped in transit; the
-    #: endpoint keeps no record of it (its owner counts).
-    on_drop: Optional[Callable[[Packet], None]]
-
-    @abc.abstractmethod
-    def send(self, packet: Packet) -> None:
-        """Inject a media packet at the sender's NIC."""
-
-    @abc.abstractmethod
-    def send_feedback(self, message: object) -> None:
-        """Return a feedback message from the receiver."""
-
-    @property
-    @abc.abstractmethod
-    def reverse_delay_estimate(self) -> float:
-        """Approximate one-way delay of the feedback path (seconds)."""
-
-
-class UdpTransport(Transport):
+class UdpTransport:
     """One live endpoint: a UDP socket speaking the wire format, both
     directions demultiplexed by kind byte. A failed send or receive
     counts in ``socket_errors``, a datagram that does not decode in
@@ -77,8 +46,12 @@ class UdpTransport(Transport):
                  impairment: Optional[LoopbackImpairment] = None) -> None:
         self.clock = clock
         self.impairment = impairment
+        #: receiver side: a media packet arrived.
         self.on_arrival: Optional[Callable[[Packet], None]] = None
+        #: sender side: a feedback message arrived.
         self.on_feedback: Optional[Callable[[object], None]] = None
+        #: the shim dropped a media packet; the endpoint keeps no record
+        #: of it (its owner counts).
         self.on_drop: Optional[Callable[[Packet], None]] = None
         self.socket_errors = 0
         self.malformed = 0
@@ -145,8 +118,11 @@ class UdpTransport(Transport):
             self._send_after(now, delay, encode_packet(packet))
 
     def send_feedback(self, message: object) -> None:
-        """Emit a feedback message after the reverse propagation delay."""
-        now, delay = self.clock.now, self.reverse_delay_estimate
+        """Emit a feedback message after the reverse propagation delay
+        (none without a shim)."""
+        now = self.clock.now
+        delay = 0.0 if self.impairment is None else \
+            self.impairment.feedback_delay
         for data in encode_feedback(message):
             self._send_after(now, delay, data)
 
@@ -198,7 +174,3 @@ class UdpTransport(Transport):
             elif self.on_feedback is not None:
                 self.on_feedback(decoded)
 
-    @property
-    def reverse_delay_estimate(self) -> float:
-        return (self.impairment.feedback_delay
-                if self.impairment is not None else 0.0)

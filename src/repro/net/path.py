@@ -195,8 +195,3 @@ class NetworkPath:
     def _feedback_arrives(self, message: object) -> None:
         if self.on_feedback is not None:
             self.on_feedback(message)
-
-    @property
-    def reverse_delay_estimate(self) -> float:
-        """One-way feedback-path delay (the Transport-surface estimate)."""
-        return self.config.one_way_delay

@@ -17,52 +17,60 @@ turns one into a ready-to-run :class:`RtcSession`. The registry covers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union
 
-from repro.core.ace_c import AceCConfig
 from repro.core.ace_n import AceNConfig
 from repro.net.trace import BandwidthTrace
-from repro.rtc.sender import SenderConfig
 from repro.rtc.session import RtcSession, SessionConfig
-from repro.sim.events import EventLoop
 from repro.sim.rng import SeedSequenceFactory
-from repro.transport.cc.bbr import BbrController
-from repro.transport.cc.copa import CopaController
-from repro.transport.cc.delivery_rate import DeliveryRateController
-from repro.transport.cc.gcc import GccController
-from repro.transport.pacer.base import Pacer
-from repro.transport.pacer.burst import BurstPacer
-from repro.transport.pacer.leaky_bucket import LeakyBucketPacer
-from repro.transport.pacer.token_bucket_pacer import TokenBucketPacer
 from repro.video.codec.presets import codec_config
-from repro.video.codec.model import CodecModel
-from repro.video.codec.rate_control import (
-    AbrVbvRateControl,
-    CbrRateControl,
-    RateControl,
-)
-from repro.video.source import VideoSource
+
+#: the names a spec may give each component, every one of which
+#: ``FlowStack`` builds (``pacer`` may instead be a ``Pacer`` subclass).
+CHOICES = {
+    "rate_control": ("abr", "cbr"),
+    "pacer": ("leaky", "burst", "token"),
+    "cc": ("gcc", "bbr", "copa", "delivery", "delivery-throughput"),
+}
 
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """Declarative description of one baseline scheme."""
+    """Declarative description of one baseline scheme: the codec, rate
+    control, pacer and congestion controller a flow combines, built by
+    :class:`~repro.rtc.session.FlowStack` on any clock. A component
+    named outside :data:`CHOICES` (or an unknown codec) is refused,
+    naming the field."""
 
     name: str
     codec: str = "x264"
-    rate_control: str = "abr"          # "abr" | "cbr"
-    pacer: str = "leaky"               # "leaky" | "burst" | "token"
+    rate_control: str = "abr"
+    #: a name in ``CHOICES``, or a ``Pacer`` subclass, built as
+    #: ``pacer(clock, send)``.
+    pacer: Union[str, Callable] = "leaky"
     pacing_factor: float = 1.0
     ace_c: bool = False
     ace_n: bool = False
     salsify: bool = False
     fec: bool = False
-    cc: str = "gcc"                    # "gcc" | "bbr" | "copa" | "delivery"
+    cc: str = "gcc"
     #: ACE's GCC uses a time-windowed trendline (§5.2).
     time_windowed_trendline: bool = False
     max_target_bitrate_bps: Optional[float] = None
     description: str = ""
+
+    def __post_init__(self) -> None:
+        try:
+            codec_config(self.codec)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        for name, choices in CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices and not (name == "pacer"
+                                             and callable(value)):
+                raise ValueError(f"unknown {name} {value!r}; "
+                                 f"choose from {list(choices)}")
 
 
 BASELINES: dict[str, BaselineSpec] = {
@@ -136,106 +144,11 @@ def get_spec(name: str) -> BaselineSpec:
     return BASELINES[name]
 
 
-# ----------------------------------------------------------------------
-# factories
-# ----------------------------------------------------------------------
-def _rate_control_factory(spec: BaselineSpec) -> Callable[[], RateControl]:
-    if spec.rate_control == "abr":
-        return lambda: AbrVbvRateControl()
-    if spec.rate_control == "cbr":
-        return lambda: CbrRateControl()
-    raise ValueError(f"unknown rate control {spec.rate_control!r}")
-
-
-def _pacer_factory(spec: BaselineSpec,
-                   ace_n_config: Optional[AceNConfig]) -> Callable[[EventLoop, Callable], Pacer]:
-    if spec.pacer == "leaky":
-        return lambda loop, send: LeakyBucketPacer(loop, send,
-                                                   pacing_factor=spec.pacing_factor)
-    if spec.pacer == "burst":
-        return lambda loop, send: BurstPacer(loop, send)
-    if spec.pacer == "token":
-        initial = (ace_n_config or AceNConfig()).initial_bucket_bytes
-        return lambda loop, send: TokenBucketPacer(loop, send,
-                                                   initial_bucket_bytes=initial)
-    raise ValueError(f"unknown pacer {spec.pacer!r}")
-
-
-def _cc_factory(spec: BaselineSpec, initial_bwe: float,
-                max_bwe: float) -> Callable[[], object]:
-    if spec.cc == "gcc":
-        return lambda: GccController(
-            initial_bwe_bps=initial_bwe, max_bwe_bps=max_bwe,
-            time_windowed_trendline=spec.time_windowed_trendline)
-    if spec.cc == "bbr":
-        return lambda: BbrController(initial_bwe_bps=initial_bwe,
-                                     max_bwe_bps=max_bwe)
-    if spec.cc == "delivery":
-        return lambda: DeliveryRateController(initial_bwe_bps=initial_bwe,
-                                              max_bwe_bps=max_bwe)
-    if spec.cc == "copa":
-        return lambda: CopaController(initial_bwe_bps=initial_bwe,
-                                      max_bwe_bps=max_bwe)
-    if spec.cc == "delivery-throughput":
-        # Throughput-chasing engine: larger headroom, no delay brake —
-        # it fills the bottleneck queue and only yields to loss.
-        return lambda: DeliveryRateController(initial_bwe_bps=initial_bwe,
-                                              max_bwe_bps=max_bwe,
-                                              headroom=1.25,
-                                              delay_brake_s=float("inf"))
-    raise ValueError(f"unknown congestion controller {spec.cc!r}")
-
-
-def _codec_factory(spec: BaselineSpec) -> Callable[[SeedSequenceFactory], CodecModel]:
-    def make(rngs: SeedSequenceFactory) -> CodecModel:
-        return CodecModel(codec_config(spec.codec), rngs.stream("codec"))
-    return make
-
-
-def stack_kwargs(spec: BaselineSpec, config, category: str = "gaming",
-                 ace_n_config: Optional[AceNConfig] = None,
-                 audio: bool = False) -> dict:
-    """The keyword arguments a baseline contributes to a flow stack.
-
-    The one ``spec → (factories, SenderConfig)`` mapping: the five
-    component factories, the sender switches and ``ace_n_config``, under
-    the parameter names :class:`~repro.rtc.session.FlowStack`,
-    :class:`RtcSession` and ``LiveSession`` share. ``config`` is a
-    ``SessionConfig`` (a ``LiveConfig`` is one; read: ``fps``,
-    ``initial_bwe_bps``, ``max_bwe_bps``).
-    """
-    fps = config.fps
-
-    def source_factory(rngs: SeedSequenceFactory):
-        return VideoSource.from_category(category, rngs.stream("source"),
-                                         fps=fps)
-
-    return dict(
-        source_factory=source_factory,
-        codec_factory=_codec_factory(spec),
-        rate_control_factory=_rate_control_factory(spec),
-        pacer_factory=_pacer_factory(spec, ace_n_config),
-        cc_factory=_cc_factory(spec, config.initial_bwe_bps,
-                               config.max_bwe_bps),
-        sender_config=SenderConfig(
-            fps=fps,
-            ace_c_enabled=spec.ace_c,
-            ace_n_enabled=spec.ace_n,
-            salsify_mode=spec.salsify,
-            fec_enabled=spec.fec,
-            audio_enabled=audio,
-            max_target_bitrate_bps=spec.max_target_bitrate_bps,
-        ),
-        ace_n_config=ace_n_config,
-    )
-
-
 def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
                   session_config: Optional[SessionConfig] = None,
                   category: str = "gaming",
                   source_factory: Optional[Callable[[SeedSequenceFactory], object]] = None,
                   ace_n_config: Optional[AceNConfig] = None,
-                  ace_c_config: Optional[AceCConfig] = None,
                   cc_override: Optional[str] = None,
                   codec_override: Optional[str] = None,
                   engine: str = "reference",
@@ -253,22 +166,25 @@ def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
     queue discipline (see :mod:`repro.net.aqm`); the default drop-tail
     keeps bit-identical historical behaviour.
     """
-    spec = get_spec(baseline) if isinstance(baseline, str) else baseline
-    if cc_override is not None:
-        spec = replace(spec, cc=cc_override)
-    if codec_override is not None:
-        spec = replace(spec, codec=codec_override)
-    config = session_config or SessionConfig()
-    parts = stack_kwargs(spec, config, category, ace_n_config,
-                         audio=config.audio)
-    if source_factory is not None:
-        parts["source_factory"] = source_factory
     return RtcSession(
-        trace=trace,
-        config=config,
-        **parts,
-        ace_c_config=ace_c_config,
-        engine=engine,
-        discipline=discipline,
-        discipline_params=discipline_params,
-    )
+        trace, session_config or SessionConfig(),
+        resolve_spec(baseline, cc_override, codec_override), category,
+        source_factory=source_factory, ace_n_config=ace_n_config,
+        engine=engine, discipline=discipline,
+        discipline_params=discipline_params)
+
+
+def resolve_spec(baseline: str | BaselineSpec, cc: Optional[str] = None,
+                 codec: Optional[str] = None) -> BaselineSpec:
+    """``baseline`` (a registered name or a spec) with the ``cc`` and
+    ``codec`` overrides applied; ``ValueError`` names an unknown
+    baseline, controller or codec."""
+    try:
+        spec = get_spec(baseline) if isinstance(baseline, str) else baseline
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    if cc is not None:
+        spec = replace(spec, cc=cc)
+    if codec is not None:
+        spec = replace(spec, codec=codec)
+    return spec

@@ -26,7 +26,6 @@ from repro.transport.cc.base import CongestionController
 
 if TYPE_CHECKING:
     from repro.live.clock import Clock
-    from repro.live.transport import Transport
 from repro.transport.feedback import FeedbackMessage, ReportBatch
 from repro.transport.audio import AudioSource
 from repro.transport.fec import FecConfig, FecEncoder
@@ -80,15 +79,14 @@ class Sender:
     """Drives the capture/encode/send pipeline on a :class:`Clock`.
 
     ``loop`` is any clock satisfying the scheduling protocol — the sim
-    ``EventLoop`` or a live ``WallClock``. ``transport`` is anything
-    exposing the :class:`~repro.live.transport.Transport` surface (the
-    sender only reads ``reverse_delay_estimate`` off it; packets leave
-    through the pacer's ``send_fn``).
+    ``EventLoop`` or a live ``WallClock``. Packets leave through the
+    pacer's ``send_fn``; ``reverse_delay`` is the one-way delay the
+    sender adds to each report's forward delay to estimate its RTT.
     """
 
     def __init__(self, loop: "Clock", source, codec: CodecModel,
                  rate_control: RateControl, pacer: Pacer,
-                 cc: CongestionController, transport: "Transport",
+                 cc: CongestionController, reverse_delay: float,
                  config: Optional[SenderConfig] = None,
                  ace_c: Optional[AceCController] = None,
                  ace_n: Optional[AceNController] = None,
@@ -103,7 +101,7 @@ class Sender:
         self.rate_control = rate_control
         self.pacer = pacer
         self.cc = cc
-        self.transport = transport
+        self.reverse_delay = reverse_delay
         self.config = config or SenderConfig()
         self.ace_c = ace_c
         self.ace_n = ace_n
@@ -349,7 +347,7 @@ class Sender:
     # ------------------------------------------------------------------
     def on_feedback(self, message: FeedbackMessage) -> None:
         now = self.loop.now
-        reverse = self.transport.reverse_delay_estimate
+        reverse = self.reverse_delay
         if hasattr(self.cc, "observe_reverse_delay"):
             self.cc.observe_reverse_delay(reverse)
         reports = message.reports

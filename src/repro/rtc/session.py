@@ -1,7 +1,7 @@
 """Session runner: wires sender, receiver, path and metrics together.
 
-:class:`FlowStack` is the one place the sender pipeline is assembled —
-codec → source → CC → pacer → ACE-N/ACE-C → ``Sender`` →
+:class:`FlowStack` is the one place a baseline spec becomes a sender
+pipeline — codec → source → CC → pacer → ACE-N/ACE-C → ``Sender`` →
 ``TransportReceiver`` with its display sync and metrics collection.
 :class:`Session` puts stacks, keyed by flow id, on one clock in front of
 one transport and runs them through one lifecycle: a single-flow run
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.core.ace_c import AceCConfig, AceCController
 from repro.core.ace_n import AceNConfig, AceNController
@@ -29,48 +29,18 @@ from repro.rtc.metrics import SessionMetrics
 from repro.rtc.sender import Sender, SenderConfig
 from repro.sim.events import EventLoop
 from repro.sim.rng import RngStream, SeedSequenceFactory
-from repro.transport.cc.base import CongestionController
-from repro.transport.cc.gcc import GccController
-from repro.transport.pacer.base import Pacer
 from repro.transport.audio import AudioReceiver
+from repro.transport.cc import (BbrController, CopaController,
+                                DeliveryRateController, GccController)
+from repro.transport.pacer import BurstPacer, LeakyBucketPacer, TokenBucketPacer
 from repro.transport.receiver import TransportReceiver
 from repro.video.codec.model import CodecModel
-from repro.video.codec.rate_control import RateControl
+from repro.video.codec.presets import codec_config
+from repro.video.codec.rate_control import AbrVbvRateControl, CbrRateControl
+from repro.video.source import VideoSource
 
-
-def build_ace_controllers(sender_cfg: SenderConfig, codec: CodecModel,
-                          fps: float, initial_bwe_bps: float,
-                          ace_n_config: Optional[AceNConfig] = None,
-                          ace_c_config: Optional[AceCConfig] = None,
-                          ) -> tuple[Optional[AceNController],
-                                     Optional[AceCController]]:
-    """Construct the ACE controllers a sender config asks for.
-
-    Called by :class:`FlowStack` only, so the ACE-C seeding (complexity
-    factors calibrated from the codec's level curves, Fig. 4) is
-    identical in sim, arena and live runs.
-    """
-    ace_n = None
-    if sender_cfg.ace_n_enabled:
-        ace_n = AceNController(ace_n_config or AceNConfig())
-    ace_c = None
-    if sender_cfg.ace_c_enabled:
-        levels = codec.config.levels
-        if ace_c_config is None:
-            # "Empirical values" for the complexity factors come from
-            # the offline per-codec calibration (Fig. 4): seed phi
-            # and delta_Te with the encoder's measured level curves.
-            budget_bits = initial_bwe_bps / fps
-            base_time = levels[0].encode_time(budget_bits)
-            ace_c_config = AceCConfig(
-                initial_phi=tuple(l.phi for l in levels),
-                initial_delta_te=tuple(
-                    max(0.0, l.encode_time(budget_bits) - base_time)
-                    for l in levels),
-            )
-        ace_c = AceCController(num_levels=len(levels), fps=fps,
-                               config=ace_c_config)
-    return ace_n, ace_c
+if TYPE_CHECKING:
+    from repro.rtc.baselines import BaselineSpec
 
 
 class DisplaySync:
@@ -105,50 +75,86 @@ class DisplaySync:
 
 
 class FlowStack:
-    """One flow's sender pipeline and receiver, on any clock.
+    """One flow's sender pipeline and receiver, on any clock: the one
+    statement of the spec → component mapping.
 
     Builds codec → source → CC → pacer → ACE-N/ACE-C → :class:`Sender`
-    → :class:`TransportReceiver` from the component factories, in that
-    order (the factories draw their named RNG streams from ``rngs``).
-    ``send`` is where the pacer releases packets and ``send_feedback``
-    where the receiver returns its reports; ``transport`` only supplies
-    the sender's reverse-delay estimate. The owner routes arrivals to
-    ``receiver.on_packet`` and feedback to ``sender.on_feedback``, and
-    runs ``display_sync`` after deliveries.
+    → :class:`TransportReceiver` from a ``BaselineSpec``, the run's
+    ``SessionConfig`` and a content ``category`` (``source_factory``
+    replaces the category's source, ``ace_n_config`` ACE-N's defaults),
+    drawing named streams from ``rngs``. The pacer releases into
+    ``send``, the receiver reports into ``send_feedback``; the owner
+    routes arrivals to ``receiver.on_packet`` and feedback to
+    ``sender.on_feedback``, and runs ``display_sync`` after deliveries.
     """
 
-    def __init__(self, clock, transport, send: Callable[[Packet], None],
+    def __init__(self, clock, send: Callable[[Packet], None],
                  send_feedback: Callable[[object], None],
-                 rngs: SeedSequenceFactory, *, fps: float,
-                 initial_bwe_bps: float,
-                 source_factory: Callable[[SeedSequenceFactory], object],
-                 codec_factory: Callable[[SeedSequenceFactory], CodecModel],
-                 rate_control_factory: Callable[[], RateControl],
-                 pacer_factory: Callable[..., Pacer],
-                 cc_factory: Callable[[], CongestionController],
-                 sender_config: Optional[SenderConfig] = None,
-                 ace_n_config: Optional[AceNConfig] = None,
-                 ace_c_config: Optional[AceCConfig] = None) -> None:
-        self.codec = codec_factory(rngs)
-        self.source = source_factory(rngs)
-        sender_cfg = sender_config or SenderConfig(fps=fps)
-        sender_cfg.fps = fps
-        self.cc = cc_factory()
-        pacer = pacer_factory(clock, send)
+                 rngs: SeedSequenceFactory, spec: "BaselineSpec", config,
+                 category: str = "gaming",
+                 source_factory: Optional[
+                     Callable[[SeedSequenceFactory], object]] = None,
+                 ace_n_config: Optional[AceNConfig] = None) -> None:
+        fps, bwe = config.fps, config.initial_bwe_bps
+        ace_n_config = ace_n_config or AceNConfig()
+        self.codec = CodecModel(codec_config(spec.codec),
+                                rngs.stream("codec"))
+        self.source = (VideoSource.from_category(
+            category, rngs.stream("source"), fps=fps)
+            if source_factory is None else source_factory(rngs))
+        bounds = dict(initial_bwe_bps=bwe, max_bwe_bps=config.max_bwe_bps)
+        if spec.cc == "gcc":
+            self.cc = GccController(
+                **bounds, time_windowed_trendline=spec.time_windowed_trendline)
+        elif spec.cc == "delivery-throughput":
+            # Chases throughput: larger headroom, no delay brake — it
+            # fills the bottleneck queue and only yields to loss.
+            self.cc = DeliveryRateController(
+                **bounds, headroom=1.25, delay_brake_s=float("inf"))
+        else:
+            self.cc = {"bbr": BbrController, "copa": CopaController,
+                       "delivery": DeliveryRateController}[spec.cc](**bounds)
+        if spec.pacer == "leaky":
+            pacer = LeakyBucketPacer(clock, send,
+                                     pacing_factor=spec.pacing_factor)
+        elif spec.pacer == "token":
+            pacer = TokenBucketPacer(
+                clock, send,
+                initial_bucket_bytes=ace_n_config.initial_bucket_bytes)
+        else:                           # "burst", or a Pacer subclass
+            pacer = (BurstPacer if spec.pacer == "burst"
+                     else spec.pacer)(clock, send)
         pacer.set_pacing_rate(self.cc.bwe_bps)
-        ace_n, ace_c = build_ace_controllers(
-            sender_cfg, self.codec, fps, initial_bwe_bps,
-            ace_n_config=ace_n_config, ace_c_config=ace_c_config)
+        ace_c = None
+        if spec.ace_c:
+            # "Empirical values" for the complexity factors come from the
+            # offline per-codec calibration (Fig. 4): seed phi and
+            # delta_Te with the encoder's measured level curves.
+            levels = self.codec.config.levels
+            budget_bits = bwe / fps
+            base_time = levels[0].encode_time(budget_bits)
+            ace_c = AceCController(
+                num_levels=len(levels), fps=fps, config=AceCConfig(
+                    initial_phi=tuple(l.phi for l in levels),
+                    initial_delta_te=tuple(
+                        max(0.0, l.encode_time(budget_bits) - base_time)
+                        for l in levels)))
         self.sender = Sender(
-            clock, self.source, self.codec, rate_control_factory(),
-            pacer, self.cc, transport, config=sender_cfg,
-            ace_c=ace_c, ace_n=ace_n,
+            clock, self.source, self.codec,
+            CbrRateControl() if spec.rate_control == "cbr"
+            else AbrVbvRateControl(),
+            pacer, self.cc, config.base_rtt / 2,
+            config=SenderConfig(
+                fps=fps, ace_c_enabled=spec.ace_c, ace_n_enabled=spec.ace_n,
+                salsify_mode=spec.salsify, fec_enabled=spec.fec,
+                audio_enabled=config.audio,
+                max_target_bitrate_bps=spec.max_target_bitrate_bps),
+            ace_c=ace_c,
+            ace_n=AceNController(ace_n_config) if spec.ace_n else None,
         )
         self.receiver = TransportReceiver(
-            clock,
-            send_feedback_fn=send_feedback,
-            decode_time_fn=self.codec.decode_time,
-        )
+            clock, send_feedback_fn=send_feedback,
+            decode_time_fn=self.codec.decode_time)
         self.display_sync = DisplaySync(self.sender, self.receiver)
 
     def attach_telemetry(self, telemetry, link=None) -> None:
@@ -276,17 +282,17 @@ class Session:
         path.on_drop = self._on_drop
 
     def _add_flow(self, fid: int, rngs: SeedSequenceFactory,
+                  spec: "BaselineSpec", category: str = "gaming", *,
                   start: float = 0.0, stop: Optional[float] = None,
-                  ends: Optional[tuple] = None, **factories) -> FlowStack:
-        """Build flow ``fid`` on ``ends``: transport, send, send_feedback."""
+                  ends: Optional[tuple] = None, **overrides) -> FlowStack:
+        """Build flow ``fid`` sending into ``ends``: send, send_feedback."""
         if ends is None:            # the path's; feedback rides as (fid, msg)
             path = self.path
             # Flow 0's packets are born tagged; the others are tagged here.
             send = path.send if fid == 0 else partial(_send_tagged, path, fid)
-            ends = (path, send, lambda msg: path.send_feedback((fid, msg)))
+            ends = (send, lambda msg: path.send_feedback((fid, msg)))
         stack = self.stacks[fid] = FlowStack(
-            self.clock, *ends, rngs, fps=self.config.fps,
-            initial_bwe_bps=self.config.initial_bwe_bps, **factories)
+            self.clock, *ends, rngs, spec, self.config, category, **overrides)
         self._flow_losses[fid] = 0
         self._spans[fid] = (start, stop)
         return stack
@@ -400,24 +406,20 @@ class Session:
 
 
 class RtcSession(Session):
-    """One sender/receiver pair over an emulated path: flow 0 on a
-    :class:`NetworkPath`, beside the audio probe and optional cross
-    traffic. Construction takes *factories* so each session owns fresh
-    component state; :meth:`run` returns :class:`SessionMetrics`.
+    """One sender/receiver pair over an emulated path: flow 0, the flow
+    ``spec`` describes, on a :class:`NetworkPath`, beside the audio probe
+    and optional cross traffic. :meth:`run` returns
+    :class:`SessionMetrics`.
     """
 
     #: series-shard mode (:func:`repro.observe.harvest`).
     mode = "sim"
 
     def __init__(self, trace: BandwidthTrace, config: SessionConfig,
-                 source_factory: Callable[[SeedSequenceFactory], object],
-                 codec_factory: Callable[[SeedSequenceFactory], CodecModel],
-                 rate_control_factory: Callable[[], RateControl],
-                 pacer_factory: Callable[[EventLoop, Callable[[Packet], None]], Pacer],
-                 cc_factory: Optional[Callable[[], CongestionController]] = None,
-                 sender_config: Optional[SenderConfig] = None,
+                 spec: "BaselineSpec", category: str = "gaming", *,
+                 source_factory: Optional[
+                     Callable[[SeedSequenceFactory], object]] = None,
                  ace_n_config: Optional[AceNConfig] = None,
-                 ace_c_config: Optional[AceCConfig] = None,
                  engine: str = "reference",
                  discipline: str = DEFAULT_DISCIPLINE,
                  discipline_params: Optional[dict] = None) -> None:
@@ -436,17 +438,10 @@ class RtcSession(Session):
                                   discipline=queue))
         # Flow 0 draws from the root streams (not a fork), so every
         # stream name, and so every fingerprint, predates the arena.
-        self.flow = self._add_flow(
-            0, self.rngs, source_factory=source_factory,
-            codec_factory=codec_factory,
-            rate_control_factory=rate_control_factory,
-            pacer_factory=pacer_factory,
-            cc_factory=cc_factory or (lambda: GccController(
-                initial_bwe_bps=config.initial_bwe_bps)),
-            sender_config=sender_config, ace_n_config=ace_n_config,
-            ace_c_config=ace_c_config)
-        self.sender = self.flow.sender
-        self.receiver = self.flow.receiver
+        self.flow = self._add_flow(0, self.rngs, spec, category,
+                                   source_factory=source_factory,
+                                   ace_n_config=ace_n_config)
+        self.sender, self.receiver = self.flow.sender, self.flow.receiver
         if config.cross_traffic:
             self.cross_traffic = PageLoadGenerator(
                 self.loop, self.path.send, self.rngs.stream("cross"),

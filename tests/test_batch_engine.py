@@ -18,6 +18,7 @@ between decision boundaries. Its contract:
 import json
 import math
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ import pytest
 from repro.analysis.aggregate import paired_compare
 from repro.analysis.results import RunResult, canonical_metrics_json
 from repro.net.trace import BandwidthTrace, make_wifi_trace
-from repro.rtc.baselines import (build_session, get_spec, list_baselines,
-                                 stack_kwargs)
-from repro.rtc.session import RtcSession, SessionConfig
+from repro.rtc.baselines import build_session, get_spec, list_baselines
+from repro.rtc.session import SessionConfig
 from repro.sim import ENGINE_NAMES, get_engine
 from repro.sim.rng import RngStream
 from repro.transport.pacer.base import Pacer
@@ -190,9 +190,8 @@ def test_a_pacer_without_a_closed_form_falls_back_reference_exact():
     cfg = SessionConfig(duration=2.5, seed=9)
 
     def run(engine):
-        parts = stack_kwargs(get_spec("webrtc-star"), cfg)
-        parts["pacer_factory"] = _SlotPacer
-        session = RtcSession(trace=trace, config=cfg, **parts, engine=engine)
+        spec = replace(get_spec("webrtc-star"), pacer=_SlotPacer)
+        session = build_session(spec, trace, cfg, engine=engine)
         return session, session.run()
 
     _, ref_metrics = run("reference")

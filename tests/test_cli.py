@@ -540,6 +540,27 @@ def test_an_out_of_range_run_value_exits_with_one_line(argv, field,
                                                        monkeypatch):
     """``run``, ``live`` and ``load`` refuse a value no run can honour:
     one line naming the field, a non-zero exit, no session built."""
+    assert field in _refusal(argv, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["run", "--baseline", "nope"], "'nope'"),
+    (["run", "--baseline", "ace", "--cc", "nope"], "'nope'"),
+    (["run", "--baseline", "ace", "--codec", "nope"], "'nope'"),
+    (["run", "--baseline", "ace", "--trace", "const:abc"], "const:abc"),
+    (["run", "--baseline", "ace", "--trace", "weak:mars"], "mars"),
+    (["live", "--baseline", "ace-fec"], "ace-fec"),
+    (["load", "--mix", "ace-fec", "--sessions", "1"], "ace-fec"),
+    (["load", "--mix", "ace,nope"], "'nope'"),
+])
+def test_an_unknown_name_exits_with_one_line(argv, value, monkeypatch):
+    """A baseline, controller, codec or trace nothing defines — or a live
+    baseline the wire format cannot carry — is refused the same way."""
+    assert value in _refusal(argv, monkeypatch)
+
+
+def _refusal(argv, monkeypatch) -> str:
+    """The one line ``main(argv)`` exits with, no session built."""
     def no_session(*args, **kwargs):
         raise AssertionError("a session was built")
 
@@ -548,4 +569,5 @@ def test_an_out_of_range_run_value_exits_with_one_line(argv, field,
         main(argv)
     message = exc.value.code
     assert isinstance(message, str)        # printed; the exit status is 1
-    assert field in message and "\n" not in message
+    assert "\n" not in message
+    return message

@@ -440,6 +440,20 @@ def test_live_session_closes_both_endpoints_when_the_stack_fails(
     assert census.opened == 2 and census.closed == 2
 
 
+@pytest.mark.parametrize("mix,name", [
+    (("ace-fec",), "ace-fec"), (("ace", "nope"), "nope")])
+def test_a_fleet_refuses_a_bad_mix_before_any_endpoint_opens(
+        monkeypatch, mix, name):
+    """A mix naming an unknown baseline, or one whose FEC parity the
+    wire format cannot carry, fails the fleet, not each session."""
+    census = _EndpointCensus(monkeypatch)
+    with pytest.raises(ValueError, match=name):
+        build_load_specs(LoadConfig(mix=mix))
+    with pytest.raises(ValueError, match=name):
+        run_load(LoadConfig(sessions=2, duration=0.2, mix=mix))
+    assert census.opened == 0
+
+
 @pytest.mark.parametrize("name,value", [
     ("audio", True), ("cross_traffic", True),
     ("contention_loss_rate", 0.3), ("delay_jitter_std", 0.002)])

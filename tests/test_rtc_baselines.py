@@ -1,16 +1,21 @@
 """Tests for the baseline registry and session builder."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.net.trace import BandwidthTrace
-from repro.rtc.baselines import BASELINES, build_session, get_spec, list_baselines
+from repro.rtc.baselines import (BASELINES, CHOICES, build_session, get_spec,
+                                 list_baselines, resolve_spec)
 from repro.rtc.session import SessionConfig
 from repro.transport.cc.bbr import BbrController
+from repro.transport.cc.copa import CopaController
 from repro.transport.cc.delivery_rate import DeliveryRateController
 from repro.transport.cc.gcc import GccController
 from repro.transport.pacer.burst import BurstPacer
 from repro.transport.pacer.leaky_bucket import LeakyBucketPacer
 from repro.transport.pacer.token_bucket_pacer import TokenBucketPacer
+from repro.video.codec.rate_control import AbrVbvRateControl, CbrRateControl
 
 
 def short_session(name, **kwargs):
@@ -93,3 +98,42 @@ def test_session_runs_and_cannot_rerun():
     assert len(metrics.frames) >= 55  # ~60 frames in 2 s
     with pytest.raises(RuntimeError):
         s.run()
+
+
+#: what each spec value builds (``FlowStack``).
+BUILDS = {
+    ("rate_control", "abr"): ("rate_control", AbrVbvRateControl),
+    ("rate_control", "cbr"): ("rate_control", CbrRateControl),
+    ("pacer", "leaky"): ("pacer", LeakyBucketPacer),
+    ("pacer", "burst"): ("pacer", BurstPacer),
+    ("pacer", "token"): ("pacer", TokenBucketPacer),
+    ("cc", "gcc"): ("cc", GccController),
+    ("cc", "bbr"): ("cc", BbrController),
+    ("cc", "copa"): ("cc", CopaController),
+    ("cc", "delivery"): ("cc", DeliveryRateController),
+    ("cc", "delivery-throughput"): ("cc", DeliveryRateController),
+}
+
+
+def test_every_spec_choice_builds_its_component():
+    """The spec's vocabulary and the flow stack's mapping agree."""
+    assert set(BUILDS) == {(field, value) for field, values in CHOICES.items()
+                           for value in values}
+    for (field, value), (attr, cls) in BUILDS.items():
+        spec = replace(get_spec("webrtc-star"), **{field: value})
+        s = short_session(spec)
+        assert type(getattr(s.sender, attr)) is cls, (field, value)
+    throughput = short_session("always-burst").flow.cc
+    assert throughput.headroom == 1.25
+
+
+@pytest.mark.parametrize("overrides,named", [
+    (dict(baseline="quic-magic"), "quic-magic"),
+    (dict(baseline="ace", cc="nope"), "cc 'nope'"),
+    (dict(baseline="ace", codec="nope"), "codec 'nope'"),
+])
+def test_an_unknown_component_is_refused_naming_it(overrides, named):
+    with pytest.raises(ValueError, match=named):
+        resolve_spec(**overrides)
+    with pytest.raises(ValueError, match="rate_control 'vbr'"):
+        replace(get_spec("ace"), rate_control="vbr")

@@ -9,7 +9,8 @@ turns metrics into result rows, opens a run directory, runs a scenario
 cell, or defines a CLI flag another command already has; and, one level
 down, a second statement of a pacer's release policy, the token refill
 or the bottleneck's service law. Sim, arena and live sessions share one
-set of transport callbacks and one lifecycle.
+set of transport callbacks and one lifecycle, and build each flow from
+its baseline spec in one place.
 """
 
 import ast
@@ -70,6 +71,76 @@ def _functions_calling(predicate) -> list:
 def test_one_module_constructs_sender_and_receiver():
     assert _modules_calling("Sender") == {"rtc/session.py"}
     assert _modules_calling("TransportReceiver") == {"rtc/session.py"}
+
+
+#: the flow components a baseline spec names, by defining package.
+COMPONENTS = {
+    "transport/pacer/": ("LeakyBucketPacer", "BurstPacer",
+                         "TokenBucketPacer"),
+    "transport/cc/": ("GccController", "BbrController", "CopaController",
+                      "DeliveryRateController"),
+    "video/codec/": ("CodecModel", "AbrVbvRateControl", "CbrRateControl"),
+}
+
+
+def test_one_module_maps_a_spec_to_its_components():
+    """``FlowStack`` is the one statement of spec → components: outside
+    its own package, no module but ``rtc/session.py`` constructs a pacer,
+    a congestion controller, a codec model or a rate control, and no
+    ``*_factory`` helper or parameter for one exists."""
+    def builds(node, cls):              # ``cls`` is in the callee expression
+        return isinstance(node, ast.Call) and any(
+            _name(sub) == cls for sub in ast.walk(node.func))
+
+    for package, classes in COMPONENTS.items():
+        for cls in classes:
+            builders = {module for module, _ in _functions_calling(
+                partial(builds, cls=cls)) if not module.startswith(package)}
+            assert builders == {"rtc/session.py"}, cls
+    kinds = ("pacer", "cc", "codec", "rate_control")
+    factories = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.name if isinstance(node, ast.FunctionDef)
+                    else node.arg if isinstance(node, ast.arg) else "")
+            if name.lstrip("_") in {f"{k}_factory" for k in kinds}:
+                factories.append((str(path.relative_to(SRC)), name))
+    assert factories == []
+
+
+def test_a_flow_is_its_spec_on_every_clock():
+    """A custom pacer rides on the spec through ``build_session``, and
+    the sender's reverse delay is the config's one-way delay on a
+    single-flow session, an arena flow and a live stack alike."""
+    import asyncio
+    from dataclasses import replace
+
+    from repro.arena.session import ArenaFlowSpec, ArenaSession
+    from repro.live.session import LiveConfig, build_live_session
+    from repro.net.trace import BandwidthTrace
+    from repro.rtc.baselines import build_session, get_spec
+    from repro.rtc.session import SessionConfig
+    from repro.transport.pacer import BurstPacer
+
+    class CustomPacer(BurstPacer):
+        """A policy no spec names: it rides on the spec as a class."""
+
+    trace = BandwidthTrace.constant(8e6, duration=10.0)
+    config = SessionConfig(duration=1.0, base_rtt=0.05)
+    session = build_session(
+        replace(get_spec("webrtc-star"), pacer=CustomPacer), trace, config)
+    assert type(session.sender.pacer) is CustomPacer
+    assert session.run().packets_sent > 50
+    assert session.sender.reverse_delay == config.base_rtt / 2
+
+    arena = ArenaSession([ArenaFlowSpec("ace", flow_id=3)], trace, config)
+    assert arena.senders[3].reverse_delay == config.base_rtt / 2
+
+    live_config = LiveConfig(duration=0.2, base_rtt=0.05)
+    live = build_live_session("ace", live_config)
+    asyncio.run(live.run())
+    assert live.sender.reverse_delay == live_config.base_rtt / 2
 
 
 def test_one_function_holds_the_stall_clamp():
