@@ -21,11 +21,11 @@ def run_one(temporal_layers: int):
     trace = BandwidthTrace.constant(LINK_MBPS * 1e6, duration=35.0)
     cfg = SessionConfig(duration=20.0, seed=4, initial_bwe_bps=6e6)
     session = build_session("webrtc-star", trace, cfg)
-    session.sender.config.temporal_layers = temporal_layers
+    session.sender.temporal_layers = temporal_layers
     # degrade early: at 4 Mbps a frame interval of backlog is already
     # 80 ms, so the default 150 ms threshold reacts only to the deepest
     # episodes
-    session.sender.config.frame_drop_queue_time = 0.08
+    session.sender.frame_drop_queue_time = 0.08
     metrics = session.run()
     return {
         "p95": metrics.p95_latency(),

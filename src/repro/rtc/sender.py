@@ -8,13 +8,12 @@ configuration, not a fork:
 * any pacer (leaky bucket, burst, token bucket),
 * any congestion controller (GCC, BBR),
 * optional ACE-C complexity control and ACE-N bucket adaptation,
-* optional Salsify-style dual-version encoding.
+* optional Salsify-style dual-version encoding, FEC parity and audio.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -28,7 +27,7 @@ if TYPE_CHECKING:
     from repro.live.clock import Clock
 from repro.transport.feedback import FeedbackMessage, ReportBatch
 from repro.transport.audio import AudioSource
-from repro.transport.fec import FecConfig, FecEncoder
+from repro.transport.fec import FecEncoder
 from repro.transport.pacer.base import Pacer
 from repro.transport.pacer.token_bucket_pacer import TokenBucketPacer
 from repro.transport.rtp import Packetizer
@@ -37,42 +36,16 @@ from repro.video.codec.rate_control import RateControl
 from repro.video.frame import EncodedFrame, RawFrame
 
 
-@dataclass
-class SenderConfig:
-    """Per-baseline sender switches."""
-
-    fps: float = 30.0
-    #: fraction of the BWE given to the encoder as target bitrate.
-    media_rate_fraction: float = 0.95
-    ace_c_enabled: bool = False
-    ace_n_enabled: bool = False
-    #: Salsify-style: encode two candidate sizes, pick what fits.
-    salsify_mode: bool = False
-    salsify_low_factor: float = 0.65
-    salsify_high_factor: float = 1.35
-    #: hard cap on the encoder target (Google-Meet-style conferencing profile).
-    max_target_bitrate_bps: Optional[float] = None
-    #: minimum interval between retransmissions of the same seq.
-    rtx_min_interval: float = 0.06
-    #: enable XOR-parity FEC (the §8 future-work loss-recovery co-design).
-    fec_enabled: bool = False
-    #: honor picture-loss indications by encoding the next frame as a
-    #: keyframe (decoder refresh). Off by default — the paper's
-    #: evaluation disables frame dropping, so skips (and hence PLIs)
-    #: play no role there; enable for realistic recovery studies.
-    keyframe_on_pli: bool = False
-    #: multiplex an Opus-style audio substream at pacer top priority.
-    audio_enabled: bool = False
-    #: temporal layers: 1 = never drop (the paper's evaluation setting);
-    #: 2 = under sustained pacer backlog, skip enhancement-layer (odd)
-    #: frames — WebRTC's graceful fps degradation.
-    temporal_layers: int = 1
-    #: pacer queue time (seconds) above which enhancement frames drop.
-    frame_drop_queue_time: float = 0.15
-    #: size multiple allotted to a PLI-triggered keyframe (bounded so
-    #: one refresh does not blow the pacer up; quality dips briefly
-    #: instead, as real encoders do).
-    keyframe_size_factor: float = 2.0
+#: fraction of the BWE given to the encoder as target bitrate.
+MEDIA_RATE_FRACTION = 0.95
+#: Salsify's two candidate sizes, as multiples of the planned size.
+SALSIFY_LOW_FACTOR, SALSIFY_HIGH_FACTOR = 0.65, 1.35
+#: minimum interval between retransmissions of the same seq.
+RTX_MIN_INTERVAL = 0.06
+#: size multiple allotted to a PLI-triggered keyframe (bounded so one
+#: refresh does not blow the pacer up; quality dips briefly instead, as
+#: real encoders do).
+KEYFRAME_SIZE_FACTOR = 2.0
 
 
 class Sender:
@@ -82,32 +55,52 @@ class Sender:
     ``EventLoop`` or a live ``WallClock``. Packets leave through the
     pacer's ``send_fn``; ``reverse_delay`` is the one-way delay the
     sender adds to each report's forward delay to estimate its RTT.
+    ``fps``, ``salsify`` (dual-version encoding) and the encoder-target
+    cap ``max_target_bitrate_bps`` come from the spec and run config;
+    each optional component (``ace_c``, ``ace_n``, ``fec``, ``audio``)
+    is off when None. ``FlowStack`` builds them all.
     """
 
     def __init__(self, loop: "Clock", source, codec: CodecModel,
                  rate_control: RateControl, pacer: Pacer,
                  cc: CongestionController, reverse_delay: float,
-                 config: Optional[SenderConfig] = None,
+                 fps: float, salsify: bool,
+                 max_target_bitrate_bps: Optional[float],
                  ace_c: Optional[AceCController] = None,
                  ace_n: Optional[AceNController] = None,
-                 telemetry=None) -> None:
+                 fec: Optional[FecEncoder] = None,
+                 audio: Optional[AudioSource] = None) -> None:
         self.loop = loop
         #: optional :class:`repro.obs.Telemetry`; every emission below is
         #: guarded by a None check so disabled telemetry costs one
         #: attribute read (held to baseline by the perf gate).
-        self.telemetry = telemetry
+        self.telemetry = None
         self.source = source
         self.codec = codec
         self.rate_control = rate_control
         self.pacer = pacer
         self.cc = cc
         self.reverse_delay = reverse_delay
-        self.config = config or SenderConfig()
+        self.fps = fps
+        self.salsify = salsify
+        self.max_target_bitrate_bps = max_target_bitrate_bps
         self.ace_c = ace_c
         self.ace_n = ace_n
+        self.fec = fec
+        self.audio = audio
+        #: honor picture-loss indications by encoding the next frame as a
+        #: keyframe (decoder refresh). Off by default — the paper's
+        #: evaluation disables frame dropping, so skips (and hence PLIs)
+        #: play no role there; enable for realistic recovery studies.
+        self.keyframe_on_pli = False
+        #: temporal layers: 1 = never drop (the paper's evaluation
+        #: setting); 2 = under sustained pacer backlog, skip
+        #: enhancement-layer (odd) frames — WebRTC's graceful fps
+        #: degradation.
+        self.temporal_layers = 1
+        #: pacer queue time (seconds) above which enhancement frames drop.
+        self.frame_drop_queue_time = 0.15
         self.packetizer = Packetizer()
-        self.fec: Optional[FecEncoder] = (
-            FecEncoder(FecConfig()) if self.config.fec_enabled else None)
         self._parity_seq = -1
         self._loss_seen = 0
         self._reports_seen = 0
@@ -130,9 +123,6 @@ class Sender:
         self._pli_pending = False
         self._stopped = False
         self._encoding_busy_until = 0.0
-        self.audio: Optional[AudioSource] = None
-        if self.config.audio_enabled:
-            self.audio = AudioSource(loop, pacer.enqueue_audio)
         # Wire pacer output into the path and keep send-event records.
         self._orig_send_fn = pacer.send_fn
         pacer.send_fn = self._packet_leaves_pacer
@@ -158,12 +148,12 @@ class Sender:
     # ------------------------------------------------------------------
     @property
     def frame_interval(self) -> float:
-        return 1.0 / self.config.fps
+        return 1.0 / self.fps
 
     def target_bitrate_bps(self) -> float:
-        target = self.cc.target_bitrate_bps() * self.config.media_rate_fraction
-        if self.config.max_target_bitrate_bps is not None:
-            target = min(target, self.config.max_target_bitrate_bps)
+        target = self.cc.target_bitrate_bps() * MEDIA_RATE_FRACTION
+        if self.max_target_bitrate_bps is not None:
+            target = min(target, self.max_target_bitrate_bps)
         # WebRTC-style pacer pushback: once the pacer holds more than a
         # couple hundred ms of data, the media allocation is reduced so
         # the encoder stops feeding a queue the network cannot drain.
@@ -186,18 +176,18 @@ class Sender:
     def _should_drop(self, frame: RawFrame) -> bool:
         """Temporal-layer degradation: skip enhancement frames under
         sustained backlog (off at temporal_layers=1)."""
-        if self.config.temporal_layers < 2:
+        if self.temporal_layers < 2:
             return False
         if frame.frame_id % 2 == 0:
             return False  # base layer always flows
         queue_time = self.pacer.queued_bytes * 8 / max(self.cc.bwe_bps, 1.0)
-        return queue_time > self.config.frame_drop_queue_time
+        return queue_time > self.frame_drop_queue_time
 
     def _encode_frame(self, frame: RawFrame) -> None:
         target_bps = self.target_bitrate_bps()
-        fps = self.config.fps
+        fps = self.fps
         level = 0
-        if self.config.ace_c_enabled and self.ace_c is not None:
+        if self.ace_c is not None:
             # Only a severe pacer backlog (a large multiple of the frame
             # budget) waives the oversize gate: then any size saving
             # shortens queueing directly. Kept rare so the elevated
@@ -214,14 +204,14 @@ class Sender:
             tel.frame_stage(frame.frame_id, "capture", at=frame.capture_time)
 
         is_keyframe = False
-        if self._pli_pending and self.config.keyframe_on_pli:
+        if self._pli_pending and self.keyframe_on_pli:
             is_keyframe = True
             self._pli_pending = False
             self.keyframes_sent += 1
 
         planned = self.rate_control.plan_bytes(self.codec, frame, target_bps, fps)
         if is_keyframe:
-            planned *= self.config.keyframe_size_factor
+            planned *= KEYFRAME_SIZE_FACTOR
         c0_plan = planned
         if level > 0 and self.ace_c is not None:
             # §5.1 "Interaction with Rate Control": shrink the planned
@@ -229,7 +219,7 @@ class Sender:
             # complexity yields a smaller frame at similar quality.
             planned *= (1.0 - self.ace_c.phi[level])
 
-        if self.config.salsify_mode:
+        if self.salsify:
             encoded = self._salsify_encode(frame, planned, target_bps, fps)
         else:
             encoded = self.codec.encode(frame, planned, level,
@@ -249,7 +239,7 @@ class Sender:
             tel.frame_stage(encoded.frame_id, "encode_end", at=finish)
 
         self.rate_control.on_encoded(encoded.size_bytes, target_bps, fps)
-        if self.config.ace_c_enabled and self.ace_c is not None:
+        if self.ace_c is not None:
             target_frame_bytes = target_bps / fps / 8.0
             self.ace_c.on_encoded(frame.frame_id, encoded.size_bytes,
                                   target_frame_bytes, encoded.encode_time,
@@ -279,9 +269,9 @@ class Sender:
         budget test: the larger version is kept only when the pacer is
         empty (nothing backlogged) — otherwise the smaller one ships.
         """
-        low = self.codec.encode(frame, planned * self.config.salsify_low_factor, 0,
+        low = self.codec.encode(frame, planned * SALSIFY_LOW_FACTOR, 0,
                                 encode_start=self.loop.now)
-        high = self.codec.encode(frame, planned * self.config.salsify_high_factor, 0,
+        high = self.codec.encode(frame, planned * SALSIFY_HIGH_FACTOR, 0,
                                  encode_start=self.loop.now)
         # Salsify keeps the larger version only when it fits what the
         # network can absorb this frame interval: the per-frame budget
@@ -371,7 +361,7 @@ class Sender:
         if self.ace_n is not None:
             self.ace_n.on_feedback(message, now, reverse_delay=reverse)
             if isinstance(self.pacer, TokenBucketPacer):
-                frame_budget = self.target_bitrate_bps() / self.config.fps / 8.0
+                frame_budget = self.target_bitrate_bps() / self.fps / 8.0
                 self.pacer.rate_factor = self.ace_n.rate_factor(frame_budget)
                 self.pacer.set_pacing_rate(self.cc.bwe_bps)
                 self.pacer.set_bucket_size(self.ace_n.bucket_bytes)
@@ -402,7 +392,7 @@ class Sender:
             if seq - seq0 >= count:
                 continue    # frame displayed and forgotten, or an RTX's seq
             last = self._rtx_last_sent.get(seq)
-            if last is not None and now - last < self.config.rtx_min_interval:
+            if last is not None and now - last < RTX_MIN_INTERVAL:
                 continue
             self._rtx_last_sent[seq] = now
             rtx = packet_at(seq - seq0).clone_for_retransmission()

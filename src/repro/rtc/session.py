@@ -1,8 +1,8 @@
 """Session runner: wires sender, receiver, path and metrics together.
 
 :class:`FlowStack` is the one place a baseline spec becomes a sender
-pipeline — codec → source → CC → pacer → ACE-N/ACE-C → ``Sender`` →
-``TransportReceiver`` with its display sync and metrics collection.
+pipeline — codec → source → CC → pacer → ACE-N/ACE-C → FEC/audio →
+``Sender`` → ``TransportReceiver`` with its display sync and metrics.
 :class:`Session` puts stacks, keyed by flow id, on one clock in front of
 one transport and runs them through one lifecycle: a single-flow run
 (:class:`RtcSession`, flow 0 on a :class:`NetworkPath`) is an arena of
@@ -26,12 +26,13 @@ from repro.net.packet import Packet, PacketType
 from repro.net.path import NetworkPath, PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.rtc.metrics import SessionMetrics
-from repro.rtc.sender import Sender, SenderConfig
+from repro.rtc.sender import Sender
 from repro.sim.events import EventLoop
 from repro.sim.rng import RngStream, SeedSequenceFactory
-from repro.transport.audio import AudioReceiver
+from repro.transport.audio import AudioReceiver, AudioSource
 from repro.transport.cc import (BbrController, CopaController,
                                 DeliveryRateController, GccController)
+from repro.transport.fec import FecEncoder
 from repro.transport.pacer import BurstPacer, LeakyBucketPacer, TokenBucketPacer
 from repro.transport.receiver import TransportReceiver
 from repro.video.codec.model import CodecModel
@@ -78,14 +79,15 @@ class FlowStack:
     """One flow's sender pipeline and receiver, on any clock: the one
     statement of the spec → component mapping.
 
-    Builds codec → source → CC → pacer → ACE-N/ACE-C → :class:`Sender`
-    → :class:`TransportReceiver` from a ``BaselineSpec``, the run's
-    ``SessionConfig`` and a content ``category`` (``source_factory``
-    replaces the category's source, ``ace_n_config`` ACE-N's defaults),
-    drawing named streams from ``rngs``. The pacer releases into
-    ``send``, the receiver reports into ``send_feedback``; the owner
-    routes arrivals to ``receiver.on_packet`` and feedback to
-    ``sender.on_feedback``, and runs ``display_sync`` after deliveries.
+    Builds codec → source → CC → pacer → ACE-N/ACE-C → FEC encoder →
+    audio source → :class:`Sender` → :class:`TransportReceiver` from a
+    ``BaselineSpec``, the run's ``SessionConfig`` and a content
+    ``category`` (``source_factory`` replaces the category's source,
+    ``ace_n_config`` ACE-N's defaults), drawing named streams from
+    ``rngs``. The pacer releases into ``send``, the receiver reports
+    into ``send_feedback``; the owner routes arrivals to
+    ``receiver.on_packet`` and feedback to ``sender.on_feedback``, and
+    runs ``display_sync`` after deliveries.
     """
 
     def __init__(self, clock, send: Callable[[Packet], None],
@@ -143,15 +145,12 @@ class FlowStack:
             clock, self.source, self.codec,
             CbrRateControl() if spec.rate_control == "cbr"
             else AbrVbvRateControl(),
-            pacer, self.cc, config.base_rtt / 2,
-            config=SenderConfig(
-                fps=fps, ace_c_enabled=spec.ace_c, ace_n_enabled=spec.ace_n,
-                salsify_mode=spec.salsify, fec_enabled=spec.fec,
-                audio_enabled=config.audio,
-                max_target_bitrate_bps=spec.max_target_bitrate_bps),
-            ace_c=ace_c,
+            pacer, self.cc, config.base_rtt / 2, fps, spec.salsify,
+            spec.max_target_bitrate_bps, ace_c=ace_c,
             ace_n=AceNController(ace_n_config) if spec.ace_n else None,
-        )
+            fec=FecEncoder() if spec.fec else None,
+            audio=(AudioSource(clock, pacer.enqueue_audio)
+                   if config.audio else None))
         self.receiver = TransportReceiver(
             clock, send_feedback_fn=send_feedback,
             decode_time_fn=self.codec.decode_time)

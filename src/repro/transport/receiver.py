@@ -54,12 +54,11 @@ class TransportReceiver:
                  send_feedback_fn: Callable[[FeedbackMessage], None],
                  decode_time_fn: Callable[[], float],
                  feedback_interval: float = DEFAULT_FEEDBACK_INTERVAL_S,
-                 skip_timeout: float = 0.4,
-                 telemetry=None) -> None:
+                 skip_timeout: float = 0.4) -> None:
         self.loop = loop
         #: optional :class:`repro.obs.Telemetry` for receiver-side span
         #: stages (arrival, reassembly-complete, display).
-        self.telemetry = telemetry
+        self.telemetry = None
         self.send_feedback_fn = send_feedback_fn
         self.decode_time_fn = decode_time_fn
         self.feedback_interval = feedback_interval
@@ -143,12 +142,7 @@ class TransportReceiver:
         record.size_bytes += packet.size_bytes
         if (not record.complete
                 and record.packets_received >= record.packet_count):
-            record.complete_at = self.loop.now
-            if record.frame_id > self._max_complete_id:
-                self._max_complete_id = record.frame_id
-            if self.telemetry is not None:
-                self.telemetry.frame_stage(record.frame_id, "complete")
-            self._try_display()
+            self._complete(record)
 
     def on_media_chunk(self, frame_id: int, first_seq: int, index0: int,
                        packet_count: int, prev_sent_frame_id: Optional[int],
@@ -190,14 +184,18 @@ class TransportReceiver:
             completing = record.packet_count - prev_received - 1
             if completing >= n:
                 completing = n - 1
-            complete_at = float(arrivals[completing])
-            self.loop.now = complete_at
-            record.complete_at = complete_at
-            if frame_id > self._max_complete_id:
-                self._max_complete_id = frame_id
-            if self.telemetry is not None:
-                self.telemetry.frame_stage(frame_id, "complete")
-            self._try_display()
+            self.loop.now = float(arrivals[completing])
+            self._complete(record)
+
+    def _complete(self, record: FrameRecord) -> None:
+        """A frame's last packet is in: mark it complete now and display
+        whatever that unblocks."""
+        record.complete_at = self.loop.now
+        if record.frame_id > self._max_complete_id:
+            self._max_complete_id = record.frame_id
+        if self.telemetry is not None:
+            self.telemetry.frame_stage(record.frame_id, "complete")
+        self._try_display()
 
     def _try_display(self) -> None:
         """Display frames strictly in capture order once complete."""
@@ -249,12 +247,7 @@ class TransportReceiver:
         record.packets_received += 1
         record.size_bytes += size
         if not record.complete and record.packets_received >= record.packet_count:
-            record.complete_at = self.loop.now
-            if frame_id > self._max_complete_id:
-                self._max_complete_id = frame_id
-            if self.telemetry is not None:
-                self.telemetry.frame_stage(record.frame_id, "complete")
-            self._try_display()
+            self._complete(record)
 
     def _skip_tick(self) -> None:
         if self._blocked_since is None:

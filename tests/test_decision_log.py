@@ -58,7 +58,7 @@ def logs(session, config):
         ace_n = sender.ace_n
         out.append((ace_n, ace_n.log, ace_n.config.initial_bucket_bytes,
                     ace_n.bucket_bytes))
-    if sender.config.ace_c_enabled:
+    if sender.ace_c is not None:
         out.append((sender.ace_c, sender.ace_c.log, 0,
                      sender.encoded_frames[-1].complexity_level))
     return out

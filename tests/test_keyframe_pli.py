@@ -4,7 +4,6 @@ import pytest
 
 from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
-from repro.rtc.sender import SenderConfig
 from repro.rtc.session import SessionConfig
 from repro.sim.rng import RngStream
 from repro.video.codec.presets import make_x264_model
@@ -39,7 +38,7 @@ class TestPliPipeline:
         cfg = SessionConfig(duration=duration, seed=6,
                             queue_capacity_bytes=queue, initial_bwe_bps=8e6)
         session = build_session(baseline, trace, cfg)
-        session.sender.config.keyframe_on_pli = keyframe_on_pli
+        session.sender.keyframe_on_pli = keyframe_on_pli
         metrics = session.run()
         return session, metrics
 

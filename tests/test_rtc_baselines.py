@@ -65,13 +65,13 @@ def test_webrtc_b_pacing_factor():
 def test_salsify_wiring():
     s = short_session("salsify")
     assert isinstance(s.sender.pacer, BurstPacer)
-    assert s.sender.config.salsify_mode
+    assert s.sender.salsify
     assert isinstance(s.flow.cc, DeliveryRateController)
 
 
 def test_google_meet_bitrate_cap():
     s = short_session("google-meet")
-    assert s.sender.config.max_target_bitrate_bps == 4_000_000.0
+    assert s.sender.max_target_bitrate_bps == 4_000_000.0
 
 
 def test_cc_override():

@@ -80,13 +80,15 @@ COMPONENTS = {
     "transport/cc/": ("GccController", "BbrController", "CopaController",
                       "DeliveryRateController"),
     "video/codec/": ("CodecModel", "AbrVbvRateControl", "CbrRateControl"),
+    "transport/": ("FecEncoder", "AudioSource"),
 }
 
 
 def test_one_module_maps_a_spec_to_its_components():
     """``FlowStack`` is the one statement of spec → components: outside
     its own package, no module but ``rtc/session.py`` constructs a pacer,
-    a congestion controller, a codec model or a rate control, and no
+    a congestion controller, a codec model, a rate control, an FEC
+    encoder or an audio source, and no
     ``*_factory`` helper or parameter for one exists."""
     def builds(node, cls):              # ``cls`` is in the callee expression
         return isinstance(node, ast.Call) and any(

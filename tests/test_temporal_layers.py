@@ -11,7 +11,7 @@ def run(temporal_layers, rate_mbps, duration=8.0, seed=4):
     trace = BandwidthTrace.constant(rate_mbps * 1e6, duration=duration + 10)
     cfg = SessionConfig(duration=duration, seed=seed, initial_bwe_bps=8e6)
     session = build_session("webrtc-star", trace, cfg)
-    session.sender.config.temporal_layers = temporal_layers
+    session.sender.temporal_layers = temporal_layers
     metrics = session.run()
     return session, metrics
 
