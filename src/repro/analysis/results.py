@@ -16,7 +16,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.rtc.metrics import FrameMetrics, SessionMetrics
+import numpy as np
+
+from repro.rtc.metrics import FrameMetrics, SendLog, SessionMetrics
 
 
 @dataclass
@@ -101,9 +103,10 @@ _FRAME_FIELDS = (
     "had_retransmission",
 )
 
-#: components of one ``send_events`` / ``bwe_history`` tuple.
-_SEND_FIELDS = ("t", "size")
+#: components of one ``bwe_history`` tuple.
 _BWE_FIELDS = ("t", "bwe")
+#: the send log's columns and the dtype tag each is packed with.
+_SEND_COLUMNS = (("t", "<f8", "times"), ("size", "<i8", "sizes"))
 
 #: exact Python type -> (dtype tag, struct code). Little-endian on every
 #: host, so a shared ``REPRO_CACHE_DIR`` reads the same everywhere.
@@ -136,7 +139,7 @@ def _row_form(metrics) -> dict:
         "packets_retransmitted": metrics.packets_retransmitted,
         "frames": [[getattr(f, name) for name in _FRAME_FIELDS]
                    for f in metrics.frames],
-        "send_events": [list(ev) for ev in metrics.send_events],
+        "send_events": [[t, size] for t, size in metrics.send_events],
         "bwe_history": [list(ev) for ev in metrics.bwe_history],
     }
 
@@ -188,6 +191,34 @@ def _decode_column(column) -> list:
     return values
 
 
+def _encode_send_log(log: SendLog) -> dict:
+    """The send log's columns packed as held — byte for byte what
+    :func:`_encode_column` makes of the same values (``[]`` when empty)."""
+    if not log:
+        return {name: [] for name, _tag, _attr in _SEND_COLUMNS}
+    return {name: {"dt": tag, "n": len(log),
+                   "b64": b2a_base64(
+                       getattr(log, attr).astype(tag, copy=False).tobytes(),
+                       newline=False).decode("ascii")}
+            for name, tag, attr in _SEND_COLUMNS}
+
+
+def _decode_send_log(table: dict) -> SendLog:
+    """Inverse of :func:`_encode_send_log`, straight into the columns."""
+    columns = []
+    for name, tag, _attr in _SEND_COLUMNS:
+        column = table[name]
+        if not isinstance(column, list):
+            if column["dt"] != tag or "null" in column:
+                raise ValueError(f"send log column {name!r} is not {tag}")
+            values = np.frombuffer(a2b_base64(column["b64"]), dtype=tag)
+            if len(values) != column["n"]:
+                raise ValueError(f"send log column {name!r} is short")
+            column = values
+        columns.append(column)
+    return SendLog(*columns)
+
+
 def _encode_events(events: Sequence[tuple], names: Sequence[str]) -> dict:
     """One column per component of a list of same-width tuples."""
     return {name: _encode_column([ev[i] for ev in events])
@@ -224,7 +255,7 @@ def metrics_to_dict(metrics) -> dict:
         "packets_retransmitted": metrics.packets_retransmitted,
         "frames": {name: _encode_column([getattr(f, name) for f in frames])
                    for name in _FRAME_FIELDS},
-        "send_events": _encode_events(metrics.send_events, _SEND_FIELDS),
+        "send_events": _encode_send_log(metrics.send_events),
         "bwe_history": _encode_events(metrics.bwe_history, _BWE_FIELDS),
     }
 
@@ -265,7 +296,7 @@ def _decode_entry(d: dict):
     )
     metrics.frames = [FrameMetrics(*row)
                       for row in _decode_table(d["frames"], _FRAME_FIELDS)]
-    metrics.send_events = list(_decode_table(d["send_events"], _SEND_FIELDS))
+    metrics.send_events = _decode_send_log(d["send_events"])
     metrics.bwe_history = list(_decode_table(d["bwe_history"], _BWE_FIELDS))
     return metrics
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.rtc.metrics import SessionMetrics, percentile
 
 
@@ -43,8 +45,9 @@ def window_throughput_bps(metrics: SessionMetrics, t0: float,
     """Mean send rate (bits/s) over ``[t0, t1)`` from send events."""
     if t1 <= t0:
         return 0.0
-    sent = sum(size for t, size in metrics.send_events if t0 <= t < t1)
-    return sent * 8.0 / (t1 - t0)
+    log = metrics.send_events
+    lo, hi = log.times.searchsorted((t0, t1))
+    return int(log.sizes[lo:hi].sum()) * 8.0 / (t1 - t0)
 
 
 @dataclass
@@ -157,14 +160,16 @@ def time_to_convergence(metrics: SessionMetrics, start: float = 0.0,
     if duration is None:
         duration = metrics.duration
     span = duration - start
-    if span < 2 * bin_s or not metrics.send_events:
+    log = metrics.send_events
+    if span < 2 * bin_s or not log:
         return None
     nbins = int(span // bin_s)
-    bins = [0.0] * nbins
-    for t, size in metrics.send_events:
-        idx = int((t - start) // bin_s)
-        if 0 <= idx < nbins:
-            bins[idx] += size * 8.0 / bin_s
+    # Same floor division, same per-packet terms, summed in send order.
+    idx = (log.times - start) // bin_s
+    keep = (idx >= 0) & (idx < nbins)
+    bins = np.bincount(idx[keep].astype(np.int64),
+                       weights=log.sizes[keep] * 8.0 / bin_s,
+                       minlength=nbins).tolist()
     tail = bins[-3:] if nbins >= 3 else bins
     steady = sum(tail) / len(tail)
     if steady <= 0:

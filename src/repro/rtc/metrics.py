@@ -9,8 +9,9 @@ bottleneck queueing and any retransmission rounds), and decode time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +19,91 @@ from repro.core.decisions import step_function
 
 #: The paper's stall definition: receiving interval above 100 ms.
 STALL_THRESHOLD_S = 0.1
+
+#: rows :meth:`SendLog.__iter__` converts to Python objects at a time.
+_ITER_CHUNK = 4096
+
+
+class SendLog:
+    """(time, bytes) of each packet leaving the pacer, as two columns.
+
+    ``times`` is float64 and nondecreasing, ``sizes`` is int64; a
+    constructor argument that breaks either is refused with a
+    ``ValueError``. The reference lane writes one packet with
+    ``add((now, size))`` — one C call (``array.extend``) into an
+    interleaved buffer that becomes the columns on the first read. The
+    batch engine hands its train columns to :meth:`merge`. Iteration
+    yields ``(float, int)`` pairs, a chunk of rows converted at a time.
+    """
+
+    __slots__ = ("_times", "_sizes", "_pending", "add")
+
+    def __init__(self, times: Sequence[float] = (),
+                 sizes: Sequence[int] = ()) -> None:
+        try:
+            self._times = np.asarray(times, dtype=np.float64)
+            self._sizes = np.asarray(sizes, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"send size outside int64: {exc}") from None
+        if self._times.shape != self._sizes.shape or self._times.ndim != 1:
+            raise ValueError("send log columns differ in length")
+        if not (self._times[1:] >= self._times[:-1]).all():
+            raise ValueError("send times must be nondecreasing")
+        self._pending = array("d")
+        self.add = self._pending.extend
+
+    def _seal(self) -> None:
+        """Move the pairs ``add`` buffered onto the columns."""
+        pairs = np.frombuffer(self._pending, dtype=np.float64).reshape(-1, 2)
+        self._times = np.concatenate((self._times, pairs[:, 0]))
+        self._sizes = np.concatenate((self._sizes,
+                                      pairs[:, 1].astype(np.int64)))
+        del pairs                       # release the buffer before resizing
+        del self._pending[:]
+
+    @property
+    def times(self) -> np.ndarray:
+        if self._pending:
+            self._seal()
+        return self._times
+
+    @property
+    def sizes(self) -> np.ndarray:
+        if self._pending:
+            self._seal()
+        return self._sizes
+
+    def merge(self, chunks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Fold ``(times, sizes)`` column chunks, in release order, in
+        with the events logged so far. Stable: on a tied time a chunk's
+        event stays ahead of a logged one."""
+        if not chunks:
+            return
+        logged = len(self)
+        times, sizes = map(np.concatenate,
+                           zip(*chunks, (self.times, self.sizes)))
+        if logged:
+            order = np.argsort(times, kind="stable")
+            times, sizes = times[order], sizes[order]
+        self._times, self._sizes = times, sizes.astype(np.int64, copy=False)
+
+    def __len__(self) -> int:
+        return len(self._times) + len(self._pending) // 2
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SendLog):
+            return NotImplemented
+        return (np.array_equal(self.times, other.times)
+                and np.array_equal(self.sizes, other.sizes))
+
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        times, sizes = self.times, self.sizes
+        for lo in range(0, len(times), _ITER_CHUNK):
+            hi = lo + _ITER_CHUNK
+            yield from zip(times[lo:hi].tolist(), sizes[lo:hi].tolist())
+
+    def __reduce__(self):
+        return SendLog, (self.times, self.sizes)
 
 
 @dataclass
@@ -84,7 +170,7 @@ class SessionMetrics:
     packets_lost: int = 0
     packets_retransmitted: int = 0
     #: (time, bytes) of each packet leaving the pacer (for utilization).
-    send_events: list[tuple[float, int]] = field(default_factory=list)
+    send_events: SendLog = field(default_factory=SendLog)
     #: (time, bwe) congestion-controller history.
     bwe_history: list[tuple[float, float]] = field(default_factory=list)
     #: ground-truth bandwidth lookup (set by the session runner).
@@ -163,16 +249,20 @@ class SessionMetrics:
     # sending-rate / utilization views (Fig. 18)
     # ------------------------------------------------------------------
     def sending_rate_series(self, bin_s: float = 0.01) -> list[tuple[float, float]]:
-        """(bin start, bits/s) series of the pacer's output at 10 ms bins."""
-        if not self.send_events:
+        """(bin start, bits/s) series of the pacer's output at 10 ms bins
+        over ``[0, duration)``: a packet sent during the drain after
+        ``duration`` is left out, as :func:`~repro.arena.fairness.
+        window_throughput_bps` leaves out what falls outside its window."""
+        log = self.send_events
+        if not log:
             return []
-        end = self.duration
-        nbins = max(1, int(math.ceil(end / bin_s)))
-        bits = np.zeros(nbins)
-        for t, size in self.send_events:
-            idx = min(int(t / bin_s), nbins - 1)
-            bits[idx] += size * 8
-        return [(i * bin_s, bits[i] / bin_s) for i in range(nbins)]
+        nbins = max(1, int(math.ceil(self.duration / bin_s)))
+        lo, hi = log.times.searchsorted((0.0, self.duration))
+        idx = (log.times[lo:hi] / bin_s).astype(np.int64)
+        # t < duration can still round to t / bin_s == nbins.
+        bits = np.bincount(np.minimum(idx, nbins - 1),
+                           weights=log.sizes[lo:hi] * 8, minlength=nbins)
+        return [(i * bin_s, rate) for i, rate in enumerate(bits / bin_s)]
 
     def utilization_ratios(self, bin_s: float = 0.01,
                            against: str = "bandwidth") -> list[float]:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.ace_c import AceCController
 from repro.core.ace_n import AceNController
 from repro.net.packet import Packet
-from repro.rtc.metrics import FrameMetrics
+from repro.rtc.metrics import FrameMetrics, SendLog
 from repro.transport.cc.base import CongestionController
 
 if TYPE_CHECKING:
@@ -126,7 +126,7 @@ class Sender:
         # Wire pacer output into the path and keep send-event records.
         self._orig_send_fn = pacer.send_fn
         pacer.send_fn = self._packet_leaves_pacer
-        self.send_events: list[tuple[float, int]] = []
+        self.send_events = SendLog()
         if self.ace_n is not None and isinstance(pacer, TokenBucketPacer):
             pacer.set_bucket_size(self.ace_n.bucket_bytes)
 
@@ -317,7 +317,7 @@ class Sender:
     # ------------------------------------------------------------------
     def _packet_leaves_pacer(self, packet: Packet) -> None:
         now = self.loop.now
-        self.send_events.append((now, packet.size_bytes))
+        self.send_events.add((now, packet.size_bytes))
         if packet.retransmission_of is None:
             # Pacing latency tracks fresh media only; retransmissions
             # leaving later must not rewrite the frame's pacer-exit time

@@ -176,7 +176,7 @@ class FlowStack:
         metrics.packets_sent = sender.pacer.stats.sent_packets
         metrics.packets_lost = packets_lost
         metrics.packets_retransmitted = sender.retransmissions
-        metrics.send_events = list(sender.send_events)
+        metrics.send_events = sender.send_events
         metrics.bwe_history = list(zip(self.cc.log.time, self.cc.log.after))
         metrics.bandwidth_fn = bandwidth_fn
         return metrics

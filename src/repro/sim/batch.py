@@ -519,19 +519,8 @@ class BatchPipeline:
     # finalize
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Materialize deferred send events in chronological order."""
-        sender = self.sender
-        chunks = self._send_event_chunks
-        if chunks:
-            scalar = sender.send_events
-            if scalar:
-                # Scalar-lane events ride as one more pair of columns.
-                chunks.append(tuple(zip(*scalar)))
-            times, sizes = map(np.concatenate, zip(*chunks))
-            if scalar:
-                # Stable: a media event stays ahead of a scalar one
-                # released at the same instant.
-                order = np.argsort(times, kind="stable")
-                times, sizes = times[order], sizes[order]
-            sender.send_events = list(zip(times.tolist(), sizes.tolist()))
-            self._send_event_chunks = []
+        """Merge the deferred media send events into the sender's log,
+        in time order; a media event stays ahead of a scalar-lane one
+        released at the same instant."""
+        self.sender.send_events.merge(self._send_event_chunks)
+        self._send_event_chunks = []

@@ -11,6 +11,7 @@ from repro.arena.fairness import (
     window_throughput_bps,
 )
 from repro.rtc.metrics import FrameMetrics, SessionMetrics
+from tests.test_rtc_metrics import send_log
 
 
 def synth_metrics(duration=20.0, rate_bps=4e6, start=0.0, fps=30.0,
@@ -20,9 +21,11 @@ def synth_metrics(duration=20.0, rate_bps=4e6, start=0.0, fps=30.0,
     step = 0.01
     size = int(rate_bps * step / 8)
     t = start
+    events = []
     while t < duration:
-        m.send_events.append((t, size))
+        events.append((t, size))
         t += step
+    m.send_events = send_log(events)
     fid = 0
     t = start
     while t < duration - latency_s:
@@ -79,7 +82,7 @@ def test_window_throughput_constant_rate():
 
 def test_window_throughput_respects_bounds():
     m = SessionMetrics(duration=10.0)
-    m.send_events = [(1.0, 1000), (5.0, 1000), (9.0, 1000)]
+    m.send_events = send_log([(1.0, 1000), (5.0, 1000), (9.0, 1000)])
     # [4, 8): only the t=5 event counts.
     assert window_throughput_bps(m, 4.0, 8.0) == pytest.approx(1000 * 8 / 4.0)
 
@@ -101,10 +104,12 @@ def test_convergence_constant_rate_is_zero():
 def test_convergence_after_ramp():
     m = SessionMetrics(duration=20.0)
     step = 0.01
+    events = []
     for i in range(2000):
         t = i * step
         rate = 1e6 if t < 5.0 else 4e6       # settles at t=5
-        m.send_events.append((t, int(rate * step / 8)))
+        events.append((t, int(rate * step / 8)))
+    m.send_events = send_log(events)
     conv = time_to_convergence(m)
     assert conv == pytest.approx(5.0, abs=1.0)
 
@@ -112,10 +117,12 @@ def test_convergence_after_ramp():
 def test_convergence_oscillating_is_none():
     m = SessionMetrics(duration=20.0)
     step = 0.01
+    events = []
     for i in range(2000):
         t = i * step
         rate = 6e6 if int(t) % 2 == 0 else 1e6   # never settles
-        m.send_events.append((t, int(rate * step / 8)))
+        events.append((t, int(rate * step / 8)))
+    m.send_events = send_log(events)
     assert time_to_convergence(m) is None
 
 
@@ -130,7 +137,7 @@ def test_convergence_no_events_is_none():
 
 def test_convergence_zero_steady_is_none():
     m = SessionMetrics(duration=20.0)
-    m.send_events = [(0.5, 1000)]       # goes silent: steady rate 0
+    m.send_events = send_log([(0.5, 1000)])   # goes silent: steady rate 0
     assert time_to_convergence(m) is None
 
 
@@ -139,10 +146,12 @@ def test_convergence_late_joiner_measured_from_start():
     m = SessionMetrics(duration=24.0)
     step = 0.01
     t = 8.0
+    events = []
     while t < 24.0:
         rate = 1e6 if t < 12.0 else 3e6
-        m.send_events.append((t, int(rate * step / 8)))
+        events.append((t, int(rate * step / 8)))
         t += step
+    m.send_events = send_log(events)
     conv = time_to_convergence(m, start=8.0)
     assert conv is not None
     assert conv == pytest.approx(4.0, abs=1.0)    # relative to the join

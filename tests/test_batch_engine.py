@@ -27,6 +27,7 @@ from repro.analysis.aggregate import paired_compare
 from repro.analysis.results import RunResult, canonical_metrics_json
 from repro.net.trace import BandwidthTrace, make_wifi_trace
 from repro.rtc.baselines import build_session, get_spec, list_baselines
+from repro.rtc.metrics import SendLog
 from repro.rtc.session import SessionConfig
 from repro.sim import ENGINE_NAMES, get_engine
 from repro.sim.rng import RngStream
@@ -125,11 +126,12 @@ def test_finalize_merges_the_lanes_by_time_media_first_on_a_tie():
         (np.array([1.0, 2.0]), np.array([1200, 1100])),
         (np.array([3.0]), np.array([500]))]
     # The scalar lane released one packet at exactly a media release.
-    session.sender.send_events = [(2.0, 99), (2.5, 77)]
+    session.sender.send_events.add((2.0, 99))
+    session.sender.send_events.add((2.5, 77))
     engine.finalize(session)
     events = session.sender.send_events
-    assert events == [(1.0, 1200), (2.0, 1100), (2.0, 99), (2.5, 77),
-                      (3.0, 500)]
+    assert events == SendLog([1.0, 2.0, 2.0, 2.5, 3.0],
+                             [1200, 1100, 99, 77, 500])
     assert {type(size) for _t, size in events} == {int}
     assert {type(t) for t, _size in events} == {float}
 
@@ -141,11 +143,10 @@ def test_send_log_is_in_time_order_when_retransmissions_rode_along():
     session, metrics = _run_metrics("ace", trace, cfg, "batch")
     assert session.engine.fallback_reason is None
     assert metrics.packets_retransmitted == 37
-    times = [t for t, _size in metrics.send_events]
-    assert times == sorted(times)
+    times = metrics.send_events.times
+    assert (times[1:] >= times[:-1]).all()
     assert len(times) == metrics.packets_sent
-    assert ([size for _t, size in metrics.send_events]
-            == [size for _t, size in ref.send_events])
+    assert np.array_equal(metrics.send_events.sizes, ref.send_events.sizes)
 
 
 @pytest.mark.parametrize("config_kwargs, expect", [

@@ -17,7 +17,7 @@ from repro.analysis import ResultCache, canonical_metrics_json, \
 from repro.analysis.results import _FRAME_FIELDS
 from repro.bench.parallel import run_grid
 from repro.net.trace import BandwidthTrace
-from repro.rtc.metrics import FrameMetrics, SessionMetrics
+from repro.rtc.metrics import FrameMetrics, SendLog, SessionMetrics
 from repro.rtc.session import SessionConfig
 
 # ----------------------------------------------------------------------
@@ -30,6 +30,13 @@ any_int = st.one_of(small_int, st.integers(min_value=-2**70, max_value=2**70))
 optional_float = st.one_of(st.none(), any_float)
 #: a field that is nominally float but sometimes handed an int.
 float_or_int = st.one_of(any_float, small_int)
+#: send sizes are int64 by type (SendLog refuses anything wider).
+int64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
+#: send times are nondecreasing, so never NaN.
+send_logs = st.lists(st.tuples(st.floats(allow_nan=False), int64),
+                     max_size=12).map(
+    lambda rows: SendLog(sorted(t for t, _ in rows),
+                         [size for _, size in rows]))
 
 frames_st = st.lists(st.builds(
     FrameMetrics,
@@ -46,7 +53,7 @@ sessions_st = st.builds(
     frames=frames_st,
     packets_sent=st.integers(0, 10**6), packets_lost=st.integers(0, 10**6),
     packets_retransmitted=st.integers(0, 10**6),
-    send_events=st.lists(st.tuples(any_float, any_int), max_size=12),
+    send_events=send_logs,
     bwe_history=st.lists(st.tuples(any_float, float_or_int), max_size=12))
 
 
@@ -56,7 +63,7 @@ def typed(metrics: SessionMetrics) -> list:
               metrics.packets_retransmitted]
     for f in metrics.frames:
         values.extend(getattr(f, name) for name in _FRAME_FIELDS)
-    for ev in metrics.send_events + metrics.bwe_history:
+    for ev in [*metrics.send_events, *metrics.bwe_history]:
         assert type(ev) is tuple
         values.extend(ev)
     return [(type(v).__name__, repr(v)) for v in values]
@@ -92,14 +99,14 @@ class TestCodecRoundTrip:
         assert entry["kind"] == "session"
         assert set(entry["frames"]) == set(_FRAME_FIELDS)
         restored = through_json(metrics)
-        assert restored.frames == [] and restored.send_events == []
+        assert restored.frames == [] and restored.send_events == SendLog()
         assert canonical_metrics_json(restored) == \
             canonical_metrics_json(metrics)
 
     def test_numeric_columns_are_packed_by_exact_type(self):
         metrics = SessionMetrics(
             duration=1.0, frames=[frame(0), frame(1, had_retransmission=True)],
-            send_events=[(0.1, 1200), (0.2, 800)])
+            send_events=SendLog([0.1, 0.2], [1200, 800]))
         entry = metrics_to_dict(metrics)
         assert entry["frames"]["capture_time"]["dt"] == "<f8"
         assert entry["frames"]["size_bytes"]["dt"] == "<i8"
@@ -141,14 +148,19 @@ class TestCodecRoundTrip:
 
     def test_int_outside_int64_is_verbatim_not_wrapped(self):
         huge = 2**63
-        metrics = SessionMetrics(duration=1.0, frames=[frame(huge)],
-                                 send_events=[(0.1, -huge - 1), (0.2, 5)])
+        metrics = SessionMetrics(
+            duration=1.0, frames=[frame(huge, planned_bytes=-huge - 1)],
+            send_events=SendLog([0.1, 0.2], [-huge, 5]))
         entry = metrics_to_dict(metrics)
         assert entry["frames"]["frame_id"] == [huge]
-        assert entry["send_events"]["size"] == [-huge - 1, 5]
+        assert entry["frames"]["planned_bytes"] == [-huge - 1]
+        assert entry["send_events"]["size"]["dt"] == "<i8"
         restored = through_json(metrics)
         assert restored.frames[0].frame_id == huge
+        assert restored.frames[0].planned_bytes == -huge - 1
         assert restored.send_events == metrics.send_events
+        with pytest.raises(ValueError):     # a send size is int64 by type
+            SendLog([0.1], [-huge - 1])
 
     def test_real_session_entry_is_smaller_than_row_form(self):
         trace = BandwidthTrace.constant(15e6, duration=10.0, name="flat-15")
@@ -194,8 +206,22 @@ def _null_out_of_range(entry):
     entry["frames"]["complete_at"]["null"] = [10**6]
 
 
+def _send_size_outside_int64(entry):
+    entry["send_events"] = {"t": [0.1], "size": [2**64]}
+
+
+def _send_times_out_of_order(entry):
+    entry["send_events"] = {"t": [0.2, 0.1], "size": [1, 2]}
+
+
+def _send_column_wrong_dtype(entry):
+    entry["send_events"]["size"]["dt"] = "<f8"
+
+
 MUTATIONS = [_truncate_base64, _wrong_count, _unknown_dtype, _missing_column,
-             _short_column, _missing_scalar, _unknown_kind, _null_out_of_range]
+             _short_column, _missing_scalar, _unknown_kind, _null_out_of_range,
+             _send_size_outside_int64, _send_times_out_of_order,
+             _send_column_wrong_dtype]
 RAW_BLOBS = ["{not json", "{}", "[]", "null", '{"kind": "session"}', ""]
 
 

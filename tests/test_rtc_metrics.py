@@ -6,9 +6,15 @@ import pytest
 
 from repro.rtc.metrics import (
     FrameMetrics,
+    SendLog,
     SessionMetrics,
     percentile,
 )
+
+
+def send_log(events):
+    """A SendLog of ``(time, bytes)`` pairs."""
+    return SendLog([t for t, _ in events], [size for _, size in events])
 
 
 def frame(fid, capture, displayed=None, pacer_in=None, pacer_out=None,
@@ -90,7 +96,7 @@ def test_mean_vmaf_only_displayed():
 
 def test_sending_rate_series_bins():
     m = SessionMetrics(duration=0.05)
-    m.send_events = [(0.001, 1250), (0.002, 1250), (0.015, 1250)]
+    m.send_events = send_log([(0.001, 1250), (0.002, 1250), (0.015, 1250)])
     series = m.sending_rate_series(bin_s=0.01)
     assert len(series) == 5
     assert series[0][1] == pytest.approx(2 * 1250 * 8 / 0.01)
@@ -98,9 +104,24 @@ def test_sending_rate_series_bins():
     assert series[2][1] == 0.0
 
 
+def test_sending_rate_series_leaves_out_the_drain():
+    """A packet sent at or after ``duration`` is not in any bin: the
+    last bin used to collect every one of them."""
+    m = SessionMetrics(duration=0.05)
+    m.send_events = send_log([(0.001, 1250), (0.045, 1250), (0.05, 1250),
+                              (0.3, 1250), (2.0, 1250)])
+    m.bandwidth_fn = lambda t: 1e6
+    series = m.sending_rate_series(bin_s=0.01)
+    assert len(series) == 5
+    assert series[0][1] == pytest.approx(1250 * 8 / 0.01)
+    assert series[4][1] == pytest.approx(1250 * 8 / 0.01)
+    assert sum(rate for _t, rate in series) * 0.01 == 2 * 1250 * 8
+    assert max(m.utilization_ratios(bin_s=0.01)) == pytest.approx(1.0)
+
+
 def test_utilization_ratios_against_bandwidth():
     m = SessionMetrics(duration=0.02)
-    m.send_events = [(0.001, 1250), (0.011, 2500)]
+    m.send_events = send_log([(0.001, 1250), (0.011, 2500)])
     m.bandwidth_fn = lambda t: 2e6
     ratios = m.utilization_ratios(bin_s=0.01, against="bandwidth")
     assert ratios[0] == pytest.approx(1250 * 8 / 0.01 / 2e6)
@@ -135,7 +156,7 @@ def test_utilization_ratios_empty_session():
 
 def test_utilization_ratios_without_bandwidth_fn():
     m = SessionMetrics(duration=0.02)
-    m.send_events = [(0.001, 1250)]
+    m.send_events = send_log([(0.001, 1250)])
     # No ground truth attached: bandwidth-relative ratios are undefined
     # and must be skipped, not crash or divide by None.
     assert m.utilization_ratios(against="bandwidth") == []
@@ -143,7 +164,7 @@ def test_utilization_ratios_without_bandwidth_fn():
 
 def test_utilization_ratios_skips_zero_capacity_bins():
     m = SessionMetrics(duration=0.03)
-    m.send_events = [(0.001, 1250), (0.011, 1250), (0.021, 1250)]
+    m.send_events = send_log([(0.001, 1250), (0.011, 1250), (0.021, 1250)])
     # The middle bin falls in an outage (zero capacity): dividing by it
     # would blow up, so the bin must be dropped from the distribution.
     m.bandwidth_fn = lambda t: 0.0 if 0.01 <= t < 0.02 else 2e6
@@ -154,7 +175,7 @@ def test_utilization_ratios_skips_zero_capacity_bins():
 
 def test_utilization_ratios_against_bwe_zero_estimate():
     m = SessionMetrics(duration=0.02)
-    m.send_events = [(0.001, 1250), (0.011, 1250)]
+    m.send_events = send_log([(0.001, 1250), (0.011, 1250)])
     m.bwe_history = [(0.0, 0.0), (0.01, 1e6)]
     ratios = m.utilization_ratios(bin_s=0.01, against="bwe")
     assert ratios == [pytest.approx(1250 * 8 / 0.01 / 1e6)]
