@@ -6,9 +6,8 @@ keep *independent* packet/byte counters, chains onto the event loop's
 ``on_event`` hook, and after every executed event cross-checks the
 stack's own state against those counters and against the control laws of
 PAPER §4.1 Algorithm 1. Nothing it reads is allowed to perturb the run:
-in particular it never calls :meth:`TokenBucket.tokens` (which advances
-the lazy-refill state and could shift float rounding) — token counts are
-recomputed virtually from the raw fields.
+in particular it never refills the token bucket (advancing the lazy-refill
+state could shift float rounding) — it reads the raw token field.
 
 Three invariant families (see DESIGN.md for the full catalogue):
 
@@ -40,7 +39,7 @@ from repro.transport.pacer.token_bucket_pacer import TokenBucketPacer
 
 if TYPE_CHECKING:
     from repro.core.ace_n import AceNController
-    from repro.live.clock import Clock, ScheduledCall
+    from repro.live.clock import Clock
     from repro.net.link import Link
     from repro.net.path import NetworkPath
     from repro.transport.cc.base import CongestionController
@@ -50,8 +49,6 @@ if TYPE_CHECKING:
 EPS_BYTES = 1e-6
 #: Relative slack for rate/size comparisons.
 REL_EPS = 1e-9
-#: How often a polling auditor (live mode) samples the session's state.
-POLL_INTERVAL_S = 0.05
 
 
 def _close(a: float, b: float) -> bool:
@@ -110,12 +107,11 @@ class _SeamCounters:
 class SessionAuditor:
     """Checks the invariant catalogue after every event.
 
-    Attach with :meth:`attach` (sim: per-event via ``loop.on_event``)
-    or :meth:`attach_polling` (live: periodic, via ``clock.call_later``
-    — wall clocks have no event hook). The checks that are only sound
-    at event granularity (decision conformance against mutable
-    controller scratch state) run under ``fine_grained``, which polling
-    mode turns off.
+    :meth:`attach` chains onto the event loop's ``on_event`` hook — the
+    clock itself in the simulator, ``clock.loop`` on a wall clock. The
+    checks that are only sound at event granularity (decision
+    conformance against mutable controller scratch state) run under
+    ``fine_grained``, which a wall clock turns off.
     """
 
     def __init__(self, clock: "Clock", pacer: "Pacer", *,
@@ -161,23 +157,27 @@ class SessionAuditor:
         self._orig_on_arrival: Optional[Callable] = None
         self._prev_hook: Optional[Callable] = None
         self._hooked_loop = None
-        self._poll_timer: Optional["ScheduledCall"] = None
 
     # ------------------------------------------------------------------
     # attachment
     # ------------------------------------------------------------------
     def attach(self) -> "SessionAuditor":
-        """Per-event auditing: chain onto ``loop.on_event`` (sim only).
+        """Per-event auditing: chain onto the loop's ``on_event`` hook.
 
-        Must run *before* ``loop.run()`` — the run loop snapshots the
-        hook at entry.
+        Must run *before* the loop's next ``run()`` — the run loop
+        snapshots the hook at entry. On a wall clock the loop is
+        ``clock.loop``, and socket reads change controller state between
+        its events, so the timing-sensitive conformance checks are off;
+        violations are always collected there (raising inside a wake
+        only reaches the asyncio exception handler), so call
+        :meth:`finalize` at session end to surface them.
         """
         if self._attached:
             raise RuntimeError("auditor already attached")
-        loop = self.clock
-        if not hasattr(loop, "on_event"):
-            raise TypeError("clock has no on_event hook; use attach_polling()"
-                            " for wall clocks")
+        loop = getattr(self.clock, "loop", self.clock)
+        if loop is not self.clock:
+            self.fine_grained = False
+            self.strict = False
         self._wrap_seams()
         self._prev_hook = loop.on_event
         self._hooked_loop = loop
@@ -187,27 +187,6 @@ class SessionAuditor:
             self._decision_cursor = len(self.ace_n.log)
         return self
 
-    def attach_polling(self) -> "SessionAuditor":
-        """Periodic auditing for clocks without an event hook (live mode).
-
-        Timing-sensitive conformance checks are disabled (the controller
-        mutates between polls), and violations are always collected —
-        raising inside an asyncio timer callback would be swallowed by
-        the loop's exception handler. Call :meth:`finalize` at session
-        end to surface them.
-        """
-        if self._attached:
-            raise RuntimeError("auditor already attached")
-        self.fine_grained = False
-        self.strict = False
-        self._wrap_seams()
-        self._attached = True
-        if self.ace_n is not None:
-            self._decision_cursor = len(self.ace_n.log)
-        self._poll_timer = self.clock.call_later(
-            POLL_INTERVAL_S, self._poll_tick, "audit.poll")
-        return self
-
     def detach(self) -> None:
         """Restore every wrapped seam and hook."""
         if not self._attached:
@@ -215,9 +194,6 @@ class SessionAuditor:
         if self._hooked_loop is not None:
             self._hooked_loop.on_event = self._prev_hook
             self._hooked_loop = None
-        if self._poll_timer is not None:
-            self._poll_timer.cancel()
-            self._poll_timer = None
         if self._orig_pacer_send_fn is not None:
             self.pacer.send_fn = self._orig_pacer_send_fn
         link = self.link
@@ -306,14 +282,6 @@ class SessionAuditor:
             self._prev_hook(event)
         if not self._saturated:
             self.check_now()
-
-    def _poll_tick(self) -> None:
-        if not self._attached:
-            return
-        if not self._saturated:
-            self.check_now()
-        self._poll_timer = self.clock.call_later(
-            POLL_INTERVAL_S, self._poll_tick, "audit.poll")
 
     def _fail(self, invariant: str, detail: str) -> None:
         if self._saturated:
@@ -425,9 +393,9 @@ class SessionAuditor:
         # Read the raw token field: every legitimate mutation (refill,
         # consume, resize) leaves it in [0, bucket_bytes], and a lazy
         # refill only moves it toward the cap — so the raw value carries
-        # the invariant. Never call bucket.tokens(now) here: it advances
-        # the refill state and the changed float rounding breaks
-        # bit-identical fixed-seed runs.
+        # the invariant. Never refill the bucket here (take/consume at
+        # now): the changed float rounding breaks bit-identical
+        # fixed-seed runs.
         tokens = bucket._tokens
         if tokens < -EPS_BYTES or tokens > bucket._bucket_bytes + EPS_BYTES:
             self._fail("bucket.tokens.range",
@@ -627,9 +595,8 @@ class SessionAuditor:
 def attach_audit(session, strict: bool = True,
                  max_violations: int = 50) -> SessionAuditor:
     """Attach an auditor to a not-yet-run single-flow session, sim or
-    live; the clock picks the mode — per event on a loop with an
-    ``on_event`` hook, polling (always collecting) on a wall clock.
-    Call ``finalize()`` after the run for the end-of-session checks.
+    live (:meth:`SessionAuditor.attach`). Call ``finalize()`` after the
+    run for the end-of-session checks.
     """
     sender = session.sender
     path = getattr(session, "path", None)   # live: the shim, no Link
@@ -643,6 +610,4 @@ def attach_audit(session, strict: bool = True,
         rtt_floor=session.config.base_rtt,
         strict=strict, max_violations=max_violations,
         telemetry=session.telemetry)
-    if hasattr(auditor.clock, "on_event"):
-        return auditor.attach()
-    return auditor.attach_polling()
+    return auditor.attach()

@@ -21,14 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.audit.auditor import SessionAuditor, Violation, attach_audit
-from repro.net.trace import (
-    BandwidthTrace,
-    make_4g_trace,
-    make_5g_trace,
-    make_campus_wifi_trace,
-    make_weak_network_trace,
-    make_wifi_trace,
-)
+from repro.net.trace import BandwidthTrace, trace_by_kind
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 from repro.sim.rng import RngStream
@@ -40,14 +33,6 @@ FUZZ_BASELINES = ("ace", "ace-n", "webrtc-star", "always-burst", "salsify",
 
 FUZZ_TRACES = ("wifi", "4g", "5g", "campus", "const:2", "const:6",
                "weak:canteen", "weak:airport")
-
-_TRACE_MAKERS = {
-    "wifi": make_wifi_trace,
-    "4g": make_4g_trace,
-    "5g": make_5g_trace,
-    "campus": make_campus_wifi_trace,
-}
-
 
 @dataclass(frozen=True)
 class FuzzCase:
@@ -107,15 +92,8 @@ def case_from_seed(root_seed: int, index: int) -> FuzzCase:
 
 def build_case_trace(case: FuzzCase) -> BandwidthTrace:
     kind = case.trace_kind
-    trace_duration = case.config.duration + 5.0
-    if kind.startswith("const:"):
-        mbps = float(kind.split(":", 1)[1])
-        return BandwidthTrace.constant(mbps * 1e6, duration=trace_duration)
     rng = RngStream(case.root_seed, f"audit.fuzz.trace.{case.index}.{kind}")
-    if kind.startswith("weak:"):
-        return make_weak_network_trace(rng, duration=trace_duration,
-                                       venue=kind.split(":", 1)[1])
-    return _TRACE_MAKERS[kind](rng, duration=trace_duration)
+    return trace_by_kind(kind, rng, case.config.duration + 5.0)
 
 
 def run_case(case: FuzzCase,

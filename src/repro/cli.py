@@ -37,14 +37,7 @@ from repro.bench.parallel import (
 )
 from repro.bench.tables import fmt_ms, fmt_pct, print_table
 from repro.net.aqm import DEFAULT_DISCIPLINE, list_disciplines
-from repro.net.trace import (
-    BandwidthTrace,
-    make_4g_trace,
-    make_5g_trace,
-    make_campus_wifi_trace,
-    make_weak_network_trace,
-    make_wifi_trace,
-)
+from repro.net.trace import TRACE_CLASSES, BandwidthTrace, trace_by_kind
 from repro.observe import Observe, harvest, write_series_shards
 from repro.rtc.baselines import list_baselines, resolve_spec
 from repro.rtc.session import SessionConfig
@@ -52,37 +45,13 @@ from repro.sim import ENGINE_NAMES
 from repro.sim.rng import RngStream
 from repro.video.source import CONTENT_CATEGORIES
 
-TRACE_MAKERS = {
-    "wifi": make_wifi_trace,
-    "4g": make_4g_trace,
-    "5g": make_5g_trace,
-    "campus": make_campus_wifi_trace,
-}
-
-
 def make_trace(kind: str, seed: int, duration: float) -> BandwidthTrace:
-    """Build a trace by class name, or a constant one via 'const:<mbps>'
-    (named ``const:<mbps:g>``, so two rates are two grid cells)."""
-    if kind.startswith("const:"):
-        try:
-            mbps = float(kind.split(":", 1)[1])
-        except ValueError:
-            raise SystemExit(f"trace {kind!r}: 'const:<mbps>' wants a "
-                             "number of Mbps") from None
-        return BandwidthTrace.constant(mbps * 1e6, duration=duration,
-                                       name=f"const:{mbps:g}")
-    if kind.startswith("weak:"):
-        try:
-            return make_weak_network_trace(RngStream(seed, f"cli.{kind}"),
-                                           duration=duration,
-                                           venue=kind.split(":", 1)[1])
-        except ValueError as exc:        # an unknown venue
-            raise SystemExit(f"trace {kind!r}: {exc}") from None
-    if kind not in TRACE_MAKERS:
-        raise SystemExit(
-            f"unknown trace {kind!r}: choose from {sorted(TRACE_MAKERS)}, "
-            "'const:<mbps>', or 'weak:<venue>'")
-    return TRACE_MAKERS[kind](RngStream(seed, f"cli.{kind}"), duration=duration)
+    """:func:`~repro.net.trace.trace_by_kind` on the CLI's stream
+    ``cli.<kind>``; a bad kind exits with its one-line message."""
+    try:
+        return trace_by_kind(kind, RngStream(seed, f"cli.{kind}"), duration)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def session_config(args: argparse.Namespace, seed: Optional[int] = None,
@@ -211,7 +180,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     print("baselines:")
     for name in list_baselines():
         print(f"  {name}")
-    print("\ntrace classes:", ", ".join(sorted(TRACE_MAKERS)),
+    print("\ntrace classes:", ", ".join(sorted(TRACE_CLASSES)),
           "+ const:<mbps>, weak:<canteen|coffee_shop|airport>")
     print("content categories:", ", ".join(CONTENT_CATEGORIES))
     return 0

@@ -24,11 +24,11 @@ EPSILON_BYTES = 1e-6
 class TokenBucket:
     """Byte-denominated token bucket with lazy refill.
 
-    The refill arithmetic is inlined into :meth:`consume`,
-    :meth:`time_until_available`, :meth:`take` (the per-packet hot path)
-    and :meth:`drain_train` (the per-train one) — keep any change to the
-    formula mirrored across all copies, bit-for-bit, or fixed-seed
-    sessions stop being reproducible. No other module restates it.
+    The refill arithmetic is inlined into :meth:`consume`, :meth:`take`
+    (the per-packet hot path) and :meth:`drain_train` (the per-train
+    one) — keep any change to the formula mirrored across the three
+    copies, bit-for-bit, or fixed-seed sessions stop being reproducible.
+    No other module restates it.
     """
 
     __slots__ = ("_rate_bps", "_bucket_bytes", "_tokens", "_last_refill")
@@ -90,13 +90,11 @@ class TokenBucket:
         self._tokens = self.level_at(now)
         self._last_refill = max(self._last_refill, now)
 
-    def tokens(self, now: float) -> float:
-        """Current token count in bytes."""
-        self._refill(now)
-        return self._tokens
-
     def consume(self, size_bytes: float, now: float) -> bool:
-        """Take ``size_bytes`` tokens if available; returns success."""
+        """Take ``size_bytes`` tokens if available; returns success.
+
+        No pacer calls this (``take`` commits); it is kept because
+        ``perfbench/trace.py`` wraps it by name."""
         elapsed = now - self._last_refill
         if elapsed > 0:
             filled = self._tokens + elapsed * self._rate_bps / 8.0
@@ -109,33 +107,13 @@ class TokenBucket:
         self._tokens = left if left > 0.0 else 0.0
         return True
 
-    def time_until_available(self, size_bytes: float, now: float) -> float:
-        """Seconds until the bucket will hold ``size_bytes`` tokens.
-
-        Infinite demand beyond the bucket size is clamped: a packet larger
-        than the bucket waits until the bucket is full (callers should
-        size buckets above the MTU).
-        """
-        elapsed = now - self._last_refill
-        if elapsed > 0:
-            filled = self._tokens + elapsed * self._rate_bps / 8.0
-            cap = self._bucket_bytes
-            self._tokens = cap if filled > cap else filled
-            self._last_refill = now
-        demand = size_bytes if size_bytes < self._bucket_bytes else self._bucket_bytes
-        needed = demand - self._tokens
-        if needed <= EPSILON_BYTES:
-            return 0.0
-        return needed * 8.0 / self._rate_bps
-
     def take(self, size_bytes: float, now: float) -> float:
         """Take ``size_bytes`` tokens now and return 0.0, or return the
         seconds until they will be there and take nothing.
 
-        Bit for bit :meth:`time_until_available` followed, when that says
-        0, by :meth:`consume`: a packet larger than the bucket waits for a
-        full bucket and then drains it, where ``consume`` alone would
-        refuse it.
+        Demand beyond the bucket size is clamped: a packet larger than
+        the bucket waits for a full bucket and then drains it, where
+        :meth:`consume` would refuse it (size buckets above the MTU).
         """
         elapsed = now - self._last_refill
         if elapsed > 0:

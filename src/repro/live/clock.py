@@ -20,32 +20,24 @@ the past (a sim bug), while :class:`WallClock.call_at` clamps them to
 its last wake (on a wall clock the deadline may have passed while
 Python was scheduling — that is jitter, not a bug).
 
-A :class:`WallClock` keeps the ``EventLoop``'s heap of ``(when, seq,
-event)`` tuples under one asyncio timer for the earliest entry, re-armed
-when the head moves earlier and after each wake. A wake runs, in
-``(when, seq)`` order, every entry due by the wall time, read again once
-the next entry looks early, so an entry made due during the wake runs
-in it. Nothing fires before its deadline.
+A :class:`WallClock` drives an :class:`~repro.sim.events.EventLoop` of
+its own (``clock.loop``): its entries are that loop's events, under one
+asyncio timer for the loop's earliest event, re-armed when the head
+moves earlier and after each wake. A wake runs the loop up to the wall
+time, read again while the next event looks due, so an entry made due
+during the wake runs in it. Nothing fires before its deadline, and the
+loop's hooks (``on_event``, the profiler) see a live run as they see a
+simulated one.
 """
 
 from __future__ import annotations
 
 import asyncio
-from heapq import heappop, heappush
 from math import inf
 from time import process_time
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.sim.events import Event
-
-
-@runtime_checkable
-class ScheduledCall(Protocol):
-    """Handle for a scheduled callback (an :class:`Event` on both clocks)."""
-
-    cancelled: Any  # bool attribute or property
-
-    def cancel(self) -> None: ...
+from repro.sim.events import Event, EventLoop
 
 
 @runtime_checkable
@@ -55,10 +47,10 @@ class Clock(Protocol):
     now: Any  # float attribute (EventLoop) or property (WallClock)
 
     def call_at(self, when: float, callback: Callable[[], None],
-                name: str = "") -> ScheduledCall: ...
+                name: str = "") -> Event: ...
 
     def call_later(self, delay: float, callback: Callable[[], None],
-                   name: str = "") -> ScheduledCall: ...
+                   name: str = "") -> Event: ...
 
 
 class WallClock:
@@ -71,7 +63,7 @@ class WallClock:
     and a session owns one clock, so the fleet's CPU splits per session.
     """
 
-    __slots__ = ("_aloop", "_origin", "cpu_s", "_heap", "_seq", "_timer",
+    __slots__ = ("_aloop", "_origin", "cpu_s", "loop", "_timer",
                  "_armed_at", "_floor")
 
     def __init__(self, aloop: Optional[asyncio.AbstractEventLoop] = None
@@ -88,8 +80,8 @@ class WallClock:
         self._aloop = aloop
         self._origin = aloop.time()
         self.cpu_s = 0.0
-        self._heap: list = []
-        self._seq = 0
+        #: the scheduler; its ``now`` is the last wake's (or event's) time.
+        self.loop = EventLoop()
         #: the one asyncio timer and its deadline (-inf during a wake,
         #: which re-arms at its end); passed deadlines clamp to _floor.
         self._timer: Optional[asyncio.TimerHandle] = None
@@ -102,21 +94,21 @@ class WallClock:
 
     def call_at(self, when: float, callback: Callable[[], None],
                 name: str = "") -> Event:
-        return self._push(when if when > self._floor else self._floor,
-                          callback, name)
+        if not when > self._floor:      # passed (or NaN): the last wake
+            when = self._floor
+        event = self.loop.call_at(when, callback, name)
+        if when < self._armed_at:
+            self._arm(when)
+        return event
 
     def call_later(self, delay: float, callback: Callable[[], None],
                    name: str = "") -> Event:
         # Not routed through call_at: wrappers of call_at (the lateness
         # probe, the tracer) would then see each callback twice.
-        return self._push(self.now + (delay if delay > 0 else 0.0),
-                          callback, name)
-
-    def _push(self, when: float, callback: Callable, name: str) -> Event:
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(when, seq, callback, name)
-        heappush(self._heap, (when, seq, event))
+        when = self._aloop.time() - self._origin
+        if delay > 0:
+            when += delay
+        event = self.loop.call_at(when, callback, name)
         if when < self._armed_at:
             self._arm(when)
         return event
@@ -130,40 +122,36 @@ class WallClock:
     def _wake(self) -> None:
         self._timer = None
         self._armed_at = -inf
-        heap = self._heap
+        loop = self.loop
         aloop = self._aloop
         t0 = process_time()
         try:
             floor = self._floor = aloop.time() - self._origin
-            while heap:
-                when, _, event = heap[0]
-                if when > floor:
-                    floor = self._floor = aloop.time() - self._origin
-                    if when > floor:
-                        break
-                heappop(heap)
-                if event.cancelled:
-                    continue
+            while True:
                 try:
-                    event.callback()
+                    loop.run(floor)
                 except Exception as exc:
                     aloop.call_exception_handler({
-                        "message": f"Exception in callback {event!r}",
-                        "exception": exc, "handle": event})
+                        "message": f"Exception in callback {loop.failed!r}",
+                        "exception": exc})
+                    continue
+                head = loop.next_time()
+                if head > floor:
+                    floor = self._floor = aloop.time() - self._origin
+                    if head > floor:
+                        break
         finally:
             self.cpu_s += process_time() - t0
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
             self._armed_at = inf
-            if heap:
-                self._arm(heap[0][0])
+        if head < inf:
+            self._arm(head)
 
     def close(self) -> None:
         """Drop every entry and the timer (session teardown)."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._heap.clear()
+        self.loop.clear()
         self._armed_at = inf
 
     async def sleep(self, delay: float) -> None:

@@ -22,7 +22,7 @@ errors plus malformed datagrams, both endpoints).
 
 Soak safety rests on the session layer: sessions leave nothing
 scheduled on the loop, and every per-session telemetry window is
-bounded — the pacer's occupancy ring at ``LIVE_PACER_STATS_CAP``, the
+bounded — the pacer's occupancy ring at ``OCCUPANCY_SAMPLE_CAP``, the
 burst analyzer's pacing window, and (event log off) the record ring,
 the wire-row window and the spans of frames not yet displayed. A
 session's own result is not: its sender's frame metrics and send log

@@ -32,11 +32,6 @@ from repro.rtc.metrics import SessionMetrics
 from repro.rtc.session import Session, SessionConfig
 
 
-#: bound on each live session's pacer occupancy ring (nothing reads a
-#: live ring), so a fleet's sample memory is sessions x cap.
-LIVE_PACER_STATS_CAP = 4096
-
-
 @dataclass
 class LiveConfig(SessionConfig, Observe):
     """One live (wall-clock, UDP-loopback) run: a ``SessionConfig``,
@@ -134,7 +129,6 @@ class LiveSession(Session):
                 0, self.rngs, self.spec, self.category,
                 ends=(send_end.send, recv_end.send_feedback))
             self.sender, self.receiver = stack.sender, stack.receiver
-            self.sender.pacer.stats.rebound(LIVE_PACER_STATS_CAP)
             recv_end.on_arrival = self._on_arrival
             send_end.on_drop = self._on_drop
             # One flow per socket pair: feedback carries no flow id.

@@ -361,6 +361,38 @@ def make_step_trace(high_mbps: float, low_mbps: float, step_at: float,
     return BandwidthTrace(timestamps=timestamps, rates_bps=rates, name=name)
 
 
+#: the synthetic trace classes, by name.
+TRACE_CLASSES = {"wifi": make_wifi_trace, "4g": make_4g_trace,
+                 "5g": make_5g_trace, "campus": make_campus_wifi_trace}
+
+
+def trace_by_kind(kind: str, rng: RngStream,
+                  duration: float) -> BandwidthTrace:
+    """A trace by class name, ``weak:<venue>`` or ``const:<mbps>`` (named
+    ``const:<mbps:g>``, so two rates are two grid cells); a synthetic
+    one draws from ``rng``. A kind no maker takes raises ``ValueError``
+    with a one-line message naming it."""
+    if kind.startswith("const:"):
+        try:
+            mbps = float(kind.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"trace {kind!r}: 'const:<mbps>' wants a "
+                             "number of Mbps") from None
+        return BandwidthTrace.constant(mbps * 1e6, duration=duration,
+                                       name=f"const:{mbps:g}")
+    if kind.startswith("weak:"):
+        try:
+            return make_weak_network_trace(rng, duration=duration,
+                                           venue=kind.split(":", 1)[1])
+        except ValueError as exc:        # an unknown venue
+            raise ValueError(f"trace {kind!r}: {exc}") from None
+    if kind not in TRACE_CLASSES:
+        raise ValueError(
+            f"unknown trace {kind!r}: choose from {sorted(TRACE_CLASSES)}, "
+            "'const:<mbps>', or 'weak:<venue>'")
+    return TRACE_CLASSES[kind](rng, duration=duration)
+
+
 @dataclass
 class TraceLibrary:
     """The nine-trace corpus used by the main experiments.

@@ -34,8 +34,9 @@ from repro.obs.registry import MetricRegistry
 from repro.obs.spans import SpanBook
 
 if TYPE_CHECKING:
-    from repro.live.clock import Clock, ScheduledCall
+    from repro.live.clock import Clock
     from repro.obs.slo import SloWatchdog
+    from repro.sim.events import Event
 
 #: default flight-window depth (records, not seconds).
 DEFAULT_FLIGHT_CAPACITY = 512
@@ -211,7 +212,7 @@ class Telemetry:
         self._events: tuple = ((0, 0), [])   # (log size, materialised)
         #: ``wire`` probe rows (a flight window's worth without the log).
         self.wire = WireRows(keep=None if keep_events else flight_capacity)
-        self._tick_handle: Optional["ScheduledCall"] = None
+        self._tick_handle: Optional["Event"] = None
         self._burst = BurstAnalyzer(registry)
         #: set by ``BatchPipeline.install``: answers the occupancy gauges
         #: the batch engine holds in arrays (see obs.wiring).

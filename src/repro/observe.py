@@ -33,8 +33,8 @@ class Observe:
 
     #: frame spans, metric registry, flight recorder, burst analyzer.
     telemetry: bool = False
-    #: the invariant auditor — after every event on a simulated loop,
-    #: polling on a wall clock, which has no event hook.
+    #: the invariant auditor — after every event of the session's loop
+    #: (a wall clock's own ``clock.loop`` included).
     audit: bool = False
     #: bounded time series of every instrument on the telemetry tick
     #: (implies telemetry); harvested as ``series_frame``.
@@ -71,8 +71,9 @@ def attach(session, options: Observe, *, strict: bool = True):
     An ``RtcSession`` is audited per event; an ``ArenaSession`` takes
     telemetry and series only (the :data:`SINGLE_FLOW` options raise
     ``ValueError``); a ``LiveSession`` attaches from inside its ``run()``,
-    once the wall clock and the stack exist, and its auditor polls.
-    ``strict`` makes a per-event auditor raise at the first violation.
+    once the wall clock and the stack exist, and its auditor collects.
+    ``strict`` makes a simulated session's auditor raise at the first
+    violation.
     """
     if session.mode == "arena":
         for name in SINGLE_FLOW:

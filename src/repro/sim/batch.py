@@ -156,24 +156,24 @@ class BatchEngine:
         if pipe is None:
             loop.run(until=until)
             return
-        heap = loop._heap
-        live = loop._live       # discards cancelled heads; True = work queued
+        next_time = loop.next_time      # inf when no work is queued
+        next_event = loop.next_event
         run_until = pipe.run_until
         drain_to = pipe.drain_to
         while True:
-            if not live() or heap[0][0] > until:
+            t = next_time()
+            if t > until:
                 # No decision boundary left inside the horizon: flush
                 # the pipeline to the horizon. Delivery callbacks may
                 # schedule new events inside it (skip timers), so
                 # re-check before declaring the advance done.
                 run_until(until)
-                if live() and heap[0][0] <= until:
+                if next_time() <= until:
                     continue
                 if until > loop.now:
                     loop.now = until
                 return
-            t = heap[0][0]
-            head = heap[0][2]   # None: a handle-free hop (path.feedback)
+            head = next_event()     # None: a hop (path.feedback)
             if head is not None and head.name == "sender.encoded":
                 # Encode-completion boundaries only append to the pacer
                 # queue — no RNG draw, no receiver-derived read — so the
@@ -185,17 +185,17 @@ class BatchEngine:
                 drain_to(t)
             else:
                 run_until(t)
-                if not live() or heap[0][0] < t:
+                if next_time() < t:
                     # A delivery callback scheduled something earlier
                     # than the boundary we were heading for; restart.
                     continue
-            head = heap[0][2]
+            head = next_event()
             if head is not None and head.name == "pacer.pump":
                 # The pipeline drains the pacer in closed form; pump
                 # events are decision-free and are discarded. Marking
                 # them cancelled keeps Pacer._schedule_pump's "a pump is
                 # already pending" fast path from suppressing future
-                # pumps against a dead handle (live() pops it next turn).
+                # pumps against a dead handle (next_event() pops it).
                 head.cancelled = True
                 continue
             loop.step()
@@ -384,8 +384,6 @@ class BatchPipeline:
         if self.telemetry is not None:
             self.telemetry.wire_train(burst.frame_id, d, sizes,
                                       d - burst.enqueue_time)
-        # One occupancy sample per train (reference: one per packet).
-        stats.occupancy_samples.append((float(d[-1]), pacer._queued_bytes))
         burst.metrics.pacer_last_exit = float(d[-1])
         burst.sent = hi
         self._send_event_chunks.append((d, sizes))

@@ -84,6 +84,9 @@ class EventLoop:
         self._heap: list[tuple] = []
         self._seq = 0
         self._processed = 0
+        #: name of the event whose callback (or hook) last raised out of
+        #: a dispatch — a wall clock reports it and goes on.
+        self.failed = ""
 
     def set_profiler(self,
                      profiler: Optional["LoopProfiler"]) -> Optional["LoopProfiler"]:
@@ -157,6 +160,19 @@ class EventLoop:
         self._seq = seq + 1
         heappush(self._heap, (when, seq, None, fn, arg, name))
 
+    def next_time(self) -> float:
+        """Time of the earliest uncancelled event (``inf`` when none)."""
+        return self._heap[0][0] if self._live() else math.inf
+
+    def next_event(self) -> Optional[Event]:
+        """Handle of the earliest uncancelled event (``None`` when none
+        is queued, or when it is a handle-free :meth:`post` hop)."""
+        return self._heap[0][2] if self._live() else None
+
+    def clear(self) -> None:
+        """Drop every queued event (a wall clock's teardown)."""
+        self._heap.clear()
+
     def _live(self) -> bool:
         """Discard cancelled heads; True when uncancelled work is queued."""
         heap = self._heap
@@ -195,6 +211,9 @@ class EventLoop:
                     self.now = when
                     executed += 1
                     event.callback()
+        except Exception:
+            self.failed = entry[5] if event is None else event.name
+            raise
         finally:
             self._processed += executed
         return False
@@ -236,6 +255,9 @@ class EventLoop:
                     record(event.name, perf_counter() - t0)
                 if hook is not None:
                     hook(event)
+        except Exception:
+            self.failed = event.name
+            raise
         finally:
             self._processed += executed
         return False

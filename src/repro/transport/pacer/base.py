@@ -17,13 +17,14 @@ from typing import TYPE_CHECKING, Callable, Deque, Optional
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:
-    from repro.live.clock import Clock, ScheduledCall
+    from repro.live.clock import Clock
+    from repro.sim.events import Event
 
 
-#: bound on the occupancy sample ring in :class:`PacerStats`, so a
-#: wall-clock soak run's memory stays flat; a live session shrinks it
-#: via :meth:`PacerStats.rebound`.
-DEFAULT_SAMPLE_CAP = 65_536
+#: bound on the occupancy sample ring in :class:`PacerStats`: above the
+#: enqueues of any benchmarked session (a 50 s, 60 fps run is ~3 000
+#: frames plus retransmissions), and a live fleet's memory stays flat.
+OCCUPANCY_SAMPLE_CAP = 4096
 
 
 @dataclass(slots=True)
@@ -37,17 +38,10 @@ class PacerStats:
     sent_packets: int = 0
     enqueued_bytes: int = 0
     sent_bytes: int = 0
-    #: (time, queued_bytes) samples on every enqueue/send (bounded ring).
+    #: (time, queued_bytes) after every enqueue — the backlog only grows
+    #: there, so the ring's maximum is the exact peak (bounded ring).
     occupancy_samples: Deque[tuple[float, int]] = field(
-        default_factory=lambda: deque(maxlen=DEFAULT_SAMPLE_CAP))
-
-    def rebound(self, cap: int) -> None:
-        """Shrink (or grow) the occupancy ring to hold ``cap`` entries.
-
-        Keeps the newest samples. Every live session calls this, so a
-        fleet's memory is ``sessions * cap``, not unbounded.
-        """
-        self.occupancy_samples = deque(self.occupancy_samples, maxlen=cap)
+        default_factory=lambda: deque(maxlen=OCCUPANCY_SAMPLE_CAP))
 
 
 class Pacer(abc.ABC):
@@ -79,7 +73,7 @@ class Pacer(abc.ABC):
         self._media_queue: Deque[Packet] = deque()
         self._rtx_queue: Deque[Packet] = deque()
         self._queued_bytes = 0
-        self._pump_event: Optional["ScheduledCall"] = None
+        self._pump_event: Optional["Event"] = None
         self._pacing_rate_bps = 1_000_000.0
 
     # ------------------------------------------------------------------
@@ -110,33 +104,27 @@ class Pacer(abc.ABC):
     # ------------------------------------------------------------------
     def enqueue(self, packets: list[Packet]) -> None:
         """Add a frame's packet train to the pacing queue."""
-        now = self.loop.now
-        for packet in packets:
-            packet.t_enqueue_pacer = now
-            self._media_queue.append(packet)
-            self._queued_bytes += packet.size_bytes
-            self.stats.enqueued_packets += 1
-            self.stats.enqueued_bytes += packet.size_bytes
-        self.stats.occupancy_samples.append((now, self._queued_bytes))
-        self._schedule_pump(0.0)
+        self._admit(self._media_queue, packets)
 
     def enqueue_retransmission(self, packet: Packet) -> None:
         """Queue a retransmission ahead of fresh media (WebRTC priority)."""
-        packet.t_enqueue_pacer = self.loop.now
-        self._rtx_queue.append(packet)
-        self._queued_bytes += packet.size_bytes
-        self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += packet.size_bytes
-        self._schedule_pump(0.0)
+        self._admit(self._rtx_queue, (packet,))
 
     def enqueue_audio(self, packet: Packet) -> None:
         """Queue an audio packet at strict top priority (WebRTC order:
         audio > retransmissions > video)."""
-        packet.t_enqueue_pacer = self.loop.now
-        self._audio_queue.append(packet)
-        self._queued_bytes += packet.size_bytes
-        self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += packet.size_bytes
+        self._admit(self._audio_queue, (packet,))
+
+    def _admit(self, queue: Deque[Packet], packets) -> None:
+        now = self.loop.now
+        stats = self.stats
+        for packet in packets:
+            packet.t_enqueue_pacer = now
+            queue.append(packet)
+            self._queued_bytes += packet.size_bytes
+            stats.enqueued_packets += 1
+            stats.enqueued_bytes += packet.size_bytes
+        stats.occupancy_samples.append((now, self._queued_bytes))
         self._schedule_pump(0.0)
 
     #: floor on positive pump delays — waits shorter than a microsecond
@@ -186,7 +174,6 @@ class Pacer(abc.ABC):
         stats = self.stats
         stats.sent_packets += 1
         stats.sent_bytes += size
-        stats.occupancy_samples.append((now, queued))
         self.send_fn(packet)
 
     @abc.abstractmethod

@@ -7,7 +7,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.transport.pacer.base import Pacer
 
 if TYPE_CHECKING:
-    from repro.live.clock import Clock, ScheduledCall
+    from repro.live.clock import Clock
+    from repro.sim.events import Event
 
 
 class PacingStall:
@@ -34,7 +35,7 @@ class PacingStall:
         self._clock = clock
         self._pacer = pacer
         self._end = at + duration
-        self._handle: Optional["ScheduledCall"] = clock.call_later(
+        self._handle: Optional["Event"] = clock.call_later(
             at, self._clamp, "slo.stall")
 
     def _clamp(self) -> None:

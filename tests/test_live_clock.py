@@ -14,8 +14,8 @@ import asyncio
 
 import pytest
 
-from repro.live.clock import Clock, ScheduledCall, WallClock
-from repro.sim.events import EventLoop, SimulationError
+from repro.live.clock import Clock, WallClock
+from repro.sim.events import Event, EventLoop, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ def test_sim_clock_equivalent_to_direct_loop_scheduling():
     clock = EventLoop()
     fired = []
     handle = clock.call_later(0.5, lambda: fired.append(clock.now))
-    assert isinstance(handle, ScheduledCall)
+    assert isinstance(handle, Event)
     clock.call_at(0.25, lambda: fired.append(clock.now))
     clock.run(until=1.0)
     assert fired == [0.25, 0.5]

@@ -271,9 +271,8 @@ def test_udp_transport_shim_fifo_sends_in_due_order_on_one_entry():
             for seq in range(6):
                 a.send(Packet(size_bytes=1000, seq=seq))
             assert a.pending_timers == 6
-            entries = [e for _, _, e in clock._heap
-                       if e.name == "live.delayed" and not e.cancelled]
-            assert len(entries) == 1
+            assert clock.loop.pending == 1
+            assert clock.loop.next_event().name == "live.delayed"
             await clock.sleep(0.2)
         finally:
             a.close()
@@ -504,7 +503,7 @@ def test_live_session_teardown_leaves_nothing_scheduled():
             "ace", short_config(duration=0.5, drain=0.2, telemetry=True),
             trace=BandwidthTrace.constant(20e6, duration=12.0))
         await session.run()
-        assert session.clock._heap == [] and session.clock._timer is None
+        assert session.clock.loop.pending == 0 and session.clock._timer is None
         # Nothing fires after the session is done: an empty loop
         # iteration right after run() sees no stray session callbacks.
         released_before = session.sender.pacer.stats.sent_packets
@@ -673,7 +672,7 @@ def test_stall_handle_is_cancelled_by_teardown(stall_timers):
             trace=BandwidthTrace.constant(20e6, duration=12.0))
         await session.run()
         assert len(stall_timers) > 2, "the stall never re-armed"
-        assert session.clock._heap == [] and session.clock._timer is None
+        assert session.clock.loop.pending == 0 and session.clock._timer is None
         fired = len(stall_timers)
         await asyncio.sleep(0.15)
         assert len(stall_timers) == fired, "a stall clamp fired after run()"
@@ -698,3 +697,42 @@ def test_stall_handle_is_cancelled_by_request_stop(stall_timers):
         assert len(stall_timers) == fired, "the stall re-armed after stop"
 
     asyncio.run(check())
+
+
+# ---------------------------------------------------------------------------
+# one event loop under the wall clock: the loop's observers see a live run
+# ---------------------------------------------------------------------------
+def test_live_audit_checks_once_per_clock_event():
+    session = build_live_session(
+        "ace", short_config(audit=True),
+        trace=BandwidthTrace.constant(20e6, duration=12.0))
+    asyncio.run(session.run())
+    auditor = session.auditor
+    assert auditor.violations == []
+    # Socket reads move controller state between clock events.
+    assert not auditor.fine_grained and not auditor.strict
+    # One check per executed clock event, plus finalize's own.
+    assert auditor.events_checked == session.clock.loop.processed + 1
+    assert auditor.events_checked > 100
+
+
+def test_a_loop_profiler_counts_a_live_sessions_events_by_name(monkeypatch):
+    from repro.live import session as live_session_module
+    from repro.obs.profiler import LoopProfiler
+
+    clocks = []
+
+    def profiled_clock(aloop):
+        clock = WallClock(aloop)
+        clock.loop.set_profiler(LoopProfiler())
+        clocks.append(clock)
+        return clock
+
+    monkeypatch.setattr(live_session_module, "WallClock", profiled_clock)
+    run_live("ace", config=short_config(telemetry=True),
+             trace=BandwidthTrace.constant(20e6, duration=12.0))
+    (clock,) = clocks
+    profiler = clock.loop.profiler
+    assert profiler.total_events == clock.loop.processed > 0
+    assert {"pacer.pump", "receiver.feedback", "obs.tick",
+            "sender.capture", "live.delayed"} <= set(profiler.counts())

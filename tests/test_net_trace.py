@@ -12,6 +12,7 @@ from repro.net.trace import (
     make_step_trace,
     make_weak_network_trace,
     make_wifi_trace,
+    trace_by_kind,
 )
 from repro.sim.rng import RngStream
 
@@ -104,3 +105,21 @@ def test_trace_library_statistics_match_paper():
         assert len(lib.by_class(cls)) == 3
     with pytest.raises(KeyError):
         lib.by_class("dialup")
+
+
+def test_trace_by_kind_is_the_makers_on_the_callers_stream():
+    def same(a, b):
+        return a.name == b.name and list(a.rates_bps) == list(b.rates_bps)
+
+    assert same(trace_by_kind("4g", RngStream(2, "s"), 30.0),
+                make_4g_trace(RngStream(2, "s"), duration=30.0))
+    assert same(trace_by_kind("weak:airport", RngStream(2, "s"), 30.0),
+                make_weak_network_trace(RngStream(2, "s"), duration=30.0,
+                                        venue="airport"))
+    const = trace_by_kind("const:12.50", RngStream(2, "s"), 30.0)
+    assert const.name == "const:12.5" and const.rate_at(3.0) == 12.5e6
+    for kind, message in (("dialup", "unknown trace 'dialup'"),
+                          ("const:x", "wants a number of Mbps"),
+                          ("weak:mars", "unknown venue 'mars'")):
+        with pytest.raises(ValueError, match=message):
+            trace_by_kind(kind, RngStream(2, "s"), 30.0)

@@ -97,7 +97,7 @@ def test_one_value_on_a_live_session():
 
 def test_single_flow_options_on_sim_and_live():
     """The watchdog, the stall and the auditor: one value, two clocks —
-    per-event auditing on the loop, polling on the wall clock."""
+    per-event auditing on the loop, the wall clock's loop included."""
     full = Observe(audit=True, slo_p99_s=0.05, stall=(0.3, 0.6))
     session = attach(sim_session("reference"), full, strict=False)
     sim = harvest(session, session.run())
@@ -109,7 +109,7 @@ def test_single_flow_options_on_sim_and_live():
         assert result.series_frame is None
     assert session.auditor.fine_grained
     assert not live_session.auditor.fine_grained
-    assert live_session.clock._heap == []         # dropped at teardown
+    assert live_session.clock.loop.pending == 0   # dropped at teardown
 
 
 @pytest.mark.parametrize("option,value", [
@@ -198,7 +198,7 @@ def test_each_option_is_declared_once_and_wired_in_one_module():
     assert declared == {name: ["observe.py:Observe"] for name in OPTIONS}
 
     wiring = {"attach_watchdog", "attach_series", "PacingStall",
-              "attach_polling", "attach_audit"}
+              "attach_audit"}
     for rel in ("bench/parallel.py", "live/session.py", "rtc/session.py"):
         tree = ast.parse((SRC / rel).read_text())
         named = set()

@@ -28,18 +28,18 @@ def test_tokens_never_negative_or_above_bucket(rate, bucket, demands):
     t = 0.0
     for demand in demands:
         t += 0.001
-        tb.consume(demand, t)
-        tokens = tb.tokens(t)
+        tb.take(demand, t)
+        tokens = tb.level_at(t)
         assert -EPSILON_BYTES <= tokens <= bucket + EPSILON_BYTES
 
 
 @given(rate=rates, size=st.floats(min_value=1.0, max_value=1e6))
 def test_wait_time_is_sufficient(rate, size):
-    """After waiting time_until_available, the send must be possible."""
+    """After waiting the time ``take`` asked for, the send must be possible."""
     tb = TokenBucket(rate_bps=rate, bucket_bytes=2e6, initial_fill=0.0, now=0.0)
-    wait = tb.time_until_available(size, 0.0)
+    wait = tb.take(size, 0.0)
     assert wait >= 0.0
-    assert tb.consume(min(size, tb.bucket_bytes), wait + 1e-9)
+    assert tb.take(size, wait + 1e-9) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,17 +49,20 @@ def test_wait_time_is_sufficient(rate, size):
            st.sampled_from([0.0, 1e-6]) | st.floats(0.0, 0.05),
            st.floats(min_value=1.0, max_value=2e5)), max_size=40))
 def test_take_is_the_wait_then_the_consume(rate, bucket, fill, asks):
-    """``take`` is, bit for bit, what a pacer did in two calls: ask
-    ``time_until_available``; on 0, ``consume`` — and drain the bucket
-    for a packet larger than it, which ``consume`` refuses."""
+    """``take`` is, bit for bit, the law stated in steps: refill, wait
+    until the (size-clamped) demand is there; on no wait, ``consume`` —
+    and drain the bucket for a packet larger than it, which ``consume``
+    refuses."""
     fused = TokenBucket(rate, bucket, initial_fill=fill * bucket)
     split = TokenBucket(rate, bucket, initial_fill=fill * bucket)
     t = 0.0
     for gap, size in asks:
         t += gap
-        wait = split.time_until_available(size, t)
+        split.consume(0.0, t)               # the refill alone
+        needed = min(size, bucket) - split.level_at(t)
+        wait = needed * 8.0 / rate if needed > EPSILON_BYTES else 0.0
         if wait == 0.0 and not split.consume(size, t):
-            split.consume(split.tokens(t), t)
+            split.consume(split.level_at(t), t)
         assert fused.take(size, t) == wait
         assert (fused._tokens, fused._last_refill) \
             == (split._tokens, split._last_refill)

@@ -66,44 +66,46 @@ class TestLeakyBucketPacer:
 
 
 class TestPacerStatsBounds:
-    """The per-packet sample sequence is a bounded ring (regression:
+    """The occupancy sample sequence is a bounded ring (regression:
     it grew ~100 B/packet forever, an unbounded leak on soak runs)."""
 
     def test_sample_rings_are_capped(self):
-        from repro.transport.pacer.base import DEFAULT_SAMPLE_CAP, PacerStats
+        from repro.transport.pacer.base import OCCUPANCY_SAMPLE_CAP, PacerStats
         stats = PacerStats()
-        for i in range(DEFAULT_SAMPLE_CAP + 500):
+        for i in range(OCCUPANCY_SAMPLE_CAP + 500):
             stats.occupancy_samples.append((float(i), i))
-        assert len(stats.occupancy_samples) == DEFAULT_SAMPLE_CAP
+        assert len(stats.occupancy_samples) == OCCUPANCY_SAMPLE_CAP
         # Oldest samples rotated out; the newest survive.
         assert stats.occupancy_samples[-1] == (
-            float(DEFAULT_SAMPLE_CAP + 499), DEFAULT_SAMPLE_CAP + 499)
+            float(OCCUPANCY_SAMPLE_CAP + 499), OCCUPANCY_SAMPLE_CAP + 499)
         assert stats.occupancy_samples[0] == (500.0, 500)
 
-    def test_rebound_keeps_newest_samples(self):
-        from repro.transport.pacer.base import PacerStats
-        stats = PacerStats()
-        for i in range(100):
-            stats.occupancy_samples.append((float(i), i))
-        stats.rebound(10)
-        assert list(stats.occupancy_samples) == [
-            (float(i), i) for i in range(90, 100)]
-        # The new cap holds from now on.
-        stats.occupancy_samples.append((100.0, 100))
-        assert len(stats.occupancy_samples) == 10
-        assert stats.occupancy_samples[0] == (91.0, 91)
-
-    def test_scalar_counters_stay_exact_past_the_cap(self):
+    def test_samples_every_enqueue_and_no_release(self):
+        """The backlog only grows at an enqueue, so sampling there (media,
+        retransmission and audio alike) keeps the ring's maximum exact."""
         loop = EventLoop()
         pacer = LeakyBucketPacer(loop, lambda p: None)
-        pacer.stats.rebound(8)
+        pacer.set_pacing_rate(1.2e6)            # 1200 B = 8 ms
+        pacer.enqueue(packets(3))
+        pacer.enqueue_retransmission(packets(1, size=500)[0])
+        loop.run(until=0.010)                   # two releases, no samples
+        pacer.enqueue_audio(packets(1, size=100)[0])
+        loop.drain()
+        assert list(pacer.stats.occupancy_samples) == [
+            (0.0, 3600), (0.0, 4100), (0.010, 4100 - 500 - 1200 + 100)]
+
+    def test_scalar_counters_stay_exact_past_the_cap(self):
+        from repro.transport.pacer.base import OCCUPANCY_SAMPLE_CAP
+        loop = EventLoop()
+        pacer = LeakyBucketPacer(loop, lambda p: None)
         pacer.set_pacing_rate(1e9)
-        for burst in range(5):
+        bursts = OCCUPANCY_SAMPLE_CAP + 5
+        for burst in range(bursts):
             pacer.enqueue(packets(4, start_seq=burst * 4))
             loop.drain()
-        assert pacer.stats.sent_packets == 20
-        assert pacer.stats.enqueued_packets == 20
-        assert len(pacer.stats.occupancy_samples) == 8
+        assert pacer.stats.sent_packets == 4 * bursts
+        assert pacer.stats.enqueued_packets == 4 * bursts
+        assert len(pacer.stats.occupancy_samples) == OCCUPANCY_SAMPLE_CAP
 
 
 class TestBurstPacer:
