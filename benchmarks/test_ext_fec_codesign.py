@@ -27,7 +27,9 @@ def run_experiment():
                 "p95": metrics.p95_latency(),
                 "vmaf": metrics.mean_vmaf(),
                 "rtx": session.sender.retransmissions,
-                "repairs": session.receiver.fec.stats.repairs,
+                # Plain ACE has no decoder: no parity, no repairs.
+                "repairs": (0 if session.receiver.fec is None
+                            else session.receiver.fec.stats.repairs),
                 "stall": metrics.stall_rate(),
             }
     return results

@@ -38,7 +38,8 @@ def run(scheme: str, loss: float):
         "p95": metrics.p95_latency(),
         "stall": metrics.stall_rate(),
         "rtx": session.sender.retransmissions,
-        "repairs": session.receiver.fec.stats.repairs,
+        "repairs": (0 if session.receiver.fec is None     # plain ACE
+                    else session.receiver.fec.stats.repairs),
         "vmaf": metrics.mean_vmaf(),
     }
 

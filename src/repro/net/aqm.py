@@ -86,7 +86,7 @@ class DropTailQueue:
     This is the paper's queue model. The protocol methods (``enqueue``/
     ``select_head``/``pop_head``) are what the evented link drives; they
     are one-frame bodies, not wrappers over ``try_push``/``pop``, because
-    a jittered or audited session pays them per packet. A closed-form
+    an audited session pays them per packet. A closed-form
     link (``net/link.py``) runs the same admission rule on its
     ``DropTailServer`` and leaves this object empty: it then only names
     the discipline and its capacity.
@@ -486,20 +486,22 @@ class ConfuciusDiscipline:
 
     # -- scheduling ----------------------------------------------------
     def select_head(self, now: float) -> Optional[Packet]:
-        best_fid = None
-        best_key: Optional[tuple[int, int]] = None
-        sparse = self._sparse_flows(now)
-        for fid, lane in self._lanes.items():
-            if not lane:
-                continue
-            seq = lane[0][0]
-            key = (0 if sparse[fid] else 1, seq)
-            if best_key is None or key < best_key:
-                best_fid, best_key = fid, key
+        lanes = self._lanes
+        backlogged = [fid for fid, lane in lanes.items() if lane]
+        best_fid = backlogged[0] if backlogged else None
+        if len(backlogged) > 1:
+            # Only a choice between lanes reads the shield (a pure read,
+            # so one lane or none skips it).
+            sparse = self._sparse_flows(now)
+            best_key: Optional[tuple[int, int]] = None
+            for fid in backlogged:
+                key = (0 if sparse[fid] else 1, lanes[fid][0][0])
+                if best_key is None or key < best_key:
+                    best_fid, best_key = fid, key
         self._selected = best_fid
         if best_fid is None:
             return None
-        return self._lanes[best_fid][0][1]
+        return lanes[best_fid][0][1]
 
     def pop_head(self) -> Packet:
         if self._selected is None or not self._lanes.get(self._selected):

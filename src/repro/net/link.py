@@ -17,11 +17,12 @@ when a packet leaves it in one of two ways (DESIGN §3b):
   accepts the packet, so the whole bottleneck is a clock-free
   :class:`DropTailServer`: what has left by an instant, whether an
   arrival fits, when it departs, what a reader at an instant sees.
-  :class:`~repro.net.path.NetworkPath` selects it and, as the link's
-  only feeder, offers each packet when the pacer releases it, half a
-  hop ahead of its arrival, and schedules only the hop to the receiver
-  — bit-identical to the evented link. :meth:`Link.send` offers at the
-  clock.
+  :class:`~repro.net.path.NetworkPath` selects it, jittered or not, and,
+  as the link's only feeder, offers each packet when the pacer releases
+  it, half a hop ahead of its arrival, and schedules only the hop to the
+  receiver (a jittered path: a departure hop, which draws the jitter
+  and then posts it) — bit-identical to the evented link.
+  :meth:`Link.send` offers at the clock.
 
 The server is the one statement of drop-tail admission and retirement.
 It has three feeders: the reference loop's path, the batch engine, which
@@ -328,6 +329,9 @@ class Link:
     not ``queue``, which then only names the discipline and its capacity
     — holds the queued packets, and may be fed ahead of the clock
     (:class:`~repro.net.path.NetworkPath` offers each packet at release).
+    Every ``NetworkPath`` asks for the closed form; the evented link is
+    what remains for AQM disciplines, router chains and per-packet
+    observers (the auditor, arena telemetry).
     """
 
     def __init__(self, loop: EventLoop, trace: BandwidthTrace,
@@ -349,7 +353,9 @@ class Link:
 
     def depart_at_enqueue(self) -> None:
         """Go closed-form (plain drop-tail only): each feeder's offer
-        fixes the departure and no event fires at it."""
+        fixes the departure and no event fires at it. ``NetworkPath``
+        asks on construction, with or without jitter — a jittered path
+        posts its own hop at the departure, for the draw."""
         if (self.server is None and type(self.queue) is DropTailQueue
                 and not len(self.queue)):
             self.server = DropTailServer(

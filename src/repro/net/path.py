@@ -4,7 +4,13 @@
 testbed: a fixed one-way propagation delay in each direction, a trace-
 driven bottleneck with a drop-tail queue on the forward (video)
 direction, and an uncongested reverse path for feedback. Optional random
-loss can be injected for robustness tests.
+and contention loss ahead of the bottleneck, and per-packet delay jitter
+after it, model the paper's weak-network venues.
+
+A lone drop-tail bottleneck is closed-form (DESIGN §3b): ``send`` asks
+the link's ``DropTailServer`` at release, so a packet costs the pacer's
+pump and the hop to the receiver; a jittered path adds one hop at the
+departure instant, where the jitter is drawn.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ class PathConfig:
     #: train length (packets) at which contention loss saturates.
     contention_train_packets: int = 50
     #: per-packet one-way delay jitter (std-dev, seconds) added on the
-    #: forward path — wireless MAC scheduling noise. Zero disables it.
+    #: forward path — wireless MAC scheduling noise, ``|N(0, std)|``
+    #: drawn as the packet leaves the bottleneck. Zero disables it.
     delay_jitter_std: float = 0.0
 
     @property
@@ -96,12 +103,10 @@ class NetworkPath:
                             or cfg.contention_loss_rate > 0))
         self._jitter_enabled = cfg.delay_jitter_std > 0 and self.rng is not None
         self._jitter_std = cfg.delay_jitter_std
-        # A lone drop-tail hop then a fixed half-hop needs no event at
-        # departure (Link goes closed-form, and send() offers the packet
-        # half a hop ahead). Jitter draws from the path RNG at the
-        # departure instant, so it keeps the serve event.
-        if not self._jitter_enabled:
-            self.link.depart_at_enqueue()
+        # A lone drop-tail hop needs no serve event (Link goes closed-
+        # form, and send() offers the packet half a hop ahead); jitter
+        # keeps one handle-free hop at the departure instant for its draw.
+        self.link.depart_at_enqueue()
 
     # ------------------------------------------------------------------
     # forward direction (sender -> receiver)
@@ -125,49 +130,54 @@ class NetworkPath:
             return
         # Closed form: the path is the server's only feeder, so it is
         # asked now, half a hop ahead of the arrival (DESIGN §3b); a drop
-        # still reaches the loss path at the arrival instant.
+        # still reaches the loss path at the arrival instant, and a
+        # jitter draw is still made at the departure instant.
         packet.t_enter_queue = arrival
         finish = server.offer(arrival, packet.size_bytes, half_hop)
         if finish is None:
             loop.post(arrival, link.report_drop, packet, "path.to-bottleneck")
             return
         packet.t_leave_queue = finish
+        if self._jitter_enabled:
+            loop.post(finish, self._delivered_by_link, packet,
+                      "path.departure")
+            return
         loop.post(finish + half_hop, self._arrive, packet, "path.to-receiver")
 
     def _lost_at_ingress(self, packet: Packet) -> bool:
         """Book a random or contention loss ahead of the bottleneck and
         say so; ``send`` (here and in the arena) asks only when
-        ``_lossy``, so a loss-free send pays no call."""
-        if not (self._random_loss() or self._contention_loss()):
-            return False
+        ``_lossy``, so a loss-free send pays no call.
+
+        Random loss draws first; only a packet it spares reaches the
+        contention model, whose probability rises with the current burst
+        train (tracked only when that model is on, its only reader)."""
+        cfg = self.config
+        rate = cfg.random_loss_rate
+        if not (rate > 0 and self.rng.random() < rate):
+            rate = cfg.contention_loss_rate
+            if rate <= 0:
+                return False
+            now = self.loop.now
+            last = self._last_send_time
+            if last is not None and now - last < cfg.burst_gap_s:
+                self._train_length += 1
+            else:
+                self._train_length = 0
+            self._last_send_time = now
+            ramp = min(1.0, self._train_length / cfg.contention_train_packets)
+            if not self.rng.random() < rate * ramp:
+                return False
         packet.dropped = True
         self.lost_packets.append(packet)
         if self.on_drop is not None:
             self.on_drop(packet)
         return True
 
-    def _random_loss(self) -> bool:
-        rate = self.config.random_loss_rate
-        return bool(rate > 0 and self.rng is not None and self.rng.random() < rate)
-
-    def _contention_loss(self) -> bool:
-        """Collision probability rising with the current burst train."""
-        cfg = self.config
-        now = self.loop.now
-        if (self._last_send_time is not None
-                and now - self._last_send_time < cfg.burst_gap_s):
-            self._train_length += 1
-        else:
-            self._train_length = 0
-        self._last_send_time = now
-        if cfg.contention_loss_rate <= 0 or self.rng is None:
-            return False
-        ramp = min(1.0, self._train_length / cfg.contention_train_packets)
-        return self.rng.random() < cfg.contention_loss_rate * ramp
-
     def _delivered_by_link(self, packet: Packet) -> None:
-        """The evented link (or the last router of a chain) has served
-        ``packet``: ``t_leave_queue`` is now."""
+        """``packet`` has left the bottleneck, ``t_leave_queue`` is now:
+        the evented link (or the last router of a chain) served it, or a
+        jittered closed-form path's departure hop fired."""
         delay = self._half_hop
         if self._jitter_enabled:
             delay += abs(self.rng.normal(0.0, self._jitter_std))

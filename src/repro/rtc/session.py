@@ -80,7 +80,8 @@ class FlowStack:
     statement of the spec → component mapping.
 
     Builds codec → source → CC → pacer → ACE-N/ACE-C → FEC encoder →
-    audio source → :class:`Sender` → :class:`TransportReceiver` from a
+    audio source → :class:`Sender` → :class:`TransportReceiver` (with
+    an FEC decoder iff the sender has the encoder) from a
     ``BaselineSpec``, the run's ``SessionConfig`` and a content
     ``category`` (``source_factory`` replaces the category's source,
     ``ace_n_config`` ACE-N's defaults), drawing named streams from
@@ -153,7 +154,7 @@ class FlowStack:
                    if config.audio else None))
         self.receiver = TransportReceiver(
             clock, send_feedback_fn=send_feedback,
-            decode_time_fn=self.codec.decode_time)
+            decode_time_fn=self.codec.decode_time, fec=spec.fec)
         self.display_sync = DisplaySync(self.sender, self.receiver)
 
     def attach_telemetry(self, telemetry, link=None) -> None:

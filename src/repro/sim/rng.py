@@ -21,25 +21,28 @@ def _derive_seed(root_seed: int, name: str) -> int:
 
 
 class RngStream:
-    """A named, independently-seeded wrapper around ``numpy.random.Generator``."""
+    """A named, independently-seeded wrapper around ``numpy.random.Generator``.
+
+    ``random()``, ``uniform(low, high)``, ``normal(mean, std)`` and
+    ``lognormal(mean, sigma)`` are the generator's own methods, bound at
+    construction: a scalar draw from them is already a Python ``float``,
+    so the per-packet loss and jitter draws pay one C call and no Python
+    frame. Pass their arguments positionally (numpy names them ``loc``/
+    ``scale``). The methods below convert what numpy returns.
+    """
 
     def __init__(self, root_seed: int, name: str) -> None:
         self.name = name
         self.seed = _derive_seed(root_seed, name)
-        self._gen = np.random.default_rng(self.seed)
+        self._gen = gen = np.random.default_rng(self.seed)
+        self.random = gen.random
+        self.uniform = gen.uniform
+        self.normal = gen.normal
+        self.lognormal = gen.lognormal
 
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._gen.uniform(low, high))
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return float(self._gen.normal(mean, std))
-
-    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
-        return float(self._gen.lognormal(mean, sigma))
 
     def exponential(self, scale: float = 1.0) -> float:
         return float(self._gen.exponential(scale))
@@ -52,9 +55,6 @@ class RngStream:
 
     def choice(self, options, p=None):
         return self._gen.choice(options, p=p)
-
-    def random(self) -> float:
-        return float(self._gen.random())
 
 
 class SeedSequenceFactory:

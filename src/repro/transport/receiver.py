@@ -48,13 +48,17 @@ class TransportReceiver:
     ``loop`` is any :class:`~repro.live.clock.Clock` — the sim
     ``EventLoop`` or a live ``WallClock``; the receiver schedules only
     through the clock protocol (feedback cadence, skip timers).
+
+    ``fec`` says whether the flow's sender protects media with parity:
+    only then is there a :class:`FecDecoder` (``self.fec``, else None)
+    tracking every media seq received.
     """
 
     def __init__(self, loop: "Clock",
                  send_feedback_fn: Callable[[FeedbackMessage], None],
                  decode_time_fn: Callable[[], float],
                  feedback_interval: float = DEFAULT_FEEDBACK_INTERVAL_S,
-                 skip_timeout: float = 0.4) -> None:
+                 skip_timeout: float = 0.4, fec: bool = False) -> None:
         self.loop = loop
         #: optional :class:`repro.obs.Telemetry` for receiver-side span
         #: stages (arrival, reassembly-complete, display).
@@ -78,8 +82,8 @@ class TransportReceiver:
         self._blocked_since: float | None = None
         self._pli_pending = False
         self._started = False
-        #: FEC repair state (active as soon as parity packets arrive).
-        self.fec = FecDecoder(on_repair=self._fec_repair)
+        #: FEC repair state; None for a flow sent without parity.
+        self.fec = FecDecoder(on_repair=self._fec_repair) if fec else None
         self._fec_meta: dict[int, tuple[int, int, int, int]] = {}
 
     def start(self) -> None:
@@ -108,9 +112,10 @@ class TransportReceiver:
             self.fec.on_parity(covers)
             return
         self.feedback_builder.on_packet(packet)
-        if (packet.retransmission_of is None and packet.seq >= 0
-                and packet.frame_id >= 0):
-            self.fec.on_media(packet.seq)
+        fec = self.fec
+        if (fec is not None and packet.retransmission_of is None
+                and packet.seq >= 0 and packet.frame_id >= 0):
+            fec.on_media(packet.seq)
         if packet.frame_id < 0:
             return
         record = self.frames.get(packet.frame_id)

@@ -23,10 +23,11 @@ from repro.audit.auditor import attach_audit
 from repro.net.cross_traffic import CrossTrafficFlow
 from repro.net.packet import Packet
 from repro.net.path import NetworkPath, PathConfig
-from repro.net.trace import BandwidthTrace
+from repro.net.trace import BandwidthTrace, make_wifi_trace
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 from repro.sim.events import EventLoop
+from repro.sim.rng import RngStream
 from tests.test_sim_regression import fingerprint
 
 GRID = 2.0 ** -10               # 1 024 B at 8·2^20 bps
@@ -256,3 +257,41 @@ def test_audited_session_runs_evented_and_matches_the_closed_form_run():
     assert closed[1]["dropped_packets"] > 0
     assert closed[2] == (evented[2] - evented[1]["delivered_packets"]
                          - evented[1]["enqueued_packets"])
+
+
+#: jittered paths, each alone and with what rides along in the weak-
+#: network runs: random loss, contention loss, cross traffic, audio, a
+#: queue small enough to tail-drop.
+JITTERED = {
+    "jitter": dict(delay_jitter_std=0.003),
+    "loss+cross+audio": dict(delay_jitter_std=0.002, random_loss_rate=0.01,
+                             cross_traffic=True, audio=True),
+    "loss+contention": dict(delay_jitter_std=0.001, random_loss_rate=0.01,
+                            contention_loss_rate=0.05),
+    "small queue": dict(delay_jitter_std=0.002, queue_capacity_bytes=30_000),
+}
+
+
+@pytest.mark.parametrize("trace_kind", ["wifi", "const"])
+@pytest.mark.parametrize("case", sorted(JITTERED))
+def test_jittered_session_equals_its_evented_twin(case, trace_kind):
+    """The evented link is the oracle for the closed form under jitter:
+    the departure hop is numbered at release, not at service start, and
+    the draws keep their order — same fingerprint, same ``LinkStats``.
+    A constant rate is where exact float ties are likeliest."""
+    def run(evented, seed):
+        trace = (make_wifi_trace(RngStream(11, "trace"), duration=13.0)
+                 if trace_kind == "wifi"
+                 else BandwidthTrace.constant(12e6, duration=13.0))
+        session = build_session("ace", trace, SessionConfig(
+            duration=3.0, seed=seed, initial_bwe_bps=6e6, **JITTERED[case]))
+        if evented:
+            session.path.link.depart_by_event()
+        assert (session.path.link.server is None) == evented
+        metrics = session.run()
+        return fingerprint(metrics), asdict(session.path.link.stats)
+
+    for seed in (1, 2, 3):
+        closed = run(False, seed)
+        assert closed == run(True, seed)
+        assert closed[1]["delivered_packets"] > 1_000

@@ -1,6 +1,7 @@
 """Queue-discipline unit tests: protocol edges, AQM behaviour, Link wiring."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.aqm import (
     CoDelDiscipline,
@@ -230,6 +231,40 @@ def test_confucius_per_flow_ledger():
     q.enqueue(mkpkt(500, flow_id=2, now=0.0), 0.0)
     q.enqueue(mkpkt(500, flow_id=1, now=0.0), 0.0)
     assert queued_bytes_by_flow(q) == {1: 1500, 2: 500}
+
+
+def full_pass_head(q, now):
+    """The shield's rule over every backlogged lane, sparse pass always
+    taken: ``(lane, head packet)`` or ``(None, None)``."""
+    sparse = q._sparse_flows(now)
+    best_fid, best_key = None, None
+    for fid, lane in q._lanes.items():
+        if lane:
+            key = (0 if sparse[fid] else 1, lane[0][0])
+            if best_key is None or key < best_key:
+                best_fid, best_key = fid, key
+    return best_fid, None if best_fid is None else q._lanes[best_fid][0][1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["in", "in", "out"]),
+                          st.integers(0, 3), st.integers(60, 1500),
+                          st.floats(0.0, 0.5)), max_size=60),
+       st.sampled_from([3_000, 1_000_000]))
+def test_confucius_head_equals_the_full_sparse_pass(ops, capacity):
+    """Skipping the sparse pass with at most one lane backlogged picks
+    the head, and the lane, that the pass over every lane picks."""
+    q = ConfuciusDiscipline(capacity)
+    now = 0.0
+    for op, fid, size, dt in ops:
+        now += dt
+        if op == "in":
+            q.enqueue(mkpkt(size, flow_id=fid, now=now), now)
+        expected = full_pass_head(q, now)
+        head = q.select_head(now)
+        assert (q._selected, head) == expected
+        if op == "out" and head is not None:
+            assert q.pop_head() is head
 
 
 def test_queued_bytes_by_flow_scan_fallback():

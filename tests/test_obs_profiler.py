@@ -101,13 +101,16 @@ class TestSessionProfile:
         assert {"pacer", "sender", "path"} <= components
         assert "link" not in components
 
-    def test_jittered_session_keeps_link_events(self):
+    def test_jittered_session_counts_one_departure_hop_per_packet(self):
+        # Jitter is drawn at the departure instant, on a hop of the
+        # path's own; the link stays closed-form (DESIGN §3b).
         session, profiler = self.run_profiled(delay_jitter_std=0.002)
         assert profiler.total_events == session.loop.processed
         counts = profiler.counts()
-        assert {"pacer", "sender", "path", "link"} <= set(
-            profiler.component_totals())
-        assert counts["link.serve"] == counts["path.to-receiver"]
+        components = set(profiler.component_totals())
+        assert {"pacer", "sender", "path"} <= components
+        assert "link" not in components
+        assert counts["path.departure"] == counts["path.to-receiver"] > 0
 
     def test_render_table(self):
         _, profiler = self.run_profiled()
