@@ -3,10 +3,10 @@
 
 Everything else in this repo runs inside the discrete-event simulator.
 This example runs the *same* sender/receiver components on a wall
-clock: media packets travel through actual UDP datagram sockets on
-loopback, timers are real asyncio timers, and an in-process impairment
-shim stands in for the paper's Mahimahi bottleneck (8 Mbps, 30 ms RTT,
-0.5% random loss here).
+clock: the simulator's network path (8 Mbps bottleneck, 30 ms RTT,
+0.5% random loss here) stands in for the paper's Mahimahi on that
+clock, packets and feedback then cross actual UDP datagram sockets on
+loopback, and timers are real asyncio timers.
 
 Each scheme streams for a few wall-clock seconds, so this example takes
 roughly ``DURATION x len(SCHEMES)`` seconds to finish.

@@ -599,14 +599,12 @@ def attach_audit(session, strict: bool = True,
     run for the end-of-session checks.
     """
     sender = session.sender
-    path = getattr(session, "path", None)   # live: the shim, no Link
+    path = session.path
     auditor = SessionAuditor(
-        sender.pacer.loop, sender.pacer,
-        link=None if path is None else path.link, path=path,
+        sender.pacer.loop, sender.pacer, link=path.link, path=path,
         ace_n=sender.ace_n, cc=sender.cc,
-        # Live: the emulated forward delay plus the honest reverse
-        # estimate keeps measured RTTs at or above base_rtt even on a
-        # wall clock (real time only ever adds delay).
+        # Live: the path's delay each way keeps measured RTTs at or above
+        # base_rtt on a wall clock too (real time only ever adds delay).
         rtt_floor=session.config.base_rtt,
         strict=strict, max_violations=max_violations,
         telemetry=session.telemetry)

@@ -310,9 +310,9 @@ def cmd_live(args: argparse.Namespace) -> int:
         export_telemetry(session.telemetry, args.telemetry_out)
     print_session(f"{args.baseline} live ({args.duration:.0f}s, "
                   f"{args.category})", args.baseline, metrics)
-    shim = session.impairment
-    print(f"impairment: {shim.delivered} datagrams delivered, "
-          f"{shim.dropped} dropped; "
+    path = session.path
+    print(f"impairment: {path.link.stats.delivered_packets} datagrams "
+          f"delivered, {path.lost_packets} dropped; "
           f"{metrics.packets_retransmitted} retransmissions")
     return report_observed(metrics)
 
@@ -873,8 +873,8 @@ FLAGS: dict[str, dict] = {
     "--initial-bwe": dict(type=float, default=6.0,
                           help="initial BWE in Mbps"),
     "--rtt": dict(type=float, default=30.0,
-                  help="base RTT in ms (`live`/`load`: emulated on the "
-                       "loopback shim)"),
+                  help="base RTT in ms (`live`/`load`: emulated by the "
+                       "path on the wall clock)"),
     "--category": dict(default="gaming", choices=sorted(CONTENT_CATEGORIES)),
     "--discipline": dict(default=DEFAULT_DISCIPLINE,
                          help="bottleneck queue discipline: "

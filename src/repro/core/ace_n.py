@@ -177,30 +177,28 @@ class AceNController:
                 target = min(candidates)
                 self._loss_outstanding = False
                 if target > self._bucket_bytes:
-                    target = self._apply_application_limit(target)
-                    self._set_bucket(target, now, est_queue, "fast-recovery")
+                    self._grow(target, now, est_queue, "fast-recovery")
                 return
             self._loss_outstanding = False
 
         # Additive increase (no usable history, or recovering slowly).
-        target = self._bucket_bytes + cfg.additive_step_bytes
-        limited = self._apply_application_limit(target)
-        if limited > self._bucket_bytes:
-            self._set_bucket(limited, now, est_queue, "additive-increase")
-        elif limited != target:
-            bucket = self._bucket_bytes
-            self.log.append(now, "app-limit", bucket, bucket, est_queue)
+        self._grow(self._bucket_bytes + cfg.additive_step_bytes, now,
+                   est_queue, "additive-increase")
 
-    def _apply_application_limit(self, target: float) -> float:
-        """No increase past the previous frame's size (§4.1)."""
-        if self._last_frame_bytes is None:
-            return target
-        if target > self._last_frame_bytes:
-            # "if the bucket size exceeds the previous frame's size, no
-            # increase is applied" — keep the current bucket.
-            return max(self._bucket_bytes,
-                       min(target, self._last_frame_bytes))
-        return target
+    def _grow(self, target: float, now: float, est_queue: float,
+              branch: str) -> None:
+        """Grow the bucket toward ``target``, but not past the previous
+        frame's size (§4.1): "if the bucket size exceeds the previous
+        frame's size, no increase is applied". A clamped increase that
+        cannot grow the bucket writes the ``app-limit`` hold instead."""
+        bucket, last_frame = self._bucket_bytes, self._last_frame_bytes
+        limited = target
+        if last_frame is not None and target > last_frame:
+            limited = max(bucket, last_frame)
+        if limited > bucket:
+            self._set_bucket(limited, now, est_queue, branch)
+        elif limited != target:
+            self.log.append(now, "app-limit", bucket, bucket, est_queue)
 
     # ------------------------------------------------------------------
     # Algorithm 1: Decrease

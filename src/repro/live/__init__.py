@@ -8,11 +8,11 @@ sockets, real asyncio timers, real scheduling jitter. It provides:
   (the simulator's ``EventLoop`` satisfies it natively) and its asyncio
   implementation :class:`WallClock`;
 * :mod:`repro.live.transport` — :class:`UdpTransport`, the datagram
-  endpoint each direction of a live session goes through (a simulated
-  session sends into its ``NetworkPath`` instead);
+  endpoint at the far end of each direction of a live session's
+  ``NetworkPath`` (the simulator's path, run on the wall clock);
 * :mod:`repro.live.wire` — the binary datagram format;
-* :mod:`repro.live.impairment` — the in-process bottleneck shim that
-  substitutes for Mahimahi/netem on the loopback path;
+* :mod:`repro.live.impairment` — the former loopback shim, kept for
+  comparison and no longer called by a session;
 * :mod:`repro.live.session` — :class:`LiveSession` /
   :func:`build_live_session` / :func:`run_live`;
 * :mod:`repro.live.server` — :class:`SessionSupervisor` /

@@ -2,8 +2,9 @@
 
 The whole RTC stack (sender, receiver, pacers, audio) schedules work
 through ``now``, ``call_at`` and ``call_later`` and cancels it through
-the returned handle. :class:`Clock` is exactly that surface, so the
-same component code runs in the simulator
+the returned handle; the network path moves each packet with ``post``,
+a hop that is never cancelled and returns no handle. :class:`Clock` is
+exactly that surface, so the same component code runs in the simulator
 (:class:`~repro.sim.events.EventLoop` satisfies it natively) and against
 real time on asyncio (:class:`WallClock`, for ``repro live``).
 
@@ -15,8 +16,8 @@ Contract (shared by every implementation, see ``tests/test_live_clock.py``):
 * handles are :class:`~repro.sim.events.Event`: ``cancel()`` and a
   ``cancelled`` flag; a cancelled callback never fires.
 
-The one intentional divergence: ``EventLoop.call_at`` raises on times in
-the past (a sim bug), while :class:`WallClock.call_at` clamps them to
+The one intentional divergence: ``EventLoop.call_at``/``post`` raise on
+times in the past (a sim bug), while :class:`WallClock` clamps them to
 its last wake (on a wall clock the deadline may have passed while
 Python was scheduling — that is jitter, not a bug).
 
@@ -51,6 +52,9 @@ class Clock(Protocol):
 
     def call_later(self, delay: float, callback: Callable[[], None],
                    name: str = "") -> Event: ...
+
+    def post(self, when: float, fn: Callable[[Any], None], arg: Any,
+             name: str = "") -> None: ...
 
 
 class WallClock:
@@ -112,6 +116,17 @@ class WallClock:
         if when < self._armed_at:
             self._arm(when)
         return event
+
+    def post(self, when: float, fn: Callable[[Any], None], arg: Any,
+             name: str = "") -> None:
+        # A hop posted outside a wake (from a socket read) arms the timer
+        # like call_at; not routed through call_at, which wrappers of it
+        # (the lateness probe, the tracer) would then count.
+        if not when > self._floor:
+            when = self._floor
+        self.loop.post(when, fn, arg, name)
+        if when < self._armed_at:
+            self._arm(when)
 
     def _arm(self, when: float) -> None:
         if self._timer is not None:

@@ -124,9 +124,9 @@ def build_load_specs(config: LoadConfig,
     supplies them — a private constant-rate trace. Private traces
     matter: :class:`BandwidthTrace` keeps a monotonic lookup cursor, and
     interleaved queries from many sessions on one shared shaped trace
-    would thrash it. A path the loopback shim cannot emulate, or a mix
-    naming an unknown or FEC baseline, raises ``ValueError`` here, before
-    any session binds a socket.
+    would thrash it. A run a live session cannot carry (audio, cross
+    traffic), or a mix naming an unknown or FEC baseline, raises
+    ``ValueError`` here, before any session binds a socket.
     """
     mix = list(config.mix) or ["ace"]
     for name in dict.fromkeys(mix):     # each name once, in mix order

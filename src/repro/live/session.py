@@ -2,12 +2,14 @@
 
 A :class:`LiveSession` is a :class:`~repro.rtc.session.Session` — the
 simulated sessions' flow stack, callbacks and lifecycle — scheduled on
-a :class:`~repro.live.clock.WallClock`, its packets moving through two
-:class:`~repro.live.transport.UdpTransport` endpoints on loopback. An
-in-process impairment shim substitutes for the paper's Mahimahi
-bottleneck (no ``tc``/netem on CI-class machines), so the stack meets
-real socket latency, real asyncio timer jitter and an emulated
-bottleneck: the paper's WebRTC deployment, scaled down to one host.
+a :class:`~repro.live.clock.WallClock`. Its packets cross the
+simulator's :class:`~repro.net.path.NetworkPath` on that clock (loss,
+the drop-tail bottleneck and propagation each way, in place of the
+paper's Mahimahi: no ``tc``/netem on CI-class machines), and then two
+:class:`~repro.live.transport.UdpTransport` endpoints on loopback, so
+the stack meets real socket latency, real asyncio timer jitter and the
+emulated bottleneck: the paper's WebRTC deployment, scaled down to one
+host.
 
 The output is the ordinary :class:`~repro.rtc.metrics.SessionMetrics`::
 
@@ -18,13 +20,14 @@ The output is the ordinary :class:`~repro.rtc.metrics.SessionMetrics`::
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.live.clock import WallClock
-from repro.live.impairment import LoopbackImpairment
 from repro.live.stats import start_stats_server, stats_addr
 from repro.live.transport import UdpTransport
+from repro.net.path import NetworkPath
 from repro.net.trace import BandwidthTrace
 from repro.observe import Observe, attach
 from repro.rtc.baselines import BaselineSpec, resolve_spec
@@ -35,14 +38,15 @@ from repro.rtc.session import Session, SessionConfig
 @dataclass
 class LiveConfig(SessionConfig, Observe):
     """One live (wall-clock, UDP-loopback) run: a ``SessionConfig``,
-    whose path the loopback shim emulates, plus how the run is driven and
-    served; its :class:`~repro.observe.Observe` options attach in ``run``."""
+    whose path a ``NetworkPath`` on the wall clock emulates, plus how the
+    run is driven and served; its :class:`~repro.observe.Observe` options
+    attach in ``run``."""
 
     duration: float = 5.0
     #: post-stop settle time for in-flight packets and feedback.
     drain: float = 0.5
-    #: shape traffic to ``trace``; False = unshaped loopback (delay/loss
-    #: still apply).
+    #: shape traffic to ``trace``; False = a bottleneck that never binds
+    #: (delay, jitter and loss still apply).
     shaped: bool = True
     #: serve a Prometheus text snapshot over HTTP on this loopback port
     #: while the session runs (``repro live --stats-port``; 0 = pick an
@@ -56,9 +60,9 @@ class LiveConfig(SessionConfig, Observe):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # The shim emulates delay, random loss and the drop-tail queue.
-        self.refuse(("audio", "cross_traffic", "contention_loss_rate",
-                     "delay_jitter_std"), "a live session")
+        # Flow 0 alone: a live session builds no audio probe and no
+        # cross-traffic generator.
+        self.refuse(("audio", "cross_traffic"), "a live session")
 
 
 class LiveSession(Session):
@@ -80,12 +84,11 @@ class LiveSession(Session):
                  category: str = "gaming") -> None:
         #: flow 0's spec and content; run() builds its stack.
         self.spec, self.category = live_spec(baseline), category
-        # Unshaped: the shim meters no rate, the metrics carry no curve.
+        # Unshaped: the metrics carry no capacity curve.
         super().__init__(trace if config.shaped else None, config)
         self._stop_requested = False
         self._stop_waiter = None
         self.sender = self.receiver = None       # flow 0's, from run()
-        self.impairment: Optional[LoopbackImpairment] = None
         #: the receiver and sender endpoints, once ``run`` binds them.
         self.ends: list[UdpTransport] = []
         #: ``(host, port)`` of the running stats endpoint (stats_port=0).
@@ -107,30 +110,32 @@ class LiveSession(Session):
         self._claim()
         config = self.config
         self.clock = WallClock(asyncio.get_running_loop())
-        self.impairment = LoopbackImpairment(
-            config.path_config(), trace=self.trace,
-            rng=self.rngs.stream("path.loss"))
+        path_config = config.path_config()
+        trace = self.trace
+        if trace is None:                       # a bottleneck never binding
+            trace = BandwidthTrace.constant(math.inf)
+            path_config = replace(path_config, queue_capacity_bytes=math.inf)
+        path = self.path = NetworkPath(self.clock, trace, path_config,
+                                       rng=self.rngs.stream("path.loss"))
         ends = self.ends
         stats_server = None
         elapsed = config.duration
         try:
             # From the first bind on, every failure (a second bind, the
             # stack build, a busy stats port) runs the teardown below.
-            # The sender end shapes outgoing media. The receiver end has
-            # no shim, so feedback crosses loopback undelayed, although
-            # the sender's reverse delay assumes a one-way delay.
-            for impairment in (None, self.impairment):
-                ends.append(await UdpTransport.create(
-                    self.clock, impairment=impairment))
+            for _ in range(2):
+                ends.append(await UdpTransport.create(self.clock))
             recv_end, send_end = ends
             send_end.connect(recv_end.local_addr)
             recv_end.connect(send_end.local_addr)
-            stack = self._add_flow(
-                0, self.rngs, self.spec, self.category,
-                ends=(send_end.send, recv_end.send_feedback))
+            stack = self._add_flow(0, self.rngs, self.spec, self.category,
+                                   ends=(path.send, path.send_feedback))
             self.sender, self.receiver = stack.sender, stack.receiver
+            # The path's far end of each direction is a UDP hop.
+            path.on_arrival = send_end.send
+            path.on_feedback = recv_end.send_feedback
+            path.on_drop = self._on_drop
             recv_end.on_arrival = self._on_arrival
-            send_end.on_drop = self._on_drop
             # One flow per socket pair: feedback carries no flow id.
             send_end.on_feedback = self.sender.on_feedback
             if config.stats_port is not None:      # implies telemetry
@@ -150,7 +155,7 @@ class LiveSession(Session):
         finally:
             # Teardown leaves nothing on the event loop: closing the clock
             # drops every entry (ticks and pumps reschedule themselves
-            # forever) and its timer, closing an endpoint its datagrams.
+            # forever, packets in flight on the path) and its timer.
             if stats_server is not None:
                 stats_server.close()
                 await stats_server.wait_closed()
@@ -198,9 +203,10 @@ def build_live_session(baseline: str, config: Optional[LiveConfig] = None,
                        category: str = "gaming") -> LiveSession:
     """Build a :class:`LiveSession` for a named baseline.
 
-    Its flow is built by the same ``FlowStack`` from the same spec, so
-    ``"ace"`` here is the stack ``build_session("ace", ...)`` runs —
-    only the clock and the transport differ.
+    Its flow is built by the same ``FlowStack`` from the same spec and
+    crosses the same ``NetworkPath``, so ``"ace"`` here is the stack
+    ``build_session("ace", ...)`` runs — only the clock and the UDP hop
+    at each end of the path differ.
     """
     config = config or LiveConfig()
     if trace is None:

@@ -1,15 +1,15 @@
 """The live endpoint: a UDP socket speaking the wire format.
 
-In simulation the stack sends into the path itself (``NetworkPath``,
-the arena's ``ArenaPath``); live, each direction goes through a
-:class:`UdpTransport`: a non-blocking UDP socket carrying the wire
-format of :mod:`repro.live.wire`, optionally shaped by a
-:class:`~repro.live.impairment.LoopbackImpairment`.
+A live session runs the simulator's :class:`~repro.net.path.NetworkPath`
+on its wall clock; the path hands each packet to a
+:class:`UdpTransport` when it arrives, and each feedback message after
+the reverse delay, and the endpoint only moves the bytes: a
+non-blocking UDP socket carrying the wire format of
+:mod:`repro.live.wire`.
 
-A live session peers two full-duplex endpoints on loopback. The shim's
-delayed datagrams wait in one FIFO per endpoint behind one clock entry
-(due times never decrease); a readable socket is drained until it would
-block, via ``add_reader`` (asyncio's default loop on Linux and macOS).
+A live session peers two full-duplex endpoints on loopback; a readable
+socket is drained until it would block, via ``add_reader`` (asyncio's
+default loop on Linux and macOS).
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from collections import deque
 from typing import Callable, Optional, Tuple
 
 from repro.live.clock import Clock
-from repro.live.impairment import LoopbackImpairment
 from repro.live.wire import (
     KIND_FEEDBACK,
     KIND_MEDIA,
@@ -42,33 +40,23 @@ class UdpTransport:
     counts in ``socket_errors``, a datagram that does not decode in
     ``malformed``; either is dropped and the endpoint goes on."""
 
-    def __init__(self, clock: Clock,
-                 impairment: Optional[LoopbackImpairment] = None) -> None:
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        self.impairment = impairment
         #: receiver side: a media packet arrived.
         self.on_arrival: Optional[Callable[[Packet], None]] = None
         #: sender side: a feedback message arrived.
         self.on_feedback: Optional[Callable[[object], None]] = None
-        #: the shim dropped a media packet; the endpoint keeps no record
-        #: of it (its owner counts).
-        self.on_drop: Optional[Callable[[Packet], None]] = None
         self.socket_errors = 0
         self.malformed = 0
         self._sock: Optional[socket.socket] = None
         self._aloop: Optional[asyncio.AbstractEventLoop] = None
         self._peer: Optional[Tuple[str, int]] = None
-        #: shim-delayed ``(due, data)`` and the clock entry at its head.
-        self._delayed: deque = deque()
-        self._delayed_entry = None
 
     @classmethod
     async def create(cls, clock: Clock, host: str = "127.0.0.1",
-                     port: int = 0,
-                     impairment: Optional[LoopbackImpairment] = None
-                     ) -> "UdpTransport":
+                     port: int = 0) -> "UdpTransport":
         """Bind a datagram endpoint on ``host:port`` (0 = ephemeral)."""
-        self = cls(clock, impairment=impairment)
+        self = cls(clock)
         aloop = asyncio.get_running_loop()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
@@ -90,59 +78,20 @@ class UdpTransport:
         self._peer = peer
 
     def close(self) -> None:
-        """Drop the delayed datagrams and the socket; idempotent."""
-        self._delayed.clear()
-        if self._delayed_entry is not None:
-            self._delayed_entry.cancel()
-            self._delayed_entry = None
+        """Drop the socket; idempotent."""
         sock, self._sock = self._sock, None
         if sock is not None:
             self._aloop.remove_reader(sock.fileno())
             sock.close()
 
-    @property
-    def pending_timers(self) -> int:
-        """Delayed datagrams still queued (0 after ``close()``)."""
-        return len(self._delayed)
-
     def send(self, packet: Packet) -> None:
-        """Emit a media packet, shaped by the impairment when present."""
-        now = self.clock.now
-        delay = 0.0 if self.impairment is None else \
-            self.impairment.admit(packet.size_bytes, now)
-        if delay is None:
-            packet.dropped = True
-            if self.on_drop is not None:
-                self.on_drop(packet)
-        else:
-            self._send_after(now, delay, encode_packet(packet))
+        """Emit a media packet."""
+        self._sendto(encode_packet(packet))
 
     def send_feedback(self, message: object) -> None:
-        """Emit a feedback message after the reverse propagation delay
-        (none without a shim)."""
-        now = self.clock.now
-        delay = 0.0 if self.impairment is None else \
-            self.impairment.feedback_delay
+        """Emit a feedback message (one datagram per chunk)."""
         for data in encode_feedback(message):
-            self._send_after(now, delay, data)
-
-    def _send_after(self, now: float, delay: float, data: bytes) -> None:
-        if delay <= 0:
             self._sendto(data)
-            return
-        delayed = self._delayed
-        delayed.append((now + delay, data))
-        if len(delayed) == 1:
-            self._delayed_entry = self.clock.call_at(
-                delayed[0][0], self._send_due, "live.delayed")
-
-    def _send_due(self) -> None:
-        delayed = self._delayed
-        now = self.clock.now
-        while delayed and delayed[0][0] <= now:
-            self._sendto(delayed.popleft()[1])
-        self._delayed_entry = self.clock.call_at(
-            delayed[0][0], self._send_due, "live.delayed") if delayed else None
 
     def _sendto(self, data: bytes) -> None:
         if self._sock is None or self._peer is None:

@@ -4,9 +4,9 @@ Media packets and feedback messages travel between the live sender and
 receiver as self-describing datagrams. Two properties matter:
 
 * **Realistic sizes.** A media datagram is padded to the packet's
-  modelled ``size_bytes``, so what crosses the socket (and what any
-  impairment shim meters) is the number of bytes the codec model says
-  the packet carries. Payload bytes are zeros — the reproduction cares
+  modelled ``size_bytes``, so what crosses the socket is the number of
+  bytes the codec model says the packet carries (and the path
+  serialized). Payload bytes are zeros — the reproduction cares
   about timing, not pixels.
 * **Losslessness of metadata.** Every field the receiver-side stack
   reads off a :class:`~repro.net.packet.Packet` (sequence numbers,

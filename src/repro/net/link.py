@@ -25,10 +25,11 @@ when a packet leaves it in one of two ways (DESIGN §3b):
   :meth:`Link.send` offers at the clock.
 
 The server is the one statement of drop-tail admission and retirement.
-It has three feeders: the reference loop's path, the batch engine, which
+It has two feeders: the path, on either clock (the simulator's event
+loop or a live session's wall clock), and the batch engine, which
 offers whole trains to the session's own ``link.server`` ahead of the
-clock, and the live impairment shim. However far ahead it is fed, the
-link's reads (``stats``, ``queued_*``) answer as of ``loop.now``.
+clock. However far ahead it is fed, the link's reads (``stats``,
+``queued_*``) answer as of ``loop.now``.
 """
 
 from __future__ import annotations
@@ -131,9 +132,9 @@ class DropTailServer:
         the serve event was numbered at service start and the arrival
         hop ``lead`` seconds before ``now``; the lower number fires
         first, so the departure precedes iff ``start + lead <= now``. A
-        feeder that posts at the arrival itself (``Link.send``, the live
-        shim) passes ``lead=0``: all that is due has left — the only rule
-        a train record, which keeps no starts, has.
+        feeder that posts at the arrival itself (``Link.send``) passes
+        ``lead=0``: all that is due has left — the only rule a train
+        record, which keeps no starts, has.
 
         A record leaves the ledger once it left before the feeder's clock
         (``finish + lead < now``; rounding cannot make that true for a

@@ -11,6 +11,11 @@ A lone drop-tail bottleneck is closed-form (DESIGN §3b): ``send`` asks
 the link's ``DropTailServer`` at release, so a packet costs the pacer's
 pump and the hop to the receiver; a jittered path adds one hop at the
 departure instant, where the jitter is drawn.
+
+The path runs on any clock with ``now`` and ``post``: the simulator's
+:class:`~repro.sim.events.EventLoop`, or a live session's
+:class:`~repro.live.clock.WallClock`, where ``on_arrival`` and
+``on_feedback`` hand each packet and message to a UDP socket.
 """
 
 from __future__ import annotations
@@ -85,7 +90,9 @@ class NetworkPath:
             on_drop=self._dropped_by_link,
             discipline=discipline,
         )
-        self.lost_packets: list[Packet] = []
+        #: packets lost on the path so far (ingress loss and link drops;
+        #: ``on_drop`` sees each one, the path keeps none of them).
+        self.lost_packets = 0
         #: When set, every packet handed to :meth:`send` is routed to
         #: this callable instead of the event-loop propagation chain.
         #: The batch engine installs its pipeline here; ``None`` (the
@@ -169,7 +176,7 @@ class NetworkPath:
             if not self.rng.random() < rate * ramp:
                 return False
         packet.dropped = True
-        self.lost_packets.append(packet)
+        self.lost_packets += 1
         if self.on_drop is not None:
             self.on_drop(packet)
         return True
@@ -190,7 +197,7 @@ class NetworkPath:
             self.on_arrival(packet)
 
     def _dropped_by_link(self, packet: Packet) -> None:
-        self.lost_packets.append(packet)
+        self.lost_packets += 1
         if self.on_drop is not None:
             self.on_drop(packet)
 

@@ -41,10 +41,10 @@ def instrument_stack(telemetry: "Telemetry", *,
                      link: Optional["Link"] = None) -> "Telemetry":
     """Register sampled gauges / counters for whatever components exist.
 
-    Safe to call with partial stacks (live mode has no :class:`Link`;
-    non-ACE baselines have no controller). Gauges are polled by the
-    telemetry tick; the loss counter chains the link's ``on_drop``
-    callback (observing only — the original callback still fires).
+    Safe to call with partial stacks (non-ACE baselines have no
+    controller). Gauges are polled by the telemetry tick; the loss
+    counter chains the link's ``on_drop`` callback (observing only — the
+    original callback still fires).
     """
     registry = telemetry.registry
     if pacer is not None:

@@ -8,8 +8,8 @@ one transport and runs them through one lifecycle: a single-flow run
 (:class:`RtcSession`, flow 0 on a :class:`NetworkPath`) is an arena of
 one, the arena (:class:`repro.arena.session.ArenaSession`) puts N on a
 shared router chain, both on an :class:`EventLoop`, and the live session
-(:class:`repro.live.session.LiveSession`) puts one on a ``WallClock``
-between two ``UdpTransport`` endpoints.
+(:class:`repro.live.session.LiveSession`) puts one on a ``NetworkPath``
+on a ``WallClock``, a ``UdpTransport`` hop at each end.
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ class FlowStack:
             decode_time_fn=self.codec.decode_time, fec=spec.fec)
         self.display_sync = DisplaySync(self.sender, self.receiver)
 
-    def attach_telemetry(self, telemetry, link=None) -> None:
+    def attach_telemetry(self, telemetry, link) -> None:
         """Wire the span stages and the stack's gauges/counters (token
-        level, bucket size, estimated queue, BWE, pacer backlog; link
-        queue and drops when there is a :class:`Link`)."""
+        level, bucket size, estimated queue, BWE, pacer backlog, and the
+        queue, capacity and drops of ``link``, its path's bottleneck)."""
         from repro.obs import instrument_stack
         self.sender.telemetry = telemetry
         self.receiver.telemetry = telemetry
@@ -244,7 +244,8 @@ class Session:
     :meth:`_stop`, :meth:`_finish`): :meth:`run` advances an engine's
     :class:`EventLoop` between the phases (``RtcSession``: flow 0 on a
     :class:`NetworkPath`; ``ArenaSession``: flows 1..N on an
-    ``ArenaPath``), ``LiveSession.run`` awaits a ``WallClock``.
+    ``ArenaPath``), ``LiveSession.run`` awaits a ``WallClock`` (flow 0
+    on a ``NetworkPath`` on that clock).
     """
 
     #: "reference" or "batch"; an engine instance at :meth:`run` time.
@@ -262,7 +263,7 @@ class Session:
         self._flow_losses: dict[int, int] = {}
         #: flow id -> (join time, leave time or None).
         self._spans: dict[int, tuple[float, Optional[float]]] = {}
-        self.path: Optional[NetworkPath] = None       # None: live
+        self.path: Optional[NetworkPath] = None       # live: from run
         self.cross_traffic: Optional[PageLoadGenerator] = None
         #: what :func:`repro.observe.attach` wires; None until attached.
         self.observed = self.auditor = self.stall = self.telemetry = None
@@ -312,8 +313,7 @@ class Session:
         tel.attach_clock(self.clock)
         flow0 = self.stacks.get(0)
         if flow0 is not None:
-            flow0.attach_telemetry(
-                tel, link=None if self.path is None else self.path.link)
+            flow0.attach_telemetry(tel, self.path.link)
         else:
             instrument_arena(tel, self)
         tel.start_tick()

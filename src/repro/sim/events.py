@@ -152,7 +152,7 @@ class EventLoop:
         (a caller that may cancel uses :meth:`call_at`/:meth:`call_later`).
         Same past/NaN guard and ``seq`` counter as :meth:`call_at`; hooks
         and the profiler still see the hop (:meth:`_dispatch_observed`).
-        Not on the ``Clock`` protocol: wall clocks have no such entry.
+        ``WallClock.post`` is the same hop on a wall clock.
         """
         if not when >= self.now:
             self._reject(when, name)

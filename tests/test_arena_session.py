@@ -117,9 +117,17 @@ def test_incremental_loss_counts_match_lost_packets_scan():
     session = ArenaSession([ArenaFlowSpec("cbr", flow_id=1),
                             ArenaFlowSpec("cbr", flow_id=2)],
                            const_trace(20.0), cfg)
+    # An independent record of every drop: the path keeps only a count.
+    dropped, on_drop = [], session.path.on_drop
+
+    def collecting(packet):
+        dropped.append(packet)
+        on_drop(packet)
+
+    session.path.on_drop = collecting
     results = session.run()
-    scan = {fid: sum(1 for p in session.path.lost_packets
-                     if p.flow_id == fid) for fid in (1, 2)}
+    scan = {fid: sum(1 for p in dropped if p.flow_id == fid)
+            for fid in (1, 2)}
     assert sum(scan.values()) > 0, "loss config produced no losses"
     for fid in (1, 2):
         assert results[fid].packets_lost == scan[fid]

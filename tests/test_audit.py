@@ -11,7 +11,8 @@ import math
 import pytest
 
 from repro.audit import InvariantViolation, SessionAuditor, attach_audit
-from repro.net.trace import BandwidthTrace, make_4g_trace, make_wifi_trace
+from repro.net.trace import (BandwidthTrace, make_4g_trace,
+                              make_wifi_trace, trace_by_kind)
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 from repro.sim.events import EventLoop
@@ -64,6 +65,21 @@ class TestCleanAudit:
         auditor = attach_audit(session, strict=False)
         session.run()
         assert auditor.finalize() == []
+
+    def test_a_recovery_the_application_limit_clamps_audits_clean(self):
+        """4g, seed 1, 15 s: a fast recovery that the previous frame's
+        size clamps to the current bucket writes the ``app-limit`` hold,
+        so the recovery law (it grows the bucket) holds on every row."""
+        trace = trace_by_kind("4g", RngStream(1, "t"), 30)
+        session = build_session("ace", trace,
+                                SessionConfig(duration=15.0, seed=1))
+        auditor = attach_audit(session, strict=False)
+        session.run()
+        assert auditor.finalize() == []
+        log = session.sender.ace_n.log
+        assert all(after > before for branch, before, after
+                   in zip(log.branch, log.before, log.after)
+                   if branch == "fast-recovery")
 
     def test_clean_under_impairments(self):
         session, auditor = make_audited_session(

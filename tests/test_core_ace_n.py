@@ -120,6 +120,27 @@ class TestFastRecovery:
         assert ctrl.bucket_bytes > halved
         assert "fast-recovery" in ctrl.log.branch
 
+    def test_recovery_clamped_by_the_application_limit_holds_the_bucket(
+            self):
+        """A recovery the previous frame's size clamps to the current
+        bucket does not grow it: it writes the ``app-limit`` hold
+        (``before == after``), not a ``fast-recovery`` row."""
+        ctrl = make_controller(initial_bucket_bytes=80_000, alpha=0.8)
+        ctrl.on_frame_enqueued(1_000_000)
+        t, seq = drive_clean(ctrl, rounds=3)
+        ctrl.on_feedback(message(t, owds=(0.10, 0.10), nacks=[seq + 1],
+                                 start_seq=seq), now=t, reverse_delay=0.01)
+        halved = ctrl.bucket_bytes
+        ctrl.on_frame_enqueued(halved / 2)      # a small previous frame
+        t += 0.2
+        ctrl.on_feedback(message(t, owds=(0.02, 0.02), start_seq=seq + 10),
+                         now=t, reverse_delay=0.01)
+        assert ctrl.bucket_bytes == halved
+        assert "fast-recovery" not in ctrl.log.branch
+        assert ctrl.log.branch[-1] == "app-limit"
+        assert ctrl.log.before[-1] == ctrl.log.after[-1] == halved
+        assert not ctrl._loss_outstanding
+
     def test_recovery_target_is_min_of_candidates(self):
         """Bucket recovers to min(empty-buffer bucket, alpha x pre-loss
         queue) — the conservative choice."""

@@ -305,3 +305,73 @@ def test_wall_clock_callback_error_reaches_handler_and_wake_goes_on():
         assert "boom" in errors[0]["message"]
 
     run_wall(check)
+
+
+# ---------------------------------------------------------------------------
+# post: the handle-free hop the network path sends each packet with
+# ---------------------------------------------------------------------------
+def test_wall_clock_post_arms_when_earlier_than_the_armed_deadline(
+        monkeypatch):
+    """A hop posted outside a wake (a socket read) arms the one timer
+    when it is the new head, and only then."""
+    armed = []
+    arm = WallClock._arm
+
+    def spying_arm(clock, when):
+        armed.append(when)
+        arm(clock, when)
+
+    monkeypatch.setattr(WallClock, "_arm", spying_arm)
+
+    async def check():
+        clock = WallClock(asyncio.get_running_loop())
+        fired = []
+        clock.call_at(0.06, lambda: fired.append("entry"))
+        clock.post(0.02, fired.append, "hop", "path.to-receiver")
+        clock.post(0.04, fired.append, "later hop", "path.feedback")
+        assert armed == [0.06, 0.02]
+        assert clock.loop.pending == 3
+        await clock.sleep(0.1)
+        assert fired == ["hop", "later hop", "entry"]
+
+    run_wall(check)
+
+
+def test_wall_clock_post_clamps_a_passed_deadline_to_the_last_wake():
+    """As ``call_at``: a passed (or NaN) deadline runs at the last wake's
+    time, which the loop accepts, instead of raising."""
+
+    async def check():
+        clock = WallClock(asyncio.get_running_loop())
+        fired = []
+
+        def first():
+            floor = clock._floor
+            clock.post(floor - 1.0, lambda when: fired.append(
+                (when, clock.loop.now)), floor, "path.feedback")
+            clock.post(float("nan"), fired.append, "nan", "path.feedback")
+
+        clock.call_at(0.02, first)
+        await clock.sleep(0.1)
+        (when, ran_at), nan = fired
+        assert ran_at == when and nan == "nan"
+
+    run_wall(check)
+
+
+def test_wall_clock_post_fires_in_time_then_scheduling_order_with_call_at():
+    """Hops and cancellable entries share the loop's ``(when, seq)``
+    order: equal deadlines fire in the order they were scheduled."""
+
+    async def check():
+        clock = WallClock(asyncio.get_running_loop())
+        fired = []
+        deadline = clock.now + 0.02
+        clock.post(deadline, fired.append, "hop 1")
+        clock.call_at(deadline, lambda: fired.append("entry"))
+        clock.post(deadline, fired.append, "hop 2")
+        clock.post(deadline - 0.01, fired.append, "earlier hop")
+        await clock.sleep(0.1)
+        assert fired == ["earlier hop", "hop 1", "entry", "hop 2"]
+
+    run_wall(check)

@@ -1,4 +1,5 @@
-"""Live-mode tests: the impairment shim and end-to-end UDP loopback runs.
+"""Live-mode tests: the kept loopback shim as the path's oracle, the UDP
+endpoints and end-to-end UDP loopback runs.
 
 The session tests run the real stack on a wall clock for about a second
 each, so assertions are kept coarse (frames flowed, metrics populated,
@@ -9,16 +10,18 @@ simulator tests.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.live import LiveConfig, LoopbackImpairment, UdpTransport
 from repro.live.clock import WallClock
 from repro.live.server import LoadConfig, build_load_specs, run_load
 from repro.live.session import build_live_session, run_live
 from repro.net.link import Link
-from repro.net.packet import Packet
-from repro.net.path import PathConfig
+from repro.net.packet import Packet, PacketType
+from repro.net.path import NetworkPath, PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.sim.events import EventLoop
 from repro.sim.rng import SeedSequenceFactory
@@ -148,6 +151,59 @@ def test_impairment_feedback_delay_is_reverse_propagation():
     assert shim.feedback_delay == pytest.approx(0.025)
 
 
+@settings(max_examples=80, deadline=None)
+@given(sends=st.lists(st.tuples(st.floats(1e-5, 0.01), st.integers(60, 1500)),
+                      min_size=1, max_size=120),
+       mbps=st.lists(st.one_of(st.just(0.0), st.floats(0.2, 30.0)),
+                     min_size=1, max_size=6).filter(any),
+       capacity=st.integers(3000, 60_000),
+       base_rtt=st.one_of(st.just(0.0), st.floats(0.001, 0.1)),
+       loss=st.sampled_from([0.0, 0.1, 0.5]),
+       seed=st.integers(0, 2 ** 16))
+def test_the_live_path_forwards_as_the_shim_admits(
+        sends, mbps, capacity, base_rtt, loss, seed):
+    """Forward parity, the shim as the oracle: ``NetworkPath`` (what a
+    live session now runs) drops the packets the shim drops and delivers
+    each other one at ``t + shim.admit(size, t + half_hop)``, within
+    1e-9 s — the path meets the bottleneck half a hop after the send, so
+    the oracle is asked there. Random loss draws from the same named
+    stream, one draw per packet, on both. Drops are compared as a set:
+    the path reports an ingress loss at the send and a queue drop at the
+    bottleneck arrival half a hop later, so a later send's ingress loss
+    can reach ``on_drop`` before an earlier send's queue drop.
+
+    Send gaps are drawn from a continuous distribution: the two feeders
+    resolve an exact float tie between a departure and an arrival
+    differently (the path offers half a hop ahead of its clock, with
+    ``lead`` = half hop, the shim at the arrival itself, ``lead`` = 0;
+    DESIGN §3b), and a wall clock never produces such a tie."""
+    config = PathConfig(base_rtt=base_rtt, queue_capacity_bytes=capacity,
+                        random_loss_rate=loss)
+    loop = EventLoop()
+    path = NetworkPath(loop, _mbps_trace(*mbps), config,
+                       rng=SeedSequenceFactory(seed).stream("path.loss"))
+    shim = LoopbackImpairment(
+        config, trace=_mbps_trace(*mbps),
+        rng=SeedSequenceFactory(seed).stream("path.loss"))
+    arrived, dropped = {}, []
+    path.on_arrival = lambda packet: arrived.setdefault(packet.seq, loop.now)
+    path.on_drop = lambda packet: dropped.append(packet.seq)
+    half_hop = config.one_way_delay / 2
+    expected, t = {}, 0.0
+    for seq, (gap, size) in enumerate(sends):
+        t += gap
+        loop.call_at(t, partial(path.send, Packet(size_bytes=size, seq=seq)))
+        delay = shim.admit(size, t + half_hop)
+        expected[seq] = None if delay is None else t + delay
+    loop.run()
+    assert sorted(dropped) == [seq for seq, when in expected.items()
+                               if when is None]
+    assert sorted(arrived) == [seq for seq, when in expected.items()
+                               if when is not None]
+    for seq, when in arrived.items():
+        assert when == pytest.approx(expected[seq], abs=1e-9), seq
+
+
 # ---------------------------------------------------------------------------
 # UDP transport (sockets, no full stack)
 # ---------------------------------------------------------------------------
@@ -180,107 +236,6 @@ def test_udp_transport_delivers_media_and_feedback():
         assert packet.t_arrival is not None and packet.t_arrival >= 0
         assert len(fed_back) == 1
         assert fed_back[0].highest_seq == 11
-
-    asyncio.run(check())
-
-
-def test_udp_transport_close_cancels_delayed_sends():
-    """Regression: impairment-delayed datagrams left clock.call_later
-    timers pending after close(), firing into a closed endpoint — a
-    timer leak per session under a multi-session supervisor."""
-
-    async def check():
-        clock = WallClock(asyncio.get_running_loop())
-        # 1 Mbps shaping: a packet burst queues several delayed sends.
-        shim = LoopbackImpairment(
-            PathConfig(base_rtt=0.2),
-            trace=BandwidthTrace.constant(1e6, duration=60.0))
-        a = await UdpTransport.create(clock, impairment=shim)
-        b = await UdpTransport.create(clock)
-        a.connect(b.local_addr)
-        b.connect(a.local_addr)
-        arrived = []
-        b.on_arrival = arrived.append
-        for seq in range(5):
-            a.send(Packet(size_bytes=1200, seq=seq))
-        assert a.pending_timers > 0
-        a.close()
-        assert a.pending_timers == 0
-        # The cancelled timers must never fire a send.
-        await asyncio.sleep(0.3)
-        b.close()
-        assert arrived == []
-
-    asyncio.run(check())
-
-
-def test_udp_transport_impairment_drops_are_recorded():
-    """A drop reaches the owner through ``on_drop`` only: the endpoint
-    keeps no per-drop list, which would grow for its whole life."""
-
-    async def check():
-        clock = WallClock(asyncio.get_running_loop())
-        shim = LoopbackImpairment(
-            PathConfig(random_loss_rate=1.0),
-            rng=SeedSequenceFactory(1).stream("path.loss"))
-        a = await UdpTransport.create(clock, impairment=shim)
-        b = await UdpTransport.create(clock)
-        a.connect(b.local_addr)
-        b.connect(a.local_addr)
-        dropped = []
-        a.on_drop = dropped.append
-        try:
-            a.send(Packet(size_bytes=600, seq=1))
-            await asyncio.sleep(0.05)
-        finally:
-            a.close()
-            b.close()
-        assert [p.seq for p in dropped] == [1] and dropped[0].dropped
-        assert not hasattr(a, "dropped_packets")
-
-    asyncio.run(check())
-
-
-def test_udp_transport_shim_fifo_sends_in_due_order_on_one_entry():
-    """Shim-delayed datagrams wait in one FIFO behind a single clock
-    entry; the endpoint arms no asyncio timer of its own."""
-
-    async def check():
-        aloop = asyncio.get_running_loop()
-        clock = WallClock(aloop)
-        shim = LoopbackImpairment(
-            PathConfig(base_rtt=0.02),
-            trace=BandwidthTrace.constant(2e6, duration=60.0))
-        a = await UdpTransport.create(clock, impairment=shim)
-        b = await UdpTransport.create(clock)
-        a.connect(b.local_addr)
-        b.connect(a.local_addr)
-        armed = []
-        for method in ("call_at", "call_later"):
-            original = getattr(aloop, method)
-
-            def recording(when, callback, *args, _original=original,
-                          **kwargs):
-                armed.append(callback)
-                return _original(when, callback, *args, **kwargs)
-
-            setattr(aloop, method, recording)
-        arrived = []
-        b.on_arrival = arrived.append
-        try:
-            for seq in range(6):
-                a.send(Packet(size_bytes=1000, seq=seq))
-            assert a.pending_timers == 6
-            assert clock.loop.pending == 1
-            assert clock.loop.next_event().name == "live.delayed"
-            await clock.sleep(0.2)
-        finally:
-            a.close()
-            b.close()
-        assert [p.seq for p in arrived] == list(range(6))
-        assert a.pending_timers == 0
-        assert not any(getattr(cb, "__self__", None) in (a, b)
-                       for cb in armed)
 
     asyncio.run(check())
 
@@ -353,6 +308,25 @@ def short_config(**kwargs) -> LiveConfig:
     return LiveConfig(**defaults)
 
 
+@pytest.fixture()
+def profiled_clocks(monkeypatch):
+    """Every ``WallClock`` a live session builds, each with a
+    ``LoopProfiler`` on its loop."""
+    from repro.live import session as live_session_module
+    from repro.obs.profiler import LoopProfiler
+
+    clocks = []
+
+    def profiled_clock(aloop):
+        clock = WallClock(aloop)
+        clock.loop.set_profiler(LoopProfiler())
+        clocks.append(clock)
+        return clock
+
+    monkeypatch.setattr(live_session_module, "WallClock", profiled_clock)
+    return clocks
+
+
 def test_live_session_end_to_end_clean_path():
     config = short_config()
     metrics = run_live("webrtc-star", config=config,
@@ -378,9 +352,10 @@ def test_live_session_impairment_shows_up_in_metrics():
         trace=BandwidthTrace.constant(20e6, duration=12.0))
     metrics = asyncio.run(session.run())
 
-    # 30% i.i.d. loss over hundreds of packets: drops are certain.
+    # 30% i.i.d. loss over hundreds of packets: drops are certain, and
+    # each reaches the session's loss count through the path's on_drop.
     assert metrics.packets_lost > 0
-    assert session.impairment.dropped == metrics.packets_lost
+    assert session.path.lost_packets == metrics.packets_lost
     assert metrics.loss_rate() > 0.05
     # NACK-driven recovery kicked in.
     assert metrics.packets_retransmitted > 0
@@ -454,13 +429,12 @@ def test_a_fleet_refuses_a_bad_mix_before_any_endpoint_opens(
 
 
 @pytest.mark.parametrize("name,value", [
-    ("audio", True), ("cross_traffic", True),
-    ("contention_loss_rate", 0.3), ("delay_jitter_std", 0.002)])
+    ("audio", True), ("cross_traffic", True)])
 def test_the_live_path_refuses_what_the_shim_cannot_emulate(
         monkeypatch, name, value):
     """A live config (``repro live``) and a load config's session configs
-    (``repro load``) refuse, naming the field, a path the loopback shim
-    cannot emulate — before any endpoint is opened."""
+    (``repro load``) refuse, naming the field, what one flow per socket
+    pair cannot carry — before any endpoint is opened."""
     census = _EndpointCensus(monkeypatch)
     with pytest.raises(ValueError, match=name):
         LiveConfig(**{name: value})
@@ -469,6 +443,48 @@ def test_the_live_path_refuses_what_the_shim_cannot_emulate(
     with pytest.raises(ValueError, match=name):
         run_load(LoadConfig(sessions=1, duration=0.2, **{name: value}))
     assert census.opened == 0
+
+
+def test_a_live_session_runs_jitter_and_contention_on_the_path(
+        profiled_clocks):
+    """What the path honours, a live session honours: with jitter (and
+    contention loss) a session completes, and each packet takes the
+    jittered path's departure hop on the clock's loop."""
+    metrics = run_live("ace", config=short_config(
+        delay_jitter_std=0.002, contention_loss_rate=0.05),
+        trace=BandwidthTrace.constant(20e6, duration=12.0))
+    assert metrics.packets_sent > 0 and metrics.frames
+    (clock,) = profiled_clocks
+    assert clock.loop.profiler.counts()["path.departure"] > 0
+
+
+@pytest.mark.parametrize("shaped", [True, False])
+def test_an_unshaped_live_path_drops_nothing_at_the_bottleneck(shaped):
+    """``shaped=False`` is a bottleneck that never binds: a 200 kB burst
+    offered at one instant loses nothing there, where the shaped path's
+    100 kB queue tail-drops. The session carries no capacity curve."""
+
+    async def check():
+        session = build_live_session(
+            "webrtc-star", short_config(duration=0.4, drain=0.2,
+                                        shaped=shaped),
+            trace=BandwidthTrace.constant(20e6, duration=12.0))
+        task = asyncio.ensure_future(session.run())
+        while session.sender is None:
+            if task.done():
+                task.result()           # surface the startup error
+            await asyncio.sleep(0.01)
+        for seq in range(170):          # cross traffic: the flow ignores it
+            session.path.send(Packet(size_bytes=1200, seq=seq,
+                                     ptype=PacketType.CROSS))
+        await task
+        return session
+
+    session = asyncio.run(check())
+    stats = session.path.link.stats
+    assert stats.enqueued_packets + stats.dropped_packets >= 170
+    assert (stats.dropped_packets > 0) is shaped
+    assert (session.trace is None) is not shaped
 
 
 def test_live_session_closes_the_first_endpoint_when_a_bind_fails(
@@ -716,23 +732,56 @@ def test_live_audit_checks_once_per_clock_event():
     assert auditor.events_checked > 100
 
 
-def test_a_loop_profiler_counts_a_live_sessions_events_by_name(monkeypatch):
-    from repro.live import session as live_session_module
-    from repro.obs.profiler import LoopProfiler
-
-    clocks = []
-
-    def profiled_clock(aloop):
-        clock = WallClock(aloop)
-        clock.loop.set_profiler(LoopProfiler())
-        clocks.append(clock)
-        return clock
-
-    monkeypatch.setattr(live_session_module, "WallClock", profiled_clock)
+def test_a_loop_profiler_counts_a_live_sessions_events_by_name(
+        profiled_clocks):
     run_live("ace", config=short_config(telemetry=True),
              trace=BandwidthTrace.constant(20e6, duration=12.0))
-    (clock,) = clocks
+    (clock,) = profiled_clocks
     profiler = clock.loop.profiler
     assert profiler.total_events == clock.loop.processed > 0
     assert {"pacer.pump", "receiver.feedback", "obs.tick",
-            "sender.capture", "live.delayed"} <= set(profiler.counts())
+            "sender.capture", "path.to-receiver", "path.feedback"} <= set(
+        profiler.counts())
+
+
+def test_live_hops_are_path_events_on_the_clock_loop(profiled_clocks,
+                                                     monkeypatch):
+    """Media and feedback cross the path as ``path.to-receiver`` and
+    ``path.feedback`` events on the session clock's loop, and neither UDP
+    endpoint arms an asyncio timer of its own. Feedback reaches the
+    sender no earlier than the one-way delay after the receiver made
+    it, as in the simulator."""
+    from repro.rtc.sender import Sender
+
+    armed, delays = [], []
+    on_feedback = Sender.on_feedback
+
+    def timed(sender, message):
+        delays.append(sender.loop.now - message.created_at)
+        on_feedback(sender, message)
+
+    monkeypatch.setattr(Sender, "on_feedback", timed)
+    session = build_live_session(
+        "ace", short_config(base_rtt=0.04),
+        trace=BandwidthTrace.constant(20e6, duration=12.0))
+
+    async def run():
+        aloop = asyncio.get_running_loop()
+        for method in ("call_at", "call_later"):
+            original = getattr(aloop, method)
+
+            def recording(when, callback, *args, _original=original,
+                          **kwargs):
+                armed.append(callback)
+                return _original(when, callback, *args, **kwargs)
+
+            setattr(aloop, method, recording)
+        await session.run()
+
+    asyncio.run(run())
+    (clock,) = profiled_clocks
+    counts = clock.loop.profiler.counts()
+    assert counts["path.to-receiver"] > 0 and counts["path.feedback"] > 0
+    assert not any(getattr(cb, "__self__", None) in session.ends
+                   for cb in armed)
+    assert delays and min(delays) >= 0.02

@@ -16,12 +16,12 @@ def build(loop, contention=0.1, train=10):
 
 def send_train(path, loop, n, gap=0.0):
     """Send n packets with the given inter-send gap; return loss count."""
-    lost = len(path.lost_packets)
+    lost = path.lost_packets
     for i in range(n):
         path.send(Packet(size_bytes=1200))
         if gap > 0:
             loop.run(until=loop.now + gap)
-    return len(path.lost_packets) - lost
+    return path.lost_packets - lost
 
 
 def test_paced_traffic_sees_no_contention_loss():

@@ -63,7 +63,7 @@ def test_queue_overflow_reports_drop():
         path.send(Packet(size_bytes=1200))
     loop.drain()
     assert len(drops) == 3
-    assert len(path.lost_packets) == 3
+    assert path.lost_packets == 3
 
 
 def test_queue_bytes_oracle():

@@ -216,12 +216,17 @@ def test_one_session_lifecycle_on_either_clock():
         and "already ran" in ast.unparse(node.exc)) == [
         ("rtc/session.py", "_claim")]
 
-    # Losses are counted once, by ``_on_drop``: the live endpoint keeps
-    # no per-drop list and the live session reads no transport's count.
-    for rel in ("live/transport.py", "live/session.py"):
+    # Losses are counted once, by ``_on_drop``: neither the live endpoint
+    # nor the path keeps a per-drop list (a live soak runs the path), and
+    # the live session reads no transport's count.
+    for rel in ("live/transport.py", "live/session.py", "net/path.py"):
         tree = ast.parse((SRC / rel).read_text())
         assert not [node for node in ast.walk(tree)
                     if getattr(node, "attr", None) == "dropped_packets"], rel
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and _name(node.func) == "append"
+                    and "packet" in ast.unparse(node.args)], rel
     assert _functions_calling(
         lambda node: isinstance(node, ast.Attribute)
         and node.attr == "_flow_losses") == [
@@ -263,6 +268,31 @@ def test_one_session_lifecycle_on_either_clock():
         assert claim < start < stop < finish, (rel, order)
         assert "advance" in order[start:stop], (rel, order)
         assert "advance" in order[stop:finish], (rel, order)
+
+
+def test_a_live_session_runs_the_simulators_path():
+    """One path under both clocks: ``live/session.py`` builds a
+    ``NetworkPath``, and no other module under ``live/`` — bar the kept
+    ``impairment.py``, which nothing calls — draws loss, builds a
+    drop-tail server or delays a send on a clock."""
+    session = ast.parse((SRC / "live" / "session.py").read_text())
+    assert "NetworkPath" in {_name(node.func) for node in ast.walk(session)
+                             if isinstance(node, ast.Call)}
+    for path in sorted((SRC / "live").glob("*.py")):
+        if path.name == "impairment.py":
+            continue
+        tree = ast.parse(path.read_text())
+        called = {_name(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        assert not called & {"DropTailServer", "LoopbackImpairment",
+                             "random", "admit"}, path.name
+        assert not {getattr(node, "attr", None) for node in ast.walk(tree)} & {
+            "random_loss_rate", "one_way_delay", "feedback_delay"}, path.name
+    transport = ast.parse((SRC / "live" / "transport.py").read_text())
+    assert not {_name(node.func) for node in ast.walk(transport)
+                if isinstance(node, ast.Call)} & {
+        "call_at", "call_later", "post"}
+    assert _modules_calling("LoopbackImpairment") == set()
 
 
 def test_scenarios_build_tasks_and_run_nothing_themselves():

@@ -117,7 +117,7 @@ class TestPipelineIntegration:
         stats = session.receiver.fec.stats
         assert stats.parity_received > 0
         # repairs only ever correspond to genuinely lost packets
-        assert stats.repairs <= len(session.path.lost_packets)
+        assert stats.repairs <= session.path.lost_packets
 
     def test_plain_sessions_have_no_parity(self):
         trace = BandwidthTrace.constant(20e6, duration=15.0)
