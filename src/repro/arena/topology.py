@@ -54,10 +54,11 @@ class ArenaPath(NetworkPath):
     """N-flow network path over a chain of bottleneck routers.
 
     Router 0 is ``self.link`` (inherited); ``self.links`` holds the full
-    chain. Each link's delivery is rewired into :meth:`_hop_delivered`,
-    which forwards the packet to the next router on its flow's route or
-    hands it to the inherited final-delivery logic (half-hop propagation
-    plus optional jitter).
+    chain. A lone router delivers straight to the inherited final-
+    delivery logic (half-hop propagation plus optional jitter), as a
+    plain path's does; in a chain each link's delivery is rewired into
+    :meth:`_hop_delivered`, which forwards the packet to the next router
+    on its flow's route or hands it to that logic.
     """
 
     def __init__(self, loop: EventLoop,
@@ -84,9 +85,9 @@ class ArenaPath(NetworkPath):
                 on_drop=self._dropped_by_link,
                 discipline=self._build_discipline(spec, config),
             ))
-        for i, link in enumerate(self.links):
-            link.on_deliver = partial(self._hop_delivered, i)
         if len(self.links) > 1:
+            for i, link in enumerate(self.links):
+                link.on_deliver = partial(self._hop_delivered, i)
             # A router that feeds another must deliver at its departure
             # instant, not at enqueue: chains keep the serve events.
             self.link.depart_by_event()

@@ -10,7 +10,8 @@ a first-class, pluggable axis.
 Every discipline implements the small :class:`QueueDiscipline` protocol
 the bottleneck :class:`~repro.net.link.Link` drives:
 
-* ``enqueue(packet, now)`` — admit or drop on arrival (tail/PIE drops);
+* ``enqueue(packet, now)`` — admit or drop on arrival (tail drops, PIE
+  early drops, Confucius evictions);
 * ``select_head(now)`` — choose the next packet to serialize *without
   removing it* (CoDel head drops and Confucius scheduling happen here;
   the packet stays queued during serialization, exactly like the
@@ -23,10 +24,11 @@ the bottleneck :class:`~repro.net.link.Link` drives:
   from ``enqueue`` instead.
 
 :class:`DropTailQueue` — extracted verbatim from ``net/link.py`` — is
-the default. It is the one discipline that decides nothing at dequeue
-time, so a lone drop-tail hop's departures are closed-form and the link
-computes them at enqueue (``net/link.py``); CoDel, PIE and the
-Confucius-style shield decide in ``select_head`` and stay evented.
+the default, and its departures are closed-form at enqueue. PIE drops
+only in ``enqueue`` (its ``select_head`` is the FIFO head); Confucius
+chooses in ``select_head`` which head goes next but drops nothing
+there. So a lone router of either folds (DESIGN §3b); CoDel, which
+drops heads in ``select_head``, says ``drops_at_dequeue`` and does not.
 
 Disciplines included:
 
@@ -65,6 +67,8 @@ class QueueDiscipline(Protocol):
 
     capacity_bytes: int
     drop_hook: Optional[Callable[[Packet], None]]
+    #: whether ``select_head`` may drop (a link then keeps serve events).
+    drops_at_dequeue: bool
 
     def __len__(self) -> int: ...
 
@@ -91,6 +95,8 @@ class DropTailQueue:
     ``DropTailServer`` and leaves this object empty: it then only names
     the discipline and its capacity.
     """
+
+    drops_at_dequeue = False
 
     def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES) -> None:
         if capacity_bytes <= 0:
@@ -146,6 +152,8 @@ class CoDelDiscipline:
     this simulator's dequeue instant. A hard byte capacity still
     tail-drops arrivals — CoDel controls latency, not memory.
     """
+
+    drops_at_dequeue = True
 
     def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES,
                  target_s: float = 0.005, interval_s: float = 0.1) -> None:
@@ -255,6 +263,8 @@ class PieDiscipline:
     drops every ``1/p``-th packet), which keeps cached fixed-seed runs
     reproducible without an RNG stream.
     """
+
+    drops_at_dequeue = False
 
     def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES,
                  target_s: float = 0.015, t_update_s: float = 0.015,
@@ -382,6 +392,8 @@ class ConfuciusDiscipline:
     non-sparse lane; non-sparse arrivals tail-drop as usual.
     """
 
+    drops_at_dequeue = False
+
     def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES,
                  sparse_share: float = 0.25, ewma_tau_s: float = 1.0) -> None:
         if capacity_bytes <= 0:
@@ -395,8 +407,9 @@ class ConfuciusDiscipline:
         #: flow id -> FIFO lane of (arrival seq, packet).
         self._lanes: Dict[int, Deque[tuple[int, Packet]]] = {}
         self._lane_bytes: Dict[int, int] = {}
-        self._rate_ewma: Dict[int, float] = {}
-        self._rate_at: Dict[int, float] = {}
+        #: flow id -> ``[arrival-rate EWMA, time of its last arrival]``,
+        #: in tracking order (a flow's first arrival).
+        self._rates: Dict[int, list] = {}
         self._bytes = 0
         self._packets = 0
         self._seq = 0
@@ -412,45 +425,31 @@ class ConfuciusDiscipline:
         return self._bytes
 
     # -- rate tracking -------------------------------------------------
-    def _bump_rate(self, flow_id: int, size_bytes: int, now: float) -> None:
-        last = self._rate_at.get(flow_id)
-        rate = self._rate_ewma.get(flow_id, 0.0)
-        if last is not None and now > last:
-            rate *= math.exp(-(now - last) / self.ewma_tau_s)
-        self._rate_ewma[flow_id] = rate + size_bytes / self.ewma_tau_s
-        self._rate_at[flow_id] = now
-
-    def _rate_now(self, flow_id: int, now: float) -> float:
-        rate = self._rate_ewma.get(flow_id, 0.0)
-        last = self._rate_at.get(flow_id)
-        if rate and last is not None and now > last:
-            rate *= math.exp(-(now - last) / self.ewma_tau_s)
-        return rate
-
-    def _sparse_flows(self, now: float) -> Dict[int, bool]:
-        """:meth:`is_sparse` of every tracked flow, off one pass over the
-        decayed rates (summed in tracking order)."""
-        rates = {fid: self._rate_now(fid, now) for fid in self._rate_ewma}
+    def _shield(self, now: float) -> tuple[Dict[int, float], float]:
+        """Each tracked flow's rate decayed to ``now``, and the bound a
+        sparse one stays under: one pass, summed in tracking order."""
+        tau = self.ewma_tau_s
+        rates = {fid: rate * math.exp(-(now - last) / tau)
+                 if rate and now > last else rate
+                 for fid, (rate, last) in self._rates.items()}
         total = sum(rates.values())
-        if total <= 0.0:
-            return dict.fromkeys(rates, True)
-        bound = self.sparse_share * total
-        return {fid: rate <= bound for fid, rate in rates.items()}
+        return rates, (self.sparse_share * total if total > 0.0 else math.inf)
 
     def is_sparse(self, flow_id: int, now: float) -> bool:
         """Whether ``flow_id`` currently gets the sparse-flow shield."""
-        return self._sparse_flows(now).get(flow_id, True)
+        rates, bound = self._shield(now)
+        return rates.get(flow_id, 0.0) <= bound
 
     # -- admission -----------------------------------------------------
-    def _evict_for(self, needed: int, now: float) -> bool:
+    def _evict_for(self, needed: int, rates: Dict[int, float],
+                   bound: float) -> bool:
         """Evict non-sparse backlog tails until ``needed`` bytes fit."""
-        sparse = self._sparse_flows(now)
         while self._bytes + needed > self.capacity_bytes:
             victim_fid = None
             victim_bytes = -1
             for fid, nbytes in self._lane_bytes.items():
                 lane = self._lanes[fid]
-                if not lane or nbytes <= victim_bytes or sparse[fid]:
+                if not lane or nbytes <= victim_bytes or rates[fid] <= bound:
                     continue
                 if fid == self._selected and len(lane) == 1:
                     continue        # that packet is on the wire right now
@@ -468,10 +467,19 @@ class ConfuciusDiscipline:
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         fid = packet.flow_id
-        self._bump_rate(fid, packet.size_bytes, now)
+        entry = self._rates.get(fid)    # the flow's rate EWMA: decay, add
+        if entry is None:
+            self._rates[fid] = [packet.size_bytes / self.ewma_tau_s, now]
+        else:
+            rate, last = entry
+            if now > last:
+                rate *= math.exp(-(now - last) / self.ewma_tau_s)
+            entry[0] = rate + packet.size_bytes / self.ewma_tau_s
+            entry[1] = now
         if self._bytes + packet.size_bytes > self.capacity_bytes:
-            if not (self.is_sparse(fid, now)
-                    and self._evict_for(packet.size_bytes, now)):
+            rates, bound = self._shield(now)
+            if not (rates[fid] <= bound
+                    and self._evict_for(packet.size_bytes, rates, bound)):
                 return False
         lane = self._lanes.get(fid)
         if lane is None:
@@ -486,28 +494,24 @@ class ConfuciusDiscipline:
 
     # -- scheduling ----------------------------------------------------
     def select_head(self, now: float) -> Optional[Packet]:
-        lanes = self._lanes
-        backlogged = [fid for fid, lane in lanes.items() if lane]
-        best_fid = backlogged[0] if backlogged else None
-        if len(backlogged) > 1:
-            # Only a choice between lanes reads the shield (a pure read,
-            # so one lane or none skips it).
-            sparse = self._sparse_flows(now)
-            best_key: Optional[tuple[int, int]] = None
-            for fid in backlogged:
-                key = (0 if sparse[fid] else 1, lanes[fid][0][0])
-                if best_key is None or key < best_key:
-                    best_fid, best_key = fid, key
-        self._selected = best_fid
-        if best_fid is None:
-            return None
-        return lanes[best_fid][0][1]
+        """The oldest sparse head, else the oldest head. Only a choice
+        between lanes reads the shield (one pass over the rates)."""
+        heads = [lane[0] for lane in self._lanes.values() if lane]
+        if len(heads) > 1:
+            rates, bound = self._shield(now)
+            heads = ([head for head in heads
+                      if rates[head[1].flow_id] <= bound] or heads)
+        packet = min(heads)[1] if heads else None   # seqs never tie
+        self._selected = None if packet is None else packet.flow_id
+        return packet
 
     def pop_head(self) -> Packet:
-        if self._selected is None or not self._lanes.get(self._selected):
+        fid = self._selected
+        lane = self._lanes.get(fid)
+        if not lane:
             raise RuntimeError("pop_head without a selected head")
-        _, packet = self._lanes[self._selected].popleft()
-        self._lane_bytes[self._selected] -= packet.size_bytes
+        _, packet = lane.popleft()
+        self._lane_bytes[fid] -= packet.size_bytes
         self._bytes -= packet.size_bytes
         self._packets -= 1
         self._selected = None

@@ -9,27 +9,30 @@ dropped from the tail.
 The queue is a :class:`~repro.net.aqm.QueueDiscipline`; the link learns
 when a packet leaves it in one of two ways (DESIGN §3b):
 
-* **evented** — one ``link.serve`` event per packet, the queue driven
-  through the generic ``enqueue``/``select_head``/``pop_head`` protocol;
-  the selected packet stays queued while it serializes, so occupancy
-  accounting is discipline-independent. Any discipline, any caller.
+* **served** — one routine drives the discipline through the generic
+  ``enqueue``/``select_head``/``pop_head`` protocol; the selected packet
+  stays queued while it serializes, so occupancy accounting is
+  discipline-independent. A ``link.serve`` event makes each decision at
+  its instant (any discipline, any caller), or a lone router whose
+  discipline drops nothing at dequeue (PIE, Confucius) is *folded*: its
+  one feeder, the path, offers each packet at release, and the link
+  first makes the decisions due before that arrival and posts each
+  departure hop when it chooses the head.
 * **closed-form** — a drop-tail FIFO fixes a departure the moment it
   accepts the packet, so the whole bottleneck is a clock-free
   :class:`DropTailServer`: what has left by an instant, whether an
   arrival fits, when it departs, what a reader at an instant sees.
-  :class:`~repro.net.path.NetworkPath` selects it, jittered or not, and,
-  as the link's only feeder, offers each packet when the pacer releases
-  it, half a hop ahead of its arrival, and schedules only the hop to the
-  receiver (a jittered path: a departure hop, which draws the jitter
-  and then posts it) — bit-identical to the evented link.
-  :meth:`Link.send` offers at the clock.
+  :class:`~repro.net.path.NetworkPath` selects it, jittered or not, and
+  offers each packet at release, half a hop ahead of its arrival, as it
+  does a folded router. :meth:`Link.send` offers at the clock.
 
 The server is the one statement of drop-tail admission and retirement.
 It has two feeders: the path, on either clock (the simulator's event
 loop or a live session's wall clock), and the batch engine, which
 offers whole trains to the session's own ``link.server`` ahead of the
-clock. However far ahead it is fed, the link's reads (``stats``,
-``queued_*``) answer as of ``loop.now``.
+clock. However far ahead a link is fed, its reads (``stats``,
+``queued_*``) answer as of ``loop.now``, bit-identical to the evented
+link.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ def serve(free_at: float, arrival: float, size: int,
     """The drop-tail FIFO server's law: ``(start, finish)`` of a packet of
     ``size`` bytes accepted at ``arrival`` by a link busy until ``free_at``.
 
-    These are the float operations of ``_start_service``/``_retry_service``
-    run at enqueue: service starts when the packet is there and the link
+    These are the float operations of ``Link._serve``'s decisions run
+    at enqueue: service starts when the packet is there and the link
     is free, an outage is stepped like the 50 ms retry events, and the
     packet serializes at the trace rate of its service start.
     """
@@ -325,13 +328,11 @@ class Link:
     computed from the trace rate at service start — fine at the paper's
     200 ms trace granularity, where thousands of packets share each rate
     sample. ``discipline`` plugs in a non-default queue discipline.
-    ``stats`` and ``queued_*`` answer as of ``loop.now``; ``server`` is
-    the closed form (``None`` while evented), and while it is there it —
-    not ``queue``, which then only names the discipline and its capacity
-    — holds the queued packets, and may be fed ahead of the clock
-    (:class:`~repro.net.path.NetworkPath` offers each packet at release).
-    Every ``NetworkPath`` asks for the closed form; the evented link is
-    what remains for AQM disciplines, router chains and per-packet
+    ``stats`` and ``queued_*`` answer as of ``loop.now``. ``server`` is
+    the closed form (plain drop-tail; while it is there it, not
+    ``queue``, holds the queued packets) and ``lead`` is set while the
+    link is folded; every ``NetworkPath`` asks for one or the other. The
+    evented link is what remains for CoDel, router chains and per-packet
     observers (the auditor, arena telemetry).
     """
 
@@ -348,38 +349,77 @@ class Link:
         self.on_deliver = on_deliver
         self.on_drop = on_drop
         self._stats = LinkStats()
-        self._busy = False
+        #: the next decision, ``(instant, when it was scheduled, packet
+        #: in service or None)``; None while idle.
+        self._due: Optional[tuple] = None
         self.server: Optional[DropTailServer] = None
+        #: folded: how far ahead of each arrival the feeder offers it.
+        self.lead: Optional[float] = None
         self._rate_at = trace.rate_at   # hot-path bound-method cache
 
-    def depart_at_enqueue(self) -> None:
-        """Go closed-form (plain drop-tail only): each feeder's offer
-        fixes the departure and no event fires at it. ``NetworkPath``
-        asks on construction, with or without jitter — a jittered path
-        posts its own hop at the departure, for the draw."""
-        if (self.server is None and type(self.queue) is DropTailQueue
-                and not len(self.queue)):
+    def depart_at_enqueue(self, lead: float = 0.0,
+                          hop: Optional[tuple] = None) -> None:
+        """Leave the serve events, before the first packet: plain
+        drop-tail goes closed-form; a discipline that drops nothing at
+        dequeue folds if its one feeder offers each packet ``lead`` ahead
+        (``send(packet, arrival)``) and names its departure hop ``(delay,
+        name, fn)``: ``fn(packet)`` at ``t_leave_queue + delay``."""
+        queue = self.queue
+        if self.server is not None or self.lead is not None or len(queue):
+            return
+        if type(queue) is DropTailQueue:
             self.server = DropTailServer(
-                self.trace, self.queue.capacity_bytes, self._stats)
+                self.trace, queue.capacity_bytes, self._stats)
+        elif hop is not None and not getattr(queue, "drops_at_dequeue", True):
+            self.lead = lead
+            self._hop_delay, self._hop_name, self._on_hop = hop
+            #: packets that left, and drops ``(instant, packet, was it
+            #: queued)``, as long as a reader may find them ahead.
+            self._left: deque = deque()
+            self._drops: deque = deque()
 
     def depart_by_event(self) -> None:
         """Back to ``link.serve`` events (per-packet observers, chains)."""
-        server = self.server
-        if server is not None:
-            stats = self.stats      # the books as of now
-            raw = server.stats
-            if (stats.delivered_packets != raw.enqueued_packets
-                    or stats.dropped_packets != raw.dropped_packets):
-                raise RuntimeError("link has closed-form departures in flight")
-            self._stats = stats
-            self.server = None
+        if self.server is None and self.lead is None:
+            return
+        stats, queued, _bytes = self._books()
+        raw = self._stats
+        if (queued or stats.enqueued_packets != raw.enqueued_packets
+                or stats.dropped_packets != raw.dropped_packets):
+            raise RuntimeError("link has closed-form departures in flight")
+        self._stats = stats
+        self.server = self.lead = None
+
+    def _books(self) -> tuple[LinkStats, int, int]:
+        """``(stats, queued packets, queued bytes)`` as of ``loop.now``."""
+        now = self.loop.now
+        if self.server is not None:
+            return self.server.books_at(now)
+        queue = self.queue
+        if self.lead is None:
+            return self._stats, len(queue), queue.bytes_queued
+        self._catch_up(now + self.lead)   # folded: decide up to the clock
+        raw = self._stats
+        counts = [raw.enqueued_packets, raw.delivered_packets,
+                  raw.dropped_packets, len(queue)]
+        sizes = [raw.enqueued_bytes, raw.delivered_bytes, raw.dropped_bytes,
+                 queue.bytes_queued]
+        left, drops = self._left, self._drops
+        undo = [(p.t_leave_queue, p, 1, -1) for p in left]     # departures
+        undo += [(instant, p, 2, -queued) for instant, p, queued in drops]
+        undo += [(p.t_enter_queue, p, 0, 1) for p in (      # arrivals
+            *queue.packets(), *left, *(p for _i, p, queued in drops if queued))]
+        for instant, packet, counter, held in undo:
+            if instant > now:
+                counts[counter] -= 1
+                sizes[counter] -= packet.size_bytes
+                counts[3] -= held
+                sizes[3] -= held * packet.size_bytes
+        return LinkStats(*counts[:3], *sizes[:3]), counts[3], sizes[3]
 
     @property
     def stats(self) -> LinkStats:
-        server = self.server
-        if server is None:
-            return self._stats
-        return server.books_at(self.loop.now)[0]
+        return self._books()[0]
 
     @property
     def rate_now(self) -> float:
@@ -388,45 +428,52 @@ class Link:
 
     @property
     def queued_bytes(self) -> int:
-        server = self.server
-        if server is None:
-            return self.queue.bytes_queued
-        return server.books_at(self.loop.now)[2]
+        return self._books()[2]
 
     @property
     def queued_packets(self) -> int:
-        server = self.server
-        if server is None:
-            return len(self.queue)
-        return server.books_at(self.loop.now)[1]
+        return self._books()[1]
 
-    def send(self, packet: Packet) -> bool:
-        """Offer ``packet`` to the link; returns False if dropped on arrival."""
-        now = self.loop.now
-        packet.t_enter_queue = now
+    def send(self, packet: Packet, arrival: Optional[float] = None) -> bool:
+        """Offer ``packet`` to the link; returns False if dropped on arrival.
+        It arrives now or, folded, at ``arrival``: the feeder's offer."""
+        if arrival is None:
+            arrival = self.loop.now
+        else:
+            due = self._due
+            if due is not None and due[0] <= arrival:
+                self._catch_up(arrival)
+            left, drops = self._left, self._drops
+            now = self.loop.now         # forget what no reader sees ahead
+            while left and left[0].t_leave_queue <= now:
+                left.popleft()
+            while drops and drops[0][0] <= now:
+                drops.popleft()
+            self._offered = packet
+        packet.t_enter_queue = arrival
         server = self.server
         if server is not None:
-            finish = server.offer(now, packet.size_bytes)
+            finish = server.offer(arrival, packet.size_bytes)
             if finish is None:
                 self.report_drop(packet)
                 return False
             packet.t_leave_queue = finish
             self.on_deliver(packet)
             return True
-        if not self.queue.enqueue(packet, now):
+        if not self.queue.enqueue(packet, arrival):
             self._dropped_in_queue(packet)
             return False
         stats = self._stats
         stats.enqueued_packets += 1
         stats.enqueued_bytes += packet.size_bytes
-        if not self._busy:
-            self._start_service()
+        if self._due is None:
+            self._serve(None, arrival)
         return True
 
     def report_drop(self, packet: Packet) -> None:
         """A drop the books already hold reaches ``packet``: mark it and
         tell ``on_drop`` (the path posts a closed-form tail drop here at
-        its arrival instant)."""
+        its arrival instant, a folded link each of its drops)."""
         packet.dropped = True
         if self.on_drop is not None:
             self.on_drop(packet)
@@ -437,38 +484,69 @@ class Link:
         stats = self._stats
         stats.dropped_packets += 1
         stats.dropped_bytes += packet.size_bytes
-        self.report_drop(packet)
-
-    def _start_service(self) -> None:
-        now = self.loop.now
-        packet = self.queue.select_head(now)
-        if packet is None:
-            self._busy = False
+        if self.lead is None:
+            self.report_drop(packet)
             return
-        self._busy = True
-        rate = self._rate_at(now)
-        if rate <= 0:
-            # Outage: retry when the next trace sample may have capacity.
-            self.loop.call_later(0.05, self._retry_service, name="link.outage-retry")
-            return
-        self.loop.post(now + packet.size_bytes * 8 / rate,
-                       self._finish_service, packet, "link.serve")
+        offered = self._offered     # folded: reported at its arrival
+        arrival = offered.t_enter_queue
+        self._drops.append((arrival, packet, packet is not offered))
+        self.loop.post(arrival, self.report_drop, packet, "path.to-bottleneck")
 
-    def _retry_service(self) -> None:
-        self._busy = False
-        if len(self.queue):
-            self._start_service()
-
-    def _finish_service(self, packet: Packet) -> None:
+    def _serve(self, head: Optional[Packet],
+               now: Optional[float] = None) -> None:
+        """The decision at ``now`` (an event's instant, or folded, its
+        own): ``head`` leaves; the discipline chooses the next, which
+        serializes at the rate of that instant (in an outage, choose
+        again 50 ms later); folded, its departure hop is posted here."""
+        if now is None:
+            now = self.loop.now
         queue = self.queue
-        queue.pop_head()        # == packet: the head select_head() chose
-        packet.t_leave_queue = self.loop.now
-        stats = self._stats
-        stats.delivered_packets += 1
-        stats.delivered_bytes += packet.size_bytes
-        if self.on_deliver is not None:
-            self.on_deliver(packet)
-        if len(queue):
-            self._start_service()
+        folded = self.lead is not None
+        if head is not None:
+            queue.pop_head()        # == head: the packet select_head() chose
+            head.t_leave_queue = now
+            stats = self._stats
+            stats.delivered_packets += 1
+            stats.delivered_bytes += head.size_bytes
+            if folded:
+                self._left.append(head)
+            elif self.on_deliver is not None:
+                self.on_deliver(head)
+        packet = queue.select_head(now) if len(queue) else None
+        if packet is None:
+            self._due = None
+            return
+        rate = self._rate_at(now)
+        if rate > 0:
+            when = now + packet.size_bytes * 8 / rate
         else:
-            self._busy = False
+            when, packet = now + 0.05, None
+        self._due = (when, now, packet)
+        if not folded:
+            self.loop.post(when, self._serve, packet, "link.outage-retry"
+                           if packet is None else "link.serve")
+        elif packet is None:
+            self.loop.post(when, self._catch_up, when + self.lead,
+                           "link.outage-retry")
+        else:
+            packet.t_leave_queue = when
+            self.loop.post(when + self._hop_delay, self._handoff, packet,
+                           self._hop_name)
+
+    def _catch_up(self, arrival: float) -> None:
+        """Folded: make every decision that precedes an arrival at
+        ``arrival`` offered now — one at that very instant iff the event
+        it stands for was scheduled at ``p`` with ``p + lead <= arrival``."""
+        lead = self.lead
+        due = self._due
+        while due is not None and (due[0] < arrival or (
+                due[0] == arrival and due[1] + lead <= arrival)):
+            self._serve(due[2], due[0])
+            due = self._due
+
+    def _handoff(self, packet: Packet) -> None:
+        """A folded departure hop: make what is due by now (the choice of
+        ``packet``'s successor at the latest), then pass it on."""
+        if self._due is not None and self.lead is not None:  # still folded
+            self._catch_up(self.loop.now + self.lead)
+        self._on_hop(packet)

@@ -7,10 +7,10 @@ direction, and an uncongested reverse path for feedback. Optional random
 and contention loss ahead of the bottleneck, and per-packet delay jitter
 after it, model the paper's weak-network venues.
 
-A lone drop-tail bottleneck is closed-form (DESIGN §3b): ``send`` asks
-the link's ``DropTailServer`` at release, so a packet costs the pacer's
-pump and the hop to the receiver; a jittered path adds one hop at the
-departure instant, where the jitter is drawn.
+A lone bottleneck spends no event of its own (DESIGN §3b): ``send``
+offers each packet at release to a drop-tail link's ``DropTailServer``
+or to a folded PIE/Confucius link, so a packet costs the pacer's pump
+and the hop to the receiver (a jittered path: one more, at departure).
 
 The path runs on any clock with ``now`` and ``post``: the simulator's
 :class:`~repro.sim.events.EventLoop`, or a live session's
@@ -110,10 +110,13 @@ class NetworkPath:
                             or cfg.contention_loss_rate > 0))
         self._jitter_enabled = cfg.delay_jitter_std > 0 and self.rng is not None
         self._jitter_std = cfg.delay_jitter_std
-        # A lone drop-tail hop needs no serve event (Link goes closed-
-        # form, and send() offers the packet half a hop ahead); jitter
-        # keeps one handle-free hop at the departure instant for its draw.
-        self.link.depart_at_enqueue()
+        # A lone router needs no serve event: send() offers the packet
+        # half a hop ahead, and the departure goes straight to the
+        # receiver hop, or, for the jitter draw, to one at the departure.
+        self.link.depart_at_enqueue(self._half_hop, (
+            (0.0, "path.departure", self._delivered_by_link)
+            if self._jitter_enabled
+            else (self._half_hop, "path.to-receiver", self._arrive)))
 
     # ------------------------------------------------------------------
     # forward direction (sender -> receiver)
@@ -133,7 +136,10 @@ class NetworkPath:
         link = self.link
         server = link.server
         if server is None:
-            loop.post(arrival, link.send, packet, "path.to-bottleneck")
+            if link.lead is None:
+                loop.post(arrival, link.send, packet, "path.to-bottleneck")
+            else:
+                link.send(packet, arrival)
             return
         # Closed form: the path is the server's only feeder, so it is
         # asked now, half a hop ahead of the arrival (DESIGN §3b); a drop

@@ -108,7 +108,7 @@ def instrument_stack(telemetry: "Telemetry", *,
             help="Estimated queue bytes above the ACE threshold T")
     if link is not None:
         # The link answers as of the tick on either engine, however far
-        # ahead of the clock its server has been fed.
+        # ahead of the clock it has been fed (closed-form or folded).
         registry.gauge("link.queue_bytes",
                        sample_fn=lambda l=link: l.queued_bytes,
                        help="Bytes queued in the bottleneck link")

@@ -6,8 +6,11 @@ at release, half a hop ahead, and only a tail drop keeps a
 ``path.to-bottleneck`` hop, to reach the loss path at its arrival
 instant. A jittered one spends a third, ``path.departure``, which draws
 the jitter at the departure instant. The path hops carry no ``Event``
-handle. Everything the closed form cannot take (an AQM discipline, a
-chain) keeps its ``link.serve`` event and its arrival hop: the per-name
+handle. A lone PIE or Confucius router folds the same way (the path
+offers at release, the router posts the receiver hop when it chooses
+the head; ``arena_mix``'s configuration, under 1.90). What folds
+neither way (CoDel, whose head drops happen at dequeue, and a chain)
+keeps its ``link.serve`` event and its arrival hop: the per-name
 counts below were recorded at bcdfe33 (four heap events per packet
 everywhere) and must not move.
 
@@ -20,7 +23,8 @@ packet, whether a consumer of its trains has started walking them again.
 import cProfile
 import pstats
 
-from repro.arena import ArenaFlowSpec, ArenaSession, BottleneckSpec
+from repro.arena import ArenaFlowSpec, ArenaMetrics, ArenaSession, \
+    BottleneckSpec
 from repro.obs import LoopProfiler
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
@@ -63,6 +67,19 @@ def chain():
                                  BottleneckSpec(const(6.0, 16.0))])
 
 
+def arena_mix(duration=5.0, seed=3):
+    """perfbench's ``arena_mix`` configuration: four flows, three pacer
+    types, one Confucius router."""
+    return ArenaSession(
+        [ArenaFlowSpec("ace", flow_id=1),
+         ArenaFlowSpec("webrtc-star", flow_id=2),
+         ArenaFlowSpec("always-burst", flow_id=3, start=duration / 6),
+         ArenaFlowSpec("ace", flow_id=4, start=duration / 3)],
+        const(40, duration + 10.0),
+        SessionConfig(duration=duration, seed=seed, initial_bwe_bps=6e6),
+        discipline="confucius")
+
+
 #: LoopProfiler.counts() at the parent commit.
 PARENT_COUNTS = {
     "codel": (codel, {
@@ -78,12 +95,19 @@ PARENT_COUNTS = {
 }
 
 
+def sent_packets(metrics):
+    """Packets a session (all of an arena's flows) sent."""
+    if isinstance(metrics, ArenaMetrics):
+        return sum(flow.packets_sent for flow in metrics.values())
+    return metrics.packets_sent
+
+
 def calls_per_packet(session):
     """Run ``session`` under cProfile: (metrics, Python calls per packet,
     the five most-called functions and their calls per packet)."""
     profile = cProfile.Profile()
     metrics = profile.runcall(session.run)
-    packets = metrics.packets_sent
+    packets = sent_packets(metrics)
     stats = pstats.Stats(profile)
     busiest = sorted(stats.stats.items(), key=lambda kv: -kv[1][1])[:5]
     census = "; ".join(
@@ -151,6 +175,38 @@ def test_jittered_path_spends_three_events_per_packet():
             assert stats.dropped_packets > 0
         else:
             assert session.loop.processed / stats.delivered_packets <= 3.01
+
+
+def test_folded_confucius_router_spends_under_two_events_per_packet():
+    """``arena_mix``: the path offers each packet to the Confucius
+    router at release and the router posts the receiver hop when it
+    chooses the head (c782d71: 3.73 events per packet, with an arrival
+    hop and a ``link.serve`` event each); a drop or an eviction keeps a
+    hop to its arrival instant."""
+    session = arena_mix()
+    assert session.path.link.lead is not None
+    profiler = session.loop.set_profiler(LoopProfiler())
+    metrics = session.run()
+    counts = profiler.counts()
+    stats = session.path.link.stats
+    assert "link.serve" not in counts
+    assert counts["path.to-receiver"] == stats.delivered_packets > 15_000
+    assert counts["path.to-bottleneck"] == stats.dropped_packets > 0
+    assert session.path.link.queue.evictions > 0
+    per_packet = session.loop.processed / sent_packets(metrics)
+    assert per_packet <= 1.90, per_packet
+
+
+def test_folded_confucius_router_spends_under_eighty_two_calls_per_packet():
+    """Repeatable to a few dozen calls. c782d71: 95.78 — the arrival
+    hop, the serve event, a route lookup per departure and three dicts
+    and a ``_rate_now`` call per flow at each choice between lanes;
+    after: 80.03."""
+    metrics, per_packet, census = calls_per_packet(arena_mix())
+    assert sent_packets(metrics) > 15_000
+    assert per_packet <= 82, (
+        f"{per_packet:.2f} calls per packet; the most called, per "
+        f"packet: {census}")
 
 
 def test_evented_configurations_keep_the_parents_event_counts():

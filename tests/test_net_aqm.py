@@ -236,11 +236,10 @@ def test_confucius_per_flow_ledger():
 def full_pass_head(q, now):
     """The shield's rule over every backlogged lane, sparse pass always
     taken: ``(lane, head packet)`` or ``(None, None)``."""
-    sparse = q._sparse_flows(now)
     best_fid, best_key = None, None
     for fid, lane in q._lanes.items():
         if lane:
-            key = (0 if sparse[fid] else 1, lane[0][0])
+            key = (0 if q.is_sparse(fid, now) else 1, lane[0][0])
             if best_key is None or key < best_key:
                 best_fid, best_key = fid, key
     return best_fid, None if best_fid is None else q._lanes[best_fid][0][1]
