@@ -103,6 +103,11 @@ class ArenaPath(NetworkPath):
                 raise ValueError(f"flow {fid}: route {route} must be "
                                  "strictly increasing router indices")
             self.flow_routes[fid] = route
+        if len(self.links) == 1:
+            # Every route is (0,): a packet enters the lone router the
+            # way a plain path enters its link, with no route lookup and
+            # no frame of this class's ``send`` in between.
+            self.send = NetworkPath.send.__get__(self)
 
     def _build_discipline(self, spec: BottleneckSpec, config: PathConfig):
         """``None`` for plain drop-tail (the link builds its own queue)."""
@@ -119,7 +124,8 @@ class ArenaPath(NetworkPath):
     def send(self, packet: Packet) -> None:
         """Inject a packet; enters the first router on its flow's route.
         Router 0 is entered the way a plain path enters its link (a
-        lone drop-tail router is closed-form there)."""
+        lone drop-tail router is closed-form there). A lone router's
+        path sends with :meth:`NetworkPath.send` itself."""
         route = self.flow_routes.get(packet.flow_id)
         if not route or not route[0]:
             NetworkPath.send(self, packet)

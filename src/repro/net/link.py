@@ -278,35 +278,27 @@ class DropTailServer:
         """``(stats, queued packets, queued bytes)`` as a reader at
         ``now`` — at or after the feeder's clock — sees them.
 
-        A packet is in the queue from its arrival (``arrival <= now``)
-        until its finish (``finish <= now`` has left, :meth:`retire`'s
-        rule at ``lead=0``). What the feeder offered ahead of ``now`` —
-        an arrival or a tail drop not reached yet — is not in the books.
-        A drop-tail queue loses nothing it accepted, so ``delivered =
-        enqueued - queued``.
+        What the feeder offered ahead of ``now`` — an arrival or a tail
+        drop not reached yet — is not in the books. A drop-tail queue
+        loses nothing it accepted, so ``delivered = enqueued - queued``.
         """
+        queued_p, queued_b = self.queued_at(now)
         raw = self.stats
         enq_p, enq_b = raw.enqueued_packets, raw.enqueued_bytes
         drop_p, drop_b = raw.dropped_packets, raw.dropped_bytes
-        queued_p = queued_b = 0
-        for record in self._ledger:
+        for record in reversed(self._ledger):   # the arrivals ahead
             if type(record) is tuple:
-                arrival, _start, finish, size = record
-                if arrival > now:
-                    enq_p -= 1
-                    enq_b -= size
-                elif finish > now:
-                    queued_p += 1
-                    queued_b += size
+                if record[0] <= now:
+                    break
+                enq_p -= 1
+                enq_b -= record[3]
                 continue
-            arrivals, finishes, _last, cum_bytes, _pos = record
-            a = int(np.searchsorted(arrivals, now, side="right"))
-            f = int(np.searchsorted(finishes, now, side="right"))
-            arrived = int(cum_bytes[a - 1]) if a else 0
+            arrivals, _finishes, _last, cum_bytes, _pos = record
+            a = int(arrivals.searchsorted(now, "right"))
             enq_p -= len(arrivals) - a
-            enq_b -= int(cum_bytes[-1]) - arrived
-            queued_p += a - f
-            queued_b += arrived - (int(cum_bytes[f - 1]) if f else 0)
+            enq_b -= int(cum_bytes[-1]) - (int(cum_bytes[a - 1]) if a else 0)
+            if a:
+                break
         for arrival, size in self._drops:
             if arrival > now:
                 drop_p -= 1
@@ -316,6 +308,34 @@ class DropTailServer:
             dropped_packets=drop_p, enqueued_bytes=enq_b,
             delivered_bytes=enq_b - queued_b, dropped_bytes=drop_b)
         return stats, queued_p, queued_b
+
+    def queued_at(self, now: float) -> tuple[int, int]:
+        """``(packets, bytes)`` in the queue as a reader at ``now`` sees
+        them: a packet is there from its arrival (``arrival <= now``)
+        until its finish (``finish <= now`` has left, :meth:`retire`'s
+        rule at ``lead=0``). The ledger is in arrival order, so the walk
+        stops at the first record that has not arrived in full."""
+        queued_p = queued_b = 0
+        for record in self._ledger:
+            if type(record) is tuple:
+                arrival, _start, finish, size = record
+                if arrival > now:
+                    break
+                if finish > now:
+                    queued_p += 1
+                    queued_b += size
+                continue
+            arrivals, finishes, last, cum_bytes, _pos = record
+            if last <= now:             # all of it has left
+                continue
+            a = int(arrivals.searchsorted(now, "right"))
+            f = int(finishes.searchsorted(now, "right"))
+            queued_p += a - f
+            queued_b += ((int(cum_bytes[a - 1]) if a else 0)
+                         - (int(cum_bytes[f - 1]) if f else 0))
+            if a < len(arrivals):
+                break
+        return queued_p, queued_b
 
 
 class Link:
@@ -428,6 +448,8 @@ class Link:
 
     @property
     def queued_bytes(self) -> int:
+        if self.server is not None:
+            return self.server.queued_at(self.loop.now)[1]
         return self._books()[2]
 
     @property

@@ -3,29 +3,23 @@
 The paper's subject is *sending burstiness*: how tightly packet
 releases cluster on the wire and how long packets sit in the pacer
 before release. This module turns the telemetry layer's columnar
-``wire`` rows (:class:`repro.obs.recorder.WireRows`: one row per packet
-leaving the pacer) into a streaming view of exactly those distributions,
-a batch of rows at a time:
+``wire`` rows (:class:`repro.obs.recorder.WireRows`, one per packet
+leaving the pacer) into streaming views of those distributions, a batch
+of rows at a time:
 
-* ``burst.ipg_s`` — inter-packet-gap histogram (sub-millisecond
-  buckets; a paced flow concentrates mass near ``packet_bytes /
-  pacing_rate``, a bursty one piles onto the first bucket);
-* ``burst.train_packets`` / ``burst.train_bytes`` /
-  ``burst.train_duration_s`` — burst-train stats, where a *train* is a
-  maximal run of sends separated by gaps ≤ ``train_gap_s`` (back-to-
-  back line-rate emission; QUIC Steps uses the same construction to
-  compare pacer implementations);
-* ``burst.pacing_delay_s`` — per-packet pacing delay (enqueue → wire)
-  histogram, the paper's pacing-latency term;
-* windowed exact p50/p99 of gaps and pacing delays via the shared
-  nearest-rank helper, for heartbeats and the SLO watchdog.
+* ``burst.ipg_s`` — inter-packet gaps (a paced flow concentrates mass
+  near ``packet_bytes / pacing_rate``, a bursty one in the first bucket);
+* ``burst.train_packets`` / ``_bytes`` / ``_duration_s`` — burst
+  trains, maximal runs of sends separated by gaps ≤ ``train_gap_s``
+  (QUIC Steps compares pacer implementations with the same construction);
+* ``burst.pacing_delay_s`` — enqueue → wire, the paper's pacing latency;
+* windowed exact p50/p99 of gaps and pacing delays (nearest rank), for
+  heartbeats and the series recorder.
 
-Everything is observe-only and deterministic: fixed-bucket histograms
-(no P² adaptivity — identical inputs give identical state), no
-randomness, no component mutation, so golden fingerprints are
-unaffected by enabling it. All instruments live in the session's
-:class:`~repro.obs.registry.MetricRegistry`, so JSONL/Prometheus
-export and ``repro trace`` pick them up with zero extra wiring.
+Everything is deterministic (fixed buckets, no randomness) and observe-
+only, so golden fingerprints hold with it on. The instruments live in
+the session's :class:`~repro.obs.registry.MetricRegistry`, so export and
+``repro trace`` pick them up with no extra wiring.
 """
 
 from __future__ import annotations
@@ -171,8 +165,8 @@ class BurstAnalyzer:
         self._last_t = float(t[-1])
         # Segment k spans rows [begins[k], ends[k]); the first continues
         # the carried train, all but the last close inside this batch.
-        begins = np.concatenate(((0,), starts))
-        ends = np.concatenate((starts, (n,)))
+        cuts = np.concatenate(((0,), starts, (n,)))
+        begins, ends = cuts[:-1], cuts[1:]
         cum = np.concatenate(((0.0,), sizes.cumsum(dtype=np.float64)))
         packets = (ends - begins).astype(np.float64)
         nbytes = cum[ends] - cum[begins]

@@ -1,21 +1,14 @@
 """Shared deterministic quantile helpers for reporting paths.
 
-One implementation of the nearest-rank percentile used everywhere a
-recent-window sample ring is summarised for humans or gates: the live
-fleet heartbeats (``repro.live.server``), pacer-stats percentiles in
-per-session heartbeat rows, the ``check_perf.py --live-load`` gate,
-the burst analyzer (``repro.obs.burst``), the SLO watchdog
-(``repro.obs.slo``) and the autoscale probe — previously three
-hand-rolled copies with subtly different empty-input behaviour.
+One nearest-rank percentile for every recent-window summary: the live
+fleet heartbeats (``repro.live.server``), the ``check_perf.py
+--live-load`` gate, the burst analyzer (``repro.obs.burst``), the SLO
+watchdog (``repro.obs.slo``) and the autoscale probe. One deliberate
+non-user: ``repro.rtc.metrics.percentile`` is numpy-interpolated and
+feeds the committed result schema.
 
-One deliberate non-user: ``repro.rtc.metrics.percentile`` is
-numpy-interpolated and feeds the committed result schema — changing it
-would shift every reported latency table.
-
-:class:`SampleWindow` is the bounded recent-window ring the burst
-analyzer keeps per signal: rows arrive in bulk (one numpy batch per
-telemetry tick), and the window's order statistics are computed at most
-once per batch and shared by every quantile reader until the next one.
+:class:`SampleWindow` is the burst analyzer's bounded recent window per
+signal, fed one numpy batch per telemetry tick.
 """
 
 from __future__ import annotations
@@ -67,44 +60,58 @@ def percentiles(values: Iterable[Optional[float]],
 
 def _nearest_rank(ordered: Sequence[float],
                   pcts: Sequence[float]) -> Tuple[Optional[float], ...]:
+    """Read only the asked ranks of ``ordered``, as Python floats."""
     n = len(ordered)
     if n == 0:
         return tuple(None for _ in pcts)
     return tuple(
-        ordered[max(0, min(n - 1, int(round(pct / 100.0 * (n - 1)))))]
+        float(ordered[max(0, min(n - 1, int(round(pct / 100.0 * (n - 1)))))])
         for pct in pcts)
 
 
 class SampleWindow:
-    """The most recent ``capacity`` samples of one signal.
-
-    Fed NaN-free numpy batches (the producer filters "no measurement"
-    out once, vectorized); :meth:`percentiles` answers with the same
-    nearest-rank convention as :func:`percentiles` from one sort per
-    batch, however many readers ask between batches.
+    """The most recent ``capacity`` samples of one signal, in a
+    preallocated ring fed NaN-free numpy batches (the producer filters
+    "no measurement" out once, vectorized). :meth:`percentiles` sorts
+    once per batch, however many readers ask between batches.
     """
 
-    __slots__ = ("capacity", "values", "_ordered")
+    __slots__ = ("capacity", "_ring", "_end", "_size", "_ordered")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        #: the window, oldest first (read it, feed it via :meth:`extend`).
-        self.values = np.empty(0)
-        self._ordered: Optional[List[float]] = None
+        self._ring = np.empty(capacity)
+        self._end = 0       # the slot the next sample goes to
+        self._size = 0      # samples held
+        self._ordered: Optional[np.ndarray] = None  # sorted, once asked
 
     def extend(self, values: np.ndarray) -> None:
-        if len(values):
-            self.values = np.concatenate(
-                (self.values, values))[-self.capacity:]
-            self._ordered = None
+        n = min(len(values), self.capacity)
+        if not n:
+            return
+        values, end = values[len(values) - n:], self._end
+        head = min(n, self.capacity - end)      # slots before the wrap
+        self._ring[end:end + head] = values[:head]
+        self._ring[:n - head] = values[head:]
+        self._end = (end + n) % self.capacity
+        self._size = min(self.capacity, self._size + n)
+        self._ordered = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """The window, oldest first, as a new array."""
+        ring, end = self._ring, self._end
+        if self._size < self.capacity:
+            return ring[:end].copy()
+        return np.concatenate((ring[end:], ring[:end]))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self._size
 
     def percentiles(self, pcts: Sequence[float]
                     ) -> Tuple[Optional[float], ...]:
         if self._ordered is None:
-            self._ordered = np.sort(self.values).tolist()
+            self._ordered = np.sort(self._ring[:self._size])
         return _nearest_rank(self._ordered, pcts)
 
 

@@ -3,28 +3,25 @@
 :class:`Telemetry` is the session-scoped hub the instrumented stack
 writes into. It is *opt-in*: components hold ``telemetry = None`` by
 default and guard every emission with a ``None`` check, so a session
-without telemetry pays one attribute read per instrumented site and the
-perf gate (``scripts/check_perf.py``) holds that to the committed
-baseline.
+without telemetry pays one attribute read per instrumented site.
 
 Two streams, one emission order, one store each. Frame stages, metric
-samples and annotations are :class:`TelemetryRecord` objects, kept in
-the event log or, with ``keep_events=False``, in a ring of the last
+samples and annotations are ``(time, kind, name, fields)`` rows in the
+event log or, with ``keep_events=False``, in a ring of the last
 ``flight_capacity``. The per-packet ``wire`` stream is columnar
-(:class:`WireRows`): a row per :meth:`Telemetry.packet_wire` call or a
-release train per :meth:`Telemetry.wire_train`, which the burst analyzer
-and the span brackets consume in bulk at the tick or on first read. The
-event log and the flight window (the tail the invariant auditor dumps
-on a violation) materialise rows as records on demand, in emission
-order. With the log off, a displayed frame's span goes once its pacing
-is observed, so every store is bounded.
+(:class:`WireRows`), consumed in bulk by the burst analyzer and the span
+brackets at the tick or on first read. The event log and the flight
+window (the tail the invariant auditor dumps on a violation) materialise
+both as :class:`TelemetryRecord` objects on demand, in emission order.
+With the log off, a displayed frame's span goes once its pacing is
+observed, so every store is bounded.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, starmap
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -68,28 +65,29 @@ class TelemetryRecord:
         return obj
 
 
-def _stack(chunks) -> tuple[np.ndarray, ...]:
-    return tuple(np.concatenate(column) for column in zip(*chunks))
+def _frame_runs(t: np.ndarray, frame_id) -> list[tuple[int, float, float]]:
+    """``(frame id, first, last wire time)`` of each run of one frame's
+    rows in a chunk (a train is one run)."""
+    if type(frame_id) is int:
+        return [(frame_id, float(t[0]), float(t[-1]))]
+    cuts = ((frame_id[1:] != frame_id[:-1]).nonzero()[0] + 1).tolist()
+    return [(int(frame_id[head]), float(t[head]), float(t[tail - 1]))
+            for head, tail in zip([0] + cuts, cuts + [len(t)])]
 
 
 class WireRows:
     """Append-only columnar store of the ``wire`` stream: one row per
-    fresh media packet leaving the pacer (DESIGN §10 maps each column to
-    its paper quantity).
-
-    * ``t`` — wire time: differences are the inter-packet gaps, maximal
-      runs of small gaps the burst trains; per frame, its first/last are
-      the span's ``wire_first``/``wire_last``.
-    * ``frame_id``, ``size`` — the frame carried, bytes on the wire.
-    * ``delay`` — pacer enqueue → wire, the paper's pacing latency (NaN
-      when the pacer did not measure it).
-    * ``index`` — emission index: how many records were emitted before
-      the row, which places it in the event log.
+    fresh media packet leaving the pacer, in columns ``t`` (wire time),
+    ``frame_id``, ``size``, ``delay`` (pacer enqueue → wire, NaN when
+    not measured) and ``index`` (records emitted before the row); DESIGN
+    §10 maps each to its paper quantity.
 
     Two producers: one row at a time straight onto the column lists (the
-    per-packet hot path), or a whole train of arrays via :meth:`extend`.
-    :meth:`take` hands the consumers everything new as one batch;
-    ``keep`` bounds what stays readable afterwards to the last rows.
+    per-packet hot path, sealed into an array chunk when read), or a
+    whole train via :meth:`extend`, whose chunk keeps its arrays and its
+    frame id and emission index as one int each. :meth:`take` hands the
+    consumers everything new as one batch; ``keep`` bounds what stays
+    readable afterwards to the last rows.
     """
 
     __slots__ = ("t", "frame_id", "size", "delay", "index", "keep",
@@ -102,8 +100,8 @@ class WireRows:
         self.delay: list[float] = []
         self.index: list[int] = []
         self.keep = keep
-        #: array chunks, oldest first; the last ``_fresh`` are not taken.
-        self._chunks: list[tuple[np.ndarray, ...]] = []
+        #: chunks, oldest first; the last ``_fresh`` are not taken.
+        self._chunks: list[tuple] = []
         self._fresh = 0
         self._sealed = 0  # rows ever moved into chunks
         self._taken = 0   # rows ever handed out by take()
@@ -116,7 +114,7 @@ class WireRows:
     def pending(self) -> int:
         return self._sealed - self._taken + len(self.t)
 
-    def _push(self, chunk: tuple[np.ndarray, ...]) -> None:
+    def _push(self, chunk: tuple) -> None:
         self._chunks.append(chunk)
         self._fresh += 1
         self._sealed += len(chunk[0])
@@ -137,37 +135,46 @@ class WireRows:
                delay: np.ndarray, index: int) -> None:
         """Append one frame's release train (arrays kept, not copied)."""
         self._seal()
-        n = len(t)
-        self._push((t, np.full(n, frame_id), size, delay, np.full(n, index)))
+        self._push((t, int(frame_id), size, delay, int(index)))
 
-    def take(self) -> Optional[tuple[np.ndarray, ...]]:
-        """Everything appended since the last call, as one batch
-        (``None`` when there is nothing new)."""
+    def take(self) -> Optional[tuple]:
+        """Everything appended since the last call, or None: ``(t, size,
+        delay)`` over the new rows and each new chunk's frame runs."""
         self._seal()
         fresh = self._fresh
         if not fresh:
             return None
-        batch = self._chunks[-1] if fresh == 1 else _stack(
-            self._chunks[-fresh:])
-        self._chunks[-fresh:] = [batch]
+        chunks = self._chunks[-fresh:]
         self._fresh = 0
         self._taken = self._sealed
-        if self.keep is not None:
-            self._chunks = [tuple(c[-self.keep:]
-                                  for c in _stack(self._chunks))]
-        return batch
+        if self.keep is not None:   # drop old chunks, cut the oldest left
+            excess = sum(len(chunk[0]) for chunk in self._chunks) - self.keep
+            while excess > 0 and len(self._chunks[0][0]) <= excess:
+                excess -= len(self._chunks.pop(0)[0])
+            if excess > 0:
+                self._chunks[0] = tuple(c if type(c) is int else c[excess:]
+                                        for c in self._chunks[0])
+        runs = [run for chunk in chunks for run in _frame_runs(*chunk[:2])]
+        return (*(chunks[0][j] if fresh == 1 else
+                  np.concatenate([chunk[j] for chunk in chunks])
+                  for j in (0, 2, 3)), runs)
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """Every readable row, oldest first."""
+        """Every readable row, oldest first (a train's frame id and
+        emission index spread over its rows)."""
         self._seal()
         if not self._chunks:
             return tuple(np.empty(0, dtype=np.int64) for _ in range(5))
-        return _stack(self._chunks)
+        return tuple(np.concatenate(
+            [np.full(len(chunk[0]), c) if type(c) is int else c
+             for chunk, c in zip(self._chunks, column)])
+            for column in zip(*self._chunks))
 
 
 def _merge(records, first: int, rows) -> list[TelemetryRecord]:
-    """Interleave ``records`` (emitted ``first``-th, ``first+1``-th, ...)
-    with wire ``rows`` materialised as records, in emission order."""
+    """Materialise stored ``records`` (``(time, kind, name, fields)``,
+    emitted ``first``-th, ``first+1``-th, ...) interleaved with wire
+    ``rows``, in emission order."""
     t, frame_id, size, _delay, index = rows
     out: list[TelemetryRecord] = []
     done = 0
@@ -175,11 +182,11 @@ def _merge(records, first: int, rows) -> list[TelemetryRecord]:
                                            size.tolist(), index.tolist()):
         stop = position - first
         if stop > done:
-            out.extend(records[done:stop])
+            out.extend(starmap(TelemetryRecord, records[done:stop]))
             done = stop
         out.append(TelemetryRecord(when, "span", "wire",
                                    {"frame_id": fid, "size": nbytes}))
-    out.extend(records[done:])
+    out.extend(starmap(TelemetryRecord, records[done:]))
     return out
 
 
@@ -205,7 +212,8 @@ class Telemetry:
         self.flight_capacity = flight_capacity
         registry = self._registry = MetricRegistry(record=self._record_metric)
         self._spans = SpanBook()
-        #: the record store: the event log, or a flight window's ring.
+        #: the record store: the event log, or a flight window's ring, of
+        #: ``(time, kind, name, fields)`` rows, made records when read.
         self._records = [] if keep_events else deque(maxlen=flight_capacity)
         #: records emitted so far — the emission index of the next row.
         self._recorded = 0
@@ -314,14 +322,14 @@ class Telemetry:
     # ------------------------------------------------------------------
     def record(self, kind: str, name: str, at: Optional[float] = None,
                **fields) -> TelemetryRecord:
-        rec = TelemetryRecord(self.now if at is None else at, kind, name,
-                              fields)
-        self._records.append(rec)
+        row = (self.now if at is None else at, kind, name, fields)
+        self._records.append(row)
         self._recorded += 1
-        return rec
+        return TelemetryRecord(*row)
 
     def _record_metric(self, kind: str, name: str, value: float) -> None:
-        self.record(kind, name, value=value)
+        self._records.append((self.now, kind, name, {"value": value}))
+        self._recorded += 1
 
     def annotate(self, name: str, **fields) -> None:
         """Free-form marker (audit violations, session phases, ...)."""
@@ -335,7 +343,8 @@ class Telemetry:
         """Stamp one span stage and emit the matching span record."""
         t = self.now if at is None else at
         span = self._spans.stage(frame_id, stage, t)
-        self.record("span", stage, at=t, frame_id=frame_id)
+        self._records.append((t, "span", stage, {"frame_id": frame_id}))
+        self._recorded += 1
         if stage == "encode_end":
             self._frames_encoded.inc()
         elif stage == "displayed":
@@ -378,16 +387,13 @@ class Telemetry:
         and the pacing component of frames displayed meanwhile."""
         batch = self.wire.take()
         if batch is not None:
-            t, frame_id, size, delay, _index = batch
+            t, size, delay, runs = batch
             # Rows of one frame are contiguous runs (the pacer is FIFO);
             # a frame split across runs keeps its earliest wire_first.
-            cuts = ((frame_id[1:] != frame_id[:-1]).nonzero()[0]
-                    + 1).tolist()
             stage = self._spans.stage
-            for head, tail in zip([0] + cuts, cuts + [len(t)]):
-                stage(int(frame_id[head]), "wire_last",
-                      float(t[tail - 1])).stamps.setdefault(
-                          "wire_first", float(t[head]))
+            for frame_id, first, last in runs:
+                stage(frame_id, "wire_last", last).stamps.setdefault(
+                    "wire_first", first)
             self._burst.on_rows(t, size, delay)
         if self._displayed:
             spans = self._spans.spans
@@ -462,5 +468,5 @@ class Telemetry:
         """(time, value) samples of one metric from the event log
         (empty with ``keep_events=False``)."""
         log = self._records if self.keep_events else ()
-        return [(r.time, r.fields["value"]) for r in log
-                if r.kind == "metric" and r.name == name]
+        return [(time, fields["value"]) for time, kind, metric, fields in log
+                if kind == "metric" and metric == name]

@@ -15,6 +15,8 @@ read without touching lazy-refill or estimator history state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,7 +84,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "buckets", "counts", "sum", "count", "help",
-                 "labels", "_bounds")
+                 "labels", "_bounds", "_edges")
 
     def __init__(self, name: str,
                  buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
@@ -92,6 +94,7 @@ class Histogram:
         self.labels = labels
         self.buckets = tuple(sorted(buckets))
         self._bounds = np.array(self.buckets)
+        self._edges = self.buckets + (math.inf,)
         self.counts = [0] * (len(self.buckets) + 1)  # +1 for +Inf
         self.sum = 0.0
         self.count = 0
@@ -101,41 +104,39 @@ class Histogram:
             return
         self.sum += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # the first bucket whose bound is >= value; past the last, +Inf
+        self.counts[bisect_left(self.buckets, value)] += 1
 
     def observe_many(self, values: np.ndarray) -> None:
         """Bulk twin of :meth:`observe` for a NaN-free batch of rows.
 
         Leaves the histogram in exactly the state a loop of ``observe``
-        calls would: ``searchsorted(side="left")`` is the same
-        ``value <= bound`` rule, and the sum is accumulated left to
-        right (``cumsum``, not pairwise ``sum``), so exports stay
+        calls would: ``bisect_left`` and ``searchsorted(side="left")``
+        are the same ``value <= bound`` rule, and the sum is accumulated
+        left to right (``cumsum``, not pairwise ``sum``), so exports stay
         byte-identical to per-observation feeding.
         """
-        if len(values) < 8:  # a handful of trains: the loop is cheaper
+        n = len(values)
+        counts = self.counts
+        if n < 32:  # a handful of trains: the loop is cheaper than numpy
+            buckets = self.buckets
+            total = self.sum
             for value in values.tolist():
-                self.observe(value)
-            return
-        slots = self._bounds.searchsorted(values, side="left")
-        for i, n in enumerate(np.bincount(slots).tolist()):
-            if n:
-                self.counts[i] += n
-        self.sum = float(np.concatenate(((self.sum,), values)).cumsum()[-1])
-        self.count += len(values)
+                counts[bisect_left(buckets, value)] += 1
+                total += value
+            self.sum = total
+        else:
+            slots = self._bounds.searchsorted(values, side="left")
+            for i, k in enumerate(np.bincount(slots).tolist()):
+                if k:
+                    counts[i] += k
+            self.sum = float(
+                np.concatenate(((self.sum,), values)).cumsum()[-1])
+        self.count += n
 
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending at +Inf."""
-        out = []
-        running = 0
-        for bound, n in zip(self.buckets, self.counts):
-            running += n
-            out.append((bound, running))
-        out.append((math.inf, running + self.counts[-1]))
-        return out
+        return list(zip(self._edges, accumulate(self.counts)))
 
 
 class MetricRegistry:

@@ -1,38 +1,24 @@
 """Deterministic, bounded time-series recording on the telemetry tick.
 
-The paper's evaluation argument is made with trajectories — sending
-rate tracking link capacity, queuing delay staying flat, the token
-bucket shrinking under Algorithm 1 — while the rest of ``repro.obs``
-reports end-of-run aggregates and point-in-time snapshots. This module
-adds the time axis: a :class:`SeriesRecorder` attached to a
-:class:`~repro.obs.recorder.Telemetry` samples every registered gauge
-and counter (plus pacing-delay quantiles from the burst analyzer's
-recent-window rings) on the existing telemetry tick and keeps them as
-columnar arrays sharing one time column.
+The paper argues with trajectories (sending rate tracking capacity,
+queuing delay staying flat, the bucket shrinking under Algorithm 1). A
+:class:`SeriesRecorder` attached to a :class:`~repro.obs.recorder.
+Telemetry` samples every registered gauge and counter, plus pacing-delay
+quantiles from the burst analyzer's recent window, on the telemetry tick
+into columns that share one time column. It is:
 
-Design constraints, in order:
-
-* **Pure observer.** Sampling reads ``Gauge.sample()`` / ``.value`` and
-  ``Counter.value`` only — no RNG draws, no lazy state advancement, no
-  component mutation — so golden session fingerprints stay bit-identical
-  with recording enabled (enforced by ``tests/test_sim_regression.py``).
-* **Deterministically bounded.** When the sample count would exceed
-  ``max_samples`` the recorder decimates by keeping every other sample
-  and doubling its stride. The retained set is a pure function of the
-  tick sequence, never of wall-clock pressure, so two identical runs
-  keep identical samples.
-* **Decimation-safe columns.** Counters are stored *cumulative*, not as
-  per-tick deltas: dropping every other cumulative sample still yields
-  correct rates at render time (:func:`rate_series`), whereas dropped
-  deltas would silently lose bytes.
-* **Reproducible rendering.** :func:`m4_downsample` reduces a series to
-  first/min/max/last per pixel bin — the standard M4 reduction — with
-  deterministic tie-breaks, so rendering the same shard at the same
-  width is byte-identical everywhere.
+* a pure observer: it reads ``.value`` only, so golden fingerprints hold
+  with recording on (``tests/test_sim_regression.py``);
+* deterministically bounded: past ``max_samples`` it keeps every other
+  sample and doubles its stride, a pure function of the tick sequence;
+* decimation-safe: counters are stored cumulative, so the samples left
+  still give correct rates (:func:`rate_series`);
+* reproducible to render: :func:`m4_downsample` keeps first/min/max/last
+  per pixel bin with deterministic tie-breaks.
 
 Shards serialize to JSON (``SeriesFrame.to_dict`` rounds to 9 decimals
-and sorts keys) and land under ``<run_dir>/series/<label>.json`` via
-atomic writes.
+and sorts keys) under ``<run_dir>/series/<label>.json``, written
+atomically.
 """
 
 from __future__ import annotations
@@ -166,6 +152,11 @@ class SeriesRecorder:
         self._ticks = 0
         self.t: List[float] = []
         self.columns: Dict[str, List[Optional[float]]] = {}
+        #: ``(column, instrument)`` per registry metric, the pacing
+        #: quantiles' columns, and the registry size they were built for.
+        self._feeds: List[tuple] = []
+        self._pacing: List[List[Optional[float]]] = []
+        self._registered = -1
 
     def __len__(self) -> int:
         return len(self.t)
@@ -177,31 +168,29 @@ class SeriesRecorder:
         self._ticks = tick + 1
         if tick % self.stride:
             return
-
-        row: Dict[str, Optional[float]] = {}
-        for name, gauge in self.registry.gauges.items():
-            row[name] = gauge.value
-        for name, counter in self.registry.counters.items():
-            row[name] = counter.value
-        if self.burst is not None:
-            for pct, value in zip(
-                PACING_PCTS, self.burst.pacing_percentiles(PACING_PCTS)
-            ):
-                row[f"burst.pacing_p{pct:g}_s"] = value
-
-        filled = len(self.t)
+        registry = self.registry
+        if len(registry.gauges) + len(registry.counters) != self._registered:
+            # Metrics registered since the last row get a column, backfilled
+            # with None so every column stays aligned with the time axis; a
+            # counter shadows a gauge of its name, the quantiles both.
+            self._registered = len(registry.gauges) + len(registry.counters)
+            sources = {**registry.gauges, **registry.counters}
+            if self.burst is not None:
+                sources.update(dict.fromkeys(
+                    f"burst.pacing_p{pct:g}_s" for pct in PACING_PCTS))
+            feeds = [(self.columns.setdefault(name, [None] * len(self.t)),
+                      source) for name, source in sources.items()]
+            self._feeds = [feed for feed in feeds if feed[1] is not None]
+            self._pacing = [column for column, source in feeds
+                            if source is None]
         self.t.append(now)
-        for name, value in row.items():
-            column = self.columns.get(name)
-            if column is None:
-                # Late-registered metric: backfill so every column stays
-                # aligned with the shared time axis.
-                column = self.columns[name] = [None] * filled
-            column.append(value)
-        for column in self.columns.values():
-            if len(column) <= filled:
-                column.append(None)
-
+        for column, instrument in self._feeds:
+            column.append(instrument.value)
+        if self._pacing:
+            for column, value in zip(
+                self._pacing, self.burst.pacing_percentiles(PACING_PCTS)
+            ):
+                column.append(value)
         if len(self.t) > self.max_samples:
             self._compact()
 
@@ -209,9 +198,9 @@ class SeriesRecorder:
         # Keep samples 0, 2, 4, ... and double the stride: deterministic
         # given the tick sequence, keeps the earliest sample, and halves
         # memory while preserving full-run coverage.
-        self.t = self.t[::2]
-        for name, column in self.columns.items():
-            self.columns[name] = column[::2]
+        del self.t[1::2]
+        for column in self.columns.values():
+            del column[1::2]
         self.stride *= 2
 
     def frame(self, meta: Optional[Dict[str, object]] = None) -> SeriesFrame:

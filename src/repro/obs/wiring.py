@@ -7,7 +7,8 @@ function is a *pure read*, and the components own the reads that need
 care: the token level is ``TokenBucket.level_at`` (never
 ``tokens(now)``, whose lazy refill would shift float rounding and break
 bit-identical fixed-seed runs — the same rule the invariant auditor
-follows), the queue estimate ``QueueEstimator.estimate``.
+follows), the queue estimate ``QueueEstimator.estimate``, taken once
+per sampling pass.
 """
 
 from __future__ import annotations
@@ -80,15 +81,14 @@ def instrument_stack(telemetry: "Telemetry", *,
         registry.gauge("cc.bwe_bps", sample_fn=lambda c=cc: c.bwe_bps,
                        help="Bandwidth estimate in bits per second")
     if ace_n is not None:
-        def est_queue() -> float:
-            return ace_n.queue_estimator.estimate(telemetry.now).queue_bytes
-
         registry.gauge("ace.bucket_bytes",
                        sample_fn=lambda a=ace_n: a.bucket_bytes,
                        help="ACE-N controller bucket size in bytes")
-        registry.gauge("ace.est_queue_bytes",
-                       sample_fn=est_queue,
-                       help="ACE-N estimated network queue in bytes")
+        est_queue = registry.gauge(
+            "ace.est_queue_bytes",
+            sample_fn=lambda e=ace_n.queue_estimator: e.estimate(
+                telemetry.now).queue_bytes,
+            help="ACE-N estimated network queue in bytes")
         registry.gauge("ace.decisions",
                        sample_fn=lambda a=ace_n: len(a.log),
                        help="ACE-N control decisions recorded so far")
@@ -96,15 +96,17 @@ def instrument_stack(telemetry: "Telemetry", *,
         # burst allowance the bucket grants beyond what the network is
         # currently absorbing, and how far the estimated queue sits
         # above the decrease threshold T — positive excess is exactly
-        # what the queue-threshold rule shrinks the bucket by.
+        # what the queue-threshold rule shrinks the bucket by. Both read
+        # the estimate ``ace.est_queue_bytes`` took earlier in the same
+        # sampling pass (gauges are polled in registration order).
         registry.gauge(
             "ace.bucket_minus_queue_bytes",
-            sample_fn=lambda a=ace_n: a.bucket_bytes - est_queue(),
+            sample_fn=lambda a=ace_n: a.bucket_bytes - est_queue.value,
             help="Token-bucket size minus estimated in-network queue")
         registry.gauge(
             "ace.threshold_excess_bytes",
             sample_fn=lambda a=ace_n: max(
-                0.0, est_queue() - a.config.threshold_bytes),
+                0.0, est_queue.value - a.config.threshold_bytes),
             help="Estimated queue bytes above the ACE threshold T")
     if link is not None:
         # The link answers as of the tick on either engine, however far

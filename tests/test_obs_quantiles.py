@@ -156,3 +156,43 @@ def test_histogram_quantile_overflow_only_mass_reports_ceiling(samples):
     cum = _filled(samples).cumulative()
     for q in (1, 50, 99, 100):
         assert histogram_quantile(cum, q) == _BOUNDS[-1]
+
+
+# ---------------------------------------------------------------------------
+# SampleWindow: the ring against a concatenate-then-keep-the-tail model
+# ---------------------------------------------------------------------------
+_CAPACITY = 8
+
+_batches = st.lists(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+             min_size=0, max_size=2 * _CAPACITY + 3),
+    max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=_batches,
+       pcts=st.lists(st.floats(min_value=0.0, max_value=100.0,
+                               allow_nan=False), max_size=4))
+def test_sample_window_equals_the_concatenating_model(batches, pcts):
+    """Batches empty, shorter than the capacity, equal to it and longer:
+    after each one the window holds the last ``capacity`` samples in
+    order and answers :func:`percentiles` with Python floats, and an
+    array it handed out earlier never changes."""
+    import numpy as np
+
+    from repro.obs.quantiles import SampleWindow
+
+    window = SampleWindow(_CAPACITY)
+    model: list[float] = []
+    handed_out = []
+    for batch in ([], *batches):
+        window.extend(np.array(batch, dtype=np.float64))
+        model = (model + batch)[-_CAPACITY:]
+        values = window.values
+        assert values.tolist() == model and len(window) == len(model)
+        got = window.percentiles(pcts)
+        assert got == percentiles(model, pcts)
+        assert all(type(v) is float for v in got if v is not None)
+        handed_out.append((values, values.copy()))
+    for values, copy in handed_out:
+        assert np.array_equal(values, copy)
