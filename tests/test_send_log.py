@@ -97,6 +97,25 @@ def test_batch_session_keeps_two_words_per_packet():
     assert (times[1:] >= times[:-1]).all()
 
 
+def test_batch_session_peak_stays_near_the_log():
+    """The traced peak above the pre-run baseline while a 4 s, 100 Mbps
+    batch session runs: the log's 16 bytes per packet plus the columns
+    it becomes on the first read, not a second copy of every train."""
+    tracemalloc.start()
+    try:
+        session = ref_packet_session(engine="batch")
+        gc.collect()
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        metrics = session.run()
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert session.engine.fallback_reason is None
+    assert metrics.packets_sent > 30_000
+    assert peak <= 40 * metrics.packets_sent, peak / metrics.packets_sent
+
+
 def test_reference_lane_times_are_nondecreasing():
     metrics = ref_packet_session().run()
     times = metrics.send_events.times
