@@ -45,8 +45,11 @@ _FLAG_AUDIO = 0x04
 #: Feedback flag bits.
 _FLAG_PLI = 0x01
 
-_PTYPE_CODES = {t: i for i, t in enumerate(PacketType)}
-_PTYPE_BY_CODE = {i: t for t, i in _PTYPE_CODES.items()}
+#: wire code of each packet type, keyed by the member's ``_value_``: a
+#: str hash is cached, an ``Enum`` member's is a Python-level call (and
+#: so is ``.value``), once per datagram.
+_PTYPE_CODES = {t._value_: i for i, t in enumerate(PacketType)}
+_PTYPE_BY_CODE = tuple(PacketType)
 
 # kind, flags, ptype, seq, frame_id, index, count, flow_id, size, t_leave_pacer
 _MEDIA_HEADER = struct.Struct("!BBBiiHHHId")
@@ -80,7 +83,7 @@ def encode_packet(packet: Packet) -> bytes:
         tail += _AUDIO_EXT.pack(audio_seq,
                                 getattr(packet, "audio_capture", 0.0))
     header = _MEDIA_HEADER.pack(
-        KIND_MEDIA, flags, _PTYPE_CODES[packet.ptype],
+        KIND_MEDIA, flags, _PTYPE_CODES[packet.ptype._value_],
         packet.seq, packet.frame_id,
         packet.frame_packet_index, packet.frame_packet_count,
         packet.flow_id, packet.size_bytes,

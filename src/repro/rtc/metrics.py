@@ -29,11 +29,12 @@ class SendLog:
 
     ``times`` is float64 and nondecreasing, ``sizes`` is int64; a
     constructor argument that breaks either is refused with a
-    ``ValueError``. The reference lane writes one packet with
-    ``add((now, size))`` — one C call (``array.extend``) into an
-    interleaved buffer that becomes the columns on the first read. The
-    batch engine hands its train columns to :meth:`merge`. Iteration
-    yields ``(float, int)`` pairs, a chunk of rows converted at a time.
+    ``ValueError``. Both lanes write in release order into one
+    interleaved float64 buffer that becomes the columns on the first
+    read: the reference lane one packet with ``add((now, size))`` — one
+    C call (``array.extend``) — and the batch engine a committed train
+    with :meth:`add_train`. Iteration yields ``(float, int)`` pairs, a
+    chunk of rows converted at a time.
     """
 
     __slots__ = ("_times", "_sizes", "_pending", "add")
@@ -53,11 +54,11 @@ class SendLog:
         self.add = self._pending.extend
 
     def _seal(self) -> None:
-        """Move the pairs ``add`` buffered onto the columns."""
+        """Move the buffered pairs onto the columns."""
         pairs = np.frombuffer(self._pending, dtype=np.float64).reshape(-1, 2)
         self._times = np.concatenate((self._times, pairs[:, 0]))
-        self._sizes = np.concatenate((self._sizes,
-                                      pairs[:, 1].astype(np.int64)))
+        self._sizes = np.concatenate((self._sizes, pairs[:, 1]),
+                                     dtype=np.int64, casting="unsafe")
         del pairs                       # release the buffer before resizing
         del self._pending[:]
 
@@ -73,19 +74,15 @@ class SendLog:
             self._seal()
         return self._sizes
 
-    def merge(self, chunks: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Fold ``(times, sizes)`` column chunks, in release order, in
-        with the events logged so far. Stable: on a tied time a chunk's
-        event stays ahead of a logged one."""
-        if not chunks:
-            return
-        logged = len(self)
-        times, sizes = map(np.concatenate,
-                           zip(*chunks, (self.times, self.sizes)))
-        if logged:
-            order = np.argsort(times, kind="stable")
-            times, sizes = times[order], sizes[order]
-        self._times, self._sizes = times, sizes.astype(np.int64, copy=False)
+    def add_train(self, times: np.ndarray, sizes: np.ndarray) -> None:
+        """Append a train released at ``times``, after every pair
+        written so far: the columns are interleaved once and appended
+        to the buffer as bytes (measured cheaper, for a train's few
+        hundred bytes, than handing ``frombytes`` the array's buffer)."""
+        pairs = np.empty(2 * len(times))
+        pairs[0::2] = times
+        pairs[1::2] = sizes
+        self._pending.frombytes(pairs.tobytes())
 
     def __len__(self) -> int:
         return len(self._times) + len(self._pending) // 2

@@ -15,8 +15,9 @@ Structure:
 * :class:`BatchEngine` — the :class:`~repro.sim.engine.SimulationEngine`
   implementation. ``prepare`` checks eligibility and installs the
   pipeline hooks; ``advance`` runs the macro loop (deliver pipeline work
-  up to the next heap event, then dispatch that event); ``finalize``
-  flushes deferred bookkeeping.
+  up to the next heap event, then dispatch that event); nothing is left
+  for ``finalize``: each committed train is written to the sender's send
+  log as it is released.
 * :class:`BatchPipeline` — array-structured pacer and delivery state.
   Media frames travel as :class:`FrameBurst` column records; only
   retransmissions (and drops, which need ``Packet`` objects for the
@@ -201,8 +202,8 @@ class BatchEngine:
             loop.step()
 
     def finalize(self, session: "RtcSession") -> None:
-        if self._pipeline is not None:
-            self._pipeline.finalize()
+        """Nothing is deferred: the pipeline writes the send log as it
+        releases."""
 
 
 class BatchPipeline:
@@ -235,8 +236,6 @@ class BatchPipeline:
         #: FIFO of pending deliveries in arrival order:
         #: [a_arr, send_arr, sizes_arr, burst, lo, pos] or (arrival, pkt).
         self._deliveries: deque = deque()
-        # --- deferred bookkeeping ----------------------------------------
-        self._send_event_chunks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def install(self) -> None:
         self.sender.batch_sink = self
@@ -386,7 +385,7 @@ class BatchPipeline:
                                       d - burst.enqueue_time)
         burst.metrics.pacer_last_exit = float(d[-1])
         burst.sent = hi
-        self._send_event_chunks.append((d, sizes))
+        self.sender.send_events.add_train(d, sizes)
         self._feed_link_train(d + self.half_hop, d, sizes, cum_bytes,
                               burst, lo)
 
@@ -512,13 +511,3 @@ class BatchPipeline:
             else:
                 head[5] = hi
                 return
-
-    # ------------------------------------------------------------------
-    # finalize
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Merge the deferred media send events into the sender's log,
-        in time order; a media event stays ahead of a scalar-lane one
-        released at the same instant."""
-        self.sender.send_events.merge(self._send_event_chunks)
-        self._send_event_chunks = []

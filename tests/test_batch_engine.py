@@ -19,17 +19,20 @@ import json
 import math
 import signal
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis.aggregate import paired_compare
 from repro.analysis.results import RunResult, canonical_metrics_json
+from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace, make_wifi_trace
 from repro.rtc.baselines import build_session, get_spec, list_baselines
 from repro.rtc.metrics import SendLog
 from repro.rtc.session import SessionConfig
 from repro.sim import ENGINE_NAMES, get_engine
+from repro.sim.batch import FrameBurst
 from repro.sim.rng import RngStream
 from repro.transport.pacer.base import Pacer
 
@@ -116,24 +119,32 @@ def test_batch_fast_path_engages_and_shrinks_event_count():
     assert batch_session.loop.processed < ref_session.loop.processed / 3
 
 
-def test_finalize_merges_the_lanes_by_time_media_first_on_a_tie():
+def test_the_send_log_is_in_release_order_rtx_first_on_a_tie():
+    """Both lanes write the log as they release. A retransmission and a
+    media train that leave at the same instant keep the pacer's order:
+    the scalar lane releases the RTX first (queue priority), so it
+    stays ahead of the train in the log."""
     session = build_session(
         "ace", BandwidthTrace.constant(12e6, duration=10.0),
         SessionConfig(duration=1.0, seed=3))
     engine = get_engine("batch")
     engine.prepare(session)
-    engine._pipeline._send_event_chunks = [
-        (np.array([1.0, 2.0]), np.array([1200, 1100])),
-        (np.array([3.0]), np.array([500]))]
-    # The scalar lane released one packet at exactly a media release.
-    session.sender.send_events.add((2.0, 99))
-    session.sender.send_events.add((2.5, 77))
-    engine.finalize(session)
+    pipe = engine._pipeline
+    pacer = pipe.pacer
+    burst = FrameBurst(0, 0, np.array([1200, 1100, 500]), 0.0, None,
+                       SimpleNamespace(pacer_last_exit=None))
+    pipe._media.append(burst)
+    pacer._rtx_queue.append(Packet(99, seq=7, retransmission_of=7))
+    pacer._queued_bytes += burst.total_bytes + 99
+    pipe.drain_to(0.0)          # a full bucket: everything leaves at 0
+    pacer._rtx_queue.append(Packet(77, seq=8, retransmission_of=8))
+    pacer._queued_bytes += 77
+    pipe.drain_to(0.0)
     events = session.sender.send_events
-    assert events == SendLog([1.0, 2.0, 2.0, 2.5, 3.0],
-                             [1200, 1100, 99, 77, 500])
+    assert events == SendLog([0.0] * 5, [99, 1200, 1100, 500, 77])
     assert {type(size) for _t, size in events} == {int}
     assert {type(t) for t, _size in events} == {float}
+    assert burst.sent == burst.count and pacer._queued_bytes == 0
 
 
 def test_send_log_is_in_time_order_when_retransmissions_rode_along():

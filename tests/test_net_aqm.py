@@ -1,5 +1,7 @@
 """Queue-discipline unit tests: protocol edges, AQM behaviour, Link wiring."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +153,38 @@ def test_codel_recovers_below_target():
     q2.enqueue(mkpkt(1200, now=1.0), 1.0)
     assert q2.select_head(1.0001) is not None
     assert q2.aqm_drops == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval=st.floats(0.005, 0.2),
+       steps=st.lists(st.floats(0.001, 0.5), min_size=1, max_size=60))
+def test_codel_drop_spacing_is_interval_over_sqrt_count(interval, steps):
+    """The control law's spacing: once dropping, the head drop after the
+    ``count``-th is due ``interval / sqrt(count)`` after it, and each
+    dequeue instant (``select_head``) drops exactly the heads that have
+    come due by then."""
+    q = CoDelDiscipline(10**9, target_s=0.005, interval_s=interval)
+    dropped = []
+    q.drop_hook = dropped.append
+    for _ in range(2000):               # every head far above target
+        q.enqueue(mkpkt(1200, now=0.5), 0.5)
+    q.select_head(1.0)                  # above target: arms the interval
+    now = 1.0 + 2.5 * interval          # a full interval past ok-to-drop
+    q.select_head(now)
+    assert len(dropped) == 1 and q._dropping
+    due, count = now + interval, 1
+    for frac in steps:
+        q.pop_head()
+        now += frac * interval
+        before = len(dropped)
+        q.select_head(now)
+        expect = 0
+        while now >= due:
+            expect += 1
+            count += 1
+            due += interval / math.sqrt(count)
+        assert len(dropped) - before == expect, (now, due, count)
+    assert len(q) > 1 and q.aqm_drops == len(dropped)
 
 
 # ----------------------------------------------------------------------

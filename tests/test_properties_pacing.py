@@ -1,13 +1,18 @@
 """Property-based tests on pacer egress invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.packet import Packet
+from repro.net.trace import trace_by_kind
+from repro.rtc.baselines import build_session, get_spec
+from repro.rtc.session import SessionConfig
 from repro.sim.events import EventLoop
+from repro.sim.rng import RngStream
 from repro.transport.pacer.base import Pacer
 from repro.transport.pacer.burst import BurstPacer
 from repro.transport.pacer.leaky_bucket import LeakyBucketPacer
@@ -189,3 +194,27 @@ def test_a_pacer_without_a_closed_form_says_so():
     pacer = Custom(EventLoop(), lambda p: None)
     assert pacer.release_train(np.array([1200]), np.array([1200.0]),
                                0.0, 1.0) is None
+
+
+# ----------------------------------------------------------------------
+# the burst limit: a bottomless token bucket is the burst pacer
+# ----------------------------------------------------------------------
+def _bottomless(clock, send):
+    return TokenBucketPacer(clock, send, initial_bucket_bytes=1e9)
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["const:20", "wifi"]),
+       seed=st.integers(min_value=1, max_value=50),
+       engine=st.sampled_from(["reference", "batch"]))
+def test_a_bottomless_token_bucket_is_the_burst_pacer(kind, seed, engine):
+    """ACE-N's upper limit (Fig. 10's AlwaysBurst): a token bucket too
+    deep to run dry releases every packet when ``webrtc-nopacer``'s
+    ``BurstPacer`` does, on either engine."""
+    trace = trace_by_kind(kind, RngStream(seed, "trace"), 16.0)
+    config = SessionConfig(duration=8.0, seed=seed)
+    burst = get_spec("webrtc-nopacer")
+    logs = [build_session(spec, trace, config, engine=engine).run()
+            .send_events for spec in (burst, replace(burst, pacer=_bottomless))]
+    assert len(logs[0]) > 1000
+    assert logs[0] == logs[1]

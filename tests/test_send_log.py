@@ -1,11 +1,11 @@
 """The send log: one columnar type on every lane.
 
 ``SendLog`` holds a float64 time column and an int64 size column. The
-reference lane writes one pair per packet into an interleaved buffer,
-the batch engine merges its train columns in, and every reader — the
-cache codec, canonical JSON, the utilization and fairness views — reads
-the columns. A batch session therefore keeps two machine words per
-packet, not three Python objects.
+reference lane writes one pair per packet and the batch engine one
+train at a time, both in release order, into the same interleaved
+buffer; every reader — the cache codec, canonical JSON, the utilization
+and fairness views — reads the columns. A batch session therefore keeps
+two machine words per packet, not three Python objects.
 """
 
 import gc
@@ -43,15 +43,36 @@ def test_iteration_crosses_chunk_boundaries():
         (4.095, 4095), (4.096, 4096), (4.097, 4097)]
 
 
-def test_merge_is_stable_with_chunks_ahead_on_a_tie():
-    log = SendLog()
-    log.add((2.0, 99))
-    log.merge([(np.array([1.0, 2.0]), np.array([1200, 1100], np.int32)),
-               (np.array([3.0]), np.array([500]))])
-    assert log == SendLog([1.0, 2.0, 2.0, 3.0], [1200, 1100, 99, 500])
-    assert log.sizes.dtype == np.int64
-    log.merge([])
-    assert len(log) == 4
+#: one write: a packet (``add``) or a train (``add_train``) of 1..8.
+_writes = st.lists(st.tuples(
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from([0.0, 0.001, 0.0125, 0.5]),
+                       st.integers(0, 10**6)), min_size=1, max_size=8)),
+    max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(writes=_writes, read_between=st.booleans())
+def test_interleaved_writes_read_back_in_release_order(writes, read_between):
+    """Packets and trains written in release order, ties included, read
+    back as that very sequence, typed, with nondecreasing times."""
+    log, expect, now = SendLog(), [], 0.0
+    for is_train, rows in writes:
+        rows = [(now := now + gap, size)
+                for gap, size in (rows if is_train else rows[:1])]
+        if is_train:
+            times, sizes = zip(*rows)
+            log.add_train(np.array(times), np.array(sizes, np.int64))
+        else:
+            log.add(rows[0])
+        expect += rows
+        if read_between:
+            assert len(log.times) == len(expect)
+    assert len(log) == len(expect)
+    assert list(log) == expect
+    assert all(type(t) is float and type(size) is int for t, size in log)
+    assert log.times.dtype == np.float64 and log.sizes.dtype == np.int64
+    assert (np.diff(log.times) >= 0).all()
 
 
 def test_refuses_what_the_columns_cannot_hold():
@@ -99,8 +120,9 @@ def test_batch_session_keeps_two_words_per_packet():
 
 def test_batch_session_peak_stays_near_the_log():
     """The traced peak above the pre-run baseline while a 4 s, 100 Mbps
-    batch session runs: the log's 16 bytes per packet plus the columns
-    it becomes on the first read, not a second copy of every train."""
+    batch session runs: the log's 16 bytes per packet and the run's own
+    working set (≈ 32 in all), not every train's release array kept
+    for the end as well (≈ 87)."""
     tracemalloc.start()
     try:
         session = ref_packet_session(engine="batch")
