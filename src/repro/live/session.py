@@ -1,15 +1,14 @@
 """Live session driver: the ACE stack over real UDP sockets.
 
-A :class:`LiveSession` is a :class:`~repro.rtc.session.Session` — the
-simulated sessions' flow stack, callbacks and lifecycle — scheduled on
-a :class:`~repro.live.clock.WallClock`. Its packets cross the
-simulator's :class:`~repro.net.path.NetworkPath` on that clock (loss,
-the drop-tail bottleneck and propagation each way, in place of the
-paper's Mahimahi: no ``tc``/netem on CI-class machines), and then two
-:class:`~repro.live.transport.UdpTransport` endpoints on loopback, so
-the stack meets real socket latency, real asyncio timer jitter and the
-emulated bottleneck: the paper's WebRTC deployment, scaled down to one
-host.
+A :class:`LiveSession` is the simulated single-flow session on a
+:class:`~repro.live.clock.WallClock`: ``Session._single_flow`` builds
+its flow 0 and the simulator's :class:`~repro.net.path.NetworkPath`
+(loss, the drop-tail bottleneck and propagation each way, in place of
+the paper's Mahimahi), with a :class:`~repro.live.transport.UdpTransport`
+on loopback at each far end of the path. So the stack meets real socket
+latency and asyncio timer jitter: the paper's WebRTC deployment, scaled
+down to one host. Built on the simulator's clock instead, it is the
+simulated session, bit for bit (``tests/test_live_on_sim_clock.py``).
 
 The output is the ordinary :class:`~repro.rtc.metrics.SessionMetrics`::
 
@@ -20,14 +19,12 @@ The output is the ordinary :class:`~repro.rtc.metrics.SessionMetrics`::
 from __future__ import annotations
 
 import asyncio
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.live.clock import WallClock
 from repro.live.stats import start_stats_server, stats_addr
 from repro.live.transport import UdpTransport
-from repro.net.path import NetworkPath
 from repro.net.trace import BandwidthTrace
 from repro.observe import Observe, attach
 from repro.rtc.baselines import BaselineSpec, resolve_spec
@@ -68,12 +65,10 @@ class LiveConfig(SessionConfig, Observe):
 class LiveSession(Session):
     """One sender/receiver pair over UDP loopback: the shared
     :class:`~repro.rtc.session.Session` phases, with time advanced by
-    awaiting a wall clock instead of an engine.
-
-    Flow 0 runs ``baseline`` (a name or a spec; see :func:`live_spec`).
-    Call :meth:`run` inside an event loop (or use :func:`run_live`): a
-    ``WallClock`` needs that running loop, so the clock, the endpoints
-    and flow 0's stack are built by ``run``.
+    awaiting a wall clock instead of an engine. Flow 0 runs ``baseline``
+    (a name or a spec; see :func:`live_spec`). Call :meth:`run` inside an
+    event loop (or use :func:`run_live`): a ``WallClock`` needs that
+    running loop, so the clock, the endpoints and flow 0 are built there.
     """
 
     #: series-shard mode (:func:`repro.observe.harvest`).
@@ -110,13 +105,6 @@ class LiveSession(Session):
         self._claim()
         config = self.config
         self.clock = WallClock(asyncio.get_running_loop())
-        path_config = config.path_config()
-        trace = self.trace
-        if trace is None:                       # a bottleneck never binding
-            trace = BandwidthTrace.constant(math.inf)
-            path_config = replace(path_config, queue_capacity_bytes=math.inf)
-        path = self.path = NetworkPath(self.clock, trace, path_config,
-                                       rng=self.rngs.stream("path.loss"))
         ends = self.ends
         stats_server = None
         elapsed = config.duration
@@ -125,19 +113,9 @@ class LiveSession(Session):
             # stack build, a busy stats port) runs the teardown below.
             for _ in range(2):
                 ends.append(await UdpTransport.create(self.clock))
-            recv_end, send_end = ends
-            send_end.connect(recv_end.local_addr)
-            recv_end.connect(send_end.local_addr)
-            stack = self._add_flow(0, self.rngs, self.spec, self.category,
-                                   ends=(path.send, path.send_feedback))
-            self.sender, self.receiver = stack.sender, stack.receiver
-            # The path's far end of each direction is a UDP hop.
-            path.on_arrival = send_end.send
-            path.on_feedback = recv_end.send_feedback
-            path.on_drop = self._on_drop
-            recv_end.on_arrival = self._on_arrival
-            # One flow per socket pair: feedback carries no flow id.
-            send_end.on_feedback = self.sender.on_feedback
+            for end, peer in zip(ends, ends[::-1]):    # receiver, sender
+                end.connect(peer.local_addr)
+            self._single_flow(self.clock, ends)
             if config.stats_port is not None:      # implies telemetry
                 from repro.obs.export import prometheus_snapshot
                 telemetry = self.enable_telemetry()
@@ -201,13 +179,9 @@ def live_spec(baseline: str | BaselineSpec) -> BaselineSpec:
 def build_live_session(baseline: str, config: Optional[LiveConfig] = None,
                        trace: Optional[BandwidthTrace] = None,
                        category: str = "gaming") -> LiveSession:
-    """Build a :class:`LiveSession` for a named baseline.
-
-    Its flow is built by the same ``FlowStack`` from the same spec and
-    crosses the same ``NetworkPath``, so ``"ace"`` here is the stack
-    ``build_session("ace", ...)`` runs — only the clock and the UDP hop
-    at each end of the path differ.
-    """
+    """Build a :class:`LiveSession` for a named baseline: the session
+    ``build_session(baseline, ...)`` builds, but for the clock and the UDP
+    hop at each far end of the path."""
     config = config or LiveConfig()
     if trace is None:
         trace = BandwidthTrace.constant(

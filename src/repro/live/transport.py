@@ -111,15 +111,19 @@ class UdpTransport:
             except OSError:
                 self.socket_errors += 1
                 continue
-            try:
-                decoded = _DECODERS[data[0]](data)
-            except (IndexError, KeyError, struct.error):
-                self.malformed += 1
-                continue
-            if data[0] == KIND_MEDIA:
-                decoded.t_arrival = self.clock.now
-                if self.on_arrival is not None:
-                    self.on_arrival(decoded)
-            elif self.on_feedback is not None:
-                self.on_feedback(decoded)
+            self._receive(data)
+
+    def _receive(self, data: bytes) -> None:
+        """Decode one datagram and hand it on, media stamped ``now``."""
+        try:
+            decoded = _DECODERS[data[0]](data)
+        except (IndexError, KeyError, struct.error):
+            self.malformed += 1
+            return
+        if data[0] == KIND_MEDIA:
+            decoded.t_arrival = self.clock.now
+            if self.on_arrival is not None:
+                self.on_arrival(decoded)
+        elif self.on_feedback is not None:
+            self.on_feedback(decoded)
 

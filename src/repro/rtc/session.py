@@ -4,17 +4,20 @@
 pipeline — codec → source → CC → pacer → ACE-N/ACE-C → FEC/audio →
 ``Sender`` → ``TransportReceiver`` with its display sync and metrics.
 :class:`Session` puts stacks, keyed by flow id, on one clock in front of
-one transport and runs them through one lifecycle: a single-flow run
-(:class:`RtcSession`, flow 0 on a :class:`NetworkPath`) is an arena of
-one, the arena (:class:`repro.arena.session.ArenaSession`) puts N on a
-shared router chain, both on an :class:`EventLoop`, and the live session
-(:class:`repro.live.session.LiveSession`) puts one on a ``NetworkPath``
-on a ``WallClock``, a ``UdpTransport`` hop at each end.
+one transport and runs them through one lifecycle. The arena
+(:class:`repro.arena.session.ArenaSession`) puts N on a shared router
+chain; a single-flow run is an arena of one, flow 0 on a
+:class:`NetworkPath`, built on a given clock by one step
+(``Session._single_flow``): :class:`RtcSession` calls it with an
+:class:`EventLoop`, the live session
+(:class:`repro.live.session.LiveSession`) with a ``WallClock`` and a
+``UdpTransport`` at each far end of the path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -244,8 +247,8 @@ class Session:
     :meth:`_stop`, :meth:`_finish`): :meth:`run` advances an engine's
     :class:`EventLoop` between the phases (``RtcSession``: flow 0 on a
     :class:`NetworkPath`; ``ArenaSession``: flows 1..N on an
-    ``ArenaPath``), ``LiveSession.run`` awaits a ``WallClock`` (flow 0
-    on a ``NetworkPath`` on that clock).
+    ``ArenaPath``), ``LiveSession.run`` awaits a ``WallClock`` (the same
+    flow 0 and path, from the same :meth:`_single_flow`).
     """
 
     #: "reference" or "batch"; an engine instance at :meth:`run` time.
@@ -285,18 +288,44 @@ class Session:
     def _add_flow(self, fid: int, rngs: SeedSequenceFactory,
                   spec: "BaselineSpec", category: str = "gaming", *,
                   start: float = 0.0, stop: Optional[float] = None,
-                  ends: Optional[tuple] = None, **overrides) -> FlowStack:
-        """Build flow ``fid`` sending into ``ends``: send, send_feedback."""
-        if ends is None:            # the path's; feedback rides as (fid, msg)
-            path = self.path
-            # Flow 0's packets are born tagged; the others are tagged here.
-            send = path.send if fid == 0 else partial(_send_tagged, path, fid)
-            ends = (send, lambda msg: path.send_feedback((fid, msg)))
+                  **overrides) -> FlowStack:
+        """Build flow ``fid`` sending into the path; its feedback rides
+        the path as ``(fid, msg)``."""
+        path = self.path
+        # Flow 0's packets are born tagged; the others are tagged here.
+        send = path.send if fid == 0 else partial(_send_tagged, path, fid)
         stack = self.stacks[fid] = FlowStack(
-            self.clock, *ends, rngs, spec, self.config, category, **overrides)
+            self.clock, send, lambda msg: path.send_feedback((fid, msg)),
+            rngs, spec, self.config, category, **overrides)
         self._flow_losses[fid] = 0
         self._spans[fid] = (start, stop)
         return stack
+
+    def _single_flow(self, clock, ends: Optional[tuple] = None, *,
+                     discipline=None, **overrides) -> None:
+        """Build flow 0 (``self.spec``, root streams) and its
+        :class:`NetworkPath` (no trace: a bottleneck that never binds) on
+        ``clock``; ``ends``, a (receiver, sender) endpoint pair, is a hop
+        between the path's far ends and the callbacks. One flow per pair,
+        so the hop carries feedback without its flow id."""
+        self.clock = self.loop = clock
+        trace, path_config = self.trace, self.config.path_config()
+        if trace is None:
+            trace = BandwidthTrace.constant(math.inf)
+            path_config = replace(path_config, queue_capacity_bytes=math.inf)
+        path = NetworkPath(clock, trace, path_config,
+                           rng=self.rngs.stream("path.loss"),
+                           discipline=discipline)
+        self._connect(path)
+        if ends is not None:
+            recv_end, send_end = ends
+            path.on_arrival = send_end.send
+            recv_end.on_arrival = self._on_arrival
+            path.on_feedback = lambda tagged: recv_end.send_feedback(tagged[1])
+            send_end.on_feedback = lambda msg: self._on_feedback((0, msg))
+        flow = self.flow = self._add_flow(0, self.rngs, self.spec,
+                                          self.category, **overrides)
+        self.sender, self.receiver = flow.sender, flow.receiver
 
     def enable_telemetry(self, telemetry=None):
         """Attach a :class:`repro.obs.Telemetry` hub and start its tick;
@@ -401,7 +430,6 @@ class Session:
         self._stop()
         # Let in-flight packets and feedback land (half a second of drain).
         engine.advance(self, duration + 0.5)
-        engine.finalize(self)
         return self._finish(duration)
 
 
@@ -423,9 +451,9 @@ class RtcSession(Session):
                  engine: str = "reference",
                  discipline: str = DEFAULT_DISCIPLINE,
                  discipline_params: Optional[dict] = None) -> None:
-        super().__init__(trace, config, EventLoop())
+        super().__init__(trace, config)
         self.engine_name = engine
-        self.audio_receiver = AudioReceiver(self.loop)
+        self.spec, self.category = spec, category
         # The default drop-tail stays on Link's inlined fast path
         # (bit-identical goldens); anything else is built here.
         queue = None
@@ -433,15 +461,12 @@ class RtcSession(Session):
             queue = make_discipline(discipline, config.queue_capacity_bytes,
                                     rng=self._aqm_rng([discipline]),
                                     **(discipline_params or {}))
-        self._connect(NetworkPath(self.loop, trace, config.path_config(),
-                                  rng=self.rngs.stream("path.loss"),
-                                  discipline=queue))
         # Flow 0 draws from the root streams (not a fork), so every
         # stream name, and so every fingerprint, predates the arena.
-        self.flow = self._add_flow(0, self.rngs, spec, category,
-                                   source_factory=source_factory,
-                                   ace_n_config=ace_n_config)
-        self.sender, self.receiver = self.flow.sender, self.flow.receiver
+        self._single_flow(EventLoop(), discipline=queue,
+                          source_factory=source_factory,
+                          ace_n_config=ace_n_config)
+        self.audio_receiver = AudioReceiver(self.loop)
         if config.cross_traffic:
             self.cross_traffic = PageLoadGenerator(
                 self.loop, self.path.send, self.rngs.stream("cross"),

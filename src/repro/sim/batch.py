@@ -15,9 +15,8 @@ Structure:
 * :class:`BatchEngine` — the :class:`~repro.sim.engine.SimulationEngine`
   implementation. ``prepare`` checks eligibility and installs the
   pipeline hooks; ``advance`` runs the macro loop (deliver pipeline work
-  up to the next heap event, then dispatch that event); nothing is left
-  for ``finalize``: each committed train is written to the sender's send
-  log as it is released.
+  up to the next heap event, then dispatch that event), writing each
+  committed train to the sender's send log as it is released.
 * :class:`BatchPipeline` — array-structured pacer and delivery state.
   Media frames travel as :class:`FrameBurst` column records; only
   retransmissions (and drops, which need ``Packet`` objects for the
@@ -202,8 +201,8 @@ class BatchEngine:
             loop.step()
 
     def finalize(self, session: "RtcSession") -> None:
-        """Nothing is deferred: the pipeline writes the send log as it
-        releases."""
+        """Never called (nothing is deferred); a no-op kept because
+        ``perfbench/trace.py`` wraps it by name."""
 
 
 class BatchPipeline:

@@ -12,10 +12,10 @@ its horizon is an engine concern. Two engines ship:
   closed forms (see DESIGN §10), falling back to reference semantics for
   configurations the fast path does not model.
 
-Engines are deliberately tiny: ``prepare`` installs any hooks,
+Engines are deliberately tiny: ``prepare`` installs any hooks and
 ``advance`` moves the session's clock to ``until`` (inclusive, like
-``EventLoop.run``), ``finalize`` flushes deferred bookkeeping before
-metrics collection.
+``EventLoop.run``); neither engine defers any bookkeeping past its last
+``advance``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class SimulationEngine(Protocol):
     def advance(self, session: "Session", until: float) -> None:
         """Advance simulated time to ``until`` (inclusive)."""
 
-    def finalize(self, session: "Session") -> None:
-        """Flush deferred state before metrics collection."""
-
 
 class ReferenceEngine:
     """The discrete-event loop, unchanged: one heap event per hop."""
@@ -60,9 +57,6 @@ class ReferenceEngine:
 
     def advance(self, session: "Session", until: float) -> None:
         session.loop.run(until=until)
-
-    def finalize(self, session: "Session") -> None:  # pragma: no cover
-        pass
 
 
 def _batch_engine_cls() -> Type:

@@ -1,12 +1,15 @@
 """Bit-identity regression fingerprints for the simulated session.
 
-The clock/transport refactor (``repro.live``) promised that routing the
-sim stack through ``SimTransport`` and the ``Clock`` protocol changes
-*nothing*: the exact event sequence, and therefore every metric, must
-match what the pre-refactor code produced. These SHA-256 fingerprints
-were captured on the pre-refactor tree; any change to them means a
-behavioural change in the simulator, which must be deliberate (update
-the constants in the same commit, and say why in its message).
+The clock/transport refactor (``repro.live``) promised that running the
+sim stack on the ``Clock`` protocol, sending straight into its
+``NetworkPath``, changes *nothing*: the exact event sequence, and
+therefore every metric, must match what the pre-refactor code produced.
+A live session built on the simulator's clock must carry the simulated
+session's fingerprint (``tests/test_live_on_sim_clock.py``). These
+SHA-256 fingerprints were captured on the pre-refactor tree; any change
+to them means a behavioural change in the simulator, which must be
+deliberate (update the constants in the same commit, and say why in its
+message).
 """
 
 from __future__ import annotations

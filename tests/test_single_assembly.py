@@ -271,17 +271,32 @@ def test_one_session_lifecycle_on_either_clock():
 
 
 def test_a_live_session_runs_the_simulators_path():
-    """One path under both clocks: ``live/session.py`` builds a
-    ``NetworkPath``, and no other module under ``live/`` — bar the kept
+    """One path under both clocks: the one ``NetworkPath`` construction
+    is ``Session``'s single-flow step in ``rtc/session.py``, which a live
+    session calls too; no module under ``live/`` wires a path callback
+    or hands a flow its own ends, and none — bar the kept
     ``impairment.py``, which nothing calls — draws loss, builds a
     drop-tail server or delays a send on a clock."""
-    session = ast.parse((SRC / "live" / "session.py").read_text())
-    assert "NetworkPath" in {_name(node.func) for node in ast.walk(session)
-                             if isinstance(node, ast.Call)}
+    constructions = Counter()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constructions[str(path.relative_to(SRC))] += sum(
+            isinstance(node, ast.Call) and _name(node.func) == "NetworkPath"
+            for node in ast.walk(tree))
+    assert +constructions == {"rtc/session.py": 1}
+    assert _functions_calling(
+        lambda node: isinstance(node, ast.Call)
+        and _name(node.func) == "_add_flow"
+        and any(k.arg == "ends" for k in node.keywords)) == []
     for path in sorted((SRC / "live").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and node.attr in ("on_arrival", "on_feedback", "on_drop")
+                    and getattr(node.value, "id", None) != "self"], path.name
         if path.name == "impairment.py":
             continue
-        tree = ast.parse(path.read_text())
         called = {_name(node.func) for node in ast.walk(tree)
                   if isinstance(node, ast.Call)}
         assert not called & {"DropTailServer", "LoopbackImpairment",
