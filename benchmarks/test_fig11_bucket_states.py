@@ -10,14 +10,15 @@ resulting bucket trajectory, verifying every transition fires.
 from repro.bench import print_table
 from repro.bench.workloads import once
 from repro.core.ace_n import AceNConfig, AceNController
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def feedback(now, owds, nacks=(), start_seq=0, spacing=0.005):
-    reports = [PacketReport(seq=start_seq + i, send_time=now - 0.05 + i * spacing,
-                            arrival_time=now - 0.05 + i * spacing + owd,
-                            size_bytes=1200)
-               for i, owd in enumerate(owds)]
+    sends = [now - 0.05 + i * spacing for i in range(len(owds))]
+    reports = ReportBatch(
+        seqs=list(range(start_seq, start_seq + len(owds))), send_times=sends,
+        arrival_times=[send + owd for send, owd in zip(sends, owds)],
+        sizes=[1200] * len(owds))
     return FeedbackMessage(created_at=now, reports=reports,
                            nacked_seqs=list(nacks),
                            highest_seq=start_seq + len(owds) - 1)

@@ -29,7 +29,7 @@ from repro.net.packet import Packet
 from repro.rtc import SessionConfig, build_session
 from repro.rtc.baselines import get_spec
 from repro.sim import RngStream
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 from repro.transport.pacer.base import Pacer
 
 
@@ -84,11 +84,10 @@ def drive_ace_n_directly() -> None:
     t, seq = 0.0, 0
     for step in range(8):
         lossy = step == 4  # one overflow event mid-run
-        reports = [
-            PacketReport(seq=seq + i, send_time=t + i * 0.004,
-                         arrival_time=t + i * 0.004 + 0.02, size_bytes=1200)
-            for i in range(3)
-        ]
+        sends = [t + i * 0.004 for i in range(3)]
+        reports = ReportBatch(seqs=[seq, seq + 1, seq + 2], send_times=sends,
+                              arrival_times=[s + 0.02 for s in sends],
+                              sizes=[1200] * 3)
         message = FeedbackMessage(created_at=t, reports=reports,
                                   nacked_seqs=[seq + 99] if lossy else [],
                                   highest_seq=seq + 2)

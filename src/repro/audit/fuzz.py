@@ -203,62 +203,3 @@ def fuzz(num_cases: int, root_seed: int = 1, start_index: int = 0,
             failures.append(FuzzFailure(case, shrunk, violations))
     return FuzzResult(cases_run=num_cases, events_checked=events_total,
                       failures=failures)
-
-
-def main(argv: Optional[list] = None) -> int:
-    """``python -m repro fuzz`` entry point (also callable directly)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro fuzz",
-        description="randomized invariant-audited sessions")
-    parser.add_argument("--cases", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--start", type=int, default=0,
-                        help="first case index (resume a sweep)")
-    parser.add_argument("--no-shrink", action="store_true")
-    parser.add_argument("--replay", default=None, metavar="SEED:INDEX",
-                        help="re-run one case, e.g. --replay 1:7")
-    args = parser.parse_args(argv)
-
-    if args.replay is not None:
-        seed_s, _, index_s = args.replay.partition(":")
-        case = case_from_seed(int(seed_s), int(index_s or "0"))
-        print(case.describe())
-        violations, events = run_case(case)
-        print(f"{events} events checked, {len(violations)} violation(s)")
-        for v in violations:
-            print(f"  {v}")
-        dump = next((v.flight_dump for v in violations if v.flight_dump),
-                    None)
-        if dump:
-            print("flight recorder (last records before the first "
-                  "violation):")
-            print(dump)
-        return 1 if violations else 0
-
-    def progress(case: FuzzCase, violations: List[Violation]) -> None:
-        status = "FAIL" if violations else "ok"
-        print(f"{status:>4}  {case.describe()}")
-
-    result = fuzz(args.cases, root_seed=args.seed, start_index=args.start,
-                  do_shrink=not args.no_shrink, on_progress=progress)
-    print(f"\n{result.cases_run} cases, {result.events_checked} events "
-          f"checked, {len(result.failures)} failing")
-    for failure in result.failures:
-        print(f"\nfailing case {failure.case.describe()}")
-        for v in failure.violations[:10]:
-            print(f"  {v}")
-        print(f"shrunk to {failure.shrunk.describe()}")
-        if failure.flight_dump:
-            print("flight recorder (last records before the first "
-                  "violation):")
-            print(failure.flight_dump)
-        print(f"replay: python -m repro fuzz --replay {failure.case.label}")
-    return 0 if result.ok else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

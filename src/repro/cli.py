@@ -257,16 +257,43 @@ def cmd_run(args: argparse.Namespace) -> int:
     return report_observed(metrics)
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.audit.fuzz import main as fuzz_main
+def print_flight_dump(dump: Optional[str]) -> None:
+    if dump:
+        print("flight recorder (last records before the first violation):")
+        print(dump)
 
-    argv = ["--cases", str(args.cases), "--seed", str(args.seed),
-            "--start", str(args.start)]
-    if args.no_shrink:
-        argv.append("--no-shrink")
+
+def cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.audit.fuzz import case_from_seed, fuzz, run_case
+
     if args.replay is not None:
-        argv += ["--replay", args.replay]
-    return fuzz_main(argv)
+        seed_s, _, index_s = args.replay.partition(":")
+        case = case_from_seed(int(seed_s), int(index_s or "0"))
+        print(case.describe())
+        violations, events = run_case(case)
+        print(f"{events} events checked, {len(violations)} violation(s)")
+        for v in violations:
+            print(f"  {v}")
+        print_flight_dump(next(
+            (v.flight_dump for v in violations if v.flight_dump), None))
+        return 1 if violations else 0
+
+    def progress(case, violations) -> None:
+        status = "FAIL" if violations else "ok"
+        print(f"{status:>4}  {case.describe()}")
+
+    result = fuzz(args.cases, root_seed=args.seed, start_index=args.start,
+                  do_shrink=not args.no_shrink, on_progress=progress)
+    print(f"\n{result.cases_run} cases, {result.events_checked} events "
+          f"checked, {len(result.failures)} failing")
+    for failure in result.failures:
+        print(f"\nfailing case {failure.case.describe()}")
+        for v in failure.violations[:10]:
+            print(f"  {v}")
+        print(f"shrunk to {failure.shrunk.describe()}")
+        print_flight_dump(failure.flight_dump)
+        print(f"replay: python -m repro fuzz --replay {failure.case.label}")
+    return 0 if result.ok else 1
 
 
 def cmd_sweep_rtt(args: argparse.Namespace) -> int:

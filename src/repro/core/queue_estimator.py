@@ -81,16 +81,16 @@ class QueueEstimator:
         # The receiver appends reports as packets arrive, so the batch is
         # already sorted by arrival time — no re-sort needed.
         reports = message.reports
-        if type(reports) is ReportBatch:
+        if reports.arrays:
             self._on_feedback_arrays(reports, now, reverse_delay)
             return
         rtt_min = self._rtt_min
         standing_at, standing_rtt = self._standing
         peaks_at, peaks_neg = self._peaks
         pp_on_packet = self.packet_pair.on_packet
-        for report in reports:
-            arrival = report.arrival_time
-            rtt = arrival - report.send_time + reverse_delay
+        for send, arrival, size in zip(reports.send_times,
+                                       reports.arrival_times, reports.sizes):
+            rtt = arrival - send + reverse_delay
             if rtt <= 0:
                 continue
             if rtt_min is None or rtt < rtt_min:
@@ -106,7 +106,7 @@ class QueueEstimator:
                 peaks_at.pop()
             peaks_neg.append(neg)
             peaks_at.append(arrival)
-            pp_on_packet(report.send_time, arrival, report.size_bytes)
+            pp_on_packet(send, arrival, size)
         self._rtt_min = rtt_min
         self._trim(now - self.standing_window_s)
 
@@ -119,7 +119,7 @@ class QueueEstimator:
 
     def _on_feedback_arrays(self, reports: ReportBatch, now: float,
                             reverse_delay: float) -> None:
-        """Column-oriented twin of the scalar ingestion loop."""
+        """Array twin of the per-report ingestion loop."""
         arrivals = reports.arrival_times
         if len(arrivals):
             rtts = arrivals - reports.send_times + reverse_delay

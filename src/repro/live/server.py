@@ -39,7 +39,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.live.session import (LiveConfig, LiveSession, build_live_session,
                                 live_spec)
-from repro.live.stats import start_stats_server, stats_addr
+from repro.live.stats import serving_stats
 from repro.net.trace import BandwidthTrace
 from repro.obs.dash import (FLEET_FIELDS, SESSION_GAUGES, STATUSES,
                             fleet_fields)
@@ -274,57 +274,53 @@ class SessionSupervisor:
         self._stop_event = asyncio.Event()
         if self._stopping:
             self._stop_event.set()
-        stats_server = None
-        if self.stats_port is not None:
-            stats_server = await start_stats_server(self.stats_port,
-                                                    self.rollup)
-            self.stats_addr = stats_addr(stats_server)
-            self.log.append({"kind": "stats",
-                             "addr": list(self.stats_addr)})
-        sig_installed = False
-        try:
-            aloop.add_signal_handler(signal.SIGINT, self.request_stop)
-            sig_installed = True
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or platform without loop signals
-        n = len(self.records)
-        step = self.ramp / (n - 1) if self.ramp > 0 and n > 1 else 0.0
-        tasks = [aloop.create_task(self._run_one(rec, i * step))
-                 for i, rec in enumerate(self.records)]
-        beat_task = aloop.create_task(self._heartbeat_loop())
-        exit_reason = "completed"
-        try:
-            await asyncio.gather(*tasks)
-        except BaseException as exc:
-            # Supervisor-level failure (member-session crashes are
-            # isolated in _run_one and never reach here).
-            exit_reason = f"failure: {type(exc).__name__}: {exc}"
-            raise
-        finally:
-            beat_task.cancel()
+        async with serving_stats(self.stats_port,
+                                 self.rollup) as self.stats_addr:
+            if self.stats_addr is not None:
+                self.log.append({"kind": "stats",
+                                 "addr": list(self.stats_addr)})
+            sig_installed = False
             try:
-                await beat_task
-            except asyncio.CancelledError:
-                pass
-            if sig_installed:
-                aloop.remove_signal_handler(signal.SIGINT)
-            if stats_server is not None:
-                stats_server.close()
-                await stats_server.wait_closed()
-            if exit_reason == "completed" and self._stopping:
-                exit_reason = "sigint-drain"
-            beat = self.heartbeat()  # terminal statuses land in the log
-            if self.log.run_dir is not None:
+                aloop.add_signal_handler(signal.SIGINT, self.request_stop)
+                sig_installed = True
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass  # non-main thread or platform without loop signals
+            n = len(self.records)
+            step = self.ramp / (n - 1) if self.ramp > 0 and n > 1 else 0.0
+            tasks = [aloop.create_task(self._run_one(rec, i * step))
+                     for i, rec in enumerate(self.records)]
+            beat_task = aloop.create_task(self._heartbeat_loop())
+            exit_reason = "completed"
+            try:
+                await asyncio.gather(*tasks)
+            except BaseException as exc:
+                # Supervisor-level failure (member-session crashes are
+                # isolated in _run_one and never reach here).
+                exit_reason = f"failure: {type(exc).__name__}: {exc}"
+                raise
+            finally:
+                beat_task.cancel()
                 try:
-                    write_series_shards(
-                        self.log.run_dir,
-                        [rec.spec.label for rec in self.records],
-                        [rec.metrics for rec in self.records])
-                except Exception:
-                    pass  # shards are best-effort; the summary must land
-            # Finalize inside the teardown path so even a supervisor
-            # crash leaves a summary.json naming its exit reason.
-            self.summary = self.log.finalize(self._summary(beat, exit_reason))
+                    await beat_task
+                except asyncio.CancelledError:
+                    pass
+                if sig_installed:
+                    aloop.remove_signal_handler(signal.SIGINT)
+                if exit_reason == "completed" and self._stopping:
+                    exit_reason = "sigint-drain"
+                beat = self.heartbeat()  # terminal statuses land in the log
+                if self.log.run_dir is not None:
+                    try:
+                        write_series_shards(
+                            self.log.run_dir,
+                            [rec.spec.label for rec in self.records],
+                            [rec.metrics for rec in self.records])
+                    except Exception:
+                        pass  # shards are best-effort; the summary must land
+                # Finalize inside the teardown path so even a supervisor
+                # crash leaves a summary.json naming its exit reason.
+                self.summary = self.log.finalize(
+                    self._summary(beat, exit_reason))
         return self.records
 
     def request_stop(self) -> None:

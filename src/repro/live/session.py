@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.live.clock import WallClock
-from repro.live.stats import start_stats_server, stats_addr
+from repro.live.stats import serving_stats
 from repro.live.transport import UdpTransport
 from repro.net.trace import BandwidthTrace
 from repro.observe import Observe, attach
@@ -106,7 +106,6 @@ class LiveSession(Session):
         config = self.config
         self.clock = WallClock(asyncio.get_running_loop())
         ends = self.ends
-        stats_server = None
         elapsed = config.duration
         try:
             # From the first bind on, every failure (a second bind, the
@@ -117,30 +116,28 @@ class LiveSession(Session):
                 end.connect(peer.local_addr)
             self._single_flow(self.clock, ends)
             if config.stats_port is not None:      # implies telemetry
-                from repro.obs.export import prometheus_snapshot
-                telemetry = self.enable_telemetry()
-                stats_server = await start_stats_server(
-                    config.stats_port,
-                    lambda: prometheus_snapshot(telemetry.registry))
-                self.stats_addr = stats_addr(stats_server)
-            attach(self, config)
-            self._start()
-            await self._wait_or_stop(config.duration)
-            elapsed = min(self.clock.now, config.duration)
-            self._stop()
-            # Let in-flight packets and feedback land.
-            await self.clock.sleep(config.drain)
+                self.enable_telemetry()
+            async with serving_stats(config.stats_port,
+                                     self._stats_snapshot) as self.stats_addr:
+                attach(self, config)
+                self._start()
+                await self._wait_or_stop(config.duration)
+                elapsed = min(self.clock.now, config.duration)
+                self._stop()
+                # Let in-flight packets and feedback land.
+                await self.clock.sleep(config.drain)
         finally:
             # Teardown leaves nothing on the event loop: closing the clock
             # drops every entry (ticks and pumps reschedule themselves
             # forever, packets in flight on the path) and its timer.
-            if stats_server is not None:
-                stats_server.close()
-                await stats_server.wait_closed()
             for end in ends:
                 end.close()
             self.clock.close()
         return self._finish(elapsed)[0]
+
+    def _stats_snapshot(self) -> str:
+        from repro.obs.export import prometheus_snapshot
+        return prometheus_snapshot(self.telemetry.registry)
 
     def request_stop(self) -> None:
         """Ask a running session to wind down early (graceful: the

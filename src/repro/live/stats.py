@@ -6,7 +6,9 @@ One deliberately tiny handler shared by the single-session runtime
 snapshot, so ``curl localhost:PORT`` and a scraping Prometheus both
 work without an HTTP framework dependency.
 
-Two teardown details live here so every caller gets them right:
+The whole lifecycle lives in :func:`serving_stats`, one ``async with``
+that starts, addresses, closes and awaits the server, so every caller
+gets these details right:
 
 * the handler awaits ``writer.wait_closed()`` after ``close()`` — a
   scrape racing session teardown otherwise leaves a half-closed
@@ -18,17 +20,25 @@ Two teardown details live here so every caller gets them right:
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Tuple
+from contextlib import asynccontextmanager
+from typing import AsyncIterator, Callable, Optional, Tuple
 
 
-async def start_stats_server(port: int, body_fn: Callable[[], str],
-                             host: str = "127.0.0.1") -> asyncio.AbstractServer:
-    """Serve ``body_fn()`` as a text/plain snapshot on ``host:port``.
+@asynccontextmanager
+async def serving_stats(port: Optional[int], body_fn: Callable[[], str]
+                        ) -> AsyncIterator[Optional[Tuple[str, int]]]:
+    """Serve ``body_fn()`` as a text/plain snapshot on loopback ``port``
+    for the body of an ``async with``.
 
-    ``port=0`` binds an ephemeral port (read it back via
-    :func:`stats_addr`). Raises ``RuntimeError`` with an actionable
-    message when the port is already taken.
+    Yields the ``(host, port)`` actually bound (``port=0`` binds an
+    ephemeral one), or None with no server when ``port`` is None. Raises
+    ``RuntimeError`` with an actionable message when the port is already
+    taken. On exit, by return or raise, the server is closed and awaited.
     """
+    if port is None:
+        yield None
+        return
+    host = "127.0.0.1"
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
@@ -56,14 +66,14 @@ async def start_stats_server(port: int, body_fn: Callable[[], str],
                 pass
 
     try:
-        return await asyncio.start_server(handle, host, port)
+        server = await asyncio.start_server(handle, host, port)
     except OSError as exc:
         raise RuntimeError(
             f"stats port {host}:{port} is unavailable ({exc.strerror or exc});"
             " pick a free port, or pass --stats-port 0 to bind an ephemeral"
             " one (the chosen address is reported as stats_addr)") from exc
-
-
-def stats_addr(server: asyncio.AbstractServer) -> Tuple[str, int]:
-    """``(host, port)`` the server actually bound (resolves port 0)."""
-    return server.sockets[0].getsockname()[:2]
+    try:
+        yield server.sockets[0].getsockname()[:2]
+    finally:
+        server.close()
+        await server.wait_closed()

@@ -132,21 +132,23 @@ def encode_feedback(message) -> List[bytes]:
     NACK list and flags ride on the first chunk only (a NACK repeated
     across chunks would trigger duplicate retransmissions).
     """
+    from repro.transport.feedback import pylist
+
     reports = message.reports
+    rows = list(zip(*(pylist(column) for column in (
+        reports.seqs, reports.send_times, reports.arrival_times,
+        reports.sizes, reports.frame_ids))))
     chunks: List[bytes] = []
     first = True
-    for start in range(0, max(len(reports), 1), MAX_REPORTS_PER_DATAGRAM):
-        batch = reports[start:start + MAX_REPORTS_PER_DATAGRAM]
+    for start in range(0, max(len(rows), 1), MAX_REPORTS_PER_DATAGRAM):
+        batch = rows[start:start + MAX_REPORTS_PER_DATAGRAM]
         nacks = message.nacked_seqs if first else []
         flags = (_FLAG_PLI if (first and message.pli_requested) else 0)
         parts = [_FB_HEADER.pack(
             KIND_FEEDBACK, flags, message.created_at,
             message.highest_seq, message.cumulative_lost,
             len(batch), len(nacks))]
-        parts.extend(
-            _FB_REPORT.pack(r.seq, r.send_time, r.arrival_time,
-                            r.size_bytes, r.frame_id)
-            for r in batch)
+        parts.extend(_FB_REPORT.pack(*row) for row in batch)
         parts.extend(_I32.pack(seq) for seq in nacks)
         chunks.append(b"".join(parts))
         first = False
@@ -157,18 +159,16 @@ def decode_feedback(data: bytes):
     """Rebuild a FeedbackMessage from one feedback datagram."""
     # Imported here: wire stays importable from the transport layer
     # without dragging the feedback module into every consumer.
-    from repro.transport.feedback import FeedbackMessage, PacketReport
+    from repro.transport.feedback import FeedbackMessage, sized_batch
 
     (_kind, flags, created_at, highest_seq, cumulative_lost,
      n_reports, n_nacks) = _FB_HEADER.unpack_from(data)
     offset = _FB_HEADER.size
-    reports = []
-    for _ in range(n_reports):
-        seq, send_time, arrival_time, size_bytes, frame_id = \
-            _FB_REPORT.unpack_from(data, offset)
-        offset += _FB_REPORT.size
-        reports.append(PacketReport(seq, send_time, arrival_time,
-                                    size_bytes, frame_id))
+    end = offset + n_reports * _FB_REPORT.size
+    columns = [list(column) for column in
+               zip(*_FB_REPORT.iter_unpack(data[offset:end]))
+               ] or ([], [], [], [], [])
+    offset = end
     nacks = []
     for _ in range(n_nacks):
         (seq,) = _I32.unpack_from(data, offset)
@@ -176,7 +176,7 @@ def decode_feedback(data: bytes):
         nacks.append(seq)
     return FeedbackMessage(
         created_at=created_at,
-        reports=reports,
+        reports=sized_batch([columns]),
         nacked_seqs=nacks,
         highest_seq=highest_seq,
         cumulative_lost=cumulative_lost,

@@ -25,7 +25,7 @@ from repro.transport.cc.base import CongestionController
 
 if TYPE_CHECKING:
     from repro.live.clock import Clock
-from repro.transport.feedback import FeedbackMessage, ReportBatch
+from repro.transport.feedback import FeedbackMessage
 from repro.transport.audio import AudioSource
 from repro.transport.fec import FecEncoder
 from repro.transport.pacer.base import Pacer
@@ -341,14 +341,15 @@ class Sender:
         if hasattr(self.cc, "observe_reverse_delay"):
             self.cc.observe_reverse_delay(reverse)
         reports = message.reports
-        if type(reports) is ReportBatch:
+        if reports.arrays:
             if len(reports):
                 self.cc.observe_rtt_array(
                     reports.arrival_times - reports.send_times + reverse)
         else:
             observe_rtt = self.cc.observe_rtt
-            for report in reports:
-                observe_rtt(report.arrival_time - report.send_time + reverse)
+            for send, arrival in zip(reports.send_times,
+                                     reports.arrival_times):
+                observe_rtt(arrival - send + reverse)
         self.cc.on_feedback(message, now)
         if self.fec is not None:
             self._reports_seen += len(message.reports)

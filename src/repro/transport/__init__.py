@@ -8,7 +8,7 @@ congestion controller and — in ACE — the ACE-N bucket adaptation.
 """
 
 from repro.transport.rtp import Packetizer
-from repro.transport.feedback import FeedbackMessage, FeedbackBuilder, PacketReport
+from repro.transport.feedback import FeedbackMessage, FeedbackBuilder, ReportBatch
 from repro.transport.pacer.base import Pacer, PacerStats
 from repro.transport.pacer.leaky_bucket import LeakyBucketPacer
 from repro.transport.pacer.burst import BurstPacer
@@ -26,7 +26,7 @@ __all__ = [
     "Packetizer",
     "FeedbackMessage",
     "FeedbackBuilder",
-    "PacketReport",
+    "ReportBatch",
     "Pacer",
     "PacerStats",
     "LeakyBucketPacer",

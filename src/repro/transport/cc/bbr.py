@@ -44,7 +44,7 @@ class BbrController(CongestionController):
         self._advance_cycle(now)
         if self._last_feedback_at is not None and message.reports:
             interval = max(now - self._last_feedback_at, 1e-3)
-            delivery_rate = message.received_bytes * 8 / interval
+            delivery_rate = message.reports.total_bytes * 8 / interval
             self._rate_samples.append((now, delivery_rate))
         self._last_feedback_at = now
         horizon = now - self.bw_window_s

@@ -22,7 +22,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.transport.cc.base import CongestionController
-from repro.transport.feedback import FeedbackMessage
+from repro.transport.feedback import FeedbackMessage, pylist
 
 
 class CopaController(CongestionController):
@@ -59,12 +59,14 @@ class CopaController(CongestionController):
             self._last_direction = -1
             self._set_bwe(self.bwe_bps * (1.0 - lost / accounted), now,
                           "loss-backoff", lost / accounted)
-        for report in message.reports:
-            rtt = report.one_way_delay + self._reverse_delay
+        reports = message.reports
+        for send, arrival in zip(pylist(reports.send_times),
+                                 pylist(reports.arrival_times)):
+            rtt = arrival - send + self._reverse_delay
             if rtt <= 0:
                 continue
             self.observe_rtt(rtt)
-            self._recent_rtts.append((report.arrival_time, rtt))
+            self._recent_rtts.append((arrival, rtt))
         horizon = now - self.standing_window_s
         while self._recent_rtts and self._recent_rtts[0][0] < horizon:
             self._recent_rtts.popleft()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.transport.cc.base import CongestionController
-from repro.transport.feedback import FeedbackMessage
+from repro.transport.feedback import FeedbackMessage, pylist
 
 
 class DeliveryRateController(CongestionController):
@@ -44,7 +44,7 @@ class DeliveryRateController(CongestionController):
         owd_excess = self._observe_delay(message)
         if self._last_feedback_at is not None and message.reports:
             interval = max(now - self._last_feedback_at, 1e-3)
-            rate = message.received_bytes * 8 / interval
+            rate = message.reports.total_bytes * 8 / interval
             if self._rate_ewma is None:
                 self._rate_ewma = rate
             else:
@@ -73,7 +73,9 @@ class DeliveryRateController(CongestionController):
         """Median one-way delay of this batch, relative to the floor."""
         if not message.reports:
             return 0.0
-        owds = sorted(r.one_way_delay for r in message.reports)
+        reports = message.reports
+        owds = sorted(arrival - send for send, arrival in zip(
+            pylist(reports.send_times), pylist(reports.arrival_times)))
         median = owds[len(owds) // 2]
         if self._owd_min is None or median < self._owd_min:
             self._owd_min = median

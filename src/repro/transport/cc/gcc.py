@@ -21,7 +21,6 @@ with ``time_windowed=True`` reproduces the ACE modification).
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
@@ -29,15 +28,11 @@ from typing import Deque, Optional
 import numpy as np
 
 from repro.transport.cc.base import CongestionController
-from repro.transport.feedback import (FeedbackMessage, PacketReport,
-                                      ReportBatch)
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 #: Packets sent within this gap belong to the same packet group (WebRTC
 #: uses a 5 ms burst window).
 GROUP_WINDOW_S = 0.005
-
-#: C-level sort key for the per-feedback report sort (hot path).
-_by_send_time = operator.attrgetter("send_time")
 
 
 @dataclass(slots=True)
@@ -48,14 +43,13 @@ class _PacketGroup:
     last_arrival: float
     size_bytes: int
 
-    def absorb(self, report: PacketReport) -> None:
-        send_time = report.send_time
+    def absorb(self, send_time: float, arrival_time: float,
+               size_bytes: int) -> None:
         if send_time > self.last_send:
             self.last_send = send_time
-        arrival_time = report.arrival_time
         if arrival_time > self.last_arrival:
             self.last_arrival = arrival_time
-        self.size_bytes += report.size_bytes
+        self.size_bytes += size_bytes
 
 
 class TrendlineEstimator:
@@ -202,7 +196,7 @@ class GccController(CongestionController):
         if self._last_feedback_at is None or not message.reports:
             return
         interval = max(now - self._last_feedback_at, 1e-3)
-        rate = message.received_bytes * 8 / interval
+        rate = message.reports.total_bytes * 8 / interval
         if self._acked_rate is None:
             self._acked_rate = rate
         else:
@@ -231,11 +225,17 @@ class GccController(CongestionController):
     def _delay_signal(self, message: FeedbackMessage, now: float) -> Optional[str]:
         """Group packets and run the trendline/overuse machinery."""
         reports = message.reports
-        if type(reports) is ReportBatch:
+        if reports.arrays:
             return self._delay_signal_arrays(reports, now)
         state: Optional[str] = None
-        for report in sorted(reports, key=_by_send_time):
-            group_complete = self._feed_group(report)
+        sends = reports.send_times
+        arrivals = reports.arrival_times
+        sizes = reports.sizes
+        # Stable, like the array lane's argsort: equal send times keep
+        # arrival order.
+        for i in sorted(range(len(sends)), key=sends.__getitem__):
+            group_complete = self._feed_group(
+                sends[i], arrivals[i], sizes[i])
             if group_complete is None:
                 continue
             prev, cur = group_complete
@@ -266,11 +266,11 @@ class GccController(CongestionController):
 
     def _delay_signal_arrays(self, reports: ReportBatch,
                              now: float) -> Optional[str]:
-        """Column-oriented twin of the scalar grouping loop.
+        """Array twin of the per-report grouping loop.
 
         Produces the same group boundaries, absorb results, and
-        trendline/detector call sequence as feeding the materialized
-        reports through ``_feed_group`` one at a time: groups are runs
+        trendline/detector call sequence as feeding the reports through
+        ``_feed_group`` one at a time: groups are runs
         found with ``searchsorted`` on the same ``send - first_send``
         comparison the scalar path evaluates, and ``_current_group`` /
         ``_prev_group`` carry across messages exactly as before.
@@ -281,8 +281,8 @@ class GccController(CongestionController):
         s = reports.send_times
         a = reports.arrival_times
         sz = reports.sizes
-        # Batch-engine chunks arrive in send order, so the stable argsort
-        # is the identity almost always — skip the three fancy-index
+        # Reports mostly arrive in send order, so the stable argsort is
+        # the identity almost always — skip the three fancy-index
         # copies unless an inversion actually exists.
         if n > 1 and bool((s[1:] < s[:-1]).any()):
             order = np.argsort(s, kind="stable")
@@ -350,20 +350,19 @@ class GccController(CongestionController):
         self._current_group = cur
         return state
 
-    def _feed_group(self, report: PacketReport):
+    def _feed_group(self, send_time: float, arrival_time: float,
+                    size_bytes: int):
         """Assign a report to a packet group; return (prev, completed) pairs."""
         if self._current_group is None:
             self._current_group = _PacketGroup(
-                report.send_time, report.send_time,
-                report.arrival_time, report.arrival_time, report.size_bytes)
+                send_time, send_time, arrival_time, arrival_time, size_bytes)
             return None
-        if report.send_time - self._current_group.first_send <= GROUP_WINDOW_S:
-            self._current_group.absorb(report)
+        if send_time - self._current_group.first_send <= GROUP_WINDOW_S:
+            self._current_group.absorb(send_time, arrival_time, size_bytes)
             return None
         completed = self._current_group
         self._current_group = _PacketGroup(
-            report.send_time, report.send_time,
-            report.arrival_time, report.arrival_time, report.size_bytes)
+            send_time, send_time, arrival_time, arrival_time, size_bytes)
         prev = self._prev_group
         self._prev_group = completed
         if prev is None:

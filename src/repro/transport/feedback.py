@@ -10,7 +10,7 @@ retransmission logic all consume these messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,121 +23,74 @@ DEFAULT_FEEDBACK_INTERVAL_S = 0.05
 NACK_WINDOW = 2000
 
 
-class PacketReport:
-    """One received packet as seen by the receiver.
-
-    A slotted plain class rather than a dataclass: one report is
-    allocated per received packet, which makes construction cost part of
-    the simulator's hot path. Treat instances as immutable.
-    """
-
-    __slots__ = ("seq", "send_time", "arrival_time", "size_bytes", "frame_id")
-
-    def __init__(self, seq: int, send_time: float, arrival_time: float,
-                 size_bytes: int, frame_id: int = -1) -> None:
-        self.seq = seq
-        self.send_time = send_time
-        self.arrival_time = arrival_time
-        self.size_bytes = size_bytes
-        self.frame_id = frame_id
-
-    @property
-    def one_way_delay(self) -> float:
-        return self.arrival_time - self.send_time
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PacketReport(seq={self.seq}, send_time={self.send_time}, "
-                f"arrival_time={self.arrival_time}, "
-                f"size_bytes={self.size_bytes}, frame_id={self.frame_id})")
+#: An interval of at least this many reports holds its columns as numpy
+#: arrays, a shorter one as Python lists: the consumers' array lanes pay
+#: numpy's per-call cost once per message, their per-report loops pay
+#: per report, and the two cost the same between 48 and 64 reports
+#: (DESIGN §10 has the sweep).
+ARRAY_MIN_REPORTS = 64
 
 
-class _ReportChunk:
-    """A contiguous run of received packets recorded column-wise.
-
-    The batch engine delivers whole packet trains at once; recording one
-    object per train (rather than one :class:`PacketReport` per packet)
-    keeps feedback accumulation off the per-packet path.
-    """
-
-    __slots__ = ("seq0", "send_times", "arrival_times", "sizes", "frame_id")
-
-    def __init__(self, seq0: int, send_times: np.ndarray,
-                 arrival_times: np.ndarray, sizes: np.ndarray,
-                 frame_id: int) -> None:
-        self.seq0 = seq0
-        self.send_times = send_times
-        self.arrival_times = arrival_times
-        self.sizes = sizes
-        self.frame_id = frame_id
+def pylist(column) -> list:
+    """A report column as Python values: an array's ``tolist()``, or the
+    list itself. Consumers without an array lane read columns this way."""
+    return column.tolist() if type(column) is np.ndarray else column
 
 
 class ReportBatch:
-    """Column-oriented stand-in for a list of :class:`PacketReport`.
+    """The per-packet reports of one feedback interval, in arrival order.
 
-    Array-aware consumers (GCC's delay signal, the queue estimator, the
-    RTT observers) read the columns directly; everything else iterates
-    and transparently gets lazily-materialized :class:`PacketReport`
-    objects at reference-path cost.
+    Five parallel columns — ``seqs``, ``send_times``, ``arrival_times``,
+    ``sizes`` and ``frame_ids`` — that are all numpy arrays (``arrays``)
+    or all Python sequences, plus their ``total_bytes``. The constructor
+    keeps the form it is given; :func:`sized_batch` picks it from the
+    interval's length. Consumers with an array lane (GCC's delay signal,
+    the queue estimator, the RTT observers) branch on ``arrays``; the
+    rest read :func:`pylist` columns. Treat instances as immutable.
     """
 
-    __slots__ = ("send_times", "arrival_times", "sizes", "total_bytes",
-                 "_chunks", "_seqs", "_frame_ids", "_materialized")
+    __slots__ = ("seqs", "send_times", "arrival_times", "sizes",
+                 "frame_ids", "total_bytes", "arrays")
 
-    def __init__(self, chunks: Sequence[_ReportChunk]) -> None:
-        if len(chunks) == 1:
-            # Alias the chunk's columns directly — chunk arrays are
-            # immutable once recorded, so no defensive copy is needed.
-            c = chunks[0]
-            self.send_times = c.send_times
-            self.arrival_times = c.arrival_times
-            self.sizes = c.sizes
-        else:
-            self.send_times = np.concatenate([c.send_times for c in chunks])
-            self.arrival_times = np.concatenate(
-                [c.arrival_times for c in chunks])
-            self.sizes = np.concatenate([c.sizes for c in chunks])
-        self.total_bytes = int(self.sizes.sum())
-        self._chunks = tuple(chunks)
-        self._seqs: Optional[np.ndarray] = None
-        self._frame_ids: Optional[np.ndarray] = None
-        self._materialized: Optional[List[PacketReport]] = None
-
-    @property
-    def seqs(self) -> np.ndarray:
-        # Built on demand: the fast-path consumers (GCC delay signal,
-        # queue estimator, packet-pair) never read per-packet seqs.
-        if self._seqs is None:
-            self._seqs = np.concatenate(
-                [np.arange(c.seq0, c.seq0 + len(c.sizes))
-                 for c in self._chunks])
-        return self._seqs
-
-    @property
-    def frame_ids(self) -> np.ndarray:
-        if self._frame_ids is None:
-            self._frame_ids = np.concatenate(
-                [np.full(len(c.sizes), c.frame_id) for c in self._chunks])
-        return self._frame_ids
-
-    def _reports(self) -> List[PacketReport]:
-        if self._materialized is None:
-            self._materialized = [
-                PacketReport(int(seq), send, arrival, int(size), int(fid))
-                for seq, send, arrival, size, fid in zip(
-                    self.seqs.tolist(), self.send_times.tolist(),
-                    self.arrival_times.tolist(), self.sizes.tolist(),
-                    self.frame_ids.tolist())
-            ]
-        return self._materialized
+    def __init__(self, seqs: Sequence[int] = (),
+                 send_times: Sequence[float] = (),
+                 arrival_times: Sequence[float] = (),
+                 sizes: Sequence[int] = (),
+                 frame_ids: Optional[Sequence[int]] = None) -> None:
+        self.arrays = arrays = type(sizes) is np.ndarray
+        self.seqs = seqs
+        self.send_times = send_times
+        self.arrival_times = arrival_times
+        self.sizes = sizes
+        if frame_ids is None:       # reports that belong to no frame
+            frame_ids = (np.full(len(sizes), -1) if arrays
+                         else [-1] * len(sizes))
+        self.frame_ids = frame_ids
+        self.total_bytes = int(sizes.sum()) if arrays else sum(sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)
 
-    def __iter__(self):
-        return iter(self._reports())
 
-    def __getitem__(self, index):
-        return self._reports()[index]
+def sized_batch(segments: Sequence[tuple]) -> ReportBatch:
+    """Join column segments, in arrival order, in the form the interval's
+    length calls for.
+
+    Each segment is a ``(seqs, send_times, arrival_times, sizes,
+    frame_ids)`` tuple of lists or arrays. The one rule for the form:
+    numpy arrays from ``ARRAY_MIN_REPORTS`` reports up, Python lists
+    below. A lone segment already in that form is aliased, not copied.
+    """
+    arrays = sum(len(segment[3]) for segment in segments) >= ARRAY_MIN_REPORTS
+    if len(segments) == 1 and (type(segments[0][3]) is np.ndarray) is arrays:
+        return ReportBatch(*segments[0])
+    if arrays:
+        return ReportBatch(*map(np.concatenate, zip(*segments)))
+    columns = [[], [], [], [], []]
+    for segment in segments:
+        for column, part in zip(columns, segment):
+            column += pylist(part)
+    return ReportBatch(*columns)
 
 
 @dataclass
@@ -145,8 +98,7 @@ class FeedbackMessage:
     """A batch of receive reports plus loss information."""
 
     created_at: float
-    reports: Union[List[PacketReport], ReportBatch] = field(
-        default_factory=list)
+    reports: ReportBatch = field(default_factory=ReportBatch)
     nacked_seqs: List[int] = field(default_factory=list)
     #: highest sequence number seen so far (for loss accounting)
     highest_seq: int = -1
@@ -155,13 +107,6 @@ class FeedbackMessage:
     #: picture-loss indication: the receiver abandoned a frame and needs
     #: a decoder refresh (keyframe) to resume a valid reference chain.
     pli_requested: bool = False
-
-    @property
-    def received_bytes(self) -> int:
-        reports = self.reports
-        if type(reports) is ReportBatch:
-            return reports.total_bytes
-        return sum(r.size_bytes for r in reports)
 
 
 class FeedbackBuilder:
@@ -176,8 +121,10 @@ class FeedbackBuilder:
                  max_nacks_per_seq: int = 10) -> None:
         self.reorder_margin = reorder_margin
         self.max_nacks_per_seq = max_nacks_per_seq
-        self._pending: List[Union[PacketReport, _ReportChunk]] = []
-        self._has_chunks = False
+        #: this interval's scalar arrivals since its last chunk, as list
+        #: columns; ``_segments`` holds what arrived before, in order.
+        self._open: tuple = ([], [], [], [], [])
+        self._segments: List[tuple] = []
         self._highest_seq = -1
         #: the holes below ``_highest_seq``, ascending: {missing seq:
         #: NACKs sent}. A seq enters when an arrival jumps past it and
@@ -192,15 +139,15 @@ class FeedbackBuilder:
 
     def on_packet(self, packet: Packet) -> None:
         """Record an arriving media packet."""
+        seqs, send_times, arrival_times, sizes, frame_ids = self._open
         send_time = packet.t_leave_pacer
         arrival_time = packet.t_arrival
-        self._pending.append(PacketReport(
-            packet.seq,
-            send_time if send_time is not None else 0.0,
-            arrival_time if arrival_time is not None else 0.0,
-            packet.size_bytes,
-            packet.frame_id,
-        ))
+        seqs.append(packet.seq)
+        send_times.append(send_time if send_time is not None else 0.0)
+        arrival_times.append(arrival_time if arrival_time is not None
+                             else 0.0)
+        sizes.append(packet.size_bytes)
+        frame_ids.append(packet.frame_id)
         recovered = packet.retransmission_of
         if recovered is not None:
             # Returns before gap tracking, so the carrier's own seq is
@@ -228,10 +175,13 @@ class FeedbackBuilder:
         Batch-engine equivalent of ``on_packet`` for fresh (never
         retransmitted, non-negative-seq) media packets only.
         """
-        self._pending.append(_ReportChunk(
-            seq0, send_times, arrival_times, sizes, frame_id))
-        self._has_chunks = True
-        last = seq0 + len(sizes) - 1
+        n = len(sizes)
+        if self._open[0]:
+            self._segments.append(self._open)
+            self._open = ([], [], [], [], [])
+        self._segments.append((np.arange(seq0, seq0 + n), send_times,
+                               arrival_times, sizes, np.full(n, frame_id)))
+        last = seq0 + n - 1
         highest = self._highest_seq
         if seq0 <= highest and self._holes:
             for seq in range(seq0, min(last, highest) + 1):
@@ -278,27 +228,16 @@ class FeedbackBuilder:
         if self._recovered:
             highest = self._highest_seq
             self._recovered = {s for s in self._recovered if s > highest}
-        pending = self._pending
-        reports: Union[List[PacketReport], ReportBatch]
-        if not self._has_chunks:
-            reports = pending
-        else:
-            # A scalar report among chunks (a retransmission delivered on
-            # the batch engine's scalar lane) rides as a chunk of one, in
-            # arrival order: the interval stays columnar.
-            reports = ReportBatch([
-                entry if type(entry) is _ReportChunk else _ReportChunk(
-                    entry.seq, np.array([entry.send_time]),
-                    np.array([entry.arrival_time]),
-                    np.array([entry.size_bytes]), entry.frame_id)
-                for entry in pending])
+        segments = self._segments
+        if self._open[0] or not segments:
+            segments.append(self._open)
         message = FeedbackMessage(
             created_at=now,
-            reports=reports,
+            reports=sized_batch(segments),
             nacked_seqs=nacks,
             highest_seq=self._highest_seq,
             cumulative_lost=self._cumulative_lost,
         )
-        self._pending = []
-        self._has_chunks = False
+        self._open = ([], [], [], [], [])
+        self._segments = []
         return message

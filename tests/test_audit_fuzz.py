@@ -2,15 +2,20 @@
 
 import dataclasses
 
+from repro.audit import fuzz as fuzz_module
+from repro.audit.auditor import Violation
 from repro.audit.fuzz import (
     FUZZ_BASELINES,
     FUZZ_TRACES,
+    FuzzFailure,
+    FuzzResult,
     build_case_trace,
     case_from_seed,
     fuzz,
     run_case,
     shrink,
 )
+from repro.cli import main
 
 
 def with_config(case, **changes):
@@ -96,3 +101,21 @@ class TestFuzzLoop:
         assert result.cases_run == 2
         assert result.events_checked > 1000
         assert progressed == ["1:0", "1:1"]
+
+    def test_the_cli_reports_a_failure_with_its_dump_and_replay_line(
+            self, monkeypatch, capsys):
+        case = case_from_seed(1, 4)
+        shrunk = with_config(case, duration=1.0)
+        failure = FuzzFailure(case, shrunk, [
+            Violation(2.0, "y", "breach", flight_dump="the dumped rows")])
+        monkeypatch.setattr(fuzz_module, "fuzz", lambda *args, **kwargs:
+                            FuzzResult(1, 10, [failure]))
+        assert main(["fuzz", "--cases", "1"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(
+            f"\nfailing case {case.describe()}\n"
+            f"  {failure.violations[0]}\n"
+            f"shrunk to {shrunk.describe()}\n"
+            "flight recorder (last records before the first violation):\n"
+            "the dumped rows\n"
+            f"replay: python -m repro fuzz --replay {case.label}\n")

@@ -41,7 +41,8 @@ from repro.net.link import DropTailServer, LinkStats
 from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
 from repro.transport.cc.gcc import GccController
-from repro.transport.feedback import FeedbackBuilder, ReportBatch
+from repro.transport.feedback import (ARRAY_MIN_REPORTS, FeedbackBuilder,
+                                      pylist)
 
 TICK = 2.0 ** -14               # 64 B at 2^23 bps
 T0 = 1.0                        # first entry of every generated train
@@ -303,7 +304,7 @@ def test_a_tied_departure_has_left_only_if_its_serve_event_came_first():
 
 
 # ---------------------------------------------------------------------------
-# mixed feedback intervals stay columnar
+# mixed feedback intervals: the interval's length picks the form
 # ---------------------------------------------------------------------------
 _report = st.tuples(st.floats(1e-5, 5e-3),      # arrival gap
                     st.floats(0.01, 0.08),      # one-way delay
@@ -311,13 +312,14 @@ _report = st.tuples(st.floats(1e-5, 5e-3),      # arrival gap
                     st.booleans())              # rides the scalar lane
 
 
-def _rows(reports):
-    return [(r.seq, r.send_time, r.arrival_time, r.size_bytes, r.frame_id)
-            for r in reports]
+def _columns(reports):
+    return [pylist(column) for column in (
+        reports.seqs, reports.send_times, reports.arrival_times,
+        reports.sizes, reports.frame_ids)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(_report, min_size=1, max_size=40),
+@given(st.lists(st.lists(_report, min_size=1, max_size=100),
                 min_size=1, max_size=4))
 def test_chunk_of_one_ingestion_matches_scalar_ingestion(intervals):
     columnar, scalar = FeedbackBuilder(), FeedbackBuilder()
@@ -346,11 +348,12 @@ def test_chunk_of_one_ingestion_matches_scalar_ingestion(intervals):
         flush()
         now += 0.01
         messages = (columnar.build(now), scalar.build(now))
-        # Columnar as soon as one chunk rode in the interval.
-        assert (type(messages[0].reports) is ReportBatch) \
-            == (not all(alone for *_rest, alone in interval))
-        assert type(messages[1].reports) is list
-        assert _rows(messages[0].reports) == _rows(messages[1].reports)
+        # Arrays from ARRAY_MIN_REPORTS reports up, whichever lane
+        # filled the interval.
+        for message in messages:
+            assert message.reports.arrays \
+                == (len(interval) >= ARRAY_MIN_REPORTS)
+        assert _columns(messages[0].reports) == _columns(messages[1].reports)
         for (estimator, gcc), message in zip(consumers, messages):
             estimator.on_feedback(message, now, reverse_delay=0.01)
             gcc.on_feedback(message, now)

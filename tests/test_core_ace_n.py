@@ -4,14 +4,15 @@ import pytest
 
 from repro.core.ace_n import AceNConfig, AceNController
 from repro.core.queue_estimator import QueueEstimator
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def message(now, owds=(0.02,), nacks=(), start_seq=0, spacing=0.005):
-    reports = [PacketReport(seq=start_seq + i, send_time=now - 0.05 + i * spacing,
-                            arrival_time=now - 0.05 + i * spacing + owd,
-                            size_bytes=1200)
-               for i, owd in enumerate(owds)]
+    sends = [now - 0.05 + i * spacing for i in range(len(owds))]
+    reports = ReportBatch(
+        seqs=list(range(start_seq, start_seq + len(owds))), send_times=sends,
+        arrival_times=[send + owd for send, owd in zip(sends, owds)],
+        sizes=[1200] * len(owds))
     return FeedbackMessage(created_at=now, reports=reports,
                            nacked_seqs=list(nacks),
                            highest_seq=start_seq + len(owds) - 1)

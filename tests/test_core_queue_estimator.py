@@ -6,30 +6,29 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ace_n import AceNController
 from repro.core.queue_estimator import QueueEstimator
-from repro.transport.feedback import (FeedbackMessage, PacketReport,
-                                      ReportBatch, _ReportChunk)
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def message(reports, now):
     return FeedbackMessage(created_at=now, reports=reports,
-                           highest_seq=max(r.seq for r in reports))
+                           highest_seq=max(reports.seqs))
 
 
 def reports_with_owd(start_seq, t0, owds, size=1200, spacing=0.005):
-    return [PacketReport(seq=start_seq + i, send_time=t0 + i * spacing,
-                         arrival_time=t0 + i * spacing + owd, size_bytes=size)
-            for i, owd in enumerate(owds)]
+    sends = [t0 + i * spacing for i in range(len(owds))]
+    return ReportBatch(
+        seqs=list(range(start_seq, start_seq + len(owds))), send_times=sends,
+        arrival_times=[send + owd for send, owd in zip(sends, owds)],
+        sizes=[size] * len(owds))
 
 
 def pair_reports(start_seq, t0, capacity_bps, owd=0.02, size=1200):
     """A back-to-back pair whose spacing encodes the capacity."""
     gap = size * 8 / capacity_bps
-    return [
-        PacketReport(seq=start_seq, send_time=t0, arrival_time=t0 + owd,
-                     size_bytes=size),
-        PacketReport(seq=start_seq + 1, send_time=t0 + 1e-5,
-                     arrival_time=t0 + owd + gap, size_bytes=size),
-    ]
+    return ReportBatch(seqs=[start_seq, start_seq + 1],
+                       send_times=[t0, t0 + 1e-5],
+                       arrival_times=[t0 + owd, t0 + owd + gap],
+                       sizes=[size, size])
 
 
 def feed_steady(est, rounds=10, owd=0.02, capacity_bps=10e6, reverse=0.01):
@@ -118,8 +117,7 @@ class TestQueueIsEmptyNeedsEvidence:
         assert est.queue_is_empty()
         # A long feedback silence ages every sample out of the window:
         # the estimator keeps its RTT floor but loses current evidence.
-        silence = FeedbackMessage(created_at=t + 5.0, reports=[],
-                                  highest_seq=seq)
+        silence = FeedbackMessage(created_at=t + 5.0, highest_seq=seq)
         est.on_feedback(silence, now=t + 5.0, reverse_delay=0.01)
         assert est.rtt_standing() is None
         assert est.rtt_min is not None
@@ -128,8 +126,7 @@ class TestQueueIsEmptyNeedsEvidence:
     def test_empty_again_once_samples_return(self):
         est = QueueEstimator(standing_window_s=0.1)
         t, seq = feed_steady(est)
-        silence = FeedbackMessage(created_at=t + 5.0, reports=[],
-                                  highest_seq=seq)
+        silence = FeedbackMessage(created_at=t + 5.0, highest_seq=seq)
         est.on_feedback(silence, now=t + 5.0, reverse_delay=0.01)
         reports = reports_with_owd(seq, t + 5.0, [0.02, 0.02])
         est.on_feedback(message(reports, t + 5.05), now=t + 5.05,
@@ -169,22 +166,21 @@ def test_windows_equal_a_brute_force_scan_on_every_lane(stream, reverse):
     batch, arrival, now, count = [], 0.0, 0.0, 0
     for seq, (gap, owd, size, ends, wait) in enumerate(stream):
         arrival += gap
-        batch.append(PacketReport(seq, arrival - owd, arrival, size))
+        batch.append((seq, arrival - owd, arrival, size))
         if not ends and seq < len(stream) - 1:
             continue
         now = max(now, arrival + wait)     # feedback is read in order
-        columns = ReportBatch([_ReportChunk(
-            batch[0].seq, np.array([r.send_time for r in batch]),
-            np.array([r.arrival_time for r in batch]),
-            np.array([r.size_bytes for r in batch]), 0)])
+        lists = [list(column) for column in zip(*batch)]
+        forms = (ReportBatch(*lists),
+                 ReportBatch(*(np.array(column) for column in lists)))
         for name, est in lanes.items():
             columnar = name == "columnar" or (name == "alternating"
                                               and count % 2)
             est.on_feedback(FeedbackMessage(
-                created_at=now, reports=columns if columnar else batch),
+                created_at=now, reports=forms[columnar]),
                 now, reverse_delay=reverse)
-        seen.extend((r.arrival_time, rtt) for r in batch
-                    if (rtt := r.arrival_time - r.send_time + reverse) > 0)
+        seen.extend((at, rtt) for _seq, send, at, _size in batch
+                    if (rtt := at - send + reverse) > 0)
         batch, count = [], count + 1
         scalar = lanes["scalar"]
         recent = [rtt for at, rtt in seen

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.transport.cc.gcc import GccController
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def feedback(now, n_reports, lost_total, start_seq, owd=0.02):
-    reports = [PacketReport(seq=start_seq + i, send_time=now - 0.05 + i * 0.004,
-                            arrival_time=now - 0.05 + i * 0.004 + owd,
-                            size_bytes=1200)
-               for i in range(n_reports)]
+    sends = [now - 0.05 + i * 0.004 for i in range(n_reports)]
+    reports = ReportBatch(
+        seqs=list(range(start_seq, start_seq + n_reports)), send_times=sends,
+        arrival_times=[send + owd for send in sends],
+        sizes=[1200] * n_reports)
     return FeedbackMessage(created_at=now, reports=reports,
                            highest_seq=start_seq + n_reports,
                            cumulative_lost=lost_total)

@@ -14,7 +14,7 @@ from repro.live.wire import (
     encode_packet,
 )
 from repro.net.packet import Packet, PacketType
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def test_media_packet_roundtrip_all_fields():
@@ -82,10 +82,10 @@ def test_small_packet_header_may_exceed_modelled_size():
 def test_feedback_roundtrip():
     message = FeedbackMessage(
         created_at=3.25,
-        reports=[PacketReport(seq=i, send_time=0.1 * i,
-                              arrival_time=0.1 * i + 0.02,
-                              size_bytes=1200, frame_id=i // 3)
-                 for i in range(10)],
+        reports=ReportBatch(
+            seqs=list(range(10)), send_times=[0.1 * i for i in range(10)],
+            arrival_times=[0.1 * i + 0.02 for i in range(10)],
+            sizes=[1200] * 10, frame_ids=[i // 3 for i in range(10)]),
         nacked_seqs=[2, 5],
         highest_seq=9,
         cumulative_lost=2,
@@ -101,11 +101,9 @@ def test_feedback_roundtrip():
     assert out.cumulative_lost == 2
     assert out.nacked_seqs == [2, 5]
     assert out.pli_requested is True
-    assert len(out.reports) == 10
-    for a, b in zip(out.reports, message.reports):
-        assert (a.seq, a.send_time, a.arrival_time, a.size_bytes,
-                a.frame_id) == (b.seq, b.send_time, b.arrival_time,
-                                b.size_bytes, b.frame_id)
+    for name in ("seqs", "send_times", "arrival_times", "sizes",
+                 "frame_ids"):
+        assert getattr(out.reports, name) == getattr(message.reports, name)
 
 
 def test_empty_feedback_still_produces_one_datagram():
@@ -113,7 +111,7 @@ def test_empty_feedback_still_produces_one_datagram():
     chunks = encode_feedback(message)
     assert len(chunks) == 1
     out = decode_feedback(chunks[0])
-    assert out.reports == []
+    assert len(out.reports) == 0
     assert out.nacked_seqs == []
     assert out.pli_requested is False
 
@@ -122,10 +120,10 @@ def test_feedback_chunking_preserves_reports_and_dedups_nacks():
     n = MAX_REPORTS_PER_DATAGRAM + 50
     message = FeedbackMessage(
         created_at=9.0,
-        reports=[PacketReport(seq=i, send_time=float(i),
-                              arrival_time=float(i) + 0.01,
-                              size_bytes=100, frame_id=0)
-                 for i in range(n)],
+        reports=ReportBatch(
+            seqs=list(range(n)), send_times=[float(i) for i in range(n)],
+            arrival_times=[float(i) + 0.01 for i in range(n)],
+            sizes=[100] * n, frame_ids=[0] * n),
         nacked_seqs=[1, 2, 3],
         highest_seq=n - 1,
         pli_requested=True,
@@ -139,5 +137,5 @@ def test_feedback_chunking_preserves_reports_and_dedups_nacks():
     # NACKs and PLI ride on the first chunk only.
     assert first.nacked_seqs == [1, 2, 3] and first.pli_requested
     assert second.nacked_seqs == [] and not second.pli_requested
-    seqs = [r.seq for r in first.reports] + [r.seq for r in second.reports]
+    seqs = list(first.reports.seqs) + list(second.reports.seqs)
     assert seqs == list(range(n))

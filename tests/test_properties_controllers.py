@@ -6,16 +6,15 @@ from repro.core.ace_c import AceCConfig, AceCController
 from repro.core.ace_n import AceNConfig, AceNController
 from repro.core.queue_estimator import QueueEstimator
 from repro.transport.cc.gcc import GccController, OveruseDetector
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def make_feedback(now, owds, nacks, start_seq):
-    reports = [
-        PacketReport(seq=start_seq + i, send_time=now - 0.05 + i * 0.004,
-                     arrival_time=now - 0.05 + i * 0.004 + owd,
-                     size_bytes=1200)
-        for i, owd in enumerate(owds)
-    ]
+    sends = [now - 0.05 + i * 0.004 for i in range(len(owds))]
+    reports = ReportBatch(
+        seqs=list(range(start_seq, start_seq + len(owds))), send_times=sends,
+        arrival_times=[send + owd for send, owd in zip(sends, owds)],
+        sizes=[1200] * len(owds))
     highest = start_seq + len(owds) - 1 if owds else start_seq
     return FeedbackMessage(created_at=now, reports=reports,
                            nacked_seqs=list(nacks), highest_seq=highest)

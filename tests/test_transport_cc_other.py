@@ -4,17 +4,16 @@ import pytest
 
 from repro.transport.cc.bbr import BbrController
 from repro.transport.cc.delivery_rate import DeliveryRateController
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def feedback(rate_bps, t0, interval=0.05, size=1200, start_seq=0,
              lost=0, highest=None, nacks=()):
     n = max(1, int(rate_bps * interval / 8 / size))
-    reports = [PacketReport(seq=start_seq + i,
-                            send_time=t0 + i * interval / n,
-                            arrival_time=t0 + i * interval / n + 0.02,
-                            size_bytes=size)
-               for i in range(n)]
+    sends = [t0 + i * interval / n for i in range(n)]
+    reports = ReportBatch(
+        seqs=list(range(start_seq, start_seq + n)), send_times=sends,
+        arrival_times=[send + 0.02 for send in sends], sizes=[size] * n)
     return FeedbackMessage(
         created_at=t0 + interval, reports=reports, nacked_seqs=list(nacks),
         highest_seq=highest if highest is not None else start_seq + n - 1,

@@ -6,14 +6,15 @@ from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 from repro.transport.cc.copa import CopaController
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def message(now, owds, start_seq=0, spacing=0.005, size=1200):
-    reports = [PacketReport(seq=start_seq + i, send_time=now - 0.05 + i * spacing,
-                            arrival_time=now - 0.05 + i * spacing + owd,
-                            size_bytes=size)
-               for i, owd in enumerate(owds)]
+    sends = [now - 0.05 + i * spacing for i in range(len(owds))]
+    reports = ReportBatch(
+        seqs=list(range(start_seq, start_seq + len(owds))), send_times=sends,
+        arrival_times=[send + owd for send, owd in zip(sends, owds)],
+        sizes=[size] * len(owds))
     return FeedbackMessage(created_at=now, reports=reports,
                            highest_seq=start_seq + len(owds) - 1)
 

@@ -3,22 +3,24 @@
 import pytest
 
 from repro.transport.cc.gcc import GccController, OveruseDetector, TrendlineEstimator
-from repro.transport.feedback import FeedbackMessage, PacketReport
+from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
 def feedback(reports, now, highest=None, lost=0, nacks=()):
     return FeedbackMessage(
         created_at=now, reports=reports, nacked_seqs=list(nacks),
         highest_seq=highest if highest is not None else (
-            max((r.seq for r in reports), default=-1)),
+            max(reports.seqs, default=-1)),
         cumulative_lost=lost,
     )
 
 
 def steady_reports(start_seq, t0, n=10, owd=0.02, spacing=0.01, size=1200):
-    return [PacketReport(seq=start_seq + i, send_time=t0 + i * spacing,
-                         arrival_time=t0 + i * spacing + owd, size_bytes=size)
-            for i in range(n)]
+    sends = [t0 + i * spacing for i in range(n)]
+    return ReportBatch(seqs=list(range(start_seq, start_seq + n)),
+                       send_times=sends,
+                       arrival_times=[send + owd for send in sends],
+                       sizes=[size] * n)
 
 
 class TestTrendline:
