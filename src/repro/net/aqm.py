@@ -87,10 +87,10 @@ class QueueDiscipline(Protocol):
 class DropTailQueue:
     """FIFO byte-bounded queue; arrivals beyond capacity are dropped.
 
-    This is the paper's queue model. The protocol methods (``enqueue``/
-    ``select_head``/``pop_head``) are what the evented link drives; they
-    are one-frame bodies, not wrappers over ``try_push``/``pop``, because
-    an audited session pays them per packet. A closed-form
+    This is the paper's queue model. It has only the discipline
+    protocol (``enqueue``/``select_head``/``pop_head``), which the evented
+    link drives; each is a one-frame body, because an audited session
+    pays them per packet. A closed-form
     link (``net/link.py``) runs the same admission rule on its
     ``DropTailServer`` and leaves this object empty: it then only names
     the discipline and its capacity.
@@ -113,15 +113,6 @@ class DropTailQueue:
     def bytes_queued(self) -> int:
         return self._bytes
 
-    def try_push(self, packet: Packet) -> bool:
-        """Append ``packet`` if it fits; return False (drop) otherwise."""
-        return self.enqueue(packet, 0.0)    # drop-tail never reads the clock
-
-    def pop(self) -> Packet:
-        packet = self._queue.popleft()
-        self._bytes -= packet.size_bytes
-        return packet
-
     # -- QueueDiscipline protocol ------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:
         queued = self._bytes + packet.size_bytes
@@ -134,7 +125,10 @@ class DropTailQueue:
     def select_head(self, now: float) -> Optional[Packet]:
         return self._queue[0] if self._queue else None
 
-    pop_head = pop
+    def pop_head(self) -> Packet:
+        packet = self._queue.popleft()
+        self._bytes -= packet.size_bytes
+        return packet
 
     def packets(self) -> Iterator[Packet]:
         return iter(self._queue)

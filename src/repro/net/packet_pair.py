@@ -14,6 +14,7 @@ applies a robust filter (windowed median) over the implied capacities.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Optional
 
@@ -56,7 +57,9 @@ class PacketPairEstimator:
             return  # reordered or simultaneous; unusable
         if send_gap > self.back_to_back_gap:
             return  # not a back-to-back pair
-        self._samples.append(size_bytes * 8 / arrival_gap)
+        capacity = size_bytes * 8 / arrival_gap
+        if capacity < math.inf:     # a subnormal gap overflows to inf
+            self._samples.append(capacity)
 
     def on_packet_arrays(self, send_times, arrival_times,
                          sizes) -> None:
@@ -84,8 +87,8 @@ class PacketPairEstimator:
         mask = ((send_gaps >= 0) & (send_gaps <= self.back_to_back_gap)
                 & (arrival_gaps > 0))
         if mask.any():
-            self._samples.extend(
-                ((sizes[mask] * 8) / arrival_gaps[mask]).tolist())
+            capacities = (sizes[mask] * 8) / arrival_gaps[mask]
+            self._samples.extend(capacities[capacities < math.inf].tolist())
 
     def capacity_bps(self) -> Optional[float]:
         """Current capacity estimate, or None before ``min_samples`` pairs."""

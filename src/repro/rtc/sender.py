@@ -105,7 +105,6 @@ class Sender:
         self._loss_seen = 0
         self._reports_seen = 0
         self.frame_metrics: dict[int, FrameMetrics] = {}
-        self.encoded_frames: list[EncodedFrame] = []
         #: the RTX table: ``(frame_id, first seq, count, packet_at)`` per
         #: frame sent and not yet displayed (see :meth:`remember_frame`),
         #: in send order — ascending in frame id and in seq alike.
@@ -233,7 +232,6 @@ class Sender:
         self._encoding_busy_until = finish
         encoded.encode_start = start
         encoded.encode_end = finish
-        self.encoded_frames.append(encoded)
         if tel is not None:
             tel.frame_stage(encoded.frame_id, "encode_start", at=start)
             tel.frame_stage(encoded.frame_id, "encode_end", at=finish)

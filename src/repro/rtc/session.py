@@ -2,7 +2,8 @@
 
 :class:`FlowStack` is the one place a baseline spec becomes a sender
 pipeline — codec → source → CC → pacer → ACE-N/ACE-C → FEC/audio →
-``Sender`` → ``TransportReceiver`` with its display sync and metrics.
+``Sender`` → ``TransportReceiver``, which hands each frame it displays
+back to the flow to stamp the sender's metrics.
 :class:`Session` puts stacks, keyed by flow id, on one clock in front of
 one transport and runs them through one lifecycle. The arena
 (:class:`repro.arena.session.ArenaSession`) puts N on a shared router
@@ -37,7 +38,7 @@ from repro.transport.cc import (BbrController, CopaController,
                                 DeliveryRateController, GccController)
 from repro.transport.fec import FecEncoder
 from repro.transport.pacer import BurstPacer, LeakyBucketPacer, TokenBucketPacer
-from repro.transport.receiver import TransportReceiver
+from repro.transport.receiver import FrameRecord, TransportReceiver
 from repro.video.codec.model import CodecModel
 from repro.video.codec.presets import codec_config
 from repro.video.codec.rate_control import AbrVbvRateControl, CbrRateControl
@@ -45,37 +46,6 @@ from repro.video.source import VideoSource
 
 if TYPE_CHECKING:
     from repro.rtc.baselines import BaselineSpec
-
-
-class DisplaySync:
-    """Joins receiver display records back onto sender frame metrics.
-
-    Walks only frames displayed since the previous sync (the receiver
-    appends in display order), keeping the cost O(1) amortized per
-    arrival instead of rescanning the whole session.
-    """
-
-    def __init__(self, sender: Sender, receiver: TransportReceiver) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self._cursor = 0
-
-    def sync(self) -> None:
-        displayed = self.receiver.displayed
-        sender = self.sender
-        while self._cursor < len(displayed):
-            record = displayed[self._cursor]
-            self._cursor += 1
-            metrics = sender.frame_metrics.get(record.frame_id)
-            if metrics is not None and metrics.displayed_at is None:
-                metrics.complete_at = record.complete_at
-                metrics.displayed_at = record.displayed_at
-                metrics.had_retransmission = record.had_retransmission
-                sender.forget_frame(record.frame_id)
-
-    @property
-    def pending(self) -> bool:
-        return self._cursor < len(self.receiver.displayed)
 
 
 class FlowStack:
@@ -90,8 +60,8 @@ class FlowStack:
     ``ace_n_config`` ACE-N's defaults), drawing named streams from
     ``rngs``. The pacer releases into ``send``, the receiver reports
     into ``send_feedback``; the owner routes arrivals to
-    ``receiver.on_packet`` and feedback to ``sender.on_feedback``, and
-    runs ``display_sync`` after deliveries.
+    ``receiver.on_packet`` and feedback to ``sender.on_feedback``; the
+    receiver hands each frame it displays to :meth:`_displayed`.
     """
 
     def __init__(self, clock, send: Callable[[Packet], None],
@@ -156,9 +126,20 @@ class FlowStack:
             audio=(AudioSource(clock, pacer.enqueue_audio)
                    if config.audio else None))
         self.receiver = TransportReceiver(
-            clock, send_feedback_fn=send_feedback,
+            clock, send_feedback_fn=send_feedback, display_fn=self._displayed,
             decode_time_fn=self.codec.decode_time, fec=spec.fec)
-        self.display_sync = DisplaySync(self.sender, self.receiver)
+
+    def _displayed(self, record: FrameRecord) -> None:
+        """Join a displayed frame onto the sender's metrics and drop its
+        RTX state: the receiver calls this at the display instant."""
+        sender = self.sender
+        metrics = sender.frame_metrics.get(record.frame_id)
+        if metrics is None:     # a frame this sender never sent (live: a
+            return              # stray datagram on the receiver's port)
+        metrics.complete_at = record.complete_at
+        metrics.displayed_at = record.displayed_at
+        metrics.had_retransmission = record.had_retransmission
+        sender.forget_frame(record.frame_id)
 
     def attach_telemetry(self, telemetry, link) -> None:
         """Wire the span stages and the stack's gauges/counters (token
@@ -357,11 +338,7 @@ class Session:
         # Only audio packets carry frame_id < 0; media skips the probe.
         if packet.frame_id < 0 and self.audio_receiver.on_packet(packet):
             return
-        stack = self.stacks[packet.flow_id]
-        stack.receiver.on_packet(packet)
-        sync = stack.display_sync     # stamps frames now displayable
-        if sync.pending:
-            sync.sync()
+        self.stacks[packet.flow_id].receiver.on_packet(packet)
 
     def _on_feedback(self, message) -> None:
         fid, msg = message
@@ -406,8 +383,6 @@ class Session:
 
     def _finish(self, elapsed: float) -> dict[int, SessionMetrics]:
         """After the drain: flow id → metrics over ``elapsed`` seconds."""
-        for stack in self.stacks.values():
-            stack.display_sync.sync()
         if self.telemetry is not None:
             self.telemetry.flush()
         if self.auditor is not None:

@@ -180,8 +180,8 @@ class BatchEngine:
                 # delivery flush can be deferred. No other boundary is
                 # deferrable: captures draw from the codec RNG stream
                 # that display-time decode draws interleave with, and
-                # feedback arrivals read the sent-packet table that
-                # DisplaySync.sync prunes from delivery callbacks.
+                # feedback arrivals read the RTX table that each display
+                # prunes, inside the delivery that completes the frame.
                 drain_to(t)
             else:
                 run_until(t)
@@ -258,8 +258,7 @@ class BatchPipeline:
         packetizer = sender.packetizer
         size_bytes = encoded.size_bytes
         count = packetizer.packet_count(size_bytes)
-        seq0 = packetizer._next_seq
-        packetizer._next_seq = seq0 + count
+        seq0 = packetizer.reserve(count)
         payload = packetizer.payload_bytes
         sizes = np.full(count, payload, dtype=np.int64)
         sizes[-1] = size_bytes - payload * (count - 1)
@@ -461,7 +460,6 @@ class BatchPipeline:
         loop = self.loop
         session = self.session
         receiver = self.receiver
-        sync = session.flow.display_sync
         while deliveries:
             head = deliveries[0]
             if type(head) is tuple:
@@ -503,8 +501,6 @@ class BatchPipeline:
                 chunk_sizes,
                 chunk_bytes,
             )
-            if sync.pending:
-                sync.sync()
             if hi == n_arr:
                 deliveries.popleft()
             else:

@@ -49,6 +49,10 @@ class TransportReceiver:
     ``EventLoop`` or a live ``WallClock``; the receiver schedules only
     through the clock protocol (feedback cadence, skip timers).
 
+    ``display_fn`` is handed each :class:`FrameRecord` the moment it is
+    displayed — on the arrival that completes it or on a skip timer —
+    and is the only report of a display.
+
     ``fec`` says whether the flow's sender protects media with parity:
     only then is there a :class:`FecDecoder` (``self.fec``, else None)
     tracking every media seq received.
@@ -56,6 +60,7 @@ class TransportReceiver:
 
     def __init__(self, loop: "Clock",
                  send_feedback_fn: Callable[[FeedbackMessage], None],
+                 display_fn: Callable[[FrameRecord], None],
                  decode_time_fn: Callable[[], float],
                  feedback_interval: float = DEFAULT_FEEDBACK_INTERVAL_S,
                  skip_timeout: float = 0.4, fec: bool = False) -> None:
@@ -64,6 +69,7 @@ class TransportReceiver:
         #: stages (arrival, reassembly-complete, display).
         self.telemetry = None
         self.send_feedback_fn = send_feedback_fn
+        self.display_fn = display_fn
         self.decode_time_fn = decode_time_fn
         self.feedback_interval = feedback_interval
         #: give up on an incomplete frame once a newer complete frame has
@@ -72,7 +78,6 @@ class TransportReceiver:
         self.skip_timeout = skip_timeout
         self.feedback_builder = FeedbackBuilder()
         self.frames: dict[int, FrameRecord] = {}
-        self.displayed: list[FrameRecord] = []
         self.skipped_frames = 0
         self._next_display_id = 0
         #: highest frame id ever marked complete (frames never lose
@@ -221,9 +226,9 @@ class TransportReceiver:
             if self.telemetry is not None:
                 self.telemetry.frame_stage(record.frame_id, "displayed",
                                            at=display_at)
-            self.displayed.append(record)
             self._next_display_id += 1
             self._blocked_since = None
+            self.display_fn(record)
 
     def _has_newer_complete(self) -> bool:
         return self._max_complete_id > self._next_display_id

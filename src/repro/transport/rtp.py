@@ -22,9 +22,11 @@ class Packetizer:
         self.payload_bytes = payload_bytes
         self._next_seq = 0
 
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers; return the first."""
+        seq = self._next_seq
+        self._next_seq = seq + count
+        return seq
 
     def packet_count(self, size_bytes: int) -> int:
         """Number of packets a frame of ``size_bytes`` occupies."""
@@ -43,7 +45,7 @@ class Packetizer:
         count = self.packet_count(frame.size_bytes)
         payload = self.payload_bytes
         frame_id = frame.frame_id
-        seq = self._next_seq
+        seq = self.reserve(count)
         packets: List[Packet] = []
         append = packets.append
         remaining = frame.size_bytes
@@ -58,13 +60,11 @@ class Packetizer:
                 frame_packet_index=index,
                 frame_packet_count=count,
             ))
-        self._next_seq = seq + count
         if prev_sent_frame_id is not None:
             packets[0].prev_sent_frame_id = prev_sent_frame_id
         return packets
 
     def assign_seq(self, packet: Packet) -> Packet:
         """Give a retransmission (or probe) packet a fresh sequence number."""
-        packet.seq = self._next_seq
-        self._next_seq += 1
+        packet.seq = self.reserve(1)
         return packet

@@ -99,15 +99,16 @@ def test_arena_flows_bit_identical_to_pinned_fingerprints(name):
 # ----------------------------------------------------------------------
 # satellite fixes: eager per-flow state, incremental loss counting
 # ----------------------------------------------------------------------
-def test_sync_cursors_initialized_for_all_flows_at_construction():
+def test_per_flow_state_initialized_for_all_flows_at_construction():
     cfg = SessionConfig(duration=4.0, seed=3)
     session = ArenaSession([ArenaFlowSpec("cbr", flow_id=1),
                             ArenaFlowSpec("cbr", flow_id=2),
                             ArenaFlowSpec("ace", flow_id=3)],
                            const_trace(30.0), cfg)
     assert sorted(session.stacks) == [1, 2, 3]
-    assert not any(stack.display_sync.pending
-                   for stack in session.stacks.values())
+    # each receiver hands its displays to its own flow
+    assert all(stack.receiver.display_fn == stack._displayed
+               for stack in session.stacks.values())
     assert session._flow_losses == {1: 0, 2: 0, 3: 0}
 
 

@@ -59,8 +59,8 @@ def logs(session, config):
         out.append((ace_n, ace_n.log, ace_n.config.initial_bucket_bytes,
                     ace_n.bucket_bytes))
     if sender.ace_c is not None:
-        out.append((sender.ace_c, sender.ace_c.log, 0,
-                     sender.encoded_frames[-1].complexity_level))
+        last = sender.frame_metrics[max(sender.frame_metrics)]
+        out.append((sender.ace_c, sender.ace_c.log, 0, last.complexity_level))
     return out
 
 

@@ -39,8 +39,15 @@ class TestPliPipeline:
                             queue_capacity_bytes=queue, initial_bwe_bps=8e6)
         session = build_session(baseline, trace, cfg)
         session.sender.keyframe_on_pli = keyframe_on_pli
-        metrics = session.run()
-        return session, metrics
+        codec, encoded = session.sender.codec, []
+        encode = codec.encode
+
+        def recording_encode(*args, **kwargs):
+            encoded.append(encode(*args, **kwargs))
+            return encoded[-1]
+        codec.encode = recording_encode
+        session.run()
+        return session, encoded
 
     def test_pli_disabled_by_default_no_keyframes(self):
         session, _ = self._run(keyframe_on_pli=False)
@@ -48,15 +55,14 @@ class TestPliPipeline:
         assert session.sender.keyframes_sent == 0   # ...but no refresh
 
     def test_skips_trigger_keyframes_when_enabled(self):
-        session, metrics = self._run(keyframe_on_pli=True)
+        session, encoded = self._run(keyframe_on_pli=True)
         assert session.receiver.skipped_frames > 0
         assert session.sender.keyframes_sent > 0
-        keyframes = [f for f in session.sender.encoded_frames if f.is_keyframe]
+        keyframes = [f for f in encoded if f.is_keyframe]
         assert len(keyframes) == session.sender.keyframes_sent
 
     def test_keyframes_bigger_than_neighbors(self):
-        session, _ = self._run(keyframe_on_pli=True)
-        frames = session.sender.encoded_frames
+        _, frames = self._run(keyframe_on_pli=True)
         key_sizes = [f.size_bytes for f in frames if f.is_keyframe]
         inter_sizes = [f.size_bytes for f in frames if not f.is_keyframe]
         if key_sizes:

@@ -96,14 +96,14 @@ def test_burst_at_exactly_full_queue(name):
         assert q.bytes_queued == 3000
 
 
-def test_droptail_protocol_matches_legacy_api():
+def test_droptail_protocol_is_fifo():
     q = DropTailQueue(5000)
     p1, p2 = mkpkt(2000), mkpkt(2000)
-    assert q.try_push(p1) and q.enqueue(p2, 0.0)
+    assert q.enqueue(p1, 0.0) and q.enqueue(p2, 0.0)
     assert q.bytes_queued == 4000
     assert q.select_head(0.0) is p1
-    assert q.pop_head() is p1 and q.pop() is p2
-    assert q.select_head(0.0) is None
+    assert q.pop_head() is p1 and q.select_head(0.0) is p2
+    assert q.pop_head() is p2 and q.select_head(0.0) is None
 
 
 # ----------------------------------------------------------------------
@@ -302,9 +302,9 @@ def test_confucius_head_equals_the_full_sparse_pass(ops, capacity):
 
 def test_queued_bytes_by_flow_scan_fallback():
     q = DropTailQueue(10_000)
-    q.try_push(mkpkt(1000, flow_id=3))
-    q.try_push(mkpkt(700, flow_id=4))
-    q.try_push(mkpkt(300, flow_id=3))
+    q.enqueue(mkpkt(1000, flow_id=3), 0.0)
+    q.enqueue(mkpkt(700, flow_id=4), 0.0)
+    q.enqueue(mkpkt(300, flow_id=3), 0.0)
     assert queued_bytes_by_flow(q) == {3: 1300, 4: 700}
 
 

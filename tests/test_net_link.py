@@ -16,23 +16,23 @@ class TestDropTailQueue:
     def test_push_pop_fifo(self):
         q = DropTailQueue(capacity_bytes=10_000)
         p1, p2 = make_packet(), make_packet()
-        assert q.try_push(p1) and q.try_push(p2)
-        assert q.pop() is p1
-        assert q.pop() is p2
+        assert q.enqueue(p1, 0.0) and q.enqueue(p2, 0.0)
+        assert q.pop_head() is p1
+        assert q.pop_head() is p2
 
     def test_tail_drop_at_capacity(self):
         q = DropTailQueue(capacity_bytes=2500)
-        assert q.try_push(make_packet(1200))
-        assert q.try_push(make_packet(1200))
-        assert not q.try_push(make_packet(1200))  # 3600 > 2500
+        assert q.enqueue(make_packet(1200), 0.0)
+        assert q.enqueue(make_packet(1200), 0.0)
+        assert not q.enqueue(make_packet(1200), 0.0)  # 3600 > 2500
         assert len(q) == 2
 
     def test_byte_accounting(self):
         q = DropTailQueue(capacity_bytes=10_000)
-        q.try_push(make_packet(1000))
-        q.try_push(make_packet(500))
+        q.enqueue(make_packet(1000), 0.0)
+        q.enqueue(make_packet(500), 0.0)
         assert q.bytes_queued == 1500
-        q.pop()
+        q.pop_head()
         assert q.bytes_queued == 500
 
     def test_invalid_capacity(self):

@@ -1,5 +1,6 @@
 """Tests for the PacketPair capacity estimator."""
 
+import numpy as np
 import pytest
 
 from repro.net.packet_pair import PacketPairEstimator
@@ -41,6 +42,17 @@ def test_reordered_arrivals_are_ignored():
     est.on_packet(0.0, 0.020, 1200)
     est.on_packet(0.00001, 0.019, 1200)  # arrived earlier: reordered
     assert est.capacity_bps() is None       # one sample would answer
+
+
+def test_a_subnormal_arrival_gap_gives_no_sample_on_either_lane():
+    # 480 bits over 5e-324 s overflows to an infinite capacity.
+    scalar = PacketPairEstimator(min_samples=1)
+    arrays = PacketPairEstimator(min_samples=1)
+    sends, arrivals, sizes = [-0.0625, -0.0625], [0.0, 5e-324], [60, 60]
+    for send, arrival, size in zip(sends, arrivals, sizes):
+        scalar.on_packet(send, arrival, size)
+    arrays.on_packet_arrays(*(np.array(c) for c in (sends, arrivals, sizes)))
+    assert scalar.capacity_bps() is None and arrays.capacity_bps() is None
 
 
 def test_median_robust_to_outliers():

@@ -353,7 +353,7 @@ class TestSessionWiring:
         assert reg.gauge("pacer.backlog_bytes").value >= 0
         assert reg.gauge("ace.bucket_bytes").value > 0
         assert reg.counter("frames.encoded").value == len(
-            session.sender.encoded_frames)
+            session.sender.frame_metrics)
 
     def test_metric_series_is_time_ordered(self):
         _, tel, _ = run_telemetry_session()

@@ -76,7 +76,7 @@ def test_take_is_the_wait_then_the_consume(rate, bucket, fill, asks):
 def test_queue_bytes_never_exceed_capacity(capacity, arrivals):
     q = DropTailQueue(capacity_bytes=capacity)
     for size in arrivals:
-        q.try_push(Packet(size_bytes=size))
+        q.enqueue(Packet(size_bytes=size), 0.0)
         assert 0 <= q.bytes_queued <= capacity
 
 
@@ -85,8 +85,8 @@ def test_queue_is_fifo(arrivals):
     q = DropTailQueue(capacity_bytes=10**9)
     packets = [Packet(size_bytes=s) for s in arrivals]
     for p in packets:
-        assert q.try_push(p)
-    popped = [q.pop() for _ in range(len(packets))]
+        assert q.enqueue(p, 0.0)
+    popped = [q.pop_head() for _ in range(len(packets))]
     assert popped == packets
 
 

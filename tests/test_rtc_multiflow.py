@@ -39,13 +39,16 @@ def test_flows_are_isolated_streams():
     """Frames of one flow never leak into the other's receiver."""
     session, results = run_flows([ArenaFlowSpec("cbr", flow_id=1),
                                   ArenaFlowSpec("cbr", flow_id=2)])
-    r1 = session.stacks[1].receiver
-    r2 = session.stacks[2].receiver
-    ids1 = {rec.frame_id for rec in r1.displayed}
-    # both receivers display their own frame 0..N — identity is per-flow
-    assert len(r1.displayed) > 100 and len(r2.displayed) > 100
-    # sender-side bookkeeping matches its own receiver
-    assert len(session.senders[1].frame_metrics) >= len(r1.displayed)
+    for fid, metrics in results.items():
+        # both flows display their own frame 0..N — identity is per-flow
+        shown = metrics.displayed_frames()
+        assert len(shown) > 100
+        # each sender's display stamps are its own receiver's records
+        frames = session.stacks[fid].receiver.frames
+        assert all(frames[f.frame_id].displayed_at == f.displayed_at
+                   for f in shown)
+        assert len(shown) == sum(r.displayed_at is not None
+                                 for r in frames.values())
 
 
 def test_two_identical_flows_share_roughly_fairly():

@@ -63,11 +63,18 @@ def test_rtx_packets_get_fresh_seqs():
     cfg = SessionConfig(duration=4.0, seed=6, random_loss_rate=0.05,
                         initial_bwe_bps=8e6)
     session = build_session("webrtc-star", trace, cfg)
+    pacer = session.sender.pacer
+    seqs, send = [], pacer.send_fn
+
+    def recording_send(packet):
+        seqs.append(packet.seq)
+        send(packet)
+    pacer.send_fn = recording_send
     session.run()
     assert session.sender.retransmissions > 0
-    # the packetizer's sequence space covers media + rtx without reuse
-    assert session.sender.packetizer.next_seq >= (
-        session.sender.pacer.stats.enqueued_packets)
+    # one sequence space for media and rtx, never reused
+    assert len(seqs) == pacer.stats.sent_packets
+    assert len(set(seqs)) == len(seqs)
 
 
 def test_forget_frame_clears_rtx_state():

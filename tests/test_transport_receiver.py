@@ -7,11 +7,13 @@ from repro.sim.events import EventLoop
 from repro.transport.receiver import TransportReceiver
 
 
-def make_receiver(loop, feedbacks=None, decode_time=0.002):
+def make_receiver(loop, feedbacks=None, decode_time=0.002, displayed=None):
     feedbacks = feedbacks if feedbacks is not None else []
+    displayed = displayed if displayed is not None else []
     return TransportReceiver(
         loop,
         send_feedback_fn=feedbacks.append,
+        display_fn=displayed.append,
         decode_time_fn=lambda: decode_time,
         feedback_interval=0.05,
     )
@@ -39,28 +41,30 @@ def test_frame_completes_when_all_packets_arrive():
 
 
 def test_incomplete_frame_not_displayed():
-    loop = EventLoop()
-    rx = make_receiver(loop)
+    loop, displayed = EventLoop(), []
+    rx = make_receiver(loop, displayed=displayed)
     deliver(rx, loop, frame_id=0, count=3, indexes=[0, 1])
     assert not rx.frames[0].complete
-    assert rx.displayed == []
+    assert displayed == []
 
 
 def test_display_strictly_in_order():
-    loop = EventLoop()
-    rx = make_receiver(loop)
+    loop, displayed = EventLoop(), []
+    rx = make_receiver(loop, displayed=displayed)
     deliver(rx, loop, frame_id=1, count=1, seq0=10)  # frame 1 first
-    assert rx.displayed == []                        # waits for frame 0
+    assert displayed == []                           # waits for frame 0
     deliver(rx, loop, frame_id=0, count=1, seq0=0)
-    assert [r.frame_id for r in rx.displayed] == [0, 1]
+    assert [r.frame_id for r in displayed] == [0, 1]
+    # each record is handed over once, already stamped
+    assert all(r.displayed_at is not None for r in displayed)
 
 
 def test_skip_frame_unblocks_display():
-    loop = EventLoop()
-    rx = make_receiver(loop)
+    loop, displayed = EventLoop(), []
+    rx = make_receiver(loop, displayed=displayed)
     deliver(rx, loop, frame_id=1, count=1, seq0=10)
     rx.skip_frame(0)
-    assert [r.frame_id for r in rx.displayed] == [1]
+    assert [r.frame_id for r in displayed] == [1]
 
 
 def test_retransmission_flag_set():

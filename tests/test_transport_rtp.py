@@ -55,10 +55,11 @@ def test_frame_metadata_on_packets():
 
 def test_assign_seq_for_retransmission():
     pk = Packetizer()
-    pk.packetize(encoded(2400))
+    media = pk.packetize(encoded(2400))
     rtx = Packet(size_bytes=1200, retransmission_of=0)
     pk.assign_seq(rtx)
-    assert rtx.seq == pk.next_seq - 1
+    assert rtx.seq == media[-1].seq + 1
+    assert pk.packetize(encoded(1200))[0].seq == rtx.seq + 1
 
 
 def test_invalid_payload_size():
