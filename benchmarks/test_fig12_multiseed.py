@@ -7,12 +7,13 @@ must stay large.
 
 The (baseline x trace x seed) grid runs through the parallel runner —
 set ``REPRO_JOBS=N`` to fan it across processes (results are identical
-to serial) — and memoizes per-cell results on disk, so re-runs while
-iterating on analysis code are near-instant (``REPRO_CACHE=off`` to
-force fresh sessions). Cache counters are printed with the results.
+to serial) — with a result cache in a private temporary directory that
+is removed afterwards, so every run computes its cells afresh and
+leaves no entry behind. Cache counters are printed with the results.
 """
 
 import os
+import tempfile
 
 from repro.analysis import ResultCache, RunResult, aggregate, paired_compare, \
     render_aggregate
@@ -28,9 +29,10 @@ JOBS = int(os.environ.get("REPRO_JOBS", "1"))
 def run_experiment():
     traces = [trace_library().by_class(cls)[0] for cls in CLASSES]
     class_of = {trace.name: cls for cls, trace in zip(CLASSES, traces)}
-    runner = ParallelRunner(jobs=JOBS, cache=ResultCache())
-    grid = run_grid(list(BASELINES), traces, seeds=SEEDS, duration=25.0,
-                    runner=runner)
+    with tempfile.TemporaryDirectory(prefix="repro-fig12-") as cache_dir:
+        runner = ParallelRunner(jobs=JOBS, cache=ResultCache(cache_dir))
+        grid = run_grid(list(BASELINES), traces, seeds=SEEDS, duration=25.0,
+                        runner=runner)
     results = [
         RunResult.from_metrics(metrics, baseline=name,
                                trace=class_of[trace_name], seed=seed)

@@ -5,11 +5,13 @@ WebRTC*'s quality; on static Lecture content frame sizes are stable, so
 the gains (and CBR's quality loss) shrink.
 
 The (baseline x category) grid runs through the parallel runner
-(``REPRO_JOBS=N`` fans it across processes) with on-disk result
-caching; cache counters are printed with the table.
+(``REPRO_JOBS=N`` fans it across processes) with a result cache in a
+private temporary directory that is removed afterwards; cache counters
+are printed with the table.
 """
 
 import os
+import tempfile
 
 from repro.analysis import ResultCache
 from repro.bench import fmt_ms, print_table
@@ -23,9 +25,10 @@ JOBS = int(os.environ.get("REPRO_JOBS", "1"))
 
 def run_experiment():
     trace = trace_library().by_class("wifi")[0]
-    runner = ParallelRunner(jobs=JOBS, cache=ResultCache())
-    grid = run_grid(list(BASELINES), [trace], seeds=(3,),
-                    categories=CATEGORIES, duration=25.0, runner=runner)
+    with tempfile.TemporaryDirectory(prefix="repro-fig13-") as cache_dir:
+        runner = ParallelRunner(jobs=JOBS, cache=ResultCache(cache_dir))
+        grid = run_grid(list(BASELINES), [trace], seeds=(3,),
+                        categories=CATEGORIES, duration=25.0, runner=runner)
     results = {
         cat: {
             name: (grid[(name, trace.name, 3, cat)].p95_latency(),

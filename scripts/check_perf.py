@@ -51,7 +51,7 @@ DEFAULT_PROFILER_OVERHEAD = 1.05
 #: vectorized pipeline's per-packet advantage dominates). The gate
 #: exists to catch a *batch* regression, not to reward a slow reference:
 #: PR 16 made the denominator's twin — the reference macro-step bench —
-#: ~13 % faster (three events per packet, DESIGN §3b) with the batch
+#: ~13 % faster (three events per packet, DESIGN §10) with the batch
 #: bench unchanged (66-98 ms both sides), so the floor was re-based on
 #: the post-change ratio. Seven alternated same-box pairs: parent
 #: 4.35-5.42x (median 4.95), change 2.96-4.44x (median 4.1); floor =
@@ -59,7 +59,7 @@ DEFAULT_PROFILER_OVERHEAD = 1.05
 #: 1.76-2.30x (median 1.98), change 1.61-1.94x (median 1.72): 1.3 holds.
 #: PR 17 made the numerator's twin faster instead: the exact drop-tail
 #: admission scan keeps frames larger than the queue on the vector lane
-#: (DESIGN §10), batch macro-step bench 78-165 ms -> 60-94 ms with the
+#: (DESIGN §11), batch macro-step bench 78-165 ms -> 60-94 ms with the
 #: reference bench unchanged. Fifteen alternated same-box pairs: parent
 #: 2.77-5.46x (median 3.62), change 4.44-7.32x (median 5.64); floor =
 #: 5.64 x 0.8 = 4.5. Session pair: parent 1.26-2.64x (median 2.06),

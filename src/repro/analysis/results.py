@@ -92,7 +92,7 @@ class RunResult:
 # :func:`canonical_metrics_json`, the determinism contract. The
 # *columnar form* is what the on-disk result cache stores: one column
 # per field, numeric columns as raw array bytes, so a warm grid cell
-# never parses a float from text (DESIGN.md §3a).
+# never parses a float from text (DESIGN.md §15).
 # ----------------------------------------------------------------------
 
 #: FrameMetrics fields in construction order (positional round-trip).

@@ -5,8 +5,8 @@ to a running session through the event-loop observability hook
 (:attr:`repro.sim.events.EventLoop.on_event`) — zero overhead when off —
 and verifies, after every event, that the stack still satisfies the
 conservation laws, state invariants and control-law conformance the
-reproduction's claims rest on. See DESIGN.md ("Invariant auditing") for
-the catalogue.
+reproduction's claims rest on. See DESIGN §14 ("The invariant auditor")
+for the catalogue.
 
 Entry points:
 

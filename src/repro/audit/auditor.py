@@ -9,7 +9,7 @@ PAPER §4.1 Algorithm 1. Nothing it reads is allowed to perturb the run:
 in particular it never refills the token bucket (advancing the lazy-refill
 state could shift float rounding) — it reads the raw token field.
 
-Three invariant families (see DESIGN.md for the full catalogue):
+Three invariant families (see DESIGN §14 for the full catalogue):
 
 * **Conservation** — packets/bytes offered to a stage equal delivered +
   dropped + still queued, at pacer and bottleneck link, plus a

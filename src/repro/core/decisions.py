@@ -3,7 +3,7 @@
 ACE-N's bucket moves, ACE-C's per-frame levels and every congestion
 controller's BWE updates are rows of one shape — ``time``, the law's
 ``branch``, the controlled value ``before`` and ``after`` it, and the
-law's ``input`` (DESIGN §6 registers each controller's branches and
+law's ``input`` (DESIGN §14 registers each controller's branches and
 units). A row costs five list appends and no object.
 """
 

@@ -27,7 +27,7 @@ the bottleneck :class:`~repro.net.link.Link` drives:
 the default, and its departures are closed-form at enqueue. PIE drops
 only in ``enqueue`` (its ``select_head`` is the FIFO head); Confucius
 chooses in ``select_head`` which head goes next but drops nothing
-there. So a lone router of either folds (DESIGN §3b); CoDel, which
+there. So a lone router of either folds (DESIGN §6); CoDel, which
 drops heads in ``select_head``, says ``drops_at_dequeue`` and does not.
 
 Disciplines included:

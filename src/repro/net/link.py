@@ -7,7 +7,7 @@ the instantaneous trace rate; when the queue is full, arrivals are
 dropped from the tail.
 
 The queue is a :class:`~repro.net.aqm.QueueDiscipline`; the link learns
-when a packet leaves it in one of two ways (DESIGN §3b):
+when a packet leaves it in one of two ways (DESIGN §6):
 
 * **served** — one routine drives the discipline through the generic
   ``enqueue``/``select_head``/``pop_head`` protocol; the selected packet

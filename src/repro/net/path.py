@@ -7,7 +7,7 @@ direction, and an uncongested reverse path for feedback. Optional random
 and contention loss ahead of the bottleneck, and per-packet delay jitter
 after it, model the paper's weak-network venues.
 
-A lone bottleneck spends no event of its own (DESIGN §3b): ``send``
+A lone bottleneck spends no event of its own (DESIGN §6): ``send``
 offers each packet at release to a drop-tail link's ``DropTailServer``
 or to a folded PIE/Confucius link, so a packet costs the pacer's pump
 and the hop to the receiver (a jittered path: one more, at departure).
@@ -142,7 +142,7 @@ class NetworkPath:
                 link.send(packet, arrival)
             return
         # Closed form: the path is the server's only feeder, so it is
-        # asked now, half a hop ahead of the arrival (DESIGN §3b); a drop
+        # asked now, half a hop ahead of the arrival (DESIGN §6); a drop
         # still reaches the loss path at the arrival instant, and a
         # jitter draw is still made at the departure instant.
         packet.t_enter_queue = arrival

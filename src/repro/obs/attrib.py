@@ -9,7 +9,7 @@ partitioned across the ACE-N decisions that were *active* while the
 frame waited, yielding a per-frame "blame breakdown" whose parts sum to
 the frame's pacer span exactly.
 
-Blame categories are the branches of Algorithm 1 (see DESIGN.md):
+Blame categories are the branches of Algorithm 1 (see DESIGN §14):
 
 * ``loss-halve``       — bucket halved after packet loss,
 * ``queue-threshold``  — bucket shrunk because est. queue exceeded T,

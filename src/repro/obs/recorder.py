@@ -80,7 +80,7 @@ class WireRows:
     fresh media packet leaving the pacer, in columns ``t`` (wire time),
     ``frame_id``, ``size``, ``delay`` (pacer enqueue → wire, NaN when
     not measured) and ``index`` (records emitted before the row); DESIGN
-    §10 maps each to its paper quantity.
+    §14 maps each to its paper quantity.
 
     Two producers: one row at a time straight onto the column lists (the
     per-packet hot path, sealed into an array chunk when read), or a

@@ -255,7 +255,7 @@ class Session:
 
     def _aqm_rng(self, disciplines: Iterable[str]) -> Optional[RngStream]:
         """The ``"aqm"`` stream, created only when some router runs a
-        non-default discipline (DESIGN §11)."""
+        non-default discipline (DESIGN §13)."""
         if any(name != DEFAULT_DISCIPLINE for name in disciplines):
             return self.rngs.stream("aqm")
         return None

@@ -1,4 +1,4 @@
-"""Vectorized macro-step batch engine (DESIGN §10).
+"""Vectorized macro-step batch engine (DESIGN §11).
 
 Between decision boundaries — frame captures, encode completions,
 feedback arrivals, skip timers — the pacer→link→queue pipeline is
@@ -53,7 +53,7 @@ so it reads a pipeline that ``run_until(t)`` has just flushed.
 Numerical contract: the fast path reorders float arithmetic (closed
 forms and cumulative sums instead of sequential per-packet updates), so
 batch results are *statistically* identical to reference results, not
-bit-identical — see DESIGN §10 for the documented tolerances and the
+bit-identical — see DESIGN §11 for the documented tolerances and the
 differential tests that enforce them.
 """
 
@@ -350,7 +350,7 @@ class BatchPipeline:
         while media:
             # Vector lane: the pacer's own closed form says which prefix
             # of the head train leaves by ``target``, and has committed
-            # it (DESIGN §10, *Macro-step math*).
+            # it (DESIGN §11, *Macro-step math*).
             burst = media[0]
             sent = burst.sent
             cum = burst.cum[sent:]

@@ -9,7 +9,7 @@ its horizon is an engine concern. Two engines ship:
   ``tests/test_sim_regression.py`` are pinned to.
 * ``batch`` — :class:`~repro.sim.batch.BatchEngine`: macro-steps the
   pacer→link→queue pipeline between decision boundaries with vectorized
-  closed forms (see DESIGN §10), falling back to reference semantics for
+  closed forms (see DESIGN §11), falling back to reference semantics for
   configurations the fast path does not model.
 
 Engines are deliberately tiny: ``prepare`` installs any hooks and

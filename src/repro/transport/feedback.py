@@ -27,7 +27,7 @@ NACK_WINDOW = 2000
 #: arrays, a shorter one as Python lists: the consumers' array lanes pay
 #: numpy's per-call cost once per message, their per-report loops pay
 #: per report, and the two cost the same between 48 and 64 reports
-#: (DESIGN §10 has the sweep).
+#: (DESIGN §7 has the sweep).
 ARRAY_MIN_REPORTS = 64
 
 

@@ -136,7 +136,7 @@ def test_incremental_loss_counts_match_lost_packets_scan():
 
 @pytest.mark.parametrize("discipline", ["droptail", "codel"])
 def test_aqm_stream_exists_only_for_a_non_default_discipline(discipline):
-    """DESIGN §11: the "aqm" RNG stream is created only when a router
+    """DESIGN §13: the "aqm" RNG stream is created only when a router
     runs a non-default discipline — single flow and arena alike."""
     cfg = SessionConfig(duration=1.0, seed=3)
     single = build_session("cbr", const_trace(), cfg, discipline=discipline)

@@ -1,6 +1,6 @@
 """Batch-engine equivalence, fallback, and manifest-recording tests.
 
-The batch engine (DESIGN §10) macro-steps the pacer→link→queue pipeline
+The batch engine (DESIGN §11) macro-steps the pacer→link→queue pipeline
 between decision boundaries. Its contract:
 
 * ``engine="reference"`` is the default and is the bit-exact golden

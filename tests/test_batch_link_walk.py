@@ -2,7 +2,7 @@
 
 ``DropTailServer.offer_train`` commits the packets ahead of a train's
 first tail drop in one vector step; its feeder offers the rest one by
-one (DESIGN §10, *Bottleneck walk*). Here a server's ledger is loaded
+one (DESIGN §11, *Bottleneck walk*). Here a server's ledger is loaded
 with generated pending departures — ``(arrival, start, finish, size)``
 tuples and ``[arrivals, finishes, last finish, cum_bytes, pos]`` chunks
 with ``pos > 0`` — and fed

@@ -5,7 +5,7 @@ ACE-N, ACE-C and each congestion controller own a ``DecisionLog``
 Wi-Fi trace, every controller family — each log's rows must be in time
 order, chain (a row starts where the previous one ended, the first
 where the controller started), end at the controller's live value, and
-name only branches DESIGN §6's register lists; the session's
+name only branches DESIGN §14's register lists; the session's
 ``bwe_history`` is the congestion controller's log. The BWE step lookup
 reads the later of two same-instant writes.
 """
@@ -42,10 +42,12 @@ CASES = [(baseline, cc, trace, engine)
 
 
 def registered_branches() -> set:
-    """``(controller, branch)`` pairs of DESIGN §6's branch register."""
+    """``(controller, branch)`` pairs of DESIGN §14's branch register:
+    the table headed ``| controller | branch | law | `input` |``."""
     text = DESIGN.read_text()
-    section = text[text.index("\n## 6."):text.index("\n## 7.")]
-    return set(re.findall(r"^\| ([\w-]+) \| `([\w-]+)` \|", section,
+    table = text[text.index("| controller | branch | law |"):]
+    table = table[:table.index("\n\n")]
+    return set(re.findall(r"^\| ([\w-]+) \| `([\w-]+)` \|", table,
                           flags=re.M))
 
 

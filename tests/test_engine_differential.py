@@ -1,6 +1,6 @@
 """Differential property test: seeded fuzz scenarios through both engines.
 
-Satellite of the batch-engine work (DESIGN §10): the ``repro fuzz``
+Satellite of the batch-engine work (DESIGN §11): the ``repro fuzz``
 scenario generator derives randomized-but-reproducible workloads from
 ``(root_seed, index)``; this test runs every case through the reference
 and batch engines and asserts :func:`paired_compare` agreement on the

@@ -2,7 +2,7 @@
 
 ``NetworkPath`` folds a lone router whose discipline drops nothing at
 dequeue — PIE decides at enqueue, Confucius at enqueue and in choosing
-which head goes next (DESIGN §3b). The path offers each packet at
+which head goes next (DESIGN §6). The path offers each packet at
 release, half a hop ahead of its arrival; the link first makes every
 service decision due before that arrival, reports a drop at the
 arrival instant and posts the departure hop when it chooses the head:

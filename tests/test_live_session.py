@@ -176,7 +176,7 @@ def test_the_live_path_forwards_as_the_shim_admits(
     resolve an exact float tie between a departure and an arrival
     differently (the path offers half a hop ahead of its clock, with
     ``lead`` = half hop, the shim at the arrival itself, ``lead`` = 0;
-    DESIGN §3b), and a wall clock never produces such a tie."""
+    DESIGN §6), and a wall clock never produces such a tie."""
     config = PathConfig(base_rtt=base_rtt, queue_capacity_bytes=capacity,
                         random_loss_rate=loss)
     loop = EventLoop()

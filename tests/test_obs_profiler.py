@@ -97,13 +97,13 @@ class TestSessionProfile:
         assert profiler.total_events == session.loop.processed
         components = set(profiler.component_totals())
         # A closed-form path has no link.serve event by design: the
-        # drop-tail departure is computed at enqueue (DESIGN §3).
+        # drop-tail departure is computed at enqueue (DESIGN §6).
         assert {"pacer", "sender", "path"} <= components
         assert "link" not in components
 
     def test_jittered_session_counts_one_departure_hop_per_packet(self):
         # Jitter is drawn at the departure instant, on a hop of the
-        # path's own; the link stays closed-form (DESIGN §3b).
+        # path's own; the link stays closed-form (DESIGN §6).
         session, profiler = self.run_profiled(delay_jitter_std=0.002)
         assert profiler.total_events == session.loop.processed
         counts = profiler.counts()
