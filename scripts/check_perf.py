@@ -44,27 +44,14 @@ DEFAULT_PROFILER_OVERHEAD = 1.05
 
 #: batch-engine speedup gates: the batch bench must beat its reference
 #: twin *from the same run* by at least the floor factor. Two pairs:
-#: the 20 Mbps session pair (ratio bounded by the shared decision-plane
-#: code — GCC, ACE-N, rate control run identically on both engines, an
-#: Amdahl floor measured at ~45% of reference wall time) and the
-#: packet-heavy macro-step pair (~110 packets/frame, where the
-#: vectorized pipeline's per-packet advantage dominates). The gate
-#: exists to catch a *batch* regression, not to reward a slow reference:
-#: PR 16 made the denominator's twin — the reference macro-step bench —
-#: ~13 % faster (three events per packet, DESIGN §10) with the batch
-#: bench unchanged (66-98 ms both sides), so the floor was re-based on
-#: the post-change ratio. Seven alternated same-box pairs: parent
-#: 4.35-5.42x (median 4.95), change 2.96-4.44x (median 4.1); floor =
-#: 4.1 x 0.8 = 3.3 (was 4.0 = 0.8 x ~5). The session pair read parent
-#: 1.76-2.30x (median 1.98), change 1.61-1.94x (median 1.72): 1.3 holds.
-#: PR 17 made the numerator's twin faster instead: the exact drop-tail
-#: admission scan keeps frames larger than the queue on the vector lane
-#: (DESIGN §11), batch macro-step bench 78-165 ms -> 60-94 ms with the
-#: reference bench unchanged. Fifteen alternated same-box pairs: parent
-#: 2.77-5.46x (median 3.62), change 4.44-7.32x (median 5.64); floor =
-#: 5.64 x 0.8 = 4.5. Session pair: parent 1.26-2.64x (median 2.06),
-#: change 1.23-2.68x (median 1.98), one sub-floor reading a side on a
-#: loaded box — 1.3 stays.
+#: the 20 Mbps session pair, whose ratio is bounded by the decision-plane
+#: code both engines share (GCC, ACE-N and rate control run identically
+#: on both, an Amdahl floor), and the packet-heavy macro-step pair
+#: (~110 packets/frame), where the vectorized pipeline's per-packet
+#: advantage dominates. The gate exists to catch a *batch* regression,
+#: not to reward a slow reference. A floor is re-based to 0.8x the
+#: median ratio of alternated same-box pairs when a change moves one
+#: twin; CHANGES.md keeps those measurements.
 BATCH_SESSION_BENCH = "test_perf_batch_session_throughput"
 BATCH_SESSION_BASE = "test_perf_full_session_throughput"
 DEFAULT_BATCH_SESSION_SPEEDUP = 1.3

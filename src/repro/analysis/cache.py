@@ -199,18 +199,3 @@ class ResultCache:
         state = "on" if self.enabled else "off"
         return f"cache[{state}] " + " ".join(
             f"{name}={n}" for name, n in self.counter_dict().items())
-
-    def clear(self) -> int:
-        """Delete every entry, and any ``*.tmp`` a killed writer left
-        behind; returns the number of entries removed."""
-        removed = 0
-        if self.cache_dir.is_dir():
-            for pattern in ("*.json", "*.tmp"):
-                for path in self.cache_dir.glob(pattern):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                    if pattern == "*.json":
-                        removed += 1
-        return removed

@@ -47,6 +47,8 @@ MARGIN_LEFT = 56
 MARGIN_RIGHT = 12
 MARGIN_TOP = 28
 MARGIN_BOTTOM = 34
+#: every chart's x axis is session time.
+X_LABEL = "time (s)"
 
 #: pixel budget for M4 downsampling — the plot area width.
 DEFAULT_PIXEL_WIDTH = CHART_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -105,7 +107,7 @@ def _esc(text: str) -> str:
 
 
 def svg_line_chart(title: str, serieses: Sequence[ChartSeries], *,
-                   y_label: str = "", x_label: str = "time (s)",
+                   y_label: str = "",
                    width: int = CHART_WIDTH, height: int = CHART_HEIGHT,
                    pixel_width: Optional[int] = None) -> str:
     """Render one deterministic SVG line chart.
@@ -185,7 +187,7 @@ def svg_line_chart(title: str, serieses: Sequence[ChartSeries], *,
         f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>')
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 4}" '
-        f'text-anchor="middle">{_esc(x_label)}</text>')
+        f'text-anchor="middle">{_esc(X_LABEL)}</text>')
     if y_label:
         cy = MARGIN_TOP + plot_h / 2
         parts.append(

@@ -63,10 +63,6 @@ class RunResult:
             extra=dict(extra),
         )
 
-    def key(self) -> tuple:
-        """Identity of the workload this result measured."""
-        return (self.baseline, self.trace, self.seed, self.category)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         # JSON has no NaN; store as null.

@@ -12,7 +12,7 @@ own lifecycle and path callbacks, with one ``FlowStack`` per flow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.arena.fairness import FairnessReport
 from repro.arena.topology import ArenaPath, BottleneckSpec
@@ -55,33 +55,17 @@ class ArenaMetrics:
     def __getitem__(self, fid: int) -> SessionMetrics:
         return self.flows[fid]
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.flows)
-
-    def __len__(self) -> int:
-        return len(self.flows)
-
-    def keys(self):
-        return self.flows.keys()
-
     def items(self):
         return self.flows.items()
 
-    def values(self):
-        return self.flows.values()
-
-    @property
-    def bandwidth_fn(self):
-        for m in self.flows.values():
-            return m.bandwidth_fn
-        return None
-
-    @bandwidth_fn.setter
-    def bandwidth_fn(self, fn) -> None:
+    def _forward_bandwidth_fn(self, fn) -> None:
         # ParallelRunner nulls this before pickling worker results and
         # reattaches it on the parent side; forward to every flow.
         for m in self.flows.values():
             m.bandwidth_fn = fn
+
+    #: write-only: a flow's own ``bandwidth_fn`` is the one to read.
+    bandwidth_fn = property(fset=_forward_bandwidth_fn)
 
     def baselines(self) -> Dict[int, str]:
         return {fid: spec["baseline"] for fid, spec in self.specs.items()}

@@ -34,14 +34,15 @@ class TokenBucket:
     __slots__ = ("_rate_bps", "_bucket_bytes", "_tokens", "_last_refill")
 
     def __init__(self, rate_bps: float, bucket_bytes: float,
-                 initial_fill: float | None = None, now: float = 0.0) -> None:
+                 now: float = 0.0) -> None:
+        """A full bucket of ``bucket_bytes`` at time ``now``."""
         if rate_bps <= 0:
             raise ValueError("token rate must be positive")
         if bucket_bytes <= 0:
             raise ValueError("bucket size must be positive")
         self._rate_bps = rate_bps
         self._bucket_bytes = bucket_bytes
-        self._tokens = bucket_bytes if initial_fill is None else min(initial_fill, bucket_bytes)
+        self._tokens = bucket_bytes
         self._last_refill = now
 
     # ------------------------------------------------------------------

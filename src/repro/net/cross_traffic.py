@@ -116,10 +116,6 @@ class CrossTrafficFlow:
         if self.on_finish is not None:
             self.on_finish(self.record)
 
-    @property
-    def finished(self) -> bool:
-        return self._done
-
 
 class PageLoadGenerator:
     """Spawns page loads at random intervals for the fairness experiment.

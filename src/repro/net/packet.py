@@ -91,27 +91,6 @@ class Packet:
                 f"type={self.ptype.value}, size={self.size_bytes}, "
                 f"frame={self.frame_id})")
 
-    @property
-    def pacing_delay(self) -> Optional[float]:
-        """Time spent waiting in the sender's pacer, if known."""
-        if self.t_enqueue_pacer is None or self.t_leave_pacer is None:
-            return None
-        return self.t_leave_pacer - self.t_enqueue_pacer
-
-    @property
-    def queue_delay(self) -> Optional[float]:
-        """Time spent in the in-network (bottleneck) queue, if known."""
-        if self.t_enter_queue is None or self.t_leave_queue is None:
-            return None
-        return self.t_leave_queue - self.t_enter_queue
-
-    @property
-    def one_way_delay(self) -> Optional[float]:
-        """Pacer-exit to arrival delay, if the packet arrived."""
-        if self.t_leave_pacer is None or self.t_arrival is None:
-            return None
-        return self.t_arrival - self.t_leave_pacer
-
     def clone_for_retransmission(self) -> "Packet":
         """Build a fresh packet carrying the same payload metadata."""
         return Packet(

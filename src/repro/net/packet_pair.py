@@ -31,13 +31,11 @@ class PacketPairEstimator:
     allocated record — ``on_packet`` runs once per received packet.
     """
 
-    def __init__(self, window: int = 50, min_samples: int = 3,
-                 back_to_back_gap: float = BACK_TO_BACK_GAP_S) -> None:
+    def __init__(self, window: int = 50, min_samples: int = 3) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
         self.min_samples = min_samples
-        self.back_to_back_gap = back_to_back_gap
         self._last_send: Optional[float] = None
         self._last_arrival = 0.0
         self._samples: Deque[float] = deque(maxlen=window)
@@ -55,7 +53,7 @@ class PacketPairEstimator:
         arrival_gap = arrival_time - last_arrival
         if send_gap < 0 or arrival_gap <= 0:
             return  # reordered or simultaneous; unusable
-        if send_gap > self.back_to_back_gap:
+        if send_gap > BACK_TO_BACK_GAP_S:
             return  # not a back-to-back pair
         capacity = size_bytes * 8 / arrival_gap
         if capacity < math.inf:     # a subnormal gap overflows to inf
@@ -84,7 +82,7 @@ class PacketPairEstimator:
         arrival_gaps[0] = arrival_times[0] - last_arrival
         np.subtract(arrival_times[1:], arrival_times[:-1],
                     out=arrival_gaps[1:])
-        mask = ((send_gaps >= 0) & (send_gaps <= self.back_to_back_gap)
+        mask = ((send_gaps >= 0) & (send_gaps <= BACK_TO_BACK_GAP_S)
                 & (arrival_gaps > 0))
         if mask.any():
             capacities = (sizes[mask] * 8) / arrival_gaps[mask]

@@ -30,6 +30,13 @@ from repro.sim.events import EventLoop
 from repro.sim.rng import RngStream
 
 
+#: gap below which consecutive sends count as the same burst train
+#: (contention loss).
+BURST_GAP_S = 0.001
+#: train length (packets) at which contention loss saturates.
+CONTENTION_TRAIN_PACKETS = 50
+
+
 @dataclass
 class PathConfig:
     """Configuration of a :class:`NetworkPath`.
@@ -47,10 +54,6 @@ class PathConfig:
     #: competing stations, so the per-packet loss probability ramps up
     #: with the length of the burst train (zero for paced traffic).
     contention_loss_rate: float = 0.0
-    #: gap below which consecutive sends count as the same burst train.
-    burst_gap_s: float = 0.001
-    #: train length (packets) at which contention loss saturates.
-    contention_train_packets: int = 50
     #: per-packet one-way delay jitter (std-dev, seconds) added on the
     #: forward path — wireless MAC scheduling noise, ``|N(0, std)|``
     #: drawn as the packet leaves the bottleneck. Zero disables it.
@@ -173,12 +176,12 @@ class NetworkPath:
                 return False
             now = self.loop.now
             last = self._last_send_time
-            if last is not None and now - last < cfg.burst_gap_s:
+            if last is not None and now - last < BURST_GAP_S:
                 self._train_length += 1
             else:
                 self._train_length = 0
             self._last_send_time = now
-            ramp = min(1.0, self._train_length / cfg.contention_train_packets)
+            ramp = min(1.0, self._train_length / CONTENTION_TRAIN_PACKETS)
             if not self.rng.random() < rate * ramp:
                 return False
         packet.dropped = True

@@ -71,11 +71,6 @@ class BandwidthTrace:
             step = float(np.median(np.diff(self._ts)))
             self._duration = float(self._ts[-1] - self._ts[0] + step)
 
-    @property
-    def duration(self) -> float:
-        """Length of one loop of the trace."""
-        return self._duration
-
     def rate_at(self, t: float) -> float:
         """Available bandwidth (bps) at simulation time ``t`` (loops).
 
@@ -131,23 +126,6 @@ class BandwidthTrace:
         # Wraps: the next boundary is the start of the next loop.
         return base + span
 
-    def mean_rate(self) -> float:
-        return float(np.mean(self._rates))
-
-    def min_rate(self) -> float:
-        return float(np.min(self._rates))
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self._rates, q))
-
-    def scaled(self, factor: float, name: str | None = None) -> "BandwidthTrace":
-        """Return a copy with every rate multiplied by ``factor``."""
-        return BandwidthTrace(
-            timestamps=list(self.timestamps),
-            rates_bps=[r * factor for r in self.rates_bps],
-            name=name or f"{self.name}(x{factor:g})",
-        )
-
     @classmethod
     def constant(cls, rate_bps: float, duration: float = 60.0,
                  name: str = "constant") -> "BandwidthTrace":
@@ -158,61 +136,6 @@ class BandwidthTrace:
             rates_bps=[rate_bps] * n,
             name=name,
         )
-
-    # ------------------------------------------------------------------
-    # Mahimahi trace-file interop
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_mahimahi_file(cls, path, mtu_bytes: int = 1500,
-                           bucket_s: float = TRACE_INTERVAL_S,
-                           name: str | None = None) -> "BandwidthTrace":
-        """Load a Mahimahi packet-delivery trace.
-
-        Mahimahi trace files contain one integer per line: the
-        millisecond at which one MTU-sized packet delivery opportunity
-        occurs (repeated timestamps = multiple packets that ms). The
-        trace is converted to bandwidth by bucketing opportunities into
-        ``bucket_s`` windows.
-        """
-        from pathlib import Path as _Path
-
-        lines = _Path(path).read_text().split()
-        if not lines:
-            raise ValueError(f"empty Mahimahi trace: {path}")
-        stamps_ms = sorted(int(line) for line in lines)
-        end_s = stamps_ms[-1] / 1000.0
-        n_buckets = max(1, int(math.ceil(end_s / bucket_s)) or 1)
-        counts = [0] * n_buckets
-        for ms in stamps_ms:
-            idx = min(int((ms / 1000.0) / bucket_s), n_buckets - 1)
-            counts[idx] += 1
-        rates = [c * mtu_bytes * 8 / bucket_s for c in counts]
-        if len(rates) == 1:
-            rates = rates * 2
-        return cls(
-            timestamps=[i * bucket_s for i in range(len(rates))],
-            rates_bps=rates,
-            name=name or f"mahimahi:{_Path(path).name}",
-        )
-
-    def to_mahimahi_file(self, path, mtu_bytes: int = 1500) -> None:
-        """Write this trace as a Mahimahi packet-delivery schedule.
-
-        Each bucket's bandwidth is converted to evenly spaced MTU
-        delivery opportunities (millisecond resolution), so the file can
-        drive a real Mahimahi shell with the synthetic conditions.
-        """
-        from pathlib import Path as _Path
-
-        lines: list[str] = []
-        ts = list(self.timestamps)
-        step = float(np.median(np.diff(self._ts))) if len(ts) > 1 else TRACE_INTERVAL_S
-        for start, rate in zip(ts, self.rates_bps):
-            packets = int(round(rate * step / 8 / mtu_bytes))
-            for k in range(packets):
-                ms = int((start + (k + 0.5) * step / max(packets, 1)) * 1000)
-                lines.append(str(max(ms, 1)))
-        _Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _ou_series(rng: RngStream, n: int, mean: float, volatility: float,
@@ -423,19 +346,7 @@ class TraceLibrary:
                               name=f"{cls}-{i}")
                     )
 
-    def all_traces(self) -> list[BandwidthTrace]:
-        return [t for group in self.traces.values() for t in group]
-
     def by_class(self, cls: str) -> list[BandwidthTrace]:
         if cls not in self.traces:
             raise KeyError(f"unknown trace class {cls!r}")
         return list(self.traces[cls])
-
-    def summary(self) -> dict[str, float]:
-        """Aggregate statistics across all samples of all traces."""
-        rates = np.concatenate([np.asarray(t.rates_bps) for t in self.all_traces()])
-        return {
-            "median_mbps": float(np.median(rates)) / 1e6,
-            "p25_mbps": float(np.percentile(rates, 25)) / 1e6,
-            "p75_mbps": float(np.percentile(rates, 75)) / 1e6,
-        }

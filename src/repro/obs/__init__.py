@@ -34,7 +34,7 @@ _SUBMODULES = {
     "dash": "FleetDashboard parse_prometheus record_from_prometheus sparkline",
     "timeseries": ("SeriesFrame SeriesRecorder load_shard m4_downsample "
                    "max_divergence_window rate_series"),
-    "quantiles": "clean_samples histogram_quantile percentile percentiles",
+    "quantiles": "clean_samples histogram_quantile percentiles",
     "resources": "process_rss_bytes",
     "slo": "SloRule SloWatchdog fleet_slo_rules session_slo_rules",
     "attrib": ("BLAME_CATEGORIES BlameSegment FrameBlame SessionAttribution "

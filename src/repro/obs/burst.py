@@ -10,10 +10,10 @@ of rows at a time:
 * ``burst.ipg_s`` — inter-packet gaps (a paced flow concentrates mass
   near ``packet_bytes / pacing_rate``, a bursty one in the first bucket);
 * ``burst.train_packets`` / ``_bytes`` / ``_duration_s`` — burst
-  trains, maximal runs of sends separated by gaps ≤ ``train_gap_s``
+  trains, maximal runs of sends separated by gaps ≤ ``TRAIN_GAP_S``
   (QUIC Steps compares pacer implementations with the same construction);
 * ``burst.pacing_delay_s`` — enqueue → wire, the paper's pacing latency;
-* windowed exact p50/p99 of gaps and pacing delays (nearest rank), for
+* windowed exact p50/p99 of pacing delays (nearest rank), for
   heartbeats and the series recorder.
 
 Everything is deterministic (fixed buckets, no randomness) and observe-
@@ -33,7 +33,7 @@ from repro.obs.registry import MetricRegistry
 
 __all__ = [
     "BurstAnalyzer",
-    "DEFAULT_TRAIN_GAP_S",
+    "TRAIN_GAP_S",
     "IPG_BUCKETS_S",
     "TRAIN_SIZE_BUCKETS",
     "TRAIN_DURATION_BUCKETS_S",
@@ -44,7 +44,7 @@ __all__ = [
 #: ~1/3 of a 60 fps frame interval and well above back-to-back socket
 #: writes, so trains capture "burst emitted at line rate" rather than
 #: "packets of the same frame".
-DEFAULT_TRAIN_GAP_S = 0.002
+TRAIN_GAP_S = 0.002
 
 #: inter-packet-gap buckets (seconds): 100 us resolution at the bottom
 #: where pacing differences live, stretching to one frame interval.
@@ -66,9 +66,9 @@ TRAIN_DURATION_BUCKETS_S = (0.0005, 0.001, 0.002, 0.004, 0.008,
 PACING_DELAY_BUCKETS_S = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
                           0.05, 0.1, 0.25, 0.5, 1.0)
 
-#: recent-window ring size for exact windowed quantiles. 2048 packets
-#: is ~1 s of wire time at 20 Mbps with 1200 B packets.
-DEFAULT_WINDOW = 2048
+#: recent-window ring size for the exact windowed pacing quantiles.
+#: 2048 packets is ~1 s of wire time at 20 Mbps with 1200 B packets.
+WINDOW = 2048
 
 
 class BurstAnalyzer:
@@ -81,19 +81,16 @@ class BurstAnalyzer:
     any split of the same row sequence leaves identical state.
     """
 
-    __slots__ = ("registry", "train_gap_s",
+    __slots__ = ("registry",
                  "_h_ipg", "_h_train_packets", "_h_train_bytes",
                  "_h_train_duration", "_h_pacing",
                  "_c_packets", "_c_trains",
                  "_g_last_train_packets", "_g_last_train_bytes",
                  "_last_t", "_train_start", "_train_packets", "_train_bytes",
-                 "_recent_gaps", "_recent_pacing")
+                 "_recent_pacing")
 
-    def __init__(self, registry: MetricRegistry, *,
-                 train_gap_s: float = DEFAULT_TRAIN_GAP_S,
-                 window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self, registry: MetricRegistry) -> None:
         self.registry = registry
-        self.train_gap_s = train_gap_s
         self._h_ipg = registry.histogram(
             "burst.ipg_s", buckets=IPG_BUCKETS_S,
             help="Inter-packet gap on the wire (seconds)")
@@ -131,8 +128,7 @@ class BurstAnalyzer:
         self._train_start = 0.0
         self._train_packets = 0
         self._train_bytes = 0.0
-        self._recent_gaps = SampleWindow(window)
-        self._recent_pacing = SampleWindow(window)
+        self._recent_pacing = SampleWindow(WINDOW)
 
     # -- feeding ---------------------------------------------------------
 
@@ -149,19 +145,18 @@ class BurstAnalyzer:
             pacing_delays = pacing_delays[~unmeasured]
         self._h_pacing.observe_many(pacing_delays)
         self._recent_pacing.extend(pacing_delays)
-        # gaps[i] is the gap in front of row i; a gap above train_gap_s
+        # gaps[i] is the gap in front of row i; a gap above TRAIN_GAP_S
         # starts a new train there. The very first row has no gap.
         gaps = np.empty(n)
         np.subtract(t[1:], t[:-1], out=gaps[1:])
         prev_t = self._last_t
         if prev_t is None:
             gaps = gaps[1:]
-            starts = (gaps > self.train_gap_s).nonzero()[0] + 1
+            starts = (gaps > TRAIN_GAP_S).nonzero()[0] + 1
         else:
             gaps[0] = t[0] - prev_t
-            starts = (gaps > self.train_gap_s).nonzero()[0]
+            starts = (gaps > TRAIN_GAP_S).nonzero()[0]
         self._h_ipg.observe_many(gaps)
-        self._recent_gaps.extend(gaps)
         self._last_t = float(t[-1])
         # Segment k spans rows [begins[k], ends[k]); the first continues
         # the carried train, all but the last close inside this batch.
@@ -217,10 +212,6 @@ class BurstAnalyzer:
 
     # -- reading ---------------------------------------------------------
 
-    def ipg_percentiles(self, pcts=(50.0, 99.0)):
-        """Windowed exact inter-packet-gap percentiles."""
-        return self._recent_gaps.percentiles(pcts)
-
     def pacing_percentiles(self, pcts=(50.0, 99.0)):
         """Windowed exact pacing-delay percentiles."""
         return self._recent_pacing.percentiles(pcts)
@@ -229,19 +220,3 @@ class BurstAnalyzer:
         """The windowed pacing delays themselves, oldest first (the live
         fleet pools every session's tail)."""
         return self._recent_pacing.values
-
-    def summary(self) -> dict:
-        """Point-in-time digest for heartbeats and CLI reports."""
-        ipg_p50, ipg_p99 = self.ipg_percentiles()
-        pace_p50, pace_p99 = self.pacing_percentiles()
-        trains = self._h_train_packets
-        return {
-            "packets": int(self._c_packets.value),
-            "trains": int(self._c_trains.value),
-            "mean_train_packets": (trains.sum / trains.count
-                                   if trains.count else None),
-            "ipg_p50_ms": None if ipg_p50 is None else ipg_p50 * 1e3,
-            "ipg_p99_ms": None if ipg_p99 is None else ipg_p99 * 1e3,
-            "pacing_p50_ms": None if pace_p50 is None else pace_p50 * 1e3,
-            "pacing_p99_ms": None if pace_p99 is None else pace_p99 * 1e3,
-        }

@@ -26,7 +26,11 @@ SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
 #: Per-series history depth (heartbeats, i.e. seconds at the default
 #: 1 Hz cadence).
-DEFAULT_HISTORY = 64
+HISTORY = 64
+
+#: frame width in columns, and the sparkline's share of each row.
+WIDTH = 80
+SPARK_WIDTH = 24
 
 CLEAR = "\x1b[H\x1b[2J"
 RED = "\x1b[31m"
@@ -70,16 +74,11 @@ class FleetDashboard:
     ASCII-plus-glyph text with no escape codes at all.
     """
 
-    def __init__(self, *, width: int = 80, spark_width: int = 24,
-                 history: int = DEFAULT_HISTORY, color: bool = True,
-                 clear: bool = True) -> None:
-        self.width = width
-        self.spark_width = spark_width
-        self.history = history
+    def __init__(self, *, color: bool = True, clear: bool = True) -> None:
         self.color = color
         self.clear = clear
         self.frames_rendered = 0
-        self._fleet_p99: Deque[Optional[float]] = deque(maxlen=history)
+        self._fleet_p99: Deque[Optional[float]] = deque(maxlen=HISTORY)
         self._session_p99: Dict[str, Deque[Optional[float]]] = {}
 
     # -- styling -------------------------------------------------------
@@ -99,14 +98,14 @@ class FleetDashboard:
         self._fleet_p99.append(record.get("pacing_p99_ms"))
         for label in sessions:
             self._session_p99.setdefault(
-                label, deque(maxlen=self.history))
+                label, deque(maxlen=HISTORY))
         for label, ring in self._session_p99.items():
             info = sessions.get(label, {})
             ring.append(info.get("pacing_p99_ms"))
 
         lines: List[str] = []
         # Short count labels so the header + p99 fit left of the
-        # sparkline at the default 80-col width.
+        # sparkline in the 80-column frame.
         counts = " ".join(
             f"{short} {record.get(key, 0)}"
             for key, short in (("running", "run"), ("completed", "ok"),
@@ -114,9 +113,9 @@ class FleetDashboard:
             if record.get(key) is not None)
         head = (f"live fleet  {counts}  "
                 f"p99 {_fmt_ms(record.get('pacing_p99_ms'))}")
-        lines.append(self._bold(_pad(head, self.width - self.spark_width))
-                     + _pad(sparkline(self._fleet_p99, self.spark_width),
-                            self.spark_width))
+        lines.append(self._bold(_pad(head, WIDTH - SPARK_WIDTH))
+                     + _pad(sparkline(self._fleet_p99, SPARK_WIDTH),
+                            SPARK_WIDTH))
 
         gauges = []
         if record.get("rss_mb") is not None:
@@ -124,7 +123,7 @@ class FleetDashboard:
         if record.get("cpu_total_s") is not None:
             gauges.append(f"cpu {record['cpu_total_s']:.1f} s")
         if gauges:
-            lines.append(_pad("  " + "  ".join(gauges), self.width))
+            lines.append(_pad("  " + "  ".join(gauges), WIDTH))
 
         for label in sorted(self._session_p99):
             info = sessions.get(label, {})
@@ -132,18 +131,18 @@ class FleetDashboard:
             row = (f"  {label:<18.18} {status:<9.9} "
                    f"f {int(info.get('frames', 0) or 0):>5} "
                    f"p99 {_fmt_ms(info.get('pacing_p99_ms'))}")
-            row = _pad(row, self.width - self.spark_width)
+            row = _pad(row, WIDTH - SPARK_WIDTH)
             spark = _pad(sparkline(self._session_p99[label],
-                                   self.spark_width), self.spark_width)
+                                   SPARK_WIDTH), SPARK_WIDTH)
             if status == "failed":
                 row = self._alert(row)
             lines.append(row + spark)
 
         if firing:
             lines.append(self._alert(
-                _pad("SLO FIRING: " + ", ".join(sorted(firing)), self.width)))
+                _pad("SLO FIRING: " + ", ".join(sorted(firing)), WIDTH)))
         else:
-            lines.append(_pad("slo: ok", self.width))
+            lines.append(_pad("slo: ok", WIDTH))
 
         frame = "\n".join(lines) + "\n"
         return (CLEAR + frame) if self.clear else frame

@@ -49,7 +49,10 @@ HIGHER_IS_BETTER = {"mean_vmaf", "received_fps"}
 DEFAULT_DIFF_TOLERANCE = 0.05
 
 #: a completed cell this many times slower than the median is a straggler.
-DEFAULT_STRAGGLER_FACTOR = 3.0
+STRAGGLER_FACTOR = 3.0
+
+#: cells completed between two heartbeat records of a grid run.
+HEARTBEAT_EVERY = 5
 
 
 # ----------------------------------------------------------------------
@@ -148,21 +151,17 @@ class FleetObserver(RunLog):
     The :class:`~repro.bench.parallel.ParallelRunner` calls
     :meth:`cell_done` as cells finish (in completion order, not task
     order); the observer appends one JSONL record per cell, emits a
-    heartbeat record every ``heartbeat_every`` completions, tracks
+    heartbeat record every :data:`HEARTBEAT_EVERY` completions, tracks
     per-worker (pid) statistics, and flags stragglers.
     """
 
     log_name = "cells.jsonl"
 
     def __init__(self, run_dir: str | Path, total: int, *, jobs: int = 1,
-                 heartbeat_every: int = 5,
-                 straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
                  echo: Optional[Callable[[str], None]] = None) -> None:
         super().__init__(run_dir, echo)
         self.total = total
         self.jobs = max(1, jobs)
-        self.heartbeat_every = max(1, heartbeat_every)
-        self.straggler_factor = straggler_factor
         self.done = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -221,7 +220,7 @@ class FleetObserver(RunLog):
         if straggler:
             record["straggler"] = True
         self.append(record)
-        if self.done % self.heartbeat_every == 0 or self.done == self.total:
+        if self.done % HEARTBEAT_EVERY == 0 or self.done == self.total:
             self.heartbeat()
 
     def _check_straggler(self, index: int, key: tuple, source: str,
@@ -230,7 +229,7 @@ class FleetObserver(RunLog):
         if source == "cache" or len(self._worker_walls) < 4:
             return False
         median = statistics.median(self._worker_walls)
-        if median <= 0 or wall_s <= self.straggler_factor * median:
+        if median <= 0 or wall_s <= STRAGGLER_FACTOR * median:
             return False
         self.stragglers.append({"index": index, "key": list(key),
                                 "wall_s": round(wall_s, 6),

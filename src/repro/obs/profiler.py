@@ -100,10 +100,6 @@ class LoopProfiler:
                                     total + entry.total_s)
         return out
 
-    def counts(self) -> dict[str, int]:
-        """Deterministic per-name callback counts (fixed for a seed)."""
-        return {name: e.count for name, e in sorted(self.entries.items())}
-
     def render(self, top: int = 15) -> str:
         """Fixed-width profile table for ``repro trace --profile``."""
         lines = [f"event-loop profile: {self.total_events} callbacks, "
@@ -130,6 +126,3 @@ class LoopProfiler:
                  sorted(comp.items(), key=lambda kv: -kv[1][1])]
         lines.append("  components: " + "  ".join(parts))
         return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "SampleWindow",
     "clean_samples",
-    "percentile",
     "percentiles",
     "histogram_quantile",
 ]
@@ -105,20 +104,11 @@ class SampleWindow:
             return ring[:end].copy()
         return np.concatenate((ring[end:], ring[:end]))
 
-    def __len__(self) -> int:
-        return self._size
-
     def percentiles(self, pcts: Sequence[float]
                     ) -> Tuple[Optional[float], ...]:
         if self._ordered is None:
             self._ordered = np.sort(self._ring[:self._size])
         return _nearest_rank(self._ordered, pcts)
-
-
-def percentile(values: Iterable[Optional[float]],
-               pct: float) -> Optional[float]:
-    """Single nearest-rank percentile (``None`` when empty)."""
-    return percentiles(values, (pct,))[0]
 
 
 def histogram_quantile(cumulative: Sequence[Tuple[float, int]],

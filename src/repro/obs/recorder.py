@@ -8,7 +8,7 @@ without telemetry pays one attribute read per instrumented site.
 Two streams, one emission order, one store each. Frame stages, metric
 samples and annotations are ``(time, kind, name, fields)`` rows in the
 event log or, with ``keep_events=False``, in a ring of the last
-``flight_capacity``. The per-packet ``wire`` stream is columnar
+:data:`FLIGHT_CAPACITY`. The per-packet ``wire`` stream is columnar
 (:class:`WireRows`), consumed in bulk by the burst analyzer and the span
 brackets at the tick or on first read. The event log and the flight
 window (the tail the invariant auditor dumps on a violation) materialise
@@ -35,10 +35,10 @@ if TYPE_CHECKING:
     from repro.obs.slo import SloWatchdog
     from repro.sim.events import Event
 
-#: default flight-window depth (records, not seconds).
-DEFAULT_FLIGHT_CAPACITY = 512
-#: default metric sampling cadence (seconds).
-DEFAULT_TICK_INTERVAL_S = 0.1
+#: flight-window depth (records, not seconds).
+FLIGHT_CAPACITY = 512
+#: metric sampling cadence (seconds).
+TICK_INTERVAL_S = 0.1
 #: pending wire rows are consumed at the tick or on first read, and at
 #: the latest when this many wait (no tick, no reader: still bounded).
 MAX_PENDING_ROWS = 4096
@@ -203,23 +203,19 @@ class Telemetry:
     """
 
     def __init__(self, clock: Optional["Clock"] = None,
-                 flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
-                 tick_interval: Optional[float] = DEFAULT_TICK_INTERVAL_S,
                  keep_events: bool = True) -> None:
         self.clock = clock
-        self.tick_interval = tick_interval
         self.keep_events = keep_events
-        self.flight_capacity = flight_capacity
         registry = self._registry = MetricRegistry(record=self._record_metric)
         self._spans = SpanBook()
         #: the record store: the event log, or a flight window's ring, of
         #: ``(time, kind, name, fields)`` rows, made records when read.
-        self._records = [] if keep_events else deque(maxlen=flight_capacity)
+        self._records = [] if keep_events else deque(maxlen=FLIGHT_CAPACITY)
         #: records emitted so far — the emission index of the next row.
         self._recorded = 0
         self._events: tuple = ((0, 0), [])   # (log size, materialised)
         #: ``wire`` probe rows (a flight window's worth without the log).
-        self.wire = WireRows(keep=None if keep_events else flight_capacity)
+        self.wire = WireRows(keep=None if keep_events else FLIGHT_CAPACITY)
         self._tick_handle: Optional["Event"] = None
         self._burst = BurstAnalyzer(registry)
         #: set by ``BatchPipeline.install``: answers the occupancy gauges
@@ -252,17 +248,16 @@ class Telemetry:
         return self
 
     def start_tick(self) -> None:
-        """Begin the periodic gauge-sampling tick (no-op if disabled).
+        """Begin the periodic gauge-sampling tick (no-op without a clock).
 
         The tick only *reads* component state through non-mutating
         sample functions, so scheduling it changes nothing about the
         simulated packet timeline.
         """
-        if (self.clock is None or self.tick_interval is None
-                or self._tick_handle is not None):
+        if self.clock is None or self._tick_handle is not None:
             return
         self._tick_handle = self.clock.call_later(
-            self.tick_interval, self._tick, name="obs.tick")
+            TICK_INTERVAL_S, self._tick, name="obs.tick")
 
     def _tick(self) -> None:
         if self.watchdog is not None or self.series is not None:
@@ -273,7 +268,7 @@ class Telemetry:
         if self.series is not None:
             self.series.sample(self.now)
         self._tick_handle = self.clock.call_later(
-            self.tick_interval, self._tick, name="obs.tick")
+            TICK_INTERVAL_S, self._tick, name="obs.tick")
 
     # ------------------------------------------------------------------
     # SLO watchdog
@@ -447,9 +442,9 @@ class Telemetry:
         return self._recorded + len(self.wire)
 
     def flight_window(self) -> list[TelemetryRecord]:
-        """The last ``flight_capacity`` records of both streams: the
+        """The last :data:`FLIGHT_CAPACITY` records of both streams: the
         record store's tail merged with the wire rows', in emission order."""
-        capacity = self.flight_capacity
+        capacity = FLIGHT_CAPACITY
         tail = list(islice(reversed(self._records), capacity))[::-1]
         rows = tuple(column[-capacity:] for column in self.wire.columns())
         return _merge(tail, self._recorded - len(tail), rows)[-capacity:]

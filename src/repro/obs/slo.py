@@ -251,8 +251,7 @@ def format_slo_event(event: dict) -> str:
             f"at t={event['at']:.2f}s")
 
 
-def session_slo_rules(*, pacing_p99_s: float = 0.25,
-                      e2e_p99_s: Optional[float] = None) -> List[SloRule]:
+def session_slo_rules(*, pacing_p99_s: float = 0.25) -> List[SloRule]:
     """Default per-session rules (sim ``repro run --slo`` and live).
 
     Watches the burst analyzer's pacing-delay histogram — the paper's
@@ -260,7 +259,7 @@ def session_slo_rules(*, pacing_p99_s: float = 0.25,
     backlog that catches a stalled pacer even before the p99 bound
     trips.
     """
-    rules = [
+    return [
         SloRule("pacing-p99", "burst.pacing_delay_s",
                 quantile=99.0, threshold=pacing_p99_s, for_count=2),
         # floor: keyframe bursts park a few hundred KB in the pacer for
@@ -270,11 +269,6 @@ def session_slo_rules(*, pacing_p99_s: float = 0.25,
                 drift=4.0, ewma_alpha=0.2, min_samples=10, for_count=3,
                 floor=500_000.0),
     ]
-    if e2e_p99_s is not None:
-        rules.append(SloRule("e2e-p99", "frame.e2e_s",
-                             quantile=99.0, threshold=e2e_p99_s,
-                             for_count=2))
-    return rules
 
 
 def fleet_slo_rules(*, pacing_p99_s: float = 0.25) -> List[SloRule]:

@@ -57,9 +57,6 @@ class FrameSpan:
     def stage(self, name: str, at: float) -> None:
         self.stamps[name] = at
 
-    def get(self, name: str) -> Optional[float]:
-        return self.stamps.get(name)
-
     @property
     def complete(self) -> bool:
         return "displayed" in self.stamps

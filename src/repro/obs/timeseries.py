@@ -9,7 +9,7 @@ into columns that share one time column. It is:
 
 * a pure observer: it reads ``.value`` only, so golden fingerprints hold
   with recording on (``tests/test_sim_regression.py``);
-* deterministically bounded: past ``max_samples`` it keeps every other
+* deterministically bounded: past ``MAX_SAMPLES`` it keeps every other
   sample and doubles its stride, a pure function of the tick sequence;
 * decimation-safe: counters are stored cumulative, so the samples left
   still give correct rates (:func:`rate_series`);
@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .atomicio import atomic_write_text
 
 __all__ = [
-    "DEFAULT_MAX_SAMPLES",
+    "MAX_SAMPLES",
     "SeriesFrame",
     "SeriesRecorder",
     "load_shard",
@@ -44,7 +44,7 @@ __all__ = [
 
 # ~7 minutes of 100ms ticks before the first decimation; bounded memory
 # for arbitrarily long runs (stride doubles, count halves).
-DEFAULT_MAX_SAMPLES = 4096
+MAX_SAMPLES = 4096
 
 # Percentiles sampled from the burst analyzer's recent pacing-delay
 # window each tick; matches the SLO watchdog's p99 focus plus a median
@@ -64,12 +64,6 @@ class SeriesFrame:
     t: List[float] = field(default_factory=list)
     series: Dict[str, List[Optional[float]]] = field(default_factory=dict)
     meta: Dict[str, object] = field(default_factory=dict)
-
-    def names(self) -> List[str]:
-        return sorted(self.series)
-
-    def get(self, name: str) -> List[Optional[float]]:
-        return self.series.get(name, [])
 
     def points(self, name: str) -> Tuple[List[float], List[float]]:
         """(t, v) with ``None`` samples dropped — render-ready."""
@@ -139,13 +133,9 @@ class SeriesRecorder:
         registry,
         *,
         burst=None,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
     ) -> None:
-        if max_samples < 4:
-            raise ValueError("max_samples must be >= 4")
         self.registry = registry
         self.burst = burst
-        self.max_samples = int(max_samples)
         #: Tick-decimation stride; doubles on each compaction so the
         #: retained set depends only on the tick sequence.
         self.stride = 1
@@ -157,9 +147,6 @@ class SeriesRecorder:
         self._feeds: List[tuple] = []
         self._pacing: List[List[Optional[float]]] = []
         self._registered = -1
-
-    def __len__(self) -> int:
-        return len(self.t)
 
     def sample(self, now: float) -> None:
         """Record one row; a pure read of instruments — never mutates
@@ -191,7 +178,7 @@ class SeriesRecorder:
                 self._pacing, self.burst.pacing_percentiles(PACING_PCTS)
             ):
                 column.append(value)
-        if len(self.t) > self.max_samples:
+        if len(self.t) > MAX_SAMPLES:
             self._compact()
 
     def _compact(self) -> None:

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 from repro.video.codec.model import EncoderConfig
 
+#: the complexity level ACE-C's elevated frames encode at (the highest
+#: of the three).
+ELEVATED_LEVEL = 2
+
 
 @dataclass
 class OverheadSample:
@@ -44,17 +48,16 @@ class OverheadModel:
     # ------------------------------------------------------------------
     def sender_cpu(self, bitrate_bps: float, fps: float,
                    level_index: int = 0,
-                   elevated_fraction: float = 0.0,
-                   elevated_level: int = 2) -> OverheadSample:
+                   elevated_fraction: float = 0.0) -> OverheadSample:
         """Sender CPU%/memory at the given operating point.
 
         ``elevated_fraction`` models ACE-C: that share of frames pays the
-        ``elevated_level`` encode time instead of ``level_index``'s.
+        :data:`ELEVATED_LEVEL` encode time instead of ``level_index``'s.
         """
         frame_bits = bitrate_bps / fps
         base_level = self.codec_config.level(level_index)
         time_base = base_level.encode_time(frame_bits)
-        time_elevated = self.codec_config.level(elevated_level).encode_time(frame_bits)
+        time_elevated = self.codec_config.level(ELEVATED_LEVEL).encode_time(frame_bits)
         mean_encode = ((1 - elevated_fraction) * time_base
                        + elevated_fraction * time_elevated)
         cpu = fps * mean_encode * 100.0 + self.cpu_per_mbps * bitrate_bps / 1e6

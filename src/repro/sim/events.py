@@ -70,9 +70,9 @@ class EventLoop:
     it as read-only outside this class.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: current simulation time in seconds (read-only for callers).
-        self.now = start_time
+        self.now = 0.0
         #: observability hook: called as ``on_event(event)`` after each
         #: executed callback (the seam :mod:`repro.audit.auditor` attaches to).
         #: ``None`` keeps the hot loop hook-free.
@@ -98,11 +98,6 @@ class EventLoop:
         """
         self.profiler = profiler
         return profiler
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._heap)
 
     @property
     def processed(self) -> int:

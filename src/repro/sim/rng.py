@@ -40,18 +40,11 @@ class RngStream:
         self.normal = gen.normal
         self.lognormal = gen.lognormal
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def exponential(self, scale: float = 1.0) -> float:
         return float(self._gen.exponential(scale))
 
     def pareto(self, shape: float) -> float:
         return float(self._gen.pareto(shape))
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
 
     def choice(self, options, p=None):
         return self._gen.choice(options, p=p)

@@ -89,7 +89,3 @@ class CopaController(CongestionController):
         self._last_direction = direction
         self._set_bwe(self.bwe_bps + direction * step, now,
                       "steer-up" if direction > 0 else "steer-down", target_bps)
-
-    @property
-    def velocity(self) -> float:
-        return self._velocity

@@ -49,10 +49,6 @@ class FecEncoder:
         self._loss_ewma = 0.0
         self.parity_sent = 0
 
-    @property
-    def group_size(self) -> int:
-        return self._group_size
-
     def observe_loss_rate(self, loss_rate: float) -> None:
         """Adapt redundancy to the observed loss rate."""
         cfg = self.config

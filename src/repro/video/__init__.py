@@ -15,11 +15,7 @@ from repro.video.source import CONTENT_CATEGORIES, ContentProfile, VideoSource
 from repro.video.quality import QualityModel
 from repro.video.codec.model import CodecModel, ComplexityLevel, EncoderConfig
 from repro.video.codec.presets import (
-    make_av1_model,
-    make_vp8_model,
-    make_vp9_model,
     make_x264_model,
-    make_x265_model,
 )
 from repro.video.codec.rate_control import (
     AbrVbvRateControl,
@@ -39,10 +35,6 @@ __all__ = [
     "ComplexityLevel",
     "EncoderConfig",
     "make_x264_model",
-    "make_x265_model",
-    "make_vp8_model",
-    "make_vp9_model",
-    "make_av1_model",
     "RateControl",
     "AbrVbvRateControl",
     "CbrRateControl",

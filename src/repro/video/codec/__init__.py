@@ -2,11 +2,7 @@
 
 from repro.video.codec.model import CodecModel, ComplexityLevel, EncoderConfig
 from repro.video.codec.presets import (
-    make_av1_model,
-    make_vp8_model,
-    make_vp9_model,
     make_x264_model,
-    make_x265_model,
 )
 from repro.video.codec.rate_control import (
     AbrVbvRateControl,
@@ -20,10 +16,6 @@ __all__ = [
     "ComplexityLevel",
     "EncoderConfig",
     "make_x264_model",
-    "make_x265_model",
-    "make_vp8_model",
-    "make_vp9_model",
-    "make_av1_model",
     "RateControl",
     "AbrVbvRateControl",
     "CbrRateControl",

@@ -108,26 +108,6 @@ def codec_config(name: str) -> EncoderConfig:
     return _CONFIG_FACTORIES[key]()
 
 
-def _make(config: EncoderConfig, rng: RngStream,
-          quality_model: QualityModel | None) -> CodecModel:
-    return CodecModel(config, rng, quality_model=quality_model)
-
-
 def make_x264_model(rng: RngStream, quality_model: QualityModel | None = None) -> CodecModel:
-    return _make(x264_config(), rng, quality_model)
+    return CodecModel(x264_config(), rng, quality_model=quality_model)
 
-
-def make_x265_model(rng: RngStream, quality_model: QualityModel | None = None) -> CodecModel:
-    return _make(x265_config(), rng, quality_model)
-
-
-def make_vp8_model(rng: RngStream, quality_model: QualityModel | None = None) -> CodecModel:
-    return _make(vp8_config(), rng, quality_model)
-
-
-def make_vp9_model(rng: RngStream, quality_model: QualityModel | None = None) -> CodecModel:
-    return _make(vp9_config(), rng, quality_model)
-
-
-def make_av1_model(rng: RngStream, quality_model: QualityModel | None = None) -> CodecModel:
-    return _make(av1_config(), rng, quality_model)

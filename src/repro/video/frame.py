@@ -40,7 +40,3 @@ class EncodedFrame:
     # Filled by the pipeline:
     encode_start: Optional[float] = None
     encode_end: Optional[float] = None
-
-    @property
-    def size_bits(self) -> int:
-        return self.size_bytes * 8

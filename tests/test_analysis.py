@@ -29,7 +29,8 @@ class TestRunResult:
                                    seed=5)
         assert r.frames == len(metrics.frames)
         assert r.p95_latency == metrics.p95_latency()
-        assert r.key() == ("cbr", "const", 5, "gaming")
+        assert (r.baseline, r.trace, r.seed, r.category) \
+            == ("cbr", "const", 5, "gaming")
 
     def test_roundtrip_json(self, metrics, tmp_path):
         r = RunResult.from_metrics(metrics, baseline="cbr", trace="const",
@@ -38,7 +39,8 @@ class TestRunResult:
         save_results([r], path)
         loaded = load_results(path)
         assert len(loaded) == 1
-        assert loaded[0].key() == r.key()
+        assert [(x.baseline, x.trace, x.seed, x.category)
+                for x in (loaded[0], r)] == [("cbr", "const", 5, "gaming")] * 2
         assert loaded[0].p95_latency == pytest.approx(r.p95_latency)
         assert loaded[0].extra == {"note": "smoke"}
 

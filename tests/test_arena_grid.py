@@ -115,7 +115,7 @@ def test_arena_metrics_roundtrip():
     d = metrics_to_dict(metrics)
     assert d["kind"] == "arena" and d["discipline"] == "codel"
     restored = metrics_from_dict(d)
-    assert sorted(restored) == [1, 2]
+    assert sorted(restored.flows) == [1, 2]
     assert restored.specs[2]["start"] == 1.0
     assert restored.discipline == "codel"
     for fid in (1, 2):
@@ -143,7 +143,7 @@ def test_grid_returns_cell_per_coordinate(grid_run):
     assert set(out) == {("cbr*2", "droptail", "const20", 3),
                         ("cbr*2", "codel", "const20", 3)}
     for metrics in out.values():
-        assert sorted(metrics) == [1, 2]
+        assert sorted(metrics.flows) == [1, 2]
 
 
 def test_grid_manifest_and_results(grid_run):

@@ -230,7 +230,7 @@ def test_batch_fast_path_with_telemetry():
     assert (metrics.engine, metrics.fallback_reason) == ("batch", None)
     assert telemetry.registry.counter("burst.packets").value \
         == metrics.packets_sent
-    assert len(telemetry.series) > 10
+    assert len(telemetry.series.t) > 10
 
 
 def test_fallback_is_recorded_on_metrics_not_in_the_schema():

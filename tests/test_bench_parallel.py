@@ -329,21 +329,25 @@ class TestResultCache:
         renamed = BandwidthTrace.constant(15e6, duration=10.0, name="other")
         assert trace_fingerprint(renamed) != a
 
-    def test_trace_fingerprint_matches_parent_commit(self, tmp_path):
+    def test_trace_fingerprint_matches_parent_commit(self):
         """Digests pinned from the commit before memoization: a constant,
-        a wifi and a Mahimahi-derived trace must keep their fingerprint
-        (first call and memoized call alike)."""
-        mahimahi = tmp_path / "cell.up"
-        mahimahi.write_text("\n".join(
-            str(ms) for ms in range(1, 1200, 3) for _ in range(1 + ms % 4))
-            + "\n")
+        a wifi and a trace of uneven 200 ms delivery counts (first read
+        from a Mahimahi file) must keep their fingerprint (first call and
+        memoized call alike)."""
+        # one 1500-byte delivery at each of these milliseconds
+        stamps = [ms for ms in range(1, 1200, 3) for _ in range(1 + ms % 4)]
+        counts = [0] * 6
+        for ms in stamps:
+            counts[min(int((ms / 1000.0) / 0.2), 5)] += 1
+        cell = BandwidthTrace([i * 0.2 for i in range(6)],
+                              [c * 1500 * 8 / 0.2 for c in counts],
+                              name="mahimahi:cell.up")
         pinned = [
             (BandwidthTrace.constant(15e6, duration=10.0, name="flat-15"),
              "9bc002e5f46914ba"),
             (trace_library(seed=7, duration=30.0).by_class("wifi")[0],
              "3eedbb4e0e788278"),
-            (BandwidthTrace.from_mahimahi_file(mahimahi),
-             "6544af88223dcd46"),
+            (cell, "6544af88223dcd46"),
         ]
         for trace, digest in pinned:
             assert trace_fingerprint(trace) == digest, trace.name
@@ -419,7 +423,7 @@ class TestThreePathsAgree:
         lossy = warm[-2]
         assert lossy.packets_lost > 0
         assert any(f.had_retransmission for f in lossy.frames)
-        assert sorted(warm[-1]) == [1, 2]       # arena flows restored
+        assert sorted(warm[-1].flows) == [1, 2]     # arena flows restored
         assert warm[0].bandwidth_fn(0.9) == tasks[0].trace.rate_at(0.9)
 
 
@@ -452,5 +456,5 @@ class TestTraceLibraryCache:
         long = trace_library(seed=7, duration=60.0)
         assert short is not long
         assert trace_library(seed=7, duration=30.0) is short
-        assert short.by_class("wifi")[0].duration < \
-            long.by_class("wifi")[0].duration
+        assert len(short.by_class("wifi")[0].timestamps) < \
+            len(long.by_class("wifi")[0].timestamps)

@@ -5,6 +5,13 @@ import pytest
 from repro.core.token_bucket import TokenBucket
 
 
+def empty_bucket(rate_bps, bucket_bytes, now):
+    """A bucket drained at ``now`` (a new one starts full)."""
+    tb = TokenBucket(rate_bps, bucket_bytes, now=now)
+    assert tb.consume(bucket_bytes, now)
+    return tb
+
+
 def test_starts_full_by_default():
     tb = TokenBucket(rate_bps=8e6, bucket_bytes=10_000, now=0.0)
     assert tb.level_at(0.0) == 10_000
@@ -18,18 +25,18 @@ def test_consume_depletes():
 
 
 def test_refill_at_rate():
-    tb = TokenBucket(rate_bps=8e6, bucket_bytes=10_000, initial_fill=0.0, now=0.0)
+    tb = empty_bucket(8e6, 10_000, 0.0)
     # 8 Mbps = 1 MB/s -> 1000 bytes per ms
     assert tb.level_at(0.005) == pytest.approx(5_000)
 
 
 def test_refill_caps_at_bucket_size():
-    tb = TokenBucket(rate_bps=8e6, bucket_bytes=10_000, initial_fill=0.0, now=0.0)
+    tb = empty_bucket(8e6, 10_000, 0.0)
     assert tb.level_at(10.0) == 10_000
 
 
 def test_time_until_available():
-    tb = TokenBucket(rate_bps=8e6, bucket_bytes=10_000, initial_fill=0.0, now=0.0)
+    tb = empty_bucket(8e6, 10_000, 0.0)
     assert tb.take(1_000, 0.0) == pytest.approx(0.001)
     assert tb.level_at(0.0) == 0.0  # a wait takes nothing
     tb = TokenBucket(rate_bps=8e6, bucket_bytes=10_000, now=0.0)
@@ -38,7 +45,7 @@ def test_time_until_available():
 
 def test_oversize_demand_clamped_to_bucket():
     """A packet larger than the bucket waits only until the bucket fills."""
-    tb = TokenBucket(rate_bps=8e6, bucket_bytes=1_000, initial_fill=0.0, now=0.0)
+    tb = empty_bucket(8e6, 1_000, 0.0)
     assert tb.take(5_000, 0.0) == pytest.approx(0.001)
 
 
@@ -67,7 +74,7 @@ def test_resize_up_keeps_tokens():
 
 
 def test_rate_change_refills_at_old_rate_first():
-    tb = TokenBucket(rate_bps=8e6, bucket_bytes=100_000, initial_fill=0.0, now=0.0)
+    tb = empty_bucket(8e6, 100_000, 0.0)
     tb.set_rate(16e6, now=0.01)  # 10 ms at 1 MB/s = 10 KB accrued
     assert tb.level_at(0.01) == pytest.approx(10_000)
     # after the change, refill at 2 MB/s
@@ -95,7 +102,7 @@ def test_set_rate_rejects_non_positive():
 
 
 def test_time_never_flows_backwards():
-    tb = TokenBucket(rate_bps=8e6, bucket_bytes=10_000, initial_fill=0.0, now=1.0)
+    tb = empty_bucket(8e6, 10_000, 1.0)
     tb.take(0.0, 2.0)               # refill up to t=2
     # a stale query must not subtract tokens
     before = tb.level_at(2.0)

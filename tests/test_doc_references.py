@@ -27,7 +27,8 @@ import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TREES = ("src", "tests", "benchmarks", "examples", "scripts", ".claude")
+TREES = ("src", "tests", "benchmarks", "examples", "scripts", ".claude",
+         ".github")
 DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "ROADMAP.md")
 SUFFIXES = {".py", ".md", ".yml", ".yaml", ".toml", ".txt"}
 REFERENCE = re.compile(r"DESIGN(?:\.md)?`?\s+§(\w+)|ROADMAP\s+item\s+(\w+)")

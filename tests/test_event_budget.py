@@ -30,6 +30,7 @@ from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 from repro.sim.events import Event
 from tests.test_arena_session import const_trace as const
+from tests.test_obs_profiler import event_counts
 from tests.test_sim_regression import _impaired
 
 
@@ -80,7 +81,7 @@ def arena_mix(duration=5.0, seed=3):
         discipline="confucius")
 
 
-#: LoopProfiler.counts() at the parent commit.
+#: callbacks per event name (``event_counts``) at the parent commit.
 PARENT_COUNTS = {
     "codel": (codel, {
         "link.serve": 2004, "pacer.pump": 1626, "path.feedback": 69,
@@ -98,7 +99,7 @@ PARENT_COUNTS = {
 def sent_packets(metrics):
     """Packets a session (all of an arena's flows) sent."""
     if isinstance(metrics, ArenaMetrics):
-        return sum(flow.packets_sent for flow in metrics.values())
+        return sum(flow.packets_sent for flow in metrics.flows.values())
     return metrics.packets_sent
 
 
@@ -165,7 +166,7 @@ def test_jittered_path_spends_three_events_per_packet():
         assert session.path.link.server is not None
         profiler = session.loop.set_profiler(LoopProfiler())
         session.run()
-        counts = profiler.counts()
+        counts = event_counts(profiler)
         stats = session.path.link.stats
         assert "link.serve" not in counts
         assert counts["path.departure"] == counts["path.to-receiver"] \
@@ -187,7 +188,7 @@ def test_folded_confucius_router_spends_under_two_events_per_packet():
     assert session.path.link.lead is not None
     profiler = session.loop.set_profiler(LoopProfiler())
     metrics = session.run()
-    counts = profiler.counts()
+    counts = event_counts(profiler)
     stats = session.path.link.stats
     assert "link.serve" not in counts
     assert counts["path.to-receiver"] == stats.delivered_packets > 15_000
@@ -214,7 +215,7 @@ def test_evented_configurations_keep_the_parents_event_counts():
         session = build()
         profiler = session.loop.set_profiler(LoopProfiler())
         session.run()
-        assert profiler.counts() == parent, name
+        assert event_counts(profiler) == parent, name
         assert profiler.total_events == session.loop.processed, name
 
 
@@ -222,7 +223,7 @@ def test_profiler_on_closed_form_path_sees_every_hop_but_no_serve():
     session = ref_packet_session(duration=1.0)
     profiler = session.loop.set_profiler(LoopProfiler())
     metrics = session.run()
-    counts = profiler.counts()
+    counts = event_counts(profiler)
     assert profiler.total_events == session.loop.processed
     assert "link.serve" not in counts
     stats = session.path.link.stats

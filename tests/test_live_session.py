@@ -10,6 +10,7 @@ simulator tests.
 from __future__ import annotations
 
 import asyncio
+import math
 from functools import partial
 
 import pytest
@@ -25,6 +26,7 @@ from repro.net.path import NetworkPath, PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.sim.events import EventLoop
 from repro.sim.rng import SeedSequenceFactory
+from tests.test_obs_profiler import event_counts
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,7 @@ def test_a_live_session_runs_jitter_and_contention_on_the_path(
         trace=BandwidthTrace.constant(20e6, duration=12.0))
     assert metrics.packets_sent > 0 and metrics.frames
     (clock,) = profiled_clocks
-    assert clock.loop.profiler.counts()["path.departure"] > 0
+    assert event_counts(clock.loop.profiler)["path.departure"] > 0
 
 
 @pytest.mark.parametrize("shaped", [True, False])
@@ -519,7 +521,8 @@ def test_live_session_teardown_leaves_nothing_scheduled():
             "ace", short_config(duration=0.5, drain=0.2, telemetry=True),
             trace=BandwidthTrace.constant(20e6, duration=12.0))
         await session.run()
-        assert session.clock.loop.pending == 0 and session.clock._timer is None
+        assert session.clock.loop.next_time() == math.inf \
+            and session.clock._timer is None
         # Nothing fires after the session is done: an empty loop
         # iteration right after run() sees no stray session callbacks.
         released_before = session.sender.pacer.stats.sent_packets
@@ -688,7 +691,8 @@ def test_stall_handle_is_cancelled_by_teardown(stall_timers):
             trace=BandwidthTrace.constant(20e6, duration=12.0))
         await session.run()
         assert len(stall_timers) > 2, "the stall never re-armed"
-        assert session.clock.loop.pending == 0 and session.clock._timer is None
+        assert session.clock.loop.next_time() == math.inf \
+            and session.clock._timer is None
         fired = len(stall_timers)
         await asyncio.sleep(0.15)
         assert len(stall_timers) == fired, "a stall clamp fired after run()"
@@ -741,7 +745,7 @@ def test_a_loop_profiler_counts_a_live_sessions_events_by_name(
     assert profiler.total_events == clock.loop.processed > 0
     assert {"pacer.pump", "receiver.feedback", "obs.tick",
             "sender.capture", "path.to-receiver", "path.feedback"} <= set(
-        profiler.counts())
+        event_counts(profiler))
 
 
 def test_live_hops_are_path_events_on_the_clock_loop(profiled_clocks,
@@ -780,7 +784,7 @@ def test_live_hops_are_path_events_on_the_clock_loop(profiled_clocks,
 
     asyncio.run(run())
     (clock,) = profiled_clocks
-    counts = clock.loop.profiler.counts()
+    counts = event_counts(clock.loop.profiler)
     assert counts["path.to-receiver"] > 0 and counts["path.feedback"] > 0
     assert not any(getattr(cb, "__self__", None) in session.ends
                    for cb in armed)

@@ -1,5 +1,6 @@
 """Tests for the shared-medium contention loss model."""
 
+from repro.net import path as path_module
 from repro.net.packet import Packet
 from repro.net.path import NetworkPath, PathConfig
 from repro.net.trace import BandwidthTrace
@@ -7,9 +8,8 @@ from repro.sim.events import EventLoop
 from repro.sim.rng import RngStream
 
 
-def build(loop, contention=0.1, train=10):
-    cfg = PathConfig(base_rtt=0.02, contention_loss_rate=contention,
-                     contention_train_packets=train)
+def build(loop, contention=0.1):
+    cfg = PathConfig(base_rtt=0.02, contention_loss_rate=contention)
     return NetworkPath(loop, BandwidthTrace.constant(100e6), cfg,
                        rng=RngStream(4, "loss"))
 
@@ -31,9 +31,10 @@ def test_paced_traffic_sees_no_contention_loss():
     assert lost == 0
 
 
-def test_long_bursts_lose_packets():
+def test_long_bursts_lose_packets(monkeypatch):
+    monkeypatch.setattr(path_module, "CONTENTION_TRAIN_PACKETS", 10)
     loop = EventLoop()
-    path = build(loop, contention=0.3, train=10)
+    path = build(loop, contention=0.3)
     lost = send_train(path, loop, 300, gap=0.0)  # back-to-back train
     assert lost > 10
 
@@ -41,14 +42,15 @@ def test_long_bursts_lose_packets():
 def test_loss_ramps_with_train_length():
     """Short trains suffer much less than long ones (per packet)."""
     loop = EventLoop()
-    path_short = build(loop, contention=0.3, train=50)
+    assert path_module.CONTENTION_TRAIN_PACKETS == 50
+    path_short = build(loop, contention=0.3)
     lost_short = 0
     for _ in range(60):  # 60 trains of 5 packets
         lost_short += send_train(path_short, loop, 5, gap=0.0)
         loop.run(until=loop.now + 0.01)
 
     loop2 = EventLoop()
-    path_long = build(loop2, contention=0.3, train=50)
+    path_long = build(loop2, contention=0.3)
     lost_long = send_train(path_long, loop2, 300, gap=0.0)  # one long train
     assert lost_long > lost_short
 

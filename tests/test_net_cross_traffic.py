@@ -25,8 +25,7 @@ def test_page_load_completes_and_reports_time():
     wire_flow_through_path(loop, flow, path)
     flow.start()
     loop.drain()
-    assert flow.finished
-    assert len(records) == 1
+    assert len(records) == 1        # on_finish ran once
     assert records[0].load_time > 0
     assert records[0].packets == 100
 
@@ -42,7 +41,7 @@ def test_flow_backs_off_on_drops_and_still_finishes():
     wire_flow_through_path(loop, flow, path)
     flow.start()
     loop.drain(max_events=1_000_000)
-    assert flow.finished
+    assert len(records) == 1        # on_finish ran once
     assert records[0].lost_packets > 0
 
 

@@ -84,7 +84,6 @@ class TestLink:
         loop.drain()
         assert packet.t_enter_queue == 0.0
         assert packet.t_leave_queue == pytest.approx(0.01)
-        assert packet.queue_delay == pytest.approx(0.01)
 
     def test_variable_rate_changes_service_time(self):
         loop = EventLoop()

@@ -10,21 +10,8 @@ def test_unique_ids():
 
 def test_timing_properties_none_until_stamped():
     p = Packet(size_bytes=1200)
-    assert p.pacing_delay is None
-    assert p.queue_delay is None
-    assert p.one_way_delay is None
-
-
-def test_timing_properties_computed():
-    p = Packet(size_bytes=1200)
-    p.t_enqueue_pacer = 1.0
-    p.t_leave_pacer = 1.05
-    p.t_enter_queue = 1.06
-    p.t_leave_queue = 1.09
-    p.t_arrival = 1.10
-    assert abs(p.pacing_delay - 0.05) < 1e-9
-    assert abs(p.queue_delay - 0.03) < 1e-9
-    assert abs(p.one_way_delay - 0.05) < 1e-9
+    assert (p.t_enqueue_pacer, p.t_leave_pacer, p.t_enter_queue,
+            p.t_leave_queue, p.t_arrival) == (None,) * 5
 
 
 def test_clone_for_retransmission_carries_identity():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.obs import BurstAnalyzer, MetricRegistry
+from repro.obs import burst as burst_module
 from repro.obs.export import prometheus_snapshot
 
 
@@ -16,7 +19,8 @@ def feed(analyzer: BurstAnalyzer, times, size=1200.0, pacing=None):
 
 def test_train_segmentation_by_gap():
     reg = MetricRegistry()
-    b = BurstAnalyzer(reg, train_gap_s=0.002)
+    b = BurstAnalyzer(reg)
+    assert burst_module.TRAIN_GAP_S == 0.002
     # Two 3-packet trains separated by a 10 ms gap, then a singleton.
     feed(b, [0.0, 0.001, 0.002, 0.012, 0.013, 0.014, 0.100])
     b.flush()
@@ -45,10 +49,12 @@ def test_ipg_histogram_and_windowed_percentiles():
     b = BurstAnalyzer(reg)
     feed(b, [0.0, 0.0005, 0.0010, 0.0015, 0.0515])
     # 4 gaps: three of 0.5 ms and one of 50 ms.
-    assert reg.histograms["burst.ipg_s"].count == 4
-    p50, p99 = b.ipg_percentiles()
-    assert p50 == pytest.approx(0.0005)
-    assert p99 == pytest.approx(0.05)
+    h = reg.histograms["burst.ipg_s"]
+    assert h.count == 4
+    assert h.sum == pytest.approx(0.0515)
+    assert dict(h.cumulative())[0.001] == 3
+    assert dict(h.cumulative())[0.033] == 3
+    assert dict(h.cumulative())[0.1] == 4
 
 
 def test_pacing_delay_feeds_histogram_only_when_measured():
@@ -64,16 +70,17 @@ def test_pacing_delay_feeds_histogram_only_when_measured():
 def test_summary_shape_and_empty_state():
     reg = MetricRegistry()
     b = BurstAnalyzer(reg)
-    s = b.summary()
-    assert s["packets"] == 0 and s["trains"] == 0
-    assert s["mean_train_packets"] is None
-    assert s["ipg_p99_ms"] is None and s["pacing_p99_ms"] is None
+    trains = reg.histograms["burst.train_packets"]
+    assert reg.counters["burst.packets"].value == 0
+    assert reg.counters["burst.trains"].value == 0 and trains.count == 0
+    assert b.pacing_percentiles() == (None, None)
+    assert len(b.recent_pacing()) == 0
     feed(b, [0.0, 0.001, 0.010], pacing=[0.002, 0.002, 0.002])
     b.flush()
-    s = b.summary()
-    assert s["packets"] == 3 and s["trains"] == 2
-    assert s["mean_train_packets"] == pytest.approx(1.5)
-    assert s["pacing_p50_ms"] == pytest.approx(2.0)
+    assert reg.counters["burst.packets"].value == 3
+    assert reg.counters["burst.trains"].value == 2
+    assert trains.sum / trains.count == pytest.approx(1.5)
+    assert b.pacing_percentiles()[0] == pytest.approx(0.002)
 
 
 def test_hot_path_never_feeds_the_record_hook():
@@ -90,9 +97,11 @@ def test_hot_path_never_feeds_the_record_hook():
 
 def test_window_ring_is_bounded():
     reg = MetricRegistry()
-    b = BurstAnalyzer(reg, window=8)
-    feed(b, [i * 0.001 for i in range(100)])
-    assert len(b._recent_gaps) == 8
+    with mock.patch.object(burst_module, "WINDOW", 8):
+        b = BurstAnalyzer(reg)
+    feed(b, [i * 0.001 for i in range(100)],
+         pacing=[i * 1e-4 for i in range(100)])
+    assert b.recent_pacing().tolist() == [i * 1e-4 for i in range(92, 100)]
     # Histogram still aggregates everything.
     assert reg.histograms["burst.ipg_s"].count == 99
 
@@ -131,12 +140,12 @@ class LoopAnalyzer:
     step per packet, scalar ``Histogram.observe``), kept here as the
     oracle. Same instruments, so snapshots compare byte for byte."""
 
-    def __init__(self, registry, window):
-        self.b = BurstAnalyzer(registry, window=window)  # instruments only
+    def __init__(self, registry):
+        self.b = BurstAnalyzer(registry)  # instruments only
         self.last_t = None
         self.start = self.bytes = 0.0
         self.packets = 0
-        self.gaps, self.pacing = [], []
+        self.pacing = []
 
     def on_packet(self, now, size, delay):
         b = self.b
@@ -147,8 +156,7 @@ class LoopAnalyzer:
         if self.last_t is not None:
             gap = now - self.last_t
             b._h_ipg.observe(gap)
-            self.gaps.append(gap)
-            if gap > b.train_gap_s:
+            if gap > burst_module.TRAIN_GAP_S:
                 self.flush()
         if not self.packets:
             self.start = now
@@ -177,7 +185,8 @@ def test_any_batching_of_the_same_rows_leaves_identical_state(
     """The per-packet loop (reference), one row at a time through
     ``on_packet``, and any split into ``on_rows`` batches — also across
     a mid-stream ``flush()`` — must produce the same registry snapshot
-    byte for byte and the same window quantiles."""
+    byte for byte and the same window quantiles (over a 16-row
+    window)."""
     from repro.obs import percentiles
 
     window = 16
@@ -191,7 +200,7 @@ def test_any_batching_of_the_same_rows_leaves_identical_state(
 
     def loop():
         reg = MetricRegistry()
-        ref = LoopAnalyzer(reg, window)
+        ref = LoopAnalyzer(reg)
         for i, (when, size, (_, _, delay)) in enumerate(
                 zip(times, sizes, rows)):
             if i == flush_at:
@@ -199,24 +208,22 @@ def test_any_batching_of_the_same_rows_leaves_identical_state(
             ref.on_packet(when, size, delay)
         ref.flush()
         return (prometheus_snapshot(reg),
-                percentiles(ref.gaps[-window:], (50.0, 99.0)),
                 percentiles(ref.pacing[-window:], (50.0, 99.0)))
 
     def scalar():
         reg = MetricRegistry()
-        b = BurstAnalyzer(reg, window=window)
+        b = BurstAnalyzer(reg)
         for i, (when, size, (_, _, delay)) in enumerate(
                 zip(times, sizes, rows)):
             if i == flush_at:
                 b.flush()
             b.on_packet(when, size, delay)
         b.flush()
-        return (prometheus_snapshot(reg), b.ipg_percentiles(),
-                b.pacing_percentiles())
+        return prometheus_snapshot(reg), b.pacing_percentiles()
 
     def batched():
         reg = MetricRegistry()
-        b = BurstAnalyzer(reg, window=window)
+        b = BurstAnalyzer(reg)
         edges = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts),
                         *(() if flush_at is None else (flush_at,))})
         for lo, hi in zip(edges, edges[1:]):
@@ -225,7 +232,7 @@ def test_any_batching_of_the_same_rows_leaves_identical_state(
             b.on_rows(np.array(times[lo:hi]), np.array(sizes[lo:hi]),
                       np.array(delays[lo:hi]))
         b.flush()
-        return (prometheus_snapshot(reg), b.ipg_percentiles(),
-                b.pacing_percentiles())
+        return prometheus_snapshot(reg), b.pacing_percentiles()
 
-    assert loop() == scalar() == batched()
+    with mock.patch.object(burst_module, "WINDOW", window):
+        assert loop() == scalar() == batched()

@@ -7,6 +7,7 @@ import pytest
 from repro.bench.parallel import make_grid, run_grid
 from repro.net.trace import BandwidthTrace
 from repro.obs import build_manifest, diff_runs, load_run, report_run
+from repro.obs import fleet as fleet_module
 from repro.obs.fleet import FleetObserver
 from repro.observe import Observe
 
@@ -50,9 +51,9 @@ class TestFleetObserver:
         lines = (run_dir / "cells.jsonl").read_text().splitlines()
         return [json.loads(line) for line in lines]
 
-    def test_cells_and_heartbeats_stream(self, tmp_path):
-        obs = FleetObserver(tmp_path / "run", total=4, jobs=2,
-                            heartbeat_every=2)
+    def test_cells_and_heartbeats_stream(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fleet_module, "HEARTBEAT_EVERY", 2)
+        obs = FleetObserver(tmp_path / "run", total=4, jobs=2)
         for i in range(4):
             obs.cell_done(i, ("ace", "flat", i, "gaming"),
                           source="worker", wall_s=0.1, pid=100 + (i % 2))

@@ -19,10 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.net.trace import BandwidthTrace
-from repro.obs import Telemetry, prometheus_snapshot
+from repro.obs import BurstAnalyzer, Telemetry, prometheus_snapshot
+from repro.obs.burst import WINDOW
+from repro.obs.quantiles import SampleWindow
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 
@@ -101,6 +104,24 @@ PINS = {
 }
 
 
+def burst_digest(tel: Telemetry, wire_t: np.ndarray) -> dict:
+    """The burst analyzer's state as the pinned digest lays it out: its
+    counters and mean train, and the nearest-rank p50/p99 (ms) of the
+    last :data:`WINDOW` wire gaps and of its pacing window."""
+    registry, trains = tel.registry, tel.registry.histograms[
+        "burst.train_packets"]
+    gaps = SampleWindow(WINDOW)
+    gaps.extend(np.diff(wire_t))
+    ms = [None if v is None else v * 1e3 for v in
+          gaps.percentiles((50.0, 99.0)) + tel.burst.pacing_percentiles()]
+    return {"packets": int(registry.counters["burst.packets"].value),
+            "trains": int(registry.counters["burst.trains"].value),
+            "mean_train_packets": (trains.sum / trains.count
+                                   if trains.count else None),
+            "ipg_p50_ms": ms[0], "ipg_p99_ms": ms[1],
+            "pacing_p50_ms": ms[2], "pacing_p99_ms": ms[3]}
+
+
 def exports(name: str) -> dict:
     """The six exports of one case, as text."""
     engine, mbps, slo_s, keep, fields = CASES[name]
@@ -111,19 +132,30 @@ def exports(name: str) -> dict:
     tel = session.enable_telemetry(Telemetry(keep_events=keep))
     watchdog = tel.attach_watchdog(pacing_p99_s=slo_s)
     series = tel.attach_series()
-    session.run()
-    burst = tel.burst
-    return {
-        "events": "\n".join(json.dumps(r.to_json_obj(),
-                                       separators=(",", ":"))
-                            for r in tel.events),
-        "flight": tel.flight_dump(),
-        "series": series.frame().to_json(),
-        "prometheus": prometheus_snapshot(tel.registry),
-        "burst": json.dumps([burst.summary(),
-                             burst.recent_pacing().tolist()]),
-        "alerts": json.dumps(list(watchdog.alerts)),
-    }
+    # the wire times the analyzer consumes, batch by batch
+    wire_t, on_rows = [], BurstAnalyzer.on_rows
+
+    def recording(analyzer, t, sizes, pacing_delays):
+        wire_t.append(t.copy())
+        on_rows(analyzer, t, sizes, pacing_delays)
+
+    BurstAnalyzer.on_rows = recording
+    try:
+        session.run()
+        burst = tel.burst
+        return {
+            "events": "\n".join(json.dumps(r.to_json_obj(),
+                                           separators=(",", ":"))
+                                for r in tel.events),
+            "flight": tel.flight_dump(),
+            "series": series.frame().to_json(),
+            "prometheus": prometheus_snapshot(tel.registry),
+            "burst": json.dumps([burst_digest(tel, np.concatenate(wire_t)),
+                                 burst.recent_pacing().tolist()]),
+            "alerts": json.dumps(list(watchdog.alerts)),
+        }
+    finally:
+        BurstAnalyzer.on_rows = on_rows
 
 
 def digests(name: str) -> dict:

@@ -12,8 +12,7 @@ import math
 
 import pytest
 
-from repro.obs import clean_samples, histogram_quantile, percentile, \
-    percentiles
+from repro.obs import clean_samples, histogram_quantile, percentiles
 from repro.obs.registry import Histogram
 
 
@@ -57,8 +56,8 @@ def test_percentiles_skips_nan_instead_of_poisoning_sort():
 
 
 def test_percentile_single():
-    assert percentile([], 99) is None
-    assert percentile([1.0, 2.0, 3.0], 50) == 2.0
+    assert percentiles([], (99,)) == (None,)
+    assert percentiles([1.0, 2.0, 3.0], (50,)) == (2.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def test_sample_window_equals_the_concatenating_model(batches, pcts):
         window.extend(np.array(batch, dtype=np.float64))
         model = (model + batch)[-_CAPACITY:]
         values = window.values
-        assert values.tolist() == model and len(window) == len(model)
+        assert values.tolist() == model
         got = window.percentiles(pcts)
         assert got == percentiles(model, pcts)
         assert all(type(v) is float for v in got if v is not None)

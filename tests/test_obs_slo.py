@@ -157,9 +157,8 @@ def test_on_alert_callback_and_summary():
 # default rule sets
 # ---------------------------------------------------------------------------
 def test_default_rule_sets_shape():
-    session = session_slo_rules(pacing_p99_s=0.1, e2e_p99_s=0.5)
-    assert [r.name for r in session] == \
-        ["pacing-p99", "pacer-backlog-drift", "e2e-p99"]
+    session = session_slo_rules(pacing_p99_s=0.1)
+    assert [r.name for r in session] == ["pacing-p99", "pacer-backlog-drift"]
     assert session[0].metric == "burst.pacing_delay_s"
     assert session[0].threshold == 0.1
     fleet = fleet_slo_rules(pacing_p99_s=0.2)

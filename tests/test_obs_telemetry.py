@@ -25,6 +25,7 @@ from repro.obs import (
     write_export_dir,
     write_jsonl,
 )
+from repro.obs import recorder as recorder_module
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
 from repro.sim.events import EventLoop
@@ -146,22 +147,25 @@ class TestFlightRecorder:
             tel.record("event", f"r{i}", at=float(i))
         return tel
 
-    def test_ring_is_bounded(self):
+    def test_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "FLIGHT_CAPACITY", 4)
         for keep in (True, False):   # the log's tail or the ring: one window
-            tel = self._fed(10, keep_events=keep, flight_capacity=4)
+            tel = self._fed(10, keep_events=keep)
             assert [r.name for r in tel.flight_window()] \
                 == ["r6", "r7", "r8", "r9"]
             assert tel.emitted == 10
         assert len(tel._records) == 4   # the ring is the only store
 
-    def test_dump_reports_rotation(self):
-        dump = self._fed(5, flight_capacity=2).flight_dump()
+    def test_dump_reports_rotation(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "FLIGHT_CAPACITY", 2)
+        dump = self._fed(5).flight_dump()
         assert "last 2 of 5" in dump
         assert "3 older records rotated out" in dump
         assert "r4" in dump and "r0" not in dump
 
-    def test_flight_only_mode_keeps_no_event_log(self):
-        tel = self._fed(20, keep_events=False, flight_capacity=8)
+    def test_flight_only_mode_keeps_no_event_log(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "FLIGHT_CAPACITY", 8)
+        tel = self._fed(20, keep_events=False)
         tel.registry.counter("c").inc()     # a metric record, in the ring
         assert tel.events == [] and tel.metric_series("c") == []
         window = tel.flight_window()
@@ -220,12 +224,13 @@ class TestWireRowViews:
         assert tel.events is tel.events  # materialised once per state
 
     @pytest.mark.parametrize("at", sorted(RING_AT))
-    def test_flight_ring_round_trips_mid_run(self, at):
+    def test_flight_ring_round_trips_mid_run(self, at, monkeypatch):
+        monkeypatch.setattr(recorder_module, "FLIGHT_CAPACITY", 8)
         trace = BandwidthTrace.constant(8e6, duration=17)
         session = build_session("ace", trace,
                                 SessionConfig(duration=2.0, seed=5))
         tel = session.enable_telemetry(
-            Telemetry(keep_events=False, flight_capacity=8))
+            Telemetry(keep_events=False))
         seen = []
         session.loop.call_at(at, lambda: seen.append(
             (tel.emitted, _compact(tel.flight_window()))))
@@ -261,15 +266,18 @@ class TestWireRowViews:
         tel = session.enable_telemetry()
         metrics = session.run()
         assert len(metrics.frames) == 1 and metrics.packets_sent > 1
-        summary = tel.burst.summary()
-        assert summary["trains"] == 1
-        assert summary["packets"] == metrics.packets_sent
-        assert summary["mean_train_packets"] == metrics.packets_sent
+        tel.burst   # a read feeds the analyzer every pending row
+        trains = tel.registry.histograms["burst.train_packets"]
+        assert tel.registry.counters["burst.trains"].value == 1
+        assert tel.registry.counters["burst.packets"].value \
+            == metrics.packets_sent
+        assert trains.sum / trains.count == metrics.packets_sent
 
-    def test_pending_rows_are_bounded_without_tick_or_reader(self):
+    def test_pending_rows_are_bounded_without_tick_or_reader(
+            self, monkeypatch):
         from repro.obs.recorder import MAX_PENDING_ROWS
-        tel = Telemetry(tick_interval=None, keep_events=False,
-                        flight_capacity=8)
+        monkeypatch.setattr(recorder_module, "FLIGHT_CAPACITY", 8)
+        tel = Telemetry(keep_events=False)
         for _ in range(MAX_PENDING_ROWS + 5):
             tel.packet_wire(0, 1200, 0.001)
         assert len(tel.wire.t) == 5
@@ -283,7 +291,8 @@ class TestWireRowViews:
 class TestTelemetryTick:
     def test_tick_samples_gauges_on_schedule(self):
         loop = EventLoop()
-        tel = Telemetry(loop, tick_interval=0.1)
+        tel = Telemetry(loop)
+        assert recorder_module.TICK_INTERVAL_S == 0.1
         state = {"v": 0.0}
         tel.registry.gauge("g", sample_fn=lambda: state["v"])
         tel.start_tick()
@@ -292,12 +301,6 @@ class TestTelemetryTick:
         series = tel.metric_series("g")
         assert series[0] == (0.1, 0.0)
         assert (0.2, 3.0) in series
-
-    def test_tick_disabled_when_interval_none(self):
-        loop = EventLoop()
-        tel = Telemetry(loop, tick_interval=None)
-        tel.start_tick()
-        assert tel._tick_handle is None
 
     def test_frame_stage_feeds_counters_and_histograms(self):
         tel = Telemetry()

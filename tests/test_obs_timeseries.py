@@ -15,6 +15,7 @@ import math
 import pytest
 
 from repro.obs import MetricRegistry
+from repro.obs import timeseries as timeseries_module
 from repro.obs.atomicio import atomic_write_text
 from repro.obs.timeseries import (
     SeriesFrame,
@@ -51,10 +52,12 @@ def test_recorder_samples_gauges_and_counters_cumulative():
     assert frame.series["c.bytes"] == [100.0, 150.0]
 
 
-def test_recorder_bounded_and_deterministic():
+def test_recorder_bounded_and_deterministic(monkeypatch):
+    monkeypatch.setattr(timeseries_module, "MAX_SAMPLES", 8)
+
     def run() -> SeriesRecorder:
         reg = _registry()
-        rec = SeriesRecorder(reg, max_samples=8)
+        rec = SeriesRecorder(reg)
         for i in range(41):
             reg.gauges["g.depth"].set(float(i))
             rec.sample(i * 0.1)
@@ -71,9 +74,10 @@ def test_recorder_bounded_and_deterministic():
     assert a.t[0] == 0.0
 
 
-def test_recorder_skips_offstride_ticks_after_compaction():
+def test_recorder_skips_offstride_ticks_after_compaction(monkeypatch):
+    monkeypatch.setattr(timeseries_module, "MAX_SAMPLES", 4)
     reg = _registry()
-    rec = SeriesRecorder(reg, max_samples=4)
+    rec = SeriesRecorder(reg)
     for i in range(8):
         rec.sample(i * 1.0)
     assert rec.stride == 2 and rec.t == [0.0, 2.0, 4.0, 6.0]
@@ -96,11 +100,6 @@ def test_recorder_backfills_late_columns():
     frame = rec.frame()
     assert frame.series["late"] == [None, 9.0]
     assert frame.series["early"] == [1.0, 1.0]
-
-
-def test_recorder_rejects_tiny_bounds():
-    with pytest.raises(ValueError):
-        SeriesRecorder(MetricRegistry(), max_samples=2)
 
 
 # ---------------------------------------------------------------------------

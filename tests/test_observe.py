@@ -3,6 +3,7 @@ harvested once, on sim, arena and live sessions alike."""
 
 import ast
 import asyncio
+import math
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -109,7 +110,8 @@ def test_single_flow_options_on_sim_and_live():
         assert result.series_frame is None
     assert session.auditor.fine_grained
     assert not live_session.auditor.fine_grained
-    assert live_session.clock.loop.pending == 0   # dropped at teardown
+    # dropped at teardown
+    assert live_session.clock.loop.next_time() == math.inf
 
 
 @pytest.mark.parametrize("option,value", [

@@ -22,7 +22,8 @@ class TestDelayJitter:
         path = NetworkPath(loop, BandwidthTrace.constant(100e6), cfg,
                            rng=RngStream(8, "jitter"))
         arrivals = []
-        path.on_arrival = lambda p: arrivals.append(p.one_way_delay)
+        path.on_arrival = lambda p: arrivals.append(
+            p.t_arrival - p.t_leave_pacer)
 
         def send_one():
             packet = Packet(size_bytes=1200)

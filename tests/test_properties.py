@@ -36,7 +36,8 @@ def test_tokens_never_negative_or_above_bucket(rate, bucket, demands):
 @given(rate=rates, size=st.floats(min_value=1.0, max_value=1e6))
 def test_wait_time_is_sufficient(rate, size):
     """After waiting the time ``take`` asked for, the send must be possible."""
-    tb = TokenBucket(rate_bps=rate, bucket_bytes=2e6, initial_fill=0.0, now=0.0)
+    tb = TokenBucket(rate_bps=rate, bucket_bytes=2e6, now=0.0)
+    tb.consume(2e6, 0.0)                    # start empty
     wait = tb.take(size, 0.0)
     assert wait >= 0.0
     assert tb.take(size, wait + 1e-9) == 0.0
@@ -53,8 +54,9 @@ def test_take_is_the_wait_then_the_consume(rate, bucket, fill, asks):
     until the (size-clamped) demand is there; on no wait, ``consume`` —
     and drain the bucket for a packet larger than it, which ``consume``
     refuses."""
-    fused = TokenBucket(rate, bucket, initial_fill=fill * bucket)
-    split = TokenBucket(rate, bucket, initial_fill=fill * bucket)
+    fused, split = TokenBucket(rate, bucket), TokenBucket(rate, bucket)
+    for tb in (fused, split):            # start ``fill`` full
+        tb.consume(bucket - fill * bucket, 0.0)
     t = 0.0
     for gap, size in asks:
         t += gap

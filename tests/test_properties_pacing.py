@@ -97,7 +97,8 @@ def test_token_bucket_egress_bounded(trains, rate, bucket):
 @given(trains=frame_trains)
 def test_pacing_delays_nonnegative(trains):
     sent, pacer = run_pacer(lambda l, s: LeakyBucketPacer(l, s), trains)
-    assert all(p.pacing_delay >= -1e-12 for _, p in sent)
+    assert all(p.t_leave_pacer - p.t_enqueue_pacer >= -1e-12
+               for _, p in sent)
 
 
 # ----------------------------------------------------------------------

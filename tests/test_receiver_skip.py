@@ -1,5 +1,7 @@
 """Tests for the receiver's playout skip deadline."""
 
+import math
+
 import pytest
 
 from repro.net.packet import Packet
@@ -46,7 +48,7 @@ def test_no_skip_when_nothing_newer_waits():
     rx, _ = make_receiver(loop, skip_timeout=0.2)
     loop.run(until=2.0)
     assert rx.skipped_frames == 0
-    assert loop.pending == 0  # no skip timer armed
+    assert loop.next_time() == math.inf  # no skip timer armed
 
 
 def test_late_completion_cancels_skip():

@@ -1,5 +1,7 @@
 """Tests for the discrete-event loop."""
 
+import math
+
 import pytest
 
 from repro.sim.events import EventLoop, SimulationError
@@ -80,7 +82,7 @@ def test_run_until_is_inclusive_and_advances_clock():
     assert fired == [1.0]
     loop.run(until=1.5)
     assert loop.now == 1.5          # clock advanced despite no event
-    assert loop.pending == 1        # the 2.0 event still queued
+    assert loop.next_time() == 2.0  # the 2.0 event still queued
     loop.run(until=2.0)
     assert fired == [1.0, 2.0]
 
@@ -160,7 +162,7 @@ def test_drain_budget_of_n_runs_n_queued_events_without_raising():
     fired = _queue_ticks(loop, 3)
     loop.drain(max_events=3)
     assert fired == [0, 1, 2]
-    assert loop.pending == 0 and loop.processed == 3
+    assert loop.next_time() == math.inf and loop.processed == 3
 
 
 def test_drain_budget_stops_before_event_n_plus_one_and_raises():
@@ -171,7 +173,8 @@ def test_drain_budget_stops_before_event_n_plus_one_and_raises():
     with pytest.raises(SimulationError, match="budget of 3 exhausted"):
         loop.drain(max_events=3)
     assert fired == [0, 1, 2]               # exactly N, like run(max_events=N)
-    assert loop.pending == 1 and loop.processed == 3 and loop.now == 2.0
+    assert loop.next_time() == 3.0 and loop.processed == 3 \
+        and loop.now == 2.0
     loop.drain()
     assert fired == [0, 1, 2, 3]
 
@@ -183,7 +186,7 @@ def test_drain_budget_ignores_a_trailing_cancelled_event():
     loop.call_at(0.5, lambda: fired.append("stale")).cancel()
     loop.drain(max_events=3)        # cancelled pops never burn budget
     assert fired == [0, 1, 2]
-    assert loop.pending == 0
+    assert loop.next_time() == math.inf
 
 
 def test_run_budget_with_only_cancelled_work_left_reaches_until():
@@ -207,18 +210,19 @@ def test_post_interleaves_with_call_at_in_insertion_order():
     assert loop.post(2.0, order.append, "last") is None     # no handle
     loop.run(until=1.0)
     assert order == ["first", "a", "b", "c"]
-    assert loop.pending == 1 and loop.processed == 4
+    assert loop.next_time() == 2.0 and loop.processed == 4
     assert loop.step() and not loop.step()
     assert order[-1] == "last" and loop.now == 2.0
 
 
 def test_post_guards_past_and_nan_like_call_at():
-    loop = EventLoop(start_time=1.0)
+    loop = EventLoop()
+    loop.run(until=1.0)
     with pytest.raises(SimulationError, match="at 0.5"):
         loop.post(0.5, print, None, "late.hop")
     with pytest.raises(SimulationError, match="NaN"):
         loop.post(float("nan"), print, None)
-    assert loop.pending == 0
+    assert loop.next_time() == math.inf
     loop.post(1.0, lambda _: None, None)        # exactly now is allowed
     loop.drain()
     assert loop.processed == 1

@@ -48,5 +48,4 @@ def test_distribution_helpers_cover_ranges():
     assert 0.0 <= rng.uniform(0, 1) <= 1.0
     assert rng.exponential(1.0) >= 0.0
     assert rng.pareto(2.0) >= 0.0
-    assert 0 <= rng.integers(0, 10) < 10
     assert rng.lognormal(0, 0.5) > 0.0

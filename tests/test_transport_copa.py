@@ -50,13 +50,13 @@ def test_backs_off_when_queue_builds():
 def test_velocity_doubles_on_consecutive_moves():
     cc = CopaController(initial_bwe_bps=1e6)
     drive(cc, rounds=10, owd_fn=lambda i: 0.02)
-    assert cc.velocity > 1.0
+    assert cc._velocity > 1.0
 
 
 def test_velocity_resets_on_direction_change():
     cc = CopaController(initial_bwe_bps=1e6)
     t, seq = drive(cc, rounds=10, owd_fn=lambda i: 0.02)   # increasing
-    peak = cc.velocity
+    peak = cc._velocity
     assert peak > 2.0
     # a huge standing queue flips the direction once the standing window
     # rolls past the old floor samples; the velocity restarts from 1
@@ -64,7 +64,7 @@ def test_velocity_resets_on_direction_change():
     cc.observe_reverse_delay(0.01)
     for i in range(6):
         cc.on_feedback(message(t, [0.50] * 4, start_seq=seq), now=t)
-        velocities.append(cc.velocity)
+        velocities.append(cc._velocity)
         seq += 4
         t += 0.05
     assert min(velocities) == 1.0

@@ -42,11 +42,11 @@ class TestEncoder:
                                    min_group_size=4, max_group_size=20))
         for _ in range(20):
             enc.observe_loss_rate(0.10)
-        high_loss_group = enc.group_size
+        high_loss_group = enc._group_size
         for _ in range(60):
             enc.observe_loss_rate(0.0)
         assert high_loss_group <= 5
-        assert enc.group_size == 20
+        assert enc._group_size == 20
 
     def test_media_order_preserved(self):
         enc = FecEncoder(FecConfig(group_size=4, adaptive=False))

@@ -45,7 +45,7 @@ class TestLeakyBucketPacer:
         pacer.set_pacing_rate(1.2e6)
         pacer.enqueue(packets(5))
         loop.drain()
-        delays = [p.pacing_delay for p in sent]
+        delays = [p.t_leave_pacer - p.t_enqueue_pacer for p in sent]
         assert len(delays) == 5
         assert delays == sorted(delays)  # later packets wait longer
 
