@@ -1,23 +1,31 @@
 """Call census: which ``src/repro`` definitions the entry points reach.
 
-Runs every non-test entry point of the repository under a profile hook
+Runs the non-test entry points of the repository under a profile hook
 and prints each function defined under ``src/repro`` that none of them
 called. The entry points are the benches (``benchmarks/``), the
 examples, the CLI invocations in :data:`CLI` and the perfbench
 workloads. Tests are not entry points: a definition only a test calls
 is reported.
 
-Exit status 1 when a reported definition is not on :data:`ALLOWLIST`
-(or an allowlist pattern matches no definition), or when an entry point
-fails; 0 otherwise.
+The benches run first, as their own step, with the hook on; this
+script then runs the rest into the same dump directory and reports on
+all of it (CI's ``benches`` job runs these commands):
 
-    python scripts/call_census.py      # everything, ≈ 13 min on 2 vCPUs
-    python scripts/call_census.py --only cli,examples
+    mkdir dumps
+    PYTHONPATH=scripts/census:src REPRO_CENSUS_OUT=$PWD/dumps \
+        python -m pytest -q -p sitecustomize benchmarks --benchmark-disable \
+        --ignore=benchmarks/test_perf_simulator.py
+    python scripts/call_census.py dumps      # ≈ 4 min on 2 vCPUs
+
+Exit status 1 when a reported definition is not on :data:`ALLOWLIST`
+(or an allowlist pattern matches no definition), when an entry point
+fails, or when the dump directory holds no dump to start from; 0
+otherwise.
 
 Standard library only (the entry points themselves need what the
 benches and perfbench need). How the hook reaches every process:
 
-* A generated ``sitecustomize.py`` on ``PYTHONPATH`` arms
+* ``scripts/census/sitecustomize.py`` on ``PYTHONPATH`` arms
   ``sys.setprofile``/``threading.setprofile`` at interpreter start and
   writes one dump per process at exit. Pool workers leave through
   ``multiprocessing.util._exit_function`` and then ``os._exit``, so
@@ -52,113 +60,34 @@ from typing import Iterable, Optional
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Written as ``sitecustomize.py`` into a directory put first on the
-#: entry points' ``PYTHONPATH``; inert unless ``REPRO_CENSUS_OUT`` is set.
-HOOK = '''\
-import os
-import sys
-import threading
+#: The hook: a ``sitecustomize.py`` that this directory, put first on
+#: ``PYTHONPATH``, loads into every Python process an entry point starts.
+HOOK_DIR = Path(__file__).resolve().parent / "census"
 
-_OUT = os.environ.get("REPRO_CENSUS_OUT")
-_PREFIX = os.environ.get("REPRO_CENSUS_PREFIX", "")
-_SEEN = set()
-
-
-def _hook(frame, event, arg):
-    if event == "call":
-        _SEEN.add(frame.f_code)
-
-
-def arm():
-    sys.setprofile(_hook)
-    threading.setprofile(_hook)
-
-
-def dump():
-    import json
-    rows = sorted({(c.co_filename, c.co_firstlineno) for c in list(_SEEN)
-                   if c.co_filename.startswith(_PREFIX)})
-    with open(os.path.join(_OUT, "%d.json" % os.getpid()), "w") as f:
-        json.dump(rows, f)
-
-
-def pytest_runtest_setup(item):
-    arm()
-
-
-def pytest_runtest_call(item):
-    arm()
-
-
-if _OUT:
-    import atexit
-    import multiprocessing.util as _mp_util
-
-    _exit_function = _mp_util._exit_function
-
-    def _dump_then_exit(*args, **kwargs):
-        dump()
-        return _exit_function(*args, **kwargs)
-
-    _mp_util._exit_function = _dump_then_exit
-    atexit.register(dump)
-    arm()
-'''
-
-#: Every CLI invocation the census runs, as ``repro`` argv. ``{tmp}`` is
-#: a scratch directory, ``{port}`` a free loopback port. Each flag that
-#: selects a component is passed at least once, or that component reads
-#: as unreached.
+#: The CLI invocations the census runs, as ``repro`` argv. ``{tmp}`` is
+#: a scratch directory, ``{port}`` a free loopback port; a leading ``!``
+#: expects a non-zero exit. A coverage list, not a smoke test: each line
+#: reaches a definition that no bench, example, perfbench workload or
+#: other line reaches (measured per line when it was added), or writes
+#: the run directory such a line reads. A flag-gated component that no
+#: line reaches reads as unreached, so a new one fails the census until
+#: a line here passes its flag.
 CLI: tuple = (
     "list",
-    "run --baseline ace --trace const:20 --duration 2",
-    "run --baseline ace --trace wifi --duration 3 --check "
-    "--telemetry-out {tmp}/tel",
-    "run --baseline ace --trace const:2 --duration 4 --slo --inject-stall "
-    "1:2 --engine batch --series-out {tmp}/series-run",
-    "run --baseline ace --trace const:20 --duration 2 --cc bbr",
     "run --baseline ace --trace const:20 --duration 2 --cc copa",
-    "run --baseline ace --trace const:20 --duration 2 --cc delivery",
-    "run --baseline ace --trace const:20 --duration 2 --codec x265",
-    "run --baseline ace --trace const:20 --duration 2 --codec vp8",
-    "run --baseline ace --trace const:20 --duration 2 --codec vp9",
-    "run --baseline ace --trace const:20 --duration 2 --codec av1",
     "run --baseline ace --trace const:10 --duration 3 --discipline codel",
-    "run --baseline ace --trace const:10 --duration 3 --discipline pie",
-    "run --baseline ace --trace const:10 --duration 3 "
-    "--discipline confucius",
-    # every baseline, trace kind and content category
-    "grid --baselines ace,ace-c,ace-fec,ace-n,ace-n-prod,always-burst,"
-    "always-pace,cbr,google-meet,salsify,webrtc,webrtc-b,webrtc-nopacer,"
-    "webrtc-star --traces const:20 --seeds 1 --duration 2",
-    "grid --baselines ace --traces wifi,4g,5g,campus,weak:canteen,"
-    "weak:coffee_shop,weak:airport --seeds 1 --duration 2",
-    "grid --baselines ace --traces const:20 --seeds 1 --duration 2 "
-    "--category lecture",
-    "grid --baselines ace --traces const:20 --seeds 1 --duration 2 "
-    "--category music",
-    "grid --baselines ace --traces const:20 --seeds 1 --duration 2 "
-    "--category vlog",
-    "grid --baselines ace --traces const:20 --seeds 1 --duration 2 "
-    "--category sports",
-    # the batch engine on the token, leaky and burst pacers
+    # the batch engine on the leaky and burst pacers' closed forms
     "grid --baselines ace,webrtc-star,always-burst --traces const:20 "
     "--seeds 3 --duration 3 --engine batch --run-dir {tmp}/batch",
-    # a cold pool (workers pickle the send log), then a warm pass that
-    # decodes every cell from the cache
+    # a cold pool: workers pickle the send log (a warm cache hides it)
     "grid --baselines ace,cbr --traces const:15 --seeds 1,2 --duration 2 "
-    "--jobs 2 --cache --run-dir {tmp}/grid-a",
-    "grid --baselines ace,cbr --traces const:15 --seeds 1,2 --duration 2 "
-    "--jobs 2 --cache --run-dir {tmp}/grid-b",
-    "report {tmp}/grid-a",
-    "report {tmp}/grid-a --diff {tmp}/grid-b",
+    "--jobs 2 --cache --run-dir {tmp}/grid",
     # an A/B pair of series runs, B stalled: the diff finds the window
     "grid --baselines ace --traces const:15 --seeds 3 --duration 3 "
     "--series --run-dir {tmp}/ab-a",
     "grid --baselines ace --traces const:15 --seeds 3 --duration 3 "
     "--series --slo --inject-stall 1:1 --run-dir {tmp}/ab-b",
     "report {tmp}/ab-b --diff {tmp}/ab-a --tolerance 100",
-    "plot {tmp}/ab-b",
     "grid --arena ace*2+webrtc-star --discipline droptail,confucius "
     "--traces const:20 --seeds 1 --duration 3 --cache",
     "grid --arena ace+webrtc-star --traces const:20 --seeds 1 --duration 3 "
@@ -173,31 +102,27 @@ CLI: tuple = (
     "--name pacer --since 0.5 --until 1.5",
     "trace --baseline ace --trace const:20 --duration 2 --frame 10",
     "why --baseline ace --trace wifi --duration 4 --seed 1 --frames 2",
-    "why --baseline ace --trace const:20 --duration 2 --engine batch "
-    "--frame 5",
     "timeline --baseline ace --trace const:20 --duration 2 "
     "--out {tmp}/timeline.csv",
-    "timeline --baseline ace --trace const:20 --duration 2 --no-blame",
     "fuzz --cases 3 --seed 1",
     "fuzz --replay 1:0",
-    "arena --flows ace+webrtc-star --duration 3",
     "arena --flows ace+webrtc-star --duration 3 --discipline confucius "
     "--telemetry-out {tmp}/arena-tel",
     "arena --flows ace+always-burst --duration 3 --discipline codel "
     "--telemetry-out {tmp}/arena-codel",
     "arena --flows ace+webrtc-star --duration 3 --discipline pie",
     "scenario",
-    "scenario arena-rtc-rtc --duration 2",
     "scenario arena-late-joiner --duration 10",
     "scenario lossy-link --duration 2 --out {tmp}/scenario.json",
     "scenario campus --duration 2",
     "scenario production --duration 2",
     "live --duration 3 --slo --inject-stall 1:0.5 --check "
     "--telemetry-out {tmp}/live-tel --loss 0.01 --stats-port 0",
-    "live --baseline webrtc-star --trace wifi --duration 2 --unshaped",
     "load --sessions 2 --ramp 0.5 --mix ace,webrtc-star --duration 3 "
     "--run-dir {tmp}/load --series --snapshot-out {tmp}/snap.prom --dash "
     "--stats-port 0",
+    "plot {tmp}/load",
+    # a fleet SLO that fires
     "load --sessions 2 --duration 4 --slo --slo-p99-ms 100 "
     "--inject-stall 1:2 --run-dir {tmp}/slo-run --dash",
     "load --trace wifi --sessions 1 --duration 2",
@@ -205,15 +130,11 @@ CLI: tuple = (
     # and exits 1 on finding no ceiling
     "!load --autoscale --autoscale-start 1 --autoscale-max 2 --duration 1 "
     "--slo-p99-ms 0.001 --autoscale-out {tmp}/ceiling.json",
-    "plot {tmp}/load",
     # watch polls a fleet, then a lone session, serving stats on {port}
     ("load --sessions 2 --duration 6 --stats-port {port}",
      "watch --stats-port {port} --frames 2 --interval 1"),
     ("live --duration 6 --stats-port {port}",
      "watch --stats-port {port} --frames 2 --interval 1"),
-    # refusals: each exits non-zero with one line
-    "!live --rtt -10",
-    "!run --baseline nope",
 )
 
 #: ``(pattern, reason)``: unreached definitions that may stay. A pattern
@@ -359,13 +280,11 @@ def report(defs: dict, seen: set, allowlist: Iterable,
 # entry points
 
 
-def hooked_env(hook_dir: Path, dump_dir: Path, package: Path,
-               tmp: Path) -> dict:
+def hooked_env(dump_dir: Path, package: Path, tmp: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=os.pathsep.join([str(hook_dir),
+    env.update(PYTHONPATH=os.pathsep.join([str(HOOK_DIR),
                                            str(package.parent)]),
                REPRO_CENSUS_OUT=str(dump_dir),
-               REPRO_CENSUS_PREFIX=str(package),
                REPRO_CACHE_DIR=str(tmp / "cache"))
     return env
 
@@ -376,43 +295,58 @@ def free_port() -> int:
         return s.getsockname()[1]
 
 
-def entry_points(only: set, tmp: Path) -> list:
-    """``(label, [argv, ...], expect_ok)``; the argvs of one entry run
-    side by side (the first in the background)."""
+def entry_points(tmp: Path) -> list:
+    """``(label, [argv, ...], expect_ok, port)`` for the examples, the
+    :data:`CLI` list and the perfbench workloads. The argvs of one entry
+    run side by side: the first serves stats on ``port`` in the
+    background (``port`` is None for an entry of one argv)."""
     py = sys.executable
-    out = []
-    if "benches" in only:
-        out.append(("benches", [[py, "-m", "pytest", "-q", "-p",
-                                 "sitecustomize", "-p", "no:cacheprovider",
-                                 "benchmarks", "--benchmark-disable"]], True))
-    if "examples" in only:
-        out += [(f"examples/{p.name}", [[py, str(p)]], True)
-                for p in sorted((ROOT / "examples").glob("*.py"))]
-    if "cli" in only:
-        for entry in CLI:
-            port = free_port()
-            cmds = (entry,) if isinstance(entry, str) else entry
-            expect_ok = not cmds[0].startswith("!")
-            argvs = [[py, "-m", "repro", *c.lstrip("!").format(
-                tmp=tmp, port=port).split()] for c in cmds]
-            out.append(("repro " + " & ".join(c.lstrip("!") for c in cmds),
-                        argvs, expect_ok))
-    if "perfbench" in only:
-        out.append(("perfbench workloads",
-                    [[py, str(Path(__file__).resolve()), "--perfbench-here",
-                      str(tmp / "perfbench")]], True))
+    out = [(f"examples/{p.name}", [[py, str(p)]], True, None)
+           for p in sorted((ROOT / "examples").glob("*.py"))]
+    for entry in CLI:
+        cmds = (entry,) if isinstance(entry, str) else entry
+        port = free_port() if len(cmds) > 1 else None
+        argvs = [[py, "-m", "repro", *c.lstrip("!").format(
+            tmp=tmp, port=port).split()] for c in cmds]
+        out.append(("repro " + " & ".join(c.lstrip("!") for c in cmds),
+                    argvs, not cmds[0].startswith("!"), port))
+    here = (f"import runpy, sys; sys.exit(runpy.run_path("
+            f"{str(Path(__file__).resolve())!r})['perfbench_here']("
+            f"{str(tmp / 'perfbench')!r}))")
+    out.append(("perfbench workloads", [[py, "-c", here]], True, None))
     return out
 
 
-def run_entry(argvs: list, env: dict) -> tuple:
-    """Run ``argvs`` (all but the last in the background) -> (the worst
-    exit status, the last one's output)."""
+#: How long a background server may take to accept its first
+#: connection: the hook slows an interpreter's start-up about threefold.
+SERVER_START_S = 120.0
+
+
+def wait_for_port(port: int) -> bool:
+    """Whether ``port`` on loopback accepts a connection within
+    :data:`SERVER_START_S`."""
+    end = time.monotonic() + SERVER_START_S
+    while time.monotonic() < end:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+            return True
+        except OSError:
+            time.sleep(0.2)
+    return False
+
+
+def run_entry(argvs: list, env: dict, port: Optional[int]) -> tuple:
+    """Run ``argvs`` (all but the last in the background, serving on
+    ``port``) -> (the worst exit status, the last one's output)."""
     background = [subprocess.Popen(a, cwd=ROOT, env=env,
                                    stdout=subprocess.DEVNULL,
                                    stderr=subprocess.DEVNULL)
                   for a in argvs[:-1]]
-    if background:
-        time.sleep(3.0)     # let the server come up
+    if port is not None and not wait_for_port(port):
+        for p in background:
+            p.kill()
+            p.wait()
+        return 1, f"nothing served on port {port}"
     done = subprocess.run(argvs[-1], cwd=ROOT, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                           text=True)
@@ -442,40 +376,42 @@ def perfbench_here(out_dir: str) -> int:
     return 0
 
 
-def census(entries: list, package: Path, tmp: Path) -> tuple:
+def census(entries: list, package: Path, tmp: Path,
+           dump_dir: Path) -> list:
     """Run ``entries`` under the hook, with ``package``'s parent on the
-    path -> (called set, failed labels)."""
-    dump_dir, hook_dir = tmp / "dumps", tmp / "hook"
-    dump_dir.mkdir(parents=True, exist_ok=True)
-    hook_dir.mkdir(parents=True, exist_ok=True)
-    (hook_dir / "sitecustomize.py").write_text(HOOK)
-    env = hooked_env(hook_dir, dump_dir, package, tmp)
+    path and one dump per process into ``dump_dir`` -> failed labels.
+    An entry with a background server fails if its client printed an
+    ``unreachable`` poll: a missed server would otherwise read as
+    unreached definitions."""
+    env = hooked_env(dump_dir, package, tmp)
     failed = []
-    for label, argvs, expect_ok in entries:
-        code, output = run_entry(argvs, env)
-        ok = (code == 0) == expect_ok
+    for label, argvs, expect_ok, port in entries:
+        code, output = run_entry(argvs, env, port)
+        ok = ((code == 0) == expect_ok
+              and not (port and " unreachable (" in output))
         print(f"{'ok  ' if ok else 'FAIL'} {label} (exit {code})",
               flush=True)
         if not ok:
             print(output[-2000:])
             failed.append(label)
-    return called(dump_dir), failed
+    return failed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--only", default="benches,examples,cli,perfbench",
-                        help="comma list of entry-point groups to run")
-    parser.add_argument("--perfbench-here", default=None,
-                        help=argparse.SUPPRESS)
+    parser.add_argument("dumps", type=Path,
+                        help="dump directory the benches already wrote "
+                             "into under the hook")
     args = parser.parse_args(argv)
-    if args.perfbench_here:
-        return perfbench_here(args.perfbench_here)
-    only = set(args.only.split(","))
+    if not any(args.dumps.glob("*.json")):
+        print(f"census: {args.dumps} holds no dump; run the benches under "
+              "the hook first (see this script's docstring)")
+        return 1
     with tempfile.TemporaryDirectory(prefix="census-") as name:
         tmp = Path(name)
-        seen, failed = census(entry_points(only, tmp), SRC / "repro", tmp)
-    bad = report(definitions(SRC / "repro"), seen,
+        failed = census(entry_points(tmp), SRC / "repro", tmp,
+                        args.dumps.resolve())
+    bad = report(definitions(SRC / "repro"), called(args.dumps),
                  ALLOWLIST + perfbench_allowlist(), checked=ALLOWLIST)
     if failed:
         print(f"census: {len(failed)} entry point(s) failed: "

@@ -31,8 +31,8 @@ OCCUPANCY_SAMPLE_CAP = 4096
 class PacerStats:
     """Counters the metrics layer reads off the pacer: scalars exact
     forever, occupancy samples a bounded ring. A packet's pacing delay
-    is not kept here — the packet carries it (``Packet.pacing_delay``)
-    and the telemetry's wire rows are its one record."""
+    is not kept here — the packet carries its stamps (``t_leave_pacer -
+    t_enqueue_pacer``) and the telemetry's wire rows are its one record."""
 
     enqueued_packets: int = 0
     sent_packets: int = 0

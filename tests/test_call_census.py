@@ -50,12 +50,15 @@ def run_census(tmp_path: Path) -> tuple:
     (package / "__init__.py").write_text("")
     (package / "mod.py").write_text(PLANTED)
     entry = ("probe", [[sys.executable, "-c",
-                        "import planted.mod; planted.mod.called()"]], True)
-    seen, failed = census.census([entry], package, tmp_path / "census")
+                        "import planted.mod; planted.mod.called()"]], True,
+             None)
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    failed = census.census([entry], package, tmp_path, dumps)
     assert failed == []
     out = io.StringIO()
-    bad = census.report(census.definitions(package), seen, ALLOW,
-                        checked=ALLOW, out=out)
+    bad = census.report(census.definitions(package), census.called(dumps),
+                        ALLOW, checked=ALLOW, out=out)
     return bad, out.getvalue().splitlines()
 
 
@@ -83,6 +86,27 @@ def test_an_allowlist_pattern_that_matches_nothing_fails(tmp_path):
     assert "X allowlist pattern matches no definition: planted.mod:gone" \
         in out.getvalue()
     assert bad == 5 + 1     # every definition unreached, one stale pattern
+
+
+def test_a_client_that_misses_its_server_fails_the_entry(tmp_path):
+    # The background "server" only listens; the client reports a failed
+    # poll the way `repro watch` does and still exits 0.
+    port = census.free_port()
+    serve = ("import socket, time; s = socket.socket(); "
+             f"s.bind(('127.0.0.1', {port})); s.listen(); time.sleep(1)")
+    miss = f"print('watch: http://127.0.0.1:{port}/ unreachable (refused)')"
+    entry = ("pair", [[sys.executable, "-c", serve],
+                      [sys.executable, "-c", miss]], True, port)
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    assert census.census([entry], tmp_path / "planted", tmp_path,
+                         dumps) == ["pair"]
+
+
+def test_a_dump_directory_the_benches_did_not_fill_is_refused(tmp_path,
+                                                              capsys):
+    assert census.main([str(tmp_path)]) == 1
+    assert "holds no dump" in capsys.readouterr().out
 
 
 def test_every_allowlist_entry_states_a_reason():
