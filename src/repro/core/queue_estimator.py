@@ -9,8 +9,9 @@ with capacity from the PacketPair algorithm.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Deque, Optional
 
 import numpy as np
 
@@ -30,20 +31,11 @@ class QueueEstimate:
     rtt_min: Optional[float]
 
 
-def _push_columns(window: tuple[list[float], list[float]],
-                  arrivals: np.ndarray, values: np.ndarray) -> None:
-    """Bulk twin of the scalar lane's pop-then-append: sequential pushes
-    leave the held entries below the batch minimum, then the strict
-    suffix minima of the new samples — one cut, one extend per list."""
-    at, held = window
-    sfx_min = np.minimum.accumulate(values[::-1])[::-1]
-    keep = np.empty(len(values), dtype=bool)
-    keep[-1] = True
-    np.less(values[:-1], sfx_min[1:], out=keep[:-1])
-    k = bisect_left(held, float(sfx_min[0]))
-    del at[k:], held[k:]
-    at.extend(arrivals[keep].tolist())
-    held.extend(values[keep].tolist())
+def _extrema(rtts) -> tuple[float, float]:
+    """(min, max) of a non-empty RTT column, in either form."""
+    if type(rtts) is list:
+        return min(rtts), max(rtts)
+    return float(rtts.min()), float(rtts.max())
 
 
 class QueueEstimator:
@@ -61,16 +53,12 @@ class QueueEstimator:
         self.default_capacity_bps = default_capacity_bps
         self.packet_pair = PacketPairEstimator()
         self._rtt_min: Optional[float] = None
-        # Monotonic windows, each a pair of parallel plain lists
-        # (arrivals, values), both ascending: _standing holds strictly
-        # increasing rtts (front = window min), _peaks strictly
-        # increasing *negated* rtts (front = minus the window max), so
-        # one bulk push serves both. Plain lists let the columnar lane
-        # cut and trim by bisection and extend in bulk while the scalar
-        # lane pops and appends with no numpy call; min/max are
-        # order-exact, so the O(1) queries equal a window scan bit for bit.
-        self._standing: tuple[list[float], list[float]] = ([], [])
-        self._peaks: tuple[list[float], list[float]] = ([], [])
+        # The window's positive RTT samples, one (arrivals, rtts, min,
+        # max) segment per feedback interval, oldest first, each in its
+        # interval's report form. Min and max are order-exact, so the
+        # window's extrema, taken over a few segment extrema, equal a
+        # scan of its samples bit for bit.
+        self._window: Deque[tuple] = deque()
 
     # ------------------------------------------------------------------
     # signal ingestion
@@ -78,70 +66,44 @@ class QueueEstimator:
     def on_feedback(self, message: FeedbackMessage, now: float,
                     reverse_delay: float = 0.0) -> None:
         """Feed a transport feedback batch (reports in arrival order)."""
-        # The receiver appends reports as packets arrive, so the batch is
-        # already sorted by arrival time — no re-sort needed.
         reports = message.reports
-        if reports.arrays:
-            self._on_feedback_arrays(reports, now, reverse_delay)
-            return
-        rtt_min = self._rtt_min
-        standing_at, standing_rtt = self._standing
-        peaks_at, peaks_neg = self._peaks
-        pp_on_packet = self.packet_pair.on_packet
-        for send, arrival, size in zip(reports.send_times,
-                                       reports.arrival_times, reports.sizes):
-            rtt = arrival - send + reverse_delay
-            if rtt <= 0:
-                continue
-            if rtt_min is None or rtt < rtt_min:
-                rtt_min = rtt
-            while standing_rtt and standing_rtt[-1] >= rtt:
-                standing_rtt.pop()
-                standing_at.pop()
-            standing_rtt.append(rtt)
-            standing_at.append(arrival)
-            neg = -rtt
-            while peaks_neg and peaks_neg[-1] >= neg:
-                peaks_neg.pop()
-                peaks_at.pop()
-            peaks_neg.append(neg)
-            peaks_at.append(arrival)
-            pp_on_packet(send, arrival, size)
-        self._rtt_min = rtt_min
-        self._trim(now - self.standing_window_s)
+        rtts = reports.rtts(reverse_delay)  # shared with the RTT observer
+        if len(rtts):
+            self._add_segment(reports, rtts)
+        self._age_out(now - self.standing_window_s)
 
-    def _trim(self, horizon: float) -> None:
-        """Age out the samples that arrived before ``horizon``."""
-        for at, values in (self._standing, self._peaks):
-            k = bisect_left(at, horizon)
-            if k:
-                del at[:k], values[:k]
+    def _add_segment(self, reports: ReportBatch, rtts) -> None:
+        columns = (reports.send_times, reports.arrival_times, reports.sizes)
+        low, high = _extrema(rtts)
+        if low <= 0.0:
+            # Rare: only degenerate timestamps give non-positive samples,
+            # which are no RTT and no PacketPair observation.
+            keep = np.asarray(rtts) > 0
+            if not keep.any():
+                return
+            rtts, *columns = (np.asarray(column)[keep]
+                              for column in (rtts, *columns))
+            if not reports.arrays:
+                rtts, *columns = (column.tolist()
+                                  for column in (rtts, *columns))
+            low = _extrema(rtts)[0]
+        if self._rtt_min is None or low < self._rtt_min:
+            self._rtt_min = low
+        pair = self.packet_pair
+        (pair.on_arrays if reports.arrays else pair.on_lists)(*columns)
+        self._window.append((columns[1], rtts, low, high))
 
-    def _on_feedback_arrays(self, reports: ReportBatch, now: float,
-                            reverse_delay: float) -> None:
-        """Array twin of the per-report ingestion loop."""
-        arrivals = reports.arrival_times
-        if len(arrivals):
-            rtts = arrivals - reports.send_times + reverse_delay
-            low = float(rtts.min())
-            sends = reports.send_times
-            sizes = reports.sizes
-            if low <= 0.0:
-                # Rare: non-positive samples only appear with degenerate
-                # timestamps; filter them exactly as the scalar loop does.
-                mask = rtts > 0
-                arrivals = arrivals[mask]
-                rtts = rtts[mask]
-                sends = sends[mask]
-                sizes = sizes[mask]
-                low = float(rtts.min()) if len(rtts) else 0.0
-            if len(rtts):
-                if self._rtt_min is None or low < self._rtt_min:
-                    self._rtt_min = low
-                _push_columns(self._standing, arrivals, rtts)
-                _push_columns(self._peaks, arrivals, -rtts)
-                self.packet_pair.on_packet_arrays(sends, arrivals, sizes)
-        self._trim(now - self.standing_window_s)
+    def _age_out(self, horizon: float) -> None:
+        """Drop the samples that arrived before ``horizon``: whole
+        segments, then the head segment's prefix."""
+        window = self._window
+        while window and window[0][0][-1] < horizon:
+            window.popleft()
+        if window and window[0][0][0] < horizon:
+            arrivals, rtts, _low, _high = window[0]
+            k = (bisect_left(arrivals, horizon) if type(arrivals) is list
+                 else int(arrivals.searchsorted(horizon)))
+            window[0] = (arrivals[k:], rtts[k:], *_extrema(rtts[k:]))
 
     # ------------------------------------------------------------------
     # estimates
@@ -152,8 +114,8 @@ class QueueEstimator:
 
     def rtt_standing(self) -> Optional[float]:
         """Minimum RTT over the recent window (filters out jitter spikes)."""
-        rtts = self._standing[1]
-        return rtts[0] if rtts else None
+        window = self._window
+        return min([segment[2] for segment in window]) if window else None
 
     def capacity_bps(self) -> float:
         """PacketPair capacity, falling back to a configured default."""
@@ -186,9 +148,10 @@ class QueueEstimator:
         queue level that preceded a loss — at overflow time the queue was
         near the buffer limit, which only the max-RTT view captures.
         """
-        if not self._peaks[1] or self._rtt_min is None:
+        window = self._window
+        if not window or self._rtt_min is None:
             return 0.0
-        peak_rtt = -self._peaks[1][0]
+        peak_rtt = max([segment[3] for segment in window])
         delay = max(0.0, peak_rtt - self._rtt_min)
         return delay * self.capacity_bps() / 8.0
 

@@ -23,65 +23,49 @@ import numpy as np
 #: Pairs must be sent within this gap to count as back-to-back.
 BACK_TO_BACK_GAP_S = 0.0005
 
+#: Capacity samples the median spans.
+WINDOW = 50
+
+#: Samples needed before the estimator answers.
+MIN_SAMPLES = 3
+
 
 class PacketPairEstimator:
-    """Windowed-median PacketPair capacity estimator.
+    """Windowed-median PacketPair capacity estimator, fed one feedback
+    interval at a time in its report form (:meth:`on_lists` or
+    :meth:`on_arrays`), the previous observation carried across calls."""
 
-    The previous observation is kept as two plain floats instead of an
-    allocated record — ``on_packet`` runs once per received packet.
-    """
-
-    def __init__(self, window: int = 50, min_samples: int = 3) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.min_samples = min_samples
-        self._last_send: Optional[float] = None
+    def __init__(self) -> None:
+        # An infinite previous send time makes the first report's send
+        # gap -inf, which no pair passes: no sample before two reports.
+        self._last_send = math.inf
         self._last_arrival = 0.0
-        self._samples: Deque[float] = deque(maxlen=window)
+        self._samples: Deque[float] = deque(maxlen=WINDOW)
 
-    def on_packet(self, send_time: float, arrival_time: float,
-                  size_bytes: int) -> None:
-        """Feed one (send, arrival, size) observation, in arrival order."""
-        last_send = self._last_send
-        last_arrival = self._last_arrival
-        self._last_send = send_time
-        self._last_arrival = arrival_time
-        if last_send is None:
-            return
-        send_gap = send_time - last_send
-        arrival_gap = arrival_time - last_arrival
-        if send_gap < 0 or arrival_gap <= 0:
-            return  # reordered or simultaneous; unusable
-        if send_gap > BACK_TO_BACK_GAP_S:
-            return  # not a back-to-back pair
-        capacity = size_bytes * 8 / arrival_gap
-        if capacity < math.inf:     # a subnormal gap overflows to inf
-            self._samples.append(capacity)
+    def on_lists(self, send_times, arrival_times, sizes) -> None:
+        """Feed arrival-ordered (send, arrival, size) lists."""
+        last_send, last_arrival = self._last_send, self._last_arrival
+        append = self._samples.append
+        for send, arrival, size in zip(send_times, arrival_times, sizes):
+            arrival_gap = arrival - last_arrival
+            # Reordered, simultaneous or not back-to-back: unusable.
+            if (0 <= send - last_send <= BACK_TO_BACK_GAP_S
+                    and arrival_gap > 0):
+                capacity = size * 8 / arrival_gap
+                if capacity < math.inf:     # a subnormal gap overflows
+                    append(capacity)
+            last_send, last_arrival = send, arrival
+        self._last_send, self._last_arrival = last_send, last_arrival
 
-    def on_packet_arrays(self, send_times, arrival_times,
-                         sizes) -> None:
-        """Vectorized :meth:`on_packet` over arrival-ordered columns.
-
-        Applies the same pair-selection predicate element-wise, with the
-        previous observation carried across calls, and appends the same
-        capacity samples in the same order.
-        """
-        n = len(send_times)
-        if n == 0:
-            return
-        last_send = self._last_send
-        last_arrival = self._last_arrival
+    def on_arrays(self, send_times, arrival_times, sizes) -> None:
+        """:meth:`on_lists` over non-empty arrays: the same pair test
+        element-wise, the same samples in the same order."""
+        send_gaps = send_times - np.concatenate(
+            ((self._last_send,), send_times[:-1]))
+        arrival_gaps = arrival_times - np.concatenate(
+            ((self._last_arrival,), arrival_times[:-1]))
         self._last_send = float(send_times[-1])
         self._last_arrival = float(arrival_times[-1])
-        send_gaps = np.empty(n)
-        send_gaps[0] = (send_times[0] - last_send
-                        if last_send is not None else -1.0)
-        np.subtract(send_times[1:], send_times[:-1], out=send_gaps[1:])
-        arrival_gaps = np.empty(n)
-        arrival_gaps[0] = arrival_times[0] - last_arrival
-        np.subtract(arrival_times[1:], arrival_times[:-1],
-                    out=arrival_gaps[1:])
         mask = ((send_gaps >= 0) & (send_gaps <= BACK_TO_BACK_GAP_S)
                 & (arrival_gaps > 0))
         if mask.any():
@@ -89,9 +73,9 @@ class PacketPairEstimator:
             self._samples.extend(capacities[capacities < math.inf].tolist())
 
     def capacity_bps(self) -> Optional[float]:
-        """Current capacity estimate, or None before ``min_samples`` pairs."""
+        """Current capacity estimate, or None before ``MIN_SAMPLES`` pairs."""
         n = len(self._samples)
-        if n < self.min_samples:
+        if n < MIN_SAMPLES:
             return None
         # Inline median over the (small) window: called on every feedback
         # batch, where np.median's array conversion dominates. Matches

@@ -338,16 +338,9 @@ class Sender:
         reverse = self.reverse_delay
         if hasattr(self.cc, "observe_reverse_delay"):
             self.cc.observe_reverse_delay(reverse)
-        reports = message.reports
-        if reports.arrays:
-            if len(reports):
-                self.cc.observe_rtt_array(
-                    reports.arrival_times - reports.send_times + reverse)
-        else:
-            observe_rtt = self.cc.observe_rtt
-            for send, arrival in zip(reports.send_times,
-                                     reports.arrival_times):
-                observe_rtt(arrival - send + reverse)
+        # The interval's one RTT column, which ACE-N's queue estimator
+        # reads from the batch again below.
+        self.cc.observe_rtts(message.reports.rtts(reverse))
         self.cc.on_feedback(message, now)
         if self.fec is not None:
             self._reports_seen += len(message.reports)

@@ -48,17 +48,16 @@ class CongestionController(abc.ABC):
         if self.rtt_min is None or rtt < self.rtt_min:
             self.rtt_min = rtt
 
-    def observe_rtt_array(self, rtts) -> None:
-        """Vectorized ``observe_rtt`` over a non-empty array of samples.
-
-        Equivalent to calling :meth:`observe_rtt` per element in order:
-        ``rtt_last`` ends at the final sample and ``rtt_min`` absorbs
-        the minimum.
+    def observe_rtts(self, rtts) -> None:
+        """:meth:`observe_rtt` over one interval's RTT column, in order:
+        ``rtt_last`` ends at the final sample and ``rtt_min`` absorbs the
+        least. A list or an array (``ReportBatch.rtts``), possibly empty.
         """
-        self.rtt_last = float(rtts[-1])
-        low = float(rtts.min())
-        if self.rtt_min is None or low < self.rtt_min:
-            self.rtt_min = low
+        if len(rtts):
+            self.rtt_last = float(rtts[-1])
+            low = float(min(rtts) if type(rtts) is list else rtts.min())
+            if self.rtt_min is None or low < self.rtt_min:
+                self.rtt_min = low
 
     @abc.abstractmethod
     def on_feedback(self, message: FeedbackMessage, now: float) -> None:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 from typing import Deque, Optional
 
 import numpy as np
@@ -42,14 +44,6 @@ class _PacketGroup:
     first_arrival: float
     last_arrival: float
     size_bytes: int
-
-    def absorb(self, send_time: float, arrival_time: float,
-               size_bytes: int) -> None:
-        if send_time > self.last_send:
-            self.last_send = send_time
-        if arrival_time > self.last_arrival:
-            self.last_arrival = arrival_time
-        self.size_bytes += size_bytes
 
 
 class TrendlineEstimator:
@@ -227,53 +221,40 @@ class GccController(CongestionController):
         reports = message.reports
         if reports.arrays:
             return self._delay_signal_arrays(reports, now)
-        state: Optional[str] = None
         sends = reports.send_times
         arrivals = reports.arrival_times
         sizes = reports.sizes
         # Stable, like the array lane's argsort: equal send times keep
-        # arrival order.
-        for i in sorted(range(len(sends)), key=sends.__getitem__):
-            group_complete = self._feed_group(
-                sends[i], arrivals[i], sizes[i])
-            if group_complete is None:
+        # arrival order. Sorted input, the usual case, skips the sort.
+        order = range(len(sends))
+        if not all(map(le, sends, islice(sends, 1, None))):
+            order = sorted(order, key=sends.__getitem__)
+        closed = []
+        cur = self._current_group
+        for i in order:
+            send = sends[i]
+            arrival = arrivals[i]
+            if cur is not None and send - cur.first_send <= GROUP_WINDOW_S:
+                if send > cur.last_send:
+                    cur.last_send = send
+                if arrival > cur.last_arrival:
+                    cur.last_arrival = arrival
+                cur.size_bytes += sizes[i]
                 continue
-            prev, cur = group_complete
-            # WebRTC's arrival-time filter uses the *first* packet of
-            # each packet group (§5.2 of the paper) — the head of a burst
-            # sees only the pre-existing queue, not the queue the burst
-            # itself builds, so self-inflicted intra-frame queueing does
-            # not read as congestion.
-            send_delta = cur.first_send - prev.first_send
-            arrival_delta = cur.first_arrival - prev.first_arrival
-            delay_delta = arrival_delta - send_delta
-            slope = self.trendline.update(delay_delta, cur.first_arrival)
-            if slope is None:
-                continue
-            # WebRTC scaling: slope x gain x sample count (capped at 60).
-            # The time-windowed variant (the paper's §5.2 fix) scales by
-            # the window's *duration* expressed in nominal 5 ms groups:
-            # bursty senders produce few groups, and a count-based
-            # confidence term would leave the detector permanently
-            # unconfident — the exact unresponsiveness the fix targets.
-            if self.trendline.time_windowed:
-                scale = min(60.0, self.trendline.window_s / GROUP_WINDOW_S)
-            else:
-                scale = min(len(self.trendline._samples), 60)
-            modified = slope * self.trendline_gain * scale
-            state = self.detector.detect(modified, now)
-        return state
+            if cur is not None:
+                closed.append(cur)
+            cur = _PacketGroup(send, send, arrival, arrival, sizes[i])
+        self._current_group = cur
+        return self._close_groups(closed, now)
 
     def _delay_signal_arrays(self, reports: ReportBatch,
                              now: float) -> Optional[str]:
-        """Array twin of the per-report grouping loop.
+        """Array twin of the list lane's grouping loop.
 
-        Produces the same group boundaries, absorb results, and
-        trendline/detector call sequence as feeding the reports through
-        ``_feed_group`` one at a time: groups are runs
-        found with ``searchsorted`` on the same ``send - first_send``
-        comparison the scalar path evaluates, and ``_current_group`` /
-        ``_prev_group`` carry across messages exactly as before.
+        Closes the same packet groups with the same contents: groups are
+        runs found with ``searchsorted`` on the same ``send -
+        first_send`` comparison the list lane evaluates, and
+        ``_current_group`` / ``_prev_group`` carry across messages.
         """
         n = len(reports)
         if n == 0:
@@ -320,54 +301,45 @@ class GccController(CongestionController):
         group_sizes = np.add.reduceat(sz, sb).tolist()
         ends = np.array(starts[1:] + [n])
         last_sends = s[ends - 1].tolist()
+        closed = [] if cur is None else [cur]
+        closed += map(_PacketGroup, first_sends, last_sends, first_arrivals,
+                      last_arrivals, group_sizes)
+        self._current_group = closed.pop()
+        return self._close_groups(closed, now)
+
+    def _close_groups(self, closed: list, now: float) -> Optional[str]:
+        """Run the trendline and the overuse detector over the packet
+        groups an interval closed, in order; return the last state."""
         state: Optional[str] = None
         trendline = self.trendline
-        time_windowed = trendline.time_windowed
-        detector = self.detector
-        gain = self.trendline_gain
-        for k in range(len(starts)):
-            completed = cur
-            cur = _PacketGroup(first_sends[k], last_sends[k],
-                               first_arrivals[k], last_arrivals[k],
-                               int(group_sizes[k]))
-            if completed is None:
-                continue
-            prev = self._prev_group
-            self._prev_group = completed
+        for group in closed:
+            prev, self._prev_group = self._prev_group, group
             if prev is None:
                 continue
-            send_delta = completed.first_send - prev.first_send
-            arrival_delta = completed.first_arrival - prev.first_arrival
-            slope = trendline.update(
-                arrival_delta - send_delta, completed.first_arrival)
+            # WebRTC's arrival-time filter uses the *first* packet of
+            # each packet group (§5.2 of the paper) — the head of a burst
+            # sees only the pre-existing queue, not the queue the burst
+            # itself builds, so self-inflicted intra-frame queueing does
+            # not read as congestion.
+            send_delta = group.first_send - prev.first_send
+            arrival_delta = group.first_arrival - prev.first_arrival
+            slope = trendline.update(arrival_delta - send_delta,
+                                     group.first_arrival)
             if slope is None:
                 continue
-            if time_windowed:
+            # WebRTC scaling: slope x gain x sample count (capped at 60).
+            # The time-windowed variant (the paper's §5.2 fix) scales by
+            # the window's *duration* expressed in nominal 5 ms groups:
+            # bursty senders produce few groups, and a count-based
+            # confidence term would leave the detector permanently
+            # unconfident — the exact unresponsiveness the fix targets.
+            if trendline.time_windowed:
                 scale = min(60.0, trendline.window_s / GROUP_WINDOW_S)
             else:
                 scale = min(len(trendline._samples), 60)
-            state = detector.detect(slope * gain * scale, now)
-        self._current_group = cur
+            state = self.detector.detect(
+                slope * self.trendline_gain * scale, now)
         return state
-
-    def _feed_group(self, send_time: float, arrival_time: float,
-                    size_bytes: int):
-        """Assign a report to a packet group; return (prev, completed) pairs."""
-        if self._current_group is None:
-            self._current_group = _PacketGroup(
-                send_time, send_time, arrival_time, arrival_time, size_bytes)
-            return None
-        if send_time - self._current_group.first_send <= GROUP_WINDOW_S:
-            self._current_group.absorb(send_time, arrival_time, size_bytes)
-            return None
-        completed = self._current_group
-        self._current_group = _PacketGroup(
-            send_time, send_time, arrival_time, arrival_time, size_bytes)
-        prev = self._prev_group
-        self._prev_group = completed
-        if prev is None:
-            return None
-        return (prev, completed)
 
     # ------------------------------------------------------------------
     # rate control

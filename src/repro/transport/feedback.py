@@ -24,11 +24,8 @@ NACK_WINDOW = 2000
 
 
 #: An interval of at least this many reports holds its columns as numpy
-#: arrays, a shorter one as Python lists: the consumers' array lanes pay
-#: numpy's per-call cost once per message, their per-report loops pay
-#: per report, and the two cost the same between 48 and 64 reports
-#: (DESIGN §7 has the sweep).
-ARRAY_MIN_REPORTS = 64
+#: arrays, a shorter one as Python lists (DESIGN §7 has the sweep).
+ARRAY_MIN_REPORTS = 128
 
 
 def pylist(column) -> list:
@@ -38,19 +35,15 @@ def pylist(column) -> list:
 
 
 class ReportBatch:
-    """The per-packet reports of one feedback interval, in arrival order.
+    """One feedback interval's reports, in arrival order: ``send_times``,
+    ``arrival_times`` and ``sizes``, all numpy arrays (``arrays``) or all
+    Python sequences as given, and ``total_bytes``. ``seqs`` and
+    ``frame_ids`` (read only by the wire encoder) join on first read.
+    Array-lane consumers branch on ``arrays``, the rest read
+    :func:`pylist` columns. Treat instances as immutable."""
 
-    Five parallel columns — ``seqs``, ``send_times``, ``arrival_times``,
-    ``sizes`` and ``frame_ids`` — that are all numpy arrays (``arrays``)
-    or all Python sequences, plus their ``total_bytes``. The constructor
-    keeps the form it is given; :func:`sized_batch` picks it from the
-    interval's length. Consumers with an array lane (GCC's delay signal,
-    the queue estimator, the RTT observers) branch on ``arrays``; the
-    rest read :func:`pylist` columns. Treat instances as immutable.
-    """
-
-    __slots__ = ("seqs", "send_times", "arrival_times", "sizes",
-                 "frame_ids", "total_bytes", "arrays")
+    __slots__ = ("send_times", "arrival_times", "sizes", "total_bytes",
+                 "arrays", "_id_runs", "_ids", "_rtts")
 
     def __init__(self, seqs: Sequence[int] = (),
                  send_times: Sequence[float] = (),
@@ -58,39 +51,60 @@ class ReportBatch:
                  sizes: Sequence[int] = (),
                  frame_ids: Optional[Sequence[int]] = None) -> None:
         self.arrays = arrays = type(sizes) is np.ndarray
-        self.seqs = seqs
         self.send_times = send_times
         self.arrival_times = arrival_times
         self.sizes = sizes
-        if frame_ids is None:       # reports that belong to no frame
-            frame_ids = (np.full(len(sizes), -1) if arrays
-                         else [-1] * len(sizes))
-        self.frame_ids = frame_ids
         self.total_bytes = int(sizes.sum()) if arrays else sum(sizes)
+        #: ``(seqs, frame_ids)`` runs; an int frame id covers its run.
+        self._id_runs = [(seqs, -1 if frame_ids is None else frame_ids)]
+        self._ids: Optional[tuple] = None
+        self._rtts: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.sizes)
 
+    seqs = property(lambda self: (self._ids or self._join_ids())[0])
+    frame_ids = property(lambda self: (self._ids or self._join_ids())[1])
+
+    def _join_ids(self) -> tuple:
+        seqs, frame_ids = [], []
+        for run_seqs, run_frames in self._id_runs:
+            seqs += run_seqs
+            frame_ids += (run_frames if hasattr(run_frames, "__len__")
+                          else [run_frames] * len(run_seqs))
+        self._ids = ((np.array(seqs), np.array(frame_ids)) if self.arrays
+                     else (seqs, frame_ids))
+        return self._ids
+
+    def rtts(self, reverse_delay: float) -> Sequence[float]:
+        """``arrival - send + reverse_delay``, derived once per batch."""
+        if self._rtts is None or self._rtts[0] != reverse_delay:
+            self._rtts = (reverse_delay, (
+                self.arrival_times - self.send_times + reverse_delay
+                if self.arrays else
+                [arrival - send + reverse_delay for send, arrival
+                 in zip(self.send_times, self.arrival_times)]))
+        return self._rtts[1]
+
 
 def sized_batch(segments: Sequence[tuple]) -> ReportBatch:
-    """Join column segments, in arrival order, in the form the interval's
-    length calls for.
-
-    Each segment is a ``(seqs, send_times, arrival_times, sizes,
-    frame_ids)`` tuple of lists or arrays. The one rule for the form:
-    numpy arrays from ``ARRAY_MIN_REPORTS`` reports up, Python lists
-    below. A lone segment already in that form is aliased, not copied.
-    """
+    """Join ``(seqs, send_times, arrival_times, sizes, frame_ids)``
+    segments in the form the interval's length calls for: numpy arrays
+    from ``ARRAY_MIN_REPORTS`` reports up, else lists (a lone segment in
+    form is aliased). Ids stay runs (a chunk's: a range, one int)."""
     arrays = sum(len(segment[3]) for segment in segments) >= ARRAY_MIN_REPORTS
     if len(segments) == 1 and (type(segments[0][3]) is np.ndarray) is arrays:
-        return ReportBatch(*segments[0])
-    if arrays:
-        return ReportBatch(*map(np.concatenate, zip(*segments)))
-    columns = [[], [], [], [], []]
-    for segment in segments:
-        for column, part in zip(columns, segment):
-            column += pylist(part)
-    return ReportBatch(*columns)
+        columns = segments[0][1:4]
+    elif arrays:
+        columns = map(np.concatenate, zip(*(seg[1:4] for seg in segments)))
+    else:
+        columns = ([], [], [])
+        for segment in segments:
+            for column, part in zip(columns, segment[1:4]):
+                column += pylist(part)
+    batch = ReportBatch((), *columns)
+    batch._id_runs = [(segment[0], segment[4]) for segment in segments]
+    return batch
 
 
 @dataclass
@@ -140,12 +154,10 @@ class FeedbackBuilder:
     def on_packet(self, packet: Packet) -> None:
         """Record an arriving media packet."""
         seqs, send_times, arrival_times, sizes, frame_ids = self._open
-        send_time = packet.t_leave_pacer
-        arrival_time = packet.t_arrival
+        send_time, arrival_time = packet.t_leave_pacer, packet.t_arrival
         seqs.append(packet.seq)
-        send_times.append(send_time if send_time is not None else 0.0)
-        arrival_times.append(arrival_time if arrival_time is not None
-                             else 0.0)
+        send_times.append(0.0 if send_time is None else send_time)
+        arrival_times.append(0.0 if arrival_time is None else arrival_time)
         sizes.append(packet.size_bytes)
         frame_ids.append(packet.frame_id)
         recovered = packet.retransmission_of
@@ -170,18 +182,14 @@ class FeedbackBuilder:
     def on_chunk(self, seq0: int, send_times: np.ndarray,
                  arrival_times: np.ndarray, sizes: np.ndarray,
                  frame_id: int) -> None:
-        """Record a contiguous train of arriving media packets.
-
-        Batch-engine equivalent of ``on_packet`` for fresh (never
-        retransmitted, non-negative-seq) media packets only.
-        """
-        n = len(sizes)
+        """Record a contiguous train of arriving media packets: the batch
+        engine's ``on_packet`` for fresh, non-negative seqs only."""
         if self._open[0]:
             self._segments.append(self._open)
             self._open = ([], [], [], [], [])
-        self._segments.append((np.arange(seq0, seq0 + n), send_times,
-                               arrival_times, sizes, np.full(n, frame_id)))
-        last = seq0 + n - 1
+        last = seq0 + len(sizes) - 1
+        self._segments.append((range(seq0, last + 1), send_times,
+                               arrival_times, sizes, frame_id))
         highest = self._highest_seq
         if seq0 <= highest and self._holes:
             for seq in range(seq0, min(last, highest) + 1):
@@ -204,8 +212,7 @@ class FeedbackBuilder:
         """Sequence numbers presumed lost (beyond the reordering margin)."""
         horizon = self._highest_seq - self.reorder_margin
         oldest = horizon - NACK_WINDOW
-        missing = []
-        closed = []     # aged out of the window, or NACKed to exhaustion
+        missing, closed = [], []    # closed: aged out, or NACKed out
         for seq, nacks in self._holes.items():
             if seq > horizon:
                 break
@@ -228,16 +235,9 @@ class FeedbackBuilder:
         if self._recovered:
             highest = self._highest_seq
             self._recovered = {s for s in self._recovered if s > highest}
-        segments = self._segments
-        if self._open[0] or not segments:
-            segments.append(self._open)
-        message = FeedbackMessage(
-            created_at=now,
-            reports=sized_batch(segments),
-            nacked_seqs=nacks,
-            highest_seq=self._highest_seq,
-            cumulative_lost=self._cumulative_lost,
-        )
-        self._open = ([], [], [], [], [])
-        self._segments = []
-        return message
+        if self._open[0] or not self._segments:
+            self._segments.append(self._open)
+        reports = sized_batch(self._segments)
+        self._open, self._segments = ([], [], [], [], []), []
+        return FeedbackMessage(now, reports, nacks, self._highest_seq,
+                               self._cumulative_lost)

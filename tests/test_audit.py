@@ -247,10 +247,9 @@ class TestControlLawViolations:
         def corrupt(s, a):
             ace = s.sender.ace_n
             est = ace.queue_estimator
-            # Feedback silence = the whole recent window aged out; the
-            # monotonic companions are trimmed in lockstep with it.
-            for column in (*est._standing, *est._peaks):
-                column.clear()
+            # Feedback silence = every segment of the recent window
+            # aged out.
+            est._window.clear()
             old = ace.bucket_bytes
             new = old + 2000.0
             ace._bucket_bytes = new

@@ -319,7 +319,8 @@ def _columns(reports):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(_report, min_size=1, max_size=100),
+@given(st.lists(st.lists(_report, min_size=1,
+                         max_size=2 * ARRAY_MIN_REPORTS),
                 min_size=1, max_size=4))
 def test_chunk_of_one_ingestion_matches_scalar_ingestion(intervals):
     columnar, scalar = FeedbackBuilder(), FeedbackBuilder()
@@ -358,8 +359,10 @@ def test_chunk_of_one_ingestion_matches_scalar_ingestion(intervals):
             estimator.on_feedback(message, now, reverse_delay=0.01)
             gcc.on_feedback(message, now)
         (est_a, gcc_a), (est_b, gcc_b) = consumers
-        assert est_a._standing == est_b._standing
-        assert est_a._peaks == est_b._peaks
+        assert ([(list(at), list(rtts), low, high)
+                 for at, rtts, low, high in est_a._window]
+                == [(list(at), list(rtts), low, high)
+                    for at, rtts, low, high in est_b._window])
         assert est_a._rtt_min == est_b._rtt_min
         assert (list(est_a.packet_pair._samples)
                 == list(est_b.packet_pair._samples))

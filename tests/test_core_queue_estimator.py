@@ -146,10 +146,11 @@ def test_estimates_history_recorded():
 
 
 # ---------------------------------------------------------------------------
-# the monotonic windows against a brute-force window scan, on both lanes
+# the segment window against a brute-force window scan, on both lanes
 # ---------------------------------------------------------------------------
 _sample = st.tuples(
-    st.floats(0.0, 0.03),           # arrival gap (0: same-instant arrivals)
+    st.one_of(st.floats(0.0, 0.03),     # arrival gap (0: same instant)
+              st.floats(0.1, 0.4)),     # a silence longer than the window
     st.floats(-0.03, 0.08),         # one-way delay: rtt <= 0 happens
     st.integers(60, 1500),          # size
     st.booleans(),                  # the message ends after this sample
@@ -194,8 +195,27 @@ def test_windows_equal_a_brute_force_scan_on_every_lane(stream, reverse):
                 if recent else 0.0)
             assert est.queue_is_empty() == (
                 bool(recent) and min(recent) - floor < 0.002)
-            # Not only the queries: the lanes leave identical state.
-            assert (est._standing, est._peaks) \
-                == (scalar._standing, scalar._peaks)
             assert (list(est.packet_pair._samples)
                     == list(scalar.packet_pair._samples))
+
+
+@pytest.mark.parametrize("form", [list, np.array])
+def test_the_horizon_cuts_inside_the_head_segment(form):
+    """Only the head segment is cut, at the first arrival inside the
+    window, and its extrema are those of what it keeps."""
+    est = QueueEstimator(standing_window_s=0.1)
+    arrivals = [0.00, 0.02, 0.04, 0.06, 0.08]
+    owds = [0.010, 0.050, 0.030, 0.040, 0.020]
+    reports = ReportBatch(*(form(column) for column in (
+        list(range(5)), [a - o for a, o in zip(arrivals, owds)], arrivals,
+        [1200] * 5)))
+    est.on_feedback(FeedbackMessage(created_at=0.13, reports=reports),
+                    0.13)       # horizon 0.03: the first two age out
+    ((kept_at, kept_rtts, low, high),) = est._window
+    assert list(kept_at) == arrivals[2:]
+    assert list(kept_rtts) == pytest.approx(owds[2:])
+    assert (low, high) == (min(kept_rtts), max(kept_rtts))
+    assert est.rtt_standing() == low and est.rtt_min == owds[0]
+    # Feedback silence past the window empties it whole.
+    est.on_feedback(FeedbackMessage(created_at=0.5), 0.5)
+    assert not est._window and est.rtt_standing() is None

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.net.packet_pair import PacketPairEstimator
+from repro.net import packet_pair
+from repro.net.packet_pair import (MIN_SAMPLES, WINDOW,
+                                    PacketPairEstimator)
 
 
 def feed_pairs(est, capacity_bps, n=10, size=1200, start=0.0):
-    """Feed n back-to-back pairs crossing a bottleneck of capacity_bps."""
+    """Feed n back-to-back pairs crossing a bottleneck of capacity_bps,
+    one pair per feedback interval."""
     t = start
     for _ in range(n):
         spacing = size * 8 / capacity_bps
-        est.on_packet(t, t + 0.015, size)
-        est.on_packet(t + 1e-5, t + 0.015 + spacing, size)
+        est.on_lists([t, t + 1e-5], [t + 0.015, t + 0.015 + spacing],
+                     [size, size])
         t += 0.05
 
 
@@ -23,56 +26,64 @@ def test_estimates_capacity_from_pairs():
 
 
 def test_no_estimate_before_min_samples():
-    est = PacketPairEstimator(min_samples=5)
-    feed_pairs(est, 10e6, n=2)
+    est = PacketPairEstimator()
+    feed_pairs(est, 10e6, n=MIN_SAMPLES - 1)
     assert est.capacity_bps() is None
+    feed_pairs(est, 10e6, n=1)
+    assert est.capacity_bps() == pytest.approx(10e6, rel=0.01)
 
 
 def test_spread_out_sends_are_ignored():
     est = PacketPairEstimator()
-    t = 0.0
-    for _ in range(20):
-        est.on_packet(t, t + 0.015, 1200)
-        t += 0.01  # 10 ms apart: not back-to-back
+    sends = [0.01 * i for i in range(20)]  # 10 ms apart: not back-to-back
+    est.on_lists(sends, [t + 0.015 for t in sends], [1200] * 20)
     assert est.capacity_bps() is None
 
 
-def test_reordered_arrivals_are_ignored():
-    est = PacketPairEstimator(min_samples=1)
-    est.on_packet(0.0, 0.020, 1200)
-    est.on_packet(0.00001, 0.019, 1200)  # arrived earlier: reordered
+def test_reordered_arrivals_are_ignored(monkeypatch):
+    monkeypatch.setattr(packet_pair, "MIN_SAMPLES", 1)
+    est = PacketPairEstimator()
+    # The second arrived earlier: reordered.
+    est.on_lists([0.0, 0.00001], [0.020, 0.019], [1200, 1200])
     assert est.capacity_bps() is None       # one sample would answer
 
 
-def test_a_subnormal_arrival_gap_gives_no_sample_on_either_lane():
+def test_a_subnormal_arrival_gap_gives_no_sample_on_either_lane(
+        monkeypatch):
     # 480 bits over 5e-324 s overflows to an infinite capacity.
-    scalar = PacketPairEstimator(min_samples=1)
-    arrays = PacketPairEstimator(min_samples=1)
-    sends, arrivals, sizes = [-0.0625, -0.0625], [0.0, 5e-324], [60, 60]
-    for send, arrival, size in zip(sends, arrivals, sizes):
-        scalar.on_packet(send, arrival, size)
-    arrays.on_packet_arrays(*(np.array(c) for c in (sends, arrivals, sizes)))
-    assert scalar.capacity_bps() is None and arrays.capacity_bps() is None
+    monkeypatch.setattr(packet_pair, "MIN_SAMPLES", 1)
+    lists, arrays = PacketPairEstimator(), PacketPairEstimator()
+    columns = [-0.0625, -0.0625], [0.0, 5e-324], [60, 60]
+    lists.on_lists(*columns)
+    arrays.on_arrays(*(np.array(column) for column in columns))
+    assert lists.capacity_bps() is None and arrays.capacity_bps() is None
+
+
+def test_both_lanes_carry_the_previous_report_across_intervals():
+    lists, arrays = PacketPairEstimator(), PacketPairEstimator()
+    sends = [0.0, 1e-5, 2e-5, 3e-5, 1.0, 1.00001]
+    arrivals = [0.02, 0.021, 0.0215, 0.023, 1.02, 1.0203]
+    sizes = [1200, 600, 1200, 300, 1200, 1200]
+    for cut in ((0, 2), (2, 3), (3, 6)):
+        columns = [column[slice(*cut)] for column in (sends, arrivals, sizes)]
+        lists.on_lists(*columns)
+        arrays.on_arrays(*(np.array(column) for column in columns))
+    assert list(lists._samples) == list(arrays._samples)
+    assert len(lists._samples) == 4
 
 
 def test_median_robust_to_outliers():
-    est = PacketPairEstimator(min_samples=3)
+    est = PacketPairEstimator()
     feed_pairs(est, 10e6, n=9)
     # one wild outlier pair (cross-traffic squeezed the spacing)
-    est.on_packet(10.0, 10.015, 1200)
-    est.on_packet(10.00001, 10.015 + 1e-6, 1200)
+    est.on_lists([10.0, 10.00001], [10.015, 10.015 + 1e-6], [1200, 1200])
     assert est.capacity_bps() == pytest.approx(10e6, rel=0.05)
 
 
 def test_window_bounds_memory():
-    est = PacketPairEstimator(window=5)
-    feed_pairs(est, 10e6, n=20)
-    assert len(est._samples) == 5
-
-
-def test_invalid_window():
-    with pytest.raises(ValueError):
-        PacketPairEstimator(window=0)
+    est = PacketPairEstimator()
+    feed_pairs(est, 10e6, n=WINDOW + 20)
+    assert len(est._samples) == WINDOW
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,27 @@ def test_batch_session_peak_stays_near_the_log():
     assert peak <= 40 * metrics.packets_sent, peak / metrics.packets_sent
 
 
+def test_first_read_holds_one_word_per_packet_above_the_run():
+    """Sealing a 4 s, 100 Mbps batch session's log: the time column is
+    compacted into the interleaved buffer, so the first read peaks one
+    word per packet above what the run held (8.0 measured), not two
+    (16.0 when the buffer and both new columns coexisted)."""
+    tracemalloc.start()     # before the run, to trace the buffer too
+    try:
+        metrics = ref_packet_session(engine="batch").run()
+        log = metrics.send_events
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        times, sizes = log.times, log.sizes
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(times) == len(sizes) == metrics.packets_sent > 30_000
+    assert peak <= 12 * len(times), peak / len(times)
+    assert (times[1:] >= times[:-1]).all() and sizes.dtype == np.int64
+
+
 def test_reference_lane_times_are_nondecreasing():
     metrics = ref_packet_session().run()
     times = metrics.send_events.times
