@@ -2,7 +2,8 @@
 
 Runs the non-test entry points of the repository under a profile hook
 and prints each function defined under ``src/repro`` that none of them
-called. The entry points are the benches (``benchmarks/``), the
+called, then each option (:func:`options`) that only ever took its
+default. The entry points are the benches (``benchmarks/``), the
 examples, the CLI invocations in :data:`CLI` and the perfbench
 workloads. Tests are not entry points: a definition only a test calls
 is reported.
@@ -17,8 +18,9 @@ all of it (CI's ``benches`` job runs these commands):
         --ignore=benchmarks/test_perf_simulator.py
     python scripts/call_census.py dumps      # ≈ 4 min on 2 vCPUs
 
-Exit status 1 when a reported definition is not on :data:`ALLOWLIST`
-(or an allowlist pattern matches no definition), when an entry point
+Exit status 1 when a reported definition is not on :data:`ALLOWLIST`,
+or a reported option not on :data:`OPTION_ALLOWLIST` (or a pattern of
+either matches nothing), when an entry point
 fails, or when the dump directory holds no dump to start from; 0
 otherwise.
 
@@ -111,6 +113,8 @@ CLI: tuple = (
     "arena --flows ace+always-burst --duration 3 --discipline codel "
     "--telemetry-out {tmp}/arena-codel",
     "arena --flows ace+webrtc-star --duration 3 --discipline pie",
+    # a chain of two routers: the hop between them
+    "arena --flows ace+webrtc-star --trace const:30,const:16 --duration 3",
     "scenario",
     "scenario arena-late-joiner --duration 10",
     "scenario lossy-link --duration 2 --out {tmp}/scenario.json",
@@ -177,8 +181,6 @@ ALLOWLIST: tuple = (
      "perfbench's tracer wraps this class's methods by name"),
     # -- reachable only from the library API (ROADMAP item 22's next
     #    slices: wire each to an entry point or delete it)
-    ("repro.arena.topology:ArenaPath._hop_delivered",
-     "multi-router routes: no entry point builds a chain of routers"),
     ("repro.net.aqm:ConfuciusDiscipline.is_sparse",
      "the oracle two tests check the lane choice against (ROADMAP item 8)"),
     ("repro.rtc.metrics:SendLog.__eq__",
@@ -186,6 +188,69 @@ ALLOWLIST: tuple = (
      "tests compare"),
     # -- debugging output
     ("*.__repr__", "read only by a person at a prompt"),
+)
+
+
+#: ``(pattern, reason)``: options that may keep only their default,
+#: matched like :data:`ALLOWLIST` against ``module:qualname.name``.
+OPTION_ALLOWLIST: tuple = (
+    # -- the protocol stack (core/, transport/, net/, video/)
+    ("repro.core.ace_n:AceNConfig.empty_ratchet_decay",
+     "an ACE-N departure ROADMAP item 7 switches off"),
+    ("repro.core.ace_n:AceNConfig.min_halve_interval_s",
+     "an ACE-N departure ROADMAP item 7 switches off"),
+    ("repro.core.ace_c:AceCConfig.ewma_alpha",
+     "the paper's ACE-C EWMA alpha (Eq. 5), one of its few free parameters"),
+    ("repro.core.ace_n:AceNConfig.alpha",
+     "the paper's ACE-N alpha (§4.1), one of its few free parameters"),
+    ("repro.video.source:ContentProfile.max_relative_satd",
+     "ROADMAP item 20 fits it per content profile"),
+    ("repro.net.aqm:*.capacity_bytes",
+     "carries PathConfig.queue_capacity_bytes, which entry points change "
+     "only under drop-tail"),
+    ("repro.transport.pacer.token_bucket_pacer:TokenBucketPacer.__init__."
+     "initial_bucket_bytes", "carries AceNConfig.initial_bucket_bytes"),
+    ("repro.core.ace_c:AceCController.__init__.num_levels",
+     "FlowStack passes the codec preset's level count"),
+    ("repro.net.cross_traffic:CrossTrafficFlow._pump._posted",
+     "a default used as a local binding, not a setting"),
+    ("repro.net.trace:*.name", "the label of a generated trace"),
+    ("repro.net.trace:*.duration", "the length of a generated trace"),
+    ("repro.video.*.is_keyframe",
+     "the keyframe path: Sender.keyframe_on_pli is off at every entry "
+     "point; it goes or stays with the PLI path"),
+    ("repro.video.codec.model:CodecModel.natural_bits.reference_quality",
+     "CqpRateControl, kept for perfbench's tracer, passes its own"),
+    ("repro.video.codec.model:EncoderConfig.keyframe_cost",
+     "the keyframe path (see is_keyframe)"),
+    # one value at every entry point, but tests set it: a constant and
+    # the rewritten tests are ROADMAP item 22's next slice
+    ("repro.core.ace_n:AceNConfig.max_bucket_bytes", "tests set it"),
+    ("repro.core.ace_n:AceNConfig.min_bucket_bytes", "tests set it"),
+    ("repro.core.ace_n:AceNConfig.rate_factor_bucket_scale", "tests set it"),
+    ("repro.core.ace_n:AceNController.__init__.queue_estimator",
+     "tests set it"),
+    ("repro.net.cross_traffic:CrossTrafficFlow.__init__.packet_size",
+     "tests set it"),
+    ("repro.net.trace:make_step_trace.recover_at", "tests set it"),
+    ("repro.transport.cc.base:CongestionController.__init__.min_bwe_bps",
+     "tests set it"),
+    ("repro.transport.cc.copa:CopaController.__init__.*", "tests set it"),
+    ("repro.transport.feedback:ReportBatch.__init__.frame_ids",
+     "tests set it"),
+    ("repro.transport.rtp:Packetizer.__init__.payload_bytes", "tests set it"),
+    ("repro.video.source:MixedSource.__init__.*", "tests set it"),
+    # -- outside the stack: not yet measured down (ROADMAP item 22)
+    ("repro.analysis.*", "outside the protocol stack, not yet measured down"),
+    ("repro.arena.*", "outside the protocol stack, not yet measured down"),
+    ("repro.audit.*", "outside the protocol stack, not yet measured down"),
+    ("repro.bench.*", "outside the protocol stack, not yet measured down"),
+    ("repro.cli:*", "outside the protocol stack, not yet measured down"),
+    ("repro.live.*", "outside the protocol stack, not yet measured down"),
+    ("repro.obs.*", "outside the protocol stack, not yet measured down"),
+    ("repro.rtc.*", "outside the protocol stack, not yet measured down"),
+    ("repro.scenarios:*", "outside the protocol stack, not yet measured down"),
+    ("repro.sim.*", "outside the protocol stack, not yet measured down"),
 )
 
 
@@ -221,13 +286,97 @@ def definitions(package: Path) -> dict:
     return out
 
 
-def called(dump_dir: Path) -> set:
-    """``(file, first line)`` of every code object any process ran."""
-    seen = set()
+def _name(node: ast.expr) -> Optional[str]:
+    """The last name of ``f`` or ``a.b.f``, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``@dataclass`` builds an ``__init__`` for ``node``."""
+    for dec in node.decorator_list:
+        call = dec if isinstance(dec, ast.Call) else None
+        if _name(call.func if call else dec) == "dataclass":
+            return not any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                           and k.value.value is False
+                           for k in (call.keywords if call else ()))
+    return False
+
+
+def _field_default(value: ast.expr) -> bool:
+    """Whether a field's right-hand side gives it a default and a place
+    in ``__init__`` (``field()`` without one, or ``init=False``, not)."""
+    if not (isinstance(value, ast.Call) and _name(value.func) == "field"):
+        return True
+    kws = {k.arg: k.value for k in value.keywords}
+    init = kws.get("init")
+    return (("default" in kws or "default_factory" in kws)
+            and not (isinstance(init, ast.Constant) and init.value is False))
+
+
+def options(package: Path) -> dict:
+    """``module:qualname.name -> owner`` for every option defined in
+    ``package``: a parameter with a default of a function not nested in
+    another, and a defaulted field of a dataclass that no code in the
+    package assigns after construction (an attribute store, or a
+    ``setattr`` naming it). The owner is the function's or the class's
+    ``module:qualname``, as the hook records it."""
+    trees, assigned = {}, set()
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(
+            path.relative_to(package.parent).with_suffix("").parts)
+        tree = trees[module.removesuffix(".__init__")] = ast.parse(
+            path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)):
+                assigned.add(node.attr)
+            elif (isinstance(node, ast.Call) and len(node.args) > 1
+                  and _name(node.func) in ("setattr", "__setattr__")
+                  and isinstance(node.args[1], ast.Constant)):
+                assigned.add(node.args[1].value)
+    out = {}
+
+    def visit(node, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = f"{module}:{prefix}{child.name}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs,
+                                            args.kw_defaults) if d]
+                out.update((f"{owner}.{a.arg}", owner) for a in named)
+            elif isinstance(child, ast.ClassDef):
+                owner = f"{module}:{prefix}{child.name}"
+                if _is_dataclass(child):
+                    out.update(
+                        (f"{owner}.{f.target.id}", owner)
+                        for f in child.body
+                        if isinstance(f, ast.AnnAssign) and f.value
+                        and isinstance(f.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(f.annotation)
+                        and f.target.id not in assigned
+                        and _field_default(f.value))
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for module, tree in trees.items():
+        visit(tree, module, "")
+    return out
+
+
+def read_dumps(dump_dir: Path) -> tuple:
+    """What every process recorded -> ``(called, owners, off)``: the
+    ``(file, first line)`` of each code object run, the owners whose
+    defaults the hook read, and the options seen off their default."""
+    seen, owners, off = set(), set(), set()
     for dump in dump_dir.glob("*.json"):
-        seen.update((os.path.realpath(f), line)
-                    for f, line in json.loads(dump.read_text()))
-    return seen
+        rows = json.loads(dump.read_text())
+        seen.update((os.path.realpath(f), line) for f, line in rows["called"])
+        owners.update(rows["owners"])
+        off.update(rows["off"])
+    return seen, owners, off
 
 
 def allowed(name: str, allowlist: Iterable) -> Optional[str]:
@@ -247,6 +396,44 @@ def perfbench_allowlist() -> tuple:
                   "wrapped by name by perfbench's tracer")
                  for rows in TARGETS.values()
                  for module, cls, names in rows for name in names)
+
+
+def perfbench_keywords() -> tuple:
+    """Every keyword perfbench passes, as ``(pattern, reason)`` against
+    the option it names: it must stay a parameter whatever its value."""
+    calls = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                calls.update((_name(node.func), k.arg)
+                             for k in node.keywords if k.arg)
+    return tuple((f"*[:.]{callee}.{kw}", "passed by perfbench as a keyword")
+                 for callee, kw in sorted(calls))
+
+
+def option_report(opts: dict, owners: set, off: set, allowlist: Iterable,
+                  checked: Iterable = (), out=sys.stdout) -> int:
+    """Print each option of a reached owner that only ever took its
+    default; the number not allowlisted, plus one for each pattern of
+    ``checked`` that matches no option."""
+    allowlist = tuple(allowlist)
+    live = [name for name, owner in opts.items() if owner in owners]
+    fixed = sorted(name for name in live if name not in off)
+    bad = 0
+    for name in fixed:
+        reason = allowed(name, allowlist)
+        bad += reason is None
+        print(f"{'  ' if reason else 'X '}option {name} only ever took its "
+              f"default{': ' + reason if reason else ''}", file=out)
+    for pattern, _reason in checked:
+        if not any(fnmatch.fnmatchcase(n, pattern) for n in opts):
+            print(f"X option allowlist pattern matches no option: {pattern}",
+                  file=out)
+            bad += 1
+    print(f"options: {len(opts)} defined, {len(live)} of reached owners, "
+          f"{len(fixed)} only ever at their default, {bad} not allowed",
+          file=out)
+    return bad
 
 
 def report(defs: dict, seen: set, allowlist: Iterable,
@@ -411,8 +598,12 @@ def main(argv=None) -> int:
         tmp = Path(name)
         failed = census(entry_points(tmp), SRC / "repro", tmp,
                         args.dumps.resolve())
-    bad = report(definitions(SRC / "repro"), called(args.dumps),
+    seen, owners, off = read_dumps(args.dumps)
+    bad = report(definitions(SRC / "repro"), seen,
                  ALLOWLIST + perfbench_allowlist(), checked=ALLOWLIST)
+    bad += option_report(options(SRC / "repro"), owners, off,
+                         OPTION_ALLOWLIST + perfbench_keywords(),
+                         checked=OPTION_ALLOWLIST)
     if failed:
         print(f"census: {len(failed)} entry point(s) failed: "
               + "; ".join(failed))

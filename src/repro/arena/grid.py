@@ -75,8 +75,7 @@ def cell_label(mix: str, discipline: str) -> str:
 
 
 def arena_task(mix: str, discipline: str, trace: BandwidthTrace,
-               category: str, discipline_params: Optional[dict] = None,
-               **task_fields) -> GridTask:
+               category: str, **task_fields) -> GridTask:
     """One arena cell as a :class:`~repro.bench.parallel.GridTask`: the
     mix's flows in ``category`` behind ``discipline``, labelled
     :func:`cell_label`. ``task_fields`` are the task's own (``config=``,
@@ -84,8 +83,7 @@ def arena_task(mix: str, discipline: str, trace: BandwidthTrace,
     flows = [{**flow, "category": category} for flow in parse_mix(mix)]
     return GridTask(
         baseline=cell_label(mix, discipline), trace=trace, category=category,
-        arena={"flows": flows, "discipline": discipline,
-               "discipline_params": dict(discipline_params or {})},
+        arena={"flows": flows, "discipline": discipline},
         **task_fields)
 
 
@@ -101,7 +99,6 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
                    run_dir: Optional[str] = None,
                    verbose: bool = False,
                    window_s: float = 10.0,
-                   discipline_params: Optional[dict] = None,
                    observe: Optional[Observe] = None,
                    ) -> dict[tuple, ArenaMetrics]:
     """Sweep a (mix x discipline x trace x seed) cube of arena cells.
@@ -126,7 +123,7 @@ def run_arena_grid(mixes: Sequence[str], traces: Sequence[BandwidthTrace],
                              f"(have {', '.join(known)})")
     observe = observe or Observe()
     coords = list(product(mixes, disciplines, traces, seeds))
-    tasks = [arena_task(mix, discipline, trace, category, discipline_params,
+    tasks = [arena_task(mix, discipline, trace, category,
                         config=SessionConfig(
                             duration=duration, seed=seed, fps=fps,
                             initial_bwe_bps=initial_bwe_bps),

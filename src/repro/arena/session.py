@@ -92,7 +92,6 @@ class ArenaSession(Session):
                  trace: Optional[BandwidthTrace] = None,
                  config: Optional[SessionConfig] = None, *,
                  discipline: str = DEFAULT_DISCIPLINE,
-                 discipline_params: Optional[dict] = None,
                  bottlenecks: Optional[Sequence[BottleneckSpec]] = None
                  ) -> None:
         if not flows:
@@ -113,9 +112,7 @@ class ArenaSession(Session):
         if bottlenecks is None:
             if trace is None:
                 raise ValueError("need a trace or explicit bottlenecks")
-            bottlenecks = [BottleneckSpec(
-                trace, discipline=discipline,
-                discipline_params=dict(discipline_params or {}))]
+            bottlenecks = [BottleneckSpec(trace, discipline=discipline)]
         else:
             bottlenecks = list(bottlenecks)
             if trace is None:

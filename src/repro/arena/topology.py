@@ -24,7 +24,7 @@ chain length only adds queueing/serialization, never propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -43,9 +43,6 @@ class BottleneckSpec:
 
     trace: BandwidthTrace
     discipline: str = DEFAULT_DISCIPLINE
-    #: keyword overrides for the discipline constructor (e.g. CoDel's
-    #: ``target_s``); empty means the discipline's defaults.
-    discipline_params: dict = field(default_factory=dict)
     #: ``None`` inherits the path-level queue capacity.
     queue_capacity_bytes: Optional[int] = None
 
@@ -111,12 +108,11 @@ class ArenaPath(NetworkPath):
 
     def _build_discipline(self, spec: BottleneckSpec, config: PathConfig):
         """``None`` for plain drop-tail (the link builds its own queue)."""
-        if spec.discipline == DEFAULT_DISCIPLINE and not spec.discipline_params:
-            if spec.queue_capacity_bytes is None:
-                return None
+        if (spec.discipline == DEFAULT_DISCIPLINE
+                and spec.queue_capacity_bytes is None):
+            return None
         capacity = spec.queue_capacity_bytes or config.queue_capacity_bytes
-        return make_discipline(spec.discipline, capacity,
-                               rng=self._aqm_rng, **spec.discipline_params)
+        return make_discipline(spec.discipline, capacity, rng=self._aqm_rng)
 
     # ------------------------------------------------------------------
     # forward direction

@@ -440,7 +440,7 @@ class SessionAuditor:
                         or current > self._shadow_ratchet):
                     self._shadow_ratchet = current
         if isinstance(self.pacer, TokenBucketPacer):
-            expected = max(ace.bucket_bytes, self.pacer.min_bucket_bytes)
+            expected = ace.bucket_bytes
             if not _close(self.pacer.bucket_bytes, expected):
                 self._fail("ace.pacer.sync",
                            f"pacer bucket {self.pacer.bucket_bytes:.1f} != "

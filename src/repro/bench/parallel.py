@@ -101,7 +101,7 @@ class GridTask(Observe):
     category: str = "gaming"
     build_kwargs: dict = field(default_factory=dict)
     #: multi-flow arena cell: ``{"flows": [ArenaFlowSpec kwargs, ...],
-    #: "discipline": name, "discipline_params": {...}}``. When set,
+    #: "discipline": name}``. When set,
     #: ``baseline`` is a display label (the mix string) and the cell
     #: runs an :class:`~repro.arena.session.ArenaSession` instead of
     #: :func:`build_session`; the result is an ``ArenaMetrics``.
@@ -125,10 +125,8 @@ class GridTask(Observe):
         import json
         extra = dict(self.build_kwargs)
         spec = dict(self.arena)
-        if spec.get("discipline", "droptail") == "droptail" \
-                and not spec.get("discipline_params"):
+        if spec.get("discipline", "droptail") == "droptail":
             spec.pop("discipline", None)
-            spec.pop("discipline_params", None)
         extra["arena"] = json.dumps(spec, sort_keys=True)
         return extra
 
@@ -178,8 +176,7 @@ def open_task(task: GridTask, strict_audit: bool = True):
         session = ArenaSession(
             [ArenaFlowSpec(**f) for f in spec["flows"]],
             task.trace, task.config,
-            discipline=spec.get("discipline", "droptail"),
-            discipline_params=spec.get("discipline_params") or {})
+            discipline=spec.get("discipline", "droptail"))
     else:
         session = build_session(task.baseline, task.trace, task.config,
                                 category=task.category, **task.build_kwargs)

@@ -35,31 +35,25 @@ class AceCConfig:
 
     #: EWMA smoothing (Eq. 5; the paper sets alpha = 0.5).
     ewma_alpha: float = 0.5
-    #: initial SATD->rho linear-model parameters.
-    initial_w: float = 1.0
-    initial_offset: float = 0.0
     #: initial per-level compression factors phi(c) (index-aligned).
     initial_phi: Sequence[float] = (0.0, 0.25, 0.38)
     #: initial per-level extra encode time over c0, seconds.
     initial_delta_te: Sequence[float] = (0.0, 0.003, 0.006)
-    #: refuse levels whose predicted extra encode time would exceed this
-    #: bound (practicality guard, §1 challenge (i)).
-    max_extra_encode_time: float = 0.030
-    #: only frames predicted oversized are considered for elevation —
-    #: §4.2: "ACE-C selects only the oversized frames (less than 5%)";
-    #: Fig. 17 shows elevation kicking in around 1.6x the average size.
-    oversize_gate_rho: float = 1.6
-    #: whether to update phi online from achieved sizes. Off by default:
-    #: when the encoder's rate control hits whatever plan it is given,
-    #: the achieved size reflects the plan (which already applied phi),
-    #: not the codec's true compression gain — the online signal is
-    #: circular. The paper's "empirical values" are the offline Fig. 4
-    #: calibration, which the pipeline takes from the codec preset.
-    update_phi: bool = False
 
 
 class AceCController:
     """Per-frame complexity selector with online model updates."""
+
+    #: initial SATD->rho linear-model parameters.
+    INITIAL_W = 1.0
+    INITIAL_OFFSET = 0.0
+    #: refuse levels whose predicted extra encode time would exceed this
+    #: bound (practicality guard, §1 challenge (i)).
+    MAX_EXTRA_ENCODE_TIME = 0.030
+    #: only frames predicted oversized are considered for elevation —
+    #: §4.2: "ACE-C selects only the oversized frames (less than 5%)";
+    #: Fig. 17 shows elevation kicking in around 1.6x the average size.
+    OVERSIZE_GATE_RHO = 1.6
 
     def __init__(self, num_levels: int = 3, fps: float = 30.0,
                  config: Optional[AceCConfig] = None) -> None:
@@ -68,8 +62,8 @@ class AceCController:
         self.config = config or AceCConfig()
         self.num_levels = num_levels
         self.fps = fps
-        self.w = self.config.initial_w
-        self.offset = self.config.initial_offset
+        self.w = self.INITIAL_W
+        self.offset = self.INITIAL_OFFSET
         self.phi = list(self.config.initial_phi[:num_levels])
         while len(self.phi) < num_levels:
             self.phi.append(self.phi[-1])
@@ -110,7 +104,7 @@ class AceCController:
         even for average-sized frames, so the oversize gate is waived.
         """
         rho_hat = self.predict_rho(satd, satd_mean)
-        if rho_hat >= self.config.oversize_gate_rho:
+        if rho_hat >= self.OVERSIZE_GATE_RHO:
             branch = "oversize"
         elif backlogged and rho_hat >= 1.0:
             branch = "backlog-waiver"
@@ -121,7 +115,7 @@ class AceCController:
         best = 0
         if branch != "below-gate":
             gains = [float("-inf")
-                     if self.delta_te[level] > self.config.max_extra_encode_time
+                     if self.delta_te[level] > self.MAX_EXTRA_ENCODE_TIME
                      else self.gain(level, rho_hat)
                      for level in range(self.num_levels)]
             best = max(range(self.num_levels), key=lambda i: gains[i])
@@ -177,14 +171,15 @@ class AceCController:
             self._c0_time_ewma = (encode_time if self._c0_time_ewma is None
                                   else self._ewma(self._c0_time_ewma, encode_time))
         else:
-            # Elevated frames: learn phi against the c0-equivalent
-            # reference and delta_Te against the c0 encode-time EWMA.
+            # Elevated frames: learn delta_Te against the c0 encode-time
+            # EWMA. phi is not learned online: when the encoder's rate
+            # control hits whatever plan it is given, the achieved size
+            # reflects the plan (which already applied phi), not the
+            # codec's true compression gain — the signal is circular. The
+            # paper's "empirical values" are the offline Fig. 4
+            # calibration, which the pipeline takes from the codec preset.
             c0_rho = (c0_plan_bytes / target_frame_bytes
                       if c0_plan_bytes else rho_hat)
-            if self.config.update_phi and c0_rho > 1e-6:
-                phi_obs = 1.0 - rho_actual / c0_rho
-                phi_obs = min(max(phi_obs, 0.0), 0.9)
-                self.phi[level] = self._ewma(self.phi[level], phi_obs)
             if self._c0_time_ewma is not None:
                 extra = max(0.0, encode_time - self._c0_time_ewma)
                 self.delta_te[level] = self._ewma(self.delta_te[level], extra)

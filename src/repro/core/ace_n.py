@@ -46,7 +46,6 @@ class AceNConfig:
     """
 
     threshold_packets: float = 10.0
-    packet_bytes: int = DEFAULT_PAYLOAD_BYTES
     alpha: float = 0.8
     #: conservative probing: one packet per update (fast recovery, not
     #: the additive step, does the heavy lifting after losses).
@@ -79,7 +78,7 @@ class AceNConfig:
 
     @property
     def threshold_bytes(self) -> float:
-        return self.threshold_packets * self.packet_bytes
+        return self.threshold_packets * DEFAULT_PAYLOAD_BYTES
 
 
 class AceNController:

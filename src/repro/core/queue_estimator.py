@@ -47,10 +47,12 @@ class QueueEstimator:
     to jitter while still tracking queue build-up (Copa's trick).
     """
 
-    def __init__(self, standing_window_s: float = 0.1,
-                 default_capacity_bps: float = 10_000_000.0) -> None:
-        self.standing_window_s = standing_window_s
-        self.default_capacity_bps = default_capacity_bps
+    #: span of the standing-RTT minimum (seconds).
+    STANDING_WINDOW_S = 0.1
+    #: capacity assumed until packet pairs give a measurement.
+    DEFAULT_CAPACITY_BPS = 10_000_000.0
+
+    def __init__(self) -> None:
         self.packet_pair = PacketPairEstimator()
         self._rtt_min: Optional[float] = None
         # The window's positive RTT samples, one (arrivals, rtts, min,
@@ -70,7 +72,7 @@ class QueueEstimator:
         rtts = reports.rtts(reverse_delay)  # shared with the RTT observer
         if len(rtts):
             self._add_segment(reports, rtts)
-        self._age_out(now - self.standing_window_s)
+        self._age_out(now - self.STANDING_WINDOW_S)
 
     def _add_segment(self, reports: ReportBatch, rtts) -> None:
         columns = (reports.send_times, reports.arrival_times, reports.sizes)
@@ -120,7 +122,7 @@ class QueueEstimator:
     def capacity_bps(self) -> float:
         """PacketPair capacity, falling back to a configured default."""
         cap = self.packet_pair.capacity_bps()
-        return cap if cap is not None else self.default_capacity_bps
+        return cap if cap is not None else self.DEFAULT_CAPACITY_BPS
 
     def queue_delay(self) -> float:
         """Estimated queueing delay: standing RTT minus RTT_min."""
@@ -133,7 +135,7 @@ class QueueEstimator:
         """The in-network queue estimate as of ``now`` (pure read)."""
         delay = self.queue_delay()
         cap_raw = self.packet_pair.capacity_bps()
-        capacity = cap_raw if cap_raw is not None else self.default_capacity_bps
+        capacity = cap_raw if cap_raw is not None else self.DEFAULT_CAPACITY_BPS
         return QueueEstimate(
             time=now, queue_bytes=delay * capacity / 8.0, queue_delay=delay,
             capacity_bps=cap_raw,

@@ -172,16 +172,16 @@ class SessionRecord:
     metrics: Optional[object] = None
 
 
-def session_row(rec: SessionRecord) -> dict:
+def session_row(status: str, error: Optional[str],
+                session: Optional[LiveSession]) -> dict:
     """One session's heartbeat entry: status and error, then — once its
     stack exists — frames started, the burst analyzer's windowed pacing
     p50/p99 over fresh media (the paper's pacing term; with telemetry
     only), CPU seconds in its clock's wakes and its wire faults (socket
     errors plus malformed datagrams, both endpoints)."""
-    row: dict = {"status": rec.status}
-    if rec.error is not None:
-        row["error"] = rec.error
-    session = rec.session
+    row: dict = {"status": status}
+    if error is not None:
+        row["error"] = error
     if session is not None and session.sender is not None:
         row["frames"] = len(session.sender.frame_metrics)
         telemetry = session.telemetry
@@ -195,7 +195,7 @@ def session_row(rec: SessionRecord) -> dict:
     return row
 
 
-def _publish(shard: MetricRegistry, row: dict) -> None:
+def publish_row(shard: MetricRegistry, row: dict) -> None:
     """A session row as push gauges in the session's own shard
     (``record=False``: nothing lands in its record store)."""
     status = shard.gauge("live.status", record=False,
@@ -402,14 +402,15 @@ class SessionSupervisor:
         cpu_total = 0.0
         for rec in self.records:
             counts[rec.status] += 1
-            row = sessions[rec.spec.label] = session_row(rec)
+            row = sessions[rec.spec.label] = session_row(
+                rec.status, rec.error, rec.session)
             session = rec.session
             if session is None:
                 continue
             cpu_total += session.cpu_s
             telemetry = session.telemetry
             if telemetry is not None:
-                _publish(telemetry.registry, row)
+                publish_row(telemetry.registry, row)
                 pooled += telemetry.burst.recent_pacing()[
                     -self.FLEET_PACING_WINDOW:].tolist()
         p50, p99 = percentiles(pooled, (50.0, 99.0))

@@ -136,8 +136,14 @@ class LiveSession(Session):
         return self._finish(elapsed)[0]
 
     def _stats_snapshot(self) -> str:
-        from repro.obs.export import prometheus_snapshot
-        return prometheus_snapshot(self.telemetry.registry)
+        """The registry with the session's heartbeat row published in
+        it, labelled as a fleet of one labels it, so ``repro watch``
+        reads the row back."""
+        from repro.live.server import publish_row, session_row
+        from repro.obs.export import prometheus_rollup
+        registry = self.telemetry.registry
+        publish_row(registry, session_row("running", None, self))
+        return prometheus_rollup({self.spec.name: registry})
 
     def request_stop(self) -> None:
         """Ask a running session to wind down early (graceful: the

@@ -138,8 +138,8 @@ class CoDelDiscipline:
     """Controlled Delay: head drops when sojourn stays above target.
 
     The classic two-state control law (Nichols & Jacobson, ACM Queue
-    2012): once the head-of-line sojourn time has exceeded ``target_s``
-    continuously for ``interval_s``, enter the dropping state and drop
+    2012): once the head-of-line sojourn time has exceeded ``TARGET_S``
+    continuously for ``INTERVAL_S``, enter the dropping state and drop
     head packets at times spaced ``interval / sqrt(count)`` apart until
     the sojourn falls below target. Sojourn is measured when the link
     selects the next packet to serialize (``select_head``), which is
@@ -149,15 +149,14 @@ class CoDelDiscipline:
 
     drops_at_dequeue = True
 
-    def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES,
-                 target_s: float = 0.005, interval_s: float = 0.1) -> None:
+    #: the RFC 8289 defaults: sojourn target and control interval.
+    TARGET_S = 0.005
+    INTERVAL_S = 0.1
+
+    def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES) -> None:
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
-        if target_s <= 0 or interval_s <= 0:
-            raise ValueError("CoDel target/interval must be positive")
         self.capacity_bytes = capacity_bytes
-        self.target_s = target_s
-        self.interval_s = interval_s
         self.drop_hook: Optional[Callable[[Packet], None]] = None
         self._queue: Deque[Packet] = deque()
         self._bytes = 0
@@ -192,12 +191,12 @@ class CoDelDiscipline:
             self._first_above_time = 0.0
             return False
         sojourn = now - (head.t_enter_queue or now)
-        if sojourn < self.target_s or self._bytes <= head.size_bytes:
+        if sojourn < self.TARGET_S or self._bytes <= head.size_bytes:
             # below target, or only one packet left: never starve the link.
             self._first_above_time = 0.0
             return False
         if self._first_above_time == 0.0:
-            self._first_above_time = now + self.interval_s
+            self._first_above_time = now + self.INTERVAL_S
             return False
         return now >= self._first_above_time
 
@@ -220,19 +219,19 @@ class CoDelDiscipline:
                     if not self._should_drop(now):
                         self._dropping = False
                         break
-                    self._drop_next += self.interval_s / math.sqrt(self._count)
-        elif drop and (now - self._drop_next < self.interval_s
-                       or now - self._first_above_time >= self.interval_s):
+                    self._drop_next += self.INTERVAL_S / math.sqrt(self._count)
+        elif drop and (now - self._drop_next < self.INTERVAL_S
+                       or now - self._first_above_time >= self.INTERVAL_S):
             self._drop_head()
             self._dropping = True
             # Re-enter near the last drop rate if we left it recently.
             delta = self._count - self._lastcount
-            if delta > 1 and now - self._drop_next < self.interval_s:
+            if delta > 1 and now - self._drop_next < self.INTERVAL_S:
                 self._count = delta
             else:
                 self._count = 1
             self._lastcount = self._count
-            self._drop_next = now + self.interval_s / math.sqrt(self._count)
+            self._drop_next = now + self.INTERVAL_S / math.sqrt(self._count)
         return self._queue[0] if self._queue else None
 
     def pop_head(self) -> Packet:
@@ -247,9 +246,9 @@ class CoDelDiscipline:
 class PieDiscipline:
     """PIE (RFC 8033), sojourn-based: probabilistic drops on arrival.
 
-    A drop probability is adjusted every ``t_update_s`` from the latency
-    error ``alpha * (qdelay - target)`` plus its trend
-    ``beta * (qdelay - qdelay_old)``, where ``qdelay`` is the head-of-
+    A drop probability is adjusted every ``T_UPDATE_S`` from the latency
+    error ``ALPHA * (qdelay - TARGET_S)`` plus its trend
+    ``BETA * (qdelay - qdelay_old)``, where ``qdelay`` is the head-of-
     line sojourn time (the RFC's timestamp variant — no departure-rate
     estimator needed, so updates are deterministic). Arrivals are then
     dropped with that probability; with ``rng=None`` the Bernoulli draw
@@ -260,19 +259,20 @@ class PieDiscipline:
 
     drops_at_dequeue = False
 
+    #: RFC 8033's defaults: target queue delay, update period, the
+    #: controller's gains and the burst allowance, all in seconds or per
+    #: second.
+    TARGET_S = 0.015
+    T_UPDATE_S = 0.015
+    ALPHA = 0.125
+    BETA = 1.25
+    BURST_ALLOWANCE_S = 0.15
+
     def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES,
-                 target_s: float = 0.015, t_update_s: float = 0.015,
-                 alpha: float = 0.125, beta: float = 1.25,
-                 burst_allowance_s: float = 0.15, rng=None) -> None:
+                 rng=None) -> None:
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
-        if target_s <= 0 or t_update_s <= 0:
-            raise ValueError("PIE target/update period must be positive")
         self.capacity_bytes = capacity_bytes
-        self.target_s = target_s
-        self.t_update_s = t_update_s
-        self.alpha = alpha
-        self.beta = beta
         self.rng = rng
         self.drop_hook: Optional[Callable[[Packet], None]] = None
         self._queue: Deque[Packet] = deque()
@@ -280,8 +280,7 @@ class PieDiscipline:
         self.drop_prob = 0.0
         self._qdelay_old = 0.0
         self._last_update: Optional[float] = None
-        self._burst_left = burst_allowance_s
-        self._burst_allowance_s = burst_allowance_s
+        self._burst_left = self.BURST_ALLOWANCE_S
         self._dither_acc = 0.0
         #: early (probabilistic) drops, excluding hard tail drops.
         self.aqm_drops = 0
@@ -301,8 +300,8 @@ class PieDiscipline:
 
     def _update(self, now: float) -> None:
         qdelay = self._qdelay(now)
-        p = (self.alpha * (qdelay - self.target_s)
-             + self.beta * (qdelay - self._qdelay_old))
+        p = (self.ALPHA * (qdelay - self.TARGET_S)
+             + self.BETA * (qdelay - self._qdelay_old))
         # RFC 8033 §4.2: scale the adjustment down while drop_prob is
         # small so the controller is stable near zero.
         if self.drop_prob < 0.000001:
@@ -322,16 +321,16 @@ class PieDiscipline:
             self.drop_prob *= 0.98          # decay while idle
         self._qdelay_old = qdelay
         if self._burst_left > 0.0:
-            self._burst_left = max(0.0, self._burst_left - self.t_update_s)
-        elif (self.drop_prob == 0.0 and qdelay < self.target_s / 2
-              and self._qdelay_old < self.target_s / 2):
-            self._burst_left = self._burst_allowance_s
+            self._burst_left = max(0.0, self._burst_left - self.T_UPDATE_S)
+        elif (self.drop_prob == 0.0 and qdelay < self.TARGET_S / 2
+              and self._qdelay_old < self.TARGET_S / 2):
+            self._burst_left = self.BURST_ALLOWANCE_S
 
     def _early_drop(self, now: float) -> bool:
         if self._burst_left > 0.0 or self.drop_prob <= 0.0:
             return False
         # RFC safeguards: never early-drop a near-empty queue.
-        if self._qdelay_old < self.target_s / 2 and self.drop_prob < 0.2:
+        if self._qdelay_old < self.TARGET_S / 2 and self.drop_prob < 0.2:
             return False
         if len(self._queue) <= 2:
             return False
@@ -346,8 +345,8 @@ class PieDiscipline:
     def enqueue(self, packet: Packet, now: float) -> bool:
         if self._last_update is None:
             self._last_update = now
-        while now - self._last_update >= self.t_update_s:
-            self._last_update += self.t_update_s
+        while now - self._last_update >= self.T_UPDATE_S:
+            self._last_update += self.T_UPDATE_S
             self._update(self._last_update)
         if self._bytes + packet.size_bytes > self.capacity_bytes:
             return False
@@ -377,9 +376,9 @@ class ConfuciusDiscipline:
     they use a small, inelastic share of the link — and that FIFO queues
     make them inherit the standing queue of whatever bulk flow they
     share the buffer with. This discipline keeps one FIFO lane per flow,
-    tracks a per-flow arrival-rate EWMA (time constant ``ewma_tau_s``),
+    tracks a per-flow arrival-rate EWMA (time constant ``EWMA_TAU_S``),
     and classifies a flow as sparse while its rate is at most
-    ``sparse_share`` of the total arrival rate. Scheduling: the oldest
+    ``SPARSE_SHARE`` of the total arrival rate. Scheduling: the oldest
     packet of any sparse flow is served before any non-sparse packet
     (FIFO within each class). Admission: when the buffer is full, a
     sparse arrival evicts backlog from the tail of the fattest
@@ -388,15 +387,13 @@ class ConfuciusDiscipline:
 
     drops_at_dequeue = False
 
-    def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES,
-                 sparse_share: float = 0.25, ewma_tau_s: float = 1.0) -> None:
+    SPARSE_SHARE = 0.25
+    EWMA_TAU_S = 1.0
+
+    def __init__(self, capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES) -> None:
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
-        if not 0.0 < sparse_share < 1.0:
-            raise ValueError("sparse_share must be in (0, 1)")
         self.capacity_bytes = capacity_bytes
-        self.sparse_share = sparse_share
-        self.ewma_tau_s = ewma_tau_s
         self.drop_hook: Optional[Callable[[Packet], None]] = None
         #: flow id -> FIFO lane of (arrival seq, packet).
         self._lanes: Dict[int, Deque[tuple[int, Packet]]] = {}
@@ -422,12 +419,12 @@ class ConfuciusDiscipline:
     def _shield(self, now: float) -> tuple[Dict[int, float], float]:
         """Each tracked flow's rate decayed to ``now``, and the bound a
         sparse one stays under: one pass, summed in tracking order."""
-        tau = self.ewma_tau_s
+        tau = self.EWMA_TAU_S
         rates = {fid: rate * math.exp(-(now - last) / tau)
                  if rate and now > last else rate
                  for fid, (rate, last) in self._rates.items()}
         total = sum(rates.values())
-        return rates, (self.sparse_share * total if total > 0.0 else math.inf)
+        return rates, (self.SPARSE_SHARE * total if total > 0.0 else math.inf)
 
     def is_sparse(self, flow_id: int, now: float) -> bool:
         """Whether ``flow_id`` currently gets the sparse-flow shield."""
@@ -463,12 +460,12 @@ class ConfuciusDiscipline:
         fid = packet.flow_id
         entry = self._rates.get(fid)    # the flow's rate EWMA: decay, add
         if entry is None:
-            self._rates[fid] = [packet.size_bytes / self.ewma_tau_s, now]
+            self._rates[fid] = [packet.size_bytes / self.EWMA_TAU_S, now]
         else:
             rate, last = entry
             if now > last:
-                rate *= math.exp(-(now - last) / self.ewma_tau_s)
-            entry[0] = rate + packet.size_bytes / self.ewma_tau_s
+                rate *= math.exp(-(now - last) / self.EWMA_TAU_S)
+            entry[0] = rate + packet.size_bytes / self.EWMA_TAU_S
             entry[1] = now
         if self._bytes + packet.size_bytes > self.capacity_bytes:
             rates, bound = self._shield(now)
@@ -539,7 +536,7 @@ def list_disciplines() -> list[str]:
 
 def make_discipline(name: str,
                     capacity_bytes: int = DEFAULT_QUEUE_CAPACITY_BYTES,
-                    rng=None, **params):
+                    rng=None):
     """Build a discipline by registry name.
 
     ``rng`` is forwarded to disciplines that can use one (PIE); the
@@ -550,8 +547,8 @@ def make_discipline(name: str,
                        f"{list_disciplines()}")
     cls = DISCIPLINES[name]
     if cls is PieDiscipline:
-        return cls(capacity_bytes, rng=rng, **params)
-    return cls(capacity_bytes, **params)
+        return cls(capacity_bytes, rng=rng)
+    return cls(capacity_bytes)
 
 
 def queued_bytes_by_flow(discipline) -> Dict[int, int]:

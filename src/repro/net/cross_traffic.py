@@ -124,14 +124,15 @@ class PageLoadGenerator:
     inter-arrival is exponential.
     """
 
+    MEDIAN_PAGE_MB = 2.0
+
     def __init__(self, loop: EventLoop, send_fn: Callable[[Packet], None],
                  rng: RngStream, mean_interarrival: float = 8.0,
-                 median_page_mb: float = 2.0, rtt_estimate: float = 0.05) -> None:
+                 rtt_estimate: float = 0.05) -> None:
         self.loop = loop
         self.send_fn = send_fn
         self.rng = rng
         self.mean_interarrival = mean_interarrival
-        self.median_page_mb = median_page_mb
         self.rtt_estimate = rtt_estimate
         self.records: list[PageLoadRecord] = []
         self._flows: dict[int, CrossTrafficFlow] = {}
@@ -152,7 +153,7 @@ class PageLoadGenerator:
     def _spawn(self) -> None:
         if self._stopped:
             return
-        page_bytes = int(self.median_page_mb * 1e6 * self.rng.lognormal(0.0, 0.5))
+        page_bytes = int(self.MEDIAN_PAGE_MB * 1e6 * self.rng.lognormal(0.0, 0.5))
         page_bytes = max(100_000, min(page_bytes, 20_000_000))
         flow = CrossTrafficFlow(
             self.loop, self.send_fn, page_bytes,

@@ -60,13 +60,8 @@ class Packet:
                  frame_packet_index: int = 0,   # index of this packet within its frame
                  frame_packet_count: int = 0,   # total packets in the frame
                  flow_id: int = 0,              # 0 = the RTC flow, >0 = cross traffic
-                 packet_id: Optional[int] = None,
                  t_enqueue_pacer: Optional[float] = None,
                  t_leave_pacer: Optional[float] = None,
-                 t_enter_queue: Optional[float] = None,
-                 t_leave_queue: Optional[float] = None,
-                 t_arrival: Optional[float] = None,
-                 dropped: bool = False,
                  retransmission_of: Optional[int] = None) -> None:
         self.size_bytes = size_bytes
         self.ptype = ptype
@@ -75,15 +70,15 @@ class Packet:
         self.frame_packet_index = frame_packet_index
         self.frame_packet_count = frame_packet_count
         self.flow_id = flow_id
-        self.packet_id = _next_packet_id() if packet_id is None else packet_id
+        self.packet_id = _next_packet_id()
         # --- timestamps (simulation seconds; None until the event happens) ---
         self.t_enqueue_pacer = t_enqueue_pacer
         self.t_leave_pacer = t_leave_pacer
-        self.t_enter_queue = t_enter_queue
-        self.t_leave_queue = t_leave_queue
-        self.t_arrival = t_arrival
+        self.t_enter_queue = None
+        self.t_leave_queue = None
+        self.t_arrival = None
         # --- bookkeeping ---
-        self.dropped = dropped
+        self.dropped = False
         self.retransmission_of = retransmission_of  # original seq for RTX packets
 
     def __repr__(self) -> str:

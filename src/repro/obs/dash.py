@@ -230,16 +230,20 @@ def record_from_prometheus(text: str) -> dict:
         shards.setdefault(labels.get("session", ""), {})[name] = (
             labels.get("status") if name == "repro_live_status" else value)
     fleet, slo = shards.get("fleet", {}), shards.get("slo", {})
-    record: dict = {
-        s: int(fleet.get(f"repro_live_sessions_{s}",
-                         fleet.get(f"repro_live_sessions_{s}_total", 0)))
-        for s in STATUSES}
-    record["sessions"] = {
+    sessions = {
         label: {"status": live["repro_live_status"],
                 **{key: live[f"repro_live_{key}"] for key in SESSION_GAUGES
                    if f"repro_live_{key}" in live}}
         for label, live in sorted(shards.items())
         if "repro_live_status" in live}
+    # A lone `repro live` session serves its row and no fleet shard:
+    # count the rows instead.
+    record: dict = {
+        s: int(fleet.get(f"repro_live_sessions_{s}",
+                         fleet.get(f"repro_live_sessions_{s}_total", 0)))
+        if fleet else sum(row["status"] == s for row in sessions.values())
+        for s in STATUSES}
+    record["sessions"] = sessions
     record.update(fleet_fields(lambda name: fleet.get(f"repro_live_{name}")))
     if (firing := slo.get("repro_slo_firing", 0.0)) > 0:
         prefix = "repro_slo_breached_"

@@ -152,8 +152,7 @@ def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
                   cc_override: Optional[str] = None,
                   codec_override: Optional[str] = None,
                   engine: str = "reference",
-                  discipline: str = "droptail",
-                  discipline_params: Optional[dict] = None) -> RtcSession:
+                  discipline: str = "droptail") -> RtcSession:
     """Build a runnable session for a named baseline over ``trace``.
 
     ``category`` picks the synthetic content profile; pass
@@ -170,8 +169,7 @@ def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
         trace, session_config or SessionConfig(),
         resolve_spec(baseline, cc_override, codec_override), category,
         source_factory=source_factory, ace_n_config=ace_n_config,
-        engine=engine, discipline=discipline,
-        discipline_params=discipline_params)
+        engine=engine, discipline=discipline)
 
 
 def resolve_spec(baseline: str | BaselineSpec, cc: Optional[str] = None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.video.codec.model import EncoderConfig
+from repro.video.codec.model import CodecModel, EncoderConfig
 
 #: the complexity level ACE-C's elevated frames encode at (the highest
 #: of the three).
@@ -72,7 +72,7 @@ class OverheadModel:
     def receiver_cpu(self, bitrate_bps: float, fps: float,
                      level_index: int = 0) -> OverheadSample:
         """Receiver cost — flat in complexity (decode is unaffected)."""
-        decode = self.codec_config.decode_time
+        decode = CodecModel.DECODE_TIME
         cpu = fps * decode * 100.0 + 0.5 * self.cpu_per_mbps * bitrate_bps / 1e6
         memory = self.receiver_base_mb + 20.0 * bitrate_bps / 30e6
         return OverheadSample(cpu_percent=cpu, memory_mb=memory)

@@ -349,14 +349,17 @@ class Sender:
             accounted = len(message.reports) + max(new_loss, 0)
             if accounted > 0:
                 self.fec.observe_loss_rate(max(new_loss, 0) / accounted)
-        self.pacer.set_pacing_rate(self.cc.bwe_bps)
-        if self.ace_n is not None:
-            self.ace_n.on_feedback(message, now, reverse_delay=reverse)
-            if isinstance(self.pacer, TokenBucketPacer):
+        ace_n, pacer = self.ace_n, self.pacer
+        tuned = ace_n is not None and isinstance(pacer, TokenBucketPacer)
+        if not tuned:
+            pacer.set_pacing_rate(self.cc.bwe_bps)
+        if ace_n is not None:
+            ace_n.on_feedback(message, now, reverse_delay=reverse)
+            if tuned:
                 frame_budget = self.target_bitrate_bps() / self.fps / 8.0
-                self.pacer.rate_factor = self.ace_n.rate_factor(frame_budget)
-                self.pacer.set_pacing_rate(self.cc.bwe_bps)
-                self.pacer.set_bucket_size(self.ace_n.bucket_bytes)
+                pacer.retune(self.cc.bwe_bps,
+                             ace_n.rate_factor(frame_budget),
+                             ace_n.bucket_bytes)
         if message.pli_requested:
             self._pli_pending = True
         self._handle_nacks(message.nacked_seqs)

@@ -424,18 +424,16 @@ class RtcSession(Session):
                      Callable[[SeedSequenceFactory], object]] = None,
                  ace_n_config: Optional[AceNConfig] = None,
                  engine: str = "reference",
-                 discipline: str = DEFAULT_DISCIPLINE,
-                 discipline_params: Optional[dict] = None) -> None:
+                 discipline: str = DEFAULT_DISCIPLINE) -> None:
         super().__init__(trace, config)
         self.engine_name = engine
         self.spec, self.category = spec, category
         # The default drop-tail stays on Link's inlined fast path
         # (bit-identical goldens); anything else is built here.
         queue = None
-        if discipline != DEFAULT_DISCIPLINE or discipline_params:
+        if discipline != DEFAULT_DISCIPLINE:
             queue = make_discipline(discipline, config.queue_capacity_bytes,
-                                    rng=self._aqm_rng([discipline]),
-                                    **(discipline_params or {}))
+                                    rng=self._aqm_rng([discipline]))
         # Flow 0 draws from the root streams (not a fork), so every
         # stream name, and so every fingerprint, predates the arena.
         self._single_flow(EventLoop(), discipline=queue,

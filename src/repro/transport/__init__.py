@@ -19,7 +19,7 @@ from repro.transport.cc.bbr import BbrController
 from repro.transport.cc.copa import CopaController
 from repro.transport.cc.delivery_rate import DeliveryRateController
 from repro.transport.receiver import TransportReceiver, FrameRecord
-from repro.transport.fec import FecConfig, FecDecoder, FecEncoder
+from repro.transport.fec import FecDecoder, FecEncoder
 from repro.transport.audio import AudioReceiver, AudioSource
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "DeliveryRateController",
     "TransportReceiver",
     "FrameRecord",
-    "FecConfig",
     "FecEncoder",
     "FecDecoder",
     "AudioSource",

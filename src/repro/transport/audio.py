@@ -33,7 +33,7 @@ class AudioStats:
     sent: int = 0
     received: int = 0
     #: mouth-to-ear delays (capture -> arrival), seconds.
-    delays: list = field(default_factory=list)
+    delays: list = field(init=False, default_factory=list)
 
 
 class AudioSource:
@@ -44,13 +44,9 @@ class AudioSource:
     """
 
     def __init__(self, loop: "Clock",
-                 enqueue_fn: Callable[[Packet], None],
-                 interval_s: float = AUDIO_INTERVAL_S,
-                 payload_bytes: int = AUDIO_PAYLOAD_BYTES) -> None:
+                 enqueue_fn: Callable[[Packet], None]) -> None:
         self.loop = loop
         self.enqueue_fn = enqueue_fn
-        self.interval_s = interval_s
-        self.payload_bytes = payload_bytes
         self.stats = AudioStats()
         self._seq = 0
         self._stopped = False
@@ -65,7 +61,7 @@ class AudioSource:
         if self._stopped:
             return
         packet = Packet(
-            size_bytes=self.payload_bytes,
+            size_bytes=AUDIO_PAYLOAD_BYTES,
             ptype=PacketType.VIDEO,   # shares the media path
             seq=-1,                   # not in the video NACK space
             frame_id=-1,
@@ -75,7 +71,7 @@ class AudioSource:
         self._seq += 1
         self.stats.sent += 1
         self.enqueue_fn(packet)
-        self.loop.call_later(self.interval_s, self._tick, name="audio.capture")
+        self.loop.call_later(AUDIO_INTERVAL_S, self._tick, name="audio.capture")
 
 
 class AudioReceiver:

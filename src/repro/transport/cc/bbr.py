@@ -22,12 +22,14 @@ PROBE_GAIN_CYCLE = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 class BbrController(CongestionController):
     """Delivery-rate-max BBR with a ProbeBW gain cycle."""
 
+    #: span of the max-filter over delivery-rate samples (seconds).
+    BW_WINDOW_S = 10.0
+    #: time spent in each phase of the gain cycle (seconds).
+    CYCLE_INTERVAL_S = 0.2
+
     def __init__(self, initial_bwe_bps: float = 2_000_000.0,
-                 bw_window_s: float = 10.0, cycle_interval_s: float = 0.2,
                  **kwargs) -> None:
         super().__init__(initial_bwe_bps=initial_bwe_bps, **kwargs)
-        self.bw_window_s = bw_window_s
-        self.cycle_interval_s = cycle_interval_s
         self._rate_samples: Deque[tuple[float, float]] = deque()
         self._last_feedback_at: Optional[float] = None
         self._cycle_index = 0
@@ -47,7 +49,7 @@ class BbrController(CongestionController):
             delivery_rate = message.reports.total_bytes * 8 / interval
             self._rate_samples.append((now, delivery_rate))
         self._last_feedback_at = now
-        horizon = now - self.bw_window_s
+        horizon = now - self.BW_WINDOW_S
         while self._rate_samples and self._rate_samples[0][0] < horizon:
             self._rate_samples.popleft()
         if not self._rate_samples:
@@ -67,6 +69,6 @@ class BbrController(CongestionController):
         if self._cycle_started_at is None:
             self._cycle_started_at = now
             return
-        if now - self._cycle_started_at >= self.cycle_interval_s:
+        if now - self._cycle_started_at >= self.CYCLE_INTERVAL_S:
             self._cycle_index = (self._cycle_index + 1) % len(PROBE_GAIN_CYCLE)
             self._cycle_started_at = now

@@ -20,16 +20,18 @@ from repro.transport.feedback import FeedbackMessage, pylist
 class DeliveryRateController(CongestionController):
     """BWE = headroom x EWMA(delivered rate), loss-backed-off."""
 
+    #: weight of the newest delivered-rate sample in its EWMA.
+    EWMA_ALPHA = 0.3
+    #: interval loss rate above which the estimate backs off.
+    LOSS_BACKOFF_THRESHOLD = 0.05
+    #: per-feedback growth while the delivered rate keeps up.
+    PROBE_FACTOR = 1.02
+
     def __init__(self, initial_bwe_bps: float = 2_000_000.0,
-                 headroom: float = 1.15, ewma_alpha: float = 0.3,
-                 loss_backoff_threshold: float = 0.05,
-                 probe_factor: float = 1.02,
+                 headroom: float = 1.15,
                  delay_brake_s: float = 0.08, **kwargs) -> None:
         super().__init__(initial_bwe_bps=initial_bwe_bps, **kwargs)
         self.headroom = headroom
-        self.ewma_alpha = ewma_alpha
-        self.loss_backoff_threshold = loss_backoff_threshold
-        self.probe_factor = probe_factor
         #: one-way-delay excess over the floor that triggers a backoff —
         #: the engine's delay awareness (production CCAs for cloud
         #: gaming are latency-sensitive, not pure throughput trackers).
@@ -48,12 +50,12 @@ class DeliveryRateController(CongestionController):
             if self._rate_ewma is None:
                 self._rate_ewma = rate
             else:
-                self._rate_ewma = (self.ewma_alpha * rate
-                                   + (1 - self.ewma_alpha) * self._rate_ewma)
+                self._rate_ewma = (self.EWMA_ALPHA * rate
+                                   + (1 - self.EWMA_ALPHA) * self._rate_ewma)
         self._last_feedback_at = now
         if self._rate_ewma is None:
             return
-        if loss_rate > self.loss_backoff_threshold:
+        if loss_rate > self.LOSS_BACKOFF_THRESHOLD:
             self._set_bwe(self._rate_ewma * (1.0 - loss_rate), now,
                           "loss-backoff", loss_rate)
         elif owd_excess > self.delay_brake_s:
@@ -65,7 +67,7 @@ class DeliveryRateController(CongestionController):
             # app-limited most of the time, so delivered ~= sent and the
             # probe factor is what discovers spare capacity.
             target = max(self._rate_ewma * self.headroom,
-                         self.bwe_bps * self.probe_factor)
+                         self.bwe_bps * self.PROBE_FACTOR)
             self._set_bwe(min(target, self._rate_ewma * 2.0 + 100_000), now,
                           "probe", self._rate_ewma)
 

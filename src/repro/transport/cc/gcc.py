@@ -15,8 +15,8 @@ A faithful-in-structure reimplementation of WebRTC's send-side GCC:
 
 The paper's §5.2 notes that ACE's bursts reduce the number of packet
 *groups*, so it replaces the fixed-count trendline window with a
-200 ms time window; this implementation supports both (``window_ms``
-with ``time_windowed=True`` reproduces the ACE modification).
+200 ms time window; this implementation supports both
+(``time_windowed=True`` reproduces the ACE modification).
 """
 
 from __future__ import annotations
@@ -49,12 +49,15 @@ class _PacketGroup:
 class TrendlineEstimator:
     """Linear-regression slope of smoothed delay over a window."""
 
-    def __init__(self, window_size: int = 40, window_ms: float = 200.0,
-                 time_windowed: bool = False, smoothing: float = 0.9) -> None:
-        self.window_size = window_size
-        self.window_s = window_ms / 1000.0
+    #: samples kept by the count window (WebRTC's default).
+    WINDOW_SIZE = 40
+    #: span of the time window (seconds), the paper's §5.2 change.
+    WINDOW_S = 200.0 / 1000.0
+    #: EWMA weight of the previous smoothed delay.
+    SMOOTHING = 0.9
+
+    def __init__(self, time_windowed: bool = False) -> None:
         self.time_windowed = time_windowed
-        self.smoothing = smoothing
         self._samples: Deque[tuple[float, float]] = deque()
         self._accumulated = 0.0
         self._smoothed = 0.0
@@ -65,15 +68,15 @@ class TrendlineEstimator:
         if self._first_arrival is None:
             self._first_arrival = arrival_time
         self._accumulated += delay_delta
-        self._smoothed = (self.smoothing * self._smoothed
-                          + (1 - self.smoothing) * self._accumulated)
+        self._smoothed = (self.SMOOTHING * self._smoothed
+                          + (1 - self.SMOOTHING) * self._accumulated)
         self._samples.append((arrival_time - self._first_arrival, self._smoothed))
         if self.time_windowed:
-            horizon = arrival_time - self._first_arrival - self.window_s
+            horizon = arrival_time - self._first_arrival - self.WINDOW_S
             while self._samples and self._samples[0][0] < horizon:
                 self._samples.popleft()
         else:
-            while len(self._samples) > self.window_size:
+            while len(self._samples) > self.WINDOW_SIZE:
                 self._samples.popleft()
         return self.slope()
 
@@ -111,13 +114,14 @@ class OveruseDetector:
     of ms per second pushes it past the threshold.
     """
 
-    def __init__(self, initial_threshold: float = 12.5,
-                 k_up: float = 0.0087, k_down: float = 0.039,
-                 overuse_time: float = 0.01) -> None:
-        self.threshold = initial_threshold
-        self.k_up = k_up
-        self.k_down = k_down
-        self.overuse_time = overuse_time
+    #: threshold adaptation gains while the trend is above and below it.
+    K_UP = 0.0087
+    K_DOWN = 0.039
+    #: seconds the trend must stay above the threshold to be overuse.
+    OVERUSE_TIME = 0.01
+
+    def __init__(self) -> None:
+        self.threshold = 12.5
         self._overusing_since: Optional[float] = None
         self._last_update: Optional[float] = None
 
@@ -127,7 +131,7 @@ class OveruseDetector:
         if modified_trend > self.threshold:
             if self._overusing_since is None:
                 self._overusing_since = now
-            if now - self._overusing_since >= self.overuse_time:
+            if now - self._overusing_since >= self.OVERUSE_TIME:
                 state = "overuse"
         else:
             self._overusing_since = None
@@ -142,7 +146,7 @@ class OveruseDetector:
             return
         dt = min(now - self._last_update, 0.1)
         self._last_update = now
-        k = self.k_down if abs(modified_trend) < self.threshold else self.k_up
+        k = self.K_DOWN if abs(modified_trend) < self.threshold else self.K_UP
         self.threshold += k * (abs(modified_trend) - self.threshold) * dt
         self.threshold = min(max(self.threshold, 6.0), 600.0)
 
@@ -150,17 +154,18 @@ class OveruseDetector:
 class GccController(CongestionController):
     """Send-side GCC: delay-based AIMD capped by a loss controller."""
 
+    #: scale of the trendline slope fed to the overuse detector.
+    TRENDLINE_GAIN = 4.0
+    #: multiplicative decrease on overuse, and the per-update increase.
+    BETA = 0.85
+    INCREASE_FACTOR = 1.04
+
     def __init__(self, initial_bwe_bps: float = 2_000_000.0,
                  time_windowed_trendline: bool = False,
-                 trendline_gain: float = 4.0,
-                 beta: float = 0.85, increase_factor: float = 1.04,
                  **kwargs) -> None:
         super().__init__(initial_bwe_bps=initial_bwe_bps, **kwargs)
         self.trendline = TrendlineEstimator(time_windowed=time_windowed_trendline)
         self.detector = OveruseDetector()
-        self.trendline_gain = trendline_gain
-        self.beta = beta
-        self.increase_factor = increase_factor
         self._current_group: Optional[_PacketGroup] = None
         self._prev_group: Optional[_PacketGroup] = None
         self._state = "increase"
@@ -334,11 +339,11 @@ class GccController(CongestionController):
             # confidence term would leave the detector permanently
             # unconfident — the exact unresponsiveness the fix targets.
             if trendline.time_windowed:
-                scale = min(60.0, trendline.window_s / GROUP_WINDOW_S)
+                scale = min(60.0, trendline.WINDOW_S / GROUP_WINDOW_S)
             else:
                 scale = min(len(trendline._samples), 60)
             state = self.detector.detect(
-                slope * self.trendline_gain * scale, now)
+                slope * self.TRENDLINE_GAIN * scale, now)
         return state
 
     # ------------------------------------------------------------------
@@ -358,7 +363,7 @@ class GccController(CongestionController):
         acked = self._acked_rate or 0.0  # the delay branches' logged input
         if self._state == "decrease":
             base = self._acked_rate if self._acked_rate is not None else bwe
-            new_bwe = self.beta * base
+            new_bwe = self.BETA * base
             if self._acked_rate is not None:
                 self._capacity_hint = self._acked_rate
             if new_bwe < bwe:
@@ -375,7 +380,7 @@ class GccController(CongestionController):
                 new_bwe = bwe + 1200 * 8 / response_time * 0.05
                 branch = "near-capacity-probe"
             else:
-                new_bwe = bwe * self.increase_factor
+                new_bwe = bwe * self.INCREASE_FACTOR
                 branch = "increase"
             # GCC never grows far beyond what is actually being delivered.
             if self._acked_rate is not None:

@@ -19,51 +19,41 @@ members plus the parity have arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.net.packet import Packet, PacketType
-
-
-@dataclass
-class FecConfig:
-    """Tunables of the FEC encoder."""
-
-    #: media packets covered per parity packet (smaller = more overhead,
-    #: more single-loss protection).
-    group_size: int = 10
-    #: adaptive mode: scale group size down as loss rises.
-    adaptive: bool = True
-    min_group_size: int = 4
-    max_group_size: int = 20
-    #: loss EWMA smoothing for the adaptive controller.
-    loss_alpha: float = 0.3
 
 
 class FecEncoder:
     """Sender-side parity generation over each frame's packet train."""
 
-    def __init__(self, config: Optional[FecConfig] = None) -> None:
-        self.config = config or FecConfig()
-        self._group_size = self.config.group_size
+    #: media packets covered per parity packet at start (smaller = more
+    #: overhead, more single-loss protection); the observed loss rate
+    #: then scales it between the bounds.
+    GROUP_SIZE = 10
+    MIN_GROUP_SIZE = 4
+    MAX_GROUP_SIZE = 20
+    #: loss EWMA smoothing for the adaptive controller.
+    LOSS_ALPHA = 0.3
+
+    def __init__(self) -> None:
+        self._group_size = self.GROUP_SIZE
         self._loss_ewma = 0.0
         self.parity_sent = 0
 
     def observe_loss_rate(self, loss_rate: float) -> None:
         """Adapt redundancy to the observed loss rate."""
-        cfg = self.config
-        self._loss_ewma = (cfg.loss_alpha * loss_rate
-                           + (1 - cfg.loss_alpha) * self._loss_ewma)
-        if not cfg.adaptive:
-            return
+        self._loss_ewma = (self.LOSS_ALPHA * loss_rate
+                           + (1 - self.LOSS_ALPHA) * self._loss_ewma)
         # Aim for parity spacing such that the expected losses per group
         # stay below ~1: group ~= 1 / (2 * loss).
         if self._loss_ewma < 1e-4:
-            self._group_size = cfg.max_group_size
+            self._group_size = self.MAX_GROUP_SIZE
         else:
             target = int(1.0 / (2 * self._loss_ewma))
-            self._group_size = min(max(target, cfg.min_group_size),
-                                   cfg.max_group_size)
+            self._group_size = min(max(target, self.MIN_GROUP_SIZE),
+                                   self.MAX_GROUP_SIZE)
 
     def protect(self, packets: list[Packet]) -> list[Packet]:
         """Interleave parity packets into a frame's packet train.

@@ -131,10 +131,12 @@ class FeedbackBuilder:
     retransmission arrives or the frame is abandoned).
     """
 
-    def __init__(self, reorder_margin: int = 3,
-                 max_nacks_per_seq: int = 10) -> None:
-        self.reorder_margin = reorder_margin
-        self.max_nacks_per_seq = max_nacks_per_seq
+    #: seqs past a hole before it counts as lost (in-flight reordering).
+    REORDER_MARGIN = 3
+    #: NACKs sent for one seq before it is given up.
+    MAX_NACKS_PER_SEQ = 10
+
+    def __init__(self) -> None:
         #: this interval's scalar arrivals since its last chunk, as list
         #: columns; ``_segments`` holds what arrived before, in order.
         self._open: tuple = ([], [], [], [], [])
@@ -202,21 +204,21 @@ class FeedbackBuilder:
     def _open_holes(self, first: int, stop: int) -> None:
         """An arrival skipped seqs ``first..stop-1``: holes, as far back
         as the next build() still reaches (its horizon is >= stop -
-        reorder_margin) — which bounds the table across a wide gap."""
-        reach = stop - self.reorder_margin - NACK_WINDOW
+        REORDER_MARGIN) — which bounds the table across a wide gap."""
+        reach = stop - self.REORDER_MARGIN - NACK_WINDOW
         for seq in range(max(first, reach), stop):
             if seq not in self._recovered:
                 self._holes[seq] = 0
 
     def _missing_seqs(self) -> List[int]:
         """Sequence numbers presumed lost (beyond the reordering margin)."""
-        horizon = self._highest_seq - self.reorder_margin
+        horizon = self._highest_seq - self.REORDER_MARGIN
         oldest = horizon - NACK_WINDOW
         missing, closed = [], []    # closed: aged out, or NACKed out
         for seq, nacks in self._holes.items():
             if seq > horizon:
                 break
-            if seq < oldest or nacks >= self.max_nacks_per_seq:
+            if seq < oldest or nacks >= self.MAX_NACKS_PER_SEQ:
                 closed.append(seq)
             else:
                 missing.append(seq)

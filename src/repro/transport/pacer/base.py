@@ -41,7 +41,7 @@ class PacerStats:
     #: (time, queued_bytes) after every enqueue — the backlog only grows
     #: there, so the ring's maximum is the exact peak (bounded ring).
     occupancy_samples: Deque[tuple[float, int]] = field(
-        default_factory=lambda: deque(maxlen=OCCUPANCY_SAMPLE_CAP))
+        init=False, default_factory=lambda: deque(maxlen=OCCUPANCY_SAMPLE_CAP))
 
 
 class Pacer(abc.ABC):

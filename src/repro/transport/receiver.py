@@ -8,7 +8,7 @@ metric in the evaluation is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.packet import Packet, PacketType
@@ -58,12 +58,16 @@ class TransportReceiver:
     tracking every media seq received.
     """
 
+    #: give up on an incomplete frame once a newer complete frame has
+    #: been stuck behind it this long — loss recovery has failed and a
+    #: real player would resume from the next decodable frame.
+    SKIP_TIMEOUT = 0.4
+
     def __init__(self, loop: "Clock",
                  send_feedback_fn: Callable[[FeedbackMessage], None],
                  display_fn: Callable[[FrameRecord], None],
                  decode_time_fn: Callable[[], float],
-                 feedback_interval: float = DEFAULT_FEEDBACK_INTERVAL_S,
-                 skip_timeout: float = 0.4, fec: bool = False) -> None:
+                 fec: bool = False) -> None:
         self.loop = loop
         #: optional :class:`repro.obs.Telemetry` for receiver-side span
         #: stages (arrival, reassembly-complete, display).
@@ -71,11 +75,6 @@ class TransportReceiver:
         self.send_feedback_fn = send_feedback_fn
         self.display_fn = display_fn
         self.decode_time_fn = decode_time_fn
-        self.feedback_interval = feedback_interval
-        #: give up on an incomplete frame once a newer complete frame has
-        #: been stuck behind it this long — loss recovery has failed and
-        #: a real player would resume from the next decodable frame.
-        self.skip_timeout = skip_timeout
         self.feedback_builder = FeedbackBuilder()
         self.frames: dict[int, FrameRecord] = {}
         self.skipped_frames = 0
@@ -95,7 +94,7 @@ class TransportReceiver:
         """Begin the periodic feedback timer."""
         if not self._started:
             self._started = True
-            self.loop.call_later(self.feedback_interval, self._feedback_tick,
+            self.loop.call_later(DEFAULT_FEEDBACK_INTERVAL_S, self._feedback_tick,
                                  name="receiver.feedback")
 
     # ------------------------------------------------------------------
@@ -216,7 +215,7 @@ class TransportReceiver:
                 # the skip clock; _skip_tick abandons the hole on expiry.
                 if self._blocked_since is None and self._has_newer_complete():
                     self._blocked_since = self.loop.now
-                    self.loop.call_later(self.skip_timeout, self._skip_tick,
+                    self.loop.call_later(self.SKIP_TIMEOUT, self._skip_tick,
                                          name="receiver.skip")
                 return
             decode = self.decode_time_fn()
@@ -262,7 +261,7 @@ class TransportReceiver:
     def _skip_tick(self) -> None:
         if self._blocked_since is None:
             return
-        if self.loop.now - self._blocked_since < self.skip_timeout - 1e-9:
+        if self.loop.now - self._blocked_since < self.SKIP_TIMEOUT - 1e-9:
             return
         record = self.frames.get(self._next_display_id)
         if record is None or not record.complete:
@@ -288,6 +287,6 @@ class TransportReceiver:
             message.pli_requested = True
             self._pli_pending = False
         self.send_feedback_fn(message)
-        self.loop.call_later(self.feedback_interval, self._feedback_tick,
+        self.loop.call_later(DEFAULT_FEEDBACK_INTERVAL_S, self._feedback_tick,
                              name="receiver.feedback")
 

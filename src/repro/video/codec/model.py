@@ -19,7 +19,7 @@ highlights (Fig. 5) and which makes complexity adaptation receiver-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.sim.rng import RngStream
@@ -33,7 +33,7 @@ class ComplexityLevel:
 
     ``phi`` is the paper's compression-reduction factor: the fractional
     size saving over the base level at equal quality (phi = 0 for c0).
-    ``base_encode_time``/``time_per_megabit`` give the encode-time model;
+    ``base_encode_time``/``TIME_PER_MEGABIT`` give the encode-time model;
     ``label`` mirrors the parameter sets of Table 2 (x264) / Appendix A.
     """
 
@@ -41,11 +41,12 @@ class ComplexityLevel:
     label: str
     phi: float
     base_encode_time: float
-    time_per_megabit: float = 0.0005
+
+    TIME_PER_MEGABIT = 0.0005
 
     def encode_time(self, size_bits: float, jitter: float = 0.0) -> float:
         """Encoding wall time for a frame of ``size_bits``."""
-        t = self.base_encode_time + self.time_per_megabit * size_bits / 1e6
+        t = self.base_encode_time + self.TIME_PER_MEGABIT * size_bits / 1e6
         return max(1e-4, t * (1.0 + jitter))
 
 
@@ -58,15 +59,11 @@ class EncoderConfig:
     #: (smaller = better compression; the dashed line in Fig. 4).
     efficiency: float
     levels: Sequence[ComplexityLevel]
-    decode_time: float = 0.0025
-    decode_time_jitter: float = 0.15
     #: intra (key) frames cost this many times the bits of an inter
     #: frame at equal quality — no temporal prediction to lean on.
     keyframe_cost: float = 2.5
     #: lognormal sigma of rate-control miss (actual vs planned size).
     size_noise_sigma: float = 0.08
-    #: encode-time jitter (uniform +/-).
-    time_jitter: float = 0.10
 
     def level(self, index: int) -> ComplexityLevel:
         for lvl in self.levels:
@@ -83,13 +80,18 @@ class CodecModel:
     already an x264 rate-control feature) and exposes :meth:`encode`.
     """
 
-    def __init__(self, config: EncoderConfig, rng: RngStream,
-                 quality_model: Optional[QualityModel] = None,
-                 satd_window: int = 240) -> None:
+    #: frames the running SATD means average over (EWMA span).
+    SATD_WINDOW = 240
+    #: mean decode time (seconds), and the encode- and decode-time
+    #: jitter (uniform +/-, relative).
+    DECODE_TIME = 0.0025
+    TIME_JITTER = 0.10
+    DECODE_TIME_JITTER = 0.15
+
+    def __init__(self, config: EncoderConfig, rng: RngStream) -> None:
         self.config = config
         self.rng = rng
-        self.quality_model = quality_model or QualityModel()
-        self.satd_window = satd_window
+        self.quality_model = QualityModel()
         self._satd_mean: Optional[float] = None
         self._rc_satd_mean: Optional[float] = None
 
@@ -102,8 +104,8 @@ class CodecModel:
         return self._satd_mean if self._satd_mean is not None else 1.0
 
     def observe_satd(self, satd: float) -> None:
-        """Update the running SATD means (EWMA over ~satd_window frames)."""
-        alpha = 2.0 / (self.satd_window + 1)
+        """Update the running SATD means (EWMA over ~SATD_WINDOW frames)."""
+        alpha = 2.0 / (self.SATD_WINDOW + 1)
         if self._satd_mean is None:
             self._satd_mean = satd
         else:
@@ -171,8 +173,7 @@ class CodecModel:
         if is_keyframe:
             eff *= self.config.keyframe_cost
         quality = self.quality_model.score(actual_bytes * 8, frame.satd, eff)
-        time_jitter = self.rng.uniform(-self.config.time_jitter,
-                                       self.config.time_jitter)
+        time_jitter = self.rng.uniform(-self.TIME_JITTER, self.TIME_JITTER)
         encode_time = level.encode_time(actual_bytes * 8, jitter=time_jitter)
         self.observe_satd(frame.satd)
         # QP proxy: log ratio of natural mid-quality bits to achieved bits;
@@ -196,6 +197,6 @@ class CodecModel:
 
     def decode_time(self) -> float:
         """Decode wall time — flat across complexity levels (Fig. 5)."""
-        jitter = self.rng.uniform(-self.config.decode_time_jitter,
-                                  self.config.decode_time_jitter)
-        return max(1e-4, self.config.decode_time * (1.0 + jitter))
+        jitter = self.rng.uniform(-self.DECODE_TIME_JITTER,
+                                  self.DECODE_TIME_JITTER)
+        return max(1e-4, self.DECODE_TIME * (1.0 + jitter))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.sim.rng import RngStream
 from repro.video.codec.model import CodecModel, ComplexityLevel, EncoderConfig
-from repro.video.quality import QualityModel
 
 
 def x264_config() -> EncoderConfig:
@@ -108,6 +107,6 @@ def codec_config(name: str) -> EncoderConfig:
     return _CONFIG_FACTORIES[key]()
 
 
-def make_x264_model(rng: RngStream, quality_model: QualityModel | None = None) -> CodecModel:
-    return CodecModel(x264_config(), rng, quality_model=quality_model)
+def make_x264_model(rng: RngStream) -> CodecModel:
+    return CodecModel(x264_config(), rng)
 

@@ -71,16 +71,18 @@ class AbrVbvRateControl(RateControl):
     target; a VBV (hypothetical decoder buffer) hard-caps how far a
     burst of frames may overshoot.
 
-    ``vbv_seconds`` sizes the buffer in seconds of target bitrate;
-    ``max_rho`` hard-caps a single frame at that multiple of the budget.
+    ``VBV_SECONDS`` sizes the buffer in seconds of target bitrate;
+    ``MAX_RHO`` hard-caps a single frame at that multiple of the budget.
     """
 
-    def __init__(self, vbv_seconds: float = 0.3, max_rho: float = 8.0,
-                 setpoint_gain: float = 0.05, rate_window: float = 0.10) -> None:
-        self.vbv_seconds = vbv_seconds
-        self.max_rho = max_rho
-        self.setpoint_gain = setpoint_gain
-        self.rate_window = rate_window
+    VBV_SECONDS = 0.3
+    MAX_RHO = 8.0
+    #: exponent of the setpoint's multiplicative drift per frame.
+    SETPOINT_GAIN = 0.05
+    #: EWMA weight of the newest frame in the achieved-rate estimate.
+    RATE_WINDOW = 0.10
+
+    def __init__(self) -> None:
         self._vbv: VbvState | None = None
         self._u_setpoint: float | None = None
         self._rate_ewma: float | None = None
@@ -89,16 +91,16 @@ class AbrVbvRateControl(RateControl):
         """Bytes one unit of normalized rate costs for this frame."""
         qm = codec.quality_model
         eff = codec.config.efficiency  # base complexity level
-        return qm.bits_per_satd * qm.difficulty(satd) * eff / 8.0
+        return qm.BITS_PER_SATD * qm.difficulty(satd) * eff / 8.0
 
     def plan_bytes(self, codec: CodecModel, frame: RawFrame,
                    target_bitrate_bps: float, fps: float) -> float:
         budget = self.target_frame_bytes(target_bitrate_bps, fps)
         if self._vbv is None:
-            self._vbv = VbvState(buffer_size_bytes=self.vbv_seconds
+            self._vbv = VbvState(buffer_size_bytes=self.VBV_SECONDS
                                  * target_bitrate_bps / 8.0)
         else:
-            self._vbv.buffer_size_bytes = self.vbv_seconds * target_bitrate_bps / 8.0
+            self._vbv.buffer_size_bytes = self.VBV_SECONDS * target_bitrate_bps / 8.0
         per_u = self._bytes_per_u(codec, frame.satd)
         if self._u_setpoint is None:
             # Bootstrap: the setpoint that spends the budget on a frame
@@ -108,7 +110,7 @@ class AbrVbvRateControl(RateControl):
         planned = self._u_setpoint * per_u
         # Hard VBV wall: a frame may never push the buffer past its size.
         vbv_cap = budget + max(0.0, self._vbv.headroom())
-        planned = min(planned, vbv_cap, budget * self.max_rho)
+        planned = min(planned, vbv_cap, budget * self.MAX_RHO)
         return max(planned, budget * 0.05)
 
     def on_encoded(self, actual_bytes: int, target_bitrate_bps: float,
@@ -119,34 +121,35 @@ class AbrVbvRateControl(RateControl):
         if self._rate_ewma is None:
             self._rate_ewma = float(actual_bytes)
         else:
-            self._rate_ewma = (self.rate_window * actual_bytes
-                               + (1 - self.rate_window) * self._rate_ewma)
+            self._rate_ewma = (self.RATE_WINDOW * actual_bytes
+                               + (1 - self.RATE_WINDOW) * self._rate_ewma)
         if self._u_setpoint is None:
             return
         # Multiplicative setpoint drift toward the rate target: spending
         # above budget lowers quality slightly, below raises it.
         error = self._rate_ewma / max(budget, 1.0)
-        self._u_setpoint *= error ** (-self.setpoint_gain)
+        self._u_setpoint *= error ** (-self.SETPOINT_GAIN)
         self._u_setpoint = min(max(self._u_setpoint, 0.05), 50.0)
 
 
 class CbrRateControl(RateControl):
     """Near-constant bitrate: every frame pinned to the per-frame budget.
 
-    ``tolerance`` allows a small fluctuation band (pure CBR is
+    ``TOLERANCE`` allows a small fluctuation band (pure CBR is
     impossible; x264's tightest VBV still wobbles a few percent).
     """
 
-    def __init__(self, tolerance: float = 0.10) -> None:
-        self.tolerance = tolerance
+    TOLERANCE = 0.10
+
+    def __init__(self) -> None:
         self._debt = 0.0  # bytes over/under target carried to next frame
 
     def plan_bytes(self, codec: CodecModel, frame: RawFrame,
                    target_bitrate_bps: float, fps: float) -> float:
         budget = self.target_frame_bytes(target_bitrate_bps, fps)
         planned = budget - self._debt
-        low = budget * (1.0 - self.tolerance)
-        high = budget * (1.0 + self.tolerance)
+        low = budget * (1.0 - self.TOLERANCE)
+        high = budget * (1.0 + self.TOLERANCE)
         return min(max(planned, low), high)
 
     def on_encoded(self, actual_bytes: int, target_bitrate_bps: float,

@@ -40,12 +40,15 @@ class ContentProfile:
     scene_change_boost: float
     tail_prob: float
     tail_scale: float
-    base_satd: float = 1.0
     #: hard ceiling on satd as a multiple of base*motion — a frame's
     #: transformed difference cannot exceed the entropy of the raw frame,
     #: so the tail is heavy but bounded (paper Fig. 2 tops out ~5-8x in
     #: encoded size, i.e. ~4x in the linear SATD signal).
     max_relative_satd: float = 4.0
+
+    #: SATD of a frame of unit motion and innovation (the scale all the
+    #: profiles share).
+    BASE_SATD = 1.0
 
 
 #: Category profiles ordered roughly by content dynamism. SATD here is a
@@ -95,14 +98,14 @@ class VideoSource:
     """
 
     def __init__(self, profile: ContentProfile, rng: RngStream,
-                 fps: float = 30.0, start_time: float = 0.0) -> None:
+                 fps: float = 30.0) -> None:
         if fps <= 0:
             raise ValueError("fps must be positive")
         self.profile = profile
         self.rng = rng
         self.fps = fps
         self.frame_interval = 1.0 / fps
-        self._next_capture = start_time
+        self._next_capture = 0.0
         self._frame_id = 0
         self._log_motion = 0.0
 
@@ -126,12 +129,12 @@ class VideoSource:
         motion = math.exp(self._log_motion)
         innovation = self.rng.lognormal(0.0, p.innovation_sigma)
         scene_change = self.rng.random() < p.scene_change_rate * self.frame_interval
-        satd = p.base_satd * motion * innovation
+        satd = p.BASE_SATD * motion * innovation
         if scene_change:
             satd *= p.scene_change_boost
         elif self.rng.random() < p.tail_prob:
             satd *= 1.0 + p.tail_scale * self.rng.pareto(2.5)
-        satd = min(satd, p.base_satd * motion * p.max_relative_satd)
+        satd = min(satd, p.BASE_SATD * motion * p.max_relative_satd)
         frame = RawFrame(
             frame_id=self._frame_id,
             capture_time=self._next_capture,

@@ -68,21 +68,12 @@ def test_arena_cache_extra_droptail_omits_discipline():
         return GridTask(baseline="arena:cbr", trace=const_trace(),
                         config=SessionConfig(),
                         arena={"flows": parse_mix("cbr"),
-                               "discipline": discipline,
-                               "discipline_params": {}})
+                               "discipline": discipline})
     droptail = task("droptail").cache_extra()["arena"]
     codel = task("codel").cache_extra()["arena"]
     assert "discipline" not in json.loads(droptail)
     assert json.loads(codel)["discipline"] == "codel"
     assert droptail != codel
-
-
-def test_arena_cache_extra_params_force_key_entry():
-    extra = GridTask(
-        baseline="arena:cbr", trace=const_trace(), config=SessionConfig(),
-        arena={"flows": parse_mix("cbr"), "discipline": "droptail",
-               "discipline_params": {"capacity_bytes": 5}}).cache_extra()
-    assert "discipline" in json.loads(extra["arena"])
 
 
 def test_non_arena_cache_extra_is_build_kwargs():

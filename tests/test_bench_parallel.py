@@ -397,8 +397,7 @@ class TestThreePathsAgree:
         tasks.append(GridTask(          # multi-flow cell: nested entries
             baseline="arena:ace+cbr@codel", trace=trace,
             config=SessionConfig(duration=2.0, seed=3, initial_bwe_bps=6e6),
-            arena={"flows": parse_mix("ace+cbr"), "discipline": "codel",
-                   "discipline_params": {}}))
+            arena={"flows": parse_mix("ace+cbr"), "discipline": "codel"}))
         return tasks
 
     def test_serial_parallel_and_warm_cache_are_byte_identical(

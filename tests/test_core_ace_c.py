@@ -5,14 +5,19 @@ import pytest
 from repro.core.ace_c import AceCConfig, AceCController
 
 
-def make_controller(**overrides):
-    cfg = AceCConfig(**overrides)
-    return AceCController(num_levels=3, fps=30.0, config=cfg)
+def make_controller(gate=None, **overrides):
+    """A 3-level, 30 fps controller; ``gate`` replaces its oversize
+    gate."""
+    ctrl = AceCController(num_levels=3, fps=30.0,
+                          config=AceCConfig(**overrides))
+    if gate is not None:
+        ctrl.OVERSIZE_GATE_RHO = gate
+    return ctrl
 
 
 class TestPrediction:
     def test_rho_linear_in_satd_ratio(self):
-        ctrl = make_controller(initial_w=1.0, initial_offset=0.0)
+        ctrl = make_controller()
         assert ctrl.predict_rho(satd=2.0, satd_mean=1.0) == pytest.approx(2.0)
         assert ctrl.predict_rho(satd=0.5, satd_mean=1.0) == pytest.approx(0.5)
 
@@ -47,15 +52,15 @@ class TestGain:
 
     def test_c0_for_normal_frames(self):
         """~97% of frames stay at the base complexity (paper §6.7)."""
-        ctrl = make_controller(oversize_gate_rho=1.3)
+        ctrl = make_controller(gate=1.3)
         assert ctrl.select_complexity(0, satd=1.0, satd_mean=1.0, now=0.0) == 0
 
     def test_elevation_for_oversized_frames(self):
-        ctrl = make_controller(oversize_gate_rho=1.3)
+        ctrl = make_controller(gate=1.3)
         assert ctrl.select_complexity(0, satd=3.0, satd_mean=1.0, now=0.0) > 0
 
     def test_backlog_waives_gate(self):
-        ctrl = make_controller(oversize_gate_rho=1.3)
+        ctrl = make_controller(gate=1.3)
         level = ctrl.select_complexity(0, satd=1.0, satd_mean=1.0, now=0.0,
                                        backlogged=True)
         assert level > 0  # positive gain, gate waived
@@ -66,8 +71,7 @@ class TestGain:
         assert ctrl.select_complexity(0, satd=3.0, satd_mean=1.0, now=0.0) == 0
 
     def test_encode_time_bound_excludes_levels(self):
-        ctrl = make_controller(initial_delta_te=(0.0, 0.003, 0.050),
-                               max_extra_encode_time=0.030)
+        ctrl = make_controller(initial_delta_te=(0.0, 0.003, 0.050))
         level = ctrl.select_complexity(0, satd=5.0, satd_mean=1.0, now=0.0)
         assert level == 1  # level 2 excluded by the practicality bound
 
@@ -80,25 +84,9 @@ class TestGain:
 
 
 class TestUpdates:
-    def test_phi_learned_from_outcomes_when_enabled(self):
-        """With update_phi on, achieved reductions against the c0 plan
-        drive phi toward the observed value."""
-        ctrl = make_controller(initial_phi=(0.0, 0.10, 0.20),
-                               update_phi=True)
-        for i in range(30):
-            level = ctrl.select_complexity(i, satd=3.0, satd_mean=1.0,
-                                           now=0.0, backlogged=True)
-            assert level > 0
-            c0_equiv = 300_000
-            actual = int(c0_equiv * 0.6)  # a genuine 40% reduction
-            ctrl.on_encoded(i, actual_bytes=actual,
-                            target_frame_bytes=100_000, encode_time=0.009,
-                            c0_plan_bytes=c0_equiv)
-        assert ctrl.phi[level] > 0.30
-
     def test_phi_static_by_default(self):
-        """Default configuration keeps the empirical (offline) phi: the
-        online size signal is circular when the encoder follows plans."""
+        """ACE-C keeps the empirical (offline) phi: the online size
+        signal is circular when the encoder follows plans."""
         ctrl = make_controller(initial_phi=(0.0, 0.10, 0.20))
         for i in range(10):
             ctrl.select_complexity(i, satd=3.0, satd_mean=1.0, now=0.0,
@@ -137,7 +125,7 @@ class TestUpdates:
         assert rho_hat > 0 and rho > 0
 
     def test_fraction_elevated(self):
-        ctrl = make_controller(oversize_gate_rho=1.3)
+        ctrl = make_controller(gate=1.3)
         for i in range(9):
             ctrl.select_complexity(i, satd=1.0, satd_mean=1.0, now=0.0)
         ctrl.select_complexity(9, satd=4.0, satd_mean=1.0, now=0.0)

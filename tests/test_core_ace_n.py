@@ -20,7 +20,7 @@ def message(now, owds=(0.02,), nacks=(), start_seq=0, spacing=0.005):
 
 def make_controller(**cfg):
     config = AceNConfig(**cfg)
-    est = QueueEstimator(default_capacity_bps=10e6)
+    est = QueueEstimator()
     return AceNController(config, est)
 
 

@@ -9,6 +9,13 @@ from repro.core.queue_estimator import QueueEstimator
 from repro.transport.feedback import FeedbackMessage, ReportBatch
 
 
+
+def estimator(standing_window_s):
+    """An estimator whose standing window spans ``standing_window_s``."""
+    est = QueueEstimator()
+    est.STANDING_WINDOW_S = standing_window_s
+    return est
+
 def message(reports, now):
     return FeedbackMessage(created_at=now, reports=reports,
                            highest_seq=max(reports.seqs))
@@ -57,7 +64,7 @@ def test_zero_queue_at_floor():
 
 
 def test_queue_estimate_from_standing_rtt():
-    est = QueueEstimator(standing_window_s=0.2)
+    est = estimator(0.2)
     t, seq = feed_steady(est, rounds=10, owd=0.02, capacity_bps=10e6)
     # queue builds: all recent packets see +8 ms
     reports = reports_with_owd(seq, t, [0.028] * 8)
@@ -75,7 +82,7 @@ def test_queue_estimate_from_standing_rtt():
 def test_standing_filter_ignores_transient_spike():
     """One spiky packet inside the window must not raise the estimate
     if any packet saw the floor."""
-    est = QueueEstimator(standing_window_s=0.2)
+    est = estimator(0.2)
     t, seq = feed_steady(est)
     reports = reports_with_owd(seq, t, [0.02, 0.08, 0.02])
     est.on_feedback(message(reports, t + 0.05), now=t + 0.05, reverse_delay=0.01)
@@ -83,7 +90,7 @@ def test_standing_filter_ignores_transient_spike():
 
 
 def test_peak_queue_sees_the_spike():
-    est = QueueEstimator(standing_window_s=0.2)
+    est = estimator(0.2)
     t, seq = feed_steady(est)
     reports = reports_with_owd(seq, t, [0.02, 0.08, 0.02])
     est.on_feedback(message(reports, t + 0.05), now=t + 0.05, reverse_delay=0.01)
@@ -92,7 +99,8 @@ def test_peak_queue_sees_the_spike():
 
 
 def test_capacity_fallback_before_samples():
-    est = QueueEstimator(default_capacity_bps=7e6)
+    est = QueueEstimator()
+    est.DEFAULT_CAPACITY_BPS = 7e6
     assert est.capacity_bps() == 7e6
 
 
@@ -112,7 +120,7 @@ class TestQueueIsEmptyNeedsEvidence:
         assert not est.queue_is_empty()
 
     def test_unknown_after_window_ages_out(self):
-        est = QueueEstimator(standing_window_s=0.1)
+        est = QueueEstimator()
         t, seq = feed_steady(est)
         assert est.queue_is_empty()
         # A long feedback silence ages every sample out of the window:
@@ -124,7 +132,7 @@ class TestQueueIsEmptyNeedsEvidence:
         assert not est.queue_is_empty()
 
     def test_empty_again_once_samples_return(self):
-        est = QueueEstimator(standing_window_s=0.1)
+        est = QueueEstimator()
         t, seq = feed_steady(est)
         silence = FeedbackMessage(created_at=t + 5.0, highest_seq=seq)
         est.on_feedback(silence, now=t + 5.0, reverse_delay=0.01)
@@ -185,7 +193,7 @@ def test_windows_equal_a_brute_force_scan_on_every_lane(stream, reverse):
         batch, count = [], count + 1
         scalar = lanes["scalar"]
         recent = [rtt for at, rtt in seen
-                  if at >= now - scalar.standing_window_s]
+                  if at >= now - scalar.STANDING_WINDOW_S]
         floor = min((rtt for _at, rtt in seen), default=None)
         for est in lanes.values():
             assert est.rtt_min == floor
@@ -203,7 +211,7 @@ def test_windows_equal_a_brute_force_scan_on_every_lane(stream, reverse):
 def test_the_horizon_cuts_inside_the_head_segment(form):
     """Only the head segment is cut, at the first arrival inside the
     window, and its extrema are those of what it keeps."""
-    est = QueueEstimator(standing_window_s=0.1)
+    est = QueueEstimator()
     arrivals = [0.00, 0.02, 0.04, 0.06, 0.08]
     owds = [0.010, 0.050, 0.030, 0.040, 0.020]
     reports = ReportBatch(*(form(column) for column in (

@@ -24,6 +24,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet, PacketType
 from repro.net.path import NetworkPath, PathConfig
 from repro.net.trace import BandwidthTrace
+from repro.obs.dash import record_from_prometheus
 from repro.sim.events import EventLoop
 from repro.sim.rng import SeedSequenceFactory
 from tests.test_obs_profiler import event_counts
@@ -334,15 +335,21 @@ def test_live_session_end_to_end_clean_path():
     metrics = run_live("webrtc-star", config=config,
                        trace=BandwidthTrace.constant(20e6, duration=12.0))
 
-    # ~30 frames captured in 1 s at 30 fps; allow generous jitter slack.
-    assert 20 <= len(metrics.frames) <= 40
+    # Wall-clock bounds: on a loaded host each failure message names
+    # what was measured.
+    frames = len(metrics.frames)
     displayed = [f for f in metrics.frames if f.displayed_at is not None]
-    assert len(displayed) >= 0.7 * len(metrics.frames)
-    assert metrics.packets_sent > 0
-    assert metrics.packets_lost == 0
-    # Real latency: at least the 15 ms one-way propagation, below 2 s.
     p95 = metrics.p95_latency()
-    assert 0.015 < p95 < 2.0
+    measured = (f"{frames} frames, {len(displayed)} displayed, "
+                f"{metrics.packets_sent} sent, {metrics.packets_lost} lost, "
+                f"p95 {p95:.4f} s")
+    # ~30 frames captured in 1 s at 30 fps; allow generous jitter slack.
+    assert 20 <= frames <= 40, measured
+    assert len(displayed) >= 0.7 * frames, measured
+    assert metrics.packets_sent > 0, measured
+    assert metrics.packets_lost == 0, measured
+    # Real latency: at least the 15 ms one-way propagation, below 2 s.
+    assert 0.015 < p95 < 2.0, measured
     assert metrics.bwe_history  # feedback made it back to the controller
     assert metrics.send_events
 
@@ -638,7 +645,8 @@ def test_live_session_telemetry_and_stats_port():
         # gauge and the frame counter show up instead of racing them.
         text = await scrape()
         while not task.done() and ("repro_cc_bwe_bps" not in text
-                                   or "repro_frames_encoded_total" not in text):
+                                   or "repro_frames_encoded_total" not in text
+                                   or "repro_live_pacing_p99_ms" not in text):
             await asyncio.sleep(0.05)
             try:
                 text = await scrape()
@@ -651,6 +659,12 @@ def test_live_session_telemetry_and_stats_port():
     assert "200 OK" in text
     assert "repro_cc_bwe_bps" in text
     assert "repro_frames_encoded_total" in text
+    # The lone session serves its heartbeat row the way a fleet of one
+    # does, so `repro watch` shows its status and pacing p99.
+    record = record_from_prometheus(text.split("\r\n\r\n", 1)[1])
+    assert record["running"] == 1
+    assert record["sessions"]["ace"]["status"] == "running"
+    assert record["sessions"]["ace"]["pacing_p99_ms"] >= 0.0
     telemetry = session.telemetry
     assert telemetry is not None
     spans = telemetry.spans.completed()

@@ -22,6 +22,14 @@ from repro.net.trace import BandwidthTrace, make_step_trace
 from repro.sim.events import EventLoop
 
 
+
+def codel(capacity, target_s, interval_s):
+    """A CoDel queue with its control-law constants set for one test."""
+    gains = type("CoDel", (CoDelDiscipline,),
+                 {"TARGET_S": target_s, "INTERVAL_S": interval_s})
+    return gains(capacity)
+
+
 def mkpkt(size=1000, flow_id=0, now=0.0):
     p = Packet(size_bytes=size, flow_id=flow_id)
     p.t_enter_queue = now
@@ -110,7 +118,7 @@ def test_droptail_protocol_is_fifo():
 # CoDel
 # ----------------------------------------------------------------------
 def test_codel_never_drops_last_packet():
-    q = CoDelDiscipline(100_000, target_s=0.005, interval_s=0.05)
+    q = codel(100_000, 0.005, 0.05)
     p = mkpkt(1200, now=0.0)
     q.enqueue(p, 0.0)
     # Sojourn far above target for many intervals: the lone packet must
@@ -121,7 +129,7 @@ def test_codel_never_drops_last_packet():
 
 
 def test_codel_head_drops_under_standing_queue():
-    q = CoDelDiscipline(1_000_000, target_s=0.005, interval_s=0.02)
+    q = codel(1_000_000, 0.005, 0.02)
     drops = []
     q.drop_hook = drops.append
     # Build a standing queue whose heads are all far older than target.
@@ -142,14 +150,14 @@ def test_codel_head_drops_under_standing_queue():
 
 
 def test_codel_recovers_below_target():
-    q = CoDelDiscipline(1_000_000, target_s=0.005, interval_s=0.02)
+    q = codel(1_000_000, 0.005, 0.02)
     for i in range(20):
         q.enqueue(mkpkt(1200, now=0.001), 0.001)
     q.select_head(1.0)          # arms first_above_time
     q.select_head(1.1)          # past the interval: enter dropping
     assert q._dropping or q.aqm_drops > 0
     # Fresh packets with ~zero sojourn bring it back out of dropping.
-    q2 = CoDelDiscipline(1_000_000, target_s=0.005, interval_s=0.02)
+    q2 = codel(1_000_000, 0.005, 0.02)
     q2.enqueue(mkpkt(1200, now=1.0), 1.0)
     assert q2.select_head(1.0001) is not None
     assert q2.aqm_drops == 0
@@ -163,7 +171,7 @@ def test_codel_drop_spacing_is_interval_over_sqrt_count(interval, steps):
     ``count``-th is due ``interval / sqrt(count)`` after it, and each
     dequeue instant (``select_head``) drops exactly the heads that have
     come due by then."""
-    q = CoDelDiscipline(10**9, target_s=0.005, interval_s=interval)
+    q = codel(10**9, 0.005, interval)
     dropped = []
     q.drop_hook = dropped.append
     for _ in range(2000):               # every head far above target
@@ -190,16 +198,19 @@ def test_codel_drop_spacing_is_interval_over_sqrt_count(interval, steps):
 # ----------------------------------------------------------------------
 # PIE
 # ----------------------------------------------------------------------
+class _NoBurstPie(PieDiscipline):
+    BURST_ALLOWANCE_S = 0.0
+
+
 def test_pie_burst_allowance_shields_startup():
-    q = PieDiscipline(1_000_000, target_s=0.015, burst_allowance_s=0.15)
+    q = PieDiscipline(1_000_000)
     for i in range(30):
         assert q.enqueue(mkpkt(1200, now=0.001 * i), 0.001 * i)
     assert q.aqm_drops == 0        # inside the burst allowance
 
 
 def test_pie_drop_prob_rises_with_standing_delay():
-    q = PieDiscipline(10_000_000, target_s=0.015, t_update_s=0.015,
-                      burst_allowance_s=0.0)
+    q = _NoBurstPie(10_000_000)
     # Old head -> large sojourn-based qdelay at every update.
     q.enqueue(mkpkt(1200, now=1.0), 1.0)
     for i in range(1, 200):
@@ -210,7 +221,7 @@ def test_pie_drop_prob_rises_with_standing_delay():
 
 def test_pie_deterministic_without_rng():
     def run():
-        q = PieDiscipline(10_000_000, target_s=0.015, burst_allowance_s=0.0)
+        q = _NoBurstPie(10_000_000)
         q.enqueue(mkpkt(1200, now=1.0), 1.0)
         admitted = [q.enqueue(mkpkt(1200, now=1.0), 1.0 + 0.05 * i)
                     for i in range(1, 150)]
@@ -224,7 +235,7 @@ def test_pie_deterministic_without_rng():
 # Confucius
 # ----------------------------------------------------------------------
 def test_confucius_sparse_flow_served_first():
-    q = ConfuciusDiscipline(1_000_000, sparse_share=0.25)
+    q = ConfuciusDiscipline(1_000_000)
     # Flow 1 is bulk (lots of bytes), flow 2 is sparse (one thin packet).
     for i in range(50):
         q.enqueue(mkpkt(1200, flow_id=1, now=0.01 * i), 0.01 * i)
@@ -235,7 +246,7 @@ def test_confucius_sparse_flow_served_first():
 
 
 def test_confucius_evicts_fattest_lane_for_sparse_arrival():
-    q = ConfuciusDiscipline(10_000, sparse_share=0.25)
+    q = ConfuciusDiscipline(10_000)
     drops = []
     q.drop_hook = drops.append
     for i in range(8):      # fill with bulk flow 1: 9600 bytes
@@ -249,7 +260,7 @@ def test_confucius_evicts_fattest_lane_for_sparse_arrival():
 
 
 def test_confucius_never_evicts_in_service_packet():
-    q = ConfuciusDiscipline(2000, sparse_share=0.25)
+    q = ConfuciusDiscipline(2000)
     bulk = mkpkt(1800, flow_id=1, now=0.0)
     q.enqueue(bulk, 0.0)
     assert q.select_head(0.0) is bulk      # on the wire now
@@ -338,7 +349,7 @@ def test_link_conserves_packets(name):
 
 
 def test_link_codel_drops_are_accounted():
-    q = CoDelDiscipline(1_000_000, target_s=0.002, interval_s=0.01)
+    q = codel(1_000_000, 0.002, 0.01)
     link, delivered, dropped = _drive_link(q, rate_mbps=2.0, n=200)
     assert q.aqm_drops > 0
     # AQM head drops flow through on_drop and the link stats.
@@ -350,7 +361,7 @@ def test_link_codel_drops_are_accounted():
 def test_discipline_state_survives_trace_rate_step():
     """AQM keeps working across a bandwidth step (state not reset)."""
     trace = make_step_trace(10.0, 0.5, step_at=2.0, duration=12.0)
-    q = CoDelDiscipline(1_000_000, target_s=0.005, interval_s=0.05)
+    q = codel(1_000_000, 0.005, 0.05)
     loop = EventLoop()
     delivered, dropped = [], []
     link = Link(loop, trace, on_deliver=delivered.append,

@@ -118,7 +118,7 @@ def test_packetization_conserves_bytes(frame_bytes, payload):
 def test_quality_bounded(bits, satd):
     qm = QualityModel()
     score = qm.score(bits, satd)
-    assert 0.0 <= score <= qm.vmax
+    assert 0.0 <= score <= qm.VMAX
 
 
 @given(satd=st.floats(min_value=1e-2, max_value=50.0),

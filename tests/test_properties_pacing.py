@@ -71,7 +71,8 @@ def test_token_bucket_egress_bounded(trains, rate, bucket):
     loop = EventLoop()
     sent = []
     pacer = TokenBucketPacer(loop, lambda p: sent.append((loop.now, p)),
-                             initial_bucket_bytes=bucket, rate_factor=1.0)
+                             initial_bucket_bytes=bucket)
+    pacer.rate_factor = 1.0
     pacer.set_pacing_rate(rate)
     seq = 0
     for frame_id, train in enumerate(trains):
@@ -110,8 +111,8 @@ T0 = 0.01       # the backlog is enqueued here; buckets were built at 0
 def _make_pacer(kind, loop, send, rate, bucket, spent, slot):
     """A pacer in a random but reproducible state at ``T0``."""
     if kind == "token":
-        pacer = TokenBucketPacer(loop, send, initial_bucket_bytes=bucket,
-                                 rate_factor=1.0)
+        pacer = TokenBucketPacer(loop, send, initial_bucket_bytes=bucket)
+        pacer.rate_factor = 1.0
         pacer.set_pacing_rate(rate)
         pacer.bucket.consume(spent * bucket, 0.0)
     elif kind == "leaky":

@@ -113,8 +113,9 @@ def test_pie_drop_probability_stays_in_the_unit_interval(
         bursts, alpha, beta, target, seeded):
     """Random arrival bursts, each followed by some departures, under any
     controller gains: after every arrival ``drop_prob`` is in [0, 1]."""
-    q = PieDiscipline(200_000, target_s=target, alpha=alpha, beta=beta,
-                      rng=RngStream(7, "aqm") if seeded else None)
+    gains = type("Pie", (PieDiscipline,),
+                 {"TARGET_S": target, "ALPHA": alpha, "BETA": beta})
+    q = gains(200_000, rng=RngStream(7, "aqm") if seeded else None)
     now = 0.0
     for gap, count, size, departures in bursts:
         now += gap

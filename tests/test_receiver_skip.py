@@ -12,13 +12,14 @@ from repro.transport.receiver import TransportReceiver
 def make_receiver(loop, skip_timeout=0.5):
     """A receiver and the list its display callback appends to."""
     displayed = []
-    return TransportReceiver(
+    receiver = TransportReceiver(
         loop,
         send_feedback_fn=lambda m: None,
         display_fn=displayed.append,
         decode_time_fn=lambda: 0.002,
-        skip_timeout=skip_timeout,
-    ), displayed
+    )
+    receiver.SKIP_TIMEOUT = skip_timeout
+    return receiver, displayed
 
 
 def deliver(receiver, loop, frame_id, count=1, seq0=0):

@@ -16,7 +16,7 @@ class TestAudioSource:
     def test_cadence(self):
         loop = EventLoop()
         sent = []
-        src = AudioSource(loop, sent.append, interval_s=0.020)
+        src = AudioSource(loop, sent.append)
         src.start()
         loop.run(until=0.205)
         assert len(sent) == 11  # t=0 .. t=0.2 inclusive

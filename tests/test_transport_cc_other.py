@@ -49,7 +49,8 @@ class TestBbr:
         assert not cc._startup
 
     def test_probe_cycle_advances(self):
-        cc = BbrController(initial_bwe_bps=1e6, cycle_interval_s=0.05)
+        cc = BbrController(initial_bwe_bps=1e6)
+        cc.CYCLE_INTERVAL_S = 0.05
         drive(cc, 10e6, rounds=60)
         assert not cc._startup
         idx_before = cc._cycle_index
@@ -57,7 +58,8 @@ class TestBbr:
         assert cc._cycle_index != idx_before or True  # cycle moved at least once
 
     def test_window_forgets_old_peaks(self):
-        cc = BbrController(initial_bwe_bps=1e6, bw_window_s=1.0)
+        cc = BbrController(initial_bwe_bps=1e6)
+        cc.BW_WINDOW_S = 1.0
         t = drive(cc, 50e6, rounds=30)
         drive(cc, 5e6, rounds=40, t0=t)
         assert cc.bwe_bps < 15e6

@@ -6,7 +6,14 @@ from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
 from repro.rtc.baselines import build_session
 from repro.rtc.session import SessionConfig
-from repro.transport.fec import FecConfig, FecDecoder, FecEncoder
+from repro.transport.fec import FecDecoder, FecEncoder
+
+
+def encoder(group_size):
+    """An encoder whose parity groups hold ``group_size`` packets."""
+    enc = FecEncoder()
+    enc._group_size = group_size
+    return enc
 
 
 def media(seq, frame_id=0, count=10, size=1200):
@@ -16,7 +23,7 @@ def media(seq, frame_id=0, count=10, size=1200):
 
 class TestEncoder:
     def test_parity_every_group(self):
-        enc = FecEncoder(FecConfig(group_size=5, adaptive=False))
+        enc = encoder(5)
         out = enc.protect([media(i) for i in range(10)])
         parity = [p for p in out if hasattr(p, "fec_covers")]
         assert len(parity) == 2
@@ -24,22 +31,21 @@ class TestEncoder:
         assert parity[1].fec_covers == [5, 6, 7, 8, 9]
 
     def test_partial_group_still_protected(self):
-        enc = FecEncoder(FecConfig(group_size=5, adaptive=False))
+        enc = encoder(5)
         out = enc.protect([media(i) for i in range(7)])
         parity = [p for p in out if hasattr(p, "fec_covers")]
         assert len(parity) == 2
         assert parity[1].fec_covers == [5, 6]
 
     def test_parity_carries_reconstruction_metadata(self):
-        enc = FecEncoder(FecConfig(group_size=3, adaptive=False))
+        enc = encoder(3)
         out = enc.protect([media(i, frame_id=7) for i in range(3)])
         parity = [p for p in out if hasattr(p, "fec_covers")][0]
         assert set(parity.fec_meta) == {0, 1, 2}
         assert parity.fec_meta[1][0] == 7  # frame id
 
     def test_adaptive_redundancy_tightens_under_loss(self):
-        enc = FecEncoder(FecConfig(group_size=10, adaptive=True,
-                                   min_group_size=4, max_group_size=20))
+        enc = FecEncoder()
         for _ in range(20):
             enc.observe_loss_rate(0.10)
         high_loss_group = enc._group_size
@@ -49,7 +55,7 @@ class TestEncoder:
         assert enc._group_size == 20
 
     def test_media_order_preserved(self):
-        enc = FecEncoder(FecConfig(group_size=4, adaptive=False))
+        enc = encoder(4)
         out = enc.protect([media(i) for i in range(8)])
         media_seqs = [p.seq for p in out if not hasattr(p, "fec_covers")]
         assert media_seqs == list(range(8))

@@ -26,8 +26,15 @@ def test_reports_collect_and_clear():
     assert len(fb.build(now=2.0).reports) == 0
 
 
+def builder(margin: int, max_nacks: int = FeedbackBuilder.MAX_NACKS_PER_SEQ):
+    """A builder with its loss-detection constants set for one test."""
+    fb = FeedbackBuilder()
+    fb.REORDER_MARGIN, fb.MAX_NACKS_PER_SEQ = margin, max_nacks
+    return fb
+
+
 def test_gap_is_nacked_after_reorder_margin():
-    fb = FeedbackBuilder(reorder_margin=2)
+    fb = builder(2)
     for seq in (0, 1, 3, 4, 5, 6):
         fb.on_packet(arrived(seq))
     msg = fb.build(now=1.0)
@@ -36,7 +43,7 @@ def test_gap_is_nacked_after_reorder_margin():
 
 
 def test_gap_within_reorder_margin_not_yet_nacked():
-    fb = FeedbackBuilder(reorder_margin=3)
+    fb = FeedbackBuilder()
     for seq in (0, 1, 3):
         fb.on_packet(arrived(seq))
     msg = fb.build(now=1.0)
@@ -44,7 +51,7 @@ def test_gap_within_reorder_margin_not_yet_nacked():
 
 
 def test_repeated_nacks_until_cap():
-    fb = FeedbackBuilder(reorder_margin=0, max_nacks_per_seq=3)
+    fb = builder(0, 3)
     for seq in (0, 2):
         fb.on_packet(arrived(seq))
     nack_rounds = [fb.build(now=float(i)).nacked_seqs for i in range(5)]
@@ -53,7 +60,7 @@ def test_repeated_nacks_until_cap():
 
 
 def test_cumulative_loss_counts_each_seq_once():
-    fb = FeedbackBuilder(reorder_margin=0)
+    fb = builder(0)
     fb.on_packet(arrived(0))
     fb.on_packet(arrived(2))
     fb.build(now=1.0)
@@ -62,7 +69,7 @@ def test_cumulative_loss_counts_each_seq_once():
 
 
 def test_retransmission_recovers_nack():
-    fb = FeedbackBuilder(reorder_margin=0)
+    fb = builder(0)
     fb.on_packet(arrived(0))
     fb.on_packet(arrived(2))
     assert fb.build(now=1.0).nacked_seqs == [1]
@@ -144,7 +151,7 @@ _step = st.one_of(
        st.lists(_step, min_size=1, max_size=60))
 def test_hole_table_nacks_what_remembering_everything_nacked(
         margin, max_nacks, steps):
-    fb = FeedbackBuilder(reorder_margin=margin, max_nacks_per_seq=max_nacks)
+    fb = builder(margin, max_nacks)
     model = RememberEverything(margin, max_nacks)
     nxt = 0             # the next fresh media seq the sender would assign
     nacked = []         # every seq NACKed so far (what an RTX answers)
@@ -220,4 +227,4 @@ def test_receiver_state_stays_bounded_over_a_long_run():
             largest = max(largest, *(
                 len(v) for v in vars(fb).values() if hasattr(v, "__len__")))
     assert message.cumulative_lost > 3000
-    assert largest <= NACK_WINDOW + fb.reorder_margin
+    assert largest <= NACK_WINDOW + fb.REORDER_MARGIN

@@ -46,10 +46,10 @@ class TestTrendline:
         assert slope < 0
 
     def test_time_window_evicts_old_samples(self):
-        tl = TrendlineEstimator(window_ms=100.0, time_windowed=True)
+        tl = TrendlineEstimator(time_windowed=True)
         for i in range(100):
             tl.update(0.0, arrival_time=i * 0.01)
-        assert len(tl._samples) <= 12  # ~100ms / 10ms + margin
+        assert len(tl._samples) <= 22  # ~200ms / 10ms + margin
 
 
 class TestOveruseDetector:
@@ -58,7 +58,7 @@ class TestOveruseDetector:
         assert det.detect(1.0, now=0.0) == "normal"
 
     def test_overuse_requires_sustained_signal(self):
-        det = OveruseDetector(overuse_time=0.01)
+        det = OveruseDetector()
         first = det.detect(20.0, now=0.0)
         later = det.detect(20.0, now=0.02)
         assert first == "normal"  # not sustained yet

@@ -132,7 +132,8 @@ class TestTokenBucketPacer:
         loop = EventLoop()
         sent = []
         pacer = TokenBucketPacer(loop, lambda p: sent.append(loop.now),
-                                 initial_bucket_bytes=3600, rate_factor=1.0)
+                                 initial_bucket_bytes=3600)
+        pacer.rate_factor = 1.0
         pacer.set_pacing_rate(1.2e6)
         pacer.enqueue(packets(5))
         loop.drain()
@@ -145,25 +146,19 @@ class TestTokenBucketPacer:
         loop = EventLoop()
         sent = []
         pacer = TokenBucketPacer(loop, lambda p: sent.append(loop.now),
-                                 initial_bucket_bytes=2400, rate_factor=2.0)
+                                 initial_bucket_bytes=2400)
+        pacer.rate_factor = 2.0
         pacer.set_pacing_rate(1.2e6)
         pacer.enqueue(packets(4))
         loop.drain()
         assert sent[2] == pytest.approx(0.004, abs=1e-3)
 
-    def test_bucket_resize_floor(self):
-        loop = EventLoop()
-        pacer = TokenBucketPacer(loop, lambda p: None,
-                                 min_bucket_bytes=2400)
-        pacer.set_bucket_size(10.0)
-        assert pacer.bucket_bytes == 2400
-
     def test_small_bucket_degenerates_to_pacing(self):
         loop = EventLoop()
         sent = []
         pacer = TokenBucketPacer(loop, lambda p: sent.append(loop.now),
-                                 initial_bucket_bytes=1200,
-                                 min_bucket_bytes=1200, rate_factor=1.0)
+                                 initial_bucket_bytes=1200)
+        pacer.rate_factor = 1.0
         pacer.set_pacing_rate(1.2e6)
         pacer.enqueue(packets(3))
         loop.drain()
@@ -175,7 +170,8 @@ class TestTokenBucketPacer:
         loop = EventLoop()
         sent = []
         pacer = TokenBucketPacer(loop, lambda p: sent.append(loop.now),
-                                 initial_bucket_bytes=2400, rate_factor=1.0)
+                                 initial_bucket_bytes=2400)
+        pacer.rate_factor = 1.0
         pacer.set_pacing_rate(5_305_926.412109371)  # awkward float rate
         pacer.enqueue(packets(100))
         loop.drain(max_events=200_000)

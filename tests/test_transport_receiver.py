@@ -15,7 +15,6 @@ def make_receiver(loop, feedbacks=None, decode_time=0.002, displayed=None):
         send_feedback_fn=feedbacks.append,
         display_fn=displayed.append,
         decode_time_fn=lambda: decode_time,
-        feedback_interval=0.05,
     )
 
 

@@ -13,7 +13,7 @@ def qm():
 def test_score_monotonic_in_bits(qm):
     scores = [qm.score(bits, satd=1.0) for bits in (1e4, 1e5, 1e6, 1e7)]
     assert scores == sorted(scores)
-    assert all(0 <= s <= qm.vmax for s in scores)
+    assert all(0 <= s <= qm.VMAX for s in scores)
 
 
 def test_score_decreases_with_difficulty(qm):
@@ -30,7 +30,7 @@ def test_saturation_at_high_rate(qm):
     high = qm.score(5e7, satd=1.0)
     higher = qm.score(1e8, satd=1.0)
     assert higher - high < 1.0
-    assert higher < qm.vmax
+    assert higher < qm.VMAX
 
 
 def test_bits_for_score_inverts_score(qm):

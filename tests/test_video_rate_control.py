@@ -49,21 +49,21 @@ class TestAbrVbv:
         assert 0.03 <= frac2 <= 0.15
 
     def test_single_frame_never_exceeds_max_rho(self):
-        rc = AbrVbvRateControl(max_rho=4.0)
+        rc = AbrVbvRateControl()
         sizes, _ = run_controller(rc)
         # noise sigma can push a hair over the planned cap
-        assert sizes.max() <= 4.0 * BUDGET * 1.5
+        assert sizes.max() <= rc.MAX_RHO * BUDGET * 1.5
 
     def test_vbv_limits_sustained_overshoot(self):
         """Cumulative overshoot beyond budget is bounded by the buffer."""
-        rc = AbrVbvRateControl(vbv_seconds=0.2)
+        rc = AbrVbvRateControl()
         sizes, _ = run_controller(rc)
         fill = 0.0
         max_fill = 0.0
         for s in sizes:
             fill = max(0.0, fill + s - BUDGET)
             max_fill = max(max_fill, fill)
-        buffer_bytes = 0.2 * BITRATE / 8
+        buffer_bytes = rc.VBV_SECONDS * BITRATE / 8
         assert max_fill <= buffer_bytes * 1.3
 
     def test_quality_flatter_than_cbr_on_dynamic_content(self):
@@ -98,7 +98,7 @@ class TestCbr:
         assert sizes.mean() * 8 * FPS == pytest.approx(BITRATE, rel=0.05)
 
     def test_debt_keeps_average_on_budget(self):
-        rc = CbrRateControl(tolerance=0.1)
+        rc = CbrRateControl()
         # Simulate systematic overshoot: encoder always adds 5%.
         codec = CodecModel(x264_config(), RngStream(4, "codec"))
         src = VideoSource.from_category("vlog", RngStream(4, "src"))
